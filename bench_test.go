@@ -1,15 +1,12 @@
-// Repository-level benchmarks: one benchmark (or pair) per experiment in
-// DESIGN.md §4, regenerating the performance rows recorded in
-// EXPERIMENTS.md. The "Mediated vs Direct/Native" pairs measure the cost
-// of Starlink interposition; the Ablation benchmarks quantify the design
-// choices DESIGN.md §5 calls out (DSL-interpreted parsing vs hand-coded,
-// MTL interpretation cost).
+// Repository-level benchmarks for what the mediation benchmark (go run
+// ./bench, bench/README.md) does not answer: merge time, the
+// protocol-only bridge, the fault-recovery soak, UDP discovery, and the
+// paper's DSL-interpreted vs hand-coded parsing comparison. What a
+// mediated flow costs, and where the time goes, is measured there.
 package starlink_test
 
 import (
-	"fmt"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,19 +17,13 @@ import (
 	"starlink/internal/engine"
 	"starlink/internal/mdl"
 	"starlink/internal/mdl/textenc"
-	"starlink/internal/message"
-	"starlink/internal/mtl"
 	"starlink/internal/network"
-	"starlink/internal/observe"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/httpwire"
-	"starlink/internal/protocol/rest"
 	"starlink/internal/protocol/slp"
 	"starlink/internal/protocol/soap"
 	"starlink/internal/protocol/ssdp"
 	"starlink/internal/protocol/xmlrpc"
-	"starlink/internal/services/photostore"
-	"starlink/internal/services/picasa"
 )
 
 // ---- E2 (Fig. 3): merged-automaton construction ----
@@ -48,116 +39,7 @@ func BenchmarkE2MergeFlickrPicasa(b *testing.B) {
 	}
 }
 
-// ---- E3 (Figs. 4-5): GIOP MDL parse/compose ----
-
-func giopWire(b *testing.B) (mdl.Codec, []byte) {
-	b.Helper()
-	codec, err := giop.NewCodec()
-	if err != nil {
-		b.Fatal(err)
-	}
-	wire, err := codec.Compose(giop.NewRequest(7, "calc", "Add",
-		[]*message.Field{giop.IntParam(20), giop.IntParam(22)}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return codec, wire
-}
-
-func BenchmarkE3GIOPMDLParse(b *testing.B) {
-	codec, wire := giopWire(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Parse(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE3GIOPMDLCompose(b *testing.B) {
-	codec, _ := giopWire(b)
-	req := giop.NewRequest(7, "calc", "Add",
-		[]*message.Field{giop.IntParam(20), giop.IntParam(22)})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.Compose(req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- E4 (Figs. 7-8): Add/Plus mediation latency vs direct SOAP ----
-
-func startPlus(b *testing.B) *soap.Server {
-	b.Helper()
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			x, _ := strconv.Atoi(params[0].Value)
-			y, _ := strconv.Atoi(params[1].Value)
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { srv.Close() })
-	return srv
-}
-
-func BenchmarkE4AddMediated(b *testing.B) {
-	srv := startPlus(b)
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		b.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: srv.Addr()},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { med.Close() })
-	client, err := giop.Dial(med.Addr(), "calc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { client.Close() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Invoke("Add", giop.IntParam(20), giop.IntParam(22)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE4AddDirectSOAP(b *testing.B) {
-	srv := startPlus(b)
-	c := soap.NewClient(srv.Addr(), "/soap")
-	b.Cleanup(func() { c.Close() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Call("Plus", soap.Param{Name: "x", Value: "20"}, soap.Param{Name: "y", Value: "22"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// ---- E4 baseline: the protocol-only bridge ----
 
 func BenchmarkE4AddViaProtocolBridge(b *testing.B) {
 	// The protocol-only baseline on the workload it CAN handle (identical
@@ -271,126 +153,7 @@ func BenchmarkE11FaultRecoverySoak(b *testing.B) {
 	b.ReportMetric(float64(st.Redials), "redials")
 }
 
-// ---- E5/E7 (Fig. 9, §5.1): case-study flows, mediated vs native ----
-
-type caseStudyBench struct {
-	store *photostore.Store
-	pic   *picasa.Service
-	med   *engine.Mediator
-}
-
-func startCaseStudyBench(b *testing.B) *caseStudyBench {
-	b.Helper()
-	env := &caseStudyBench{store: photostore.New()}
-	pic, err := picasa.New(env.store)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { pic.Close() })
-	env.pic = pic
-	routes, err := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	restBinder, err := bind.NewRESTBinder(routes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: casestudy.XMLRPCMediator(),
-		Sides: map[int]*engine.Side{
-			1: {Binder: &bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages}},
-			2: {Binder: restBinder, Target: pic.Addr()},
-		},
-		HostMap: map[string]string{casestudy.PicasaHost: pic.Addr()},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { med.Close() })
-	env.med = med
-	return env
-}
-
-// mediatedReadFlow runs the full four-operation case-study flow, but
-// directs the addComment write at a photo the read path never queries:
-// otherwise every iteration would grow the comment list the next
-// iteration's getComments has to serialize, and ns/op would scale with
-// b.N instead of measuring the flow.
-func mediatedReadFlow(b *testing.B, c *xmlrpc.Client) {
-	b.Helper()
-	v, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(3)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	photos := v.(map[string]xmlrpc.Value)["photos"].([]xmlrpc.Value)
-	id := photos[0].(map[string]xmlrpc.Value)["id"].(string)
-	if _, err := c.Call(casestudy.FlickrGetInfo, map[string]xmlrpc.Value{"photo_id": id}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.Call(casestudy.FlickrGetComments, map[string]xmlrpc.Value{"photo_id": id}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.Call(casestudy.FlickrAddComment, map[string]xmlrpc.Value{
-		"photo_id": "photo-0008", "comment_text": "bench",
-	}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkE7CaseStudyMediatedFlow(b *testing.B) {
-	env := startCaseStudyBench(b)
-	c := xmlrpc.NewClient(env.med.Addr(), "/services/xmlrpc")
-	b.Cleanup(func() { c.Close() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mediatedReadFlow(b, c)
-	}
-}
-
-func BenchmarkE7CaseStudyNativeFlow(b *testing.B) {
-	env := startCaseStudyBench(b)
-	c := rest.NewClient(env.pic.Addr())
-	b.Cleanup(func() { c.Close() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed, err := c.Search("tree", 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		id := feed.Entries[0].ID
-		if _, err := c.Comments(id); err != nil {
-			b.Fatal(err)
-		}
-		// Write to a photo the read path never touches (see
-		// mediatedReadFlow) so iterations stay independent.
-		if _, err := c.AddComment("photo-0008", "bench"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- E6 (Fig. 10): getInfo answered from the mediator cache ----
-
-func BenchmarkE6GetInfoFromCache(b *testing.B) {
-	env := startCaseStudyBench(b)
-	c := xmlrpc.NewClient(env.med.Addr(), "/services/xmlrpc")
-	b.Cleanup(func() { c.Close() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The automaton is linear, so each iteration runs a full flow; the
-		// getInfo leg inside it is the cache-resolved exchange.
-		mediatedReadFlow(b, c)
-	}
-}
-
-// ---- Ablations (DESIGN.md §5) ----
+// ---- Ablation (DESIGN.md §5) ----
 
 // BenchmarkAblationHTTPParseMDL vs ...HandCoded: the cost of interpreting
 // the text-MDL spec instead of the hand-written HTTP parser.
@@ -418,67 +181,6 @@ func BenchmarkAblationHTTPParseHandCoded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := httpwire.ParseRequest(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationMTLTranslation: the interpretation cost of the Fig. 9
-// search-reply translation, isolated from the network.
-func BenchmarkAblationMTLTranslation(b *testing.B) {
-	prog := mtl.MustParse(`
-reply.Msg.photos = newarray("photos")
-foreach e in feed.Msg.entry {
-  cache(e.id, e)
-  p = newstruct("item")
-  p.id = e.id
-  p.title = e.title
-  reply.Msg.photos.item[] = p
-}
-reply.Msg.total = count(feed.Msg)
-`)
-	feed := message.New("picasa.photos.search.reply",
-		message.NewStruct("entry",
-			message.NewPrimitive("id", message.TypeString, "p1"),
-			message.NewPrimitive("title", message.TypeString, "tree"),
-		),
-		message.NewStruct("entry",
-			message.NewPrimitive("id", message.TypeString, "p2"),
-			message.NewPrimitive("title", message.TypeString, "oak"),
-		),
-		message.NewStruct("entry",
-			message.NewPrimitive("id", message.TypeString, "p3"),
-			message.NewPrimitive("title", message.TypeString, "pine"),
-		),
-	)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env := mtl.NewEnv(&mtl.Cache{})
-		env.Bind("feed", feed)
-		env.Bind("reply", message.New(""))
-		if err := prog.Exec(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBinderXMLRPC: abstract<->concrete binding cost for one
-// request, isolated from the network.
-func BenchmarkAblationBinderXMLRPC(b *testing.B) {
-	binder := &bind.XMLRPCBinder{Path: "/x", Defs: casestudy.FlickrUsage().Messages}
-	abs := message.New(casestudy.FlickrSearch,
-		message.NewPrimitive("text", message.TypeString, "tree"),
-		message.NewPrimitive("per_page", message.TypeInt64, 3),
-	)
-	packet, err := binder.BuildRequest(casestudy.FlickrSearch, abs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := binder.ParseRequest(packet); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -539,183 +241,5 @@ func BenchmarkE10DiscoveryDirectSLP(b *testing.B) {
 		if _, err := c.Find("service:printer:lpr", "DEFAULT"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---- E8 sweep: mediated search latency vs corpus and result-set size ----
-
-func benchSweepEnv(b *testing.B, corpus int) (*engine.Mediator, *picasa.Service) {
-	b.Helper()
-	store := photostore.Generate(corpus)
-	pic, err := picasa.New(store)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { pic.Close() })
-	routes, err := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	restBinder, err := bind.NewRESTBinder(routes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: casestudy.XMLRPCMediator(),
-		Sides: map[int]*engine.Side{
-			1: {Binder: &bind.XMLRPCBinder{Path: "/x", Defs: casestudy.FlickrUsage().Messages}},
-			2: {Binder: restBinder, Target: pic.Addr()},
-		},
-		HostMap: map[string]string{casestudy.PicasaHost: pic.Addr()},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { med.Close() })
-	return med, pic
-}
-
-// BenchmarkE8SearchSweep measures one mediated search+getInfo pair while
-// sweeping the result-set size (the per_page parameter) over a 500-photo
-// corpus: the translation cost scales with the entries the γ foreach
-// walks.
-func BenchmarkE8SearchSweep(b *testing.B) {
-	for _, results := range []int{1, 5, 20, 50} {
-		b.Run(fmt.Sprintf("results=%d", results), func(b *testing.B) {
-			med, _ := benchSweepEnv(b, 500)
-			c := xmlrpc.NewClient(med.Addr(), "/x")
-			b.Cleanup(func() { c.Close() })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{
-					"text": "tree", "per_page": int64(results),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				photos := v.(map[string]xmlrpc.Value)["photos"].([]xmlrpc.Value)
-				if len(photos) != results {
-					b.Fatalf("photos = %d", len(photos))
-				}
-				id := photos[0].(map[string]xmlrpc.Value)["id"].(string)
-				if _, err := c.Call(casestudy.FlickrGetInfo, map[string]xmlrpc.Value{"photo_id": id}); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Call(casestudy.FlickrGetComments, map[string]xmlrpc.Value{"photo_id": id}); err != nil {
-					b.Fatal(err)
-				}
-				// Write to a photo outside the "tree" result set so the
-				// measured read path stays stable across iterations.
-				if _, err := c.Call(casestudy.FlickrAddComment, map[string]xmlrpc.Value{
-					"photo_id": "photo-000002", "comment_text": "s",
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---- Concurrent sessions: shared service pool under parallel load ----
-
-// benchConcurrentSessions runs b.N waves of `sessions` parallel clients,
-// each a complete session (dial, one mediated Add, close), through a
-// single mediator. The service-side connections come from the shared
-// pool, so total pool dials stay near the per-wave concurrency instead
-// of growing with the total session count. With observed set, the full
-// flow tracer is attached and enabled — the pair of benchmarks bounds
-// the observability tax (EXPERIMENTS.md E13).
-func benchConcurrentSessions(b *testing.B, sessions int, observed bool) {
-	srv := startPlus(b)
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: srv.Addr()},
-		},
-	}
-	var obs *observe.Observer
-	if observed {
-		obs = observe.Instrument(&cfg, observe.Options{})
-	}
-	med, err := engine.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { med.Close() })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				client, err := giop.Dial(med.Addr(), "calc")
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer client.Close()
-				if _, err := client.Invoke("Add", giop.IntParam(20), giop.IntParam(22)); err != nil {
-					errs <- err
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := med.Stats()
-	b.ReportMetric(float64(st.Sessions), "sessions")
-	b.ReportMetric(float64(st.PoolDials), "pool-dials")
-	b.ReportMetric(float64(st.PoolHits), "pool-hits")
-	if b.N > 1 && st.PoolDials >= st.Sessions {
-		b.Errorf("pool dials %d >= sessions %d: no cross-session reuse", st.PoolDials, st.Sessions)
-	}
-	if observed {
-		ost := obs.Stats()
-		b.ReportMetric(float64(ost.FlowsAssembled), "flows-traced")
-		if b.N > 1 && ost.FlowsAssembled == 0 {
-			b.Error("observed run assembled no flow traces")
-		}
-	}
-}
-
-// BenchmarkConcurrentSessions is the concurrent-session soak: the same
-// mediated Add flow at 1, 8 and 64 parallel sessions per wave.
-func BenchmarkConcurrentSessions(b *testing.B) {
-	for _, n := range []int{1, 8, 64} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) { benchConcurrentSessions(b, n, false) })
-	}
-}
-
-// BenchmarkConcurrentSessionsObserved is the same soak with the flow
-// tracer enabled; compare against BenchmarkConcurrentSessions for the
-// observability overhead (target <5%, EXPERIMENTS.md E13).
-func BenchmarkConcurrentSessionsObserved(b *testing.B) {
-	for _, n := range []int{1, 8, 64} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) { benchConcurrentSessions(b, n, true) })
 	}
 }

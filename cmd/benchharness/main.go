@@ -1,51 +1,11 @@
 // Command benchharness runs the paper-reproduction experiment suite
-// (E1-E14 and E16-E19, see DESIGN.md §4 and EXPERIMENTS.md) and prints one
-// report line per experiment. It exits non-zero if any experiment fails.
-//
-// With -observe <file>, it additionally measures the flow tracer's
-// per-flow overhead at 1, 8 and 64 concurrent sessions and writes the
-// points as JSON (the committed BENCH_observe.json baseline).
-//
-// With -gateway <file>, it measures the mediation gateway's per-flow
-// overhead versus a direct mediator listener at the same concurrency
-// levels, plus the shed-reject latency, and writes the result as JSON
-// (the committed BENCH_gateway.json baseline).
-//
-// With -translate <file>, it measures γ translation directly —
-// interpreted tree-walk vs the compiled fast path with a pooled
-// environment — for the flickr and shopping case-study programs at the
-// same concurrency levels, and writes the result as JSON (the committed
-// BENCH_translate.json baseline).
-//
-// With -cache <file>, it measures the cross-flow response cache end to
-// end (EXPERIMENTS.md E16): both case-study search mediators deployed
-// through starlink.Deploy, cache off vs on, repeated-read and
-// unique-query workloads at the same concurrency levels, and writes the
-// result as JSON (the committed BENCH_cache.json baseline).
-//
-// With -balance <file>, it measures the backend replica-set balancing
-// machinery's per-flow overhead — a mediator dialling a fixed service
-// address vs one routing every checkout through a single-replica p2c set
-// with the active prober running — at the same concurrency levels, and
-// writes the result as JSON (the committed BENCH_balance.json baseline).
-//
-// With -discover <file>, it measures the steady-state cost of dynamic
-// service discovery — a mediator balancing over a static backend set vs
-// one whose identical set is driven by a file discovery source polling
-// every 25ms — at the same concurrency levels, and writes the result as
-// JSON (the committed BENCH_discover.json baseline).
-//
-// With -deadline <file>, it measures the per-flow cost of flow-deadline
-// budgets on the healthy path — a mediator with budgets disabled vs one
-// with a generous budget armed, so every SetDeadline clamp and
-// remaining-budget check runs but nothing trips — at the same
-// concurrency levels, and writes the result as JSON (the committed
-// BENCH_deadline.json baseline).
+// (E1-E12, E14 and E16-E19, see DESIGN.md §4 and EXPERIMENTS.md) and
+// prints one report line per experiment. It exits non-zero if any
+// experiment fails. It measures nothing: what a mediated flow costs is
+// the benchmark's question (go run ./bench, see bench/README.md).
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 
@@ -53,15 +13,6 @@ import (
 )
 
 func main() {
-	observeOut := flag.String("observe", "", "write tracer-overhead measurements (JSON) to this file")
-	gatewayOut := flag.String("gateway", "", "write gateway-overhead measurements (JSON) to this file")
-	translateOut := flag.String("translate", "", "write γ-translation interpreted-vs-compiled measurements (JSON) to this file")
-	cacheOut := flag.String("cache", "", "write response-cache off-vs-on measurements (JSON) to this file")
-	balanceOut := flag.String("balance", "", "write backend-balancer overhead measurements (JSON) to this file")
-	discoverOut := flag.String("discover", "", "write discovery steady-state overhead measurements (JSON) to this file")
-	deadlineOut := flag.String("deadline", "", "write flow-deadline budget overhead measurements (JSON) to this file")
-	flag.Parse()
-
 	fmt.Println("Starlink experiment harness — MIDDLEWARE 2011 reproduction")
 	fmt.Println()
 	failures := 0
@@ -77,166 +28,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("all experiments passed")
-
-	if *observeOut != "" {
-		points, err := harness.MeasureObserveOverhead([]int{1, 8, 64}, 50)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: observe measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*observeOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("tracer-overhead measurements written to %s\n", *observeOut)
-		for _, p := range points {
-			fmt.Printf("  %2d session(s): off %.0fns/flow, on %.0fns/flow (%+.1f%%)\n",
-				p.Sessions, p.OffNsPerFlow, p.OnNsPerFlow, p.OverheadPct)
-		}
-	}
-
-	if *gatewayOut != "" {
-		bench, err := harness.MeasureGatewayOverhead([]int{1, 8, 64}, 400)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: gateway measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*gatewayOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("gateway-overhead measurements written to %s\n", *gatewayOut)
-		for _, p := range bench.Points {
-			fmt.Printf("  %2d session(s): direct %.0fns/flow, gateway %.0fns/flow (%+.1f%%)\n",
-				p.Sessions, p.DirectNsPerFlow, p.GatewayNsPerFlow, p.OverheadPct)
-		}
-		fmt.Printf("  shed reject: %.0fns mean\n", bench.ShedNsMean)
-	}
-
-	if *translateOut != "" {
-		report, err := harness.MeasureTranslateOverhead([]int{1, 8, 64}, 2000)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: translate measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*translateOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("translation measurements written to %s\n", *translateOut)
-		for _, p := range report.Points {
-			fmt.Printf("  %-8s %-11s %2d session(s): %.0fns/op, %.1f allocs/op\n",
-				p.CaseStudy, p.Mode, p.Sessions, p.NsPerOp, p.AllocsPerOp)
-		}
-		for cs, r := range report.AllocsReduction {
-			fmt.Printf("  %s: compiled path allocs/op reduced %.0f%%\n", cs, r*100)
-		}
-	}
-
-	if *cacheOut != "" {
-		report, err := harness.MeasureCacheOverhead([]int{1, 8, 64}, 100)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: cache measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*cacheOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("response-cache measurements written to %s\n", *cacheOut)
-		for _, p := range report.Points {
-			fmt.Printf("  %-8s %-6s %-6s %2d session(s): %5d exchanges, p50 %.0fµs\n",
-				p.CaseStudy, p.Workload, p.Mode, p.Sessions, p.ServiceExchanges, p.P50Ns/1e3)
-		}
-		for _, cs := range []string{"flickr", "shopping"} {
-			fmt.Printf("  %s: %.0fx fewer service exchanges, p50 -%.0f%%, miss overhead %+.2f%%\n",
-				cs, report.ExchangeReduction[cs], report.P50Reduction[cs]*100, report.MissOverheadPct[cs])
-		}
-	}
-
-	if *balanceOut != "" {
-		bench, err := harness.MeasureBalanceOverhead([]int{1, 8, 64}, 400)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: balance measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*balanceOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("balancer-overhead measurements written to %s\n", *balanceOut)
-		for _, p := range bench.Points {
-			fmt.Printf("  %2d session(s): direct %.0fns/flow, balanced %.0fns/flow (%+.1f%%)\n",
-				p.Sessions, p.DirectNsPerFlow, p.BalancedNsPerFlow, p.OverheadPct)
-		}
-	}
-
-	if *discoverOut != "" {
-		bench, err := harness.MeasureDiscoverOverhead([]int{1, 8, 64}, 400)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: discover measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*discoverOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("discovery-overhead measurements written to %s\n", *discoverOut)
-		for _, p := range bench.Points {
-			fmt.Printf("  %2d session(s): static %.0fns/flow, discovered %.0fns/flow (%+.1f%%)\n",
-				p.Sessions, p.StaticNsPerFlow, p.DiscoveredNsPerFlow, p.OverheadPct)
-		}
-	}
-
-	if *deadlineOut != "" {
-		bench, err := harness.MeasureDeadlineOverhead([]int{1, 8, 64}, 400)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness: deadline measurement:", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*deadlineOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("deadline-overhead measurements written to %s\n", *deadlineOut)
-		for _, p := range bench.Points {
-			fmt.Printf("  %2d session(s): off %.0fns/flow, on %.0fns/flow (%+.1f%%)\n",
-				p.Sessions, p.OffNsPerFlow, p.OnNsPerFlow, p.OverheadPct)
-		}
-	}
 }

@@ -132,7 +132,10 @@ func (b *SLPBinder) BuildRequest(action string, abs *message.Message) ([]byte, e
 	if scope == "" {
 		scope = "DEFAULT"
 	}
-	return b.codec.Compose(slp.NewRequest(b.nextXID.Add(1), st, scope))
+	// The wire field is <XID:16>: the counter wraps there, or the codec
+	// refuses every request after the 65 535th.
+	xid := uint16(b.nextXID.Add(1))
+	return b.codec.Compose(slp.NewRequest(uint64(xid), st, scope))
 }
 
 // ParseReply implements Binder.

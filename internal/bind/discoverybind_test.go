@@ -128,6 +128,49 @@ func TestSLPBinderRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSLPBinderXIDWraps: the request counter wraps with the 16-bit XID
+// field, so lookups keep round-tripping past the 65 535th.
+func TestSLPBinderXIDWraps(t *testing.T) {
+	b, err := NewSLPBinder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.nextXID.Store(65534)
+	abs := message.New(DiscoverySearch,
+		message.NewPrimitive("servicetype", message.TypeString, "service:printer:lpr"),
+	)
+	for i, want := range []uint64{65535, 0, 1, 2} {
+		packet, err := b.BuildRequest(DiscoverySearch, abs)
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+		_, req, err := b.ParseRequest(packet)
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+		if xid, _ := req.GetInt("_slp_xid"); uint64(xid) != want {
+			t.Errorf("lookup %d: xid = %d, want %d", i, xid, want)
+		}
+		rp, err := b.BuildReply(DiscoverySearch, message.New(DiscoverySearch+".reply",
+			message.NewStruct("urlentry",
+				message.NewPrimitive("url", message.TypeString, "service:printer:lpr://a"),
+				message.NewPrimitive("lifetime", message.TypeInt64, 99),
+			),
+			req.Field("_slp_xid"),
+		))
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+		reply, err := b.ParseReply(DiscoverySearch, rp)
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+		if v, _ := reply.GetString("urlentry.url"); v != "service:printer:lpr://a" {
+			t.Errorf("lookup %d: url = %q", i, v)
+		}
+	}
+}
+
 func TestSLPBinderErrors(t *testing.T) {
 	b, err := NewSLPBinder()
 	if err != nil {

@@ -2,13 +2,14 @@ package casestudy
 
 import "starlink/internal/automata"
 
-// Read-only search mediators for the cross-flow response-cache
-// experiment (EXPERIMENTS.md E16): the search segments of the two case
-// studies lifted into standalone merged automata, so one flow is
-// exactly one cacheable service exchange. The full mediators interleave
-// reads with writes (addComment, checkout) inside a single linear
-// traversal, which caps the service-exchange reduction a response cache
-// can show; these isolate the read-mostly workload the cache targets.
+// The read-only search mediator of the cross-flow response-cache
+// experiment (EXPERIMENTS.md E16) and of the benchmark's search
+// workloads: the search segment of the case study lifted into a
+// standalone merged automaton, so one flow is exactly one cacheable
+// service exchange. The full mediator interleaves reads with a write
+// (addComment) inside a single linear traversal, which caps the
+// service-exchange reduction a response cache can show; this isolates
+// the read-mostly workload the cache targets.
 
 // SearchMediator is the Flickr/Picasa search flow on its own: the
 // XML-RPC flickr.photos.search request is translated to a Picasa REST
@@ -40,40 +41,6 @@ foreach e in `+feed+`.Msg.entry {
 `+reply+`.Msg.total = count(`+feed+`.Msg)
 `, 1)
 	b.msg(1, automata.Receive, FlickrSearchReply)
-
-	return b.finish(automata.StronglyMerged)
-}
-
-// ShoppingSearchMediator is the shop/catalog search flow on its own:
-// the XML-RPC shop.products.search request becomes a JSON-RPC
-// catalog.search call and the nested result list is flattened back
-// into the shop's product rows.
-func ShoppingSearchMediator() *automata.Merged {
-	b := newMediator("Shop-Search-to-Catalog-JSONRPC", 1, 2)
-
-	req := b.msg(1, automata.Send, ShopSearch)
-	b.bicolor(1, 2)
-	catReq := b.next()
-	b.gamma(`
-`+catReq+`.Msg.query = `+req+`.Msg.keywords
-try `+catReq+`.Msg.limit = `+req+`.Msg.max
-`, 2)
-	b.msg(2, automata.Send, CatalogSearch)
-	catRep := b.msg(2, automata.Receive, CatalogSearchReply)
-	b.bicolor(1, 2)
-	rep := b.next()
-	b.gamma(`
-`+rep+`.Msg.products = newarray("products")
-foreach p in `+catRep+`.Msg.result.item {
-  it = newstruct("item")
-  it.sku = p.sku
-  it.name = p.name
-  it.price = p.price
-  `+rep+`.Msg.products.item[] = it
-}
-`+rep+`.Msg.count = count(`+catRep+`.Msg.result)
-`, 1)
-	b.msg(1, automata.Receive, ShopSearchReply)
 
 	return b.finish(automata.StronglyMerged)
 }

@@ -317,7 +317,9 @@ const (
 	TraceError
 	// TraceFlowStart fires when a flow's first client request arrives.
 	TraceFlowStart
-	// TraceFlowEnd fires when an automaton traversal completes cleanly.
+	// TraceFlowEnd fires when an automaton traversal completes cleanly:
+	// just before the final client reply is written, so a client holding
+	// its answer finds the flow already published.
 	TraceFlowEnd
 	// TraceSessionEnd fires when a session's goroutine exits, however it
 	// ended; observers use it to release per-session state.
@@ -375,6 +377,9 @@ type TraceEvent struct {
 	// retarget).
 	Attempt int
 	// Elapsed is the step duration for TraceTransition and TraceFlowEnd.
+	// A client-reply transition is published before its reply is written,
+	// so its Elapsed (and the flow's) covers building the reply, not the
+	// write.
 	Elapsed time.Duration
 	// Err carries the cause for TraceError and fault-driven TraceRedial.
 	Err error
@@ -395,15 +400,11 @@ const MaxTraceWire = 256
 type Stats struct {
 	// Sessions is the number of client connections accepted.
 	Sessions uint64
-	// Flows is the number of complete automaton traversals.
+	// Flows is the number of complete automaton traversals, counted
+	// before the final client reply is written.
 	Flows uint64
 	// Translations is the number of γ transitions executed.
 	Translations uint64
-	// TranslationsCompiled counts γ executions served by the compiled
-	// fast path; TranslationsInterpreted counts the tree-walking
-	// fallback (a program that failed to compile at deploy time).
-	// Compiled + Interpreted == Translations.
-	TranslationsCompiled, TranslationsInterpreted uint64
 	// MessagesIn and MessagesOut count messages received from and sent to
 	// either side.
 	MessagesIn, MessagesOut uint64
@@ -455,8 +456,6 @@ type Stats struct {
 // statCounters is the internal atomic form of Stats.
 type statCounters struct {
 	sessions, flows, translations   atomic.Uint64
-	translationsCompiled            atomic.Uint64
-	translationsInterpreted         atomic.Uint64
 	messagesIn, messagesOut         atomic.Uint64
 	failures                        atomic.Uint64
 	redials, retriesExhausted       atomic.Uint64
@@ -475,8 +474,7 @@ type Mediator struct {
 	// flowBudget is the resolved per-flow deadline budget (0 = budgets
 	// disabled via a negative Config.FlowDeadline).
 	flowBudget time.Duration
-	programs   map[int]*mtl.Program         // transition index -> parsed MTL
-	compiled   map[int]*mtl.CompiledProgram // transition index -> compiled fast path
+	compiled   map[int]*mtl.CompiledProgram // γ transition index -> compiled program
 	outs       map[string]outgoing          // state -> outgoing transitions, precomputed
 	stats      statCounters
 	// clientColors lists the colors the mediator plays the client role
@@ -516,20 +514,18 @@ type Mediator struct {
 // Stats returns a snapshot of the mediator's counters.
 func (m *Mediator) Stats() Stats {
 	st := Stats{
-		Sessions:                m.stats.sessions.Load(),
-		Flows:                   m.stats.flows.Load(),
-		Translations:            m.stats.translations.Load(),
-		TranslationsCompiled:    m.stats.translationsCompiled.Load(),
-		TranslationsInterpreted: m.stats.translationsInterpreted.Load(),
-		MessagesIn:              m.stats.messagesIn.Load(),
-		MessagesOut:             m.stats.messagesOut.Load(),
-		Failures:                m.stats.failures.Load(),
-		Redials:                 m.stats.redials.Load(),
-		RetriesExhausted:        m.stats.retriesExhausted.Load(),
-		ClientFailures:          m.stats.clientFailures.Load(),
-		ServiceFailures:         m.stats.serviceFailures.Load(),
-		HookPanics:              m.stats.hookPanics.Load(),
-		DeadlineExceeded:        m.stats.deadlineExceeded.Load(),
+		Sessions:         m.stats.sessions.Load(),
+		Flows:            m.stats.flows.Load(),
+		Translations:     m.stats.translations.Load(),
+		MessagesIn:       m.stats.messagesIn.Load(),
+		MessagesOut:      m.stats.messagesOut.Load(),
+		Failures:         m.stats.failures.Load(),
+		Redials:          m.stats.redials.Load(),
+		RetriesExhausted: m.stats.retriesExhausted.Load(),
+		ClientFailures:   m.stats.clientFailures.Load(),
+		ServiceFailures:  m.stats.serviceFailures.Load(),
+		HookPanics:       m.stats.hookPanics.Load(),
+		DeadlineExceeded: m.stats.deadlineExceeded.Load(),
 	}
 	m.mu.Lock()
 	p := m.pool
@@ -651,7 +647,6 @@ func New(cfg Config) (*Mediator, error) {
 		cfg:        cfg,
 		retry:      retry,
 		flowBudget: flowBudget,
-		programs:   make(map[int]*mtl.Program),
 		compiled:   make(map[int]*mtl.CompiledProgram),
 		outs:       make(map[string]outgoing),
 		conns:      make(map[network.Conn]struct{}),
@@ -688,14 +683,11 @@ func New(cfg Config) (*Mediator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: γ %s->%s: %v", ErrConfig, t.From, t.To, err)
 		}
-		m.programs[i] = prog
-		// Lower to the compiled fast path. A lowering failure is not a
-		// deployment error — the tree-walking interpreter remains a full
-		// fallback — but in practice Compile accepts every parseable
-		// program.
-		if cp, err := mtl.Compile(prog, mtl.CompileOptions{Handles: handles, Funcs: cfg.Funcs}); err == nil {
-			m.compiled[i] = cp
+		cp, err := mtl.Compile(prog, mtl.CompileOptions{Handles: handles, Funcs: cfg.Funcs})
+		if err != nil {
+			return nil, fmt.Errorf("%w: γ %s->%s: %v", ErrConfig, t.From, t.To, err)
 		}
+		m.compiled[i] = cp
 	}
 	return m, nil
 }
@@ -1332,15 +1324,22 @@ func (s *session) run() {
 			}
 			return
 		}
-		s.med.stats.flows.Add(1)
-		if s.flowStarted {
-			s.trace(TraceEvent{Kind: TraceFlowEnd, Elapsed: time.Since(s.flowT0)})
-		}
 		if s.med.draining.Load() {
 			// Shutdown in progress: the flow's reply is out, end the
 			// session instead of waiting for another request.
 			return
 		}
+	}
+}
+
+// endFlow publishes a completed traversal: the Flows counter and the
+// TraceFlowEnd event. runAutomaton calls it before handing the final
+// client reply to the transport, so a client that has read its answer
+// finds the flow already accounted.
+func (s *session) endFlow() {
+	s.med.stats.flows.Add(1)
+	if s.flowStarted {
+		s.trace(TraceEvent{Kind: TraceFlowEnd, Elapsed: time.Since(s.flowT0)})
 	}
 }
 
@@ -1437,9 +1436,21 @@ func (s *session) sendErrorReply(cause error) {
 	if err := s.client.SetDeadline(time.Now().Add(s.med.cfg.ExchangeTimeout)); err != nil {
 		return
 	}
-	if s.client.Send(data) == nil {
-		s.med.stats.messagesOut.Add(1)
+	// The session ends either way; a fault that cannot be delivered has
+	// no one left to report to.
+	_ = s.sendClient(data)
+}
+
+// sendClient hands one message to the client connection. It is counted
+// before it is on the wire, so a client holding its reply never reads a
+// MessagesOut that lacks it, and taken back if the send fails.
+func (s *session) sendClient(data []byte) error {
+	s.med.stats.messagesOut.Add(1)
+	err := s.client.Send(data)
+	if err != nil {
+		s.med.stats.messagesOut.Add(^uint64(0))
 	}
+	return err
 }
 
 // runAutomaton executes one start-to-final traversal.
@@ -1500,26 +1511,12 @@ func (s *session) runAutomaton() error {
 		}
 		t, idx := out.ts[0], out.idx[0]
 		start := time.Now()
+		var reply []byte
 		switch t.Kind {
 		case automata.KindGamma:
 			env.Host = ""
-			if cp, ok := s.med.compiled[idx]; ok {
-				if err := cp.Exec(env); err != nil {
-					return fmt.Errorf("γ %s->%s: %w", t.From, t.To, err)
-				}
-				s.med.stats.translationsCompiled.Add(1)
-			} else {
-				prog, ok := s.med.programs[idx]
-				if !ok {
-					// Defensive: every γ transition gets a program in New; a
-					// miss means the automaton changed under us, and skipping
-					// the translation would corrupt the flow.
-					return fmt.Errorf("%w: no γ program for %s->%s", ErrStuck, t.From, t.To)
-				}
-				if err := prog.Exec(env); err != nil {
-					return fmt.Errorf("γ %s->%s: %w", t.From, t.To, err)
-				}
-				s.med.stats.translationsInterpreted.Add(1)
+			if err := s.med.compiled[idx].Exec(env); err != nil {
+				return fmt.Errorf("γ %s->%s: %w", t.From, t.To, err)
 			}
 			s.med.stats.translations.Add(1)
 			s.med.translate.observe(time.Since(start))
@@ -1527,7 +1524,9 @@ func (s *session) runAutomaton() error {
 				s.hostOverride = env.Host
 			}
 		case automata.KindMessage:
-			if err := s.execMessage(t, env, &lastClientAction, &lastClientRequest, lastServiceAction); err != nil {
+			var err error
+			reply, err = s.execMessage(t, env, &lastClientAction, &lastClientRequest, lastServiceAction)
+			if err != nil {
 				return err
 			}
 		}
@@ -1539,7 +1538,35 @@ func (s *session) runAutomaton() error {
 		})
 		state = t.To
 		s.trace(TraceEvent{Kind: TraceState, State: state})
+		if reply != nil {
+			// Everything a reply implies is published before the client
+			// can read it: the transition above, and the flow when this
+			// reply ends it.
+			if merged.IsFinal(state) {
+				s.endFlow()
+				return s.sendClientReply(reply)
+			}
+			if err := s.sendClientReply(reply); err != nil {
+				return err
+			}
+		}
 	}
+	// A traversal that does not end in a client reply.
+	s.endFlow()
+	return nil
+}
+
+// sendClientReply writes a built client reply within the exchange
+// deadline and clears the pending request it answers.
+func (s *session) sendClientReply(data []byte) error {
+	if err := s.client.SetDeadline(s.exchangeDeadline()); err != nil {
+		return err
+	}
+	if err := s.sendClient(data); err != nil {
+		s.med.stats.clientFailures.Add(1)
+		return fmt.Errorf("send client reply: %w", err)
+	}
+	s.pendingAction, s.pendingRequest = "", nil
 	return nil
 }
 
@@ -1600,7 +1627,7 @@ func (s *session) execMessage(
 	lastClientAction *string,
 	lastClientRequest **message.Message,
 	lastServiceAction map[int]string,
-) error {
+) ([]byte, error) {
 	cfg := s.med.cfg
 	side := cfg.Sides[t.Color]
 	serverSide := t.Color == cfg.ServerColor
@@ -1609,27 +1636,28 @@ func (s *session) execMessage(
 		// Client invokes: mediator receives the request.
 		data, err := s.recvClientRequest()
 		if err != nil {
-			return fmt.Errorf("%w: %v", errSessionDone, err) // client gone
+			return nil, fmt.Errorf("%w: %v", errSessionDone, err) // client gone
 		}
 		s.med.stats.messagesIn.Add(1)
 		action, abs, err := side.Binder.ParseRequest(data)
 		if err != nil {
 			s.med.stats.clientFailures.Add(1)
-			return fmt.Errorf("parse client request: %w", err)
+			return nil, fmt.Errorf("parse client request: %w", err)
 		}
 		// Record the pending request before validating it, so even an
 		// unexpected action is answered with a fault.
 		s.pendingAction, s.pendingRequest = action, abs
 		if action != t.Message {
 			s.med.stats.clientFailures.Add(1)
-			return fmt.Errorf("%w: got %q, automaton expects %q at %s",
+			return nil, fmt.Errorf("%w: got %q, automaton expects %q at %s",
 				ErrUnexpectedAction, action, t.Message, t.From)
 		}
 		*lastClientAction = action
 		*lastClientRequest = abs
 		env.Bind(t.To, abs)
 	case serverSide && t.Action == automata.Receive:
-		// Client receives: mediator sends the translated reply.
+		// Client receives: build the translated reply. The caller sends
+		// it, after accounting this transition.
 		abs := env.Message(t.From)
 		if abs == nil {
 			abs = message.New(t.Message)
@@ -1638,17 +1666,9 @@ func (s *session) execMessage(
 		copyCorrelationFields(*lastClientRequest, abs)
 		data, err := side.Binder.BuildReply(*lastClientAction, abs)
 		if err != nil {
-			return fmt.Errorf("build client reply: %w", err)
+			return nil, fmt.Errorf("build client reply: %w", err)
 		}
-		if err := s.client.SetDeadline(s.exchangeDeadline()); err != nil {
-			return err
-		}
-		if err := s.client.Send(data); err != nil {
-			s.med.stats.clientFailures.Add(1)
-			return fmt.Errorf("send client reply: %w", err)
-		}
-		s.med.stats.messagesOut.Add(1)
-		s.pendingAction, s.pendingRequest = "", nil
+		return data, nil
 	case t.Action == automata.Send:
 		// Mediator invokes the service.
 		abs := env.Message(t.From)
@@ -1661,16 +1681,16 @@ func (s *session) execMessage(
 			// exchange): no network send, the reply is parked for the
 			// receive transition.
 			lastServiceAction[t.Color] = t.Message
-			return nil
+			return nil, nil
 		}
 		data, err := side.Binder.BuildRequest(t.Message, abs)
 		if err != nil {
 			s.abortFlight(t.Color, err)
-			return fmt.Errorf("build service request: %w", err)
+			return nil, fmt.Errorf("build service request: %w", err)
 		}
 		if err := s.serviceSend(t.Color, data); err != nil {
 			s.abortFlight(t.Color, err)
-			return err
+			return nil, err
 		}
 		s.med.stats.messagesOut.Add(1)
 		lastServiceAction[t.Color] = t.Message
@@ -1683,19 +1703,19 @@ func (s *session) execMessage(
 			abs := pc.reply
 			abs.Name = t.Message
 			env.Bind(t.To, abs)
-			return nil
+			return nil, nil
 		}
 		data, err := s.serviceRecv(t.Color)
 		if err != nil {
 			s.abortFlight(t.Color, err)
-			return err
+			return nil, err
 		}
 		s.med.stats.messagesIn.Add(1)
 		abs, err := side.Binder.ParseReply(lastServiceAction[t.Color], data)
 		if err != nil {
 			s.abortFlight(t.Color, err)
 			s.med.stats.serviceFailures.Add(1)
-			return fmt.Errorf("parse service reply: %w", err)
+			return nil, fmt.Errorf("parse service reply: %w", err)
 		}
 		abs.Name = t.Message
 		if pc := s.cachePending[t.Color]; pc != nil {
@@ -1708,7 +1728,7 @@ func (s *session) execMessage(
 		}
 		env.Bind(t.To, abs)
 	}
-	return nil
+	return nil, nil
 }
 
 // cacheCheck runs the response-cache protocol for one service-side

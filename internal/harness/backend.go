@@ -3,62 +3,15 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/backend"
-	"starlink/internal/bind"
-	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/soap"
 )
-
-// plusOperation is the SOAP Plus handler shared by the backend
-// experiments' replicas.
-var plusOperation = map[string]soap.Operation{
-	"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-		x, _ := strconv.Atoi(findParam(params, "x"))
-		y, _ := strconv.Atoi(findParam(params, "y"))
-		return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-	},
-}
-
-// newBackendMediator builds a GIOP Add -> SOAP Plus mediator whose
-// service side targets a backend replica set, with its own listener.
-func newBackendMediator(sets map[string]*backend.Set, target string, retry *engine.RetryPolicy) (*engine.Mediator, error) {
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		return nil, err
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: target},
-		},
-		Backends:        sets,
-		ExchangeTimeout: 5 * time.Second,
-		Retry:           retry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		med.Close()
-		return nil, err
-	}
-	return med, nil
-}
 
 // replicaSnap finds one replica's snapshot in the mediator's backend
 // view.
@@ -115,8 +68,10 @@ func E17() Result {
 		r.Err = err
 		return r
 	}
-	med, err := newBackendMediator(map[string]*backend.Set{"plus": set}, "plus",
-		&engine.RetryPolicy{Attempts: 3, Backoff: time.Millisecond})
+	med, err := newAddMediator("127.0.0.1:0", "plus", func(cfg *engine.Config) {
+		cfg.Backends = map[string]*backend.Set{"plus": set}
+		cfg.Retry = &engine.RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
+	})
 	if err != nil {
 		r.Err = err
 		return r
@@ -304,127 +259,4 @@ func E17() Result {
 		r.Err = errors.New("set recorded no re-admissions")
 	}
 	return r
-}
-
-// BalancePoint is one concurrency level of the balancer-overhead
-// measurement: per-flow latency with the service side dialling a fixed
-// address vs picking from a (single-replica) backend set.
-type BalancePoint struct {
-	// Sessions is the number of concurrent client sessions.
-	Sessions int `json:"sessions"`
-	// DirectNsPerFlow and BalancedNsPerFlow are mean wall nanoseconds
-	// per mediated flow against the fixed-target resp. set-balanced
-	// mediator.
-	DirectNsPerFlow   float64 `json:"direct_ns_per_flow"`
-	BalancedNsPerFlow float64 `json:"balanced_ns_per_flow"`
-	// OverheadPct is (balanced-direct)/direct in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// BalanceBench is the full balancer benchmark artifact
-// (BENCH_balance.json).
-type BalanceBench struct {
-	// Points are the per-concurrency overhead measurements.
-	Points []BalancePoint `json:"points"`
-}
-
-// MeasureBalanceOverhead runs the GIOP Add -> SOAP Plus workload at each
-// concurrency level against a mediator dialling the service address
-// directly and against one routing every checkout through a
-// single-replica p2c backend set with the active prober running — so the
-// delta is pure balancing machinery (pick, in-flight accounting, outcome
-// reporting, EWMA) over the same wire path. The benchharness -balance
-// flag writes this as BENCH_balance.json.
-func MeasureBalanceOverhead(sessionCounts []int, flowsPerSession int) (*BalanceBench, error) {
-	plus, err := soap.NewServer("127.0.0.1:0", "/soap", plusOperation)
-	if err != nil {
-		return nil, err
-	}
-	defer plus.Close()
-
-	direct, err := newBackendMediator(nil, plus.Addr(), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer direct.Close()
-	set, err := backend.New("plus", []string{plus.Addr()}, backend.Options{
-		Policy:        backend.PowerOfTwo,
-		ProbeInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	balanced, err := newBackendMediator(map[string]*backend.Set{"plus": set}, "plus", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer balanced.Close()
-
-	runOnce := func(addr string, sessions int) (time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		start := time.Now()
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				client, err := giop.Dial(addr, "calc")
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer client.Close()
-				for f := 0; f < flowsPerSession; f++ {
-					if _, err := client.Invoke("Add", giop.IntParam(2), giop.IntParam(3)); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		return elapsed / time.Duration(sessions*flowsPerSession), nil
-	}
-	// Best-of-N after a warmup run, as in MeasureGatewayOverhead: the
-	// minimum is the measurement least polluted by scheduler noise.
-	run := func(addr string, sessions int) (time.Duration, error) {
-		best := time.Duration(0)
-		for i := 0; i < 7; i++ {
-			d, err := runOnce(addr, sessions)
-			if err != nil {
-				return 0, err
-			}
-			if i == 0 { // warmup: prime pools, codecs and the page cache
-				continue
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	bench := &BalanceBench{}
-	for _, sessions := range sessionCounts {
-		d, err := run(direct.Addr(), sessions)
-		if err != nil {
-			return nil, err
-		}
-		b, err := run(balanced.Addr(), sessions)
-		if err != nil {
-			return nil, err
-		}
-		bench.Points = append(bench.Points, BalancePoint{
-			Sessions:          sessions,
-			DirectNsPerFlow:   float64(d.Nanoseconds()),
-			BalancedNsPerFlow: float64(b.Nanoseconds()),
-			OverheadPct:       100 * float64(b-d) / float64(d),
-		})
-	}
-	return bench, nil
 }

@@ -1,20 +1,11 @@
 package harness
 
-// Cross-flow response-cache measurement (EXPERIMENTS.md E16): the search
-// segments of both case studies are deployed end to end through the
-// public starlink.Deploy façade — real clients, real codecs, real
-// backing services — and driven at several session concurrencies with
-// two workloads:
-//
-//   - "repeat": every session draws queries from a small shared pool, the
-//     read-mostly traffic a response cache targets. Comparing cache off
-//     vs on here yields the service-exchange reduction and the p50 flow
-//     latency reduction.
-//   - "unique": every request is a distinct query, so a configured cache
-//     never hits. Comparing cache off vs on here isolates the overhead
-//     the cache machinery adds to flows it cannot serve (key rendering,
-//     flight bookkeeping, store on miss) — the honest "cache-off
-//     overhead" figure, because both sides do identical service work.
+// Cross-flow response-cache experiment (EXPERIMENTS.md E16): the Flickr
+// search mediator is deployed end to end through the public
+// starlink.Deploy façade — real clients, real codecs, a real backing
+// service — and driven by concurrent sessions drawing queries from a
+// small shared pool, the read-mostly traffic a response cache targets.
+// Cache off vs on yields the service-exchange reduction.
 //
 // Service-side exchanges are derived from the engine's own counters:
 // every flow emits exactly one client-side reply and one service-side
@@ -24,97 +15,54 @@ package harness
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"starlink/internal/casestudy"
-	"starlink/internal/protocol/jsonrpc"
 	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/services/photostore"
 	"starlink/internal/services/picasa"
 	"starlink/starlink"
 )
 
-// CachePoint is one measured configuration: a case study driven with one
-// workload, one cache mode and one session concurrency.
-type CachePoint struct {
-	// CaseStudy is "flickr" or "shopping".
-	CaseStudy string `json:"case_study"`
-	// Workload is "repeat" (pooled queries) or "unique" (every request
-	// distinct; the pure-miss overhead workload).
-	Workload string `json:"workload"`
-	// Mode is "off" (no cacheable directive) or "cached".
-	Mode string `json:"mode"`
-	// Sessions is the number of concurrent client sessions.
-	Sessions int `json:"sessions"`
-	// Requests is the per-session request count in the measured window.
-	Requests int `json:"requests_per_session"`
-	// Flows is the number of completed flows in the measured window.
-	Flows uint64 `json:"flows"`
-	// ServiceExchanges is the number of real service-side round-trips in
-	// the measured window (ΔMessagesOut − ΔFlows).
-	ServiceExchanges uint64 `json:"service_exchanges"`
-	// CacheHits/CacheMisses/CacheCoalesced are the cache counter deltas
-	// over the measured window (all zero in "off" mode).
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheCoalesced uint64 `json:"cache_coalesced"`
-	// P50Ns/P95Ns/MeanNs are client-observed whole-flow latencies in
-	// nanoseconds over every request in the measured window.
-	P50Ns  float64 `json:"p50_ns_per_flow"`
-	P95Ns  float64 `json:"p95_ns_per_flow"`
-	MeanNs float64 `json:"mean_ns_per_flow"`
+// cachePoint is one measured window of the cache experiment.
+type cachePoint struct {
+	// flows is the number of completed flows, exchanges the number of real
+	// service-side round-trips (ΔMessagesOut − ΔFlows).
+	flows, exchanges uint64
+	// hits, misses and coalesced are the cache counter deltas (all zero
+	// with the cache off).
+	hits, misses, coalesced uint64
+	// p50 is the client-observed median whole-flow latency.
+	p50 time.Duration
 }
 
-// CacheReport is the full measurement written to BENCH_cache.json.
-type CacheReport struct {
-	// Methodology records how the numbers were produced.
-	Methodology string `json:"methodology"`
-	// Points are the measurements, one per (case study, workload, mode,
-	// concurrency).
-	Points []CachePoint `json:"points"`
-	// ExchangeReduction maps each case study to the factor by which the
-	// cache cuts service-side exchanges on the repeat workload at the
-	// highest session count (12.0 = 12× fewer exchanges).
-	ExchangeReduction map[string]float64 `json:"exchange_reduction"`
-	// P50Reduction maps each case study to the fractional p50 flow-latency
-	// drop on the repeat workload at the highest session count (0.42 =
-	// 42% faster).
-	P50Reduction map[string]float64 `json:"p50_reduction"`
-	// MissOverheadPct maps each case study to the cache-off overhead in
-	// percent: the p50 penalty of running a configured cache on a
-	// workload it can never serve (unique queries, pure misses) relative
-	// to no cache at all, measured with paired alternating requests so
-	// machine drift cancels.
-	MissOverheadPct map[string]float64 `json:"cache_miss_overhead_pct"`
-}
-
-// serviceDelay is slept by both backing services before answering: it
+// serviceDelay is slept by the backing service before answering: it
 // stands in for a remote service's processing and network time, which
-// the in-process stores would otherwise hide. Both cache modes pay it
-// identically, so comparisons stay fair; without it the denominator of
-// every relative figure would be loopback codec time, which no deployed
-// mediator ever sees.
+// the in-process store would otherwise hide, and gives concurrent
+// sessions a window in which to coalesce.
 const serviceDelay = time.Millisecond
 
-// cacheEnv is one deployed case-study environment: a mediator reached
-// through the public Deploy façade plus a per-session client factory.
+// cacheEnv is the deployed case-study environment: the mediator reached
+// through the public Deploy façade plus its backing service.
 type cacheEnv struct {
 	dep starlink.Deployment
-	// med is the spec name under which Snapshot reports the mediator.
-	med string
-	// newSession returns a call function issuing one search for the
-	// given query, plus the session's close function.
-	newSession func() (func(query string) error, func())
-	cleanup    func()
+	pic *picasa.Service
+}
+
+// cacheMediator is the spec name under which Snapshot reports the
+// mediator.
+const cacheMediator = "flickr-search"
+
+func (e *cacheEnv) close() {
+	e.dep.Close()
+	e.pic.Close()
 }
 
 func (e *cacheEnv) stats() (starlink.Stats, error) {
-	snap := e.dep.Snapshot()
-	st, ok := snap.Mediators[e.med]
+	st, ok := e.dep.Snapshot().Mediators[cacheMediator]
 	if !ok {
-		return starlink.Stats{}, fmt.Errorf("snapshot has no mediator %q", e.med)
+		return starlink.Stats{}, fmt.Errorf("snapshot has no mediator %q", cacheMediator)
 	}
 	return st.Stats, nil
 }
@@ -126,10 +74,10 @@ func (e *cacheEnv) flush() {
 	}
 }
 
-// startFlickrCacheEnv deploys the Flickr-search-to-Picasa-REST mediator
+// startCacheEnv deploys the Flickr-search-to-Picasa-REST mediator
 // against an in-process Picasa service, optionally with the Picasa
 // search operation declared cacheable.
-func startFlickrCacheEnv(cached bool) (*cacheEnv, error) {
+func startCacheEnv(cached bool) (*cacheEnv, error) {
 	pic, err := picasa.NewWithConfig(photostore.New(), picasa.Config{ProcessingDelay: serviceDelay})
 	if err != nil {
 		return nil, err
@@ -155,129 +103,19 @@ func startFlickrCacheEnv(cached bool) (*cacheEnv, error) {
 		pic.Close()
 		return nil, err
 	}
-	models.Mediators["flickr-search"] = spec
-	dep, err := starlink.Deploy("flickr-search", models, starlink.DeployOptions{Listen: "127.0.0.1:0"})
+	models.Mediators[cacheMediator] = spec
+	dep, err := starlink.Deploy(cacheMediator, models, starlink.DeployOptions{Listen: "127.0.0.1:0"})
 	if err != nil {
 		pic.Close()
 		return nil, err
 	}
-	return &cacheEnv{
-		dep: dep,
-		med: "flickr-search",
-		newSession: func() (func(string) error, func()) {
-			c := xmlrpc.NewClient(dep.Addr(), "/services/xmlrpc")
-			call := func(q string) error {
-				_, err := c.Call(casestudy.FlickrSearch,
-					map[string]xmlrpc.Value{"text": q, "per_page": int64(5)})
-				return err
-			}
-			return call, func() { c.Close() }
-		},
-		cleanup: func() {
-			dep.Close()
-			pic.Close()
-		},
-	}, nil
-}
-
-// catalogItems is the shopping case's fixed product catalog; the repeat
-// query pool matches substrings of these names.
-var catalogItems = []struct {
-	sku, name string
-	price     float64
-}{
-	{"sku-1", "lever espresso machine", 649.00},
-	{"sku-2", "burr grinder", 129.00},
-	{"sku-3", "gooseneck kettle", 54.00},
-	{"sku-4", "precision scale", 32.50},
-	{"sku-5", "super-automatic machine", 1249.00},
-	{"sku-6", "hand grinder", 74.00},
-	{"sku-7", "travel kettle", 29.00},
-	{"sku-8", "pocket scale", 18.00},
-}
-
-// startShoppingCacheEnv deploys the shop-search-to-catalog-JSON-RPC
-// mediator against an in-process JSON-RPC catalog service.
-func startShoppingCacheEnv(cached bool) (*cacheEnv, error) {
-	srv, err := jsonrpc.NewServer("127.0.0.1:0", "/rpc", map[string]jsonrpc.Method{
-		casestudy.CatalogSearch: func(params []jsonrpc.Value) (jsonrpc.Value, error) {
-			time.Sleep(serviceDelay)
-			query, limit := "", 5
-			if len(params) == 1 {
-				if obj, ok := params[0].(map[string]any); ok {
-					if q, ok := obj["query"].(string); ok {
-						query = q
-					}
-					if l, ok := obj["limit"].(float64); ok && l > 0 {
-						limit = int(l)
-					}
-				}
-			}
-			items := []any{}
-			for _, it := range catalogItems {
-				if !strings.Contains(it.name, query) {
-					continue
-				}
-				items = append(items, map[string]any{
-					"sku": it.sku, "name": it.name, "price": it.price,
-				})
-				if len(items) >= limit {
-					break
-				}
-			}
-			// A bare array result becomes the abstract field `result` with
-			// one `item` child per element — the shape the mediator's
-			// foreach iterates.
-			return items, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	models := starlink.NewModels()
-	models.Merged["Shop-Search-to-Catalog-JSONRPC"] = casestudy.ShoppingSearchMediator()
-	doc := "merged Shop-Search-to-Catalog-JSONRPC\n" +
-		"side 1 xmlrpc path=/shop server\n" +
-		"side 2 jsonrpc path=/rpc target=" + srv.Addr() + "\n"
-	if cached {
-		doc += "cacheable " + casestudy.CatalogSearch + " ttl=60s\ncache_size 65536\n"
-	}
-	spec, err := starlink.ParseMediatorSpec(doc)
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	models.Mediators["shop-search"] = spec
-	dep, err := starlink.Deploy("shop-search", models, starlink.DeployOptions{Listen: "127.0.0.1:0"})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	return &cacheEnv{
-		dep: dep,
-		med: "shop-search",
-		newSession: func() (func(string) error, func()) {
-			c := xmlrpc.NewClient(dep.Addr(), "/shop")
-			call := func(q string) error {
-				_, err := c.Call(casestudy.ShopSearch,
-					map[string]xmlrpc.Value{"keywords": q, "max": int64(5)})
-				return err
-			}
-			return call, func() { c.Close() }
-		},
-		cleanup: func() {
-			dep.Close()
-			srv.Close()
-		},
-	}, nil
+	return &cacheEnv{dep: dep, pic: pic}, nil
 }
 
 // driveCacheLoad runs sessions concurrent client sessions of `requests`
-// requests each and returns every per-request flow latency. With unique
-// set, each request uses a distinct query tagged with `tag` (so warm-up
-// and measured windows never share keys); otherwise queries round-robin
-// through pool.
-func driveCacheLoad(env *cacheEnv, pool []string, sessions, requests int, unique bool, tag string) ([]time.Duration, error) {
+// searches each, queries round-robin through pool, and returns every
+// per-request flow latency.
+func driveCacheLoad(env *cacheEnv, pool []string, sessions, requests int) ([]time.Duration, error) {
 	perSession := make([][]time.Duration, sessions)
 	errs := make(chan error, sessions)
 	var wg sync.WaitGroup
@@ -285,16 +123,14 @@ func driveCacheLoad(env *cacheEnv, pool []string, sessions, requests int, unique
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			call, done := env.newSession()
-			defer done()
+			c := xmlrpc.NewClient(env.dep.Addr(), "/services/xmlrpc")
+			defer c.Close()
 			durs := make([]time.Duration, 0, requests)
 			for i := 0; i < requests; i++ {
-				q := pool[(s+i)%len(pool)]
-				if unique {
-					q = fmt.Sprintf("q%s-%d-%d", tag, s, i)
-				}
 				start := time.Now()
-				if err := call(q); err != nil {
+				if _, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{
+					"text": pool[(s+i)%len(pool)], "per_page": int64(5),
+				}); err != nil {
 					errs <- fmt.Errorf("session %d request %d: %w", s, i, err)
 					return
 				}
@@ -315,262 +151,78 @@ func driveCacheLoad(env *cacheEnv, pool []string, sessions, requests int, unique
 	return all, nil
 }
 
-func latencyStats(durs []time.Duration) (p50, p95, mean float64) {
-	if len(durs) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	var sum time.Duration
-	for _, d := range durs {
-		sum += d
-	}
-	p50 = float64(durs[len(durs)/2].Nanoseconds())
-	p95 = float64(durs[int(float64(len(durs)-1)*0.95)].Nanoseconds())
-	mean = float64(sum.Nanoseconds()) / float64(len(durs))
-	return p50, p95, mean
-}
-
 // measureCachePoint warms the deployment up, resets the cache so the
-// window starts cold, then measures one configuration.
-func measureCachePoint(env *cacheEnv, caseName, workload, mode string, pool []string, sessions, requests int, unique bool) (CachePoint, error) {
-	if _, err := driveCacheLoad(env, pool, sessions, requests/4+1, unique, "warm"); err != nil {
-		return CachePoint{}, err
+// window starts cold, then measures one window.
+func measureCachePoint(env *cacheEnv, pool []string, sessions, requests int) (cachePoint, error) {
+	if _, err := driveCacheLoad(env, pool, sessions, requests/4+1); err != nil {
+		return cachePoint{}, err
 	}
 	env.flush()
 	before, err := env.stats()
 	if err != nil {
-		return CachePoint{}, err
+		return cachePoint{}, err
 	}
-	durs, err := driveCacheLoad(env, pool, sessions, requests, unique, "m")
+	durs, err := driveCacheLoad(env, pool, sessions, requests)
 	if err != nil {
-		return CachePoint{}, err
+		return cachePoint{}, err
 	}
 	after, err := env.stats()
 	if err != nil {
-		return CachePoint{}, err
+		return cachePoint{}, err
 	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	flows := after.Flows - before.Flows
-	p50, p95, mean := latencyStats(durs)
-	return CachePoint{
-		CaseStudy:        caseName,
-		Workload:         workload,
-		Mode:             mode,
-		Sessions:         sessions,
-		Requests:         requests,
-		Flows:            flows,
-		ServiceExchanges: (after.MessagesOut - before.MessagesOut) - flows,
-		CacheHits:        after.CacheHits - before.CacheHits,
-		CacheMisses:      after.CacheMisses - before.CacheMisses,
-		CacheCoalesced:   after.CacheCoalesced - before.CacheCoalesced,
-		P50Ns:            p50,
-		P95Ns:            p95,
-		MeanNs:           mean,
+	return cachePoint{
+		flows:     flows,
+		exchanges: (after.MessagesOut - before.MessagesOut) - flows,
+		hits:      after.CacheHits - before.CacheHits,
+		misses:    after.CacheMisses - before.CacheMisses,
+		coalesced: after.CacheCoalesced - before.CacheCoalesced,
+		p50:       durs[len(durs)/2],
 	}, nil
 }
 
-// measureMissOverhead measures the cache-off overhead by pairing: one
-// session against the cache-off deployment and one against the cached
-// deployment issue unique queries alternately (order swapped every
-// iteration), so ambient machine drift hits both sides equally. The
-// returned percentage is the median paired latency difference over the
-// median cache-off latency — the p50 penalty of a cache that always
-// misses.
-func measureMissOverhead(envOff, envOn *cacheEnv, n int) (float64, error) {
-	callOff, doneOff := envOff.newSession()
-	defer doneOff()
-	callOn, doneOn := envOn.newSession()
-	defer doneOn()
-	timed := func(call func(string) error, q string) (time.Duration, error) {
-		start := time.Now()
-		err := call(q)
-		return time.Since(start), err
-	}
-	for i := 0; i < n/4+1; i++ {
-		q := fmt.Sprintf("qovw-%d", i)
-		if _, err := timed(callOff, q); err != nil {
-			return 0, err
-		}
-		if _, err := timed(callOn, q); err != nil {
-			return 0, err
-		}
-	}
-	envOn.flush()
-	diffs := make([]time.Duration, 0, n)
-	base := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		q := fmt.Sprintf("qov-%d", i)
-		var dOff, dOn time.Duration
-		var err error
-		if i%2 == 0 {
-			if dOff, err = timed(callOff, q); err == nil {
-				dOn, err = timed(callOn, q)
-			}
-		} else {
-			if dOn, err = timed(callOn, q); err == nil {
-				dOff, err = timed(callOff, q)
-			}
-		}
-		if err != nil {
-			return 0, err
-		}
-		diffs = append(diffs, dOn-dOff)
-		base = append(base, dOff)
-	}
-	sort.Slice(diffs, func(i, j int) bool { return diffs[i] < diffs[j] })
-	sort.Slice(base, func(i, j int) bool { return base[i] < base[j] })
-	return float64(diffs[n/2]) / float64(base[n/2]) * 100, nil
-}
-
-// cacheCase is one case-study workload for the E16 measurement.
-type cacheCase struct {
-	name  string
-	start func(cached bool) (*cacheEnv, error)
-	pool  []string
-}
-
-func cacheCases() []cacheCase {
-	return []cacheCase{
-		{"flickr", startFlickrCacheEnv, []string{"tree", "cat", "lake", "night"}},
-		{"shopping", startShoppingCacheEnv, []string{"machine", "grinder", "kettle", "scale"}},
-	}
-}
-
-// MeasureCacheOverhead deploys both case-study search mediators with the
-// response cache off and on and measures flow latency and service-side
-// exchange counts for the repeat and unique workloads at the given
-// session concurrencies. requests is the per-session request count per
-// measured point.
-func MeasureCacheOverhead(sessionCounts []int, requests int) (*CacheReport, error) {
-	report := &CacheReport{
-		Methodology: "End-to-end flows through starlink.Deploy against in-process backing " +
-			"services (Picasa REST photo search; JSON-RPC catalog search), each sleeping " +
-			"1ms per request to stand in for remote-service processing and network time " +
-			"(paid identically by both cache modes). Each point warms " +
-			"up with requests/4+1 requests per session, flushes the response cache, then " +
-			"measures `requests_per_session` per session; latencies are client-observed " +
-			"whole-flow round trips. service_exchanges = ΔMessagesOut − ΔFlows (cache-served " +
-			"flows skip the service leg). The repeat workload round-robins a 4-query pool " +
-			"(the cache's target traffic); the unique workload makes every request a " +
-			"distinct query so a configured cache always misses. exchange_reduction and " +
-			"p50_reduction compare off vs cached on the repeat workload at the highest " +
-			"session count. cache_miss_overhead_pct is the cache-off overhead — the p50 " +
-			"penalty of a configured cache that always misses vs no cache at all — " +
-			"measured paired: one session against each deployment issues the same unique " +
-			"query alternately (order swapped every iteration) so ambient drift cancels, " +
-			"and the figure is the median paired difference over the median cache-off " +
-			"latency.",
-		ExchangeReduction: map[string]float64{},
-		P50Reduction:      map[string]float64{},
-		MissOverheadPct:   map[string]float64{},
-	}
-	if len(sessionCounts) == 0 {
-		sessionCounts = []int{1, 8, 64}
-	}
-	maxSessions := sessionCounts[0]
-	for _, s := range sessionCounts {
-		if s > maxSessions {
-			maxSessions = s
-		}
-	}
-	type pointKey struct{ workload, mode string }
-	for _, cs := range cacheCases() {
-		envOff, err := cs.start(false)
-		if err != nil {
-			return nil, fmt.Errorf("%s off: %w", cs.name, err)
-		}
-		envOn, err := cs.start(true)
-		if err != nil {
-			envOff.cleanup()
-			return nil, fmt.Errorf("%s cached: %w", cs.name, err)
-		}
-		peak := map[pointKey]CachePoint{}
-		fail := func(err error) (*CacheReport, error) {
-			envOff.cleanup()
-			envOn.cleanup()
-			return nil, err
-		}
-		for _, mode := range []string{"off", "cached"} {
-			env := envOff
-			if mode == "cached" {
-				env = envOn
-			}
-			for _, workload := range []string{"repeat", "unique"} {
-				for _, sessions := range sessionCounts {
-					pt, err := measureCachePoint(env, cs.name, workload, mode, cs.pool,
-						sessions, requests, workload == "unique")
-					if err != nil {
-						return fail(fmt.Errorf("%s %s %s @%d: %w", cs.name, mode, workload, sessions, err))
-					}
-					report.Points = append(report.Points, pt)
-					if sessions == maxSessions {
-						peak[pointKey{workload, mode}] = pt
-					}
-				}
-			}
-		}
-		overhead, err := measureMissOverhead(envOff, envOn, requests*2)
-		if err != nil {
-			return fail(fmt.Errorf("%s overhead: %w", cs.name, err))
-		}
-		envOff.cleanup()
-		envOn.cleanup()
-		report.MissOverheadPct[cs.name] = overhead
-		off, on := peak[pointKey{"repeat", "off"}], peak[pointKey{"repeat", "cached"}]
-		if on.ServiceExchanges > 0 {
-			report.ExchangeReduction[cs.name] = float64(off.ServiceExchanges) / float64(on.ServiceExchanges)
-		} else {
-			report.ExchangeReduction[cs.name] = float64(off.ServiceExchanges)
-		}
-		if off.P50Ns > 0 {
-			report.P50Reduction[cs.name] = (off.P50Ns - on.P50Ns) / off.P50Ns
-		}
-	}
-	return report, nil
-}
-
-// E16 is the quick in-suite form of the response-cache experiment: the
-// Flickr search mediator at 8 sessions, repeat workload, cache off vs
-// on, asserting the headline service-exchange reduction.
+// E16 is the response-cache experiment: the Flickr search mediator at 8
+// sessions, repeat workload, cache off vs on, asserting the headline
+// service-exchange reduction.
 func E16() Result {
 	r := Result{ID: "E16", Artifact: "cross-flow response cache"}
-	cs := cacheCases()[0]
+	pool := []string{"tree", "cat", "lake", "night"}
 	const sessions, requests = 8, 24
-	points := map[string]CachePoint{}
-	for _, cached := range []bool{false, true} {
-		mode := "off"
-		if cached {
-			mode = "cached"
-		}
-		env, err := cs.start(cached)
+	measure := func(cached bool) (cachePoint, error) {
+		env, err := startCacheEnv(cached)
 		if err != nil {
-			r.Err = err
-			return r
+			return cachePoint{}, err
 		}
-		pt, err := measureCachePoint(env, cs.name, "repeat", mode, cs.pool, sessions, requests, false)
-		env.cleanup()
-		if err != nil {
-			r.Err = err
-			return r
-		}
-		points[mode] = pt
+		defer env.close()
+		return measureCachePoint(env, pool, sessions, requests)
 	}
-	off, on := points["off"], points["cached"]
-	if off.ServiceExchanges != uint64(sessions*requests) {
-		r.Err = fmt.Errorf("cache off: exchanges = %d, want %d", off.ServiceExchanges, sessions*requests)
+	off, err := measure(false)
+	if err != nil {
+		r.Err = err
 		return r
 	}
-	if on.ServiceExchanges*5 > off.ServiceExchanges {
-		r.Err = fmt.Errorf("exchanges %d -> %d: reduction below 5x", off.ServiceExchanges, on.ServiceExchanges)
+	on, err := measure(true)
+	if err != nil {
+		r.Err = err
 		return r
 	}
-	if on.CacheHits+on.CacheCoalesced+on.CacheMisses != on.Flows {
+	if off.exchanges != uint64(sessions*requests) {
+		r.Err = fmt.Errorf("cache off: exchanges = %d, want %d", off.exchanges, sessions*requests)
+		return r
+	}
+	if on.exchanges*5 > off.exchanges {
+		r.Err = fmt.Errorf("exchanges %d -> %d: reduction below 5x", off.exchanges, on.exchanges)
+		return r
+	}
+	if on.hits+on.coalesced+on.misses != on.flows {
 		r.Err = fmt.Errorf("cache counters %d+%d+%d don't cover %d flows",
-			on.CacheHits, on.CacheCoalesced, on.CacheMisses, on.Flows)
+			on.hits, on.coalesced, on.misses, on.flows)
 		return r
 	}
-	r.Detail = fmt.Sprintf("repeat workload @%d sessions: %d -> %d service exchanges (%.1fx), p50 %.0fµs -> %.0fµs",
-		sessions, off.ServiceExchanges, on.ServiceExchanges,
-		float64(off.ServiceExchanges)/float64(max(on.ServiceExchanges, 1)),
-		off.P50Ns/1e3, on.P50Ns/1e3)
+	r.Detail = fmt.Sprintf("repeat workload @%d sessions: %d -> %d service exchanges (%.1fx), p50 %v -> %v",
+		sessions, off.exchanges, on.exchanges,
+		float64(off.exchanges)/float64(max(on.exchanges, 1)),
+		off.p50.Round(time.Microsecond), on.p50.Round(time.Microsecond))
 	return r
 }

@@ -6,50 +6,11 @@ import (
 	"sync"
 	"time"
 
-	"starlink/internal/automata"
-	"starlink/internal/bind"
-	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/soap"
 	"starlink/internal/testutil"
 )
-
-// newDeadlineMediator builds the GIOP Add -> SOAP Plus mediator used by
-// the flow-deadline experiments, with the caller tweaking the engine
-// config (budget, timeouts, retry) before it starts.
-func newDeadlineMediator(target string, tweak func(*engine.Config)) (*engine.Mediator, error) {
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		return nil, err
-	}
-	cfg := engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: target},
-		},
-		ExchangeTimeout: 5 * time.Second,
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	med, err := engine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		med.Close()
-		return nil, err
-	}
-	return med, nil
-}
 
 // leakTB adapts testutil.NoLeaks to harness use: experiments are plain
 // functions, so a leak failure lands in an error instead of a
@@ -105,7 +66,7 @@ func E19() Result {
 			return
 		}
 		defer srv.Close()
-		med, err := newDeadlineMediator(srv.Addr(), func(cfg *engine.Config) {
+		med, err := newAddMediator("127.0.0.1:0", srv.Addr(), func(cfg *engine.Config) {
 			cfg.FlowDeadline = budget
 			cfg.ExchangeTimeout = exchange
 			cfg.Retry = &engine.RetryPolicy{Attempts: 3, Backoff: 5 * time.Millisecond}
@@ -179,123 +140,4 @@ func E19() Result {
 	r.Detail = fmt.Sprintf("%d flows vs %v stall: slowest failure %v (budget %v, stacked bound %v), %d deadline exhaustions, no leaks",
 		total, stall, slowest.Round(time.Millisecond), budget, 4*exchange, stats.DeadlineExceeded)
 	return r
-}
-
-// DeadlinePoint is one concurrency level of the deadline-overhead
-// measurement: per-flow latency with flow budgets disabled vs armed
-// with a budget generous enough never to trip.
-type DeadlinePoint struct {
-	// Sessions is the number of concurrent client sessions.
-	Sessions int `json:"sessions"`
-	// OffNsPerFlow and OnNsPerFlow are mean wall nanoseconds per
-	// mediated flow with FlowDeadline disabled resp. armed.
-	OffNsPerFlow float64 `json:"off_ns_per_flow"`
-	OnNsPerFlow  float64 `json:"on_ns_per_flow"`
-	// OverheadPct is (on-off)/off in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// DeadlineBench is the full deadline-overhead benchmark artifact
-// (BENCH_deadline.json).
-type DeadlineBench struct {
-	// Points are the per-concurrency overhead measurements.
-	Points []DeadlinePoint `json:"points"`
-}
-
-// MeasureDeadlineOverhead runs the GIOP Add -> SOAP Plus workload at
-// each concurrency level against a mediator with flow budgets disabled
-// (FlowDeadline < 0) and one with a generous budget armed — so the
-// delta is pure budget machinery (stamping the deadline, clamping every
-// SetDeadline and checkout to it, the remaining-budget checks in the
-// retry loop) on the healthy path where nothing ever trips. The
-// benchharness -deadline flag writes this as BENCH_deadline.json.
-func MeasureDeadlineOverhead(sessionCounts []int, flowsPerSession int) (*DeadlineBench, error) {
-	plus, err := soap.NewServer("127.0.0.1:0", "/soap", plusOperation)
-	if err != nil {
-		return nil, err
-	}
-	defer plus.Close()
-
-	off, err := newDeadlineMediator(plus.Addr(), func(cfg *engine.Config) {
-		cfg.FlowDeadline = -1
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer off.Close()
-	on, err := newDeadlineMediator(plus.Addr(), func(cfg *engine.Config) {
-		cfg.FlowDeadline = 30 * time.Second
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer on.Close()
-
-	runOnce := func(addr string, sessions int) (time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		start := time.Now()
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				client, err := giop.Dial(addr, "calc")
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer client.Close()
-				for f := 0; f < flowsPerSession; f++ {
-					if _, err := client.Invoke("Add", giop.IntParam(2), giop.IntParam(3)); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		return elapsed / time.Duration(sessions*flowsPerSession), nil
-	}
-	// Best-of-N after a warmup run, as in MeasureBalanceOverhead: the
-	// minimum is the measurement least polluted by scheduler noise.
-	run := func(addr string, sessions int) (time.Duration, error) {
-		best := time.Duration(0)
-		for i := 0; i < 7; i++ {
-			d, err := runOnce(addr, sessions)
-			if err != nil {
-				return 0, err
-			}
-			if i == 0 { // warmup: prime pools, codecs and the page cache
-				continue
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	bench := &DeadlineBench{}
-	for _, sessions := range sessionCounts {
-		d, err := run(off.Addr(), sessions)
-		if err != nil {
-			return nil, err
-		}
-		b, err := run(on.Addr(), sessions)
-		if err != nil {
-			return nil, err
-		}
-		bench.Points = append(bench.Points, DeadlinePoint{
-			Sessions:     sessions,
-			OffNsPerFlow: float64(d.Nanoseconds()),
-			OnNsPerFlow:  float64(b.Nanoseconds()),
-			OverheadPct:  100 * float64(b-d) / float64(d),
-		})
-	}
-	return bench, nil
 }

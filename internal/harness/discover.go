@@ -6,56 +6,16 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/backend"
-	"starlink/internal/bind"
-	"starlink/internal/casestudy"
 	"starlink/internal/discovery"
 	"starlink/internal/engine"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/soap"
 )
-
-// newDiscoverMediator is newBackendMediator with discovery reconcilers
-// attached: the engine owns their lifecycle (started after the sets,
-// closed before them).
-func newDiscoverMediator(sets map[string]*backend.Set, recs []*discovery.Reconciler,
-	target string, retry *engine.RetryPolicy) (*engine.Mediator, error) {
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		return nil, err
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: target},
-		},
-		Backends:        sets,
-		Discovery:       recs,
-		ExchangeTimeout: 5 * time.Second,
-		Retry:           retry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		med.Close()
-		return nil, err
-	}
-	return med, nil
-}
 
 // E18 soaks dynamic service discovery through a full membership churn
 // arc with zero lost flows: a backend set seeded with one SOAP replica
@@ -136,9 +96,13 @@ func E18() Result {
 		r.Err = err
 		return r
 	}
-	med, err := newDiscoverMediator(map[string]*backend.Set{"plus": set},
-		[]*discovery.Reconciler{rec}, "plus",
-		&engine.RetryPolicy{Attempts: 3, Backoff: time.Millisecond})
+	// The engine owns the reconciler's lifecycle: started after the sets,
+	// closed before them.
+	med, err := newAddMediator("127.0.0.1:0", "plus", func(cfg *engine.Config) {
+		cfg.Backends = map[string]*backend.Set{"plus": set}
+		cfg.Discovery = []*discovery.Reconciler{rec}
+		cfg.Retry = &engine.RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
+	})
 	if err != nil {
 		r.Err = err
 		return r
@@ -313,151 +277,4 @@ func E18() Result {
 			flows.Load(), snap.Adds, snap.Removes, snap.FlapsSuppressed, snap.Resolutions)
 	}
 	return r
-}
-
-// DiscoverPoint is one concurrency level of the discovery-overhead
-// measurement: per-flow latency with a static backend set vs the same
-// set driven by a file discovery source in steady state.
-type DiscoverPoint struct {
-	// Sessions is the number of concurrent client sessions.
-	Sessions int `json:"sessions"`
-	// StaticNsPerFlow and DiscoveredNsPerFlow are mean wall nanoseconds
-	// per mediated flow against the static-membership resp.
-	// discovery-driven mediator.
-	StaticNsPerFlow     float64 `json:"static_ns_per_flow"`
-	DiscoveredNsPerFlow float64 `json:"discovered_ns_per_flow"`
-	// OverheadPct is (discovered-static)/static in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// DiscoverBench is the full discovery benchmark artifact
-// (BENCH_discover.json).
-type DiscoverBench struct {
-	// Points are the per-concurrency overhead measurements.
-	Points []DiscoverPoint `json:"points"`
-}
-
-// MeasureDiscoverOverhead runs the GIOP Add -> SOAP Plus workload at
-// each concurrency level against a mediator balancing over a static
-// backend set and against one whose identical set is driven by a file
-// discovery source polling every 25ms — so the delta is the steady-state
-// cost of the reconcile loop (resolve, diff, sighting bookkeeping)
-// sharing the process with the data path. The benchharness -discover
-// flag writes this as BENCH_discover.json.
-func MeasureDiscoverOverhead(sessionCounts []int, flowsPerSession int) (*DiscoverBench, error) {
-	plus, err := soap.NewServer("127.0.0.1:0", "/soap", plusOperation)
-	if err != nil {
-		return nil, err
-	}
-	defer plus.Close()
-
-	newSet := func() (*backend.Set, error) {
-		return backend.New("plus", []string{plus.Addr()}, backend.Options{
-			Policy:        backend.PowerOfTwo,
-			ProbeInterval: 50 * time.Millisecond,
-		})
-	}
-	staticSet, err := newSet()
-	if err != nil {
-		return nil, err
-	}
-	static, err := newBackendMediator(map[string]*backend.Set{"plus": staticSet}, "plus", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer static.Close()
-
-	hosts := filepath.Join(os.TempDir(), fmt.Sprintf("starlink-bench-%d.hosts", os.Getpid()))
-	defer os.Remove(hosts)
-	if err := os.WriteFile(hosts, []byte(plus.Addr()+"\n"), 0o644); err != nil {
-		return nil, err
-	}
-	discoveredSet, err := newSet()
-	if err != nil {
-		return nil, err
-	}
-	src, err := discovery.NewFileSource(hosts)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := discovery.New(discoveredSet, discovery.Options{
-		Source:  src,
-		Refresh: 25 * time.Millisecond,
-	})
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	discovered, err := newDiscoverMediator(map[string]*backend.Set{"plus": discoveredSet},
-		[]*discovery.Reconciler{rec}, "plus", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer discovered.Close()
-
-	runOnce := func(addr string, sessions int) (time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		start := time.Now()
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				client, err := giop.Dial(addr, "calc")
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer client.Close()
-				for f := 0; f < flowsPerSession; f++ {
-					if _, err := client.Invoke("Add", giop.IntParam(2), giop.IntParam(3)); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		return elapsed / time.Duration(sessions*flowsPerSession), nil
-	}
-	bench := &DiscoverBench{}
-	for _, sessions := range sessionCounts {
-		// The static and discovered runs are interleaved in adjacent
-		// pairs, so host-load drift hits both sides of each pair about
-		// equally, and the point reported is the pair with the median
-		// discovered/static ratio — a robust paired estimate where a
-		// best-of-N minimum would chase a floor that itself drifts.
-		type pair struct{ s, d time.Duration }
-		var pairs []pair
-		for i := 0; i < 16; i++ {
-			s, err := runOnce(static.Addr(), sessions)
-			if err != nil {
-				return nil, err
-			}
-			d, err := runOnce(discovered.Addr(), sessions)
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 { // warmup: prime pools, codecs and the page cache
-				continue
-			}
-			pairs = append(pairs, pair{s, d})
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			return float64(pairs[i].d)/float64(pairs[i].s) < float64(pairs[j].d)/float64(pairs[j].s)
-		})
-		med := pairs[len(pairs)/2]
-		bench.Points = append(bench.Points, DiscoverPoint{
-			Sessions:            sessions,
-			StaticNsPerFlow:     float64(med.s.Nanoseconds()),
-			DiscoveredNsPerFlow: float64(med.d.Nanoseconds()),
-			OverheadPct:         100 * float64(med.d-med.s) / float64(med.s),
-		})
-	}
-	return bench, nil
 }

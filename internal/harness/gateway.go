@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,37 +23,6 @@ import (
 	"starlink/internal/services/photostore"
 	"starlink/internal/services/picasa"
 )
-
-// newAddPlusMediator builds the GIOP Add -> SOAP Plus mediator used
-// throughout the harness, started detached so a gateway can feed it.
-func newAddPlusMediator(plusAddr string) (*engine.Mediator, error) {
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		return nil, err
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: plusAddr},
-		},
-		ExchangeTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := med.StartDetached(); err != nil {
-		med.Close()
-		return nil, err
-	}
-	return med, nil
-}
 
 // newFlickrMediator builds a Flickr -> Picasa REST mediator (XML-RPC or
 // SOAP client side, per binder), started detached.
@@ -98,13 +66,7 @@ func E14() Result {
 	const flowCap = 8
 	r := Result{ID: "E14", Artifact: "gateway multiplex+reload"}
 
-	plus, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			x, _ := strconv.Atoi(findParam(params, "x"))
-			y, _ := strconv.Atoi(findParam(params, "y"))
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
-	})
+	plus, err := soap.NewServer("127.0.0.1:0", "/soap", plusOperation)
 	if err != nil {
 		r.Err = err
 		return r
@@ -118,7 +80,7 @@ func E14() Result {
 	}
 	defer pic.Close()
 
-	calcMed, err := newAddPlusMediator(plus.Addr())
+	calcMed, err := newAddMediator("", plus.Addr(), nil)
 	if err != nil {
 		r.Err = err
 		return r
@@ -258,7 +220,7 @@ func E14() Result {
 		r.Err = err
 		return r
 	}
-	calcMed2, err := newAddPlusMediator(plus.Addr())
+	calcMed2, err := newAddMediator("", plus.Addr(), nil)
 	if err != nil {
 		r.Err = err
 		return r
@@ -382,188 +344,4 @@ func E14() Result {
 	r.Detail = fmt.Sprintf("3 protocols, 1 listener: %d conns routed by sniffing, %d flows through hot swap, %d shed in %v",
 		accepted, pinned.Load(), shed, shedLatency.Round(time.Microsecond))
 	return r
-}
-
-// GatewayPoint is one concurrency level of the gateway-overhead
-// measurement: per-flow latency straight to a mediator's own listener
-// vs through the sniffing front door.
-type GatewayPoint struct {
-	// Sessions is the number of concurrent client sessions.
-	Sessions int `json:"sessions"`
-	// DirectNsPerFlow and GatewayNsPerFlow are mean wall nanoseconds
-	// per mediated flow against the direct resp. gateway-fronted
-	// listener.
-	DirectNsPerFlow  float64 `json:"direct_ns_per_flow"`
-	GatewayNsPerFlow float64 `json:"gateway_ns_per_flow"`
-	// OverheadPct is (gateway-direct)/direct in percent.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// GatewayBench is the full gateway benchmark artifact
-// (BENCH_gateway.json).
-type GatewayBench struct {
-	// Points are the per-concurrency overhead measurements.
-	Points []GatewayPoint `json:"points"`
-	// ShedNsMean is the mean nanoseconds an over-limit IIOP client
-	// waits for its protocol-correct reject.
-	ShedNsMean float64 `json:"shed_reject_ns_mean"`
-}
-
-// MeasureGatewayOverhead runs the GIOP Add -> SOAP Plus workload at
-// each concurrency level against a directly-listening mediator and
-// against an identical mediator behind the gateway, and measures the
-// shed-reject latency. The benchharness -gateway flag writes this as
-// BENCH_gateway.json.
-func MeasureGatewayOverhead(sessionCounts []int, flowsPerSession int) (*GatewayBench, error) {
-	plus, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			x, _ := strconv.Atoi(findParam(params, "x"))
-			y, _ := strconv.Atoi(findParam(params, "y"))
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer plus.Close()
-
-	direct, err := newAddPlusMediator(plus.Addr())
-	if err != nil {
-		return nil, err
-	}
-	defer direct.Close()
-	// newAddPlusMediator starts detached; give the direct baseline its
-	// own listener.
-	if err := direct.Start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	fronted, err := newAddPlusMediator(plus.Addr())
-	if err != nil {
-		return nil, err
-	}
-	defer fronted.Close()
-	gw, err := gateway.New(gateway.Config{Routes: []gateway.RouteConfig{
-		{Name: "calc", Match: gateway.Matcher{Class: gateway.ClassGIOP},
-			Framer: network.GIOPFramer{}, Target: fronted},
-	}})
-	if err != nil {
-		return nil, err
-	}
-	if err := gw.Start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	defer gw.Close()
-
-	runOnce := func(addr string, sessions int) (time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, sessions)
-		start := time.Now()
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				client, err := giop.Dial(addr, "calc")
-				if err != nil {
-					errs <- err
-					return
-				}
-				defer client.Close()
-				for f := 0; f < flowsPerSession; f++ {
-					if _, err := client.Invoke("Add", giop.IntParam(2), giop.IntParam(3)); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		return elapsed / time.Duration(sessions*flowsPerSession), nil
-	}
-	// Best-of-N after a warmup run: scheduler noise on a shared box
-	// swamps the per-flow delta, and the minimum is the measurement
-	// least polluted by it.
-	run := func(addr string, sessions int) (time.Duration, error) {
-		best := time.Duration(0)
-		for i := 0; i < 7; i++ {
-			d, err := runOnce(addr, sessions)
-			if err != nil {
-				return 0, err
-			}
-			if i == 0 { // warmup: prime pools, codecs and the page cache
-				continue
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	bench := &GatewayBench{}
-	for _, sessions := range sessionCounts {
-		d, err := run(direct.Addr(), sessions)
-		if err != nil {
-			return nil, err
-		}
-		g, err := run(gw.Addr(), sessions)
-		if err != nil {
-			return nil, err
-		}
-		bench.Points = append(bench.Points, GatewayPoint{
-			Sessions:         sessions,
-			DirectNsPerFlow:  float64(d.Nanoseconds()),
-			GatewayNsPerFlow: float64(g.Nanoseconds()),
-			OverheadPct:      100 * float64(g-d) / float64(d),
-		})
-	}
-
-	// Shed-reject latency: a one-flow route saturated by a held client;
-	// every further invocation measures dial + reject round-trip.
-	shedMed, err := newAddPlusMediator(plus.Addr())
-	if err != nil {
-		return nil, err
-	}
-	defer shedMed.Close()
-	capped, err := gateway.New(gateway.Config{Routes: []gateway.RouteConfig{
-		{Name: "calc", Match: gateway.Matcher{Class: gateway.ClassGIOP},
-			Admission: gateway.AdmissionPolicy{MaxFlows: 1},
-			Framer:    network.GIOPFramer{}, Target: shedMed},
-	}})
-	if err != nil {
-		return nil, err
-	}
-	if err := capped.Start("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	defer capped.Close()
-	holder, err := giop.Dial(capped.Addr(), "calc")
-	if err != nil {
-		return nil, err
-	}
-	defer holder.Close()
-	if _, err := holder.Invoke("Add", giop.IntParam(1), giop.IntParam(1)); err != nil {
-		return nil, err
-	}
-	const rejects = 50
-	var total time.Duration
-	for i := 0; i < rejects; i++ {
-		c, err := giop.Dial(capped.Addr(), "calc")
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := c.Invoke("Add", giop.IntParam(1), giop.IntParam(1)); err == nil {
-			c.Close()
-			return nil, errors.New("over-cap invocation succeeded during shed measurement")
-		}
-		total += time.Since(start)
-		c.Close()
-	}
-	bench.ShedNsMean = float64(total.Nanoseconds()) / rejects
-	return bench, nil
 }

@@ -7,12 +7,12 @@ import (
 	"starlink/internal/harness"
 )
 
-// TestAllExperimentsPass runs the full E1-E14 + E16-E19 reproduction
-// suite — the same entry point as cmd/benchharness.
+// TestAllExperimentsPass runs the full reproduction suite (E1-E12, E14,
+// E16-E19) — the same entry point as cmd/benchharness.
 func TestAllExperimentsPass(t *testing.T) {
 	results := harness.RunAll()
-	if len(results) != 18 {
-		t.Fatalf("experiments = %d, want 18", len(results))
+	if len(results) != 17 {
+		t.Fatalf("experiments = %d, want 17", len(results))
 	}
 	for _, r := range results {
 		if !r.OK() {

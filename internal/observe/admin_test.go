@@ -159,8 +159,7 @@ func TestAdminEndToEnd(t *testing.T) {
 			"starlink_tracer_enabled 1",
 			"starlink_transition_seconds_bucket",
 			"starlink_transition_seconds_count",
-			"starlink_translate_compiled_total",
-			"starlink_translate_interpreted_total",
+			"starlink_translations_total",
 			"starlink_translate_seconds_count",
 			"starlink_transition_hits_total{transition=",
 		} {

@@ -172,10 +172,6 @@ func RegisterMediator(r *Registry, med *engine.Mediator) {
 		stat(func(s engine.Stats) uint64 { return s.Flows }))
 	r.Counter("starlink_translations_total", "Gamma (MTL) transitions executed.",
 		stat(func(s engine.Stats) uint64 { return s.Translations }))
-	r.Counter("starlink_translate_compiled_total", "Gamma transitions executed on the compiled fast path.",
-		stat(func(s engine.Stats) uint64 { return s.TranslationsCompiled }))
-	r.Counter("starlink_translate_interpreted_total", "Gamma transitions executed by the tree-walking interpreter.",
-		stat(func(s engine.Stats) uint64 { return s.TranslationsInterpreted }))
 	r.Counter("starlink_messages_in_total", "Messages received from either side.",
 		stat(func(s engine.Stats) uint64 { return s.MessagesIn }))
 	r.Counter("starlink_messages_out_total", "Messages sent to either side.",

@@ -235,9 +235,11 @@ func (da *DirectoryAgent) Close() error {
 
 // Client issues ServiceRequests to a DA.
 type Client struct {
-	codec   mdl.Codec
-	conn    network.Conn
-	nextXID uint64
+	codec mdl.Codec
+	conn  network.Conn
+	// nextXID is as wide as the wire's <XID:16>, so it wraps where the
+	// field does.
+	nextXID uint16
 	timeout time.Duration
 }
 
@@ -257,7 +259,7 @@ func Dial(addr string) (*Client, error) {
 
 // Find requests the URLs registered under serviceType.
 func (c *Client) Find(serviceType, scope string) ([]URLEntry, error) {
-	xid := c.nextXID
+	xid := uint64(c.nextXID)
 	c.nextXID++
 	wire, err := c.codec.Compose(NewRequest(xid, serviceType, scope))
 	if err != nil {

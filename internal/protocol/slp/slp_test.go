@@ -92,6 +92,30 @@ func TestXIDIncrements(t *testing.T) {
 	}
 }
 
+// TestXIDWraps: the XID field is 16 bits wide, so the 65 536th lookup of
+// one client reuses XID 0 instead of failing to compose.
+func TestXIDWraps(t *testing.T) {
+	da := startDA(t)
+	c, err := Dial(da.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.nextXID = 65534
+	for i := 0; i < 4; i++ {
+		entries, err := c.Find("service:printer:lpr", "DEFAULT")
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+		if len(entries) != 2 {
+			t.Errorf("lookup %d: entries = %d, want 2", i, len(entries))
+		}
+	}
+	if c.nextXID != 2 {
+		t.Errorf("nextXID = %d, want 2 after wrapping", c.nextXID)
+	}
+}
+
 func TestWireMessagesRoundTrip(t *testing.T) {
 	codec, err := NewCodec()
 	if err != nil {
