@@ -17,10 +17,10 @@ test: build
 # the backend replica sets (balancer churn, prober, ejection, dynamic
 # membership), the discovery subsystem (sources, reconcilers and their
 # goroutine-leak tests), the observability subsystem (lock-free rings,
-# tracer, admin) and the mediation gateway (sniffing, admission, hot
-# swap).
+# tracer, admin), the mediation gateway (sniffing, admission, hot swap)
+# and the XML codec (pooled scanners and writers shared by every session).
 race:
-	$(GO) test -race ./internal/engine/... ./internal/network/... ./internal/backend/... ./internal/discovery/... ./internal/harness/... ./internal/observe/... ./internal/gateway/... ./internal/rcache/...
+	$(GO) test -race ./internal/engine/... ./internal/network/... ./internal/backend/... ./internal/discovery/... ./internal/harness/... ./internal/observe/... ./internal/gateway/... ./internal/rcache/... ./internal/mdl/xmlenc
 
 # The allocation-budget tests under the race detector: AllocsPerRun is
 # meaningless with -race instrumentation, so the numeric budgets skip
@@ -28,15 +28,17 @@ race:
 # recycled environments and in-place path walks they drive still run
 # with full race checking — that is the point of this pass.
 race-alloc:
-	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/protocol/... ./internal/rcache
+	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/protocol/... ./internal/rcache
 
-# The full gate: vet, tier-1, the race passes, then two checks of its
+# The full gate: vet, tier-1, the race passes, then three checks of its
 # own. The engine's tests run fifty times in shuffled order, so a counter
 # or trace published after the reply it belongs to shows up as a flake
-# here and not in tier-1. And the per-feature measurement code that
-# bench/ replaced must not be quoted again: no file outside the four
-# that record its removal may name one of its JSON baselines, functions
-# or flags.
+# here and not in tier-1. The per-feature measurement code that bench/
+# replaced must not be quoted again: no file outside the four that record
+# its removal may name one of its JSON baselines, functions or flags. And
+# encoding/xml stays off the message path: under the MDL engines, the
+# protocol layers and the binders only test files may import it, as the
+# oracle the xmlenc scanner and writer are checked against.
 check: test
 	$(GO) vet ./...
 	$(MAKE) race
@@ -45,6 +47,8 @@ check: test
 	@if git grep -nE 'BENCH_[a-z]+\.json|Measure[A-Za-z]+Overhead|benchharness -[a-z]' -- . \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench/README.md'; then \
 		echo 'check: the lines above quote measurement code that bench/ replaced (see bench/README.md)'; exit 1; fi
+	@if git grep -n '"encoding/xml"' -- internal/mdl internal/protocol internal/bind ':!*_test.go'; then \
+		echo 'check: the files above import encoding/xml on the message path; xmlenc has the scanner and the writer (DESIGN.md, "XML codec")'; exit 1; fi
 
 # The one benchmark: what a mediated flow costs beside the native call,
 # end to end and layer by layer. This is the command in BENCHMARK.json;

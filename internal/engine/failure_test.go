@@ -1,9 +1,11 @@
 package engine_test
 
 import (
+	"bytes"
 	"errors"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,8 @@ import (
 	"starlink/internal/engine"
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
+	"starlink/internal/protocol/httpwire"
+	"starlink/internal/protocol/rest"
 	"starlink/internal/protocol/soap"
 	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/services/photostore"
@@ -333,5 +337,69 @@ func TestUnexpectedActionGetsFault(t *testing.T) {
 	}
 	if !strings.Contains(fault.Message, "unexpected action") {
 		t.Errorf("fault = %+v", fault)
+	}
+}
+
+// TestDeepReplyFaultsOneFlowOnly is the one-packet kill: a service reply
+// of five million nested elements, inside the frame limit, overflowed the
+// recursive XML decoder's stack and took the process — every session —
+// with it. Now the flow that met it ends in the client's protocol fault
+// and the next connection is served.
+func TestDeepReplyFaultsOneFlowOnly(t *testing.T) {
+	var hostile atomic.Bool
+	hostile.Store(true)
+	feed, err := rest.MarshalFeed(rest.Feed{Title: "Search Results", Entries: []rest.Entry{
+		{ID: "photo-0001", Title: "tree", ContentType: "image/jpeg", ContentSrc: "http://photos.example/1.jpg"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := httpwire.Serve("127.0.0.1:0", func(*httpwire.Request) *httpwire.Response {
+		body := feed
+		if hostile.Load() {
+			body = bytes.Repeat([]byte("<a>"), 5<<20)
+		}
+		return &httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "application/atom+xml"}, Body: body}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	routes, err := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restBinder, err := bind.NewRESTBinder(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	med, err := engine.New(engine.Config{
+		Merged: casestudy.SearchMediator(),
+		Sides: map[int]*engine.Side{
+			1: {Binder: &bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages}},
+			2: {Binder: restBinder, Target: svc.Addr()},
+		},
+		HostMap: map[string]string{casestudy.PicasaHost: svc.Addr()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer med.Close()
+	search := func() (xmlrpc.Value, error) {
+		c := xmlrpc.NewClient(med.Addr(), "/services/xmlrpc")
+		defer c.Close()
+		return c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(1)})
+	}
+
+	var fault *xmlrpc.Fault
+	if _, err := search(); !errors.As(err, &fault) || !strings.Contains(fault.Message, "nested deeper") {
+		t.Fatalf("search over the hostile reply: err = %v, want an XML-RPC fault naming the depth bound", err)
+	}
+	hostile.Store(false)
+	if _, err := search(); err != nil {
+		t.Fatalf("the flow after the hostile reply, on a new connection: %v", err)
 	}
 }

@@ -5,11 +5,18 @@
 // generically:
 //
 //   - an element becomes a structured field labelled with its local name;
-//   - an attribute becomes a child primitive labelled "@name";
+//   - an attribute becomes a child primitive labelled "@name" — "@p" for
+//     a declaration xmlns:p, "@uri:name" for a prefixed attribute whose
+//     prefix is declared, "@prefix:name" when it is not;
 //   - an element containing only character data becomes a primitive string
-//     field (or, when it also carries attributes, a structured field with a
-//     "#text" child);
-//   - inter-element whitespace is ignored.
+//     field, its text untouched;
+//   - character data beside attributes or child elements becomes a last
+//     child "#text", trimmed, and is dropped when it is blank.
+//
+// One hand-written scanner (DecodeTree) and one Writer (EncodeDoc, and
+// what the protocol layers write their documents with) are the only
+// places XML meets bytes; DESIGN.md, "XML codec", says what the scanner
+// deliberately leaves out.
 //
 // A message layout needs only a discriminator on the document's root
 // element:
@@ -27,16 +34,12 @@
 package xmlenc
 
 import (
-	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"starlink/internal/mdl"
 	"starlink/internal/message"
-	"starlink/internal/protocol/bufpool"
 )
 
 // Errors reported by the XML engine.
@@ -52,8 +55,10 @@ type compiledMessage struct {
 	root string
 	// attrs are root-element attributes to emit on compose, from layout
 	// items of the form <@xmlns:ns=value> ... encoded as <Name:attr:value>.
-	attrs []xml.Attr
+	attrs []rootAttr
 }
+
+type rootAttr struct{ name, value string }
 
 // Codec interprets an XML MDL spec.
 type Codec struct {
@@ -82,10 +87,7 @@ func New(spec *mdl.Spec) (mdl.Codec, error) {
 				return nil, fmt.Errorf("%w: message %q: unknown item %q (only <Name:attr:value> is allowed)",
 					ErrBadSpec, ms.Name, it.Label())
 			}
-			cm.attrs = append(cm.attrs, xml.Attr{
-				Name:  xml.Name{Local: it.Label()},
-				Value: strings.Join(it.Parts[2:], ":"),
-			})
+			cm.attrs = append(cm.attrs, rootAttr{it.Label(), strings.Join(it.Parts[2:], ":")})
 		}
 		c.messages = append(c.messages, cm)
 		c.byName[ms.Name] = cm
@@ -99,7 +101,7 @@ func Register(r *mdl.Registry) { r.Register(mdl.EncodingXML, New) }
 // Parse decodes an XML document, dispatching on the root element and any
 // additional value rules.
 func (c *Codec) Parse(data []byte) (*message.Message, error) {
-	root, err := decodeTree(data)
+	root, err := DecodeTree(data)
 	if err != nil {
 		return nil, err
 	}
@@ -128,179 +130,26 @@ func valueRulesHold(cm *compiledMessage, msg *message.Message) bool {
 	return true
 }
 
-// decodeTree parses an XML document into one field per root element.
-func decodeTree(data []byte) (*message.Field, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: no root element", ErrMalformed)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			f, err := decodeElement(dec, se)
-			if err != nil {
-				return nil, err
-			}
-			return f, nil
-		}
-	}
-}
-
-func decodeElement(dec *xml.Decoder, se xml.StartElement) (*message.Field, error) {
-	f := message.NewStruct(se.Name.Local)
-	for _, a := range se.Attr {
-		name := a.Name.Local
-		if a.Name.Space != "" && a.Name.Space != "xmlns" {
-			name = a.Name.Space + ":" + name
-		}
-		f.Add(message.NewPrimitive("@"+name, message.TypeString, a.Value))
-	}
-	var text strings.Builder
-	hasChildren := len(f.Children) > 0
-	hasElems := false
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			child, err := decodeElement(dec, t)
-			if err != nil {
-				return nil, err
-			}
-			f.Add(child)
-			hasChildren, hasElems = true, true
-		case xml.CharData:
-			text.Write(t)
-		case xml.EndElement:
-			content := text.String()
-			if hasElems {
-				content = strings.TrimSpace(content)
-			}
-			switch {
-			case !hasChildren:
-				// Pure text (or empty) element -> primitive.
-				return message.NewPrimitive(f.Label, message.TypeString, content), nil
-			case strings.TrimSpace(content) != "":
-				f.Add(message.NewPrimitive("#text", message.TypeString, strings.TrimSpace(content)))
-			}
-			return f, nil
-		}
-	}
-}
-
 // Compose serialises the abstract message under its layout's root element.
 func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 	cm, ok := c.byName[msg.Name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
 	}
-	b := bufpool.Get()
-	defer bufpool.Put(b)
-	b.WriteString(xml.Header)
-	root := message.NewStruct(cm.root, msg.Fields...)
-	if err := encodeField(b, root, cm.attrs); err != nil {
-		return nil, err
+	w := newWriter(codecHeader)
+	w.Open(cm.root)
+	for _, a := range cm.attrs {
+		w.Attr(a.name, a.value)
 	}
-	return bufpool.Bytes(b), nil
+	w.children(msg.Fields)
+	w.Close()
+	return w.Doc()
 }
 
-func encodeField(b *bytes.Buffer, f *message.Field, extraAttrs []xml.Attr) error {
-	if strings.HasPrefix(f.Label, "@") || f.Label == "#text" {
-		return fmt.Errorf("xmlenc: %q cannot be a top-level element", f.Label)
-	}
-	b.WriteByte('<')
-	b.WriteString(f.Label)
-	for _, a := range extraAttrs {
-		b.WriteString(" " + a.Name.Local + `="`)
-		if err := xml.EscapeText(b, []byte(a.Value)); err != nil {
-			return err
-		}
-		b.WriteString(`"`)
-	}
-	if f.Type.Primitive() {
-		b.WriteByte('>')
-		if err := xml.EscapeText(b, []byte(f.ValueString())); err != nil {
-			return err
-		}
-		b.WriteString("</" + f.Label + ">")
-		return nil
-	}
-	var elems []*message.Field
-	var text string
-	for _, c := range f.Children {
-		switch {
-		case strings.HasPrefix(c.Label, "@"):
-			b.WriteString(" " + c.Label[1:] + `="`)
-			if err := xml.EscapeText(b, []byte(c.ValueString())); err != nil {
-				return err
-			}
-			b.WriteString(`"`)
-		case c.Label == "#text":
-			text = c.ValueString()
-		default:
-			elems = append(elems, c)
-		}
-	}
-	if len(elems) == 0 && text == "" {
-		b.WriteString("/>")
-		return nil
-	}
-	b.WriteByte('>')
-	if text != "" {
-		if err := xml.EscapeText(b, []byte(text)); err != nil {
-			return err
-		}
-	}
-	for _, c := range elems {
-		if err := encodeField(b, c, nil); err != nil {
-			return err
-		}
-	}
-	b.WriteString("</" + f.Label + ">")
-	return nil
-}
-
-// DecodeTree exposes the generic XML -> field mapping for protocol codecs
-// that need to inspect fragments (e.g. Atom entries embedded in strings).
-func DecodeTree(data []byte) (*message.Field, error) { return decodeTree(data) }
-
-// EncodeField exposes the generic field -> XML mapping for protocol codecs.
-func EncodeField(f *message.Field) (string, error) {
-	b := bufpool.Get()
-	defer bufpool.Put(b)
-	if err := encodeField(b, f, nil); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-// EncodeInto renders f into b with the same mapping as EncodeField,
-// letting callers that assemble larger documents reuse one buffer.
-func EncodeInto(b *bytes.Buffer, f *message.Field) error {
-	return encodeField(b, f, nil)
-}
-
-// docHeader is the XML declaration the RPC protocol layers emit (they
-// predate encoding declarations; xml.Header is the MDL codec's form).
-const docHeader = `<?xml version="1.0"?>` + "\n"
-
-// EncodeDoc renders f as a standalone document — XML declaration plus
-// the encoded element — through the shared encode-buffer pool, returning
-// a right-sized copy. It is the one-call replacement for the
-// EncodeField-then-concatenate pattern in the XML protocol layers
-// (XML-RPC, SOAP, Atom), which allocated the string, the concatenation
-// and the []byte conversion separately.
+// EncodeDoc renders f as a standalone document: the XML declaration and
+// the element tree under f, the inverse of DecodeTree.
 func EncodeDoc(f *message.Field) ([]byte, error) {
-	b := bufpool.Get()
-	defer bufpool.Put(b)
-	b.WriteString(docHeader)
-	if err := encodeField(b, f, nil); err != nil {
-		return nil, err
-	}
-	return bufpool.Bytes(b), nil
+	w := NewDoc()
+	w.field(f)
+	return w.Doc()
 }

@@ -263,12 +263,12 @@ func TestDecodeEncodeHelpers(t *testing.T) {
 	if f.Label != "entry" || f.Child("id").ValueString() != "p1" {
 		t.Errorf("DecodeTree = %v", f)
 	}
-	s, err := EncodeField(f)
+	doc, err := EncodeDoc(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != "<entry><id>p1</id></entry>" {
-		t.Errorf("EncodeField = %q", s)
+	if string(doc) != docHeader+"<entry><id>p1</id></entry>" {
+		t.Errorf("EncodeDoc = %q", doc)
 	}
 }
 
@@ -298,5 +298,34 @@ func BenchmarkXMLCompose(b *testing.B) {
 		if _, err := c.Compose(msg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestWriterReportsMisuse(t *testing.T) {
+	for name, misuse := range map[string]func(w *Writer){
+		"attribute after content":     func(w *Writer) { w.Open("a"); w.Leaf("b", ""); w.Attr("k", "v"); w.Close() },
+		"element named as attribute":  func(w *Writer) { w.Leaf("@k", "v") },
+		"element named as text":       func(w *Writer) { w.Open("#text"); w.Close() },
+		"element left open":           func(w *Writer) { w.Open("a") },
+		"close with nothing open":     func(w *Writer) { w.Open("a"); w.Close(); w.Close() },
+		"failed by the caller":        func(w *Writer) { w.Open("a"); w.Fail(errors.New("no")); w.Close() },
+		"tree rooted at an attribute": func(w *Writer) { w.field(message.NewPrimitive("@k", message.TypeString, "v")) },
+	} {
+		w := NewDoc()
+		misuse(w)
+		if doc, err := w.Doc(); err == nil {
+			t.Errorf("%s: Doc() = %q, want an error", name, doc)
+		}
+	}
+	w := NewDoc()
+	w.Open("a")
+	w.Attr("k", `"v"`)
+	w.Open("empty")
+	w.Close()
+	w.Leaf("leaf", "")
+	w.Close()
+	doc, err := w.Doc()
+	if want := docHeader + `<a k="&#34;v&#34;"><empty/><leaf></leaf></a>`; err != nil || string(doc) != want {
+		t.Errorf("Doc() = %q, %v, want %q", doc, err, want)
 	}
 }

@@ -64,14 +64,18 @@ var (
 	ErrProtocol = errors.New("giop: protocol error")
 )
 
-// NewCodec compiles the GIOP MDL document.
-func NewCodec() (mdl.Codec, error) {
+// NewCodec returns the codec of the GIOP MDL document. The document is
+// parsed and compiled on the first call; the codec keeps no state between
+// messages, so every client, server and binder of the process shares it.
+func NewCodec() (mdl.Codec, error) { return compiled() }
+
+var compiled = sync.OnceValues(func() (mdl.Codec, error) {
 	spec, err := mdl.ParseString(MDLDoc)
 	if err != nil {
 		return nil, fmt.Errorf("giop: parse MDL: %w", err)
 	}
 	return binenc.New(spec)
-}
+})
 
 // Param helpers for building CDR parameter lists.
 

@@ -181,3 +181,29 @@ func BenchmarkInvokeAdd(b *testing.B) {
 		}
 	}
 }
+
+// TestDialsShareOneCompile: the embedded MDL is parsed and compiled once
+// per process, whatever dials and serves.
+func TestDialsShareOneCompile(t *testing.T) {
+	srv := startCalc(t)
+	codec, err := NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.codec != codec {
+		t.Error("Serve compiled a codec of its own")
+	}
+	for i := 0; i < 8; i++ {
+		c, err := Dial(srv.Addr(), "calc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.codec != codec {
+			t.Errorf("dial %d compiled a codec of its own", i)
+		}
+		c.Close()
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewCodec() }); allocs != 0 {
+		t.Errorf("NewCodec allocated %.0f times after the first call", allocs)
+	}
+}

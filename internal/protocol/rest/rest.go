@@ -53,42 +53,45 @@ type Feed struct {
 // Len reports the number of entries.
 func (f Feed) Len() int { return len(f.Entries) }
 
-func entryField(e Entry) *message.Field {
-	f := message.NewStruct("entry",
-		message.NewPrimitive("id", message.TypeString, e.ID),
-		message.NewPrimitive("title", message.TypeString, e.Title),
-	)
+func writeEntry(w *xmlenc.Writer, e Entry) {
+	w.Open("entry")
+	w.Leaf("id", e.ID)
+	w.Leaf("title", e.Title)
 	if e.Summary != "" {
-		f.Add(message.NewPrimitive("summary", message.TypeString, e.Summary))
+		w.Leaf("summary", e.Summary)
 	}
 	if e.Author != "" {
-		f.Add(message.NewStruct("author",
-			message.NewPrimitive("name", message.TypeString, e.Author)))
+		w.Open("author")
+		w.Leaf("name", e.Author)
+		w.Close()
 	}
 	if e.ContentSrc != "" || e.ContentType != "" {
-		f.Add(message.NewStruct("content",
-			message.NewPrimitive("@type", message.TypeString, e.ContentType),
-			message.NewPrimitive("@src", message.TypeString, e.ContentSrc),
-		))
+		w.Open("content")
+		w.Attr("type", e.ContentType)
+		w.Attr("src", e.ContentSrc)
+		w.Close()
 	}
-	return f
+	w.Close()
 }
 
 // MarshalFeed renders an Atom feed document.
 func MarshalFeed(f Feed) ([]byte, error) {
-	root := message.NewStruct("feed",
-		message.NewPrimitive("title", message.TypeString, f.Title),
-	)
+	w := xmlenc.NewDoc()
+	w.Open("feed")
+	w.Leaf("title", f.Title)
 	for _, e := range f.Entries {
-		root.Add(entryField(e))
+		writeEntry(w, e)
 	}
-	return xmlenc.EncodeDoc(root)
+	w.Close()
+	return w.Doc()
 }
 
 // MarshalEntry renders one standalone entry document (the POST body for
 // addComment).
 func MarshalEntry(e Entry) ([]byte, error) {
-	return xmlenc.EncodeDoc(entryField(e))
+	w := xmlenc.NewDoc()
+	writeEntry(w, e)
+	return w.Doc()
 }
 
 func entryFromField(f *message.Field) Entry {

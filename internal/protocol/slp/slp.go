@@ -62,14 +62,18 @@ var (
 	ErrProtocol = errors.New("slp: protocol error")
 )
 
-// NewCodec compiles the SLP MDL document.
-func NewCodec() (mdl.Codec, error) {
+// NewCodec returns the codec of the SLP MDL document. The document is
+// parsed and compiled on the first call; the codec keeps no state between
+// messages, so every client, server and binder of the process shares it.
+func NewCodec() (mdl.Codec, error) { return compiled() }
+
+var compiled = sync.OnceValues(func() (mdl.Codec, error) {
 	spec, err := mdl.ParseString(MDLDoc)
 	if err != nil {
 		return nil, fmt.Errorf("slp: parse MDL: %w", err)
 	}
 	return binenc.New(spec)
-}
+})
 
 // URLEntry is one advertised service URL.
 type URLEntry struct {

@@ -176,3 +176,29 @@ func TestDACloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDialsShareOneCompile: the embedded MDL is parsed and compiled once
+// per process, whatever dials and whichever agents start.
+func TestDialsShareOneCompile(t *testing.T) {
+	da := startDA(t)
+	codec, err := NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if da.codec != codec {
+		t.Error("NewDirectoryAgent compiled a codec of its own")
+	}
+	for i := 0; i < 8; i++ {
+		c, err := Dial(da.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.codec != codec {
+			t.Errorf("dial %d compiled a codec of its own", i)
+		}
+		c.Close()
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewCodec() }); allocs != 0 {
+		t.Errorf("NewCodec allocated %.0f times after the first call", allocs)
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"starlink/internal/testutil"
 )
 
-// TestRoundTripAllocBudget guards the pooled envelope encoder: one
+// TestRoundTripAllocBudget guards the direct writer and the scanner: one
 // request marshal+parse round-trip must stay within a fixed allocation
 // budget.
 func TestRoundTripAllocBudget(t *testing.T) {
@@ -23,7 +23,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 110 {
-		t.Errorf("marshal+parse round-trip allocated %.1f times per op, budget 110", allocs)
+	if allocs > 20 {
+		t.Errorf("marshal+parse round-trip allocated %.1f times per op, budget 20", allocs)
 	}
 }

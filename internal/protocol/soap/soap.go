@@ -44,39 +44,37 @@ type Fault struct {
 // Error implements error.
 func (f *Fault) Error() string { return fmt.Sprintf("soap fault %s: %s", f.Code, f.Message) }
 
-func envelope(bodyChild *message.Field) ([]byte, error) {
-	root := message.NewStruct("Envelope",
-		message.NewPrimitive("@xmlns", message.TypeString, EnvelopeNS),
-		message.NewStruct("Body", bodyChild),
-	)
-	return xmlenc.EncodeDoc(root)
+// envelope renders Envelope/Body around one operation element whose
+// children are the named parameters, in order.
+func envelope(op string, params []Param) ([]byte, error) {
+	w := xmlenc.NewDoc()
+	w.Open("Envelope")
+	w.Attr("xmlns", EnvelopeNS)
+	w.Open("Body")
+	w.Open(op)
+	for _, p := range params {
+		w.Leaf(p.Name, p.Value)
+	}
+	w.Close()
+	w.Close()
+	w.Close()
+	return w.Doc()
 }
 
 // MarshalRequest renders an RPC request envelope: the method element with
 // one child element per parameter.
 func MarshalRequest(method string, params []Param) ([]byte, error) {
-	op := message.NewStruct(method)
-	for _, p := range params {
-		op.Add(message.NewPrimitive(p.Name, message.TypeString, p.Value))
-	}
-	return envelope(op)
+	return envelope(method, params)
 }
 
 // MarshalResponse renders the conventional <MethodResponse> envelope.
 func MarshalResponse(method string, results []Param) ([]byte, error) {
-	op := message.NewStruct(method + "Response")
-	for _, p := range results {
-		op.Add(message.NewPrimitive(p.Name, message.TypeString, p.Value))
-	}
-	return envelope(op)
+	return envelope(method+"Response", results)
 }
 
 // MarshalFault renders a fault envelope.
 func MarshalFault(f *Fault) ([]byte, error) {
-	return envelope(message.NewStruct("Fault",
-		message.NewPrimitive("faultcode", message.TypeString, f.Code),
-		message.NewPrimitive("faultstring", message.TypeString, f.Message),
-	))
+	return envelope("Fault", []Param{{"faultcode", f.Code}, {"faultstring", f.Message}})
 }
 
 // bodyElement unwraps Envelope/Body and returns the single operation

@@ -6,7 +6,7 @@ import (
 	"starlink/internal/testutil"
 )
 
-// TestRoundTripAllocBudget guards the pooled document encoder: one call
+// TestRoundTripAllocBudget guards the direct writer and the scanner: one call
 // marshal+parse round-trip must stay within a fixed allocation budget.
 func TestRoundTripAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
@@ -21,7 +21,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 165 {
-		t.Errorf("marshal+parse round-trip allocated %.1f times per op, budget 165", allocs)
+	if allocs > 25 {
+		t.Errorf("marshal+parse round-trip allocated %.1f times per op, budget 25", allocs)
 	}
 }

@@ -42,92 +42,89 @@ func (f *Fault) Error() string {
 
 // MarshalCall renders a methodCall document.
 func MarshalCall(method string, params ...Value) ([]byte, error) {
-	root := message.NewStruct("methodCall",
-		message.NewPrimitive("methodName", message.TypeString, method),
-	)
-	ps := message.NewStruct("params")
+	w := xmlenc.NewDoc()
+	w.Open("methodCall")
+	w.Leaf("methodName", method)
+	w.Open("params")
 	for _, p := range params {
-		vf, err := encodeValue(p)
-		if err != nil {
-			return nil, err
-		}
-		ps.Add(message.NewStruct("param", vf))
+		w.Open("param")
+		writeValue(w, p)
+		w.Close()
 	}
-	root.Add(ps)
-	return xmlenc.EncodeDoc(root)
+	w.Close()
+	w.Close()
+	return w.Doc()
 }
 
 // MarshalResponse renders a methodResponse document with one result.
 func MarshalResponse(result Value) ([]byte, error) {
-	vf, err := encodeValue(result)
-	if err != nil {
-		return nil, err
-	}
-	root := message.NewStruct("methodResponse",
-		message.NewStruct("params", message.NewStruct("param", vf)),
-	)
-	return xmlenc.EncodeDoc(root)
+	w := xmlenc.NewDoc()
+	w.Open("methodResponse")
+	w.Open("params")
+	w.Open("param")
+	writeValue(w, result)
+	w.Close()
+	w.Close()
+	w.Close()
+	return w.Doc()
 }
 
 // MarshalFault renders a fault methodResponse.
 func MarshalFault(f *Fault) ([]byte, error) {
-	fv, err := encodeValue(map[string]Value{
+	w := xmlenc.NewDoc()
+	w.Open("methodResponse")
+	w.Open("fault")
+	writeValue(w, map[string]Value{
 		"faultCode":   int64(f.Code),
 		"faultString": f.Message,
 	})
-	if err != nil {
-		return nil, err
-	}
-	root := message.NewStruct("methodResponse", message.NewStruct("fault", fv))
-	return xmlenc.EncodeDoc(root)
+	w.Close()
+	w.Close()
+	return w.Doc()
 }
 
-func encodeValue(v Value) (*message.Field, error) {
-	val := message.NewStruct("value")
+// writeValue writes one <value> element. A value of a type XML-RPC has no
+// element for fails the document.
+func writeValue(w *xmlenc.Writer, v Value) {
+	w.Open("value")
 	switch x := v.(type) {
 	case nil:
-		val.Add(message.NewPrimitive("string", message.TypeString, ""))
+		w.Leaf("string", "")
 	case string:
-		val.Add(message.NewPrimitive("string", message.TypeString, x))
+		w.Leaf("string", x)
 	case int:
-		val.Add(message.NewPrimitive("int", message.TypeString, strconv.Itoa(x)))
+		w.Leaf("int", strconv.Itoa(x))
 	case int64:
-		val.Add(message.NewPrimitive("int", message.TypeString, strconv.FormatInt(x, 10)))
+		w.Leaf("int", strconv.FormatInt(x, 10))
 	case bool:
 		b := "0"
 		if x {
 			b = "1"
 		}
-		val.Add(message.NewPrimitive("boolean", message.TypeString, b))
+		w.Leaf("boolean", b)
 	case float64:
-		val.Add(message.NewPrimitive("double", message.TypeString, strconv.FormatFloat(x, 'g', -1, 64)))
+		w.Leaf("double", strconv.FormatFloat(x, 'g', -1, 64))
 	case []Value:
-		data := message.NewStruct("data")
+		w.Open("array")
+		w.Open("data")
 		for _, e := range x {
-			ef, err := encodeValue(e)
-			if err != nil {
-				return nil, err
-			}
-			data.Add(ef)
+			writeValue(w, e)
 		}
-		val.Add(message.NewStruct("array", data))
+		w.Close()
+		w.Close()
 	case map[string]Value:
-		st := message.NewStruct("struct")
+		w.Open("struct")
 		for _, k := range sortedKeys(x) {
-			mf, err := encodeValue(x[k])
-			if err != nil {
-				return nil, err
-			}
-			st.Add(message.NewStruct("member",
-				message.NewPrimitive("name", message.TypeString, k),
-				mf,
-			))
+			w.Open("member")
+			w.Leaf("name", k)
+			writeValue(w, x[k])
+			w.Close()
 		}
-		val.Add(st)
+		w.Close()
 	default:
-		return nil, fmt.Errorf("xmlrpc: cannot encode %T", v)
+		w.Fail(fmt.Errorf("xmlrpc: cannot encode %T", v))
 	}
-	return val, nil
+	w.Close()
 }
 
 func sortedKeys(m map[string]Value) []string {

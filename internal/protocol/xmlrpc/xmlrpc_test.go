@@ -140,6 +140,13 @@ func TestMarshalUnsupportedType(t *testing.T) {
 	if _, err := MarshalResponse(struct{}{}); err == nil {
 		t.Error("struct{}{} accepted in response")
 	}
+	if _, err := MarshalResponse(map[string]Value{"k": []Value{"ok", struct{}{}}}); err == nil {
+		t.Error("struct{}{} accepted inside a struct")
+	}
+	// The failed documents leave nothing behind in the pooled writer.
+	if doc, err := MarshalCall("m"); err != nil || string(doc) != "<?xml version=\"1.0\"?>\n<methodCall><methodName>m</methodName><params/></methodCall>" {
+		t.Errorf("next document = %q, %v", doc, err)
+	}
 }
 
 func TestNilAndIntValues(t *testing.T) {
