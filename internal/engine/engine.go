@@ -103,17 +103,6 @@ type RetryPolicy struct {
 	// (0 = DefaultMaxBackoff). The shifted window saturates at the cap,
 	// including when the shift itself overflows at high attempt counts.
 	MaxBackoff time.Duration
-	// Disabled turns fault recovery off entirely; the other fields are
-	// ignored.
-	Disabled bool
-}
-
-// attempts is the number of retries the policy allows.
-func (p RetryPolicy) attempts() int {
-	if p.Disabled {
-		return 0
-	}
-	return p.Attempts
 }
 
 // delay computes the sleep before retry attempt+1: full jitter drawn
@@ -123,7 +112,7 @@ func (p RetryPolicy) attempts() int {
 // cap, never a skipped sleep (a signed-overflow result used to fail
 // the d > 0 guard and turn the retry loop hot).
 func (p RetryPolicy) delay(attempt int) time.Duration {
-	if p.Disabled || p.Backoff <= 0 {
+	if p.Backoff <= 0 {
 		return 0
 	}
 	max := p.MaxBackoff
@@ -212,24 +201,11 @@ type Config struct {
 	PoolIdle time.Duration
 	// Trace, when non-nil, receives one event per observable mediation
 	// step (state entered, transition fired, redial, session error). It
-	// is called synchronously from session goroutines and must be fast,
+	// is the one sink (observe.Instrument points it at the flow tracer),
+	// called synchronously from session goroutines, so it must be fast,
 	// non-blocking and concurrency-safe; a panicking hook is recovered
 	// and counted in Stats.HookPanics instead of killing the session.
 	Trace func(TraceEvent)
-	// Observer, when non-nil, receives the same events as Trace through
-	// the structured sink interface (internal/observe implements it).
-	// The same contract applies: called synchronously from session
-	// goroutines, must not block, panics are recovered and counted.
-	Observer Observer
-}
-
-// Observer is a structured trace sink: it receives every TraceEvent a
-// Config.Trace hook would, as an interface so observability subsystems
-// can be plugged in without closure indirection. Implementations must
-// be concurrency-safe and must not block — they run inline on the
-// mediation hot path.
-type Observer interface {
-	ObserveTrace(TraceEvent)
 }
 
 // retryPolicy resolves the effective fault-recovery policy: the Retry
@@ -239,9 +215,6 @@ func (c Config) retryPolicy() (RetryPolicy, error) {
 		return RetryPolicy{Attempts: DefaultRetryAttempts, Backoff: DefaultBackoff}, nil
 	}
 	p := *c.Retry
-	if p.Disabled {
-		return RetryPolicy{Disabled: true}, nil
-	}
 	if p.Attempts < 0 {
 		return RetryPolicy{}, fmt.Errorf("%w: negative RetryPolicy.Attempts %d", ErrConfig, p.Attempts)
 	}
@@ -439,8 +412,8 @@ type Stats struct {
 	// DeadlineExceeded counts flows that failed fast because their
 	// deadline budget (Config.FlowDeadline) ran out mid-mediation.
 	DeadlineExceeded uint64
-	// HookPanics counts panics recovered from user Trace/Observer hooks.
-	// A non-zero value means an observability callback is buggy; the
+	// HookPanics counts panics recovered from the Trace hook. A non-zero
+	// value means the observability callback is buggy; the
 	// mediation flows themselves were unaffected.
 	HookPanics uint64
 	// CacheHits counts service exchanges answered from a stored reply;
@@ -497,7 +470,8 @@ type Mediator struct {
 	translate   histogram
 
 	// draining refuses new flows (set by Shutdown); stopping aborts
-	// in-flight service retries (set by Close and the Shutdown deadline).
+	// in-flight service retries (set when Shutdown's context expires,
+	// which for Close is at once).
 	draining atomic.Bool
 	stopping atomic.Bool
 
@@ -527,14 +501,9 @@ func (m *Mediator) Stats() Stats {
 		HookPanics:       m.stats.hookPanics.Load(),
 		DeadlineExceeded: m.stats.deadlineExceeded.Load(),
 	}
-	m.mu.Lock()
-	p := m.pool
-	m.mu.Unlock()
-	if p != nil {
-		ps := p.Stats()
-		st.PoolHits, st.PoolDials, st.PoolEvictions = ps.Hits, ps.Dials, ps.Evictions()
-		st.PoolWaitTimeouts = ps.WaitTimeouts
-	}
+	ps := m.PoolStats()
+	st.PoolHits, st.PoolDials, st.PoolEvictions = ps.Hits, ps.Dials, ps.Evictions()
+	st.PoolWaitTimeouts = ps.WaitTimeouts
 	if m.rcache != nil {
 		cs := m.rcache.Stats()
 		st.CacheHits, st.CacheMisses, st.CacheCoalesced = cs.Hits, cs.Misses, cs.Coalesced
@@ -564,6 +533,9 @@ func New(cfg Config) (*Mediator, error) {
 	}
 	if cfg.ExchangeTimeout == 0 {
 		cfg.ExchangeTimeout = 10 * time.Second
+	}
+	if cfg.DialTimeout <= 0 {
+		cfg.DialTimeout = network.DefaultDialTimeout
 	}
 	if cfg.PoolSize < 0 {
 		return nil, fmt.Errorf("%w: negative PoolSize %d", ErrConfig, cfg.PoolSize)
@@ -675,6 +647,7 @@ func New(cfg Config) (*Mediator, error) {
 		o := m.outs[t.From]
 		o.ts = append(o.ts, t)
 		o.idx = append(o.idx, i)
+		o.labels = append(o.labels, t.From+"->"+t.To)
 		m.outs[t.From] = o
 		if t.Kind != automata.KindGamma {
 			continue
@@ -692,12 +665,14 @@ func New(cfg Config) (*Mediator, error) {
 	return m, nil
 }
 
-// outgoing is a state's outgoing transitions with their global indices,
-// precomputed in New so each automaton step is O(1) instead of a rescan
-// of the whole transition list.
+// outgoing is a state's outgoing transitions with their global indices
+// and their "from->to" trace labels, precomputed in New so each automaton
+// step is O(1) instead of a rescan of the whole transition list and no
+// flow builds a label (the observer keys its hit counts by this string).
 type outgoing struct {
-	ts  []automata.MergedTransition
-	idx []int
+	ts     []automata.MergedTransition
+	idx    []int
+	labels []string
 }
 
 // stripComments drops generator comment lines so auto-generated MTL with
@@ -725,19 +700,12 @@ func (m *Mediator) poolOptions() pool.Options {
 			side := m.cfg.Sides[key.Color]
 			dial := side.Dialer
 			if dial == nil {
-				// The checkout context carries the dial timeout already
-				// clipped to the flow's deadline budget; honour it so
-				// dial time counts against the flow instead of running
+				// The checkout context's deadline is the dial timeout
+				// already clipped to the flow's deadline budget; honour it
+				// so dial time counts against the flow instead of running
 				// on its own clock.
-				timeout := m.cfg.DialTimeout
-				if timeout <= 0 {
-					timeout = network.DefaultDialTimeout
-				}
-				if dl, ok := ctx.Deadline(); ok {
-					if rem := time.Until(dl); rem < timeout {
-						timeout = rem
-					}
-				}
+				dl, _ := ctx.Deadline()
+				timeout := time.Until(dl)
 				if timeout <= 0 {
 					return nil, fmt.Errorf("dial %v: %w", key, context.DeadlineExceeded)
 				}
@@ -756,26 +724,30 @@ func (m *Mediator) poolOptions() pool.Options {
 }
 
 // Start opens the shared service pool and listens for client-side
-// connections.
+// connections: StartDetached plus an accept loop that hands every
+// connection to ServeConn, until the listener is closed.
 func (m *Mediator) Start(listenAddr string) error {
 	side := m.cfg.Sides[m.cfg.ServerColor]
-	var eng network.Engine
-	l, err := eng.Listen(side.Net, listenAddr, side.Binder.Framer())
+	l, err := network.Engine{}.Listen(side.Net, listenAddr, side.Binder.Framer())
 	if err != nil {
 		return err
 	}
-	p, err := pool.New(m.poolOptions())
-	if err != nil {
+	if err := m.StartDetached(); err != nil {
 		l.Close()
 		return err
 	}
 	m.mu.Lock()
 	m.listener = l
-	m.pool = p
 	m.mu.Unlock()
-	m.startBackends()
 	m.wg.Add(1)
-	go m.acceptLoop()
+	go func() {
+		defer m.wg.Done()
+		network.AcceptLoop(l.Accept, func(conn network.Conn) {
+			if m.ServeConn(conn) != nil {
+				conn.Close()
+			}
+		})
+	}()
 	return nil
 }
 
@@ -803,18 +775,6 @@ func (m *Mediator) startBackends() {
 	}
 	for _, rec := range m.cfg.Discovery {
 		rec.Start()
-	}
-}
-
-// closeBackends stops the discovery reconcilers (so membership stops
-// churning first) and then every replica set's health prober
-// (idempotent).
-func (m *Mediator) closeBackends() {
-	for _, rec := range m.cfg.Discovery {
-		rec.Close()
-	}
-	for _, set := range m.cfg.Backends {
-		set.Close()
 	}
 }
 
@@ -939,12 +899,20 @@ func (m *Mediator) ServeConn(conn network.Conn) error {
 		return ErrDraining
 	}
 	m.conns[conn] = struct{}{}
-	// The wg.Add must happen under the lock: unlike the accept loop
-	// (which holds its own wg slot), nothing else keeps Close's wg.Wait
-	// from completing between the draining check and the Add.
+	// The wg.Add must happen under the lock: for a gateway's hand-off
+	// nothing else keeps Shutdown's wg.Wait from completing between the
+	// draining check and the Add.
 	m.wg.Add(1)
 	m.mu.Unlock()
-	m.startSession(conn)
+	id := m.stats.sessions.Add(1)
+	go func() {
+		defer m.wg.Done()
+		s := &session{med: m, id: id, client: conn, links: make([]serviceLink, len(m.clientColors))}
+		for i, color := range m.clientColors {
+			s.links[i].s, s.links[i].color = s, color
+		}
+		s.run()
+	}()
 	return nil
 }
 
@@ -952,84 +920,23 @@ func (m *Mediator) ServeConn(conn network.Conn) error {
 // accepts new sessions (draining, closed, or never started).
 var ErrDraining = errors.New("engine: mediator draining")
 
-func (m *Mediator) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.listener.Accept()
-		if err != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.closed || m.draining.Load() {
-			m.mu.Unlock()
-			conn.Close()
-			return
-		}
-		m.conns[conn] = struct{}{}
-		m.wg.Add(1)
-		m.mu.Unlock()
-		m.startSession(conn)
-	}
-}
-
-// startSession spawns the session goroutine for a registered client
-// connection (shared by the accept loop and ServeConn); the caller has
-// already taken the session's wg slot.
-func (m *Mediator) startSession(conn network.Conn) {
-	id := m.stats.sessions.Add(1)
-	go func() {
-		defer m.wg.Done()
-		s := &session{
-			med:       m,
-			id:        id,
-			client:    conn,
-			services:  make(map[int]*serviceLink),
-			lastWire:  make(map[int][]byte),
-			sentAt:    make(map[int]time.Time),
-			dialed:    make(map[int]struct{}),
-			lastFault: make(map[int]string),
-		}
-		s.run()
-	}()
-}
-
-// Close abruptly stops the mediator: in-flight sessions are cut off,
-// then everything is torn down. Use Shutdown to drain them instead.
+// Close abruptly stops the mediator: a Shutdown with no time to drain,
+// so in-flight sessions are cut off, then everything is torn down.
 func (m *Mediator) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := m.Shutdown(ctx); err != context.Canceled {
+		return err
 	}
-	m.closed = true
-	m.draining.Store(true)
-	m.stopping.Store(true)
-	var err error
-	if m.listener != nil {
-		err = m.listener.Close()
-	}
-	for c := range m.conns {
-		c.Close()
-	}
-	for c := range m.svcConns {
-		c.Close()
-	}
-	p := m.pool
-	m.mu.Unlock()
-	m.wg.Wait()
-	m.closeBackends()
-	if p != nil {
-		p.Close()
-	}
-	return err
+	return nil
 }
 
 // Shutdown gracefully stops the mediator: it stops accepting new
 // sessions, harvests sessions that are idle between flows, and lets
 // in-flight flows finish — a client mid-request still receives its
-// reply. When ctx expires first, the remaining sessions are aborted as
-// by Close and ctx's error is returned. Either way the service pool is
-// closed before Shutdown returns, and the mediator cannot be restarted.
+// reply. When ctx expires first, the remaining sessions are cut off and
+// ctx's error is returned. Either way the service pool is closed before
+// Shutdown returns, and the mediator cannot be restarted.
 func (m *Mediator) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	if m.closed {
@@ -1057,9 +964,12 @@ func (m *Mediator) Shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
+		// Cut every live session off: retries stop, and closing the
+		// client and the checked-out service connections unblocks
+		// whatever a session is waiting in.
 		err = ctx.Err()
-		m.stopping.Store(true)
 		m.mu.Lock()
+		m.stopping.Store(true)
 		for c := range m.conns {
 			c.Close()
 		}
@@ -1069,11 +979,20 @@ func (m *Mediator) Shutdown(ctx context.Context) error {
 		m.mu.Unlock()
 		<-done
 	}
+	// Release what the mediator owns: the discovery reconcilers (so
+	// membership stops churning first), every replica set's health
+	// prober, then the pool. Each close is idempotent, so a Close that
+	// overtakes a Shutdown in progress may run this twice.
 	m.mu.Lock()
 	m.closed = true
 	p := m.pool
 	m.mu.Unlock()
-	m.closeBackends()
+	for _, rec := range m.cfg.Discovery {
+		rec.Close()
+	}
+	for _, set := range m.cfg.Backends {
+		set.Close()
+	}
 	if p != nil {
 		p.Close()
 	}
@@ -1112,30 +1031,17 @@ func (m *Mediator) unparkIdle(c network.Conn) {
 }
 
 // checkout draws a service connection from the shared pool, bounding
-// the wait — dial time and pool exhaustion alike — by the configured
-// dial timeout, clipped to the flow's deadline budget when one is set
-// (a non-zero budget deadline): time already spent on the flow shrinks
-// the dial window instead of extending the flow past its deadline.
-// Checked-out connections are tracked so an abrupt teardown can
-// unblock sessions waiting on them.
-func (m *Mediator) checkout(color int, addr string, budget time.Time) (network.Conn, error) {
-	timeout := m.cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = network.DefaultDialTimeout
-	}
-	deadline := time.Now().Add(timeout)
-	if !budget.IsZero() && budget.Before(deadline) {
-		deadline = budget
-	}
+// the wait — dial time and pool exhaustion alike — by deadline: the
+// configured dial timeout, which the caller has clipped to its flow's
+// deadline budget, so time already spent on the flow shrinks the dial
+// window instead of extending the flow past its deadline. Checked-out
+// connections are tracked so an abrupt teardown can unblock sessions
+// waiting on them.
+func (m *Mediator) checkout(color int, addr string, deadline time.Time) (network.Conn, error) {
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	m.mu.Lock()
-	p := m.pool
-	m.mu.Unlock()
-	if p == nil {
-		return nil, fmt.Errorf("%w: mediator not started", ErrConfig)
-	}
-	conn, err := p.Get(ctx, pool.Key{Color: color, Addr: addr})
+	// Only sessions check out, and ServeConn starts none before the pool.
+	conn, err := m.pool.Get(ctx, pool.Key{Color: color, Addr: addr})
 	if err != nil {
 		return nil, err
 	}
@@ -1145,21 +1051,18 @@ func (m *Mediator) checkout(color int, addr string, budget time.Time) (network.C
 	return conn, nil
 }
 
-func (m *Mediator) untrackService(c network.Conn) {
-	m.mu.Lock()
-	delete(m.svcConns, c)
-	m.mu.Unlock()
-}
-
 // session is one client connection's execution of the automaton. The
 // automaton restarts after reaching a final state so a client can run the
-// whole behaviour repeatedly on one connection.
+// whole behaviour repeatedly on one connection. The session walks the
+// automaton; everything about talking to a service is its link's.
 type session struct {
-	med      *Mediator
-	id       uint64
-	client   network.Conn
-	services map[int]*serviceLink
-	cache    mtl.Cache
+	med    *Mediator
+	id     uint64
+	client network.Conn
+	// links holds one serviceLink per client-role color, in
+	// Mediator.clientColors order.
+	links []serviceLink
+	cache mtl.Cache
 	// env is the session's pooled MTL environment: one Env reused across
 	// every automaton traversal (Reset clears it between flows), so a
 	// steady-state flow allocates no fresh Messages/Vars maps. bound
@@ -1169,21 +1072,6 @@ type session struct {
 	// why the slice (not the Env) is the owner.
 	env   *mtl.Env
 	bound []*message.Message
-	// lastWire keeps the last request sent to each service color so a
-	// reply lost to a transport fault can be replayed on a fresh
-	// connection.
-	lastWire map[int][]byte
-	// sentAt records when each color's in-flight request was first sent,
-	// feeding the per-exchange latency histogram at reply time.
-	sentAt map[int]time.Time
-	// dialed marks colors that have been checked out at least once, so a
-	// replacement checkout is counted as a redial.
-	dialed map[int]struct{}
-	// lastFault remembers, per balanced color, the replica address of the
-	// most recent fault, so the recovery redial avoids retrying the
-	// replica that just failed while other candidates are live. Cleared
-	// by the next successful exchange.
-	lastFault map[int]string
 	// hostOverride holds the current flow's sethost retarget; it is
 	// cleared when the automaton restarts so one traversal's retarget
 	// cannot leak into the next.
@@ -1204,57 +1092,82 @@ type session struct {
 	// first client request; until then the session counts as idle and
 	// may be harvested by Shutdown.
 	flowStarted bool
-	// pendingAction / pendingRequest track a client request that has not
-	// been answered yet, so a mediation failure can be reported as a
-	// protocol-level fault instead of a dropped connection.
+	// pendingAction / pendingRequest are the client request that has not
+	// been answered yet: the reply is built for them, and a mediation
+	// failure is reported to them as a protocol-level fault instead of a
+	// dropped connection.
 	pendingAction  string
 	pendingRequest *message.Message
-	// cachePending tracks, per service color, the response-cache role of
-	// the exchange between its send and receive transitions: a cached or
-	// coalesced reply waiting to be bound, a led flight to fulfil, or a
-	// follower-fallback key to populate. Lazily allocated — nil for
-	// mediators without a cache.
-	cachePending map[int]*pendingCache
 }
 
-// pendingCache is one service color's in-progress cache interaction.
-type pendingCache struct {
+// serviceLink is everything a session knows about one client-role
+// color, and the only code that talks to that service: the connection
+// checked out of the shared pool, the request in flight, and the one
+// retry loop (exchange) that both phases of an exchange run through.
+type serviceLink struct {
+	s     *session
+	color int
+	// conn is the held connection (nil while none is checked out), addr
+	// its pool key's address — so a sethost retarget is detected as a key
+	// change — and set the replica set addr was picked from (nil for a
+	// literal target; the set's in-flight slot is held until the
+	// connection is dropped).
+	conn network.Conn
+	addr string
+	set  *backend.Set
+	// pending marks a request in flight on conn: a connection with an
+	// unconsumed reply cannot be returned to the pool — the next session
+	// would read a stale reply.
+	pending bool
+	// dialed marks a link that has checked out before, so a replacement
+	// checkout is counted as a redial.
+	dialed bool
+	// lastFault is the replica address of the most recent fault, so the
+	// recovery redial avoids retrying the replica that just failed while
+	// other candidates are live. Cleared by the next successful exchange.
+	lastFault string
+	// op is the operation last sent — it selects how the reply parses —
+	// wire its bytes, replayed on a fresh connection when the reply is
+	// lost to a transport fault, and sentAt when it first went out,
+	// feeding the per-exchange latency histogram at reply time.
+	op     string
+	wire   []byte
+	sentAt time.Time
+	// cache is the response-cache role of the exchange between its send
+	// and receive transitions; zero for an uncached exchange.
+	cache cacheRole
+}
+
+// cacheRole is one exchange's part in the shared response cache.
+type cacheRole struct {
 	// reply, when non-nil, is the deep-cloned cached (or coalesced)
 	// reply to bind at the receive transition instead of reading the
 	// network.
 	reply *message.Message
 	// flight, when non-nil, is the single-flight this session leads; it
-	// is fulfilled when the real reply parses, aborted if the session
-	// dies first.
+	// is fulfilled when the real reply parses, aborted if the exchange
+	// or the session dies first.
 	flight *rcache.Flight
-	// key/op/ttl describe where a fetched reply is stored (leader
-	// fulfilment or follower fallback).
+	// key and ttl say where a fetched reply is stored (leader fulfilment
+	// or follower fallback); ttl is positive exactly when one is.
 	key string
-	op  string
 	ttl time.Duration
 }
 
-// serviceLink is a service-side connection checked out of the shared
-// pool, together with the pool key's address (so a sethost retarget is
-// detected as a key change), the replica set the address was picked
-// from (nil for a literal target; the set's in-flight slot is held
-// until the link is released) and whether a request is in flight on it
-// (a connection with an unconsumed reply cannot be returned to the
-// pool — the next session would read a stale reply).
-type serviceLink struct {
-	conn    network.Conn
-	addr    string
-	set     *backend.Set
-	pending bool
+// link returns the serviceLink of a client-role color.
+func (s *session) link(color int) *serviceLink {
+	for i := range s.links {
+		if s.links[i].color == color {
+			return &s.links[i]
+		}
+	}
+	return nil
 }
 
-// trace delivers ev to the configured hooks, stamping the session id,
-// flow number and time. Each hook is shielded individually: a panic in
-// one is recovered and counted without starving the other or killing
-// the session goroutine mid-flow.
+// trace delivers ev to the configured hook, stamping the session id,
+// flow number, time and remaining budget.
 func (s *session) trace(ev TraceEvent) {
-	m := s.med
-	if m.cfg.Trace == nil && m.cfg.Observer == nil {
+	if s.med.cfg.Trace == nil {
 		return
 	}
 	ev.Session = s.id
@@ -1263,24 +1176,19 @@ func (s *session) trace(ev TraceEvent) {
 	if !s.budget.IsZero() {
 		ev.Budget = s.budget.Sub(ev.Time)
 	}
-	if m.cfg.Trace != nil {
-		m.callHook(func() { m.cfg.Trace(ev) })
-	}
-	if m.cfg.Observer != nil {
-		m.callHook(func() { m.cfg.Observer.ObserveTrace(ev) })
-	}
+	s.med.callHook(ev)
 }
 
-// callHook runs one user observability callback, recovering a panic
+// callHook runs the user's observability callback, recovering a panic
 // into the HookPanics counter so a buggy hook cannot take a session
 // down with it.
-func (m *Mediator) callHook(hook func()) {
+func (m *Mediator) callHook(ev TraceEvent) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.stats.hookPanics.Add(1)
 		}
 	}()
-	hook()
+	m.cfg.Trace(ev)
 }
 
 // truncWire copies at most MaxTraceWire bytes of a wire message for
@@ -1301,12 +1209,10 @@ func (s *session) run() {
 		s.trace(TraceEvent{Kind: TraceSessionEnd})
 		s.client.Close()
 		s.med.removeConn(s.client)
-		for color := range s.services {
-			s.releaseService(color)
+		for i := range s.links {
+			s.links[i].drop(nil)
+			s.links[i].abortFlight(nil) // a flight left open by a flow that ended cleanly
 		}
-		// A session dying while leading a single-flight must wake its
-		// followers so they fall back to their own exchanges.
-		s.abortFlights(nil)
 	}()
 	for {
 		s.pendingAction, s.pendingRequest = "", nil
@@ -1315,6 +1221,12 @@ func (s *session) run() {
 		s.budget = time.Time{}
 		s.flow++
 		if err := s.runAutomaton(); err != nil {
+			// A flow dying while it leads a single-flight must wake the
+			// followers so they fall back to their own exchanges — before
+			// the client is told, a write they should not wait for.
+			for i := range s.links {
+				s.links[i].abortFlight(err)
+			}
 			// A recv error on the very first transition of a flow is the
 			// client ending the keep-alive connection, not a failure.
 			if !errors.Is(err, errSessionDone) {
@@ -1355,51 +1267,39 @@ var errSessionDone = errors.New("engine: session done")
 // stamped, and mid-flow reads (the client's next request of a
 // multi-exchange traversal) are bounded by it.
 func (s *session) recvClientRequest() ([]byte, error) {
-	if s.flowStarted {
-		if err := s.client.SetDeadline(s.budget); err != nil {
-			return nil, err
-		}
-		data, err := s.client.Recv()
-		if err == nil {
-			s.lastRecv = data
-		}
-		return data, err
-	}
-	if err := s.client.SetDeadline(time.Time{}); err != nil {
+	// The budget is still zero — no deadline — on the flow-initial read.
+	if err := s.client.SetDeadline(s.budget); err != nil {
 		return nil, err
 	}
-	if !s.med.parkIdle(s.client) {
+	initial := !s.flowStarted
+	if initial && !s.med.parkIdle(s.client) {
 		return nil, errSessionDone
 	}
 	data, err := s.client.Recv()
-	s.med.unparkIdle(s.client)
+	if initial {
+		s.med.unparkIdle(s.client)
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.flowStarted = true
-	s.flowT0 = time.Now()
-	if fb := s.med.flowBudget; fb > 0 {
-		s.budget = s.flowT0.Add(fb)
-	}
 	s.lastRecv = data
-	s.trace(TraceEvent{Kind: TraceFlowStart})
+	if initial {
+		s.flowStarted = true
+		s.flowT0 = time.Now()
+		if fb := s.med.flowBudget; fb > 0 {
+			s.budget = s.flowT0.Add(fb)
+		}
+		s.trace(TraceEvent{Kind: TraceFlowStart})
+	}
 	return data, nil
 }
 
-// remaining reports the time left in the flow's deadline budget; ok is
-// false when budgets are disabled or the flow has not started.
-func (s *session) remaining() (time.Duration, bool) {
-	if s.budget.IsZero() {
-		return 0, false
-	}
-	return time.Until(s.budget), true
-}
-
-// exchangeDeadline is the per-attempt network deadline: the exchange
-// timeout, clipped to the flow's remaining budget so attempts cannot
-// stack past the flow deadline.
-func (s *session) exchangeDeadline() time.Time {
-	d := time.Now().Add(s.med.cfg.ExchangeTimeout)
+// within is the deadline of a blocking step that may take at most limit:
+// now+limit, clipped to the flow's deadline budget when one is set, so
+// no dial, pool wait, exchange attempt, coalesced wait or backoff can
+// run — or stack — past the flow deadline.
+func (s *session) within(limit time.Duration) time.Time {
+	d := time.Now().Add(limit)
 	if !s.budget.IsZero() && s.budget.Before(d) {
 		return s.budget
 	}
@@ -1480,60 +1380,42 @@ func (s *session) runAutomaton() error {
 		env.Bind(st.Name, msg)
 	}
 	state := merged.Start
-	lastClientAction := ""
-	var lastClientRequest *message.Message
-	lastServiceAction := map[int]string{}
-
 	s.trace(TraceEvent{Kind: TraceState, State: state})
 	for !merged.IsFinal(state) {
 		out := s.med.outs[state]
 		if len(out.ts) == 0 {
 			return fmt.Errorf("%w: state %s has no outgoing transitions", ErrStuck, state)
 		}
-		if len(out.ts) > 1 {
-			// Branch state: the client application chooses the next
-			// operation. All alternatives must be client-side invocations;
-			// the received action selects the branch.
-			start := time.Now()
-			next, err := s.execBranch(out.ts, env, &lastClientAction, &lastClientRequest)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(start)
-			s.med.transitions.observe(elapsed)
-			s.trace(TraceEvent{
-				Kind: TraceTransition, State: next, Transition: state + "->" + next,
-				Color: s.med.cfg.ServerColor, Elapsed: elapsed,
-			})
-			state = next
-			s.trace(TraceEvent{Kind: TraceState, State: state})
-			continue
-		}
-		t, idx := out.ts[0], out.idx[0]
 		start := time.Now()
+		arm := 0 // the transition taken
 		var reply []byte
-		switch t.Kind {
-		case automata.KindGamma:
+		var err error
+		switch t := out.ts[0]; {
+		case len(out.ts) > 1 || s.clientInvokes(t):
+			// The client application chooses the next operation; a single
+			// invocation is a branch with one arm.
+			arm, err = s.execBranch(out.ts, env)
+		case t.Kind == automata.KindGamma:
 			env.Host = ""
-			if err := s.med.compiled[idx].Exec(env); err != nil {
-				return fmt.Errorf("γ %s->%s: %w", t.From, t.To, err)
+			if err = s.med.compiled[out.idx[0]].Exec(env); err != nil {
+				return fmt.Errorf("γ %s: %w", out.labels[0], err)
 			}
 			s.med.stats.translations.Add(1)
 			s.med.translate.observe(time.Since(start))
 			if env.Host != "" {
 				s.hostOverride = env.Host
 			}
-		case automata.KindMessage:
-			var err error
-			reply, err = s.execMessage(t, env, &lastClientAction, &lastClientRequest, lastServiceAction)
-			if err != nil {
-				return err
-			}
+		default:
+			reply, err = s.execMessage(t, env)
 		}
+		if err != nil {
+			return err
+		}
+		t := out.ts[arm]
 		elapsed := time.Since(start)
 		s.med.transitions.observe(elapsed)
 		s.trace(TraceEvent{
-			Kind: TraceTransition, State: t.To, Transition: t.From + "->" + t.To,
+			Kind: TraceTransition, State: t.To, Transition: out.labels[arm],
 			Color: t.Color, Elapsed: elapsed,
 		})
 		state = t.To
@@ -1559,7 +1441,7 @@ func (s *session) runAutomaton() error {
 // sendClientReply writes a built client reply within the exchange
 // deadline and clears the pending request it answers.
 func (s *session) sendClientReply(data []byte) error {
-	if err := s.client.SetDeadline(s.exchangeDeadline()); err != nil {
+	if err := s.client.SetDeadline(s.within(s.med.cfg.ExchangeTimeout)); err != nil {
 		return err
 	}
 	if err := s.sendClient(data); err != nil {
@@ -1570,361 +1452,276 @@ func (s *session) sendClientReply(data []byte) error {
 	return nil
 }
 
-// execBranch receives the client's next request at a branch state and
-// follows the alternative carrying that action. Every alternative must be
-// a server-color Send transition (the models express "the client decides
-// what to do next" only on its own invocations).
-func (s *session) execBranch(
-	outs []automata.MergedTransition,
-	env *mtl.Env,
-	lastClientAction *string,
-	lastClientRequest **message.Message,
-) (string, error) {
-	cfg := s.med.cfg
+// clientInvokes reports whether t is an invocation by the client
+// application: a server-color Send, which the mediator receives.
+func (s *session) clientInvokes(t automata.MergedTransition) bool {
+	return t.Kind == automata.KindMessage && t.Color == s.med.cfg.ServerColor && t.Action == automata.Send
+}
+
+// execBranch receives the client's next request and follows the
+// alternative carrying that action, returning its index in outs. Every
+// alternative must be a client invocation (the models express "the
+// client decides what to do next" only on its own invocations).
+func (s *session) execBranch(outs []automata.MergedTransition, env *mtl.Env) (int, error) {
 	for _, t := range outs {
-		if t.Kind != automata.KindMessage || t.Color != cfg.ServerColor || t.Action != automata.Send {
-			return "", fmt.Errorf("%w: branch state %s mixes non-client-invocation alternatives",
+		if !s.clientInvokes(t) {
+			return 0, fmt.Errorf("%w: branch state %s mixes non-client-invocation alternatives",
 				ErrStuck, t.From)
 		}
 	}
-	side := cfg.Sides[cfg.ServerColor]
 	data, err := s.recvClientRequest()
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", errSessionDone, err)
+		return 0, fmt.Errorf("%w: %v", errSessionDone, err) // client gone
 	}
 	s.med.stats.messagesIn.Add(1)
-	action, abs, err := side.Binder.ParseRequest(data)
+	action, abs, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
 	if err != nil {
 		s.med.stats.clientFailures.Add(1)
-		return "", fmt.Errorf("parse client request: %w", err)
+		return 0, fmt.Errorf("parse client request: %w", err)
 	}
+	// Record the pending request before validating it, so even an
+	// unexpected action is answered with a fault.
 	s.pendingAction, s.pendingRequest = action, abs
-	for _, t := range outs {
-		if t.Message != action {
-			continue
+	for i, t := range outs {
+		if t.Message == action {
+			env.Bind(t.To, abs)
+			return i, nil
 		}
-		*lastClientAction = action
-		*lastClientRequest = abs
-		env.Bind(t.To, abs)
-		return t.To, nil
 	}
 	s.med.stats.clientFailures.Add(1)
-	return "", fmt.Errorf("%w: got %q, automaton offers %s at %s",
-		ErrUnexpectedAction, action, branchNames(outs), outs[0].From)
-}
-
-func branchNames(outs []automata.MergedTransition) string {
 	names := make([]string, len(outs))
 	for i, t := range outs {
 		names[i] = t.Message
 	}
-	return strings.Join(names, "|")
+	return 0, fmt.Errorf("%w: got %q, automaton offers %s at %s",
+		ErrUnexpectedAction, action, strings.Join(names, "|"), outs[0].From)
 }
 
-func (s *session) execMessage(
-	t automata.MergedTransition,
-	env *mtl.Env,
-	lastClientAction *string,
-	lastClientRequest **message.Message,
-	lastServiceAction map[int]string,
-) ([]byte, error) {
-	cfg := s.med.cfg
-	side := cfg.Sides[t.Color]
-	serverSide := t.Color == cfg.ServerColor
-	switch {
-	case serverSide && t.Action == automata.Send:
-		// Client invokes: mediator receives the request.
-		data, err := s.recvClientRequest()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", errSessionDone, err) // client gone
-		}
-		s.med.stats.messagesIn.Add(1)
-		action, abs, err := side.Binder.ParseRequest(data)
-		if err != nil {
-			s.med.stats.clientFailures.Add(1)
-			return nil, fmt.Errorf("parse client request: %w", err)
-		}
-		// Record the pending request before validating it, so even an
-		// unexpected action is answered with a fault.
-		s.pendingAction, s.pendingRequest = action, abs
-		if action != t.Message {
-			s.med.stats.clientFailures.Add(1)
-			return nil, fmt.Errorf("%w: got %q, automaton expects %q at %s",
-				ErrUnexpectedAction, action, t.Message, t.From)
-		}
-		*lastClientAction = action
-		*lastClientRequest = abs
-		env.Bind(t.To, abs)
-	case serverSide && t.Action == automata.Receive:
-		// Client receives: build the translated reply. The caller sends
-		// it, after accounting this transition.
-		abs := env.Message(t.From)
-		if abs == nil {
-			abs = message.New(t.Message)
-		}
-		abs.Name = t.Message
-		copyCorrelationFields(*lastClientRequest, abs)
-		data, err := side.Binder.BuildReply(*lastClientAction, abs)
-		if err != nil {
-			return nil, fmt.Errorf("build client reply: %w", err)
-		}
-		return data, nil
-	case t.Action == automata.Send:
-		// Mediator invokes the service.
-		abs := env.Message(t.From)
-		if abs == nil {
-			abs = message.New(t.Message)
-		}
-		abs.Name = t.Message
-		if s.med.rcache != nil && s.cacheCheck(t, abs) {
-			// Answered from the cache (or a coalesced in-flight
-			// exchange): no network send, the reply is parked for the
-			// receive transition.
-			lastServiceAction[t.Color] = t.Message
-			return nil, nil
-		}
-		data, err := side.Binder.BuildRequest(t.Message, abs)
-		if err != nil {
-			s.abortFlight(t.Color, err)
-			return nil, fmt.Errorf("build service request: %w", err)
-		}
-		if err := s.serviceSend(t.Color, data); err != nil {
-			s.abortFlight(t.Color, err)
-			return nil, err
-		}
-		s.med.stats.messagesOut.Add(1)
-		lastServiceAction[t.Color] = t.Message
-	default:
+// execMessage executes a message transition other than a client
+// invocation: the two phases of a service color's link, or the reply to
+// the client, which is returned for the caller to send.
+func (s *session) execMessage(t automata.MergedTransition, env *mtl.Env) ([]byte, error) {
+	if t.Action == automata.Receive && t.Color != s.med.cfg.ServerColor {
 		// Mediator receives the service reply.
-		if pc := s.cachePending[t.Color]; pc != nil && pc.reply != nil {
-			// Serve the parked cached/coalesced reply without touching
-			// the network.
-			delete(s.cachePending, t.Color)
-			abs := pc.reply
-			abs.Name = t.Message
-			env.Bind(t.To, abs)
-			return nil, nil
-		}
-		data, err := s.serviceRecv(t.Color)
+		abs, err := s.link(t.Color).recv(t.Message)
 		if err != nil {
-			s.abortFlight(t.Color, err)
 			return nil, err
 		}
-		s.med.stats.messagesIn.Add(1)
-		abs, err := side.Binder.ParseReply(lastServiceAction[t.Color], data)
-		if err != nil {
-			s.abortFlight(t.Color, err)
-			s.med.stats.serviceFailures.Add(1)
-			return nil, fmt.Errorf("parse service reply: %w", err)
-		}
-		abs.Name = t.Message
-		if pc := s.cachePending[t.Color]; pc != nil {
-			delete(s.cachePending, t.Color)
-			if pc.flight != nil {
-				s.med.rcache.Fulfill(pc.flight, abs, pc.ttl)
-			} else {
-				s.med.rcache.Put(pc.op, pc.key, abs, pc.ttl)
-			}
-		}
 		env.Bind(t.To, abs)
+		return nil, nil
 	}
-	return nil, nil
+	// The other two send what the preceding γ translation composed.
+	abs := env.Message(t.From)
+	if abs == nil {
+		abs = message.New(t.Message)
+	}
+	abs.Name = t.Message
+	if t.Action == automata.Send {
+		// Mediator invokes the service.
+		return nil, s.link(t.Color).send(t.Message, abs)
+	}
+	// Client receives: build the translated reply to its pending request.
+	// The caller sends it, after accounting this transition.
+	copyCorrelationFields(s.pendingRequest, abs)
+	data, err := s.med.cfg.Sides[t.Color].Binder.BuildReply(s.pendingAction, abs)
+	if err != nil {
+		return nil, fmt.Errorf("build client reply: %w", err)
+	}
+	return data, nil
 }
 
-// cacheCheck runs the response-cache protocol for one service-side
-// invocation: write operations flush the entries they invalidate, and
+// send is the first phase of an exchange: the mediator invokes operation
+// op of the service — unless the response cache has the reply in hand,
+// in which case nothing goes out and the reply is parked for recv.
+func (l *serviceLink) send(op string, abs *message.Message) error {
+	m := l.s.med
+	l.op = op
+	if m.rcache != nil && l.cacheCheck(abs) {
+		return nil
+	}
+	data, err := m.cfg.Sides[l.color].Binder.BuildRequest(op, abs)
+	if err != nil {
+		return fmt.Errorf("build service request: %w", err)
+	}
+	if _, err := l.exchange(data); err != nil {
+		return err
+	}
+	// The wire bytes are remembered so a later lost reply can replay them.
+	l.wire, l.sentAt = data, time.Now()
+	m.stats.messagesOut.Add(1)
+	return nil
+}
+
+// recv is the second phase: it returns the service's reply to the last
+// send, named name — the parked cached reply when there is one, else the
+// network's, parsed and fed back to the cache when this exchange leads a
+// flight or populates a key.
+func (l *serviceLink) recv(name string) (*message.Message, error) {
+	m := l.s.med
+	if abs := l.cache.reply; abs != nil {
+		l.cache = cacheRole{}
+		abs.Name = name
+		return abs, nil
+	}
+	data, err := l.exchange(nil)
+	if err != nil {
+		return nil, err
+	}
+	l.s.lastRecv = data
+	var elapsed time.Duration
+	if !l.sentAt.IsZero() {
+		elapsed = time.Since(l.sentAt)
+		m.exchanges.observe(elapsed)
+		l.sentAt = time.Time{}
+	}
+	l.pending = false
+	if l.set != nil {
+		// A completed round trip is the replica's health signal: it
+		// feeds the latency EWMA and clears any avoid-on-redial hint.
+		l.set.Report(l.addr, elapsed, nil)
+		l.lastFault = ""
+	}
+	m.stats.messagesIn.Add(1)
+	abs, err := m.cfg.Sides[l.color].Binder.ParseReply(l.op, data)
+	if err != nil {
+		m.stats.serviceFailures.Add(1)
+		return nil, fmt.Errorf("parse service reply: %w", err)
+	}
+	abs.Name = name
+	if c := l.cache; c.flight != nil {
+		m.rcache.Fulfill(c.flight, abs, c.ttl)
+	} else if c.ttl > 0 {
+		m.rcache.Put(l.op, c.key, abs, c.ttl)
+	}
+	l.cache = cacheRole{}
+	return abs, nil
+}
+
+// cacheCheck runs the response-cache protocol for the invocation of
+// l.op: write operations flush the entries they invalidate, and
 // cacheable operations are looked up. It reports true when the reply
 // is already in hand (cache hit or coalesced join) and the network
 // exchange must be skipped; false means the caller proceeds with the
-// real exchange, with cachePending recording how its reply feeds back
-// into the cache.
-func (s *session) cacheCheck(t automata.MergedTransition, abs *message.Message) bool {
-	m := s.med
-	if targets := m.cacheInvalidates[t.Message]; len(targets) > 0 {
+// real exchange, with l.cache recording how its reply feeds back into
+// the cache.
+func (l *serviceLink) cacheCheck(abs *message.Message) bool {
+	s, m := l.s, l.s.med
+	if targets := m.cacheInvalidates[l.op]; len(targets) > 0 {
 		m.rcache.Invalidate(targets)
 	}
-	rule, ok := m.cacheRules[t.Message]
+	rule, ok := m.cacheRules[l.op]
 	if !ok {
 		return false
 	}
 	// The cache key uses the logical target — a backend set name when the
 	// color is balanced — so a reply cached via one replica is served for
 	// identical requests routed to any replica.
-	key := rcache.Key(t.Message, s.serviceTarget(t.Color), abs, rule.Vary)
-	reply, flight, leader := m.rcache.Acquire(t.Message, key)
+	key := rcache.Key(l.op, s.serviceTarget(l.color), abs, rule.Vary)
+	reply, flight, leader := m.rcache.Acquire(l.op, key)
 	if reply != nil {
-		s.parkReply(t.Color, reply)
-		s.trace(TraceEvent{Kind: TraceCacheHit, Color: t.Color, State: t.Message})
+		l.cache = cacheRole{reply: reply}
+		s.trace(TraceEvent{Kind: TraceCacheHit, Color: l.color, State: l.op})
 		return true
 	}
 	if leader {
-		s.setPending(t.Color, &pendingCache{flight: flight, key: key, op: t.Message, ttl: rule.TTL})
+		l.cache = cacheRole{flight: flight, key: key, ttl: rule.TTL}
 		return false
 	}
 	// Follower: wait for the leader's exchange. Bound the wait by the
 	// exchange timeout — the leader's own exchange is bounded by it too
 	// — clipped to this flow's remaining budget. A budget already gone
 	// skips the wait entirely; the fallback exchange below then fails
-	// fast through serviceSend's own budget check.
-	wait := m.cfg.ExchangeTimeout
-	if rem, ok := s.remaining(); ok && rem < wait {
-		wait = rem
-	}
+	// fast through exchange's own budget check.
 	start := time.Now()
-	rep, err := flight.Wait(wait)
+	rep, err := flight.Wait(time.Until(s.within(m.cfg.ExchangeTimeout)))
 	if err == nil {
-		s.parkReply(t.Color, rep)
-		s.trace(TraceEvent{Kind: TraceCacheHit, Color: t.Color, State: t.Message,
+		l.cache = cacheRole{reply: rep}
+		s.trace(TraceEvent{Kind: TraceCacheHit, Color: l.color, State: l.op,
 			Attempt: 1, Elapsed: time.Since(start)})
 		return true
 	}
 	// Leader aborted (or timed out): fall back to a direct exchange and
 	// populate the cache ourselves.
-	s.setPending(t.Color, &pendingCache{key: key, op: t.Message, ttl: rule.TTL})
+	l.cache = cacheRole{key: key, ttl: rule.TTL}
 	return false
 }
 
-func (s *session) parkReply(color int, reply *message.Message) {
-	s.setPending(color, &pendingCache{reply: reply})
+// abortFlight releases the link's cache role when its flow has failed:
+// a led flight is aborted so followers fall back.
+func (l *serviceLink) abortFlight(err error) {
+	if l.cache.flight != nil {
+		l.s.med.rcache.Abort(l.cache.flight, err)
+	}
+	l.cache = cacheRole{}
 }
 
-func (s *session) setPending(color int, pc *pendingCache) {
-	if s.cachePending == nil {
-		s.cachePending = make(map[int]*pendingCache)
+// exchange runs one phase of a service exchange through the engine's
+// only retry loop. With a request it is the send phase. With nil it is
+// the receive phase: the reply is read, and once a fault has cost the
+// connection the request went out on, the remembered request is first
+// replayed on the fresh one so it has something to answer. A transport
+// fault evicts the connection and is retried after a backoff — as is a
+// failure to get a connection at all, whatever its class — until the
+// policy's attempts are spent or the mediator is stopping; any other
+// error is final. Every attempt — dial, pool wait, send, read, backoff —
+// is charged against the flow's deadline budget, and an exhausted budget
+// fails fast with ErrDeadline instead of stacking further attempts.
+func (l *serviceLink) exchange(request []byte) ([]byte, error) {
+	s, m := l.s, l.s.med
+	phase, replay := "send service request", false
+	if request == nil {
+		phase, replay = "recv service reply", true
 	}
-	s.cachePending[color] = pc
-}
-
-// abortFlight releases one color's cache bookkeeping after its
-// exchange failed: a led flight is aborted so followers fall back.
-func (s *session) abortFlight(color int, err error) {
-	pc := s.cachePending[color]
-	if pc == nil {
-		return
-	}
-	delete(s.cachePending, color)
-	if pc.flight != nil {
-		s.med.rcache.Abort(pc.flight, err)
-	}
-}
-
-// abortFlights releases every color's pending cache state (session
-// teardown).
-func (s *session) abortFlights(err error) {
-	for color := range s.cachePending {
-		s.abortFlight(color, err)
-	}
-}
-
-// serviceSend delivers a composed request to a service color, retrying
-// on a fresh connection when the pooled one turns out to be broken. The
-// wire bytes are remembered so a later lost reply can replay them.
-// Every attempt — dial, send, backoff — is charged against the flow's
-// deadline budget; an exhausted budget fails fast with ErrDeadline.
-func (s *session) serviceSend(color int, data []byte) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if rem, ok := s.remaining(); ok && rem <= 0 {
-			return s.budgetExceeded("send service request", color, lastErr)
+		if !s.budget.IsZero() && !time.Now().Before(s.budget) {
+			return nil, s.budgetExceeded(phase, l.color, lastErr)
 		}
-		link, err := s.serviceConn(color, attempt)
+		err := l.connect(attempt)
 		if err == nil {
-			if err = link.conn.SetDeadline(s.exchangeDeadline()); err == nil {
-				link.pending = true
-				err = link.conn.Send(data)
+			if replay && attempt > 0 {
+				request = l.wire
 			}
-			if err == nil {
-				s.lastWire[color] = data
-				s.sentAt[color] = time.Now()
-				return nil
+			var reply []byte
+			if reply, err = l.do(request, replay); err == nil {
+				return reply, nil
 			}
 			if !network.IsTransportError(err) {
-				s.med.stats.serviceFailures.Add(1)
-				return fmt.Errorf("send service request: %w", err)
+				m.stats.serviceFailures.Add(1)
+				return nil, fmt.Errorf("%s: %w", phase, err)
 			}
-			s.evictService(color, err)
+			l.drop(err)
 		}
 		lastErr = err
-		if attempt >= s.med.retry.attempts() || s.med.stopping.Load() {
-			s.med.stats.retriesExhausted.Add(1)
-			s.med.stats.serviceFailures.Add(1)
-			return fmt.Errorf("send service request (color %d): retries exhausted: %w", color, lastErr)
+		// Nothing to replay means retrying cannot produce the reply.
+		if attempt >= m.retry.Attempts || m.stopping.Load() || (replay && l.wire == nil) {
+			m.stats.retriesExhausted.Add(1)
+			m.stats.serviceFailures.Add(1)
+			return nil, fmt.Errorf("%s (color %d): retries exhausted: %w", phase, l.color, lastErr)
 		}
 		if !s.backoff(attempt) {
-			return s.budgetExceeded("send service request", color, lastErr)
+			return nil, s.budgetExceeded(phase, l.color, lastErr)
 		}
 	}
 }
 
-// serviceRecv reads a service reply, recovering from transport faults by
-// redialling and replaying the in-flight request on the new connection.
-// Like serviceSend, every attempt is charged against the flow's
-// deadline budget: each read deadline is min(ExchangeTimeout,
-// remaining budget), and a flow whose budget runs out mid-recovery
-// fails fast with ErrDeadline instead of stacking further attempts.
-func (s *session) serviceRecv(color int) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if rem, ok := s.remaining(); ok && rem <= 0 {
-			return nil, s.budgetExceeded("recv service reply", color, lastErr)
-		}
-		data, err := s.tryServiceRecv(color, attempt)
-		if err == nil {
-			s.lastRecv = data
-			var elapsed time.Duration
-			if t0, ok := s.sentAt[color]; ok {
-				elapsed = time.Since(t0)
-				s.med.exchanges.observe(elapsed)
-				delete(s.sentAt, color)
-			}
-			if link, ok := s.services[color]; ok {
-				link.pending = false
-				if link.set != nil {
-					// A completed round trip is the replica's health
-					// signal: it feeds the latency EWMA and clears any
-					// avoid-on-redial hint.
-					link.set.Report(link.addr, elapsed, nil)
-					delete(s.lastFault, color)
-				}
-			}
-			return data, nil
-		}
-		if !network.IsTransportError(err) {
-			s.med.stats.serviceFailures.Add(1)
-			return nil, fmt.Errorf("recv service reply: %w", err)
-		}
-		s.evictService(color, err)
-		lastErr = err
-		if attempt >= s.med.retry.attempts() || s.lastWire[color] == nil || s.med.stopping.Load() {
-			// Nothing to replay means retrying cannot produce the reply.
-			s.med.stats.retriesExhausted.Add(1)
-			s.med.stats.serviceFailures.Add(1)
-			return nil, fmt.Errorf("recv service reply (color %d): retries exhausted: %w", color, lastErr)
-		}
-		if !s.backoff(attempt) {
-			return nil, s.budgetExceeded("recv service reply", color, lastErr)
-		}
-	}
-}
-
-// tryServiceRecv performs one receive attempt; on a retry (attempt > 0)
-// it first replays the remembered request so the fresh connection has
-// something to answer.
-func (s *session) tryServiceRecv(color, attempt int) ([]byte, error) {
-	link, err := s.serviceConn(color, attempt)
-	if err != nil {
+// do is one attempt on the held connection, under the per-attempt
+// network deadline (the exchange timeout, within the flow's budget):
+// write request when there is one, then read the reply when recv is set.
+func (l *serviceLink) do(request []byte, recv bool) ([]byte, error) {
+	if err := l.conn.SetDeadline(l.s.within(l.s.med.cfg.ExchangeTimeout)); err != nil {
 		return nil, err
 	}
-	if err := link.conn.SetDeadline(s.exchangeDeadline()); err != nil {
-		return nil, err
-	}
-	if attempt > 0 {
-		link.pending = true
-		if err := link.conn.Send(s.lastWire[color]); err != nil {
+	if request != nil {
+		l.pending = true
+		if err := l.conn.Send(request); err != nil {
 			return nil, err
 		}
 	}
-	return link.conn.Recv()
+	if !recv {
+		return nil, nil
+	}
+	return l.conn.Recv()
 }
 
 // backoff sleeps the policy's jittered, capped delay before retry
@@ -1934,7 +1731,7 @@ func (s *session) tryServiceRecv(color, attempt int) ([]byte, error) {
 // fast instead of burning the budget's tail on a doomed attempt.
 func (s *session) backoff(attempt int) bool {
 	d := s.med.retry.delay(attempt)
-	if rem, ok := s.remaining(); ok && d >= rem {
+	if s.within(d).Equal(s.budget) { // the sleep would end at or past the flow's deadline
 		return false
 	}
 	if d > 0 {
@@ -1943,49 +1740,40 @@ func (s *session) backoff(attempt int) bool {
 	return true
 }
 
-// releaseService checks a color's connection back into the shared pool.
-// A connection with an unconsumed reply in flight would poison its next
-// user, so it is discarded instead of parked.
-func (s *session) releaseService(color int) {
-	link, ok := s.services[color]
-	if !ok {
-		return
-	}
-	delete(s.services, color)
-	s.med.untrackService(link.conn)
-	if link.set != nil {
-		link.set.Release(link.addr)
-	}
-	key := pool.Key{Color: color, Addr: link.addr}
-	if link.pending {
-		s.med.pool.Discard(key, link.conn)
-	} else {
-		s.med.pool.Put(key, link.conn)
-	}
-}
-
-// evictService reports a broken service connection to the pool so the
-// next exchange checks out a fresh one, and flushes the key's idle
-// siblings: they were dialled to the same dead endpoint, and vetting
+// drop gives the held connection up. Without a cause it goes back to the
+// shared pool — unless a reply is still in flight on it, which would
+// poison its next user, so it is discarded instead of parked. With a
+// cause, a transport fault, it is discarded and the key's idle siblings
+// are flushed: they were dialled to the same dead endpoint, and vetting
 // them one by one would burn the retry budget on stale sockets. A
-// balanced replica additionally gets the fault reported to its set —
-// feeding passive ejection — and is remembered so the recovery redial
-// picks a different live replica.
-func (s *session) evictService(color int, cause error) {
-	link, ok := s.services[color]
-	if !ok {
+// balanced replica also gets the fault reported to its set — feeding
+// passive ejection — and is remembered so the redial picks another.
+func (l *serviceLink) drop(cause error) {
+	if l.conn == nil {
 		return
 	}
-	delete(s.services, color)
-	s.med.untrackService(link.conn)
-	if link.set != nil {
-		link.set.Release(link.addr)
-		link.set.Report(link.addr, 0, cause)
-		s.lastFault[color] = link.addr
+	m := l.s.med
+	conn, key := l.conn, pool.Key{Color: l.color, Addr: l.addr}
+	discard := l.pending || cause != nil
+	l.conn, l.pending = nil, false
+	m.mu.Lock()
+	delete(m.svcConns, conn)
+	m.mu.Unlock()
+	if l.set != nil {
+		l.set.Release(l.addr)
+		if cause != nil {
+			l.set.Report(l.addr, 0, cause)
+			l.lastFault = l.addr
+		}
 	}
-	key := pool.Key{Color: color, Addr: link.addr}
-	s.med.pool.Discard(key, link.conn)
-	s.med.pool.Flush(key)
+	if !discard {
+		m.pool.Put(key, conn)
+		return
+	}
+	m.pool.Discard(key, conn)
+	if cause != nil {
+		m.pool.Flush(key)
+	}
 }
 
 // copyCorrelationFields carries binder-internal fields (labels starting
@@ -2004,7 +1792,7 @@ func copyCorrelationFields(req, reply *message.Message) {
 // serviceTarget resolves the current logical target of a client-role
 // color, honouring the flow's sethost retarget via the host map. The
 // result is either a literal address or the name of a backend replica
-// set — resolving a set to a concrete replica is serviceConn's job, so
+// set — resolving a set to a concrete replica is connect's job, so
 // cache keys and retarget detection stay per-service, not per-replica.
 func (s *session) serviceTarget(color int) string {
 	addr := s.med.cfg.Sides[color].Target
@@ -2016,52 +1804,51 @@ func (s *session) serviceTarget(color int) string {
 	return addr
 }
 
-// serviceConn returns (checking out of the pool lazily) the connection
-// towards a client-role color. A held connection is kept only while it
-// still points at the target the flow wants: a sethost retarget that
-// fires after the first checkout is a pool-key change — the old
+// connect makes sure the link holds a connection to where the flow
+// wants to talk, checking one out of the pool lazily. A held connection
+// is kept only while it still points at that target: a sethost retarget
+// that fires after the first checkout is a pool-key change — the old
 // connection goes back to the pool for its own key — as is a transport
-// fault (via evictService). A target naming a backend replica set is
-// resolved to a concrete replica by the set's balancing policy,
-// avoiding the last faulted replica; the session then sticks to that
-// replica until release or fault. Replacement checkouts are counted as
-// Redials; attempt > 0 marks a fault-recovery redial in the trace.
-func (s *session) serviceConn(color, attempt int) (*serviceLink, error) {
-	target := s.serviceTarget(color)
-	set := s.med.cfg.Backends[target]
-	if link, ok := s.services[color]; ok {
-		if link.set == set && (set != nil || link.addr == target) {
-			return link, nil
+// fault (via drop). A target naming a backend replica set is resolved
+// to a concrete replica by the set's balancing policy, avoiding the
+// last faulted replica; the link then sticks to that replica until it
+// drops the connection. Replacement checkouts are counted as Redials;
+// attempt > 0 marks a fault-recovery redial in the trace.
+func (l *serviceLink) connect(attempt int) error {
+	s, m := l.s, l.s.med
+	target := s.serviceTarget(l.color)
+	set := m.cfg.Backends[target]
+	if l.conn != nil {
+		if l.set == set && (set != nil || l.addr == target) {
+			return nil
 		}
 		// Retargeted after checkout: the connection is healthy, it just
 		// points somewhere this flow no longer wants to talk to.
-		s.releaseService(color)
+		l.drop(nil)
 	}
-	if s.med.stopping.Load() {
-		return nil, fmt.Errorf("service connection (color %d, %s): %w", color, target, errClosing)
+	if m.stopping.Load() {
+		return fmt.Errorf("service connection (color %d, %s): %w", l.color, target, errClosing)
 	}
 	addr := target
 	if set != nil {
-		addr = set.Pick(s.lastFault[color])
+		addr = set.Pick(l.lastFault)
 	}
-	conn, err := s.med.checkout(color, addr, s.budget)
+	conn, err := m.checkout(l.color, addr, s.within(m.cfg.DialTimeout))
 	if err != nil {
 		if set != nil {
 			// The in-flight slot Pick took is never used; a failed
 			// checkout is a replica fault for ejection accounting.
 			set.Release(addr)
 			set.Report(addr, 0, err)
-			s.lastFault[color] = addr
+			l.lastFault = addr
 		}
-		return nil, fmt.Errorf("service connection (color %d, %s): %w", color, addr, err)
+		return fmt.Errorf("service connection (color %d, %s): %w", l.color, addr, err)
 	}
-	link := &serviceLink{conn: conn, addr: addr, set: set}
-	if _, redialed := s.dialed[color]; redialed {
-		s.med.stats.redials.Add(1)
-		s.trace(TraceEvent{Kind: TraceRedial, Color: color, State: addr, Attempt: attempt})
-	} else {
-		s.dialed[color] = struct{}{}
+	l.conn, l.addr, l.set = conn, addr, set
+	if l.dialed {
+		m.stats.redials.Add(1)
+		s.trace(TraceEvent{Kind: TraceRedial, Color: l.color, State: addr, Attempt: attempt})
 	}
-	s.services[color] = link
-	return link, nil
+	l.dialed = true
+	return nil
 }

@@ -195,14 +195,14 @@ func TestRetriesExhaustedCounted(t *testing.T) {
 	}
 }
 
-// TestRetryDisabled: RetryPolicy.Disabled turns recovery off — the
-// first transport fault fails the session.
+// TestRetryDisabled: Attempts 0 turns recovery off — the first
+// transport fault fails the session.
 func TestRetryDisabled(t *testing.T) {
 	d := &faultyDialer{script: func(dial int, fc *network.FaultConn) {
 		fc.ScriptSend(network.Fault{})
 	}}
 	med := startAddPlusWithDialer(t, d, func(cfg *engine.Config) {
-		cfg.Retry = &engine.RetryPolicy{Disabled: true}
+		cfg.Retry = &engine.RetryPolicy{Attempts: 0}
 	})
 	client, err := giop.Dial(med.Addr(), "calc")
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRetryPolicyTranslation pins the single retry surface: a nil
-// Retry means the documented defaults, an explicit policy is taken
-// literally, and Disabled short-circuits everything else.
+// Retry means the documented defaults and an explicit policy is taken
+// literally — the zero policy is "no retries", not the defaults.
 func TestRetryPolicyTranslation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -19,8 +19,6 @@ func TestRetryPolicyTranslation(t *testing.T) {
 			RetryPolicy{Attempts: DefaultRetryAttempts, Backoff: DefaultBackoff}},
 		{"explicit policy is literal", Config{Retry: &RetryPolicy{Attempts: 5, Backoff: time.Second}},
 			RetryPolicy{Attempts: 5, Backoff: time.Second}},
-		{"disabled ignores other fields", Config{Retry: &RetryPolicy{Attempts: 7, Backoff: time.Hour, Disabled: true}},
-			RetryPolicy{Disabled: true}},
 		{"explicit zero policy means zero, not defaults", Config{Retry: &RetryPolicy{}},
 			RetryPolicy{}},
 		{"attempts without backoff stays literal", Config{Retry: &RetryPolicy{Attempts: 1}},
@@ -37,11 +35,6 @@ func TestRetryPolicyTranslation(t *testing.T) {
 			}
 		})
 	}
-	t.Run("disabled policy allows no attempts", func(t *testing.T) {
-		if got := (RetryPolicy{Attempts: 5, Disabled: true}).attempts(); got != 0 {
-			t.Errorf("attempts() = %d, want 0", got)
-		}
-	})
 	t.Run("negative explicit values are config errors", func(t *testing.T) {
 		for name, cfg := range map[string]Config{
 			"attempts":    {Retry: &RetryPolicy{Attempts: -1}},
@@ -51,12 +44,6 @@ func TestRetryPolicyTranslation(t *testing.T) {
 			if _, err := cfg.retryPolicy(); !errors.Is(err, ErrConfig) {
 				t.Errorf("%s: err = %v, want ErrConfig", name, err)
 			}
-		}
-	})
-	t.Run("disabled explicit policy skips validation", func(t *testing.T) {
-		got, err := (Config{Retry: &RetryPolicy{Attempts: -1, Disabled: true}}).retryPolicy()
-		if err != nil || got != (RetryPolicy{Disabled: true}) {
-			t.Errorf("retryPolicy() = %+v, %v", got, err)
 		}
 	})
 }
@@ -101,11 +88,6 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 	})
 	t.Run("no base means no sleep", func(t *testing.T) {
 		if d := (RetryPolicy{Attempts: 3}).delay(2); d != 0 {
-			t.Errorf("delay = %v, want 0", d)
-		}
-	})
-	t.Run("disabled means no sleep", func(t *testing.T) {
-		if d := (RetryPolicy{Backoff: time.Second, Disabled: true}).delay(0); d != 0 {
 			t.Errorf("delay = %v, want 0", d)
 		}
 	})

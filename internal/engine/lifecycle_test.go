@@ -248,29 +248,10 @@ func TestFaultEvictionCountsPoolEvictions(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyExplicit exercises the new sentinel-free policy through
-// the engine: Disabled means the first fault is final, and Attempts
+// TestRetryPolicyExplicit exercises the sentinel-free policy through
+// the engine: zero Attempts means the first fault is final, and Attempts
 // bounds recovery exactly.
 func TestRetryPolicyExplicit(t *testing.T) {
-	t.Run("disabled", func(t *testing.T) {
-		d := &faultyDialer{script: func(dial int, fc *network.FaultConn) {
-			fc.ScriptRecv(network.Fault{})
-		}}
-		med := startAddPlusWithDialer(t, d, func(cfg *engine.Config) {
-			cfg.Retry = &engine.RetryPolicy{Attempts: 7, Disabled: true}
-		})
-		client, err := giop.Dial(med.Addr(), "calc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		if _, err := client.Invoke("Add", giop.IntParam(1), giop.IntParam(2)); err == nil {
-			t.Error("invoke succeeded with retries disabled and a faulted reply")
-		}
-		if got := d.dials(); got != 1 {
-			t.Errorf("dials = %d, want 1 (no recovery attempts)", got)
-		}
-	})
 	t.Run("attempts bound", func(t *testing.T) {
 		d := &faultyDialer{script: func(dial int, fc *network.FaultConn) {
 			fc.ScriptRecv(network.Fault{}) // every reply lost
@@ -293,12 +274,12 @@ func TestRetryPolicyExplicit(t *testing.T) {
 			t.Errorf("RetriesExhausted = %d, want 1", st.RetriesExhausted)
 		}
 	})
-	t.Run("disabled policy fails on first fault", func(t *testing.T) {
+	t.Run("zero policy fails on first fault", func(t *testing.T) {
 		d := &faultyDialer{script: func(dial int, fc *network.FaultConn) {
 			fc.ScriptRecv(network.Fault{})
 		}}
 		med := startAddPlusWithDialer(t, d, func(cfg *engine.Config) {
-			cfg.Retry = &engine.RetryPolicy{Disabled: true}
+			cfg.Retry = &engine.RetryPolicy{}
 		})
 		client, err := giop.Dial(med.Addr(), "calc")
 		if err != nil {
@@ -309,7 +290,7 @@ func TestRetryPolicyExplicit(t *testing.T) {
 			t.Error("invoke succeeded")
 		}
 		if got := d.dials(); got != 1 {
-			t.Errorf("dials = %d, want 1: disabled policy must not redial", got)
+			t.Errorf("dials = %d, want 1: a zero policy must not redial", got)
 		}
 	})
 }

@@ -260,13 +260,11 @@ func (g *Gateway) Swap(routeName string, newTarget Target) (Target, error) {
 	return old.t, nil
 }
 
+// acceptLoop runs until the listener is closed; a connection accepted
+// while the gateway closes is dropped.
 func (g *Gateway) acceptLoop() {
 	defer g.wg.Done()
-	for {
-		c, err := g.listener.Accept()
-		if err != nil {
-			return
-		}
+	network.AcceptLoop(g.listener.Accept, func(c net.Conn) {
 		g.conns.Add(1)
 		g.mu.Lock()
 		if g.closed {
@@ -278,7 +276,7 @@ func (g *Gateway) acceptLoop() {
 		g.wg.Add(1)
 		g.mu.Unlock()
 		go g.handle(c)
-	}
+	})
 }
 
 // doneSniffing removes a connection from the sniff-phase set; returns

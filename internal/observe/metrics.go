@@ -196,7 +196,7 @@ func RegisterMediator(r *Registry, med *engine.Mediator) {
 		stat(func(s engine.Stats) uint64 { return s.PoolWaitTimeouts }))
 	r.Counter("starlink_flow_deadline_exceeded_total", "Flows failed fast because their deadline budget ran out.",
 		stat(func(s engine.Stats) uint64 { return s.DeadlineExceeded }))
-	r.Counter("starlink_hook_panics_total", "Panics recovered from Trace/Observer hooks.",
+	r.Counter("starlink_hook_panics_total", "Panics recovered from the Trace hook.",
 		stat(func(s engine.Stats) uint64 { return s.HookPanics }))
 	r.Counter("starlink_cache_hits_total", "Service exchanges served from the cross-flow response cache.",
 		stat(func(s engine.Stats) uint64 { return s.CacheHits }))

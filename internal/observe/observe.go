@@ -78,9 +78,9 @@ type transitionStat struct {
 	hits    atomic.Uint64
 }
 
-// Observer is the flow tracer: it implements engine.Observer, assembles
-// TraceEvents into FlowTraces and feeds the flight recorder. One
-// Observer instruments one mediator.
+// Observer is the flow tracer: its ObserveTrace is the engine's
+// Config.Trace sink; it assembles TraceEvents into FlowTraces and feeds
+// the flight recorder. One Observer instruments one mediator.
 type Observer struct {
 	opts        Options
 	enabled     atomic.Bool
@@ -133,16 +133,17 @@ func New(opts Options) *Observer {
 	return o
 }
 
-// Instrument attaches a new Observer to an engine configuration,
-// defaulting Options.Merged to the configuration's automaton so hit
-// counts and the DOT export work out of the box. Call before
-// engine.New — the engine copies its Config.
+// Instrument attaches a new Observer to an engine configuration — it
+// becomes the configuration's one Trace sink — defaulting
+// Options.Merged to the configuration's automaton so hit counts and the
+// DOT export work out of the box. Call before engine.New — the engine
+// copies its Config.
 func Instrument(cfg *engine.Config, opts Options) *Observer {
 	if opts.Merged == nil {
 		opts.Merged = cfg.Merged
 	}
 	o := New(opts)
-	cfg.Observer = o
+	cfg.Trace = o.ObserveTrace
 	return o
 }
 
@@ -156,8 +157,8 @@ func (o *Observer) Enabled() bool { return o.enabled.Load() }
 // Recorder returns the observer's flight recorder.
 func (o *Observer) Recorder() *Recorder { return o.recorder }
 
-// ObserveTrace implements engine.Observer. It must stay cheap: it runs
-// synchronously inside session goroutines.
+// ObserveTrace is the engine.Config.Trace sink. It must stay cheap: it
+// runs synchronously inside session goroutines.
 func (o *Observer) ObserveTrace(ev engine.TraceEvent) {
 	if !o.enabled.Load() {
 		return

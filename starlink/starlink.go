@@ -156,9 +156,6 @@ type (
 	TraceEvent = engine.TraceEvent
 	// TraceKind classifies TraceEvents.
 	TraceKind = engine.TraceKind
-	// TraceSink is the structured observer interface for
-	// EngineConfig.Observer; the observe subsystem implements it.
-	TraceSink = engine.Observer
 	// Observer is the flow tracer: it assembles TraceEvents into span
 	// trees, counts per-transition hits and feeds the flight recorder.
 	Observer = observe.Observer
@@ -489,7 +486,8 @@ func NewFileSource(path string) (DiscoverySource, error) {
 // The observe subsystem makes a running mediator inspectable: a flow
 // tracer assembling TraceEvents into span trees, a Prometheus-text
 // metrics registry, a flight recorder of failed/slow flows, and an
-// admin HTTP endpoint. Typical programmatic wiring:
+// admin HTTP endpoint. Instrument makes the tracer the engine's one
+// trace sink (EngineConfig.Trace); typical programmatic wiring:
 //
 //	cfg := starlink.EngineConfig{ ... }
 //	obs := starlink.Instrument(&cfg, starlink.ObserveOptions{})

@@ -186,9 +186,9 @@ func TestPublicObservability(t *testing.T) {
 		},
 	}
 	var obs *starlink.Observer = starlink.Instrument(&cfg, starlink.ObserveOptions{})
-	var sink starlink.TraceSink = obs // Observer satisfies the engine sink
-	sink.ObserveTrace(starlink.TraceEvent{Session: 1, Kind: starlink.TraceFlowStart, Time: time.Now()})
-	sink.ObserveTrace(starlink.TraceEvent{Session: 1, Kind: starlink.TraceFlowEnd, Time: time.Now()})
+	sink := cfg.Trace // Instrument made the Observer the engine's one sink
+	sink(starlink.TraceEvent{Session: 1, Kind: starlink.TraceFlowStart, Time: time.Now()})
+	sink(starlink.TraceEvent{Session: 1, Kind: starlink.TraceFlowEnd, Time: time.Now()})
 	var flows []*starlink.FlowTrace = obs.Flows()
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d", len(flows))
