@@ -25,17 +25,21 @@ race:
 # recycled environments and in-place path walks they drive still run
 # with full race checking — that is the point of this pass.
 race-alloc:
-	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/protocol/... ./internal/rcache
+	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/rcache
 
-# The full gate: vet, tier-1, the race passes, then three checks of its
+# The full gate: vet, tier-1, the race passes, then four checks of its
 # own. The engine's tests run fifty times in shuffled order, so a counter
 # or trace published after the reply it belongs to shows up as a flake
 # here and not in tier-1. The per-feature measurement code that bench/
 # replaced must not be quoted again: no file outside the four that record
-# its removal may name one of its JSON baselines, functions or flags. And
+# its removal may name one of its JSON baselines, functions or flags.
 # encoding/xml stays off the message path: under the MDL engines, the
 # protocol layers and the binders only test files may import it, as the
-# oracle the xmlenc scanner and writer are checked against.
+# oracle the xmlenc Reader and Writer are checked against. And the field
+# tree stays out of the XML-RPC and Atom decode: those packages and the
+# binders read the Reader's tokens, and only their tests may build a tree
+# with xmlenc.DecodeTree, as the oracle the token decoders are checked
+# against.
 check: test
 	$(GO) vet ./...
 	$(MAKE) race
@@ -45,7 +49,9 @@ check: test
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench/README.md'; then \
 		echo 'check: the lines above quote measurement code that bench/ replaced (see bench/README.md)'; exit 1; fi
 	@if git grep -n '"encoding/xml"' -- internal/mdl internal/protocol internal/bind ':!*_test.go'; then \
-		echo 'check: the files above import encoding/xml on the message path; xmlenc has the scanner and the writer (DESIGN.md, "XML codec")'; exit 1; fi
+		echo 'check: the files above import encoding/xml on the message path; xmlenc has the Reader and the Writer (DESIGN.md, "XML codec")'; exit 1; fi
+	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/bind ':!*_test.go'; then \
+		echo 'check: the files above build a field tree to decode XML-RPC or Atom; read the tokens of xmlenc.Reader (DESIGN.md, "The reader and its consumers")'; exit 1; fi
 
 # The one benchmark: what a mediated flow costs beside the native call,
 # end to end and layer by layer. This is the command in BENCHMARK.json;

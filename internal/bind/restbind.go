@@ -3,6 +3,7 @@ package bind
 import (
 	"fmt"
 	"net/url"
+	"slices"
 	"strings"
 
 	"starlink/internal/mdl"
@@ -144,7 +145,8 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 		),
 	)
 	q := message.NewStruct("Query")
-	for _, qp := range sortedKeys(r.Query) {
+	var buf [8]string
+	for _, qp := range sortedKeys(buf[:0], r.Query) {
 		f := abs.Field(r.Query[qp])
 		if f == nil {
 			continue // optional parameter absent
@@ -184,25 +186,35 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 	if status != "200" && status != "201" {
 		return nil, fmt.Errorf("%w: action %s: HTTP status %s", ErrBadMessage, action, status)
 	}
-	body, _ := concrete.GetString("Body")
+	body := bodyOf(packet, concrete)
 	abs := message.New(action + ".reply")
 	switch r.ReplyKind {
 	case "feed":
-		feed, err := rest.ParseFeed([]byte(body))
+		feed, err := rest.ParseFeed(body)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range feed.Entries {
-			abs.Add(abstractFromEntry(e))
+		abs.Fields = make([]*message.Field, len(feed.Entries))
+		for i, e := range feed.Entries {
+			abs.Fields[i] = abstractFromEntry(e)
 		}
 	default:
-		e, err := rest.ParseEntry([]byte(body))
+		e, err := rest.ParseEntry(body)
 		if err != nil {
 			return nil, err
 		}
 		abs.Add(abstractFromEntry(e))
 	}
 	return abs, nil
+}
+
+// bodyOf returns the bytes of packet that the text-MDL codec parsed as the
+// Body field of concrete: a <Name:body> item is the remainder of the
+// packet, so they are its tail, and the XML decoders can read them where
+// they are instead of a copy made from the field's string.
+func bodyOf(packet []byte, concrete *message.Message) []byte {
+	body, _ := concrete.GetString("Body")
+	return packet[len(packet)-len(body):]
 }
 
 // ParseRequest implements Binder: matches the request against the route
@@ -234,8 +246,7 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 			}
 		}
 		if r.BodyField != "" {
-			body, _ := concrete.GetString("Body")
-			e, err := rest.ParseEntry([]byte(body))
+			e, err := rest.ParseEntry(bodyOf(packet, concrete))
 			if err != nil {
 				return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 			}
@@ -331,21 +342,24 @@ func entryFromAbstract(f *message.Field) rest.Entry {
 
 // abstractFromEntry is the inverse mapping.
 func abstractFromEntry(e rest.Entry) *message.Field {
-	f := message.NewStruct("entry",
+	optional := [...]struct{ label, value string }{
+		{"summary", e.Summary}, {"author", e.Author}, {"src", e.ContentSrc}, {"type", e.ContentType},
+	}
+	n := 2
+	for _, o := range optional {
+		if o.value != "" {
+			n++
+		}
+	}
+	f := &message.Field{Label: "entry", Type: message.TypeStruct, Children: make([]*message.Field, 0, n)}
+	f.Add(
 		message.NewPrimitive("id", message.TypeString, e.ID),
 		message.NewPrimitive("title", message.TypeString, e.Title),
 	)
-	if e.Summary != "" {
-		f.Add(message.NewPrimitive("summary", message.TypeString, e.Summary))
-	}
-	if e.Author != "" {
-		f.Add(message.NewPrimitive("author", message.TypeString, e.Author))
-	}
-	if e.ContentSrc != "" {
-		f.Add(message.NewPrimitive("src", message.TypeString, e.ContentSrc))
-	}
-	if e.ContentType != "" {
-		f.Add(message.NewPrimitive("type", message.TypeString, e.ContentType))
+	for _, o := range optional {
+		if o.value != "" {
+			f.Add(message.NewPrimitive(o.label, message.TypeString, o.value))
+		}
 	}
 	return f
 }
@@ -397,15 +411,11 @@ func matchTemplate(tmpl, path string) (map[string]string, bool) {
 	return vars, true
 }
 
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys appends the keys of m to buf, in order.
+func sortedKeys[V any](buf []string, m map[string]V) []string {
 	for k := range m {
-		keys = append(keys, k)
+		buf = append(buf, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
+	slices.Sort(buf)
+	return buf
 }

@@ -2,7 +2,6 @@ package bind
 
 import (
 	"fmt"
-	"strings"
 
 	"starlink/internal/automata"
 	"starlink/internal/message"
@@ -49,9 +48,7 @@ func (b *XMLRPCBinder) ParseRequest(packet []byte) (string, *message.Message, er
 	abs := message.New(action)
 	if len(params) == 1 {
 		if st, ok := params[0].(map[string]xmlrpc.Value); ok {
-			for _, k := range sortedValueKeys(st) {
-				abs.Add(valueToField(k, st[k]))
-			}
+			abs.Fields = membersToFields(st)
 			return action, abs, nil
 		}
 	}
@@ -99,9 +96,7 @@ func (b *XMLRPCBinder) ParseReply(action string, packet []byte) (*message.Messag
 	abs := message.New(action + ".reply")
 	switch v := result.(type) {
 	case map[string]xmlrpc.Value:
-		for _, k := range sortedValueKeys(v) {
-			abs.Add(valueToField(k, v[k]))
-		}
+		abs.Fields = membersToFields(v)
 	default:
 		abs.Add(valueToField("result", result))
 	}
@@ -152,17 +147,13 @@ var _ ErrorReplier = (*XMLRPCBinder)(nil)
 func valueToField(label string, v xmlrpc.Value) *message.Field {
 	switch x := v.(type) {
 	case map[string]xmlrpc.Value:
-		f := message.NewStruct(label)
-		for _, k := range sortedValueKeys(x) {
-			f.Add(valueToField(k, x[k]))
-		}
-		return f
+		return message.NewStruct(label, membersToFields(x)...)
 	case []xmlrpc.Value:
-		f := message.NewArray(label)
-		for _, e := range x {
-			f.Add(valueToField("item", e))
+		items := make([]*message.Field, len(x))
+		for i, e := range x {
+			items[i] = valueToField("item", e)
 		}
-		return f
+		return message.NewArray(label, items...)
 	case string:
 		return message.NewPrimitive(label, message.TypeString, x)
 	case int64:
@@ -187,13 +178,13 @@ func fieldToValue(f *message.Field) xmlrpc.Value {
 		}
 	}
 	if f.Type == message.TypeArray || allChildrenShareLabel(f) {
-		var arr []xmlrpc.Value
-		for _, c := range f.Children {
-			arr = append(arr, fieldToValue(c))
+		arr := make([]xmlrpc.Value, len(f.Children))
+		for i, c := range f.Children {
+			arr[i] = fieldToValue(c)
 		}
 		return arr
 	}
-	st := map[string]xmlrpc.Value{}
+	st := make(map[string]xmlrpc.Value, len(f.Children))
 	for _, c := range f.Children {
 		st[c.Label] = fieldToValue(c)
 	}
@@ -212,15 +203,13 @@ func allChildrenShareLabel(f *message.Field) bool {
 	return true
 }
 
-func sortedValueKeys(m map[string]xmlrpc.Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// membersToFields maps a struct's members onto one field each, in the
+// order of their names.
+func membersToFields(st map[string]xmlrpc.Value) []*message.Field {
+	var buf [16]string
+	fields := make([]*message.Field, 0, len(st))
+	for _, k := range sortedKeys(buf[:0], st) {
+		fields = append(fields, valueToField(k, st[k]))
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && strings.Compare(keys[j], keys[j-1]) < 0; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
+	return fields
 }

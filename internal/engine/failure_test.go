@@ -341,7 +341,7 @@ func TestUnexpectedActionGetsFault(t *testing.T) {
 }
 
 // TestDeepReplyFaultsOneFlowOnly is the one-packet kill: a service reply
-// of five million nested elements, inside the frame limit, overflowed the
+// of two million nested elements, inside the frame limit, overflowed the
 // recursive XML decoder's stack and took the process — every session —
 // with it. Now the flow that met it ends in the client's protocol fault
 // and the next connection is served.
@@ -357,7 +357,8 @@ func TestDeepReplyFaultsOneFlowOnly(t *testing.T) {
 	svc, err := httpwire.Serve("127.0.0.1:0", func(*httpwire.Request) *httpwire.Response {
 		body := feed
 		if hostile.Load() {
-			body = bytes.Repeat([]byte("<a>"), 5<<20)
+			// The root has to be a feed for the decoder to read on.
+			body = append([]byte("<feed>"), bytes.Repeat([]byte("<entry>"), 2<<20)...)
 		}
 		return &httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "application/atom+xml"}, Body: body}
 	})

@@ -150,8 +150,11 @@ func compileMessage(ms *mdl.MessageSpec) (*compiledMessage, error) {
 // Parse decodes a packet by trying each layout in order.
 func (c *Codec) Parse(data []byte) (*message.Message, error) {
 	var firstErr error
+	// One copy, shared by every layout tried: each string of the parsed
+	// message is a piece of it.
+	packet := string(data)
 	for _, cm := range c.messages {
-		msg, err := parseAs(cm, string(data))
+		msg, err := parseAs(cm, packet)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", cm.spec.Name, err)

@@ -17,8 +17,8 @@ import (
 )
 
 // The oracle: the encoding/xml decoder and the buffer-and-concatenate
-// encoder that the scanner and the Writer replaced, kept as they were.
-// The scanner must build the same tree for every document the oracle
+// encoder that the Reader and the Writer replaced, kept as they were.
+// DecodeTree must build the same tree for every document the oracle
 // accepts, the Writer the same bytes for every tree.
 
 func oracleDecodeTree(data []byte) (*message.Field, error) {
@@ -141,7 +141,7 @@ func oracleEncodeField(b *bytes.Buffer, f *message.Field) error {
 // seeds are the documents both fuzz targets start from: the request and
 // reply bodies of the five bench workloads (SOAP Plus, the XML-RPC Flickr
 // calls, the Picasa feeds and entries), then one document per corner of
-// the syntax the scanner reads by hand.
+// the syntax the Reader reads by hand.
 var seeds = []string{
 	// add_steady, add_churn_gateway
 	"<?xml version=\"1.0\"?>\n<Envelope xmlns=\"http://schemas.xmlsoap.org/soap/envelope/\"><Body><Plus><x>123456</x><y>654321</y></Plus></Body></Envelope>",
@@ -206,10 +206,10 @@ func sameTree(t *testing.T, data []byte) {
 		t.Fatalf("DecodeTree(%q): %v does not wrap ErrMalformed", data, err)
 	}
 	if oracleErr != nil {
-		return // the scanner does not validate: it may read what the oracle refuses
+		return // the Reader does not validate: it may read what the oracle refuses
 	}
 	if err != nil {
-		// The only documents the scanner may refuse and the oracle not.
+		// The only documents the Reader may refuse and the oracle not.
 		if errors.Is(err, ErrTooDeep) || errors.Is(err, errEncoding) || errors.Is(err, errDTD) {
 			return
 		}
@@ -220,7 +220,7 @@ func sameTree(t *testing.T, data []byte) {
 	}
 }
 
-func TestScannerMatchesOracleOnSeeds(t *testing.T) {
+func TestDecodeTreeMatchesOracleOnSeeds(t *testing.T) {
 	for _, doc := range seeds {
 		sameTree(t, []byte(doc))
 	}
@@ -412,7 +412,7 @@ func TestEncodeAllocBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse shares the scanner and writer pools between
+// TestConcurrentUse shares the reader, builder and writer pools between
 // goroutines, for the race detector (`make race`).
 func TestConcurrentUse(t *testing.T) {
 	var wg sync.WaitGroup

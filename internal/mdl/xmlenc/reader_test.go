@@ -1,0 +1,168 @@
+package xmlenc
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"starlink/internal/testutil"
+)
+
+// tokens renders what a Reader yields for doc, one token a word: "<name"
+// with " @label=value" per attribute, "'text'", ">" for an End, then the
+// error that ended it.
+func tokens(doc string) string {
+	r := NewReader([]byte(doc))
+	defer r.Release()
+	var out []string
+	for {
+		tok, err := r.Next()
+		switch {
+		case err == io.EOF:
+			return strings.Join(out, " ")
+		case err != nil:
+			return strings.Join(append(out, "!"+strings.TrimPrefix(err.Error(), ErrMalformed.Error()+": ")), " ")
+		case tok == Start:
+			s := "<" + string(r.Name())
+			for _, a := range r.Attrs() {
+				s += " " + a.Label + "=" + a.Value
+			}
+			out = append(out, s)
+		case tok == Text:
+			out = append(out, "'"+string(r.Text())+"'")
+		case tok == End:
+			out = append(out, ">")
+		}
+	}
+}
+
+func TestReaderTokens(t *testing.T) {
+	for doc, want := range map[string]string{
+		"<a/>":                                "<a >",
+		"<?xml version='1.0'?>\n<a></a>tail<": "<a >",
+		"<a>x</a>":                            "<a 'x' >",
+		"<a> <b/> </a>":                       "<a ' ' <b > ' ' >",
+		"<p:a k='v' p:k='w' xmlns:p='urn:p'><b>1</b>t<c/></p:a>": "<a @k=v @urn:p:k=w @p=urn:p <b '1' > 't' <c > >",
+		// one run of text, whatever interrupts it
+		"<a>x<!-- c -->y<?pi?>z<![CDATA[<&>]]>&amp;\r\n</a>": "<a 'xyz<&>&\n' >",
+		"<a><!-- c --></a>":   "<a >",
+		"<a>&lt;<b/>&gt;</a>": "<a '<' <b > '>' >",
+		// errors come where the scan meets them
+		"<a><b>x</c></a>": "<a <b 'x' !element <b> closed by </c>",
+		"<a>x":            "<a !element <a> is not closed",
+		"<a>&bogus;</a>":  "<a !invalid character or entity reference \"&bogus;\"",
+		"":                "!no root element",
+	} {
+		if got := tokens(doc); got != want {
+			t.Errorf("tokens(%q)\n got %s\nwant %s", doc, got, want)
+		}
+	}
+}
+
+func TestReaderHelpers(t *testing.T) {
+	r := NewReader([]byte("<r><skip><x>1</x>2</skip>t<other><leaf>deep</leaf></other><leaf> a </leaf><mixed>b<i>c</i>d</mixed><none/>tail</r>"))
+	defer r.Release()
+	if _, err := r.Next(); err != nil || string(r.Name()) != "r" {
+		t.Fatalf("root: %q, %v", r.Name(), err)
+	}
+	if name, err := r.Find("skip"); err != nil || name != "skip" {
+		t.Fatalf("Find = %q, %v", name, err)
+	}
+	if err := r.Skip(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		name, text string
+		leaf       bool
+	}{{"leaf", " a ", true}, {"mixed", "bd", false}, {"none", "", true}} {
+		// Past <other> and the <leaf> inside it, which is no child of <r>.
+		name, err := r.Find("none", "mixed", "leaf")
+		if err != nil || name != want.name {
+			t.Fatalf("Find = %q, %v, want %q", name, err, want.name)
+		}
+		text, leaf, err := r.Content()
+		if err != nil || string(text) != want.text || leaf != want.leaf {
+			t.Errorf("Content of <%s> = %q, %v, %v, want %q, %v", want.name, text, leaf, err, want.text, want.leaf)
+		}
+	}
+	if name, err := r.Find("leaf"); err != nil || name != "" {
+		t.Errorf("Find at the end of <r> = %q, %v", name, err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Errorf("Next after the root element: %v, want io.EOF", err)
+	}
+	if a, b := r.Intern([]byte("value")), r.Intern([]byte("not-a-known-label")); a != "value" || b != "not-a-known-label" {
+		t.Errorf("Intern = %q, %q", a, b)
+	}
+}
+
+// TestReaderDepthBound: the Reader holds the depth bound for whoever
+// consumes it, recursing or skipping.
+func TestReaderDepthBound(t *testing.T) {
+	r := NewReader(bytes.Repeat([]byte("<a>"), 5<<20))
+	defer r.Release()
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Skip(); !errors.Is(err, ErrTooDeep) || !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Skip over 15 MiB of <a>: err = %v, want ErrTooDeep wrapping ErrMalformed", err)
+	}
+}
+
+// TestReaderAllocBudget: tokens cost nothing. Reading a document to its
+// end allocates the strings of its attributes and no more.
+func TestReaderAllocBudget(t *testing.T) {
+	for _, doc := range seeds[:12] {
+		data := []byte(doc)
+		attrs := 0
+		read := func() {
+			r := NewReader(data)
+			defer r.Release()
+			attrs = 0
+			for {
+				tok, err := r.Next()
+				if err == io.EOF {
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tok == Start {
+					attrs += len(r.Attrs())
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(100, read)
+		// A value and, for a name the static table does not know or a
+		// declaration's prefix, a label: two strings an attribute at most.
+		if !testutil.RaceEnabled && int(allocs) > 2*attrs {
+			t.Errorf("reading allocated %.0f times for %d attributes: %.60s", allocs, attrs, doc)
+		}
+	}
+}
+
+func ExampleReader() {
+	r := NewReader([]byte(`<entry><id>p1</id><content type="image/jpeg"/></entry>`))
+	defer r.Release()
+	r.Next() // <entry>
+	for {
+		name, err := r.Find("id", "content")
+		if err != nil || name == "" {
+			return
+		}
+		switch name {
+		case "id":
+			id, _, _ := r.Content()
+			fmt.Printf("id %s\n", id)
+		default:
+			fmt.Printf("%s %v\n", name, r.Attrs())
+			r.Skip()
+		}
+	}
+	// Output:
+	// id p1
+	// content [{@type image/jpeg}]
+}

@@ -33,7 +33,7 @@ type Writer struct {
 
 var writers = sync.Pool{New: func() any { return new(Writer) }}
 
-// maxRetain bounds the buffer a pooled writer or scanner keeps, so one
+// maxRetain bounds the buffer a pooled writer or reader keeps, so one
 // photo feed does not pin its high-water mark for the life of the process.
 const maxRetain = 64 << 10
 

@@ -13,10 +13,11 @@
 //   - character data beside attributes or child elements becomes a last
 //     child "#text", trimmed, and is dropped when it is blank.
 //
-// One hand-written scanner (DecodeTree) and one Writer (EncodeDoc, and
-// what the protocol layers write their documents with) are the only
-// places XML meets bytes; DESIGN.md, "XML codec", says what the scanner
-// deliberately leaves out.
+// One hand-written Reader — a pull tokeniser; DecodeTree builds the field
+// tree from its tokens, the XML-RPC and Atom decoders read them into
+// shapes of their own — and one Writer (EncodeDoc, and what the protocol
+// layers write their documents with) are the only places XML meets bytes;
+// DESIGN.md, "XML codec", says what the Reader deliberately leaves out.
 //
 // A message layout needs only a discriminator on the document's root
 // element:

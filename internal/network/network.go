@@ -20,7 +20,6 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,7 +43,11 @@ const DefaultDialTimeout = 10 * time.Second
 // Implementations must be safe for concurrent use by different
 // connections.
 type Framer interface {
-	// ReadMessage reads exactly one message's bytes.
+	// ReadMessage reads exactly one message's bytes into a buffer of its
+	// own, allocated at the message's size. What the layers above parse
+	// out of it — an HTTP body, an XML document — aliases that buffer
+	// rather than copying it, so a packet is read-only once it is
+	// returned.
 	ReadMessage(r *bufio.Reader) ([]byte, error)
 	// WriteMessage writes one message's bytes.
 	WriteMessage(w io.Writer, data []byte) error
@@ -121,31 +124,41 @@ type HTTPFramer struct{}
 
 var _ Framer = HTTPFramer{}
 
-// ReadMessage implements Framer.
+// ReadMessage implements Framer. The header block is gathered on the
+// stack, line by line out of the reader's buffer, and the body is read
+// straight into the one packet allocated once Content-Length is known.
 func (HTTPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
-	var buf bytes.Buffer
+	var stack [1024]byte
+	head := stack[:0]
 	contentLength := 0
 	seenLength := false
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			if err == io.EOF && buf.Len() == 0 {
+		lineStart := len(head)
+		for {
+			part, err := r.ReadSlice('\n')
+			head = append(head, part...)
+			if len(head) > MaxMessageSize {
+				return nil, ErrMessageTooLarge
+			}
+			if err == nil {
+				break
+			}
+			if err == bufio.ErrBufferFull {
+				continue // a line longer than the reader's buffer
+			}
+			if err == io.EOF && lineStart == 0 {
 				return nil, io.EOF
 			}
 			return nil, fmt.Errorf("network: http header: %w", err)
 		}
-		buf.WriteString(line)
-		if buf.Len() > MaxMessageSize {
-			return nil, ErrMessageTooLarge
-		}
-		trimmed := strings.TrimRight(line, "\r\n")
-		if trimmed == "" {
+		line := bytes.TrimRight(head[lineStart:], "\r\n")
+		if len(line) == 0 {
 			break
 		}
-		if k, v, ok := strings.Cut(trimmed, ":"); ok && strings.EqualFold(strings.TrimSpace(k), "Content-Length") {
-			n, err := strconv.Atoi(strings.TrimSpace(v))
+		if k, v, ok := bytes.Cut(line, []byte(":")); ok && bytes.EqualFold(bytes.TrimSpace(k), []byte("Content-Length")) {
+			n, err := strconv.Atoi(string(bytes.TrimSpace(v)))
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("network: bad Content-Length %q", v)
+				return nil, fmt.Errorf("network: bad Content-Length %q", string(v))
 			}
 			if seenLength && n != contentLength {
 				return nil, fmt.Errorf("network: conflicting Content-Length headers (%d vs %d)", contentLength, n)
@@ -157,14 +170,12 @@ func (HTTPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
 	if contentLength > MaxMessageSize {
 		return nil, ErrMessageTooLarge
 	}
-	if contentLength > 0 {
-		body := make([]byte, contentLength)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, fmt.Errorf("network: http body: %w", err)
-		}
-		buf.Write(body)
+	packet := make([]byte, len(head)+contentLength)
+	copy(packet, head)
+	if _, err := io.ReadFull(r, packet[len(head):]); err != nil {
+		return nil, fmt.Errorf("network: http body: %w", err)
 	}
-	return buf.Bytes(), nil
+	return packet, nil
 }
 
 // WriteMessage implements Framer.
@@ -179,10 +190,14 @@ type GIOPFramer struct{}
 
 var _ Framer = GIOPFramer{}
 
-// ReadMessage implements Framer.
+// ReadMessage implements Framer. The header is looked at in the reader's
+// buffer, so the message is allocated once, header and body together.
 func (GIOPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	hdr, err := r.Peek(12)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	if string(hdr[:4]) != "GIOP" {
@@ -192,11 +207,11 @@ func (GIOPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
 	if n > MaxMessageSize {
 		return nil, ErrMessageTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	msg := make([]byte, 12+n)
+	if _, err := io.ReadFull(r, msg); err != nil {
 		return nil, fmt.Errorf("network: short GIOP body: %w", err)
 	}
-	return append(hdr, body...), nil
+	return msg, nil
 }
 
 // WriteMessage implements Framer. The MessageSize header field is patched

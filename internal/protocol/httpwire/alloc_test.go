@@ -38,7 +38,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 22 {
-		t.Errorf("request+response round-trip allocated %.1f times per op, budget 22", allocs)
+	if allocs > 14 {
+		t.Errorf("request+response round-trip allocated %.1f times per op, budget 14", allocs)
 	}
 }

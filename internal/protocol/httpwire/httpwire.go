@@ -42,7 +42,8 @@ type Request struct {
 	Proto string
 	// Headers holds the header fields (first value wins on duplicates).
 	Headers map[string]string
-	// Body is the message body.
+	// Body is the message body. In a parsed request it aliases the packet
+	// it was parsed from and is read-only.
 	Body []byte
 }
 
@@ -107,7 +108,8 @@ type Response struct {
 	Reason string
 	// Headers holds the header fields.
 	Headers map[string]string
-	// Body is the message body.
+	// Body is the message body. In a parsed response it aliases the packet
+	// it was parsed from and is read-only.
 	Body []byte
 }
 
@@ -195,9 +197,10 @@ func defaultReason(status int) string {
 }
 
 // ParseRequest decodes one request message (as framed by
-// network.HTTPFramer).
+// network.HTTPFramer). The request's Body is the tail of data, not a copy.
 func ParseRequest(data []byte) (*Request, error) {
-	line, rest, err := cutLine(string(data))
+	head, body := splitHead(data)
+	line, rest, err := cutLine(head)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +208,7 @@ func ParseRequest(data []byte) (*Request, error) {
 	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
 		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
 	}
-	headers, body, err := parseHeadersAndBody(rest)
+	headers, err := parseHeaders(rest)
 	if err != nil {
 		return nil, err
 	}
@@ -215,9 +218,11 @@ func ParseRequest(data []byte) (*Request, error) {
 	}, nil
 }
 
-// ParseResponse decodes one response message.
+// ParseResponse decodes one response message. The response's Body is the
+// tail of data, not a copy.
 func ParseResponse(data []byte) (*Response, error) {
-	line, rest, err := cutLine(string(data))
+	head, body := splitHead(data)
+	line, rest, err := cutLine(head)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +238,7 @@ func ParseResponse(data []byte) (*Response, error) {
 	if len(parts) == 3 {
 		reason = parts[2]
 	}
-	headers, body, err := parseHeadersAndBody(rest)
+	headers, err := parseHeaders(rest)
 	if err != nil {
 		return nil, err
 	}
@@ -251,20 +256,33 @@ func cutLine(s string) (line, rest string, err error) {
 	return line, rest, nil
 }
 
-func parseHeadersAndBody(s string) (map[string]string, []byte, error) {
+// splitHead cuts a message behind the blank line that ends its header
+// block. Start line and headers come back as one string, which is all of
+// the message that is copied: every string of the parsed message is a
+// piece of it, and the body stays where it is in data. A message without
+// the blank line is all head, for the parse to fail on.
+func splitHead(data []byte) (head string, body []byte) {
+	if i := bytes.Index(data, []byte("\r\n\r\n")); i >= 0 {
+		return string(data[:i+4]), data[i+4:]
+	}
+	return string(data), nil
+}
+
+// parseHeaders reads the header lines up to the blank line that ends s.
+func parseHeaders(s string) (map[string]string, error) {
 	headers := map[string]string{}
 	for {
 		line, rest, found := strings.Cut(s, "\r\n")
 		if !found {
-			return nil, nil, fmt.Errorf("%w: header block not terminated", ErrMalformed)
+			return nil, fmt.Errorf("%w: header block not terminated", ErrMalformed)
 		}
 		s = rest
 		if line == "" {
-			return headers, []byte(s), nil
+			return headers, nil
 		}
 		k, v, found := strings.Cut(line, ":")
 		if !found {
-			return nil, nil, fmt.Errorf("%w: header line %q", ErrMalformed, line)
+			return nil, fmt.Errorf("%w: header line %q", ErrMalformed, line)
 		}
 		k = strings.TrimSpace(k)
 		if _, dup := headers[k]; !dup {

@@ -319,3 +319,24 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// TestBodyAliasesPacket: a parsed message's Body is the tail of the packet
+// it was parsed from, not a copy of it.
+func TestBodyAliasesPacket(t *testing.T) {
+	packet := []byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello")
+	resp, err := ParseResponse(packet)
+	if err != nil || string(resp.Body) != "hello" {
+		t.Fatalf("ParseResponse = %+v, %v", resp, err)
+	}
+	if &resp.Body[0] != &packet[len(packet)-5] {
+		t.Error("the response body is a copy of the packet's")
+	}
+	packet = []byte("POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
+	req, err := ParseRequest(packet)
+	if err != nil || string(req.Body) != "hello" {
+		t.Fatalf("ParseRequest = %+v, %v", req, err)
+	}
+	if &req.Body[0] != &packet[len(packet)-5] {
+		t.Error("the request body is a copy of the packet's")
+	}
+}

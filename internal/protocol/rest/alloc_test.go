@@ -6,7 +6,7 @@ import (
 	"starlink/internal/testutil"
 )
 
-// TestRoundTripAllocBudget guards the direct writer and the scanner: one feed
+// TestRoundTripAllocBudget guards the direct writer and the token decoder: one feed
 // marshal+parse round-trip must stay within a fixed allocation budget.
 func TestRoundTripAllocBudget(t *testing.T) {
 	feed := Feed{
@@ -28,7 +28,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 33 {
-		t.Errorf("marshal+parse round-trip allocated %.1f times per op, budget 33", allocs)
+	if allocs > 10 {
+		t.Errorf("marshal+parse round-trip allocated %.1f times per op, budget 10", allocs)
 	}
 }

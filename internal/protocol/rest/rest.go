@@ -5,6 +5,7 @@
 package rest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/url"
@@ -12,7 +13,6 @@ import (
 	"strings"
 
 	"starlink/internal/mdl/xmlenc"
-	"starlink/internal/message"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -94,72 +94,183 @@ func MarshalEntry(e Entry) ([]byte, error) {
 	return w.Doc()
 }
 
-func entryFromField(f *message.Field) Entry {
-	var e Entry
-	if c := f.Child("id"); c != nil {
-		e.ID = c.ValueString()
+// malformed makes a decode failure this package's: what the Reader
+// reports is wrapped, what the decoder found wrong itself already is.
+func malformed(err error) error {
+	if err == nil || errors.Is(err, ErrMalformed) {
+		return err
 	}
-	if c := f.Child("title"); c != nil {
-		e.Title = c.ValueString()
-	}
-	if c := f.Child("summary"); c != nil {
-		e.Summary = c.ValueString()
-	}
-	if a := f.Child("author"); a != nil {
-		if n := a.Child("name"); n != nil {
-			e.Author = n.ValueString()
-		} else {
-			e.Author = a.ValueString()
-		}
-	}
-	if c := f.Child("content"); c != nil {
-		if t := c.Child("@type"); t != nil {
-			e.ContentType = t.ValueString()
-		}
-		if s := c.Child("@src"); s != nil {
-			e.ContentSrc = s.ValueString()
-		}
-		if e.Summary == "" && len(c.Children) == 0 {
-			e.Summary = c.ValueString()
-		}
-		if txt := c.Child("#text"); txt != nil && e.Summary == "" {
-			e.Summary = txt.ValueString()
-		}
-	}
-	return e
+	return fmt.Errorf("%w: %w", ErrMalformed, err)
 }
 
-// ParseFeed decodes an Atom feed document.
+// root reads the root element's start tag, which must be named want.
+func root(r *xmlenc.Reader, want string) error {
+	if _, err := r.Next(); err != nil {
+		return err
+	}
+	if name := r.Name(); string(name) != want {
+		return fmt.Errorf("%w: root %q", ErrMalformed, name)
+	}
+	return nil
+}
+
+// ParseFeed decodes an Atom feed document: its first <title> and every
+// <entry>, by local name, whatever else it holds skipped.
 func ParseFeed(data []byte) (Feed, error) {
-	root, err := xmlenc.DecodeTree(data)
+	r := xmlenc.NewReader(data)
+	defer r.Release()
+	f, err := readFeed(r)
 	if err != nil {
-		return Feed{}, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	if root.Label != "feed" {
-		return Feed{}, fmt.Errorf("%w: root %q", ErrMalformed, root.Label)
-	}
-	var f Feed
-	if t := root.Child("title"); t != nil {
-		f.Title = t.ValueString()
-	}
-	for _, c := range root.Children {
-		if c.Label == "entry" {
-			f.Entries = append(f.Entries, entryFromField(c))
-		}
+		return Feed{}, malformed(err)
 	}
 	return f, nil
 }
 
 // ParseEntry decodes a standalone entry document.
 func ParseEntry(data []byte) (Entry, error) {
-	root, err := xmlenc.DecodeTree(data)
-	if err != nil {
-		return Entry{}, fmt.Errorf("%w: %v", ErrMalformed, err)
+	r := xmlenc.NewReader(data)
+	defer r.Release()
+	err := root(r, "entry")
+	if err == nil {
+		var e Entry
+		if e, err = readEntry(r); err == nil {
+			return e, nil
+		}
 	}
-	if root.Label != "entry" {
-		return Entry{}, fmt.Errorf("%w: root %q", ErrMalformed, root.Label)
+	return Entry{}, malformed(err)
+}
+
+// readFeed reads a feed document.
+func readFeed(r *xmlenc.Reader) (Feed, error) {
+	var f Feed
+	if err := root(r, "feed"); err != nil {
+		return f, err
 	}
-	return entryFromField(root), nil
+	titled := false
+	for {
+		name, err := r.Find("title", "entry")
+		switch {
+		case err != nil || name == "":
+			return f, err
+		case name == "entry":
+			e, err := readEntry(r)
+			if err != nil {
+				return f, err
+			}
+			f.Entries = append(f.Entries, e)
+		case !titled:
+			titled = true
+			f.Title, err = text(r)
+		default:
+			err = r.Skip()
+		}
+		if err != nil {
+			return f, err
+		}
+	}
+}
+
+// text reads the open element to its end: its character data.
+func text(r *xmlenc.Reader) (string, error) {
+	b, _, err := r.Content()
+	return string(b), err
+}
+
+// readEntry reads the open <entry> to its end. Of each element it knows
+// the first counts; the others, and a nested <entry>, are skipped.
+func readEntry(r *xmlenc.Reader) (Entry, error) {
+	var e Entry
+	// fallback is what <content> offers as the summary when there is no
+	// <summary>, or an empty one, wherever in the entry that stands.
+	var fallback string
+	var id, title, summary, author, content bool
+	for {
+		name, err := r.Find("id", "title", "summary", "author", "content")
+		switch {
+		case err != nil:
+			return Entry{}, err
+		case name == "":
+			if e.Summary == "" {
+				e.Summary = fallback
+			}
+			return e, nil
+		case name == "id" && !id:
+			id = true
+			e.ID, err = text(r)
+		case name == "title" && !title:
+			title = true
+			e.Title, err = text(r)
+		case name == "summary" && !summary:
+			summary = true
+			e.Summary, err = text(r)
+		case name == "author" && !author:
+			author = true
+			e.Author, err = readAuthor(r)
+		case name == "content" && !content:
+			content = true
+			fallback, err = readContent(r, &e)
+		default:
+			err = r.Skip()
+		}
+		if err != nil {
+			return Entry{}, err
+		}
+	}
+}
+
+// readContent reads the open <content> to its end: its first type and src
+// attributes into e, and its text, which is returned.
+func readContent(r *xmlenc.Reader, e *Entry) (string, error) {
+	var typed, sourced bool
+	attrs := r.Attrs()
+	for _, a := range attrs {
+		switch {
+		case a.Label == "@type" && !typed:
+			typed, e.ContentType = true, a.Value
+		case a.Label == "@src" && !sourced:
+			sourced, e.ContentSrc = true, a.Value
+		}
+	}
+	bare := len(attrs) == 0
+	text, leaf, err := r.Content()
+	if !bare || !leaf {
+		// Text beside attributes or elements counts trimmed.
+		text = bytes.TrimSpace(text)
+	}
+	return string(text), err
+}
+
+// readAuthor reads the open <author> to its end: the text of its first
+// <name>, or, when it holds none, its own.
+func readAuthor(r *xmlenc.Reader) (string, error) {
+	// Its own text is mostly the white space around <name>: room for that
+	// on the stack.
+	var buf [64]byte
+	own := buf[:0]
+	var name string
+	named := false
+	for {
+		switch tok, err := r.Next(); {
+		case err != nil:
+			return "", err
+		case tok == xmlenc.Text:
+			own = append(own, r.Text()...)
+		case tok == xmlenc.End:
+			if named {
+				return name, nil
+			}
+			return string(own), nil
+		case string(r.Name()) == "name" && !named:
+			named = true
+			if name, err = text(r); err != nil {
+				return "", err
+			}
+		default:
+			if err := r.Skip(); err != nil {
+				return "", err
+			}
+		}
+	}
 }
 
 // Client is a GData client bound to one service address.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"starlink/internal/mdl/xmlenc"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -182,5 +183,38 @@ func BenchmarkParseFeed(b *testing.B) {
 		if _, err := ParseFeed(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDepthBound: an entry inside an entry is skipped, not decoded, but the
+// Reader counts its levels all the same — five million of them, inside the
+// frame limit, are refused and not walked into.
+func TestDepthBound(t *testing.T) {
+	for name, parse := range map[string]func([]byte) error{
+		"feed":  func(data []byte) error { _, err := ParseFeed(append([]byte("<feed>"), data...)); return err },
+		"entry": func(data []byte) error { _, err := ParseEntry(data); return err },
+	} {
+		err := parse([]byte(strings.Repeat("<entry>", 5<<20/2)))
+		if !errors.Is(err, xmlenc.ErrTooDeep) || !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: 17 MiB of nested <entry>: err = %v, want xmlenc.ErrTooDeep wrapped in ErrMalformed", name, err)
+		}
+	}
+	deepest := strings.Repeat("<entry>", xmlenc.MaxDepth-1) + "<id>x</id>" + strings.Repeat("</entry>", xmlenc.MaxDepth-1)
+	if e, err := ParseEntry([]byte(deepest)); err != nil || e.ID != "" {
+		t.Errorf("MaxDepth levels, an <id> in the innermost entry: %+v, %v", e, err)
+	}
+	if _, err := ParseEntry([]byte("<entry>" + deepest + "</entry>")); !errors.Is(err, xmlenc.ErrTooDeep) {
+		t.Errorf("MaxDepth+1 levels: err = %v", err)
+	}
+}
+
+// TestEntryReadsOwnText is where the token decoder parts from the tree
+// walk on purpose: an element read for its text may carry attributes, as
+// Atom's text constructs do, and is read all the same.
+func TestEntryReadsOwnText(t *testing.T) {
+	e, err := ParseEntry([]byte(`<entry><title type="text">Photo</title><summary type="html">a <b>bold</b> one</summary>` +
+		`<author><name>ann</name><uri>http://x/ann</uri></author></entry>`))
+	if want := (Entry{Title: "Photo", Summary: "a  one", Author: "ann"}); err != nil || e != want {
+		t.Errorf("ParseEntry = %+v, %v, want %+v", e, err, want)
 	}
 }

@@ -5,13 +5,14 @@
 package xmlrpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
+	"sync"
 
 	"starlink/internal/mdl/xmlenc"
-	"starlink/internal/message"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -114,7 +115,13 @@ func writeValue(w *xmlenc.Writer, v Value) {
 		w.Close()
 	case map[string]Value:
 		w.Open("struct")
-		for _, k := range sortedKeys(x) {
+		var buf [16]string
+		keys := buf[:0]
+		for k := range x {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
 			w.Open("member")
 			w.Leaf("name", k)
 			writeValue(w, x[k])
@@ -127,78 +134,170 @@ func writeValue(w *xmlenc.Writer, v Value) {
 	w.Close()
 }
 
-func sortedKeys(m map[string]Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// decoder reads a document's tokens straight into Values, by recursive
+// descent; the Reader bounds the depth. An element the protocol does not
+// name where it stands is skipped, and of two that may stand only once
+// the first counts. Its scratch space is pooled, so a decode allocates
+// only what the Values are made of.
+type decoder struct {
+	r *xmlenc.Reader
+	// text holds the character data of a <value> until it is known to hold
+	// no type element.
+	text []byte
+	// vals and members hold the elements of the arrays and structs being
+	// read, innermost last, so that each is allocated once at its size.
+	vals    []Value
+	members []member
+}
+
+type member struct {
+	name  string
+	value Value
+}
+
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
+
+// A decoder that one large document has grown past this many pending
+// values is not pooled again.
+const maxRetainedVals = 4 << 10
+
+func newDecoder(data []byte) *decoder {
+	d := decoders.Get().(*decoder)
+	d.r = xmlenc.NewReader(data)
+	return d
+}
+
+func (d *decoder) release() {
+	d.r.Release()
+	if cap(d.vals) > maxRetainedVals || cap(d.members) > maxRetainedVals || cap(d.text) > maxRetainedVals {
+		return
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
+	// Nothing pooled may pin a result. Every array and struct that was
+	// completed has cleared its own; a decode that failed leaves some.
+	clear(d.vals)
+	clear(d.members)
+	*d = decoder{text: d.text[:0], vals: d.vals[:0], members: d.members[:0]}
+	decoders.Put(d)
+}
+
+// malformed makes a decode failure this package's: what the Reader
+// reports is wrapped, what the decoder found wrong itself already is.
+func malformed(err error) error {
+	if err == nil || errors.Is(err, ErrMalformed) {
+		return err
 	}
-	return keys
+	return fmt.Errorf("%w: %w", ErrMalformed, err)
 }
 
 // ParseCall decodes a methodCall document.
 func ParseCall(data []byte) (method string, params []Value, err error) {
-	root, err := xmlenc.DecodeTree(data)
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	if root.Label != "methodCall" {
-		return "", nil, fmt.Errorf("%w: root %q", ErrMalformed, root.Label)
-	}
-	mn := root.Child("methodName")
-	if mn == nil {
-		return "", nil, fmt.Errorf("%w: no methodName", ErrMalformed)
-	}
-	method = strings.TrimSpace(mn.ValueString())
-	if ps := root.Child("params"); ps != nil {
-		for _, p := range ps.Children {
-			if p.Label != "param" {
-				continue
-			}
-			v, err := decodeValue(p.Child("value"))
-			if err != nil {
-				return "", nil, err
-			}
-			params = append(params, v)
-		}
+	d := newDecoder(data)
+	defer d.release()
+	if method, params, err = d.call(); err != nil {
+		return "", nil, malformed(err)
 	}
 	return method, params, nil
 }
 
 // ParseResponse decodes a methodResponse document, returning the result
-// or a *Fault as the error.
+// or a *Fault as the error. Of a <fault> and a <params> element the first
+// decides which it is.
 func ParseResponse(data []byte) (Value, error) {
-	root, err := xmlenc.DecodeTree(data)
+	d := newDecoder(data)
+	defer d.release()
+	result, faulted, err := d.response()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+		return nil, malformed(err)
 	}
-	if root.Label != "methodResponse" {
-		return nil, fmt.Errorf("%w: root %q", ErrMalformed, root.Label)
+	if !faulted {
+		return result, nil
 	}
-	if fl := root.Child("fault"); fl != nil {
-		v, err := decodeValue(fl.Child("value"))
-		if err != nil {
-			return nil, err
+	st, ok := result.(map[string]Value)
+	if !ok {
+		return nil, fmt.Errorf("%w: fault payload %T", ErrMalformed, result)
+	}
+	f := &Fault{Message: str(st["faultString"])}
+	if c, ok := st["faultCode"].(int64); ok {
+		f.Code = int(c)
+	}
+	return nil, f
+}
+
+// root reads the root element's start tag, which must be named want.
+func (d *decoder) root(want string) error {
+	if _, err := d.r.Next(); err != nil {
+		return err
+	}
+	if name := d.r.Name(); string(name) != want {
+		return fmt.Errorf("%w: root %q", ErrMalformed, name)
+	}
+	return nil
+}
+
+// call reads a methodCall document.
+func (d *decoder) call() (method string, params []Value, err error) {
+	if err := d.root("methodCall"); err != nil {
+		return "", nil, err
+	}
+	var named, listed bool
+	for {
+		name, err := d.r.Find("methodName", "params")
+		switch {
+		case err != nil:
+			return "", nil, err
+		case name == "":
+			if !named {
+				return "", nil, fmt.Errorf("%w: no methodName", ErrMalformed)
+			}
+			return method, params, nil
+		case name == "methodName" && !named:
+			named = true
+			text, _, err := d.r.Content()
+			if err != nil {
+				return "", nil, err
+			}
+			method = string(bytes.TrimSpace(text))
+		case name == "params" && !listed:
+			listed = true
+			if params, err = d.params(); err != nil {
+				return "", nil, err
+			}
+		default:
+			if err := d.r.Skip(); err != nil {
+				return "", nil, err
+			}
 		}
-		st, ok := v.(map[string]Value)
-		if !ok {
-			return nil, fmt.Errorf("%w: fault payload %T", ErrMalformed, v)
-		}
-		f := &Fault{Message: str(st["faultString"])}
-		if c, ok := st["faultCode"].(int64); ok {
-			f.Code = int(c)
-		}
-		return nil, f
 	}
-	ps := root.Child("params")
-	if ps == nil || ps.Child("param") == nil {
-		return nil, fmt.Errorf("%w: no params in response", ErrMalformed)
+}
+
+// response reads a methodResponse document: the value of its <fault>, or
+// of the first <param> of its <params>.
+func (d *decoder) response() (v Value, faulted bool, err error) {
+	if err := d.root("methodResponse"); err != nil {
+		return nil, false, err
 	}
-	return decodeValue(ps.Child("param").Child("value"))
+	which, err := d.r.Find("fault", "params")
+	if err != nil {
+		return nil, false, err
+	}
+	if which == "params" {
+		if which, err = d.r.Find("param"); err != nil {
+			return nil, false, err
+		}
+	}
+	if which == "" {
+		return nil, false, fmt.Errorf("%w: no params in response", ErrMalformed)
+	}
+	if v, err = d.firstValue(); err != nil {
+		return nil, false, err
+	}
+	if which == "param" {
+		if err := d.r.Skip(); err != nil { // the other <param>s
+			return nil, false, err
+		}
+	}
+	// The rest of the document has to be one, but says nothing more.
+	return v, which == "fault", d.r.Skip()
 }
 
 func str(v Value) string {
@@ -208,74 +307,195 @@ func str(v Value) string {
 	return fmt.Sprint(v)
 }
 
-func decodeValue(val *message.Field) (Value, error) {
-	if val == nil {
+// params reads the open <params>: one value per <param>.
+func (d *decoder) params() ([]Value, error) {
+	mark := len(d.vals)
+	for {
+		name, err := d.r.Find("param")
+		if err != nil {
+			return nil, err
+		}
+		if name == "" {
+			return d.popVals(mark), nil
+		}
+		v, err := d.firstValue()
+		if err != nil {
+			return nil, err
+		}
+		d.vals = append(d.vals, v)
+	}
+}
+
+// firstValue reads the open element, a <param> or a <fault>, to its end:
+// the first <value> in it.
+func (d *decoder) firstValue() (Value, error) {
+	if name, err := d.r.Find("value"); err != nil {
+		return nil, err
+	} else if name == "" {
 		return nil, fmt.Errorf("%w: missing <value>", ErrMalformed)
 	}
-	// A bare <value>text</value> is a string.
-	if val.Type.Primitive() {
-		return val.ValueString(), nil
+	v, err := d.value()
+	if err != nil {
+		return nil, err
 	}
-	if len(val.Children) == 0 {
-		return "", nil
-	}
-	typed := val.Children[0]
-	if typed.Label == "#text" {
-		return typed.ValueString(), nil
-	}
-	switch typed.Label {
-	case "string":
-		return typed.ValueString(), nil
-	case "int", "i4":
-		n, err := strconv.ParseInt(strings.TrimSpace(typed.ValueString()), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: int %q", ErrMalformed, typed.ValueString())
+	return v, d.r.Skip()
+}
+
+// value reads the open <value>: the type element it holds, or, when it
+// holds none, its text as a string.
+func (d *decoder) value() (Value, error) {
+	d.text = d.text[:0]
+	for {
+		switch tok, err := d.r.Next(); {
+		case err != nil:
+			return nil, err
+		case tok == xmlenc.Text:
+			// One run at most reaches the End: an element in between would
+			// have been the type.
+			d.text = append(d.text[:0], d.r.Text()...)
+		case tok == xmlenc.End:
+			return string(d.text), nil
+		default:
+			v, err := d.typed(d.r.Name())
+			if err != nil {
+				return nil, err
+			}
+			return v, d.r.Skip()
 		}
-		return n, nil
+	}
+}
+
+// typed reads the open type element of a <value>.
+func (d *decoder) typed(kind []byte) (Value, error) {
+	switch string(kind) {
+	case "array":
+		return d.array()
+	case "struct":
+		return d.structure()
+	case "string", "int", "i4", "boolean", "double":
+	default:
+		return nil, fmt.Errorf("%w: unknown value type %q", ErrMalformed, kind)
+	}
+	text, _, err := d.r.Content()
+	if err != nil {
+		return nil, err
+	}
+	switch string(kind) {
+	case "string":
+		return string(text), nil
 	case "boolean":
-		return strings.TrimSpace(typed.ValueString()) == "1", nil
+		return string(bytes.TrimSpace(text)) == "1", nil
 	case "double":
-		f, err := strconv.ParseFloat(strings.TrimSpace(typed.ValueString()), 64)
+		f, err := strconv.ParseFloat(string(bytes.TrimSpace(text)), 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: double %q", ErrMalformed, typed.ValueString())
+			return nil, fmt.Errorf("%w: double %q", ErrMalformed, text)
 		}
 		return f, nil
-	case "array":
-		var out []Value
-		data := typed.Child("data")
-		if data == nil {
-			return nil, fmt.Errorf("%w: array without data", ErrMalformed)
-		}
-		for _, e := range data.Children {
-			if e.Label != "value" {
-				continue
-			}
-			v, err := decodeValue(e)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v)
-		}
-		return out, nil
-	case "struct":
-		out := map[string]Value{}
-		for _, m := range typed.Children {
-			if m.Label != "member" {
-				continue
-			}
-			name := m.Child("name")
-			if name == nil {
-				return nil, fmt.Errorf("%w: member without name", ErrMalformed)
-			}
-			v, err := decodeValue(m.Child("value"))
-			if err != nil {
-				return nil, err
-			}
-			out[name.ValueString()] = v
-		}
-		return out, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown value type %q", ErrMalformed, typed.Label)
+		n, err := strconv.ParseInt(string(bytes.TrimSpace(text)), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("%w: int %q", ErrMalformed, text)
+		}
+		return n, nil
+	}
+}
+
+// array reads the open <array>: the values of its first <data>.
+func (d *decoder) array() (Value, error) {
+	if name, err := d.r.Find("data"); err != nil {
+		return nil, err
+	} else if name == "" {
+		return nil, fmt.Errorf("%w: array without data", ErrMalformed)
+	}
+	mark := len(d.vals)
+	for {
+		name, err := d.r.Find("value")
+		if err != nil {
+			return nil, err
+		}
+		if name == "" {
+			return d.popVals(mark), d.r.Skip()
+		}
+		v, err := d.value()
+		if err != nil {
+			return nil, err
+		}
+		d.vals = append(d.vals, v)
+	}
+}
+
+// popVals takes what was put on vals since mark as one slice of its size,
+// nil when it is empty.
+func (d *decoder) popVals(mark int) []Value {
+	var out []Value
+	if len(d.vals) > mark {
+		out = append(make([]Value, 0, len(d.vals)-mark), d.vals[mark:]...)
+		clear(d.vals[mark:])
+	}
+	d.vals = d.vals[:mark]
+	return out
+}
+
+// structure reads the open <struct>; of two members with one name the
+// later counts.
+func (d *decoder) structure() (Value, error) {
+	mark := len(d.members)
+	for {
+		name, err := d.r.Find("member")
+		if err != nil {
+			return nil, err
+		}
+		if name == "" {
+			out := make(map[string]Value, len(d.members)-mark)
+			for _, m := range d.members[mark:] {
+				out[m.name] = m.value
+			}
+			clear(d.members[mark:])
+			d.members = d.members[:mark]
+			return out, nil
+		}
+		m, err := d.member()
+		if err != nil {
+			return nil, err
+		}
+		d.members = append(d.members, m)
+	}
+}
+
+// member reads the open <member>: its first <name>, interned, and its
+// first <value>, in either order.
+func (d *decoder) member() (m member, err error) {
+	var named, valued bool
+	for {
+		name, err := d.r.Find("name", "value")
+		switch {
+		case err != nil:
+			return m, err
+		case name == "":
+			if !named {
+				return m, fmt.Errorf("%w: member without name", ErrMalformed)
+			}
+			if !valued {
+				return m, fmt.Errorf("%w: missing <value>", ErrMalformed)
+			}
+			return m, nil
+		case name == "name" && !named:
+			named = true
+			text, _, err := d.r.Content()
+			if err != nil {
+				return m, err
+			}
+			m.name = d.r.Intern(text)
+		case name == "value" && !valued:
+			valued = true
+			if m.value, err = d.value(); err != nil {
+				return m, err
+			}
+		default:
+			if err := d.r.Skip(); err != nil {
+				return m, err
+			}
+		}
 	}
 }
 

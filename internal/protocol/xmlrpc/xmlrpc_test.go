@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"starlink/internal/mdl/xmlenc"
 )
 
 func TestCallRoundTrip(t *testing.T) {
@@ -245,5 +247,34 @@ func BenchmarkParseCall(b *testing.B) {
 		if _, _, err := ParseCall(body); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDepthBound: the decoder recurses once per nested value, and the
+// Reader it reads through counts the levels for it — a response of five
+// million nested arrays, inside the frame limit, is refused where it would
+// have overflowed the stack.
+func TestDepthBound(t *testing.T) {
+	deep := "<methodResponse><params><param>" + strings.Repeat("<value><array><data>", 5<<20/3)
+	_, err := ParseResponse([]byte(deep))
+	if !errors.Is(err, xmlenc.ErrTooDeep) || !errors.Is(err, ErrMalformed) {
+		t.Fatalf("%d MiB of nested arrays: err = %v, want xmlenc.ErrTooDeep wrapped in ErrMalformed", len(deep)>>20, err)
+	}
+	// Three levels around the result, three per array, one for the value
+	// inside: 84 arrays fit in MaxDepth.
+	nest := func(n int) []byte {
+		return []byte("<methodResponse><params><param>" + strings.Repeat("<value><array><data>", n) + "<value>x</value>" +
+			strings.Repeat("</data></array></value>", n) + "</param></params></methodResponse>")
+	}
+	fits := (xmlenc.MaxDepth - 4) / 3
+	if _, err := ParseResponse(nest(fits)); err != nil {
+		t.Errorf("%d nested arrays: %v", fits, err)
+	}
+	if _, err := ParseResponse(nest(fits + 1)); !errors.Is(err, xmlenc.ErrTooDeep) {
+		t.Errorf("%d nested arrays: err = %v", fits+1, err)
+	}
+	// An element the decoder skips is bounded the same.
+	if _, _, err := ParseCall([]byte("<methodCall>" + strings.Repeat("<x>", 5<<20))); !errors.Is(err, xmlenc.ErrTooDeep) {
+		t.Errorf("a deep element to skip: err = %v", err)
 	}
 }
