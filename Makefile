@@ -25,7 +25,7 @@ race:
 # recycled environments and in-place path walks they drive still run
 # with full race checking — that is the point of this pass.
 race-alloc:
-	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/rcache
+	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache
 
 # The full gate: vet, tier-1, the race passes, then four checks of its
 # own. The engine's tests run fifty times in shuffled order, so a counter
@@ -39,7 +39,10 @@ race-alloc:
 # tree stays out of the XML-RPC and Atom decode: those packages and the
 # binders read the Reader's tokens, and only their tests may build a tree
 # with xmlenc.DecodeTree, as the oracle the token decoders are checked
-# against.
+# against. The other way it is the same rule: the binders write XML-RPC
+# and carve a reply's fields straight from what they are given, and the
+# Value tree and the per-entry fields they used to build in between live on
+# in internal/bind/oracle_test.go only.
 check: test
 	$(GO) vet ./...
 	$(MAKE) race
@@ -52,6 +55,8 @@ check: test
 		echo 'check: the files above import encoding/xml on the message path; xmlenc has the Reader and the Writer (DESIGN.md, "XML codec")'; exit 1; fi
 	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/bind ':!*_test.go'; then \
 		echo 'check: the files above build a field tree to decode XML-RPC or Atom; read the tokens of xmlenc.Reader (DESIGN.md, "The reader and its consumers")'; exit 1; fi
+	@if git grep -nE 'fieldToValue\(|abstractFromEntry\(|map\[string\]xmlrpc\.Value\{' -- internal/bind ':!*_test.go'; then \
+		echo "check: the files above shape a message once more between decode and encode; write from the fields (xmlrpc.AppendFieldCall and its like) and carve them at once (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
 
 # The one benchmark: what a mediated flow costs beside the native call,
 # end to end and layer by layer. This is the command in BENCHMARK.json;

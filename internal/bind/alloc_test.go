@@ -1,0 +1,78 @@
+package bind
+
+import (
+	"fmt"
+	"testing"
+
+	"starlink/internal/casestudy"
+	"starlink/internal/message"
+	"starlink/internal/protocol/httpwire"
+	"starlink/internal/protocol/rest"
+	"starlink/internal/testutil"
+)
+
+// TestRESTParseReplyAllocBudget pins what the search_large workload's
+// service reply costs to bind: fifty photo entries of four children each.
+// The fields are two allocations whatever their number; what is counted per
+// entry is its four strings and the box message.Field.Value puts each in
+// (400 of the 456 measured), and on top of them the feed's entry list as it
+// grows and the HTTP packet through the text codec. One field and one
+// child list per entry made it 755.
+func TestRESTParseReplyAllocBudget(t *testing.T) {
+	feed := rest.Feed{Title: "Search Results"}
+	for i := 0; i < 50; i++ {
+		feed.Entries = append(feed.Entries, rest.Entry{
+			ID:          fmt.Sprintf("photo-%04d", i),
+			Title:       fmt.Sprintf("Tree at dawn #%d", i),
+			ContentType: "image/jpeg",
+			ContentSrc:  fmt.Sprintf("http://photos.example/full/photo-%04d.jpg", i),
+		})
+	}
+	body, err := rest.AppendFeed(nil, feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packet := (&httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "application/atom+xml"}, Body: body}).Marshal()
+	b := newRESTBinder(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		abs, err := b.ParseReply(casestudy.PicasaSearch, packet)
+		if err != nil || len(abs.Fields) != 50 || len(abs.Fields[49].Children) != 4 {
+			t.Fatal(abs, err)
+		}
+	})
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
+	}
+	if allocs > 500 {
+		t.Errorf("binding a 50-entry feed allocated %.0f times, budget 500", allocs)
+	}
+}
+
+// TestXMLRPCBuildReplyAllocBudget pins the other end of the same flow: the
+// fifty-photo list written from the fields to the packet. The document is
+// rendered in pooled buffers, so what is left is the packet and the
+// header keys (2 measured); the Value tree in between cost 155 more.
+func TestXMLRPCBuildReplyAllocBudget(t *testing.T) {
+	photos := message.NewStruct("photos")
+	for i := 0; i < 50; i++ {
+		photos.Add(message.NewStruct("photo",
+			message.NewPrimitive("id", message.TypeString, fmt.Sprintf("photo-%04d", i)),
+			message.NewPrimitive("title", message.TypeString, fmt.Sprintf("Tree at dawn #%d", i)),
+			message.NewPrimitive("url", message.TypeString, fmt.Sprintf("http://photos.example/full/photo-%04d.jpg", i)),
+			message.NewPrimitive("views", message.TypeInt64, 100_000+i),
+		))
+	}
+	abs := message.New(casestudy.FlickrSearchReply, photos, message.NewPrimitive("total", message.TypeInt64, 50))
+	b := &XMLRPCBinder{Path: "/services/xmlrpc"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := b.BuildReply(casestudy.FlickrSearch, abs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
+	}
+	if allocs > 3 {
+		t.Errorf("building a 50-photo reply allocated %.0f times, budget 3", allocs)
+	}
+}

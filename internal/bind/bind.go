@@ -19,6 +19,7 @@ package bind
 
 import (
 	"errors"
+	"sync"
 
 	"starlink/internal/message"
 	"starlink/internal/network"
@@ -57,4 +58,25 @@ type Binder interface {
 type ErrorReplier interface {
 	// BuildErrorReply encodes a fault for the given action.
 	BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error)
+}
+
+// bodies pools the buffers the HTTP binders render a body into. A body is
+// written before the head that states its length, so it cannot be written
+// where it will stand; the HTTP composer copies it behind the head into the
+// one allocation the packet costs.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxBody bounds the buffer a pooled body keeps, so one photo feed does not
+// pin its high-water mark for the life of the process.
+const maxBody = 64 << 10
+
+// getBody returns an empty body buffer; give it back with putBody once the
+// packet that holds a copy of it is composed.
+func getBody() *[]byte { return bodies.Get().(*[]byte) }
+
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxBody {
+		*buf = (*buf)[:0]
+		bodies.Put(buf)
+	}
 }

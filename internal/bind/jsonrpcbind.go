@@ -222,6 +222,20 @@ func fieldToJSON(f *message.Field) any {
 	return obj
 }
 
+// allChildrenShareLabel reports whether f holds two or more children of
+// one label: a repeated element, which is an array.
+func allChildrenShareLabel(f *message.Field) bool {
+	if len(f.Children) < 2 {
+		return false
+	}
+	for _, c := range f.Children {
+		if c.Label != f.Children[0].Label {
+			return false
+		}
+	}
+	return true
+}
+
 func sortedAnyKeys(m map[string]any) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

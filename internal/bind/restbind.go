@@ -154,20 +154,20 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 		q.Add(message.NewPrimitive(qp, message.TypeString, f.ValueString()))
 	}
 	concrete.Add(q)
-	body := ""
-	if r.BodyField != "" {
-		f := abs.Field(r.BodyField)
-		if f == nil {
-			return nil, fmt.Errorf("%w: action %s: body field %q missing", ErrBadMessage, action, r.BodyField)
-		}
-		e := entryFromAbstract(f)
-		data, err := rest.MarshalEntry(e)
-		if err != nil {
-			return nil, err
-		}
-		body = string(data)
+	if r.BodyField == "" {
+		concrete.Add(message.NewPrimitive("Body", message.TypeString, ""))
+		return b.codec.Compose(concrete)
 	}
-	concrete.Add(message.NewPrimitive("Body", message.TypeString, body))
+	f := abs.Field(r.BodyField)
+	if f == nil {
+		return nil, fmt.Errorf("%w: action %s: body field %q missing", ErrBadMessage, action, r.BodyField)
+	}
+	body := getBody()
+	defer putBody(body)
+	if *body, err = rest.AppendEntry(*body, entryFromAbstract(f)); err != nil {
+		return nil, err
+	}
+	concrete.Add(message.NewPrimitive("Body", message.TypeBytes, *body))
 	return b.codec.Compose(concrete)
 }
 
@@ -194,16 +194,13 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 		if err != nil {
 			return nil, err
 		}
-		abs.Fields = make([]*message.Field, len(feed.Entries))
-		for i, e := range feed.Entries {
-			abs.Fields[i] = abstractFromEntry(e)
-		}
+		abs.Fields = fieldsFromEntries(feed.Entries)
 	default:
 		e, err := rest.ParseEntry(body)
 		if err != nil {
 			return nil, err
 		}
-		abs.Add(abstractFromEntry(e))
+		abs.Fields = fieldsFromEntries([]rest.Entry{e})
 	}
 	return abs, nil
 }
@@ -250,7 +247,7 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 			if err != nil {
 				return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 			}
-			ef := abstractFromEntry(e)
+			ef := fieldsFromEntries([]rest.Entry{e})[0]
 			ef.Label = r.BodyField
 			abs.Add(ef)
 		}
@@ -266,7 +263,8 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	var body []byte
+	body := getBody()
+	defer putBody(body)
 	status := "200"
 	if r.ReplyKind == "feed" {
 		feed := rest.Feed{Title: action}
@@ -275,7 +273,7 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 				feed.Entries = append(feed.Entries, entryFromAbstract(f))
 			}
 		}
-		body, err = rest.MarshalFeed(feed)
+		*body, err = rest.AppendFeed(*body, feed)
 	} else {
 		status = "201"
 		var src *message.Field
@@ -288,7 +286,7 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 		if src == nil {
 			src = message.NewStruct("entry", abs.Fields...)
 		}
-		body, err = rest.MarshalEntry(entryFromAbstract(src))
+		*body, err = rest.AppendEntry(*body, entryFromAbstract(src))
 	}
 	if err != nil {
 		return nil, err
@@ -300,7 +298,7 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 		message.NewStruct("Headers",
 			message.NewPrimitive("Content-Type", message.TypeString, "application/atom+xml"),
 		),
-		message.NewPrimitive("Body", message.TypeString, string(body)),
+		message.NewPrimitive("Body", message.TypeBytes, *body),
 	)
 	return b.codec.Compose(concrete)
 }
@@ -340,28 +338,55 @@ func entryFromAbstract(f *message.Field) rest.Entry {
 	}
 }
 
-// abstractFromEntry is the inverse mapping.
-func abstractFromEntry(e rest.Entry) *message.Field {
-	optional := [...]struct{ label, value string }{
+// fieldsFromEntries is the inverse mapping, for a whole reply at once:
+// one "entry" field per entry, with a child for its id, its title and each
+// of the others it has. All of them are carved out of one []Field and one
+// []*Field of exactly the size they need, as message.Field.Clone carves a
+// copy; every node is on exactly one list, so the two are equally long.
+func fieldsFromEntries(entries []rest.Entry) []*message.Field {
+	size := len(entries)
+	for i := range entries {
+		size += 2
+		for _, o := range optionalChildren(&entries[i]) {
+			if o.value != "" {
+				size++
+			}
+		}
+	}
+	nodes, links := make([]message.Field, size), make([]*message.Field, size)
+	node := func(label string, t message.Type, value any) *message.Field {
+		f := &nodes[0]
+		nodes = nodes[1:]
+		f.Label, f.Type, f.Value = label, t, value
+		return f
+	}
+	fields, links := links[:0:len(entries)], links[len(entries):]
+	for i := range entries {
+		e := &entries[i]
+		f := node("entry", message.TypeStruct, nil)
+		children := append(links[:0],
+			node("id", message.TypeString, e.ID),
+			node("title", message.TypeString, e.Title))
+		for _, o := range optionalChildren(e) {
+			if o.value != "" {
+				children = append(children, node(o.label, message.TypeString, o.value))
+			}
+		}
+		// The list is cut to its length: what is added to it later goes to
+		// a list of its own, not over the one carved next.
+		n := len(children)
+		f.Children, links = children[:n:n], links[n:]
+		fields = append(fields, f)
+	}
+	return fields
+}
+
+// optionalChildren are the children an entry's field has only when they
+// are set, in their order.
+func optionalChildren(e *rest.Entry) [4]struct{ label, value string } {
+	return [4]struct{ label, value string }{
 		{"summary", e.Summary}, {"author", e.Author}, {"src", e.ContentSrc}, {"type", e.ContentType},
 	}
-	n := 2
-	for _, o := range optional {
-		if o.value != "" {
-			n++
-		}
-	}
-	f := &message.Field{Label: "entry", Type: message.TypeStruct, Children: make([]*message.Field, 0, n)}
-	f.Add(
-		message.NewPrimitive("id", message.TypeString, e.ID),
-		message.NewPrimitive("title", message.TypeString, e.Title),
-	)
-	for _, o := range optional {
-		if o.value != "" {
-			f.Add(message.NewPrimitive(o.label, message.TypeString, o.value))
-		}
-	}
-	return f
 }
 
 func fillTemplate(tmpl string, abs *message.Message) (string, error) {

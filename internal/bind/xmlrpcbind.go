@@ -54,9 +54,11 @@ func (b *XMLRPCBinder) ParseRequest(packet []byte) (string, *message.Message, er
 	}
 	names := b.Defs[action].Fields
 	for i, p := range params {
-		label := fmt.Sprintf("param%d", i+1)
+		var label string
 		if i < len(names) {
 			label = names[i]
+		} else {
+			label = fmt.Sprintf("param%d", i+1)
 		}
 		abs.Add(valueToField(label, p))
 	}
@@ -64,21 +66,20 @@ func (b *XMLRPCBinder) ParseRequest(packet []byte) (string, *message.Message, er
 }
 
 // BuildRequest implements Binder: the abstract fields become the members
-// of a single struct parameter (the Flickr calling convention).
+// of a single struct parameter (the Flickr calling convention), written
+// from the fields as they are.
 func (b *XMLRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
-	st := map[string]xmlrpc.Value{}
-	for _, f := range abs.Fields {
-		st[f.Label] = fieldToValue(f)
-	}
-	body, err := xmlrpc.MarshalCall(action, st)
-	if err != nil {
+	buf := getBody()
+	defer putBody(buf)
+	var err error
+	if *buf, err = xmlrpc.AppendFieldCall(*buf, action, abs.Fields); err != nil {
 		return nil, err
 	}
 	req := &httpwire.Request{
 		Method:  "POST",
 		Target:  b.Path,
 		Headers: map[string]string{"Content-Type": "text/xml"},
-		Body:    body,
+		Body:    *buf,
 	}
 	return req.Marshal(), nil
 }
@@ -103,26 +104,24 @@ func (b *XMLRPCBinder) ParseReply(action string, packet []byte) (*message.Messag
 	return abs, nil
 }
 
-// BuildReply implements Binder: abstract fields become a struct result.
+// BuildReply implements Binder: abstract fields become a struct result,
+// a lone field "result" the result itself.
 func (b *XMLRPCBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
-	var result xmlrpc.Value
+	buf := getBody()
+	defer putBody(buf)
+	var err error
 	if len(abs.Fields) == 1 && abs.Fields[0].Label == "result" {
-		result = fieldToValue(abs.Fields[0])
+		*buf, err = xmlrpc.AppendFieldResponse(*buf, abs.Fields[0])
 	} else {
-		st := map[string]xmlrpc.Value{}
-		for _, f := range abs.Fields {
-			st[f.Label] = fieldToValue(f)
-		}
-		result = st
+		*buf, err = xmlrpc.AppendStructResponse(*buf, abs.Fields)
 	}
-	body, err := xmlrpc.MarshalResponse(result)
 	if err != nil {
 		return nil, err
 	}
 	resp := &httpwire.Response{
 		Status:  200,
 		Headers: map[string]string{"Content-Type": "text/xml"},
-		Body:    body,
+		Body:    *buf,
 	}
 	return resp.Marshal(), nil
 }
@@ -143,7 +142,8 @@ func (b *XMLRPCBinder) BuildErrorReply(action string, _ *message.Message, errMsg
 
 var _ ErrorReplier = (*XMLRPCBinder)(nil)
 
-// valueToField maps an XML-RPC value onto the abstract field convention.
+// valueToField maps an XML-RPC value onto the abstract field convention;
+// the way back is written, not built: xmlrpc.AppendFieldCall and its like.
 func valueToField(label string, v xmlrpc.Value) *message.Field {
 	switch x := v.(type) {
 	case map[string]xmlrpc.Value:
@@ -165,42 +165,6 @@ func valueToField(label string, v xmlrpc.Value) *message.Field {
 	default:
 		return message.NewPrimitive(label, message.TypeString, fmt.Sprint(x))
 	}
-}
-
-// fieldToValue is the inverse mapping.
-func fieldToValue(f *message.Field) xmlrpc.Value {
-	if f.Type.Primitive() {
-		switch v := f.Value.(type) {
-		case string, int64, bool, float64:
-			return v
-		default:
-			return f.ValueString()
-		}
-	}
-	if f.Type == message.TypeArray || allChildrenShareLabel(f) {
-		arr := make([]xmlrpc.Value, len(f.Children))
-		for i, c := range f.Children {
-			arr[i] = fieldToValue(c)
-		}
-		return arr
-	}
-	st := make(map[string]xmlrpc.Value, len(f.Children))
-	for _, c := range f.Children {
-		st[c.Label] = fieldToValue(c)
-	}
-	return st
-}
-
-func allChildrenShareLabel(f *message.Field) bool {
-	if len(f.Children) < 2 {
-		return false
-	}
-	for _, c := range f.Children {
-		if c.Label != f.Children[0].Label {
-			return false
-		}
-	}
-	return true
 }
 
 // membersToFields maps a struct's members onto one field each, in the

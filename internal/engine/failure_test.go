@@ -348,7 +348,7 @@ func TestUnexpectedActionGetsFault(t *testing.T) {
 func TestDeepReplyFaultsOneFlowOnly(t *testing.T) {
 	var hostile atomic.Bool
 	hostile.Store(true)
-	feed, err := rest.MarshalFeed(rest.Feed{Title: "Search Results", Entries: []rest.Entry{
+	feed, err := rest.AppendFeed(nil, rest.Feed{Title: "Search Results", Entries: []rest.Entry{
 		{ID: "photo-0001", Title: "tree", ContentType: "image/jpeg", ContentSrc: "http://photos.example/1.jpg"},
 	}})
 	if err != nil {

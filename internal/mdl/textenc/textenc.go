@@ -291,23 +291,32 @@ func parseHeaders(s string) ([]*message.Field, string, error) {
 	}
 }
 
-// Compose encodes the abstract message using its named layout.
+// Compose encodes the abstract message using its named layout. The packet
+// is allocated once, at its size: everything but the body is laid out in a
+// scratch buffer first, and a body held as bytes is copied from where it is.
 func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 	cm, ok := c.byName[msg.Name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
 	}
-	var body string
+	// The body is text or bytes, never both.
+	var text string
+	var raw []byte
 	if cm.hasBody {
 		for _, it := range cm.items {
 			if it.kind == kindBody {
 				if f := msg.Field(it.label); f != nil {
-					body = f.ValueString()
+					if raw, ok = f.Value.([]byte); !ok {
+						text = f.ValueString()
+					}
 				}
 			}
 		}
 	}
-	var b strings.Builder
+	bodyLen := len(text) + len(raw)
+	var scratch [512]byte
+	b := scratch[:0]
+	bodyAt := -1
 	for _, it := range cm.items {
 		switch it.kind {
 		case kindTok:
@@ -315,22 +324,28 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			b.WriteString(val)
+			b = append(b, val...)
 			switch it.delim {
 			case delimSP:
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			case delimCRLF:
-				b.WriteString("\r\n")
+				b = append(b, '\r', '\n')
 			}
 		case kindHeaders:
-			writeHeaders(&b, msg.Field(it.label), cm.hasBody, len(body))
+			b = appendHeaders(b, msg.Field(it.label), cm.hasBody, bodyLen)
 		case kindBody:
-			b.WriteString(body)
+			bodyAt = len(b)
 		case kindPath, kindQuery:
 			// Derived views are not written.
 		}
 	}
-	return []byte(b.String()), nil
+	if bodyAt < 0 {
+		return append([]byte(nil), b...), nil
+	}
+	out := make([]byte, 0, len(b)+bodyLen)
+	out = append(out, b[:bodyAt]...)
+	out = append(append(out, text...), raw...)
+	return append(out, b[bodyAt:]...), nil
 }
 
 func tokenValue(cm *compiledMessage, msg *message.Message, it compiledItem) (string, error) {
@@ -369,25 +384,26 @@ func tokenValue(cm *compiledMessage, msg *message.Message, it compiledItem) (str
 	return "", fmt.Errorf("textenc: compose %s: token %q has no value", cm.spec.Name, it.label)
 }
 
-func writeHeaders(b *strings.Builder, hdrs *message.Field, hasBody bool, bodyLen int) {
+func appendHeaders(b []byte, hdrs *message.Field, hasBody bool, bodyLen int) []byte {
 	wroteCL := false
 	if hdrs != nil {
 		for _, h := range hdrs.Children {
 			if strings.EqualFold(h.Label, "Content-Length") {
-				if !hasBody {
-					b.WriteString(h.Label + ": " + h.ValueString() + "\r\n")
-				}
 				wroteCL = true
 				if hasBody {
-					b.WriteString("Content-Length: " + strconv.Itoa(bodyLen) + "\r\n")
+					b = appendContentLength(b, bodyLen)
+					continue
 				}
-				continue
 			}
-			b.WriteString(h.Label + ": " + h.ValueString() + "\r\n")
+			b = append(append(append(append(b, h.Label...), ": "...), h.ValueString()...), '\r', '\n')
 		}
 	}
 	if hasBody && !wroteCL {
-		b.WriteString("Content-Length: " + strconv.Itoa(bodyLen) + "\r\n")
+		b = appendContentLength(b, bodyLen)
 	}
-	b.WriteString("\r\n")
+	return append(b, '\r', '\n')
+}
+
+func appendContentLength(b []byte, n int) []byte {
+	return append(strconv.AppendInt(append(b, "Content-Length: "...), int64(n), 10), '\r', '\n')
 }

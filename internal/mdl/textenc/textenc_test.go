@@ -130,6 +130,15 @@ func TestComposeRequestRoundTrip(t *testing.T) {
 	if ct, _ := back.GetString("Headers.Content-Type"); ct != "text/xml" {
 		t.Errorf("Content-Type = %q", ct)
 	}
+
+	// A body held as bytes composes to the same packet, and a length the
+	// caller set is replaced where it stands — here last, where a derived
+	// one goes.
+	in.SetField(message.NewPrimitive("Body", message.TypeBytes, []byte("<methodCall/>")))
+	in.Field("Headers").Add(message.NewPrimitive("content-length", message.TypeString, "99"))
+	if again, err := c.Compose(in); err != nil || string(again) != s {
+		t.Errorf("bytes body composes to %q, %v; want %q", again, err, s)
+	}
 }
 
 func TestComposeTargetFromDerivedQuery(t *testing.T) {

@@ -21,7 +21,8 @@ import (
 // after content, an element named like an attribute ("@x") or like text
 // ("#text"), a Close with nothing open — is remembered and reported by
 // Doc, as is what the caller reports with Fail: every document ends in
-// one Doc call, which is also what returns the writer to its pool.
+// one Doc or AppendTo call, which is also what returns the writer to its
+// pool.
 type Writer struct {
 	buf []byte
 	// open holds the names of the elements not yet closed.
@@ -55,20 +56,24 @@ func NewDoc() *Writer { return newWriter(docHeader) }
 
 // Doc returns the finished document as a right-sized copy and releases
 // the writer, which must not be used again.
-func (w *Writer) Doc() ([]byte, error) {
-	var out []byte
+func (w *Writer) Doc() ([]byte, error) { return w.AppendTo(nil) }
+
+// AppendTo is Doc into the caller's buffer: the finished document is
+// appended to dst and the writer released. On an error dst comes back as
+// it was.
+func (w *Writer) AppendTo(dst []byte) ([]byte, error) {
 	err := w.err
 	if err == nil && len(w.open) > 0 {
 		err = fmt.Errorf("xmlenc: element <%s> left open", w.open[len(w.open)-1])
 	}
 	if err == nil {
-		out = append(out, w.buf...)
+		dst = append(dst, w.buf...)
 	}
 	if cap(w.buf) <= maxRetain {
 		*w = Writer{buf: w.buf[:0], open: w.open[:0]}
 		writers.Put(w)
 	}
-	return out, err
+	return dst, err
 }
 
 // Fail makes Doc report err, unless an earlier error is on record.

@@ -329,3 +329,22 @@ func TestWriterReportsMisuse(t *testing.T) {
 		t.Errorf("Doc() = %q, %v, want %q", doc, err, want)
 	}
 }
+
+func TestWriterAppendTo(t *testing.T) {
+	head := make([]byte, 0, 64)
+	head = append(head, "head\n"...)
+	w := NewDoc()
+	w.Leaf("a", "b")
+	out, err := w.AppendTo(head)
+	if want := "head\n" + docHeader + "<a>b</a>"; err != nil || string(out) != want {
+		t.Errorf("AppendTo = %q, %v, want %q", out, err, want)
+	}
+	if &out[0] != &head[0] {
+		t.Error("AppendTo left the room dst had unused")
+	}
+	w = NewDoc()
+	w.Open("a")
+	if out, err := w.AppendTo(head); err == nil || string(out) != "head\n" {
+		t.Errorf("AppendTo of an unfinished document = %q, %v, want dst back and an error", out, err)
+	}
+}

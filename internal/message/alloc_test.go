@@ -62,3 +62,28 @@ func TestSetAllocBudget(t *testing.T) {
 		t.Errorf("Set overwrite allocated %.1f times per op, budget 0", allocs)
 	}
 }
+
+// TestCloneAllocBudget pins what a deep copy costs: one allocation for the
+// nodes and one for the child lists, whatever the tree's size; a message
+// adds itself. A leaf is its node alone.
+func TestCloneAllocBudget(t *testing.T) {
+	m := allocFixture()
+	body, leaf := m.Fields[0], m.Fields[1]
+	for _, tc := range []struct {
+		name   string
+		clone  func()
+		budget float64
+	}{
+		{"field", func() { body.Clone() }, 2},
+		{"leaf", func() { leaf.Clone() }, 1},
+		{"message", func() { m.Clone() }, 3},
+	} {
+		allocs := testing.AllocsPerRun(200, tc.clone)
+		if testutil.RaceEnabled {
+			t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
+		}
+		if allocs != tc.budget {
+			t.Errorf("%s: Clone allocated %.1f times per op, want %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}

@@ -255,17 +255,65 @@ func (f *Field) Add(children ...*Field) *Field {
 	return f
 }
 
-// Clone returns a deep copy of the field.
+// Clone returns a deep copy of the field. The copy costs what it holds:
+// its nodes are carved out of one []Field and its child lists out of one
+// []*Field, both of exactly the size the tree needs ([]byte values are
+// copied on top of that).
 func (f *Field) Clone() *Field {
 	if f == nil {
 		return nil
 	}
-	cp := &Field{
-		Label:      f.Label,
-		Type:       f.Type,
-		LengthBits: f.LengthBits,
-		Mandatory:  f.Mandatory,
+	if len(f.Children) == 0 {
+		// A leaf is its node: nothing to count and no list to carve.
+		cp := new(Field)
+		cp.copyContent(f)
+		if f.Children != nil {
+			cp.Children = []*Field{}
+		}
+		return cp
 	}
+	nodes, links := treeSize(f.Children)
+	s := slab{nodes: make([]Field, 1+nodes), links: make([]*Field, links)}
+	return s.clone(f)
+}
+
+// treeSize counts the nodes of the trees under fields, and the links that
+// lead to them: the entries of fields and of every child list below.
+func treeSize(fields []*Field) (nodes, links int) {
+	links = len(fields)
+	for _, f := range fields {
+		if f != nil {
+			n, l := treeSize(f.Children)
+			nodes, links = nodes+1+n, links+l
+		}
+	}
+	return nodes, links
+}
+
+// slab is the unused rest of the two allocations a clone is carved from.
+type slab struct {
+	nodes []Field
+	links []*Field
+}
+
+// clone copies f's tree into the slab.
+func (s *slab) clone(f *Field) *Field {
+	if f == nil {
+		return nil
+	}
+	cp := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	cp.copyContent(f)
+	cp.Children = s.cloneAll(f.Children)
+	return cp
+}
+
+// copyContent makes cp a copy of f in everything but its children.
+func (cp *Field) copyContent(f *Field) {
+	cp.Label = f.Label
+	cp.Type = f.Type
+	cp.LengthBits = f.LengthBits
+	cp.Mandatory = f.Mandatory
 	switch v := f.Value.(type) {
 	case nil, string, int64, uint64, bool, float64,
 		int, int8, int16, int32, uint, uint8, uint16, uint32, float32:
@@ -281,13 +329,25 @@ func (f *Field) Clone() *Field {
 		// never aliases mutable state with the original.
 		cp.Value = normalize(f.Type, v)
 	}
-	if f.Children != nil {
-		cp.Children = make([]*Field, len(f.Children))
-		for i, c := range f.Children {
-			cp.Children[i] = c.Clone()
-		}
+}
+
+// cloneAll copies a child list into the slab, nil staying nil. The list is
+// cut to its length, so that appending to it reallocates instead of
+// running into the list carved after it.
+func (s *slab) cloneAll(fields []*Field) []*Field {
+	if fields == nil {
+		return nil
 	}
-	return cp
+	n := len(fields)
+	if n == 0 {
+		return []*Field{}
+	}
+	out := s.links[:n:n]
+	s.links = s.links[n:]
+	for i, c := range fields {
+		out[i] = s.clone(c)
+	}
+	return out
 }
 
 // Equal reports deep equality of label, type and content.
@@ -338,16 +398,15 @@ func New(name string, fields ...*Field) *Message {
 	return &Message{Name: name, Fields: fields}
 }
 
-// Clone returns a deep copy of the message.
+// Clone returns a deep copy of the message, carved like Field.Clone out of
+// one allocation for its nodes and one for its field and child lists.
 func (m *Message) Clone() *Message {
 	if m == nil {
 		return nil
 	}
-	cp := &Message{Name: m.Name, Fields: make([]*Field, len(m.Fields))}
-	for i, f := range m.Fields {
-		cp.Fields[i] = f.Clone()
-	}
-	return cp
+	nodes, links := treeSize(m.Fields)
+	s := slab{nodes: make([]Field, nodes), links: make([]*Field, links)}
+	return &Message{Name: m.Name, Fields: s.cloneAll(m.Fields)}
 }
 
 // Equal reports deep equality with o.

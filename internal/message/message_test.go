@@ -186,6 +186,76 @@ func TestCloneBytesIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneNodesIndependent holds the clone's carving to account: the
+// nodes and child lists of one clone share two allocations, and still a
+// change to any node — its label, its value, a child appended to it, a field
+// appended to the message — reaches neither the original nor any other
+// node of the same clone.
+func TestCloneNodesIndependent(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		m := randomMessage(rand.New(rand.NewSource(seed)))
+		pristine, cp := m.Clone(), m.Clone()
+		var nodes []*Field
+		var walk func(fs []*Field)
+		walk = func(fs []*Field) {
+			for _, f := range fs {
+				nodes = append(nodes, f)
+				walk(f.Children)
+			}
+		}
+		walk(cp.Fields)
+		for i, n := range nodes {
+			was := *n
+			n.Add(NewPrimitive("added", TypeString, "x"))
+			n.Label, n.Value = "mutated", "mutated"
+			if !m.Equal(pristine) {
+				t.Fatalf("seed %d: changing node %d of a clone changed the original", seed, i)
+			}
+			*n = was
+			if !cp.Equal(m) {
+				t.Fatalf("seed %d: changing node %d of a clone changed another of its nodes:\n%v\n%v", seed, i, cp, m)
+			}
+		}
+		fields := cp.Fields
+		cp.Add(NewPrimitive("added", TypeString, "x"))
+		cp.Fields = fields
+		if !cp.Equal(m) || !m.Equal(pristine) {
+			t.Fatalf("seed %d: a field added to a clone landed in one of its child lists", seed)
+		}
+	}
+}
+
+// TestCloneKeepsNilAndEmptyChildren: a clone's child lists are nil where
+// the original's are and empty where the original's are empty.
+func TestCloneKeepsNilAndEmptyChildren(t *testing.T) {
+	m := New("M",
+		&Field{Label: "none", Type: TypeStruct},
+		&Field{Label: "empty", Type: TypeStruct, Children: []*Field{}},
+		NewStruct("some", &Field{Label: "empty", Type: TypeArray, Children: []*Field{}}, NewPrimitive("leaf", TypeString, "x")),
+	)
+	check := func(what string, none, empty, nested, leaf *Field) {
+		t.Helper()
+		if none.Children != nil {
+			t.Errorf("%s: nil Children became %#v", what, none.Children)
+		}
+		for _, f := range []*Field{empty, nested} {
+			if f.Children == nil || len(f.Children) != 0 {
+				t.Errorf("%s: empty Children of %q became %#v", what, f.Label, f.Children)
+			}
+		}
+		if leaf.Children != nil {
+			t.Errorf("%s: a leaf got Children %#v", what, leaf.Children)
+		}
+	}
+	cp := m.Clone()
+	check("Message.Clone", cp.Fields[0], cp.Fields[1], cp.Fields[2].Children[0], cp.Fields[2].Children[1])
+	some := m.Fields[2].Clone()
+	check("Field.Clone", m.Fields[0].Clone(), m.Fields[1].Clone(), some.Children[0], some.Children[1])
+	if (&Message{Name: "M"}).Clone().Fields != nil {
+		t.Error("a message without fields got a field list")
+	}
+}
+
 func TestEqualNilAndMismatch(t *testing.T) {
 	var nilMsg *Message
 	if !nilMsg.Equal(nil) {

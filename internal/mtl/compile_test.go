@@ -405,6 +405,21 @@ func TestCompiledExecAllocBudget(t *testing.T) {
 	}
 }
 
+// TestScalarGraftAllocBudget: a scalar copied into a message (`p.id =
+// e.id`) costs the new field and nothing else — the value keeps the box it
+// was read in.
+func TestScalarGraftAllocBudget(t *testing.T) {
+	for _, val := range []any{"photo-1", int64(7), uint64(7), 2.5, true, []byte("raw")} {
+		allocs := testing.AllocsPerRun(200, func() { valueToField("id", val) })
+		if testutil.RaceEnabled {
+			t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
+		}
+		if allocs != 1 {
+			t.Errorf("valueToField(%T) allocates %.1f/op, want 1", val, allocs)
+		}
+	}
+}
+
 // TestInterpretedVsCompiledAllocs documents (and guards) the headline
 // claim: the compiled path allocates at least 30% less than the
 // interpreter on a case-study-shaped program.

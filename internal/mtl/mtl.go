@@ -569,7 +569,9 @@ func setSteps(children *[]*message.Field, steps []pathStep, val any, text string
 }
 
 // valueToField converts an evaluated value into a field with the given
-// label. Field trees are cloned and relabelled.
+// label. Field trees are cloned and relabelled. A scalar goes in as the
+// interface it came in: handing NewPrimitive the unwrapped v would box it a
+// second time, an allocation for every `p.id = e.id`.
 func valueToField(label string, val any) *message.Field {
 	switch v := val.(type) {
 	case *message.Field:
@@ -577,17 +579,17 @@ func valueToField(label string, val any) *message.Field {
 		cp.Label = label
 		return cp
 	case string:
-		return message.NewPrimitive(label, message.TypeString, v)
+		return message.NewPrimitive(label, message.TypeString, val)
 	case int64:
-		return message.NewPrimitive(label, message.TypeInt64, v)
+		return message.NewPrimitive(label, message.TypeInt64, val)
 	case uint64:
-		return message.NewPrimitive(label, message.TypeUint64, v)
+		return message.NewPrimitive(label, message.TypeUint64, val)
 	case float64:
-		return message.NewPrimitive(label, message.TypeFloat64, v)
+		return message.NewPrimitive(label, message.TypeFloat64, val)
 	case bool:
-		return message.NewPrimitive(label, message.TypeBool, v)
+		return message.NewPrimitive(label, message.TypeBool, val)
 	case []byte:
-		return message.NewPrimitive(label, message.TypeBytes, v)
+		return message.NewPrimitive(label, message.TypeBytes, val)
 	case nil:
 		return message.NewPrimitive(label, message.TypeString, "")
 	default:

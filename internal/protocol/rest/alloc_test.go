@@ -17,7 +17,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		},
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		wire, err := MarshalFeed(feed)
+		wire, err := AppendFeed(nil, feed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func sameFeed(t *testing.T, data []byte) {
 	}
 	if err == nil {
 		// Whatever decoded can be written again.
-		if _, err := MarshalFeed(got); err != nil {
+		if _, err := AppendFeed(nil, got); err != nil {
 			t.Fatalf("re-marshal of ParseFeed(%q) failed: %v", data, err)
 		}
 	}

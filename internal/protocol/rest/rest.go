@@ -74,8 +74,8 @@ func writeEntry(w *xmlenc.Writer, e Entry) {
 	w.Close()
 }
 
-// MarshalFeed renders an Atom feed document.
-func MarshalFeed(f Feed) ([]byte, error) {
+// AppendFeed appends an Atom feed document to dst.
+func AppendFeed(dst []byte, f Feed) ([]byte, error) {
 	w := xmlenc.NewDoc()
 	w.Open("feed")
 	w.Leaf("title", f.Title)
@@ -83,15 +83,15 @@ func MarshalFeed(f Feed) ([]byte, error) {
 		writeEntry(w, e)
 	}
 	w.Close()
-	return w.Doc()
+	return w.AppendTo(dst)
 }
 
-// MarshalEntry renders one standalone entry document (the POST body for
-// addComment).
-func MarshalEntry(e Entry) ([]byte, error) {
+// AppendEntry appends one standalone entry document (the POST body for
+// addComment) to dst.
+func AppendEntry(dst []byte, e Entry) ([]byte, error) {
 	w := xmlenc.NewDoc()
 	writeEntry(w, e)
-	return w.Doc()
+	return w.AppendTo(dst)
 }
 
 // malformed makes a decode failure this package's: what the Reader
@@ -314,7 +314,7 @@ func (c *Client) Comments(photoID string) (Feed, error) {
 
 // AddComment posts a comment entry: POST PhotoURL with <entry>.
 func (c *Client) AddComment(photoID, text string) (Entry, error) {
-	body, err := MarshalEntry(Entry{Summary: text})
+	body, err := AppendEntry(nil, Entry{Summary: text})
 	if err != nil {
 		return Entry{}, err
 	}

@@ -20,7 +20,7 @@ func sampleFeed() Feed {
 }
 
 func TestFeedRoundTrip(t *testing.T) {
-	data, err := MarshalFeed(sampleFeed())
+	data, err := AppendFeed(nil, sampleFeed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFeedRoundTrip(t *testing.T) {
 
 func TestEntryRoundTrip(t *testing.T) {
 	e := Entry{ID: "c1", Title: "comment", Summary: "lovely <photo>", Author: "alice"}
-	data, err := MarshalEntry(e)
+	data, err := AppendEntry(nil, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func fakePicasa(t *testing.T) *httpwire.Server {
 			if req.QueryValue("q") == "" {
 				return &httpwire.Response{Status: 400}
 			}
-			body, _ := MarshalFeed(sampleFeed())
+			body, _ := AppendFeed(nil, sampleFeed())
 			return &httpwire.Response{Status: 200, Body: body}
 		case req.Method == "GET" && strings.HasPrefix(req.Path(), BasePath+"/photoid/"):
 			if req.QueryValue("kind") != "comment" {
 				return &httpwire.Response{Status: 400}
 			}
-			body, _ := MarshalFeed(Feed{Title: "comments", Entries: []Entry{{ID: "c1", Summary: "nice"}}})
+			body, _ := AppendFeed(nil, Feed{Title: "comments", Entries: []Entry{{ID: "c1", Summary: "nice"}}})
 			return &httpwire.Response{Status: 200, Body: body}
 		case req.Method == "POST" && strings.HasPrefix(req.Path(), BasePath+"/photoid/"):
 			e, err := ParseEntry(req.Body)
@@ -113,7 +113,7 @@ func fakePicasa(t *testing.T) *httpwire.Server {
 				return &httpwire.Response{Status: 400}
 			}
 			e.ID = "c2"
-			body, _ := MarshalEntry(e)
+			body, _ := AppendEntry(nil, e)
 			return &httpwire.Response{Status: 201, Body: body}
 		default:
 			return &httpwire.Response{Status: 404}
@@ -165,18 +165,18 @@ func TestClientErrorStatus(t *testing.T) {
 	}
 }
 
-func BenchmarkMarshalFeed(b *testing.B) {
+func BenchmarkAppendFeed(b *testing.B) {
 	f := sampleFeed()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MarshalFeed(f); err != nil {
+		if _, err := AppendFeed(nil, f); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkParseFeed(b *testing.B) {
-	data, _ := MarshalFeed(sampleFeed())
+	data, _ := AppendFeed(nil, sampleFeed())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"starlink/internal/mdl/xmlenc"
+	"starlink/internal/message"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -43,31 +45,20 @@ func (f *Fault) Error() string {
 
 // MarshalCall renders a methodCall document.
 func MarshalCall(method string, params ...Value) ([]byte, error) {
-	w := xmlenc.NewDoc()
-	w.Open("methodCall")
-	w.Leaf("methodName", method)
-	w.Open("params")
+	w := beginCall(method)
 	for _, p := range params {
 		w.Open("param")
 		writeValue(w, p)
 		w.Close()
 	}
-	w.Close()
-	w.Close()
-	return w.Doc()
+	return end(w, nil, 2)
 }
 
 // MarshalResponse renders a methodResponse document with one result.
 func MarshalResponse(result Value) ([]byte, error) {
-	w := xmlenc.NewDoc()
-	w.Open("methodResponse")
-	w.Open("params")
-	w.Open("param")
+	w := beginResponse()
 	writeValue(w, result)
-	w.Close()
-	w.Close()
-	w.Close()
-	return w.Doc()
+	return end(w, nil, 3)
 }
 
 // MarshalFault renders a fault methodResponse.
@@ -79,9 +70,60 @@ func MarshalFault(f *Fault) ([]byte, error) {
 		"faultCode":   int64(f.Code),
 		"faultString": f.Message,
 	})
-	w.Close()
-	w.Close()
-	return w.Doc()
+	return end(w, nil, 2)
+}
+
+// AppendFieldCall appends to dst a methodCall document whose one parameter
+// is a struct with the fields as members, written from the field trees as
+// they are (see writeField): what MarshalCall renders of the same struct
+// held as a map of Values, without the map.
+func AppendFieldCall(dst []byte, method string, members []*message.Field) ([]byte, error) {
+	w := beginCall(method)
+	w.Open("param")
+	writeMembers(w, members)
+	return end(w, dst, 3)
+}
+
+// AppendFieldResponse appends to dst a methodResponse document whose result
+// is the value of the field, whatever its label.
+func AppendFieldResponse(dst []byte, result *message.Field) ([]byte, error) {
+	w := beginResponse()
+	writeField(w, result)
+	return end(w, dst, 3)
+}
+
+// AppendStructResponse appends to dst a methodResponse document whose
+// result is a struct with the fields as members.
+func AppendStructResponse(dst []byte, members []*message.Field) ([]byte, error) {
+	w := beginResponse()
+	writeMembers(w, members)
+	return end(w, dst, 3)
+}
+
+// beginCall starts a methodCall document, up to its first <param>.
+func beginCall(method string) *xmlenc.Writer {
+	w := xmlenc.NewDoc()
+	w.Open("methodCall")
+	w.Leaf("methodName", method)
+	w.Open("params")
+	return w
+}
+
+// beginResponse starts a methodResponse document, up to its result value.
+func beginResponse() *xmlenc.Writer {
+	w := xmlenc.NewDoc()
+	w.Open("methodResponse")
+	w.Open("params")
+	w.Open("param")
+	return w
+}
+
+// end closes the open elements of a document and appends it to dst.
+func end(w *xmlenc.Writer, dst []byte, open int) ([]byte, error) {
+	for ; open > 0; open-- {
+		w.Close()
+	}
+	return w.AppendTo(dst)
 }
 
 // writeValue writes one <value> element. A value of a type XML-RPC has no
@@ -94,17 +136,13 @@ func writeValue(w *xmlenc.Writer, v Value) {
 	case string:
 		w.Leaf("string", x)
 	case int:
-		w.Leaf("int", strconv.Itoa(x))
+		writeInt(w, int64(x))
 	case int64:
-		w.Leaf("int", strconv.FormatInt(x, 10))
+		writeInt(w, x)
 	case bool:
-		b := "0"
-		if x {
-			b = "1"
-		}
-		w.Leaf("boolean", b)
+		writeBool(w, x)
 	case float64:
-		w.Leaf("double", strconv.FormatFloat(x, 'g', -1, 64))
+		writeDouble(w, x)
 	case []Value:
 		w.Open("array")
 		w.Open("data")
@@ -131,6 +169,102 @@ func writeValue(w *xmlenc.Writer, v Value) {
 	default:
 		w.Fail(fmt.Errorf("xmlrpc: cannot encode %T", v))
 	}
+	w.Close()
+}
+
+// The scalar elements, shared by the two writers. A number is formatted on
+// the stack: Leaf does not keep its text.
+func writeInt(w *xmlenc.Writer, n int64) {
+	var buf [20]byte
+	w.Leaf("int", string(strconv.AppendInt(buf[:0], n, 10)))
+}
+
+func writeDouble(w *xmlenc.Writer, f float64) {
+	var buf [24]byte
+	w.Leaf("double", string(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)))
+}
+
+func writeBool(w *xmlenc.Writer, b bool) {
+	if b {
+		w.Leaf("boolean", "1")
+	} else {
+		w.Leaf("boolean", "0")
+	}
+}
+
+// writeField writes a field tree as one <value> element, by the convention
+// the binders keep between abstract fields and XML-RPC values, so that a
+// mediator's reply goes from its fields to the wire without a Value tree in
+// between. A primitive is the scalar its Go value is (string, int64, bool,
+// float64) and otherwise a string of its text; an array field, or a
+// structured field of two or more children that all bear one label, is an
+// <array> of its children's values; any other structured field is a
+// <struct> of them.
+func writeField(w *xmlenc.Writer, f *message.Field) {
+	if !f.Type.Primitive() {
+		if f.Type != message.TypeArray && !repeated(f.Children) {
+			writeMembers(w, f.Children)
+			return
+		}
+		w.Open("value")
+		w.Open("array")
+		w.Open("data")
+		for _, c := range f.Children {
+			writeField(w, c)
+		}
+		w.Close()
+		w.Close()
+		w.Close()
+		return
+	}
+	w.Open("value")
+	switch v := f.Value.(type) {
+	case string:
+		w.Leaf("string", v)
+	case int64:
+		writeInt(w, v)
+	case bool:
+		writeBool(w, v)
+	case float64:
+		writeDouble(w, v)
+	default:
+		w.Leaf("string", f.ValueString())
+	}
+	w.Close()
+}
+
+// repeated reports whether fields are two or more of one label.
+func repeated(fields []*message.Field) bool {
+	if len(fields) < 2 {
+		return false
+	}
+	for _, f := range fields[1:] {
+		if f.Label != fields[0].Label {
+			return false
+		}
+	}
+	return true
+}
+
+// writeMembers writes fields as one <value> holding a <struct> with a
+// member per label, as a map of them would be written: in the order of the
+// labels, and of two fields with one label the later.
+func writeMembers(w *xmlenc.Writer, fields []*message.Field) {
+	w.Open("value")
+	w.Open("struct")
+	var buf [16]*message.Field
+	sorted := append(buf[:0], fields...)
+	slices.SortStableFunc(sorted, func(a, b *message.Field) int { return strings.Compare(a.Label, b.Label) })
+	for i, f := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].Label == f.Label {
+			continue
+		}
+		w.Open("member")
+		w.Leaf("name", f.Label)
+		writeField(w, f)
+		w.Close()
+	}
+	w.Close()
 	w.Close()
 }
 

@@ -151,7 +151,7 @@ func (s *Service) addComment(req *httpwire.Request) *httpwire.Response {
 	if err != nil {
 		return &httpwire.Response{Status: 404, Body: []byte(err.Error())}
 	}
-	body, err := rest.MarshalEntry(rest.Entry{
+	body, err := rest.AppendEntry(nil, rest.Entry{
 		ID: c.ID, Title: "comment", Author: c.Author, Summary: c.Text,
 	})
 	if err != nil {
@@ -165,7 +165,7 @@ func (s *Service) addComment(req *httpwire.Request) *httpwire.Response {
 }
 
 func feedResponse(feed rest.Feed, status int) *httpwire.Response {
-	body, err := rest.MarshalFeed(feed)
+	body, err := rest.AppendFeed(nil, feed)
 	if err != nil {
 		return &httpwire.Response{Status: 500, Body: []byte(err.Error())}
 	}
