@@ -42,7 +42,10 @@ race-alloc:
 # against. The other way it is the same rule: the binders write XML-RPC
 # and carve a reply's fields straight from what they are given, and the
 # Value tree and the per-entry fields they used to build in between live on
-# in internal/bind/oracle_test.go only.
+# in internal/bind/oracle_test.go only. And a scalar stays where it is: the
+# codecs, the protocol layers, the binders and compiled MTL read a field
+# through its typed accessors and move it node to node; Field.Value(), which
+# boxes it into an `any`, is for tests, tools and the MTL interpreter.
 check: test
 	$(GO) vet ./...
 	$(MAKE) race
@@ -57,6 +60,8 @@ check: test
 		echo 'check: the files above build a field tree to decode XML-RPC or Atom; read the tokens of xmlenc.Reader (DESIGN.md, "The reader and its consumers")'; exit 1; fi
 	@if git grep -nE 'fieldToValue\(|abstractFromEntry\(|map\[string\]xmlrpc\.Value\{' -- internal/bind ':!*_test.go'; then \
 		echo "check: the files above shape a message once more between decode and encode; write from the fields (xmlrpc.AppendFieldCall and its like) and carve them at once (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
+	@if git grep -nE '\.Value\(\)' -- internal/mdl internal/protocol internal/bind internal/mtl/compile.go ':!*_test.go'; then \
+		echo "check: the files above box a field's value on the message path; switch on Type and read it through Text, Int64 and their like, or move it with CopyScalar (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
 
 # The one benchmark: what a mediated flow costs beside the native call,
 # end to end and layer by layer. This is the command in BENCHMARK.json;

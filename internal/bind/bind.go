@@ -60,6 +60,17 @@ type ErrorReplier interface {
 	BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error)
 }
 
+// stashedID reads back the correlation id a ParseRequest stashed in its
+// abstract request as a TypeUint64 field, 0 when msg is nil or holds none.
+func stashedID(msg *message.Message, label string) uint64 {
+	if msg != nil {
+		if f := msg.Field(label); f != nil && f.Type == message.TypeUint64 {
+			return f.Uint64()
+		}
+	}
+	return 0
+}
+
 // bodies pools the buffers the HTTP binders render a body into. A body is
 // written before the head that states its length, so it cannot be written
 // where it will stand; the HTTP composer copies it behind the head into the

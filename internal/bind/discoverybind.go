@@ -52,8 +52,8 @@ func (b *SSDPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	abs := message.New(DiscoverySearch,
-		message.NewPrimitive("st", message.TypeString, s.ST),
-		message.NewPrimitive("mx", message.TypeInt64, int64(s.MX)),
+		message.NewString("st", s.ST),
+		message.NewInt64("mx", int64(s.MX)),
 	)
 	return DiscoverySearch, abs, nil
 }
@@ -78,9 +78,9 @@ func (b *SSDPBinder) ParseReply(action string, packet []byte) (*message.Message,
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	return message.New(action+".reply",
-		message.NewPrimitive("st", message.TypeString, resp.ST),
-		message.NewPrimitive("usn", message.TypeString, resp.USN),
-		message.NewPrimitive("location", message.TypeString, resp.Location),
+		message.NewString("st", resp.ST),
+		message.NewString("usn", resp.USN),
+		message.NewString("location", resp.Location),
 	), nil
 }
 
@@ -153,8 +153,8 @@ func (b *SLPBinder) ParseReply(action string, packet []byte) (*message.Message, 
 	abs := message.New(action + ".reply")
 	for _, e := range slp.EntriesOf(reply) {
 		abs.Add(message.NewStruct("urlentry",
-			message.NewPrimitive("url", message.TypeString, e.URL),
-			message.NewPrimitive("lifetime", message.TypeInt64, int64(e.Lifetime)),
+			message.NewString("url", e.URL),
+			message.NewInt64("lifetime", int64(e.Lifetime)),
 		))
 	}
 	return abs, nil
@@ -173,21 +173,16 @@ func (b *SLPBinder) ParseRequest(packet []byte) (string, *message.Message, error
 	scope, _ := req.GetString("Scope")
 	xid, _ := req.GetInt("XID")
 	abs := message.New(DiscoverySearch,
-		message.NewPrimitive("servicetype", message.TypeString, st),
-		message.NewPrimitive("scope", message.TypeString, scope),
-		message.NewPrimitive("_slp_xid", message.TypeUint64, uint64(xid)),
+		message.NewString("servicetype", st),
+		message.NewString("scope", scope),
+		message.NewUint64("_slp_xid", uint64(xid)),
 	)
 	return DiscoverySearch, abs, nil
 }
 
 // BuildReply implements Binder (for SLP-facing server roles).
 func (b *SLPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
-	var xid uint64
-	if f := abs.Field("_slp_xid"); f != nil {
-		if v, ok := f.Value.(uint64); ok {
-			xid = v
-		}
-	}
+	xid := stashedID(abs, "_slp_xid")
 	var entries []slp.URLEntry
 	for _, f := range abs.Fields {
 		if f.Label != "urlentry" {
@@ -197,10 +192,8 @@ func (b *SLPBinder) BuildReply(action string, abs *message.Message) ([]byte, err
 		if c := f.Child("url"); c != nil {
 			e.URL = c.ValueString()
 		}
-		if c := f.Child("lifetime"); c != nil {
-			if n, ok := c.Value.(int64); ok {
-				e.Lifetime = uint16(n)
-			}
+		if c := f.Child("lifetime"); c != nil && c.Type == message.TypeInt64 {
+			e.Lifetime = uint16(c.Int64())
 		}
 		entries = append(entries, e)
 	}

@@ -69,7 +69,7 @@ func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	bindPositional(abs, concrete, b.paramNames(action))
 	// Remember the request id so the reply can be correlated.
 	if id, err := concrete.GetInt("RequestID"); err == nil {
-		abs.Add(message.NewPrimitive("_giop_request_id", message.TypeUint64, uint64(id)))
+		abs.Add(message.NewUint64("_giop_request_id", uint64(id)))
 	}
 	return action, abs, nil
 }
@@ -137,15 +137,7 @@ func contains(xs []string, s string) bool {
 
 // BuildErrorReply implements ErrorReplier with a GIOP system exception.
 func (b *GIOPBinder) BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error) {
-	var id uint64
-	if req != nil {
-		if f := req.Field("_giop_request_id"); f != nil {
-			if v, ok := f.Value.(uint64); ok {
-				id = v
-			}
-		}
-	}
-	reply := giop.NewReply(id, giop.StatusSystemException,
+	reply := giop.NewReply(stashedID(req, "_giop_request_id"), giop.StatusSystemException,
 		[]*message.Field{giop.StringParam("mediation failed: " + errMsg)})
 	return b.codec.Compose(reply)
 }
@@ -174,12 +166,7 @@ func (b *GIOPBinder) ParseReply(action string, packet []byte) (*message.Message,
 // "_giop_request_id" field that ParseRequest stashed in the abstract
 // request — the engine copies it into the reply environment.
 func (b *GIOPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
-	var id uint64
-	if f := abs.Field("_giop_request_id"); f != nil {
-		if v, ok := f.Value.(uint64); ok {
-			id = v
-		}
-	}
+	id := stashedID(abs, "_giop_request_id")
 	filtered := message.New(abs.Name)
 	for _, f := range abs.Fields {
 		if f.Label != "_giop_request_id" {

@@ -45,7 +45,7 @@ func (b *JSONRPCBinder) ParseRequest(packet []byte) (string, *message.Message, e
 			for _, k := range sortedAnyKeys(obj) {
 				abs.Add(jsonToField(k, obj[k]))
 			}
-			abs.Add(message.NewPrimitive("_jsonrpc_id", message.TypeUint64, id))
+			abs.Add(message.NewUint64("_jsonrpc_id", id))
 			return action, abs, nil
 		}
 	}
@@ -57,7 +57,7 @@ func (b *JSONRPCBinder) ParseRequest(packet []byte) (string, *message.Message, e
 		}
 		abs.Add(jsonToField(label, p))
 	}
-	abs.Add(message.NewPrimitive("_jsonrpc_id", message.TypeUint64, id))
+	abs.Add(message.NewUint64("_jsonrpc_id", id))
 	return action, abs, nil
 }
 
@@ -108,13 +108,10 @@ func (b *JSONRPCBinder) ParseReply(action string, packet []byte) (*message.Messa
 
 // BuildReply implements Binder.
 func (b *JSONRPCBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
-	var id uint64
+	id := stashedID(abs, "_jsonrpc_id")
 	obj := map[string]any{}
 	for _, f := range abs.Fields {
 		if f.Label == "_jsonrpc_id" {
-			if v, ok := f.Value.(uint64); ok {
-				id = v
-			}
 			continue
 		}
 		obj[f.Label] = fieldToJSON(f)
@@ -139,15 +136,7 @@ func (b *JSONRPCBinder) BuildReply(action string, abs *message.Message) ([]byte,
 
 // BuildErrorReply implements ErrorReplier with a JSON-RPC error.
 func (b *JSONRPCBinder) BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error) {
-	var id uint64
-	if req != nil {
-		if f := req.Field("_jsonrpc_id"); f != nil {
-			if v, ok := f.Value.(uint64); ok {
-				id = v
-			}
-		}
-	}
-	body, err := jsonrpc.MarshalError(id, "mediation failed: "+errMsg)
+	body, err := jsonrpc.MarshalError(stashedID(req, "_jsonrpc_id"), "mediation failed: "+errMsg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,49 +166,49 @@ func jsonToField(label string, v any) *message.Field {
 		}
 		return f
 	case string:
-		return message.NewPrimitive(label, message.TypeString, x)
+		return message.NewString(label, x)
 	case float64:
 		// JSON numbers arrive as float64; keep integral values as ints so
 		// MTL arithmetic and positional GIOP parameters stay exact.
 		if x == float64(int64(x)) {
-			return message.NewPrimitive(label, message.TypeInt64, int64(x))
+			return message.NewInt64(label, int64(x))
 		}
-		return message.NewPrimitive(label, message.TypeFloat64, x)
+		return message.NewFloat64(label, x)
 	case bool:
-		return message.NewPrimitive(label, message.TypeBool, x)
+		return message.NewBool(label, x)
 	case nil:
-		return message.NewPrimitive(label, message.TypeString, "")
+		return message.NewString(label, "")
 	default:
-		return message.NewPrimitive(label, message.TypeString, fmt.Sprint(x))
+		return message.NewString(label, fmt.Sprint(x))
 	}
 }
 
 // fieldToJSON is the inverse mapping.
 func fieldToJSON(f *message.Field) any {
-	if f.Type.Primitive() {
-		switch v := f.Value.(type) {
-		case string, bool, float64:
-			return v
-		case int64:
-			return v
-		case uint64:
-			return v
-		default:
-			return f.ValueString()
+	switch f.Type {
+	case message.TypeInt32, message.TypeInt64:
+		return f.Int64()
+	case message.TypeUint32, message.TypeUint64:
+		return f.Uint64()
+	case message.TypeBool:
+		return f.Bool()
+	case message.TypeFloat64:
+		return f.Float64()
+	case message.TypeStruct, message.TypeArray:
+		if f.Type == message.TypeArray || allChildrenShareLabel(f) {
+			arr := make([]any, 0, len(f.Children))
+			for _, c := range f.Children {
+				arr = append(arr, fieldToJSON(c))
+			}
+			return arr
 		}
-	}
-	if f.Type == message.TypeArray || allChildrenShareLabel(f) {
-		arr := make([]any, 0, len(f.Children))
+		obj := map[string]any{}
 		for _, c := range f.Children {
-			arr = append(arr, fieldToJSON(c))
+			obj[c.Label] = fieldToJSON(c)
 		}
-		return arr
+		return obj
 	}
-	obj := map[string]any{}
-	for _, c := range f.Children {
-		obj[c.Label] = fieldToJSON(c)
-	}
-	return obj
+	return f.ValueString()
 }
 
 // allChildrenShareLabel reports whether f holds two or more children of

@@ -20,7 +20,7 @@ import (
 
 func fieldToValue(f *message.Field) xmlrpc.Value {
 	if f.Type.Primitive() {
-		switch v := f.Value.(type) {
+		switch v := f.Value().(type) {
 		case string, int64, bool, float64:
 			return v
 		default:
@@ -148,7 +148,9 @@ func TestXMLRPCBuildMatchesOracle(t *testing.T) {
 			message.NewPrimitive("u", message.TypeUint64, uint64(math.MaxUint64)),
 			message.NewPrimitive("raw", message.TypeBytes, []byte("by<t>es")),
 			message.NewPrimitive("none", message.TypeString, nil),
-			{Label: "smuggled", Type: message.TypeInt64, Value: 5},
+			message.NewPrimitive("u32", message.TypeUint32, 7),
+			{Label: "untyped"},
+			message.NewPrimitive("unknown type", message.Type(99), 5),
 		},
 		"labels and text needing escapes": {
 			str(`a&b`, `<"quoted">`), str("<tag>", "line\nbreak\ttab\r"), str("", "no label"), str("café", "￾\x00"),

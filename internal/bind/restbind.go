@@ -137,11 +137,11 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 		return nil, fmt.Errorf("action %s: %w", action, err)
 	}
 	concrete := message.New("HTTPRequest",
-		message.NewPrimitive("Method", message.TypeString, r.Method),
-		message.NewPrimitive("Version", message.TypeString, "HTTP/1.1"),
-		message.NewPrimitive("Path", message.TypeString, path),
+		message.NewString("Method", r.Method),
+		message.NewString("Version", "HTTP/1.1"),
+		message.NewString("Path", path),
 		message.NewStruct("Headers",
-			message.NewPrimitive("Accept", message.TypeString, "application/atom+xml"),
+			message.NewString("Accept", "application/atom+xml"),
 		),
 	)
 	q := message.NewStruct("Query")
@@ -151,11 +151,11 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 		if f == nil {
 			continue // optional parameter absent
 		}
-		q.Add(message.NewPrimitive(qp, message.TypeString, f.ValueString()))
+		q.Add(message.NewString(qp, f.ValueString()))
 	}
 	concrete.Add(q)
 	if r.BodyField == "" {
-		concrete.Add(message.NewPrimitive("Body", message.TypeString, ""))
+		concrete.Add(message.NewString("Body", ""))
 		return b.codec.Compose(concrete)
 	}
 	f := abs.Field(r.BodyField)
@@ -167,7 +167,7 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 	if *body, err = rest.AppendEntry(*body, entryFromAbstract(f)); err != nil {
 		return nil, err
 	}
-	concrete.Add(message.NewPrimitive("Body", message.TypeBytes, *body))
+	concrete.Add(message.NewBytes("Body", *body))
 	return b.codec.Compose(concrete)
 }
 
@@ -186,7 +186,7 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 	if status != "200" && status != "201" {
 		return nil, fmt.Errorf("%w: action %s: HTTP status %s", ErrBadMessage, action, status)
 	}
-	body := bodyOf(packet, concrete)
+	body := bodyOf(concrete)
 	abs := message.New(action + ".reply")
 	switch r.ReplyKind {
 	case "feed":
@@ -205,13 +205,14 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 	return abs, nil
 }
 
-// bodyOf returns the bytes of packet that the text-MDL codec parsed as the
-// Body field of concrete: a <Name:body> item is the remainder of the
-// packet, so they are its tail, and the XML decoders can read them where
-// they are instead of a copy made from the field's string.
-func bodyOf(packet []byte, concrete *message.Message) []byte {
-	body, _ := concrete.GetString("Body")
-	return packet[len(packet)-len(body):]
+// bodyOf returns the Body the text-MDL codec found in a packet: a
+// <Name:body> item is the packet's own tail, so the XML decoders read it
+// where it is.
+func bodyOf(concrete *message.Message) []byte {
+	if f := concrete.Field("Body"); f != nil {
+		return f.Bytes()
+	}
+	return nil
 }
 
 // ParseRequest implements Binder: matches the request against the route
@@ -231,7 +232,7 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 		// Query mappings present in the request must match route fields.
 		abs := message.New(r.Action)
 		for k, v := range vars {
-			abs.Add(message.NewPrimitive(k, message.TypeString, v))
+			abs.Add(message.NewString(k, v))
 		}
 		if qf, err := concrete.Lookup("Query"); err == nil {
 			for _, qp := range qf.Children {
@@ -239,11 +240,11 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 				if !ok {
 					label = qp.Label
 				}
-				abs.Add(message.NewPrimitive(label, message.TypeString, qp.ValueString()))
+				abs.Add(message.NewString(label, qp.ValueString()))
 			}
 		}
 		if r.BodyField != "" {
-			e, err := rest.ParseEntry(bodyOf(packet, concrete))
+			e, err := rest.ParseEntry(bodyOf(concrete))
 			if err != nil {
 				return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 			}
@@ -292,13 +293,13 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 		return nil, err
 	}
 	concrete := message.New("HTTPResponse",
-		message.NewPrimitive("Version", message.TypeString, "HTTP/1.1"),
-		message.NewPrimitive("Status", message.TypeString, status),
-		message.NewPrimitive("Reason", message.TypeString, "OK"),
+		message.NewString("Version", "HTTP/1.1"),
+		message.NewString("Status", status),
+		message.NewString("Reason", "OK"),
 		message.NewStruct("Headers",
-			message.NewPrimitive("Content-Type", message.TypeString, "application/atom+xml"),
+			message.NewString("Content-Type", "application/atom+xml"),
 		),
-		message.NewPrimitive("Body", message.TypeBytes, *body),
+		message.NewBytes("Body", *body),
 	)
 	return b.codec.Compose(concrete)
 }
@@ -306,13 +307,13 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 // BuildErrorReply implements ErrorReplier with an HTTP 500.
 func (b *RESTBinder) BuildErrorReply(action string, _ *message.Message, errMsg string) ([]byte, error) {
 	concrete := message.New("HTTPResponse",
-		message.NewPrimitive("Version", message.TypeString, "HTTP/1.1"),
-		message.NewPrimitive("Status", message.TypeString, "500"),
-		message.NewPrimitive("Reason", message.TypeString, "Mediation Failed"),
+		message.NewString("Version", "HTTP/1.1"),
+		message.NewString("Status", "500"),
+		message.NewString("Reason", "Mediation Failed"),
 		message.NewStruct("Headers",
-			message.NewPrimitive("Content-Type", message.TypeString, "text/plain"),
+			message.NewString("Content-Type", "text/plain"),
 		),
-		message.NewPrimitive("Body", message.TypeString, "mediation failed: "+errMsg),
+		message.NewString("Body", "mediation failed: "+errMsg),
 	)
 	return b.codec.Compose(concrete)
 }
@@ -354,22 +355,26 @@ func fieldsFromEntries(entries []rest.Entry) []*message.Field {
 		}
 	}
 	nodes, links := make([]message.Field, size), make([]*message.Field, size)
-	node := func(label string, t message.Type, value any) *message.Field {
+	node := func(label string) *message.Field {
 		f := &nodes[0]
 		nodes = nodes[1:]
-		f.Label, f.Type, f.Value = label, t, value
+		f.Label = label
+		return f
+	}
+	text := func(label, s string) *message.Field {
+		f := node(label)
+		f.SetText(s)
 		return f
 	}
 	fields, links := links[:0:len(entries)], links[len(entries):]
 	for i := range entries {
 		e := &entries[i]
-		f := node("entry", message.TypeStruct, nil)
-		children := append(links[:0],
-			node("id", message.TypeString, e.ID),
-			node("title", message.TypeString, e.Title))
+		f := node("entry")
+		f.Type = message.TypeStruct
+		children := append(links[:0], text("id", e.ID), text("title", e.Title))
 		for _, o := range optionalChildren(e) {
 			if o.value != "" {
-				children = append(children, node(o.label, message.TypeString, o.value))
+				children = append(children, text(o.label, o.value))
 			}
 		}
 		// The list is cut to its length: what is added to it later goes to

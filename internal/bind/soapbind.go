@@ -41,7 +41,7 @@ func (b *SOAPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	}
 	abs := message.New(action)
 	for _, p := range params {
-		abs.Add(message.NewPrimitive(p.Name, message.TypeString, p.Value))
+		abs.Add(message.NewString(p.Name, p.Value))
 	}
 	return action, abs, nil
 }
@@ -77,7 +77,7 @@ func (b *SOAPBinder) ParseReply(action string, packet []byte) (*message.Message,
 	}
 	abs := message.New(action + ".reply")
 	for _, p := range results {
-		abs.Add(message.NewPrimitive(p.Name, message.TypeString, p.Value))
+		abs.Add(message.NewString(p.Name, p.Value))
 	}
 	return abs, nil
 }

@@ -155,15 +155,15 @@ func valueToField(label string, v xmlrpc.Value) *message.Field {
 		}
 		return message.NewArray(label, items...)
 	case string:
-		return message.NewPrimitive(label, message.TypeString, x)
+		return message.NewString(label, x)
 	case int64:
-		return message.NewPrimitive(label, message.TypeInt64, x)
+		return message.NewInt64(label, x)
 	case bool:
-		return message.NewPrimitive(label, message.TypeBool, x)
+		return message.NewBool(label, x)
 	case float64:
-		return message.NewPrimitive(label, message.TypeFloat64, x)
+		return message.NewFloat64(label, x)
 	default:
-		return message.NewPrimitive(label, message.TypeString, fmt.Sprint(x))
+		return message.NewString(label, fmt.Sprint(x))
 	}
 }
 

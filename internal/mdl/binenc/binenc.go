@@ -55,6 +55,10 @@ var (
 	ErrBadSpec = errors.New("binenc: invalid layout")
 )
 
+// errRule is how parseAs leaves a layout one of whose rules the packet has
+// just broken: the next layout is tried, and nobody reads the text.
+var errRule = errors.New("binenc: a rule of the layout does not hold")
+
 // Parameter type tags for cdrseq sequences.
 const (
 	tagString byte = 1
@@ -85,6 +89,11 @@ type compiledItem struct {
 	rawStr    bool // string without NUL-termination semantics (eof:string)
 	countFrom string
 	items     []compiledItem // kindRepeat body
+	// rule is the value a <Rule> of the message asks of this field (ruled
+	// says there is one), checked as soon as the field is read. Top-level
+	// items only, and the first of a label: the field rulesHold looks up.
+	rule  string
+	ruled bool
 }
 
 type compiledMessage struct {
@@ -217,6 +226,16 @@ func compileMessage(ms *mdl.MessageSpec) (*compiledMessage, error) {
 	if len(repeatStack) > 0 {
 		return nil, fmt.Errorf("%w: message %q: unclosed <Repeat>", ErrBadSpec, ms.Name)
 	}
+	for _, r := range ms.Rules {
+		for i := range cm.items {
+			if it := &cm.items[i]; it.label == r.Field && it.kind != kindAlign {
+				if !it.ruled {
+					it.rule, it.ruled = r.Value, true
+				}
+				break
+			}
+		}
+	}
 	return cm, nil
 }
 
@@ -243,14 +262,17 @@ func fixedType(name string, bits int) (message.Type, error) {
 }
 
 // Parse decodes a packet by trying each message layout in order and
-// returning the first whose rules hold.
+// returning the first whose rules hold. A layout is left at the first field
+// that breaks one of its rules (a GIOP reply is not parsed to its end as a
+// request first); rulesHold is the whole check, over what was parsed.
 func (c *Codec) Parse(data []byte) (*message.Message, error) {
 	var firstErr error
+	var failed *compiledMessage
 	for _, cm := range c.messages {
 		msg, err := c.parseAs(cm, data)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", cm.spec.Name, err)
+			if firstErr == nil && err != errRule {
+				firstErr, failed = err, cm
 			}
 			continue
 		}
@@ -259,7 +281,7 @@ func (c *Codec) Parse(data []byte) (*message.Message, error) {
 		}
 	}
 	if firstErr != nil {
-		return nil, fmt.Errorf("%w (%v)", mdl.ErrNoMessageMatch, firstErr)
+		return nil, fmt.Errorf("%w (%s: %v)", mdl.ErrNoMessageMatch, failed.spec.Name, firstErr)
 	}
 	return nil, mdl.ErrNoMessageMatch
 }
@@ -304,15 +326,16 @@ func findField(scope, outer []*message.Field, label string) *message.Field {
 // enclosing scope for length/count references inside repeated groups.
 func parseItems(rd *bitReader, items []compiledItem, out *[]*message.Field, outer []*message.Field) error {
 	for _, it := range items {
+		var f *message.Field
+		var err error
 		switch it.kind {
 		case kindAlign:
 			rd.align(it.bits)
+			continue
 		case kindFixed:
-			f, err := rd.readFixed(it)
-			if err != nil {
+			if f, err = rd.readFixed(it); err != nil {
 				return err
 			}
-			*out = append(*out, f)
 		case kindLenFrom:
 			lf := findField(*out, outer, it.lenFrom)
 			if lf == nil {
@@ -327,24 +350,20 @@ func parseItems(rd *bitReader, items []compiledItem, out *[]*message.Field, oute
 				return err
 			}
 			if it.typ == message.TypeString {
-				s := strings.TrimSuffix(string(b), "\x00")
-				*out = append(*out, message.NewPrimitive(it.label, message.TypeString, s))
+				f = message.NewString(it.label, strings.TrimSuffix(string(b), "\x00"))
 			} else {
-				*out = append(*out, message.NewPrimitive(it.label, message.TypeBytes, b))
+				f = message.NewBytes(it.label, b)
 			}
 		case kindEOF:
-			b := rd.rest()
-			if it.typ == message.TypeString {
-				*out = append(*out, message.NewPrimitive(it.label, message.TypeString, string(b)))
+			if b := rd.rest(); it.typ == message.TypeString {
+				f = message.NewString(it.label, string(b))
 			} else {
-				*out = append(*out, message.NewPrimitive(it.label, message.TypeBytes, b))
+				f = message.NewBytes(it.label, b)
 			}
 		case kindCDRSeq:
-			f, err := rd.readCDRSeq(it.label)
-			if err != nil {
+			if f, err = rd.readCDRSeq(it.label); err != nil {
 				return err
 			}
-			*out = append(*out, f)
 		case kindRepeat:
 			cf := findField(*out, outer, it.countFrom)
 			if cf == nil {
@@ -357,16 +376,19 @@ func parseItems(rd *bitReader, items []compiledItem, out *[]*message.Field, oute
 			if count > 1<<16 {
 				return fmt.Errorf("binenc: %s: implausible repeat count %d", it.label, count)
 			}
-			arr := message.NewArray(it.label)
+			f = message.NewArray(it.label)
 			for i := uint64(0); i < count; i++ {
 				item := message.NewStruct("item")
 				if err := parseItems(rd, it.items, &item.Children, *out); err != nil {
 					return fmt.Errorf("%s[%d]: %w", it.label, i, err)
 				}
-				arr.Add(item)
+				f.Add(item)
 			}
-			*out = append(*out, arr)
 		}
+		if it.ruled && f.ValueString() != it.rule {
+			return errRule
+		}
+		*out = append(*out, f)
 	}
 	return nil
 }
@@ -408,10 +430,8 @@ func composeItems(w *bitWriter, cm *compiledMessage, items []compiledItem, scope
 		if f != nil {
 			if it.typ == message.TypeString {
 				b = append([]byte(f.ValueString()), 0)
-			} else if raw, ok := f.Value.([]byte); ok {
-				b = raw
 			} else {
-				b = []byte(f.ValueString())
+				b = f.Bytes()
 			}
 		} else if it.typ == message.TypeString {
 			b = []byte{0}
@@ -435,11 +455,8 @@ func composeItems(w *bitWriter, cm *compiledMessage, items []compiledItem, scope
 				w.writeUint(uint64(n), it.bits)
 				continue
 			}
-			val, err := fixedValue(cm.spec, scope, it)
-			if err != nil {
-				return err
-			}
-			if err := w.writeFixed(it, val); err != nil {
+			var scratch message.Field
+			if err := w.writeFixed(it, fixedValue(cm.spec, scope, it, &scratch)); err != nil {
 				return err
 			}
 		case kindLenFrom:
@@ -449,11 +466,7 @@ func composeItems(w *bitWriter, cm *compiledMessage, items []compiledItem, scope
 			if f == nil {
 				continue
 			}
-			if raw, ok := f.Value.([]byte); ok {
-				w.writeBytes(raw)
-			} else {
-				w.writeBytes([]byte(f.ValueString()))
-			}
+			w.writeBytes(f.Bytes())
 		case kindCDRSeq:
 			f := findField(scope, nil, it.label)
 			if err := w.writeCDRSeq(f); err != nil {
@@ -474,20 +487,19 @@ func composeItems(w *bitWriter, cm *compiledMessage, items []compiledItem, scope
 	return nil
 }
 
-func fixedValue(ms *mdl.MessageSpec, scope []*message.Field, it compiledItem) (any, error) {
+// fixedValue finds what a fixed item is composed from: the message's field,
+// else the value a rule pins it to, else zero — the last two written into
+// scratch.
+func fixedValue(ms *mdl.MessageSpec, scope []*message.Field, it compiledItem, scratch *message.Field) *message.Field {
 	if f := findField(scope, nil, it.label); f != nil {
-		return f.Value, nil
+		return f
 	}
 	if r, ok := ms.Rule(it.label); ok {
-		return r.Value, nil
+		scratch.SetText(r.Value)
+	} else {
+		scratch.Set(it.typ, nil)
 	}
-	// Zero value.
-	switch it.typ {
-	case message.TypeBytes, message.TypeString:
-		return "", nil
-	default:
-		return uint64(0), nil
-	}
+	return scratch
 }
 
 // ---- bit stream primitives ----
@@ -554,8 +566,13 @@ func (r *bitReader) readFixed(it compiledItem) (*message.Field, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w reading %q", err, it.label)
 		}
-		f := message.NewPrimitive(it.label, it.typ, b)
-		f.LengthBits = it.bits
+		var f *message.Field
+		if it.typ == message.TypeString {
+			f = message.NewString(it.label, string(b))
+		} else {
+			f = message.NewBytes(it.label, b)
+		}
+		f.LengthBits = int32(it.bits)
 		return f, nil
 	case message.TypeFloat64:
 		v, err := r.readBits(it.bits)
@@ -568,16 +585,16 @@ func (r *bitReader) readFixed(it compiledItem) (*message.Field, error) {
 		} else {
 			fv = math.Float64frombits(v)
 		}
-		f := message.NewPrimitive(it.label, message.TypeFloat64, fv)
-		f.LengthBits = it.bits
+		f := message.NewFloat64(it.label, fv)
+		f.LengthBits = int32(it.bits)
 		return f, nil
 	case message.TypeBool:
 		v, err := r.readBits(it.bits)
 		if err != nil {
 			return nil, fmt.Errorf("%w reading %q", err, it.label)
 		}
-		f := message.NewPrimitive(it.label, message.TypeBool, v != 0)
-		f.LengthBits = it.bits
+		f := message.NewBool(it.label, v != 0)
+		f.LengthBits = int32(it.bits)
 		return f, nil
 	case message.TypeInt64:
 		v, err := r.readBits(it.bits)
@@ -589,16 +606,16 @@ func (r *bitReader) readFixed(it compiledItem) (*message.Field, error) {
 		if it.bits < 64 && v&(1<<(it.bits-1)) != 0 {
 			sv = int64(v | ^uint64(0)<<it.bits)
 		}
-		f := message.NewPrimitive(it.label, message.TypeInt64, sv)
-		f.LengthBits = it.bits
+		f := message.NewInt64(it.label, sv)
+		f.LengthBits = int32(it.bits)
 		return f, nil
 	default:
 		v, err := r.readBits(it.bits)
 		if err != nil {
 			return nil, fmt.Errorf("%w reading %q", err, it.label)
 		}
-		f := message.NewPrimitive(it.label, message.TypeUint64, v)
-		f.LengthBits = it.bits
+		f := message.NewUint64(it.label, v)
+		f.LengthBits = int32(it.bits)
 		return f, nil
 	}
 }
@@ -641,34 +658,34 @@ func (r *bitReader) readCDRValue(tag byte) (*message.Field, error) {
 			return nil, err
 		}
 		s := strings.TrimSuffix(string(b), "\x00")
-		return message.NewPrimitive("Parameter", message.TypeString, s), nil
+		return message.NewString("Parameter", s), nil
 	case tagInt32:
 		r.align(32)
 		v, err := r.readBits(32)
 		if err != nil {
 			return nil, err
 		}
-		return message.NewPrimitive("Parameter", message.TypeInt64, int64(int32(v))), nil
+		return message.NewInt64("Parameter", int64(int32(v))), nil
 	case tagInt64:
 		r.align(64)
 		v, err := r.readBits(64)
 		if err != nil {
 			return nil, err
 		}
-		return message.NewPrimitive("Parameter", message.TypeInt64, int64(v)), nil
+		return message.NewInt64("Parameter", int64(v)), nil
 	case tagBool:
 		v, err := r.readBits(8)
 		if err != nil {
 			return nil, err
 		}
-		return message.NewPrimitive("Parameter", message.TypeBool, v != 0), nil
+		return message.NewBool("Parameter", v != 0), nil
 	case tagDouble:
 		r.align(64)
 		v, err := r.readBits(64)
 		if err != nil {
 			return nil, err
 		}
-		return message.NewPrimitive("Parameter", message.TypeFloat64, math.Float64frombits(v)), nil
+		return message.NewFloat64("Parameter", math.Float64frombits(v)), nil
 	case tagBytes:
 		r.align(32)
 		n, err := r.readBits(32)
@@ -679,7 +696,7 @@ func (r *bitReader) readCDRValue(tag byte) (*message.Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		return message.NewPrimitive("Parameter", message.TypeBytes, b), nil
+		return message.NewBytes("Parameter", b), nil
 	default:
 		return nil, fmt.Errorf("binenc: unknown CDR parameter tag %d", tag)
 	}
@@ -739,29 +756,23 @@ func (w *bitWriter) writeBytes(b []byte) {
 	w.bitPos += len(b) * 8
 }
 
-func (w *bitWriter) writeFixed(it compiledItem, val any) error {
+// writeFixed encodes f as the fixed item it, converting a value of another
+// type (a number held as text, say) as the accessors do.
+func (w *bitWriter) writeFixed(it compiledItem, val *message.Field) error {
 	switch it.typ {
 	case message.TypeBytes, message.TypeString:
-		var b []byte
-		switch x := val.(type) {
-		case []byte:
-			b = x
-		case string:
-			b = []byte(x)
-		default:
-			b = []byte(fmt.Sprint(x))
-		}
+		b := val.Bytes()
 		want := it.bits / 8
 		if len(b) > want {
 			b = b[:want]
 		}
-		for len(b) < want {
-			b = append(b, 0)
-		}
 		w.writeBytes(b)
+		// Zero padding up to the item's width.
+		w.ensure((want - len(b)) * 8)
+		w.bitPos += (want - len(b)) * 8
 		return nil
 	case message.TypeFloat64:
-		f := message.NewPrimitive("x", message.TypeFloat64, val).Value.(float64)
+		f := val.Float64()
 		if it.bits == 32 {
 			w.writeUint(uint64(math.Float32bits(float32(f))), 32)
 		} else {
@@ -769,15 +780,14 @@ func (w *bitWriter) writeFixed(it compiledItem, val any) error {
 		}
 		return nil
 	case message.TypeBool:
-		b := message.NewPrimitive("x", message.TypeBool, val).Value.(bool)
 		var v uint64
-		if b {
+		if val.Bool() {
 			v = 1
 		}
 		w.writeUint(v, it.bits)
 		return nil
 	case message.TypeInt64:
-		n := message.NewPrimitive("x", message.TypeInt64, val).Value.(int64)
+		n := val.Int64()
 		mask := ^uint64(0)
 		if it.bits < 64 {
 			mask = 1<<it.bits - 1
@@ -785,7 +795,7 @@ func (w *bitWriter) writeFixed(it compiledItem, val any) error {
 		w.writeUint(uint64(n)&mask, it.bits)
 		return nil
 	default:
-		n := message.NewPrimitive("x", message.TypeUint64, val).Value.(uint64)
+		n := val.Uint64()
 		if it.bits < 64 && n >= 1<<it.bits {
 			return fmt.Errorf("binenc: %q: value %d overflows %d bits", it.label, n, it.bits)
 		}
@@ -814,35 +824,26 @@ func (w *bitWriter) writeCDRSeq(f *message.Field) error {
 			w.writeUint(uint64(tagInt32), 8)
 			w.align(32)
 			var buf [8]byte
-			binary.BigEndian.PutUint64(buf[:], uint64(p.Value.(int64)))
+			binary.BigEndian.PutUint64(buf[:], p.Uint64())
 			w.writeBytes(buf[4:])
 		case message.TypeInt64, message.TypeUint64:
 			w.writeUint(uint64(tagInt64), 8)
 			w.align(64)
-			var n uint64
-			switch v := p.Value.(type) {
-			case int64:
-				n = uint64(v)
-			case uint64:
-				n = v
-			}
-			w.writeUint(n, 64)
+			w.writeUint(p.Uint64(), 64)
 		case message.TypeBool:
 			w.writeUint(uint64(tagBool), 8)
-			b, _ := p.Value.(bool)
 			var v uint64
-			if b {
+			if p.Bool() {
 				v = 1
 			}
 			w.writeUint(v, 8)
 		case message.TypeFloat64:
 			w.writeUint(uint64(tagDouble), 8)
 			w.align(64)
-			fv, _ := p.Value.(float64)
-			w.writeUint(math.Float64bits(fv), 64)
+			w.writeUint(math.Float64bits(p.Float64()), 64)
 		case message.TypeBytes:
 			w.writeUint(uint64(tagBytes), 8)
-			b, _ := p.Value.([]byte)
+			b := p.Bytes()
 			w.align(32)
 			w.writeUint(uint64(len(b)), 32)
 			w.writeBytes(b)

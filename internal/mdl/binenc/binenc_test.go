@@ -196,12 +196,12 @@ func TestAllParameterTypesRoundTrip(t *testing.T) {
 		{6, ""},
 	}
 	for _, ck := range checks {
-		got := arr.Children[ck.idx].Value
+		got := arr.Children[ck.idx].Value()
 		if got != ck.want {
 			t.Errorf("param[%d] = %#v, want %#v", ck.idx, got, ck.want)
 		}
 	}
-	if b := arr.Children[4].Value.([]byte); string(b) != string([]byte{0, 1, 2, 255}) {
+	if b := arr.Children[4].Bytes(); arr.Children[4].Type != message.TypeBytes || string(b) != string([]byte{0, 1, 2, 255}) {
 		t.Errorf("bytes param = %v", b)
 	}
 }

@@ -9,7 +9,9 @@
 //	<Name:headers>       RFC-822 header block up to the blank line; parsed
 //	                     into a structured field with one child per header
 //	<Name:body>          the remainder of the packet (message framing, e.g.
-//	                     Content-Length, is the transport codec's concern)
+//	                     Content-Length, is the transport codec's concern),
+//	                     handed over as the packet's own bytes: read-only,
+//	                     like the packet a network.Framer returns
 //	<Name:path:From>     derived view: the path part of earlier token From
 //	<Name:query:From>    derived view: the query parameters of earlier token
 //	                     From, one child per parameter
@@ -23,6 +25,7 @@
 package textenc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/url"
@@ -40,6 +43,15 @@ var (
 	ErrBadSpec = errors.New("textenc: invalid layout")
 	// ErrTruncated is returned when a packet ends inside a token.
 	ErrTruncated = errors.New("textenc: truncated message")
+)
+
+// How parseAs leaves a layout without a message and without a report: the
+// packet has just broken one of the layout's rules (the next layout is
+// tried), or the layout reads text beyond the head Parse made a string of
+// (the same layout is tried again on a string of the whole packet).
+var (
+	errRule      = errors.New("textenc: a rule of the layout does not hold")
+	errShortHead = errors.New("textenc: the layout reads text past the first blank line")
 )
 
 type itemKind int
@@ -65,6 +77,11 @@ type compiledItem struct {
 	label string
 	delim delim
 	from  string
+	// rule is the value a <Rule> of the message asks of this token (ruled
+	// says there is one), checked as soon as the token is read. The first
+	// item of a label only: the field rulesHold looks up.
+	rule  string
+	ruled bool
 }
 
 type compiledMessage struct {
@@ -144,20 +161,45 @@ func compileMessage(ms *mdl.MessageSpec) (*compiledMessage, error) {
 		}
 		seen[label] = true
 	}
+	for _, r := range ms.Rules {
+		for i := range cm.items {
+			if it := &cm.items[i]; it.label == r.Field {
+				if it.kind == kindTok && !it.ruled {
+					it.rule, it.ruled = r.Value, true
+				}
+				break
+			}
+		}
+	}
 	return cm, nil
 }
 
-// Parse decodes a packet by trying each layout in order.
+// Parse decodes a packet by trying each layout in order. A layout is left
+// at the first token that breaks one of its rules (an HTTP response is not
+// parsed whole as a request first); rulesHold is the whole check, over what
+// was parsed. A body item is the packet's own tail, not a copy of it: the
+// caller keeps data unchanged for as long as it keeps the message.
 func (c *Codec) Parse(data []byte) (*message.Message, error) {
 	var firstErr error
+	var failed *compiledMessage
 	// One copy, shared by every layout tried: each string of the parsed
-	// message is a piece of it.
-	packet := string(data)
+	// message is a piece of it. It covers the head — up to the first blank
+	// line, behind which a body lies — and grows to the whole packet only
+	// for a layout that reads text further than that.
+	head := data
+	if i := bytes.Index(data, []byte("\r\n\r\n")); i >= 0 {
+		head = data[:i+4]
+	}
+	text := string(head)
 	for _, cm := range c.messages {
-		msg, err := parseAs(cm, packet)
+		msg, err := parseAs(cm, text, data)
+		if err == errShortHead {
+			text = string(data)
+			msg, err = parseAs(cm, text, data)
+		}
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", cm.spec.Name, err)
+			if firstErr == nil && err != errRule {
+				firstErr, failed = err, cm
 			}
 			continue
 		}
@@ -166,7 +208,7 @@ func (c *Codec) Parse(data []byte) (*message.Message, error) {
 		}
 	}
 	if firstErr != nil {
-		return nil, fmt.Errorf("%w (%v)", mdl.ErrNoMessageMatch, firstErr)
+		return nil, fmt.Errorf("%w (%s: %v)", mdl.ErrNoMessageMatch, failed.spec.Name, firstErr)
 	}
 	return nil, mdl.ErrNoMessageMatch
 }
@@ -190,21 +232,34 @@ func ruleMatch(got, want string) bool {
 	return got == want
 }
 
-func parseAs(cm *compiledMessage, s string) (*message.Message, error) {
+// parseAs reads data as the layout cm. text is a string of data, or of a
+// prefix of it: where the layout looks for text the prefix does not hold,
+// parseAs gives up with errShortHead.
+func parseAs(cm *compiledMessage, text string, data []byte) (*message.Message, error) {
 	msg := message.New(cm.spec.Name)
-	rest := s
+	rest := text
+	short := len(text) < len(data)
 	for _, it := range cm.items {
 		switch it.kind {
 		case kindTok:
 			var tok string
 			var err error
 			tok, rest, err = cutToken(rest, it.delim)
+			if short && (err != nil || it.delim == delimEOF) {
+				return nil, errShortHead
+			}
 			if err != nil {
 				return nil, fmt.Errorf("%w: token %q", err, it.label)
 			}
-			msg.Add(message.NewPrimitive(it.label, message.TypeString, tok))
+			if it.ruled && !ruleMatch(tok, it.rule) {
+				return nil, errRule
+			}
+			msg.Add(message.NewString(it.label, tok))
 		case kindHeaders:
 			hdrs, remain, err := parseHeaders(rest)
+			if short && errors.Is(err, ErrTruncated) {
+				return nil, errShortHead
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -212,8 +267,8 @@ func parseAs(cm *compiledMessage, s string) (*message.Message, error) {
 			h := message.NewStruct(it.label, hdrs...)
 			msg.Add(h)
 		case kindBody:
-			msg.Add(message.NewPrimitive(it.label, message.TypeString, rest))
-			rest = ""
+			msg.Add(message.NewBytes(it.label, data[len(text)-len(rest):]))
+			rest, short = "", false
 		case kindPath:
 			src := msg.Field(it.from)
 			if src == nil {
@@ -223,7 +278,7 @@ func parseAs(cm *compiledMessage, s string) (*message.Message, error) {
 			if i := strings.IndexByte(path, '?'); i >= 0 {
 				path = path[:i]
 			}
-			msg.Add(message.NewPrimitive(it.label, message.TypeString, path))
+			msg.Add(message.NewString(it.label, path))
 		case kindQuery:
 			src := msg.Field(it.from)
 			if src == nil {
@@ -243,7 +298,7 @@ func parseAs(cm *compiledMessage, s string) (*message.Message, error) {
 				sort.Strings(keys)
 				for _, k := range keys {
 					for _, v := range vals[k] {
-						q.Add(message.NewPrimitive(k, message.TypeString, v))
+						q.Add(message.NewString(k, v))
 					}
 				}
 			}
@@ -287,7 +342,7 @@ func parseHeaders(s string) ([]*message.Field, string, error) {
 		if !found {
 			return nil, s, fmt.Errorf("textenc: malformed header line %q", line)
 		}
-		out = append(out, message.NewPrimitive(strings.TrimSpace(k), message.TypeString, strings.TrimSpace(v)))
+		out = append(out, message.NewString(strings.TrimSpace(k), strings.TrimSpace(v)))
 	}
 }
 
@@ -306,7 +361,9 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 		for _, it := range cm.items {
 			if it.kind == kindBody {
 				if f := msg.Field(it.label); f != nil {
-					if raw, ok = f.Value.([]byte); !ok {
+					if f.Type == message.TypeBytes {
+						raw = f.Bytes()
+					} else {
 						text = f.ValueString()
 					}
 				}

@@ -130,6 +130,15 @@ func TestComposeRequestRoundTrip(t *testing.T) {
 	if ct, _ := back.GetString("Headers.Content-Type"); ct != "text/xml" {
 		t.Errorf("Content-Type = %q", ct)
 	}
+	// The body that comes back is bytes, and the packet's own: its tail,
+	// not a copy. What was parsed composes to the packet it was parsed from.
+	body := back.Field("Body")
+	if body.Type != message.TypeBytes || &body.Bytes()[0] != &wire[len(wire)-len("<methodCall/>")] {
+		t.Errorf("parsed Body is %v %q, want the packet's tail", body.Type, body.Bytes())
+	}
+	if again, err := c.Compose(back); err != nil || string(again) != s {
+		t.Errorf("compose∘parse gives %q, %v; want %q", again, err, s)
+	}
 
 	// A body held as bytes composes to the same packet, and a length the
 	// caller set is replaced where it stands — here last, where a derived
@@ -306,5 +315,40 @@ func BenchmarkHTTPCompose(b *testing.B) {
 		if _, err := c.Compose(msg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestParseReadsPastTheHead: Parse makes a string of the packet up to the
+// first blank line only, and a layout that reads text beyond it still gets
+// all of it; a body is the packet from where the layout stands, blank
+// lines and all.
+func TestParseReadsPastTheHead(t *testing.T) {
+	c := mustCodec(t, oddDoc)
+	for _, tc := range []struct {
+		raw, name string
+		want      map[string]string
+	}{
+		{"tail head line\r\n\r\nand the rest\r\n\r\nof it", "Tail",
+			map[string]string{"Head": "head line", "Rest": "\r\nand the rest\r\n\r\nof it"}},
+		{"twice\r\nA: b\r\n\r\nmiddle\r\nC: d\r\n\r\nbody\r\n\r\nbody", "Twice",
+			map[string]string{"First.A": "b", "Middle": "middle", "Second.C": "d", "Body": "body\r\n\r\nbody"}},
+		{"bare\r\nbody\r\n\r\nmore", "Bare", map[string]string{"Body": "body\r\n\r\nmore"}},
+	} {
+		msg, err := c.Parse([]byte(tc.raw))
+		if err != nil || msg.Name != tc.name {
+			t.Errorf("Parse(%q) = %v, %v; want a %s", tc.raw, msg, err, tc.name)
+			continue
+		}
+		for path, want := range tc.want {
+			if got, err := msg.GetString(path); err != nil || got != want {
+				t.Errorf("%s: %s = %q, %v; want %q", tc.name, path, got, err, want)
+			}
+		}
+	}
+	// A packet that fits no layout is reported as before: the first layout
+	// that failed to parse, not the ones a rule turned away.
+	_, err := c.Parse([]byte("twice A"))
+	if !errors.Is(err, mdl.ErrNoMessageMatch) || !strings.Contains(err.Error(), "Twice: ") || !strings.Contains(err.Error(), ErrTruncated.Error()) {
+		t.Errorf("err = %v", err)
 	}
 }

@@ -365,9 +365,9 @@ func (c *treeCosts) add(f *message.Field) {
 
 // TestDecodeAllocBudget pins the decoder to what the tree it returns is
 // made of: one Field per field, one Children slice per parent, the bytes
-// and the interface box of each non-empty text (message.Field.Value is an
-// `any`), one string per label the static table does not know — counted
-// once however often the document repeats it — and nothing per token.
+// of each non-empty text (the string lives in the node, with no box around
+// it), one string per label the static table does not know — counted once
+// however often the document repeats it — and nothing per token.
 func TestDecodeAllocBudget(t *testing.T) {
 	for _, doc := range seeds[:12] {
 		data := []byte(doc)
@@ -377,7 +377,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 		}
 		costs := treeCosts{labels: map[string]bool{}}
 		costs.add(tree)
-		budget := costs.fields + costs.parents + 2*costs.texts + len(costs.labels)
+		budget := costs.fields + costs.parents + costs.texts + len(costs.labels)
 		allocs := testing.AllocsPerRun(100, func() {
 			if _, err := DecodeTree(data); err != nil {
 				t.Fatal(err)

@@ -54,7 +54,7 @@ func (b *treeBuilder) element(r *Reader) (*message.Field, error) {
 	f := &message.Field{Label: r.Intern(r.Name())}
 	kidMark, textMark := len(b.kids), len(b.text)
 	for _, a := range r.Attrs() {
-		b.kids = append(b.kids, &message.Field{Label: a.Label, Type: message.TypeString, Value: a.Value})
+		b.kids = append(b.kids, message.NewString(a.Label, a.Value))
 	}
 	for {
 		tok, err := r.Next()
@@ -75,10 +75,10 @@ func (b *treeBuilder) element(r *Reader) (*message.Field, error) {
 		}
 		content := b.text[textMark:]
 		if len(b.kids) == kidMark {
-			f.Type, f.Value = message.TypeString, string(content)
+			f.SetText(string(content))
 		} else {
 			if content = bytes.TrimSpace(content); len(content) > 0 {
-				b.kids = append(b.kids, &message.Field{Label: "#text", Type: message.TypeString, Value: string(content)})
+				b.kids = append(b.kids, message.NewString("#text", string(content)))
 			}
 			f.Type = message.TypeStruct
 			f.Children = append(make([]*message.Field, 0, len(b.kids)-kidMark), b.kids[kidMark:]...)

@@ -200,22 +200,15 @@ func (w *Writer) children(fields []*message.Field) {
 // value appends f's value as escaped text. Numbers and booleans need no
 // escaping and no intermediate string.
 func (w *Writer) value(f *message.Field) {
-	if !f.Type.Primitive() {
-		w.buf = appendEscaped(w.buf, f.ValueString())
-		return
-	}
-	switch v := f.Value.(type) {
-	case nil:
-	case string:
-		w.buf = appendEscaped(w.buf, v)
-	case int64:
-		w.buf = strconv.AppendInt(w.buf, v, 10)
-	case uint64:
-		w.buf = strconv.AppendUint(w.buf, v, 10)
-	case bool:
-		w.buf = strconv.AppendBool(w.buf, v)
-	case float64:
-		w.buf = strconv.AppendFloat(w.buf, v, 'g', -1, 64)
+	switch f.Type {
+	case message.TypeInt32, message.TypeInt64:
+		w.buf = strconv.AppendInt(w.buf, f.Int64(), 10)
+	case message.TypeUint32, message.TypeUint64:
+		w.buf = strconv.AppendUint(w.buf, f.Uint64(), 10)
+	case message.TypeBool:
+		w.buf = strconv.AppendBool(w.buf, f.Bool())
+	case message.TypeFloat64:
+		w.buf = strconv.AppendFloat(w.buf, f.Float64(), 'g', -1, 64)
 	default:
 		w.buf = appendEscaped(w.buf, f.ValueString())
 	}

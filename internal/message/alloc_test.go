@@ -87,3 +87,38 @@ func TestCloneAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarAllocBudget pins what this package's value representation is
+// for: a scalar costs its node and nothing beside it, and moving one into a
+// node that exists costs nothing. Bytes alone sit behind a pointer.
+func TestScalarAllocBudget(t *testing.T) {
+	// Values the compiler cannot fold into static data.
+	s, n, x, raw := string(make([]byte, 40)), int64(1)<<40, 2.5, make([]byte, 8)
+	var sink *Field
+	var node Field
+	from, num := NewString("from", s), NewString("num", " 12345678901 ")
+	for _, tc := range []struct {
+		name   string
+		run    func()
+		budget float64
+	}{
+		{"NewString", func() { sink = NewString("x", s) }, 1},
+		{"NewInt64", func() { sink = NewInt64("x", n) }, 1},
+		{"NewUint64", func() { sink = NewUint64("x", uint64(n)) }, 1},
+		{"NewBool", func() { sink = NewBool("x", true) }, 1},
+		{"NewFloat64", func() { sink = NewFloat64("x", x) }, 1},
+		{"NewBytes", func() { sink = NewBytes("x", raw) }, 2},
+		{"setters", func() { node.SetText(s); node.SetInt64(n); node.SetFloat64(x); node.SetBool(true) }, 0},
+		{"CopyScalar", func() { node.CopyScalar(from) }, 0},
+		{"readers", func() { _, _, _, _ = from.Text(), num.Int64(), num.Uint64(), num.Float64() }, 0},
+	} {
+		allocs := testing.AllocsPerRun(200, tc.run)
+		if testutil.RaceEnabled {
+			t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
+		}
+		if allocs != tc.budget {
+			t.Errorf("%s allocated %.1f times per op, want %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+	_ = sink
+}

@@ -12,13 +12,14 @@ package message
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // Type describes the data content of a primitive field.
-type Type int
+type Type uint8
 
 // Field data types. TypeStruct marks a structured field; TypeArray marks a
 // structured field whose children are an ordered, homogeneous sequence.
@@ -81,31 +82,74 @@ var (
 	ErrNotStructured = errors.New("field is not structured")
 )
 
-// Field is one labelled node of an abstract message. Primitive fields carry
-// Value; structured fields carry Children.
+// Field is one labelled node of an abstract message. A primitive field
+// carries its value in the node; a structured field carries Children.
+//
+// The value is read and written through the accessors (Text, Int64, …,
+// SetText, …, CopyScalar): a string lives in the node as a string, the
+// integer, boolean and float kinds as their eight bytes, and only a []byte
+// sits behind a pointer, so that the node stays 80 bytes and a scalar costs
+// no allocation beside it.
 type Field struct {
 	// Label names the field, e.g. "RequestID" or "q".
 	Label string
-	// Type describes the content.
+	// Type describes the content. The setters and Set change it together
+	// with the value; assigned by hand it belongs on a node that holds none
+	// yet (a structured field being built).
 	Type Type
-	// LengthBits is the wire length in bits when fixed (0 = variable).
-	LengthBits int
 	// Mandatory marks fields that participate in the semantic-equivalence
 	// check of Definition 2 (Mfields).
 	Mandatory bool
-	// Value holds the content of a primitive field. Its dynamic type is
-	// string, int64, uint64, bool, float64 or []byte according to Type.
-	Value any
+	// LengthBits is the wire length in bits when fixed (0 = variable).
+	LengthBits int32
+
+	text string  // TypeString, and any Type this package has no kind for
+	num  uint64  // the integer kinds, TypeBool (0 or 1), TypeFloat64 (its bits)
+	raw  *[]byte // TypeBytes; never written through, so copies may share it
+
 	// Children holds the sub-fields of a structured field, in order.
 	Children []*Field
 }
 
 // NewPrimitive builds a primitive field, normalising the Go value to the
-// canonical dynamic type for t.
+// canonical content for t. A caller that holds a typed value uses NewString
+// and its like, which do not box it on the way in.
 func NewPrimitive(label string, t Type, value any) *Field {
-	f := &Field{Label: label, Type: t}
-	f.Value = normalize(t, value)
+	f := &Field{Label: label}
+	f.Set(t, value)
 	return f
+}
+
+// NewString builds a TypeString field.
+func NewString(label, s string) *Field {
+	return &Field{Label: label, Type: TypeString, text: s}
+}
+
+// NewInt64 builds a TypeInt64 field.
+func NewInt64(label string, n int64) *Field {
+	return &Field{Label: label, Type: TypeInt64, num: uint64(n)}
+}
+
+// NewUint64 builds a TypeUint64 field.
+func NewUint64(label string, n uint64) *Field {
+	return &Field{Label: label, Type: TypeUint64, num: n}
+}
+
+// NewBool builds a TypeBool field.
+func NewBool(label string, b bool) *Field {
+	f := &Field{Label: label}
+	f.SetBool(b)
+	return f
+}
+
+// NewFloat64 builds a TypeFloat64 field.
+func NewFloat64(label string, x float64) *Field {
+	return &Field{Label: label, Type: TypeFloat64, num: math.Float64bits(x)}
+}
+
+// NewBytes builds a TypeBytes field that aliases b.
+func NewBytes(label string, b []byte) *Field {
+	return &Field{Label: label, Type: TypeBytes, raw: &b}
 }
 
 // NewStruct builds a structured field from its children.
@@ -118,59 +162,204 @@ func NewArray(label string, elems ...*Field) *Field {
 	return &Field{Label: label, Type: TypeArray, Children: elems}
 }
 
-func normalize(t Type, v any) any {
-	if v == nil {
+// Set makes f a primitive of type t holding value, normalised: any Go
+// integer, float, bool or numeric string is accepted for a numeric type,
+// text or bytes for TypeString and TypeBytes, and nil is the zero value. A
+// type without a kind of its own holds the value's text.
+func (f *Field) Set(t Type, value any) {
+	f.Type, f.text, f.num, f.raw = t, "", 0, nil
+	if value == nil {
+		return
+	}
+	switch t {
+	case TypeInt32, TypeInt64:
+		f.num = uint64(toInt64(value))
+	case TypeUint32, TypeUint64:
+		f.num = toUint64(value)
+	case TypeBool:
+		b, ok := value.(bool)
+		if !ok {
+			s := fmt.Sprint(value)
+			b = s == "true" || s == "1"
+		}
+		if b {
+			f.num = 1
+		}
+	case TypeFloat64:
+		f.num = math.Float64bits(toFloat64(value))
+	case TypeBytes:
+		switch x := value.(type) {
+		case []byte:
+			f.raw = &x
+		case string:
+			b := []byte(x)
+			f.raw = &b
+		default:
+			b := []byte(fmt.Sprint(x))
+			f.raw = &b
+		}
+	default:
+		switch x := value.(type) {
+		case string:
+			f.text = x
+		case []byte:
+			f.text = string(x)
+		default:
+			f.text = fmt.Sprint(x)
+		}
+	}
+}
+
+// SetText makes f a TypeString field holding s.
+func (f *Field) SetText(s string) { f.Type, f.text, f.num, f.raw = TypeString, s, 0, nil }
+
+// SetInt64 makes f a TypeInt64 field holding n.
+func (f *Field) SetInt64(n int64) { f.Type, f.text, f.num, f.raw = TypeInt64, "", uint64(n), nil }
+
+// SetUint64 makes f a TypeUint64 field holding n.
+func (f *Field) SetUint64(n uint64) { f.Type, f.text, f.num, f.raw = TypeUint64, "", n, nil }
+
+// SetBool makes f a TypeBool field holding b.
+func (f *Field) SetBool(b bool) {
+	f.Type, f.text, f.num, f.raw = TypeBool, "", 0, nil
+	if b {
+		f.num = 1
+	}
+}
+
+// SetFloat64 makes f a TypeFloat64 field holding x.
+func (f *Field) SetFloat64(x float64) {
+	f.Type, f.text, f.num, f.raw = TypeFloat64, "", math.Float64bits(x), nil
+}
+
+// SetBytes makes f a TypeBytes field that aliases b.
+func (f *Field) SetBytes(b []byte) { f.Type, f.text, f.num, f.raw = TypeBytes, "", 0, &b }
+
+// CopyScalar gives f the value of the primitive field from, as an MTL
+// assignment moves it: node to node, with no box in between. The 32-bit
+// kinds widen to their 64-bit type and a type without a kind becomes
+// TypeString — what reading the value out and building a field from it
+// would give. Bytes are shared, not copied (Clone copies).
+func (f *Field) CopyScalar(from *Field) {
+	t := from.Type
+	switch t {
+	case TypeInt32:
+		t = TypeInt64
+	case TypeUint32:
+		t = TypeUint64
+	case TypeInt64, TypeUint64, TypeBool, TypeFloat64, TypeBytes:
+	default:
+		t = TypeString
+	}
+	f.Type, f.text, f.num, f.raw = t, from.text, from.num, from.raw
+}
+
+// Text returns the value as text: the string of a TypeString field, the
+// decimal or literal form of a number or boolean, the bytes as a string.
+func (f *Field) Text() string {
+	switch f.Type {
+	case TypeInt32, TypeInt64:
+		return strconv.FormatInt(int64(f.num), 10)
+	case TypeUint32, TypeUint64:
+		return strconv.FormatUint(f.num, 10)
+	case TypeBool:
+		return strconv.FormatBool(f.num != 0)
+	case TypeFloat64:
+		return strconv.FormatFloat(math.Float64frombits(f.num), 'g', -1, 64)
+	case TypeBytes:
+		return string(f.bytes())
+	}
+	return f.text
+}
+
+// Int64 returns the value as a signed integer: a float truncated, a
+// boolean as 0 or 1, text parsed (0 when it is not a number).
+func (f *Field) Int64() int64 {
+	switch f.Type {
+	case TypeInt32, TypeInt64, TypeUint32, TypeUint64, TypeBool:
+		return int64(f.num)
+	case TypeFloat64:
+		return int64(math.Float64frombits(f.num))
+	case TypeBytes:
+		return 0
+	}
+	return parseInt(f.text)
+}
+
+// Uint64 returns the value as an unsigned integer, converted like Int64.
+func (f *Field) Uint64() uint64 {
+	switch f.Type {
+	case TypeInt32, TypeInt64, TypeUint32, TypeUint64, TypeBool:
+		return f.num
+	case TypeFloat64:
+		return uint64(math.Float64frombits(f.num))
+	case TypeBytes:
+		return 0
+	}
+	return parseUint(f.text)
+}
+
+// Float64 returns the value as a float: an integer converted, text parsed
+// (0 when it is not a number).
+func (f *Field) Float64() float64 {
+	switch f.Type {
+	case TypeFloat64:
+		return math.Float64frombits(f.num)
+	case TypeInt32, TypeInt64:
+		return float64(int64(f.num))
+	case TypeUint32, TypeUint64:
+		return float64(f.num)
+	case TypeBool, TypeBytes:
+		return 0
+	}
+	return parseFloat(f.text)
+}
+
+// Bool returns the value as a boolean: true for a TypeBool that is set and
+// for any other value whose text is "true" or "1".
+func (f *Field) Bool() bool {
+	if f.Type == TypeBool {
+		return f.num != 0
+	}
+	s := f.Text()
+	return s == "true" || s == "1"
+}
+
+// Bytes returns the bytes of a TypeBytes field — the field's own, not a
+// copy — and the text of any other as bytes.
+func (f *Field) Bytes() []byte {
+	if f.Type != TypeBytes {
+		return []byte(f.Text())
+	}
+	return f.bytes()
+}
+
+// bytes is what raw points at.
+func (f *Field) bytes() []byte {
+	if f.raw == nil {
 		return nil
 	}
-	// Already-canonical values are returned as the original interface —
-	// `return x` would re-box the concrete value into a fresh `any`,
-	// costing an allocation on every Set that overwrites a field.
-	switch t {
-	case TypeString:
-		switch x := v.(type) {
-		case string:
-			return v
-		case []byte:
-			return string(x)
-		default:
-			return fmt.Sprint(x)
-		}
+	return *f.raw
+}
+
+// Value returns the value boxed in an interface, its dynamic type string,
+// int64, uint64, bool, float64 or []byte according to Type. It allocates
+// for most values: the message path reads through the typed accessors, and
+// Value is for tests, tools and the MTL interpreter.
+func (f *Field) Value() any {
+	switch f.Type {
 	case TypeInt32, TypeInt64:
-		if _, ok := v.(int64); ok {
-			return v
-		}
-		return toInt64(v)
+		return int64(f.num)
 	case TypeUint32, TypeUint64:
-		if _, ok := v.(uint64); ok {
-			return v
-		}
-		return toUint64(v)
+		return f.num
 	case TypeBool:
-		if _, ok := v.(bool); ok {
-			return v
-		}
-		s := fmt.Sprint(v)
-		return s == "true" || s == "1"
+		return f.num != 0
 	case TypeFloat64:
-		if _, ok := v.(float64); ok {
-			return v
-		}
-		return toFloat64(v)
+		return math.Float64frombits(f.num)
 	case TypeBytes:
-		switch x := v.(type) {
-		case []byte:
-			return v
-		case string:
-			return []byte(x)
-		default:
-			return []byte(fmt.Sprint(x))
-		}
+		return f.bytes()
 	}
-	// Unknown or structured type: render to a string rather than admit an
-	// arbitrary (possibly mutable, alias-prone) Go value as a field Value.
-	// The Value invariant — string, int64, uint64, bool, float64 or []byte —
-	// is what lets Clone guarantee deep copies.
-	return fmt.Sprint(v)
+	return f.text
 }
 
 func toInt64(v any) int64 {
@@ -188,8 +377,7 @@ func toInt64(v any) int64 {
 	case float64:
 		return int64(x)
 	case string:
-		n, _ := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
-		return n
+		return parseInt(x)
 	case bool:
 		if x {
 			return 1
@@ -214,8 +402,7 @@ func toUint64(v any) uint64 {
 	case float64:
 		return uint64(x)
 	case string:
-		n, _ := strconv.ParseUint(strings.TrimSpace(x), 10, 64)
-		return n
+		return parseUint(x)
 	}
 	return 0
 }
@@ -233,10 +420,26 @@ func toFloat64(v any) float64 {
 	case uint64:
 		return float64(x)
 	case string:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(x), 64)
-		return f
+		return parseFloat(x)
 	}
 	return 0
+}
+
+// Text read as a number is 0 when it is not one.
+
+func parseInt(s string) int64 {
+	n, _ := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	return n
+}
+
+func parseUint(s string) uint64 {
+	n, _ := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+	return n
+}
+
+func parseFloat(s string) float64 {
+	f, _ := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	return f
 }
 
 // Child returns the first child with the given label, or nil.
@@ -310,24 +513,11 @@ func (s *slab) clone(f *Field) *Field {
 
 // copyContent makes cp a copy of f in everything but its children.
 func (cp *Field) copyContent(f *Field) {
-	cp.Label = f.Label
-	cp.Type = f.Type
-	cp.LengthBits = f.LengthBits
-	cp.Mandatory = f.Mandatory
-	switch v := f.Value.(type) {
-	case nil, string, int64, uint64, bool, float64,
-		int, int8, int16, int32, uint, uint8, uint16, uint32, float32:
-		// Immutable scalars are safe to share.
-		cp.Value = f.Value
-	case []byte:
-		nb := make([]byte, len(v))
-		copy(nb, v)
-		cp.Value = nb
-	default:
-		// A directly-constructed Field can smuggle in a slice/map-typed
-		// Value that normalize never saw; canonicalise it so the clone
-		// never aliases mutable state with the original.
-		cp.Value = normalize(f.Type, v)
+	*cp = *f
+	cp.Children = nil
+	if f.raw != nil {
+		nb := append([]byte(nil), *f.raw...)
+		cp.raw = &nb
 	}
 }
 
@@ -359,7 +549,9 @@ func (f *Field) Equal(o *Field) bool {
 		return false
 	}
 	if f.Type.Primitive() {
-		return valueEqual(f.Value, o.Value)
+		// Of one Type, so of one kind. Floats compare by their bits: a
+		// clone equals its original, NaN included.
+		return f.text == o.text && f.num == o.num && string(f.bytes()) == string(o.bytes())
 	}
 	if len(f.Children) != len(o.Children) {
 		return false
@@ -370,18 +562,6 @@ func (f *Field) Equal(o *Field) bool {
 		}
 	}
 	return true
-}
-
-func valueEqual(a, b any) bool {
-	ab, aok := a.([]byte)
-	bb, bok := b.([]byte)
-	if aok && bok {
-		return string(ab) == string(bb)
-	}
-	if aok != bok {
-		return false
-	}
-	return a == b
 }
 
 // Message is a named set of fields: the unit the automata engine sends,
@@ -515,7 +695,7 @@ func (m *Message) Get(path string) (any, error) {
 	if !f.Type.Primitive() {
 		return nil, fmt.Errorf("%q: %w", path, ErrNotPrimitive)
 	}
-	return f.Value, nil
+	return f.Value(), nil
 }
 
 // GetString returns the field value at path rendered as a string.
@@ -529,11 +709,14 @@ func (m *Message) GetString(path string) (string, error) {
 
 // GetInt returns the field value at path as an int64.
 func (m *Message) GetInt(path string) (int64, error) {
-	v, err := m.Get(path)
+	f, err := m.Lookup(path)
 	if err != nil {
 		return 0, err
 	}
-	return toInt64(v), nil
+	if !f.Type.Primitive() {
+		return 0, fmt.Errorf("%q: %w", path, ErrNotPrimitive)
+	}
+	return f.Int64(), nil
 }
 
 // ValueString renders a primitive field's value as text; structured fields
@@ -549,24 +732,7 @@ func (f *Field) ValueString() string {
 		}
 		return "[" + strings.Join(parts, " ") + "]"
 	}
-	switch v := f.Value.(type) {
-	case nil:
-		return ""
-	case string:
-		return v
-	case []byte:
-		return string(v)
-	case int64:
-		return strconv.FormatInt(v, 10)
-	case uint64:
-		return strconv.FormatUint(v, 10)
-	case bool:
-		return strconv.FormatBool(v)
-	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	default:
-		return fmt.Sprint(v)
-	}
+	return f.Text()
 }
 
 // Set assigns a value to the primitive field at path, creating the path
@@ -613,8 +779,7 @@ func (m *Message) Set(path string, t Type, value any) error {
 			if !cur.Type.Primitive() {
 				return fmt.Errorf("%q: %w", path, ErrNotPrimitive)
 			}
-			cur.Type = t
-			cur.Value = normalize(t, value)
+			cur.Set(t, value)
 			return nil
 		}
 		if cur.Type.Primitive() {

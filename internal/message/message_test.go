@@ -2,8 +2,11 @@ package message
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -147,42 +150,52 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneDirectValueNotShared is the regression test for clones
-// aliasing mutable state: a directly-constructed Field (no NewPrimitive,
-// so normalize never ran) can carry a slice- or map-typed Value. Clone
-// must canonicalise such a value, never share the reference.
+// TestCloneDirectValueNotShared: a field never shares mutable state with
+// the Go value it was made from, and so neither does its clone. With the
+// value inside the node there is no way left to hand a Field a slice or a
+// map as it is; Set renders it on the way in.
 func TestCloneDirectValueNotShared(t *testing.T) {
 	tags := []string{"a", "b"}
-	f := &Field{Label: "tags", Type: TypeString, Value: tags}
+	f := NewPrimitive("tags", TypeString, tags)
 	cp := f.Clone()
 	tags[0] = "mutated"
-	if s, ok := cp.Value.(string); !ok || strings.Contains(s, "mutated") {
-		t.Errorf("clone shares slice-typed Value with original: %#v", cp.Value)
+	for _, g := range []*Field{f, cp} {
+		if s, ok := g.Value().(string); !ok || s != "[a b]" {
+			t.Errorf("slice-typed value became %#v, want its text as it was", g.Value())
+		}
 	}
 
 	meta := map[string]string{"k": "v"}
-	f = &Field{Label: "meta", Type: TypeBytes, Value: meta}
+	f = NewPrimitive("meta", TypeBytes, meta)
 	cp = f.Clone()
-	b, ok := cp.Value.([]byte)
-	if !ok {
-		t.Fatalf("clone did not canonicalise map-typed Value to []byte: %#v", cp.Value)
-	}
 	meta["k"] = "mutated"
-	if strings.Contains(string(b), "mutated") {
-		t.Error("clone shares map-typed Value with original")
+	for _, g := range []*Field{f, cp} {
+		if b, ok := g.Value().([]byte); !ok || string(b) != "map[k:v]" {
+			t.Errorf("map-typed value became %#v, want its text as bytes", g.Value())
+		}
 	}
 }
 
 func TestCloneBytesIndependence(t *testing.T) {
-	m := New("M", NewPrimitive("raw", TypeBytes, []byte{1, 2, 3}))
+	raw := []byte{1, 2, 3}
+	m := New("M", NewPrimitive("raw", TypeBytes, raw))
+	if &m.Field("raw").Bytes()[0] != &raw[0] {
+		t.Error("a bytes field copied what it was given; it aliases (a Body is handed over, not copied)")
+	}
 	cp := m.Clone()
-	b, ok := cp.Field("raw").Value.([]byte)
-	if !ok {
+	b := cp.Field("raw").Bytes()
+	if cp.Field("raw").Type != TypeBytes || len(b) != 3 {
 		t.Fatal("clone lost []byte value")
 	}
 	b[0] = 99
-	if orig := m.Field("raw").Value.([]byte); orig[0] != 1 {
+	if raw[0] != 1 || m.Field("raw").Bytes()[0] != 1 {
 		t.Error("byte slice shared between clone and original")
+	}
+	// CopyScalar moves a value as an MTL assignment does: bytes are shared.
+	var moved Field
+	moved.CopyScalar(m.Field("raw"))
+	if &moved.Bytes()[0] != &raw[0] {
+		t.Error("CopyScalar copied the bytes")
 	}
 }
 
@@ -207,7 +220,8 @@ func TestCloneNodesIndependent(t *testing.T) {
 		for i, n := range nodes {
 			was := *n
 			n.Add(NewPrimitive("added", TypeString, "x"))
-			n.Label, n.Value = "mutated", "mutated"
+			n.Label = "mutated"
+			n.SetText("mutated")
 			if !m.Equal(pristine) {
 				t.Fatalf("seed %d: changing node %d of a clone changed the original", seed, i)
 			}
@@ -297,8 +311,8 @@ func TestNormalize(t *testing.T) {
 	}
 	for _, tt := range tests {
 		f := NewPrimitive("x", tt.t, tt.in)
-		if !reflect.DeepEqual(f.Value, tt.want) {
-			t.Errorf("normalize(%v, %#v) = %#v, want %#v", tt.t, tt.in, f.Value, tt.want)
+		if !reflect.DeepEqual(f.Value(), tt.want) {
+			t.Errorf("normalize(%v, %#v) = %#v, want %#v", tt.t, tt.in, f.Value(), tt.want)
 		}
 	}
 }
@@ -478,9 +492,124 @@ func TestNumericCoercions(t *testing.T) {
 		{TypeFloat64, uint64(5), 5.0},
 	}
 	for _, c := range cases {
-		got := NewPrimitive("x", c.t, c.in).Value
+		got := NewPrimitive("x", c.t, c.in).Value()
 		if got != c.want {
 			t.Errorf("normalize(%v, %#v) = %#v, want %#v", c.t, c.in, got, c.want)
 		}
+	}
+}
+
+// TestFieldSize: the value moved into the node without making it bigger
+// (Type and LengthBits narrowed to make the room).
+func TestFieldSize(t *testing.T) {
+	if size := reflect.TypeOf(Field{}).Size(); size > 80 {
+		t.Errorf("Field is %d bytes, want at most 80", size)
+	}
+}
+
+// TestEveryTypeEveryInput runs every Type against every kind of Go value
+// Set accepts, and holds the field that comes out to the accessors'
+// contract: Value has the canonical dynamic type, the typed accessor of the
+// field's own kind agrees with it, ValueString is its text, a clone is
+// Equal, a typed constructor builds the same field, and CopyScalar moves
+// the value under the 64-bit type of its kind.
+func TestEveryTypeEveryInput(t *testing.T) {
+	inputs := []any{
+		nil, "", "17", " 18 ", "-3", "2.5", "true", "text",
+		[]byte("9"), []byte{}, true, false,
+		int(-4), int32(5), int64(-6), uint32(7), uint64(8), uint64(math.MaxUint64),
+		float32(1.5), 2.9, -0.0, math.NaN(), math.Inf(1),
+	}
+	types := []Type{TypeString, TypeInt32, TypeInt64, TypeUint32, TypeUint64, TypeBool, TypeFloat64, TypeBytes, Type(0), Type(99)}
+	for _, ty := range types {
+		for _, in := range inputs {
+			f := NewPrimitive("x", ty, in)
+			name := fmt.Sprintf("%v(%#v)", ty, in)
+			if f.Type != ty || f.Label != "x" {
+				t.Errorf("%s: built as %v %q", name, f.Type, f.Label)
+			}
+			var typed *Field // what the typed constructor makes of the same value
+			wide := ty       // the type CopyScalar gives
+			switch v := f.Value().(type) {
+			case string:
+				if ty != TypeString && ty != 0 && ty != 99 {
+					t.Errorf("%s: Value is a string", name)
+				}
+				if v != f.Text() || v != f.ValueString() {
+					t.Errorf("%s: Value %q, Text %q, ValueString %q", name, v, f.Text(), f.ValueString())
+				}
+				typed, wide = NewString("x", v), TypeString
+			case int64:
+				if ty != TypeInt32 && ty != TypeInt64 {
+					t.Errorf("%s: Value is an int64", name)
+				}
+				if v != f.Int64() || strconv.FormatInt(v, 10) != f.ValueString() {
+					t.Errorf("%s: Value %d, Int64 %d, ValueString %q", name, v, f.Int64(), f.ValueString())
+				}
+				typed, wide = NewInt64("x", v), TypeInt64
+			case uint64:
+				if ty != TypeUint32 && ty != TypeUint64 {
+					t.Errorf("%s: Value is a uint64", name)
+				}
+				if v != f.Uint64() || strconv.FormatUint(v, 10) != f.ValueString() {
+					t.Errorf("%s: Value %d, Uint64 %d, ValueString %q", name, v, f.Uint64(), f.ValueString())
+				}
+				typed, wide = NewUint64("x", v), TypeUint64
+			case bool:
+				if ty != TypeBool || v != f.Bool() || strconv.FormatBool(v) != f.ValueString() {
+					t.Errorf("%s: Value %v, Bool %v, ValueString %q", name, v, f.Bool(), f.ValueString())
+				}
+				typed = NewBool("x", v)
+			case float64:
+				same := v == f.Float64() || (math.IsNaN(v) && math.IsNaN(f.Float64()))
+				if ty != TypeFloat64 || !same || strconv.FormatFloat(v, 'g', -1, 64) != f.ValueString() {
+					t.Errorf("%s: Value %v, Float64 %v, ValueString %q", name, v, f.Float64(), f.ValueString())
+				}
+				typed = NewFloat64("x", v)
+			case []byte:
+				if ty != TypeBytes || string(v) != string(f.Bytes()) || string(v) != f.ValueString() {
+					t.Errorf("%s: Value %q, Bytes %q, ValueString %q", name, v, f.Bytes(), f.ValueString())
+				}
+				typed = NewBytes("x", v)
+			default:
+				t.Errorf("%s: Value has dynamic type %T", name, v)
+				continue
+			}
+			if ty == wide && !typed.Equal(f) {
+				t.Errorf("%s: the typed constructor builds %v, NewPrimitive %v", name, typed.Value(), f.Value())
+			}
+			cp := f.Clone()
+			if !cp.Equal(f) || !f.Equal(cp) || cp.ValueString() != f.ValueString() {
+				t.Errorf("%s: clone %v differs from %v", name, cp.Value(), f.Value())
+			}
+			var moved Field
+			moved.Label = "x"
+			moved.CopyScalar(f)
+			if moved.Type != wide || moved.ValueString() != f.ValueString() || !reflect.DeepEqual(moved.Value(), f.Value()) {
+				// NaN is not DeepEqual to itself; its text is compared above.
+				if v, ok := f.Value().(float64); !ok || !math.IsNaN(v) {
+					t.Errorf("%s: CopyScalar gives %v %#v, want %v %#v", name, moved.Type, moved.Value(), wide, f.Value())
+				}
+			}
+			// A setter leaves nothing of what the node held before.
+			f.SetText("reset")
+			if !f.Equal(NewString("x", "reset")) {
+				t.Errorf("%s: SetText over it leaves %v behind", name, f.Value())
+			}
+		}
+	}
+	// The coercions a reader may ask of a field of another kind.
+	n := NewString("n", " 42 ")
+	if n.Int64() != 42 || n.Uint64() != 42 || n.Float64() != 42 || n.Bool() || string(n.Bytes()) != " 42 " {
+		t.Errorf("text read as numbers: %d %d %v %v %q", n.Int64(), n.Uint64(), n.Float64(), n.Bool(), n.Bytes())
+	}
+	if b := NewBool("b", true); b.Int64() != 1 || b.Text() != "true" || !NewString("b", "1").Bool() {
+		t.Error("booleans read as numbers and text")
+	}
+	if x := NewFloat64("x", 2.9); x.Int64() != 2 || x.Uint64() != 2 || NewInt64("i", -3).Float64() != -3 {
+		t.Error("floats and integers read as each other")
+	}
+	if NewBytes("b", []byte("7")).Int64() != 0 || NewBytes("b", nil).Bytes() != nil {
+		t.Error("bytes are no number, and none are nil")
 	}
 }

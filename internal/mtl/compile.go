@@ -28,6 +28,14 @@ package mtl
 //     second line of defence;
 //   - scalar overwrites of existing fields update the field in place
 //     instead of building a replacement node;
+//   - a scalar read from a field and only moved (`p.id = e.id`) is carried
+//     as the field it was read from and copied node to node; it is boxed
+//     into an `any` only where one is needed — a function argument, a
+//     scalar variable;
+//   - a variable the program only ever builds (every mention of it is
+//     `v = newstruct("…")`, the root of `v.path = …`, or the whole right-hand
+//     side of a graft) has its tree made of nodes the frame keeps and hands
+//     out again at the next `v = newstruct("…")`; see builder;
 //   - per-execution scratch (argument arena, foreach item snapshots,
 //     variable slots) lives in the Env and is reused across Execs, so a
 //     pooled Env executes a compiled program with a small constant
@@ -91,11 +99,21 @@ func (p *CompiledProgram) Handles() []string { return append([]string(nil), p.ha
 // mutations write through — the interpreter's semantics for
 // `v = m1.Msg.sub` — and grafting it into a message clones, exactly like
 // the interpreter.
+//
+// built marks the tree of a builder variable (see builder): it is made of
+// b's nodes and nothing but this slot refers to it. Only cBuild sets it, so
+// a value bound any other way — by an earlier program through Env.Vars, say
+// — takes the ordinary path. b stays with the slot from one Exec to the next.
 type cval struct {
-	v   any
-	set bool
-	cow bool
+	v     any
+	b     *builder
+	set   bool
+	cow   bool
+	built bool
 }
+
+// bind gives the slot a value that is no builder's tree.
+func (sv *cval) bind(v any, cow bool) { sv.v, sv.set, sv.cow, sv.built = v, true, cow, false }
 
 // cres is one evaluated expression result.
 //
@@ -108,10 +126,89 @@ type cval struct {
 // message mutations, all of which would diverge from the interpreter's
 // clone-on-graft semantics (and a self-graft like `p.s = p` would even
 // build a cyclic tree).
+//
+// leaf carries a scalar that was read from a primitive field as that field
+// (v is nil then): an assignment copies it node to node, and value boxes it
+// for whoever needs an `any`.
 type cres struct {
 	v     any
+	leaf  *message.Field
 	owned bool
 	cow   bool
+}
+
+// value returns the result as the interpreter would hold it.
+func (r cres) value() any {
+	if r.leaf != nil {
+		return fieldValue(r.leaf)
+	}
+	return r.v
+}
+
+// field converts the result into a graftable field: an owned tree is
+// transferred, any other cloned, and a scalar goes into a node of b's (of
+// its own, when b is nil).
+func (r cres) field(label string, b *builder) *message.Field {
+	if f, ok := r.v.(*message.Field); ok {
+		if !r.owned {
+			f = f.Clone()
+		}
+		f.Label = label
+		return f
+	}
+	f := b.node(label)
+	r.scalarInto(f)
+	return f
+}
+
+// scalarInto gives f the value and the type of a result that is no tree.
+func (r cres) scalarInto(f *message.Field) {
+	if r.leaf != nil {
+		f.CopyScalar(r.leaf)
+	} else {
+		setScalar(f, r.v)
+	}
+}
+
+// builder is the storage of a builder variable: one the compiler has shown
+// to be mentioned only as `v = newstruct(<literal>)` (or newarray), as the
+// root of `v.path = expr`, or as the whole right-hand side of a graft — never
+// as a call argument, a foreach source or loop variable, in `q = v`, or in a
+// longer path read. Nothing but the variable's slot can then refer to its
+// tree, and every way out of the frame copies: a graft clones it, as for any
+// variable, and so does the write-back into Env.Vars when Exec returns. So
+// the tree's nodes can be handed out again at the next `v = newstruct(…)`,
+// child lists keeping their capacity, and no program can tell.
+type builder struct {
+	nodes []*message.Field // all made so far; nodes[:used] are in the tree
+	used  int
+}
+
+// maxBuilderNodes bounds what a slot keeps from one Exec to the next.
+const maxBuilderNodes = 256
+
+// node returns an empty field for the tree; without a builder, a new one.
+func (b *builder) node(label string) *message.Field {
+	if b == nil {
+		return &message.Field{Label: label}
+	}
+	if b.used == len(b.nodes) {
+		b.nodes = append(b.nodes, new(message.Field))
+	}
+	f := b.nodes[b.used]
+	b.used++
+	f.Label = label
+	return f
+}
+
+// reset takes every node back, emptied: a child list keeps its capacity
+// and none of its pointers.
+func (b *builder) reset() {
+	for _, f := range b.nodes[:b.used] {
+		clear(f.Children)
+		*f = message.Field{Children: f.Children[:0]}
+	}
+	b.used = 0
 }
 
 // cframe is the per-execution scratch state, reused across Execs of the
@@ -167,18 +264,29 @@ func (p *CompiledProgram) Exec(env *Env) error {
 	} else {
 		fr.vars = fr.vars[:len(p.varNames)]
 		for i := range fr.vars {
-			fr.vars[i] = cval{}
+			fr.vars[i] = cval{b: fr.vars[i].b}
 		}
 	}
 	for i, name := range p.varNames {
 		if v, ok := env.Vars[name]; ok {
-			fr.vars[i] = cval{v: v, set: true}
+			fr.vars[i].bind(v, false)
 		}
 	}
 	defer func() {
 		for i, name := range p.varNames {
-			if fr.vars[i].set {
-				env.Vars[name] = fr.vars[i].v
+			sv := &fr.vars[i]
+			if sv.built {
+				// Here the tree leaves the frame: Env.Vars gets one of its
+				// own, on the error paths too.
+				env.Vars[name] = sv.v.(*message.Field).Clone()
+			} else if sv.set {
+				env.Vars[name] = sv.v
+			}
+			if sv.b != nil {
+				sv.b.reset()
+				if len(sv.b.nodes) > maxBuilderNodes {
+					sv.b = nil
+				}
 			}
 		}
 		fr.busy = false
@@ -203,7 +311,27 @@ func (s *cAssignVar) exec(fr *cframe) error {
 	if err != nil {
 		return err
 	}
-	fr.vars[s.slot] = cval{v: res.v, set: true, cow: res.cow}
+	fr.vars[s.slot].bind(res.value(), res.cow)
+	return nil
+}
+
+// cBuild is `v = newstruct("label")` (or newarray) for a builder variable:
+// the slot's nodes are taken back and the first becomes the new root.
+type cBuild struct {
+	slot  int
+	label string
+	typ   message.Type
+}
+
+func (s *cBuild) exec(fr *cframe) error {
+	sv := &fr.vars[s.slot]
+	if sv.b == nil {
+		sv.b = new(builder)
+	}
+	sv.b.reset()
+	root := sv.b.node(s.label)
+	root.Type = s.typ
+	sv.v, sv.set, sv.cow, sv.built = root, true, false, true
 	return nil
 }
 
@@ -223,7 +351,7 @@ func (s *cAssignVarPath) exec(fr *cframe) error {
 	sv := &fr.vars[s.slot]
 	if !sv.set {
 		if v, ok := fr.env.Vars[s.root]; ok {
-			*sv = cval{v: v, set: true}
+			sv.bind(v, false)
 		}
 	}
 	f, isField := sv.v.(*message.Field)
@@ -236,7 +364,11 @@ func (s *cAssignVarPath) exec(fr *cframe) error {
 		f = f.Clone()
 		sv.v, sv.cow = f, false
 	}
-	return csetSteps(&f.Children, s.steps, res, s.text)
+	var b *builder
+	if sv.built {
+		b = sv.b
+	}
+	return csetSteps(&f.Children, s.steps, res, s.text, b)
 }
 
 type cAssignMsg struct {
@@ -279,7 +411,7 @@ func (s *cAssignMsg) exec(fr *cframe) error {
 		}
 		return nil
 	}
-	return csetSteps(&msg.Fields, s.steps[2:], res, s.text)
+	return csetSteps(&msg.Fields, s.steps[2:], res, s.text, nil)
 }
 
 type cCallStmt struct{ call cExpr }
@@ -339,7 +471,7 @@ func (s *cForeach) exec(fr *cframe) error {
 		sv := &fr.vars[s.srcSlot]
 		if !sv.set {
 			if v, ok := fr.env.Vars[s.srcRoot]; ok {
-				*sv = cval{v: v, set: true}
+				sv.bind(v, false)
 			} else {
 				return fmt.Errorf("%w: foreach source %q: unknown root %q", ErrExec, s.text, s.srcRoot)
 			}
@@ -384,7 +516,7 @@ func (s *cForeach) exec(fr *cframe) error {
 		fr.iters = fr.iters[:base]
 	}()
 	for i := 0; i < n; i++ {
-		fr.vars[s.varSlot] = cval{v: fr.iters[base+i], set: true, cow: cowSrc}
+		fr.vars[s.varSlot].bind(fr.iters[base+i], cowSrc)
 		for _, st := range s.body {
 			if err := st.exec(fr); err != nil {
 				return err
@@ -430,12 +562,12 @@ func (e *cPath) eval(fr *cframe) (cres, error) {
 		if err != nil {
 			return cres{}, fmt.Errorf("%w: %s: %v", ErrExec, e.text, err)
 		}
-		return cres{v: fieldValue(f)}, nil
+		return fieldResult(f, false), nil
 	}
 	sv := &fr.vars[e.slot]
 	if !sv.set {
 		if v, ok := fr.env.Vars[e.root]; ok {
-			*sv = cval{v: v, set: true}
+			sv.bind(v, false)
 		} else {
 			return cres{}, fmt.Errorf("%w: %s: unknown message or variable %q", ErrExec, e.text, e.root)
 		}
@@ -451,7 +583,16 @@ func (e *cPath) eval(fr *cframe) (cres, error) {
 	if err != nil {
 		return cres{}, fmt.Errorf("%w: %s: %v", ErrExec, e.text, err)
 	}
-	return cres{v: fieldValue(sub), cow: sv.cow}, nil
+	return fieldResult(sub, sv.cow), nil
+}
+
+// fieldResult is what reading f gives: the tree, or the scalar as the leaf
+// it sits in.
+func fieldResult(f *message.Field, cow bool) cres {
+	if f.Type.Primitive() {
+		return cres{leaf: f, cow: cow}
+	}
+	return cres{v: f, cow: cow}
 }
 
 type cCall struct {
@@ -472,7 +613,7 @@ func (e *cCall) eval(fr *cframe) (cres, error) {
 			fr.args = fr.args[:base]
 			return cres{}, err
 		}
-		fr.args = append(fr.args, r.v)
+		fr.args = append(fr.args, r.value())
 	}
 	v, err := e.fn(fr.env, fr.args[base:])
 	fr.args = fr.args[:base]
@@ -498,7 +639,11 @@ func (e *cGetCachePeek) eval(fr *cframe) (cres, error) {
 	if fr.env.Cache == nil {
 		return cres{}, fmt.Errorf("%w: getcache(): no session cache configured", ErrExec)
 	}
-	f, err := fr.env.Cache.Peek(ValueString(r.v))
+	key := ValueString(r.v)
+	if r.leaf != nil {
+		key = r.leaf.ValueString()
+	}
+	f, err := fr.env.Cache.Peek(key)
 	if err != nil {
 		return cres{}, fmt.Errorf("%w: getcache(): %w", ErrExec, err)
 	}
@@ -531,46 +676,10 @@ func clookupSteps(children []*message.Field, steps []pathStep) (*message.Field, 
 	return cur, nil
 }
 
-// scalarField maps an evaluated scalar onto its field type and canonical
-// value (the table of valueToField, without building a field).
-func scalarField(val any) (message.Type, any, bool) {
-	switch v := val.(type) {
-	case string:
-		return message.TypeString, v, true
-	case int64:
-		return message.TypeInt64, v, true
-	case uint64:
-		return message.TypeUint64, v, true
-	case float64:
-		return message.TypeFloat64, v, true
-	case bool:
-		return message.TypeBool, v, true
-	case []byte:
-		return message.TypeBytes, v, true
-	case nil:
-		return message.TypeString, "", true
-	}
-	return 0, nil, false
-}
-
-// cvalueToField converts an evaluated value into a graftable field,
-// transferring owned trees instead of cloning them.
-func cvalueToField(label string, res cres) *message.Field {
-	if f, ok := res.v.(*message.Field); ok {
-		if res.owned {
-			f.Label = label
-			return f
-		}
-		cp := f.Clone()
-		cp.Label = label
-		return cp
-	}
-	return valueToField(label, res.v)
-}
-
-// csetSteps is setSteps with ownership-aware grafting and an in-place
-// overwrite fast path for existing scalar targets.
-func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string) error {
+// csetSteps is setSteps with ownership-aware grafting, an in-place
+// overwrite fast path for existing scalar targets, and the nodes it makes
+// taken from b when the tree is a builder's (b is nil otherwise).
+func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string, b *builder) error {
 	for i := range steps {
 		st := &steps[i]
 		last := i == len(steps)-1
@@ -590,25 +699,22 @@ func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text stri
 		}
 		if cur == nil {
 			if last {
-				*children = append(*children, cvalueToField(st.label, res))
+				*children = append(*children, res.field(st.label, b))
 				return nil
 			}
-			cur = message.NewStruct(st.label)
+			cur = b.node(st.label)
+			cur.Type = message.TypeStruct
 			*children = append(*children, cur)
 		}
 		if last {
-			if t, v, ok := scalarField(res.v); ok {
-				// Overwrite in place: the interpreter's `*cur = *nf`
-				// resets length, mandatory flag and children too.
-				cur.Type = t
-				cur.Value = v
-				cur.LengthBits = 0
-				cur.Mandatory = false
-				cur.Children = nil
+			if _, tree := res.v.(*message.Field); tree {
+				*cur = *res.field(st.label, nil)
 				return nil
 			}
-			nf := cvalueToField(st.label, res)
-			*cur = *nf
+			// Overwrite in place: the interpreter's `*cur = *nf` resets
+			// length, mandatory flag and children too.
+			res.scalarInto(cur)
+			cur.LengthBits, cur.Mandatory, cur.Children = 0, false, nil
 			return nil
 		}
 		if cur.Type.Primitive() {
@@ -643,6 +749,10 @@ type compiler struct {
 	// may return the cache's own tree instead of a clone — nothing can
 	// write through it, and grafts always copy.
 	peekSafe bool
+
+	// builders are the variables every mention of which fits the builder
+	// rule (see builder); their `v = newstruct(…)` compiles to cBuild.
+	builders map[string]bool
 }
 
 // Compile lowers a parsed program into its compiled form. It never
@@ -659,6 +769,7 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 		handleSet[h] = true
 	}
 	c.peekSafe = c.analyze(p.stmts, handleSet)
+	c.builders = c.builderVars(p.stmts, handleSet)
 	stmts := make([]cStmt, 0, len(p.stmts))
 	for _, s := range p.stmts {
 		cs, err := c.stmt(s, handleSet)
@@ -721,6 +832,87 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) (peekSafe bo
 	return peekSafe && noCustomCalls
 }
 
+// builderCall reports whether e is newstruct or newarray — the builtin, not
+// a function of the same name — over one literal, and what it makes.
+func (c *compiler) builderCall(e Expr) (label string, typ message.Type, ok bool) {
+	call, isCall := e.(*callExpr)
+	if !isCall || len(call.args) != 1 || c.funcs[call.name] != nil {
+		return "", 0, false
+	}
+	lit, isLit := call.args[0].(*literalExpr)
+	if !isLit {
+		return "", 0, false
+	}
+	switch call.name {
+	case "newstruct":
+		return ValueString(lit.val), message.TypeStruct, true
+	case "newarray":
+		return ValueString(lit.val), message.TypeArray, true
+	}
+	return "", 0, false
+}
+
+// builderVars is the syntactic pass behind builder: it returns the
+// variables that are assigned by a builder call and mentioned nowhere the
+// rule does not allow.
+func (c *compiler) builderVars(stmts []Stmt, handleSet map[string]bool) map[string]bool {
+	built, barred := map[string]bool{}, map[string]bool{}
+	// mention bars every variable an expression reads.
+	var mention func(e Expr)
+	mention = func(e Expr) {
+		switch ex := e.(type) {
+		case *pathExpr:
+			barred[ex.steps[0].label] = true
+		case *callExpr:
+			for _, a := range ex.args {
+				mention(a)
+			}
+		}
+	}
+	var walk func(s Stmt)
+	walk = func(s Stmt) {
+		switch st := s.(type) {
+		case *assignStmt:
+			root := st.lhs.steps[0]
+			if len(st.lhs.steps) == 1 && !root.append && !handleSet[root.label] {
+				// `v = expr`: a builder call, or v is no builder — and
+				// nor is what expr reads, which v would alias.
+				if _, _, ok := c.builderCall(st.rhs); ok {
+					built[root.label] = true
+				} else {
+					barred[root.label] = true
+					mention(st.rhs)
+				}
+				return
+			}
+			// A graft, into a message or under a variable (which may be a
+			// builder: it is the root of the path). The graft copies a
+			// tree, so a variable that is the whole right-hand side stays
+			// eligible.
+			if rhs, ok := st.rhs.(*pathExpr); !ok || len(rhs.steps) > 1 {
+				mention(st.rhs)
+			}
+		case *callStmt:
+			mention(st.call)
+		case *foreachStmt:
+			barred[st.varName] = true
+			barred[st.src.steps[0].label] = true
+			for _, b := range st.body {
+				walk(b)
+			}
+		case *tryStmt:
+			walk(st.inner)
+		}
+	}
+	for _, s := range stmts {
+		walk(s)
+	}
+	for v := range barred {
+		delete(built, v)
+	}
+	return built
+}
+
 func (c *compiler) handleSlot(name string) int {
 	if i, ok := c.handles[name]; ok {
 		return i
@@ -774,6 +966,10 @@ func (c *compiler) stmt(s Stmt, handleSet map[string]bool) (cStmt, error) {
 			}, nil
 		}
 		if len(st.lhs.steps) == 1 && !root.append {
+			if c.builders[root.label] {
+				label, typ, _ := c.builderCall(st.rhs)
+				return &cBuild{slot: c.varSlot(root.label), label: label, typ: typ}, nil
+			}
 			return &cAssignVar{slot: c.varSlot(root.label), rhs: rhs}, nil
 		}
 		steps := st.lhs.steps[1:]

@@ -1,6 +1,10 @@
 package mtl
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,56 +44,98 @@ func fixtureEnv() *Env {
 	return env
 }
 
-// diffExec runs src through the interpreter and the compiled fast path
-// against identical fixtures and fails the test on any observable
-// difference: outcome, message trees, host retarget, or variables.
+// diffExec holds the compiled form of src to the interpreter over the
+// fixture; see diffRuns.
 func diffExec(t *testing.T, src string, funcs map[string]Func) {
 	t.Helper()
 	prog, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	compiled, err := Compile(prog, CompileOptions{Handles: fixtureHandles, Funcs: funcs})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	envI, envC := fixtureEnv(), fixtureEnv()
-	envI.Funcs, envC.Funcs = funcs, funcs
-	errI := prog.Exec(envI)
-	errC := compiled.Exec(envC)
-	if (errI != nil) != (errC != nil) {
-		t.Fatalf("outcome diverged:\n interpreted: %v\n compiled:    %v\nprogram:\n%s", errI, errC, src)
-	}
-	assertEnvEqual(t, src, envI, envC)
+	diffRuns(t, prog, CompileOptions{Handles: fixtureHandles, Funcs: funcs}, fixtureEnv)
 }
 
-func assertEnvEqual(t *testing.T, src string, envI, envC *Env) {
+// diffRuns is the differential oracle of the compiled path, shared with
+// FuzzCompile. It runs prog through the interpreter and through its
+// compiled form, each twice on one Env of its own — the second run over
+// fresh messages but with the variables, the cache and (compiled) the frame
+// of the first — and fails on any observable difference after either run:
+// outcome, message trees, host retarget, variables. Then it looks at the
+// first run's messages once more: a tree made of storage the frame handed
+// out again in the second run would have changed under them.
+func diffRuns(t testing.TB, prog *Program, opts CompileOptions, fixture func() *Env) {
 	t.Helper()
-	for _, h := range fixtureHandles {
-		if !envI.Message(h).Equal(envC.Message(h)) {
-			t.Errorf("message %q diverged:\n interpreted: %v\n compiled:    %v\nprogram:\n%s",
-				h, envI.Message(h), envC.Message(h), src)
+	src := prog.Source()
+	compiled, err := Compile(prog, opts)
+	if err != nil {
+		t.Fatalf("program parsed but did not compile: %v\n%s", err, src)
+	}
+	envI, envC := fixture(), fixture()
+	envI.Funcs, envC.Funcs = opts.Funcs, opts.Funcs
+	same := func(when string) {
+		t.Helper()
+		for _, h := range opts.Handles {
+			if !envI.Message(h).Equal(envC.Message(h)) {
+				t.Fatalf("%s: message %q diverged:\n interpreted: %v\n compiled:    %v\nprogram:\n%s",
+					when, h, envI.Message(h), envC.Message(h), src)
+			}
 		}
 	}
-	if envI.Host != envC.Host {
-		t.Errorf("host diverged: %q vs %q\nprogram:\n%s", envI.Host, envC.Host, src)
-	}
-	for name := range envI.Vars {
-		if _, ok := envC.Vars[name]; !ok {
-			t.Errorf("var %q only set by interpreter\nprogram:\n%s", name, src)
+	var firstI, firstC []*message.Message
+	for _, run := range []string{"first run", "second run"} {
+		if firstI != nil {
+			freshI, freshC := fixture(), fixture()
+			for _, h := range opts.Handles {
+				envI.Bind(h, freshI.Message(h))
+				envC.Bind(h, freshC.Message(h))
+			}
+		}
+		errI, errC := prog.Exec(envI), compiled.Exec(envC)
+		if (errI != nil) != (errC != nil) {
+			t.Fatalf("%s: outcome diverged:\n interpreted: %v\n compiled:    %v\nprogram:\n%s", run, errI, errC, src)
+		}
+		same(run)
+		if envI.Host != envC.Host {
+			t.Fatalf("%s: host diverged: %q vs %q\nprogram:\n%s", run, envI.Host, envC.Host, src)
+		}
+		for name := range envI.Vars {
+			if _, ok := envC.Vars[name]; !ok {
+				t.Fatalf("%s: var %q only set by interpreter\nprogram:\n%s", run, name, src)
+			}
+		}
+		for name, vc := range envC.Vars {
+			vi, ok := envI.Vars[name]
+			if !ok {
+				t.Fatalf("%s: var %q only set by compiled path\nprogram:\n%s", run, name, src)
+			}
+			if !sameValue(vi, vc) {
+				t.Fatalf("%s: var %q diverged: %#v (%q) vs %#v (%q)\nprogram:\n%s",
+					run, name, vi, ValueString(vi), vc, ValueString(vc), src)
+			}
+		}
+		if firstI == nil {
+			for _, h := range opts.Handles {
+				firstI, firstC = append(firstI, envI.Message(h)), append(firstC, envC.Message(h))
+			}
 		}
 	}
-	for name, vc := range envC.Vars {
-		vi, ok := envI.Vars[name]
-		if !ok {
-			t.Errorf("var %q only set by compiled path\nprogram:\n%s", name, src)
-			continue
-		}
-		if ValueString(vi) != ValueString(vc) {
-			t.Errorf("var %q diverged: %q vs %q\nprogram:\n%s",
-				name, ValueString(vi), ValueString(vc), src)
+	for i, h := range opts.Handles {
+		if !firstI[i].Equal(firstC[i]) {
+			t.Fatalf("after the second run, message %q of the first diverged:\n interpreted: %v\n compiled:    %v\nprogram:\n%s",
+				h, firstI[i], firstC[i], src)
 		}
 	}
+}
+
+// sameValue compares what two variables hold: trees by Equal — label, type
+// and content, not their rendering — and scalars by type and value.
+func sameValue(a, b any) bool {
+	fa, isA := a.(*message.Field)
+	fb, isB := b.(*message.Field)
+	if isA || isB {
+		return isA && isB && fa.Equal(fb)
+	}
+	return reflect.DeepEqual(a, b)
 }
 
 func TestCompiledMatchesInterpreter(t *testing.T) {
@@ -406,18 +452,116 @@ func TestCompiledExecAllocBudget(t *testing.T) {
 }
 
 // TestScalarGraftAllocBudget: a scalar copied into a message (`p.id =
-// e.id`) costs the new field and nothing else — the value keeps the box it
-// was read in.
+// e.id`) costs the new field and nothing else — the value lives in the
+// node, whether it arrives as an evaluated value or as the leaf it was read
+// from — and written over a field that exists it costs nothing. (Bytes that
+// arrive in an `any` are the exception: the node holds them by a pointer.)
 func TestScalarGraftAllocBudget(t *testing.T) {
-	for _, val := range []any{"photo-1", int64(7), uint64(7), 2.5, true, []byte("raw")} {
-		allocs := testing.AllocsPerRun(200, func() { valueToField("id", val) })
+	check := func(what string, want float64, run func()) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(200, run)
 		if testutil.RaceEnabled {
 			t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 		}
-		if allocs != 1 {
-			t.Errorf("valueToField(%T) allocates %.1f/op, want 1", val, allocs)
+		if allocs != want {
+			t.Errorf("%s allocates %.1f/op, want %.0f", what, allocs, want)
 		}
 	}
+	text := strings.Repeat("photo-", 4) // not a constant the compiler could box for nothing
+	steps := []pathStep{{label: "id", index: -1}}
+	appendStep := []pathStep{{label: "id", index: -1, append: true}}
+	for _, val := range []any{text, int64(1) << 40, uint64(1) << 40, 2.5, true, []byte("raw")} {
+		node := 1.0
+		if _, ok := val.([]byte); ok {
+			node = 2
+		}
+		check(fmt.Sprintf("valueToField(%T)", val), node, func() { valueToField("id", val) })
+
+		// The compiled path: a new field, then the same field overwritten,
+		// from the evaluated value and from a leaf that holds it.
+		leaf := valueToField("src", val)
+		for _, res := range []cres{{v: val}, {leaf: leaf}} {
+			from := "a value"
+			if res.leaf != nil {
+				from, node = "a leaf", 1 // bytes move with their pointer
+			}
+			children := make([]*message.Field, 0, 1)
+			check(fmt.Sprintf("a new field from %s (%T)", from, val), node, func() {
+				children = children[:0]
+				if err := csetSteps(&children, appendStep, res, "id", nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			check(fmt.Sprintf("an overwrite from %s (%T)", from, val), node-1, func() {
+				if err := csetSteps(&children, steps, res, "id", nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got := children[0]; !got.Equal(valueToField("id", val)) {
+				t.Errorf("%s (%T) wrote %v", from, val, got.Value())
+			}
+		}
+	}
+}
+
+// searchReply is the reply γ of casestudy.SearchMediator (the package
+// cannot be imported from here: it imports this one through the engine's
+// models), over the fixture's handles: the Fig. 9 idiom, a struct built and
+// grafted per entry.
+const searchReply = `m2.Msg.photos = newarray("photos")
+foreach e in m1.Msg.entry {
+  p = newstruct("item")
+  p.id = e.id
+  p.title = e.title
+  try p.owner = e.author
+  m2.Msg.photos.item[] = p
+}
+m2.Msg.total = count(m1.Msg)`
+
+// TestSearchGammaAllocBudget is the budget for that program over fifty
+// entries of five children: the graft's two allocations per item — its
+// nodes and its child list, one exact slab — plus the growth of the photo
+// list and a constant. The struct `p` itself, its three leaves and its child
+// list are the frame's (builder), and the values move node to node.
+func TestSearchGammaAllocBudget(t *testing.T) {
+	compiled, err := Compile(MustParse(searchReply), CompileOptions{Handles: fixtureHandles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := message.New("search.reply")
+	for i := 0; i < 50; i++ {
+		n := strconv.Itoa(i)
+		feed.Add(message.NewStruct("entry",
+			message.NewString("id", "photo-"+n), message.NewString("title", "title "+n),
+			message.NewString("summary", "summary "+n), message.NewString("author", "author "+n),
+			message.NewString("src", "http://photos.example/"+n+".jpg")))
+	}
+	env := NewEnv(nil)
+	env.Bind("m1", feed)
+	m2 := message.New("")
+	env.Bind("m2", m2)
+	run := func() {
+		env.Reset()
+		env.Bind("m1", feed)
+		env.Bind("m2", m2)
+		m2.Name, m2.Fields = "", m2.Fields[:0]
+		if err := compiled.Exec(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if photos, err := m2.Lookup("photos"); err != nil || len(photos.Children) != 50 ||
+		photos.Children[49].Child("owner").ValueString() != "author 49" {
+		t.Fatalf("the program built %v, %v", m2, err)
+	}
+	allocs := testing.AllocsPerRun(50, run)
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
+	}
+	if allocs > 130 {
+		t.Fatalf("the search γ allocates %.1f/op over fifty entries, budget 130", allocs)
+	}
+	t.Logf("the search γ over fifty entries: %.1f allocs/op", allocs)
 }
 
 // TestInterpretedVsCompiledAllocs documents (and guards) the headline
@@ -489,4 +633,281 @@ foreach e in m1.Msg.Body.feed.entry {
   m2.Msg.ids[] = e.id
 }
 m2.Msg.restored = e`), nil)
+}
+
+// builderCases name, one by one, what the builder pass must decide: for
+// each program, the variables whose tree may be made of the frame's nodes.
+// They run against fuzzFixture, and the ones without functions of their own
+// seed FuzzCompile.
+var builderCases = []struct {
+	name  string
+	src   string
+	funcs map[string]Func
+	want  []string
+}{
+	{name: "the Fig. 9 idiom: built, filled, grafted, per entry", want: []string{"p"}, src: `
+foreach e in m.M.list.item {
+  p = newstruct("item")
+  p.id = e.id
+  try p.owner = e.nobody
+  out.O.photos.item[] = p
+}`},
+	{name: "a self-graft copies: the tree never holds itself", want: []string{"p"}, src: `
+p = newstruct("s")
+p.x = "1"
+p.s = p
+p.s.x = "2"
+out.O.s = p`},
+	{name: "q = p gives the tree a second name, and q.x writes through it", want: nil, src: `
+p = newstruct("s")
+q = p
+q.x = "1"
+out.O.s = p`},
+	{name: "cache(k, p) is a call argument", want: nil, src: `
+p = newstruct("s")
+p.x = "1"
+cache("kk", p)
+p.x = "2"
+out.O.s = getcache("kk")`},
+	{name: "a function of the deployment may keep what it is given", want: nil,
+		funcs: map[string]Func{"stash": func(env *Env, args []any) (any, error) {
+			env.Vars["held"] = args[0]
+			return nil, nil
+		}},
+		src: `
+p = newstruct("s")
+p.x = "1"
+stash(p)
+p = newstruct("t")
+p.y = "2"
+out.O.kept = held`},
+	{name: "a foreach over its children holds them while the body runs", want: nil, src: `
+p = newstruct("s")
+p.kids[] = "a"
+p.kids[] = "b"
+foreach c in p.kids {
+  p = newstruct("t")
+  out.O.k[] = c
+}`},
+	{name: "a longer path reads out of the tree", want: nil, src: `
+p = newstruct("s")
+p.x = "1"
+x = p.x
+out.O.x = x`},
+	{name: "a label that is no literal", want: nil, src: `
+foreach e in m.M.list.item {
+  p = newstruct(e.v)
+  p.id = e.id
+  out.O.s[] = p
+}`},
+	{name: "newstruct is the deployment's function, not the builtin", want: nil,
+		funcs: map[string]Func{"newstruct": func(*Env, []any) (any, error) {
+			return message.NewStruct("theirs", message.NewString("made", "elsewhere")), nil
+		}},
+		src: `
+p = newstruct("s")
+p.x = "1"
+out.O.s = p`},
+	{name: "assigned once by a builder call and once otherwise", want: nil, src: `
+p = newstruct("s")
+p.x = "1"
+out.O.s = p
+p = b.Msg.tree
+p.x = "written through"`},
+	{name: "built inside a foreach and grafted after it", want: []string{"p"}, src: `
+foreach e in m.M.list.item {
+  p = newstruct("last")
+  p.id = e.id
+}
+out.O.last = p`},
+	{name: "grafted twice with an assignment between", want: []string{"p"}, src: `
+p = newstruct("s")
+p.x = "1"
+out.O.one = p
+p.x = "2"
+p.y.z = "3"
+out.O.two = p`},
+	{name: "a statement fails half-way", want: []string{"p"}, src: `
+p = newstruct("s")
+p.x = "1"
+out.O.s = p
+p.x.y = "2"
+out.O.never = p`},
+	{name: "nested foreach with one builder each, one grafted into the other", want: []string{"i", "o"}, src: `
+foreach e in m.M.list.item {
+  o = newarray("outer")
+  o.id = e.id
+  foreach f in m.M.list.item {
+    i = newstruct("inner")
+    i.v = f.v
+    o.inner[] = i
+  }
+  out.O.outer[] = o
+}`},
+	{name: "bound by an earlier program and used before it is assigned", want: []string{"p"}, src: `
+try p.early = "1"
+try out.O.before = p
+p = newstruct("s")
+p.x = "2"
+out.O.s = p`},
+	{name: "a tree grafted into it, then written under", want: []string{"p"}, src: `
+p = newstruct("s")
+p.tree = b.Msg.tree
+p.tree.x = "mine"
+p.tree.more.deep = b.Msg.y
+p.fresh = newstruct("f")
+p.fresh.x = 1
+out.O.s = p
+out.O.theirs = b.Msg.tree.x`},
+	{name: "the whole message from it", want: []string{"p"}, src: `
+p = newstruct("s")
+p.x = "1"
+out.O = p
+p.x = "2"`},
+}
+
+// TestBuilderPass holds the pass to the table, and each program's compiled
+// form to the interpreter, twice on one Env (diffRuns).
+func TestBuilderPass(t *testing.T) {
+	handleSet := map[string]bool{}
+	for _, h := range fuzzHandles {
+		handleSet[h] = true
+	}
+	for _, tc := range builderCases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for v := range (&compiler{funcs: tc.funcs}).builderVars(prog.stmts, handleSet) {
+				got = append(got, v)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("builders %v, want %v", got, tc.want)
+			}
+			diffRuns(t, prog, CompileOptions{Handles: fuzzHandles, Funcs: tc.funcs}, fuzzFixture)
+		})
+	}
+}
+
+// TestBuilderWriteBackOwnsItsTree: when Exec returns, by an error too, what
+// it leaves in Env.Vars is a tree of its own, not the frame's nodes — the
+// next Exec builds over those.
+func TestBuilderWriteBackOwnsItsTree(t *testing.T) {
+	compiled, err := Compile(MustParse(`
+p = newstruct("s")
+p.x = b.Msg.tree.x
+out.O.s = p
+p.x.y = "fails: x is primitive"`), CompileOptions{Handles: fuzzHandles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := fuzzFixture()
+	if err := compiled.Exec(env); err == nil {
+		t.Fatal("the program ran to its end")
+	}
+	left, _ := env.Vars["p"].(*message.Field)
+	grafted, _ := env.Message("out").Lookup("s")
+	want := message.NewStruct("s", message.NewString("x", "tx"))
+	if !left.Equal(want) || !grafted.Equal(want) {
+		t.Fatalf("left %v in Env.Vars and grafted %v, want %v", left, grafted, want)
+	}
+	b, _ := env.Message("b").Lookup("tree.x")
+	b.SetText("second")
+	env.Bind("out", message.New("O"))
+	if err := compiled.Exec(env); err == nil {
+		t.Fatal("the program ran to its end")
+	}
+	if !left.Equal(want) || !grafted.Equal(want) {
+		t.Errorf("the second Exec changed what the first left (%v) or grafted (%v)", left, grafted)
+	}
+	if again, _ := env.Vars["p"].(*message.Field); again == left || again.Child("x").ValueString() != "second" {
+		t.Errorf("the second Exec left %v", again)
+	}
+}
+
+// TestBuilderReentrantExec: a function that runs the program again on its
+// own Env finds the frame busy and gets one of its own, builders included —
+// the outer run's tree is not rebuilt under it.
+func TestBuilderReentrantExec(t *testing.T) {
+	var compiled *CompiledProgram
+	depth := int64(0)
+	funcs := map[string]Func{
+		"depth": func(*Env, []any) (any, error) { return depth, nil },
+		"again": func(env *Env, _ []any) (any, error) {
+			if depth == 2 {
+				return nil, nil
+			}
+			depth++
+			defer func() { depth-- }()
+			return nil, compiled.Exec(env)
+		},
+	}
+	compiled, err := Compile(MustParse(`
+p = newstruct("s")
+p.depth = depth()
+again()
+out.O.s[] = p`), CompileOptions{Handles: fuzzHandles, Funcs: funcs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := fuzzFixture()
+	env.Funcs = funcs
+	for run := 0; run < 2; run++ {
+		out := message.New("O")
+		env.Bind("out", out)
+		if err := compiled.Exec(env); err != nil {
+			t.Fatal(err)
+		}
+		want := message.New("O",
+			message.NewStruct("s", message.NewInt64("depth", 2)),
+			message.NewStruct("s", message.NewInt64("depth", 1)),
+			message.NewStruct("s", message.NewInt64("depth", 0)))
+		if !out.Equal(want) {
+			t.Fatalf("run %d built %v, want %v", run, out, want)
+		}
+	}
+}
+
+// TestBuilderDropsLargeStorage: nodes are kept from one Exec to the next up
+// to maxBuilderNodes; a tree that outgrew that is let go with the Exec, and
+// a small one keeps being reused.
+func TestBuilderDropsLargeStorage(t *testing.T) {
+	compiled, err := Compile(MustParse(`
+p = newstruct("s")
+foreach e in m.M.list.item {
+  p.id[] = e.id
+}
+out.O.s = p`), CompileOptions{Handles: fuzzHandles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := fuzzFixture()
+	list, _ := env.Message("m").Lookup("list")
+	exec := func() *builder {
+		t.Helper()
+		env.Bind("out", message.New("O"))
+		if err := compiled.Exec(env); err != nil {
+			t.Fatal(err)
+		}
+		if s, _ := env.Message("out").Lookup("s"); len(s.Children) != len(list.Children) {
+			t.Fatalf("built %d children, want %d", len(s.Children), len(list.Children))
+		}
+		return env.frame.vars[0].b
+	}
+	small := exec()
+	if small == nil || exec() != small || small.used != 0 || len(small.nodes) != 3 {
+		t.Fatalf("a small builder is not kept and handed out again: %+v", small)
+	}
+	for len(list.Children) < maxBuilderNodes {
+		list.Add(message.NewStruct("item", message.NewString("id", "more")))
+	}
+	if b := exec(); b != nil {
+		t.Errorf("a builder of %d nodes outlived its Exec", len(b.nodes))
+	}
+	if b := exec(); b != nil {
+		t.Errorf("a builder of %d nodes outlived its Exec", len(b.nodes))
+	}
 }

@@ -29,8 +29,9 @@ func FuzzParse(f *testing.F) {
 
 // FuzzCompile is the compiled/interpreted equivalence oracle: any program
 // that parses must compile, and executing the compiled form against a
-// fixture environment must produce exactly the interpreter's observable
-// state — outcome, message trees, host retarget and variables.
+// fixture environment — twice on one Env, see diffRuns — must produce
+// exactly the interpreter's observable state: outcome, message trees, host
+// retarget and variables.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"a.Msg.x = b.Msg.y",
@@ -52,34 +53,15 @@ func FuzzCompile(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	handles := []string{"a", "b", "m", "out"}
-	fixture := func() *Env {
-		env := NewEnv(&Cache{})
-		env.Bind("a", message.New("Msg"))
-		env.Bind("b", message.New("Msg",
-			message.NewPrimitive("y", message.TypeInt64, 1),
-			message.NewStruct("tree",
-				message.NewPrimitive("x", message.TypeString, "tx"),
-			),
-		))
-		env.Bind("m", message.New("M",
-			message.NewStruct("list",
-				message.NewStruct("item", message.NewPrimitive("v", message.TypeString, "v0"),
-					message.NewPrimitive("id", message.TypeString, "i0")),
-				message.NewStruct("item", message.NewPrimitive("v", message.TypeString, "v1"),
-					message.NewPrimitive("id", message.TypeString, "i1")),
-			),
-		))
-		env.Bind("out", message.New("O"))
-		env.Cache.Put("k", message.NewStruct("cached",
-			message.NewPrimitive("title", message.TypeString, "ct"),
-		))
-		return env
+	for _, c := range builderCases {
+		if c.funcs == nil {
+			f.Add(c.src)
+		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		// Bound the differential run: a program of repeated whole-tree
 		// self-grafts (`x = out` / `out.O.a = x`) doubles state per
-		// statement, and this harness executes everything twice.
+		// statement, and this harness executes everything four times.
 		if len(src) > 2048 {
 			return
 		}
@@ -87,35 +69,34 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		compiled, err := Compile(prog, CompileOptions{Handles: handles})
-		if err != nil {
-			t.Fatalf("program parsed but did not compile: %v\n%s", err, src)
-		}
-		envI, envC := fixture(), fixture()
-		errI := prog.Exec(envI)
-		errC := compiled.Exec(envC)
-		if (errI != nil) != (errC != nil) {
-			t.Fatalf("outcome diverged: interpreted %v, compiled %v\n%s", errI, errC, src)
-		}
-		for _, h := range handles {
-			if !envI.Message(h).Equal(envC.Message(h)) {
-				t.Fatalf("message %q diverged:\n interpreted: %v\n compiled:    %v\n%s",
-					h, envI.Message(h), envC.Message(h), src)
-			}
-		}
-		if envI.Host != envC.Host {
-			t.Fatalf("host diverged: %q vs %q\n%s", envI.Host, envC.Host, src)
-		}
-		for name, vi := range envI.Vars {
-			if ValueString(vi) != ValueString(envC.Vars[name]) {
-				t.Fatalf("var %q diverged: %q vs %q\n%s",
-					name, ValueString(vi), ValueString(envC.Vars[name]), src)
-			}
-		}
-		for name := range envC.Vars {
-			if _, ok := envI.Vars[name]; !ok {
-				t.Fatalf("var %q only set by compiled path\n%s", name, src)
-			}
-		}
+		diffRuns(t, prog, CompileOptions{Handles: fuzzHandles}, fuzzFixture)
 	})
+}
+
+// fuzzHandles and fuzzFixture are what FuzzCompile and the builder table
+// run their programs against.
+var fuzzHandles = []string{"a", "b", "m", "out"}
+
+func fuzzFixture() *Env {
+	env := NewEnv(&Cache{})
+	env.Bind("a", message.New("Msg"))
+	env.Bind("b", message.New("Msg",
+		message.NewPrimitive("y", message.TypeInt64, 1),
+		message.NewStruct("tree",
+			message.NewPrimitive("x", message.TypeString, "tx"),
+		),
+	))
+	env.Bind("m", message.New("M",
+		message.NewStruct("list",
+			message.NewStruct("item", message.NewPrimitive("v", message.TypeString, "v0"),
+				message.NewPrimitive("id", message.TypeString, "i0")),
+			message.NewStruct("item", message.NewPrimitive("v", message.TypeString, "v1"),
+				message.NewPrimitive("id", message.TypeString, "i1")),
+		),
+	))
+	env.Bind("out", message.New("O"))
+	env.Cache.Put("k", message.NewStruct("cached",
+		message.NewPrimitive("title", message.TypeString, "ct"),
+	))
+	return env
 }

@@ -407,7 +407,7 @@ func nameMatches(msgName, pathName string) bool {
 // stay as trees.
 func fieldValue(f *message.Field) any {
 	if f.Type.Primitive() {
-		return f.Value
+		return f.Value()
 	}
 	return f
 }
@@ -569,31 +569,38 @@ func setSteps(children *[]*message.Field, steps []pathStep, val any, text string
 }
 
 // valueToField converts an evaluated value into a field with the given
-// label. Field trees are cloned and relabelled. A scalar goes in as the
-// interface it came in: handing NewPrimitive the unwrapped v would box it a
-// second time, an allocation for every `p.id = e.id`.
+// label. Field trees are cloned and relabelled; a scalar costs its node.
 func valueToField(label string, val any) *message.Field {
-	switch v := val.(type) {
-	case *message.Field:
-		cp := v.Clone()
+	if f, ok := val.(*message.Field); ok {
+		cp := f.Clone()
 		cp.Label = label
 		return cp
+	}
+	f := &message.Field{Label: label}
+	setScalar(f, val)
+	return f
+}
+
+// setScalar gives f the value and the type of an evaluated scalar: nil is
+// the empty string, and a Go value MTL has no type for is its text.
+func setScalar(f *message.Field, val any) {
+	switch v := val.(type) {
 	case string:
-		return message.NewPrimitive(label, message.TypeString, val)
+		f.SetText(v)
 	case int64:
-		return message.NewPrimitive(label, message.TypeInt64, val)
+		f.SetInt64(v)
 	case uint64:
-		return message.NewPrimitive(label, message.TypeUint64, val)
+		f.SetUint64(v)
 	case float64:
-		return message.NewPrimitive(label, message.TypeFloat64, val)
+		f.SetFloat64(v)
 	case bool:
-		return message.NewPrimitive(label, message.TypeBool, val)
+		f.SetBool(v)
 	case []byte:
-		return message.NewPrimitive(label, message.TypeBytes, val)
+		f.SetBytes(v)
 	case nil:
-		return message.NewPrimitive(label, message.TypeString, "")
+		f.SetText("")
 	default:
-		return message.NewPrimitive(label, message.TypeString, fmt.Sprint(v))
+		f.SetText(fmt.Sprint(v))
 	}
 }
 

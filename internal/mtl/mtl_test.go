@@ -179,7 +179,7 @@ func TestStructuredGraftAndRename(t *testing.T) {
 		t.Error("graft lost children")
 	}
 	// Mutating the destination must not affect the source (deep copy).
-	f.Child("id").Value = "zzz"
+	f.Child("id").SetText("zzz")
 	if v, _ := src.GetString("entry.id"); v != "p1" {
 		t.Error("graft aliases source")
 	}

@@ -81,37 +81,37 @@ var compiled = sync.OnceValues(func() (mdl.Codec, error) {
 
 // IntParam returns an int parameter field.
 func IntParam(v int64) *message.Field {
-	return message.NewPrimitive("Parameter", message.TypeInt64, v)
+	return message.NewInt64("Parameter", v)
 }
 
 // StringParam returns a string parameter field.
 func StringParam(s string) *message.Field {
-	return message.NewPrimitive("Parameter", message.TypeString, s)
+	return message.NewString("Parameter", s)
 }
 
 // BoolParam returns a bool parameter field.
 func BoolParam(b bool) *message.Field {
-	return message.NewPrimitive("Parameter", message.TypeBool, b)
+	return message.NewBool("Parameter", b)
 }
 
 // DoubleParam returns a double parameter field.
 func DoubleParam(f float64) *message.Field {
-	return message.NewPrimitive("Parameter", message.TypeFloat64, f)
+	return message.NewFloat64("Parameter", f)
 }
 
 // NewRequest builds a GIOPRequest abstract message.
 func NewRequest(requestID uint64, objectKey, operation string, params []*message.Field) *message.Message {
 	return message.New("GIOPRequest",
-		message.NewPrimitive("Magic", message.TypeString, "GIOP"),
-		message.NewPrimitive("VersionMajor", message.TypeUint64, 1),
-		message.NewPrimitive("VersionMinor", message.TypeUint64, 0),
-		message.NewPrimitive("Flags", message.TypeUint64, 0),
-		message.NewPrimitive("MessageType", message.TypeUint64, 0),
-		message.NewPrimitive("MessageSize", message.TypeUint64, 0),
-		message.NewPrimitive("RequestID", message.TypeUint64, requestID),
-		message.NewPrimitive("Response", message.TypeUint64, 1),
-		message.NewPrimitive("ObjectKey", message.TypeBytes, []byte(objectKey)),
-		message.NewPrimitive("Operation", message.TypeString, operation),
+		message.NewString("Magic", "GIOP"),
+		message.NewUint64("VersionMajor", 1),
+		message.NewUint64("VersionMinor", 0),
+		message.NewUint64("Flags", 0),
+		message.NewUint64("MessageType", 0),
+		message.NewUint64("MessageSize", 0),
+		message.NewUint64("RequestID", requestID),
+		message.NewUint64("Response", 1),
+		message.NewBytes("ObjectKey", []byte(objectKey)),
+		message.NewString("Operation", operation),
 		message.NewArray("ParameterArray", params...),
 	)
 }
@@ -119,14 +119,14 @@ func NewRequest(requestID uint64, objectKey, operation string, params []*message
 // NewReply builds a GIOPReply abstract message.
 func NewReply(requestID uint64, status uint64, results []*message.Field) *message.Message {
 	return message.New("GIOPReply",
-		message.NewPrimitive("Magic", message.TypeString, "GIOP"),
-		message.NewPrimitive("VersionMajor", message.TypeUint64, 1),
-		message.NewPrimitive("VersionMinor", message.TypeUint64, 0),
-		message.NewPrimitive("Flags", message.TypeUint64, 0),
-		message.NewPrimitive("MessageType", message.TypeUint64, 1),
-		message.NewPrimitive("MessageSize", message.TypeUint64, 0),
-		message.NewPrimitive("RequestID", message.TypeUint64, requestID),
-		message.NewPrimitive("ReplyStatus", message.TypeUint64, status),
+		message.NewString("Magic", "GIOP"),
+		message.NewUint64("VersionMajor", 1),
+		message.NewUint64("VersionMinor", 0),
+		message.NewUint64("Flags", 0),
+		message.NewUint64("MessageType", 1),
+		message.NewUint64("MessageSize", 0),
+		message.NewUint64("RequestID", requestID),
+		message.NewUint64("ReplyStatus", status),
 		message.NewArray("ParameterArray", results...),
 	)
 }

@@ -13,8 +13,7 @@ func calcHandler(objectKey, operation string, params []*message.Field) ([]*messa
 		return nil, fmt.Errorf("unknown object %q", objectKey)
 	}
 	get := func(i int) int64 {
-		v, _ := params[i].Value.(int64)
-		return v
+		return params[i].Int64()
 	}
 	switch operation {
 	case "Add":
@@ -52,7 +51,7 @@ func TestE3InvokeAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].Value != int64(42) {
+	if len(results) != 1 || results[0].Value() != int64(42) {
 		t.Errorf("Add = %+v", results)
 	}
 	// Several invocations on the same connection: request ids advance.
@@ -61,8 +60,8 @@ func TestE3InvokeAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if results[0].Value != 2*i {
-			t.Errorf("Add(%d,%d) = %v", i, i, results[0].Value)
+		if results[0].Value() != 2*i {
+			t.Errorf("Add(%d,%d) = %v", i, i, results[0].Value())
 		}
 	}
 }
@@ -81,8 +80,8 @@ func TestMixedResultTypes(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("results = %+v", results)
 	}
-	if results[0].Value != "calculator" || results[1].Value != true || results[2].Value != 1.5 {
-		t.Errorf("values = %v %v %v", results[0].Value, results[1].Value, results[2].Value)
+	if results[0].Value() != "calculator" || results[1].Value() != true || results[2].Value() != 1.5 {
+		t.Errorf("values = %v %v %v", results[0].Value(), results[1].Value(), results[2].Value())
 	}
 }
 

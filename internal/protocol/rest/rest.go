@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 
 	"starlink/internal/mdl/xmlenc"
 	"starlink/internal/protocol/httpwire"
@@ -140,24 +141,47 @@ func ParseEntry(data []byte) (Entry, error) {
 	return Entry{}, malformed(err)
 }
 
+// entryLists pools the lists readFeed collects a feed's entries on, so that
+// Feed.Entries is allocated once, at its size, when the feed has been read
+// (as the XML-RPC decoder's stacks do for arrays and structs). A list that
+// one large feed has grown past maxRetainedEntries is not pooled again.
+var entryLists = sync.Pool{New: func() any { return new([]Entry) }}
+
+const maxRetainedEntries = 1024
+
 // readFeed reads a feed document.
 func readFeed(r *xmlenc.Reader) (Feed, error) {
 	var f Feed
 	if err := root(r, "feed"); err != nil {
 		return f, err
 	}
+	list := entryLists.Get().(*[]Entry)
+	entries := (*list)[:0]
+	defer func() {
+		// The strings are the feed's: nothing pooled may pin them.
+		clear(entries)
+		if cap(entries) <= maxRetainedEntries {
+			*list = entries[:0]
+			entryLists.Put(list)
+		}
+	}()
 	titled := false
 	for {
 		name, err := r.Find("title", "entry")
 		switch {
-		case err != nil || name == "":
+		case err != nil:
 			return f, err
+		case name == "":
+			if len(entries) > 0 {
+				f.Entries = append(make([]Entry, 0, len(entries)), entries...)
+			}
+			return f, nil
 		case name == "entry":
 			e, err := readEntry(r)
 			if err != nil {
 				return f, err
 			}
-			f.Entries = append(f.Entries, e)
+			entries = append(entries, e)
 		case !titled:
 			titled = true
 			f.Title, err = text(r)

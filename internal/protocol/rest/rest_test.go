@@ -2,7 +2,10 @@ package rest
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"starlink/internal/mdl/xmlenc"
@@ -217,4 +220,34 @@ func TestEntryReadsOwnText(t *testing.T) {
 	if want := (Entry{Title: "Photo", Summary: "a  one", Author: "ann"}); err != nil || e != want {
 		t.Errorf("ParseEntry = %+v, %v, want %+v", e, err, want)
 	}
+}
+
+// TestParseFeedConcurrent: the list a feed's entries are collected on is
+// pooled; feeds parsed at once, of different lengths, each come back whole
+// and their own.
+func TestParseFeedConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			want := Feed{Title: fmt.Sprintf("feed %d", g)}
+			for i := 0; i <= g*7; i++ {
+				want.Entries = append(want.Entries, Entry{ID: fmt.Sprintf("g%d-e%d", g, i), Title: "t"})
+			}
+			wire, err := AppendFeed(nil, want)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for n := 0; n < 200; n++ {
+				got, err := ParseFeed(wire)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d: parsed %d entries, %v; want its own %d", g, len(got.Entries), err, len(want.Entries))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -86,12 +86,12 @@ type URLEntry struct {
 // NewRequest builds a ServiceRequest abstract message.
 func NewRequest(xid uint64, serviceType, scope string) *message.Message {
 	return message.New("ServiceRequest",
-		message.NewPrimitive("Version", message.TypeUint64, 2),
-		message.NewPrimitive("FunctionID", message.TypeUint64, FnServiceRequest),
-		message.NewPrimitive("XID", message.TypeUint64, xid),
-		message.NewPrimitive("PRList", message.TypeString, ""),
-		message.NewPrimitive("ServiceType", message.TypeString, serviceType),
-		message.NewPrimitive("Scope", message.TypeString, scope),
+		message.NewUint64("Version", 2),
+		message.NewUint64("FunctionID", FnServiceRequest),
+		message.NewUint64("XID", xid),
+		message.NewString("PRList", ""),
+		message.NewString("ServiceType", serviceType),
+		message.NewString("Scope", scope),
 	)
 }
 
@@ -100,16 +100,16 @@ func NewReply(xid uint64, errorCode uint64, entries []URLEntry) *message.Message
 	arr := message.NewArray("URLEntries")
 	for _, e := range entries {
 		arr.Add(message.NewStruct("item",
-			message.NewPrimitive("Reserved", message.TypeUint64, 0),
-			message.NewPrimitive("Lifetime", message.TypeUint64, uint64(e.Lifetime)),
-			message.NewPrimitive("URL", message.TypeString, e.URL),
+			message.NewUint64("Reserved", 0),
+			message.NewUint64("Lifetime", uint64(e.Lifetime)),
+			message.NewString("URL", e.URL),
 		))
 	}
 	return message.New("ServiceReply",
-		message.NewPrimitive("Version", message.TypeUint64, 2),
-		message.NewPrimitive("FunctionID", message.TypeUint64, FnServiceReply),
-		message.NewPrimitive("XID", message.TypeUint64, xid),
-		message.NewPrimitive("ErrorCode", message.TypeUint64, errorCode),
+		message.NewUint64("Version", 2),
+		message.NewUint64("FunctionID", FnServiceReply),
+		message.NewUint64("XID", xid),
+		message.NewUint64("ErrorCode", errorCode),
 		arr,
 	)
 }
@@ -126,10 +126,8 @@ func EntriesOf(reply *message.Message) []URLEntry {
 		if f := item.Child("URL"); f != nil {
 			e.URL = f.ValueString()
 		}
-		if f := item.Child("Lifetime"); f != nil {
-			if n, ok := f.Value.(uint64); ok {
-				e.Lifetime = uint16(n)
-			}
+		if f := item.Child("Lifetime"); f != nil && f.Type == message.TypeUint64 {
+			e.Lifetime = uint16(f.Uint64())
 		}
 		out = append(out, e)
 	}

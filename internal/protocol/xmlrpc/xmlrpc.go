@@ -218,15 +218,13 @@ func writeField(w *xmlenc.Writer, f *message.Field) {
 		return
 	}
 	w.Open("value")
-	switch v := f.Value.(type) {
-	case string:
-		w.Leaf("string", v)
-	case int64:
-		writeInt(w, v)
-	case bool:
-		writeBool(w, v)
-	case float64:
-		writeDouble(w, v)
+	switch f.Type {
+	case message.TypeInt32, message.TypeInt64:
+		writeInt(w, f.Int64())
+	case message.TypeBool:
+		writeBool(w, f.Bool())
+	case message.TypeFloat64:
+		writeDouble(w, f.Float64())
 	default:
 		w.Leaf("string", f.ValueString())
 	}

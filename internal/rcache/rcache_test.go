@@ -48,7 +48,7 @@ func TestKeyCanonical(t *testing.T) {
 func TestKeySkipsBinderInternals(t *testing.T) {
 	a := req("espresso")
 	b := req("espresso")
-	b.Field("_jsonrpc_id").Value = uint64(7777)
+	b.Field("_jsonrpc_id").SetUint64(7777)
 	if Key("op", "addr", a, nil) != Key("op", "addr", b, nil) {
 		t.Fatal("binder-internal field leaked into the cache key")
 	}
@@ -97,7 +97,7 @@ func TestAcquireMissFulfillHit(t *testing.T) {
 		t.Fatalf("cached reply result = %q, want v1", v)
 	}
 	// The hit must be a deep clone: mutating it cannot poison the cache.
-	got.Field("result").Value = "poisoned"
+	got.Field("result").SetText("poisoned")
 	again, _, _ := c.Acquire("op", key)
 	if v, _ := again.GetString("result"); v != "v1" {
 		t.Fatalf("cache entry was aliased by a served reply: result = %q", v)
