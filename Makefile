@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race race-alloc bench fault-soak experiments fuzz fmt
+.PHONY: all build test check race race-alloc bench fault-soak fuzz fmt
 
 all: check
 
@@ -27,12 +27,17 @@ race:
 race-alloc:
 	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache
 
-# The full gate: vet, tier-1, the race passes, then four checks of its
-# own. The engine's tests run fifty times in shuffled order, so a counter
-# or trace published after the reply it belongs to shows up as a flake
-# here and not in tier-1. The per-feature measurement code that bench/
-# replaced must not be quoted again: no file outside the four that record
-# its removal may name one of its JSON baselines, functions or flags.
+# The full gate: vet, tier-1, the race passes, then checks of its own. The
+# engine's tests run fifty times in shuffled order, so a counter or trace
+# published after the reply it belongs to shows up as a flake here and not
+# in tier-1. The experiment index cannot cite a test that was renamed away:
+# every Test or Fuzz name DESIGN.md and EXPERIMENTS.md quote in full must be
+# one `go test -list` finds, in the package the quote names if it names one,
+# and the DESIGN.md §4 row of every experiment of the suite must quote at
+# least one, package and all. What bench/ and the package tests replaced
+# must not be quoted again: no file outside the four that record the
+# removal may name one of the old JSON baselines, functions or flags, the
+# experiment binary, its make target or one of its functions.
 # encoding/xml stays off the message path: under the MDL engines, the
 # protocol layers and the binders only test files may import it, as the
 # oracle the xmlenc Reader and Writer are checked against. And the field
@@ -51,9 +56,20 @@ check: test
 	$(MAKE) race
 	$(MAKE) race-alloc
 	$(GO) test -count=50 -shuffle=on -timeout 30m ./internal/engine
-	@if git grep -nE 'BENCH_[a-z]+\.json|Measure[A-Za-z]+Overhead|benchharness -[a-z]' -- . \
+	@have=$$($(GO) test -list '^(Test|Fuzz)' ./... | \
+		awk '/^(Test|Fuzz)/ { names[++n] = $$1 } /^ok/ { k = split($$2, p, "/"); for (i = 1; i <= n; i++) { print names[i]; print p[k] "." names[i] }; n = 0 }'); \
+	bad=0; \
+	for name in $$(grep -ohE '`([a-z]+\.)?(Test|Fuzz)[A-Za-z0-9_]+`' DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u); do \
+		echo "$$have" | grep -qxF "$$name" || { echo "check: DESIGN.md or EXPERIMENTS.md quotes $$name, which go test -list does not find"; bad=1; }; \
+	done; \
+	for e in 1 2 3 4 5 6 7 9 10 11 12 14 16 17 18 19; do \
+		grep -E "^\| E$$e \|" DESIGN.md | grep -qE '`[a-z]+\.(Test|Fuzz)[A-Za-z0-9_]+`' || \
+			{ echo "check: the DESIGN.md §4 row of E$$e names no test in full"; bad=1; }; \
+	done; \
+	exit $$bad
+	@if git grep -nE 'BENCH_[a-z]+\.json|Measure[A-Za-z]+Overhead|benchharness -[a-z]|cmd/bench[h]arness|make exp[e]riments|harness\.E[0-9]' -- . \
 		':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench/README.md'; then \
-		echo 'check: the lines above quote measurement code that bench/ replaced (see bench/README.md)'; exit 1; fi
+		echo 'check: the lines above quote what bench/ and the package tests replaced (see bench/README.md and DESIGN.md §4)'; exit 1; fi
 	@if git grep -n '"encoding/xml"' -- internal/mdl internal/protocol internal/bind ':!*_test.go'; then \
 		echo 'check: the files above import encoding/xml on the message path; xmlenc has the Reader and the Writer (DESIGN.md, "XML codec")'; exit 1; fi
 	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/bind ':!*_test.go'; then \
@@ -73,9 +89,6 @@ bench:
 # periodically killed and restarted (see BenchmarkE11FaultRecoverySoak).
 fault-soak:
 	$(GO) test -bench BenchmarkE11FaultRecoverySoak -benchtime 200x -run '^$$' .
-
-experiments:
-	$(GO) run ./cmd/benchharness
 
 # Short coverage-guided fuzz passes over everything that parses
 # untrusted bytes. The target list is whatever `go test -list` finds, one

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	starlink run -models <dir> -mediator <name> [-listen addr] [-admin addr] [-backends] [-discover]
+//	starlink run -models <dir> -mediator <name> [-listen addr] [-admin addr]
 //	starlink gateway -models <dir> -gateway <name> [-listen addr] [-admin addr]
 //	starlink export-models <dir>
 //	starlink list -models <dir>
@@ -64,8 +64,6 @@ func runMediator(args []string) error {
 	name := fs.String("mediator", "", "mediator spec name")
 	listen := fs.String("listen", "", "listen address override")
 	admin := fs.String("admin", "", "admin endpoint address (overrides the spec's admin directive)")
-	backends := fs.Bool("backends", false, "dump the spec's backend replica sets at startup")
-	discover := fs.Bool("discover", false, "dump the spec's discovery sources at startup")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -89,65 +87,11 @@ func runMediator(args []string) error {
 	if med.Admin != nil {
 		fmt.Printf("admin endpoint on http://%s (/metrics /healthz /flows /automaton.dot /backends /discovery)\n", med.Admin.Addr())
 	}
-	if *backends {
-		dumpBackends(med.Mediator)
-	}
-	if *discover {
-		dumpDiscovery(med.Mediator)
-	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
 	return nil
-}
-
-// dumpBackends prints every backend replica set the mediator balances
-// across — config line per set, state line per replica.
-func dumpBackends(med *starlink.Mediator) {
-	snaps := med.Backends()
-	if snaps == nil {
-		fmt.Println("no backend replica sets declared")
-		return
-	}
-	for _, ss := range snaps {
-		probe := "passive health only"
-		if ss.ProbeInterval > 0 {
-			probe = fmt.Sprintf("probe every %v (timeout %v)", ss.ProbeInterval, ss.ProbeTimeout)
-		}
-		fmt.Printf("backend %s: %s, %s, eject after %d fails (cooloff %v..%v, min live %d)\n",
-			ss.Name, ss.Policy, probe, ss.FailThreshold, ss.Cooloff, ss.MaxCooloff, ss.MinLive)
-		for _, rs := range ss.Replicas {
-			state := "live"
-			switch {
-			case rs.Probation:
-				state = "probation"
-			case !rs.Live:
-				state = "ejected"
-			}
-			fmt.Printf("  replica %s: %s\n", rs.Addr, state)
-		}
-	}
-}
-
-// dumpDiscovery prints every discovery source driving a backend set's
-// membership — source and hysteresis tuning per set, then the members.
-func dumpDiscovery(med *starlink.Mediator) {
-	snaps := med.Discovery()
-	if snaps == nil {
-		fmt.Println("no discovery sources declared")
-		return
-	}
-	for _, ds := range snaps {
-		fmt.Printf("discover %s: %s, refresh %s (debounce %s, min ttl %s, min live %d)\n",
-			ds.Set, ds.Source, ds.Refresh, ds.Debounce, ds.MinTTL, ds.MinLive)
-		for _, addr := range ds.Members {
-			fmt.Printf("  member %s\n", addr)
-		}
-		for _, addr := range ds.Pending {
-			fmt.Printf("  pending %s (inside debounce)\n", addr)
-		}
-	}
 }
 
 func runGateway(args []string) error {

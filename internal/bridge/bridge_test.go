@@ -56,8 +56,9 @@ func TestBridgeWorksWhenApplicationsAgree(t *testing.T) {
 // claim made executable: the same direct bridge, pointed at the Picasa
 // service, cannot serve a Flickr client — the operation names and
 // resource model differ, and the protocol-level identity mapping has no
-// way to reconcile them. (The Starlink mediator handles this exact
-// workload in the engine tests.)
+// way to reconcile them. This is the control of experiment E7: the
+// Starlink mediator serves this exact workload in the engine's
+// TestE5E6E7XMLRPCFullCaseStudy.
 func TestBridgeBreaksOnApplicationHeterogeneity(t *testing.T) {
 	store := photostore.New()
 	pic, err := picasa.New(store)

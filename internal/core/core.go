@@ -452,11 +452,11 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 			if len(fields) < 3 {
 				return nil, specErr(lineNo, "side", "want: side <color> <protocol> ...")
 			}
-			var side SideSpec
-			if _, err := fmt.Sscanf(fields[1], "%d", &side.Color); err != nil {
+			color, err := strconv.Atoi(fields[1])
+			if err != nil {
 				return nil, specErr(lineNo, "side", "bad color %q", fields[1])
 			}
-			side.Protocol = fields[2]
+			side := SideSpec{Color: color, Protocol: fields[2]}
 			for _, kv := range fields[3:] {
 				if kv == "server" {
 					side.Server = true

@@ -135,6 +135,8 @@ func TestParseMediatorSpecErrors(t *testing.T) {
 		"merged x",                                       // no sides
 		"side 1 xmlrpc server",                           // no merged
 		"merged x\nside one xmlrpc",                      // bad color
+		"merged x\nside 1x xmlrpc",                       // color with a trailing letter
+		"merged x\nside 2.5 soap",                        // fractional color
 		"merged x\nside 1 xmlrpc foo",                    // bad option
 		"merged x\nside 1 xmlrpc a=b",                    // unknown option
 		"merged x\nside 1 xmlrpc\nwat 1",                 // unknown directive
@@ -363,7 +365,21 @@ func TestE9Evolution(t *testing.T) {
 	}
 	photos := v.(map[string]xmlrpc.Value)["photos"].([]xmlrpc.Value)
 	if len(photos) != 3 {
-		t.Errorf("v2 photos = %d", len(photos))
+		t.Fatalf("v2 photos = %d", len(photos))
+	}
+	// The rest of the flow, which v2 left alone, still completes.
+	id := photos[0].(map[string]xmlrpc.Value)["id"]
+	for _, call := range []struct {
+		method string
+		params map[string]xmlrpc.Value
+	}{
+		{casestudy.FlickrGetInfo, map[string]xmlrpc.Value{"photo_id": id}},
+		{casestudy.FlickrGetComments, map[string]xmlrpc.Value{"photo_id": id}},
+		{casestudy.FlickrAddComment, map[string]xmlrpc.Value{"photo_id": id, "comment_text": "v2 comment"}},
+	} {
+		if _, err := c.Call(call.method, call.params); err != nil {
+			t.Errorf("%s against the v2 API: %v", call.method, err)
+		}
 	}
 
 	// Control: WITHOUT the model edit, the v1 routes no longer work
@@ -533,6 +549,8 @@ func TestSpecErrorsNameDirective(t *testing.T) {
 		{"merged x\nside 1 xmlrpc\npool_size zero", "pool_size"},
 		{"merged x\nside 1 xmlrpc\npool_idle never", "pool_idle"},
 		{"merged x\nside one xmlrpc", "side"},
+		{"merged x\nside 1x xmlrpc", "side"},
+		{"merged x\nside 2.5 soap", "side"},
 		{"merged x\nside 1 xmlrpc\nhostmap nope", "hostmap"},
 		{"merged x\nside 1 xmlrpc\nlisten", "listen"},
 	}

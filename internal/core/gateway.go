@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -190,7 +191,10 @@ func parseGatewayRoute(lineNo int, fields []string) (GatewayRouteSpec, error) {
 			rs.Payload = v
 		case "rate":
 			r, err := strconv.ParseFloat(v, 64)
-			if err != nil || r <= 0 {
+			// Written as what is accepted, a finite number above zero: NaN
+			// is neither above zero nor at or below it, so `r <= 0` let it by
+			// and the admission policy then read the limit as off.
+			if err != nil || !(r > 0) || math.IsInf(r, 1) {
 				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad rate %q", v)
 			}
 			rs.Rate = r
@@ -478,8 +482,7 @@ func (d *GatewayDeployment) Reload(ctx context.Context, models *Models) error {
 		// instead of taking fresh traffic the moment the reload lands.
 		// Discovery counters ride along the same way, so /metrics rates
 		// stay continuous across the reload.
-		med.AdoptBackendHealth(d.mediators[rs.Name])
-		med.AdoptDiscovery(d.mediators[rs.Name])
+		med.Adopt(d.mediators[rs.Name])
 		fresh[rs.Name] = med
 	}
 	var (

@@ -5,13 +5,18 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"starlink/internal/automata"
 	"starlink/internal/casestudy"
 	"starlink/internal/core"
+	"starlink/internal/engine"
+	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/httpwire"
 	"starlink/internal/protocol/soap"
 	"starlink/internal/protocol/xmlrpc"
@@ -68,6 +73,8 @@ func TestParseGatewaySpecErrors(t *testing.T) {
 		"bad match":          "route a b match=ftp\n",
 		"bad payload":        "route a b payload=yaml\n",
 		"bad rate":           "route a b rate=-1\n",
+		"NaN rate":           "route a b rate=NaN\n",
+		"infinite rate":      "route a b rate=+Inf\n",
 		"bad burst":          "route a b burst=zero\n",
 		"bad maxflows":       "route a b maxflows=0\n",
 		"bad deadline":       "route a b deadline=whenever\n",
@@ -85,6 +92,11 @@ func TestParseGatewaySpecErrors(t *testing.T) {
 	_, err := core.ParseGatewaySpec("listen :1\nroute a b\nlisten :2\n")
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("duplicate listen err = %v, want both lines named", err)
+	}
+	// A rate that is not a number is refused where it stands.
+	var se *core.SpecError
+	if _, err := core.ParseGatewaySpec("listen :1\nroute a b rate=NaN\n"); !errors.As(err, &se) || se.Line != 2 || se.Directive != "route" {
+		t.Errorf("NaN rate err = %v, want a SpecError for line 2, directive route", err)
 	}
 }
 
@@ -343,4 +355,203 @@ func TestDeployGatewayBuildFailure(t *testing.T) {
 	if _, err := m.DeployGateway("broken", "", ""); !errors.Is(err, core.ErrGateway) {
 		t.Errorf("err = %v, want ErrGateway", err)
 	}
+}
+
+// TestE14GatewayMultiplexSwapShed is experiment E14: THREE heterogeneous
+// mediators (GIOP Add->SOAP Plus, XML-RPC Flickr->Picasa REST, SOAP
+// Flickr->Picasa REST) deployed from models behind ONE front-door
+// listener, clients of all three protocols routed purely by wire sniffing.
+// Mid-soak the calculator route is hot-swapped onto a mediator built anew
+// from the same models while a pinned client keeps invoking through the
+// swap with zero lost flows, and the swapped-out mediator is then
+// drained. A flow-cap shed phase checks that an over-limit IIOP client
+// gets a protocol-correct GIOP system exception, fast, and the gateway's
+// metrics endpoint is scraped for the per-route counters.
+func TestE14GatewayMultiplexSwapShed(t *testing.T) {
+	const flowCap = 8
+	plus := startPlus(t)
+	pic, err := picasa.New(photostore.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pic.Close()
+	m, err := core.LoadModels(writeGatewayModels(t, pic.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addPlusModels(t, m, plus.Addr(), "")
+	m.Gateways["front"], err = core.ParseGatewaySpec(
+		"route calc calc maxflows=" + strconv.Itoa(flowCap) + "\nroute xmlrpc flickr-xmlrpc\nroute soap flickr-soap\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := m.DeployGateway("front", "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	addr := dep.Addr()
+
+	// Soak: concurrent clients of all three protocols through the one
+	// listener, while a pinned GIOP client invokes continuously and the
+	// calc route is hot-swapped under it.
+	var (
+		oneShot, pinnedDone sync.WaitGroup
+		pinned              atomic.Int64 // flows completed by the pinned client
+		stop                = make(chan struct{})
+	)
+	pinnedDone.Add(1)
+	go func() {
+		defer pinnedDone.Done()
+		client, err := giop.Dial(addr, "calc")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer client.Close()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			results, err := client.Invoke("Add", giop.IntParam(20), giop.IntParam(22))
+			if err != nil || results[0].ValueString() != "42" {
+				t.Errorf("pinned client: Add = %v, %v", results, err)
+				return
+			}
+			pinned.Add(1)
+		}
+	}()
+	stopPinned := sync.OnceFunc(func() {
+		close(stop)
+		pinnedDone.Wait()
+	})
+	defer stopPinned()
+	for i := 0; i < 4; i++ {
+		oneShot.Add(2)
+		go func() {
+			defer oneShot.Done()
+			c := xmlrpc.NewClient(addr, "/services/xmlrpc")
+			defer c.Close()
+			v, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(1)})
+			if err != nil {
+				t.Errorf("xmlrpc client: %v", err)
+			} else if photos := v.(map[string]xmlrpc.Value)["photos"].([]xmlrpc.Value); len(photos) != 1 {
+				t.Errorf("xmlrpc photos = %d", len(photos))
+			}
+		}()
+		go func() {
+			defer oneShot.Done()
+			c := soap.NewClient(addr, "/services/soap")
+			defer c.Close()
+			if _, err := c.Call(casestudy.FlickrSearch,
+				soap.Param{Name: "api_key", Value: "k"},
+				soap.Param{Name: "text", Value: "tree"},
+				soap.Param{Name: "per_page", Value: "1"},
+			); err != nil {
+				t.Errorf("soap client: %v", err)
+			}
+		}()
+	}
+	defer oneShot.Wait()
+	pinnedPast := func(n int64) func() bool { return func() bool { return pinned.Load() >= n } }
+
+	// Hot swap mid-soak, with traffic in flight. Reload would swap and
+	// drain in one call, and a drain harvests connections idle between
+	// flows, the pinned client's among them; so the halves are called
+	// apart here, as Reload calls them, with the drain after the client
+	// has stopped.
+	waitFor(t, "the pinned client's first flows", pinnedPast(5))
+	calc2, err := m.BuildMediator(m.Mediators["calc"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer calc2.Close()
+	if err := calc2.StartDetached(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := dep.Gateway.Swap("calc", calc2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pinned client's established connection keeps flowing on the
+	// swapped-out mediator; a fresh dial lands on the replacement.
+	waitFor(t, "the pinned client's flows through the swap", pinnedPast(pinned.Load()+5))
+	fresh, err := giop.Dial(addr, "calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fresh.Invoke("Add", giop.IntParam(20), giop.IntParam(22))
+	fresh.Close()
+	if err != nil {
+		t.Fatalf("fresh client after swap: %v", err)
+	}
+	if calc2.Stats().Flows == 0 {
+		t.Fatal("replacement mediator served no flows after the swap")
+	}
+	stopPinned()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := old.Shutdown(ctx); err != nil {
+		t.Fatalf("draining swapped-out mediator: %v", err)
+	}
+	oneShot.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := old.(*engine.Mediator).Stats(); st.Failures != 0 {
+		t.Fatalf("old mediator failures = %d after drain, want 0", st.Failures)
+	}
+
+	// Shed phase: fill the calc route's flow cap with held connections,
+	// then one more invocation must be refused with a GIOP system
+	// exception — quickly, not by stalling.
+	for i := 0; i < flowCap; i++ {
+		c, err := giop.Dial(addr, "calc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Invoke("Add", giop.IntParam(1), giop.IntParam(1)); err != nil {
+			t.Fatalf("filling flow cap: %v", err)
+		}
+	}
+	over, err := giop.Dial(addr, "calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shedStart := time.Now()
+	_, shedErr := over.Invoke("Add", giop.IntParam(1), giop.IntParam(1))
+	shedLatency := time.Since(shedStart)
+	over.Close()
+	if shedErr == nil || !strings.Contains(shedErr.Error(), "over capacity") {
+		t.Fatalf("over-cap invocation: %v, want the gateway's system exception", shedErr)
+	}
+	if shedLatency > 100*time.Millisecond {
+		t.Errorf("shed reject took %v, want a cheap refusal", shedLatency)
+	}
+
+	hc := &httpwire.Client{Addr: dep.Admin.Addr()}
+	defer hc.Close()
+	resp, err := hc.Get("/metrics")
+	if err != nil {
+		t.Fatalf("scrape /metrics: %v", err)
+	}
+	for _, want := range []string{
+		`starlink_gateway_reloads_total{route="calc"} 1`,
+		`starlink_gateway_shed_total{route="calc"} 1`,
+		`starlink_gateway_sniffed_total{class="giop"}`,
+		`starlink_gateway_sniffed_total{class="http"}`,
+	} {
+		if !strings.Contains(string(resp.Body), want) {
+			t.Errorf("/metrics missing %s", want)
+		}
+	}
+	var accepted uint64
+	for _, rt := range dep.Gateway.Stats().Routes {
+		accepted += rt.Accepted
+	}
+	t.Logf("3 protocols, 1 listener: %d conns routed by sniffing, %d flows through hot swap, 1 shed in %v",
+		accepted, pinned.Load(), shedLatency.Round(time.Microsecond))
 }

@@ -177,8 +177,8 @@ func (r *Reconciler) loop() {
 }
 
 // Poke forces one reconcile round out of band and waits for it to
-// finish; a no-op when the loop is not running. Tests and the E18
-// harness use it to step the reconciler deterministically.
+// finish; a no-op when the loop is not running. Tests use it to step
+// the reconciler deterministically.
 func (r *Reconciler) Poke() {
 	r.mu.Lock()
 	running := r.started && !r.closed
@@ -376,7 +376,7 @@ func (r *Reconciler) Close() {
 }
 
 // Snapshot is a point-in-time JSON view of one reconciler, served by
-// the admin /discovery route and the -discover startup dump.
+// the admin /discovery route.
 type Snapshot struct {
 	Set             string   `json:"set"`
 	Source          string   `json:"source"`

@@ -1,19 +1,14 @@
 package engine_test
 
 import (
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/backend"
-	"starlink/internal/bind"
-	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
-	"starlink/internal/protocol/soap"
 )
 
 // addrFaultDialer wraps the real network dial, losing every reply read
@@ -58,23 +53,7 @@ func (d *addrFaultDialer) dialsTo(addr string) int {
 // a later session must go straight to the survivor without touching
 // the ejected replica again.
 func TestBackendFaultEjectsAndRedialsSurvivor(t *testing.T) {
-	plusOp := map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			x, _ := strconv.Atoi(params[0].Value)
-			y, _ := strconv.Atoi(params[1].Value)
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
-	}
-	bad, err := soap.NewServer("127.0.0.1:0", "/soap", plusOp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bad.Close() })
-	good, err := soap.NewServer("127.0.0.1:0", "/soap", plusOp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { good.Close() })
+	bad, good := startPlusService(t, nil), startPlusService(t, nil)
 
 	// Round-robin picks the replicas in declaration order, so the first
 	// session deterministically lands on the poisoned replica.
@@ -86,33 +65,12 @@ func TestBackendFaultEjectsAndRedialsSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &addrFaultDialer{badAddr: bad.Addr()}
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
+	med := startAddPlus(t, "plus", func(cfg *engine.Config) {
+		cfg.Sides[2].Dialer = d.dial
+		cfg.Backends = map[string]*backend.Set{"plus": set}
+		cfg.ExchangeTimeout = 2 * time.Second
+		cfg.Retry = &engine.RetryPolicy{Attempts: 2, Backoff: time.Millisecond}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: "plus", Dialer: d.dial},
-		},
-		Backends:        map[string]*backend.Set{"plus": set},
-		ExchangeTimeout: 2 * time.Second,
-		Retry:           &engine.RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { med.Close() })
 
 	for i := 0; i < 2; i++ {
 		client, err := giop.Dial(med.Addr(), "calc")

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/protocol/giop"
-	"starlink/internal/protocol/soap"
 )
 
 // startCachedAddPlus wires the Fig. 7/8 Add->Plus mediator with a
@@ -22,57 +20,16 @@ import (
 // the SOAP server actually saw.
 func startCachedAddPlus(t testing.TB, delay time.Duration, cache *engine.CachePolicy) (*engine.Mediator, *atomic.Uint64) {
 	t.Helper()
-	var ops atomic.Uint64
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			ops.Add(1)
-			if delay > 0 {
-				time.Sleep(delay)
-			}
-			var x, y int
-			for _, p := range params {
-				n, _ := strconv.Atoi(p.Value)
-				switch p.Name {
-				case "x":
-					x = n
-				case "y":
-					y = n
-				}
-			}
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
+	ops := new(atomic.Uint64)
+	srv := startPlusService(t, func() {
+		ops.Add(1)
+		time.Sleep(delay)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
+	med := startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
+		cfg.ExchangeTimeout = 5 * time.Second
+		cfg.Cache = cache
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: srv.Addr()},
-		},
-		ExchangeTimeout: 5 * time.Second,
-		Cache:           cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { med.Close() })
-	return med, &ops
+	return med, ops
 }
 
 // TestCacheRepeatedReads: the second identical invocation is answered

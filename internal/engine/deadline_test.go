@@ -2,18 +2,14 @@ package engine_test
 
 import (
 	"errors"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"starlink/internal/automata"
-	"starlink/internal/bind"
-	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
-	"starlink/internal/protocol/soap"
+	"starlink/internal/testutil"
 )
 
 // startStallAddPlus wires the Add->Plus mediator against a SOAP service
@@ -21,49 +17,14 @@ import (
 // the slow-service scenario every flow-deadline test drives.
 func startStallAddPlus(t *testing.T, stall time.Duration, tweak func(*engine.Config)) *engine.Mediator {
 	t.Helper()
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			time.Sleep(stall)
-			x, _ := strconv.Atoi(params[0].Value)
-			y, _ := strconv.Atoi(params[1].Value)
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
+	srv := startPlusService(t, func() { time.Sleep(stall) })
+	return startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
+		cfg.ExchangeTimeout = 2 * time.Second
+		cfg.Retry = &engine.RetryPolicy{Attempts: 3, Backoff: 5 * time.Millisecond}
+		if tweak != nil {
+			tweak(cfg)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: srv.Addr()},
-		},
-		ExchangeTimeout: 2 * time.Second,
-		Retry:           &engine.RetryPolicy{Attempts: 3, Backoff: 5 * time.Millisecond},
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	med, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { med.Close() })
-	return med
 }
 
 // TestFlowDeadlineBoundsStalledService: a service stalling past the
@@ -279,4 +240,74 @@ func TestFlowBudgetOnTraces(t *testing.T) {
 	if errors.Is(nil, engine.ErrDeadline) {
 		t.Error("nil must not match ErrDeadline")
 	}
+}
+
+// TestE19FlowDeadlineStormSoak is experiment E19, the slow-service storm:
+// churning clients hammer a mediator whose SOAP service stalls every
+// exchange far past the per-flow budget, with retries armed and a
+// generous exchange timeout. This is the stacked-timeout shape: without
+// budgets every flow would burn attempts × ExchangeTimeout (plus backoff)
+// before failing. With budgets every flow must fail within flow_deadline
+// + ε, the exhaustion must be counted, and tearing the storm down must
+// leave no goroutine parked on a dial, a pool wait or a backoff sleep.
+func TestE19FlowDeadlineStormSoak(t *testing.T) {
+	const (
+		budget   = 250 * time.Millisecond
+		stall    = time.Second
+		exchange = 5 * time.Second
+		clients  = 8
+		flows    = 3
+		// Generous scheduler/dial slack on top of the budget; still far
+		// below one ExchangeTimeout, let alone the stacked bound.
+		ceiling = budget + 750*time.Millisecond
+	)
+	// The storm is a subtest so that the fixture's cleanups have run, and
+	// the service and the mediator are gone, before the leak check looks.
+	testutil.NoLeaks(t, func() {
+		t.Run("storm", func(t *testing.T) {
+			med := startStallAddPlus(t, stall, func(cfg *engine.Config) {
+				cfg.FlowDeadline = budget
+				cfg.ExchangeTimeout = exchange
+			})
+			// Every flow is a fresh session, so the storm exercises dial,
+			// checkout and exchange under budget on each iteration.
+			var (
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				slowest time.Duration
+			)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for f := 0; f < flows; f++ {
+						client, err := giop.Dial(med.Addr(), "calc")
+						if err != nil {
+							t.Errorf("client %d dial: %v", n, err)
+							return
+						}
+						start := time.Now()
+						_, err = client.Invoke("Add", giop.IntParam(20), giop.IntParam(22))
+						elapsed := time.Since(start)
+						client.Close()
+						if err == nil {
+							t.Errorf("client %d flow %d succeeded against a %v stall", n, f, stall)
+						} else if elapsed > ceiling {
+							t.Errorf("client %d flow %d took %v, want <= %v (budget %v + slack)", n, f, elapsed, ceiling, budget)
+						}
+						mu.Lock()
+						slowest = max(slowest, elapsed)
+						mu.Unlock()
+					}
+				}(c)
+			}
+			wg.Wait()
+			st := med.Stats()
+			t.Logf("%d flows vs %v stall: slowest failure %v (budget %v, stacked bound %v), %d deadline exhaustions",
+				clients*flows, stall, slowest.Round(time.Millisecond), budget, 4*exchange, st.DeadlineExceeded)
+			if st.DeadlineExceeded == 0 {
+				t.Errorf("DeadlineExceeded = 0 after %d budget-bounded failures", clients*flows)
+			}
+		})
+	})
 }

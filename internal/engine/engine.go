@@ -155,8 +155,8 @@ type Config struct {
 	// Backends membership from live sources. The mediator owns them
 	// like it owns the sets: Start launches their reconcile loops,
 	// Close/Shutdown stops them (closing their sources), and a gateway
-	// hot swap adopts their counters via AdoptDiscovery. Every
-	// reconciler must drive a set present in Backends.
+	// hot swap adopts their counters via Adopt. Every reconciler must
+	// drive a set present in Backends.
 	Discovery []*discovery.Reconciler
 	// Funcs adds extra MTL functions.
 	Funcs map[string]mtl.Func
@@ -455,12 +455,9 @@ type Mediator struct {
 	clientColors []int
 
 	// rcache is the shared cross-flow response cache (nil unless
-	// Config.Cache declares cacheable operations); cacheRules and
-	// cacheInvalidates are the validated per-operation lookups consulted
-	// on every service send.
-	rcache           *rcache.Cache
-	cacheRules       map[string]CacheRule
-	cacheInvalidates map[string][]string
+	// Config.Cache declares cacheable operations); its rules and
+	// invalidations are read from cfg.Cache, validated by New.
+	rcache *rcache.Cache
 
 	// transitions, exchanges and translate are the latency histograms
 	// behind Snapshot: per-transition execution, per-service-exchange
@@ -636,8 +633,6 @@ func New(cfg Config) (*Mediator, error) {
 			MaxEntries: cfg.Cache.MaxEntries,
 			Shards:     cfg.Cache.Shards,
 		})
-		m.cacheRules = cfg.Cache.Rules
-		m.cacheInvalidates = cfg.Cache.Invalidates
 	}
 	handles := make([]string, len(cfg.Merged.States))
 	for i, st := range cfg.Merged.States {
@@ -779,8 +774,7 @@ func (m *Mediator) startBackends() {
 }
 
 // Backends snapshots the mediator's replica sets, sorted by name, for
-// the admin view and the -backends startup dump. Nil when the mediator
-// has none.
+// the admin /backends view. Nil when the mediator has none.
 func (m *Mediator) Backends() []backend.SetSnapshot {
 	if len(m.cfg.Backends) == 0 {
 		return nil
@@ -797,11 +791,13 @@ func (m *Mediator) Backends() []backend.SetSnapshot {
 	return snaps
 }
 
-// AdoptBackendHealth carries replica health state (ejections, cooloff
-// deadlines, latency EWMAs) from a previous mediator's same-named sets
-// into this one's, so a gateway hot swap does not forget which replicas
-// are sick and re-route fresh traffic straight back into them.
-func (m *Mediator) AdoptBackendHealth(prev *Mediator) {
+// Adopt carries what must outlive a gateway hot swap from the mediator
+// this one replaces: the replica health of same-named backend sets
+// (ejections, cooloff deadlines, latency EWMAs), so the swap does not
+// forget which replicas are sick and route fresh traffic straight back
+// into them, and the cumulative counters of the discovery reconcilers
+// (matched by the set they drive), so /metrics rates stay continuous.
+func (m *Mediator) Adopt(prev *Mediator) {
 	if prev == nil {
 		return
 	}
@@ -810,11 +806,18 @@ func (m *Mediator) AdoptBackendHealth(prev *Mediator) {
 			set.Adopt(old)
 		}
 	}
+	for _, rec := range m.cfg.Discovery {
+		for _, old := range prev.cfg.Discovery {
+			if old.SetName() == rec.SetName() {
+				rec.Adopt(old)
+			}
+		}
+	}
 }
 
 // Discovery snapshots the mediator's discovery reconcilers, sorted by
-// the set they drive, for the admin /discovery view and the -discover
-// startup dump. Nil when the mediator has none.
+// the set they drive, for the admin /discovery view. Nil when the
+// mediator has none.
 func (m *Mediator) Discovery() []discovery.Snapshot {
 	if len(m.cfg.Discovery) == 0 {
 		return nil
@@ -825,23 +828,6 @@ func (m *Mediator) Discovery() []discovery.Snapshot {
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Set < snaps[j].Set })
 	return snaps
-}
-
-// AdoptDiscovery carries the cumulative discovery counters from a
-// previous mediator's reconcilers into this one's (matched by the set
-// they drive), so a gateway hot swap keeps /metrics rates continuous —
-// the discovery analogue of AdoptBackendHealth.
-func (m *Mediator) AdoptDiscovery(prev *Mediator) {
-	if prev == nil {
-		return
-	}
-	for _, rec := range m.cfg.Discovery {
-		for _, old := range prev.cfg.Discovery {
-			if old.SetName() == rec.SetName() {
-				rec.Adopt(old)
-			}
-		}
-	}
 }
 
 // PoolStats snapshots the shared service pool's occupancy (zero before
@@ -1606,10 +1592,10 @@ func (l *serviceLink) recv(name string) (*message.Message, error) {
 // the cache.
 func (l *serviceLink) cacheCheck(abs *message.Message) bool {
 	s, m := l.s, l.s.med
-	if targets := m.cacheInvalidates[l.op]; len(targets) > 0 {
+	if targets := m.cfg.Cache.Invalidates[l.op]; len(targets) > 0 {
 		m.rcache.Invalidate(targets)
 	}
-	rule, ok := m.cacheRules[l.op]
+	rule, ok := m.cfg.Cache.Rules[l.op]
 	if !ok {
 		return false
 	}

@@ -18,11 +18,26 @@ import (
 	"starlink/internal/services/picasa"
 )
 
-// startPlusService runs the SOAP addition service of Fig. 7/8.
-func startPlusService(t *testing.T) *soap.Server {
+// startPlusService runs the SOAP addition service of Fig. 7/8. before,
+// when not nil, runs ahead of every Plus: a stall, a gate, a counter.
+func startPlusService(t testing.TB, before func()) *soap.Server {
 	t.Helper()
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
+	srv, err := soap.NewServer("127.0.0.1:0", "/soap", plusOperations(before))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// plusOperations is the service startPlusService runs, for the test that
+// binds it itself, to restart it on the address it had.
+func plusOperations(before func()) map[string]soap.Operation {
+	return map[string]soap.Operation{
 		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
+			if before != nil {
+				before()
+			}
 			var x, y int
 			for _, p := range params {
 				n, err := strconv.Atoi(p.Value)
@@ -38,12 +53,45 @@ func startPlusService(t *testing.T) *soap.Server {
 			}
 			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
 		},
+	}
+}
+
+// startAddPlus wires the Fig. 7/8 mediator — the automatic merge of the
+// Add and Plus usage automata, bound to GIOP on the client side and to
+// SOAP at target (an address, or the name of a backend set) on the
+// service side — lets the caller adjust the configuration, and starts it.
+func startAddPlus(t testing.TB, target string, tweak func(*engine.Config)) *engine.Mediator {
+	t.Helper()
+	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
+		Name:  "Add+Plus",
+		Equiv: casestudy.AddPlusEquivalence(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{
+		Merged: merged,
+		Sides: map[int]*engine.Side{
+			1: {Binder: giopBinder},
+			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: target},
+		},
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	med, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { med.Close() })
+	return med
 }
 
 // TestE4AddPlusAutoMerged is experiment E4: the Fig. 7/8 scenario run
@@ -52,7 +100,7 @@ func startPlusService(t *testing.T) *soap.Server {
 // SOAP on the service side, and executed; an unmodified IIOP client calls
 // Add and the SOAP service's Plus answers.
 func TestE4AddPlusAutoMerged(t *testing.T) {
-	plusSrv := startPlusService(t)
+	plusSrv := startPlusService(t, nil)
 
 	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
 		Name:  "Add+Plus",
@@ -181,8 +229,8 @@ func TestE5E6E7XMLRPCFullCaseStudy(t *testing.T) {
 	}
 	// The mediated results must match a native Picasa search.
 	nativePhotos := store.Search("tree", 3)
-	if id != nativePhotos[0].ID {
-		t.Errorf("mediated id %q != native %q", id, nativePhotos[0].ID)
+	if len(photos) != len(nativePhotos) || id != nativePhotos[0].ID {
+		t.Errorf("mediated: %d photos, first %q; native: %d, first %q", len(photos), id, len(nativePhotos), nativePhotos[0].ID)
 	}
 
 	// E6: getInfo is answered from the mediator's cache (Fig. 10); Picasa

@@ -47,9 +47,12 @@ func (c *stopConn) Recv() ([]byte, error) {
 	return c.Conn.Recv()
 }
 
+// Close closes the socket before it says so: signalled first, the waiting
+// Send could win the race to a still-open socket and the exchange succeed.
 func (c *stopConn) Close() error {
+	err := c.Conn.Close()
 	c.reach.Do(func() { close(c.reachedClose) })
-	return c.Conn.Close()
+	return err
 }
 
 // TestExchangePhasesAccountAlike pins the single retry loop: whichever

@@ -3,13 +3,11 @@ package engine_test
 import (
 	"bytes"
 	"errors"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/bind"
 	"starlink/internal/casestudy"
 	"starlink/internal/engine"
@@ -239,45 +237,12 @@ func TestMediationFailureSurfacesAsProtocolFault(t *testing.T) {
 // connection is now dead; the next flow must transparently evict it,
 // redial, replay, and complete — the client never notices.
 func TestServiceRestartMidSessionRecovered(t *testing.T) {
-	plusOps := map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			x, _ := strconv.Atoi(params[0].Value)
-			y, _ := strconv.Atoi(params[1].Value)
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
-	}
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", plusOps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := startPlusService(t, nil)
 	addr := srv.Addr()
-
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
+	med := startAddPlus(t, addr, func(cfg *engine.Config) {
+		cfg.ExchangeTimeout = 2 * time.Second
+		cfg.Retry = &engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: 5 * time.Millisecond}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: addr},
-		},
-		ExchangeTimeout: 2 * time.Second,
-		Retry:           &engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: 5 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer med.Close()
 
 	client, err := giop.Dial(med.Addr(), "calc")
 	if err != nil {
@@ -297,7 +262,7 @@ func TestServiceRestartMidSessionRecovered(t *testing.T) {
 	// Restart the service on the same address: the cached connection is
 	// now pointing at a dead socket.
 	srv.Close()
-	restarted, err := soap.NewServer(addr, "/soap", plusOps)
+	restarted, err := soap.NewServer(addr, "/soap", plusOperations(nil))
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}

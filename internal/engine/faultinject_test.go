@@ -2,18 +2,13 @@ package engine_test
 
 import (
 	"errors"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"starlink/internal/automata"
-	"starlink/internal/bind"
-	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
-	"starlink/internal/protocol/soap"
 )
 
 // faultyDialer wraps the real network dial so each service connection a
@@ -52,48 +47,15 @@ func (d *faultyDialer) dials() int {
 // instrumented service-side dialer and fast retry timing.
 func startAddPlusWithDialer(t *testing.T, d *faultyDialer, tweak func(*engine.Config)) *engine.Mediator {
 	t.Helper()
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			x, _ := strconv.Atoi(params[0].Value)
-			y, _ := strconv.Atoi(params[1].Value)
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
+	srv := startPlusService(t, nil)
+	return startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
+		cfg.Sides[2].Dialer = d.dial
+		cfg.ExchangeTimeout = 2 * time.Second
+		cfg.Retry = &engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: time.Millisecond}
+		if tweak != nil {
+			tweak(cfg)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: srv.Addr(), Dialer: d.dial},
-		},
-		ExchangeTimeout: 2 * time.Second,
-		Retry:           &engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: time.Millisecond},
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	med, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { med.Close() })
-	return med
 }
 
 // TestServiceRecvFaultRecovered: the first service connection dies while

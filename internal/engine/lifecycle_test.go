@@ -4,16 +4,18 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/bind"
 	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/network"
+	"starlink/internal/observe"
 	"starlink/internal/protocol/giop"
-	"starlink/internal/protocol/soap"
+	"starlink/internal/protocol/httpwire"
 )
 
 // startGatedAddPlus wires the Fig. 7/8 Add->Plus mediator against a Plus
@@ -23,44 +25,13 @@ func startGatedAddPlus(t *testing.T) (*engine.Mediator, chan struct{}, chan stru
 	t.Helper()
 	entered := make(chan struct{}, 16)
 	release := make(chan struct{})
-	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
-		"Plus": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
-			entered <- struct{}{}
-			<-release
-			x, _ := strconv.Atoi(params[0].Value)
-			y, _ := strconv.Atoi(params[1].Value)
-			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
-		},
+	srv := startPlusService(t, func() {
+		entered <- struct{}{}
+		<-release
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
-		Equiv: casestudy.AddPlusEquivalence(),
+	med := startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
+		cfg.ExchangeTimeout = 10 * time.Second
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := engine.New(engine.Config{
-		Merged: merged,
-		Sides: map[int]*engine.Side{
-			1: {Binder: giopBinder},
-			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: srv.Addr()},
-		},
-		ExchangeTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { med.Close() })
 	return med, entered, release
 }
 
@@ -367,5 +338,113 @@ func TestSnapshotHistograms(t *testing.T) {
 	}
 	if q := snap.Exchanges.Quantile(0.99); q < snap.Exchanges.Mean() {
 		t.Errorf("p99 %v below mean %v", q, snap.Exchanges.Mean())
+	}
+}
+
+// TestE12ConcurrentPoolSoakWithAdmin is experiment E12: the shared
+// service-side pool under concurrent sessions and the graceful-drain
+// lifecycle, with the observability subsystem attached. Two waves of
+// parallel IIOP clients run through one instrumented mediator (flow
+// tracer, flight recorder, admin endpoint), one deliberately bad request
+// exercises the flight recorder, the admin routes are scraped over the
+// wire, and the mediator is then retired with Shutdown rather than Close.
+func TestE12ConcurrentPoolSoakWithAdmin(t *testing.T) {
+	srv := startPlusService(t, nil)
+	var obs *observe.Observer
+	med := startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
+		cfg.Retry = &engine.RetryPolicy{Attempts: 2, Backoff: 5 * time.Millisecond}
+		obs = observe.Instrument(cfg, observe.Options{})
+	})
+	admin, err := observe.ServeAdmin("127.0.0.1:0", observe.AdminConfig{
+		Registry: observe.MediatorRegistry(med, obs),
+		Observer: obs,
+		Mediator: med,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+
+	const waves, perWave = 2, 8
+	for wave := 0; wave < waves; wave++ {
+		var wg sync.WaitGroup
+		for i := 1; i <= perWave; i++ {
+			wg.Add(1)
+			go func(n int64) {
+				defer wg.Done()
+				client, err := giop.Dial(med.Addr(), "calc")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer client.Close()
+				results, err := client.Invoke("Add", giop.IntParam(n), giop.IntParam(n))
+				if err != nil {
+					t.Error(err)
+				} else if got := results[0].ValueString(); got != strconv.FormatInt(2*n, 10) {
+					t.Errorf("Add(%d,%d) = %s", n, n, got)
+				}
+			}(int64(i))
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		// Between waves every session has ended; the next wave's checkouts
+		// must hit the idle pool instead of dialling.
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	// One deliberately bad request: Bogus parses as GIOP but is not an
+	// action the automaton accepts, so the flow fails and the flight
+	// recorder captures its wire image.
+	bad, err := giop.Dial(med.Addr(), "calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = bad.Invoke("Bogus", giop.IntParam(1))
+	bad.Close()
+	if err == nil {
+		t.Fatal("bogus invocation unexpectedly succeeded")
+	}
+
+	hc := &httpwire.Client{Addr: admin.Addr()}
+	defer hc.Close()
+	for target, want := range map[string]string{
+		"/metrics":       "starlink_flows_total",
+		"/flows":         "Bogus",
+		"/automaton.dot": "digraph",
+	} {
+		resp, err := hc.Get(target)
+		if err != nil {
+			t.Fatalf("scrape %s: %v", target, err)
+		}
+		if !strings.Contains(string(resp.Body), want) {
+			t.Errorf("%s does not show %q:\n%s", target, want, resp.Body)
+		}
+	}
+
+	st := med.Stats()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := med.Shutdown(ctx); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	t.Logf("%d sessions, %d dial(s), %d pool hit(s); admin served metrics+flows+dot; drained",
+		st.Sessions, st.PoolDials, st.PoolHits)
+	if want := uint64(waves*perWave + 1); st.Sessions != want { // +1 for the injected-fault session
+		t.Errorf("sessions = %d, want %d", st.Sessions, want)
+	}
+	if st.PoolDials >= st.Sessions {
+		t.Errorf("pool dials = %d, not below sessions = %d", st.PoolDials, st.Sessions)
+	}
+	if st.PoolHits == 0 {
+		t.Error("no pool hits: connections not reused across sessions")
+	}
+	if st.Failures != 1 {
+		t.Errorf("failures = %d, want the 1 injected fault", st.Failures)
+	}
+	if obs.Recorder().Len() == 0 {
+		t.Error("flight recorder is empty after the injected fault")
 	}
 }

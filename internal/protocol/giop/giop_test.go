@@ -108,12 +108,15 @@ func TestRemoteException(t *testing.T) {
 	}
 }
 
+// TestRequestReplyMessagesWellFormed is the codec half of experiment E3: a
+// GIOPRequest composed by the binary-MDL engine parses back with its
+// operation and its CDR parameters intact (Figs. 4-5), and so does a reply.
 func TestRequestReplyMessagesWellFormed(t *testing.T) {
 	codec, err := NewCodec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := NewRequest(9, "calc", "Add", []*message.Field{IntParam(1), IntParam(2)})
+	req := NewRequest(9, "calc", "Add", []*message.Field{IntParam(20), IntParam(22)})
 	wire, err := codec.Compose(req)
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +130,11 @@ func TestRequestReplyMessagesWellFormed(t *testing.T) {
 	}
 	if op, _ := back.GetString("Operation"); op != "Add" {
 		t.Errorf("operation = %q", op)
+	}
+	p0, _ := back.GetInt("ParameterArray.Parameter[0]")
+	p1, _ := back.GetInt("ParameterArray.Parameter[1]")
+	if p0 != 20 || p1 != 22 {
+		t.Errorf("parameters = %d, %d: the round trip lost data", p0, p1)
 	}
 	reply := NewReply(9, StatusNoException, []*message.Field{IntParam(3)})
 	wire2, err := codec.Compose(reply)

@@ -25,9 +25,9 @@ type Config struct {
 	// LimitParam is the result-limit parameter (default "max-results").
 	LimitParam string
 	// ProcessingDelay is slept before answering each request. The
-	// benchmark harness uses it to stand in for a remote service's
-	// processing and network time, which the in-process store would
-	// otherwise hide.
+	// response-cache experiment (E16) uses it to stand in for a remote
+	// service's processing and network time, which the in-process store
+	// would otherwise hide.
 	ProcessingDelay time.Duration
 }
 

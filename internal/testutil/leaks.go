@@ -3,15 +3,9 @@ package testutil
 import (
 	"runtime"
 	"strings"
+	"testing"
 	"time"
 )
-
-// TB is the subset of testing.TB NoLeaks needs; declared here so the
-// package stays importable outside tests.
-type TB interface {
-	Helper()
-	Errorf(format string, args ...any)
-}
 
 // NoLeaks runs fn and asserts every goroutine it started is gone
 // afterwards. Shutdown is asynchronous in places (probe loops winding
@@ -28,7 +22,7 @@ type TB interface {
 //
 // The count-based check is deliberately simple — it can be fooled by
 // unrelated goroutines exiting mid-test — so keep fn self-contained.
-func NoLeaks(t TB, fn func()) {
+func NoLeaks(t testing.TB, fn func()) {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	fn()
