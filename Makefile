@@ -51,6 +51,10 @@ race-alloc:
 # codecs, the protocol layers, the binders and compiled MTL read a field
 # through its typed accessors and move it node to node; Field.Value(), which
 # boxes it into an `any`, is for tests, tools and the MTL interpreter.
+# Last, the shipped tools accept the shipped models: every file under
+# models/ is the source of a mediator, written by hand, so each XML and MDL
+# file passes its tool's `check`, the directory lists, and the one derived
+# file is still what `automatac merge` makes of the three it derives from.
 check: test
 	$(GO) vet ./...
 	$(MAKE) race
@@ -78,6 +82,14 @@ check: test
 		echo "check: the files above shape a message once more between decode and encode; write from the fields (xmlrpc.AppendFieldCall and its like) and carve them at once (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
 	@if git grep -nE '\.Value\(\)' -- internal/mdl internal/protocol internal/bind internal/mtl/compile.go ':!*_test.go'; then \
 		echo "check: the files above box a field's value on the message path; switch on Type and read it through Text, Int64 and their like, or move it with CopyScalar (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
+	@set -e; \
+	for f in models/*.xml; do $(GO) run ./cmd/automatac check $$f >/dev/null; done; \
+	for f in models/*.mdl; do $(GO) run ./cmd/mdlc check $$f >/dev/null; done; \
+	$(GO) run ./cmd/starlink list -models models >/dev/null; \
+	$(GO) run ./cmd/automatac merge -equiv models/flickr-picasa.equiv -name AFlickr+APicasa-auto \
+		models/flickr-usage.automaton.xml models/picasa-usage.automaton.xml | \
+		diff - models/flickr-picasa-auto.merged.xml || \
+		{ echo 'check: models/flickr-picasa-auto.merged.xml is no longer what automatac merge makes of the usage automata and the equivalence table beside it (models/README.md)'; exit 1; }
 
 # The one benchmark: what a mediated flow costs beside the native call,
 # end to end and layer by layer. This is the command in BENCHMARK.json;

@@ -1,47 +1,19 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
-
-	"starlink/internal/casestudy"
 )
 
-func writeModels(t *testing.T) (dir, flickrPath, picasaPath, equivPath, mergedPath string) {
-	t.Helper()
-	dir = t.TempDir()
-	fl, err := casestudy.FlickrUsage().EncodeXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := casestudy.PicasaUsage().EncodeXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mg, err := casestudy.XMLRPCMediator().EncodeXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flickrPath = filepath.Join(dir, "flickr.automaton.xml")
-	picasaPath = filepath.Join(dir, "picasa.automaton.xml")
-	equivPath = filepath.Join(dir, "fp.equiv")
-	mergedPath = filepath.Join(dir, "m.merged.xml")
-	for path, data := range map[string][]byte{
-		flickrPath: fl,
-		picasaPath: pi,
-		equivPath:  []byte(casestudy.EquivalenceDoc),
-		mergedPath: mg,
-	} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, flickrPath, picasaPath, equivPath, mergedPath
-}
+// The shipped model files the commands are run on.
+const (
+	fl = "../../models/flickr-usage.automaton.xml"
+	pi = "../../models/picasa-usage.automaton.xml"
+	eq = "../../models/flickr-picasa.equiv"
+	mg = "../../models/flickr-xmlrpc-to-picasa-rest.merged.xml"
+)
 
 func TestCheckAndDot(t *testing.T) {
-	_, fl, _, _, mg := writeModels(t)
 	for _, args := range [][]string{
 		{"check", fl},
 		{"check", mg},
@@ -55,8 +27,7 @@ func TestCheckAndDot(t *testing.T) {
 }
 
 func TestMergeCommand(t *testing.T) {
-	dir, fl, pi, eq, _ := writeModels(t)
-	out := filepath.Join(dir, "out.merged.xml")
+	out := filepath.Join(t.TempDir(), "out.merged.xml")
 	if err := run([]string{"merge", "-equiv", eq, "-name", "demo", "-o", out, fl, pi}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +41,6 @@ func TestMergeCommand(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	_, fl, pi, _, _ := writeModels(t)
 	cases := [][]string{
 		nil,
 		{"zap"},
@@ -89,7 +59,6 @@ func TestErrors(t *testing.T) {
 }
 
 func TestMergeableCommand(t *testing.T) {
-	_, fl, pi, eq, _ := writeModels(t)
 	if err := run([]string{"mergeable", "-equiv", eq, fl, pi}); err != nil {
 		t.Fatal(err)
 	}

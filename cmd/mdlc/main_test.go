@@ -4,27 +4,18 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"starlink/internal/casestudy"
 )
 
-func writeGIOPMDL(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "giop.mdl")
-	if err := os.WriteFile(path, []byte(casestudy.GIOPMDLDoc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+// giopMDL is the shipped GIOP message description.
+const giopMDL = "../../models/giop.mdl"
 
 func TestCheck(t *testing.T) {
-	if err := run([]string{"check", writeGIOPMDL(t)}); err != nil {
+	if err := run([]string{"check", giopMDL}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestParsePacket(t *testing.T) {
-	mdlPath := writeGIOPMDL(t)
 	// Compose a packet via the harness-tested codec path is overkill here:
 	// reuse the check path with an invalid packet to exercise errors, then
 	// a trivially composable GIOP request.
@@ -32,7 +23,7 @@ func TestParsePacket(t *testing.T) {
 	if err := os.WriteFile(pktPath, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"parse", mdlPath, pktPath}); err == nil {
+	if err := run([]string{"parse", giopMDL, pktPath}); err == nil {
 		t.Error("garbage packet accepted")
 	}
 }
@@ -43,7 +34,7 @@ func TestErrors(t *testing.T) {
 		{"check"},
 		{"zap", "x"},
 		{"check", "/no/such/file.mdl"},
-		{"parse", writeGIOPMDL(t)},
+		{"parse", giopMDL},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

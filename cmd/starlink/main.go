@@ -1,5 +1,5 @@
 // Command starlink runs an application-middleware mediator from model
-// files, and exports the built-in case-study models.
+// files, and copies out the case-study models it is built with.
 //
 // Usage:
 //
@@ -25,8 +25,7 @@ import (
 	"syscall"
 	"time"
 
-	"starlink/internal/automata"
-	"starlink/internal/casestudy"
+	modelfiles "starlink/models"
 	"starlink/starlink"
 )
 
@@ -39,7 +38,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: starlink run|export-models|list ...")
+		return fmt.Errorf("usage: starlink run|gateway|export-models|list ...")
 	}
 	switch args[0] {
 	case "run":
@@ -184,76 +183,25 @@ func keys[V any](m map[string]V) []string {
 	return out
 }
 
-// ExportCaseStudyModels writes the Flickr/Picasa and Add/Plus models to
-// dir in their on-disk DSL forms.
+// ExportCaseStudyModels copies the model files compiled into the binary
+// (the files of models/) to dir, for a deployment to edit.
 func ExportCaseStudyModels(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	writeAutomaton := func(file string, a *automata.Automaton) error {
-		data, err := a.EncodeXML()
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, file), data, 0o644)
-	}
-	writeMerged := func(file string, m *automata.Merged) error {
-		data, err := m.EncodeXML()
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dir, file), data, 0o644)
-	}
-	if err := writeAutomaton("flickr-usage.automaton.xml", casestudy.FlickrUsage()); err != nil {
-		return err
-	}
-	if err := writeAutomaton("picasa-usage.automaton.xml", casestudy.PicasaUsage()); err != nil {
-		return err
-	}
-	if err := writeAutomaton("add-usage.automaton.xml", casestudy.AddUsage()); err != nil {
-		return err
-	}
-	if err := writeAutomaton("plus-usage.automaton.xml", casestudy.PlusUsage()); err != nil {
-		return err
-	}
-	if err := writeMerged("flickr-xmlrpc-to-picasa-rest.merged.xml", casestudy.XMLRPCMediator()); err != nil {
-		return err
-	}
-	if err := writeMerged("flickr-soap-to-picasa-rest.merged.xml", casestudy.SOAPMediator()); err != nil {
-		return err
-	}
-	autoMerged, err := automata.Merge(casestudy.FlickrUsage(), casestudy.PicasaUsage(), automata.MergeOptions{
-		Name:  "AFlickr+APicasa-auto",
-		Equiv: casestudy.Equivalence(),
-	})
+	entries, err := modelfiles.FS.ReadDir(".")
 	if err != nil {
 		return err
 	}
-	if err := writeMerged("flickr-picasa-auto.merged.xml", autoMerged); err != nil {
-		return err
-	}
-	if err := writeMerged("ssdp-to-slp.merged.xml", casestudy.DiscoveryMediator()); err != nil {
-		return err
-	}
-	if err := writeMerged("picasa-to-flickr.merged.xml", casestudy.ReverseMediator()); err != nil {
-		return err
-	}
-	files := map[string]string{
-		"upnp-to-slp.typemap":    casestudy.DiscoveryTypeMapDoc,
-		"discovery.mediator":     casestudy.DiscoveryMediatorSpecDoc,
-		"picasa.routes":          casestudy.PicasaRoutesDoc,
-		"flickr-picasa.equiv":    casestudy.EquivalenceDoc,
-		"giop.mdl":               casestudy.GIOPMDLDoc,
-		"http.mdl":               casestudy.HTTPMDLDoc,
-		"flickr-xmlrpc.mediator": casestudy.XMLRPCMediatorSpecDoc,
-		"flickr-soap.mediator":   casestudy.SOAPMediatorSpecDoc,
-		"flickr.gateway":         casestudy.GatewaySpecDoc,
-	}
-	for file, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, file), []byte(content), 0o644); err != nil {
+	for _, e := range entries {
+		data, err := modelfiles.FS.ReadFile(e.Name())
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("exported %d model files to %s\n", 9+len(files), dir)
+	fmt.Printf("exported %d model files to %s\n", len(entries), dir)
 	return nil
 }

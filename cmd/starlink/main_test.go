@@ -15,8 +15,15 @@ func TestExportAndList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) < 12 {
-		t.Errorf("exported %d files", len(entries))
+	if len(entries) != 18 {
+		t.Errorf("exported %d files, want the 18 of models/", len(entries))
+	}
+	for _, e := range entries {
+		got, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+		want, err := os.ReadFile(filepath.Join("../../models", e.Name()))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("%s is not a copy of models/%s (%v)", e.Name(), e.Name(), err)
+		}
 	}
 	if err := run([]string{"list", "-models", dir}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // Soapbridge: the SOAP half of the case study, driven entirely by model
 // files — the deployment path of Section 5.1.
 //
-// The program exports the case-study models to a directory, patches the
-// deployment spec with the live Picasa address, loads everything back
-// through the public API, and starts the mediator. It then contrasts the
+// The program loads the case-study models (the files of models/, compiled
+// into the binary) through the public API, points the deployment spec at
+// the live Picasa address, and starts the mediator. It then contrasts the
 // Starlink mediator with the naive protocol-only bridge on the same
 // workload: the SOAP Flickr client succeeds through the mediator and
 // fails through the bridge (the Section 1 argument, live).
@@ -14,9 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"starlink/internal/bind"
 	"starlink/internal/bridge"
@@ -24,6 +21,7 @@ import (
 	"starlink/internal/protocol/soap"
 	"starlink/internal/services/photostore"
 	"starlink/internal/services/picasa"
+	modelfiles "starlink/models"
 	"starlink/starlink"
 )
 
@@ -42,20 +40,14 @@ func run() error {
 	defer pic.Close()
 	fmt.Println("Picasa REST service at", pic.Addr())
 
-	// Materialise the model files, as `starlink export-models` would.
-	dir, err := os.MkdirTemp("", "starlink-models-")
+	models, err := starlink.LoadModelsFS(modelfiles.FS)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	if err := writeModels(dir, pic.Addr()); err != nil {
-		return err
-	}
-
-	models, err := starlink.LoadModels(dir)
-	if err != nil {
-		return err
-	}
+	// The spec's service address is a placeholder; this run's is live.
+	spec := models.Mediators["flickr-soap"]
+	spec.Sides[1].Target = pic.Addr()
+	spec.HostMap[casestudy.PicasaHost] = pic.Addr()
 	med, err := starlink.Deploy("flickr-soap", models, starlink.DeployOptions{Listen: "127.0.0.1:0"})
 	if err != nil {
 		return err
@@ -122,23 +114,4 @@ func run() error {
 		return nil
 	}
 	return fmt.Errorf("the protocol-only bridge unexpectedly worked")
-}
-
-func writeModels(dir, picasaAddr string) error {
-	merged, err := casestudy.SOAPMediator().EncodeXML()
-	if err != nil {
-		return err
-	}
-	spec := strings.ReplaceAll(casestudy.SOAPMediatorSpecDoc, "127.0.0.1:9002", picasaAddr)
-	files := map[string][]byte{
-		"flickr-soap-to-picasa-rest.merged.xml": merged,
-		"picasa.routes":                         []byte(casestudy.PicasaRoutesDoc),
-		"flickr-soap.mediator":                  []byte(spec),
-	}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -311,6 +311,26 @@ func NewEquivalence(pairs ...[2]string) *Equivalence {
 	return e
 }
 
+// ParsePairs reads the line form the developer-provided tables are kept
+// in under models/ (.equiv, and .typemap for MTL's maptype): one
+// "left = right" pair per line, blank lines and # comments skipped. want
+// is what the error for a line without "=" says the line should hold.
+func ParsePairs(doc, want string) ([][2]string, error) {
+	var pairs [][2]string
+	for lineNo, line := range strings.Split(doc, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		a, b, ok := strings.Cut(line, "=")
+		if !ok {
+			return nil, fmt.Errorf("line %d: want %q", lineNo+1, want)
+		}
+		pairs = append(pairs, [2]string{strings.TrimSpace(a), strings.TrimSpace(b)})
+	}
+	return pairs, nil
+}
+
 // Add declares two field labels semantically equivalent.
 func (e *Equivalence) Add(a, b string) {
 	if e.pairs == nil {

@@ -1,12 +1,15 @@
 package automata_test
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"starlink/internal/automata"
 	"starlink/internal/casestudy"
+	"starlink/models"
 )
 
 func validFlickr(t *testing.T) *automata.Automaton {
@@ -399,6 +402,72 @@ func TestMergedXMLRoundTrip(t *testing.T) {
 	}
 	if gammaMTL == 0 {
 		t.Error("γ MTL lost in round trip")
+	}
+}
+
+// TestShippedAutoMergeIsTheMerge: flickr-picasa-auto.merged.xml is the one
+// model file that is derived — the merge of the two usage automata under
+// the equivalence table, all three files beside it — so it is held to
+// what Merge makes of them today.
+func TestShippedAutoMergeIsTheMerge(t *testing.T) {
+	want, err := automata.Merge(casestudy.FlickrUsage(), casestudy.PicasaUsage(), automata.MergeOptions{
+		Name:  "AFlickr+APicasa-auto",
+		Equiv: casestudy.Equivalence(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pairings is Merge's record of how it resolved each operation; the
+	// XML vocabulary does not carry it.
+	want.Pairings = nil
+	f, err := models.FS.Open("flickr-picasa-auto.merged.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := automata.UnmarshalMerged(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("models/flickr-picasa-auto.merged.xml is not the merge of the usage automata:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestMergedXMLCarriesMTLVerbatim: a γ program is written as a CDATA
+// block, whatever it holds, and the escaped one-line form model files had
+// before still loads.
+func TestMergedXMLCarriesMTLVerbatim(t *testing.T) {
+	src := "\na.Msg.x = \"]]>\"\nb.Msg.y = concat(\"<&>\", a.Msg.x) # ]]> & <\n"
+	m := &automata.Merged{
+		Name: "M", Color1: 1, Color2: 2, Start: "m0", Final: []string{"m1"}, Strength: automata.StronglyMerged,
+		States:      []automata.MergedState{{Name: "m0", Colors: []int{1, 2}}, {Name: "m1", Colors: []int{2}}},
+		Transitions: []automata.MergedTransition{{From: "m0", To: "m1", Kind: automata.KindGamma, MTL: src}},
+	}
+	data, err := m.EncodeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "<mtl><![CDATA[\na.Msg.x = \"") {
+		t.Errorf("MTL not written as CDATA with real newlines and quotes:\n%s", data)
+	}
+	back, err := automata.UnmarshalMerged(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, m) {
+		t.Errorf("round trip: got %+v, want %+v", back, m)
+	}
+	old := `<merged name="M" color1="1" color2="2" start="m0" strength="strong">
+  <state name="m0" colors="1,2"></state>
+  <state name="m1" colors="2"></state>
+  <transition kind="gamma" from="m0" to="m1">
+    <mtl>&#xA;a.Msg.x = &#34;]]&gt;&#34;&#xA;b.Msg.y = concat(&#34;&lt;&amp;&gt;&#34;, a.Msg.x) # ]]&gt; &amp; &lt;&#xA;</mtl>
+  </transition>
+  <final name="m1"></final>
+</merged>`
+	if back, err = automata.UnmarshalMerged(strings.NewReader(old)); err != nil || !reflect.DeepEqual(back, m) {
+		t.Errorf("escaped form: got %+v, %v, want %+v", back, err, m)
 	}
 }
 

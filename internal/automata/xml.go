@@ -178,13 +178,21 @@ type xmlMergedState struct {
 }
 
 type xmlMergedTransient struct {
-	Kind    string `xml:"kind,attr"`
-	From    string `xml:"from,attr"`
-	To      string `xml:"to,attr"`
-	Color   int    `xml:"color,attr,omitempty"`
-	Action  string `xml:"action,attr,omitempty"`
-	Message string `xml:"message,attr,omitempty"`
-	MTL     string `xml:"mtl,omitempty"`
+	Kind    string  `xml:"kind,attr"`
+	From    string  `xml:"from,attr"`
+	To      string  `xml:"to,attr"`
+	Color   int     `xml:"color,attr,omitempty"`
+	Action  string  `xml:"action,attr,omitempty"`
+	Message string  `xml:"message,attr,omitempty"`
+	MTL     *xmlMTL `xml:"mtl"`
+}
+
+// xmlMTL is a γ-transition's program. It is written as a CDATA block, so
+// a model file holds the MTL as it is typed — real newlines, bare quotes,
+// `<` and `&` — and read as character data, which also accepts the
+// escaped one-line form (&#xA;, &#34;) files were written in before.
+type xmlMTL struct {
+	Src string `xml:",cdata"`
 }
 
 // EncodeXML renders the merged automaton.
@@ -208,7 +216,9 @@ func (m *Merged) EncodeXML() ([]byte, error) {
 		xt := xmlMergedTransient{From: t.From, To: t.To}
 		if t.Kind == KindGamma {
 			xt.Kind = "gamma"
-			xt.MTL = t.MTL
+			if t.MTL != "" {
+				xt.MTL = &xmlMTL{Src: t.MTL}
+			}
 		} else {
 			xt.Kind = "message"
 			xt.Color = t.Color
@@ -263,7 +273,9 @@ func UnmarshalMerged(r io.Reader) (*Merged, error) {
 		switch xt.Kind {
 		case "gamma":
 			t.Kind = KindGamma
-			t.MTL = xt.MTL
+			if xt.MTL != nil {
+				t.MTL = xt.MTL.Src
+			}
 		case "message":
 			t.Kind = KindMessage
 			t.Color = xt.Color

@@ -9,8 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,9 +23,6 @@ import (
 	"starlink/internal/engine"
 	"starlink/internal/gateway"
 	"starlink/internal/mdl"
-	"starlink/internal/mdl/binenc"
-	"starlink/internal/mdl/textenc"
-	"starlink/internal/mdl/xmlenc"
 	"starlink/internal/mtl"
 	"starlink/internal/network"
 	"starlink/internal/observe"
@@ -49,6 +46,7 @@ var (
 //	*.typemap        vocabulary maps ("from = to" per line), exposed to MTL
 //	                 as the maptype() function
 //	*.mediator       mediator deployment specs
+//	*.gateway        gateway deployment specs
 type Models struct {
 	// Automata by automaton name.
 	Automata map[string]*automata.Automaton
@@ -66,16 +64,10 @@ type Models struct {
 	Mediators map[string]*MediatorSpec
 	// Gateways holds gateway deployment specs by file base name.
 	Gateways map[string]*GatewaySpec
-	// Registry resolves MDL encodings; all built-in engines registered.
-	Registry *mdl.Registry
 }
 
-// NewModels returns an empty model set with the built-in MDL engines.
+// NewModels returns an empty model set.
 func NewModels() *Models {
-	reg := &mdl.Registry{}
-	binenc.Register(reg)
-	textenc.Register(reg)
-	xmlenc.Register(reg)
 	return &Models{
 		Automata:     make(map[string]*automata.Automaton),
 		Merged:       make(map[string]*automata.Merged),
@@ -85,13 +77,26 @@ func NewModels() *Models {
 		TypeMaps:     make(map[string]map[string]string),
 		Mediators:    make(map[string]*MediatorSpec),
 		Gateways:     make(map[string]*GatewaySpec),
-		Registry:     reg,
 	}
 }
 
-// LoadModels reads every model artifact under dir (non-recursive).
+// LoadModels reads every model artifact in the directory dir.
 func LoadModels(dir string) (*Models, error) {
-	entries, err := os.ReadDir(dir)
+	m, err := LoadModelsFS(os.DirFS(dir))
+	if err != nil {
+		// An os.DirFS names paths relative to its root, so the error
+		// does not say which directory it was.
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	return m, nil
+}
+
+// LoadModelsFS reads every model artifact at the root of fsys
+// (non-recursive) — a directory, or the files compiled into the binary
+// (models.FS). A file is dispatched on its extension, and one with an
+// extension no loader knows (a README, a Go file) is not read.
+func LoadModelsFS(fsys fs.FS) (*Models, error) {
+	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
 		return nil, fmt.Errorf("core: read models dir: %w", err)
 	}
@@ -100,118 +105,100 @@ func LoadModels(dir string) (*Models, error) {
 		if e.IsDir() {
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		if err := m.LoadFile(path); err != nil {
-			return nil, err
+		for _, l := range loaders {
+			if !strings.HasSuffix(e.Name(), l.ext) {
+				continue
+			}
+			data, err := fs.ReadFile(fsys, e.Name())
+			if err != nil {
+				return nil, fmt.Errorf("core: read %s: %w", e.Name(), err)
+			}
+			if err := l.load(m, strings.TrimSuffix(e.Name(), l.ext), string(data)); err != nil {
+				return nil, fmt.Errorf("%w: %s: %v", ErrModel, e.Name(), err)
+			}
+			break
 		}
 	}
 	return m, nil
 }
 
-// LoadFile loads one model artifact, dispatching on its extension.
-func (m *Models) LoadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("core: read %s: %w", path, err)
-	}
-	name := filepath.Base(path)
-	switch {
-	case strings.HasSuffix(name, ".automaton.xml"):
-		a, err := automata.ParseAutomaton(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
+// loaders has, for each model file extension, what parses a document of
+// that kind into the set. Automata, merged automata and MDL specs are
+// filed under the name the document gives itself, the rest under the
+// file's base name.
+var loaders = []struct {
+	ext  string
+	load func(m *Models, base, doc string) error
+}{
+	{".automaton.xml", func(m *Models, _, doc string) error {
+		a, err := automata.ParseAutomaton(doc)
+		if err == nil {
+			m.Automata[a.Name] = a
 		}
-		m.Automata[a.Name] = a
-	case strings.HasSuffix(name, ".merged.xml"):
-		mg, err := automata.UnmarshalMerged(strings.NewReader(string(data)))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
+		return err
+	}},
+	{".merged.xml", func(m *Models, _, doc string) error {
+		mg, err := automata.UnmarshalMerged(strings.NewReader(doc))
+		if err == nil {
+			m.Merged[mg.Name] = mg
 		}
-		m.Merged[mg.Name] = mg
-	case strings.HasSuffix(name, ".mdl"):
-		spec, err := mdl.ParseString(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
+		return err
+	}},
+	{".mdl", func(m *Models, _, doc string) error {
+		spec, err := mdl.ParseString(doc)
+		if err == nil {
+			m.MDL[spec.Name] = spec
 		}
-		m.MDL[spec.Name] = spec
-	case strings.HasSuffix(name, ".routes"):
-		routes, err := bind.ParseRoutes(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
-		}
-		m.Routes[trimExt(name, ".routes")] = routes
-	case strings.HasSuffix(name, ".equiv"):
-		eq, err := ParseEquivalence(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
-		}
-		m.Equivalences[trimExt(name, ".equiv")] = eq
-	case strings.HasSuffix(name, ".typemap"):
-		tm, err := ParseTypeMap(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
-		}
-		m.TypeMaps[trimExt(name, ".typemap")] = tm
-	case strings.HasSuffix(name, ".mediator"):
-		spec, err := ParseMediatorSpec(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
-		}
-		m.Mediators[trimExt(name, ".mediator")] = spec
-	case strings.HasSuffix(name, ".gateway"):
-		spec, err := ParseGatewaySpec(string(data))
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrModel, name, err)
-		}
-		m.Gateways[trimExt(name, ".gateway")] = spec
-	default:
-		// Unknown artifacts (e.g. README) are ignored.
-	}
-	return nil
+		return err
+	}},
+	{".routes", func(m *Models, base, doc string) (err error) {
+		m.Routes[base], err = bind.ParseRoutes(doc)
+		return err
+	}},
+	{".equiv", func(m *Models, base, doc string) (err error) {
+		m.Equivalences[base], err = ParseEquivalence(doc)
+		return err
+	}},
+	{".typemap", func(m *Models, base, doc string) (err error) {
+		m.TypeMaps[base], err = ParseTypeMap(doc)
+		return err
+	}},
+	{".mediator", func(m *Models, base, doc string) (err error) {
+		m.Mediators[base], err = ParseMediatorSpec(doc)
+		return err
+	}},
+	{".gateway", func(m *Models, base, doc string) (err error) {
+		m.Gateways[base], err = ParseGatewaySpec(doc)
+		return err
+	}},
 }
-
-func trimExt(name, ext string) string { return strings.TrimSuffix(name, ext) }
 
 // ParseEquivalence reads an equivalence table: one "label = label" pair
 // per line, # comments allowed.
 func ParseEquivalence(doc string) (*automata.Equivalence, error) {
-	eq := automata.NewEquivalence()
-	count := 0
-	for lineNo, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		a, b, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("line %d: want \"label = label\"", lineNo+1)
-		}
-		eq.Add(strings.TrimSpace(a), strings.TrimSpace(b))
-		count++
+	pairs, err := automata.ParsePairs(doc, "label = label")
+	if err != nil {
+		return nil, err
 	}
-	if count == 0 {
+	if len(pairs) == 0 {
 		return nil, errors.New("empty equivalence table")
 	}
-	return eq, nil
+	return automata.NewEquivalence(pairs...), nil
 }
 
 // ParseTypeMap reads a vocabulary map: one "from = to" pair per line,
 // # comments allowed.
 func ParseTypeMap(doc string) (map[string]string, error) {
-	out := map[string]string{}
-	for lineNo, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		from, to, ok := strings.Cut(line, "=")
-		if !ok {
-			return nil, fmt.Errorf("line %d: want \"from = to\"", lineNo+1)
-		}
-		out[strings.TrimSpace(from)] = strings.TrimSpace(to)
+	pairs, err := automata.ParsePairs(doc, "from = to")
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
+	if len(pairs) == 0 {
 		return nil, errors.New("empty vocabulary map")
+	}
+	out := make(map[string]string, len(pairs))
+	for _, p := range pairs {
+		out[p[0]] = p[1]
 	}
 	return out, nil
 }
@@ -382,6 +369,24 @@ func specErr(lineNo int, directive, format string, args ...any) error {
 	return newSpecErr(lineNo, directive, format, args...)
 }
 
+// repeatedOption returns the first key that two of a directive's
+// key=value words share, or "" when none do. Both spec parsers refuse
+// one: the second value used to replace the first without a word.
+func repeatedOption(words []string) string {
+	for i, w := range words {
+		k, _, ok := strings.Cut(w, "=")
+		if !ok {
+			continue
+		}
+		for _, earlier := range words[:i] {
+			if ek, _, ok := strings.Cut(earlier, "="); ok && ek == k {
+				return k
+			}
+		}
+	}
+	return ""
+}
+
 // singleValued lists the mediator-spec directives that may appear at
 // most once: silently keeping the last occurrence (the old behaviour)
 // hid typos, so a repeat is now rejected with both lines named.
@@ -411,6 +416,9 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 	backendLines := map[string]int{}  // backend name → declaring line (0-based)
 	tunedLines := map[string]int{}    // "directive name" → first line (0-based)
 	discoverLines := map[string]int{} // backend name → discover line (0-based)
+	sideLines := map[int]int{}        // side color → declaring line (0-based)
+	hostLines := map[string]int{}     // hostmap logical host → first line (0-based)
+	serverLine := -1                  // line of the side marked server (0-based)
 	var tunes []backendTune
 	// tune records one balance/probe/eject directive, rejecting a repeat
 	// for the same backend with both lines named (the PR 4 duplicate
@@ -437,6 +445,9 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 			}
 			seen[fields[0]] = lineNo
 		}
+		if k := repeatedOption(fields[1:]); k != "" {
+			return nil, specErr(lineNo, fields[0], "option %q given twice", k)
+		}
 		switch fields[0] {
 		case "merged":
 			if len(fields) != 2 {
@@ -456,6 +467,10 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 			if err != nil {
 				return nil, specErr(lineNo, "side", "bad color %q", fields[1])
 			}
+			if first, dup := sideLines[color]; dup {
+				return nil, specErr(lineNo, "side", "duplicate side for color %d (first declared on line %d)", color, first+1)
+			}
+			sideLines[color] = lineNo
 			side := SideSpec{Color: color, Protocol: fields[2]}
 			for _, kv := range fields[3:] {
 				if kv == "server" {
@@ -484,6 +499,12 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 				default:
 					return nil, specErr(lineNo, "side", "unknown option %q", k)
 				}
+			}
+			if side.Server {
+				if serverLine >= 0 {
+					return nil, specErr(lineNo, "side", "second server side (first marked on line %d)", serverLine+1)
+				}
+				serverLine = lineNo
 			}
 			spec.Sides = append(spec.Sides, side)
 		case "typemap":
@@ -573,7 +594,12 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 			if !ok {
 				return nil, specErr(lineNo, "hostmap", "want: hostmap <host> = <addr>")
 			}
-			spec.HostMap[strings.TrimSpace(host)] = strings.TrimSpace(addr)
+			host = strings.TrimSpace(host)
+			if first, dup := hostLines[host]; dup {
+				return nil, specErr(lineNo, "hostmap", "duplicate hostmap for %q (first given on line %d)", host, first+1)
+			}
+			hostLines[host] = lineNo
+			spec.HostMap[host] = strings.TrimSpace(addr)
 		case "backend":
 			if len(fields) == 2 {
 				return nil, specErr(lineNo, "backend", "backend %q declares no replica addresses", fields[1])

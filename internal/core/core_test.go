@@ -4,11 +4,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"starlink/internal/automata"
+	"starlink/internal/bind"
 	"starlink/internal/casestudy"
 	"starlink/internal/core"
 	"starlink/internal/protocol/httpwire"
@@ -17,49 +19,36 @@ import (
 	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/services/photostore"
 	"starlink/internal/services/picasa"
+	"starlink/models"
 )
 
-// writeCaseStudyModels materialises the case-study model files into a
-// temporary directory (what `starlink export-models` produces).
-func writeCaseStudyModels(t *testing.T) string {
+// shippedModels loads the model files of models/ as the binaries carry
+// them.
+func shippedModels(t *testing.T) *core.Models {
 	t.Helper()
-	dir := t.TempDir()
-	write := func(name string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	m, err := core.LoadModelsFS(models.FS)
+	if err != nil {
+		t.Fatal(err)
 	}
-	enc := func(a *automata.Automaton) []byte {
-		t.Helper()
-		data, err := a.EncodeXML()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	return m
+}
+
+// caseStudyModels is shippedModels with the placeholder Picasa address of
+// both Flickr deployment specs replaced by a live one.
+func caseStudyModels(t *testing.T, picasaAddr string) *core.Models {
+	t.Helper()
+	m := shippedModels(t)
+	for _, name := range []string{"flickr-xmlrpc", "flickr-soap"} {
+		spec := m.Mediators[name]
+		spec.Sides[1].Target = picasaAddr
+		spec.HostMap[casestudy.PicasaHost] = picasaAddr
 	}
-	encM := func(m *automata.Merged) []byte {
-		t.Helper()
-		data, err := m.EncodeXML()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	write("flickr-usage.automaton.xml", enc(casestudy.FlickrUsage()))
-	write("picasa-usage.automaton.xml", enc(casestudy.PicasaUsage()))
-	write("flickr-xmlrpc-to-picasa-rest.merged.xml", encM(casestudy.XMLRPCMediator()))
-	write("picasa.routes", []byte(casestudy.PicasaRoutesDoc))
-	write("flickr-picasa.equiv", []byte(casestudy.EquivalenceDoc))
-	write("giop.mdl", []byte(casestudy.GIOPMDLDoc))
-	write("flickr-xmlrpc.mediator", []byte(casestudy.XMLRPCMediatorSpecDoc))
-	write("README.txt", []byte("ignored artifact"))
-	return dir
+	return m
 }
 
 func TestLoadModels(t *testing.T) {
-	dir := writeCaseStudyModels(t)
-	m, err := core.LoadModels(dir)
+	// The directory also holds a README and a Go file, which are skipped.
+	m, err := core.LoadModels("../../models")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +71,47 @@ func TestLoadModels(t *testing.T) {
 	spec := m.Mediators["flickr-xmlrpc"]
 	if spec == nil || spec.MergedName != "Flickr-XMLRPC-to-Picasa-REST" {
 		t.Errorf("mediator spec = %+v", spec)
+	}
+}
+
+// TestShippedModelsLoadAndBuild holds the files under models/ to what the
+// binaries do with them: the embedded set is the directory (so a file with
+// an extension the embed pattern misses is caught), and every deployment
+// spec in it — each route of a gateway spec too — names models that are
+// there and builds into a mediator.
+func TestShippedModelsLoadAndBuild(t *testing.T) {
+	m := shippedModels(t)
+	fromDir, err := core.LoadModels("../../models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, fromDir) {
+		t.Error("models.FS and the models directory load to different sets")
+	}
+	build := func(what, name string) {
+		t.Helper()
+		spec := m.Mediators[name]
+		if spec == nil {
+			t.Errorf("%s: mediator spec %q is not shipped", what, name)
+			return
+		}
+		med, err := m.BuildMediator(spec)
+		if err != nil {
+			t.Errorf("%s: %v", what, err)
+			return
+		}
+		med.Close()
+	}
+	for name := range m.Mediators {
+		build(name+".mediator", name)
+	}
+	for name, gw := range m.Gateways {
+		for _, route := range gw.Routes {
+			build(name+".gateway route "+route.Name, route.Mediator)
+		}
+	}
+	if len(m.Mediators) != 3 || len(m.Gateways) != 1 {
+		t.Errorf("shipped %d mediator and %d gateway specs, want 3 and 1", len(m.Mediators), len(m.Gateways))
 	}
 }
 
@@ -159,6 +189,15 @@ func TestParseMediatorSpecErrors(t *testing.T) {
 		"merged x\nside 1 xmlrpc\nflow_deadline 0s",      // zero flow_deadline
 		"merged x\nside 1 xmlrpc\nflow_deadline -200ms",  // negative flow_deadline
 		"merged x\nside 1 xmlrpc\nflow_deadline soonish", // unparseable flow_deadline
+		// The last one used to win without a word:
+		"merged x\nside 1 xmlrpc server\nside 1 soap target=a:1",                     // two sides of one color
+		"merged x\nside 1 xmlrpc server\nside 2 soap server",                         // two server sides
+		"merged x\nside 1 xmlrpc\nhostmap a = b\nhostmap a = c",                      // one host mapped twice
+		"merged x\nside 1 xmlrpc path=/a path=/b",                                    // option twice: side
+		"merged x\nside 1 xmlrpc\ncacheable op ttl=1s ttl=2s",                        // option twice: cacheable
+		"merged x\nside 1 xmlrpc\nbackend b :1\nprobe b 1s timeout=1s timeout=2s",    // option twice: probe
+		"merged x\nside 1 xmlrpc\nbackend b :1\neject b fails=1 fails=2",             // option twice: eject
+		"merged x\nside 1 xmlrpc\nbackend b :1\ndiscover b via=file path=/x path=/y", // option twice: discover
 	}
 	for _, doc := range cases {
 		if _, err := core.ParseMediatorSpec(doc); !errors.Is(err, core.ErrSpec) {
@@ -241,11 +280,7 @@ func TestBuildBinderErrors(t *testing.T) {
 }
 
 func TestMergeFromModels(t *testing.T) {
-	dir := writeCaseStudyModels(t)
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := shippedModels(t)
 	merged, err := m.Merge("AFlickr", "APicasa", "flickr-picasa", "auto")
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +303,8 @@ func TestMergeFromModels(t *testing.T) {
 }
 
 // TestMediatorFromDiskModels runs the whole case study driven purely by
-// on-disk model files — the deployment path of Section 5.1: load models,
-// start the mediator, point the unmodified client at it.
+// the shipped model files (models.FS) — the deployment path of Section
+// 5.1: load models, start the mediator, point the unmodified client at it.
 func TestMediatorFromDiskModels(t *testing.T) {
 	store := photostore.New()
 	pic, err := picasa.New(store)
@@ -278,22 +313,7 @@ func TestMediatorFromDiskModels(t *testing.T) {
 	}
 	defer pic.Close()
 
-	dir := writeCaseStudyModels(t)
-	// Point the spec's placeholder addresses at the live service.
-	specPath := filepath.Join(dir, "flickr-xmlrpc.mediator")
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := strings.ReplaceAll(string(data), "127.0.0.1:9002", pic.Addr())
-	if err := os.WriteFile(specPath, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := caseStudyModels(t, pic.Addr())
 	med, err := m.DeployAny("flickr-xmlrpc", core.DeployOptions{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -331,22 +351,11 @@ func TestE9Evolution(t *testing.T) {
 	}
 	defer picV2.Close()
 
-	dir := writeCaseStudyModels(t)
+	m := caseStudyModels(t, picV2.Addr())
 	// The one-line model edit: remap the search route's query parameters.
 	v2Routes := strings.ReplaceAll(casestudy.PicasaRoutesDoc,
 		"q=q max-results=max-results", "query=q limit=max-results")
-	if err := os.WriteFile(filepath.Join(dir, "picasa.routes"), []byte(v2Routes), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	specPath := filepath.Join(dir, "flickr-xmlrpc.mediator")
-	data, _ := os.ReadFile(specPath)
-	patched := strings.ReplaceAll(string(data), "127.0.0.1:9002", picV2.Addr())
-	if err := os.WriteFile(specPath, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := core.LoadModels(dir)
-	if err != nil {
+	if m.Routes["picasa"], err = bind.ParseRoutes(v2Routes); err != nil {
 		t.Fatal(err)
 	}
 	med, err := m.DeployAny("flickr-xmlrpc", core.DeployOptions{Listen: "127.0.0.1:0"})
@@ -384,16 +393,7 @@ func TestE9Evolution(t *testing.T) {
 
 	// Control: WITHOUT the model edit, the v1 routes no longer work
 	// against the v2 API (the evolution really broke the wire contract).
-	v1Dir := writeCaseStudyModels(t)
-	v1Spec := filepath.Join(v1Dir, "flickr-xmlrpc.mediator")
-	d2, _ := os.ReadFile(v1Spec)
-	if err := os.WriteFile(v1Spec, []byte(strings.ReplaceAll(string(d2), "127.0.0.1:9002", picV2.Addr())), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m1, err := core.LoadModels(v1Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := caseStudyModels(t, picV2.Addr())
 	medStale, err := m1.DeployAny("flickr-xmlrpc", core.DeployOptions{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -421,25 +421,8 @@ func TestDiscoveryMediatorFromDiskModels(t *testing.T) {
 		URL: "service:printer:lpr://modeled.example", Lifetime: 60,
 	})
 
-	dir := t.TempDir()
-	merged, err := casestudy.DiscoveryMediator().EncodeXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := strings.ReplaceAll(casestudy.DiscoveryMediatorSpecDoc, "127.0.0.1:427", da.Addr())
-	for name, data := range map[string][]byte{
-		"ssdp-to-slp.merged.xml": merged,
-		"upnp-to-slp.typemap":    []byte(casestudy.DiscoveryTypeMapDoc),
-		"discovery.mediator":     []byte(spec),
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := shippedModels(t)
+	m.Mediators["discovery"].Sides[1].Target = da.Addr()
 	if len(m.TypeMaps["upnp-to-slp"]) != 3 {
 		t.Errorf("typemap = %v", m.TypeMaps["upnp-to-slp"])
 	}
@@ -553,6 +536,9 @@ func TestSpecErrorsNameDirective(t *testing.T) {
 		{"merged x\nside 2.5 soap", "side"},
 		{"merged x\nside 1 xmlrpc\nhostmap nope", "hostmap"},
 		{"merged x\nside 1 xmlrpc\nlisten", "listen"},
+		{"merged x\nside 1 xmlrpc path=/a path=/b", "side"},
+		{"merged x\nside 1 xmlrpc\ncacheable op ttl=1s ttl=2s", "cacheable"},
+		{"merged x\nbackend b :1\ndiscover b via=file path=/x path=/y\nside 1 xmlrpc", "discover"},
 	}
 	for _, tt := range cases {
 		_, err := core.ParseMediatorSpec(tt.doc)
@@ -567,14 +553,23 @@ func TestSpecErrorsNameDirective(t *testing.T) {
 			t.Errorf("error %q lacks line context", err)
 		}
 	}
+	// A second side of a color, a second server and a second mapping of a
+	// host name the line of the first.
+	for doc, directive := range map[string]string{
+		"merged x\nside 1 xmlrpc server\nside 1 soap target=a:1": "side",
+		"merged x\nside 1 xmlrpc server\nside 2 soap server":     "side",
+		"side 1 xmlrpc\nhostmap a = b\nhostmap a = c\nmerged x":  "hostmap",
+	} {
+		var se *core.SpecError
+		if _, err := core.ParseMediatorSpec(doc); !errors.As(err, &se) ||
+			se.Directive != directive || se.Line != 3 || !strings.Contains(se.Msg, "line 2") {
+			t.Errorf("ParseMediatorSpec(%q) err = %v, want a SpecError for %s on line 3 naming line 2", doc, err, directive)
+		}
+	}
 }
 
 func TestMustMerge(t *testing.T) {
-	dir := writeCaseStudyModels(t)
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := shippedModels(t)
 	merged := m.MustMerge("AFlickr", "APicasa", "flickr-picasa", "must")
 	if merged == nil || m.Merged["must"] == nil {
 		t.Fatal("MustMerge result not registered")
@@ -600,7 +595,7 @@ func TestParseMediatorSpecAdminDirective(t *testing.T) {
 	}
 }
 
-// TestDeployWithAdmin stands up a full observed deployment from disk
+// TestDeployWithAdmin stands up a full observed deployment from the shipped
 // models: mediator plus flow tracer plus admin endpoint, with the admin
 // address supplied as an override.
 func TestDeployWithAdmin(t *testing.T) {
@@ -611,21 +606,7 @@ func TestDeployWithAdmin(t *testing.T) {
 	}
 	defer pic.Close()
 
-	dir := writeCaseStudyModels(t)
-	specPath := filepath.Join(dir, "flickr-xmlrpc.mediator")
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := strings.ReplaceAll(string(data), "127.0.0.1:9002", pic.Addr())
-	if err := os.WriteFile(specPath, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := caseStudyModels(t, pic.Addr())
 	dep, err := m.Deploy("flickr-xmlrpc", "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"starlink/internal/casestudy"
 	"starlink/internal/core"
 	"starlink/internal/protocol/httpwire"
 )
@@ -115,18 +116,11 @@ func TestDeployWithFileDiscovery(t *testing.T) {
 	if err := os.WriteFile(hosts, []byte("127.0.0.1:9101\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dir := writeCaseStudyModels(t)
-	specPath := filepath.Join(dir, "flickr-xmlrpc.mediator")
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := string(data) + "\nbackend photos 127.0.0.1:9101\n" +
-		"discover photos via=file path=" + hosts + " refresh=10ms debounce=20ms min_ttl=30ms\n"
-	if err := os.WriteFile(specPath, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.LoadModels(dir)
+	m := shippedModels(t)
+	var err error
+	m.Mediators["flickr-xmlrpc"], err = core.ParseMediatorSpec(casestudy.XMLRPCMediatorSpecDoc +
+		"\nbackend photos 127.0.0.1:9101\n" +
+		"discover photos via=file path=" + hosts + " refresh=10ms debounce=20ms min_ttl=30ms\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,18 +178,11 @@ func TestDeployWithFileDiscovery(t *testing.T) {
 // cannot be constructed (missing hosts file) fails deployment with a
 // spec error instead of limping along.
 func TestBuildMediatorDiscoverBadSource(t *testing.T) {
-	dir := writeCaseStudyModels(t)
-	specPath := filepath.Join(dir, "flickr-xmlrpc.mediator")
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := string(data) + "\nbackend photos 127.0.0.1:9101\n" +
-		"discover photos via=file path=" + filepath.Join(dir, "does-not-exist") + "\n"
-	if err := os.WriteFile(specPath, []byte(patched), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.LoadModels(dir)
+	m := shippedModels(t)
+	var err error
+	m.Mediators["flickr-xmlrpc"], err = core.ParseMediatorSpec(casestudy.XMLRPCMediatorSpecDoc +
+		"\nbackend photos 127.0.0.1:9101\n" +
+		"discover photos via=file path=" + filepath.Join(t.TempDir(), "does-not-exist") + "\n")
 	if err != nil {
 		t.Fatal(err)
 	}

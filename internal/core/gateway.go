@@ -103,6 +103,9 @@ func ParseGatewaySpec(doc string) (*GatewaySpec, error) {
 			}
 			seen[fields[0]] = lineNo
 		}
+		if k := repeatedOption(fields[1:]); k != "" {
+			return nil, gwErr(lineNo, fields[0], "option %q given twice", k)
+		}
 		switch fields[0] {
 		case "listen":
 			if len(fields) != 2 {

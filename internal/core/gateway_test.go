@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"starlink/internal/automata"
 	"starlink/internal/casestudy"
 	"starlink/internal/core"
 	"starlink/internal/engine"
@@ -82,6 +81,7 @@ func TestParseGatewaySpecErrors(t *testing.T) {
 		"bad route option":   "route a b color=7\n",
 		"bad sniff timeout":  "sniff_timeout soon\nroute a b\n",
 		"undeclared default": "route a b\ndefault c\n",
+		"option twice":       "route a m rate=1 rate=2 path=/x path=/y\n",
 	}
 	for name, doc := range cases {
 		if _, err := core.ParseGatewaySpec(doc); !errors.Is(err, core.ErrGateway) {
@@ -97,6 +97,9 @@ func TestParseGatewaySpecErrors(t *testing.T) {
 	var se *core.SpecError
 	if _, err := core.ParseGatewaySpec("listen :1\nroute a b rate=NaN\n"); !errors.As(err, &se) || se.Line != 2 || se.Directive != "route" {
 		t.Errorf("NaN rate err = %v, want a SpecError for line 2, directive route", err)
+	}
+	if _, err := core.ParseGatewaySpec("listen :1\nroute a m path=/x path=/y\n"); !errors.As(err, &se) || se.Line != 2 || se.Directive != "route" {
+		t.Errorf("repeated option err = %v, want a SpecError for line 2, directive route", err)
 	}
 }
 
@@ -157,12 +160,7 @@ func TestDeploymentCloseIdempotent(t *testing.T) {
 	}
 	defer pic.Close()
 
-	dir := writeCaseStudyModels(t)
-	patchSpec(t, filepath.Join(dir, "flickr-xmlrpc.mediator"), "127.0.0.1:9002", pic.Addr())
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := caseStudyModels(t, pic.Addr())
 
 	dep, err := m.Deploy("flickr-xmlrpc", "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
@@ -189,46 +187,7 @@ func TestDeploymentCloseIdempotent(t *testing.T) {
 	}
 }
 
-func patchSpec(t *testing.T, path, old, new string) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(strings.ReplaceAll(string(data), old, new)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writeGatewayModels materialises a two-route gateway model set (the
-// XML-RPC and SOAP case-study mediators behind one front door) with
-// service addresses patched to the live Picasa replica.
-func writeGatewayModels(t *testing.T, picasaAddr string) string {
-	t.Helper()
-	dir := writeCaseStudyModels(t)
-	write := func(name string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	encM := func(m *automata.Merged) []byte {
-		t.Helper()
-		data, err := m.EncodeXML()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	write("flickr-soap-to-picasa-rest.merged.xml", encM(casestudy.SOAPMediator()))
-	write("flickr-soap.mediator", []byte(casestudy.SOAPMediatorSpecDoc))
-	write("flickr.gateway", []byte(casestudy.GatewaySpecDoc))
-	patchSpec(t, filepath.Join(dir, "flickr-xmlrpc.mediator"), "127.0.0.1:9002", picasaAddr)
-	patchSpec(t, filepath.Join(dir, "flickr-soap.mediator"), "127.0.0.1:9002", picasaAddr)
-	return dir
-}
-
-// TestDeployGatewayEndToEnd deploys the case-study gateway from disk
+// TestDeployGatewayEndToEnd deploys the case-study gateway from the shipped
 // models: an XML-RPC and a SOAP client reach their own mediators
 // through ONE listener, distinguished by sniffing alone; the metrics
 // endpoint exposes per-route counters; a hot reload swaps both
@@ -241,11 +200,7 @@ func TestDeployGatewayEndToEnd(t *testing.T) {
 	}
 	defer pic.Close()
 
-	dir := writeGatewayModels(t, pic.Addr())
-	m, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := caseStudyModels(t, pic.Addr())
 	if m.Gateways["flickr"] == nil {
 		t.Fatal("gateway spec not loaded from *.gateway file")
 	}
@@ -309,13 +264,9 @@ func TestDeployGatewayEndToEnd(t *testing.T) {
 
 	// Hot reload from freshly loaded models: both routes swap, and the
 	// very next calls succeed on the new mediators.
-	fresh, err := core.LoadModels(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := dep.Reload(ctx, fresh); err != nil {
+	if err := dep.Reload(ctx, caseStudyModels(t, pic.Addr())); err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
 	callXMLRPC()
@@ -375,10 +326,7 @@ func TestE14GatewayMultiplexSwapShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pic.Close()
-	m, err := core.LoadModels(writeGatewayModels(t, pic.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := caseStudyModels(t, pic.Addr())
 	addPlusModels(t, m, plus.Addr(), "")
 	m.Gateways["front"], err = core.ParseGatewaySpec(
 		"route calc calc maxflows=" + strconv.Itoa(flowCap) + "\nroute xmlrpc flickr-xmlrpc\nroute soap flickr-soap\n")

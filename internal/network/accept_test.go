@@ -26,7 +26,7 @@ func (l *flakyListener) Accept() (Conn, error) {
 // the loop — the connection that follows is served — and closing the
 // listener must.
 func TestAcceptLoopSurvivesAcceptErrors(t *testing.T) {
-	inner, err := Engine{}.Listen(Semantics{}, "127.0.0.1:0", LengthPrefixFramer{})
+	inner, err := Engine{}.Listen(Semantics{}, "127.0.0.1:0", lengthPrefixFramer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestAcceptLoopSurvivesAcceptErrors(t *testing.T) {
 		defer close(returned)
 		AcceptLoop(l.Accept, func(c Conn) { served <- c })
 	}()
-	client, err := Engine{}.Dial(Semantics{}, l.Addr().String(), LengthPrefixFramer{})
+	client, err := Engine{}.Dial(Semantics{}, l.Addr().String(), lengthPrefixFramer{})
 	if err != nil {
 		t.Fatal(err)
 	}

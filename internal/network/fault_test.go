@@ -11,7 +11,7 @@ import (
 
 // pipePair returns two connected FaultConn-wrappable endpoints.
 func pipePair() (Conn, Conn) {
-	return Pipe(LengthPrefixFramer{})
+	return Pipe(lengthPrefixFramer{})
 }
 
 func TestFaultConnPassthrough(t *testing.T) {
@@ -151,7 +151,7 @@ func TestIsTransportError(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close()
 	var eng Engine
-	if _, err := eng.Dial(Semantics{Transport: "tcp"}, addr, LengthPrefixFramer{}); !IsTransportError(err) {
+	if _, err := eng.Dial(Semantics{Transport: "tcp"}, addr, lengthPrefixFramer{}); !IsTransportError(err) {
 		t.Errorf("refused dial classified as non-transport: %v", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestEngineDialTimeoutConfigurable(t *testing.T) {
 		}
 	}()
 	eng := Engine{DialTimeout: 500 * time.Millisecond}
-	conn, err := eng.Dial(Semantics{Transport: "tcp"}, l.Addr().String(), LengthPrefixFramer{})
+	conn, err := eng.Dial(Semantics{Transport: "tcp"}, l.Addr().String(), lengthPrefixFramer{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,42 +79,6 @@ type Listener interface {
 
 // ---- framers ----
 
-// LengthPrefixFramer frames messages with a 4-byte big-endian length.
-type LengthPrefixFramer struct{}
-
-var _ Framer = LengthPrefixFramer{}
-
-// ReadMessage implements Framer.
-func (LengthPrefixFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, ErrMessageTooLarge
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("network: short frame: %w", err)
-	}
-	return buf, nil
-}
-
-// WriteMessage implements Framer.
-func (LengthPrefixFramer) WriteMessage(w io.Writer, data []byte) error {
-	if len(data) > MaxMessageSize {
-		return ErrMessageTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
-	return err
-}
-
 // HTTPFramer frames HTTP/1.x requests and responses: start line, header
 // block, then a body of Content-Length bytes (0 when absent). Messages
 // carrying conflicting Content-Length headers are rejected — accepting

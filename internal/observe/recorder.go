@@ -1,8 +1,6 @@
 package observe
 
 import (
-	"encoding/json"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -55,15 +53,4 @@ type RecorderStats struct {
 // Stats snapshots the recorder's counters.
 func (r *Recorder) Stats() RecorderStats {
 	return RecorderStats{Failed: r.failed.Load(), Slow: r.slowSeen.Load()}
-}
-
-// WriteJSON renders the recorded flows as a JSON array, oldest first.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	entries := r.Entries()
-	if entries == nil {
-		entries = []*FlowTrace{}
-	}
-	return enc.Encode(entries)
 }

@@ -33,6 +33,7 @@
 package starlink
 
 import (
+	"io/fs"
 	"strings"
 
 	"starlink/internal/automata"
@@ -318,7 +319,11 @@ const (
 // routes, equivalences, mediator specs) under dir.
 func LoadModels(dir string) (*Models, error) { return core.LoadModels(dir) }
 
-// NewModels returns an empty model set with all built-in MDL engines.
+// LoadModelsFS is LoadModels over a file system: the files at its root
+// are read, as those compiled into a binary with go:embed are.
+func LoadModelsFS(fsys fs.FS) (*Models, error) { return core.LoadModelsFS(fsys) }
+
+// NewModels returns an empty model set.
 func NewModels() *Models { return core.NewModels() }
 
 // Merge constructs the k-colored merged automaton of two API usage

@@ -3,8 +3,6 @@ package starlink_test
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +12,7 @@ import (
 	"starlink/internal/casestudy"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/soap"
+	modelfiles "starlink/models"
 	"starlink/starlink"
 )
 
@@ -52,7 +51,7 @@ func TestPublicParsers(t *testing.T) {
 	if err != nil || len(routes) != 3 {
 		t.Errorf("ParseRoutes: %v, %d", err, len(routes))
 	}
-	doc, err := casestudy.FlickrUsage().EncodeXML()
+	doc, err := modelfiles.FS.ReadFile("flickr-usage.automaton.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,28 +61,21 @@ func TestPublicParsers(t *testing.T) {
 	}
 }
 
+// TestPublicLoadModels: the directory and the embedded files load to the
+// same set through the facade.
 func TestPublicLoadModels(t *testing.T) {
-	dir := t.TempDir()
-	data, err := casestudy.PicasaUsage().EncodeXML()
+	fromDir, err := starlink.LoadModels("../models")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "picasa.automaton.xml"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "picasa.routes"), []byte(casestudy.PicasaRoutesDoc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	models, err := starlink.LoadModels(dir)
+	fromFS, err := starlink.LoadModelsFS(modelfiles.FS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if models.Automata["APicasa"] == nil || len(models.Routes["picasa"]) != 3 {
-		t.Error("models not loaded")
-	}
-	empty := starlink.NewModels()
-	if len(empty.Registry.Encodings()) != 3 {
-		t.Errorf("encodings = %v", empty.Registry.Encodings())
+	for _, m := range []*starlink.Models{fromDir, fromFS} {
+		if m.Automata["APicasa"] == nil || len(m.Routes["picasa"]) != 3 {
+			t.Error("models not loaded")
+		}
 	}
 }
 
