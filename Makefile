@@ -41,7 +41,7 @@ race-alloc:
 # encoding/xml stays off the message path: under the MDL engines, the
 # protocol layers and the binders only test files may import it, as the
 # oracle the xmlenc Reader and Writer are checked against. And the field
-# tree stays out of the XML-RPC and Atom decode: those packages and the
+# tree stays out of the XML-RPC, Atom and SOAP decode: those packages and the
 # binders read the Reader's tokens, and only their tests may build a tree
 # with xmlenc.DecodeTree, as the oracle the token decoders are checked
 # against. The other way it is the same rule: the binders write XML-RPC
@@ -76,8 +76,8 @@ check: test
 		echo 'check: the lines above quote what bench/ and the package tests replaced (see bench/README.md and DESIGN.md §4)'; exit 1; fi
 	@if git grep -n '"encoding/xml"' -- internal/mdl internal/protocol internal/bind ':!*_test.go'; then \
 		echo 'check: the files above import encoding/xml on the message path; xmlenc has the Reader and the Writer (DESIGN.md, "XML codec")'; exit 1; fi
-	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/bind ':!*_test.go'; then \
-		echo 'check: the files above build a field tree to decode XML-RPC or Atom; read the tokens of xmlenc.Reader (DESIGN.md, "The reader and its consumers")'; exit 1; fi
+	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/protocol/soap internal/bind ':!*_test.go'; then \
+		echo 'check: the files above build a field tree to decode XML-RPC, Atom or SOAP; read the tokens of xmlenc.Reader (DESIGN.md, "The reader and its consumers")'; exit 1; fi
 	@if git grep -nE 'fieldToValue\(|abstractFromEntry\(|map\[string\]xmlrpc\.Value\{' -- internal/bind ':!*_test.go'; then \
 		echo "check: the files above shape a message once more between decode and encode; write from the fields (xmlrpc.AppendFieldCall and its like) and carve them at once (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
 	@if git grep -nE '\.Value\(\)' -- internal/mdl internal/protocol internal/bind internal/mtl/compile.go ':!*_test.go'; then \

@@ -6,8 +6,10 @@ import (
 
 	"starlink/internal/casestudy"
 	"starlink/internal/message"
+	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/httpwire"
 	"starlink/internal/protocol/rest"
+	"starlink/internal/protocol/soap"
 	"starlink/internal/testutil"
 )
 
@@ -76,5 +78,73 @@ func TestXMLRPCBuildReplyAllocBudget(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Errorf("building a 50-photo reply allocated %.0f times, budget 3", allocs)
+	}
+}
+
+// TestAddFlowAllocBudget pins what the paper's own example costs the
+// mediator to bind (Figs. 7 and 8: GIOP Add in, SOAP Plus out, and back):
+// the four binder calls of one add_steady flow, on its messages. Measured:
+// GIOP ParseRequest 13 (the parse's 8, the abstract message, its list, a
+// clone per parameter and the request id), SOAP BuildRequest 6, SOAP
+// ParseReply 14 (five the HTTP head, five the envelope's strings and list,
+// four the abstract message), GIOP BuildReply 6 — 39, where
+// the interpreter, the field tree of the envelope and a node at a time made
+// it 38 + 6 + 22 + 15 = 81.
+func TestAddFlowAllocBudget(t *testing.T) {
+	codec, err := giop.NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	request, err := codec.Compose(giop.NewRequest(7, "calc", "Add", []*message.Field{giop.IntParam(20), giop.IntParam(22)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := soap.MarshalResponse("Plus", []soap.Param{{Name: "result", Value: "42"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := (&httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "text/xml; charset=utf-8"}, Body: body}).Marshal()
+	plus := message.New("Plus", message.NewInt64("x", 20), message.NewInt64("y", 22))
+	sum := message.New("Add.reply", message.NewInt64("z", 42), message.NewUint64("_giop_request_id", 7))
+
+	client, err := NewGIOPBinder("calc", casestudy.AddUsage().Messages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	service := &SOAPBinder{Path: "/soap"}
+	total := 0.0
+	for _, step := range []struct {
+		name string
+		call func() error
+	}{
+		{"GIOP ParseRequest", func() error {
+			action, abs, err := client.ParseRequest(request)
+			if err == nil && (action != "Add" || len(abs.Fields) != 3 || abs.Fields[1].Label != "y" || abs.Fields[1].Int64() != 22) {
+				err = fmt.Errorf("parsed %s %v", action, abs)
+			}
+			return err
+		}},
+		{"SOAP BuildRequest", func() error { _, err := service.BuildRequest("Plus", plus); return err }},
+		{"SOAP ParseReply", func() error {
+			abs, err := service.ParseReply("Plus", reply)
+			if err == nil && (len(abs.Fields) != 1 || abs.Fields[0].Label != "result" || abs.Fields[0].Text() != "42") {
+				err = fmt.Errorf("parsed %v", abs)
+			}
+			return err
+		}},
+		{"GIOP BuildReply", func() error { _, err := client.BuildReply("Add", sum); return err }},
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := step.call(); err != nil {
+				t.Fatal(step.name, err)
+			}
+		})
+		total += allocs
+	}
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.1f allocs per flow unasserted", total)
+	}
+	if total > 45 {
+		t.Errorf("binding one Add flow allocated %.0f times, budget 45", total)
 	}
 }

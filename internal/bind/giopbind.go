@@ -2,6 +2,7 @@ package bind
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"starlink/internal/automata"
@@ -65,29 +66,34 @@ func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	abs := message.New(action)
-	bindPositional(abs, concrete, b.paramNames(action))
-	// Remember the request id so the reply can be correlated.
+	// Room for the request id, remembered so the reply can be correlated.
+	abs := bindPositional(action, concrete, b.paramNames(action), 1)
 	if id, err := concrete.GetInt("RequestID"); err == nil {
 		abs.Add(message.NewUint64("_giop_request_id", uint64(id)))
 	}
 	return action, abs, nil
 }
 
-func bindPositional(abs, concrete *message.Message, names []string) {
-	arr, err := concrete.Lookup("ParameterArray")
-	if err != nil {
-		return
+// bindPositional makes the abstract message name of concrete's parameters,
+// each under the name the MsgDef gives its position, "paramN" where it
+// gives none, with room for extra fields behind them.
+func bindPositional(name string, concrete *message.Message, names []string, extra int) *message.Message {
+	abs := message.New(name)
+	arr := concrete.Field("ParameterArray")
+	if arr == nil {
+		return abs
 	}
+	abs.Fields = make([]*message.Field, 0, len(arr.Children)+extra)
 	for i, p := range arr.Children {
-		label := fmt.Sprintf("param%d", i+1)
-		if i < len(names) {
-			label = names[i]
-		}
 		cp := p.Clone()
-		cp.Label = label
-		abs.Add(cp)
+		if i < len(names) {
+			cp.Label = names[i]
+		} else {
+			cp.Label = "param" + strconv.Itoa(i+1)
+		}
+		abs.Fields = append(abs.Fields, cp)
 	}
+	return abs
 }
 
 // BuildRequest implements Binder: abstract fields become positional CDR
@@ -102,26 +108,23 @@ func (b *GIOPBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 // not in the def follow in message order.
 func (b *GIOPBinder) positionalParams(msgName string, abs *message.Message) []*message.Field {
 	names := b.paramNames(msgName)
-	var params []*message.Field
-	used := map[string]bool{}
-	for _, n := range names {
-		if f := abs.Field(n); f != nil {
-			cp := f.Clone()
-			cp.Label = "Parameter"
-			params = append(params, cp)
-			used[n] = true
-		}
-	}
-	for _, f := range abs.Fields {
-		if used[f.Label] || f.Label == "_giop_request_id" {
-			continue
-		}
-		if len(names) > 0 && contains(names, f.Label) {
-			continue
-		}
+	params := make([]*message.Field, 0, len(abs.Fields))
+	param := func(f *message.Field) {
 		cp := f.Clone()
 		cp.Label = "Parameter"
 		params = append(params, cp)
+	}
+	for _, n := range names {
+		if f := abs.Field(n); f != nil {
+			param(f)
+		}
+	}
+	for _, f := range abs.Fields {
+		// The binder's own field is no parameter, and a named one has gone
+		// out above.
+		if f.Label != "_giop_request_id" && !contains(names, f.Label) {
+			param(f)
+		}
 	}
 	return params
 }
@@ -157,22 +160,14 @@ func (b *GIOPBinder) ParseReply(action string, packet []byte) (*message.Message,
 	if status != giop.StatusNoException {
 		return nil, fmt.Errorf("%w: action %s: reply status %d", ErrBadMessage, action, status)
 	}
-	abs := message.New(action + ".reply")
-	bindPositional(abs, concrete, b.paramNames(action+".reply"))
-	return abs, nil
+	return bindPositional(action+".reply", concrete, b.paramNames(action+".reply"), 0), nil
 }
 
 // BuildReply implements Binder. The request id is taken from the
 // "_giop_request_id" field that ParseRequest stashed in the abstract
 // request — the engine copies it into the reply environment.
 func (b *GIOPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
-	id := stashedID(abs, "_giop_request_id")
-	filtered := message.New(abs.Name)
-	for _, f := range abs.Fields {
-		if f.Label != "_giop_request_id" {
-			filtered.Add(f)
-		}
-	}
-	reply := giop.NewReply(id, giop.StatusNoException, b.positionalParams(action+".reply", filtered))
+	reply := giop.NewReply(stashedID(abs, "_giop_request_id"), giop.StatusNoException,
+		b.positionalParams(action+".reply", abs))
 	return b.codec.Compose(reply)
 }

@@ -23,14 +23,16 @@ func giopReply() *message.Message {
 	)
 }
 
-// TestParseAllocBudget pins what parsing a GIOP packet costs. An integer
-// field is its node and nothing beside it — the value is in the node — so a
-// request is its 15 nodes, the three byte runs copied out of the packet
-// with what each becomes (two strings, one bytes pointer), the message, and
-// the two lists as they grow: 29. A reply, whose layout comes second, is 19
-// by the same count, and pays for the request layout only the five fields
-// read before MessageType=0 turns it away: no parse to the end, no error
-// formatted on the way out.
+// TestParseAllocBudget pins what parsing a GIOP packet costs. A layout's
+// fields are one slab of nodes and one list of pointers to them, sized by
+// the plan, and the parameters of a cdrseq another of each, sized by its
+// count; Magic is the layout's own string. So a request is the message, the
+// two slabs twice, the Operation string and the ObjectKey's bytes with the
+// pointer a TypeBytes field keeps them behind: 8, whatever the number of
+// header fields (it was 29, a node at a time). A reply is the message and
+// the two slabs twice: 5 (it was 30), and pays nothing for the request
+// layout, which MessageType=0 at byte 7 turns away before anything is made.
+// The budgets leave one allocation of room.
 func TestParseAllocBudget(t *testing.T) {
 	c := mustCodec(t, giopDoc)
 	for _, tc := range []struct {
@@ -38,8 +40,8 @@ func TestParseAllocBudget(t *testing.T) {
 		msg    *message.Message
 		budget float64
 	}{
-		{"request", giopRequest(), 29},
-		{"reply", giopReply(), 30},
+		{"request", giopRequest(), 9},
+		{"reply", giopReply(), 6},
 	} {
 		wire, err := c.Compose(tc.msg)
 		if err != nil {

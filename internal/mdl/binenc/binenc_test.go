@@ -1,14 +1,19 @@
 package binenc
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"starlink/internal/mdl"
 	"starlink/internal/message"
+	"starlink/internal/testutil"
 )
 
 // giopDoc mirrors the paper's Fig. 5 GIOP layout (with the cdrseq
@@ -157,8 +162,8 @@ func TestComposeUnknownMessage(t *testing.T) {
 	}
 }
 
-func TestAllParameterTypesRoundTrip(t *testing.T) {
-	c := mustCodec(t, giopDoc)
+// giopRequestOfEveryType is giopRequest with one parameter of every CDR type.
+func giopRequestOfEveryType() *message.Message {
 	in := giopRequest()
 	in.SetField(message.NewArray("ParameterArray",
 		message.NewPrimitive("Parameter", message.TypeString, "hello world"),
@@ -169,7 +174,12 @@ func TestAllParameterTypesRoundTrip(t *testing.T) {
 		message.NewPrimitive("Parameter", message.TypeInt32, -7),
 		message.NewPrimitive("Parameter", message.TypeString, ""),
 	))
-	wire, err := c.Compose(in)
+	return in
+}
+
+func TestAllParameterTypesRoundTrip(t *testing.T) {
+	c := mustCodec(t, giopDoc)
+	wire, err := c.Compose(giopRequestOfEveryType())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +407,22 @@ func BenchmarkGIOPParse(b *testing.B) {
 	}
 }
 
+func BenchmarkGIOPParseReply(b *testing.B) {
+	spec, _ := mdl.ParseString(giopDoc)
+	c, _ := New(spec)
+	wire, err := c.Compose(giopReply())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Parse(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGIOPCompose(b *testing.B) {
 	spec, _ := mdl.ParseString(giopDoc)
 	c, _ := New(spec)
@@ -410,10 +436,20 @@ func BenchmarkGIOPCompose(b *testing.B) {
 	}
 }
 
-// slpReplyDoc exercises repeated groups: the SLP Service Reply layout
-// (RFC 2608 §8.2 simplified) with N URL entries.
-const slpReplyDoc = `
+// slpDoc is the SLP document (RFC 2608 §8 simplified). Its Service Reply
+// exercises repeated groups: N URL entries.
+const slpDoc = `
 <MDL:SLP:binary>
+<Message:ServiceRequest>
+<Rule:Version=2>
+<Rule:FunctionID=1>
+<Version:8><FunctionID:8>
+<XID:16>
+<PRListLen:16><PRList:PRListLen:string>
+<ServiceTypeLen:16><ServiceType:ServiceTypeLen:string>
+<ScopeLen:16><Scope:ScopeLen:string>
+<End:Message>
+
 <Message:ServiceReply>
 <Rule:Version=2>
 <Rule:FunctionID=2>
@@ -427,6 +463,15 @@ const slpReplyDoc = `
 <End:Repeat>
 <End:Message>
 `
+
+func slpRequest() *message.Message {
+	return message.New("ServiceRequest",
+		message.NewPrimitive("XID", message.TypeUint64, 513),
+		message.NewPrimitive("PRList", message.TypeString, ""),
+		message.NewPrimitive("ServiceType", message.TypeString, "service:printer"),
+		message.NewPrimitive("Scope", message.TypeString, "default"),
+	)
+}
 
 func slpReply() *message.Message {
 	entry := func(lifetime int64, url string) *message.Field {
@@ -447,7 +492,7 @@ func slpReply() *message.Message {
 }
 
 func TestRepeatGroupRoundTrip(t *testing.T) {
-	c := mustCodec(t, slpReplyDoc)
+	c := mustCodec(t, slpDoc)
 	wire, err := c.Compose(slpReply())
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +517,7 @@ func TestRepeatGroupRoundTrip(t *testing.T) {
 }
 
 func TestRepeatGroupEmpty(t *testing.T) {
-	c := mustCodec(t, slpReplyDoc)
+	c := mustCodec(t, slpDoc)
 	in := message.New("ServiceReply",
 		message.NewPrimitive("XID", message.TypeUint64, 1),
 		message.NewPrimitive("ErrorCode", message.TypeUint64, 0),
@@ -528,7 +573,7 @@ func TestRepeatBadSpecs(t *testing.T) {
 }
 
 func TestRepeatQuickRoundTrip(t *testing.T) {
-	spec, err := mdl.ParseString(slpReplyDoc)
+	spec, err := mdl.ParseString(slpDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,5 +620,222 @@ func TestRepeatQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestComposeBytesUnchanged pins what Compose writes to the bytes the
+// interpreter wrote before the plan (recorded at the parent commit, PR 19).
+func TestComposeBytesUnchanged(t *testing.T) {
+	giop, slp := mustCodec(t, giopDoc), mustCodec(t, slpDoc)
+	for _, tc := range []struct {
+		name  string
+		codec mdl.Codec
+		msg   *message.Message
+		want  string
+	}{
+		{"GIOP request", giop, giopRequest(),
+			"47494f50010000000000000000000007010000000000000c63616c632d73657276696365000000044164640000000000" +
+				"0000000203000000000000000000001403000000000000000000000000000016"},
+		{"GIOP reply", giop, giopReply(),
+			"47494f50010000010000000000100000000000000000000000000001030000000000010000000000"},
+		{"GIOP request, a parameter of every type", giop, giopRequestOfEveryType(),
+			"47494f50010000000000000000000007010000000000000c63616c632d73657276696365000000044164640000000000" +
+				"00000007010000000000000c68656c6c6f20776f726c64000300000000000000fffffffffffffffb0401050000000000" +
+				"4005bf0a8b04919b0600000000000004000102ff02000000fffffff9010000000000000100"},
+		{"SLP request", slp, slpRequest(),
+			"020102010001000010736572766963653a7072696e74657200000864656661756c7400"},
+		{"SLP reply", slp, slpReply(),
+			"0202004d0000000200012c0027736572766963653a7072696e7465723a6c70723a2f2f7072696e746572312e6578616d" +
+				"706c65000002580027736572766963653a7072696e7465723a6c70723a2f2f7072696e746572322e6578616d706c6500"},
+	} {
+		wire, err := tc.codec.Compose(tc.msg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(wire); got != tc.want {
+			t.Errorf("%s composes to\n%s, it was\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPlanMatchesInterpreter runs the fuzzers' check over their seeds and
+// over every prefix of them, in tier-1: a truncated packet is where the
+// plan's early exits and the count bound decide.
+func TestPlanMatchesInterpreter(t *testing.T) {
+	for _, tc := range []struct {
+		doc  string
+		msgs []*message.Message
+	}{
+		{giopDoc, []*message.Message{giopRequest(), giopReply(), giopRequestOfEveryType()}},
+		{slpDoc, []*message.Message{slpRequest(), slpReply()}},
+		{bitsDoc, bitsMessages()},
+	} {
+		p := mustPair(t, tc.doc)
+		for _, msg := range tc.msgs {
+			wire := p.compose(t, msg)
+			if got, err := p.plan.Parse(wire); err != nil || got.Name != msg.Name {
+				t.Fatalf("%s does not parse back: %v, %v", msg.Name, got, err)
+			}
+			for n := 0; n <= len(wire); n++ {
+				p.check(t, wire[:n])
+			}
+		}
+	}
+}
+
+// TestCountBound: a count read off the wire is held to what the packet can
+// still hold before anything is sized by it. The smallest well-formed GIOP
+// request claiming 65 536 parameters and carrying none, and an SLP reply
+// claiming 65 535 URL entries in 20 bytes, are refused for what a claim of
+// 256 costs: no slab of the claimed size is ever made. (A count below 256
+// is one allocation cheaper to refuse: the number in the error's text.)
+func TestCountBound(t *testing.T) {
+	giopClaiming := func(n uint32) []byte {
+		wire := append([]byte("GIOP\x01\x00\x00\x00\x00\x00\x00\x18"), make([]byte, 24)...)
+		wire[16] = 1 // Response
+		binary.BigEndian.PutUint32(wire[32:], n)
+		return wire
+	}
+	slpClaiming := func(n uint16) []byte {
+		wire := append([]byte{2, 2, 0, 1, 0, 0, 0, 0}, make([]byte, 12)...)
+		binary.BigEndian.PutUint16(wire[6:], n)
+		return wire
+	}
+	for _, tc := range []struct {
+		name        string
+		doc         string
+		fits, claim []byte
+		small, big  []byte
+	}{
+		{"GIOP request", giopDoc, giopClaiming(0), nil, giopClaiming(256), giopClaiming(65536)},
+		{"SLP reply", slpDoc, slpClaiming(0), slpClaiming(2), slpClaiming(256), slpClaiming(65535)},
+	} {
+		c := mustCodec(t, tc.doc)
+		if _, err := c.Parse(tc.fits); err != nil {
+			t.Fatalf("%s claiming nothing: %v", tc.name, err)
+		}
+		if tc.claim != nil {
+			// Two entries of five bytes fit in the twelve that follow, but not
+			// the URL the first then claims: past the bound, short all the same.
+			tc.claim[11] = 0xff
+			if _, err := c.Parse(tc.claim); !errors.Is(err, ErrShortPacket) || errors.Is(err, ErrCountExceedsPacket) {
+				t.Errorf("%s claiming what could fit: err = %v, want ErrShortPacket from an entry", tc.name, err)
+			}
+		}
+		cost := func(wire []byte) (allocs, bytes float64) {
+			parse := func() {
+				_, err := c.Parse(wire)
+				if !errors.Is(err, ErrCountExceedsPacket) || !errors.Is(err, ErrShortPacket) || !errors.Is(err, mdl.ErrNoMessageMatch) {
+					t.Fatalf("%s, %d bytes: err = %v, want ErrCountExceedsPacket wrapping ErrShortPacket inside ErrNoMessageMatch",
+						tc.name, len(wire), err)
+				}
+			}
+			allocs = testing.AllocsPerRun(100, parse)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 100; i++ {
+				parse()
+			}
+			runtime.ReadMemStats(&after)
+			return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 100
+		}
+		smallAllocs, smallBytes := cost(tc.small)
+		bigAllocs, bigBytes := cost(tc.big)
+		if testutil.RaceEnabled {
+			continue
+		}
+		if bigAllocs != smallAllocs || bigBytes > smallBytes+64 { // the longer number in the text
+			t.Errorf("%s: refusing the largest claim costs %.0f allocations and %.0f bytes, refusing a claim of 256 %.0f and %.0f",
+				tc.name, bigAllocs, bigBytes, smallAllocs, smallBytes)
+		}
+	}
+}
+
+// TestRestBehindTheEnd: an <align> may step past the end of a short packet;
+// what follows is refused, an <eof> field included — the one input on which
+// the plan and the interpreter part: that one sized the field's copy by a
+// negative number and panicked.
+func TestRestBehindTheEnd(t *testing.T) {
+	c := mustCodec(t, "<MDL:T:binary>\n<Message:M><A:8><align:64><Body:eof><End:Message>")
+	if _, err := c.Parse([]byte{1}); !errors.Is(err, ErrShortPacket) {
+		t.Errorf("err = %v, want ErrShortPacket", err)
+	}
+	if msg, err := c.Parse(make([]byte, 8)); err != nil || len(msg.Fields) != 2 {
+		t.Errorf("eight bytes: %v, %v", msg, err)
+	}
+}
+
+// oddDocs are layouts nobody would write that New accepts all the same:
+// lengths and counts that are no unsigned integers, names that resolve in
+// another scope or in none, labels used twice, rules no field can meet,
+// widths no packet can fill. What the interpreter made of each — mostly a
+// refusal — the plan makes of it too.
+var oddDocs = []string{
+	"<Message:M><L:16:string><V:L><End:Message>",
+	"<Message:M><L:8:int><V:L:string><T:8><End:Message>",
+	"<Message:M><L:32:float><V:L><End:Message>",
+	"<Message:M><L:8:bytes><V:L><End:Message>",
+	"<Message:M><C:8:bool><Repeat:R:C><A:8><End:Repeat><End:Message>",
+	"<Message:M><L:8><N:8><Repeat:R:N><V:L:string><B:4><End:Repeat><T:4><End:Message>",
+	"<Message:M><N:8><Repeat:R:N><L:8><End:Repeat><V:L><End:Message>",
+	"<Message:M><N:8><Repeat:R:N><X:R><End:Repeat><End:Message>",
+	"<Message:M><L:8><V:L><N:8><Repeat:R:N><L:8><W:L><End:Repeat><End:Message>",
+	"<Message:M><N:8><L:8><Repeat:R:N><V:L><End:Repeat><End:Message>",
+	"<Message:M><N:8><Repeat:R:N><P:cdrseq><End:Repeat><End:Message>",
+	"<Message:M><N:8><Repeat:R:N><A:8><End:Repeat><V:R><End:Message>",
+	"<Message:M><L:8><A:L><B:L:string><End:Message>",
+	"<Message:M><A:8><A:8><L:4><L:4><V:L><End:Message>",
+	"<Message:M><Rule:Nope=1><A:8><End:Message>",
+	"<Message:M><Rule:A=01><A:8><End:Message>\n<Message:N><Rule:A=1><Rule:A=2><A:8><End:Message>\n<Message:O><Rule:A=1><Rule:A=1><A:8><B:8:int><End:Message>",
+	"<Message:M><Rule:B=-2><Rule:C=true><Rule:F=1.5><A:4><B:4:int><C:8:bool><F:32:float><End:Message>\n<Message:N><Rule:C=1><A:8><C:8:bool><End:Message>",
+	"<Message:M><Rule:V=hi><L:8><V:L:string><End:Message>\n<Message:N><Rule:V=hi><L:8><V:L><W:eof><End:Message>",
+	"<Message:M><Rule:R=[[1] [2]]><N:8><Repeat:R:N><A:8><End:Repeat><End:Message>",
+	"<Message:M><Rule:S=ab><Rule:T=300><A:4><S:16:string><T:8:int><End:Message>\n<Message:N><Rule:S=abc><S:16:string><End:Message>",
+	"<Message:M><Rule:B=7><N:8><Repeat:R:N><B:8><End:Repeat><B:8><End:Message>",
+	"<Message:M><A:72><End:Message>\n<Message:N><A:12:string><B:4><End:Message>",
+	"<Message:M><A:8><align:3><B:8><align:64><T:8><End:Message>",
+}
+
+func TestOddLayoutsMatchInterpreter(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	// Packets some odd layout reads: a length of 3.0, of "12", a string "hi"
+	// with and without its NUL, two items of one byte.
+	packets := [][]byte{
+		[]byte("\x40\x40\x00\x00abc"), []byte("12abcdefghijkl"), []byte("\x03hi\x00"), []byte("\x02hi"), []byte("\x02hi!"), {2, 1, 2},
+	}
+	for i := 0; i < 1500; i++ {
+		data := make([]byte, r.Intn(20))
+		for j := range data {
+			// Small numbers, so that lengths and counts often fit, digits and
+			// the letters the rules name among them.
+			data[j] = []byte{0, 1, 2, 3, 7, '1', '2', 'a', 'b', 'h', 'i', 0x80, 0xff, byte(r.Intn(256))}[r.Intn(14)]
+		}
+		packets = append(packets, data)
+	}
+	for _, doc := range oddDocs {
+		p := mustPair(t, "<MDL:Odd:binary>\n"+doc)
+		// Composed from nothing, every field is its rule's value, a derived
+		// length or count, or zero: a packet that meets the rules a packet
+		// can meet, and with one byte changed, one that mostly does not.
+		mine := packets
+		for _, ms := range p.oracle.spec.Messages {
+			wire := p.compose(t, message.New(ms.Name))
+			mine = append(mine, wire)
+			for i := range wire {
+				changed := bytes.Clone(wire)
+				changed[i] = byte(r.Intn(256))
+				mine = append(mine, changed)
+			}
+		}
+		for _, data := range mine {
+			msg, err := p.plan.Parse(data)
+			want, oracleErr := p.oracle.Parse(data)
+			if (err == nil) != (oracleErr == nil) || (err == nil && !msg.Equal(want)) {
+				t.Fatalf("%s\nParse(%x)\n gives %v, %v\noracle %v, %v", doc, data, msg, err, want, oracleErr)
+			}
+			if err == nil {
+				p.compose(t, msg)
+			}
+		}
 	}
 }

@@ -25,9 +25,9 @@ const maxRetainedKids = 4 << 10
 
 // DecodeTree maps an XML document onto one field per element by the rules
 // in the package comment. Anything after the root element is not read.
-// It is for callers whose product is the tree — Codec.Parse, SOAP's small
-// envelopes; a protocol with a shape of its own reads the Reader's tokens
-// into that shape directly.
+// It is for callers whose product is the tree — Codec.Parse; a protocol
+// with a shape of its own reads the Reader's tokens into that shape
+// directly.
 func DecodeTree(data []byte) (*message.Field, error) {
 	r := NewReader(data)
 	defer r.Release()

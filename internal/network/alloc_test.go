@@ -60,3 +60,53 @@ func TestReadMessageAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// retainingWriter keeps a copy of every write, and counts them.
+type retainingWriter struct {
+	writes int
+	last   []byte
+}
+
+func (w *retainingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.last = append(w.last[:0], p...)
+	return len(p), nil
+}
+
+// TestWriteMessageAllocBudget: a GIOP message is patched in a pooled copy,
+// so once the pool is warm sending one allocates nothing; it still goes out
+// in one Write, with its MessageSize set, and the caller's bytes — which the
+// engine may send again — are left as they were.
+func TestWriteMessageAllocBudget(t *testing.T) {
+	msg := append([]byte("GIOP\x01\x00\x00\x01\xde\xad\xbe\xef"), bytes.Repeat([]byte{7}, 500)...)
+	sent := bytes.Clone(msg)
+	want := bytes.Clone(msg)
+	copy(want[8:12], []byte{0, 0, 1, 0xf4})
+	var w retainingWriter
+	for i := 0; i < 2; i++ {
+		if err := (GIOPFramer{}).WriteMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.last, want) {
+			t.Fatalf("send %d wrote % x..., want % x...", i+1, w.last[:16], want[:16])
+		}
+		if !bytes.Equal(msg, sent) {
+			t.Fatalf("send %d changed the caller's bytes: % x...", i+1, msg[:16])
+		}
+	}
+	w.writes = 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := (GIOPFramer{}).WriteMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if w.writes != 101 {
+		t.Errorf("101 messages went out in %d writes", w.writes)
+	}
+	if testutil.RaceEnabled {
+		return
+	}
+	if allocs > 0 {
+		t.Errorf("writing one message allocated %.0f times, budget 0", allocs)
+	}
+}

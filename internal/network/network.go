@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"starlink/internal/protocol/bufpool"
 )
 
 // Errors reported by the network engine.
@@ -179,13 +181,17 @@ func (GIOPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
 }
 
 // WriteMessage implements Framer. The MessageSize header field is patched
-// to the actual body length so composers need not precompute it.
+// to the actual body length so composers need not precompute it — in a
+// pooled copy, never in data, which is the caller's (the engine replays it),
+// and the copy goes out in one Write, which keeps none of it (io.Writer).
 func (GIOPFramer) WriteMessage(w io.Writer, data []byte) error {
 	if len(data) < 12 {
 		return fmt.Errorf("network: GIOP message shorter than header (%d bytes)", len(data))
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
+	buf := bufpool.Get()
+	defer bufpool.Put(buf)
+	buf.Write(data)
+	out := buf.Bytes()
 	binary.BigEndian.PutUint32(out[8:12], uint32(len(data)-12))
 	_, err := w.Write(out)
 	return err

@@ -1,7 +1,7 @@
 // Package bufpool is the shared encode-buffer pool for the wire codecs
-// that render into a bytes.Buffer (httpwire, jsonrpc; the binary and XML
-// MDL engines pool writers of their own, which carry more than a buffer,
-// under the same discipline). Every Marshal/Compose on the mediation hot path runs per
+// that render into a bytes.Buffer (httpwire, jsonrpc, and the GIOP framer's
+// patched copy of a message; the binary and XML MDL engines pool writers of
+// their own, which carry more than a buffer, under the same discipline). Every Marshal/Compose on the mediation hot path runs per
 // message, and the engine retains the returned wire bytes (fault
 // recovery replays the last request), so codecs cannot hand out their
 // scratch buffers directly. The discipline is: render into a pooled

@@ -1,6 +1,6 @@
 // Package giop implements the GIOP 1.0 wire protocol (the IIOP message
 // layer) with CDR marshalling: the binary middleware of the paper's
-// Figs. 4, 5 and 7. Message layouts are described in MDL and interpreted
+// Figs. 4, 5 and 7. Message layouts are described in MDL and compiled
 // by the binary engine — the same spec the mediator loads — and a small
 // client/server pair provides the CORBA-style substrate for the Add/Plus
 // case study.
@@ -101,34 +101,49 @@ func DoubleParam(f float64) *message.Field {
 
 // NewRequest builds a GIOPRequest abstract message.
 func NewRequest(requestID uint64, objectKey, operation string, params []*message.Field) *message.Message {
-	return message.New("GIOPRequest",
-		message.NewString("Magic", "GIOP"),
-		message.NewUint64("VersionMajor", 1),
-		message.NewUint64("VersionMinor", 0),
-		message.NewUint64("Flags", 0),
-		message.NewUint64("MessageType", 0),
-		message.NewUint64("MessageSize", 0),
-		message.NewUint64("RequestID", requestID),
-		message.NewUint64("Response", 1),
-		message.NewBytes("ObjectKey", []byte(objectKey)),
-		message.NewString("Operation", operation),
-		message.NewArray("ParameterArray", params...),
-	)
+	msg, body := newMessage("GIOPRequest", 0, requestID, 4)
+	body[0].Label = "Response"
+	body[0].SetUint64(1)
+	body[1].Label = "ObjectKey"
+	body[1].SetBytes([]byte(objectKey))
+	body[2].Label = "Operation"
+	body[2].SetText(operation)
+	body[3].Label, body[3].Type, body[3].Children = "ParameterArray", message.TypeArray, params
+	return msg
 }
 
 // NewReply builds a GIOPReply abstract message.
 func NewReply(requestID uint64, status uint64, results []*message.Field) *message.Message {
-	return message.New("GIOPReply",
-		message.NewString("Magic", "GIOP"),
-		message.NewUint64("VersionMajor", 1),
-		message.NewUint64("VersionMinor", 0),
-		message.NewUint64("Flags", 0),
-		message.NewUint64("MessageType", 1),
-		message.NewUint64("MessageSize", 0),
-		message.NewUint64("RequestID", requestID),
-		message.NewUint64("ReplyStatus", status),
-		message.NewArray("ParameterArray", results...),
-	)
+	msg, body := newMessage("GIOPReply", 1, requestID, 2)
+	body[0].Label = "ReplyStatus"
+	body[0].SetUint64(status)
+	body[1].Label, body[1].Type, body[1].Children = "ParameterArray", message.TypeArray, results
+	return msg
+}
+
+// newMessage carves a message from one slab of nodes — the GIOP header, the
+// request id, then rest fields of the message's own, which it returns for
+// the caller to fill — and one list that points at them.
+func newMessage(name string, messageType, requestID uint64, rest int) (*message.Message, []message.Field) {
+	header := [...]struct {
+		label string
+		value uint64
+	}{
+		{"VersionMajor", 1}, {"VersionMinor", 0}, {"Flags", 0},
+		{"MessageType", messageType}, {"MessageSize", 0}, {"RequestID", requestID},
+	}
+	nodes := make([]message.Field, 1+len(header)+rest)
+	fields := make([]*message.Field, len(nodes))
+	for i := range nodes {
+		fields[i] = &nodes[i]
+	}
+	nodes[0].Label = "Magic"
+	nodes[0].SetText("GIOP")
+	for i, h := range header {
+		nodes[1+i].Label = h.label
+		nodes[1+i].SetUint64(h.value)
+	}
+	return &message.Message{Name: name, Fields: fields}, nodes[1+len(header):]
 }
 
 // Client invokes operations on a remote GIOP object.

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"starlink/internal/mdl/xmlenc"
-	"starlink/internal/message"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -77,73 +76,135 @@ func MarshalFault(f *Fault) ([]byte, error) {
 	return envelope("Fault", []Param{{"faultcode", f.Code}, {"faultstring", f.Message}})
 }
 
-// bodyElement unwraps Envelope/Body and returns the single operation
-// element.
-func bodyElement(data []byte) (*message.Field, error) {
-	root, err := xmlenc.DecodeTree(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+// malformed makes a decode failure this package's: what the Reader
+// reports is wrapped, what the decoder found wrong itself already is.
+func malformed(err error) error {
+	if errors.Is(err, ErrMalformed) {
+		return err
 	}
-	if root.Label != "Envelope" {
-		return nil, fmt.Errorf("%w: root %q", ErrMalformed, root.Label)
-	}
-	body := root.Child("Body")
-	if body == nil {
-		return nil, fmt.Errorf("%w: no Body", ErrMalformed)
-	}
-	for _, c := range body.Children {
-		if !strings.HasPrefix(c.Label, "@") {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: empty Body", ErrMalformed)
-}
-
-func fieldParams(op *message.Field) []Param {
-	var out []Param
-	for _, c := range op.Children {
-		if strings.HasPrefix(c.Label, "@") || c.Label == "#text" {
-			continue
-		}
-		out = append(out, Param{Name: c.Label, Value: c.ValueString()})
-	}
-	return out
+	return fmt.Errorf("%w: %w", ErrMalformed, err)
 }
 
 // ParseRequest decodes an RPC request envelope.
 func ParseRequest(data []byte) (method string, params []Param, err error) {
-	op, err := bodyElement(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if op.Label == "Fault" {
-		return "", nil, parseFault(op)
-	}
-	return op.Label, fieldParams(op), nil
+	return parseEnvelope(data)
 }
 
 // ParseResponse decodes a response envelope, returning the result params
 // or a *Fault error.
 func ParseResponse(data []byte) (method string, results []Param, err error) {
-	op, err := bodyElement(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if op.Label == "Fault" {
-		return "", nil, parseFault(op)
-	}
-	return strings.TrimSuffix(op.Label, "Response"), fieldParams(op), nil
+	op, results, err := parseEnvelope(data)
+	return strings.TrimSuffix(op, "Response"), results, err
 }
 
-func parseFault(op *message.Field) error {
+// parseEnvelope reads Envelope, its first Body and the first element in
+// that — the operation, or a Fault, which is returned as the error — from
+// the Reader's tokens, names by their local part, and then the rest of the
+// document for its form alone.
+func parseEnvelope(data []byte) (op string, params []Param, err error) {
+	r := xmlenc.NewReader(data)
+	defer r.Release()
+	op, params, fault, err := readEnvelope(r)
+	switch {
+	case err != nil:
+		return "", nil, malformed(err)
+	case fault != nil:
+		return "", nil, fault
+	}
+	return op, params, nil
+}
+
+func readEnvelope(r *xmlenc.Reader) (op string, params []Param, fault *Fault, err error) {
+	if _, err := r.Next(); err != nil {
+		return "", nil, nil, err
+	}
+	if name := r.Name(); string(name) != "Envelope" {
+		return "", nil, nil, fmt.Errorf("%w: root %q", ErrMalformed, name)
+	}
+	switch body, err := r.Find("Body"); {
+	case err != nil:
+		return "", nil, nil, err
+	case body == "":
+		return "", nil, nil, fmt.Errorf("%w: no Body", ErrMalformed)
+	}
+	for {
+		tok, err := r.Next()
+		if err != nil {
+			return "", nil, nil, err
+		}
+		if tok == xmlenc.End {
+			return "", nil, nil, fmt.Errorf("%w: empty Body", ErrMalformed)
+		}
+		if tok == xmlenc.Start {
+			break
+		}
+	}
+	if op = r.Intern(r.Name()); op == "Fault" {
+		fault, err = readFault(r)
+	} else {
+		params, err = readParams(r)
+	}
+	// What is left of Body, then of Envelope.
+	for level := 0; level < 2 && err == nil; level++ {
+		err = r.Skip()
+	}
+	return op, params, fault, err
+}
+
+// readParams reads the open operation element to its end: one Param per
+// child element, its value the character data directly inside it.
+func readParams(r *xmlenc.Reader) ([]Param, error) {
+	// The params of most calls fit on the stack until their number is known.
+	var few [8]Param
+	params := few[:0]
+	for {
+		switch tok, err := r.Next(); {
+		case err != nil:
+			return nil, err
+		case tok == xmlenc.End:
+			if len(params) == 0 {
+				return nil, nil
+			}
+			return append([]Param(nil), params...), nil
+		case tok == xmlenc.Start:
+			name := r.Intern(r.Name())
+			value, _, err := r.Content()
+			if err != nil {
+				return nil, err
+			}
+			params = append(params, Param{Name: name, Value: string(value)})
+		}
+	}
+}
+
+// readFault reads the open Fault element to its end: the text of its first
+// faultcode and of its first faultstring.
+func readFault(r *xmlenc.Reader) (*Fault, error) {
 	f := &Fault{}
-	if c := op.Child("faultcode"); c != nil {
-		f.Code = c.ValueString()
+	var coded, worded bool
+	for {
+		name, err := r.Find("faultcode", "faultstring")
+		var text []byte
+		switch {
+		case err != nil:
+			return nil, err
+		case name == "":
+			return f, nil
+		case name == "faultcode" && !coded:
+			coded = true
+			text, _, err = r.Content()
+			f.Code = string(text)
+		case name == "faultstring" && !worded:
+			worded = true
+			text, _, err = r.Content()
+			f.Message = string(text)
+		default:
+			err = r.Skip()
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if c := op.Child("faultstring"); c != nil {
-		f.Message = c.ValueString()
-	}
-	return f
 }
 
 // Client calls SOAP operations at a fixed HTTP endpoint.

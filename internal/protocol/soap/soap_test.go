@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"starlink/internal/mdl/xmlenc"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -74,6 +76,43 @@ func TestParseErrors(t *testing.T) {
 		if _, _, err := ParseRequest([]byte(raw)); !errors.Is(err, ErrMalformed) {
 			t.Errorf("ParseRequest(%q) err = %v", raw, err)
 		}
+	}
+}
+
+// TestDepthBound: the reader counts the levels for the envelope decoder as
+// for every other, so nesting a peer chooses ends in a typed error, inside a
+// parameter that is read and inside an element that is skipped.
+func TestDepthBound(t *testing.T) {
+	for name, open := range map[string]string{
+		"parameter": "<Envelope><Body><Add><x>",
+		"skipped":   "<Envelope><Header>",
+	} {
+		_, _, err := ParseRequest([]byte(open + strings.Repeat("<a>", 5<<20)))
+		if !errors.Is(err, xmlenc.ErrTooDeep) || !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: 15 MiB of <a>: err = %v, want xmlenc.ErrTooDeep wrapped in ErrMalformed", name, err)
+		}
+	}
+	// Envelope, Body, the operation and the parameter are four levels.
+	nest := func(n int) []byte {
+		return []byte("<Envelope><Body><Add><x>" + strings.Repeat("<a>", n) + "deep" + strings.Repeat("</a>", n) +
+			"own</x></Add></Body></Envelope>")
+	}
+	fits := xmlenc.MaxDepth - 4
+	if _, params, err := ParseRequest(nest(fits)); err != nil || len(params) != 1 || params[0] != (Param{"x", "own"}) {
+		t.Errorf("MaxDepth levels: %+v, %v", params, err)
+	}
+	if _, _, err := ParseResponse(nest(fits + 1)); !errors.Is(err, xmlenc.ErrTooDeep) || !errors.Is(err, ErrMalformed) {
+		t.Errorf("MaxDepth+1 levels: err = %v", err)
+	}
+}
+
+// TestParamReadsOwnText: a parameter that carries attributes, xsi:type for
+// one, or elements gives the character data directly inside it.
+func TestParamReadsOwnText(t *testing.T) {
+	raw := `<Envelope><Body><Add><x xsi:type="xsd:int" xmlns:xsi="urn:xsi">20</x><y><unit>cm</unit>22</y></Add></Body></Envelope>`
+	method, params, err := ParseRequest([]byte(raw))
+	if err != nil || method != "Add" || len(params) != 2 || params[0] != (Param{"x", "20"}) || params[1] != (Param{"y", "22"}) {
+		t.Errorf("parsed %q %+v, %v", method, params, err)
 	}
 }
 
