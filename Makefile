@@ -51,6 +51,10 @@ race-alloc:
 # codecs, the protocol layers, the binders and compiled MTL read a field
 # through its typed accessors and move it node to node; Field.Value(), which
 # boxes it into an `any`, is for tests, tools and the MTL interpreter.
+# And a spec value is read in one place: outside spec.go nothing in
+# internal/core parses a duration or a number or cuts a word at "=" — a new
+# directive is a row of the tables there, a new option an entry of a row's
+# list, read through the value readers beside them.
 # Last, the shipped tools accept the shipped models: every file under
 # models/ is the source of a mediator, written by hand, so each XML and MDL
 # file passes its tool's `check`, the directory lists, and the one derived
@@ -82,6 +86,8 @@ check: test
 		echo "check: the files above shape a message once more between decode and encode; write from the fields (xmlrpc.AppendFieldCall and its like) and carve them at once (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
 	@if git grep -nE '\.Value\(\)' -- internal/mdl internal/protocol internal/bind internal/mtl/compile.go ':!*_test.go'; then \
 		echo "check: the files above box a field's value on the message path; switch on Type and read it through Text, Int64 and their like, or move it with CopyScalar (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
+	@if git grep -nE 'time\.ParseDuration|strconv\.(Atoi|ParseFloat)|strings\.Cut\([^)]*"="\)' -- internal/core ':!*_test.go' ':!internal/core/spec.go'; then \
+		echo 'check: the files above read a spec value outside internal/core/spec.go; a directive is a row of mediatorDirectives or gatewayDirectives there, an option an entry of its list, and count, duration and their like read the words (DESIGN.md §3, "From a spec to a mediator")'; exit 1; fi
 	@set -e; \
 	for f in models/*.xml; do $(GO) run ./cmd/automatac check $$f >/dev/null; done; \
 	for f in models/*.mdl; do $(GO) run ./cmd/mdlc check $$f >/dev/null; done; \

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -249,15 +248,8 @@ type BackendSpec struct {
 }
 
 // DiscoverSpec is one `discover` directive: a discovery source driving
-// a backend set's membership at runtime.
-//
-//	discover <backend> via=slp agent=<addr> type=<service-type> [scope=<scope>]
-//	discover <backend> via=ssdp search=<addr> st=<target> [listen=<addr>] [mx=<seconds>]
-//	discover <backend> via=dns name=<host:port | _svc._proto.domain>
-//	discover <backend> via=file path=<hosts-file>
-//
-// every form also takes [refresh=<duration>] [debounce=<duration>]
-// [min_ttl=<duration>] [max_churn=<n>].
+// a backend set's membership at runtime. discoverSources in spec.go has
+// the sources and the options of each.
 type DiscoverSpec struct {
 	// Backend names the replica set this source drives.
 	Backend string
@@ -282,30 +274,9 @@ type DiscoverSpec struct {
 	MaxChurn                  int
 }
 
-// MediatorSpec is a parsed deployment spec:
-//
-//	merged <name>
-//	listen <addr>
-//	side <color> <protocol> [key=value ...] [server] [udp]
-//	hostmap <logical-host> = <addr>
-//	backend <name> <addr> [addr ...]
-//	balance <backend> roundrobin|p2c
-//	probe <backend> <interval> [timeout=<duration>]
-//	eject <backend> [fails=<n>] [cooloff=<duration>] [max_cooloff=<duration>] [min_live=<n>]
-//	discover <backend> via=slp|ssdp|dns|file [source options] [refresh=] [debounce=] [min_ttl=] [max_churn=]
-//	typemap <name>
-//	retries <n>
-//	backoff <duration>
-//	max_backoff <duration>
-//	flow_deadline <duration>|off
-//	dialtimeout <duration>
-//	pool_size <n>
-//	pool_idle <duration>|off
-//	admin <addr>
-//	cacheable <operation> ttl=<duration> [vary=<path,...>]
-//	invalidates <operation> <cached-op,...>
-//	cache_size <n>
-//	cache_shards <n>
+// MediatorSpec is a parsed deployment spec. mediatorDirectives in
+// spec.go is its grammar, one row per directive; docs/MODELS.md prints
+// the same rows.
 type MediatorSpec struct {
 	// MergedName names the merged automaton to execute.
 	MergedName string
@@ -362,563 +333,68 @@ type MediatorSpec struct {
 	CacheShards int
 }
 
-// specErr reports a mediator-spec problem as a typed *SpecError,
-// always naming the line and the directive it occurred in so
-// multi-directive specs stay debuggable.
-func specErr(lineNo int, directive, format string, args ...any) error {
-	return newSpecErr(lineNo, directive, format, args...)
+// protocol is one protocol a side may speak: the wire class a gateway
+// sniffs its clients as (ClassUnknown: it rides UDP multicast and cannot
+// stand behind a gateway's front door) and what builds its binder.
+type protocol struct {
+	name  string
+	class gateway.WireClass
+	bind  func(m *Models, side SideSpec, defs map[string]automata.MsgDef) (bind.Binder, error)
 }
 
-// repeatedOption returns the first key that two of a directive's
-// key=value words share, or "" when none do. Both spec parsers refuse
-// one: the second value used to replace the first without a word.
-func repeatedOption(words []string) string {
-	for i, w := range words {
-		k, _, ok := strings.Cut(w, "=")
+// protocols is every protocol, one row each. The `side` directive,
+// BuildBinder, gateway routes and the reference in docs/MODELS.md all
+// read it.
+var protocols = []protocol{
+	{"xmlrpc", gateway.ClassHTTP, func(_ *Models, side SideSpec, defs map[string]automata.MsgDef) (bind.Binder, error) {
+		return &bind.XMLRPCBinder{Path: side.Path, Defs: defs}, nil
+	}},
+	{"jsonrpc", gateway.ClassHTTP, func(_ *Models, side SideSpec, defs map[string]automata.MsgDef) (bind.Binder, error) {
+		return &bind.JSONRPCBinder{Path: side.Path, Defs: defs}, nil
+	}},
+	{"soap", gateway.ClassHTTP, func(_ *Models, side SideSpec, _ map[string]automata.MsgDef) (bind.Binder, error) {
+		return &bind.SOAPBinder{Path: side.Path}, nil
+	}},
+	{"rest", gateway.ClassHTTP, func(m *Models, side SideSpec, _ map[string]automata.MsgDef) (bind.Binder, error) {
+		routes, ok := m.Routes[side.Routes]
 		if !ok {
-			continue
+			return nil, fmt.Errorf("%w: route table %q not loaded", ErrSpec, side.Routes)
 		}
-		for _, earlier := range words[:i] {
-			if ek, _, ok := strings.Cut(earlier, "="); ok && ek == k {
-				return k
-			}
-		}
-	}
-	return ""
+		return bind.NewRESTBinder(routes)
+	}},
+	{"giop", gateway.ClassGIOP, func(_ *Models, side SideSpec, defs map[string]automata.MsgDef) (bind.Binder, error) {
+		return bind.NewGIOPBinder(side.ObjectKey, defs)
+	}},
+	{"ssdp", gateway.ClassUnknown, func(*Models, SideSpec, map[string]automata.MsgDef) (bind.Binder, error) {
+		return &bind.SSDPBinder{}, nil
+	}},
+	{"slp", gateway.ClassUnknown, func(*Models, SideSpec, map[string]automata.MsgDef) (bind.Binder, error) {
+		return bind.NewSLPBinder()
+	}},
 }
 
-// singleValued lists the mediator-spec directives that may appear at
-// most once: silently keeping the last occurrence (the old behaviour)
-// hid typos, so a repeat is now rejected with both lines named.
-var singleValued = map[string]bool{
-	"merged": true, "listen": true, "typemap": true, "retries": true,
-	"backoff": true, "max_backoff": true, "flow_deadline": true,
-	"dialtimeout": true, "pool_size": true,
-	"pool_idle": true, "admin": true, "cache_size": true,
-	"cache_shards": true,
+// protocolOf finds a protocol's row; without one, the zero row's class
+// is ClassUnknown.
+func protocolOf(name string) (protocol, bool) {
+	for _, p := range protocols {
+		if p.name == name {
+			return p, true
+		}
+	}
+	return protocol{}, false
 }
 
-// backendTune is one balance/probe/eject directive waiting to be
-// applied to its backend: tuning directives may precede the `backend`
-// declaration they refer to, so application is deferred to the end of
-// the parse (where a dangling reference becomes a SpecError).
-type backendTune struct {
-	lineNo    int
-	directive string
-	name      string
-	apply     func(*BackendSpec)
-}
-
-// ParseMediatorSpec reads a deployment spec document.
-func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
-	spec := &MediatorSpec{HostMap: map[string]string{}}
-	seen := map[string]int{}          // single-valued directive → first line (0-based)
-	backendLines := map[string]int{}  // backend name → declaring line (0-based)
-	tunedLines := map[string]int{}    // "directive name" → first line (0-based)
-	discoverLines := map[string]int{} // backend name → discover line (0-based)
-	sideLines := map[int]int{}        // side color → declaring line (0-based)
-	hostLines := map[string]int{}     // hostmap logical host → first line (0-based)
-	serverLine := -1                  // line of the side marked server (0-based)
-	var tunes []backendTune
-	// tune records one balance/probe/eject directive, rejecting a repeat
-	// for the same backend with both lines named (the PR 4 duplicate
-	// rule, per backend instead of global).
-	tune := func(lineNo int, directive, name string, apply func(*BackendSpec)) error {
-		key := directive + " " + name
-		if first, dup := tunedLines[key]; dup {
-			return specErr(lineNo, directive, "duplicate %s for backend %q (first given on line %d)",
-				directive, name, first+1)
-		}
-		tunedLines[key] = lineNo
-		tunes = append(tunes, backendTune{lineNo: lineNo, directive: directive, name: name, apply: apply})
-		return nil
-	}
-	for lineNo, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if singleValued[fields[0]] {
-			if first, dup := seen[fields[0]]; dup {
-				return nil, specErr(lineNo, fields[0], "duplicate directive (first given on line %d)", first+1)
-			}
-			seen[fields[0]] = lineNo
-		}
-		if k := repeatedOption(fields[1:]); k != "" {
-			return nil, specErr(lineNo, fields[0], "option %q given twice", k)
-		}
-		switch fields[0] {
-		case "merged":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "merged", "want: merged <name>")
-			}
-			spec.MergedName = fields[1]
-		case "listen":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "listen", "want: listen <addr>")
-			}
-			spec.Listen = fields[1]
-		case "side":
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "side", "want: side <color> <protocol> ...")
-			}
-			color, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, specErr(lineNo, "side", "bad color %q", fields[1])
-			}
-			if first, dup := sideLines[color]; dup {
-				return nil, specErr(lineNo, "side", "duplicate side for color %d (first declared on line %d)", color, first+1)
-			}
-			sideLines[color] = lineNo
-			side := SideSpec{Color: color, Protocol: fields[2]}
-			for _, kv := range fields[3:] {
-				if kv == "server" {
-					side.Server = true
-					continue
-				}
-				if kv == "udp" {
-					side.Transport = "udp"
-					continue
-				}
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, specErr(lineNo, "side", "bad option %q", kv)
-				}
-				switch k {
-				case "path":
-					side.Path = v
-				case "objectkey":
-					side.ObjectKey = v
-				case "routes":
-					side.Routes = v
-				case "defs":
-					side.Defs = v
-				case "target":
-					side.Target = v
-				default:
-					return nil, specErr(lineNo, "side", "unknown option %q", k)
-				}
-			}
-			if side.Server {
-				if serverLine >= 0 {
-					return nil, specErr(lineNo, "side", "second server side (first marked on line %d)", serverLine+1)
-				}
-				serverLine = lineNo
-			}
-			spec.Sides = append(spec.Sides, side)
-		case "typemap":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "typemap", "want: typemap <name>")
-			}
-			spec.TypeMap = fields[1]
-		case "retries":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "retries", "want: retries <n>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, specErr(lineNo, "retries", "bad retry count %q", fields[1])
-			}
-			spec.Retries = &n
-		case "backoff":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "backoff", "want: backoff <duration>")
-			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil || d < 0 {
-				return nil, specErr(lineNo, "backoff", "bad backoff %q", fields[1])
-			}
-			spec.Backoff = d
-		case "max_backoff":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "max_backoff", "want: max_backoff <duration>")
-			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil || d <= 0 {
-				return nil, specErr(lineNo, "max_backoff", "bad backoff cap %q", fields[1])
-			}
-			spec.MaxBackoff = d
-		case "flow_deadline":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "flow_deadline", "want: flow_deadline <duration>|off")
-			}
-			if fields[1] == "off" {
-				spec.FlowDeadline = -1
-				break
-			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil || d <= 0 {
-				return nil, specErr(lineNo, "flow_deadline", "bad flow deadline %q (or \"off\")", fields[1])
-			}
-			spec.FlowDeadline = d
-		case "dialtimeout":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "dialtimeout", "want: dialtimeout <duration>")
-			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil || d <= 0 {
-				return nil, specErr(lineNo, "dialtimeout", "bad dial timeout %q", fields[1])
-			}
-			spec.DialTimeout = d
-		case "pool_size":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "pool_size", "want: pool_size <n>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, specErr(lineNo, "pool_size", "bad pool size %q", fields[1])
-			}
-			spec.PoolSize = n
-		case "pool_idle":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "pool_idle", "want: pool_idle <duration>|off")
-			}
-			if fields[1] == "off" {
-				spec.PoolIdle = -1
-				break
-			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil || d <= 0 {
-				return nil, specErr(lineNo, "pool_idle", "bad idle timeout %q (or \"off\")", fields[1])
-			}
-			spec.PoolIdle = d
-		case "admin":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "admin", "want: admin <addr>")
-			}
-			spec.Admin = fields[1]
-		case "hostmap":
-			rest := strings.TrimSpace(strings.TrimPrefix(line, "hostmap"))
-			host, addr, ok := strings.Cut(rest, "=")
-			if !ok {
-				return nil, specErr(lineNo, "hostmap", "want: hostmap <host> = <addr>")
-			}
-			host = strings.TrimSpace(host)
-			if first, dup := hostLines[host]; dup {
-				return nil, specErr(lineNo, "hostmap", "duplicate hostmap for %q (first given on line %d)", host, first+1)
-			}
-			hostLines[host] = lineNo
-			spec.HostMap[host] = strings.TrimSpace(addr)
-		case "backend":
-			if len(fields) == 2 {
-				return nil, specErr(lineNo, "backend", "backend %q declares no replica addresses", fields[1])
-			}
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "backend", "want: backend <name> <addr> [addr ...]")
-			}
-			name := fields[1]
-			if first, dup := backendLines[name]; dup {
-				return nil, specErr(lineNo, "backend", "duplicate backend %q (first declared on line %d)", name, first+1)
-			}
-			backendLines[name] = lineNo
-			addrs := append([]string(nil), fields[2:]...)
-			dupAddr := map[string]bool{}
-			for _, a := range addrs {
-				if dupAddr[a] {
-					return nil, specErr(lineNo, "backend", "backend %q lists replica %q twice", name, a)
-				}
-				dupAddr[a] = true
-			}
-			spec.Backends = append(spec.Backends, BackendSpec{Name: name, Addrs: addrs})
-		case "balance":
-			if len(fields) != 3 {
-				return nil, specErr(lineNo, "balance", "want: balance <backend> roundrobin|p2c")
-			}
-			policy := fields[2]
-			if policy != "roundrobin" && policy != "p2c" {
-				return nil, specErr(lineNo, "balance", "unknown policy %q (want roundrobin or p2c)", policy)
-			}
-			if err := tune(lineNo, "balance", fields[1], func(b *BackendSpec) { b.Policy = policy }); err != nil {
-				return nil, err
-			}
-		case "probe":
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "probe", "want: probe <backend> <interval> [timeout=<duration>]")
-			}
-			interval, err := time.ParseDuration(fields[2])
-			if err != nil || interval <= 0 {
-				return nil, specErr(lineNo, "probe", "bad probe interval %q", fields[2])
-			}
-			var timeout time.Duration
-			for _, kv := range fields[3:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok || k != "timeout" {
-					return nil, specErr(lineNo, "probe", "bad option %q (want timeout=<duration>)", kv)
-				}
-				d, err := time.ParseDuration(v)
-				if err != nil || d <= 0 {
-					return nil, specErr(lineNo, "probe", "bad probe timeout %q", v)
-				}
-				timeout = d
-			}
-			err = tune(lineNo, "probe", fields[1], func(b *BackendSpec) {
-				b.ProbeInterval, b.ProbeTimeout = interval, timeout
-			})
-			if err != nil {
-				return nil, err
-			}
-		case "eject":
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "eject", "want: eject <backend> [fails=<n>] [cooloff=<duration>] [max_cooloff=<duration>] [min_live=<n>]")
-			}
-			var (
-				fails, minLive      int
-				cooloff, maxCooloff time.Duration
-			)
-			for _, kv := range fields[2:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, specErr(lineNo, "eject", "bad option %q", kv)
-				}
-				switch k {
-				case "fails":
-					n, err := strconv.Atoi(v)
-					if err != nil || n <= 0 {
-						return nil, specErr(lineNo, "eject", "bad fails %q", v)
-					}
-					fails = n
-				case "cooloff":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, specErr(lineNo, "eject", "bad cooloff %q", v)
-					}
-					cooloff = d
-				case "max_cooloff":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, specErr(lineNo, "eject", "bad max_cooloff %q", v)
-					}
-					maxCooloff = d
-				case "min_live":
-					n, err := strconv.Atoi(v)
-					if err != nil || n <= 0 {
-						return nil, specErr(lineNo, "eject", "bad min_live %q", v)
-					}
-					minLive = n
-				default:
-					return nil, specErr(lineNo, "eject", "unknown option %q", k)
-				}
-			}
-			err := tune(lineNo, "eject", fields[1], func(b *BackendSpec) {
-				b.FailThreshold, b.MinLive = fails, minLive
-				b.Cooloff, b.MaxCooloff = cooloff, maxCooloff
-			})
-			if err != nil {
-				return nil, err
-			}
-		case "discover":
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "discover", "want: discover <backend> via=slp|ssdp|dns|file [options]")
-			}
-			ds := DiscoverSpec{Backend: fields[1]}
-			if first, dup := discoverLines[ds.Backend]; dup {
-				return nil, specErr(lineNo, "discover", "duplicate discover for backend %q (first given on line %d)", ds.Backend, first+1)
-			}
-			discoverLines[ds.Backend] = lineNo
-			for _, kv := range fields[2:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok || v == "" {
-					return nil, specErr(lineNo, "discover", "bad option %q (want key=value)", kv)
-				}
-				switch k {
-				case "via":
-					ds.Via = v
-				case "agent":
-					ds.Agent = v
-				case "type":
-					ds.Type = v
-				case "scope":
-					ds.Scope = v
-				case "search":
-					ds.Search = v
-				case "st":
-					ds.ST = v
-				case "listen":
-					ds.Listen = v
-				case "mx":
-					n, err := strconv.Atoi(v)
-					if err != nil || n <= 0 {
-						return nil, specErr(lineNo, "discover", "bad mx %q", v)
-					}
-					ds.MX = n
-				case "name":
-					ds.Name = v
-				case "path":
-					ds.Path = v
-				case "refresh":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, specErr(lineNo, "discover", "bad refresh %q", v)
-					}
-					ds.Refresh = d
-				case "debounce":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, specErr(lineNo, "discover", "bad debounce %q", v)
-					}
-					ds.Debounce = d
-				case "min_ttl":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, specErr(lineNo, "discover", "bad min_ttl %q", v)
-					}
-					ds.MinTTL = d
-				case "max_churn":
-					n, err := strconv.Atoi(v)
-					if err != nil || n <= 0 {
-						return nil, specErr(lineNo, "discover", "bad max_churn %q", v)
-					}
-					ds.MaxChurn = n
-				default:
-					return nil, specErr(lineNo, "discover", "unknown option %q", k)
-				}
-			}
-			switch ds.Via {
-			case "slp":
-				if ds.Agent == "" || ds.Type == "" {
-					return nil, specErr(lineNo, "discover", "via=slp needs agent=<addr> and type=<service-type>")
-				}
-			case "ssdp":
-				if ds.Search == "" || ds.ST == "" {
-					return nil, specErr(lineNo, "discover", "via=ssdp needs search=<addr> and st=<target>")
-				}
-			case "dns":
-				if ds.Name == "" {
-					return nil, specErr(lineNo, "discover", "via=dns needs name=<host:port or SRV name>")
-				}
-			case "file":
-				if ds.Path == "" {
-					return nil, specErr(lineNo, "discover", "via=file needs path=<hosts-file>")
-				}
-			case "":
-				return nil, specErr(lineNo, "discover", "missing via=slp|ssdp|dns|file")
-			default:
-				return nil, specErr(lineNo, "discover", "unknown source %q (want slp, ssdp, dns or file)", ds.Via)
-			}
-			spec.Discover = append(spec.Discover, ds)
-		case "cacheable":
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "cacheable", "want: cacheable <operation> ttl=<duration> [vary=<path,...>]")
-			}
-			op := fields[1]
-			if _, dup := spec.Cacheable[op]; dup {
-				return nil, specErr(lineNo, "cacheable", "operation %q already declared cacheable", op)
-			}
-			var rule engine.CacheRule
-			for _, kv := range fields[2:] {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, specErr(lineNo, "cacheable", "bad option %q", kv)
-				}
-				switch k {
-				case "ttl":
-					d, err := time.ParseDuration(v)
-					if err != nil || d <= 0 {
-						return nil, specErr(lineNo, "cacheable", "bad ttl %q", v)
-					}
-					rule.TTL = d
-				case "vary":
-					for _, p := range strings.Split(v, ",") {
-						p = strings.TrimSpace(p)
-						if p == "" {
-							return nil, specErr(lineNo, "cacheable", "empty path in vary %q", v)
-						}
-						rule.Vary = append(rule.Vary, p)
-					}
-				default:
-					return nil, specErr(lineNo, "cacheable", "unknown option %q", k)
-				}
-			}
-			if rule.TTL <= 0 {
-				return nil, specErr(lineNo, "cacheable", "operation %q needs ttl=<duration>", op)
-			}
-			if spec.Cacheable == nil {
-				spec.Cacheable = map[string]engine.CacheRule{}
-			}
-			spec.Cacheable[op] = rule
-		case "invalidates":
-			if len(fields) < 3 {
-				return nil, specErr(lineNo, "invalidates", "want: invalidates <operation> <cached-op,...>")
-			}
-			op := fields[1]
-			if spec.Invalidates == nil {
-				spec.Invalidates = map[string][]string{}
-			}
-			for _, arg := range fields[2:] {
-				for _, target := range strings.Split(arg, ",") {
-					target = strings.TrimSpace(target)
-					if target == "" {
-						return nil, specErr(lineNo, "invalidates", "empty cached-op in %q", arg)
-					}
-					spec.Invalidates[op] = append(spec.Invalidates[op], target)
-				}
-			}
-		case "cache_size":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "cache_size", "want: cache_size <n>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, specErr(lineNo, "cache_size", "bad cache size %q", fields[1])
-			}
-			spec.CacheSize = n
-		case "cache_shards":
-			if len(fields) != 2 {
-				return nil, specErr(lineNo, "cache_shards", "want: cache_shards <n>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, specErr(lineNo, "cache_shards", "bad shard count %q", fields[1])
-			}
-			spec.CacheShards = n
-		default:
-			return nil, &SpecError{Line: lineNo + 1, Directive: fields[0],
-				Msg: "unknown directive", sentinels: []error{ErrSpec}}
-		}
-	}
-	if spec.MergedName == "" {
-		return nil, &SpecError{Msg: "no merged automaton named (directive \"merged\" missing)",
-			sentinels: []error{ErrSpec}}
-	}
-	if len(spec.Sides) == 0 {
-		return nil, &SpecError{Msg: "no sides configured (directive \"side\" missing)",
-			sentinels: []error{ErrSpec}}
-	}
-	for op, targets := range spec.Invalidates {
-		for _, target := range targets {
-			if _, ok := spec.Cacheable[target]; !ok {
-				return nil, &SpecError{Directive: "invalidates",
-					Msg:       fmt.Sprintf("operation %q invalidates %q, which is not declared cacheable", op, target),
-					sentinels: []error{ErrSpec}}
-			}
-		}
-	}
-	for _, tn := range tunes {
-		applied := false
-		for i := range spec.Backends {
-			if spec.Backends[i].Name == tn.name {
-				tn.apply(&spec.Backends[i])
-				applied = true
-				break
-			}
-		}
-		if !applied {
-			return nil, specErr(tn.lineNo, tn.directive, "references undeclared backend %q", tn.name)
-		}
-	}
-	// Discover directives may precede the backend they drive, so the
-	// dangling-reference check is deferred like the tuning directives'.
-	for _, ds := range spec.Discover {
-		if _, ok := backendLines[ds.Backend]; !ok {
-			return nil, specErr(discoverLines[ds.Backend], "discover", "references undeclared backend %q", ds.Backend)
-		}
-	}
-	return spec, nil
+// protocolNames lists the protocols, for usage lines and the reference.
+func protocolNames() string {
+	return joined(protocols, ", ", func(p protocol) string { return "`" + p.name + "`" })
 }
 
 // BuildBinder constructs the binder a side spec describes.
 func (m *Models) BuildBinder(side SideSpec) (bind.Binder, error) {
+	p, ok := protocolOf(side.Protocol)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown protocol %q", ErrSpec, side.Protocol)
+	}
 	defs := map[string]automata.MsgDef{}
 	if side.Defs != "" {
 		a, ok := m.Automata[side.Defs]
@@ -927,81 +403,31 @@ func (m *Models) BuildBinder(side SideSpec) (bind.Binder, error) {
 		}
 		defs = a.Messages
 	}
-	switch side.Protocol {
-	case "xmlrpc":
-		return &bind.XMLRPCBinder{Path: side.Path, Defs: defs}, nil
-	case "soap":
-		return &bind.SOAPBinder{Path: side.Path}, nil
-	case "rest":
-		routes, ok := m.Routes[side.Routes]
-		if !ok {
-			return nil, fmt.Errorf("%w: route table %q not loaded", ErrSpec, side.Routes)
-		}
-		return bind.NewRESTBinder(routes)
-	case "giop":
-		return bind.NewGIOPBinder(side.ObjectKey, defs)
-	case "jsonrpc":
-		return &bind.JSONRPCBinder{Path: side.Path, Defs: defs}, nil
-	case "ssdp":
-		return &bind.SSDPBinder{}, nil
-	case "slp":
-		return bind.NewSLPBinder()
-	default:
-		return nil, fmt.Errorf("%w: unknown protocol %q", ErrSpec, side.Protocol)
-	}
+	return p.bind(m, side, defs)
 }
 
 // BuildMediator assembles (but does not start) a mediator from a spec.
 func (m *Models) BuildMediator(spec *MediatorSpec) (*engine.Mediator, error) {
-	cfg, err := m.buildConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	med, err := engine.New(cfg)
-	if err != nil {
-		closeDiscovery(cfg.Discovery)
-		return nil, err
-	}
-	return med, nil
+	return m.build(spec, nil)
 }
 
-// buildSource constructs the discovery source a `discover` directive
-// describes.
-func buildSource(ds DiscoverSpec) (discovery.Source, error) {
-	switch ds.Via {
-	case "slp":
-		return discovery.NewSLPSource(ds.Agent, ds.Type, ds.Scope)
-	case "ssdp":
-		return discovery.NewSSDPSource(ds.Search, ds.ST, discovery.SSDPOptions{MX: ds.MX, Listen: ds.Listen})
-	case "dns":
-		return discovery.NewDNSSource(ds.Name)
-	case "file":
-		return discovery.NewFileSource(ds.Path)
-	default:
-		return nil, fmt.Errorf("unknown source %q", ds.Via)
-	}
-}
-
-// closeDiscovery releases reconcilers (and their sources) built before
-// a construction failure; once engine.New succeeds the engine owns
-// them.
-func closeDiscovery(recs []*discovery.Reconciler) {
-	for _, r := range recs {
-		r.Close()
-	}
-}
-
-// buildConfig translates a spec into an engine configuration; Deploy
-// and BuildMediator share it so observability can be wired in between
-// translation and engine construction.
-func (m *Models) buildConfig(spec *MediatorSpec) (engine.Config, error) {
+// build is the one place a spec becomes a mediator: binders, then
+// backend sets, then discovery sources — the first thing that holds a
+// socket or a goroutine, so nothing that can fail for a reason the spec
+// shows comes after it — then the engine, which owns the sources from
+// there on. A failure closes whatever sources were opened before it.
+// adjust, when not nil, sees the finished engine.Config before the
+// engine does: it is how a deployment attaches its observer and a
+// gateway route its own deadline.
+func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *engine.Mediator, err error) {
 	merged, ok := m.Merged[spec.MergedName]
 	if !ok {
-		return engine.Config{}, fmt.Errorf("%w: merged automaton %q not loaded", ErrSpec, spec.MergedName)
+		return nil, fmt.Errorf("%w: merged automaton %q not loaded", ErrSpec, spec.MergedName)
 	}
 	cfg := engine.Config{
 		Merged:       merged,
 		Sides:        make(map[int]*engine.Side, len(spec.Sides)),
+		Backends:     make(map[string]*backend.Set, len(spec.Backends)),
 		HostMap:      spec.HostMap,
 		DialTimeout:  spec.DialTimeout,
 		PoolSize:     spec.PoolSize,
@@ -1033,64 +459,14 @@ func (m *Models) buildConfig(spec *MediatorSpec) (engine.Config, error) {
 	if spec.TypeMap != "" {
 		tm, ok := m.TypeMaps[spec.TypeMap]
 		if !ok {
-			return engine.Config{}, fmt.Errorf("%w: vocabulary map %q not loaded", ErrSpec, spec.TypeMap)
+			return nil, fmt.Errorf("%w: vocabulary map %q not loaded", ErrSpec, spec.TypeMap)
 		}
 		cfg.Funcs = map[string]mtl.Func{"maptype": mtl.TableFunc(tm)}
-	}
-	if len(spec.Backends) > 0 {
-		cfg.Backends = make(map[string]*backend.Set, len(spec.Backends))
-		for _, bs := range spec.Backends {
-			set, err := backend.New(bs.Name, bs.Addrs, backend.Options{
-				Policy:        backend.Policy(bs.Policy),
-				ProbeInterval: bs.ProbeInterval,
-				ProbeTimeout:  bs.ProbeTimeout,
-				FailThreshold: bs.FailThreshold,
-				Cooloff:       bs.Cooloff,
-				MaxCooloff:    bs.MaxCooloff,
-				MinLive:       bs.MinLive,
-			})
-			if err != nil {
-				return engine.Config{}, fmt.Errorf("%w: backend %q: %v", ErrSpec, bs.Name, err)
-			}
-			cfg.Backends[bs.Name] = set
-		}
-	}
-	for _, ds := range spec.Discover {
-		set, ok := cfg.Backends[ds.Backend]
-		if !ok { // the parser already rejects this; keep buildConfig safe for hand-built specs
-			closeDiscovery(cfg.Discovery)
-			return engine.Config{}, fmt.Errorf("%w: discover references undeclared backend %q", ErrSpec, ds.Backend)
-		}
-		src, err := buildSource(ds)
-		if err != nil {
-			closeDiscovery(cfg.Discovery)
-			return engine.Config{}, fmt.Errorf("%w: discover %s: %v", ErrSpec, ds.Backend, err)
-		}
-		minLive := 1
-		for _, bs := range spec.Backends {
-			if bs.Name == ds.Backend && bs.MinLive > 0 {
-				minLive = bs.MinLive
-			}
-		}
-		rec, err := discovery.New(set, discovery.Options{
-			Source:   src,
-			Refresh:  ds.Refresh,
-			Debounce: ds.Debounce,
-			MinTTL:   ds.MinTTL,
-			MaxChurn: ds.MaxChurn,
-			MinLive:  minLive,
-		})
-		if err != nil {
-			src.Close()
-			closeDiscovery(cfg.Discovery)
-			return engine.Config{}, fmt.Errorf("%w: discover %s: %v", ErrSpec, ds.Backend, err)
-		}
-		cfg.Discovery = append(cfg.Discovery, rec)
 	}
 	for _, ss := range spec.Sides {
 		binder, err := m.BuildBinder(ss)
 		if err != nil {
-			return engine.Config{}, err
+			return nil, err
 		}
 		transport := ss.Transport
 		if transport == "" {
@@ -1105,7 +481,63 @@ func (m *Models) buildConfig(spec *MediatorSpec) (engine.Config, error) {
 			cfg.ServerColor = ss.Color
 		}
 	}
-	return cfg, nil
+	minLive := map[string]int{}
+	for _, bs := range spec.Backends {
+		set, err := backend.New(bs.Name, bs.Addrs, backend.Options{
+			Policy:        backend.Policy(bs.Policy),
+			ProbeInterval: bs.ProbeInterval,
+			ProbeTimeout:  bs.ProbeTimeout,
+			FailThreshold: bs.FailThreshold,
+			Cooloff:       bs.Cooloff,
+			MaxCooloff:    bs.MaxCooloff,
+			MinLive:       bs.MinLive,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%w: backend %q: %v", ErrSpec, bs.Name, err)
+		}
+		cfg.Backends[bs.Name] = set
+		minLive[bs.Name] = bs.MinLive
+	}
+	defer func() {
+		if err != nil {
+			for _, rec := range cfg.Discovery {
+				rec.Close()
+			}
+		}
+	}()
+	for _, ds := range spec.Discover {
+		var src discovery.Source
+		err := fmt.Errorf("unknown source %q", ds.Via)
+		for _, source := range discoverSources {
+			if source.via == ds.Via {
+				src, err = source.open(ds)
+			}
+		}
+		var rec *discovery.Reconciler
+		if err == nil {
+			// The reconciler owns the source from here, and refuses a set that
+			// is nil (only a hand-built spec gets that past the parser).
+			rec, err = discovery.New(cfg.Backends[ds.Backend], discovery.Options{
+				Source:   src,
+				Refresh:  ds.Refresh,
+				Debounce: ds.Debounce,
+				MinTTL:   ds.MinTTL,
+				MaxChurn: ds.MaxChurn,
+				MinLive:  minLive[ds.Backend],
+			})
+			if err != nil {
+				src.Close()
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: discover %s: %v", ErrSpec, ds.Backend, err)
+		}
+		cfg.Discovery = append(cfg.Discovery, rec)
+	}
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	return engine.New(cfg)
 }
 
 // DeployOptions are the per-deployment overrides accepted by the
@@ -1222,31 +654,18 @@ func (m *Models) Deploy(name, listenOverride, adminOverride string) (*Deployment
 	if !ok {
 		return nil, fmt.Errorf("%w: mediator spec %q not loaded", ErrSpec, name)
 	}
-	cfg, err := m.buildConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	adminAddr := spec.Admin
-	if adminOverride != "" {
-		adminAddr = adminOverride
-	}
+	adminAddr := orElse(adminOverride, spec.Admin)
 	d := &Deployment{name: name}
-	if adminAddr != "" {
-		d.Observer = observe.Instrument(&cfg, observe.Options{})
-	}
-	med, err := engine.New(cfg)
+	med, err := m.build(spec, func(cfg *engine.Config) {
+		if adminAddr != "" {
+			d.Observer = observe.Instrument(cfg, observe.Options{})
+		}
+	})
 	if err != nil {
-		closeDiscovery(cfg.Discovery)
 		return nil, err
 	}
-	listen := spec.Listen
-	if listenOverride != "" {
-		listen = listenOverride
-	}
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	if err := med.Start(listen); err != nil {
+	if err := med.Start(orElse(listenOverride, spec.Listen, "127.0.0.1:0")); err != nil {
+		med.Close()
 		return nil, err
 	}
 	d.Mediator = med
@@ -1263,6 +682,17 @@ func (m *Models) Deploy(name, listenOverride, adminOverride string) (*Deployment
 		d.Admin = admin
 	}
 	return d, nil
+}
+
+// orElse returns the first of its arguments that is not empty: an
+// override, else what the spec says, else the default.
+func orElse(choices ...string) string {
+	for _, c := range choices {
+		if c != "" {
+			return c
+		}
+	}
+	return ""
 }
 
 // DeployAny is the unified deployment entrypoint behind the public

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"starlink/internal/casestudy"
 	"starlink/internal/core"
 	"starlink/internal/protocol/httpwire"
+	"starlink/internal/testutil"
 )
 
 func TestParseMediatorSpecDiscoverDirectives(t *testing.T) {
@@ -188,5 +191,59 @@ func TestBuildMediatorDiscoverBadSource(t *testing.T) {
 	}
 	if _, err := m.Deploy("flickr-xmlrpc", "127.0.0.1:0", ""); !errors.Is(err, core.ErrSpec) {
 		t.Fatalf("Deploy with missing hosts file err = %v, want ErrSpec", err)
+	}
+}
+
+// TestBuildFailureReleasesDiscovery: a spec that cannot be deployed leaves
+// nothing running. Two failures come after, or used to come after, a
+// `discover` line's source is open — a listen address already taken, and a
+// side whose binder cannot be built — and each goes through every entry
+// point it can reach. The SSDP source with listen= holds a UDP socket and a
+// goroutine, which is what a leak would show as.
+func TestBuildFailureReleasesDiscovery(t *testing.T) {
+	good := casestudy.XMLRPCMediatorSpecDoc + "backend spare 127.0.0.1:1\n" +
+		"discover spare via=ssdp search=127.0.0.1:1900 st=urn:x listen=127.0.0.1:0\n"
+	m := shippedModels(t)
+	var err error
+	if m.Mediators["good"], err = core.ParseMediatorSpec(good); err != nil {
+		t.Fatal(err)
+	}
+	m.Mediators["nobinder"], err = core.ParseMediatorSpec(strings.Replace(good, "routes=picasa", "routes=missing", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, route := range map[string]string{"front": "good", "nofront": "nobinder"} {
+		if m.Gateways[name], err = core.ParseGatewaySpec("route r " + route + "\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	busy := taken.Addr().String()
+	for _, tt := range []struct {
+		what, want string
+		deploy     func() (io.Closer, error)
+	}{
+		{"Deploy on a taken address", "in use", func() (io.Closer, error) { return m.Deploy("good", busy, "") }},
+		{"DeployGateway on a taken address", "in use", func() (io.Closer, error) { return m.DeployGateway("front", busy, "") }},
+		{"Deploy without a binder", "route table", func() (io.Closer, error) { return m.Deploy("nobinder", "", "") }},
+		{"BuildMediator without a binder", "route table", func() (io.Closer, error) { return m.BuildMediator(m.Mediators["nobinder"]) }},
+		{"DeployGateway without a binder", "route table", func() (io.Closer, error) { return m.DeployGateway("nofront", "", "") }},
+	} {
+		testutil.NoLeaks(t, func() {
+			d, err := tt.deploy()
+			if err == nil {
+				d.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("%s: err = %v, want one about %q", tt.what, err, tt.want)
+			}
+		})
+		if t.Failed() {
+			t.Fatalf("%s: failed", tt.what)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -49,26 +48,3 @@ func (e *SpecError) Error() string {
 // Unwrap exposes the sentinel errors so errors.Is sees through the
 // typed wrapper.
 func (e *SpecError) Unwrap() []error { return e.sentinels }
-
-// newSpecErr builds a mediator-spec error. lineNo is 0-based (-1 for
-// whole-document problems).
-func newSpecErr(lineNo int, directive, format string, args ...any) *SpecError {
-	return &SpecError{
-		Line:      lineNo + 1,
-		Directive: directive,
-		Msg:       fmt.Sprintf(format, args...),
-		sentinels: []error{ErrSpec},
-	}
-}
-
-// newGatewayErr builds a gateway-spec error; it additionally wraps
-// ErrGateway so existing errors.Is(err, ErrGateway) checks keep
-// working.
-func newGatewayErr(lineNo int, directive, format string, args ...any) *SpecError {
-	return &SpecError{
-		Line:      lineNo + 1,
-		Directive: directive,
-		Msg:       fmt.Sprintf(format, args...),
-		sentinels: []error{ErrGateway, ErrSpec},
-	}
-}

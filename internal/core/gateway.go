@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -47,16 +44,9 @@ type GatewayRouteSpec struct {
 	Deadline time.Duration
 }
 
-// GatewaySpec is a parsed *.gateway deployment spec:
-//
-//	listen <addr>
-//	admin <addr>
-//	sniff_bytes <n>
-//	sniff_timeout <duration>
-//	route <name> <mediator-spec> [match=giop|http|xml|json] [path=<prefix>]
-//	      [payload=xml|json] [rate=<n>] [burst=<n>] [maxflows=<n>]
-//	      [deadline=<duration>]
-//	default <route-name>
+// GatewaySpec is a parsed *.gateway deployment spec. gatewayDirectives
+// in spec.go is its grammar, one row per directive; docs/GATEWAY.md
+// prints the same rows.
 type GatewaySpec struct {
 	// Listen is the front-door address.
 	Listen string
@@ -72,173 +62,6 @@ type GatewaySpec struct {
 	SniffTimeout time.Duration
 	// Routes in declaration (match) order.
 	Routes []GatewayRouteSpec
-}
-
-// gwErr reports a gateway-spec problem as a typed *SpecError, naming
-// the line and directive.
-func gwErr(lineNo int, directive, format string, args ...any) error {
-	return newGatewayErr(lineNo, directive, format, args...)
-}
-
-// gwSingleValued lists the gateway directives allowed at most once.
-var gwSingleValued = map[string]bool{
-	"listen": true, "admin": true, "default": true,
-	"sniff_bytes": true, "sniff_timeout": true,
-}
-
-// ParseGatewaySpec reads a gateway deployment spec document.
-func ParseGatewaySpec(doc string) (*GatewaySpec, error) {
-	spec := &GatewaySpec{}
-	seen := map[string]int{}
-	routes := map[string]int{}
-	for lineNo, line := range strings.Split(doc, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if gwSingleValued[fields[0]] {
-			if first, dup := seen[fields[0]]; dup {
-				return nil, gwErr(lineNo, fields[0], "duplicate directive (first given on line %d)", first+1)
-			}
-			seen[fields[0]] = lineNo
-		}
-		if k := repeatedOption(fields[1:]); k != "" {
-			return nil, gwErr(lineNo, fields[0], "option %q given twice", k)
-		}
-		switch fields[0] {
-		case "listen":
-			if len(fields) != 2 {
-				return nil, gwErr(lineNo, "listen", "want: listen <addr>")
-			}
-			spec.Listen = fields[1]
-		case "admin":
-			if len(fields) != 2 {
-				return nil, gwErr(lineNo, "admin", "want: admin <addr>")
-			}
-			spec.Admin = fields[1]
-		case "default":
-			if len(fields) != 2 {
-				return nil, gwErr(lineNo, "default", "want: default <route-name>")
-			}
-			spec.Default = fields[1]
-		case "sniff_bytes":
-			if len(fields) != 2 {
-				return nil, gwErr(lineNo, "sniff_bytes", "want: sniff_bytes <n>")
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, gwErr(lineNo, "sniff_bytes", "bad byte count %q", fields[1])
-			}
-			spec.SniffBytes = n
-		case "sniff_timeout":
-			if len(fields) != 2 {
-				return nil, gwErr(lineNo, "sniff_timeout", "want: sniff_timeout <duration>")
-			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil || d <= 0 {
-				return nil, gwErr(lineNo, "sniff_timeout", "bad timeout %q", fields[1])
-			}
-			spec.SniffTimeout = d
-		case "route":
-			rs, err := parseGatewayRoute(lineNo, fields)
-			if err != nil {
-				return nil, err
-			}
-			if first, dup := routes[rs.Name]; dup {
-				return nil, gwErr(lineNo, "route", "duplicate route %q (first declared on line %d)", rs.Name, first+1)
-			}
-			routes[rs.Name] = lineNo
-			spec.Routes = append(spec.Routes, rs)
-		default:
-			return nil, &SpecError{Line: lineNo + 1, Directive: fields[0],
-				Msg: "unknown directive", sentinels: []error{ErrGateway, ErrSpec}}
-		}
-	}
-	if len(spec.Routes) == 0 {
-		return nil, &SpecError{Msg: "no routes declared (directive \"route\" missing)",
-			sentinels: []error{ErrGateway, ErrSpec}}
-	}
-	if spec.Default != "" {
-		if _, ok := routes[spec.Default]; !ok {
-			return nil, &SpecError{Directive: "default",
-				Msg:       fmt.Sprintf("default route %q not declared", spec.Default),
-				sentinels: []error{ErrGateway, ErrSpec}}
-		}
-	}
-	return spec, nil
-}
-
-func parseGatewayRoute(lineNo int, fields []string) (GatewayRouteSpec, error) {
-	if len(fields) < 3 {
-		return GatewayRouteSpec{}, gwErr(lineNo, "route", "want: route <name> <mediator-spec> [options]")
-	}
-	rs := GatewayRouteSpec{Name: fields[1], Mediator: fields[2]}
-	for _, kv := range fields[3:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad option %q", kv)
-		}
-		switch k {
-		case "match":
-			if _, err := parseWireClass(v); err != nil {
-				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad match %q (want giop|http|xml|json)", v)
-			}
-			rs.Match = v
-		case "path":
-			rs.PathPrefix = v
-		case "payload":
-			if v != "xml" && v != "json" {
-				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad payload %q (want xml|json)", v)
-			}
-			rs.Payload = v
-		case "rate":
-			r, err := strconv.ParseFloat(v, 64)
-			// Written as what is accepted, a finite number above zero: NaN
-			// is neither above zero nor at or below it, so `r <= 0` let it by
-			// and the admission policy then read the limit as off.
-			if err != nil || !(r > 0) || math.IsInf(r, 1) {
-				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad rate %q", v)
-			}
-			rs.Rate = r
-		case "burst":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad burst %q", v)
-			}
-			rs.Burst = n
-		case "maxflows":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad maxflows %q", v)
-			}
-			rs.MaxFlows = n
-		case "deadline":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return GatewayRouteSpec{}, gwErr(lineNo, "route", "bad deadline %q", v)
-			}
-			rs.Deadline = d
-		default:
-			return GatewayRouteSpec{}, gwErr(lineNo, "route", "unknown option %q", k)
-		}
-	}
-	return rs, nil
-}
-
-func parseWireClass(s string) (gateway.WireClass, error) {
-	switch s {
-	case "giop":
-		return gateway.ClassGIOP, nil
-	case "http":
-		return gateway.ClassHTTP, nil
-	case "xml":
-		return gateway.ClassXML, nil
-	case "json":
-		return gateway.ClassJSON, nil
-	default:
-		return gateway.ClassUnknown, fmt.Errorf("unknown wire class %q", s)
-	}
 }
 
 // serverSide finds the client-facing side of a mediator spec: the side
@@ -257,20 +80,6 @@ func serverSide(spec *MediatorSpec) (*SideSpec, error) {
 	return nil, fmt.Errorf("%w: no server side", ErrGateway)
 }
 
-// wireShape maps a server-side protocol to the framer the gateway must
-// put on admitted connections and the wire class its clients present.
-func wireShape(protocol string) (network.Framer, gateway.WireClass, error) {
-	switch protocol {
-	case "giop":
-		return network.GIOPFramer{}, gateway.ClassGIOP, nil
-	case "xmlrpc", "soap", "rest", "jsonrpc":
-		return network.HTTPFramer{}, gateway.ClassHTTP, nil
-	default:
-		// ssdp/slp ride UDP multicast — not front-door material.
-		return nil, gateway.ClassUnknown, fmt.Errorf("%w: protocol %q cannot be gateway-hosted", ErrGateway, protocol)
-	}
-}
-
 // buildRoute assembles one route: a detached mediator (pool started,
 // no listener — the gateway feeds it connections) plus the matcher,
 // framer and admission policy the gateway needs.
@@ -283,42 +92,33 @@ func (m *Models) buildRoute(rs GatewayRouteSpec) (gateway.RouteConfig, *engine.M
 	if err != nil {
 		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: mediator %q: %w", rs.Name, rs.Mediator, err)
 	}
-	framer, class, err := wireShape(side.Protocol)
-	if err != nil {
-		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: %w", rs.Name, err)
+	p, _ := protocolOf(side.Protocol)
+	match := gateway.Matcher{Class: p.class}
+	if match.Class == gateway.ClassUnknown {
+		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: %w: protocol %q cannot be gateway-hosted", rs.Name, ErrGateway, side.Protocol)
 	}
-	match := gateway.Matcher{Class: class}
 	if rs.Match != "" {
-		match.Class, _ = parseWireClass(rs.Match)
+		match.Class = wireClass(rs.Match)
 	}
 	if match.Class == gateway.ClassHTTP {
-		match.PathPrefix = rs.PathPrefix
-		if match.PathPrefix == "" {
-			match.PathPrefix = side.Path
+		match.PathPrefix = orElse(rs.PathPrefix, side.Path)
+		match.Payload = wireClass(rs.Payload)
+	}
+	var framer network.Framer
+	med, err := m.build(spec, func(cfg *engine.Config) {
+		if rs.Deadline > 0 {
+			// Per-route deadline: the gateway operator's budget beats the
+			// mediator spec's own flow_deadline for flows admitted here.
+			cfg.FlowDeadline = rs.Deadline
 		}
-		switch rs.Payload {
-		case "xml":
-			match.Payload = gateway.ClassXML
-		case "json":
-			match.Payload = gateway.ClassJSON
+		framer = cfg.Sides[side.Color].Binder.Framer()
+	})
+	if err == nil {
+		if err = med.StartDetached(); err != nil {
+			med.Close()
 		}
 	}
-	cfg, err := m.buildConfig(spec)
 	if err != nil {
-		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: %w", rs.Name, err)
-	}
-	if rs.Deadline > 0 {
-		// Per-route deadline: the gateway operator's budget beats the
-		// mediator spec's own flow_deadline for flows admitted here.
-		cfg.FlowDeadline = rs.Deadline
-	}
-	med, err := engine.New(cfg)
-	if err != nil {
-		closeDiscovery(cfg.Discovery)
-		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: %w", rs.Name, err)
-	}
-	if err := med.StartDetached(); err != nil {
-		med.Close()
 		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: %w", rs.Name, err)
 	}
 	return gateway.RouteConfig{
@@ -419,14 +219,7 @@ func (m *Models) DeployGateway(name, listenOverride, adminOverride string) (*Gat
 	if err != nil {
 		return fail(err)
 	}
-	listen := spec.Listen
-	if listenOverride != "" {
-		listen = listenOverride
-	}
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	if err := gw.Start(listen); err != nil {
+	if err := gw.Start(orElse(listenOverride, spec.Listen, "127.0.0.1:0")); err != nil {
 		return fail(err)
 	}
 	d := &GatewayDeployment{
@@ -438,11 +231,7 @@ func (m *Models) DeployGateway(name, listenOverride, adminOverride string) (*Gat
 	for _, rc := range routes {
 		d.matchers[rc.Name] = rc.Match
 	}
-	adminAddr := spec.Admin
-	if adminOverride != "" {
-		adminAddr = adminOverride
-	}
-	if adminAddr != "" {
+	if adminAddr := orElse(adminOverride, spec.Admin); adminAddr != "" {
 		d.Registry = observe.GatewayRegistry(gw)
 		admin, err := observe.ServeAdmin(adminAddr, observe.AdminConfig{Registry: d.Registry})
 		if err != nil {

@@ -160,7 +160,8 @@ type Config struct {
 	Discovery []*discovery.Reconciler
 	// Funcs adds extra MTL functions.
 	Funcs map[string]mtl.Func
-	// ExchangeTimeout bounds each network exchange (default 10s).
+	// ExchangeTimeout bounds each network exchange (default
+	// DefaultExchangeTimeout).
 	ExchangeTimeout time.Duration
 	// Retry, when non-nil, is the service-side fault-recovery policy;
 	// nil means the defaults (DefaultRetryAttempts retries with
@@ -267,10 +268,12 @@ type CachePolicy struct {
 }
 
 // DefaultPoolSize and DefaultPoolIdle are the service-pool defaults
-// applied when Config leaves the knobs zero.
+// applied when Config leaves the knobs zero; DefaultExchangeTimeout is
+// the exchange bound the same way, and half the default flow budget.
 const (
-	DefaultPoolSize = pool.DefaultMaxActive
-	DefaultPoolIdle = pool.DefaultIdleTimeout
+	DefaultPoolSize        = pool.DefaultMaxActive
+	DefaultPoolIdle        = pool.DefaultIdleTimeout
+	DefaultExchangeTimeout = 10 * time.Second
 )
 
 // TraceKind classifies TraceEvents.
@@ -529,7 +532,7 @@ func New(cfg Config) (*Mediator, error) {
 		cfg.ServerColor = cfg.Merged.Color1
 	}
 	if cfg.ExchangeTimeout == 0 {
-		cfg.ExchangeTimeout = 10 * time.Second
+		cfg.ExchangeTimeout = DefaultExchangeTimeout
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = network.DefaultDialTimeout

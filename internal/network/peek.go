@@ -18,9 +18,14 @@ type PeekConn struct {
 	r *bufio.Reader
 }
 
+// PeekSize is the most bytes a PeekConn can hold unread, and so the most
+// Peek can be asked for: past it the buffer is full before the wait
+// begins and Peek returns at once with what has arrived.
+const PeekSize = 4096
+
 // NewPeekConn wraps c for sniffing.
 func NewPeekConn(c net.Conn) *PeekConn {
-	return &PeekConn{c: c, r: bufio.NewReader(c)}
+	return &PeekConn{c: c, r: bufio.NewReaderSize(c, PeekSize)}
 }
 
 // Peek returns up to n of the connection's next bytes without consuming

@@ -26,13 +26,47 @@ type Registry struct {
 }
 
 // metric is one registered family; exactly one of the sample funcs is
-// set, selected by typ.
+// set, selected by typ. Each is handed the scrape's sample of the
+// metric's source, nil for a metric that has none.
 type metric struct {
 	name, help, typ string
-	scalar          func() float64
+	from            *source
+	scalar          func(sample any) float64
 	labelKey        string
-	vec             func() map[string]uint64
-	hist            func() engine.LatencyHistogram
+	vec             func(sample any) map[string]uint64
+	hist            func(sample any) engine.LatencyHistogram
+}
+
+// source is something several metrics read — a mediator's Snapshot, say
+// — sampled once per WriteText and not once per metric: the metrics of
+// one scrape then describe one instant, and whatever lock the sample takes
+// is taken once.
+type source struct{ take func() any }
+
+// sampled registers metrics that read one sample of type T per scrape.
+type sampled[T any] struct {
+	r    *Registry
+	from *source
+}
+
+func sample[T any](r *Registry, take func() T) sampled[T] {
+	return sampled[T]{r, &source{func() any { return take() }}}
+}
+
+func (s sampled[T]) counter(name, help string, f func(T) uint64) {
+	s.r.register(&metric{name: name, help: help, typ: "counter", from: s.from,
+		scalar: func(v any) float64 { return float64(f(v.(T))) }})
+}
+
+func (s sampled[T]) histogram(name, help string, f func(T) engine.LatencyHistogram) {
+	s.r.register(&metric{name: name, help: help, typ: "histogram", from: s.from,
+		hist: func(v any) engine.LatencyHistogram { return f(v.(T)) }})
+}
+
+// vec registers a family keyed by one label; typ is "counter" or "gauge".
+func (s sampled[T]) vec(typ, name, labelKey, help string, f func(T) map[string]uint64) {
+	s.r.register(&metric{name: name, help: help, typ: typ, from: s.from, labelKey: labelKey,
+		vec: func(v any) map[string]uint64 { return f(v.(T)) }})
 }
 
 // NewRegistry returns an empty registry.
@@ -53,30 +87,33 @@ func (r *Registry) register(m *metric) {
 // Counter registers a monotonically increasing metric.
 func (r *Registry) Counter(name, help string, f func() uint64) {
 	r.register(&metric{name: name, help: help, typ: "counter",
-		scalar: func() float64 { return float64(f()) }})
+		scalar: func(any) float64 { return float64(f()) }})
 }
 
 // Gauge registers a point-in-time value.
 func (r *Registry) Gauge(name, help string, f func() float64) {
-	r.register(&metric{name: name, help: help, typ: "gauge", scalar: f})
+	r.register(&metric{name: name, help: help, typ: "gauge", scalar: func(any) float64 { return f() }})
 }
 
 // CounterVec registers a counter family keyed by one label; f returns
 // the current label→value samples.
 func (r *Registry) CounterVec(name, labelKey, help string, f func() map[string]uint64) {
-	r.register(&metric{name: name, help: help, typ: "counter", labelKey: labelKey, vec: f})
+	r.register(&metric{name: name, help: help, typ: "counter", labelKey: labelKey,
+		vec: func(any) map[string]uint64 { return f() }})
 }
 
 // GaugeVec registers a gauge family keyed by one label; f returns the
 // current label→value samples.
 func (r *Registry) GaugeVec(name, labelKey, help string, f func() map[string]uint64) {
-	r.register(&metric{name: name, help: help, typ: "gauge", labelKey: labelKey, vec: f})
+	r.register(&metric{name: name, help: help, typ: "gauge", labelKey: labelKey,
+		vec: func(any) map[string]uint64 { return f() }})
 }
 
 // Histogram registers a latency distribution exposed with cumulative
 // le buckets in seconds.
 func (r *Registry) Histogram(name, help string, f func() engine.LatencyHistogram) {
-	r.register(&metric{name: name, help: help, typ: "histogram", hist: f})
+	r.register(&metric{name: name, help: help, typ: "histogram",
+		hist: func(any) engine.LatencyHistogram { return f() }})
 }
 
 // WriteText renders every registered metric in Prometheus text
@@ -86,7 +123,15 @@ func (r *Registry) WriteText(w io.Writer) error {
 	metrics := make([]*metric, len(r.metrics))
 	copy(metrics, r.metrics)
 	r.mu.Unlock()
+	taken := map[*source]any{}
 	for _, m := range metrics {
+		var v any // the scrape's sample of m's source
+		if m.from != nil {
+			if _, ok := taken[m.from]; !ok {
+				taken[m.from] = m.from.take()
+			}
+			v = taken[m.from]
+		}
 		if m.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
 				return err
@@ -98,11 +143,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 		var err error
 		switch {
 		case m.vec != nil:
-			err = writeVec(w, m)
+			err = writeVec(w, m, m.vec(v))
 		case m.hist != nil:
-			err = writeHistogram(w, m.name, m.hist())
+			err = writeHistogram(w, m.name, m.hist(v))
 		default:
-			_, err = fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.scalar()))
+			_, err = fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.scalar(v)))
 		}
 		if err != nil {
 			return err
@@ -111,8 +156,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-func writeVec(w io.Writer, m *metric) error {
-	samples := m.vec()
+func writeVec(w io.Writer, m *metric, samples map[string]uint64) error {
 	keys := make([]string, 0, len(samples))
 	for k := range samples {
 		keys = append(keys, k)
@@ -159,88 +203,98 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// mediatorSource is what RegisterMediator reads of an *engine.Mediator;
+// the test that counts samples per scrape puts a counting fake behind it.
+type mediatorSource interface {
+	Snapshot() engine.Snapshot
+	PoolStats() pool.Stats
+	Backends() []backend.SetSnapshot
+	Discovery() []discovery.Snapshot
+}
+
+// mediatorSample is one scrape's view of a mediator: every starlink_*
+// series of it below is computed from the same one.
+type mediatorSample struct {
+	engine.Snapshot
+	pool      pool.Stats
+	backends  []backend.SetSnapshot
+	discovery []discovery.Snapshot
+}
+
+// mediatorCounters are the lifetime counters of engine.Stats, in the
+// order /metrics lists them.
+var mediatorCounters = []struct {
+	name, help string
+	value      func(*engine.Stats) uint64
+}{
+	{"starlink_sessions_total", "Client connections accepted.", func(s *engine.Stats) uint64 { return s.Sessions }},
+	{"starlink_flows_total", "Complete automaton traversals.", func(s *engine.Stats) uint64 { return s.Flows }},
+	{"starlink_translations_total", "Gamma (MTL) transitions executed.", func(s *engine.Stats) uint64 { return s.Translations }},
+	{"starlink_messages_in_total", "Messages received from either side.", func(s *engine.Stats) uint64 { return s.MessagesIn }},
+	{"starlink_messages_out_total", "Messages sent to either side.", func(s *engine.Stats) uint64 { return s.MessagesOut }},
+	{"starlink_failures_total", "Sessions that ended with an error.", func(s *engine.Stats) uint64 { return s.Failures }},
+	{"starlink_redials_total", "Service connections replaced mid-session.", func(s *engine.Stats) uint64 { return s.Redials }},
+	{"starlink_retries_exhausted_total", "Service exchanges that failed after every retry.", func(s *engine.Stats) uint64 { return s.RetriesExhausted }},
+	{"starlink_client_failures_total", "Failed client-side exchanges.", func(s *engine.Stats) uint64 { return s.ClientFailures }},
+	{"starlink_service_failures_total", "Service-side exchanges that failed for good.", func(s *engine.Stats) uint64 { return s.ServiceFailures }},
+	{"starlink_pool_hits_total", "Service checkouts served by an idle pooled connection.", func(s *engine.Stats) uint64 { return s.PoolHits }},
+	{"starlink_pool_dials_total", "Service checkouts that opened a fresh connection.", func(s *engine.Stats) uint64 { return s.PoolDials }},
+	{"starlink_pool_evictions_total", "Pooled connections closed early.", func(s *engine.Stats) uint64 { return s.PoolEvictions }},
+	{"starlink_pool_wait_timeouts_total", "Pool checkouts abandoned while waiting at the MaxActive bound.", func(s *engine.Stats) uint64 { return s.PoolWaitTimeouts }},
+	{"starlink_flow_deadline_exceeded_total", "Flows failed fast because their deadline budget ran out.", func(s *engine.Stats) uint64 { return s.DeadlineExceeded }},
+	{"starlink_hook_panics_total", "Panics recovered from the Trace hook.", func(s *engine.Stats) uint64 { return s.HookPanics }},
+	{"starlink_cache_hits_total", "Service exchanges served from the cross-flow response cache.", func(s *engine.Stats) uint64 { return s.CacheHits }},
+	{"starlink_cache_misses_total", "Cacheable exchanges that went to the service (leader elections).", func(s *engine.Stats) uint64 { return s.CacheMisses }},
+	{"starlink_cache_coalesced_total", "Cacheable exchanges that joined an in-flight leader.", func(s *engine.Stats) uint64 { return s.CacheCoalesced }},
+	{"starlink_cache_evictions_total", "Cached replies dropped by TTL expiry or LRU overflow.", func(s *engine.Stats) uint64 { return s.CacheEvictions }},
+	{"starlink_cache_invalidations_total", "Cached replies flushed by write-operation invalidation.", func(s *engine.Stats) uint64 { return s.CacheInvalidations }},
+}
+
 // RegisterMediator wires a mediator's whole Snapshot surface — the
 // lifetime Stats counters, the pool counters and both 32-bin latency
-// histograms — into the registry under the starlink_* namespace.
-func RegisterMediator(r *Registry, med *engine.Mediator) {
-	stat := func(f func(engine.Stats) uint64) func() uint64 {
-		return func() uint64 { return f(med.Stats()) }
+// histograms — into the registry under the starlink_* namespace. A scrape
+// takes one Snapshot and one PoolStats, whatever the number of series.
+func RegisterMediator(r *Registry, med *engine.Mediator) { registerMediator(r, med) }
+
+func registerMediator(r *Registry, med mediatorSource) {
+	m := sample(r, func() *mediatorSample {
+		return &mediatorSample{med.Snapshot(), med.PoolStats(), med.Backends(), med.Discovery()}
+	})
+	for _, c := range mediatorCounters {
+		m.counter(c.name, c.help, func(s *mediatorSample) uint64 { return c.value(&s.Stats) })
 	}
-	r.Counter("starlink_sessions_total", "Client connections accepted.",
-		stat(func(s engine.Stats) uint64 { return s.Sessions }))
-	r.Counter("starlink_flows_total", "Complete automaton traversals.",
-		stat(func(s engine.Stats) uint64 { return s.Flows }))
-	r.Counter("starlink_translations_total", "Gamma (MTL) transitions executed.",
-		stat(func(s engine.Stats) uint64 { return s.Translations }))
-	r.Counter("starlink_messages_in_total", "Messages received from either side.",
-		stat(func(s engine.Stats) uint64 { return s.MessagesIn }))
-	r.Counter("starlink_messages_out_total", "Messages sent to either side.",
-		stat(func(s engine.Stats) uint64 { return s.MessagesOut }))
-	r.Counter("starlink_failures_total", "Sessions that ended with an error.",
-		stat(func(s engine.Stats) uint64 { return s.Failures }))
-	r.Counter("starlink_redials_total", "Service connections replaced mid-session.",
-		stat(func(s engine.Stats) uint64 { return s.Redials }))
-	r.Counter("starlink_retries_exhausted_total", "Service exchanges that failed after every retry.",
-		stat(func(s engine.Stats) uint64 { return s.RetriesExhausted }))
-	r.Counter("starlink_client_failures_total", "Failed client-side exchanges.",
-		stat(func(s engine.Stats) uint64 { return s.ClientFailures }))
-	r.Counter("starlink_service_failures_total", "Service-side exchanges that failed for good.",
-		stat(func(s engine.Stats) uint64 { return s.ServiceFailures }))
-	r.Counter("starlink_pool_hits_total", "Service checkouts served by an idle pooled connection.",
-		stat(func(s engine.Stats) uint64 { return s.PoolHits }))
-	r.Counter("starlink_pool_dials_total", "Service checkouts that opened a fresh connection.",
-		stat(func(s engine.Stats) uint64 { return s.PoolDials }))
-	r.Counter("starlink_pool_evictions_total", "Pooled connections closed early.",
-		stat(func(s engine.Stats) uint64 { return s.PoolEvictions }))
-	r.Counter("starlink_pool_wait_timeouts_total", "Pool checkouts abandoned while waiting at the MaxActive bound.",
-		stat(func(s engine.Stats) uint64 { return s.PoolWaitTimeouts }))
-	r.Counter("starlink_flow_deadline_exceeded_total", "Flows failed fast because their deadline budget ran out.",
-		stat(func(s engine.Stats) uint64 { return s.DeadlineExceeded }))
-	r.Counter("starlink_hook_panics_total", "Panics recovered from the Trace hook.",
-		stat(func(s engine.Stats) uint64 { return s.HookPanics }))
-	r.Counter("starlink_cache_hits_total", "Service exchanges served from the cross-flow response cache.",
-		stat(func(s engine.Stats) uint64 { return s.CacheHits }))
-	r.Counter("starlink_cache_misses_total", "Cacheable exchanges that went to the service (leader elections).",
-		stat(func(s engine.Stats) uint64 { return s.CacheMisses }))
-	r.Counter("starlink_cache_coalesced_total", "Cacheable exchanges that joined an in-flight leader.",
-		stat(func(s engine.Stats) uint64 { return s.CacheCoalesced }))
-	r.Counter("starlink_cache_evictions_total", "Cached replies dropped by TTL expiry or LRU overflow.",
-		stat(func(s engine.Stats) uint64 { return s.CacheEvictions }))
-	r.Counter("starlink_cache_invalidations_total", "Cached replies flushed by write-operation invalidation.",
-		stat(func(s engine.Stats) uint64 { return s.CacheInvalidations }))
-	r.Histogram("starlink_transition_seconds", "Latency of individual automaton transitions.",
-		func() engine.LatencyHistogram { return med.Snapshot().Transitions })
-	r.Histogram("starlink_exchange_seconds", "Latency of service request/reply round-trips.",
-		func() engine.LatencyHistogram { return med.Snapshot().Exchanges })
-	r.Histogram("starlink_translate_seconds", "Latency of gamma translations alone.",
-		func() engine.LatencyHistogram { return med.Snapshot().Translate })
+	m.histogram("starlink_transition_seconds", "Latency of individual automaton transitions.",
+		func(s *mediatorSample) engine.LatencyHistogram { return s.Transitions })
+	m.histogram("starlink_exchange_seconds", "Latency of service request/reply round-trips.",
+		func(s *mediatorSample) engine.LatencyHistogram { return s.Exchanges })
+	m.histogram("starlink_translate_seconds", "Latency of gamma translations alone.",
+		func(s *mediatorSample) engine.LatencyHistogram { return s.Translate })
 	// Per-key pool occupancy: aggregate Hits/Dials/Evictions say nothing
 	// about which (color, address) is under pressure, so idle, in-flight
 	// and blocked-checkout gauges are exported per key.
-	perKey := func(f func(pool.KeyStats) int) func() map[string]uint64 {
-		return func() map[string]uint64 {
-			per := med.PoolStats().PerKey
-			out := make(map[string]uint64, len(per))
-			for k, ks := range per {
+	perKey := func(f func(pool.KeyStats) int) func(*mediatorSample) map[string]uint64 {
+		return func(s *mediatorSample) map[string]uint64 {
+			out := make(map[string]uint64, len(s.pool.PerKey))
+			for k, ks := range s.pool.PerKey {
 				out[k.String()] = uint64(f(ks))
 			}
 			return out
 		}
 	}
-	r.GaugeVec("starlink_pool_idle_conns", "key",
+	m.vec("gauge", "starlink_pool_idle_conns", "key",
 		"Idle pooled service connections per (color, address) key.",
 		perKey(func(ks pool.KeyStats) int { return ks.Idle }))
-	r.GaugeVec("starlink_pool_inflight_conns", "key",
+	m.vec("gauge", "starlink_pool_inflight_conns", "key",
 		"Checked-out pooled service connections per (color, address) key.",
 		perKey(func(ks pool.KeyStats) int { return ks.InFlight }))
-	r.GaugeVec("starlink_pool_waiters", "key",
+	m.vec("gauge", "starlink_pool_waiters", "key",
 		"Checkouts blocked on the pool bound per (color, address) key.",
 		perKey(func(ks pool.KeyStats) int { return ks.Waiters }))
 	if med.Backends() != nil {
-		registerBackends(r, med)
+		registerBackends(m)
 	}
 	if med.Discovery() != nil {
-		registerDiscovery(r, med)
+		registerDiscovery(m)
 	}
 }
 
@@ -248,11 +302,11 @@ func RegisterMediator(r *Registry, med *engine.Mediator) {
 // health/traffic series labelled "set/addr" and per-set ejection
 // totals. Registered only for mediators deployed with `backend`
 // directives, so plain single-address mediators keep a clean scrape.
-func registerBackends(r *Registry, med *engine.Mediator) {
-	perReplica := func(f func(backend.ReplicaSnapshot) uint64) func() map[string]uint64 {
-		return func() map[string]uint64 {
+func registerBackends(m sampled[*mediatorSample]) {
+	perReplica := func(f func(backend.ReplicaSnapshot) uint64) func(*mediatorSample) map[string]uint64 {
+		return func(s *mediatorSample) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, set := range med.Backends() {
+			for _, set := range s.backends {
 				for _, rs := range set.Replicas {
 					out[set.Name+"/"+rs.Addr] = f(rs)
 				}
@@ -260,7 +314,7 @@ func registerBackends(r *Registry, med *engine.Mediator) {
 			return out
 		}
 	}
-	r.GaugeVec("starlink_backend_up", "replica",
+	m.vec("gauge", "starlink_backend_up", "replica",
 		"1 when the replica is live or in probation, 0 while ejected and cooling.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 {
 			if rs.Live || rs.Probation {
@@ -268,34 +322,34 @@ func registerBackends(r *Registry, med *engine.Mediator) {
 			}
 			return 0
 		}))
-	r.GaugeVec("starlink_backend_inflight", "replica",
+	m.vec("gauge", "starlink_backend_inflight", "replica",
 		"Service exchanges currently charged to the replica.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 { return uint64(rs.InFlight) }))
-	r.CounterVec("starlink_backend_picks_total", "replica",
+	m.vec("counter", "starlink_backend_picks_total", "replica",
 		"Balancing decisions that landed on the replica.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 { return rs.Picks }))
-	r.CounterVec("starlink_backend_failures_total", "replica",
+	m.vec("counter", "starlink_backend_failures_total", "replica",
 		"Exchange failures reported against the replica.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 { return rs.Failures }))
-	r.CounterVec("starlink_backend_probes_total", "replica",
+	m.vec("counter", "starlink_backend_probes_total", "replica",
 		"Active health probes sent to the replica.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 { return rs.Probes }))
-	r.CounterVec("starlink_backend_probe_failures_total", "replica",
+	m.vec("counter", "starlink_backend_probe_failures_total", "replica",
 		"Active health probes the replica failed.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 { return rs.ProbeFailures }))
-	perSet := func(f func(backend.SetSnapshot) uint64) func() map[string]uint64 {
-		return func() map[string]uint64 {
+	perSet := func(f func(backend.SetSnapshot) uint64) func(*mediatorSample) map[string]uint64 {
+		return func(s *mediatorSample) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, set := range med.Backends() {
+			for _, set := range s.backends {
 				out[set.Name] = f(set)
 			}
 			return out
 		}
 	}
-	r.CounterVec("starlink_backend_ejections_total", "set",
+	m.vec("counter", "starlink_backend_ejections_total", "set",
 		"Replicas ejected from the set (passive or probe-driven).",
 		perSet(func(s backend.SetSnapshot) uint64 { return s.Ejections }))
-	r.CounterVec("starlink_backend_readmissions_total", "set",
+	m.vec("counter", "starlink_backend_readmissions_total", "set",
 		"Ejected replicas re-admitted after a probation success.",
 		perSet(func(s backend.SetSnapshot) uint64 { return s.Readmissions }))
 }
@@ -303,39 +357,39 @@ func registerBackends(r *Registry, med *engine.Mediator) {
 // registerDiscovery exports the mediator's discovery reconcilers:
 // per-set resolution/churn counters and a last-resolution-age gauge.
 // Registered only for mediators deployed with `discover` directives.
-func registerDiscovery(r *Registry, med *engine.Mediator) {
-	perSet := func(f func(discovery.Snapshot) uint64) func() map[string]uint64 {
-		return func() map[string]uint64 {
+func registerDiscovery(m sampled[*mediatorSample]) {
+	perSet := func(f func(discovery.Snapshot) uint64) func(*mediatorSample) map[string]uint64 {
+		return func(s *mediatorSample) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, ds := range med.Discovery() {
+			for _, ds := range s.discovery {
 				out[ds.Set] = f(ds)
 			}
 			return out
 		}
 	}
-	r.CounterVec("starlink_discovery_resolutions_total", "set",
+	m.vec("counter", "starlink_discovery_resolutions_total", "set",
 		"Source resolution rounds attempted for the set (including failed ones).",
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.Resolutions }))
-	r.CounterVec("starlink_discovery_resolve_errors_total", "set",
+	m.vec("counter", "starlink_discovery_resolve_errors_total", "set",
 		"Resolution rounds that failed (membership kept as-is).",
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.ResolveErrors }))
-	r.CounterVec("starlink_discovery_endpoints_total", "set",
+	m.vec("counter", "starlink_discovery_endpoints_total", "set",
 		"Endpoints returned across all successful resolutions.",
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.Endpoints }))
-	r.CounterVec("starlink_discovery_adds_total", "set",
+	m.vec("counter", "starlink_discovery_adds_total", "set",
 		"Replicas admitted into the set by discovery.",
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.Adds }))
-	r.CounterVec("starlink_discovery_removes_total", "set",
+	m.vec("counter", "starlink_discovery_removes_total", "set",
 		"Replicas drained and removed from the set by discovery.",
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.Removes }))
-	r.CounterVec("starlink_discovery_flaps_suppressed_total", "set",
+	m.vec("counter", "starlink_discovery_flaps_suppressed_total", "set",
 		"Endpoint flaps absorbed by the debounce window before admission.",
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.FlapsSuppressed }))
-	r.GaugeVec("starlink_discovery_last_resolution_age_seconds", "set",
+	m.vec("gauge", "starlink_discovery_last_resolution_age_seconds", "set",
 		"Seconds since the set's source last resolved successfully (absent until the first success).",
-		func() map[string]uint64 {
+		func(s *mediatorSample) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, ds := range med.Discovery() {
+			for _, ds := range s.discovery {
 				if ds.LastResolution >= 0 {
 					out[ds.Set] = uint64(ds.LastResolution)
 				}

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"starlink/internal/backend"
+	"starlink/internal/discovery"
 	"starlink/internal/engine"
+	"starlink/internal/network/pool"
 )
 
 func TestWriteTextScalarsAndVecs(t *testing.T) {
@@ -114,6 +117,64 @@ func TestRegisterObserverRendersTracerMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// countingMediator counts what a scrape asks a mediator for.
+type countingMediator struct {
+	snapshots, poolStats, backends, discovery int
+}
+
+func (c *countingMediator) Snapshot() engine.Snapshot {
+	c.snapshots++
+	return engine.Snapshot{Stats: engine.Stats{Flows: 7, PoolHits: 3}}
+}
+
+func (c *countingMediator) PoolStats() pool.Stats {
+	c.poolStats++
+	return pool.Stats{PerKey: map[pool.Key]pool.KeyStats{{Color: 2, Addr: "a:1"}: {Idle: 4}}}
+}
+
+func (c *countingMediator) Backends() []backend.SetSnapshot {
+	c.backends++
+	return []backend.SetSnapshot{{Name: "set", Replicas: []backend.ReplicaSnapshot{{Addr: "a:1", Live: true}}}}
+}
+
+func (c *countingMediator) Discovery() []discovery.Snapshot {
+	c.discovery++
+	return []discovery.Snapshot{{Set: "set", Adds: 2}}
+}
+
+// TestMediatorScrapeSamplesOnce: however many series a mediator has — 21
+// counters, three histograms, three pool gauges and the backend and
+// discovery families — one scrape takes one Snapshot and one PoolStats, so
+// its values are of one instant and the pool's mutex is not taken per
+// series.
+func TestMediatorScrapeSamplesOnce(t *testing.T) {
+	med := &countingMediator{}
+	r := NewRegistry()
+	registerMediator(r, med)
+	*med = countingMediator{} // registration itself looks at Backends and Discovery
+	for scrape := 1; scrape <= 2; scrape++ {
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if *med != (countingMediator{scrape, scrape, scrape, scrape}) {
+			t.Fatalf("after %d scrapes the mediator was sampled %+v times", scrape, *med)
+		}
+		for _, want := range []string{
+			"starlink_flows_total 7",
+			"starlink_pool_hits_total 3",
+			"starlink_transition_seconds_count 0",
+			`starlink_pool_idle_conns{key="color 2 @ a:1"} 4`,
+			`starlink_backend_up{replica="set/a:1"} 1`,
+			`starlink_discovery_adds_total{set="set"} 2`,
+		} {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("scrape %d lacks %q", scrape, want)
+			}
 		}
 	}
 }
