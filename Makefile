@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check race race-alloc bench fault-soak fuzz fmt
+.PHONY: all build test check race race-alloc bench fuzz fmt
 
 all: check
 
@@ -50,11 +50,18 @@ race-alloc:
 # in internal/bind/oracle_test.go only. And a scalar stays where it is: the
 # codecs, the protocol layers, the binders and compiled MTL read a field
 # through its typed accessors and move it node to node; Field.Value(), which
-# boxes it into an `any`, is for tests, tools and the MTL interpreter.
+# boxes it into an `any`, is for tests, tools and the one place a scalar
+# becomes an MTL function's argument (mtl.fieldValue).
 # And a spec value is read in one place: outside spec.go nothing in
 # internal/core parses a duration or a number or cuts a word at "=" — a new
 # directive is a row of the tables there, a new option an entry of a row's
 # list, read through the value readers beside them.
+# And there is one of each: one accept loop (nothing outside internal/network
+# calls a listener's Accept), one executor of MTL (no exec or eval over an
+# *Env outside the tests of internal/mtl, where the reference interpreter
+# lives), and a facade that exports what programs use (every func, const and
+# var of package starlink is named under cmd/, examples/ or bench/, or
+# documented by starlink/example_test.go).
 # Last, the shipped tools accept the shipped models: every file under
 # models/ is the source of a mediator, written by hand, so each XML and MDL
 # file passes its tool's `check`, the directory lists, and the one derived
@@ -88,6 +95,16 @@ check: test
 		echo "check: the files above box a field's value on the message path; switch on Type and read it through Text, Int64 and their like, or move it with CopyScalar (DESIGN.md, \"The field tree's memory shape\")"; exit 1; fi
 	@if git grep -nE 'time\.ParseDuration|strconv\.(Atoi|ParseFloat)|strings\.Cut\([^)]*"="\)' -- internal/core ':!*_test.go' ':!internal/core/spec.go'; then \
 		echo 'check: the files above read a spec value outside internal/core/spec.go; a directive is a row of mediatorDirectives or gatewayDirectives there, an option an entry of its list, and count, duration and their like read the words (DESIGN.md §3, "From a spec to a mediator")'; exit 1; fi
+	@if git grep -n '\.Accept()' -- internal cmd examples ':!*_test.go' ':!internal/network'; then \
+		echo 'check: the files above run an accept loop of their own; hand the listener to network.Serve, or Accept to network.AcceptLoop, which survive EMFILE and ECONNABORTED (internal/network/accept.go)'; exit 1; fi
+	@if git grep -nE '\) (exec|eval)\((env )?\*Env' -- internal/mtl ':!*_test.go'; then \
+		echo 'check: the lines above execute MTL over an *Env outside the tests; compiled forms take a *cframe (compile.go), and the reference interpreter belongs in internal/mtl/oracle_test.go'; exit 1; fi
+	@bad=0; \
+	for name in $$($(GO) doc -short ./starlink | sed -nE 's/^ *(func|const|var) ([A-Za-z0-9_]+).*/\2/p'); do \
+		git grep -qE "starlink\.$$name([^A-Za-z0-9_]|$$)" -- cmd examples bench starlink/example_test.go || \
+			{ echo "check: no program under cmd/, examples/ or bench/ uses starlink.$$name and starlink/example_test.go does not document it; call the internal package from tests, or delete it from starlink/starlink.go"; bad=1; }; \
+	done; \
+	exit $$bad
 	@set -e; \
 	for f in models/*.xml; do $(GO) run ./cmd/automatac check $$f >/dev/null; done; \
 	for f in models/*.mdl; do $(GO) run ./cmd/mdlc check $$f >/dev/null; done; \
@@ -102,11 +119,6 @@ check: test
 # bench/README.md has the workloads, metrics, options and noise floor.
 bench:
 	$(GO) run ./bench
-
-# The fault-path soak on its own: mediated flows while the service is
-# periodically killed and restarted (see BenchmarkE11FaultRecoverySoak).
-fault-soak:
-	$(GO) test -bench BenchmarkE11FaultRecoverySoak -benchtime 200x -run '^$$' .
 
 # Short coverage-guided fuzz passes over everything that parses
 # untrusted bytes. The target list is whatever `go test -list` finds, one

@@ -11,14 +11,8 @@ import (
 	"starlink/internal/message"
 	"starlink/internal/network"
 	"starlink/internal/protocol/rest"
+	"starlink/models"
 )
-
-// HTTPMDL is the text-MDL document describing HTTP requests and
-// responses; the REST binder interprets it through the text engine, so
-// the DSL-generated parser/composer sits in the mediation hot path (the
-// paper's Fig. 9 message flow). It is re-exported from textenc, which
-// owns the canonical definition.
-const HTTPMDL = textenc.HTTPMDL
 
 // Route is one entry of the REST binding table: how an abstract action
 // maps onto an HTTP resource (the GET/POST syntax column of Fig. 1).
@@ -96,9 +90,16 @@ type RESTBinder struct {
 
 var _ Binder = (*RESTBinder)(nil)
 
-// NewRESTBinder compiles the HTTP MDL and installs the route table.
+// NewRESTBinder compiles the HTTP MDL, models/http.mdl, and installs the
+// route table. The binder interprets the document through the text engine,
+// so the DSL-generated parser/composer sits in the mediation hot path (the
+// paper's Fig. 9 message flow).
 func NewRESTBinder(routes []Route) (*RESTBinder, error) {
-	spec, err := mdl.ParseString(HTTPMDL)
+	doc, err := models.FS.ReadFile("http.mdl")
+	if err != nil {
+		return nil, fmt.Errorf("bind: %w", err)
+	}
+	spec, err := mdl.ParseString(string(doc))
 	if err != nil {
 		return nil, fmt.Errorf("bind: parse HTTP MDL: %w", err)
 	}

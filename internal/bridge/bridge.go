@@ -15,7 +15,6 @@ package bridge
 
 import (
 	"fmt"
-	"sync"
 
 	"starlink/internal/bind"
 	"starlink/internal/network"
@@ -28,17 +27,13 @@ type Bridge struct {
 	to     bind.Binder
 	target string
 
-	listener network.Listener
-	mu       sync.Mutex
-	closed   bool
-	conns    map[network.Conn]struct{}
-	wg       sync.WaitGroup
+	srv *network.Server
 }
 
 // New builds a bridge that accepts `from`-protocol clients and forwards
 // to a `to`-protocol service at target.
 func New(from, to bind.Binder, target string) *Bridge {
-	return &Bridge{from: from, to: to, target: target, conns: make(map[network.Conn]struct{})}
+	return &Bridge{from: from, to: to, target: target}
 }
 
 // Start listens for client connections.
@@ -48,43 +43,14 @@ func (b *Bridge) Start(listenAddr string) error {
 	if err != nil {
 		return err
 	}
-	b.listener = l
-	b.wg.Add(1)
-	go b.acceptLoop()
+	b.srv = network.Serve(l, b.serve)
 	return nil
 }
 
 // Addr returns the client-facing address.
-func (b *Bridge) Addr() string { return b.listener.Addr().String() }
-
-func (b *Bridge) acceptLoop() {
-	defer b.wg.Done()
-	for {
-		conn, err := b.listener.Accept()
-		if err != nil {
-			return
-		}
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			conn.Close()
-			return
-		}
-		b.conns[conn] = struct{}{}
-		b.mu.Unlock()
-		b.wg.Add(1)
-		go b.serve(conn)
-	}
-}
+func (b *Bridge) Addr() string { return b.srv.Addr() }
 
 func (b *Bridge) serve(client network.Conn) {
-	defer b.wg.Done()
-	defer func() {
-		client.Close()
-		b.mu.Lock()
-		delete(b.conns, client)
-		b.mu.Unlock()
-	}()
 	var service network.Conn
 	defer func() {
 		if service != nil {
@@ -140,20 +106,8 @@ func (b *Bridge) forward(service *network.Conn, data []byte) ([]byte, error) {
 
 // Close stops the bridge and waits for in-flight connections.
 func (b *Bridge) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	if b.srv == nil {
 		return nil
 	}
-	b.closed = true
-	var err error
-	if b.listener != nil {
-		err = b.listener.Close()
-	}
-	for c := range b.conns {
-		c.Close()
-	}
-	b.mu.Unlock()
-	b.wg.Wait()
-	return err
+	return b.srv.Close()
 }

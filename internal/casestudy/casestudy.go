@@ -55,9 +55,8 @@ var (
 	EquivalenceDoc = read("flickr-picasa.equiv")
 	// DiscoveryTypeMapDoc is the UPnP-to-SLP vocabulary map.
 	DiscoveryTypeMapDoc = read("upnp-to-slp.typemap")
-	// GIOPMDLDoc and HTTPMDLDoc are the reference copies of the two MDL
-	// documents the protocol packages compile (giop.MDLDoc,
-	// textenc.HTTPMDL).
+	// GIOPMDLDoc and HTTPMDLDoc are the two MDL documents the GIOP codec
+	// and the REST binder compile.
 	GIOPMDLDoc = read("giop.mdl")
 	HTTPMDLDoc = read("http.mdl")
 	// XMLRPCMediatorSpecDoc, SOAPMediatorSpecDoc and

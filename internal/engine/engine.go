@@ -281,10 +281,9 @@ type TraceKind int
 
 // Trace event kinds.
 const (
-	// TraceState fires when a session's automaton enters a state.
-	TraceState TraceKind = iota
-	// TraceTransition fires after a transition executes.
-	TraceTransition
+	// TraceTransition fires after a transition executes; it is the one
+	// event of a step, and its State the state the step entered.
+	TraceTransition TraceKind = iota
 	// TraceRedial fires when a service connection is replaced (fault
 	// recovery or a sethost retarget after the first checkout).
 	TraceRedial
@@ -310,8 +309,6 @@ const (
 // String names the kind for logs.
 func (k TraceKind) String() string {
 	switch k {
-	case TraceState:
-		return "state"
 	case TraceTransition:
 		return "transition"
 	case TraceRedial:
@@ -342,8 +339,8 @@ type TraceEvent struct {
 	Kind TraceKind
 	// Time is when the event was emitted.
 	Time time.Time
-	// State is the state entered (TraceState) or the transition's target
-	// (TraceTransition).
+	// State is the state a TraceTransition entered (the transition's
+	// target).
 	State string
 	// Transition is "from->to" for TraceTransition.
 	Transition string
@@ -1369,7 +1366,6 @@ func (s *session) runAutomaton() error {
 		env.Bind(st.Name, msg)
 	}
 	state := merged.Start
-	s.trace(TraceEvent{Kind: TraceState, State: state})
 	for !merged.IsFinal(state) {
 		out := s.med.outs[state]
 		if len(out.ts) == 0 {
@@ -1408,7 +1404,6 @@ func (s *session) runAutomaton() error {
 			Color: t.Color, Elapsed: elapsed,
 		})
 		state = t.To
-		s.trace(TraceEvent{Kind: TraceState, State: state})
 		if reply != nil {
 			// Everything a reply implies is published before the client
 			// can read it: the transition above, and the flow when this

@@ -232,16 +232,17 @@ func TestMediationFailureSurfacesAsProtocolFault(t *testing.T) {
 }
 
 // TestServiceRestartMidSessionRecovered is the fault-tolerance
-// acceptance test: the service endpoint is stopped and restarted on the
-// SAME address while a client session is live. The session's cached
-// connection is now dead; the next flow must transparently evict it,
-// redial, replay, and complete — the client never notices.
+// acceptance test, as a soak: 200 invocations on one client session, the
+// service endpoint stopped and restarted on the SAME address every 50.
+// After each restart the session's cached connection is dead; the next
+// flow must transparently evict it, redial, replay, and complete — the
+// client never notices.
 func TestServiceRestartMidSessionRecovered(t *testing.T) {
 	srv := startPlusService(t, nil)
 	addr := srv.Addr()
 	med := startAddPlus(t, addr, func(cfg *engine.Config) {
 		cfg.ExchangeTimeout = 2 * time.Second
-		cfg.Retry = &engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: 5 * time.Millisecond}
+		cfg.Retry = &engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: time.Millisecond}
 	})
 
 	client, err := giop.Dial(med.Addr(), "calc")
@@ -250,36 +251,29 @@ func TestServiceRestartMidSessionRecovered(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Flow 1 establishes and caches the service connection.
-	results, err := client.Invoke("Add", giop.IntParam(1), giop.IntParam(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].ValueString() != "3" {
-		t.Fatalf("Add = %s", results[0].ValueString())
-	}
-
-	// Restart the service on the same address: the cached connection is
-	// now pointing at a dead socket.
-	srv.Close()
-	restarted, err := soap.NewServer(addr, "/soap", plusOperations(nil))
-	if err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	defer restarted.Close()
-
-	// Flow 2 on the same session must succeed via evict + redial + replay.
-	results, err = client.Invoke("Add", giop.IntParam(20), giop.IntParam(22))
-	if err != nil {
-		t.Fatalf("flow after service restart failed: %v", err)
-	}
-	if results[0].ValueString() != "42" {
-		t.Errorf("Add after restart = %s", results[0].ValueString())
+	for i := 0; i < 200; i++ {
+		if i > 0 && i%50 == 0 {
+			// The connection the flows so far cached now points at a dead
+			// socket.
+			srv.Close()
+			srv, err = soap.NewServer(addr, "/soap", plusOperations(nil))
+			if err != nil {
+				t.Fatalf("rebind %s: %v", addr, err)
+			}
+			defer srv.Close()
+		}
+		results, err := client.Invoke("Add", giop.IntParam(20), giop.IntParam(22))
+		if err != nil {
+			t.Fatalf("flow %d: %v", i, err)
+		}
+		if results[0].ValueString() != "42" {
+			t.Fatalf("flow %d: Add = %s", i, results[0].ValueString())
+		}
 	}
 
 	st := med.Stats()
-	if st.Redials == 0 {
-		t.Error("recovery did not redial")
+	if st.Redials < 3 {
+		t.Errorf("redials = %d over three restarts, want at least 3", st.Redials)
 	}
 	if st.Failures != 0 || st.RetriesExhausted != 0 {
 		t.Errorf("stats = %+v, want clean recovery", st)

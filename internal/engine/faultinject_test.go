@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,8 +214,10 @@ func TestRetryDelaySpacing(t *testing.T) {
 	}
 }
 
-// TestTraceHookObservesMediation: the Trace hook sees states, transitions
-// and the fault-recovery redial, all stamped with the session id.
+// TestTraceHookObservesMediation: the Trace hook sees one transition event
+// per executed step — its State the state entered, which no event of
+// another kind repeats — and the fault-recovery redial, all stamped with the
+// session id.
 func TestTraceHookObservesMediation(t *testing.T) {
 	var mu sync.Mutex
 	var events []engine.TraceEvent
@@ -241,14 +244,26 @@ func TestTraceHookObservesMediation(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	kinds := map[engine.TraceKind]int{}
+	entered := map[string]bool{}
 	for _, ev := range events {
 		kinds[ev.Kind]++
 		if ev.Session != 1 {
 			t.Errorf("event %+v: session = %d, want 1", ev, ev.Session)
 		}
+		if ev.Kind == engine.TraceTransition {
+			if ev.State == "" || !strings.HasSuffix(ev.Transition, "->"+ev.State) {
+				t.Errorf("transition %q entered state %q", ev.Transition, ev.State)
+			}
+			entered[ev.State] = true
+		}
 	}
-	if kinds[engine.TraceState] == 0 || kinds[engine.TraceTransition] == 0 {
-		t.Errorf("missing state/transition events: %v", kinds)
+	for _, ev := range events {
+		if ev.Kind != engine.TraceTransition && entered[ev.State] {
+			t.Errorf("%v event repeats state %q of a transition", ev.Kind, ev.State)
+		}
+	}
+	if steps := med.Snapshot().Transitions.Count; steps == 0 || uint64(kinds[engine.TraceTransition]) != steps {
+		t.Errorf("%d transition events for %d executed steps: %v", kinds[engine.TraceTransition], steps, kinds)
 	}
 	if kinds[engine.TraceRedial] != 1 {
 		t.Errorf("redial events = %d, want 1", kinds[engine.TraceRedial])
@@ -257,7 +272,7 @@ func TestTraceHookObservesMediation(t *testing.T) {
 		t.Errorf("unexpected error events: %d", kinds[engine.TraceError])
 	}
 	// Kinds render for logs.
-	for _, k := range []engine.TraceKind{engine.TraceState, engine.TraceTransition, engine.TraceRedial, engine.TraceError} {
+	for _, k := range []engine.TraceKind{engine.TraceTransition, engine.TraceRedial, engine.TraceError} {
 		if k.String() == "" {
 			t.Errorf("empty TraceKind string for %d", int(k))
 		}

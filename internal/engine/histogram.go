@@ -144,8 +144,8 @@ type Snapshot struct {
 	// up as tail latency rather than disappearing.
 	Exchanges LatencyHistogram
 	// Translate is the latency distribution of γ translations alone —
-	// the subset of Transitions spent executing MTL programs, compiled
-	// or interpreted, isolating translation cost from network time.
+	// the subset of Transitions spent executing compiled MTL programs,
+	// isolating translation cost from network time.
 	Translate LatencyHistogram
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"starlink/internal/mdl"
 	"starlink/internal/message"
-	"starlink/models"
 )
 
 // httpDoc is the HTTP.mdl used throughout the case study.
@@ -351,18 +350,5 @@ func TestParseReadsPastTheHead(t *testing.T) {
 	_, err := c.Parse([]byte("twice A"))
 	if !errors.Is(err, mdl.ErrNoMessageMatch) || !strings.Contains(err.Error(), "Twice: ") || !strings.Contains(err.Error(), ErrTruncated.Error()) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-// TestShippedMDLIsHTTPMDL: the REST binder compiles HTTPMDL, not
-// models/http.mdl (ROADMAP item 5 would make the file drive it), so the
-// file is held to the constant it is the reference copy of.
-func TestShippedMDLIsHTTPMDL(t *testing.T) {
-	doc, err := models.FS.ReadFile("http.mdl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(doc) != HTTPMDL {
-		t.Errorf("models/http.mdl differs from textenc.HTTPMDL:\n%s", doc)
 	}
 }

@@ -1,12 +1,14 @@
 package mtl
 
-// Compiled translation fast path (DESIGN.md §12).
+// The one executor of MTL (DESIGN.md §12).
 //
-// Parse produces an AST the tree-walking interpreter in mtl.go executes
-// directly; every Exec then re-resolves message handles through the
-// Messages map, re-resolves function names through two map lookups, and
-// defensively deep-clones every field tree it grafts. Compile lowers a
-// parsed Program into a resolved form executed by CompiledProgram.Exec:
+// Parse produces an AST; Compile lowers it into the resolved form that
+// CompiledProgram.Exec runs. The reference it is held to is the seed's
+// tree-walking interpreter, kept in oracle_test.go ("the interpreter"
+// below): that one re-resolves message handles through the Messages map
+// at every path, function names through two map lookups at every call,
+// and deep-clones every field tree it grafts. The compiled form differs
+// in cost, not in meaning:
 //
 //   - message handles and local variables are interned into integer
 //     slots, so a statement touches a map at most once per distinct
@@ -41,10 +43,10 @@ package mtl
 //     pooled Env executes a compiled program with a small constant
 //     number of allocations beyond the field nodes it creates.
 //
-// Semantics are identical to the interpreter; FuzzCompile asserts that
-// compiled and interpreted execution produce the same message trees,
-// variables, host retarget and success/failure outcome on arbitrary
-// parsed programs. The one deliberate caveat is a compile-time decision:
+// Semantics are identical to the interpreter; FuzzCompile and every test
+// of mtl_test.go assert that compiled and interpreted execution produce
+// the same message trees, variables, host retarget and success/failure
+// outcome. The one deliberate caveat is a compile-time decision:
 // functions are resolved against CompileOptions.Funcs rather than the
 // Env's map at each call, so the executing Env should carry the same
 // function table the program was compiled with.
@@ -59,10 +61,9 @@ import (
 type CompileOptions struct {
 	// Handles is the set of message-handle names (for the engine: the
 	// merged automaton's state names). A path root in this set addresses
-	// a message in the Env; any other root is a local variable. The
-	// interpreter makes the same decision dynamically against
-	// Env.Messages, so an Env executing the compiled program should bind
-	// exactly these handles.
+	// a message in the Env; any other root is a local variable. (The
+	// interpreter decides it from Env.Messages at run time.) An Env
+	// executing the compiled program should bind exactly these handles.
 	Handles []string
 	// Funcs are the extra functions available to the program, shadowing
 	// builtins by name — the same map the executing Env will carry.
@@ -75,7 +76,6 @@ type CompileOptions struct {
 // goroutines (each against its own Env).
 type CompiledProgram struct {
 	src      string
-	prog     *Program
 	stmts    []cStmt
 	handles  []string // slot -> handle name
 	varNames []string // slot -> variable name
@@ -83,10 +83,6 @@ type CompiledProgram struct {
 
 // Source returns the original program text.
 func (p *CompiledProgram) Source() string { return p.src }
-
-// Program returns the parsed program the compiled form was lowered
-// from (the interpreter fallback).
-func (p *CompiledProgram) Program() *Program { return p.prog }
 
 // Handles returns the message-handle names the program references.
 func (p *CompiledProgram) Handles() []string { return append([]string(nil), p.handles...) }
@@ -491,8 +487,10 @@ func (s *cForeach) exec(fr *cframe) error {
 		children = parent.Children
 	}
 	// Snapshot the matched set before the body runs: a body that appends
-	// matching siblings must not extend the iteration (mtl.go's
-	// resolveAll gives foreach the same semantics).
+	// matching siblings must not extend the iteration, and a body that
+	// overwrites an upcoming item's slot mutates the field the snapshot
+	// already points at — the loop visits exactly the fields that matched
+	// at entry.
 	base := len(fr.iters)
 	seen := 0
 	for _, c := range children {
@@ -676,9 +674,10 @@ func clookupSteps(children []*message.Field, steps []pathStep) (*message.Field, 
 	return cur, nil
 }
 
-// csetSteps is setSteps with ownership-aware grafting, an in-place
-// overwrite fast path for existing scalar targets, and the nodes it makes
-// taken from b when the tree is a builder's (b is nil otherwise).
+// csetSteps is the interpreter's setSteps with ownership-aware grafting,
+// an in-place overwrite fast path for existing scalar targets, and the
+// nodes it makes taken from b when the tree is a builder's (b is nil
+// otherwise).
 func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string, b *builder) error {
 	for i := range steps {
 		st := &steps[i]
@@ -780,7 +779,6 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 	}
 	return &CompiledProgram{
 		src:      p.src,
-		prog:     p,
 		stmts:    stmts,
 		handles:  c.handleIDs,
 		varNames: c.varIDs,

@@ -1,6 +1,7 @@
 package mtl
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -60,10 +61,12 @@ func diffExec(t *testing.T, src string, funcs map[string]Func) {
 // compiled form, each twice on one Env of its own — the second run over
 // fresh messages but with the variables, the cache and (compiled) the frame
 // of the first — and fails on any observable difference after either run:
-// outcome, message trees, host retarget, variables. Then it looks at the
+// outcome (the error's text and which sentinels it wraps), message trees,
+// host retarget, variables. Then it looks at the
 // first run's messages once more: a tree made of storage the frame handed
-// out again in the second run would have changed under them.
-func diffRuns(t testing.TB, prog *Program, opts CompileOptions, fixture func() *Env) {
+// out again in the second run would have changed under them. It returns the
+// compiled form it held.
+func diffRuns(t testing.TB, prog *Program, opts CompileOptions, fixture func() *Env) *CompiledProgram {
 	t.Helper()
 	src := prog.Source()
 	compiled, err := Compile(prog, opts)
@@ -90,8 +93,9 @@ func diffRuns(t testing.TB, prog *Program, opts CompileOptions, fixture func() *
 				envC.Bind(h, freshC.Message(h))
 			}
 		}
-		errI, errC := prog.Exec(envI), compiled.Exec(envC)
-		if (errI != nil) != (errC != nil) {
+		errI, errC := interpret(prog, envI), compiled.Exec(envC)
+		if (errI != nil) != (errC != nil) || (errI != nil && errI.Error() != errC.Error()) ||
+			errors.Is(errI, ErrExec) != errors.Is(errC, ErrExec) || errors.Is(errI, ErrCacheMiss) != errors.Is(errC, ErrCacheMiss) {
 			t.Fatalf("%s: outcome diverged:\n interpreted: %v\n compiled:    %v\nprogram:\n%s", run, errI, errC, src)
 		}
 		same(run)
@@ -125,6 +129,7 @@ func diffRuns(t testing.TB, prog *Program, opts CompileOptions, fixture func() *
 				h, firstI[i], firstC[i], src)
 		}
 	}
+	return compiled
 }
 
 // sameValue compares what two variables hold: trees by Equal — label, type
@@ -368,7 +373,7 @@ func TestForeachSnapshotSemantics(t *testing.T) {
 			}
 			err = compiled.Exec(env)
 		} else {
-			err = prog.Exec(env)
+			err = interpret(prog, env)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
@@ -397,9 +402,6 @@ func TestCompiledProgramAccessors(t *testing.T) {
 	}
 	if compiled.Source() != src {
 		t.Errorf("Source() = %q", compiled.Source())
-	}
-	if compiled.Program() != prog {
-		t.Error("Program() did not return the parsed program")
 	}
 	hs := compiled.Handles()
 	if len(hs) != 2 {
@@ -585,7 +587,7 @@ func TestInterpretedVsCompiledAllocs(t *testing.T) {
 		env := NewEnv(&Cache{})
 		env.Bind("m1", m1)
 		env.Bind("m2", message.New(""))
-		if err := prog.Exec(env); err != nil {
+		if err := interpret(prog, env); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,14 +16,13 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Programs that parse must execute (possibly to an error) without
-		// panicking against a populated environment.
-		env := NewEnv(&Cache{})
-		env.Bind("a", message.New("Msg"))
-		env.Bind("b", message.New("Msg", message.NewPrimitive("y", message.TypeInt64, 1)))
-		env.Bind("m", message.New("M"))
-		env.Bind("out", message.New("O"))
-		_ = prog.Exec(env)
+		// Programs that parse must compile, and execute (possibly to an
+		// error) without panicking against the populated fixture.
+		compiled, err := Compile(prog, CompileOptions{Handles: fuzzHandles})
+		if err != nil {
+			t.Fatalf("program parsed but did not compile: %v\n%s", err, src)
+		}
+		_ = compiled.Exec(fuzzFixture())
 	})
 }
 

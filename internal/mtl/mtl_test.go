@@ -2,6 +2,7 @@ package mtl
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,9 +24,52 @@ func run(t *testing.T, src string, env *Env) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if err := p.Exec(env); err != nil {
+	if err := execDiff(t, p, env); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
+}
+
+// execDiff is how the tests of this file execute a program: the way a
+// deployment does — compiled against the handles env binds, run on env — after
+// diffRuns has held that compiled form to the interpreter on copies of env as
+// it stands. The error is the compiled path's.
+func execDiff(t testing.TB, p *Program, env *Env) error {
+	t.Helper()
+	opts := CompileOptions{Funcs: env.Funcs}
+	for h := range env.Messages {
+		opts.Handles = append(opts.Handles, h)
+	}
+	slices.Sort(opts.Handles)
+	before := cloneEnv(env)
+	return diffRuns(t, p, opts, func() *Env { return cloneEnv(before) }).Exec(env)
+}
+
+// cloneEnv copies what a program can see or change of e: the messages, the
+// variables and the session cache, a nil map or cache staying nil.
+func cloneEnv(e *Env) *Env {
+	c := &Env{Host: e.Host, Funcs: e.Funcs}
+	if e.Messages != nil {
+		c.Messages = make(map[string]*message.Message, len(e.Messages))
+		for h, m := range e.Messages {
+			c.Messages[h] = m.Clone()
+		}
+	}
+	if e.Vars != nil {
+		c.Vars = make(map[string]any, len(e.Vars))
+		for name, v := range e.Vars {
+			if f, ok := v.(*message.Field); ok {
+				v = f.Clone()
+			}
+			c.Vars[name] = v
+		}
+	}
+	if e.Cache != nil {
+		c.Cache = &Cache{Limit: e.Cache.Limit}
+		for _, key := range e.Cache.order {
+			c.Cache.putOwned(key, e.Cache.m[key].Clone())
+		}
+	}
+	return c
 }
 
 func TestFig8ParameterCopy(t *testing.T) {
@@ -155,8 +199,7 @@ s8out.MethodResponse.photo.url = entry.content.@src
 func TestGetCacheMiss(t *testing.T) {
 	env := NewEnv(&Cache{})
 	env.Bind("m", message.New("M"))
-	p := MustParse(`x = getcache("absent")`)
-	err := p.Exec(env)
+	err := execDiff(t, MustParse(`x = getcache("absent")`), env)
 	if !errors.Is(err, ErrCacheMiss) {
 		t.Errorf("err = %v, want ErrCacheMiss", err)
 	}
@@ -199,8 +242,7 @@ func TestWholeMessageAssignment(t *testing.T) {
 
 func TestMessageNameGuard(t *testing.T) {
 	env := envWith(t, map[string]*message.Message{"a": message.New("A")})
-	p := MustParse(`a.WRONG.x = 1`)
-	if err := p.Exec(env); !errors.Is(err, ErrExec) {
+	if err := execDiff(t, MustParse(`a.WRONG.x = 1`), env); !errors.Is(err, ErrExec) {
 		t.Errorf("name mismatch err = %v", err)
 	}
 	// Unnamed messages adopt the path's name.
@@ -335,7 +377,7 @@ func TestExecErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		if err := p.Exec(envWith(t, map[string]*message.Message{"m": message.New("M")})); err == nil {
+		if err := execDiff(t, p, envWith(t, map[string]*message.Message{"m": message.New("M")})); err == nil {
 			t.Errorf("Exec(%q) succeeded, want error", src)
 		}
 	}
@@ -345,8 +387,7 @@ func TestExecErrors(t *testing.T) {
 func TestAssignThroughPrimitiveFails(t *testing.T) {
 	m := message.New("M", message.NewPrimitive("leaf", message.TypeString, "x"))
 	env := envWith(t, map[string]*message.Message{"m": m})
-	p := MustParse(`m.M.leaf.sub = 1`)
-	if err := p.Exec(env); !errors.Is(err, ErrExec) {
+	if err := execDiff(t, MustParse(`m.M.leaf.sub = 1`), env); !errors.Is(err, ErrExec) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -362,9 +403,13 @@ func TestCommentsAndWhitespace(t *testing.T) {
 
 func TestNoSessionCache(t *testing.T) {
 	env := &Env{Messages: map[string]*message.Message{"m": message.New("M")}, Vars: map[string]any{}}
-	p := MustParse(`cache("k", "v")`)
-	if err := p.Exec(env); err == nil {
+	if err := execDiff(t, MustParse(`cache("k", "v")`), env); err == nil {
 		t.Error("cache without session cache succeeded")
+	}
+	// The zero Env: Exec makes the maps it needs.
+	zero := &Env{}
+	if err := execDiff(t, MustParse(`x = concat("a", "b")`), zero); err != nil || zero.Vars["x"] != "ab" {
+		t.Errorf("zero Env: x = %v, err = %v", zero.Vars["x"], err)
 	}
 }
 
@@ -423,7 +468,7 @@ func TestValueString(t *testing.T) {
 }
 
 func BenchmarkExecFig9Translation(b *testing.B) {
-	p := MustParse(`
+	prog := MustParse(`
 sethost("https://picasaweb.google.com")
 foreach e in s5.HTTPOK.Body.feed.entry {
   cache(e.id, e)
@@ -439,13 +484,17 @@ foreach e in s5.HTTPOK.Body.feed.entry {
 			),
 		),
 	)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	fixture := func() *Env {
 		env := NewEnv(&Cache{})
 		env.Bind("s5", feed)
 		env.Bind("s6", message.New("MethodResponse"))
-		if err := p.Exec(env); err != nil {
+		return env
+	}
+	p := diffRuns(b, prog, CompileOptions{Handles: []string{"s5", "s6"}}, fixture)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Exec(fixture()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -600,7 +649,7 @@ func TestBuiltinArityErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		if err := p.Exec(NewEnv(&Cache{})); err == nil {
+		if err := execDiff(t, p, NewEnv(&Cache{})); err == nil {
 			t.Errorf("Exec(%q) succeeded", src)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"starlink/internal/testutil"
 )
 
 // flakyListener fails its first Accept calls the way a process out of
@@ -76,4 +78,54 @@ func TestAcceptLoopEndsWithDatagramListener(t *testing.T) {
 	if conns != 1 {
 		t.Errorf("served %d connections, want 1", conns)
 	}
+}
+
+// TestServeSurvivesAcceptErrors: a server whose listener is out of file
+// descriptors for its first two accepts serves the connection behind them,
+// and Close — the second one too — returns with every goroutine joined.
+func TestServeSurvivesAcceptErrors(t *testing.T) {
+	testutil.NoLeaks(t, func() {
+		inner, err := Engine{}.Listen(Semantics{}, "127.0.0.1:0", lengthPrefixFramer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &flakyListener{Listener: inner}
+		l.failures.Store(2)
+		srv := Serve(l, func(c Conn) {
+			for {
+				data, err := c.Recv()
+				if err != nil {
+					return
+				}
+				if c.Send(data) != nil {
+					return
+				}
+			}
+		})
+		client, err := Engine{}.Dial(Semantics{}, srv.Addr(), lengthPrefixFramer{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		client.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := client.Send([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := client.Recv(); err != nil || string(got) != "ping" {
+			t.Fatalf("echo through the server = %q, %v; it stopped accepting at the first accept error", got, err)
+		}
+		if n := l.failures.Load(); n >= 0 {
+			t.Fatalf("%d scripted accept failures were never reached", n+1)
+		}
+		// The handler is still in Recv: Close has a live connection to close.
+		if err := srv.Close(); err != nil {
+			t.Errorf("Close = %v", err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("second Close = %v, want nil", err)
+		}
+		if _, err := client.Recv(); err == nil {
+			t.Error("the connection outlived Close")
+		}
+	})
 }

@@ -2,7 +2,6 @@ package observe
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -58,12 +57,7 @@ func (a *Admin) Addr() string { return a.srv.Addr() }
 // Close stops the endpoint and waits for in-flight requests. It is
 // idempotent: closing an already-closed endpoint is a no-op, not an
 // error, so deployment teardown paths can call it unconditionally.
-func (a *Admin) Close() error {
-	if err := a.srv.Close(); err != nil && !errors.Is(err, httpwire.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
+func (a *Admin) Close() error { return a.srv.Close() }
 
 func (a *Admin) handle(req *httpwire.Request) *httpwire.Response {
 	if req.Method != "GET" {

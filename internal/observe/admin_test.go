@@ -81,13 +81,19 @@ func TestAdminEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range [][2]int64{{20, 22}, {1, 2}} {
+	for i, pair := range [][2]int64{{20, 22}, {1, 2}} {
 		results, err := client.Invoke("Add", giop.IntParam(pair[0]), giop.IntParam(pair[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if results[0].ValueString() != strconv.FormatInt(pair[0]+pair[1], 10) {
 			t.Fatalf("Add = %v", results)
+		}
+		// A traced Add flow is eight events — FlowStart, one per step of
+		// the six-transition automaton, FlowEnd — all published before the
+		// reply the client now holds.
+		if got, want := obs.Stats().Events, uint64(8*(i+1)); got != want {
+			t.Fatalf("%d trace events after %d Add flows, want %d", got, i+1, want)
 		}
 	}
 	client.Close()

@@ -16,38 +16,8 @@ import (
 	"starlink/internal/mdl/binenc"
 	"starlink/internal/message"
 	"starlink/internal/network"
+	"starlink/models"
 )
-
-// MDLDoc is the GIOP message-description document (Fig. 5, with the
-// cdrseq parameter encoding described in package binenc).
-const MDLDoc = `
-# GIOP 1.0 message formats
-<MDL:GIOP:binary>
-<Message:GIOPRequest>
-<Rule:Magic=GIOP>
-<Rule:MessageType=0>
-<Magic:32:string>
-<VersionMajor:8><VersionMinor:8><Flags:8><MessageType:8>
-<MessageSize:32>
-<RequestID:32><Response:8>
-<align:32>
-<ObjectKeyLength:32><ObjectKey:ObjectKeyLength>
-<OperationLength:32><Operation:OperationLength:string>
-<align:64>
-<ParameterArray:cdrseq>
-<End:Message>
-
-<Message:GIOPReply>
-<Rule:Magic=GIOP>
-<Rule:MessageType=1>
-<Magic:32:string>
-<VersionMajor:8><VersionMinor:8><Flags:8><MessageType:8>
-<MessageSize:32>
-<RequestID:32><ReplyStatus:32>
-<align:64>
-<ParameterArray:cdrseq>
-<End:Message>
-`
 
 // Reply status codes (subset of GIOP).
 const (
@@ -64,13 +34,19 @@ var (
 	ErrProtocol = errors.New("giop: protocol error")
 )
 
-// NewCodec returns the codec of the GIOP MDL document. The document is
-// parsed and compiled on the first call; the codec keeps no state between
-// messages, so every client, server and binder of the process shares it.
+// NewCodec returns the codec of the GIOP MDL document, models/giop.mdl
+// (Fig. 5, with the cdrseq parameter encoding described in package
+// binenc). The embedded file is parsed and compiled on the first call;
+// the codec keeps no state between messages, so every client, server and
+// binder of the process shares it.
 func NewCodec() (mdl.Codec, error) { return compiled() }
 
 var compiled = sync.OnceValues(func() (mdl.Codec, error) {
-	spec, err := mdl.ParseString(MDLDoc)
+	doc, err := models.FS.ReadFile("giop.mdl")
+	if err != nil {
+		return nil, fmt.Errorf("giop: %w", err)
+	}
+	spec, err := mdl.ParseString(string(doc))
 	if err != nil {
 		return nil, fmt.Errorf("giop: parse MDL: %w", err)
 	}
@@ -223,16 +199,7 @@ type Handler func(objectKey, operation string, params []*message.Field) ([]*mess
 
 // Server is a GIOP server: one handler dispatched for every request.
 // Close stops accepting and joins all connection goroutines.
-type Server struct {
-	listener network.Listener
-	codec    mdl.Codec
-	handler  Handler
-
-	mu     sync.Mutex
-	conns  map[network.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+type Server = network.Server
 
 // Serve binds addr and serves h in the background.
 func Serve(addr string, h Handler) (*Server, error) {
@@ -245,61 +212,25 @@ func Serve(addr string, h Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{listener: l, codec: codec, handler: h, conns: make(map[network.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return network.Serve(l, func(conn network.Conn) {
+		for {
+			data, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			wire, err := codec.Compose(handleRequest(codec, h, data))
+			if err != nil {
+				return
+			}
+			if err := conn.Send(wire); err != nil {
+				return
+			}
+		}
+	}), nil
 }
 
-// Addr returns the bound address.
-func (s *Server) Addr() string { return s.listener.Addr().String() }
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn network.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	for {
-		data, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		reply := s.handleRequest(data)
-		wire, err := s.codec.Compose(reply)
-		if err != nil {
-			return
-		}
-		if err := conn.Send(wire); err != nil {
-			return
-		}
-	}
-}
-
-func (s *Server) handleRequest(data []byte) *message.Message {
-	req, err := s.codec.Parse(data)
+func handleRequest(codec mdl.Codec, h Handler, data []byte) *message.Message {
+	req, err := codec.Parse(data)
 	if err != nil || req.Name != "GIOPRequest" {
 		return NewReply(0, StatusSystemException, []*message.Field{StringParam("malformed request")})
 	}
@@ -314,26 +245,9 @@ func (s *Server) handleRequest(data []byte) *message.Message {
 	if arr, err := req.Lookup("ParameterArray"); err == nil {
 		params = arr.Children
 	}
-	results, err := s.handler(key, op, params)
+	results, err := h(key, op, params)
 	if err != nil {
 		return NewReply(uint64(id), StatusSystemException, []*message.Field{StringParam(err.Error())})
 	}
 	return NewReply(uint64(id), StatusNoException, results)
-}
-
-// Close stops the server and waits for in-flight work.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	err := s.listener.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
 }

@@ -17,20 +17,14 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"starlink/internal/network"
 	"starlink/internal/protocol/bufpool"
 )
 
-// Errors reported by the HTTP substrate.
-var (
-	// ErrMalformed is wrapped by all parse failures.
-	ErrMalformed = errors.New("httpwire: malformed message")
-	// ErrServerClosed is returned by Serve after Close.
-	ErrServerClosed = errors.New("httpwire: server closed")
-)
+// ErrMalformed is wrapped by all parse failures.
+var ErrMalformed = errors.New("httpwire: malformed message")
 
 // Request is a parsed HTTP request.
 type Request struct {
@@ -297,15 +291,7 @@ type Handler func(*Request) *Response
 // Server is a minimal HTTP server over the network engine. Connections
 // are persistent (HTTP/1.1 keep-alive); Close stops accepting, closes
 // live connections and waits for all handler goroutines to exit.
-type Server struct {
-	listener network.Listener
-	handler  Handler
-
-	mu     sync.Mutex
-	conns  map[network.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+type Server = network.Server
 
 // Serve binds addr and starts serving h in the background.
 func Serve(addr string, h Handler) (*Server, error) {
@@ -314,43 +300,11 @@ func Serve(addr string, h Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{listener: l, handler: h, conns: make(map[network.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return network.Serve(l, func(conn network.Conn) { serveConn(conn, h) }), nil
 }
 
-// Addr returns the bound address ("host:port").
-func (s *Server) Addr() string { return s.listener.Addr().String() }
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn network.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+// serveConn answers the requests of one connection until it ends.
+func serveConn(conn network.Conn, h Handler) {
 	for {
 		data, err := conn.Recv()
 		if err != nil {
@@ -361,7 +315,7 @@ func (s *Server) serveConn(conn network.Conn) {
 		if err != nil {
 			resp = &Response{Status: 400, Body: []byte(err.Error())}
 		} else {
-			resp = s.handler(req)
+			resp = h(req)
 			if resp == nil {
 				resp = &Response{Status: 500, Body: []byte("handler returned no response")}
 			}
@@ -370,23 +324,6 @@ func (s *Server) serveConn(conn network.Conn) {
 			return
 		}
 	}
-}
-
-// Close stops the server and waits for in-flight handlers.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
-	}
-	s.closed = true
-	err := s.listener.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
 }
 
 // Client issues requests over a persistent connection, reconnecting on

@@ -1,6 +1,7 @@
 package starlink_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strconv"
@@ -8,8 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"starlink/internal/automata"
+	"starlink/internal/backend"
 	"starlink/internal/bind"
 	"starlink/internal/casestudy"
+	"starlink/internal/core"
+	"starlink/internal/engine"
+	"starlink/internal/mdl"
+	"starlink/internal/observe"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/soap"
 	modelfiles "starlink/models"
@@ -24,14 +31,14 @@ func TestPublicMergeAndTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Strength != starlink.StronglyMerged {
+	if merged.Strength != automata.StronglyMerged {
 		t.Errorf("strength = %v", merged.Strength)
 	}
 	data, err := merged.EncodeXML()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := starlink.ParseMerged(string(data))
+	back, err := automata.UnmarshalMerged(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +48,7 @@ func TestPublicMergeAndTypes(t *testing.T) {
 }
 
 func TestPublicParsers(t *testing.T) {
-	if _, err := starlink.ParseMDL(casestudy.GIOPMDLDoc); err != nil {
+	if _, err := mdl.ParseString(casestudy.GIOPMDLDoc); err != nil {
 		t.Errorf("ParseMDL: %v", err)
 	}
 	if _, err := starlink.ParseMTL(`a.Msg.x = 1`); err != nil {
@@ -55,7 +62,7 @@ func TestPublicParsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := starlink.ParseAutomaton(string(doc))
+	a, err := automata.ParseAutomaton(string(doc))
 	if err != nil || a.Name != "AFlickr" {
 		t.Errorf("ParseAutomaton: %v, %v", err, a)
 	}
@@ -80,7 +87,7 @@ func TestPublicLoadModels(t *testing.T) {
 }
 
 func TestPublicActionsRender(t *testing.T) {
-	if starlink.Send.String() != "!" || starlink.Receive.String() != "?" {
+	if automata.Send.String() != "!" || automata.Receive.String() != "?" {
 		t.Error("action notation")
 	}
 	m, err := starlink.Merge(casestudy.FlickrUsage(), casestudy.PicasaUsage(), starlink.MergeOptions{
@@ -95,11 +102,11 @@ func TestPublicActionsRender(t *testing.T) {
 }
 
 func TestPublicModelParsers(t *testing.T) {
-	eq, err := starlink.ParseEquivalence("a = b\n")
+	eq, err := core.ParseEquivalence("a = b\n")
 	if err != nil || !eq.Equivalent("a", "b") {
 		t.Errorf("ParseEquivalence: %v", err)
 	}
-	tm, err := starlink.ParseTypeMap("jpeg = image/jpeg\n")
+	tm, err := core.ParseTypeMap("jpeg = image/jpeg\n")
 	if err != nil || tm["jpeg"] != "image/jpeg" {
 		t.Errorf("ParseTypeMap: %v, %v", err, tm)
 	}
@@ -114,11 +121,11 @@ func TestPublicModelParsers(t *testing.T) {
 	}
 }
 
-// TestPublicLifecycleAndMetrics exercises the redesigned lifecycle API
-// through the facade: sentinel-free retry policy, pool knobs, graceful
-// Shutdown, and the Snapshot metrics view.
+// TestPublicLifecycleAndMetrics exercises the lifecycle API through the
+// facade: sentinel-free retry policy, pool knobs, graceful Shutdown, and
+// the Snapshot metrics view.
 func TestPublicLifecycleAndMetrics(t *testing.T) {
-	models := starlink.NewModels()
+	models := core.NewModels()
 	models.Automata["AAdd"] = casestudy.AddUsage()
 	models.Automata["APlus"] = casestudy.PlusUsage()
 	models.Equivalences["add-plus"] = casestudy.AddPlusEquivalence()
@@ -134,9 +141,9 @@ func TestPublicLifecycleAndMetrics(t *testing.T) {
 			1: {Binder: giopBinder},
 			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: "127.0.0.1:1"},
 		},
-		Retry:    &starlink.RetryPolicy{Attempts: 1, Backoff: time.Millisecond},
+		Retry:    &engine.RetryPolicy{Attempts: 1, Backoff: time.Millisecond},
 		PoolSize: 2,
-		PoolIdle: starlink.DefaultPoolIdle,
+		PoolIdle: engine.DefaultPoolIdle,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +162,10 @@ func TestPublicLifecycleAndMetrics(t *testing.T) {
 	}
 }
 
-// TestPublicObservability smoke-tests the observability surface through
-// the facade: Instrument, metrics registry, flight recorder and admin
-// endpoint, with the declarative "admin" directive alongside.
+// TestPublicObservability smoke-tests the observability surface around a
+// facade-built mediator: Instrument on its EngineConfig, metrics registry,
+// flight recorder and admin endpoint, with the declarative "admin"
+// directive alongside.
 func TestPublicObservability(t *testing.T) {
 	merged, err := starlink.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), starlink.MergeOptions{
 		Name:  "Add+Plus",
@@ -177,19 +185,19 @@ func TestPublicObservability(t *testing.T) {
 			2: {Binder: &bind.SOAPBinder{Path: "/soap"}, Target: "127.0.0.1:1"},
 		},
 	}
-	var obs *starlink.Observer = starlink.Instrument(&cfg, starlink.ObserveOptions{})
+	var obs *starlink.Observer = observe.Instrument(&cfg, observe.Options{})
 	sink := cfg.Trace // Instrument made the Observer the engine's one sink
-	sink(starlink.TraceEvent{Session: 1, Kind: starlink.TraceFlowStart, Time: time.Now()})
-	sink(starlink.TraceEvent{Session: 1, Kind: starlink.TraceFlowEnd, Time: time.Now()})
-	var flows []*starlink.FlowTrace = obs.Flows()
+	sink(engine.TraceEvent{Session: 1, Kind: engine.TraceFlowStart, Time: time.Now()})
+	sink(engine.TraceEvent{Session: 1, Kind: engine.TraceFlowEnd, Time: time.Now()})
+	var flows []*observe.FlowTrace = obs.Flows()
 	if len(flows) != 1 {
 		t.Fatalf("flows = %d", len(flows))
 	}
-	var root *starlink.Span = flows[0].Root
+	var root *observe.Span = flows[0].Root
 	if root == nil || root.Kind != "flow" {
 		t.Errorf("root span = %+v", root)
 	}
-	var rec *starlink.Recorder = obs.Recorder()
+	var rec *observe.Recorder = obs.Recorder()
 	if rec.Len() != 0 {
 		t.Errorf("recorder len = %d", rec.Len())
 	}
@@ -202,7 +210,7 @@ func TestPublicObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer med.Close()
-	var reg *starlink.Registry = starlink.MediatorRegistry(med, obs)
+	var reg *observe.Registry = observe.MediatorRegistry(med, obs)
 	var b strings.Builder
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -210,7 +218,7 @@ func TestPublicObservability(t *testing.T) {
 	if !strings.Contains(b.String(), "starlink_sessions_total 0") {
 		t.Errorf("registry output:\n%s", b.String())
 	}
-	admin, err := starlink.ServeAdmin("127.0.0.1:0", starlink.AdminConfig{
+	admin, err := observe.ServeAdmin("127.0.0.1:0", observe.AdminConfig{
 		Registry: reg, Observer: obs, Mediator: med,
 	})
 	if err != nil {
@@ -265,7 +273,7 @@ cache_shards 16
 		"undeclared target": "merged x\nside 1 xmlrpc server\ninvalidates w missing.op",
 		"bad size":          "merged x\nside 1 xmlrpc server\ncache_size -3",
 	} {
-		if _, err := starlink.ParseMediatorSpec(doc); !errors.Is(err, starlink.ErrSpec) {
+		if _, err := starlink.ParseMediatorSpec(doc); !errors.Is(err, core.ErrSpec) {
 			t.Errorf("%s: err = %v, want ErrSpec", name, err)
 		}
 	}
@@ -276,14 +284,14 @@ cache_shards 16
 // matchable through the wrapper.
 func TestPublicSpecError(t *testing.T) {
 	_, err := starlink.ParseMediatorSpec("merged x\nside 1 xmlrpc server\nbogus y\n")
-	var se *starlink.SpecError
+	var se *core.SpecError
 	if !errors.As(err, &se) {
 		t.Fatalf("not a SpecError: %v", err)
 	}
 	if se.Line != 3 || se.Directive != "bogus" || se.Msg != "unknown directive" {
 		t.Errorf("SpecError = %+v", se)
 	}
-	if !errors.Is(err, starlink.ErrSpec) {
+	if !errors.Is(err, core.ErrSpec) {
 		t.Errorf("mediator spec error does not match ErrSpec: %v", err)
 	}
 
@@ -295,7 +303,7 @@ func TestPublicSpecError(t *testing.T) {
 	if se.Directive != "default" {
 		t.Errorf("gateway SpecError = %+v", se)
 	}
-	if !errors.Is(err, starlink.ErrGateway) || !errors.Is(err, starlink.ErrSpec) {
+	if !errors.Is(err, core.ErrGateway) || !errors.Is(err, core.ErrSpec) {
 		t.Errorf("gateway spec error sentinels: %v", err)
 	}
 
@@ -326,7 +334,7 @@ func TestPublicDeployFacade(t *testing.T) {
 	}
 	defer srv.Close()
 
-	models := starlink.NewModels()
+	models := core.NewModels()
 	models.Automata["AAdd"] = casestudy.AddUsage()
 	models.Automata["APlus"] = casestudy.PlusUsage()
 	models.Equivalences["add-plus"] = casestudy.AddPlusEquivalence()
@@ -385,7 +393,7 @@ cacheable Plus ttl=1m
 		t.Errorf("Shutdown = %v", err)
 	}
 
-	if _, err := starlink.Deploy("nope", models, starlink.DeployOptions{}); !errors.Is(err, starlink.ErrSpec) {
+	if _, err := starlink.Deploy("nope", models, starlink.DeployOptions{}); !errors.Is(err, core.ErrSpec) {
 		t.Errorf("unknown spec err = %v, want ErrSpec", err)
 	}
 }
@@ -394,7 +402,7 @@ cacheable Plus ttl=1m
 // through the facade end to end: a two-replica set declared in the
 // spec is deployed with starlink.Deploy, churning sessions spread
 // across both replicas, and the health view is reachable through the
-// re-exported snapshot types.
+// deployment's mediator.
 func TestPublicBackendDirectives(t *testing.T) {
 	newPlus := func() (*soap.Server, error) {
 		return soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
@@ -416,7 +424,7 @@ func TestPublicBackendDirectives(t *testing.T) {
 	}
 	defer b.Close()
 
-	models := starlink.NewModels()
+	models := core.NewModels()
 	models.Automata["AAdd"] = casestudy.AddUsage()
 	models.Automata["APlus"] = casestudy.PlusUsage()
 	models.Equivalences["add-plus"] = casestudy.AddPlusEquivalence()
@@ -464,12 +472,12 @@ eject plus fails=2 cooloff=500ms min_live=1
 	if !ok {
 		t.Fatalf("deployment type = %T", dep)
 	}
-	var snaps []starlink.BackendSetSnapshot = md.Mediator.Backends()
+	var snaps []backend.SetSnapshot = md.Mediator.Backends()
 	if len(snaps) != 1 || snaps[0].Name != "plus" || len(snaps[0].Replicas) != 2 {
 		t.Fatalf("Backends() = %+v", snaps)
 	}
 	for _, rs := range snaps[0].Replicas {
-		var _ starlink.BackendReplicaSnapshot = rs
+		var _ backend.ReplicaSnapshot = rs
 		if !rs.Live || rs.Picks != 1 {
 			t.Errorf("replica %s: live=%v picks=%d, want one session each", rs.Addr, rs.Live, rs.Picks)
 		}
@@ -482,7 +490,7 @@ side 1 giop objectkey=calc defs=AAdd server
 side 2 soap path=/soap target=plus
 backend plus ` + a.Addr() + ` ` + a.Addr() + `
 `)
-	if err == nil || !errors.Is(err, starlink.ErrSpec) {
+	if err == nil || !errors.Is(err, core.ErrSpec) {
 		t.Errorf("duplicate replica parse err = %v (%+v), want ErrSpec", err, bad)
 	}
 }
