@@ -61,7 +61,10 @@ race-alloc:
 # *Env outside the tests of internal/mtl, where the reference interpreter
 # lives), and a facade that exports what programs use (every func, const and
 # var of package starlink is named under cmd/, examples/ or bench/, or
-# documented by starlink/example_test.go).
+# documented by starlink/example_test.go). One more of that kind: a
+# connection's read buffer comes from the pool internal/network keeps, and
+# goes back when the connection closes, so nothing outside it makes a
+# bufio.Reader of its own.
 # Last, the shipped tools accept the shipped models: every file under
 # models/ is the source of a mediator, written by hand, so each XML and MDL
 # file passes its tool's `check`, the directory lists, and the one derived
@@ -97,6 +100,8 @@ check: test
 		echo 'check: the files above read a spec value outside internal/core/spec.go; a directive is a row of mediatorDirectives or gatewayDirectives there, an option an entry of its list, and count, duration and their like read the words (DESIGN.md §3, "From a spec to a mediator")'; exit 1; fi
 	@if git grep -n '\.Accept()' -- internal cmd examples ':!*_test.go' ':!internal/network'; then \
 		echo 'check: the files above run an accept loop of their own; hand the listener to network.Serve, or Accept to network.AcceptLoop, which survive EMFILE and ECONNABORTED (internal/network/accept.go)'; exit 1; fi
+	@if git grep -nE 'bufio\.NewReader(Size)?\(' -- internal cmd examples starlink ':!*_test.go' ':!internal/network'; then \
+		echo 'check: the files above make a read buffer of their own; a stream connection takes one from the pool in internal/network (network.NewStreamConn, network.NewPeekConn) and returns it on Close (DESIGN.md §9)'; exit 1; fi
 	@if git grep -nE '\) (exec|eval)\((env )?\*Env' -- internal/mtl ':!*_test.go'; then \
 		echo 'check: the lines above execute MTL over an *Env outside the tests; compiled forms take a *cframe (compile.go), and the reference interpreter belongs in internal/mtl/oracle_test.go'; exit 1; fi
 	@bad=0; \

@@ -36,7 +36,7 @@ func TestRESTParseReplyAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packet := (&httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "application/atom+xml"}, Body: body}).Marshal()
+	packet := (&httpwire.Response{Status: 200, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}).Marshal()
 	b := newRESTBinder(t)
 	allocs := testing.AllocsPerRun(100, func() {
 		abs, err := b.ParseReply(casestudy.PicasaSearch, packet)
@@ -103,7 +103,7 @@ func TestAddFlowAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := (&httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "text/xml; charset=utf-8"}, Body: body}).Marshal()
+	reply := (&httpwire.Response{Status: 200, Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}}, Body: body}).Marshal()
 	plus := message.New("Plus", message.NewInt64("x", 20), message.NewInt64("y", 22))
 	sum := message.New("Add.reply", message.NewInt64("z", 42), message.NewUint64("_giop_request_id", 7))
 

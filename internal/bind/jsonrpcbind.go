@@ -78,7 +78,7 @@ func (b *JSONRPCBinder) BuildRequest(action string, abs *message.Message) ([]byt
 	req := &httpwire.Request{
 		Method:  "POST",
 		Target:  b.Path,
-		Headers: map[string]string{"Content-Type": "application/json"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    body,
 	}
 	return req.Marshal(), nil
@@ -128,7 +128,7 @@ func (b *JSONRPCBinder) BuildReply(action string, abs *message.Message) ([]byte,
 	}
 	resp := &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "application/json"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    body,
 	}
 	return resp.Marshal(), nil
@@ -142,7 +142,7 @@ func (b *JSONRPCBinder) BuildErrorReply(action string, req *message.Message, err
 	}
 	resp := &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "application/json"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    body,
 	}
 	return resp.Marshal(), nil

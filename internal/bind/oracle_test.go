@@ -81,7 +81,7 @@ func oracleReply(abs *message.Message) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "text/xml"}, Body: body}
+	resp := &httpwire.Response{Status: 200, Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}}, Body: body}
 	return resp.Marshal(), nil
 }
 
@@ -94,7 +94,7 @@ func oracleRequest(path, action string, abs *message.Message) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &httpwire.Request{Method: "POST", Target: path, Headers: map[string]string{"Content-Type": "text/xml"}, Body: body}
+	req := &httpwire.Request{Method: "POST", Target: path, Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}}, Body: body}
 	return req.Marshal(), nil
 }
 

@@ -56,9 +56,9 @@ func (b *SOAPBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 	req := &httpwire.Request{
 		Method: "POST",
 		Target: b.Path,
-		Headers: map[string]string{
-			"Content-Type": "text/xml; charset=utf-8",
-			"SOAPAction":   `"` + action + `"`,
+		Headers: httpwire.Headers{
+			{Name: "Content-Type", Value: "text/xml; charset=utf-8"},
+			{Name: "SOAPAction", Value: `"` + action + `"`},
 		},
 		Body: body,
 	}
@@ -90,7 +90,7 @@ func (b *SOAPBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 	}
 	resp := &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/xml; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}},
 		Body:    body,
 	}
 	return resp.Marshal(), nil
@@ -104,7 +104,7 @@ func (b *SOAPBinder) BuildErrorReply(action string, _ *message.Message, errMsg s
 	}
 	resp := &httpwire.Response{
 		Status:  500,
-		Headers: map[string]string{"Content-Type": "text/xml; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}},
 		Body:    body,
 	}
 	return resp.Marshal(), nil

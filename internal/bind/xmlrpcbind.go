@@ -78,7 +78,7 @@ func (b *XMLRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte
 	req := &httpwire.Request{
 		Method:  "POST",
 		Target:  b.Path,
-		Headers: map[string]string{"Content-Type": "text/xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    *buf,
 	}
 	return req.Marshal(), nil
@@ -120,7 +120,7 @@ func (b *XMLRPCBinder) BuildReply(action string, abs *message.Message) ([]byte, 
 	}
 	resp := &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    *buf,
 	}
 	return resp.Marshal(), nil
@@ -134,7 +134,7 @@ func (b *XMLRPCBinder) BuildErrorReply(action string, _ *message.Message, errMsg
 	}
 	resp := &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    body,
 	}
 	return resp.Marshal(), nil

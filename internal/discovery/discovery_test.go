@@ -305,6 +305,44 @@ func TestSSDPSourceNotify(t *testing.T) {
 	}
 }
 
+// TestSSDPSourceNotifyMixedCase: a device that spells its NOTIFY fields
+// "Nt:", "Location:" and the like is heard like one that writes capitals
+// (RFC 7230 §3.2: field names are case-insensitive).
+func TestSSDPSourceNotifyMixedCase(t *testing.T) {
+	src, err := NewSSDPSource("127.0.0.1:1", "urn:starlink:plus", SSDPOptions{MX: 1, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	var eng network.Engine
+	conn, err := eng.Dial(network.Semantics{Transport: "udp"}, src.ListenAddr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	datagram := "NOTIFY * HTTP/1.1\r\n" +
+		"Nt: urn:starlink:plus\r\n" +
+		"nts: ssdp:alive\r\n" +
+		"Usn: uuid:plus-3\r\n" +
+		"Location: http://127.0.0.1:9003/desc.xml\r\n" +
+		"Cache-Control: max-age=60\r\n\r\n"
+	if err := conn.Send([]byte(datagram)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-src.Updates():
+	case <-time.After(2 * time.Second):
+		t.Fatal("a mixed-case NOTIFY alive was ignored")
+	}
+	eps, err := src.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eps) != 1 || eps[0].Addr != "127.0.0.1:9003" || eps[0].TTL <= 0 || eps[0].TTL > time.Minute {
+		t.Fatalf("endpoints after a mixed-case alive = %+v", eps)
+	}
+}
+
 // --- reconciler ---
 
 // fakeSource is a scripted source: tests set its next result and step

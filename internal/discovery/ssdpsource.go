@@ -153,18 +153,18 @@ func (s *SSDPSource) listen() {
 		if err != nil || req.Method != "NOTIFY" {
 			continue
 		}
-		nt := req.Headers["NT"]
-		usn := req.Headers["USN"]
+		nt := req.Headers.Get("NT")
+		usn := req.Headers.Get("USN")
 		if usn == "" || (nt != s.st && nt != "ssdp:all") {
 			continue
 		}
-		switch req.Headers["NTS"] {
+		switch req.Headers.Get("NTS") {
 		case "ssdp:alive":
-			addr, err := HostPort(req.Headers["LOCATION"])
+			addr, err := HostPort(req.Headers.Get("LOCATION"))
 			if err != nil {
 				continue
 			}
-			exp := time.Now().Add(notifyMaxAge(req.Headers["CACHE-CONTROL"]))
+			exp := time.Now().Add(notifyMaxAge(req.Headers.Get("CACHE-CONTROL")))
 			s.mu.Lock()
 			s.known[usn] = ssdpEntry{addr: addr, expires: exp}
 			s.mu.Unlock()

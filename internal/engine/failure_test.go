@@ -319,7 +319,7 @@ func TestDeepReplyFaultsOneFlowOnly(t *testing.T) {
 			// The root has to be a feed for the decoder to read on.
 			body = append([]byte("<feed>"), bytes.Repeat([]byte("<entry>"), 2<<20)...)
 		}
-		return &httpwire.Response{Status: 200, Headers: map[string]string{"Content-Type": "application/atom+xml"}, Body: body}
+		return &httpwire.Response{Status: 200, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -299,7 +299,8 @@ func (g *Gateway) handle(c net.Conn) {
 	g.sniffed[s.Class].Add(1)
 	rt := g.routeFor(s)
 	if !g.doneSniffing(c) {
-		return // gateway closed mid-sniff; the conn is already closed
+		pc.Close() // gateway closed the conn mid-sniff; this returns the buffer
+		return
 	}
 	if rt == nil {
 		g.unrouted.Add(1)
@@ -350,9 +351,9 @@ func (g *Gateway) reject(pc *network.PeekConn, s Sniff) {
 		resp := &httpwire.Response{
 			Status: 503,
 			Reason: "Service Unavailable",
-			Headers: map[string]string{
-				"Retry-After": "1",
-				"Connection":  "close",
+			Headers: httpwire.Headers{
+				{Name: "Connection", Value: "close"},
+				{Name: "Retry-After", Value: "1"},
 			},
 			Body: []byte("gateway: over capacity\n"),
 		}

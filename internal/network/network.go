@@ -199,30 +199,83 @@ func (GIOPFramer) WriteMessage(w io.Writer, data []byte) error {
 
 // ---- stream connections ----
 
+// readers holds the read buffers of stream connections. A connection
+// takes one on its first Recv (a PeekConn when it is made) and puts it
+// back when it is closed, so a connection that lives for one exchange
+// costs no buffer of its own. The buffer stays attached between messages:
+// a persistent session pays no pool round trip per message.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, PeekSize) }}
+
+func getReader(c net.Conn) *bufio.Reader {
+	r := readers.Get().(*bufio.Reader)
+	r.Reset(c)
+	return r
+}
+
+// putReader drops what r holds unread, and its connection, before
+// pooling it: the next connection starts with an empty buffer.
+func putReader(r *bufio.Reader) {
+	r.Reset(nil)
+	readers.Put(r)
+}
+
+// Who holds a stream connection's reader. Recv moves idle → reading →
+// idle; Close moves either to closed. The reader goes back to the pool
+// once, by whichever of the two ends last: Close from idle, or the Recv
+// that Close interrupted — never while a framer is reading from it.
+const (
+	connIdle int32 = iota
+	connReading
+	connClosed
+)
+
 type streamConn struct {
 	c      net.Conn
-	r      *bufio.Reader
 	framer Framer
+	state  atomic.Int32
+	r      *bufio.Reader // nil until the first Recv; see connIdle
 }
 
 var _ Conn = (*streamConn)(nil)
 
 // NewStreamConn wraps a net.Conn with a framer.
 func NewStreamConn(c net.Conn, framer Framer) Conn {
-	return &streamConn{c: c, r: bufio.NewReader(c), framer: framer}
+	return &streamConn{c: c, framer: framer}
 }
 
 func (s *streamConn) Send(data []byte) error {
 	return s.framer.WriteMessage(s.c, data)
 }
 
+// Recv reads one message. Like Send it is for one goroutine at a time;
+// Close may run beside it.
 func (s *streamConn) Recv() ([]byte, error) {
-	return s.framer.ReadMessage(s.r)
+	if !s.state.CompareAndSwap(connIdle, connReading) {
+		return nil, ErrClosed
+	}
+	if s.r == nil {
+		s.r = getReader(s.c)
+	}
+	data, err := s.framer.ReadMessage(s.r)
+	if !s.state.CompareAndSwap(connReading, connIdle) {
+		// Closed while reading: the reader was left to this Recv. What it
+		// returns is the framer's own copy, so the reader can go.
+		putReader(s.r)
+		s.r = nil
+	}
+	return data, err
 }
 
 func (s *streamConn) SetDeadline(t time.Time) error { return s.c.SetDeadline(t) }
 func (s *streamConn) RemoteAddr() net.Addr          { return s.c.RemoteAddr() }
-func (s *streamConn) Close() error                  { return s.c.Close() }
+
+func (s *streamConn) Close() error {
+	if s.state.Swap(connClosed) == connIdle && s.r != nil {
+		putReader(s.r)
+		s.r = nil
+	}
+	return s.c.Close()
+}
 
 type streamListener struct {
 	l      net.Listener

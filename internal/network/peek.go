@@ -23,9 +23,10 @@ type PeekConn struct {
 // begins and Peek returns at once with what has arrived.
 const PeekSize = 4096
 
-// NewPeekConn wraps c for sniffing.
+// NewPeekConn wraps c for sniffing, with a read buffer from the pool the
+// stream connections share; Framed hands it on, Close gives it back.
 func NewPeekConn(c net.Conn) *PeekConn {
-	return &PeekConn{c: c, r: bufio.NewReaderSize(c, PeekSize)}
+	return &PeekConn{c: c, r: getReader(c)}
 }
 
 // Peek returns up to n of the connection's next bytes without consuming
@@ -61,9 +62,18 @@ func (p *PeekConn) RemoteAddr() net.Addr { return p.c.RemoteAddr() }
 // prefix read during sniffing is consumed first, so no bytes are lost.
 // The PeekConn must not be used afterwards.
 func (p *PeekConn) Framed(framer Framer) Conn {
-	return &streamConn{c: p.c, r: p.r, framer: framer}
+	r := p.r
+	p.r = nil
+	return &streamConn{c: p.c, r: r, framer: framer}
 }
 
 // Close releases the underlying connection without framing it (a
-// sniff miss or a shed connection).
-func (p *PeekConn) Close() error { return p.c.Close() }
+// sniff miss or a shed connection) and returns its read buffer. Like
+// Peek it is for the one goroutine that sniffs.
+func (p *PeekConn) Close() error {
+	if p.r != nil {
+		putReader(p.r)
+		p.r = nil
+	}
+	return p.c.Close()
+}

@@ -109,7 +109,7 @@ func (a *Admin) metrics() *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/plain; version=0.0.4; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/plain; version=0.0.4; charset=utf-8"}},
 		Body:    []byte(b.String()),
 	}
 }
@@ -144,7 +144,7 @@ func (a *Admin) automatonDOT() *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/vnd.graphviz; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/vnd.graphviz; charset=utf-8"}},
 		Body:    []byte(dot),
 	}
 }
@@ -178,7 +178,7 @@ func jsonResponse(v any) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "application/json; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json; charset=utf-8"}},
 		Body:    append(data, '\n'),
 	}
 }

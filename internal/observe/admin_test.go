@@ -155,7 +155,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		if resp.Status != 200 {
 			t.Fatalf("status = %d", resp.Status)
 		}
-		if ct := resp.Headers["Content-Type"]; !strings.Contains(ct, "version=0.0.4") {
+		if ct := resp.Headers.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 			t.Errorf("Content-Type = %q", ct)
 		}
 		out := string(resp.Body)

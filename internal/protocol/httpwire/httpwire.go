@@ -14,7 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -26,6 +26,27 @@ import (
 // ErrMalformed is wrapped by all parse failures.
 var ErrMalformed = errors.New("httpwire: malformed message")
 
+// Header is one header field.
+type Header struct {
+	Name, Value string
+}
+
+// Headers are a message's header fields in the order they go on the
+// wire. A parsed message keeps every field, duplicates included; Get
+// finds the first.
+type Headers []Header
+
+// Get returns the value of the first field called name, compared without
+// regard to case (RFC 7230 §3.2), or "" when there is none.
+func (h Headers) Get(name string) string {
+	for _, f := range h {
+		if strings.EqualFold(f.Name, name) {
+			return f.Value
+		}
+	}
+	return ""
+}
+
 // Request is a parsed HTTP request.
 type Request struct {
 	// Method is the verb ("GET", "POST", ...).
@@ -34,8 +55,8 @@ type Request struct {
 	Target string
 	// Proto is the protocol version ("HTTP/1.1").
 	Proto string
-	// Headers holds the header fields (first value wins on duplicates).
-	Headers map[string]string
+	// Headers holds the header fields.
+	Headers Headers
 	// Body is the message body. In a parsed request it aliases the packet
 	// it was parsed from and is read-only.
 	Body []byte
@@ -49,34 +70,34 @@ func (r *Request) Path() string {
 	return r.Target
 }
 
-// Query returns the decoded query parameters.
-func (r *Request) Query() map[string][]string {
-	out := map[string][]string{}
-	i := strings.IndexByte(r.Target, '?')
-	if i < 0 {
-		return out
+// QueryValue returns the decoded value of the first query parameter
+// called key, "" when there is none. It scans the target in place and
+// decodes only the value it returns.
+func (r *Request) QueryValue(key string) string {
+	_, q, ok := strings.Cut(r.Target, "?")
+	if !ok {
+		return ""
 	}
-	for _, kv := range strings.Split(r.Target[i+1:], "&") {
+	for q != "" {
+		var kv string
+		kv, q, _ = strings.Cut(q, "&")
 		if kv == "" {
 			continue
 		}
 		k, v, _ := strings.Cut(kv, "=")
-		k = unescape(k)
-		out[k] = append(out[k], unescape(v))
+		if unescape(k) == key {
+			return unescape(v)
+		}
 	}
-	return out
+	return ""
 }
 
-// QueryValue returns the first value of a query parameter.
-func (r *Request) QueryValue(key string) string {
-	vs := r.Query()[key]
-	if len(vs) == 0 {
-		return ""
-	}
-	return vs[0]
-}
-
+// unescape decodes a query component: "+" is a space and "%xx" a byte. A
+// component with neither is returned as it is, without a copy.
 func unescape(s string) string {
+	if strings.IndexAny(s, "+%") < 0 {
+		return s
+	}
 	s = strings.ReplaceAll(s, "+", " ")
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
@@ -101,7 +122,7 @@ type Response struct {
 	// Reason is the status text.
 	Reason string
 	// Headers holds the header fields.
-	Headers map[string]string
+	Headers Headers
 	// Body is the message body. In a parsed response it aliases the packet
 	// it was parsed from and is read-only.
 	Body []byte
@@ -153,19 +174,16 @@ func (r *Response) Marshal() []byte {
 	return bufpool.Bytes(b)
 }
 
-func writeHeaders(b *bytes.Buffer, headers map[string]string, bodyLen int) {
-	keys := make([]string, 0, len(headers))
-	for k := range headers {
-		if strings.EqualFold(k, "Content-Length") {
+// writeHeaders writes the fields in the caller's order, then the
+// Content-Length the body has, in place of any the caller gave.
+func writeHeaders(b *bytes.Buffer, headers Headers, bodyLen int) {
+	for _, h := range headers {
+		if strings.EqualFold(h.Name, "Content-Length") {
 			continue
 		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
+		b.WriteString(h.Name)
 		b.WriteString(": ")
-		b.WriteString(headers[k])
+		b.WriteString(h.Value)
 		b.WriteString("\r\n")
 	}
 	b.WriteString("Content-Length: ")
@@ -262,9 +280,10 @@ func splitHead(data []byte) (head string, body []byte) {
 	return string(data), nil
 }
 
-// parseHeaders reads the header lines up to the blank line that ends s.
-func parseHeaders(s string) (map[string]string, error) {
-	headers := map[string]string{}
+// parseHeaders reads the header lines up to the blank line that ends s
+// into one slice of their number.
+func parseHeaders(s string) (Headers, error) {
+	headers := make(Headers, 0, max(strings.Count(s, "\r\n")-1, 0))
 	for {
 		line, rest, found := strings.Cut(s, "\r\n")
 		if !found {
@@ -278,10 +297,7 @@ func parseHeaders(s string) (map[string]string, error) {
 		if !found {
 			return nil, fmt.Errorf("%w: header line %q", ErrMalformed, line)
 		}
-		k = strings.TrimSpace(k)
-		if _, dup := headers[k]; !dup {
-			headers[k] = strings.TrimSpace(v)
-		}
+		headers = append(headers, Header{strings.TrimSpace(k), strings.TrimSpace(v)})
 	}
 }
 
@@ -344,11 +360,14 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	if req.Headers == nil {
-		req.Headers = map[string]string{}
-	}
-	if _, ok := req.Headers["Host"]; !ok {
-		req.Headers["Host"] = c.Addr
+	if req.Headers.Get("Host") == "" {
+		// Where sorting the names put it before: the bytes on the wire
+		// did not change when Headers stopped being a map.
+		i := 0
+		for i < len(req.Headers) && req.Headers[i].Name < "Host" {
+			i++
+		}
+		req.Headers = slices.Insert(req.Headers, i, Header{"Host", c.Addr})
 	}
 	for attempt := 0; ; attempt++ {
 		if c.conn == nil {
@@ -403,7 +422,7 @@ func (c *Client) Get(target string) (*Response, error) {
 func (c *Client) Post(target, contentType string, body []byte) (*Response, error) {
 	return c.Do(&Request{
 		Method: "POST", Target: target,
-		Headers: map[string]string{"Content-Type": contentType},
+		Headers: Headers{{"Content-Type", contentType}},
 		Body:    body,
 	})
 }

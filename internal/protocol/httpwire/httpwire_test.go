@@ -12,9 +12,9 @@ func TestRequestMarshalParseRoundTrip(t *testing.T) {
 	req := &Request{
 		Method: "POST",
 		Target: "/services/xmlrpc?a=1&b=two+words&c=%26",
-		Headers: map[string]string{
-			"Host":         "flickr.example",
-			"Content-Type": "text/xml",
+		Headers: Headers{
+			{"Content-Type", "text/xml"},
+			{"Host", "flickr.example"},
 		},
 		Body: []byte("<methodCall/>"),
 	}
@@ -25,11 +25,11 @@ func TestRequestMarshalParseRoundTrip(t *testing.T) {
 	if back.Method != "POST" || back.Target != req.Target || back.Proto != "HTTP/1.1" {
 		t.Errorf("request line: %+v", back)
 	}
-	if back.Headers["Content-Type"] != "text/xml" {
+	if back.Headers.Get("Content-Type") != "text/xml" {
 		t.Errorf("headers: %v", back.Headers)
 	}
-	if back.Headers["Content-Length"] != "13" {
-		t.Errorf("content length: %v", back.Headers["Content-Length"])
+	if back.Headers.Get("Content-Length") != "13" {
+		t.Errorf("content length: %v", back.Headers.Get("Content-Length"))
 	}
 	if string(back.Body) != "<methodCall/>" {
 		t.Errorf("body: %q", back.Body)
@@ -37,19 +37,17 @@ func TestRequestMarshalParseRoundTrip(t *testing.T) {
 	if back.Path() != "/services/xmlrpc" {
 		t.Errorf("path: %q", back.Path())
 	}
-	q := back.Query()
-	if q["a"][0] != "1" || q["b"][0] != "two words" || q["c"][0] != "&" {
-		t.Errorf("query: %v", q)
-	}
-	if back.QueryValue("a") != "1" || back.QueryValue("zz") != "" {
-		t.Error("QueryValue")
+	for k, want := range map[string]string{"a": "1", "b": "two words", "c": "&", "zz": ""} {
+		if got := back.QueryValue(k); got != want {
+			t.Errorf("QueryValue(%q) = %q, want %q", k, got, want)
+		}
 	}
 }
 
 func TestResponseMarshalParseRoundTrip(t *testing.T) {
 	resp := &Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "application/atom+xml"},
+		Headers: Headers{{"Content-Type", "application/atom+xml"}},
 		Body:    []byte("<feed/>"),
 	}
 	back, err := ParseResponse(resp.Marshal())
@@ -110,8 +108,42 @@ func TestDuplicateHeaderFirstWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Headers["X-A"] != "first" {
-		t.Errorf("X-A = %q", req.Headers["X-A"])
+	if req.Headers.Get("X-A") != "first" {
+		t.Errorf("X-A = %q", req.Headers.Get("X-A"))
+	}
+	if len(req.Headers) != 2 {
+		t.Errorf("headers = %v, want both fields kept in wire order", req.Headers)
+	}
+}
+
+// TestHeaderNamesIgnoreCase: a field name is matched without regard to
+// case (RFC 7230 §3.2), whichever way the sender spelled it.
+func TestHeaderNamesIgnoreCase(t *testing.T) {
+	resp, err := ParseResponse([]byte("HTTP/1.1 200 OK\r\ncontent-TYPE: text/xml\r\nLocation: http://x\r\n\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Content-Type", "content-type", "CONTENT-TYPE"} {
+		if got := resp.Headers.Get(name); got != "text/xml" {
+			t.Errorf("Get(%q) = %q", name, got)
+		}
+	}
+	if got := resp.Headers.Get("LOCATION"); got != "http://x" {
+		t.Errorf("Get(LOCATION) = %q", got)
+	}
+}
+
+// TestHeadersWrittenInOrder: fields go on the wire in the order given,
+// and the body's own Content-Length replaces any the caller set.
+func TestHeadersWrittenInOrder(t *testing.T) {
+	resp := &Response{
+		Status:  200,
+		Headers: Headers{{"Z", "1"}, {"content-length", "99"}, {"A", "2"}},
+		Body:    []byte("hi"),
+	}
+	const want = "HTTP/1.1 200 OK\r\nZ: 1\r\nA: 2\r\nContent-Length: 2\r\n\r\nhi"
+	if got := string(resp.Marshal()); got != want {
+		t.Errorf("Marshal = %q, want %q", got, want)
 	}
 }
 
@@ -120,7 +152,7 @@ func startEcho(t *testing.T) *Server {
 	srv, err := Serve("127.0.0.1:0", func(req *Request) *Response {
 		return &Response{
 			Status:  200,
-			Headers: map[string]string{"X-Echo-Path": req.Path()},
+			Headers: Headers{{"X-Echo-Path", req.Path()}},
 			Body:    append([]byte("echo:"), req.Body...),
 		}
 	})
@@ -147,8 +179,8 @@ func TestServerClientExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp2.Headers["X-Echo-Path"] != "/q" {
-		t.Errorf("second path = %q", resp2.Headers["X-Echo-Path"])
+	if resp2.Headers.Get("X-Echo-Path") != "/q" {
+		t.Errorf("second path = %q", resp2.Headers.Get("X-Echo-Path"))
 	}
 }
 
@@ -271,25 +303,37 @@ func TestUnescape(t *testing.T) {
 	}
 }
 
+// TestQueryEdgeCases: QueryValue finds the first value of a key in the
+// target and decodes only that.
 func TestQueryEdgeCases(t *testing.T) {
-	req := &Request{Target: "/p?&a=1&&b&c=", Method: "GET"}
-	q := req.Query()
-	if q["a"][0] != "1" || q["b"][0] != "" || q["c"][0] != "" {
-		t.Errorf("query = %v", q)
-	}
-	empty := &Request{Target: "/p", Method: "GET"}
-	if len(empty.Query()) != 0 {
-		t.Error("no-query target produced params")
+	for _, c := range []struct {
+		target, key, want string
+	}{
+		{"/p?q=two+words", "q", "two words"},
+		{"/p?q=a%26b%3dc", "q", "a&b=c"},
+		{"/p?q=%zz%4", "q", "%zz%4"},
+		{"/p?q=first&q=second", "q", "first"},
+		{"/p?&a=1&&b&c=", "a", "1"},
+		{"/p?&a=1&&b&c=", "c", ""},
+		{"/p?&a=1&&b&c=", "b", ""},
+		{"/p?b&b=late", "b", ""},
+		{"/p?my%20key=v&my+key=w", "my key", "v"},
+		{"/p?a=1", "zz", ""},
+		{"/p", "a", ""},
+		{"/p?", "", ""},
+	} {
+		req := &Request{Method: "GET", Target: c.target}
+		if got := req.QueryValue(c.key); got != c.want {
+			t.Errorf("%s: QueryValue(%q) = %q, want %q", c.target, c.key, got, c.want)
+		}
 	}
 }
 
 func BenchmarkHandCodedParseRequest(b *testing.B) {
 	raw := (&Request{
-		Method: "GET",
-		Target: "/data/feed/api/all?q=tree&max-results=3",
-		Headers: map[string]string{
-			"Host": "x", "Accept": "*/*",
-		},
+		Method:  "GET",
+		Target:  "/data/feed/api/all?q=tree&max-results=3",
+		Headers: Headers{{"Accept", "*/*"}, {"Host", "x"}},
 	}).Marshal()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -192,7 +192,7 @@ func (s *Server) dispatch(body []byte) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "application/json"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    out,
 	}
 }
@@ -204,7 +204,7 @@ func jsonResponse(id uint64, _ string, errMsg string) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "application/json"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    out,
 	}
 }

@@ -227,9 +227,9 @@ func (c *Client) Call(method string, params ...Param) ([]Param, error) {
 	resp, err := c.http.Do(&httpwire.Request{
 		Method: "POST",
 		Target: c.path,
-		Headers: map[string]string{
-			"Content-Type": "text/xml; charset=utf-8",
-			"SOAPAction":   `"` + method + `"`,
+		Headers: httpwire.Headers{
+			{Name: "Content-Type", Value: "text/xml; charset=utf-8"},
+			{Name: "SOAPAction", Value: `"` + method + `"`},
 		},
 		Body: body,
 	})
@@ -293,7 +293,7 @@ func (s *Server) dispatch(body []byte) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/xml; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}},
 		Body:    out,
 	}
 }
@@ -305,7 +305,7 @@ func faultResponse(f *Fault) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  500,
-		Headers: map[string]string{"Content-Type": "text/xml; charset=utf-8"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}},
 		Body:    out,
 	}
 }

@@ -37,11 +37,11 @@ func (s SearchRequest) Marshal() []byte {
 	req := &httpwire.Request{
 		Method: "M-SEARCH",
 		Target: "*",
-		Headers: map[string]string{
-			"HOST": "239.255.255.250:1900",
-			"MAN":  `"ssdp:discover"`,
-			"MX":   fmt.Sprint(s.MX),
-			"ST":   s.ST,
+		Headers: httpwire.Headers{
+			{Name: "HOST", Value: "239.255.255.250:1900"},
+			{Name: "MAN", Value: `"ssdp:discover"`},
+			{Name: "MX", Value: fmt.Sprint(s.MX)},
+			{Name: "ST", Value: s.ST},
 		},
 	}
 	return req.Marshal()
@@ -57,8 +57,8 @@ func ParseSearch(data []byte) (SearchRequest, error) {
 		return SearchRequest{}, fmt.Errorf("%w: %s %s", ErrMalformed, req.Method, req.Target)
 	}
 	var s SearchRequest
-	s.ST = req.Headers["ST"]
-	fmt.Sscanf(req.Headers["MX"], "%d", &s.MX)
+	s.ST = req.Headers.Get("ST")
+	fmt.Sscanf(req.Headers.Get("MX"), "%d", &s.MX)
 	if s.ST == "" {
 		return SearchRequest{}, fmt.Errorf("%w: missing ST", ErrMalformed)
 	}
@@ -80,12 +80,12 @@ func (s SearchResponse) Marshal() []byte {
 	resp := &httpwire.Response{
 		Status: 200,
 		Reason: "OK",
-		Headers: map[string]string{
-			"CACHE-CONTROL": "max-age=1800",
-			"ST":            s.ST,
-			"USN":           s.USN,
-			"LOCATION":      s.Location,
-			"EXT":           "",
+		Headers: httpwire.Headers{
+			{Name: "CACHE-CONTROL", Value: "max-age=1800"},
+			{Name: "EXT", Value: ""},
+			{Name: "LOCATION", Value: s.Location},
+			{Name: "ST", Value: s.ST},
+			{Name: "USN", Value: s.USN},
 		},
 	}
 	return resp.Marshal()
@@ -101,9 +101,9 @@ func ParseResponse(data []byte) (SearchResponse, error) {
 		return SearchResponse{}, fmt.Errorf("%w: status %d", ErrMalformed, resp.Status)
 	}
 	return SearchResponse{
-		ST:       resp.Headers["ST"],
-		USN:      resp.Headers["USN"],
-		Location: resp.Headers["LOCATION"],
+		ST:       resp.Headers.Get("ST"),
+		USN:      resp.Headers.Get("USN"),
+		Location: resp.Headers.Get("LOCATION"),
 	}, nil
 }
 

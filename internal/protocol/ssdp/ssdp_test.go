@@ -91,6 +91,26 @@ func TestMessageMarshalParse(t *testing.T) {
 	}
 }
 
+// TestHeaderNamesIgnoreCase: SSDP field names are matched without regard
+// to case (RFC 7230 §3.2), so a device that writes "Location:" or "st:" is
+// understood like one that writes them in capitals.
+func TestHeaderNamesIgnoreCase(t *testing.T) {
+	search, err := ParseSearch([]byte("M-SEARCH * HTTP/1.1\r\nHost: 239.255.255.250:1900\r\nMan: \"ssdp:discover\"\r\nmx: 2\r\nst: " + printerURN + "\r\n\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (SearchRequest{ST: printerURN, MX: 2}); search != want {
+		t.Errorf("mixed-case search = %+v, want %+v", search, want)
+	}
+	resp, err := ParseResponse([]byte("HTTP/1.1 200 OK\r\nCache-Control: max-age=1800\r\nLocation: http://printer3.example/desc.xml\r\nSt: " + printerURN + "\r\nUsn: uuid:p3\r\n\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (SearchResponse{ST: printerURN, USN: "uuid:p3", Location: "http://printer3.example/desc.xml"}); resp != want {
+		t.Errorf("mixed-case response = %+v, want %+v", resp, want)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := [][]byte{
 		nil,

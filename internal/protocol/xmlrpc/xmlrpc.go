@@ -706,7 +706,7 @@ func (s *Server) dispatch(body []byte) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    out,
 	}
 }
@@ -718,7 +718,7 @@ func faultResponse(f *Fault) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  200,
-		Headers: map[string]string{"Content-Type": "text/xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    out,
 	}
 }

@@ -159,7 +159,7 @@ func (s *Service) addComment(req *httpwire.Request) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  201,
-		Headers: map[string]string{"Content-Type": "application/atom+xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}},
 		Body:    body,
 	}
 }
@@ -171,7 +171,7 @@ func feedResponse(feed rest.Feed, status int) *httpwire.Response {
 	}
 	return &httpwire.Response{
 		Status:  status,
-		Headers: map[string]string{"Content-Type": "application/atom+xml"},
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}},
 		Body:    body,
 	}
 }
