@@ -40,7 +40,10 @@ race-alloc:
 # experiment binary, its make target or one of its functions.
 # encoding/xml stays off the message path: under the MDL engines, the
 # protocol layers and the binders only test files may import it, as the
-# oracle the xmlenc Reader and Writer are checked against. And the field
+# oracle the xmlenc Reader and Writer are checked against. So does the query
+# map: textenc reads a query and writes a target itself, and under the MDL
+# engines and the binders only test files may use url.Values or
+# url.ParseQuery, as the oracle textenc is checked against. And the field
 # tree stays out of the XML-RPC, Atom and SOAP decode: those packages and the
 # binders read the Reader's tokens, and only their tests may build a tree
 # with xmlenc.DecodeTree, as the oracle the token decoders are checked
@@ -90,6 +93,8 @@ check: test
 		echo 'check: the lines above quote what bench/ and the package tests replaced (see bench/README.md and DESIGN.md §4)'; exit 1; fi
 	@if git grep -n '"encoding/xml"' -- internal/mdl internal/protocol internal/bind ':!*_test.go'; then \
 		echo 'check: the files above import encoding/xml on the message path; xmlenc has the Reader and the Writer (DESIGN.md, "XML codec")'; exit 1; fi
+	@if git grep -nE 'url\.(Values|ParseQuery)' -- internal/mdl internal/bind ':!*_test.go' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+		echo 'check: the lines above use url.Values or url.ParseQuery on the message path; textenc reads a query and writes a target without one (DESIGN.md §17, "The text engine'"'"'s plan"), and the map lives on in internal/mdl/textenc/oracle_test.go only'; exit 1; fi
 	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/protocol/soap internal/bind ':!*_test.go'; then \
 		echo 'check: the files above build a field tree to decode XML-RPC, Atom or SOAP; read the tokens of xmlenc.Reader (DESIGN.md, "The reader and its consumers")'; exit 1; fi
 	@if git grep -nE 'fieldToValue\(|abstractFromEntry\(|map\[string\]xmlrpc\.Value\{' -- internal/bind ':!*_test.go'; then \

@@ -84,7 +84,7 @@ func runMediator(args []string) error {
 	}
 	fmt.Printf("mediator %s listening on %s\n", *name, dep.Addr())
 	if med.Admin != nil {
-		fmt.Printf("admin endpoint on http://%s (/metrics /healthz /flows /automaton.dot /backends /discovery)\n", med.Admin.Addr())
+		fmt.Printf("admin endpoint on http://%s (/metrics /healthz /flows /automaton.dot /backends /discovery /debug/profile /debug/heap /debug/goroutines)\n", med.Admin.Addr())
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -232,12 +232,121 @@ func TestParseRoutesErrors(t *testing.T) {
 		"r a GET /x -> feed",
 		"route a GET /x -> banana",
 		"route a GET /x q -> feed",
+		"route a GET /x body= -> feed",
 		"",
 		"# only comments",
 	}
 	for _, doc := range bad {
 		if _, err := ParseRoutes(doc); err == nil {
 			t.Errorf("ParseRoutes(%q) accepted", doc)
+		}
+	}
+}
+
+// TestParseRoutesRefusesRoutesThatCannotWork: each table below was accepted
+// and then failed on every request, or did something silently. Each is
+// refused now, naming the line and what is wrong with it.
+func TestParseRoutesRefusesRoutesThatCannotWork(t *testing.T) {
+	for _, tc := range []struct {
+		name, doc, want string
+	}{
+		{"unclosed placeholder", "route a GET /x/{a -> feed",
+			`line 1: placeholder in "{a" is not closed`},
+		{"empty placeholder", "# one\n\nroute a GET /x/{}/y -> feed",
+			`line 3: placeholder in "{}" is empty`},
+		// BuildRequest filled it, matchTemplate never matched it.
+		{"placeholder inside a segment", "route a GET /x/p{id} -> feed",
+			`line 1: placeholder in "p{id}" is not a whole path segment`},
+		{"two placeholders in a segment", "route a GET /x/{a}{b} -> feed",
+			`line 1: placeholder in "{a}{b}" is not a whole path segment`},
+		{"a query part in the template", "route a GET /x?k=v -> feed",
+			`line 1: path template "/x?k=v" has a query part`},
+		// A placeholder filled with "" left no request target at all.
+		{"a relative path", "route a GET {a} -> feed",
+			`line 1: path template "{a}" does not start with /`},
+		// The last one won.
+		{"repeated query key", "route a GET /x q=one q=two -> feed",
+			`line 1: query key "q" given twice`},
+		{"second body", "route a POST /x body=one body=two -> entry",
+			`line 1: a second body=`},
+		// BuildRequest could only ever use the first.
+		{"second route for an action", "route a GET /x -> feed\nroute a GET /y -> feed",
+			`line 2: a second route for a (the first is on line 1)`},
+		// ParseRequest took the first for every request of the second.
+		{"shadowed route", "route a GET /x/{id} -> feed\nroute b POST /x/y -> feed\nroute c GET /x/y -> feed",
+			`line 3: GET /x/y can be taken for a on line 1`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseRoutes(tc.doc)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ParseRoutes(%q) = %v, want an error with %q", tc.doc, err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzParseRoutes: a route table does not panic the reader, and every route
+// of a table it accepts builds a request from a message that has all of
+// its fields, each holding value, which ParseRequest takes back to the
+// route's own action.
+func FuzzParseRoutes(f *testing.F) {
+	f.Add(picasaRoutesDoc, "tree")
+	f.Add("route a GET /x/{id} -> feed\nroute b GET /x/y/{id} k=id -> entry\nroute c POST /x/{id} body=e -> entry", "y")
+	f.Add("route a GET /{a}/{b} =q q=a -> feed\nroute b GET /{a}/c/{b} -> feed", "")
+	f.Add("route a GET /x/{ -> feed\nroute a GET / -> feed", "a/b?c d")
+	f.Fuzz(func(t *testing.T, doc, value string) {
+		routes, err := ParseRoutes(doc)
+		if err != nil {
+			return
+		}
+		b, err := NewRESTBinder(routes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range routes {
+			abs := message.New(r.Action)
+			if r.BodyField != "" {
+				abs.Add(message.NewStruct(r.BodyField, message.NewString("summary", "s")))
+			}
+			for rest, more := r.PathTemplate, true; more; {
+				var seg string
+				seg, rest, more = strings.Cut(rest, "/")
+				if name, ok := placeholder(seg); ok {
+					abs.Add(message.NewString(name, value))
+				}
+			}
+			for _, field := range r.Query {
+				abs.Add(message.NewString(field, value))
+			}
+			packet, err := b.BuildRequest(r.Action, abs)
+			if err != nil {
+				t.Fatalf("%+v does not build from %v: %v", r, abs, err)
+			}
+			action, _, err := b.ParseRequest(packet)
+			if err != nil || action != r.Action {
+				t.Fatalf("%+v: %q parses as %q, %v", r, packet, action, err)
+			}
+		}
+	})
+}
+
+// TestRESTPathVariablesInTemplateOrder: the variables of a path come out in
+// the order the template names them, every time. From a map they came out
+// in its order, and message.Equal and rcache.Key both depend on field order.
+func TestRESTPathVariablesInTemplateOrder(t *testing.T) {
+	routes, err := ParseRoutes("route get GET /u/{user}/p/{photo} -> entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRESTBinder(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packet := []byte("GET /u/al/p/9 HTTP/1.1\r\n\r\n")
+	for i := 0; i < 200; i++ {
+		action, abs, err := b.ParseRequest(packet)
+		if err != nil || action != "get" || len(abs.Fields) != 2 || abs.Fields[0].Label != "user" || abs.Fields[1].Label != "photo" {
+			t.Fatalf("parse %d: %s %v, %v; want user, then photo", i, action, abs, err)
 		}
 	}
 }
@@ -268,6 +377,36 @@ func TestRESTBuildRequestFig9(t *testing.T) {
 	line, _, _ := strings.Cut(string(packet), "\r\n")
 	if line != "GET /data/feed/api/all?max-results=3&q=tree HTTP/1.1" {
 		t.Errorf("request line = %q", line)
+	}
+}
+
+// TestRESTRequestBytesUnchanged pins the requests of the three Picasa routes
+// to the bytes composed before the binder carved them from a slab and the
+// text codec rebuilt the target without url.Values: a value to escape in
+// the query and in the path, and an Atom body with markup to escape.
+func TestRESTRequestBytesUnchanged(t *testing.T) {
+	b := newRESTBinder(t)
+	for _, tc := range []struct {
+		action string
+		abs    *message.Message
+		want   string
+	}{
+		{casestudy.PicasaSearch,
+			message.New(casestudy.PicasaSearch, message.NewString("q", "tall tree"), message.NewString("max-results", "3")),
+			"GET /data/feed/api/all?max-results=3&q=tall+tree HTTP/1.1\r\nAccept: application/atom+xml\r\nContent-Length: 0\r\n\r\n"},
+		{casestudy.PicasaGetComments,
+			message.New(casestudy.PicasaGetComments, message.NewString("photo_id", "photo 1/x"), message.NewString("kind", "comment")),
+			"GET /data/feed/api/photoid/photo%201%2Fx?kind=comment HTTP/1.1\r\nAccept: application/atom+xml\r\nContent-Length: 0\r\n\r\n"},
+		{casestudy.PicasaAddComment,
+			message.New(casestudy.PicasaAddComment, message.NewString("photo_id", "p1"),
+				message.NewStruct("entry", message.NewString("summary", "nice & <good>"), message.NewString("author", "bob"))),
+			"POST /data/feed/api/photoid/p1 HTTP/1.1\r\nAccept: application/atom+xml\r\nContent-Length: 136\r\n\r\n" +
+				"<?xml version=\"1.0\"?>\n<entry><id></id><title></title><summary>nice &amp; &lt;good&gt;</summary><author><name>bob</name></author></entry>"},
+	} {
+		wire, err := b.BuildRequest(tc.action, tc.abs)
+		if err != nil || string(wire) != tc.want {
+			t.Errorf("%s composes\n%q, %v\nwant\n%q", tc.action, wire, err, tc.want)
+		}
 	}
 }
 
@@ -430,8 +569,8 @@ func TestFillAndMatchTemplate(t *testing.T) {
 		t.Fatal(err)
 	}
 	vars, ok := matchTemplate("/photoid/{id}", got)
-	if !ok || vars["id"] != "a/b" {
-		t.Errorf("match = %v, %v", vars, ok)
+	if !ok || len(vars) != 1 || vars[0].Label != "id" || vars[0].Text() != "a/b" {
+		t.Errorf("match = %v, %v", message.New("vars", vars...), ok)
 	}
 	if _, ok := matchTemplate("/a/{x}", "/b/c"); ok {
 		t.Error("mismatched literal accepted")

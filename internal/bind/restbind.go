@@ -21,8 +21,8 @@ type Route struct {
 	Action string
 	// Method is the HTTP verb.
 	Method string
-	// PathTemplate is the resource path, with {field} placeholders filled
-	// from abstract request fields.
+	// PathTemplate is the resource path, with {field} placeholders, each a
+	// whole segment, filled from abstract request fields.
 	PathTemplate string
 	// Query maps query-parameter names to abstract field labels.
 	Query map[string]string
@@ -37,20 +37,32 @@ type Route struct {
 //
 //	# comments allowed
 //	route <action> <METHOD> <path-template> [q=field ...] [body=field] -> feed|entry
+//
+// A path starts with "/", and a placeholder {field} is a whole segment of
+// it. ParseRoutes refuses, naming the line, a route that could never be
+// built or never be told from another: a placeholder that is unclosed,
+// empty or part of a segment; a query part in the template; a query key or
+// a body given twice; a second route for one action; and a route whose
+// requests an earlier route of the same method can match.
 func ParseRoutes(doc string) ([]Route, error) {
 	var out []Route
-	for lineNo, line := range strings.Split(doc, "\n") {
+	var lines []int
+	for i, line := range strings.Split(doc, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		lineNo := i + 1
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("bind: routes line %d: "+format, append([]any{lineNo}, args...)...)
+		}
 		head, kind, ok := strings.Cut(line, "->")
 		if !ok {
-			return nil, fmt.Errorf("bind: routes line %d: missing \"->\"", lineNo+1)
+			return nil, bad("missing \"->\"")
 		}
 		fields := strings.Fields(head)
 		if len(fields) < 4 || fields[0] != "route" {
-			return nil, fmt.Errorf("bind: routes line %d: want \"route <action> <METHOD> <path>\"", lineNo+1)
+			return nil, bad("want \"route <action> <METHOD> <path>\"")
 		}
 		r := Route{
 			Action:       fields[1],
@@ -60,20 +72,36 @@ func ParseRoutes(doc string) ([]Route, error) {
 			ReplyKind:    strings.TrimSpace(kind),
 		}
 		if r.ReplyKind != "feed" && r.ReplyKind != "entry" {
-			return nil, fmt.Errorf("bind: routes line %d: reply kind %q", lineNo+1, r.ReplyKind)
+			return nil, bad("reply kind %q", r.ReplyKind)
 		}
 		for _, kv := range fields[4:] {
 			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("bind: routes line %d: bad mapping %q", lineNo+1, kv)
-			}
-			if k == "body" {
+			switch _, dup := r.Query[k]; {
+			case !ok || k == "body" && v == "":
+				return nil, bad("bad mapping %q", kv)
+			case k == "body" && r.BodyField != "":
+				return nil, bad("a second body=")
+			case k == "body":
 				r.BodyField = v
-			} else {
+			case dup:
+				return nil, bad("query key %q given twice", k)
+			default:
 				r.Query[k] = v
 			}
 		}
+		if err := checkTemplate(r.PathTemplate); err != nil {
+			return nil, bad("%v", err)
+		}
+		for j, prev := range out {
+			if prev.Action == r.Action {
+				return nil, bad("a second route for %s (the first is on line %d)", r.Action, lines[j])
+			}
+			if prev.Method == r.Method && overlap(prev.PathTemplate, r.PathTemplate) {
+				return nil, bad("%s %s can be taken for %s on line %d", r.Method, r.PathTemplate, prev.Action, lines[j])
+			}
+		}
 		out = append(out, r)
+		lines = append(lines, lineNo)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("bind: route table is empty")
@@ -81,14 +109,81 @@ func ParseRoutes(doc string) ([]Route, error) {
 	return out, nil
 }
 
+// checkTemplate refuses a path template a request cannot be built from and
+// matched against: one that does not start with "/", has a query part, or
+// has a placeholder that is unclosed, empty or not a whole segment.
+func checkTemplate(tmpl string) error {
+	if !strings.HasPrefix(tmpl, "/") {
+		return fmt.Errorf("path template %q does not start with /", tmpl)
+	}
+	if strings.Contains(tmpl, "?") {
+		return fmt.Errorf("path template %q has a query part; map parameters as key=field", tmpl)
+	}
+	for rest, more := tmpl, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		i := strings.IndexByte(seg, '{')
+		if i < 0 {
+			continue
+		}
+		j := strings.IndexByte(seg[i:], '}')
+		switch {
+		case j < 0:
+			return fmt.Errorf("placeholder in %q is not closed", seg)
+		case j == 1:
+			return fmt.Errorf("placeholder in %q is empty", seg)
+		case i != 0 || j != len(seg)-1 || strings.ContainsAny(seg[1:j], "{}"):
+			return fmt.Errorf("placeholder in %q is not a whole path segment", seg)
+		}
+	}
+	return nil
+}
+
+// overlap reports whether one path matches both templates: they have as
+// many segments, and where both are literal they are the same.
+func overlap(a, b string) bool {
+	as, bs := strings.Split(a, "/"), strings.Split(b, "/")
+	if len(as) != len(bs) {
+		return false
+	}
+	for i := range as {
+		_, va := placeholder(as[i])
+		_, vb := placeholder(bs[i])
+		if !va && !vb && as[i] != bs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// placeholder returns the field a template segment {field} names.
+func placeholder(seg string) (string, bool) {
+	if len(seg) >= 2 && seg[0] == '{' && seg[len(seg)-1] == '}' {
+		return seg[1 : len(seg)-1], true
+	}
+	return "", false
+}
+
 // RESTBinder binds abstract actions to a GData-style REST API through a
 // route table and the HTTP text-MDL codec.
 type RESTBinder struct {
-	routes []Route
+	routes []restRoute
 	codec  mdl.Codec
 }
 
 var _ Binder = (*RESTBinder)(nil)
+
+// restRoute is a Route with what every call of it needs worked out once.
+type restRoute struct {
+	Route
+	// params are the query parameters, by key.
+	params []param
+	// reply names the abstract reply.
+	reply string
+}
+
+// param maps a query key to the abstract field that fills it.
+type param struct{ key, field string }
 
 // NewRESTBinder compiles the HTTP MDL, models/http.mdl, and installs the
 // route table. The binder interprets the document through the text engine,
@@ -110,19 +205,27 @@ func NewRESTBinder(routes []Route) (*RESTBinder, error) {
 	if len(routes) == 0 {
 		return nil, fmt.Errorf("bind: REST binder needs at least one route")
 	}
-	return &RESTBinder{routes: routes, codec: codec}, nil
+	b := &RESTBinder{routes: make([]restRoute, len(routes)), codec: codec}
+	for i, r := range routes {
+		rr := &b.routes[i]
+		rr.Route, rr.reply = r, r.Action+".reply"
+		for _, k := range sortedKeys(nil, r.Query) {
+			rr.params = append(rr.params, param{k, r.Query[k]})
+		}
+	}
+	return b, nil
 }
 
 // Framer implements Binder.
 func (b *RESTBinder) Framer() network.Framer { return network.HTTPFramer{} }
 
-func (b *RESTBinder) route(action string) (Route, error) {
-	for _, r := range b.routes {
-		if r.Action == action {
+func (b *RESTBinder) route(action string) (*restRoute, error) {
+	for i := range b.routes {
+		if r := &b.routes[i]; r.Action == action {
 			return r, nil
 		}
 	}
-	return Route{}, fmt.Errorf("%w: %q", ErrUnknownAction, action)
+	return nil, fmt.Errorf("%w: %q", ErrUnknownAction, action)
 }
 
 // BuildRequest implements Binder: fills the route's path template and
@@ -137,27 +240,8 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 	if err != nil {
 		return nil, fmt.Errorf("action %s: %w", action, err)
 	}
-	concrete := message.New("HTTPRequest",
-		message.NewString("Method", r.Method),
-		message.NewString("Version", "HTTP/1.1"),
-		message.NewString("Path", path),
-		message.NewStruct("Headers",
-			message.NewString("Accept", "application/atom+xml"),
-		),
-	)
-	q := message.NewStruct("Query")
-	var buf [8]string
-	for _, qp := range sortedKeys(buf[:0], r.Query) {
-		f := abs.Field(r.Query[qp])
-		if f == nil {
-			continue // optional parameter absent
-		}
-		q.Add(message.NewString(qp, f.ValueString()))
-	}
-	concrete.Add(q)
 	if r.BodyField == "" {
-		concrete.Add(message.NewString("Body", ""))
-		return b.codec.Compose(concrete)
+		return b.codec.Compose(r.request(path, abs, nil))
 	}
 	f := abs.Field(r.BodyField)
 	if f == nil {
@@ -168,8 +252,48 @@ func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 	if *body, err = rest.AppendEntry(*body, entryFromAbstract(f)); err != nil {
 		return nil, err
 	}
-	concrete.Add(message.NewBytes("Body", *body))
-	return b.codec.Compose(concrete)
+	return b.codec.Compose(r.request(path, abs, *body))
+}
+
+// request carves the concrete HTTPRequest of a call from one slab of nodes
+// and one of lists, as giop.newMessage carves a GIOP message: Method,
+// Version, Path, Headers, Query and Body, then the Accept header, then the
+// query parameters abs has a field for. A nil body is none.
+func (r *restRoute) request(path string, abs *message.Message, body []byte) *message.Message {
+	n := 0
+	for _, p := range r.params {
+		if abs.Field(p.field) != nil {
+			n++
+		}
+	}
+	nodes := make([]message.Field, 7+n)
+	links := make([]*message.Field, len(nodes))
+	for i := range nodes {
+		links[i] = &nodes[i]
+	}
+	nodes[0].Label, nodes[1].Label, nodes[2].Label = "Method", "Version", "Path"
+	nodes[0].SetText(r.Method)
+	nodes[1].SetText("HTTP/1.1")
+	nodes[2].SetText(path)
+	nodes[3].Label, nodes[3].Type, nodes[3].Children = "Headers", message.TypeStruct, links[6:7:7]
+	nodes[4].Label, nodes[4].Type, nodes[4].Children = "Query", message.TypeStruct, links[7:]
+	nodes[5].Label = "Body"
+	if body == nil {
+		nodes[5].SetText("")
+	} else {
+		nodes[5].SetBytes(body)
+	}
+	nodes[6].Label = "Accept"
+	nodes[6].SetText("application/atom+xml")
+	q := nodes[7:]
+	for _, p := range r.params {
+		if f := abs.Field(p.field); f != nil {
+			q[0].Label = p.key
+			q[0].SetText(f.ValueString())
+			q = q[1:]
+		}
+	}
+	return &message.Message{Name: "HTTPRequest", Fields: links[:6:6]}
 }
 
 // ParseReply implements Binder: decodes the HTTP response through the
@@ -188,7 +312,7 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 		return nil, fmt.Errorf("%w: action %s: HTTP status %s", ErrBadMessage, action, status)
 	}
 	body := bodyOf(concrete)
-	abs := message.New(action + ".reply")
+	abs := message.New(r.reply)
 	switch r.ReplyKind {
 	case "feed":
 		feed, err := rest.ParseFeed(body)
@@ -225,16 +349,17 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	}
 	method, _ := concrete.GetString("Method")
 	path, _ := concrete.GetString("Path")
-	for _, r := range b.routes {
+	for i := range b.routes {
+		r := &b.routes[i]
+		if r.Method != method {
+			continue
+		}
 		vars, ok := matchTemplate(r.PathTemplate, path)
-		if !ok || r.Method != method {
+		if !ok {
 			continue
 		}
 		// Query mappings present in the request must match route fields.
-		abs := message.New(r.Action)
-		for k, v := range vars {
-			abs.Add(message.NewString(k, v))
-		}
+		abs := message.New(r.Action, vars...)
 		if qf, err := concrete.Lookup("Query"); err == nil {
 			for _, qp := range qf.Children {
 				label, ok := r.Query[qp.Label]
@@ -395,51 +520,56 @@ func optionalChildren(e *rest.Entry) [4]struct{ label, value string } {
 	}
 }
 
+// fillTemplate fills each placeholder segment of a template with its
+// field's value, escaped; a template without one is the path as it is.
 func fillTemplate(tmpl string, abs *message.Message) (string, error) {
-	var b strings.Builder
-	for {
-		i := strings.IndexByte(tmpl, '{')
-		if i < 0 {
-			b.WriteString(tmpl)
-			return b.String(), nil
-		}
-		j := strings.IndexByte(tmpl, '}')
-		if j < i {
-			return "", fmt.Errorf("malformed path template")
-		}
-		b.WriteString(tmpl[:i])
-		name := tmpl[i+1 : j]
-		f := abs.Field(name)
-		if f == nil {
-			return "", fmt.Errorf("%w: path variable %q missing", ErrBadMessage, name)
-		}
-		b.WriteString(url.PathEscape(f.ValueString()))
-		tmpl = tmpl[j+1:]
+	if !strings.Contains(tmpl, "{") {
+		return tmpl, nil
 	}
+	var buf [128]byte
+	b := buf[:0]
+	for rest, more := tmpl, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
+		if name, ok := placeholder(seg); ok {
+			f := abs.Field(name)
+			if f == nil {
+				return "", fmt.Errorf("%w: path variable %q missing", ErrBadMessage, name)
+			}
+			seg = url.PathEscape(f.ValueString())
+		}
+		b = append(b, seg...)
+		if more {
+			b = append(b, '/')
+		}
+	}
+	return string(b), nil
 }
 
-func matchTemplate(tmpl, path string) (map[string]string, bool) {
-	tParts := strings.Split(tmpl, "/")
-	pParts := strings.Split(path, "/")
-	if len(tParts) != len(pParts) {
-		return nil, false
-	}
-	vars := map[string]string{}
-	for i := range tParts {
-		t := tParts[i]
-		if strings.HasPrefix(t, "{") && strings.HasSuffix(t, "}") {
-			val, err := url.PathUnescape(pParts[i])
+// matchTemplate matches a path against a template segment by segment, and
+// returns a field for each placeholder, in the template's order.
+func matchTemplate(tmpl, path string) ([]*message.Field, bool) {
+	var vars []*message.Field
+	for {
+		t, tRest, tMore := strings.Cut(tmpl, "/")
+		p, pRest, pMore := strings.Cut(path, "/")
+		if name, ok := placeholder(t); ok {
+			val, err := url.PathUnescape(p)
 			if err != nil {
 				return nil, false
 			}
-			vars[t[1:len(t)-1]] = val
-			continue
-		}
-		if t != pParts[i] {
+			vars = append(vars, message.NewString(name, val))
+		} else if t != p {
 			return nil, false
 		}
+		if tMore != pMore {
+			return nil, false
+		}
+		if !tMore {
+			return vars, true
+		}
+		tmpl, path = tRest, pRest
 	}
-	return vars, true
 }
 
 // sortedKeys appends the keys of m to buf, in order.

@@ -22,6 +22,12 @@
 // directly — exactly what the Fig. 9 Picasa binding needs. When a headers
 // item and a body item are both present, Content-Length is set from the
 // body automatically.
+//
+// New resolves what the document decides — the token each derived view
+// reads, the views each token is rebuilt from, the rule each token is held
+// to as it is read — so that Parse reads and checks a whole layout before it
+// builds anything, and then carves every field from one slab (DESIGN.md §17,
+// "The text engine's plan").
 package textenc
 
 import (
@@ -29,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,14 +51,17 @@ var (
 	ErrTruncated = errors.New("textenc: truncated message")
 )
 
-// How parseAs leaves a layout without a message and without a report: the
-// packet has just broken one of the layout's rules (the next layout is
-// tried), or the layout reads text beyond the head Parse made a string of
-// (the same layout is tried again on a string of the whole packet).
+// How a layout is left without a message and without a report: the packet
+// has just broken one of the layout's rules (the next layout is tried), or
+// the layout reads text beyond the head Parse made a string of (the same
+// layout is tried again on a string of the whole packet).
 var (
 	errRule      = errors.New("textenc: a rule of the layout does not hold")
 	errShortHead = errors.New("textenc: the layout reads text past the first blank line")
 )
+
+// errSemicolon is url.ParseQuery's refusal of a ';' in a query.
+var errSemicolon = errors.New("invalid semicolon separator in query")
 
 type itemKind int
 
@@ -72,46 +81,53 @@ const (
 	delimEOF
 )
 
-type compiledItem struct {
+// item is one layout item with everything New could resolve about it.
+type item struct {
 	kind  itemKind
 	label string
 	delim delim
-	from  string
+	// src is, for a derived view, the index of the token it reads: the first
+	// item of its From label, which New requires to be a token.
+	src int
+	// views are, for a token, the indexes of the derived views of its label,
+	// which Compose rebuilds it from when the message does not hold it.
+	views []int
 	// rule is the value a <Rule> of the message asks of this token (ruled
 	// says there is one), checked as soon as the token is read. The first
-	// item of a label only: the field rulesHold looks up.
+	// item of a label only: the field a rule is looked up by.
 	rule  string
 	ruled bool
 }
 
-type compiledMessage struct {
+// layout is the plan of one message.
+type layout struct {
 	spec  *mdl.MessageSpec
-	items []compiledItem
-	// derived maps a source token label to its derived path/query items.
-	derived map[string][]compiledItem
+	items []item
+	// late are the rules no token decides as it is read, held against the
+	// built message: a rule on a field of another kind, on a label no item
+	// has, or a second rule on one token.
+	late    []mdl.Rule
 	hasBody bool
-	hasHdrs bool
 }
 
-// Codec interprets a text MDL spec.
+// Codec parses and composes the messages of a text MDL spec.
 type Codec struct {
-	spec     *mdl.Spec
-	messages []*compiledMessage
-	byName   map[string]*compiledMessage
+	layouts []*layout
+	byName  map[string]*layout
 }
 
 var _ mdl.Codec = (*Codec)(nil)
 
 // New compiles a text MDL spec into a codec.
 func New(spec *mdl.Spec) (mdl.Codec, error) {
-	c := &Codec{spec: spec, byName: make(map[string]*compiledMessage, len(spec.Messages))}
+	c := &Codec{byName: make(map[string]*layout, len(spec.Messages))}
 	for _, ms := range spec.Messages {
-		cm, err := compileMessage(ms)
+		lay, err := compile(ms)
 		if err != nil {
 			return nil, err
 		}
-		c.messages = append(c.messages, cm)
-		c.byName[ms.Name] = cm
+		c.layouts = append(c.layouts, lay)
+		c.byName[ms.Name] = lay
 	}
 	return c, nil
 }
@@ -119,69 +135,81 @@ func New(spec *mdl.Spec) (mdl.Codec, error) {
 // Register installs the engine in a registry under mdl.EncodingText.
 func Register(r *mdl.Registry) { r.Register(mdl.EncodingText, New) }
 
-func compileMessage(ms *mdl.MessageSpec) (*compiledMessage, error) {
-	cm := &compiledMessage{spec: ms, derived: make(map[string][]compiledItem)}
-	seen := map[string]bool{}
+func compile(ms *mdl.MessageSpec) (*layout, error) {
+	lay := &layout{spec: ms}
+	first := map[string]int{} // a label's first item
 	for _, it := range ms.Items {
 		label := it.Label()
+		x := item{label: label, src: -1}
 		switch it.Arg(1) {
 		case "tok":
-			var d delim
+			x.kind = kindTok
 			switch it.Arg(2) {
 			case "sp":
-				d = delimSP
+				x.delim = delimSP
 			case "crlf":
-				d = delimCRLF
+				x.delim = delimCRLF
 			case "eof":
-				d = delimEOF
+				x.delim = delimEOF
 			default:
 				return nil, fmt.Errorf("%w: line %d: token %q delimiter %q", ErrBadSpec, it.Line, label, it.Arg(2))
 			}
-			cm.items = append(cm.items, compiledItem{kind: kindTok, label: label, delim: d})
 		case "headers":
-			cm.items = append(cm.items, compiledItem{kind: kindHeaders, label: label})
-			cm.hasHdrs = true
+			x.kind = kindHeaders
 		case "body":
-			cm.items = append(cm.items, compiledItem{kind: kindBody, label: label})
-			cm.hasBody = true
+			x.kind = kindBody
+			lay.hasBody = true
 		case "path", "query":
 			from := it.Arg(2)
-			if from == "" || !seen[from] {
+			src, ok := first[from]
+			if from == "" || !ok {
 				return nil, fmt.Errorf("%w: line %d: derived field %q needs an earlier source token", ErrBadSpec, it.Line, label)
 			}
-			kind := kindPath
-			if it.Arg(1) == "query" {
-				kind = kindQuery
+			if lay.items[src].kind != kindTok {
+				return nil, fmt.Errorf("%w: line %d: derived field %q: source %q is not a token", ErrBadSpec, it.Line, label, from)
 			}
-			ci := compiledItem{kind: kind, label: label, from: from}
-			cm.items = append(cm.items, ci)
-			cm.derived[from] = append(cm.derived[from], ci)
+			x.kind, x.src = kindPath, src
+			if it.Arg(1) == "query" {
+				x.kind = kindQuery
+			}
 		default:
 			return nil, fmt.Errorf("%w: line %d: unknown text item kind %q for %q", ErrBadSpec, it.Line, it.Arg(1), label)
 		}
-		seen[label] = true
+		if _, ok := first[label]; !ok {
+			first[label] = len(lay.items)
+		}
+		lay.items = append(lay.items, x)
 	}
-	for _, r := range ms.Rules {
-		for i := range cm.items {
-			if it := &cm.items[i]; it.label == r.Field {
-				if it.kind == kindTok && !it.ruled {
-					it.rule, it.ruled = r.Value, true
-				}
-				break
+	for i := range lay.items {
+		tok := &lay.items[i]
+		if tok.kind != kindTok {
+			continue
+		}
+		for j, v := range lay.items {
+			if v.src >= 0 && lay.items[v.src].label == tok.label {
+				tok.views = append(tok.views, j)
 			}
 		}
 	}
-	return cm, nil
+	for _, r := range ms.Rules {
+		if i, ok := first[r.Field]; ok && lay.items[i].kind == kindTok && !lay.items[i].ruled {
+			lay.items[i].rule, lay.items[i].ruled = r.Value, true
+			continue
+		}
+		lay.late = append(lay.late, r)
+	}
+	return lay, nil
 }
 
-// Parse decodes a packet by trying each layout in order. A layout is left
-// at the first token that breaks one of its rules (an HTTP response is not
-// parsed whole as a request first); rulesHold is the whole check, over what
-// was parsed. A body item is the packet's own tail, not a copy of it: the
-// caller keeps data unchanged for as long as it keeps the message.
+// Parse decodes a packet by trying each layout in order. A layout is read
+// and checked to its end before anything is built, and left at the first
+// token that breaks one of its rules, so a response costs nothing for the
+// request layout it is tried against first. A body item is the packet's own
+// tail, not a copy of it: the caller keeps data unchanged for as long as it
+// keeps the message.
 func (c *Codec) Parse(data []byte) (*message.Message, error) {
 	var firstErr error
-	var failed *compiledMessage
+	var failed *layout
 	// One copy, shared by every layout tried: each string of the parsed
 	// message is a piece of it. It covers the head — up to the first blank
 	// line, behind which a body lies — and grows to the whole packet only
@@ -191,19 +219,24 @@ func (c *Codec) Parse(data []byte) (*message.Message, error) {
 		head = data[:i+4]
 	}
 	text := string(head)
-	for _, cm := range c.messages {
-		msg, err := parseAs(cm, text, data)
+	var buf [16]piece
+	for _, lay := range c.layouts {
+		pieces := buf[:]
+		if len(lay.items) > len(buf) {
+			pieces = make([]piece, len(lay.items))
+		}
+		n, err := lay.scan(pieces, text, data)
 		if err == errShortHead {
 			text = string(data)
-			msg, err = parseAs(cm, text, data)
+			n, err = lay.scan(pieces, text, data)
 		}
 		if err != nil {
 			if firstErr == nil && err != errRule {
-				firstErr, failed = err, cm
+				firstErr, failed = err, lay
 			}
 			continue
 		}
-		if rulesHold(cm.spec, msg) {
+		if msg := lay.build(pieces, n, data); rulesHold(lay.late, msg) {
 			return msg, nil
 		}
 	}
@@ -213,8 +246,8 @@ func (c *Codec) Parse(data []byte) (*message.Message, error) {
 	return nil, mdl.ErrNoMessageMatch
 }
 
-func rulesHold(ms *mdl.MessageSpec, msg *message.Message) bool {
-	for _, r := range ms.Rules {
+func rulesHold(rules []mdl.Rule, msg *message.Message) bool {
+	for _, r := range rules {
 		f := msg.Field(r.Field)
 		if f == nil || !ruleMatch(f.ValueString(), r.Value) {
 			return false
@@ -232,80 +265,72 @@ func ruleMatch(got, want string) bool {
 	return got == want
 }
 
-// parseAs reads data as the layout cm. text is a string of data, or of a
-// prefix of it: where the layout looks for text the prefix does not hold,
-// parseAs gives up with errShortHead.
-func parseAs(cm *compiledMessage, text string, data []byte) (*message.Message, error) {
-	msg := message.New(cm.spec.Name)
+// piece is what scan found of one item.
+type piece struct {
+	// text is a token, a path, the lines of a header block or the query
+	// string a derived query reads.
+	text string
+	// at is where a body starts in the packet.
+	at int
+	// n is how many children a header block or a query has.
+	n int
+}
+
+// scan reads data as the layout says, into one piece per item, and builds
+// nothing. It makes every check the interpreter makes, in the same order
+// and with the same error, and returns how many fields the message has.
+// text is a string of data, or of a prefix of it: where the layout looks
+// for text the prefix does not hold, scan gives up with errShortHead.
+func (lay *layout) scan(pieces []piece, text string, data []byte) (int, error) {
 	rest := text
 	short := len(text) < len(data)
-	for _, it := range cm.items {
+	n := len(lay.items)
+	for i := range lay.items {
+		it, p := &lay.items[i], &pieces[i]
+		*p = piece{}
 		switch it.kind {
 		case kindTok:
-			var tok string
-			var err error
-			tok, rest, err = cutToken(rest, it.delim)
+			tok, remain, err := cutToken(rest, it.delim)
 			if short && (err != nil || it.delim == delimEOF) {
-				return nil, errShortHead
+				return 0, errShortHead
 			}
 			if err != nil {
-				return nil, fmt.Errorf("%w: token %q", err, it.label)
+				return 0, fmt.Errorf("%w: token %q", err, it.label)
 			}
 			if it.ruled && !ruleMatch(tok, it.rule) {
-				return nil, errRule
+				return 0, errRule
 			}
-			msg.Add(message.NewString(it.label, tok))
+			p.text, rest = tok, remain
 		case kindHeaders:
-			hdrs, remain, err := parseHeaders(rest)
+			lines, count, remain, err := scanHeaders(rest)
 			if short && errors.Is(err, ErrTruncated) {
-				return nil, errShortHead
+				return 0, errShortHead
 			}
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			rest = remain
-			h := message.NewStruct(it.label, hdrs...)
-			msg.Add(h)
+			p.text, p.n, rest = lines, count, remain
 		case kindBody:
-			msg.Add(message.NewBytes(it.label, data[len(text)-len(rest):]))
+			p.at = len(text) - len(rest)
 			rest, short = "", false
 		case kindPath:
-			src := msg.Field(it.from)
-			if src == nil {
-				return nil, fmt.Errorf("textenc: derived %q: source %q missing", it.label, it.from)
-			}
-			path := src.ValueString()
+			path := pieces[it.src].text
 			if i := strings.IndexByte(path, '?'); i >= 0 {
 				path = path[:i]
 			}
-			msg.Add(message.NewString(it.label, path))
+			p.text = path
 		case kindQuery:
-			src := msg.Field(it.from)
-			if src == nil {
-				return nil, fmt.Errorf("textenc: derived %q: source %q missing", it.label, it.from)
-			}
-			q := message.NewStruct(it.label)
-			target := src.ValueString()
-			if i := strings.IndexByte(target, '?'); i >= 0 {
-				vals, err := url.ParseQuery(target[i+1:])
+			if _, q, ok := strings.Cut(pieces[it.src].text, "?"); ok {
+				count, err := scanQuery(q)
 				if err != nil {
-					return nil, fmt.Errorf("textenc: derived %q: %v", it.label, err)
+					return 0, fmt.Errorf("textenc: derived %q: %v", it.label, err)
 				}
-				keys := make([]string, 0, len(vals))
-				for k := range vals {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					for _, v := range vals[k] {
-						q.Add(message.NewString(k, v))
-					}
-				}
+				p.text, p.n = q, count
 			}
-			msg.Add(q)
 		}
+		n += p.n
 	}
-	return msg, nil
+	return n, nil
 }
 
 func cutToken(s string, d delim) (tok, rest string, err error) {
@@ -327,38 +352,166 @@ func cutToken(s string, d delim) (tok, rest string, err error) {
 	}
 }
 
-func parseHeaders(s string) ([]*message.Field, string, error) {
-	var out []*message.Field
+// scanHeaders reads the header lines up to the blank line that ends the
+// block: the lines, each with its CR-LF, how many there are, and the text
+// behind the blank line.
+func scanHeaders(s string) (lines string, n int, rest string, err error) {
+	rest = s
 	for {
-		line, rest, found := strings.Cut(s, "\r\n")
+		line, after, found := strings.Cut(rest, "\r\n")
 		if !found {
-			return nil, s, fmt.Errorf("%w: header block missing blank line", ErrTruncated)
+			return "", 0, rest, fmt.Errorf("%w: header block missing blank line", ErrTruncated)
 		}
-		s = rest
 		if line == "" {
-			return out, s, nil
+			return s[:len(s)-len(rest)], n, after, nil
 		}
-		k, v, found := strings.Cut(line, ":")
-		if !found {
-			return nil, s, fmt.Errorf("textenc: malformed header line %q", line)
+		rest = after
+		if !strings.Contains(line, ":") {
+			return "", 0, rest, fmt.Errorf("textenc: malformed header line %q", line)
 		}
-		out = append(out, message.NewString(strings.TrimSpace(k), strings.TrimSpace(v)))
+		n++
 	}
 }
+
+// scanQuery counts the parameters url.ParseQuery finds in q, and refuses
+// what it refuses, with its error: a ';' anywhere, else the first bad
+// %xx escape. A component it decodes is decoded again when it is built.
+func scanQuery(q string) (int, error) {
+	n := 0
+	var err error
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if strings.Contains(pair, ";") {
+			err = errSemicolon
+			continue
+		}
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		_, bad := url.QueryUnescape(k)
+		if bad == nil {
+			_, bad = url.QueryUnescape(v)
+		}
+		if bad != nil {
+			if err == nil {
+				err = bad
+			}
+			continue
+		}
+		n++
+	}
+	return n, err
+}
+
+// build carves the message scan read: its n fields from one []Field, and
+// the field list and every child list from one []*Field, each list cut to
+// its length so that appending to it reallocates instead of running into
+// the next.
+func (lay *layout) build(pieces []piece, n int, data []byte) *message.Message {
+	s := slab{nodes: make([]message.Field, n), links: make([]*message.Field, n)}
+	fields := s.list(len(lay.items))
+	for i := range lay.items {
+		it, p := &lay.items[i], &pieces[i]
+		if it.kind == kindTok || it.kind == kindPath {
+			fields[i] = s.text(it.label, p.text)
+			continue
+		}
+		f := s.node(it.label)
+		switch it.kind {
+		case kindBody:
+			f.SetBytes(data[p.at:])
+		case kindHeaders:
+			f.Type, f.Children = message.TypeStruct, s.headers(p.n, p.text)
+		case kindQuery:
+			f.Type, f.Children = message.TypeStruct, s.query(p.n, p.text)
+		}
+		fields[i] = f
+	}
+	return &message.Message{Name: lay.spec.Name, Fields: fields}
+}
+
+// slab is the unused rest of the two allocations a parse carves its fields
+// from: the nodes, and the lists that point at them.
+type slab struct {
+	nodes []message.Field
+	links []*message.Field
+}
+
+func (s *slab) node(label string) *message.Field {
+	f := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	f.Label = label
+	return f
+}
+
+// text carves a TypeString field.
+func (s *slab) text(label, value string) *message.Field {
+	f := s.node(label)
+	f.SetText(value)
+	return f
+}
+
+// list carves a list of n fields, nil when n is 0 as the interpreter's
+// were.
+func (s *slab) list(n int) []*message.Field {
+	if n == 0 {
+		return nil
+	}
+	l := s.links[:n:n]
+	s.links = s.links[n:]
+	return l
+}
+
+// headers carves a child for each of the n lines scanHeaders vouched for.
+func (s *slab) headers(n int, lines string) []*message.Field {
+	out := s.list(n)
+	for i := range out {
+		var line string
+		line, lines, _ = strings.Cut(lines, "\r\n")
+		k, v, _ := strings.Cut(line, ":")
+		out[i] = s.text(strings.TrimSpace(k), strings.TrimSpace(v))
+	}
+	return out
+}
+
+// query carves a child for each of the n parameters of a query scanQuery
+// vouched for, decoded as url.ParseQuery decodes them, in its order: by
+// key, and the values of one key as they came.
+func (s *slab) query(n int, q string) []*message.Field {
+	out := s.list(n)
+	for i := 0; i < n; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if pair == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, _ = url.QueryUnescape(k)
+		v, _ = url.QueryUnescape(v)
+		out[i] = s.text(k, v)
+		i++
+	}
+	slices.SortStableFunc(out, byLabel)
+	return out
+}
+
+func byLabel(a, b *message.Field) int { return strings.Compare(a.Label, b.Label) }
 
 // Compose encodes the abstract message using its named layout. The packet
 // is allocated once, at its size: everything but the body is laid out in a
 // scratch buffer first, and a body held as bytes is copied from where it is.
 func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
-	cm, ok := c.byName[msg.Name]
+	lay, ok := c.byName[msg.Name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
 	}
 	// The body is text or bytes, never both.
 	var text string
 	var raw []byte
-	if cm.hasBody {
-		for _, it := range cm.items {
+	if lay.hasBody {
+		for _, it := range lay.items {
 			if it.kind == kindBody {
 				if f := msg.Field(it.label); f != nil {
 					if f.Type == message.TypeBytes {
@@ -374,14 +527,14 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 	var scratch [512]byte
 	b := scratch[:0]
 	bodyAt := -1
-	for _, it := range cm.items {
+	for i := range lay.items {
+		it := &lay.items[i]
 		switch it.kind {
 		case kindTok:
-			val, err := tokenValue(cm, msg, it)
-			if err != nil {
+			var err error
+			if b, err = lay.appendToken(b, msg, it); err != nil {
 				return nil, err
 			}
-			b = append(b, val...)
 			switch it.delim {
 			case delimSP:
 				b = append(b, ' ')
@@ -389,7 +542,7 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 				b = append(b, '\r', '\n')
 			}
 		case kindHeaders:
-			b = appendHeaders(b, msg.Field(it.label), cm.hasBody, bodyLen)
+			b = appendHeaders(b, msg.Field(it.label), lay.hasBody, bodyLen)
 		case kindBody:
 			bodyAt = len(b)
 		case kindPath, kindQuery:
@@ -405,40 +558,70 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 	return append(out, b[bodyAt:]...), nil
 }
 
-func tokenValue(cm *compiledMessage, msg *message.Message, it compiledItem) (string, error) {
+// appendToken writes a token's value: the message's field; else the target
+// its derived path and query rebuild, the pairs sorted by key and escaped
+// as url.Values.Encode escapes them; else the value a rule fixes.
+func (lay *layout) appendToken(b []byte, msg *message.Message, it *item) ([]byte, error) {
 	if f := msg.Field(it.label); f != nil {
-		return f.ValueString(), nil
+		return append(b, f.ValueString()...), nil
 	}
-	// Reconstruct from derived path/query fields if present.
-	if dvs := cm.derived[it.label]; len(dvs) > 0 {
-		var path string
-		var query url.Values
-		for _, dv := range dvs {
-			f := msg.Field(dv.label)
-			if f == nil {
-				continue
-			}
-			switch dv.kind {
-			case kindPath:
-				path = f.ValueString()
-			case kindQuery:
-				query = url.Values{}
-				for _, p := range f.Children {
-					query.Add(p.Label, p.ValueString())
-				}
-			}
-		}
-		if path != "" || len(query) > 0 {
-			if len(query) > 0 {
-				return path + "?" + query.Encode(), nil
-			}
-			return path, nil
+	var path string
+	var params []*message.Field
+	for _, v := range it.views {
+		view := &lay.items[v]
+		f := msg.Field(view.label)
+		switch {
+		case f == nil:
+		case view.kind == kindPath:
+			path = f.ValueString()
+		default:
+			params = f.Children
 		}
 	}
-	if r, ok := cm.spec.Rule(it.label); ok && !strings.HasSuffix(r.Value, "*") {
-		return r.Value, nil
+	if path != "" || len(params) > 0 {
+		b = append(b, path...)
+		if len(params) > 0 {
+			b = appendQuery(append(b, '?'), params)
+		}
+		return b, nil
 	}
-	return "", fmt.Errorf("textenc: compose %s: token %q has no value", cm.spec.Name, it.label)
+	if r, ok := lay.spec.Rule(it.label); ok && !strings.HasSuffix(r.Value, "*") {
+		return append(b, r.Value...), nil
+	}
+	return b, fmt.Errorf("textenc: compose %s: token %q has no value", lay.spec.Name, it.label)
+}
+
+// appendQuery writes the parameters as url.Values.Encode would: by key,
+// the values of one key in their order.
+func appendQuery(b []byte, params []*message.Field) []byte {
+	var buf [16]*message.Field
+	sorted := append(buf[:0], params...)
+	slices.SortStableFunc(sorted, byLabel)
+	for i, p := range sorted {
+		if i > 0 {
+			b = append(b, '&')
+		}
+		b = appendQueryEscape(b, p.Label)
+		b = appendQueryEscape(append(b, '='), p.ValueString())
+	}
+	return b
+}
+
+// appendQueryEscape writes s as url.QueryEscape does: letters, digits and
+// "-_.~" as they are, a space as '+', every other byte as %XX.
+func appendQueryEscape(b []byte, s string) []byte {
+	const upperHex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '-', c == '_', c == '.', c == '~':
+			b = append(b, c)
+		case c == ' ':
+			b = append(b, '+')
+		default:
+			b = append(b, '%', upperHex[c>>4], upperHex[c&15])
+		}
+	}
+	return b
 }
 
 func appendHeaders(b []byte, hdrs *message.Field, hasBody bool, bodyLen int) []byte {

@@ -235,6 +235,8 @@ func TestBadSpecs(t *testing.T) {
 		{"unknown kind", "<MDL:T:text>\n<Message:M><A:wat><End:Message>"},
 		{"derived missing source", "<MDL:T:text>\n<Message:M><P:path:T><End:Message>"},
 		{"derived forward source", "<MDL:T:text>\n<Message:M><P:query:T><T:tok:sp><End:Message>"},
+		{"derived from a header block", "<MDL:T:text>\n<Message:M><H:headers><P:path:H><End:Message>"},
+		{"derived from a view", "<MDL:T:text>\n<Message:M><T:tok:sp><P:path:T><Q:query:P><End:Message>"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,10 +1,14 @@
 package observe
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 
 	"starlink/internal/engine"
 	"starlink/internal/protocol/httpwire"
@@ -34,15 +38,26 @@ type AdminConfig struct {
 //	                    ejection config, per-replica health (JSON)
 //	GET /discovery      the mediator's discovery reconcilers: source,
 //	                    hysteresis tuning, members and churn (JSON)
+//	GET /debug/profile[?seconds=N]
+//	                    a CPU profile of the next N seconds (1 to 30,
+//	                    default 5), in runtime/pprof's gzipped protobuf
+//	                    form; 400 for an N out of range, 409 while another
+//	                    CPU profile of the process is running
+//	GET /debug/heap     the heap profile, in the same form
+//	GET /debug/goroutines
+//	                    the goroutine profile, in the same form
 type Admin struct {
 	cfg    AdminConfig
 	srv    *httpwire.Server
 	uptime *Uptime
+	// done is closed by Close, which cuts a CPU profile short.
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
 // ServeAdmin binds addr and serves the admin routes in the background.
 func ServeAdmin(addr string, cfg AdminConfig) (*Admin, error) {
-	a := &Admin{cfg: cfg, uptime: NewUptime()}
+	a := &Admin{cfg: cfg, uptime: NewUptime(), done: make(chan struct{})}
 	srv, err := httpwire.Serve(addr, a.handle)
 	if err != nil {
 		return nil, err
@@ -54,10 +69,14 @@ func ServeAdmin(addr string, cfg AdminConfig) (*Admin, error) {
 // Addr returns the bound address ("host:port").
 func (a *Admin) Addr() string { return a.srv.Addr() }
 
-// Close stops the endpoint and waits for in-flight requests. It is
-// idempotent: closing an already-closed endpoint is a no-op, not an
-// error, so deployment teardown paths can call it unconditionally.
-func (a *Admin) Close() error { return a.srv.Close() }
+// Close stops the endpoint and waits for in-flight requests, a CPU profile
+// being recorded returning what it has. It is idempotent: closing an
+// already-closed endpoint is a no-op, not an error, so deployment teardown
+// paths can call it unconditionally.
+func (a *Admin) Close() error {
+	a.closeOnce.Do(func() { close(a.done) })
+	return a.srv.Close()
+}
 
 func (a *Admin) handle(req *httpwire.Request) *httpwire.Response {
 	if req.Method != "GET" {
@@ -76,6 +95,12 @@ func (a *Admin) handle(req *httpwire.Request) *httpwire.Response {
 		return a.backends()
 	case "/discovery":
 		return a.discovery()
+	case "/debug/profile":
+		return a.cpuProfile(req)
+	case "/debug/heap":
+		return profile("heap")
+	case "/debug/goroutines":
+		return profile("goroutine")
 	default:
 		return &httpwire.Response{Status: 404, Body: []byte("not found\n")}
 	}
@@ -169,6 +194,49 @@ func (a *Admin) discovery() *httpwire.Response {
 		return &httpwire.Response{Status: 404, Body: []byte("mediator has no discovery sources\n")}
 	}
 	return jsonResponse(snaps)
+}
+
+// cpuProfile records the process's CPU profile for ?seconds=N. The
+// runtime runs one CPU profile at a time, so a request that comes while
+// another runs — from this endpoint or any other caller — gets 409.
+func (a *Admin) cpuProfile(req *httpwire.Request) *httpwire.Response {
+	seconds := 5
+	if s := req.QueryValue("seconds"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n < 1 || n > 30 {
+			return &httpwire.Response{Status: 400, Body: []byte(fmt.Sprintf("seconds %q: want 1 to 30\n", s))}
+		}
+		seconds = n
+	}
+	var buf bytes.Buffer
+	if err := pprof.StartCPUProfile(&buf); err != nil {
+		return &httpwire.Response{Status: 409, Body: []byte(err.Error() + "\n")}
+	}
+	timer := time.NewTimer(time.Duration(seconds) * time.Second)
+	select {
+	case <-timer.C:
+	case <-a.done:
+		timer.Stop()
+	}
+	pprof.StopCPUProfile()
+	return profileResponse(buf.Bytes())
+}
+
+// profile writes the named runtime/pprof profile.
+func profile(name string) *httpwire.Response {
+	var buf bytes.Buffer
+	if err := pprof.Lookup(name).WriteTo(&buf, 0); err != nil {
+		return &httpwire.Response{Status: 500, Body: []byte(err.Error() + "\n")}
+	}
+	return profileResponse(buf.Bytes())
+}
+
+func profileResponse(data []byte) *httpwire.Response {
+	return &httpwire.Response{
+		Status:  200,
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/octet-stream"}},
+		Body:    data,
+	}
 }
 
 func jsonResponse(v any) *httpwire.Response {

@@ -1,9 +1,14 @@
 package observe_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"errors"
+	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -343,5 +348,77 @@ func TestAdminBackendsRoute(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAdminProfiles: the three profile routes answer with a gzip-framed
+// runtime/pprof profile, an out-of-range seconds is refused, and of two CPU
+// profiles asked for at once one runs and the other gets 409.
+func TestAdminProfiles(t *testing.T) {
+	admin, err := observe.ServeAdmin("127.0.0.1:0", observe.AdminConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	get := func(target string) (*httpwire.Response, error) {
+		hc := &httpwire.Client{Addr: admin.Addr()}
+		defer hc.Close()
+		return hc.Get(target)
+	}
+	isProfile := func(resp *httpwire.Response) error {
+		zr, err := gzip.NewReader(bytes.NewReader(resp.Body))
+		if err != nil {
+			return err
+		}
+		data, err := io.ReadAll(zr)
+		if err == nil && len(data) == 0 {
+			err = errors.New("empty profile")
+		}
+		return err
+	}
+
+	for _, target := range []string{"/debug/heap", "/debug/goroutines"} {
+		resp, err := get(target)
+		if err != nil || resp.Status != 200 {
+			t.Fatalf("GET %s: %v, %v", target, resp, err)
+		}
+		if err := isProfile(resp); err != nil {
+			t.Errorf("GET %s: not a gzipped profile: %v", target, err)
+		}
+	}
+	for _, seconds := range []string{"0", "31", "-1", "five"} {
+		if resp, err := get("/debug/profile?seconds=" + seconds); err != nil || resp.Status != 400 {
+			t.Errorf("seconds=%s: %v, %v; want 400", seconds, resp, err)
+		}
+	}
+
+	// The second asks while the first runs for two seconds: it is refused at
+	// once, not queued behind it.
+	var wg sync.WaitGroup
+	resps := make([]*httpwire.Response, 2)
+	for i := range resps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := get("/debug/profile?seconds=2")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resps[i] = resp
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if resps[0].Status == 409 {
+		resps[0], resps[1] = resps[1], resps[0]
+	}
+	if resps[0].Status != 200 || resps[1].Status != 409 {
+		t.Fatalf("two CPU profiles at once answered %d and %d, want 200 and 409", resps[0].Status, resps[1].Status)
+	}
+	if err := isProfile(resps[0]); err != nil {
+		t.Errorf("CPU profile: %v", err)
 	}
 }
