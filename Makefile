@@ -27,7 +27,7 @@ race:
 race-alloc:
 	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache
 
-# The full gate: vet, tier-1, the race passes, then checks of its own. The
+# The full gate: tier-1, gofmt, vet, the race passes, then checks of its own. The
 # engine's tests run fifty times in shuffled order, so a counter or trace
 # published after the reply it belongs to shows up as a flake here and not
 # in tier-1. The experiment index cannot cite a test that was renamed away:
@@ -73,6 +73,7 @@ race-alloc:
 # file passes its tool's `check`, the directory lists, and the one derived
 # file is still what `automatac merge` makes of the three it derives from.
 check: test
+	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo 'check: the files above are not gofmt-formatted; run make fmt'; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) race
 	$(MAKE) race-alloc
@@ -133,14 +134,17 @@ bench:
 # Short coverage-guided fuzz passes over everything that parses
 # untrusted bytes. The target list is whatever `go test -list` finds, one
 # -fuzz run per target, so a Fuzz function cannot exist without running
-# here. FUZZTIME can be raised for a longer local soak.
+# here. FUZZTIME can be raised for a longer local soak. Minimizing a new
+# input tries removing every pair of byte ranges, so a multi-kilobyte model
+# file as seed would spend the whole pass minimizing its first find; 1000
+# runs bound it.
 FUZZTIME ?= 10s
 fuzz:
 	@$(GO) test -list '^Fuzz' ./... | \
 	awk '/^Fuzz/ { names[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, names[i]; n = 0 }' | \
 	while read pkg name; do \
 		echo "fuzz $$pkg $$name"; \
-		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) || exit 1; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1000x || exit 1; \
 	done
 
 fmt:

@@ -476,6 +476,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		"not xml",
 		`<automaton name="A" start="s0"><state name="s0" final="true"/><transition from="s0" to="s0" action="zap" message="m"/></automaton>`,
 		`<automaton name="A" start="zz"><state name="s0" final="true"/></automaton>`,
+		`<automaton name="A" start="s0"><message name="m"><field name="x"/><field name="x" optional="true"/></message><state name="s0" final="true"/></automaton>`,
 	}
 	for _, c := range cases {
 		if _, err := automata.ParseAutomaton(c); err == nil {

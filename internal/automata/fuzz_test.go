@@ -1,0 +1,108 @@
+package automata_test
+
+import (
+	"bytes"
+	"io/fs"
+	"reflect"
+	"strings"
+	"testing"
+
+	"starlink/internal/automata"
+	"starlink/models"
+)
+
+// seedModels adds every file under models/ whose name ends in one of
+// suffixes to f's corpus: the documents a hot reload reads are where the
+// fuzzer starts.
+func seedModels(f *testing.F, suffixes ...string) {
+	f.Helper()
+	names, err := fs.Glob(models.FS, "*")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range names {
+		for _, suffix := range suffixes {
+			if strings.HasSuffix(name, suffix) {
+				data, err := fs.ReadFile(models.FS, name)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(string(data))
+			}
+		}
+	}
+}
+
+// FuzzParseAutomaton: a usage automaton the reader accepts is written back
+// by EncodeXML as a document that reads as the same automaton.
+func FuzzParseAutomaton(f *testing.F) {
+	seedModels(f, ".automaton.xml")
+	f.Add(`<automaton name="a" start="s"><message name="m"><field name="x"/><field name="x" optional="true"/></message><state name="s" final="true"/></automaton>`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		a, err := automata.ParseAutomaton(doc)
+		if err != nil {
+			return
+		}
+		out, err := a.EncodeXML()
+		if err != nil {
+			t.Fatalf("accepted %q, then cannot encode it: %v", doc, err)
+		}
+		back, err := automata.ParseAutomaton(string(out))
+		if err != nil {
+			t.Fatalf("%q reads, its encoding %q does not: %v", doc, out, err)
+		}
+		if !reflect.DeepEqual(a, back) {
+			t.Fatalf("%q reads as\n%+v\nits encoding %q as\n%+v", doc, a, out, back)
+		}
+	})
+}
+
+// FuzzUnmarshalMerged: a merged automaton the reader accepts is written
+// back by EncodeXML as a document that reads as the same automaton, γ
+// programs included.
+func FuzzUnmarshalMerged(f *testing.F) {
+	seedModels(f, ".merged.xml")
+	f.Add(`<merged name="m" start="a"><state name="a" colors="1, 2"/><transition kind="gamma" from="a" to="a"><mtl>x]]&gt;y&#xD;</mtl></transition><final name="a"/></merged>`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		m, err := automata.UnmarshalMerged(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		out, err := m.EncodeXML()
+		if err != nil {
+			t.Fatalf("accepted %q, then cannot encode it: %v", doc, err)
+		}
+		back, err := automata.UnmarshalMerged(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("%q reads, its encoding %q does not: %v", doc, out, err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("%q reads as\n%+v\nits encoding %q as\n%+v", doc, m, out, back)
+		}
+	})
+}
+
+// FuzzParsePairs: the pairs of an accepted .equiv or .typemap document,
+// written one "left = right" line each, read as the same pairs.
+func FuzzParsePairs(f *testing.F) {
+	seedModels(f, ".equiv", ".typemap")
+	f.Add("a = b\n# c = d\n\n=e\nf = g = h\n")
+	f.Add("no equals sign")
+	f.Fuzz(func(t *testing.T, doc string) {
+		pairs, err := automata.ParsePairs(doc, "a = b")
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		for _, p := range pairs {
+			out.WriteString(p[0] + " = " + p[1] + "\n")
+		}
+		back, err := automata.ParsePairs(out.String(), "a = b")
+		if err != nil {
+			t.Fatalf("%q reads, its pairs written out %q do not: %v", doc, out.String(), err)
+		}
+		if len(pairs) != len(back) || (len(pairs) > 0 && !reflect.DeepEqual(pairs, back)) {
+			t.Fatalf("%q reads as %q, its pairs written out as %q", doc, pairs, back)
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -127,6 +128,10 @@ func UnmarshalAutomaton(r io.Reader) (*Automaton, error) {
 	for _, xm := range xa.Messages {
 		d := MsgDef{Name: xm.Name}
 		for _, f := range xm.Fields {
+			// A label declared twice has no one optionality to write back.
+			if slices.Contains(d.Fields, f.Name) {
+				return nil, fmt.Errorf("%w: %s: message %q declares field %q twice", ErrInvalid, xa.Name, xm.Name, f.Name)
+			}
 			d.Fields = append(d.Fields, f.Name)
 			if f.Optional {
 				d.Optional = append(d.Optional, f.Name)
@@ -194,6 +199,8 @@ type xmlMergedTransient struct {
 type xmlMTL struct {
 	Src string `xml:",cdata"`
 }
+
+var crlf = strings.NewReplacer("\r\n", "\n", "\r", "\n")
 
 // EncodeXML renders the merged automaton.
 func (m *Merged) EncodeXML() ([]byte, error) {
@@ -274,7 +281,9 @@ func UnmarshalMerged(r io.Reader) (*Merged, error) {
 		case "gamma":
 			t.Kind = KindGamma
 			if xt.MTL != nil {
-				t.MTL = xt.MTL.Src
+				// XML turns a literal CR into LF, and a CDATA block cannot
+				// carry one, so a CR written as &#xD; is read as LF too.
+				t.MTL = crlf.Replace(xt.MTL.Src)
 			}
 		case "message":
 			t.Kind = KindMessage

@@ -76,7 +76,7 @@ func TestE16ResponseCacheThroughDeploy(t *testing.T) {
 		if t.Failed() {
 			t.FailNow()
 		}
-		return dep.Mediator.Stats()
+		return dep.Mediator.Snapshot().Stats
 	}
 	// Every flow sends the client one reply, and the service one request
 	// unless the cache served it, so the rest of MessagesOut is the service

@@ -133,9 +133,9 @@ func TestDeployWithFileDiscovery(t *testing.T) {
 	}
 	defer dep.Close()
 
-	snaps := dep.Mediator.Discovery()
+	snaps := dep.Mediator.Snapshot().Discovery
 	if len(snaps) != 1 || snaps[0].Set != "photos" || !strings.HasPrefix(snaps[0].Source, "file://") {
-		t.Fatalf("Discovery() = %+v", snaps)
+		t.Fatalf("Snapshot().Discovery = %+v", snaps)
 	}
 	// A new endpoint in the file is admitted once the hysteresis
 	// clears.
@@ -144,7 +144,7 @@ func TestDeployWithFileDiscovery(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if snaps = dep.Mediator.Discovery(); len(snaps[0].Members) == 2 {
+		if snaps = dep.Mediator.Snapshot().Discovery; len(snaps[0].Members) == 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -435,7 +435,7 @@ func TestE14GatewayMultiplexSwapShed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh client after swap: %v", err)
 	}
-	if calc2.Stats().Flows == 0 {
+	if calc2.Snapshot().Stats.Flows == 0 {
 		t.Fatal("replacement mediator served no flows after the swap")
 	}
 	stopPinned()
@@ -448,7 +448,7 @@ func TestE14GatewayMultiplexSwapShed(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if st := old.(*engine.Mediator).Stats(); st.Failures != 0 {
+	if st := old.(*engine.Mediator).Snapshot().Stats; st.Failures != 0 {
 		t.Fatalf("old mediator failures = %d after drain, want 0", st.Failures)
 	}
 

@@ -140,7 +140,7 @@ func startChurnedSet(t *testing.T, addrs []string, directives string) *churnedSe
 // replica is the mediator's view of one member of the set, and whether
 // addr is a member at all.
 func (c *churnedSet) replica(addr string) (backend.ReplicaSnapshot, bool) {
-	for _, rs := range c.dep.Mediator.Backends()[0].Replicas {
+	for _, rs := range c.dep.Mediator.Snapshot().Backends[0].Replicas {
 		if rs.Addr == addr {
 			return rs, true
 		}
@@ -213,9 +213,9 @@ func TestE17ReplicaEjectReadmitSoak(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	st := c.dep.Mediator.Stats()
+	st := c.dep.Mediator.Snapshot().Stats
 	s0, _ = c.replica(addrs[0])
-	readmissions := c.dep.Mediator.Backends()[0].Readmissions
+	readmissions := c.dep.Mediator.Snapshot().Backends[0].Readmissions
 	t.Logf("%d flows, 0 lost; replica ejected %dx, readmitted (%d), %d redial(s), %d probes",
 		c.flows.Load(), s0.Ejections, readmissions, st.Redials, s0.Probes)
 	if st.Failures != 0 {
@@ -269,7 +269,7 @@ func TestE18DiscoveryChurnSoak(t *testing.T) {
 	c := startChurnedSet(t, addrs[:1],
 		"probe plus 10ms timeout=500ms\neject plus fails=2 cooloff=100ms min_live=1\n"+
 			"discover plus via=file path="+hosts+" refresh=15ms debounce=250ms min_ttl=50ms\n")
-	discovered := func() discovery.Snapshot { return c.dep.Mediator.Discovery()[0] }
+	discovered := func() discovery.Snapshot { return c.dep.Mediator.Snapshot().Discovery[0] }
 
 	waitFor(t, "baseline traffic", func() bool { return c.flows.Load() >= 20 })
 
@@ -311,7 +311,7 @@ func TestE18DiscoveryChurnSoak(t *testing.T) {
 	snap := discovered()
 	t.Logf("%d flows, 0 lost; %d added, %d removed, %d flap(s) suppressed over %d resolutions",
 		c.flows.Load(), snap.Adds, snap.Removes, snap.FlapsSuppressed, snap.Resolutions)
-	if st := c.dep.Mediator.Stats(); st.Failures != 0 {
+	if st := c.dep.Mediator.Snapshot().Stats; st.Failures != 0 {
 		t.Errorf("client-visible failures = %d, want 0 across the churn", st.Failures)
 	}
 	if snap.Adds < 2 {

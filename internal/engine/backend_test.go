@@ -87,7 +87,7 @@ func TestBackendFaultEjectsAndRedialsSurvivor(t *testing.T) {
 		}
 	}
 
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Failures != 0 || st.ServiceFailures != 0 || st.RetriesExhausted != 0 {
 		t.Errorf("stats = %+v, want no failures", st)
 	}
@@ -115,9 +115,9 @@ func TestBackendFaultEjectsAndRedialsSurvivor(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	snaps := med.Backends()
+	snaps := med.Snapshot().Backends
 	if len(snaps) != 1 || snaps[0].Name != "plus" {
-		t.Fatalf("Backends() = %+v, want the plus set", snaps)
+		t.Fatalf("Snapshot().Backends = %+v, want the plus set", snaps)
 	}
 	for _, rs := range snaps[0].Replicas {
 		switch rs.Addr {

@@ -67,7 +67,7 @@ func TestCacheRepeatedReads(t *testing.T) {
 	if got := ops.Load(); got != 2 {
 		t.Errorf("service exchanges = %d, want 2", got)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.CacheHits != 1 || st.CacheMisses != 2 || st.CacheCoalesced != 0 {
 		t.Errorf("cache stats = hits %d misses %d coalesced %d, want 1/2/0",
 			st.CacheHits, st.CacheMisses, st.CacheCoalesced)
@@ -124,7 +124,7 @@ func TestCacheOneExchangePerTTLWindow(t *testing.T) {
 	if got := ops.Load(); got != 1 {
 		t.Errorf("window 1: service exchanges = %d, want exactly 1", got)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.CacheMisses != 1 {
 		t.Errorf("window 1: misses = %d, want 1", st.CacheMisses)
 	}
@@ -140,7 +140,7 @@ func TestCacheOneExchangePerTTLWindow(t *testing.T) {
 	if got := ops.Load(); got != 2 {
 		t.Errorf("window 2: service exchanges = %d, want exactly 2", got)
 	}
-	if st := med.Stats(); st.CacheMisses != 2 {
+	if st := med.Snapshot().Stats; st.CacheMisses != 2 {
 		t.Errorf("window 2: misses = %d, want 2", st.CacheMisses)
 	}
 }
@@ -176,7 +176,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if got := ops.Load(); got != 2 {
 		t.Errorf("post-expiry exchanges = %d, want 2", got)
 	}
-	if st := med.Stats(); st.CacheEvictions != 1 {
+	if st := med.Snapshot().Stats; st.CacheEvictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.CacheEvictions)
 	}
 }

@@ -51,7 +51,7 @@ func TestFlowDeadlineBoundsStalledService(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= 1500*time.Millisecond {
 		t.Errorf("flow failed after %v, want < 1.5s (budget %v + slack)", elapsed, budget)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.DeadlineExceeded == 0 {
 		t.Error("DeadlineExceeded = 0, want > 0")
 	}
@@ -79,7 +79,7 @@ func TestFlowDeadlineDisabled(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 2*150*time.Millisecond {
 		t.Errorf("flow failed after %v, want >= both exchange timeouts (budgets disabled)", elapsed)
 	}
-	if st := med.Stats(); st.DeadlineExceeded != 0 {
+	if st := med.Snapshot().Stats; st.DeadlineExceeded != 0 {
 		t.Errorf("DeadlineExceeded = %d, want 0 with budgets disabled", st.DeadlineExceeded)
 	}
 }
@@ -111,7 +111,7 @@ func TestFlowDeadlineBoundsDial(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= 2*600*time.Millisecond {
 		t.Errorf("flow failed after %v, want < two dial rounds", elapsed)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.DeadlineExceeded == 0 {
 		t.Error("DeadlineExceeded = 0, want > 0")
 	}
@@ -151,7 +151,7 @@ func TestFlowDeadlineBoundsPoolWait(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= 4*budget {
 		t.Errorf("pool-blocked flow failed after %v, want ~%v", elapsed, budget)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.PoolWaitTimeouts == 0 {
 		t.Error("PoolWaitTimeouts = 0, want > 0")
 	}
@@ -201,7 +201,7 @@ func TestFlowDeadlineBoundsCoalescedWait(t *testing.T) {
 			t.Errorf("flow %d failed after %v, want bounded by ~%v", i, e, budget)
 		}
 	}
-	if st := med.Stats(); st.DeadlineExceeded == 0 {
+	if st := med.Snapshot().Stats; st.DeadlineExceeded == 0 {
 		t.Error("DeadlineExceeded = 0, want > 0")
 	}
 }
@@ -302,7 +302,7 @@ func TestE19FlowDeadlineStormSoak(t *testing.T) {
 				}(c)
 			}
 			wg.Wait()
-			st := med.Stats()
+			st := med.Snapshot().Stats
 			t.Logf("%d flows vs %v stall: slowest failure %v (budget %v, stacked bound %v), %d deadline exhaustions",
 				clients*flows, stall, slowest.Round(time.Millisecond), budget, 4*exchange, st.DeadlineExceeded)
 			if st.DeadlineExceeded == 0 {

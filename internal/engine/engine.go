@@ -369,72 +369,67 @@ type TraceEvent struct {
 // MaxTraceWire bounds the wire capture attached to TraceError events.
 const MaxTraceWire = 256
 
-// Stats are a mediator's lifetime counters.
-type Stats struct {
-	// Sessions is the number of client connections accepted.
-	Sessions uint64
-	// Flows is the number of complete automaton traversals, counted
-	// before the final client reply is written.
-	Flows uint64
-	// Translations is the number of γ transitions executed.
-	Translations uint64
-	// MessagesIn and MessagesOut count messages received from and sent to
-	// either side.
-	MessagesIn, MessagesOut uint64
-	// Failures is the number of sessions that ended with an error other
-	// than the client disconnecting between flows.
-	Failures uint64
-	// Redials counts service connections that were replaced during a
-	// session — after a transport fault or a sethost retarget.
-	Redials uint64
-	// RetriesExhausted counts service exchanges that still failed after
-	// every configured retry.
-	RetriesExhausted uint64
-	// ClientFailures counts failed exchanges with the client application
-	// (unparseable requests, unexpected actions, reply send errors).
-	ClientFailures uint64
-	// ServiceFailures counts service-side exchanges that failed for good
-	// (retries exhausted, protocol errors, unparseable replies).
-	ServiceFailures uint64
-	// PoolHits counts service-connection checkouts served by an idle
-	// pooled connection instead of a dial.
-	PoolHits uint64
-	// PoolDials counts service-connection checkouts that opened a fresh
-	// connection. PoolDials well below Sessions is pool reuse at work.
-	PoolDials uint64
-	// PoolEvictions counts pooled connections closed early: idle
-	// timeout, health-check rejection, idle overflow, or fault discard.
-	PoolEvictions uint64
-	// PoolWaitTimeouts counts checkout waiters that gave up — their
-	// flow budget or dial timeout expired while the pool was at its
-	// bound with no connection checked back in.
-	PoolWaitTimeouts uint64
-	// DeadlineExceeded counts flows that failed fast because their
-	// deadline budget (Config.FlowDeadline) ran out mid-mediation.
-	DeadlineExceeded uint64
-	// HookPanics counts panics recovered from the Trace hook. A non-zero
-	// value means the observability callback is buggy; the
-	// mediation flows themselves were unaffected.
-	HookPanics uint64
-	// CacheHits counts service exchanges answered from a stored reply;
-	// CacheMisses counts cache lookups that led a fresh exchange;
-	// CacheCoalesced counts exchanges that joined an in-flight leader;
-	// CacheEvictions counts entries dropped by LRU pressure or TTL
-	// expiry; CacheInvalidations counts entries flushed by write
-	// operations. All zero unless Config.Cache is set.
-	CacheHits, CacheMisses, CacheCoalesced uint64
-	CacheEvictions, CacheInvalidations     uint64
+// Stats are a mediator's lifetime counters, as Snapshot reads them.
+type Stats = counters[uint64]
+
+// counters declares each lifetime counter of a mediator once: a field
+// here and its row in Fields, which gives the name and help text /metrics
+// exports it under. Sessions increment the live form,
+// counters[atomic.Uint64], and Snapshot loads it into a Stats row by row.
+// The Pool* and Cache* cells are the exception: Snapshot fills them from
+// its one sample of the pool and of the cache, and their live cells stay
+// zero.
+type counters[T any] struct {
+	// Flows counts complete automaton traversals before the final client
+	// reply is written. Failures counts sessions that ended with an error
+	// other than the client disconnecting between flows.
+	Sessions, Flows, Translations, MessagesIn, MessagesOut, Failures T
+	// Redials counts service connections replaced during a session, after
+	// a transport fault or a sethost retarget.
+	Redials, RetriesExhausted, ClientFailures, ServiceFailures T
+	// PoolEvictions counts pooled connections closed early: idle timeout,
+	// health-check rejection, idle overflow or fault discard.
+	PoolHits, PoolDials, PoolEvictions, PoolWaitTimeouts T
+	// DeadlineExceeded counts flows whose Config.FlowDeadline budget ran
+	// out mid-mediation. A non-zero HookPanics means the Trace hook is
+	// buggy; the flows themselves were unaffected.
+	DeadlineExceeded, HookPanics T
+	// The Cache* counters stay zero unless Config.Cache is set.
+	CacheHits, CacheMisses, CacheCoalesced, CacheEvictions, CacheInvalidations T
 }
 
-// statCounters is the internal atomic form of Stats.
-type statCounters struct {
-	sessions, flows, translations   atomic.Uint64
-	messagesIn, messagesOut         atomic.Uint64
-	failures                        atomic.Uint64
-	redials, retriesExhausted       atomic.Uint64
-	clientFailures, serviceFailures atomic.Uint64
-	hookPanics                      atomic.Uint64
-	deadlineExceeded                atomic.Uint64
+// Metric is one row of a declaration table: the name and help text of a
+// /metrics family and the cell that holds its value.
+type Metric[T any] struct {
+	Name, Help string
+	Value      *T
+}
+
+// Fields lists the counters in the order /metrics exports them.
+func (c *counters[T]) Fields() []Metric[T] {
+	return []Metric[T]{
+		{"starlink_sessions_total", "Client connections accepted.", &c.Sessions},
+		{"starlink_flows_total", "Complete automaton traversals.", &c.Flows},
+		{"starlink_translations_total", "Gamma (MTL) transitions executed.", &c.Translations},
+		{"starlink_messages_in_total", "Messages received from either side.", &c.MessagesIn},
+		{"starlink_messages_out_total", "Messages sent to either side.", &c.MessagesOut},
+		{"starlink_failures_total", "Sessions that ended with an error.", &c.Failures},
+		{"starlink_redials_total", "Service connections replaced mid-session.", &c.Redials},
+		{"starlink_retries_exhausted_total", "Service exchanges that failed after every retry.", &c.RetriesExhausted},
+		{"starlink_client_failures_total", "Failed client-side exchanges.", &c.ClientFailures},
+		{"starlink_service_failures_total", "Service-side exchanges that failed for good.", &c.ServiceFailures},
+		{"starlink_pool_hits_total", "Service checkouts served by an idle pooled connection.", &c.PoolHits},
+		{"starlink_pool_dials_total", "Service checkouts that opened a fresh connection.", &c.PoolDials},
+		{"starlink_pool_evictions_total", "Pooled connections closed early.", &c.PoolEvictions},
+		{"starlink_pool_wait_timeouts_total", "Pool checkouts abandoned while waiting at the MaxActive bound.", &c.PoolWaitTimeouts},
+		{"starlink_flow_deadline_exceeded_total", "Flows failed fast because their deadline budget ran out.", &c.DeadlineExceeded},
+		{"starlink_hook_panics_total", "Panics recovered from the Trace hook.", &c.HookPanics},
+		{"starlink_cache_hits_total", "Service exchanges served from the cross-flow response cache.", &c.CacheHits},
+		{"starlink_cache_misses_total", "Cacheable exchanges that went to the service (leader elections).", &c.CacheMisses},
+		{"starlink_cache_coalesced_total", "Cacheable exchanges that joined an in-flight leader.", &c.CacheCoalesced},
+		{"starlink_cache_evictions_total", "Cached replies dropped by TTL expiry or LRU overflow.", &c.CacheEvictions},
+		{"starlink_cache_invalidations_total", "Cached replies flushed by write-operation invalidation.", &c.CacheInvalidations},
+	}
 }
 
 // Mediator executes merged automata, one session per accepted client
@@ -449,7 +444,7 @@ type Mediator struct {
 	flowBudget time.Duration
 	compiled   map[int]*mtl.CompiledProgram // γ transition index -> compiled program
 	outs       map[string]outgoing          // state -> outgoing transitions, precomputed
-	stats      statCounters
+	stats      counters[atomic.Uint64]
 	// clientColors lists the colors the mediator plays the client role
 	// for — the colors whose pool keys a backend ejection must flush.
 	clientColors []int
@@ -459,12 +454,8 @@ type Mediator struct {
 	// invalidations are read from cfg.Cache, validated by New.
 	rcache *rcache.Cache
 
-	// transitions, exchanges and translate are the latency histograms
-	// behind Snapshot: per-transition execution, per-service-exchange
-	// round-trip and per-γ-translation, lock-free log-scale bins.
-	transitions histogram
-	exchanges   histogram
-	translate   histogram
+	// hists are the live latency histograms behind Snapshot.Latencies.
+	hists histograms[histogram]
 
 	// draining refuses new flows (set by Shutdown); stopping aborts
 	// in-flight service retries (set when Shutdown's context expires,
@@ -482,31 +473,60 @@ type Mediator struct {
 	wg       sync.WaitGroup
 }
 
-// Stats returns a snapshot of the mediator's counters.
-func (m *Mediator) Stats() Stats {
-	st := Stats{
-		Sessions:         m.stats.sessions.Load(),
-		Flows:            m.stats.flows.Load(),
-		Translations:     m.stats.translations.Load(),
-		MessagesIn:       m.stats.messagesIn.Load(),
-		MessagesOut:      m.stats.messagesOut.Load(),
-		Failures:         m.stats.failures.Load(),
-		Redials:          m.stats.redials.Load(),
-		RetriesExhausted: m.stats.retriesExhausted.Load(),
-		ClientFailures:   m.stats.clientFailures.Load(),
-		ServiceFailures:  m.stats.serviceFailures.Load(),
-		HookPanics:       m.stats.hookPanics.Load(),
-		DeadlineExceeded: m.stats.deadlineExceeded.Load(),
+// Snapshot is one reading of a mediator: its counters, its latency
+// histograms, the occupancy of its pool and the health of its replica sets
+// and discovery sources. /metrics, /healthz, /backends and /discovery each
+// read one.
+type Snapshot struct {
+	// Stats are the lifetime counters.
+	Stats Stats
+	// Latencies are the latency histograms.
+	Latencies
+	// Pool is the service pool's occupancy, zero before Start. The Pool*
+	// counters of Stats are read from this same sample.
+	Pool pool.Stats
+	// Backends are the replica sets, sorted by name; nil when there are
+	// none.
+	Backends []backend.SetSnapshot
+	// Discovery are the discovery reconcilers, sorted by the set they
+	// drive; nil when there are none.
+	Discovery []discovery.Snapshot
+}
+
+// Snapshot reads each counter, histogram, the pool, the cache, each replica
+// set and each discovery source once.
+func (m *Mediator) Snapshot() Snapshot {
+	var snap Snapshot
+	live := m.stats.Fields()
+	for i, f := range snap.Stats.Fields() {
+		*f.Value = live[i].Value.Load()
 	}
-	ps := m.PoolStats()
-	st.PoolHits, st.PoolDials, st.PoolEvictions = ps.Hits, ps.Dials, ps.Evictions()
-	st.PoolWaitTimeouts = ps.WaitTimeouts
+	hists := m.hists.Fields()
+	for i, f := range snap.Latencies.Fields() {
+		*f.Value = hists[i].Value.snapshot()
+	}
+	m.mu.Lock()
+	p := m.pool
+	m.mu.Unlock()
+	if p != nil {
+		snap.Pool = p.Stats()
+	}
+	st, ps := &snap.Stats, &snap.Pool
+	st.PoolHits, st.PoolDials, st.PoolEvictions, st.PoolWaitTimeouts = ps.Hits, ps.Dials, ps.Evictions(), ps.WaitTimeouts
 	if m.rcache != nil {
 		cs := m.rcache.Stats()
 		st.CacheHits, st.CacheMisses, st.CacheCoalesced = cs.Hits, cs.Misses, cs.Coalesced
 		st.CacheEvictions, st.CacheInvalidations = cs.Evictions, cs.Invalidations
 	}
-	return st
+	for _, set := range m.cfg.Backends {
+		snap.Backends = append(snap.Backends, set.Snapshot())
+	}
+	sort.Slice(snap.Backends, func(i, j int) bool { return snap.Backends[i].Name < snap.Backends[j].Name })
+	for _, rec := range m.cfg.Discovery {
+		snap.Discovery = append(snap.Discovery, rec.Snapshot())
+	}
+	sort.Slice(snap.Discovery, func(i, j int) bool { return snap.Discovery[i].Set < snap.Discovery[j].Set })
+	return snap
 }
 
 // CacheFlush drops every reply from the cross-flow response cache,
@@ -773,24 +793,6 @@ func (m *Mediator) startBackends() {
 	}
 }
 
-// Backends snapshots the mediator's replica sets, sorted by name, for
-// the admin /backends view. Nil when the mediator has none.
-func (m *Mediator) Backends() []backend.SetSnapshot {
-	if len(m.cfg.Backends) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(m.cfg.Backends))
-	for name := range m.cfg.Backends {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	snaps := make([]backend.SetSnapshot, len(names))
-	for i, name := range names {
-		snaps[i] = m.cfg.Backends[name].Snapshot()
-	}
-	return snaps
-}
-
 // Adopt carries what must outlive a gateway hot swap from the mediator
 // this one replaces: the replica health of same-named backend sets
 // (ejections, cooloff deadlines, latency EWMAs), so the swap does not
@@ -813,33 +815,6 @@ func (m *Mediator) Adopt(prev *Mediator) {
 			}
 		}
 	}
-}
-
-// Discovery snapshots the mediator's discovery reconcilers, sorted by
-// the set they drive, for the admin /discovery view. Nil when the
-// mediator has none.
-func (m *Mediator) Discovery() []discovery.Snapshot {
-	if len(m.cfg.Discovery) == 0 {
-		return nil
-	}
-	snaps := make([]discovery.Snapshot, len(m.cfg.Discovery))
-	for i, rec := range m.cfg.Discovery {
-		snaps[i] = rec.Snapshot()
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Set < snaps[j].Set })
-	return snaps
-}
-
-// PoolStats snapshots the shared service pool's occupancy (zero before
-// Start). It backs the per-key pool gauges in internal/observe.
-func (m *Mediator) PoolStats() pool.Stats {
-	m.mu.Lock()
-	p := m.pool
-	m.mu.Unlock()
-	if p == nil {
-		return pool.Stats{}
-	}
-	return p.Stats()
 }
 
 // StartDetached opens the shared service pool without binding a
@@ -890,7 +865,7 @@ func (m *Mediator) ServeConn(conn network.Conn) error {
 	// draining check and the Add.
 	m.wg.Add(1)
 	m.mu.Unlock()
-	id := m.stats.sessions.Add(1)
+	id := m.stats.Sessions.Add(1)
 	go func() {
 		defer m.wg.Done()
 		s := &session{med: m, id: id, client: conn, links: make([]serviceLink, len(m.clientColors))}
@@ -1171,7 +1146,7 @@ func (s *session) trace(ev TraceEvent) {
 func (m *Mediator) callHook(ev TraceEvent) {
 	defer func() {
 		if r := recover(); r != nil {
-			m.stats.hookPanics.Add(1)
+			m.stats.HookPanics.Add(1)
 		}
 	}()
 	m.cfg.Trace(ev)
@@ -1216,7 +1191,7 @@ func (s *session) run() {
 			// A recv error on the very first transition of a flow is the
 			// client ending the keep-alive connection, not a failure.
 			if !errors.Is(err, errSessionDone) {
-				s.med.stats.failures.Add(1)
+				s.med.stats.Failures.Add(1)
 				s.trace(TraceEvent{Kind: TraceError, Err: err, Wire: truncWire(s.lastRecv)})
 				s.sendErrorReply(err)
 			}
@@ -1235,7 +1210,7 @@ func (s *session) run() {
 // client reply to the transport, so a client that has read its answer
 // finds the flow already accounted.
 func (s *session) endFlow() {
-	s.med.stats.flows.Add(1)
+	s.med.stats.Flows.Add(1)
 	if s.flowStarted {
 		s.trace(TraceEvent{Kind: TraceFlowEnd, Elapsed: time.Since(s.flowT0)})
 	}
@@ -1296,8 +1271,8 @@ func (s *session) within(limit time.Duration) time.Time {
 // typed fast-fail error, carrying the last transport error (if any)
 // for diagnosis.
 func (s *session) budgetExceeded(op string, color int, lastErr error) error {
-	s.med.stats.deadlineExceeded.Add(1)
-	s.med.stats.serviceFailures.Add(1)
+	s.med.stats.DeadlineExceeded.Add(1)
+	s.med.stats.ServiceFailures.Add(1)
 	if lastErr != nil {
 		return fmt.Errorf("%s (color %d): %w (last attempt: %v)", op, color, ErrDeadline, lastErr)
 	}
@@ -1331,10 +1306,10 @@ func (s *session) sendErrorReply(cause error) {
 // before it is on the wire, so a client holding its reply never reads a
 // MessagesOut that lacks it, and taken back if the send fails.
 func (s *session) sendClient(data []byte) error {
-	s.med.stats.messagesOut.Add(1)
+	s.med.stats.MessagesOut.Add(1)
 	err := s.client.Send(data)
 	if err != nil {
-		s.med.stats.messagesOut.Add(^uint64(0))
+		s.med.stats.MessagesOut.Add(^uint64(0))
 	}
 	return err
 }
@@ -1385,8 +1360,8 @@ func (s *session) runAutomaton() error {
 			if err = s.med.compiled[out.idx[0]].Exec(env); err != nil {
 				return fmt.Errorf("γ %s: %w", out.labels[0], err)
 			}
-			s.med.stats.translations.Add(1)
-			s.med.translate.observe(time.Since(start))
+			s.med.stats.Translations.Add(1)
+			s.med.hists.Translate.observe(time.Since(start))
 			if env.Host != "" {
 				s.hostOverride = env.Host
 			}
@@ -1398,7 +1373,7 @@ func (s *session) runAutomaton() error {
 		}
 		t := out.ts[arm]
 		elapsed := time.Since(start)
-		s.med.transitions.observe(elapsed)
+		s.med.hists.Transitions.observe(elapsed)
 		s.trace(TraceEvent{
 			Kind: TraceTransition, State: t.To, Transition: out.labels[arm],
 			Color: t.Color, Elapsed: elapsed,
@@ -1429,7 +1404,7 @@ func (s *session) sendClientReply(data []byte) error {
 		return err
 	}
 	if err := s.sendClient(data); err != nil {
-		s.med.stats.clientFailures.Add(1)
+		s.med.stats.ClientFailures.Add(1)
 		return fmt.Errorf("send client reply: %w", err)
 	}
 	s.pendingAction, s.pendingRequest = "", nil
@@ -1457,10 +1432,10 @@ func (s *session) execBranch(outs []automata.MergedTransition, env *mtl.Env) (in
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", errSessionDone, err) // client gone
 	}
-	s.med.stats.messagesIn.Add(1)
+	s.med.stats.MessagesIn.Add(1)
 	action, abs, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
 	if err != nil {
-		s.med.stats.clientFailures.Add(1)
+		s.med.stats.ClientFailures.Add(1)
 		return 0, fmt.Errorf("parse client request: %w", err)
 	}
 	// Record the pending request before validating it, so even an
@@ -1472,7 +1447,7 @@ func (s *session) execBranch(outs []automata.MergedTransition, env *mtl.Env) (in
 			return i, nil
 		}
 	}
-	s.med.stats.clientFailures.Add(1)
+	s.med.stats.ClientFailures.Add(1)
 	names := make([]string, len(outs))
 	for i, t := range outs {
 		names[i] = t.Message
@@ -1532,7 +1507,7 @@ func (l *serviceLink) send(op string, abs *message.Message) error {
 	}
 	// The wire bytes are remembered so a later lost reply can replay them.
 	l.wire, l.sentAt = data, time.Now()
-	m.stats.messagesOut.Add(1)
+	m.stats.MessagesOut.Add(1)
 	return nil
 }
 
@@ -1555,7 +1530,7 @@ func (l *serviceLink) recv(name string) (*message.Message, error) {
 	var elapsed time.Duration
 	if !l.sentAt.IsZero() {
 		elapsed = time.Since(l.sentAt)
-		m.exchanges.observe(elapsed)
+		m.hists.Exchanges.observe(elapsed)
 		l.sentAt = time.Time{}
 	}
 	l.pending = false
@@ -1565,10 +1540,10 @@ func (l *serviceLink) recv(name string) (*message.Message, error) {
 		l.set.Report(l.addr, elapsed, nil)
 		l.lastFault = ""
 	}
-	m.stats.messagesIn.Add(1)
+	m.stats.MessagesIn.Add(1)
 	abs, err := m.cfg.Sides[l.color].Binder.ParseReply(l.op, data)
 	if err != nil {
-		m.stats.serviceFailures.Add(1)
+		m.stats.ServiceFailures.Add(1)
 		return nil, fmt.Errorf("parse service reply: %w", err)
 	}
 	abs.Name = name
@@ -1671,7 +1646,7 @@ func (l *serviceLink) exchange(request []byte) ([]byte, error) {
 				return reply, nil
 			}
 			if !network.IsTransportError(err) {
-				m.stats.serviceFailures.Add(1)
+				m.stats.ServiceFailures.Add(1)
 				return nil, fmt.Errorf("%s: %w", phase, err)
 			}
 			l.drop(err)
@@ -1679,8 +1654,8 @@ func (l *serviceLink) exchange(request []byte) ([]byte, error) {
 		lastErr = err
 		// Nothing to replay means retrying cannot produce the reply.
 		if attempt >= m.retry.Attempts || m.stopping.Load() || (replay && l.wire == nil) {
-			m.stats.retriesExhausted.Add(1)
-			m.stats.serviceFailures.Add(1)
+			m.stats.RetriesExhausted.Add(1)
+			m.stats.ServiceFailures.Add(1)
 			return nil, fmt.Errorf("%s (color %d): retries exhausted: %w", phase, l.color, lastErr)
 		}
 		if !s.backoff(attempt) {
@@ -1830,7 +1805,7 @@ func (l *serviceLink) connect(attempt int) error {
 	}
 	l.conn, l.addr, l.set = conn, addr, set
 	if l.dialed {
-		m.stats.redials.Add(1)
+		m.stats.Redials.Add(1)
 		s.trace(TraceEvent{Kind: TraceRedial, Color: l.color, State: addr, Attempt: attempt})
 	}
 	l.dialed = true

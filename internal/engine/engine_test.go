@@ -446,7 +446,7 @@ func TestMediatorStats(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	var st engine.Stats
 	for time.Now().Before(deadline) {
-		st = med.Stats()
+		st = med.Snapshot().Stats
 		if st.Flows == 1 {
 			break
 		}

@@ -236,7 +236,7 @@ func TestExchangePhasesAccountAlike(t *testing.T) {
 				} else {
 					m.Close()
 				}
-				st := m.Stats()
+				st := m.Snapshot().Stats
 				got := want{st.Redials, st.RetriesExhausted, st.ServiceFailures, st.DeadlineExceeded, nil}
 				exp := tt.expect
 				if got.redials != exp.redials || got.exhausted != exp.exhausted ||

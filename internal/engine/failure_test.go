@@ -225,7 +225,7 @@ func TestMediationFailureSurfacesAsProtocolFault(t *testing.T) {
 	if fault.Code != 500 || !strings.Contains(fault.Message, "mediation failed") {
 		t.Errorf("fault = %+v", fault)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Failures == 0 {
 		t.Error("failure not counted")
 	}
@@ -271,7 +271,7 @@ func TestServiceRestartMidSessionRecovered(t *testing.T) {
 		}
 	}
 
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Redials < 3 {
 		t.Errorf("redials = %d over three restarts, want at least 3", st.Redials)
 	}

@@ -84,7 +84,7 @@ func TestServiceRecvFaultRecovered(t *testing.T) {
 	if got := d.dials(); got != 2 {
 		t.Errorf("dials = %d, want 2 (original + redial)", got)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Redials != 1 || st.RetriesExhausted != 0 || st.Failures != 0 || st.ServiceFailures != 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -112,7 +112,7 @@ func TestServiceSendFaultRecovered(t *testing.T) {
 	if results[0].ValueString() != "3" {
 		t.Errorf("Add = %s", results[0].ValueString())
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Redials != 1 || st.Failures != 0 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -136,7 +136,7 @@ func TestRetriesExhaustedCounted(t *testing.T) {
 	if _, err := client.Invoke("Add", giop.IntParam(1), giop.IntParam(2)); err == nil {
 		t.Fatal("invoke succeeded against a permanently failing service")
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.RetriesExhausted != 1 {
 		t.Errorf("RetriesExhausted = %d, want 1", st.RetriesExhausted)
 	}
@@ -178,7 +178,7 @@ func TestRetryDisabled(t *testing.T) {
 	if got := d.dials(); got != 1 {
 		t.Errorf("dials = %d, want 1 (no retries)", got)
 	}
-	if st := med.Stats(); st.Redials != 0 {
+	if st := med.Snapshot().Stats; st.Redials != 0 {
 		t.Errorf("Redials = %d, want 0", st.Redials)
 	}
 }
@@ -300,7 +300,7 @@ func TestProtocolErrorNotRetried(t *testing.T) {
 	if got := d.dials(); got != 1 {
 		t.Errorf("dials = %d, want 1 (protocol errors are not retried)", got)
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Redials != 0 || st.RetriesExhausted != 0 {
 		t.Errorf("stats = %+v, want no retry activity", st)
 	}

@@ -127,34 +127,30 @@ func (l LatencyHistogram) Quantile(q float64) time.Duration {
 	return l.Buckets[len(l.Buckets)-1].High
 }
 
-// Snapshot is a consistent-enough view of a mediator's runtime metrics:
-// the lifetime counters plus the latency distributions the counters
-// cannot express.
-type Snapshot struct {
-	// Stats are the mediator's lifetime counters (Sessions, Flows,
-	// pool and failure counters).
-	Stats Stats
-	// Transitions is the latency distribution of individual automaton
-	// transitions — γ translations and message exchanges alike, one
-	// observation per executed transition.
-	Transitions LatencyHistogram
-	// Exchanges is the latency distribution of service request/reply
-	// round-trips, measured from the first request send to the reply
-	// receipt; fault-recovery replays are included, so recovery shows
-	// up as tail latency rather than disappearing.
-	Exchanges LatencyHistogram
-	// Translate is the latency distribution of γ translations alone —
-	// the subset of Transitions spent executing compiled MTL programs,
-	// isolating translation cost from network time.
-	Translate LatencyHistogram
+// Latencies are a mediator's latency histograms, as Snapshot reads them.
+type Latencies = histograms[LatencyHistogram]
+
+// histograms declares each latency histogram of a mediator once, like
+// counters: a field here and its row in Fields. Sessions observe into the
+// live form, histograms[histogram].
+type histograms[T any] struct {
+	// Transitions has one observation per executed automaton transition,
+	// γ translations and message exchanges alike.
+	Transitions T
+	// Exchanges times service round-trips from the first send of a request
+	// to the receipt of its reply; fault-recovery replays are included, so
+	// recovery shows up as tail latency.
+	Exchanges T
+	// Translate times γ translations alone: the part of Transitions spent
+	// in compiled MTL, without network time.
+	Translate T
 }
 
-// Snapshot captures the mediator's counters and latency histograms.
-func (m *Mediator) Snapshot() Snapshot {
-	return Snapshot{
-		Stats:       m.Stats(),
-		Transitions: m.transitions.snapshot(),
-		Exchanges:   m.exchanges.snapshot(),
-		Translate:   m.translate.snapshot(),
+// Fields lists the histograms in the order /metrics exports them.
+func (h *histograms[T]) Fields() []Metric[T] {
+	return []Metric[T]{
+		{"starlink_transition_seconds", "Latency of individual automaton transitions.", &h.Transitions},
+		{"starlink_exchange_seconds", "Latency of service request/reply round-trips.", &h.Exchanges},
+		{"starlink_translate_seconds", "Latency of gamma translations alone.", &h.Translate},
 	}
 }

@@ -71,7 +71,7 @@ func TestHookPanicsDoNotKillSessions(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	var st engine.Stats
 	for time.Now().Before(deadline) {
-		st = med.Stats()
+		st = med.Snapshot().Stats
 		if st.Sessions == 1 && st.HookPanics > 0 {
 			break
 		}

@@ -87,7 +87,7 @@ func TestPoolReuseAcrossSessions(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.Sessions != sessions {
 		t.Errorf("Sessions = %d, want %d", st.Sessions, sessions)
 	}
@@ -210,7 +210,7 @@ func TestFaultEvictionCountsPoolEvictions(t *testing.T) {
 	if results[0].ValueString() != "42" {
 		t.Errorf("Add = %s", results[0].ValueString())
 	}
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	if st.PoolDials != 2 {
 		t.Errorf("PoolDials = %d, want 2 (original + redial)", st.PoolDials)
 	}
@@ -241,7 +241,7 @@ func TestRetryPolicyExplicit(t *testing.T) {
 		if got := d.dials(); got != 2 {
 			t.Errorf("dials = %d, want 2 (original + one retry)", got)
 		}
-		if st := med.Stats(); st.RetriesExhausted != 1 {
+		if st := med.Snapshot().Stats; st.RetriesExhausted != 1 {
 			t.Errorf("RetriesExhausted = %d, want 1", st.RetriesExhausted)
 		}
 	})
@@ -424,7 +424,7 @@ func TestE12ConcurrentPoolSoakWithAdmin(t *testing.T) {
 		}
 	}
 
-	st := med.Stats()
+	st := med.Snapshot().Stats
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := med.Shutdown(ctx); err != nil {

@@ -174,7 +174,7 @@ func TestRetargetAfterCachedConnection(t *testing.T) {
 		t.Errorf("second exchange reached %q, want alt (retarget after caching ignored)", got)
 	}
 	// The retarget shows up as exactly one connection replacement.
-	if st := med.Stats(); st.Redials != 1 {
+	if st := med.Snapshot().Stats; st.Redials != 1 {
 		t.Errorf("Redials = %d, want 1", st.Redials)
 	}
 }

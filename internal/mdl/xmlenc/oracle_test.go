@@ -210,7 +210,7 @@ func sameTree(t *testing.T, data []byte) {
 	}
 	if err != nil {
 		// The only documents the Reader may refuse and the oracle not.
-		if errors.Is(err, ErrTooDeep) || errors.Is(err, errEncoding) || errors.Is(err, errDTD) {
+		if errors.Is(err, ErrTooDeep) || errors.Is(err, ErrTooLarge) || errors.Is(err, errEncoding) || errors.Is(err, errDTD) {
 			return
 		}
 		t.Fatalf("DecodeTree(%q): %v, the oracle reads %v", data, err, want)
@@ -265,8 +265,12 @@ func FuzzEncodeDecode(f *testing.F) {
 
 // namesSurvive reports whether every label of the tree can be written as
 // a name and read back: a prefixed attribute's label holds its namespace,
-// and a namespace is any text.
+// and a namespace is any text. The namespace "xml" is one too: written
+// out, it is the reserved prefix, and reads back as the XML namespace.
 func namesSurvive(f *message.Field) bool {
+	if strings.HasPrefix(f.Label, "@xml:") {
+		return false
+	}
 	if f.Label != "#text" {
 		for _, c := range []byte(strings.TrimPrefix(f.Label, "@")) {
 			if !nameByte[c] {
@@ -295,6 +299,33 @@ func TestDepthBound(t *testing.T) {
 	}
 	if _, err := DecodeTree([]byte("<a>" + deepest + "</a>")); !errors.Is(err, ErrTooDeep) {
 		t.Errorf("MaxDepth+1 levels: err = %v", err)
+	}
+}
+
+// TestQualifiedLabelBound: a 1 KB namespace under 10 000 attribute names
+// would be 10 MB of labels for a 70 KB packet, and is refused. A SOAP
+// envelope, and one that types each of its 10 000 parameters with the same
+// xsi:type, are read: a label that repeats is built once.
+func TestQualifiedLabelBound(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(`<a xmlns:p="` + strings.Repeat("u", 1024) + `">`)
+	for i := 0; i < 10_000; i++ {
+		fmt.Fprintf(&doc, `<b p:a%d=""/>`, i)
+	}
+	doc.WriteString("</a>")
+	if _, err := DecodeTree([]byte(doc.String())); !errors.Is(err, ErrTooLarge) || !errors.Is(err, ErrMalformed) {
+		t.Fatalf("1 KB namespace x 10 000 attribute names: err = %v, want ErrTooLarge wrapping ErrMalformed", err)
+	}
+	envelope := `<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/" ` +
+		`xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" ` +
+		`soapenv:encodingStyle="http://schemas.xmlsoap.org/soap/encoding/"><soapenv:Body><Plus>%s</Plus></soapenv:Body></soapenv:Envelope>`
+	typed := strings.Repeat(`<x xsi:type="xsd:int">1</x>`, 10_000)
+	for _, params := range []string{`<x>20</x><y>22</y>`, typed} {
+		data := []byte(fmt.Sprintf(envelope, params))
+		if _, err := DecodeTree(data); err != nil {
+			t.Fatalf("SOAP envelope: %v", err)
+		}
+		sameTree(t, data)
 	}
 }
 

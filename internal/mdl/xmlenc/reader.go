@@ -20,6 +20,12 @@ const MaxDepth = 256
 // ErrTooDeep reports a document nested deeper than MaxDepth.
 var ErrTooDeep = fmt.Errorf("%w: elements nested deeper than %d", ErrMalformed, MaxDepth)
 
+// ErrTooLarge reports a document whose prefixed attributes, labelled with
+// their namespace written out ("@uri:name"), would take more bytes than the
+// document itself. A label copies the namespace, so one long xmlns:p and
+// many p: attribute names would otherwise multiply a packet in memory.
+var ErrTooLarge = fmt.Errorf("%w: namespace-qualified attribute labels longer than the document", ErrMalformed)
+
 // What the Reader refuses although a full XML parser would read it: a
 // declared encoding it would have to transcode, and a document type
 // declaration with an internal subset.
@@ -93,6 +99,9 @@ type Reader struct {
 	// prefixed lists the attributes of the start tag being read that wait
 	// for its declarations before they can be labelled.
 	prefixed []prefixedAttr
+	// qualified counts the bytes of the distinct "@uri:name" labels built so
+	// far, which ErrTooLarge bounds.
+	qualified int
 }
 
 // openElement is where a start tag's name lies in the packet, to hold the
@@ -463,8 +472,8 @@ func (r *Reader) attributes() (open bool, err error) {
 		}
 		if space == "" || space == "xmlns" {
 			r.attrs[p.attr].Label = r.label(p.local, true)
-		} else {
-			r.attrs[p.attr].Label = "@" + space + ":" + string(p.local)
+		} else if r.attrs[p.attr].Label, err = r.qualify(space, p.local); err != nil {
+			return false, err
 		}
 	}
 	r.prefixed = r.prefixed[:0]
@@ -704,6 +713,22 @@ func (r *Reader) label(name []byte, attr bool) string {
 	l := string(name)
 	r.labels[l] = l
 	return l
+}
+
+// qualify returns the label "@space:local" of a prefixed attribute. Each
+// distinct one is built once per document, like a name the static table
+// does not know, and all of them together may not outgrow the document.
+func (r *Reader) qualify(space string, local []byte) (string, error) {
+	r.text = append(append(append(append(r.text[:0], '@'), space...), ':'), local...)
+	if l, ok := r.labels[string(r.text)]; ok {
+		return l, nil
+	}
+	if r.qualified += len(r.text); r.qualified > len(r.data) {
+		return "", ErrTooLarge
+	}
+	l := string(r.text)
+	r.labels[l] = l
+	return l, nil
 }
 
 // knownLabel is the static intern table: the element and attribute names

@@ -47,9 +47,9 @@ type AdminConfig struct {
 //	GET /debug/goroutines
 //	                    the goroutine profile, in the same form
 type Admin struct {
-	cfg    AdminConfig
-	srv    *httpwire.Server
-	uptime *Uptime
+	cfg     AdminConfig
+	srv     *httpwire.Server
+	started time.Time
 	// done is closed by Close, which cuts a CPU profile short.
 	done      chan struct{}
 	closeOnce sync.Once
@@ -57,7 +57,7 @@ type Admin struct {
 
 // ServeAdmin binds addr and serves the admin routes in the background.
 func ServeAdmin(addr string, cfg AdminConfig) (*Admin, error) {
-	a := &Admin{cfg: cfg, uptime: NewUptime(), done: make(chan struct{})}
+	a := &Admin{cfg: cfg, started: time.Now(), done: make(chan struct{})}
 	srv, err := httpwire.Serve(addr, a.handle)
 	if err != nil {
 		return nil, err
@@ -109,10 +109,10 @@ func (a *Admin) handle(req *httpwire.Request) *httpwire.Response {
 func (a *Admin) healthz() *httpwire.Response {
 	body := map[string]any{
 		"status":    "ok",
-		"uptime_ns": a.uptime.Elapsed().Nanoseconds(),
+		"uptime_ns": time.Since(a.started).Nanoseconds(),
 	}
 	if med := a.cfg.Mediator; med != nil {
-		st := med.Stats()
+		st := med.Snapshot().Stats
 		body["sessions"] = st.Sessions
 		body["flows"] = st.Flows
 		body["failures"] = st.Failures
@@ -178,7 +178,7 @@ func (a *Admin) backends() *httpwire.Response {
 	if a.cfg.Mediator == nil {
 		return &httpwire.Response{Status: 404, Body: []byte("no mediator attached\n")}
 	}
-	snaps := a.cfg.Mediator.Backends()
+	snaps := a.cfg.Mediator.Snapshot().Backends
 	if snaps == nil {
 		return &httpwire.Response{Status: 404, Body: []byte("mediator has no backend replica sets\n")}
 	}
@@ -189,7 +189,7 @@ func (a *Admin) discovery() *httpwire.Response {
 	if a.cfg.Mediator == nil {
 		return &httpwire.Response{Status: 404, Body: []byte("no mediator attached\n")}
 	}
-	snaps := a.cfg.Mediator.Discovery()
+	snaps := a.cfg.Mediator.Snapshot().Discovery
 	if snaps == nil {
 		return &httpwire.Response{Status: 404, Body: []byte("mediator has no discovery sources\n")}
 	}

@@ -117,7 +117,7 @@ func TestAdminEndToEnd(t *testing.T) {
 	// Sessions tear down asynchronously after client close.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		st := med.Stats()
+		st := med.Snapshot().Stats
 		if st.Flows >= 2 && st.Failures >= 1 {
 			break
 		}

@@ -4,25 +4,30 @@ import (
 	"starlink/internal/gateway"
 )
 
-// RegisterGateway wires a gateway's counter surface into the registry
-// under the starlink_gateway_* namespace: listener-level totals, the
-// sniffer's per-class classification counts, and the per-route
-// accepted/shed/dropped/reload counters plus the live admitted-flows
-// gauge. One scrape answers "who is reaching which mediator, who is
-// being shed, and when did each route last reload".
-func RegisterGateway(r *Registry, gw *gateway.Gateway) {
-	r.Counter("starlink_gateway_conns_total", "Connections accepted by the front-door listener.",
-		func() uint64 { return gw.Stats().Conns })
-	r.CounterVec("starlink_gateway_sniffed_total", "class",
+// GatewayRegistry builds a Registry that serves a gateway's metrics under
+// the starlink_gateway_* namespace, mirroring MediatorRegistry: listener
+// totals, the sniffer's per-class counts, and per route the accepted,
+// shed, dropped and reload counters plus the live admitted-flows gauge. A
+// scrape takes one Stats of the gateway.
+func GatewayRegistry(gw *gateway.Gateway) *Registry {
+	r := NewRegistry()
+	registerGateway(r, gw.Stats)
+	return r
+}
+
+func registerGateway(r *Registry, stats func() gateway.Stats) {
+	g := sample(r, stats)
+	g.scalar("counter", "starlink_gateway_conns_total", "Connections accepted by the front-door listener.",
+		func(st gateway.Stats) uint64 { return st.Conns })
+	g.vec("counter", "starlink_gateway_sniffed_total", "class",
 		"Connections classified by the wire sniffer, by protocol class.",
-		func() map[string]uint64 { return gw.Stats().Sniffed })
-	r.Counter("starlink_gateway_fallback_total", "Unmatched connections sent to the default route.",
-		func() uint64 { return gw.Stats().Fallbacks })
-	r.Counter("starlink_gateway_unrouted_total", "Unmatched connections dropped for want of a default route.",
-		func() uint64 { return gw.Stats().Unrouted })
-	routeVec := func(f func(gateway.RouteStats) uint64) func() map[string]uint64 {
-		return func() map[string]uint64 {
-			st := gw.Stats()
+		func(st gateway.Stats) map[string]uint64 { return st.Sniffed })
+	g.scalar("counter", "starlink_gateway_fallback_total", "Unmatched connections sent to the default route.",
+		func(st gateway.Stats) uint64 { return st.Fallbacks })
+	g.scalar("counter", "starlink_gateway_unrouted_total", "Unmatched connections dropped for want of a default route.",
+		func(st gateway.Stats) uint64 { return st.Unrouted })
+	perRoute := func(f func(gateway.RouteStats) uint64) func(gateway.Stats) map[string]uint64 {
+		return func(st gateway.Stats) map[string]uint64 {
 			out := make(map[string]uint64, len(st.Routes))
 			for _, rt := range st.Routes {
 				out[rt.Name] = f(rt)
@@ -30,33 +35,24 @@ func RegisterGateway(r *Registry, gw *gateway.Gateway) {
 			return out
 		}
 	}
-	r.CounterVec("starlink_gateway_accepted_total", "route",
+	g.vec("counter", "starlink_gateway_accepted_total", "route",
 		"Connections admitted and handed to the route's mediator.",
-		routeVec(func(rt gateway.RouteStats) uint64 { return rt.Accepted }))
-	r.CounterVec("starlink_gateway_shed_total", "route",
+		perRoute(func(rt gateway.RouteStats) uint64 { return rt.Accepted }))
+	g.vec("counter", "starlink_gateway_shed_total", "route",
 		"Connections refused by admission control (rate limit or flow cap).",
-		routeVec(func(rt gateway.RouteStats) uint64 { return rt.Shed }))
-	r.CounterVec("starlink_gateway_dropped_total", "route",
+		perRoute(func(rt gateway.RouteStats) uint64 { return rt.Shed }))
+	g.vec("counter", "starlink_gateway_dropped_total", "route",
 		"Admitted connections lost to a draining target mid-reload.",
-		routeVec(func(rt gateway.RouteStats) uint64 { return rt.Dropped }))
-	r.CounterVec("starlink_gateway_reloads_total", "route",
+		perRoute(func(rt gateway.RouteStats) uint64 { return rt.Dropped }))
+	g.vec("counter", "starlink_gateway_reloads_total", "route",
 		"Hot reloads (target swaps) performed on the route.",
-		routeVec(func(rt gateway.RouteStats) uint64 { return rt.Reloads }))
-	r.GaugeVec("starlink_gateway_active_flows", "route",
+		perRoute(func(rt gateway.RouteStats) uint64 { return rt.Reloads }))
+	g.vec("gauge", "starlink_gateway_active_flows", "route",
 		"Admitted connections currently open on the route.",
-		routeVec(func(rt gateway.RouteStats) uint64 {
+		perRoute(func(rt gateway.RouteStats) uint64 {
 			if rt.ActiveFlows < 0 {
 				return 0
 			}
 			return uint64(rt.ActiveFlows)
 		}))
-}
-
-// GatewayRegistry builds a Registry pre-wired with a gateway's metrics
-// — the one-call path from "I have a gateway" to "I can serve
-// /metrics" — mirroring MediatorRegistry.
-func GatewayRegistry(gw *gateway.Gateway) *Registry {
-	r := NewRegistry()
-	RegisterGateway(r, gw)
-	return r
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"starlink/internal/backend"
 	"starlink/internal/discovery"
@@ -14,24 +13,23 @@ import (
 )
 
 // Registry is a pull-model metrics registry: each metric is a name,
-// help text and a closure sampled at exposition time, rendered in the
+// help text and a function of a source's sample, rendered in the
 // Prometheus text format (version 0.0.4). Starlink's counters already
-// live as lock-free atomics inside the engine, pool and observer, so
-// the registry stores no state of its own — a scrape is a walk over
-// snapshot closures.
+// live as lock-free atomics inside the engine, gateway and observer, so
+// the registry stores no state of its own: a scrape samples each source
+// once and renders every metric from its sample.
 type Registry struct {
 	mu      sync.Mutex
 	metrics []*metric
 	names   map[string]bool
 }
 
-// metric is one registered family; exactly one of the sample funcs is
-// set, selected by typ. Each is handed the scrape's sample of the
-// metric's source, nil for a metric that has none.
+// metric is one registered family; exactly one of the value funcs is set.
+// Each is handed the scrape's sample of the metric's source.
 type metric struct {
 	name, help, typ string
 	from            *source
-	scalar          func(sample any) float64
+	scalar          func(sample any) uint64
 	labelKey        string
 	vec             func(sample any) map[string]uint64
 	hist            func(sample any) engine.LatencyHistogram
@@ -53,9 +51,10 @@ func sample[T any](r *Registry, take func() T) sampled[T] {
 	return sampled[T]{r, &source{func() any { return take() }}}
 }
 
-func (s sampled[T]) counter(name, help string, f func(T) uint64) {
-	s.r.register(&metric{name: name, help: help, typ: "counter", from: s.from,
-		scalar: func(v any) float64 { return float64(f(v.(T))) }})
+// scalar registers an unlabelled family; typ is "counter" or "gauge".
+func (s sampled[T]) scalar(typ, name, help string, f func(T) uint64) {
+	s.r.register(&metric{name: name, help: help, typ: typ, from: s.from,
+		scalar: func(v any) uint64 { return f(v.(T)) }})
 }
 
 func (s sampled[T]) histogram(name, help string, f func(T) engine.LatencyHistogram) {
@@ -84,38 +83,6 @@ func (r *Registry) register(m *metric) {
 	r.metrics = append(r.metrics, m)
 }
 
-// Counter registers a monotonically increasing metric.
-func (r *Registry) Counter(name, help string, f func() uint64) {
-	r.register(&metric{name: name, help: help, typ: "counter",
-		scalar: func(any) float64 { return float64(f()) }})
-}
-
-// Gauge registers a point-in-time value.
-func (r *Registry) Gauge(name, help string, f func() float64) {
-	r.register(&metric{name: name, help: help, typ: "gauge", scalar: func(any) float64 { return f() }})
-}
-
-// CounterVec registers a counter family keyed by one label; f returns
-// the current label→value samples.
-func (r *Registry) CounterVec(name, labelKey, help string, f func() map[string]uint64) {
-	r.register(&metric{name: name, help: help, typ: "counter", labelKey: labelKey,
-		vec: func(any) map[string]uint64 { return f() }})
-}
-
-// GaugeVec registers a gauge family keyed by one label; f returns the
-// current label→value samples.
-func (r *Registry) GaugeVec(name, labelKey, help string, f func() map[string]uint64) {
-	r.register(&metric{name: name, help: help, typ: "gauge", labelKey: labelKey,
-		vec: func(any) map[string]uint64 { return f() }})
-}
-
-// Histogram registers a latency distribution exposed with cumulative
-// le buckets in seconds.
-func (r *Registry) Histogram(name, help string, f func() engine.LatencyHistogram) {
-	r.register(&metric{name: name, help: help, typ: "histogram",
-		hist: func(any) engine.LatencyHistogram { return f() }})
-}
-
 // WriteText renders every registered metric in Prometheus text
 // exposition format.
 func (r *Registry) WriteText(w io.Writer) error {
@@ -125,12 +92,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Unlock()
 	taken := map[*source]any{}
 	for _, m := range metrics {
-		var v any // the scrape's sample of m's source
-		if m.from != nil {
-			if _, ok := taken[m.from]; !ok {
-				taken[m.from] = m.from.take()
-			}
-			v = taken[m.from]
+		v, ok := taken[m.from] // the scrape's sample of m's source
+		if !ok {
+			v = m.from.take()
+			taken[m.from] = v
 		}
 		if m.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
@@ -147,7 +112,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		case m.hist != nil:
 			err = writeHistogram(w, m.name, m.hist(v))
 		default:
-			_, err = fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.scalar(v)))
+			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.scalar(v))
 		}
 		if err != nil {
 			return err
@@ -203,79 +168,39 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// mediatorSource is what RegisterMediator reads of an *engine.Mediator;
-// the test that counts samples per scrape puts a counting fake behind it.
-type mediatorSource interface {
-	Snapshot() engine.Snapshot
-	PoolStats() pool.Stats
-	Backends() []backend.SetSnapshot
-	Discovery() []discovery.Snapshot
-}
-
-// mediatorSample is one scrape's view of a mediator: every starlink_*
-// series of it below is computed from the same one.
-type mediatorSample struct {
-	engine.Snapshot
-	pool      pool.Stats
-	backends  []backend.SetSnapshot
-	discovery []discovery.Snapshot
-}
-
-// mediatorCounters are the lifetime counters of engine.Stats, in the
-// order /metrics lists them.
-var mediatorCounters = []struct {
-	name, help string
-	value      func(*engine.Stats) uint64
-}{
-	{"starlink_sessions_total", "Client connections accepted.", func(s *engine.Stats) uint64 { return s.Sessions }},
-	{"starlink_flows_total", "Complete automaton traversals.", func(s *engine.Stats) uint64 { return s.Flows }},
-	{"starlink_translations_total", "Gamma (MTL) transitions executed.", func(s *engine.Stats) uint64 { return s.Translations }},
-	{"starlink_messages_in_total", "Messages received from either side.", func(s *engine.Stats) uint64 { return s.MessagesIn }},
-	{"starlink_messages_out_total", "Messages sent to either side.", func(s *engine.Stats) uint64 { return s.MessagesOut }},
-	{"starlink_failures_total", "Sessions that ended with an error.", func(s *engine.Stats) uint64 { return s.Failures }},
-	{"starlink_redials_total", "Service connections replaced mid-session.", func(s *engine.Stats) uint64 { return s.Redials }},
-	{"starlink_retries_exhausted_total", "Service exchanges that failed after every retry.", func(s *engine.Stats) uint64 { return s.RetriesExhausted }},
-	{"starlink_client_failures_total", "Failed client-side exchanges.", func(s *engine.Stats) uint64 { return s.ClientFailures }},
-	{"starlink_service_failures_total", "Service-side exchanges that failed for good.", func(s *engine.Stats) uint64 { return s.ServiceFailures }},
-	{"starlink_pool_hits_total", "Service checkouts served by an idle pooled connection.", func(s *engine.Stats) uint64 { return s.PoolHits }},
-	{"starlink_pool_dials_total", "Service checkouts that opened a fresh connection.", func(s *engine.Stats) uint64 { return s.PoolDials }},
-	{"starlink_pool_evictions_total", "Pooled connections closed early.", func(s *engine.Stats) uint64 { return s.PoolEvictions }},
-	{"starlink_pool_wait_timeouts_total", "Pool checkouts abandoned while waiting at the MaxActive bound.", func(s *engine.Stats) uint64 { return s.PoolWaitTimeouts }},
-	{"starlink_flow_deadline_exceeded_total", "Flows failed fast because their deadline budget ran out.", func(s *engine.Stats) uint64 { return s.DeadlineExceeded }},
-	{"starlink_hook_panics_total", "Panics recovered from the Trace hook.", func(s *engine.Stats) uint64 { return s.HookPanics }},
-	{"starlink_cache_hits_total", "Service exchanges served from the cross-flow response cache.", func(s *engine.Stats) uint64 { return s.CacheHits }},
-	{"starlink_cache_misses_total", "Cacheable exchanges that went to the service (leader elections).", func(s *engine.Stats) uint64 { return s.CacheMisses }},
-	{"starlink_cache_coalesced_total", "Cacheable exchanges that joined an in-flight leader.", func(s *engine.Stats) uint64 { return s.CacheCoalesced }},
-	{"starlink_cache_evictions_total", "Cached replies dropped by TTL expiry or LRU overflow.", func(s *engine.Stats) uint64 { return s.CacheEvictions }},
-	{"starlink_cache_invalidations_total", "Cached replies flushed by write-operation invalidation.", func(s *engine.Stats) uint64 { return s.CacheInvalidations }},
-}
-
-// RegisterMediator wires a mediator's whole Snapshot surface — the
-// lifetime Stats counters, the pool counters and both 32-bin latency
-// histograms — into the registry under the starlink_* namespace. A scrape
-// takes one Snapshot and one PoolStats, whatever the number of series.
-func RegisterMediator(r *Registry, med *engine.Mediator) { registerMediator(r, med) }
-
-func registerMediator(r *Registry, med mediatorSource) {
-	m := sample(r, func() *mediatorSample {
-		return &mediatorSample{med.Snapshot(), med.PoolStats(), med.Backends(), med.Discovery()}
-	})
-	for _, c := range mediatorCounters {
-		m.counter(c.name, c.help, func(s *mediatorSample) uint64 { return c.value(&s.Stats) })
+// MediatorRegistry builds a Registry that serves a mediator's metrics
+// and, when obs is non-nil, the observer's: the one-call path from "I have
+// a mediator" to "I can serve /metrics". A scrape takes one Snapshot of the
+// mediator and one Stats of the observer, whatever the number of series.
+func MediatorRegistry(med *engine.Mediator, obs *Observer) *Registry {
+	r := NewRegistry()
+	registerMediator(r, med.Snapshot)
+	if obs != nil {
+		registerObserver(r, obs.Stats)
 	}
-	m.histogram("starlink_transition_seconds", "Latency of individual automaton transitions.",
-		func(s *mediatorSample) engine.LatencyHistogram { return s.Transitions })
-	m.histogram("starlink_exchange_seconds", "Latency of service request/reply round-trips.",
-		func(s *mediatorSample) engine.LatencyHistogram { return s.Exchanges })
-	m.histogram("starlink_translate_seconds", "Latency of gamma translations alone.",
-		func(s *mediatorSample) engine.LatencyHistogram { return s.Translate })
+	return r
+}
+
+// registerMediator exports a mediator under the starlink_* namespace: the
+// counter and histogram declaration tables of internal/engine, per-key
+// pool occupancy, and, when the first snapshot has them, its replica sets
+// and discovery sources.
+func registerMediator(r *Registry, snapshot func() engine.Snapshot) {
+	m := sample(r, func() *engine.Snapshot { s := snapshot(); return &s })
+	first := snapshot()
+	for i, c := range first.Stats.Fields() {
+		m.scalar("counter", c.Name, c.Help, func(s *engine.Snapshot) uint64 { return *s.Stats.Fields()[i].Value })
+	}
+	for i, h := range first.Latencies.Fields() {
+		m.histogram(h.Name, h.Help, func(s *engine.Snapshot) engine.LatencyHistogram { return *s.Latencies.Fields()[i].Value })
+	}
 	// Per-key pool occupancy: aggregate Hits/Dials/Evictions say nothing
 	// about which (color, address) is under pressure, so idle, in-flight
 	// and blocked-checkout gauges are exported per key.
-	perKey := func(f func(pool.KeyStats) int) func(*mediatorSample) map[string]uint64 {
-		return func(s *mediatorSample) map[string]uint64 {
-			out := make(map[string]uint64, len(s.pool.PerKey))
-			for k, ks := range s.pool.PerKey {
+	perKey := func(f func(pool.KeyStats) int) func(*engine.Snapshot) map[string]uint64 {
+		return func(s *engine.Snapshot) map[string]uint64 {
+			out := make(map[string]uint64, len(s.Pool.PerKey))
+			for k, ks := range s.Pool.PerKey {
 				out[k.String()] = uint64(f(ks))
 			}
 			return out
@@ -290,10 +215,10 @@ func registerMediator(r *Registry, med mediatorSource) {
 	m.vec("gauge", "starlink_pool_waiters", "key",
 		"Checkouts blocked on the pool bound per (color, address) key.",
 		perKey(func(ks pool.KeyStats) int { return ks.Waiters }))
-	if med.Backends() != nil {
+	if first.Backends != nil {
 		registerBackends(m)
 	}
-	if med.Discovery() != nil {
+	if first.Discovery != nil {
 		registerDiscovery(m)
 	}
 }
@@ -302,11 +227,11 @@ func registerMediator(r *Registry, med mediatorSource) {
 // health/traffic series labelled "set/addr" and per-set ejection
 // totals. Registered only for mediators deployed with `backend`
 // directives, so plain single-address mediators keep a clean scrape.
-func registerBackends(m sampled[*mediatorSample]) {
-	perReplica := func(f func(backend.ReplicaSnapshot) uint64) func(*mediatorSample) map[string]uint64 {
-		return func(s *mediatorSample) map[string]uint64 {
+func registerBackends(m sampled[*engine.Snapshot]) {
+	perReplica := func(f func(backend.ReplicaSnapshot) uint64) func(*engine.Snapshot) map[string]uint64 {
+		return func(s *engine.Snapshot) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, set := range s.backends {
+			for _, set := range s.Backends {
 				for _, rs := range set.Replicas {
 					out[set.Name+"/"+rs.Addr] = f(rs)
 				}
@@ -337,10 +262,10 @@ func registerBackends(m sampled[*mediatorSample]) {
 	m.vec("counter", "starlink_backend_probe_failures_total", "replica",
 		"Active health probes the replica failed.",
 		perReplica(func(rs backend.ReplicaSnapshot) uint64 { return rs.ProbeFailures }))
-	perSet := func(f func(backend.SetSnapshot) uint64) func(*mediatorSample) map[string]uint64 {
-		return func(s *mediatorSample) map[string]uint64 {
+	perSet := func(f func(backend.SetSnapshot) uint64) func(*engine.Snapshot) map[string]uint64 {
+		return func(s *engine.Snapshot) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, set := range s.backends {
+			for _, set := range s.Backends {
 				out[set.Name] = f(set)
 			}
 			return out
@@ -357,11 +282,11 @@ func registerBackends(m sampled[*mediatorSample]) {
 // registerDiscovery exports the mediator's discovery reconcilers:
 // per-set resolution/churn counters and a last-resolution-age gauge.
 // Registered only for mediators deployed with `discover` directives.
-func registerDiscovery(m sampled[*mediatorSample]) {
-	perSet := func(f func(discovery.Snapshot) uint64) func(*mediatorSample) map[string]uint64 {
-		return func(s *mediatorSample) map[string]uint64 {
+func registerDiscovery(m sampled[*engine.Snapshot]) {
+	perSet := func(f func(discovery.Snapshot) uint64) func(*engine.Snapshot) map[string]uint64 {
+		return func(s *engine.Snapshot) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, ds := range s.discovery {
+			for _, ds := range s.Discovery {
 				out[ds.Set] = f(ds)
 			}
 			return out
@@ -387,9 +312,9 @@ func registerDiscovery(m sampled[*mediatorSample]) {
 		perSet(func(ds discovery.Snapshot) uint64 { return ds.FlapsSuppressed }))
 	m.vec("gauge", "starlink_discovery_last_resolution_age_seconds", "set",
 		"Seconds since the set's source last resolved successfully (absent until the first success).",
-		func(s *mediatorSample) map[string]uint64 {
+		func(s *engine.Snapshot) map[string]uint64 {
 			out := map[string]uint64{}
-			for _, ds := range s.discovery {
+			for _, ds := range s.Discovery {
 				if ds.LastResolution >= 0 {
 					out[ds.Set] = uint64(ds.LastResolution)
 				}
@@ -398,53 +323,35 @@ func registerDiscovery(m sampled[*mediatorSample]) {
 		})
 }
 
-// RegisterObserver wires the tracer's and flight recorder's own
-// counters, plus the per-transition hit counts, into the registry.
-func RegisterObserver(r *Registry, o *Observer) {
-	r.Gauge("starlink_tracer_enabled", "1 when the flow tracer is enabled.",
-		func() float64 {
-			if o.Enabled() {
+// registerObserver exports the tracer's and the flight recorder's own
+// counters, plus the per-transition hit counts when the observer has a
+// merged automaton.
+func registerObserver(r *Registry, stats func() ObserverStats) {
+	o := sample(r, stats)
+	o.scalar("gauge", "starlink_tracer_enabled", "1 when the flow tracer is enabled.",
+		func(s ObserverStats) uint64 {
+			if s.Enabled {
 				return 1
 			}
 			return 0
 		})
-	r.Counter("starlink_tracer_events_total", "TraceEvents consumed by the tracer.",
-		func() uint64 { return o.Stats().Events })
-	r.Counter("starlink_tracer_flows_assembled_total", "Span trees assembled from completed flows.",
-		func() uint64 { return o.Stats().FlowsAssembled })
-	r.Counter("starlink_tracer_flows_sampled_total", "Completed flows kept in the flow ring.",
-		func() uint64 { return o.Stats().FlowsSampled })
-	r.Counter("starlink_tracer_flows_dropped_total", "Completed flows sampled out of the flow ring.",
-		func() uint64 { return o.Stats().FlowsDropped })
-	r.Gauge("starlink_recorder_entries", "Flows currently held by the flight recorder.",
-		func() float64 { return float64(o.Recorder().Len()) })
-	r.Counter("starlink_recorder_failed_total", "Failed flows flight-recorded.",
-		func() uint64 { return o.Recorder().Stats().Failed })
-	r.Counter("starlink_recorder_slow_total", "Slow flows flight-recorded.",
-		func() uint64 { return o.Recorder().Stats().Slow })
-	if o.transitions != nil {
-		r.CounterVec("starlink_transition_hits_total", "transition",
-			"Executions per merged-automaton transition.", o.TransitionHits)
+	o.scalar("counter", "starlink_tracer_events_total", "TraceEvents consumed by the tracer.",
+		func(s ObserverStats) uint64 { return s.Events })
+	o.scalar("counter", "starlink_tracer_flows_assembled_total", "Span trees assembled from completed flows.",
+		func(s ObserverStats) uint64 { return s.FlowsAssembled })
+	o.scalar("counter", "starlink_tracer_flows_sampled_total", "Completed flows kept in the flow ring.",
+		func(s ObserverStats) uint64 { return s.FlowsSampled })
+	o.scalar("counter", "starlink_tracer_flows_dropped_total", "Completed flows sampled out of the flow ring.",
+		func(s ObserverStats) uint64 { return s.FlowsDropped })
+	o.scalar("gauge", "starlink_recorder_entries", "Flows currently held by the flight recorder.",
+		func(s ObserverStats) uint64 { return uint64(s.RecorderEntries) })
+	o.scalar("counter", "starlink_recorder_failed_total", "Failed flows flight-recorded.",
+		func(s ObserverStats) uint64 { return s.RecordedFailed })
+	o.scalar("counter", "starlink_recorder_slow_total", "Slow flows flight-recorded.",
+		func(s ObserverStats) uint64 { return s.RecordedSlow })
+	if stats().TransitionHits != nil {
+		o.vec("counter", "starlink_transition_hits_total", "transition",
+			"Executions per merged-automaton transition.",
+			func(s ObserverStats) map[string]uint64 { return s.TransitionHits })
 	}
 }
-
-// MediatorRegistry builds a Registry pre-wired with a mediator's
-// metrics and, when obs is non-nil, the observer's. This is the
-// one-call path from "I have a mediator" to "I can serve /metrics".
-func MediatorRegistry(med *engine.Mediator, obs *Observer) *Registry {
-	r := NewRegistry()
-	RegisterMediator(r, med)
-	if obs != nil {
-		RegisterObserver(r, obs)
-	}
-	return r
-}
-
-// Uptime is a small helper metric source for /healthz-style gauges.
-type Uptime struct{ t0 time.Time }
-
-// NewUptime starts counting now.
-func NewUptime() *Uptime { return &Uptime{t0: time.Now()} }
-
-// Elapsed is the time since construction.
-func (u *Uptime) Elapsed() time.Duration { return time.Since(u.t0) }

@@ -1,6 +1,10 @@
 package observe
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -8,14 +12,16 @@ import (
 	"starlink/internal/backend"
 	"starlink/internal/discovery"
 	"starlink/internal/engine"
+	"starlink/internal/gateway"
 	"starlink/internal/network/pool"
 )
 
 func TestWriteTextScalarsAndVecs(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("t_requests_total", "Requests handled.", func() uint64 { return 42 })
-	r.Gauge("t_load", "Current load.", func() float64 { return 0.5 })
-	r.CounterVec("t_hits_total", "edge", "Hits per edge.", func() map[string]uint64 {
+	s := sample(r, func() int { return 42 })
+	s.scalar("counter", "t_requests_total", "Requests handled.", func(n int) uint64 { return uint64(n) })
+	s.scalar("gauge", "t_load", "Current load.", func(n int) uint64 { return uint64(n / 2) })
+	s.vec("counter", "t_hits_total", "edge", "Hits per edge.", func(int) map[string]uint64 {
 		return map[string]uint64{"b->c": 2, "a->b": 7}
 	})
 	var b strings.Builder
@@ -28,7 +34,7 @@ func TestWriteTextScalarsAndVecs(t *testing.T) {
 		"# TYPE t_requests_total counter",
 		"t_requests_total 42",
 		"# TYPE t_load gauge",
-		"t_load 0.5",
+		"t_load 21",
 		// Vec samples sorted by label value.
 		"t_hits_total{edge=\"a->b\"} 7\nt_hits_total{edge=\"b->c\"} 2",
 	} {
@@ -49,7 +55,8 @@ func TestWriteTextHistogramCumulative(t *testing.T) {
 			{Low: 2 * time.Millisecond, High: 4 * time.Millisecond, Count: 1},
 		},
 	}
-	r.Histogram("t_latency_seconds", "Latency.", func() engine.LatencyHistogram { return h })
+	sample(r, func() engine.LatencyHistogram { return h }).histogram("t_latency_seconds", "Latency.",
+		func(h engine.LatencyHistogram) engine.LatencyHistogram { return h })
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -75,14 +82,14 @@ func TestWriteTextHistogramCumulative(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("dup_total", "", func() uint64 { return 0 })
+	s := sample(NewRegistry(), func() uint64 { return 0 })
+	s.scalar("counter", "dup_total", "", func(n uint64) uint64 { return n })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	r.Counter("dup_total", "", func() uint64 { return 0 })
+	s.scalar("counter", "dup_total", "", func(n uint64) uint64 { return n })
 }
 
 func TestFormatFloat(t *testing.T) {
@@ -104,7 +111,7 @@ func TestRegisterObserverRendersTracerMetrics(t *testing.T) {
 	o := New(Options{Merged: testMerged()})
 	feedFlow(o, 1, 1, nil)
 	r := NewRegistry()
-	RegisterObserver(r, o)
+	registerObserver(r, o.Stats)
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -121,48 +128,33 @@ func TestRegisterObserverRendersTracerMetrics(t *testing.T) {
 	}
 }
 
-// countingMediator counts what a scrape asks a mediator for.
-type countingMediator struct {
-	snapshots, poolStats, backends, discovery int
-}
+// countingMediator counts the snapshots a scrape takes of a mediator.
+type countingMediator struct{ snapshots int }
 
 func (c *countingMediator) Snapshot() engine.Snapshot {
 	c.snapshots++
-	return engine.Snapshot{Stats: engine.Stats{Flows: 7, PoolHits: 3}}
-}
-
-func (c *countingMediator) PoolStats() pool.Stats {
-	c.poolStats++
-	return pool.Stats{PerKey: map[pool.Key]pool.KeyStats{{Color: 2, Addr: "a:1"}: {Idle: 4}}}
-}
-
-func (c *countingMediator) Backends() []backend.SetSnapshot {
-	c.backends++
-	return []backend.SetSnapshot{{Name: "set", Replicas: []backend.ReplicaSnapshot{{Addr: "a:1", Live: true}}}}
-}
-
-func (c *countingMediator) Discovery() []discovery.Snapshot {
-	c.discovery++
-	return []discovery.Snapshot{{Set: "set", Adds: 2}}
+	return engine.Snapshot{
+		Stats:     engine.Stats{Flows: 7, PoolHits: 3},
+		Pool:      pool.Stats{PerKey: map[pool.Key]pool.KeyStats{{Color: 2, Addr: "a:1"}: {Idle: 4}}},
+		Backends:  []backend.SetSnapshot{{Name: "set", Replicas: []backend.ReplicaSnapshot{{Addr: "a:1", Live: true}}}},
+		Discovery: []discovery.Snapshot{{Set: "set", Adds: 2}},
+	}
 }
 
 // TestMediatorScrapeSamplesOnce: however many series a mediator has — 21
 // counters, three histograms, three pool gauges and the backend and
-// discovery families — one scrape takes one Snapshot and one PoolStats, so
-// its values are of one instant and the pool's mutex is not taken per
-// series.
+// discovery families — one scrape takes one Snapshot, which is all a
+// registry can ask a mediator for, so its values are of one instant and the
+// pool's mutex is taken once.
 func TestMediatorScrapeSamplesOnce(t *testing.T) {
 	med := &countingMediator{}
 	r := NewRegistry()
-	registerMediator(r, med)
-	*med = countingMediator{} // registration itself looks at Backends and Discovery
+	registerMediator(r, med.Snapshot)
+	med.snapshots = 0 // registration looks at one for its backends and discovery sources
 	for scrape := 1; scrape <= 2; scrape++ {
-		var b strings.Builder
-		if err := r.WriteText(&b); err != nil {
-			t.Fatal(err)
-		}
-		if *med != (countingMediator{scrape, scrape, scrape, scrape}) {
-			t.Fatalf("after %d scrapes the mediator was sampled %+v times", scrape, *med)
+		out := scrapeOnce(t, r)
+		if med.snapshots != scrape {
+			t.Fatalf("after %d scrapes the mediator was sampled %d times", scrape, med.snapshots)
 		}
 		for _, want := range []string{
 			"starlink_flows_total 7",
@@ -172,8 +164,145 @@ func TestMediatorScrapeSamplesOnce(t *testing.T) {
 			`starlink_backend_up{replica="set/a:1"} 1`,
 			`starlink_discovery_adds_total{set="set"} 2`,
 		} {
-			if !strings.Contains(b.String(), want) {
+			if !strings.Contains(out, want) {
 				t.Errorf("scrape %d lacks %q", scrape, want)
+			}
+		}
+	}
+}
+
+// TestObserverScrapeSamplesOnce: the nine tracer and recorder families of
+// one scrape come from one Stats of the observer.
+func TestObserverScrapeSamplesOnce(t *testing.T) {
+	o := New(Options{Merged: testMerged()})
+	feedFlow(o, 1, 1, nil)
+	samples := 0
+	r := NewRegistry()
+	registerObserver(r, func() ObserverStats { samples++; return o.Stats() })
+	samples = 0 // registration looks at one for its hit counts
+	for scrape := 1; scrape <= 2; scrape++ {
+		out := scrapeOnce(t, r)
+		if samples != scrape {
+			t.Fatalf("after %d scrapes the observer was sampled %d times", scrape, samples)
+		}
+		for _, want := range []string{
+			"starlink_tracer_enabled 1",
+			"starlink_recorder_entries 0",
+			`starlink_transition_hits_total{transition="m0->m1"} 1`,
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("scrape %d lacks %q", scrape, want)
+			}
+		}
+	}
+}
+
+// TestGatewayScrapeSamplesOnce: the nine gateway families of one scrape
+// come from one Stats of the gateway.
+func TestGatewayScrapeSamplesOnce(t *testing.T) {
+	samples := 0
+	r := NewRegistry()
+	registerGateway(r, func() gateway.Stats {
+		samples++
+		return gateway.Stats{
+			Conns:   5,
+			Sniffed: map[string]uint64{"http": 5},
+			Routes:  []gateway.RouteStats{{Name: "xmlrpc", Accepted: 4, ActiveFlows: 1}},
+		}
+	})
+	for scrape := 1; scrape <= 2; scrape++ {
+		out := scrapeOnce(t, r)
+		if samples != scrape {
+			t.Fatalf("after %d scrapes the gateway was sampled %d times", scrape, samples)
+		}
+		for _, want := range []string{
+			"starlink_gateway_conns_total 5",
+			`starlink_gateway_sniffed_total{class="http"} 5`,
+			`starlink_gateway_accepted_total{route="xmlrpc"} 4`,
+			`starlink_gateway_active_flows{route="xmlrpc"} 1`,
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("scrape %d lacks %q", scrape, want)
+			}
+		}
+	}
+}
+
+func scrapeOnce(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestMetricReference holds docs/OBSERVABILITY.md to the registries: the
+// table between its metric markers is what a mediator with a cache, a
+// backend set, a discovery source and an observer registers, then what a
+// gateway registers, family by family, and every starlink_* name README.md,
+// DESIGN.md and docs/*.md quote is one of those families (or, ending in
+// "_", the prefix of some).
+func TestMetricReference(t *testing.T) {
+	med, gw := NewRegistry(), NewRegistry()
+	registerMediator(med, (&countingMediator{}).Snapshot)
+	registerObserver(med, New(Options{Merged: testMerged()}).Stats)
+	registerGateway(gw, func() gateway.Stats { return gateway.Stats{} })
+
+	var want strings.Builder
+	want.WriteString("| Name | Type | Label | Help |\n|---|---|---|---|\n")
+	families := map[string]string{} // name -> type
+	for _, r := range []*Registry{med, gw} {
+		for _, m := range r.metrics {
+			label := ""
+			if m.labelKey != "" {
+				label = "`" + m.labelKey + "`"
+			}
+			fmt.Fprintf(&want, "| `%s` | %s | %s | %s |\n", m.name, m.typ, label, m.help)
+			families[m.name] = m.typ
+		}
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, end := "<!-- metrics -->\n", "<!-- /metrics -->"
+	_, rest, _ := strings.Cut(string(doc), open)
+	if got, _, _ := strings.Cut(rest, end); got != want.String() {
+		t.Errorf("docs/OBSERVABILITY.md: the block between %q and %q is not what the registries hold.\ngot:\n%s\nwant (paste this between the markers):\n%s",
+			strings.TrimSpace(open), end, got, want.String())
+	}
+
+	docs, err := filepath.Glob(filepath.Join("..", "..", "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, filepath.Join("..", "..", "README.md"), filepath.Join("..", "..", "DESIGN.md"))
+	known := func(name string) bool {
+		if strings.HasSuffix(name, "_") {
+			for f := range families {
+				if strings.HasPrefix(f, name) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, suffix := range []string{"", "_bucket", "_sum", "_count"} {
+			if typ, ok := families[strings.TrimSuffix(name, suffix)]; ok && (suffix == "" || typ == "histogram") {
+				return true
+			}
+		}
+		return false
+	}
+	quoted := regexp.MustCompile(`starlink_[a-z_]+`)
+	for _, path := range docs {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range quoted.FindAllString(string(text), -1) {
+			if !known(name) {
+				t.Errorf("%s quotes %s, which no registry has", filepath.Base(path), name)
 			}
 		}
 	}

@@ -7,9 +7,9 @@
 //     assembles them into per-session span trees — session → flow →
 //     transition spans with durations, colors, state names and
 //     redial/error annotations — kept in a bounded lock-free ring;
-//   - a metrics Registry fed from engine.Stats, the service-pool
-//     counters and the 32-bin latency histograms, rendered in
-//     Prometheus text exposition format;
+//   - a metrics Registry that reads one engine Snapshot (and one
+//     observer or gateway Stats) per scrape, rendered in Prometheus
+//     text exposition format;
 //   - a flight Recorder holding the last N failed or slow flows with
 //     their span trees and a truncated wire-level hexdump of the
 //     offending message, for post-hoc diagnosis of parse/translate
@@ -293,21 +293,11 @@ func (o *Observer) finishFlow(ft *FlowTrace) {
 // Flows snapshots the sampled completed-flow ring, oldest first.
 func (o *Observer) Flows() []*FlowTrace { return o.flows.snapshot() }
 
-// TransitionHits snapshots the per-transition hit counters ("from->to"
-// keyed). Nil when the observer was built without a merged automaton.
-func (o *Observer) TransitionHits() map[string]uint64 {
-	if o.transitions == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(o.transitions))
-	for name, ts := range o.transitions {
-		out[name] = ts.hits.Load()
-	}
-	return out
-}
-
-// ObserverStats are the tracer's own counters.
+// ObserverStats are one reading of the tracer and its flight recorder,
+// the one sample /metrics takes of an observer per scrape.
 type ObserverStats struct {
+	// Enabled reports whether the tracer is on.
+	Enabled bool
 	// Events is the number of TraceEvents consumed while enabled.
 	Events uint64
 	// FlowsAssembled counts completed span trees (clean or failed).
@@ -315,16 +305,35 @@ type ObserverStats struct {
 	// FlowsSampled and FlowsDropped split FlowsAssembled by the
 	// sampling decision for the flow ring.
 	FlowsSampled, FlowsDropped uint64
+	// RecorderEntries is how many flows the flight recorder holds.
+	RecorderEntries int
+	// RecordedFailed and RecordedSlow count flows the recorder took for
+	// each reason, including ones since evicted by its bound.
+	RecordedFailed, RecordedSlow uint64
+	// TransitionHits are the per-transition hit counts, keyed "from->to";
+	// nil when the observer was built without a merged automaton.
+	TransitionHits map[string]uint64
 }
 
-// Stats snapshots the tracer's counters.
+// Stats reads the tracer's and the recorder's counters and the hit counts.
 func (o *Observer) Stats() ObserverStats {
-	return ObserverStats{
-		Events:         o.events.Load(),
-		FlowsAssembled: o.flowsAssembled.Load(),
-		FlowsSampled:   o.flowsSampled.Load(),
-		FlowsDropped:   o.flowsDropped.Load(),
+	st := ObserverStats{
+		Enabled:         o.Enabled(),
+		Events:          o.events.Load(),
+		FlowsAssembled:  o.flowsAssembled.Load(),
+		FlowsSampled:    o.flowsSampled.Load(),
+		FlowsDropped:    o.flowsDropped.Load(),
+		RecorderEntries: o.recorder.Len(),
+		RecordedFailed:  o.recorder.failed.Load(),
+		RecordedSlow:    o.recorder.slowSeen.Load(),
 	}
+	if o.transitions != nil {
+		st.TransitionHits = make(map[string]uint64, len(o.transitions))
+		for name, ts := range o.transitions {
+			st.TransitionHits[name] = ts.hits.Load()
+		}
+	}
+	return st
 }
 
 // DOT renders the merged automaton in Graphviz format with live

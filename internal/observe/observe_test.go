@@ -87,7 +87,7 @@ func TestSpanAssembly(t *testing.T) {
 		t.Errorf("first span duration = %v", d)
 	}
 	// All three edges were hit exactly once.
-	hits := o.TransitionHits()
+	hits := o.Stats().TransitionHits
 	for _, tr := range []string{"m0->m1", "m1->m2", "m2->m3"} {
 		if hits[tr] != 1 {
 			t.Errorf("hits[%s] = %d, want 1", tr, hits[tr])
@@ -113,8 +113,8 @@ func TestFailedFlowReachesRecorder(t *testing.T) {
 	if len(ft.Root.Children) != 2 {
 		t.Errorf("failed flow kept %d spans, want 2", len(ft.Root.Children))
 	}
-	st := o.Recorder().Stats()
-	if st.Failed != 1 || st.Slow != 0 {
+	st := o.Stats()
+	if st.RecordedFailed != 1 || st.RecordedSlow != 0 {
 		t.Errorf("recorder stats = %+v", st)
 	}
 }
@@ -137,7 +137,7 @@ func TestErrorWithoutFlowStartSynthesizes(t *testing.T) {
 func TestSlowFlowReachesRecorder(t *testing.T) {
 	o := New(Options{SlowThreshold: time.Millisecond})
 	feedFlow(o, 1, 1, nil) // 4ms flow >= 1ms threshold
-	if got := o.Recorder().Stats().Slow; got != 1 {
+	if got := o.Stats().RecordedSlow; got != 1 {
 		t.Errorf("slow recorded = %d, want 1", got)
 	}
 }
@@ -248,7 +248,7 @@ func TestObserverConcurrentSessions(t *testing.T) {
 	if st := o.Stats(); st.FlowsAssembled != 16*20 {
 		t.Errorf("assembled = %d, want %d", st.FlowsAssembled, 16*20)
 	}
-	if hits := o.TransitionHits(); hits["m0->m1"] != 16*20 {
+	if hits := o.Stats().TransitionHits; hits["m0->m1"] != 16*20 {
 		t.Errorf("hits = %d, want %d", hits["m0->m1"], 16*20)
 	}
 }

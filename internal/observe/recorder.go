@@ -42,15 +42,3 @@ func (r *Recorder) Entries() []*FlowTrace { return r.entries.snapshot() }
 
 // Len reports how many flows are currently held.
 func (r *Recorder) Len() int { return r.entries.len() }
-
-// RecorderStats are the recorder's lifetime counters.
-type RecorderStats struct {
-	// Failed and Slow count flows recorded for each reason (including
-	// ones since evicted by the ring bound).
-	Failed, Slow uint64
-}
-
-// Stats snapshots the recorder's counters.
-func (r *Recorder) Stats() RecorderStats {
-	return RecorderStats{Failed: r.failed.Load(), Slow: r.slowSeen.Load()}
-}

@@ -472,9 +472,9 @@ eject plus fails=2 cooloff=500ms min_live=1
 	if !ok {
 		t.Fatalf("deployment type = %T", dep)
 	}
-	var snaps []backend.SetSnapshot = md.Mediator.Backends()
+	var snaps []backend.SetSnapshot = md.Mediator.Snapshot().Backends
 	if len(snaps) != 1 || snaps[0].Name != "plus" || len(snaps[0].Replicas) != 2 {
-		t.Fatalf("Backends() = %+v", snaps)
+		t.Fatalf("Snapshot().Backends = %+v", snaps)
 	}
 	for _, rs := range snaps[0].Replicas {
 		var _ backend.ReplicaSnapshot = rs
