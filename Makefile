@@ -67,7 +67,9 @@ race-alloc:
 # documented by starlink/example_test.go). One more of that kind: a
 # connection's read buffer comes from the pool internal/network keeps, and
 # goes back when the connection closes, so nothing outside it makes a
-# bufio.Reader of its own.
+# bufio.Reader of its own. And the response cache copies nothing: it
+# stores the reply it is given and serves that one, read-only, and a flow
+# whose γ programs can write into a reply copies it itself (the engine).
 # Last, the shipped tools accept the shipped models: every file under
 # models/ is the source of a mediator, written by hand, so each XML and MDL
 # file passes its tool's `check`, the directory lists, and the one derived
@@ -108,6 +110,8 @@ check: test
 		echo 'check: the files above run an accept loop of their own; hand the listener to network.Serve, or Accept to network.AcceptLoop, which survive EMFILE and ECONNABORTED (internal/network/accept.go)'; exit 1; fi
 	@if git grep -nE 'bufio\.NewReader(Size)?\(' -- internal cmd examples starlink ':!*_test.go' ':!internal/network'; then \
 		echo 'check: the files above make a read buffer of their own; a stream connection takes one from the pool in internal/network (network.NewStreamConn, network.NewPeekConn) and returns it on Close (DESIGN.md §9)'; exit 1; fi
+	@if git grep -n '\.Clone()' -- internal/rcache ':!*_test.go'; then \
+		echo 'check: the lines above copy a reply inside the response cache; it stores and serves the message it is given, read-only, and the engine copies one where a γ program can write into it (DESIGN.md §13)'; exit 1; fi
 	@if git grep -nE '\) (exec|eval)\((env )?\*Env' -- internal/mtl ':!*_test.go'; then \
 		echo 'check: the lines above execute MTL over an *Env outside the tests; compiled forms take a *cframe (compile.go), and the reference interpreter belongs in internal/mtl/oracle_test.go'; exit 1; fi
 	@bad=0; \

@@ -3,12 +3,16 @@ package engine_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"starlink/internal/bind"
+	"starlink/internal/casestudy"
 	"starlink/internal/engine"
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
+	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/testutil"
 )
 
@@ -310,4 +314,67 @@ func TestE19FlowDeadlineStormSoak(t *testing.T) {
 			}
 		})
 	})
+}
+
+// waitStats polls the mediator's counters until done accepts them or a
+// second has passed, and returns the last reading: a session notices its
+// client is gone on its own goroutine.
+func waitStats(med *engine.Mediator, done func(engine.Stats) bool) engine.Stats {
+	deadline := time.Now().Add(time.Second)
+	for {
+		st := med.Snapshot().Stats
+		if done(st) || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMidFlowClientLossIsCounted: a Flickr client that reads the reply to
+// the first of its four calls and hangs up has failed its flow, and says so:
+// one failure, one client failure, one TraceError. Only a client gone
+// between flows ends its session cleanly.
+func TestMidFlowClientLossIsCounted(t *testing.T) {
+	var traced atomic.Int64
+	med, _ := startCaseStudy(t, casestudy.XMLRPCMediator(),
+		&bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages},
+		func(cfg *engine.Config) {
+			cfg.Trace = func(ev engine.TraceEvent) {
+				if ev.Kind == engine.TraceError {
+					traced.Add(1)
+				}
+			}
+		})
+	c := xmlrpc.NewClient(med.Addr(), "/services/xmlrpc")
+	if _, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	st := waitStats(med, func(st engine.Stats) bool { return st.Failures > 0 && traced.Load() > 0 })
+	if st.Failures != 1 || st.ClientFailures != 1 || traced.Load() != 1 {
+		t.Errorf("failures %d, client failures %d, error traces %d; want 1 each",
+			st.Failures, st.ClientFailures, traced.Load())
+	}
+	if st.DeadlineExceeded != 0 {
+		t.Errorf("DeadlineExceeded = %d for a client that hung up", st.DeadlineExceeded)
+	}
+}
+
+// TestMidFlowClientStallExceedsDeadline: a client that stalls after its
+// first call, past a 50 ms flow deadline, has spent the flow's budget: the
+// mediator's read of its next call gives up at the deadline and counts it.
+func TestMidFlowClientStallExceedsDeadline(t *testing.T) {
+	med, _ := startCaseStudy(t, casestudy.XMLRPCMediator(),
+		&bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages},
+		func(cfg *engine.Config) { cfg.FlowDeadline = 50 * time.Millisecond })
+	c := xmlrpc.NewClient(med.Addr(), "/services/xmlrpc")
+	defer c.Close()
+	if _, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	st := waitStats(med, func(st engine.Stats) bool { return st.DeadlineExceeded > 0 })
+	if st.DeadlineExceeded != 1 || st.Failures != 1 || st.ClientFailures != 1 {
+		t.Errorf("deadline exhaustions %d, failures %d, client failures %d; want 1 each",
+			st.DeadlineExceeded, st.Failures, st.ClientFailures)
+	}
 }

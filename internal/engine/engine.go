@@ -182,9 +182,10 @@ type Config struct {
 	// Cache, when non-nil, enables the shared cross-flow response cache
 	// (internal/rcache) for the declared service operations. All
 	// sessions of the mediator share one cache; a flow about to send a
-	// cacheable request either serves a deep-cloned cached reply, joins
-	// an in-flight identical exchange, or executes it and populates the
-	// cache.
+	// cacheable request either serves a cached reply, joins an in-flight
+	// identical exchange, or executes it and populates the cache. A
+	// cached reply is bound as the cache holds it where no γ program can
+	// write into it, and copied where one can.
 	Cache *CachePolicy
 	// DialTimeout bounds each service dial — and, pool-side, how long a
 	// session waits for a pooled connection when the pool is at its
@@ -453,6 +454,11 @@ type Mediator struct {
 	// Config.Cache declares cacheable operations); its rules and
 	// invalidations are read from cfg.Cache, validated by New.
 	rcache *rcache.Cache
+	// shareReply holds, for each state a service reply is received into,
+	// whether a reply the cache holds may be bound there as it is: true
+	// when every compiled γ program is ReadOnly for the state. Nil without
+	// a cache.
+	shareReply map[string]bool
 
 	// hists are the live latency histograms behind Snapshot.Latencies.
 	hists histograms[histogram]
@@ -676,6 +682,19 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, fmt.Errorf("%w: γ %s->%s: %v", ErrConfig, t.From, t.To, err)
 		}
 		m.compiled[i] = cp
+	}
+	if m.rcache != nil {
+		m.shareReply = make(map[string]bool)
+		for _, t := range cfg.Merged.Transitions {
+			if t.Kind != automata.KindMessage || t.Action != automata.Receive || t.Color == cfg.ServerColor {
+				continue
+			}
+			share := true
+			for _, cp := range m.compiled {
+				share = share && cp.ReadOnly(t.To)
+			}
+			m.shareReply[t.To] = share
+		}
 	}
 	return m, nil
 }
@@ -1059,6 +1078,10 @@ type session struct {
 	// dropped connection.
 	pendingAction  string
 	pendingRequest *message.Message
+	// shared are the replies the current flow has bound that the response
+	// cache holds too: read-only, so where the engine writes into one it
+	// writes into a copy of its header (own).
+	shared []*message.Message
 }
 
 // serviceLink is everything a session knows about one client-role
@@ -1101,9 +1124,9 @@ type serviceLink struct {
 
 // cacheRole is one exchange's part in the shared response cache.
 type cacheRole struct {
-	// reply, when non-nil, is the deep-cloned cached (or coalesced)
-	// reply to bind at the receive transition instead of reading the
-	// network.
+	// reply, when non-nil, is the cached (or coalesced) reply, as the
+	// cache holds it, to bind at the receive transition instead of
+	// reading the network.
 	reply *message.Message
 	// flight, when non-nil, is the single-flight this session leads; it
 	// is fulfilled when the real reply parses, aborted if the exchange
@@ -1177,6 +1200,8 @@ func (s *session) run() {
 	}()
 	for {
 		s.pendingAction, s.pendingRequest = "", nil
+		clear(s.shared)
+		s.shared = s.shared[:0]
 		s.hostOverride = ""
 		s.flowStarted = false
 		s.budget = time.Time{}
@@ -1188,8 +1213,8 @@ func (s *session) run() {
 			for i := range s.links {
 				s.links[i].abortFlight(err)
 			}
-			// A recv error on the very first transition of a flow is the
-			// client ending the keep-alive connection, not a failure.
+			// The client ending the keep-alive connection between flows is
+			// no failure; losing it mid-flow is (recvClientRequest).
 			if !errors.Is(err, errSessionDone) {
 				s.med.stats.Failures.Add(1)
 				s.trace(TraceEvent{Kind: TraceError, Err: err, Wire: truncWire(s.lastRecv)})
@@ -1224,15 +1249,17 @@ var errSessionDone = errors.New("engine: session done")
 // carries no deadline — an idle keep-alive connection may sit between
 // flows indefinitely — and parks the session as idle first, so a
 // Shutdown can harvest clients that are merely holding their
-// connection open. Once a flow has started its budget deadline is
-// stamped, and mid-flow reads (the client's next request of a
-// multi-exchange traversal) are bounded by it.
+// connection open. Only that read may end the session cleanly: it
+// returns errSessionDone, as it is, when the client has gone. Once a
+// flow has started its budget deadline is stamped, and mid-flow reads
+// (the client's next request of a multi-exchange traversal) are bounded
+// by it; a client lost there has failed the flow (clientGone).
 func (s *session) recvClientRequest() ([]byte, error) {
+	initial := !s.flowStarted
 	// The budget is still zero — no deadline — on the flow-initial read.
 	if err := s.client.SetDeadline(s.budget); err != nil {
-		return nil, err
+		return nil, s.clientGone(initial, err)
 	}
-	initial := !s.flowStarted
 	if initial && !s.med.parkIdle(s.client) {
 		return nil, errSessionDone
 	}
@@ -1241,7 +1268,7 @@ func (s *session) recvClientRequest() ([]byte, error) {
 		s.med.unparkIdle(s.client)
 	}
 	if err != nil {
-		return nil, err
+		return nil, s.clientGone(initial, err)
 	}
 	s.lastRecv = data
 	if initial {
@@ -1253,6 +1280,23 @@ func (s *session) recvClientRequest() ([]byte, error) {
 		s.trace(TraceEvent{Kind: TraceFlowStart})
 	}
 	return data, nil
+}
+
+// clientGone is the error of a client read that failed. Between flows
+// it is errSessionDone. In the middle of a flow — a client that closed
+// its connection, or stalled past the flow's deadline budget — it is a
+// client failure, and with the budget spent a deadline exhaustion too;
+// run counts the failed flow and traces it.
+func (s *session) clientGone(initial bool, err error) error {
+	if initial {
+		return errSessionDone
+	}
+	s.med.stats.ClientFailures.Add(1)
+	if !s.budget.IsZero() && !time.Now().Before(s.budget) {
+		s.med.stats.DeadlineExceeded.Add(1)
+		return fmt.Errorf("recv client request: %w (last attempt: %v)", ErrDeadline, err)
+	}
+	return fmt.Errorf("recv client request: %w", err)
 }
 
 // within is the deadline of a blocking step that may take at most limit:
@@ -1430,7 +1474,7 @@ func (s *session) execBranch(outs []automata.MergedTransition, env *mtl.Env) (in
 	}
 	data, err := s.recvClientRequest()
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errSessionDone, err) // client gone
+		return 0, err
 	}
 	s.med.stats.MessagesIn.Add(1)
 	action, abs, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
@@ -1462,7 +1506,7 @@ func (s *session) execBranch(outs []automata.MergedTransition, env *mtl.Env) (in
 func (s *session) execMessage(t automata.MergedTransition, env *mtl.Env) ([]byte, error) {
 	if t.Action == automata.Receive && t.Color != s.med.cfg.ServerColor {
 		// Mediator receives the service reply.
-		abs, err := s.link(t.Color).recv(t.Message)
+		abs, err := s.link(t.Color).recv(t)
 		if err != nil {
 			return nil, err
 		}
@@ -1473,6 +1517,8 @@ func (s *session) execMessage(t automata.MergedTransition, env *mtl.Env) ([]byte
 	abs := env.Message(t.From)
 	if abs == nil {
 		abs = message.New(t.Message)
+	} else {
+		abs = s.own(abs)
 	}
 	abs.Name = t.Message
 	if t.Action == automata.Send {
@@ -1487,6 +1533,39 @@ func (s *session) execMessage(t automata.MergedTransition, env *mtl.Env) ([]byte
 		return nil, fmt.Errorf("build client reply: %w", err)
 	}
 	return data, nil
+}
+
+// own returns msg, or a copy of its header when msg is a reply the cache
+// holds: the engine then writes the name and appends correlation fields
+// to the copy, whose field list is cut to its length so an append cannot
+// reach into the shared one.
+func (s *session) own(msg *message.Message) *message.Message {
+	for _, r := range s.shared {
+		if r == msg {
+			cp := *msg
+			cp.Fields = cp.Fields[:len(cp.Fields):len(cp.Fields)]
+			return &cp
+		}
+	}
+	return msg
+}
+
+// bindCached returns what the flow binds at t of a reply the cache holds:
+// the reply itself when no γ program can write into t.To (shareReply) —
+// remembered in s.shared, named by a header copy if its name is not
+// t.Message — and else a deep copy of its own.
+func (s *session) bindCached(reply *message.Message, t automata.MergedTransition) *message.Message {
+	if !s.med.shareReply[t.To] {
+		reply = reply.Clone()
+	} else {
+		s.shared = append(s.shared, reply)
+		if reply.Name == t.Message {
+			return reply
+		}
+		reply = s.own(reply)
+	}
+	reply.Name = t.Message
+	return reply
 }
 
 // send is the first phase of an exchange: the mediator invokes operation
@@ -1511,16 +1590,16 @@ func (l *serviceLink) send(op string, abs *message.Message) error {
 	return nil
 }
 
-// recv is the second phase: it returns the service's reply to the last
-// send, named name — the parked cached reply when there is one, else the
-// network's, parsed and fed back to the cache when this exchange leads a
-// flight or populates a key.
-func (l *serviceLink) recv(name string) (*message.Message, error) {
+// recv is the second phase of the exchange t receives: it returns the
+// service's reply to the last send, named t.Message — the parked cached
+// reply when there is one, else the network's, parsed and handed to the
+// cache when this exchange leads a flight or populates a key. A reply the
+// cache holds is bound as bindCached says.
+func (l *serviceLink) recv(t automata.MergedTransition) (*message.Message, error) {
 	m := l.s.med
 	if abs := l.cache.reply; abs != nil {
 		l.cache = cacheRole{}
-		abs.Name = name
-		return abs, nil
+		return l.s.bindCached(abs, t), nil
 	}
 	data, err := l.exchange(nil)
 	if err != nil {
@@ -1546,14 +1625,18 @@ func (l *serviceLink) recv(name string) (*message.Message, error) {
 		m.stats.ServiceFailures.Add(1)
 		return nil, fmt.Errorf("parse service reply: %w", err)
 	}
-	abs.Name = name
-	if c := l.cache; c.flight != nil {
-		m.rcache.Fulfill(c.flight, abs, c.ttl)
-	} else if c.ttl > 0 {
-		m.rcache.Put(l.op, c.key, abs, c.ttl)
-	}
+	abs.Name = t.Message
+	c := l.cache
 	l.cache = cacheRole{}
-	return abs, nil
+	switch {
+	case c.flight != nil:
+		m.rcache.Fulfill(c.flight, abs, c.ttl)
+	case c.ttl > 0:
+		m.rcache.Put(l.op, c.key, abs, c.ttl)
+	default:
+		return abs, nil
+	}
+	return l.s.bindCached(abs, t), nil
 }
 
 // cacheCheck runs the response-cache protocol for the invocation of

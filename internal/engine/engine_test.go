@@ -156,8 +156,8 @@ func TestE4AddPlusAutoMerged(t *testing.T) {
 }
 
 // startCaseStudy wires the Picasa service and a mediator for the given
-// merged automaton with the given client-side binder.
-func startCaseStudy(t *testing.T, merged *automata.Merged, clientBinder bind.Binder) (*engine.Mediator, *photostore.Store) {
+// merged automaton with the given client-side binder, adjusted by tweaks.
+func startCaseStudy(t *testing.T, merged *automata.Merged, clientBinder bind.Binder, tweaks ...func(*engine.Config)) (*engine.Mediator, *photostore.Store) {
 	t.Helper()
 	store := photostore.New()
 	pic, err := picasa.New(store)
@@ -174,14 +174,18 @@ func startCaseStudy(t *testing.T, merged *automata.Merged, clientBinder bind.Bin
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := engine.New(engine.Config{
+	cfg := engine.Config{
 		Merged: merged,
 		Sides: map[int]*engine.Side{
 			1: {Binder: clientBinder},
 			2: {Binder: restBinder, Target: pic.Addr()},
 		},
 		HostMap: map[string]string{casestudy.PicasaHost: pic.Addr()},
-	})
+	}
+	for _, tweak := range tweaks {
+		tweak(&cfg)
+	}
+	med, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,9 @@ import (
 
 // builtins are the functions available to every MTL program. Names are
 // matched case-insensitively (the paper writes both SetHost and cache).
+// None of them writes into an argument tree: they read it, return it, or
+// (cache) store a copy of it. CompiledProgram.ReadOnly relies on that, so a
+// builtin that mutates its arguments must make ReadOnly count its calls.
 var builtins = map[string]Func{
 	"cache":     builtinCache,
 	"getcache":  builtinGetCache,

@@ -53,6 +53,8 @@ package mtl
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"starlink/internal/message"
 )
@@ -79,6 +81,10 @@ type CompiledProgram struct {
 	stmts    []cStmt
 	handles  []string // slot -> handle name
 	varNames []string // slot -> variable name
+	// writes are the handles the program assigns into, and foreign is set
+	// when it may write into a tree it did not make (see ReadOnly).
+	writes  []string
+	foreign bool
 }
 
 // Source returns the original program text.
@@ -86,6 +92,19 @@ func (p *CompiledProgram) Source() string { return p.src }
 
 // Handles returns the message-handle names the program references.
 func (p *CompiledProgram) Handles() []string { return append([]string(nil), p.handles...) }
+
+// ReadOnly reports whether executing the program leaves the message bound
+// to handle, and every tree reachable from it, as it found them — so the
+// message may be shared with other goroutines while the program runs. It
+// holds when the program assigns nothing into handle, assigns under no
+// variable but a builder variable it has built before (in the same block or
+// an enclosing one; a builder's tree is the frame's nodes, and a variable
+// still holding what an earlier program left in Env.Vars may hold a subtree
+// of handle), and calls only builtins, none of which writes its arguments.
+// Every other way a tree reaches a message copies it (a graft clones).
+func (p *CompiledProgram) ReadOnly(handle string) bool {
+	return !p.foreign && !slices.Contains(p.writes, handle)
+}
 
 // cval is one variable slot.
 //
@@ -748,6 +767,9 @@ type compiler struct {
 	// may return the cache's own tree instead of a clone — nothing can
 	// write through it, and grafts always copy.
 	peekSafe bool
+	// writes and foreign become the CompiledProgram's (see ReadOnly).
+	writes  []string
+	foreign bool
 
 	// builders are the variables every mention of which fits the builder
 	// rule (see builder); their `v = newstruct(…)` compiles to cBuild.
@@ -767,8 +789,8 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 	for _, h := range opts.Handles {
 		handleSet[h] = true
 	}
-	c.peekSafe = c.analyze(p.stmts, handleSet)
 	c.builders = c.builderVars(p.stmts, handleSet)
+	c.analyze(p.stmts, handleSet)
 	stmts := make([]cStmt, 0, len(p.stmts))
 	for _, s := range p.stmts {
 		cs, err := c.stmt(s, handleSet)
@@ -782,14 +804,18 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 		stmts:    stmts,
 		handles:  c.handleIDs,
 		varNames: c.varIDs,
+		writes:   c.writes,
+		foreign:  c.foreign,
 	}, nil
 }
 
-// analyze scans the program for the properties that gate the getcache
-// Peek fast path.
-func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) (peekSafe bool) {
-	peekSafe = true
-	noCustomCalls := true
+// analyze scans the program for what it may write: the handles it assigns
+// into, and whether it may write into a tree it did not make — through a
+// custom function, or under a variable that is no builder it has built
+// before. peekSafe, the gate of the getcache Peek fast path, is stricter: no
+// variable path is assigned at all. It needs builders.
+func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
+	varPaths, customCalls := false, false
 	var walkExpr func(e Expr)
 	walkExpr = func(e Expr) {
 		call, ok := e.(*callExpr)
@@ -797,37 +823,53 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) (peekSafe bo
 			return
 		}
 		if _, shadowed := c.funcs[call.name]; shadowed {
-			noCustomCalls = false
+			customCalls = true
 		} else if _, isBuiltin := builtins[call.name]; !isBuiltin {
-			noCustomCalls = false
+			customCalls = true
 		}
 		for _, a := range call.args {
 			walkExpr(a)
 		}
 	}
-	var walkStmt func(s Stmt)
-	walkStmt = func(s Stmt) {
+	// built holds the builder variables built so far on every way to the
+	// statement: a block's builds are its own and its nested blocks'.
+	var walkStmt func(s Stmt, built map[string]bool)
+	walkBlock := func(stmts []Stmt, outer map[string]bool) {
+		built := maps.Clone(outer)
+		for _, s := range stmts {
+			walkStmt(s, built)
+		}
+	}
+	walkStmt = func(s Stmt, built map[string]bool) {
 		switch st := s.(type) {
 		case *assignStmt:
 			root := st.lhs.steps[0]
-			if !handleSet[root.label] && (len(st.lhs.steps) > 1 || root.append) {
-				peekSafe = false
+			switch {
+			case handleSet[root.label]:
+				if !slices.Contains(c.writes, root.label) {
+					c.writes = append(c.writes, root.label)
+				}
+			case len(st.lhs.steps) > 1 || root.append:
+				varPaths = true
+				if !built[root.label] {
+					c.foreign = true
+				}
+			case c.builders[root.label]:
+				// Every `v = …` of a builder variable is a builder call.
+				built[root.label] = true
 			}
 			walkExpr(st.rhs)
 		case *callStmt:
 			walkExpr(st.call)
 		case *foreachStmt:
-			for _, b := range st.body {
-				walkStmt(b)
-			}
+			walkBlock(st.body, built)
 		case *tryStmt:
-			walkStmt(st.inner)
+			walkStmt(st.inner, built)
 		}
 	}
-	for _, s := range stmts {
-		walkStmt(s)
-	}
-	return peekSafe && noCustomCalls
+	walkBlock(stmts, map[string]bool{})
+	c.peekSafe = !varPaths && !customCalls
+	c.foreign = c.foreign || customCalls
 }
 
 // builderCall reports whether e is newstruct or newarray — the builtin, not

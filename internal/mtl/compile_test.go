@@ -913,3 +913,95 @@ out.O.s = p`), CompileOptions{Handles: fuzzHandles})
 		t.Errorf("a builder of %d nodes outlived its Exec", len(b.nodes))
 	}
 }
+
+// readOnlyCases name what ReadOnly must decide for the handle of each
+// program, over fuzzFixture.
+var readOnlyCases = []struct {
+	name   string
+	src    string
+	funcs  map[string]Func
+	handle string
+	want   bool
+}{
+	{name: "the Fig. 9 idiom reads the reply and builds its own", handle: "m", want: true, src: `
+out.O.photos = newarray("photos")
+foreach e in m.M.list.item {
+  p = newstruct("item")
+  p.id = e.id
+  try p.owner = e.nobody
+  out.O.photos.item[] = p
+}
+out.O.total = count(m.M)`},
+	{name: "the idiom's target is written", handle: "out", want: false, src: `
+p = newstruct("item")
+p.id = m.M.list.item.id
+out.O.s = p`},
+	{name: "a field of the handle is assigned", handle: "b", want: false, src: `b.Msg.y = 2`},
+	{name: "a foreach variable is written under", handle: "m", want: false, src: `
+foreach e in m.M.list.item {
+  e.v = "w"
+}`},
+	{name: "a variable aliases a subtree and is written under", handle: "b", want: false, src: `
+v = b.Msg.tree
+v.x = "w"`},
+	{name: "a function of the deployment may write its argument", handle: "b", want: false,
+		funcs: map[string]Func{"touch": func(_ *Env, args []any) (any, error) {
+			if f, ok := args[0].(*message.Field); ok && len(f.Children) > 0 {
+				f.Children[0].SetText("touched")
+			}
+			return nil, nil
+		}},
+		src: `touch(b.Msg.tree)`},
+	{name: "a builder written under before it is built holds what an earlier program left", handle: "b", want: false, src: `
+try p.x = "w"
+p = newstruct("s")
+p.y = "1"
+out.O.s = p`},
+	{name: "a builder built in a foreach may not be built after it", handle: "b", want: false, src: `
+foreach e in m.M.list.item {
+  p = newstruct("s")
+}
+p.x = "w"`},
+	{name: "a graft copies, so writing under it is writing a copy", handle: "b", want: true, src: `
+p = newstruct("s")
+p.t = b.Msg.tree
+p.t.x = "mine"
+out.O.s = p`},
+	{name: "the session cache keeps a copy", handle: "b", want: true, src: `
+cache("k2", b.Msg.tree)
+out.O.c = getcache("k2")`},
+	{name: "a whole message is copied into another", handle: "b", want: true, src: `out.O = b.Msg`},
+}
+
+// TestReadOnly holds ReadOnly to the table, and a program it calls read-only
+// to its word: run twice on one Env whose variables already name subtrees of
+// the handle, as an earlier program's could, it leaves the handle's message
+// as it was.
+func TestReadOnly(t *testing.T) {
+	for _, tc := range readOnlyCases {
+		t.Run(tc.name, func(t *testing.T) {
+			compiled, err := Compile(MustParse(tc.src), CompileOptions{Handles: fuzzHandles, Funcs: tc.funcs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := compiled.ReadOnly(tc.handle); got != tc.want {
+				t.Fatalf("ReadOnly(%q) = %v, want %v", tc.handle, got, tc.want)
+			}
+			env := fuzzFixture()
+			env.Funcs = tc.funcs
+			msg := env.Message(tc.handle)
+			before := msg.Clone()
+			for _, v := range []string{"p", "v", "e"} {
+				if len(msg.Fields) > 0 {
+					env.Vars[v] = msg.Fields[len(msg.Fields)-1]
+				}
+			}
+			for i := 0; i < 2; i++ {
+				_ = compiled.Exec(env)
+			}
+			if tc.want && !msg.Equal(before) {
+				t.Errorf("a read-only program changed %s: %v, was %v", tc.handle, msg, before)
+			}
+		})
+	}
+}

@@ -9,12 +9,12 @@ import (
 
 // TestCacheHitAllocBudget pins the cache-hit fast path: rendering the
 // canonical key for an outbound request and serving a stored reply
-// (Acquire hit, which deep-clones the entry) must stay within a fixed
-// allocation budget. This is the path every cache-served flow pays
-// instead of a service exchange, so regressions here erode the very
-// latency win the cache exists for. The deep clone is mandatory:
-// callers mutate replies during γ translation, and the stored copy
-// must stay pristine.
+// (Acquire hit) must stay within a fixed allocation budget. This is the
+// path every cache-served flow pays instead of a service exchange, so
+// regressions here erode the very latency win the cache exists for. A
+// hit serves the stored message itself; a caller that may write into it
+// copies it (the engine, per receive state), so the budget has no copy in
+// it.
 func TestCacheHitAllocBudget(t *testing.T) {
 	c := New(Options{})
 	outbound := req("espresso")
@@ -36,14 +36,14 @@ func TestCacheHitAllocBudget(t *testing.T) {
 	}
 }
 
-// hitBudget covers one key string plus the deep clone of the stored
-// reply (Message, Fields slice, two Fields, one child and its slice)
-// — no per-hit map, list or flight allocation on top of that.
-const hitBudget = 8
+// hitBudget is the key string, and nothing else: no copy of the reply and
+// no per-hit map, list or flight allocation.
+const hitBudget = 1
 
 // TestMissCycleAllocBudget pins the uncontended miss: leader election,
-// Fulfill (which stores a stripped clone) and the flight bookkeeping.
-// The lazy done channel keeps the follower-free case channel-free.
+// Fulfill (which takes the reply as it is: it has no binder-internal field
+// to strip) and the flight bookkeeping. The lazy done channel keeps the
+// follower-free case channel-free.
 func TestMissCycleAllocBudget(t *testing.T) {
 	c := New(Options{})
 	outbound := req("espresso")
@@ -65,6 +65,5 @@ func TestMissCycleAllocBudget(t *testing.T) {
 	}
 }
 
-// missBudget covers the key string, the Flight, and the stripped clone
-// Fulfill builds for waking followers.
-const missBudget = 10
+// missBudget is the key string and the Flight.
+const missBudget = 2

@@ -6,9 +6,16 @@
 // complementary observation that under load many concurrent flows ask
 // the mediated service the same read-mostly questions. A Cache is
 // shared by every session of a mediator and consulted at the
-// service-send transition: a flow either serves a deep-cloned cached
-// reply, joins an in-flight leader's exchange (single-flight), or
-// executes the exchange itself and populates the cache.
+// service-send transition: a flow either serves a cached reply, joins an
+// in-flight leader's exchange (single-flight), or executes the exchange
+// itself and populates the cache.
+//
+// The cache owns what it stores and never copies it. A stored reply is
+// read-only from the moment it is handed in: every hit and every woken
+// follower gets the same *message.Message, and any number of goroutines may
+// read it at once. A caller that may write into a reply it got from here
+// copies it first (the engine decides that per receive state, from its
+// compiled γ programs).
 //
 // Entries are keyed by a canonical rendering of the outbound
 // service-side abstract message (operation, resolved service address,
@@ -91,7 +98,7 @@ type Flight struct {
 type entry struct {
 	key     string
 	op      string
-	reply   *message.Message // stored stripped clone; cloned again per hit
+	reply   *message.Message // stored, read-only, served as it is
 	expires time.Time
 	elem    *list.Element
 }
@@ -186,8 +193,8 @@ func (c *Cache) shardFor(key string) *shard {
 // Acquire looks the key up and decides the caller's role. Exactly one
 // of the three outcomes holds:
 //
-//   - cached reply: (reply, nil, false) — reply is a fresh deep clone
-//     the caller owns outright;
+//   - cached reply: (reply, nil, false) — reply is the stored message
+//     itself, shared with every other hit and read-only;
 //   - join an in-flight leader: (nil, flight, false) — call
 //     flight-returning Wait;
 //   - lead a new flight: (nil, flight, true) — perform the exchange,
@@ -202,7 +209,7 @@ func (c *Cache) Acquire(op, key string) (*message.Message, *Flight, bool) {
 			reply := e.reply
 			s.mu.Unlock()
 			c.hits.Add(1)
-			return reply.Clone(), nil, false
+			return reply, nil, false
 		}
 		s.removeLocked(e)
 		c.evictions.Add(1)
@@ -223,9 +230,10 @@ func (c *Cache) Acquire(op, key string) (*message.Message, *Flight, bool) {
 }
 
 // Wait blocks until the flight's leader fulfils or aborts it, or the
-// timeout elapses. On fulfilment the follower receives its own deep
-// clone of the reply. On abort or timeout the follower should fall
-// back to a direct service exchange (and may Put the result).
+// timeout elapses. On fulfilment the follower receives the reply the
+// leader fulfilled it with, shared and read-only like a hit. On abort or
+// timeout the follower should fall back to a direct service exchange
+// (and may Put the result).
 func (f *Flight) Wait(timeout time.Duration) (*message.Message, error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -234,7 +242,7 @@ func (f *Flight) Wait(timeout time.Duration) (*message.Message, error) {
 		if f.err != nil {
 			return nil, f.err
 		}
-		return f.reply.Clone(), nil
+		return f.reply, nil
 	case <-t.C:
 		return nil, ErrWaitTimeout
 	}
@@ -244,9 +252,10 @@ func (f *Flight) Wait(timeout time.Duration) (*message.Message, error) {
 func (f *Flight) Op() string { return f.op }
 
 // Fulfill completes a led flight: followers are woken with reply, and
-// (unless a write invalidated the operation mid-flight, or ttl <= 0)
-// a stripped deep clone is stored for ttl. The caller keeps ownership
-// of reply; the cache never aliases it.
+// (unless a write invalidated the operation mid-flight, or ttl <= 0) it
+// is stored for ttl. The cache takes reply as it is, without its
+// binder-internal fields: from here on it is read-only, for the leader
+// as for everyone it is served to.
 func (c *Cache) Fulfill(f *Flight, reply *message.Message, ttl time.Duration) {
 	stored := stripInternal(reply)
 	expires := time.Now().Add(ttl)
@@ -288,7 +297,8 @@ func (c *Cache) Abort(f *Flight, err error) {
 
 // Put stores a reply directly — the follower-fallback path, where a
 // flow performed its own exchange after its leader aborted. A racing
-// flight for the key is left untouched.
+// flight for the key is left untouched. Like Fulfill, it takes reply as
+// it is, read-only from here on.
 func (c *Cache) Put(op, key string, reply *message.Message, ttl time.Duration) {
 	if ttl <= 0 {
 		return
@@ -390,19 +400,27 @@ func (c *Cache) Invalidate(ops []string) int {
 	return removed
 }
 
-// stripInternal deep-clones msg, dropping top-level binder-internal
-// fields ("_"-prefixed labels such as _jsonrpc_id): those are
-// per-exchange correlation state, and replaying them from a cache
-// would leak one exchange's bookkeeping into another's.
+// stripInternal returns msg without its top-level binder-internal fields
+// ("_"-prefixed labels such as _jsonrpc_id): those are per-exchange
+// correlation state, and replaying them from a cache would leak one
+// exchange's bookkeeping into another's. A message without one is
+// returned as it is; otherwise the copy is of the header only, with a
+// field list of its own, and the nodes are msg's.
 func stripInternal(msg *message.Message) *message.Message {
-	cp := msg.Clone()
-	kept := cp.Fields[:0]
-	for _, f := range cp.Fields {
+	internal := 0
+	for _, f := range msg.Fields {
 		if strings.HasPrefix(f.Label, "_") {
-			continue
+			internal++
 		}
-		kept = append(kept, f)
 	}
-	cp.Fields = kept
-	return cp
+	if internal == 0 {
+		return msg
+	}
+	kept := make([]*message.Field, 0, len(msg.Fields)-internal)
+	for _, f := range msg.Fields {
+		if !strings.HasPrefix(f.Label, "_") {
+			kept = append(kept, f)
+		}
+	}
+	return &message.Message{Name: msg.Name, Fields: kept}
 }

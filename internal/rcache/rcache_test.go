@@ -85,6 +85,9 @@ func TestAcquireMissFulfillHit(t *testing.T) {
 	orig := reply("v1")
 	orig.Fields = append(orig.Fields, message.NewPrimitive("_giop_req", message.TypeUint64, uint64(9)))
 	c.Fulfill(f, orig, time.Minute)
+	if orig.Field("_giop_req") == nil {
+		t.Fatal("stripping the binder-internal field wrote into the leader's reply")
+	}
 
 	got, f2, leader := c.Acquire("op", key)
 	if got == nil || f2 != nil || leader {
@@ -96,11 +99,16 @@ func TestAcquireMissFulfillHit(t *testing.T) {
 	if v, _ := got.GetString("result"); v != "v1" {
 		t.Fatalf("cached reply result = %q, want v1", v)
 	}
-	// The hit must be a deep clone: mutating it cannot poison the cache.
-	got.Field("result").SetText("poisoned")
+	// The hit is the stored message: every hit gets the same one, made of
+	// the nodes the leader handed in, and nothing is copied. That a flow
+	// which may write into a reply gets a copy of its own is the engine's
+	// part, held by engine.TestCacheCopiesForWritingGamma.
 	again, _, _ := c.Acquire("op", key)
-	if v, _ := again.GetString("result"); v != "v1" {
-		t.Fatalf("cache entry was aliased by a served reply: result = %q", v)
+	if again != got {
+		t.Fatal("two hits on one entry returned different messages")
+	}
+	if got.Field("result") != orig.Field("result") || got.Field("meta") != orig.Field("meta") {
+		t.Fatal("the stored reply's nodes are not the ones handed to Fulfill")
 	}
 
 	st := c.Stats()
