@@ -67,9 +67,14 @@ race-alloc:
 # documented by starlink/example_test.go). One more of that kind: a
 # connection's read buffer comes from the pool internal/network keeps, and
 # goes back when the connection closes, so nothing outside it makes a
-# bufio.Reader of its own. And the response cache copies nothing: it
-# stores the reply it is given and serves that one, read-only, and a flow
-# whose γ programs can write into a reply copies it itself (the engine).
+# bufio.Reader of its own. Another: only the engine lends a flow's packet
+# buffers, so only it, the network layer and the binders, where the
+# lifetime rule of a borrowed packet is written, call the append forms
+# RecvAppend, AppendRequest and AppendReply; everything else reads and
+# builds packets of its own (DESIGN.md §9). And the response cache copies
+# nothing: it stores the reply it is given and serves that one, read-only,
+# and a flow whose γ programs can write into a reply copies it itself (the
+# engine).
 # Last, the shipped tools accept the shipped models: every file under
 # models/ is the source of a mediator, written by hand, so each XML and MDL
 # file passes its tool's `check`, the directory lists, and the one derived
@@ -110,6 +115,8 @@ check: test
 		echo 'check: the files above run an accept loop of their own; hand the listener to network.Serve, or Accept to network.AcceptLoop, which survive EMFILE and ECONNABORTED (internal/network/accept.go)'; exit 1; fi
 	@if git grep -nE 'bufio\.NewReader(Size)?\(' -- internal cmd examples starlink ':!*_test.go' ':!internal/network'; then \
 		echo 'check: the files above make a read buffer of their own; a stream connection takes one from the pool in internal/network (network.NewStreamConn, network.NewPeekConn) and returns it on Close (DESIGN.md §9)'; exit 1; fi
+	@if git grep -nE '\.(RecvAppend|AppendRequest|AppendReply)\(' -- '*.go' ':!*_test.go' ':!internal/engine' ':!internal/network' ':!internal/bind'; then \
+		echo 'check: the lines above read or build a packet into borrowed storage outside the engine, the network layer and the binders; call Recv, BuildRequest or BuildReply, whose packet is the caller'"'"'s (DESIGN.md §9, "Wire buffers")'; exit 1; fi
 	@if git grep -n '\.Clone()' -- internal/rcache ':!*_test.go'; then \
 		echo 'check: the lines above copy a reply inside the response cache; it stores and serves the message it is given, read-only, and the engine copies one where a γ program can write into it (DESIGN.md §13)'; exit 1; fi
 	@if git grep -nE '\) (exec|eval)\((env )?\*Env' -- internal/mtl ':!*_test.go'; then \

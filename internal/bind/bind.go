@@ -23,6 +23,7 @@ import (
 
 	"starlink/internal/message"
 	"starlink/internal/network"
+	"starlink/internal/protocol/bufpool"
 )
 
 // Errors reported by binders.
@@ -36,15 +37,31 @@ var (
 // Binder maps between concrete protocol packets and abstract action
 // messages, in both directions and for both requests and replies.
 // Implementations must be safe for concurrent use.
+//
+// What a parse returns holds no byte of the packet it was parsed from, so
+// the caller may write over the packet once the parse returns
+// (TestParsedRequestOwnsItsBytes, TestParsedReplyOwnsItsBytes). A build
+// comes in two forms: BuildRequest and BuildReply make a packet of its
+// own, the caller's to keep, and are AppendRequest and AppendReply with a
+// nil dst; the append forms write the packet into dst's storage when it
+// fits, for a caller that lends a buffer and knows when it is free again.
 type Binder interface {
 	// ParseRequest decodes a concrete request packet.
 	ParseRequest(packet []byte) (action string, abs *message.Message, err error)
-	// BuildRequest encodes an abstract action message as a request packet.
+	// BuildRequest encodes an abstract action message as a request packet
+	// of its own: AppendRequest(nil, action, abs).
 	BuildRequest(action string, abs *message.Message) ([]byte, error)
+	// AppendRequest encodes an abstract action message as a request packet
+	// appended to dst. On an error dst comes back as it was.
+	AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error)
 	// ParseReply decodes the reply packet of a previously issued action.
 	ParseReply(action string, packet []byte) (*message.Message, error)
-	// BuildReply encodes an abstract reply for an action.
+	// BuildReply encodes an abstract reply for an action as a packet of its
+	// own: AppendReply(nil, action, abs).
 	BuildReply(action string, abs *message.Message) ([]byte, error)
+	// AppendReply encodes an abstract reply for an action as a packet
+	// appended to dst. On an error dst comes back as it was.
+	AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error)
 	// Framer returns the wire framer for this protocol.
 	Framer() network.Framer
 }
@@ -73,20 +90,16 @@ func stashedID(msg *message.Message, label string) uint64 {
 
 // bodies pools the buffers the HTTP binders render a body into. A body is
 // written before the head that states its length, so it cannot be written
-// where it will stand; the HTTP composer copies it behind the head into the
-// one allocation the packet costs.
+// where it will stand; the HTTP composer copies it behind the head, into
+// the caller's buffer or the one allocation the packet costs.
 var bodies = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxBody bounds the buffer a pooled body keeps, so one photo feed does not
-// pin its high-water mark for the life of the process.
-const maxBody = 64 << 10
 
 // getBody returns an empty body buffer; give it back with putBody once the
 // packet that holds a copy of it is composed.
 func getBody() *[]byte { return bodies.Get().(*[]byte) }
 
 func putBody(buf *[]byte) {
-	if cap(*buf) <= maxBody {
+	if cap(*buf) <= bufpool.MaxRetain {
 		*buf = (*buf)[:0]
 		bodies.Put(buf)
 	}

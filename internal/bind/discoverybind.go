@@ -25,8 +25,13 @@ type datagramFramer struct{}
 var _ network.Framer = datagramFramer{}
 
 // ReadMessage implements network.Framer (not used over UDP).
-func (datagramFramer) ReadMessage(*bufio.Reader) ([]byte, error) {
-	return nil, fmt.Errorf("bind: datagram protocol over a stream transport")
+func (f datagramFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
+	return f.AppendMessage(nil, r)
+}
+
+// AppendMessage implements network.Framer (not used over UDP).
+func (datagramFramer) AppendMessage(dst []byte, _ *bufio.Reader) ([]byte, error) {
+	return dst, fmt.Errorf("bind: datagram protocol over a stream transport")
 }
 
 // WriteMessage implements network.Framer.
@@ -60,15 +65,20 @@ func (b *SSDPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 
 // BuildRequest implements Binder.
 func (b *SSDPBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder.
+func (b *SSDPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	if action != DiscoverySearch {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAction, action)
+		return dst, fmt.Errorf("%w: %q", ErrUnknownAction, action)
 	}
 	st, _ := abs.GetString("st")
 	mx, err := abs.GetInt("mx")
 	if err != nil {
 		mx = 1
 	}
-	return ssdp.SearchRequest{ST: st, MX: int(mx)}.Marshal(), nil
+	return ssdp.SearchRequest{ST: st, MX: int(mx)}.AppendTo(dst), nil
 }
 
 // ParseReply implements Binder.
@@ -86,6 +96,11 @@ func (b *SSDPBinder) ParseReply(action string, packet []byte) (*message.Message,
 
 // BuildReply implements Binder.
 func (b *SSDPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder.
+func (b *SSDPBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]byte, error) {
 	get := func(label string) string {
 		if f := abs.Field(label); f != nil {
 			return f.ValueString()
@@ -96,7 +111,7 @@ func (b *SSDPBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 		ST:       get("st"),
 		USN:      get("usn"),
 		Location: get("location"),
-	}.Marshal(), nil
+	}.AppendTo(dst), nil
 }
 
 // SLPBinder binds discovery.search to SLP ServiceRequest/ServiceReply
@@ -124,8 +139,13 @@ func (b *SLPBinder) Framer() network.Framer { return datagramFramer{} }
 
 // BuildRequest implements Binder.
 func (b *SLPBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder.
+func (b *SLPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	if action != DiscoverySearch {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAction, action)
+		return dst, fmt.Errorf("%w: %q", ErrUnknownAction, action)
 	}
 	st, _ := abs.GetString("servicetype")
 	scope, _ := abs.GetString("scope")
@@ -135,7 +155,7 @@ func (b *SLPBinder) BuildRequest(action string, abs *message.Message) ([]byte, e
 	// The wire field is <XID:16>: the counter wraps there, or the codec
 	// refuses every request after the 65 535th.
 	xid := uint16(b.nextXID.Add(1))
-	return b.codec.Compose(slp.NewRequest(uint64(xid), st, scope))
+	return b.codec.AppendCompose(dst, slp.NewRequest(uint64(xid), st, scope))
 }
 
 // ParseReply implements Binder.
@@ -182,6 +202,11 @@ func (b *SLPBinder) ParseRequest(packet []byte) (string, *message.Message, error
 
 // BuildReply implements Binder (for SLP-facing server roles).
 func (b *SLPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder (for SLP-facing server roles).
+func (b *SLPBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]byte, error) {
 	xid := stashedID(abs, "_slp_xid")
 	var entries []slp.URLEntry
 	for _, f := range abs.Fields {
@@ -197,5 +222,5 @@ func (b *SLPBinder) BuildReply(action string, abs *message.Message) ([]byte, err
 		}
 		entries = append(entries, e)
 	}
-	return b.codec.Compose(slp.NewReply(xid, 0, entries))
+	return b.codec.AppendCompose(dst, slp.NewReply(xid, 0, entries))
 }

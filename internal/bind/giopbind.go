@@ -96,12 +96,17 @@ func bindPositional(name string, concrete *message.Message, names []string, extr
 	return abs
 }
 
-// BuildRequest implements Binder: abstract fields become positional CDR
-// parameters in MsgDef order.
+// BuildRequest implements Binder.
 func (b *GIOPBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder: abstract fields become positional CDR
+// parameters in MsgDef order.
+func (b *GIOPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	params := b.positionalParams(action, abs)
 	req := giop.NewRequest(b.nextID.Add(1), b.ObjectKey, action, params)
-	return b.codec.Compose(req)
+	return b.codec.AppendCompose(dst, req)
 }
 
 // positionalParams orders abstract fields by the action's MsgDef; fields
@@ -163,11 +168,16 @@ func (b *GIOPBinder) ParseReply(action string, packet []byte) (*message.Message,
 	return bindPositional(action+".reply", concrete, b.paramNames(action+".reply"), 0), nil
 }
 
-// BuildReply implements Binder. The request id is taken from the
+// BuildReply implements Binder.
+func (b *GIOPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder. The request id is taken from the
 // "_giop_request_id" field that ParseRequest stashed in the abstract
 // request — the engine copies it into the reply environment.
-func (b *GIOPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+func (b *GIOPBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	reply := giop.NewReply(stashedID(abs, "_giop_request_id"), giop.StatusNoException,
 		b.positionalParams(action+".reply", abs))
-	return b.codec.Compose(reply)
+	return b.codec.AppendCompose(dst, reply)
 }

@@ -61,9 +61,14 @@ func (b *JSONRPCBinder) ParseRequest(packet []byte) (string, *message.Message, e
 	return action, abs, nil
 }
 
-// BuildRequest implements Binder: abstract fields become one object
-// parameter.
+// BuildRequest implements Binder.
 func (b *JSONRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder: abstract fields become one object
+// parameter.
+func (b *JSONRPCBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	obj := map[string]any{}
 	for _, f := range abs.Fields {
 		if f.Label == "_jsonrpc_id" {
@@ -73,7 +78,7 @@ func (b *JSONRPCBinder) BuildRequest(action string, abs *message.Message) ([]byt
 	}
 	body, err := jsonrpc.MarshalCall(b.nextID.Add(1), action, obj)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	req := &httpwire.Request{
 		Method:  "POST",
@@ -81,7 +86,7 @@ func (b *JSONRPCBinder) BuildRequest(action string, abs *message.Message) ([]byt
 		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    body,
 	}
-	return req.Marshal(), nil
+	return req.AppendTo(dst), nil
 }
 
 // ParseReply implements Binder.
@@ -108,6 +113,11 @@ func (b *JSONRPCBinder) ParseReply(action string, packet []byte) (*message.Messa
 
 // BuildReply implements Binder.
 func (b *JSONRPCBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder.
+func (b *JSONRPCBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]byte, error) {
 	id := stashedID(abs, "_jsonrpc_id")
 	obj := map[string]any{}
 	for _, f := range abs.Fields {
@@ -124,14 +134,14 @@ func (b *JSONRPCBinder) BuildReply(action string, abs *message.Message) ([]byte,
 	}
 	body, err := jsonrpc.MarshalResult(id, result)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	resp := &httpwire.Response{
 		Status:  200,
 		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}},
 		Body:    body,
 	}
-	return resp.Marshal(), nil
+	return resp.AppendTo(dst), nil
 }
 
 // BuildErrorReply implements ErrorReplier with a JSON-RPC error.

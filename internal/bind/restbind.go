@@ -228,31 +228,36 @@ func (b *RESTBinder) route(action string) (*restRoute, error) {
 	return nil, fmt.Errorf("%w: %q", ErrUnknownAction, action)
 }
 
-// BuildRequest implements Binder: fills the route's path template and
+// BuildRequest implements Binder.
+func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder: fills the route's path template and
 // query parameters from the abstract fields and composes the HTTP request
 // through the text-MDL codec.
-func (b *RESTBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+func (b *RESTBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	r, err := b.route(action)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	path, err := fillTemplate(r.PathTemplate, abs)
 	if err != nil {
-		return nil, fmt.Errorf("action %s: %w", action, err)
+		return dst, fmt.Errorf("action %s: %w", action, err)
 	}
 	if r.BodyField == "" {
-		return b.codec.Compose(r.request(path, abs, nil))
+		return b.codec.AppendCompose(dst, r.request(path, abs, nil))
 	}
 	f := abs.Field(r.BodyField)
 	if f == nil {
-		return nil, fmt.Errorf("%w: action %s: body field %q missing", ErrBadMessage, action, r.BodyField)
+		return dst, fmt.Errorf("%w: action %s: body field %q missing", ErrBadMessage, action, r.BodyField)
 	}
 	body := getBody()
 	defer putBody(body)
 	if *body, err = rest.AppendEntry(*body, entryFromAbstract(f)); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return b.codec.Compose(r.request(path, abs, *body))
+	return b.codec.AppendCompose(dst, r.request(path, abs, *body))
 }
 
 // request carves the concrete HTTPRequest of a call from one slab of nodes
@@ -383,12 +388,17 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	return "", nil, fmt.Errorf("%w: %s %s matches no route", ErrBadMessage, method, path)
 }
 
-// BuildReply implements Binder: renders abstract entry fields as an Atom
-// feed (or single entry) response.
+// BuildReply implements Binder.
 func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder: renders abstract entry fields as an Atom
+// feed (or single entry) response.
+func (b *RESTBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	r, err := b.route(action)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	body := getBody()
 	defer putBody(body)
@@ -416,7 +426,7 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 		*body, err = rest.AppendEntry(*body, entryFromAbstract(src))
 	}
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	concrete := message.New("HTTPResponse",
 		message.NewString("Version", "HTTP/1.1"),
@@ -427,7 +437,7 @@ func (b *RESTBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 		),
 		message.NewBytes("Body", *body),
 	)
-	return b.codec.Compose(concrete)
+	return b.codec.AppendCompose(dst, concrete)
 }
 
 // BuildErrorReply implements ErrorReplier with an HTTP 500.

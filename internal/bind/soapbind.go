@@ -48,10 +48,17 @@ func (b *SOAPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 
 // BuildRequest implements Binder.
 func (b *SOAPBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
-	params := fieldsToParams(abs.Fields)
-	body, err := soap.MarshalRequest(action, params)
-	if err != nil {
-		return nil, err
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder: the envelope is rendered into a pooled
+// body buffer, and the packet written behind its head.
+func (b *SOAPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
+	body := getBody()
+	defer putBody(body)
+	var err error
+	if *body, err = soap.AppendRequest(*body, action, fieldsToParams(abs.Fields)); err != nil {
+		return dst, err
 	}
 	req := &httpwire.Request{
 		Method: "POST",
@@ -60,9 +67,9 @@ func (b *SOAPBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 			{Name: "Content-Type", Value: "text/xml; charset=utf-8"},
 			{Name: "SOAPAction", Value: `"` + action + `"`},
 		},
-		Body: body,
+		Body: *body,
 	}
-	return req.Marshal(), nil
+	return req.AppendTo(dst), nil
 }
 
 // ParseReply implements Binder.
@@ -84,16 +91,23 @@ func (b *SOAPBinder) ParseReply(action string, packet []byte) (*message.Message,
 
 // BuildReply implements Binder.
 func (b *SOAPBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
-	body, err := soap.MarshalResponse(action, fieldsToParams(abs.Fields))
-	if err != nil {
-		return nil, err
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder, as AppendRequest does.
+func (b *SOAPBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
+	body := getBody()
+	defer putBody(body)
+	var err error
+	if *body, err = soap.AppendResponse(*body, action, fieldsToParams(abs.Fields)); err != nil {
+		return dst, err
 	}
 	resp := &httpwire.Response{
 		Status:  200,
 		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}},
-		Body:    body,
+		Body:    *body,
 	}
-	return resp.Marshal(), nil
+	return resp.AppendTo(dst), nil
 }
 
 // BuildErrorReply implements ErrorReplier with a SOAP Fault.

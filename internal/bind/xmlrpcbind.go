@@ -65,15 +65,20 @@ func (b *XMLRPCBinder) ParseRequest(packet []byte) (string, *message.Message, er
 	return action, abs, nil
 }
 
-// BuildRequest implements Binder: the abstract fields become the members
+// BuildRequest implements Binder.
+func (b *XMLRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendRequest(nil, action, abs)
+}
+
+// AppendRequest implements Binder: the abstract fields become the members
 // of a single struct parameter (the Flickr calling convention), written
 // from the fields as they are.
-func (b *XMLRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
+func (b *XMLRPCBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	buf := getBody()
 	defer putBody(buf)
 	var err error
 	if *buf, err = xmlrpc.AppendFieldCall(*buf, action, abs.Fields); err != nil {
-		return nil, err
+		return dst, err
 	}
 	req := &httpwire.Request{
 		Method:  "POST",
@@ -81,7 +86,7 @@ func (b *XMLRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte
 		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    *buf,
 	}
-	return req.Marshal(), nil
+	return req.AppendTo(dst), nil
 }
 
 // ParseReply implements Binder.
@@ -104,9 +109,14 @@ func (b *XMLRPCBinder) ParseReply(action string, packet []byte) (*message.Messag
 	return abs, nil
 }
 
-// BuildReply implements Binder: abstract fields become a struct result,
-// a lone field "result" the result itself.
+// BuildReply implements Binder.
 func (b *XMLRPCBinder) BuildReply(action string, abs *message.Message) ([]byte, error) {
+	return b.AppendReply(nil, action, abs)
+}
+
+// AppendReply implements Binder: abstract fields become a struct result,
+// a lone field "result" the result itself.
+func (b *XMLRPCBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]byte, error) {
 	buf := getBody()
 	defer putBody(buf)
 	var err error
@@ -116,14 +126,14 @@ func (b *XMLRPCBinder) BuildReply(action string, abs *message.Message) ([]byte, 
 		*buf, err = xmlrpc.AppendStructResponse(*buf, abs.Fields)
 	}
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	resp := &httpwire.Response{
 		Status:  200,
 		Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}},
 		Body:    *buf,
 	}
-	return resp.Marshal(), nil
+	return resp.AppendTo(dst), nil
 }
 
 // BuildErrorReply implements ErrorReplier with an XML-RPC fault.

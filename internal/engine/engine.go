@@ -47,6 +47,7 @@ import (
 	"starlink/internal/mtl"
 	"starlink/internal/network"
 	"starlink/internal/network/pool"
+	"starlink/internal/protocol/bufpool"
 	"starlink/internal/rcache"
 )
 
@@ -884,16 +885,22 @@ func (m *Mediator) ServeConn(conn network.Conn) error {
 	// draining check and the Add.
 	m.wg.Add(1)
 	m.mu.Unlock()
-	id := m.stats.Sessions.Add(1)
+	s := m.newSession(conn)
 	go func() {
 		defer m.wg.Done()
-		s := &session{med: m, id: id, client: conn, links: make([]serviceLink, len(m.clientColors))}
-		for i, color := range m.clientColors {
-			s.links[i].s, s.links[i].color = s, color
-		}
 		s.run()
 	}()
 	return nil
+}
+
+// newSession numbers a session for conn and gives it a link per
+// client-role color.
+func (m *Mediator) newSession(conn network.Conn) *session {
+	s := &session{med: m, id: m.stats.Sessions.Add(1), client: conn, links: make([]serviceLink, len(m.clientColors))}
+	for i, color := range m.clientColors {
+		s.links[i].s, s.links[i].color = s, color
+	}
+	return s
 }
 
 // ErrDraining is returned by ServeConn when the mediator no longer
@@ -1059,10 +1066,15 @@ type session struct {
 	// flow numbers the current automaton traversal (1-based); flowT0 is
 	// when its first client request arrived, and lastRecv keeps the last
 	// wire message received — attached (truncated) to error traces so
-	// the flight recorder can show what a parse fault choked on.
+	// the flight recorder can show what a parse fault choked on. It is
+	// forgotten when the flow ends, with the buffers it points into.
 	flow     uint64
 	flowT0   time.Time
 	lastRecv []byte
+	// recvBuf holds every packet a flow reads but its first: service
+	// replies and the client's later requests, each dead once parsed.
+	// replyBuf holds the client reply being sent, dead once Send returns.
+	recvBuf, replyBuf wireBuf
 	// budget is the wall-clock deadline of the current flow, stamped
 	// when its first client request arrives (zero while idle between
 	// flows, or always when flow budgets are disabled). Every blocking
@@ -1111,11 +1123,12 @@ type serviceLink struct {
 	// other candidates are live. Cleared by the next successful exchange.
 	lastFault string
 	// op is the operation last sent — it selects how the reply parses —
-	// wire its bytes, replayed on a fresh connection when the reply is
-	// lost to a transport fault, and sentAt when it first went out,
-	// feeding the per-exchange latency histogram at reply time.
+	// wire its bytes, in reqBuf and replayed on a fresh connection when
+	// the reply is lost to a transport fault, and sentAt when it first
+	// went out, feeding the per-exchange latency histogram at reply time.
 	op     string
 	wire   []byte
+	reqBuf wireBuf
 	sentAt time.Time
 	// cache is the response-cache role of the exchange between its send
 	// and receive transitions; zero for an uncached exchange.
@@ -1136,6 +1149,52 @@ type cacheRole struct {
 	// or follower fallback); ttl is positive exactly when one is.
 	key string
 	ttl time.Duration
+}
+
+// packets pools the buffers a flow reads and writes its packets in
+// (DESIGN.md §9, "Wire buffers").
+var packets = sync.Pool{New: func() any { return new([]byte) }}
+
+// wireBuf is one of a flow's packet buffers. It is taken from packets at
+// its first use in a flow and given back when the flow ends; in between,
+// each packet written into it ends the life of the one before.
+type wireBuf struct{ p *[]byte }
+
+// dst returns the buffer, emptied, for the next packet.
+func (w *wireBuf) dst() []byte {
+	if w.p == nil {
+		w.p = packets.Get().(*[]byte)
+	}
+	return (*w.p)[:0]
+}
+
+// use keeps the storage an append form wrote packet to — grown, when the
+// packet did not fit — and passes its results on.
+func (w *wireBuf) use(packet []byte, err error) ([]byte, error) {
+	*w.p = packet[:0]
+	return packet, err
+}
+
+// release gives the buffer back to the pool, unless a large packet grew
+// it past bufpool.MaxRetain: that one is dropped.
+func (w *wireBuf) release() {
+	if w.p != nil && cap(*w.p) <= bufpool.MaxRetain {
+		packets.Put(w.p)
+	}
+	w.p = nil
+}
+
+// releasePackets ends the flow's hold on packet memory: its buffers go
+// back to the pool, and what pointed into them is forgotten, so a session
+// parked between flows holds no packet.
+func (s *session) releasePackets() {
+	s.recvBuf.release()
+	s.replyBuf.release()
+	s.lastRecv = nil
+	for i := range s.links {
+		s.links[i].reqBuf.release()
+		s.links[i].wire = nil
+	}
 }
 
 // link returns the serviceLink of a client-role color.
@@ -1206,7 +1265,8 @@ func (s *session) run() {
 		s.flowStarted = false
 		s.budget = time.Time{}
 		s.flow++
-		if err := s.runAutomaton(); err != nil {
+		err := s.runAutomaton()
+		if err != nil {
 			// A flow dying while it leads a single-flight must wake the
 			// followers so they fall back to their own exchanges — before
 			// the client is told, a write they should not wait for.
@@ -1220,11 +1280,12 @@ func (s *session) run() {
 				s.trace(TraceEvent{Kind: TraceError, Err: err, Wire: truncWire(s.lastRecv)})
 				s.sendErrorReply(err)
 			}
-			return
 		}
-		if s.med.draining.Load() {
-			// Shutdown in progress: the flow's reply is out, end the
-			// session instead of waiting for another request.
+		// The trace has its copy of the last packet; the flow's are dead.
+		s.releasePackets()
+		// A failed flow ends the session; so does Shutdown in progress once
+		// the flow's reply is out, instead of waiting for another request.
+		if err != nil || s.med.draining.Load() {
 			return
 		}
 	}
@@ -1250,22 +1311,28 @@ var errSessionDone = errors.New("engine: session done")
 // flows indefinitely — and parks the session as idle first, so a
 // Shutdown can harvest clients that are merely holding their
 // connection open. Only that read may end the session cleanly: it
-// returns errSessionDone, as it is, when the client has gone. Once a
-// flow has started its budget deadline is stamped, and mid-flow reads
-// (the client's next request of a multi-exchange traversal) are bounded
-// by it; a client lost there has failed the flow (clientGone).
+// returns errSessionDone, as it is, when the client has gone. It reads
+// into a packet of its own, so a parked session holds no packet buffer;
+// the flow's later reads go to its receive buffer. Once a flow has
+// started its budget deadline is stamped, and mid-flow reads (the
+// client's next request of a multi-exchange traversal) are bounded by
+// it; a client lost there has failed the flow (clientGone).
 func (s *session) recvClientRequest() ([]byte, error) {
 	initial := !s.flowStarted
 	// The budget is still zero — no deadline — on the flow-initial read.
 	if err := s.client.SetDeadline(s.budget); err != nil {
 		return nil, s.clientGone(initial, err)
 	}
-	if initial && !s.med.parkIdle(s.client) {
-		return nil, errSessionDone
-	}
-	data, err := s.client.Recv()
+	var data []byte
+	var err error
 	if initial {
+		if !s.med.parkIdle(s.client) {
+			return nil, errSessionDone
+		}
+		data, err = s.client.Recv()
 		s.med.unparkIdle(s.client)
+	} else {
+		data, err = s.recvBuf.use(s.client.RecvAppend(s.recvBuf.dst()))
 	}
 	if err != nil {
 		return nil, s.clientGone(initial, err)
@@ -1528,7 +1595,7 @@ func (s *session) execMessage(t automata.MergedTransition, env *mtl.Env) ([]byte
 	// Client receives: build the translated reply to its pending request.
 	// The caller sends it, after accounting this transition.
 	copyCorrelationFields(s.pendingRequest, abs)
-	data, err := s.med.cfg.Sides[t.Color].Binder.BuildReply(s.pendingAction, abs)
+	data, err := s.replyBuf.use(s.med.cfg.Sides[t.Color].Binder.AppendReply(s.replyBuf.dst(), s.pendingAction, abs))
 	if err != nil {
 		return nil, fmt.Errorf("build client reply: %w", err)
 	}
@@ -1577,7 +1644,7 @@ func (l *serviceLink) send(op string, abs *message.Message) error {
 	if m.rcache != nil && l.cacheCheck(abs) {
 		return nil
 	}
-	data, err := m.cfg.Sides[l.color].Binder.BuildRequest(op, abs)
+	data, err := l.reqBuf.use(m.cfg.Sides[l.color].Binder.AppendRequest(l.reqBuf.dst(), op, abs))
 	if err != nil {
 		return fmt.Errorf("build service request: %w", err)
 	}
@@ -1763,7 +1830,7 @@ func (l *serviceLink) do(request []byte, recv bool) ([]byte, error) {
 	if !recv {
 		return nil, nil
 	}
-	return l.conn.Recv()
+	return l.s.recvBuf.use(l.conn.RecvAppend(l.s.recvBuf.dst()))
 }
 
 // backoff sleeps the policy's jittered, capped delay before retry

@@ -40,11 +40,13 @@ func (c *stopConn) Send(data []byte) error {
 	return c.Conn.Send(data)
 }
 
-func (c *stopConn) Recv() ([]byte, error) {
+// RecvAppend is how the engine reads a service reply: into its receive
+// buffer.
+func (c *stopConn) RecvAppend(dst []byte) ([]byte, error) {
 	if !c.onSend {
 		c.trigger()
 	}
-	return c.Conn.Recv()
+	return c.Conn.RecvAppend(dst)
 }
 
 // Close closes the socket before it says so: signalled first, the waiting

@@ -49,6 +49,7 @@ import (
 
 	"starlink/internal/mdl"
 	"starlink/internal/message"
+	"starlink/internal/protocol/bufpool"
 )
 
 // Errors reported by the binary engine.
@@ -854,21 +855,29 @@ func copyOf(b []byte) []byte {
 
 // ---- composing ----
 
-// Compose encodes the abstract message using its named layout.
+// Compose encodes the abstract message using its named layout, into a
+// packet of its size that the caller owns: AppendCompose(nil, msg).
 func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
+	return c.AppendCompose(nil, msg)
+}
+
+// AppendCompose encodes the abstract message using its named layout and
+// appends the packet to dst. It is laid out in a pooled writer, whose
+// offsets and alignment count from the message's first byte, and copied
+// out: into dst's storage when it fits. On an error dst comes back as it
+// was.
+func (c *Codec) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
 	cm, ok := c.byName[msg.Name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
+		return dst, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
 	}
 	w := writers.Get().(*writer)
 	defer writers.Put(w)
 	w.reset()
 	if err := w.items(cm.items, msg.Fields); err != nil {
-		return nil, err
+		return dst, err
 	}
-	// Copy out: the caller (and the engine's fault-recovery replay)
-	// retains the wire bytes, while w's scratch goes back to the pool.
-	return append([]byte(nil), w.buf...), nil
+	return append(dst, w.buf...), nil
 }
 
 // writers recycles writer scratch buffers across Compose calls; reset keeps
@@ -1048,8 +1057,7 @@ type writer struct {
 // Truncating (not zeroing) is safe because every byte is appended whole
 // before any bit is OR-ed in.
 func (w *writer) reset() {
-	const maxRetain = 64 << 10
-	if cap(w.buf) > maxRetain {
+	if cap(w.buf) > bufpool.MaxRetain {
 		w.buf = nil
 	}
 	w.buf = w.buf[:0]

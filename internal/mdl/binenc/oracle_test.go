@@ -306,6 +306,16 @@ func parseItems(rd *bitReader, items []oracleItem, out *[]*message.Field, outer 
 	return nil
 }
 
+// AppendCompose is Compose appended to dst: the oracle is the slow,
+// obvious form, a packet of its own copied out.
+func (c *oracleCodec) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
+	packet, err := c.Compose(msg)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, packet...), nil
+}
+
 // Compose encodes the abstract message using its named layout.
 func (c *oracleCodec) Compose(msg *message.Message) ([]byte, error) {
 	cm, ok := c.byName[msg.Name]

@@ -244,8 +244,13 @@ func (s *Spec) apply(body string, line int, cur **MessageSpec) error {
 type Codec interface {
 	// Parse decodes the wire bytes of one message.
 	Parse(data []byte) (*message.Message, error)
-	// Compose encodes an abstract message to wire bytes.
+	// Compose encodes an abstract message to wire bytes of their own, the
+	// caller's to keep: AppendCompose(nil, msg).
 	Compose(msg *message.Message) ([]byte, error)
+	// AppendCompose encodes an abstract message and appends its wire bytes
+	// to dst: in dst's storage when they fit, else in one new allocation.
+	// On an error dst comes back as it was.
+	AppendCompose(dst []byte, msg *message.Message) ([]byte, error)
 }
 
 // EngineFactory builds a codec for a spec; engines register themselves with

@@ -118,6 +118,9 @@ type fakeCodec struct{}
 
 func (fakeCodec) Parse([]byte) (*message.Message, error)   { return message.New("X"), nil }
 func (fakeCodec) Compose(*message.Message) ([]byte, error) { return nil, nil }
+func (fakeCodec) AppendCompose(dst []byte, _ *message.Message) ([]byte, error) {
+	return dst, nil
+}
 
 func TestRegistryDispatch(t *testing.T) {
 	var r Registry

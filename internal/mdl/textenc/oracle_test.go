@@ -252,6 +252,16 @@ func parseHeaders(s string) ([]*message.Field, string, error) {
 	}
 }
 
+// AppendCompose is Compose appended to dst: the oracle is the slow,
+// obvious form, a packet of its own copied out.
+func (c *oracleCodec) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
+	packet, err := c.Compose(msg)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, packet...), nil
+}
+
 // Compose encodes the abstract message using its named layout. The packet
 // is allocated once, at its size: everything but the body is laid out in a
 // scratch buffer first, and a body held as bytes is copied from where it is.

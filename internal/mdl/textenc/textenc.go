@@ -499,13 +499,22 @@ func (s *slab) query(n int, q string) []*message.Field {
 
 func byLabel(a, b *message.Field) int { return strings.Compare(a.Label, b.Label) }
 
-// Compose encodes the abstract message using its named layout. The packet
-// is allocated once, at its size: everything but the body is laid out in a
-// scratch buffer first, and a body held as bytes is copied from where it is.
+// Compose encodes the abstract message using its named layout, into a
+// packet of its own allocated once, at its size: AppendCompose(nil, msg).
 func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
+	return c.AppendCompose(nil, msg)
+}
+
+// AppendCompose encodes the abstract message using its named layout and
+// appends the packet to dst. Everything but the body is laid out in a
+// scratch buffer first, so the packet's length is known before it is
+// written: into dst's storage when it fits, else into one allocation, and
+// a body held as bytes is copied from where it is. On an error dst comes
+// back as it was.
+func (c *Codec) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
 	lay, ok := c.byName[msg.Name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
+		return dst, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
 	}
 	// The body is text or bytes, never both.
 	var text string
@@ -533,7 +542,7 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 		case kindTok:
 			var err error
 			if b, err = lay.appendToken(b, msg, it); err != nil {
-				return nil, err
+				return dst, err
 			}
 			switch it.delim {
 			case delimSP:
@@ -550,9 +559,9 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 		}
 	}
 	if bodyAt < 0 {
-		return append([]byte(nil), b...), nil
+		return append(dst, b...), nil
 	}
-	out := make([]byte, 0, len(b)+bodyLen)
+	out := slices.Grow(dst, len(b)+bodyLen)
 	out = append(out, b[:bodyAt]...)
 	out = append(append(out, text...), raw...)
 	return append(out, b[bodyAt:]...), nil

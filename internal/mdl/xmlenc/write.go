@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"starlink/internal/message"
+	"starlink/internal/protocol/bufpool"
 )
 
 // Writer renders one XML document into a pooled buffer. The protocol
@@ -36,7 +37,7 @@ var writers = sync.Pool{New: func() any { return new(Writer) }}
 
 // maxRetain bounds the buffer a pooled writer or reader keeps, so one
 // photo feed does not pin its high-water mark for the life of the process.
-const maxRetain = 64 << 10
+const maxRetain = bufpool.MaxRetain
 
 // The two declarations in use: the RPC protocol layers predate encoding
 // declarations, the MDL codec writes the full form.

@@ -131,11 +131,17 @@ func valueRulesHold(cm *compiledMessage, msg *message.Message) bool {
 	return true
 }
 
-// Compose serialises the abstract message under its layout's root element.
+// Compose serialises the abstract message under its layout's root
+// element: AppendCompose(nil, msg).
 func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
+	return c.AppendCompose(nil, msg)
+}
+
+// AppendCompose is Compose into dst (Writer.AppendTo).
+func (c *Codec) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) {
 	cm, ok := c.byName[msg.Name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
+		return dst, fmt.Errorf("%w: %q", mdl.ErrUnknownMessage, msg.Name)
 	}
 	w := newWriter(codecHeader)
 	w.Open(cm.root)
@@ -144,7 +150,7 @@ func (c *Codec) Compose(msg *message.Message) ([]byte, error) {
 	}
 	w.children(msg.Fields)
 	w.Close()
-	return w.Doc()
+	return w.AppendTo(dst)
 }
 
 // EncodeDoc renders f as a standalone document: the XML declaration and

@@ -123,8 +123,11 @@ func (f *FaultConn) Send(data []byte) error {
 	return f.Inner.Send(data)
 }
 
-// Recv implements Conn, consulting the receive script first.
-func (f *FaultConn) Recv() ([]byte, error) {
+// Recv implements Conn.
+func (f *FaultConn) Recv() ([]byte, error) { return f.RecvAppend(nil) }
+
+// RecvAppend implements Conn, consulting the receive script first.
+func (f *FaultConn) RecvAppend(dst []byte) ([]byte, error) {
 	f.mu.Lock()
 	fault, fired := next(&f.recvScript, f.recvs)
 	if !fired {
@@ -137,17 +140,17 @@ func (f *FaultConn) Recv() ([]byte, error) {
 		}
 		if fault.Drop {
 			// Swallow one inbound message, deliver the next.
-			if _, err := f.Inner.Recv(); err != nil {
-				return nil, err
+			if _, err := f.Inner.RecvAppend(dst); err != nil {
+				return dst, err
 			}
-			return f.Inner.Recv()
+			return f.Inner.RecvAppend(dst)
 		}
 		if fault.Err != nil {
-			return nil, fault.Err
+			return dst, fault.Err
 		}
-		return nil, ErrInjected
+		return dst, ErrInjected
 	}
-	return f.Inner.Recv()
+	return f.Inner.RecvAppend(dst)
 }
 
 // SetDeadline implements Conn.

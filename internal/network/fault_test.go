@@ -183,3 +183,55 @@ func TestEngineDialTimeoutConfigurable(t *testing.T) {
 		t.Errorf("DefaultDialTimeout = %v", DefaultDialTimeout)
 	}
 }
+
+// TestRecvAppend: each Conn appends what it receives to dst, in dst's
+// storage, whether the message comes over a stream, as a datagram, or
+// through a FaultConn that drops the one before it.
+func TestRecvAppend(t *testing.T) {
+	var eng Engine
+	l, err := eng.Listen(Semantics{Transport: "udp"}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	udpServer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	udpClient, err := eng.Dial(Semantics{Transport: "udp"}, l.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udpClient.Close()
+	streamClient, streamServer := pipePair()
+	defer streamClient.Close()
+	defer streamServer.Close()
+	faultClient, faultServer := pipePair()
+	defer faultClient.Close()
+	defer faultServer.Close()
+	dropping := NewFaultConn(faultServer)
+	dropping.ScriptRecv(Fault{Drop: true})
+
+	for name, c := range map[string]struct {
+		from, to Conn
+		sends    []string
+	}{
+		"stream":   {streamClient, streamServer, []string{"message"}},
+		"datagram": {udpClient, udpServer, []string{"message"}},
+		"fault":    {faultClient, dropping, []string{"dropped", "message"}},
+	} {
+		go func() {
+			for _, m := range c.sends {
+				c.from.Send([]byte(m))
+			}
+		}()
+		if err := c.to.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		dst := append(make([]byte, 0, 64), "keep"...)
+		got, err := c.to.RecvAppend(dst)
+		if err != nil || string(got) != "keepmessage" || &got[0] != &dst[0] {
+			t.Errorf("%s: RecvAppend = %q, %v; want \"keepmessage\" in dst's storage", name, got, err)
+		}
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,11 @@ var (
 	ErrClosed = errors.New("network: connection closed")
 	// ErrMessageTooLarge guards against absurd frame sizes.
 	ErrMessageTooLarge = errors.New("network: message exceeds size limit")
+	// ErrBareLF is returned for an HTTP head line that ends in a bare LF.
+	// The parsers end a head at its first CRLF CRLF, and a framer that
+	// ended lines at LF could put that point inside the body (RFC 9112
+	// §2.2 allows refusing such a message).
+	ErrBareLF = errors.New("network: HTTP head line not ended by CRLF")
 )
 
 // MaxMessageSize bounds a single framed message (16 MiB).
@@ -45,22 +51,33 @@ const DefaultDialTimeout = 10 * time.Second
 // Implementations must be safe for concurrent use by different
 // connections.
 type Framer interface {
-	// ReadMessage reads exactly one message's bytes into a buffer of its
-	// own, allocated at the message's size. What the layers above parse
-	// out of it — an HTTP body, an XML document — aliases that buffer
-	// rather than copying it, so a packet is read-only once it is
-	// returned.
+	// ReadMessage reads exactly one message's bytes into a packet of its
+	// own, allocated at the message's size: AppendMessage(nil, r). The
+	// packet is the caller's to keep. What the layers above parse out of
+	// it — an HTTP body, an XML document — aliases it rather than copying
+	// it, so a packet is read-only once it is returned.
 	ReadMessage(r *bufio.Reader) ([]byte, error)
+	// AppendMessage reads exactly one message and appends its bytes to
+	// dst: in dst's storage when they fit, else in one new allocation. A
+	// packet in dst's storage is borrowed — it is gone once the caller
+	// writes there again. On an error dst comes back as it was.
+	AppendMessage(dst []byte, r *bufio.Reader) ([]byte, error)
 	// WriteMessage writes one message's bytes.
 	WriteMessage(w io.Writer, data []byte) error
 }
 
 // Conn is a framed, bidirectional message channel.
 type Conn interface {
-	// Send writes one message.
+	// Send writes one message; the connection keeps no byte of data once
+	// it returns.
 	Send(data []byte) error
-	// Recv reads one message.
+	// Recv reads one message into a packet of its own, the caller's to
+	// keep: RecvAppend(nil).
 	Recv() ([]byte, error)
+	// RecvAppend reads one message and appends it to dst, as
+	// Framer.AppendMessage does: a packet in dst's storage lasts only
+	// until the caller writes there again.
+	RecvAppend(dst []byte) ([]byte, error)
 	// SetDeadline bounds both directions.
 	SetDeadline(t time.Time) error
 	// RemoteAddr identifies the peer.
@@ -81,6 +98,12 @@ type Listener interface {
 
 // ---- framers ----
 
+// grow returns dst extended by n bytes: in dst's storage when they fit,
+// else in one new allocation, which for a nil dst is of n bytes exactly.
+func grow(dst []byte, n int) []byte {
+	return slices.Grow(dst, n)[:len(dst)+n]
+}
+
 // HTTPFramer frames HTTP/1.x requests and responses: start line, header
 // block, then a body of Content-Length bytes (0 when absent). Messages
 // carrying conflicting Content-Length headers are rejected — accepting
@@ -90,10 +113,15 @@ type HTTPFramer struct{}
 
 var _ Framer = HTTPFramer{}
 
-// ReadMessage implements Framer. The header block is gathered on the
-// stack, line by line out of the reader's buffer, and the body is read
-// straight into the one packet allocated once Content-Length is known.
-func (HTTPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
+// ReadMessage implements Framer.
+func (f HTTPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) { return f.AppendMessage(nil, r) }
+
+// AppendMessage implements Framer. The header block is gathered on the
+// stack, line by line out of the reader's buffer, and goes to dst with
+// the body read straight behind it once Content-Length is known. Every
+// head line ends in CRLF (ErrBareLF), so the head ends where the parsers
+// end it: at the first CRLF CRLF.
+func (HTTPFramer) AppendMessage(dst []byte, r *bufio.Reader) ([]byte, error) {
 	var stack [1024]byte
 	head := stack[:0]
 	contentLength := 0
@@ -104,7 +132,7 @@ func (HTTPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
 			part, err := r.ReadSlice('\n')
 			head = append(head, part...)
 			if len(head) > MaxMessageSize {
-				return nil, ErrMessageTooLarge
+				return dst, ErrMessageTooLarge
 			}
 			if err == nil {
 				break
@@ -113,33 +141,36 @@ func (HTTPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
 				continue // a line longer than the reader's buffer
 			}
 			if err == io.EOF && lineStart == 0 {
-				return nil, io.EOF
+				return dst, io.EOF
 			}
-			return nil, fmt.Errorf("network: http header: %w", err)
+			return dst, fmt.Errorf("network: http header: %w", err)
 		}
-		line := bytes.TrimRight(head[lineStart:], "\r\n")
+		if len(head)-lineStart < 2 || head[len(head)-2] != '\r' {
+			return dst, ErrBareLF
+		}
+		line := head[lineStart : len(head)-2]
 		if len(line) == 0 {
 			break
 		}
 		if k, v, ok := bytes.Cut(line, []byte(":")); ok && bytes.EqualFold(bytes.TrimSpace(k), []byte("Content-Length")) {
 			n, err := strconv.Atoi(string(bytes.TrimSpace(v)))
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("network: bad Content-Length %q", string(v))
+				return dst, fmt.Errorf("network: bad Content-Length %q", string(v))
 			}
 			if seenLength && n != contentLength {
-				return nil, fmt.Errorf("network: conflicting Content-Length headers (%d vs %d)", contentLength, n)
+				return dst, fmt.Errorf("network: conflicting Content-Length headers (%d vs %d)", contentLength, n)
 			}
 			contentLength = n
 			seenLength = true
 		}
 	}
-	if contentLength > MaxMessageSize {
-		return nil, ErrMessageTooLarge
+	if contentLength > MaxMessageSize-len(head) {
+		return dst, ErrMessageTooLarge
 	}
-	packet := make([]byte, len(head)+contentLength)
-	copy(packet, head)
-	if _, err := io.ReadFull(r, packet[len(head):]); err != nil {
-		return nil, fmt.Errorf("network: http body: %w", err)
+	packet := grow(dst, len(head)+contentLength)
+	body := packet[len(dst)+copy(packet[len(dst):], head):]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return dst, fmt.Errorf("network: http body: %w", err)
 	}
 	return packet, nil
 }
@@ -156,26 +187,30 @@ type GIOPFramer struct{}
 
 var _ Framer = GIOPFramer{}
 
-// ReadMessage implements Framer. The header is looked at in the reader's
-// buffer, so the message is allocated once, header and body together.
-func (GIOPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
+// ReadMessage implements Framer.
+func (f GIOPFramer) ReadMessage(r *bufio.Reader) ([]byte, error) { return f.AppendMessage(nil, r) }
+
+// AppendMessage implements Framer. The header is looked at in the
+// reader's buffer, so the message goes to dst in one read, header and
+// body together.
+func (GIOPFramer) AppendMessage(dst []byte, r *bufio.Reader) ([]byte, error) {
 	hdr, err := r.Peek(12)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return dst, err
 	}
 	if string(hdr[:4]) != "GIOP" {
-		return nil, fmt.Errorf("network: bad GIOP magic %q", hdr[:4])
+		return dst, fmt.Errorf("network: bad GIOP magic %q", hdr[:4])
 	}
 	n := binary.BigEndian.Uint32(hdr[8:12])
-	if n > MaxMessageSize {
-		return nil, ErrMessageTooLarge
+	if n > MaxMessageSize-12 {
+		return dst, ErrMessageTooLarge
 	}
-	msg := make([]byte, 12+n)
-	if _, err := io.ReadFull(r, msg); err != nil {
-		return nil, fmt.Errorf("network: short GIOP body: %w", err)
+	msg := grow(dst, 12+int(n))
+	if _, err := io.ReadFull(r, msg[len(dst):]); err != nil {
+		return dst, fmt.Errorf("network: short GIOP body: %w", err)
 	}
 	return msg, nil
 }
@@ -247,19 +282,21 @@ func (s *streamConn) Send(data []byte) error {
 	return s.framer.WriteMessage(s.c, data)
 }
 
-// Recv reads one message. Like Send it is for one goroutine at a time;
-// Close may run beside it.
-func (s *streamConn) Recv() ([]byte, error) {
+func (s *streamConn) Recv() ([]byte, error) { return s.RecvAppend(nil) }
+
+// RecvAppend reads one message. Like Send it is for one goroutine at a
+// time; Close may run beside it.
+func (s *streamConn) RecvAppend(dst []byte) ([]byte, error) {
 	if !s.state.CompareAndSwap(connIdle, connReading) {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	if s.r == nil {
 		s.r = getReader(s.c)
 	}
-	data, err := s.framer.ReadMessage(s.r)
+	data, err := s.framer.AppendMessage(dst, s.r)
 	if !s.state.CompareAndSwap(connReading, connIdle) {
 		// Closed while reading: the reader was left to this Recv. What it
-		// returns is the framer's own copy, so the reader can go.
+		// returns was copied out of the reader, so the reader can go.
 		putReader(s.r)
 		s.r = nil
 	}
@@ -333,21 +370,23 @@ func (d *datagramConn) Send(data []byte) error {
 	return err
 }
 
-func (d *datagramConn) Recv() ([]byte, error) {
+func (d *datagramConn) Recv() ([]byte, error) { return d.RecvAppend(nil) }
+
+func (d *datagramConn) RecvAppend(dst []byte) ([]byte, error) {
 	if d.closed.Load() {
-		return nil, ErrClosed
+		return dst, ErrClosed
 	}
 	n, addr, err := d.pc.ReadFrom(d.buf)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if !d.fixedPeer {
 		d.mu.Lock()
 		d.peer = addr
 		d.mu.Unlock()
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
+	out := grow(dst, n)
+	copy(out[len(dst):], d.buf[:n])
 	return out, nil
 }
 

@@ -18,13 +18,17 @@ import (
 // any framer will do.
 type lengthPrefixFramer struct{}
 
-func (lengthPrefixFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
+func (f lengthPrefixFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
+	return f.AppendMessage(nil, r)
+}
+
+func (lengthPrefixFramer) AppendMessage(dst []byte, r *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return dst, err
 	}
-	buf := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	_, err := io.ReadFull(r, buf)
+	buf := append(dst, make([]byte, binary.BigEndian.Uint32(hdr[:]))...)
+	_, err := io.ReadFull(r, buf[len(dst):])
 	return buf, err
 }
 
@@ -73,6 +77,61 @@ func TestHTTPFramerErrors(t *testing.T) {
 	huge := "POST /x HTTP/1.1\r\nContent-Length: " + strconv.Itoa(MaxMessageSize+1) + "\r\n\r\n"
 	if _, err := f.ReadMessage(bufio.NewReader(strings.NewReader(huge))); !errors.Is(err, ErrMessageTooLarge) {
 		t.Errorf("oversize body err = %v", err)
+	}
+}
+
+// TestHTTPFramerRefusesBareLF: a head line must end in CRLF. The parsers
+// end a head at its first CRLF CRLF; a framer that ended a line at a bare
+// LF framed the stream below as one 72-byte packet whose CRLF CRLF lay in
+// the body, and ParseRequest then read a SOAPAction header out of the body
+// and took "rest" for it.
+func TestHTTPFramerRefusesBareLF(t *testing.T) {
+	f := HTTPFramer{}
+	for _, stream := range []string{
+		"POST /soap HTTP/1.1\r\nContent-Length: 24\r\nX: y\n\r\nSOAPAction: evil\r\n\r\nrest",
+		"GET /x HTTP/1.1\n\r\n",
+		"GET /x HTTP/1.1\r\n\n",
+		"\n",
+	} {
+		if got, err := f.ReadMessage(bufio.NewReader(strings.NewReader(stream))); !errors.Is(err, ErrBareLF) {
+			t.Errorf("ReadMessage(%q) = %q, %v; want ErrBareLF", stream, got, err)
+		}
+	}
+	// A CR inside a line is the line's; only its end must be CRLF.
+	ok := "GET /x HTTP/1.1\r\nX: a\rb\r\n\r\n"
+	if got, err := f.ReadMessage(bufio.NewReader(strings.NewReader(ok))); err != nil || string(got) != ok {
+		t.Errorf("ReadMessage(%q) = %q, %v", ok, got, err)
+	}
+}
+
+// TestAppendMessage: a framer appends the message behind what dst holds,
+// in dst's storage when it fits and in a new allocation when it does not,
+// and leaves dst as it was when the read fails.
+func TestAppendMessage(t *testing.T) {
+	giop := append([]byte("GIOP\x01\x00\x00\x01\x00\x00\x00\x07"), "payload"...)
+	for name, c := range map[string]struct {
+		framer Framer
+		wire   string
+	}{
+		"http": {HTTPFramer{}, "POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"},
+		"giop": {GIOPFramer{}, string(giop)},
+	} {
+		long := append(make([]byte, 0, 256), "keep"...)
+		short := append(make([]byte, 0, 8), "keep"...)
+		for _, dst := range [][]byte{long, short} {
+			r := bufio.NewReader(strings.NewReader(c.wire))
+			got, err := c.framer.AppendMessage(dst, r)
+			if err != nil || string(got) != "keep"+c.wire {
+				t.Fatalf("%s: AppendMessage into cap %d = %q, %v", name, cap(dst), got, err)
+			}
+			if inPlace := &got[0] == &dst[0]; inPlace != (cap(dst) >= len(got)) {
+				t.Errorf("%s: a %d-byte message into cap %d was written in place: %v", name, len(c.wire), cap(dst), inPlace)
+			}
+			again, err := c.framer.AppendMessage(dst, r)
+			if err != io.EOF || string(again) != "keep" {
+				t.Errorf("%s: AppendMessage at the end of the stream = %q, %v; want dst as it was and io.EOF", name, again, err)
+			}
+		}
 	}
 }
 

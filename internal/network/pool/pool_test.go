@@ -20,11 +20,12 @@ type fakeConn struct {
 
 var _ network.Conn = (*fakeConn)(nil)
 
-func (f *fakeConn) Send([]byte) error           { return nil }
-func (f *fakeConn) Recv() ([]byte, error)       { return nil, nil }
-func (f *fakeConn) SetDeadline(time.Time) error { return nil }
-func (f *fakeConn) RemoteAddr() net.Addr        { return nil }
-func (f *fakeConn) Close() error                { f.closed.Store(true); return nil }
+func (f *fakeConn) Send([]byte) error                     { return nil }
+func (f *fakeConn) Recv() ([]byte, error)                 { return nil, nil }
+func (f *fakeConn) RecvAppend(dst []byte) ([]byte, error) { return dst, nil }
+func (f *fakeConn) SetDeadline(time.Time) error           { return nil }
+func (f *fakeConn) RemoteAddr() net.Addr                  { return nil }
+func (f *fakeConn) Close() error                          { f.closed.Store(true); return nil }
 
 // dialer hands out fakeConns and counts dials.
 type dialer struct {

@@ -4,13 +4,15 @@ import (
 	"starlink/internal/gateway"
 )
 
-// GatewayRegistry builds a Registry that serves a gateway's metrics under
-// the starlink_gateway_* namespace, mirroring MediatorRegistry: listener
-// totals, the sniffer's per-class counts, and per route the accepted,
-// shed, dropped and reload counters plus the live admitted-flows gauge. A
-// scrape takes one Stats of the gateway.
+// GatewayRegistry builds a Registry that serves the process's metrics and
+// a gateway's, under the starlink_gateway_* namespace, mirroring
+// MediatorRegistry: listener totals, the sniffer's per-class counts, and
+// per route the accepted, shed, dropped and reload counters plus the live
+// admitted-flows gauge. A scrape reads the runtime once and takes one
+// Stats of the gateway.
 func GatewayRegistry(gw *gateway.Gateway) *Registry {
 	r := NewRegistry()
+	registerProcess(r, readProcess)
 	registerGateway(r, gw.Stats)
 	return r
 }

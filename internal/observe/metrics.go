@@ -30,6 +30,7 @@ type metric struct {
 	name, help, typ string
 	from            *source
 	scalar          func(sample any) uint64
+	real            func(sample any) float64
 	labelKey        string
 	vec             func(sample any) map[string]uint64
 	hist            func(sample any) engine.LatencyHistogram
@@ -55,6 +56,12 @@ func sample[T any](r *Registry, take func() T) sampled[T] {
 func (s sampled[T]) scalar(typ, name, help string, f func(T) uint64) {
 	s.r.register(&metric{name: name, help: help, typ: typ, from: s.from,
 		scalar: func(v any) uint64 { return f(v.(T)) }})
+}
+
+// real registers an unlabelled family whose value is not a whole number.
+func (s sampled[T]) real(typ, name, help string, f func(T) float64) {
+	s.r.register(&metric{name: name, help: help, typ: typ, from: s.from,
+		real: func(v any) float64 { return f(v.(T)) }})
 }
 
 func (s sampled[T]) histogram(name, help string, f func(T) engine.LatencyHistogram) {
@@ -111,6 +118,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 			err = writeVec(w, m, m.vec(v))
 		case m.hist != nil:
 			err = writeHistogram(w, m.name, m.hist(v))
+		case m.real != nil:
+			_, err = fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.real(v)))
 		default:
 			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.scalar(v))
 		}
@@ -168,12 +177,14 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// MediatorRegistry builds a Registry that serves a mediator's metrics
-// and, when obs is non-nil, the observer's: the one-call path from "I have
-// a mediator" to "I can serve /metrics". A scrape takes one Snapshot of the
-// mediator and one Stats of the observer, whatever the number of series.
+// MediatorRegistry builds a Registry that serves the process's metrics, a
+// mediator's and, when obs is non-nil, the observer's: the one-call path
+// from "I have a mediator" to "I can serve /metrics". A scrape reads the
+// runtime once, takes one Snapshot of the mediator and one Stats of the
+// observer, whatever the number of series.
 func MediatorRegistry(med *engine.Mediator, obs *Observer) *Registry {
 	r := NewRegistry()
+	registerProcess(r, readProcess)
 	registerMediator(r, med.Snapshot)
 	if obs != nil {
 		registerObserver(r, obs.Stats)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -171,6 +172,31 @@ func TestMediatorScrapeSamplesOnce(t *testing.T) {
 	}
 }
 
+// TestProcessScrapeSamplesOnce: the process families of one scrape come from
+// one read of the runtime, and say what runtime/metrics does.
+func TestProcessScrapeSamplesOnce(t *testing.T) {
+	reads := 0
+	r := NewRegistry()
+	registerProcess(r, func() []float64 { reads++; return readProcess() })
+	for scrape := 1; scrape <= 2; scrape++ {
+		out := scrapeOnce(t, r)
+		if reads != scrape {
+			t.Fatalf("after %d scrapes the runtime was read %d times", scrape, reads)
+		}
+		for _, want := range []*regexp.Regexp{
+			regexp.MustCompile(`(?m)^starlink_go_goroutines [1-9][0-9]*$`),
+			regexp.MustCompile(`(?m)^starlink_go_heap_live_bytes [0-9]+$`),
+			regexp.MustCompile(`(?m)^starlink_go_gc_cycles_total [0-9]+$`),
+			regexp.MustCompile(`(?m)^starlink_go_gc_pause_seconds_total [0-9.e+-]+$`),
+			regexp.MustCompile(`(?m)^starlink_build_info\{go_version="` + regexp.QuoteMeta(runtime.Version()) + `"\} 1$`),
+		} {
+			if !want.MatchString(out) {
+				t.Errorf("scrape %d lacks a line matching %s:\n%s", scrape, want, out)
+			}
+		}
+	}
+}
+
 // TestObserverScrapeSamplesOnce: the nine tracer and recorder families of
 // one scrape come from one Stats of the observer.
 func TestObserverScrapeSamplesOnce(t *testing.T) {
@@ -238,13 +264,15 @@ func scrapeOnce(t *testing.T, r *Registry) string {
 }
 
 // TestMetricReference holds docs/OBSERVABILITY.md to the registries: the
-// table between its metric markers is what a mediator with a cache, a
-// backend set, a discovery source and an observer registers, then what a
-// gateway registers, family by family, and every starlink_* name README.md,
+// table between its metric markers is what both registries register for
+// the process, then what a mediator with a cache, a backend set, a
+// discovery source and an observer registers, then what a gateway
+// registers, family by family, and every starlink_* name README.md,
 // DESIGN.md and docs/*.md quote is one of those families (or, ending in
 // "_", the prefix of some).
 func TestMetricReference(t *testing.T) {
-	med, gw := NewRegistry(), NewRegistry()
+	proc, med, gw := NewRegistry(), NewRegistry(), NewRegistry()
+	registerProcess(proc, readProcess)
 	registerMediator(med, (&countingMediator{}).Snapshot)
 	registerObserver(med, New(Options{Merged: testMerged()}).Stats)
 	registerGateway(gw, func() gateway.Stats { return gateway.Stats{} })
@@ -252,7 +280,7 @@ func TestMetricReference(t *testing.T) {
 	var want strings.Builder
 	want.WriteString("| Name | Type | Label | Help |\n|---|---|---|---|\n")
 	families := map[string]string{} // name -> type
-	for _, r := range []*Registry{med, gw} {
+	for _, r := range []*Registry{proc, med, gw} {
 		for _, m := range r.metrics {
 			label := ""
 			if m.labelKey != "" {

@@ -1,14 +1,13 @@
-// Package bufpool is the shared encode-buffer pool for the wire codecs
-// that render into a bytes.Buffer (httpwire, jsonrpc, and the GIOP framer's
-// patched copy of a message; the binary and XML MDL engines pool writers of
-// their own, which carry more than a buffer, under the same discipline). Every Marshal/Compose on the mediation hot path runs per
-// message, and the engine retains the returned wire bytes (fault
-// recovery replays the last request), so codecs cannot hand out their
-// scratch buffers directly. The discipline is: render into a pooled
-// buffer, copy out a right-sized slice, return the buffer to the pool.
-// The copy is one allocation of exactly the message size; the render
-// scratch — which grows geometrically and dominated the old per-call
-// cost — is amortised away.
+// Package bufpool is the shared render-buffer pool of the two wire
+// writers that still render into a bytes.Buffer: jsonrpc's body encoder
+// and the GIOP framer's patched copy of a message. Each renders into a
+// pooled buffer, takes what it needs out of it — a right-sized copy
+// (Bytes), or one Write — and puts the buffer back, so the scratch, which
+// grows geometrically, is paid for once and not per message.
+//
+// MaxRetain is the one retention cap of every growing byte buffer pooled
+// on the message path: these, the MDL engines' writers and readers, the
+// binders' body buffers and the engine's per-flow packet buffers.
 package bufpool
 
 import (
@@ -16,10 +15,11 @@ import (
 	"sync"
 )
 
-// maxRetain bounds the capacity of buffers returned to the pool. A
-// single oversized message (e.g. a photo feed) would otherwise pin its
-// high-water-mark buffer forever.
-const maxRetain = 64 << 10
+// MaxRetain bounds the capacity of a buffer put back in a pool. A single
+// oversized message (e.g. a photo feed) would otherwise pin its
+// high-water-mark buffer for the life of the process; a buffer that grew
+// past it is dropped instead.
+const MaxRetain = 64 << 10
 
 var pool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -29,11 +29,10 @@ func Get() *bytes.Buffer {
 	return pool.Get().(*bytes.Buffer)
 }
 
-// Put resets b and returns it to the pool. Buffers that grew past
-// maxRetain are dropped instead, so one huge message does not pin its
-// scratch space for the life of the process.
+// Put resets b and returns it to the pool, unless it grew past
+// MaxRetain.
 func Put(b *bytes.Buffer) {
-	if b == nil || b.Cap() > maxRetain {
+	if b == nil || b.Cap() > MaxRetain {
 		return
 	}
 	b.Reset()

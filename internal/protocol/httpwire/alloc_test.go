@@ -43,3 +43,34 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		t.Errorf("request+response round-trip allocated %.1f times per op, budget 10", allocs)
 	}
 }
+
+// TestMarshalAllocBudget: Marshal works out the message's length before it
+// writes it, so a message is one allocation, and AppendTo into a buffer
+// that has room for it is none; it writes there what Marshal returns,
+// behind what the buffer holds.
+func TestMarshalAllocBudget(t *testing.T) {
+	for _, m := range []interface {
+		Marshal() []byte
+		AppendTo([]byte) []byte
+	}{
+		&Request{Method: "POST", Target: "/soap", Headers: Headers{{"SOAPAction", `"Plus"`}, {"Content-Length", "99"}},
+			Body: []byte("<x/>")},
+		&Request{Method: "GET", Target: "/", Proto: "HTTP/1.0"},
+		&Response{Status: 201, Headers: Headers{{"Content-Type", "text/xml"}}, Body: make([]byte, 12345)},
+		&Response{Status: 404, Reason: "Gone Fishing"},
+	} {
+		want := m.Marshal()
+		dst := append(make([]byte, 0, 16<<10), "keep"...)
+		if got := m.AppendTo(dst); string(got) != "keep"+string(want) || &got[0] != &dst[0] {
+			t.Errorf("AppendTo = %.80q, want \"keep\"%.80q in the buffer's storage", got, want)
+		}
+		owned := testing.AllocsPerRun(100, func() { m.Marshal() })
+		borrowed := testing.AllocsPerRun(100, func() { m.AppendTo(dst) })
+		if testutil.RaceEnabled {
+			continue
+		}
+		if owned != 1 || borrowed != 0 {
+			t.Errorf("Marshal of %.80q allocated %.0f times and AppendTo %.0f, want 1 and 0", want, owned, borrowed)
+		}
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"starlink/internal/network"
-	"starlink/internal/protocol/bufpool"
 )
 
 // ErrMalformed is wrapped by all parse failures.
@@ -131,33 +130,32 @@ type Response struct {
 	Body []byte
 }
 
-// Marshal renders the request on the wire, deriving Content-Length.
-// Rendering goes through the shared encode-buffer pool; the returned
-// slice is a right-sized copy the caller owns.
-func (r *Request) Marshal() []byte {
-	b := bufpool.Get()
-	defer bufpool.Put(b)
+// Marshal renders the request on the wire, deriving Content-Length, into
+// a packet of exactly its size that the caller owns: AppendTo(nil).
+func (r *Request) Marshal() []byte { return r.AppendTo(nil) }
+
+// AppendTo appends the request as Marshal renders it to dst. Its length
+// is worked out first, so it is written in place: into dst's storage when
+// it fits, else into one allocation.
+func (r *Request) AppendTo(dst []byte) []byte {
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.1"
 	}
-	b.WriteString(r.Method)
-	b.WriteByte(' ')
-	b.WriteString(r.Target)
-	b.WriteByte(' ')
-	b.WriteString(proto)
-	b.WriteString("\r\n")
-	writeHeaders(b, r.Headers, len(r.Body))
-	b.Write(r.Body)
-	return bufpool.Bytes(b)
+	n := len(r.Method) + 1 + len(r.Target) + 1 + len(proto) + 2
+	b := slices.Grow(dst, n+headersLen(r.Headers, len(r.Body)))
+	b = append(append(append(append(append(b, r.Method...), ' '), r.Target...), ' '), proto...)
+	b = append(b, "\r\n"...)
+	return append(appendHeaders(b, r.Headers, len(r.Body)), r.Body...)
 }
 
-// Marshal renders the response on the wire, deriving Content-Length.
-// Like Request.Marshal it renders into a pooled buffer and returns a
-// right-sized copy.
-func (r *Response) Marshal() []byte {
-	b := bufpool.Get()
-	defer bufpool.Put(b)
+// Marshal renders the response on the wire, deriving Content-Length, into
+// a packet of exactly its size that the caller owns: AppendTo(nil).
+func (r *Response) Marshal() []byte { return r.AppendTo(nil) }
+
+// AppendTo appends the response as Marshal renders it to dst, written in
+// place like Request.AppendTo.
+func (r *Response) AppendTo(dst []byte) []byte {
 	proto := r.Proto
 	if proto == "" {
 		proto = "HTTP/1.1"
@@ -166,32 +164,42 @@ func (r *Response) Marshal() []byte {
 	if reason == "" {
 		reason = defaultReason(r.Status)
 	}
-	b.WriteString(proto)
-	b.WriteByte(' ')
-	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(r.Status), 10))
-	b.WriteByte(' ')
-	b.WriteString(reason)
-	b.WriteString("\r\n")
-	writeHeaders(b, r.Headers, len(r.Body))
-	b.Write(r.Body)
-	return bufpool.Bytes(b)
+	n := len(proto) + 1 + digits(r.Status) + 1 + len(reason) + 2
+	b := slices.Grow(dst, n+headersLen(r.Headers, len(r.Body)))
+	b = append(append(b, proto...), ' ')
+	b = append(append(strconv.AppendInt(b, int64(r.Status), 10), ' '), reason...)
+	b = append(b, "\r\n"...)
+	return append(appendHeaders(b, r.Headers, len(r.Body)), r.Body...)
 }
 
-// writeHeaders writes the fields in the caller's order, then the
+// headersLen is how long appendHeaders and the body behind it are.
+func headersLen(headers Headers, bodyLen int) int {
+	n := len("Content-Length: ") + digits(bodyLen) + len("\r\n\r\n") + bodyLen
+	for _, h := range headers {
+		if !strings.EqualFold(h.Name, "Content-Length") {
+			n += len(h.Name) + 2 + len(h.Value) + 2
+		}
+	}
+	return n
+}
+
+// digits is how many bytes strconv.AppendInt writes for n.
+func digits(n int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+// appendHeaders writes the fields in the caller's order, then the
 // Content-Length the body has, in place of any the caller gave.
-func writeHeaders(b *bytes.Buffer, headers Headers, bodyLen int) {
+func appendHeaders(b []byte, headers Headers, bodyLen int) []byte {
 	for _, h := range headers {
 		if strings.EqualFold(h.Name, "Content-Length") {
 			continue
 		}
-		b.WriteString(h.Name)
-		b.WriteString(": ")
-		b.WriteString(h.Value)
-		b.WriteString("\r\n")
+		b = append(append(append(append(b, h.Name...), ": "...), h.Value...), "\r\n"...)
 	}
-	b.WriteString("Content-Length: ")
-	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(bodyLen), 10))
-	b.WriteString("\r\n\r\n")
+	b = strconv.AppendInt(append(b, "Content-Length: "...), int64(bodyLen), 10)
+	return append(b, "\r\n\r\n"...)
 }
 
 func defaultReason(status int) string {

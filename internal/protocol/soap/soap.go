@@ -43,9 +43,9 @@ type Fault struct {
 // Error implements error.
 func (f *Fault) Error() string { return fmt.Sprintf("soap fault %s: %s", f.Code, f.Message) }
 
-// envelope renders Envelope/Body around one operation element whose
-// children are the named parameters, in order.
-func envelope(op string, params []Param) ([]byte, error) {
+// appendEnvelope appends Envelope/Body around one operation element whose
+// children are the named parameters, in order, to dst.
+func appendEnvelope(dst []byte, op string, params []Param) ([]byte, error) {
 	w := xmlenc.NewDoc()
 	w.Open("Envelope")
 	w.Attr("xmlns", EnvelopeNS)
@@ -57,23 +57,35 @@ func envelope(op string, params []Param) ([]byte, error) {
 	w.Close()
 	w.Close()
 	w.Close()
-	return w.Doc()
+	return w.AppendTo(dst)
 }
 
-// MarshalRequest renders an RPC request envelope: the method element with
-// one child element per parameter.
+// MarshalRequest renders an RPC request envelope of its own:
+// AppendRequest(nil, method, params).
 func MarshalRequest(method string, params []Param) ([]byte, error) {
-	return envelope(method, params)
+	return AppendRequest(nil, method, params)
 }
 
-// MarshalResponse renders the conventional <MethodResponse> envelope.
+// AppendRequest appends an RPC request envelope to dst: the method element
+// with one child element per parameter.
+func AppendRequest(dst []byte, method string, params []Param) ([]byte, error) {
+	return appendEnvelope(dst, method, params)
+}
+
+// MarshalResponse renders the conventional <MethodResponse> envelope, of
+// its own: AppendResponse(nil, method, results).
 func MarshalResponse(method string, results []Param) ([]byte, error) {
-	return envelope(method+"Response", results)
+	return AppendResponse(nil, method, results)
+}
+
+// AppendResponse appends the <MethodResponse> envelope to dst.
+func AppendResponse(dst []byte, method string, results []Param) ([]byte, error) {
+	return appendEnvelope(dst, method+"Response", results)
 }
 
 // MarshalFault renders a fault envelope.
 func MarshalFault(f *Fault) ([]byte, error) {
-	return envelope("Fault", []Param{{"faultcode", f.Code}, {"faultstring", f.Message}})
+	return appendEnvelope(nil, "Fault", []Param{{"faultcode", f.Code}, {"faultstring", f.Message}})
 }
 
 // malformed makes a decode failure this package's: what the Reader

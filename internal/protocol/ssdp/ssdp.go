@@ -32,8 +32,11 @@ type SearchRequest struct {
 	MX int
 }
 
-// Marshal renders the M-SEARCH datagram.
-func (s SearchRequest) Marshal() []byte {
+// Marshal renders the M-SEARCH datagram: AppendTo(nil).
+func (s SearchRequest) Marshal() []byte { return s.AppendTo(nil) }
+
+// AppendTo appends the M-SEARCH datagram to dst.
+func (s SearchRequest) AppendTo(dst []byte) []byte {
 	req := &httpwire.Request{
 		Method: "M-SEARCH",
 		Target: "*",
@@ -44,7 +47,7 @@ func (s SearchRequest) Marshal() []byte {
 			{Name: "ST", Value: s.ST},
 		},
 	}
-	return req.Marshal()
+	return req.AppendTo(dst)
 }
 
 // ParseSearch decodes an M-SEARCH datagram.
@@ -75,8 +78,11 @@ type SearchResponse struct {
 	Location string
 }
 
-// Marshal renders the response datagram.
-func (s SearchResponse) Marshal() []byte {
+// Marshal renders the response datagram: AppendTo(nil).
+func (s SearchResponse) Marshal() []byte { return s.AppendTo(nil) }
+
+// AppendTo appends the response datagram to dst.
+func (s SearchResponse) AppendTo(dst []byte) []byte {
 	resp := &httpwire.Response{
 		Status: 200,
 		Reason: "OK",
@@ -88,7 +94,7 @@ func (s SearchResponse) Marshal() []byte {
 			{Name: "USN", Value: s.USN},
 		},
 	}
-	return resp.Marshal()
+	return resp.AppendTo(dst)
 }
 
 // ParseResponse decodes a response datagram.
