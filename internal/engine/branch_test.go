@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"testing"
 
 	"starlink/internal/automata"
@@ -194,7 +195,8 @@ func TestBranchingRejectsUnofferedAction(t *testing.T) {
 }
 
 // TestBranchRejectsMixedAlternatives: a branch state whose alternatives
-// are not all client invocations is a model error surfaced at runtime.
+// are not all client invocations is a model error, refused when the
+// mediator is built.
 func TestBranchRejectsMixedAlternatives(t *testing.T) {
 	bad := branchingMediator()
 	// Add a service-side alternative at the hub.
@@ -202,44 +204,19 @@ func TestBranchRejectsMixedAlternatives(t *testing.T) {
 		From: "hub", To: "c2", Kind: automata.KindMessage,
 		Color: 2, Action: automata.Send, Message: casestudy.PicasaGetComments,
 	})
-	store := photostore.New()
-	pic, err := picasa.New(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pic.Close()
 	routes, _ := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
 	restBinder, err := bind.NewRESTBinder(routes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := engine.New(engine.Config{
+	_, err = engine.New(engine.Config{
 		Merged: bad,
 		Sides: map[int]*engine.Side{
 			1: {Binder: &bind.XMLRPCBinder{Path: "/x", Defs: casestudy.FlickrUsage().Messages}},
-			2: {Binder: restBinder, Target: pic.Addr()},
+			2: {Binder: restBinder, Target: "127.0.0.1:1"},
 		},
-		HostMap: map[string]string{casestudy.PicasaHost: pic.Addr()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := med.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer med.Close()
-	c := xmlrpc.NewClient(med.Addr(), "/x")
-	defer c.Close()
-	// The search leg completes (the broken branch state comes after it)...
-	if _, err := c.Call(casestudy.FlickrSearch, map[string]xmlrpc.Value{
-		"text": "tree", "per_page": int64(1),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// ...but the session dies when the engine reaches the malformed hub.
-	if _, err := c.Call(casestudy.FlickrGetComments, map[string]xmlrpc.Value{
-		"photo_id": "photo-0001",
-	}); err == nil {
-		t.Error("mixed-alternative branch state accepted")
+	if !errors.Is(err, engine.ErrConfig) {
+		t.Errorf("err = %v, want ErrConfig", err)
 	}
 }

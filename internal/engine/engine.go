@@ -1,34 +1,29 @@
 // Package engine is Starlink's automata engine (paper Section 4.2): it
-// interprets a concrete merged k-colored automaton at runtime, driving the
-// sequence of receiving, sending, parsing, composing and translating
-// messages that realises an application-middleware mediator.
+// interprets a concrete merged k-colored automaton at runtime, as a step
+// and a shell.
 //
-// Roles follow the paper's deployment (Fig. 6): the mediator acts as the
-// *server* towards the color-1 application (whose requests are redirected
-// to it) and as a *client* towards the color-2 application. Transitions
-// keep the application perspective of the models, so on the server color
-// a "!" transition means the mediator receives, and a "?" transition
-// means it sends the translated reply; on the client color the actions
-// read naturally.
+// The step (flow.go) walks the automaton and touches no socket. New
+// compiles the automaton into a plan, one step per state of the paper's
+// three types — receiving, sending and no-action (γ) — and a flow's next
+// takes the transition an event picks and returns what the state it enters
+// asks for: read the client, send to a colour, receive from it, reply to
+// the client, or nothing more. A received message binds to the
+// transition's target state; a sent one is what the preceding γ composed
+// at its source state; γ runs pre-compiled MTL whose cache keyword lasts
+// as long as the client connection (the Fig. 10 getInfo resolution).
 //
-// Message handles: a received message binds to the transition's To state;
-// a sent message is composed (by the preceding γ translation) at the
-// transition's From state. γ-transitions execute pre-compiled MTL
-// programs against the session environment; the MTL cache keyword
-// persists for the lifetime of a client connection, which is what the
-// Fig. 10 getInfo resolution relies on.
-//
-// Service connections are not owned by sessions: each mediator keeps a
-// shared per-(color, address) pool (internal/network/pool) that sessions
-// check connections out of for the duration of a flow sequence and back
-// into when they end, so N concurrent client sessions cost far fewer
-// than N dials per color. A sethost retarget is a pool-key change — the
-// old connection returns to the pool for whichever session next wants
-// that address — and a transport fault discards the connection and
-// flushes its key before the redial/replay recovery path runs.
+// The shell is the session: it performs each action and feeds the outcome
+// back. It owns everything with a clock or a socket: the client
+// connection, one link per service colour with its retry, replay and
+// back-off, deadlines, packet buffers, the response cache, counters and
+// the trace. The mediator acts as the server towards the color-1
+// application (Fig. 6) and as a client towards the color-2 one, whose
+// connections come from a pool shared by every session of the mediator.
 package engine
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -58,8 +53,6 @@ var (
 	// ErrUnexpectedAction is returned when a client performs an action the
 	// automaton does not expect at the current state.
 	ErrUnexpectedAction = errors.New("engine: unexpected action")
-	// ErrStuck is returned when the automaton has no executable transition.
-	ErrStuck = errors.New("engine: automaton stuck")
 	// ErrDeadline is returned when a flow exhausts its deadline budget
 	// (Config.FlowDeadline / the flow_deadline directive): some blocking
 	// step — a dial, a pool wait, a retry backoff, a coalesced cache
@@ -218,14 +211,8 @@ func (c Config) retryPolicy() (RetryPolicy, error) {
 		return RetryPolicy{Attempts: DefaultRetryAttempts, Backoff: DefaultBackoff}, nil
 	}
 	p := *c.Retry
-	if p.Attempts < 0 {
-		return RetryPolicy{}, fmt.Errorf("%w: negative RetryPolicy.Attempts %d", ErrConfig, p.Attempts)
-	}
-	if p.Backoff < 0 {
-		return RetryPolicy{}, fmt.Errorf("%w: negative RetryPolicy.Backoff %v", ErrConfig, p.Backoff)
-	}
-	if p.MaxBackoff < 0 {
-		return RetryPolicy{}, fmt.Errorf("%w: negative RetryPolicy.MaxBackoff %v", ErrConfig, p.MaxBackoff)
+	if p.Attempts < 0 || p.Backoff < 0 || p.MaxBackoff < 0 {
+		return RetryPolicy{}, fmt.Errorf("%w: a negative value in %+v", ErrConfig, p)
 	}
 	return p, nil
 }
@@ -308,26 +295,15 @@ const (
 	TraceCacheHit
 )
 
+// traceKinds names the kinds in order.
+var traceKinds = [...]string{"transition", "redial", "error", "flow-start", "flow-end", "session-end", "cache-hit"}
+
 // String names the kind for logs.
 func (k TraceKind) String() string {
-	switch k {
-	case TraceTransition:
-		return "transition"
-	case TraceRedial:
-		return "redial"
-	case TraceError:
-		return "error"
-	case TraceFlowStart:
-		return "flow-start"
-	case TraceFlowEnd:
-		return "flow-end"
-	case TraceSessionEnd:
-		return "session-end"
-	case TraceCacheHit:
-		return "cache-hit"
-	default:
-		return fmt.Sprintf("TraceKind(%d)", int(k))
+	if k >= 0 && int(k) < len(traceKinds) {
+		return traceKinds[k]
 	}
+	return fmt.Sprintf("TraceKind(%d)", int(k))
 }
 
 // TraceEvent is one observable step of a mediation session, delivered to
@@ -444,22 +420,15 @@ type Mediator struct {
 	// flowBudget is the resolved per-flow deadline budget (0 = budgets
 	// disabled via a negative Config.FlowDeadline).
 	flowBudget time.Duration
-	compiled   map[int]*mtl.CompiledProgram // γ transition index -> compiled program
-	outs       map[string]outgoing          // state -> outgoing transitions, precomputed
-	stats      counters[atomic.Uint64]
-	// clientColors lists the colors the mediator plays the client role
-	// for — the colors whose pool keys a backend ejection must flush.
-	clientColors []int
+	// plan is the merged automaton compiled for the flows to walk; its
+	// links are the colors the mediator plays the client role for.
+	plan  *plan
+	stats counters[atomic.Uint64]
 
 	// rcache is the shared cross-flow response cache (nil unless
 	// Config.Cache declares cacheable operations); its rules and
 	// invalidations are read from cfg.Cache, validated by New.
 	rcache *rcache.Cache
-	// shareReply holds, for each state a service reply is received into,
-	// whether a reply the cache holds may be bound there as it is: true
-	// when every compiled γ program is ReadOnly for the state. Nil without
-	// a cache.
-	shareReply map[string]bool
 
 	// hists are the live latency histograms behind Snapshot.Latencies.
 	hists histograms[histogram]
@@ -568,17 +537,11 @@ func New(cfg Config) (*Mediator, error) {
 	if err != nil {
 		return nil, err
 	}
-	colors := map[int]bool{}
-	serviceSends := map[string]bool{}
-	for _, t := range cfg.Merged.Transitions {
-		if t.Kind == automata.KindMessage {
-			colors[t.Color] = true
-			if t.Color != cfg.ServerColor && t.Action == automata.Send {
-				serviceSends[t.Message] = true
-			}
-		}
+	p, err := newPlan(cfg.Merged, cfg.ServerColor, cfg.Funcs)
+	if err != nil {
+		return nil, err
 	}
-	for c := range colors {
+	for _, c := range append([]int{cfg.ServerColor}, p.links...) {
 		side := cfg.Sides[c]
 		if side == nil || side.Binder == nil {
 			return nil, fmt.Errorf("%w: no binder for color %d", ErrConfig, c)
@@ -587,8 +550,11 @@ func New(cfg Config) (*Mediator, error) {
 			return nil, fmt.Errorf("%w: no target address for client color %d", ErrConfig, c)
 		}
 	}
-	if !colors[cfg.ServerColor] {
-		return nil, fmt.Errorf("%w: server color %d has no transitions", ErrConfig, cfg.ServerColor)
+	serviceSends := map[string]bool{}
+	for _, st := range p.steps {
+		if st.kind == kSend {
+			serviceSends[st.arcs[0].op] = true
+		}
 	}
 	for name, set := range cfg.Backends {
 		if set == nil {
@@ -604,11 +570,8 @@ func New(cfg Config) (*Mediator, error) {
 		}
 	}
 	if cfg.Cache != nil {
-		if cfg.Cache.MaxEntries < 0 {
-			return nil, fmt.Errorf("%w: negative CachePolicy.MaxEntries %d", ErrConfig, cfg.Cache.MaxEntries)
-		}
-		if cfg.Cache.Shards < 0 {
-			return nil, fmt.Errorf("%w: negative CachePolicy.Shards %d", ErrConfig, cfg.Cache.Shards)
+		if cfg.Cache.MaxEntries < 0 || cfg.Cache.Shards < 0 {
+			return nil, fmt.Errorf("%w: negative CachePolicy.MaxEntries %d or Shards %d", ErrConfig, cfg.Cache.MaxEntries, cfg.Cache.Shards)
 		}
 		for op, rule := range cfg.Cache.Rules {
 			if !serviceSends[op] {
@@ -643,85 +606,18 @@ func New(cfg Config) (*Mediator, error) {
 		cfg:        cfg,
 		retry:      retry,
 		flowBudget: flowBudget,
-		compiled:   make(map[int]*mtl.CompiledProgram),
-		outs:       make(map[string]outgoing),
+		plan:       p,
 		conns:      make(map[network.Conn]struct{}),
 		svcConns:   make(map[network.Conn]struct{}),
 		idle:       make(map[network.Conn]struct{}),
 	}
-	for c := range colors {
-		if c != cfg.ServerColor {
-			m.clientColors = append(m.clientColors, c)
-		}
-	}
-	sort.Ints(m.clientColors)
 	if cfg.Cache != nil && len(cfg.Cache.Rules) > 0 {
 		m.rcache = rcache.New(rcache.Options{
 			MaxEntries: cfg.Cache.MaxEntries,
 			Shards:     cfg.Cache.Shards,
 		})
 	}
-	handles := make([]string, len(cfg.Merged.States))
-	for i, st := range cfg.Merged.States {
-		handles[i] = st.Name
-	}
-	for i, t := range cfg.Merged.Transitions {
-		o := m.outs[t.From]
-		o.ts = append(o.ts, t)
-		o.idx = append(o.idx, i)
-		o.labels = append(o.labels, t.From+"->"+t.To)
-		m.outs[t.From] = o
-		if t.Kind != automata.KindGamma {
-			continue
-		}
-		prog, err := mtl.Parse(stripComments(t.MTL))
-		if err != nil {
-			return nil, fmt.Errorf("%w: γ %s->%s: %v", ErrConfig, t.From, t.To, err)
-		}
-		cp, err := mtl.Compile(prog, mtl.CompileOptions{Handles: handles, Funcs: cfg.Funcs})
-		if err != nil {
-			return nil, fmt.Errorf("%w: γ %s->%s: %v", ErrConfig, t.From, t.To, err)
-		}
-		m.compiled[i] = cp
-	}
-	if m.rcache != nil {
-		m.shareReply = make(map[string]bool)
-		for _, t := range cfg.Merged.Transitions {
-			if t.Kind != automata.KindMessage || t.Action != automata.Receive || t.Color == cfg.ServerColor {
-				continue
-			}
-			share := true
-			for _, cp := range m.compiled {
-				share = share && cp.ReadOnly(t.To)
-			}
-			m.shareReply[t.To] = share
-		}
-	}
 	return m, nil
-}
-
-// outgoing is a state's outgoing transitions with their global indices
-// and their "from->to" trace labels, precomputed in New so each automaton
-// step is O(1) instead of a rescan of the whole transition list and no
-// flow builds a label (the observer keys its hit counts by this string).
-type outgoing struct {
-	ts     []automata.MergedTransition
-	idx    []int
-	labels []string
-}
-
-// stripComments drops generator comment lines so auto-generated MTL with
-// unresolved-field notes still compiles.
-func stripComments(src string) string {
-	lines := strings.Split(src, "\n")
-	out := lines[:0]
-	for _, l := range lines {
-		if strings.HasPrefix(strings.TrimSpace(l), "#") {
-			continue
-		}
-		out = append(out, l)
-	}
-	return strings.Join(out, "\n")
 }
 
 // poolOptions maps the mediator configuration onto the shared service
@@ -799,7 +695,7 @@ func (m *Mediator) startBackends() {
 		if p == nil {
 			return
 		}
-		for _, color := range m.clientColors {
+		for _, color := range m.plan.links {
 			p.Flush(pool.Key{Color: color, Addr: addr})
 		}
 	}
@@ -896,8 +792,8 @@ func (m *Mediator) ServeConn(conn network.Conn) error {
 // newSession numbers a session for conn and gives it a link per
 // client-role color.
 func (m *Mediator) newSession(conn network.Conn) *session {
-	s := &session{med: m, id: m.stats.Sessions.Add(1), client: conn, links: make([]serviceLink, len(m.clientColors))}
-	for i, color := range m.clientColors {
+	s := &session{med: m, id: m.stats.Sessions.Add(1), client: conn, links: make([]serviceLink, len(m.plan.links))}
+	for i, color := range m.plan.links {
 		s.links[i].s, s.links[i].color = s, color
 	}
 	return s
@@ -983,10 +879,7 @@ func (m *Mediator) Shutdown(ctx context.Context) error {
 	if p != nil {
 		p.Close()
 	}
-	if err != nil {
-		return err
-	}
-	return lerr
+	return cmp.Or(err, lerr)
 }
 
 func (m *Mediator) removeConn(c network.Conn) {
@@ -1038,33 +931,26 @@ func (m *Mediator) checkout(color int, addr string, deadline time.Time) (network
 	return conn, nil
 }
 
-// session is one client connection's execution of the automaton. The
-// automaton restarts after reaching a final state so a client can run the
-// whole behaviour repeatedly on one connection. The session walks the
-// automaton; everything about talking to a service is its link's.
+// session is one client connection's execution of the automaton, the
+// shell around the step: it performs what the step asks and feeds the
+// outcome back. The automaton restarts after reaching a final state so a
+// client can run the whole behaviour repeatedly on one connection;
+// everything about talking to a service is a link's.
 type session struct {
 	med    *Mediator
 	id     uint64
 	client network.Conn
-	// links holds one serviceLink per client-role color, in
-	// Mediator.clientColors order.
+	// links holds one serviceLink per client-role color, in plan.links
+	// order.
 	links []serviceLink
+	// step walks the automaton; cache holds what its γ programs cache,
+	// for the lifetime of the connection (Fig. 10).
+	step  flow
 	cache mtl.Cache
-	// env is the session's pooled MTL environment: one Env reused across
-	// every automaton traversal (Reset clears it between flows), so a
-	// steady-state flow allocates no fresh Messages/Vars maps. bound
-	// holds the per-state target messages, index-aligned with
-	// Merged.States and likewise recycled between flows; parsed inbound
-	// messages replace these bindings for the rest of a flow, which is
-	// why the slice (not the Env) is the owner.
-	env   *mtl.Env
-	bound []*message.Message
-	// hostOverride holds the current flow's sethost retarget; it is
-	// cleared when the automaton restarts so one traversal's retarget
-	// cannot leak into the next.
-	hostOverride string
 	// flow numbers the current automaton traversal (1-based); flowT0 is
-	// when its first client request arrived, and lastRecv keeps the last
+	// when its first client request arrived (zero until it has, while the
+	// session counts as idle and may be harvested by Shutdown), and
+	// lastRecv keeps the last
 	// wire message received — attached (truncated) to error traces so
 	// the flight recorder can show what a parse fault choked on. It is
 	// forgotten when the flow ends, with the buffers it points into.
@@ -1080,20 +966,6 @@ type session struct {
 	// flows, or always when flow budgets are disabled). Every blocking
 	// step of the flow is charged against it.
 	budget time.Time
-	// flowStarted flips once the current traversal has received its
-	// first client request; until then the session counts as idle and
-	// may be harvested by Shutdown.
-	flowStarted bool
-	// pendingAction / pendingRequest are the client request that has not
-	// been answered yet: the reply is built for them, and a mediation
-	// failure is reported to them as a protocol-level fault instead of a
-	// dropped connection.
-	pendingAction  string
-	pendingRequest *message.Message
-	// shared are the replies the current flow has bound that the response
-	// cache holds too: read-only, so where the engine writes into one it
-	// writes into a copy of its header (own).
-	shared []*message.Message
 }
 
 // serviceLink is everything a session knows about one client-role
@@ -1197,25 +1069,13 @@ func (s *session) releasePackets() {
 	}
 }
 
-// link returns the serviceLink of a client-role color.
-func (s *session) link(color int) *serviceLink {
-	for i := range s.links {
-		if s.links[i].color == color {
-			return &s.links[i]
-		}
-	}
-	return nil
-}
-
 // trace delivers ev to the configured hook, stamping the session id,
 // flow number, time and remaining budget.
 func (s *session) trace(ev TraceEvent) {
 	if s.med.cfg.Trace == nil {
 		return
 	}
-	ev.Session = s.id
-	ev.Flow = s.flow
-	ev.Time = time.Now()
+	ev.Session, ev.Flow, ev.Time = s.id, s.flow, time.Now()
 	if !s.budget.IsZero() {
 		ev.Budget = s.budget.Sub(ev.Time)
 	}
@@ -1234,19 +1094,6 @@ func (m *Mediator) callHook(ev TraceEvent) {
 	m.cfg.Trace(ev)
 }
 
-// truncWire copies at most MaxTraceWire bytes of a wire message for
-// attachment to a TraceError event.
-func truncWire(data []byte) []byte {
-	if data == nil {
-		return nil
-	}
-	n := len(data)
-	if n > MaxTraceWire {
-		n = MaxTraceWire
-	}
-	return append([]byte(nil), data[:n]...)
-}
-
 func (s *session) run() {
 	defer func() {
 		s.trace(TraceEvent{Kind: TraceSessionEnd})
@@ -1258,14 +1105,9 @@ func (s *session) run() {
 		}
 	}()
 	for {
-		s.pendingAction, s.pendingRequest = "", nil
-		clear(s.shared)
-		s.shared = s.shared[:0]
-		s.hostOverride = ""
-		s.flowStarted = false
-		s.budget = time.Time{}
+		s.flowT0, s.budget = time.Time{}, time.Time{}
 		s.flow++
-		err := s.runAutomaton()
+		err := s.runFlow()
 		if err != nil {
 			// A flow dying while it leads a single-flight must wake the
 			// followers so they fall back to their own exchanges — before
@@ -1277,7 +1119,7 @@ func (s *session) run() {
 			// no failure; losing it mid-flow is (recvClientRequest).
 			if !errors.Is(err, errSessionDone) {
 				s.med.stats.Failures.Add(1)
-				s.trace(TraceEvent{Kind: TraceError, Err: err, Wire: truncWire(s.lastRecv)})
+				s.trace(TraceEvent{Kind: TraceError, Err: err, Wire: bytes.Clone(s.lastRecv[:min(len(s.lastRecv), MaxTraceWire)])})
 				s.sendErrorReply(err)
 			}
 		}
@@ -1291,43 +1133,32 @@ func (s *session) run() {
 	}
 }
 
-// endFlow publishes a completed traversal: the Flows counter and the
-// TraceFlowEnd event. runAutomaton calls it before handing the final
-// client reply to the transport, so a client that has read its answer
-// finds the flow already accounted.
-func (s *session) endFlow() {
-	s.med.stats.Flows.Add(1)
-	if s.flowStarted {
-		s.trace(TraceEvent{Kind: TraceFlowEnd, Elapsed: time.Since(s.flowT0)})
-	}
-}
-
 // errSessionDone marks the clean end of a session (client disconnected
 // between flows, or the mediator drained it).
 var errSessionDone = errors.New("engine: session done")
 
-// recvClientRequest reads one client request. The flow-initial read
-// carries no deadline — an idle keep-alive connection may sit between
-// flows indefinitely — and parks the session as idle first, so a
-// Shutdown can harvest clients that are merely holding their
-// connection open. Only that read may end the session cleanly: it
-// returns errSessionDone, as it is, when the client has gone. It reads
-// into a packet of its own, so a parked session holds no packet buffer;
-// the flow's later reads go to its receive buffer. Once a flow has
-// started its budget deadline is stamped, and mid-flow reads (the
-// client's next request of a multi-exchange traversal) are bounded by
-// it; a client lost there has failed the flow (clientGone).
-func (s *session) recvClientRequest() ([]byte, error) {
-	initial := !s.flowStarted
+// recvClientRequest reads and parses one client request. The
+// flow-initial read carries no deadline — an idle keep-alive connection may
+// sit between flows indefinitely — and parks the session as idle first, so
+// a Shutdown can harvest clients that are merely holding their connection
+// open. Only that read may end the session cleanly: it returns
+// errSessionDone, as it is, when the client has gone. It reads into a
+// packet of its own, so a parked session holds no packet buffer; the
+// flow's later reads go to its receive buffer. Once a flow has started its
+// budget deadline is stamped, and mid-flow reads (the client's next
+// request of a multi-exchange traversal) are bounded by it; a client lost
+// there has failed the flow (clientGone).
+func (s *session) recvClientRequest() (event, error) {
+	initial := s.flowT0.IsZero()
 	// The budget is still zero — no deadline — on the flow-initial read.
 	if err := s.client.SetDeadline(s.budget); err != nil {
-		return nil, s.clientGone(initial, err)
+		return event{}, s.clientGone(initial, err)
 	}
 	var data []byte
 	var err error
 	if initial {
 		if !s.med.parkIdle(s.client) {
-			return nil, errSessionDone
+			return event{}, errSessionDone
 		}
 		data, err = s.client.Recv()
 		s.med.unparkIdle(s.client)
@@ -1335,18 +1166,23 @@ func (s *session) recvClientRequest() ([]byte, error) {
 		data, err = s.recvBuf.use(s.client.RecvAppend(s.recvBuf.dst()))
 	}
 	if err != nil {
-		return nil, s.clientGone(initial, err)
+		return event{}, s.clientGone(initial, err)
 	}
 	s.lastRecv = data
 	if initial {
-		s.flowStarted = true
 		s.flowT0 = time.Now()
 		if fb := s.med.flowBudget; fb > 0 {
 			s.budget = s.flowT0.Add(fb)
 		}
 		s.trace(TraceEvent{Kind: TraceFlowStart})
 	}
-	return data, nil
+	s.med.stats.MessagesIn.Add(1)
+	op, msg, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
+	if err != nil {
+		s.med.stats.ClientFailures.Add(1)
+		return event{}, fmt.Errorf("parse client request: %w", err)
+	}
+	return event{op: op, msg: msg}, nil
 }
 
 // clientGone is the error of a client read that failed. Between flows
@@ -1393,24 +1229,16 @@ func (s *session) budgetExceeded(op string, color int, lastErr error) error {
 // sendErrorReply reports a mediation failure to a client that is still
 // waiting for an answer, if the client-side binder can build faults.
 func (s *session) sendErrorReply(cause error) {
-	if s.pendingAction == "" {
-		return
-	}
-	side := s.med.cfg.Sides[s.med.cfg.ServerColor]
-	replier, ok := side.Binder.(bind.ErrorReplier)
-	if !ok {
-		return
-	}
-	data, err := replier.BuildErrorReply(s.pendingAction, s.pendingRequest, cause.Error())
-	if err != nil {
-		return
-	}
-	if err := s.client.SetDeadline(time.Now().Add(s.med.cfg.ExchangeTimeout)); err != nil {
+	replier, ok := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.(bind.ErrorReplier)
+	if !ok || s.step.pendingAction == "" {
 		return
 	}
 	// The session ends either way; a fault that cannot be delivered has
 	// no one left to report to.
-	_ = s.sendClient(data)
+	data, err := replier.BuildErrorReply(s.step.pendingAction, s.step.pending, cause.Error())
+	if err == nil && s.client.SetDeadline(time.Now().Add(s.med.cfg.ExchangeTimeout)) == nil {
+		_ = s.sendClient(data)
+	}
 }
 
 // sendClient hands one message to the client connection. It is counted
@@ -1425,91 +1253,68 @@ func (s *session) sendClient(data []byte) error {
 	return err
 }
 
-// runAutomaton executes one start-to-final traversal.
-func (s *session) runAutomaton() error {
-	merged := s.med.cfg.Merged
-	env := s.env
-	if env == nil {
-		env = mtl.NewEnv(&s.cache)
-		env.Funcs = s.med.cfg.Funcs
-		s.env = env
-		s.bound = make([]*message.Message, len(merged.States))
-	} else {
-		env.Reset()
-	}
-	for i, st := range merged.States {
-		// Recycle the per-state target messages: a flow's parsed inbound
-		// messages are bound over these, so by the next traversal the
-		// recycled tree is unreferenced and safe to truncate in place.
-		msg := s.bound[i]
-		if msg == nil {
-			msg = message.New("")
-			s.bound[i] = msg
-		} else {
-			msg.Name = ""
-			msg.Fields = msg.Fields[:0]
-		}
-		env.Bind(st.Name, msg)
-	}
-	state := merged.Start
-	for !merged.IsFinal(state) {
-		out := s.med.outs[state]
-		if len(out.ts) == 0 {
-			return fmt.Errorf("%w: state %s has no outgoing transitions", ErrStuck, state)
-		}
+// runFlow walks one start-to-final traversal: it performs each action of
+// the step but a γ, which next runs, and feeds the outcome back, tracing
+// every transition the step takes.
+func (s *session) runFlow() error {
+	act := s.step.reset(s.med.plan, &s.cache)
+	for act.kind != kDone {
 		start := time.Now()
-		arm := 0 // the transition taken
+		var ev event
 		var reply []byte
 		var err error
-		switch t := out.ts[0]; {
-		case len(out.ts) > 1 || s.clientInvokes(t):
-			// The client application chooses the next operation; a single
-			// invocation is a branch with one arm.
-			arm, err = s.execBranch(out.ts, env)
-		case t.Kind == automata.KindGamma:
-			env.Host = ""
-			if err = s.med.compiled[out.idx[0]].Exec(env); err != nil {
-				return fmt.Errorf("γ %s: %w", out.labels[0], err)
+		switch act.kind {
+		case kRead:
+			ev, err = s.recvClientRequest()
+		case kSend:
+			err = s.links[act.link].send(act.op, act.msg)
+		case kRecv:
+			ev.msg, ev.cached, err = s.links[act.link].recv(act.op)
+		case kReply:
+			copyCorrelationFields(act.req, act.msg)
+			if reply, err = s.replyBuf.use(s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.AppendReply(s.replyBuf.dst(), act.op, act.msg)); err != nil {
+				err = fmt.Errorf("build client reply: %w", err)
 			}
-			s.med.stats.Translations.Add(1)
-			s.med.hists.Translate.observe(time.Since(start))
-			if env.Host != "" {
-				s.hostOverride = env.Host
-			}
-		default:
-			reply, err = s.execMessage(t, env)
 		}
 		if err != nil {
 			return err
 		}
-		t := out.ts[arm]
+		asked := act.kind
+		if act, err = s.step.next(ev); err != nil {
+			if asked == kRead {
+				s.med.stats.ClientFailures.Add(1)
+			}
+			return err
+		}
+		if asked == kGamma {
+			s.med.stats.Translations.Add(1)
+			s.med.hists.Translate.observe(time.Since(start))
+		}
+		a := s.step.fired
 		elapsed := time.Since(start)
 		s.med.hists.Transitions.observe(elapsed)
 		s.trace(TraceEvent{
-			Kind: TraceTransition, State: t.To, Transition: out.labels[arm],
-			Color: t.Color, Elapsed: elapsed,
+			Kind: TraceTransition, State: s.med.plan.steps[a.to].name, Transition: a.label,
+			Color: a.color, Elapsed: elapsed,
 		})
-		state = t.To
+		// Everything a reply implies is published before the client can
+		// read it: the transition above, and the flow when this reply ends
+		// it, so a client that has its answer finds the flow accounted.
+		if act.kind == kDone {
+			s.med.stats.Flows.Add(1)
+			s.trace(TraceEvent{Kind: TraceFlowEnd, Elapsed: time.Since(s.flowT0)})
+		}
 		if reply != nil {
-			// Everything a reply implies is published before the client
-			// can read it: the transition above, and the flow when this
-			// reply ends it.
-			if merged.IsFinal(state) {
-				s.endFlow()
-				return s.sendClientReply(reply)
-			}
 			if err := s.sendClientReply(reply); err != nil {
 				return err
 			}
 		}
 	}
-	// A traversal that does not end in a client reply.
-	s.endFlow()
 	return nil
 }
 
 // sendClientReply writes a built client reply within the exchange
-// deadline and clears the pending request it answers.
+// deadline.
 func (s *session) sendClientReply(data []byte) error {
 	if err := s.client.SetDeadline(s.within(s.med.cfg.ExchangeTimeout)); err != nil {
 		return err
@@ -1518,121 +1323,7 @@ func (s *session) sendClientReply(data []byte) error {
 		s.med.stats.ClientFailures.Add(1)
 		return fmt.Errorf("send client reply: %w", err)
 	}
-	s.pendingAction, s.pendingRequest = "", nil
 	return nil
-}
-
-// clientInvokes reports whether t is an invocation by the client
-// application: a server-color Send, which the mediator receives.
-func (s *session) clientInvokes(t automata.MergedTransition) bool {
-	return t.Kind == automata.KindMessage && t.Color == s.med.cfg.ServerColor && t.Action == automata.Send
-}
-
-// execBranch receives the client's next request and follows the
-// alternative carrying that action, returning its index in outs. Every
-// alternative must be a client invocation (the models express "the
-// client decides what to do next" only on its own invocations).
-func (s *session) execBranch(outs []automata.MergedTransition, env *mtl.Env) (int, error) {
-	for _, t := range outs {
-		if !s.clientInvokes(t) {
-			return 0, fmt.Errorf("%w: branch state %s mixes non-client-invocation alternatives",
-				ErrStuck, t.From)
-		}
-	}
-	data, err := s.recvClientRequest()
-	if err != nil {
-		return 0, err
-	}
-	s.med.stats.MessagesIn.Add(1)
-	action, abs, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
-	if err != nil {
-		s.med.stats.ClientFailures.Add(1)
-		return 0, fmt.Errorf("parse client request: %w", err)
-	}
-	// Record the pending request before validating it, so even an
-	// unexpected action is answered with a fault.
-	s.pendingAction, s.pendingRequest = action, abs
-	for i, t := range outs {
-		if t.Message == action {
-			env.Bind(t.To, abs)
-			return i, nil
-		}
-	}
-	s.med.stats.ClientFailures.Add(1)
-	names := make([]string, len(outs))
-	for i, t := range outs {
-		names[i] = t.Message
-	}
-	return 0, fmt.Errorf("%w: got %q, automaton offers %s at %s",
-		ErrUnexpectedAction, action, strings.Join(names, "|"), outs[0].From)
-}
-
-// execMessage executes a message transition other than a client
-// invocation: the two phases of a service color's link, or the reply to
-// the client, which is returned for the caller to send.
-func (s *session) execMessage(t automata.MergedTransition, env *mtl.Env) ([]byte, error) {
-	if t.Action == automata.Receive && t.Color != s.med.cfg.ServerColor {
-		// Mediator receives the service reply.
-		abs, err := s.link(t.Color).recv(t)
-		if err != nil {
-			return nil, err
-		}
-		env.Bind(t.To, abs)
-		return nil, nil
-	}
-	// The other two send what the preceding γ translation composed.
-	abs := env.Message(t.From)
-	if abs == nil {
-		abs = message.New(t.Message)
-	} else {
-		abs = s.own(abs)
-	}
-	abs.Name = t.Message
-	if t.Action == automata.Send {
-		// Mediator invokes the service.
-		return nil, s.link(t.Color).send(t.Message, abs)
-	}
-	// Client receives: build the translated reply to its pending request.
-	// The caller sends it, after accounting this transition.
-	copyCorrelationFields(s.pendingRequest, abs)
-	data, err := s.replyBuf.use(s.med.cfg.Sides[t.Color].Binder.AppendReply(s.replyBuf.dst(), s.pendingAction, abs))
-	if err != nil {
-		return nil, fmt.Errorf("build client reply: %w", err)
-	}
-	return data, nil
-}
-
-// own returns msg, or a copy of its header when msg is a reply the cache
-// holds: the engine then writes the name and appends correlation fields
-// to the copy, whose field list is cut to its length so an append cannot
-// reach into the shared one.
-func (s *session) own(msg *message.Message) *message.Message {
-	for _, r := range s.shared {
-		if r == msg {
-			cp := *msg
-			cp.Fields = cp.Fields[:len(cp.Fields):len(cp.Fields)]
-			return &cp
-		}
-	}
-	return msg
-}
-
-// bindCached returns what the flow binds at t of a reply the cache holds:
-// the reply itself when no γ program can write into t.To (shareReply) —
-// remembered in s.shared, named by a header copy if its name is not
-// t.Message — and else a deep copy of its own.
-func (s *session) bindCached(reply *message.Message, t automata.MergedTransition) *message.Message {
-	if !s.med.shareReply[t.To] {
-		reply = reply.Clone()
-	} else {
-		s.shared = append(s.shared, reply)
-		if reply.Name == t.Message {
-			return reply
-		}
-		reply = s.own(reply)
-	}
-	reply.Name = t.Message
-	return reply
 }
 
 // send is the first phase of an exchange: the mediator invokes operation
@@ -1657,20 +1348,19 @@ func (l *serviceLink) send(op string, abs *message.Message) error {
 	return nil
 }
 
-// recv is the second phase of the exchange t receives: it returns the
-// service's reply to the last send, named t.Message — the parked cached
-// reply when there is one, else the network's, parsed and handed to the
-// cache when this exchange leads a flight or populates a key. A reply the
-// cache holds is bound as bindCached says.
-func (l *serviceLink) recv(t automata.MergedTransition) (*message.Message, error) {
+// recv is the second phase of an exchange: it returns the service's reply
+// to the last send, named name, and whether the cache holds it too — the
+// parked cached reply when there is one, else the network's, parsed and
+// handed to the cache when this exchange leads a flight or populates a key.
+func (l *serviceLink) recv(name string) (*message.Message, bool, error) {
 	m := l.s.med
 	if abs := l.cache.reply; abs != nil {
 		l.cache = cacheRole{}
-		return l.s.bindCached(abs, t), nil
+		return abs, true, nil
 	}
 	data, err := l.exchange(nil)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	l.s.lastRecv = data
 	var elapsed time.Duration
@@ -1690,9 +1380,9 @@ func (l *serviceLink) recv(t automata.MergedTransition) (*message.Message, error
 	abs, err := m.cfg.Sides[l.color].Binder.ParseReply(l.op, data)
 	if err != nil {
 		m.stats.ServiceFailures.Add(1)
-		return nil, fmt.Errorf("parse service reply: %w", err)
+		return nil, false, fmt.Errorf("parse service reply: %w", err)
 	}
-	abs.Name = t.Message
+	abs.Name = name
 	c := l.cache
 	l.cache = cacheRole{}
 	switch {
@@ -1701,9 +1391,9 @@ func (l *serviceLink) recv(t automata.MergedTransition) (*message.Message, error
 	case c.ttl > 0:
 		m.rcache.Put(l.op, c.key, abs, c.ttl)
 	default:
-		return abs, nil
+		return abs, false, nil
 	}
-	return l.s.bindCached(abs, t), nil
+	return abs, true, nil
 }
 
 // cacheCheck runs the response-cache protocol for the invocation of
@@ -1905,8 +1595,8 @@ func copyCorrelationFields(req, reply *message.Message) {
 // cache keys and retarget detection stay per-service, not per-replica.
 func (s *session) serviceTarget(color int) string {
 	addr := s.med.cfg.Sides[color].Target
-	if s.hostOverride != "" {
-		if mapped, ok := s.med.cfg.HostMap[s.hostOverride]; ok {
+	if s.step.host != "" {
+		if mapped, ok := s.med.cfg.HostMap[s.step.host]; ok {
 			addr = mapped
 		}
 	}

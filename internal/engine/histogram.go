@@ -114,9 +114,6 @@ func (l LatencyHistogram) Quantile(q float64) time.Duration {
 	// Nearest-rank: the ceil keeps e.g. Quantile(0.99) over 3 samples
 	// pointing at the 3rd observation, not the 2nd.
 	rank := uint64(math.Ceil(q * float64(l.Count)))
-	if rank == 0 {
-		rank = 1
-	}
 	var seen uint64
 	for _, b := range l.Buckets {
 		seen += b.Count
