@@ -25,7 +25,7 @@ race:
 # recycled environments and in-place path walks they drive still run
 # with full race checking — that is the point of this pass.
 race-alloc:
-	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache
+	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache ./internal/engine
 
 # The full gate: tier-1, gofmt, vet, the race passes, then checks of its own. The
 # engine's tests run fifty times in shuffled order, so a counter or trace
@@ -74,7 +74,10 @@ race-alloc:
 # builds packets of its own (DESIGN.md §9). And the response cache copies
 # nothing: it stores the reply it is given and serves that one, read-only,
 # and a flow whose γ programs can write into a reply copies it itself (the
-# engine).
+# engine). And the engine's step stands alone: internal/engine/flow.go walks
+# the automaton without a clock, a lock or a socket, so its imports name no
+# time or sync package and none of network, network/pool, rcache, bind,
+# backend or discovery; the session, the shell around it, does the I/O.
 # Last, the shipped tools accept the shipped models: every file under
 # models/ is the source of a mediator, written by hand, so each XML and MDL
 # file passes its tool's `check`, the directory lists, and the one derived
@@ -117,6 +120,9 @@ check: test
 		echo 'check: the files above make a read buffer of their own; a stream connection takes one from the pool in internal/network (network.NewStreamConn, network.NewPeekConn) and returns it on Close (DESIGN.md §9)'; exit 1; fi
 	@if git grep -nE '\.(RecvAppend|AppendRequest|AppendReply)\(' -- '*.go' ':!*_test.go' ':!internal/engine' ':!internal/network' ':!internal/bind'; then \
 		echo 'check: the lines above read or build a packet into borrowed storage outside the engine, the network layer and the binders; call Recv, BuildRequest or BuildReply, whose packet is the caller'"'"'s (DESIGN.md §9, "Wire buffers")'; exit 1; fi
+	@if sed -n '/^import (/,/^)/p; /^import "/p' internal/engine/flow.go | \
+		grep -E '"(time|sync(/atomic)?|starlink/internal/(network(/pool)?|rcache|bind|backend|discovery))"'; then \
+		echo 'check: internal/engine/flow.go imports the above; the step walks the automaton without I/O, and the session performs what it asks (DESIGN.md §8, "Step and shell")'; exit 1; fi
 	@if git grep -n '\.Clone()' -- internal/rcache ':!*_test.go'; then \
 		echo 'check: the lines above copy a reply inside the response cache; it stores and serves the message it is given, read-only, and the engine copies one where a γ program can write into it (DESIGN.md §13)'; exit 1; fi
 	@if git grep -nE '\) (exec|eval)\((env )?\*Env' -- internal/mtl ':!*_test.go'; then \
