@@ -201,14 +201,9 @@ func TestE2AutoMerge(t *testing.T) {
 	if len(m.Final) != 1 {
 		t.Errorf("finals = %v", m.Final)
 	}
-	// Every state reachable, every transition endpoint known.
-	for _, tr := range m.Transitions {
-		if _, ok := m.State(tr.From); !ok {
-			t.Errorf("transition %s: unknown from", tr)
-		}
-		if _, ok := m.State(tr.To); !ok {
-			t.Errorf("transition %s: unknown to", tr)
-		}
+	// Every state on a path from the start to the end.
+	if err := m.Validate(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -488,6 +483,16 @@ func TestUnmarshalErrors(t *testing.T) {
 		`<merged name="m" start="m0"><state name="m0" colors="x"/></merged>`,
 		`<merged name="m" start="m0"><transition kind="zap" from="a" to="b"/></merged>`,
 		`<merged name="m" start="m0"><transition kind="message" from="a" to="b" action="zap"/></merged>`,
+		// Merged.Validate: each breaks a merge that is m0 -γ-> m1, final.
+		`<merged name="m" start="m9"><state name="m0"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/><final name="m9"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><transition kind="gamma" from="m0" to="m9"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/><transition kind="gamma" from="m1" to="m0"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><state name="m2"/><transition kind="gamma" from="m0" to="m1"/><transition kind="gamma" from="m0" to="m2"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><state name="m2"/><transition kind="gamma" from="m0" to="m2"/><transition kind="gamma" from="m2" to="m0"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><state name="m2"/><transition kind="gamma" from="m0" to="m1"/><transition kind="gamma" from="m2" to="m1"/><final name="m1"/></merged>`,
 	} {
 		if _, err := automata.UnmarshalMerged(strings.NewReader(c)); err == nil {
 			t.Errorf("UnmarshalMerged(%q) accepted", c)
@@ -523,9 +528,6 @@ func TestMergedAccessors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := m.State("definitely-not"); ok {
-		t.Error("phantom state")
 	}
 	if outs := m.Out(m.Start); len(outs) != 1 {
 		t.Errorf("start out-degree = %d", len(outs))

@@ -62,7 +62,7 @@ func FuzzParseAutomaton(f *testing.F) {
 // programs included.
 func FuzzUnmarshalMerged(f *testing.F) {
 	seedModels(f, ".merged.xml")
-	f.Add(`<merged name="m" start="a"><state name="a" colors="1, 2"/><transition kind="gamma" from="a" to="a"><mtl>x]]&gt;y&#xD;</mtl></transition><final name="a"/></merged>`)
+	f.Add(`<merged name="m" start="a"><state name="a" colors="1, 2"/><state name="b"/><transition kind="gamma" from="a" to="b"><mtl>x]]&gt;y&#xD;</mtl></transition><final name="b"/></merged>`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		m, err := automata.UnmarshalMerged(strings.NewReader(doc))
 		if err != nil {

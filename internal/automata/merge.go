@@ -2,6 +2,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -132,16 +133,6 @@ type Merged struct {
 	Pairings []Pairing
 }
 
-// State returns the named state and whether it exists.
-func (m *Merged) State(name string) (MergedState, bool) {
-	for _, s := range m.States {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return MergedState{}, false
-}
-
 // Out returns transitions leaving a state.
 func (m *Merged) Out(state string) []MergedTransition {
 	var out []MergedTransition
@@ -172,6 +163,88 @@ func (m *Merged) IsFinal(state string) bool {
 		}
 	}
 	return false
+}
+
+// Validate checks that a traversal can walk the automaton from its start to
+// its end: the start and the final states are declared, no two states
+// share a name, every transition joins declared states, none leaves a final
+// state, and every state lies on a path from the start to a final state. The
+// last rule refuses a state no traversal enters, a dead end, and a cycle
+// with no way out — a loop of γ transitions, say, which a traversal would
+// walk for ever without an action of either party. It is the twin of
+// Automaton.Validate: UnmarshalMerged calls it, and so does whatever runs a
+// merged automaton it did not read.
+func (m *Merged) Validate() error {
+	index := make(map[string]int, len(m.States))
+	for i, s := range m.States {
+		if _, dup := index[s.Name]; dup || s.Name == "" {
+			return fmt.Errorf("%w: %s: empty or duplicate state name %q", ErrInvalid, m.Name, s.Name)
+		}
+		index[s.Name] = i
+	}
+	start, ok := index[m.Start]
+	if !ok {
+		return fmt.Errorf("%w: %s: start state %q not declared", ErrInvalid, m.Name, m.Start)
+	}
+	if len(m.Final) == 0 {
+		return fmt.Errorf("%w: %s: no final states", ErrInvalid, m.Name)
+	}
+	var finals []int
+	for _, f := range m.Final {
+		i, ok := index[f]
+		if !ok {
+			return fmt.Errorf("%w: %s: final state %q not declared", ErrInvalid, m.Name, f)
+		}
+		finals = append(finals, i)
+	}
+	out := make([][]int, len(m.States))
+	in := make([][]int, len(m.States))
+	for _, t := range m.Transitions {
+		from, okFrom := index[t.From]
+		to, okTo := index[t.To]
+		if !okFrom || !okTo {
+			return fmt.Errorf("%w: %s: transition %s names an undeclared state", ErrInvalid, m.Name, t)
+		}
+		if m.IsFinal(t.From) {
+			return fmt.Errorf("%w: %s: transition %s leaves final state %q", ErrInvalid, m.Name, t, t.From)
+		}
+		out[from] = append(out[from], to)
+		in[to] = append(in[to], from)
+	}
+	order, reached := closure([]int{start}, out)
+	_, ends := closure(finals, in)
+	// Of the states a traversal enters and cannot leave for a final state,
+	// the one it meets last is where it is stuck: a dead end, or a cycle.
+	for k := len(order) - 1; k >= 0; k-- {
+		if !ends[order[k]] {
+			return fmt.Errorf("%w: %s: state %q has no path to a final state", ErrInvalid, m.Name, m.States[order[k]].Name)
+		}
+	}
+	for i, s := range m.States {
+		if !reached[i] {
+			return fmt.Errorf("%w: %s: state %q unreachable from start", ErrInvalid, m.Name, s.Name)
+		}
+	}
+	return nil
+}
+
+// closure lists the states the edges lead to from the states given, those
+// included, in the order a breadth-first walk meets them, and marks them.
+func closure(from []int, edges [][]int) (order []int, seen []bool) {
+	seen = make([]bool, len(edges))
+	order = slices.Clone(from)
+	for _, i := range order {
+		seen[i] = true
+	}
+	for k := 0; k < len(order); k++ {
+		for _, j := range edges[order[k]] {
+			if !seen[j] {
+				seen[j] = true
+				order = append(order, j)
+			}
+		}
+	}
+	return order, seen
 }
 
 // MergeOptions configure the automatic merge.

@@ -91,9 +91,9 @@ func TestQuickAlignedMergeIsStrong(t *testing.T) {
 }
 
 // TestQuickMergedStructureInvariants: every merge satisfies the
-// structural invariants the engine relies on — a start state, exactly one
-// final state, all transition endpoints declared, every γ program
-// syntactically valid MTL, and colors confined to {Color1, Color2}.
+// structural invariants the engine relies on — Merged.Validate, exactly one
+// final state, every γ program syntactically valid MTL, and colors
+// confined to {Color1, Color2}.
 func TestQuickMergedStructureInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -108,19 +108,10 @@ func TestQuickMergedStructureInvariants(t *testing.T) {
 		if err != nil {
 			return true // not mergeable is a legal outcome
 		}
-		if _, ok := m.State(m.Start); !ok {
-			return false
-		}
-		if len(m.Final) != 1 {
+		if m.Validate() != nil || len(m.Final) != 1 {
 			return false
 		}
 		for _, tr := range m.Transitions {
-			if _, ok := m.State(tr.From); !ok {
-				return false
-			}
-			if _, ok := m.State(tr.To); !ok {
-				return false
-			}
 			switch tr.Kind {
 			case automata.KindGamma:
 				src := stripComments(tr.MTL)

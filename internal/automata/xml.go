@@ -302,5 +302,8 @@ func UnmarshalMerged(r io.Reader) (*Merged, error) {
 	for _, f := range xm.Finals {
 		m.Final = append(m.Final, f.Name)
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,6 +23,9 @@ import (
 	"starlink/internal/engine"
 	"starlink/internal/gateway"
 	"starlink/internal/mdl"
+	"starlink/internal/mdl/binenc"
+	"starlink/internal/mdl/textenc"
+	"starlink/internal/mdl/xmlenc"
 	"starlink/internal/mtl"
 	"starlink/internal/network"
 	"starlink/internal/observe"
@@ -93,13 +97,15 @@ func LoadModels(dir string) (*Models, error) {
 // LoadModelsFS reads every model artifact at the root of fsys
 // (non-recursive) — a directory, or the files compiled into the binary
 // (models.FS). A file is dispatched on its extension, and one with an
-// extension no loader knows (a README, a Go file) is not read.
+// extension no loader knows (a README, a Go file) is not read. A file that
+// does not load is an error naming it, and every such file is reported.
 func LoadModelsFS(fsys fs.FS) (*Models, error) {
 	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
 		return nil, fmt.Errorf("core: read models dir: %w", err)
 	}
 	m := NewModels()
+	var errs []error
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -113,10 +119,13 @@ func LoadModelsFS(fsys fs.FS) (*Models, error) {
 				return nil, fmt.Errorf("core: read %s: %w", e.Name(), err)
 			}
 			if err := l.load(m, strings.TrimSuffix(e.Name(), l.ext), string(data)); err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrModel, e.Name(), err)
+				errs = append(errs, fmt.Errorf("%w: %s: %v", ErrModel, e.Name(), err))
 			}
 			break
 		}
+	}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
 	return m, nil
 }
@@ -146,6 +155,9 @@ var loaders = []struct {
 	{".mdl", func(m *Models, _, doc string) error {
 		spec, err := mdl.ParseString(doc)
 		if err == nil {
+			_, err = NewCodec(spec)
+		}
+		if err == nil {
 			m.MDL[spec.Name] = spec
 		}
 		return err
@@ -170,6 +182,20 @@ var loaders = []struct {
 		m.Gateways[base], err = ParseGatewaySpec(doc)
 		return err
 	}},
+}
+
+// NewCodec compiles an MDL document into the parser and composer of the
+// engine its <MDL:name:encoding> header names: binenc, textenc or xmlenc.
+func NewCodec(spec *mdl.Spec) (mdl.Codec, error) {
+	switch spec.Encoding {
+	case mdl.EncodingBinary:
+		return binenc.New(spec)
+	case mdl.EncodingText:
+		return textenc.New(spec)
+	case mdl.EncodingXML:
+		return xmlenc.New(spec)
+	}
+	return nil, fmt.Errorf("mdl: no engine for encoding %q", spec.Encoding)
 }
 
 // ParseEquivalence reads an equivalence table: one "label = label" pair
@@ -468,6 +494,16 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 		if err != nil {
 			return nil, err
 		}
+		if ss.Protocol == "rest" {
+			// A REST binder knows an operation by its route, so every one the
+			// automaton sends on the side's colour needs a route.
+			for _, t := range merged.Transitions {
+				if t.Kind == automata.KindMessage && t.Color == ss.Color && t.Action == automata.Send &&
+					!slices.ContainsFunc(m.Routes[ss.Routes], func(r bind.Route) bool { return r.Action == t.Message }) {
+					return nil, fmt.Errorf("%w: side %d: operation %q has no route in table %q", ErrSpec, ss.Color, t.Message, ss.Routes)
+				}
+			}
+		}
 		transport := ss.Transport
 		if transport == "" {
 			transport = "tcp"
@@ -713,6 +749,51 @@ func (m *Models) DeployAny(name string, opts DeployOptions) (Deployed, error) {
 	default:
 		return nil, fmt.Errorf("%w: no mediator or gateway spec %q loaded", ErrSpec, name)
 	}
+}
+
+// Check builds every deployment spec the models hold the way Deploy and
+// DeployGateway build it — a .mediator spec into its mediator, a .gateway
+// spec's routes into theirs and then its front door — stops before anything
+// listens, and closes what it built. So what Check refuses, a deployment
+// refuses. It returns every finding, each prefixed with its spec file's
+// name. A gateway is not built when a mediator spec it hosts fails on its
+// own: that finding is the mediator's, and is reported once.
+func (m *Models) Check() error {
+	var errs []error
+	broken := map[string]bool{}
+	for _, name := range sortedNames(m.Mediators) {
+		med, err := m.build(m.Mediators[name], nil)
+		if err != nil {
+			broken[name] = true
+			errs = append(errs, fmt.Errorf("%s.mediator: %w", name, err))
+			continue
+		}
+		med.Close()
+	}
+	for _, name := range sortedNames(m.Gateways) {
+		spec := m.Gateways[name]
+		if slices.ContainsFunc(spec.Routes, func(rs GatewayRouteSpec) bool { return broken[rs.Mediator] }) {
+			continue
+		}
+		gw, _, mediators, err := m.buildGateway(spec)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s.gateway: %w", name, err))
+			continue
+		}
+		gw.Close()
+		closeAll(mediators)
+	}
+	return errors.Join(errs...)
+}
+
+// sortedNames lists a map's keys in order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // Merge builds a merged automaton from two loaded usage automata and an

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/fstest"
 	"time"
 
 	"starlink/internal/automata"
@@ -76,9 +78,9 @@ func TestLoadModels(t *testing.T) {
 
 // TestShippedModelsLoadAndBuild holds the files under models/ to what the
 // binaries do with them: the embedded set is the directory (so a file with
-// an extension the embed pattern misses is caught), and every deployment
-// spec in it — each route of a gateway spec too — names models that are
-// there and builds into a mediator.
+// an extension the embed pattern misses is caught), and Check finds nothing
+// in it — every deployment spec, each gateway and its routes too, names
+// models that are there and builds.
 func TestShippedModelsLoadAndBuild(t *testing.T) {
 	m := shippedModels(t)
 	fromDir, err := core.LoadModels("../../models")
@@ -88,30 +90,107 @@ func TestShippedModelsLoadAndBuild(t *testing.T) {
 	if !reflect.DeepEqual(m, fromDir) {
 		t.Error("models.FS and the models directory load to different sets")
 	}
-	build := func(what, name string) {
-		t.Helper()
-		spec := m.Mediators[name]
-		if spec == nil {
-			t.Errorf("%s: mediator spec %q is not shipped", what, name)
-			return
-		}
-		med, err := m.BuildMediator(spec)
-		if err != nil {
-			t.Errorf("%s: %v", what, err)
-			return
-		}
-		med.Close()
-	}
-	for name := range m.Mediators {
-		build(name+".mediator", name)
-	}
-	for name, gw := range m.Gateways {
-		for _, route := range gw.Routes {
-			build(name+".gateway route "+route.Name, route.Mediator)
-		}
+	if err := m.Check(); err != nil {
+		t.Error(err)
 	}
 	if len(m.Mediators) != 3 || len(m.Gateways) != 1 {
 		t.Errorf("shipped %d mediator and %d gateway specs, want 3 and 1", len(m.Mediators), len(m.Gateways))
+	}
+}
+
+// editedModels is a copy of models.FS with the first old in file replaced
+// by new.
+func editedModels(t *testing.T, file, old, new string) fstest.MapFS {
+	t.Helper()
+	fsys := fstest.MapFS{}
+	entries, err := fs.ReadDir(models.FS, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := fs.ReadFile(models.FS, e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys[e.Name()] = &fstest.MapFile{Data: data}
+	}
+	f, ok := fsys[file]
+	if !ok || !strings.Contains(string(f.Data), old) {
+		t.Fatalf("models/%s does not hold %q", file, old)
+	}
+	f.Data = []byte(strings.Replace(string(f.Data), old, new, 1))
+	return fsys
+}
+
+// TestCheckFindsSeededDefects: each row seeds one defect into a copy of the
+// shipped models, and loading and checking the copy — what `starlink check`
+// does — reports exactly one finding, naming the file and the defect. A
+// defect of one file is a load finding; one that shows only when a spec is
+// built is the spec's, once, though a gateway hosts it too.
+func TestCheckFindsSeededDefects(t *testing.T) {
+	const ssdp, flickr = "ssdp-to-slp.merged.xml", "flickr-xmlrpc-to-picasa-rest.merged.xml"
+	for _, tt := range []struct {
+		name, file, old, new string
+		where, defect        string // the file the finding names, and what it says
+	}{
+		{"a γ-only cycle never ends", ssdp, `<transition kind="gamma" from="m1" to="m2">`,
+			`<state name="m7"></state><transition kind="gamma" from="m7" to="m1"></transition><transition kind="gamma" from="m1" to="m7">`,
+			ssdp, `state "m7" has no path to a final state`},
+		{"no traversal enters a state", ssdp, `<final name="m6">`, `<state name="m7"></state><final name="m6">`,
+			ssdp, `state "m7" unreachable`},
+		{"an arc leaves the final state", ssdp, `<final name="m6">`,
+			`<transition kind="message" from="m6" to="m2" color="2" action="send" message="discovery.search"></transition><final name="m6">`,
+			ssdp, `leaves final state "m6"`},
+		{"a transition names an undeclared state", ssdp, `from="m5" to="m6"`, `from="m5" to="m9"`,
+			ssdp, "names an undeclared state"},
+		{"a REST send has no route", flickr, `message="picasa.addComment"`, `message="picasa.addComments"`,
+			"flickr-xmlrpc.mediator", `operation "picasa.addComments" has no route in table "picasa"`},
+		{"an MDL document does not compile", "giop.mdl", "<MessageSize:32>", "<Repeat:Items:Count><Item:8><End:Repeat><Count:8>\n<MessageSize:32>",
+			"giop.mdl", `repeat count "Count" not declared earlier`},
+		{"a spec names an unloaded merged automaton", "discovery.mediator", "merged SSDP-to-SLP-discovery", "merged SSDP-to-SLP",
+			"discovery.mediator", `merged automaton "SSDP-to-SLP" not loaded`},
+		{"a side names an unloaded defs= automaton", "flickr-xmlrpc.mediator", "defs=AFlickr", "defs=AFlicker",
+			"flickr-xmlrpc.mediator", `defs automaton "AFlicker" not loaded`},
+		{"a side names an unloaded route table", "flickr-soap.mediator", "routes=picasa", "routes=picassa",
+			"flickr-soap.mediator", `route table "picassa" not loaded`},
+		{"a spec names an unloaded vocabulary map", "discovery.mediator", "typemap upnp-to-slp", "typemap upnp",
+			"discovery.mediator", `vocabulary map "upnp" not loaded`},
+		{"a cacheable operation is not a service invocation", "flickr-xmlrpc.mediator", "hostmap ", "cacheable flickr.photos.search ttl=30s\nhostmap ",
+			"flickr-xmlrpc.mediator", `cacheable operation "flickr.photos.search" is not a service-side invocation`},
+		{"a γ does not compile", ssdp, `m2.Msg.scope = "DEFAULT"`, `m2.Msg.scope = = "DEFAULT"`,
+			"discovery.mediator", "γ m1->m2: mtl: parse error: line 3:"},
+		{"a branch offers an action twice", flickr, `<final name="m21">`,
+			`<transition kind="message" from="m0" to="m1" color="1" action="send" message="flickr.photos.search"></transition><final name="m21">`,
+			"flickr-xmlrpc.mediator", `offers "flickr.photos.search" twice`},
+		{"a gateway route hosts a UDP protocol", "flickr.gateway", "default xmlrpc", "route disco discovery\ndefault xmlrpc",
+			"flickr.gateway", `protocol "ssdp" cannot be gateway-hosted`},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			m, err := core.LoadModelsFS(editedModels(t, tt.file, tt.old, tt.new))
+			if err == nil {
+				err = m.Check()
+			}
+			var findings []error
+			if j, ok := err.(interface{ Unwrap() []error }); ok {
+				findings = j.Unwrap()
+			}
+			if len(findings) != 1 || !strings.Contains(findings[0].Error(), tt.where+": ") || !strings.Contains(findings[0].Error(), tt.defect) {
+				t.Errorf("got %d findings, want one naming %s and saying %s: %v", len(findings), tt.where, tt.defect, err)
+			}
+		})
+	}
+}
+
+// TestBuildRefusesAnUnroutedRESTSend: a REST side's route table must route
+// every operation the automaton sends on it, or a flow would fail at that
+// operation after the service calls before it.
+func TestBuildRefusesAnUnroutedRESTSend(t *testing.T) {
+	m, err := core.LoadModelsFS(editedModels(t, "picasa.routes", "route picasa.addComment ", "# route picasa.addComment "))
+	if err == nil {
+		_, err = m.BuildMediator(m.Mediators["flickr-xmlrpc"])
+	}
+	if !errors.Is(err, core.ErrSpec) || !strings.Contains(err.Error(), `"picasa.addComment" has no route`) {
+		t.Errorf("err = %v, want ErrSpec: picasa.addComment has no route", err)
 	}
 }
 
@@ -132,6 +211,8 @@ func TestLoadModelsErrors(t *testing.T) {
 		"bad.routes":     "junk",
 		"bad.equiv":      "no pairs here",
 		"bad.mediator":   "zap",
+		// Parses, but a repeated group cannot count by a field declared after it.
+		"uncompilable.mdl": "<MDL:X:binary>\n<Message:M>\n<Repeat:Items:Count><Item:8><End:Repeat>\n<Count:8>\n<End:Message>",
 	} {
 		d := t.TempDir()
 		if err := os.WriteFile(filepath.Join(d, name), []byte(content), 0o644); err != nil {

@@ -192,32 +192,13 @@ func (m *Models) DeployGateway(name, listenOverride, adminOverride string) (*Gat
 	if !ok {
 		return nil, fmt.Errorf("%w: gateway spec %q not loaded", ErrGateway, name)
 	}
-	var (
-		routes    []gateway.RouteConfig
-		mediators = make(map[string]*engine.Mediator, len(spec.Routes))
-	)
-	fail := func(err error) (*GatewayDeployment, error) {
-		for _, med := range mediators {
-			med.Close()
-		}
+	gw, routes, mediators, err := m.buildGateway(spec)
+	if err != nil {
 		return nil, err
 	}
-	for _, rs := range spec.Routes {
-		rc, med, err := m.buildRoute(rs)
-		if err != nil {
-			return fail(err)
-		}
-		routes = append(routes, rc)
-		mediators[rs.Name] = med
-	}
-	gw, err := gateway.New(gateway.Config{
-		Routes:       routes,
-		Default:      spec.Default,
-		SniffBytes:   spec.SniffBytes,
-		SniffTimeout: spec.SniffTimeout,
-	})
-	if err != nil {
-		return fail(err)
+	fail := func(err error) (*GatewayDeployment, error) {
+		closeAll(mediators)
+		return nil, err
 	}
 	if err := gw.Start(orElse(listenOverride, spec.Listen, "127.0.0.1:0")); err != nil {
 		return fail(err)
@@ -241,6 +222,44 @@ func (m *Models) DeployGateway(name, listenOverride, adminOverride string) (*Gat
 		d.Admin = admin
 	}
 	return d, nil
+}
+
+// buildGateway is the build half of DeployGateway, and what Check runs for
+// a gateway spec: every route's mediator built and started detached, and
+// the front door made, listening nowhere yet. A failure closes the
+// mediators built before it.
+func (m *Models) buildGateway(spec *GatewaySpec) (*gateway.Gateway, []gateway.RouteConfig, map[string]*engine.Mediator, error) {
+	var (
+		routes    []gateway.RouteConfig
+		mediators = make(map[string]*engine.Mediator, len(spec.Routes))
+	)
+	for _, rs := range spec.Routes {
+		rc, med, err := m.buildRoute(rs)
+		if err != nil {
+			closeAll(mediators)
+			return nil, nil, nil, err
+		}
+		routes = append(routes, rc)
+		mediators[rs.Name] = med
+	}
+	gw, err := gateway.New(gateway.Config{
+		Routes:       routes,
+		Default:      spec.Default,
+		SniffBytes:   spec.SniffBytes,
+		SniffTimeout: spec.SniffTimeout,
+	})
+	if err != nil {
+		closeAll(mediators)
+		return nil, nil, nil, err
+	}
+	return gw, routes, mediators, nil
+}
+
+// closeAll closes a gateway's mediators.
+func closeAll(mediators map[string]*engine.Mediator) {
+	for _, med := range mediators {
+		med.Close()
+	}
 }
 
 // Reload hot-swaps every route onto mediators rebuilt from models

@@ -537,6 +537,9 @@ func New(cfg Config) (*Mediator, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.Merged.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
+	}
 	p, err := newPlan(cfg.Merged, cfg.ServerColor, cfg.Funcs)
 	if err != nil {
 		return nil, err

@@ -504,6 +504,23 @@ func TestNewRefusesAutomataItCannotRun(t *testing.T) {
 			m.Transitions = append(m.Transitions, automata.MergedTransition{
 				From: "m0", To: "m3", Kind: automata.KindMessage, Color: 2, Action: automata.Send, Message: "Plus"})
 		}},
+		{"a γ-only cycle never ends", func(m *automata.Merged) {
+			m.States = append(m.States, automata.MergedState{Name: "m7", Colors: []int{1, 2}})
+			for i, tr := range m.Transitions {
+				if tr.From == "m1" {
+					m.Transitions[i].To = "m7"
+				}
+			}
+			m.Transitions = append(m.Transitions, automata.MergedTransition{From: "m7", To: "m1", Kind: automata.KindGamma})
+		}},
+		{"no traversal enters a state", func(m *automata.Merged) {
+			m.States = append(m.States, automata.MergedState{Name: "m7", Colors: []int{1, 2}})
+			m.Transitions = append(m.Transitions, automata.MergedTransition{From: "m7", To: "m5", Kind: automata.KindGamma})
+		}},
+		{"an arc leaves the final state", func(m *automata.Merged) {
+			m.Transitions = append(m.Transitions, automata.MergedTransition{
+				From: "m6", To: "m3", Kind: automata.KindMessage, Color: 2, Action: automata.Send, Message: "Plus"})
+		}},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{

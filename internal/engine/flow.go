@@ -58,11 +58,11 @@ type plan struct {
 	funcs map[string]mtl.Func
 }
 
-// newPlan compiles m for a mediator serving color server. It refuses what
-// a flow could not walk: a start that is not the client's request, a
-// non-final state a transition enters with no way out, and a state with
-// several ways out that are not all distinct client invocations — the
-// client's action is what picks one.
+// newPlan compiles m, which Merged.Validate has passed, for a mediator
+// serving color server. It refuses what a flow could not walk besides: a
+// start that is not the client's request, and a state with several ways out
+// that are not all distinct client invocations — the client's action is
+// what picks one.
 func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, error) {
 	p := &plan{steps: make([]step, len(m.States)), funcs: funcs}
 	index := make(map[string]int, len(m.States))
@@ -71,16 +71,10 @@ func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, 
 		index[st.Name], handles[i], p.steps[i].name = i, st.Name, st.Name
 	}
 	for _, name := range m.Final {
-		if i, ok := index[name]; ok {
-			p.steps[i].kind = kDone
-		}
+		p.steps[index[name]].kind = kDone
 	}
 	for _, t := range m.Transitions {
-		from, okFrom := index[t.From]
-		to, okTo := index[t.To]
-		if !okFrom || !okTo {
-			return nil, fmt.Errorf("%w: transition %s->%s names an undeclared state", ErrConfig, t.From, t.To)
-		}
+		from, to := index[t.From], index[t.To]
 		a := arc{to: to, op: t.Message, label: t.From + "->" + t.To, color: t.Color}
 		k, link := kRecv, 0
 		var prog *mtl.CompiledProgram
@@ -112,8 +106,6 @@ func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, 
 		}
 		st := &p.steps[from]
 		switch {
-		case st.kind == kDone:
-			continue
 		case len(st.arcs) > 0 && (k != kRead || st.kind != kRead):
 			return nil, fmt.Errorf("%w: branch state %s mixes non-client-invocation alternatives", ErrConfig, t.From)
 		case k == kRead && st.offer(t.Message) != nil:
@@ -122,15 +114,9 @@ func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, 
 		st.kind, st.gamma, st.link, st.arcs = k, prog, link, append(st.arcs, a)
 		st.offers = strings.TrimPrefix(st.offers+"|"+t.Message, "|")
 	}
-	start, ok := index[m.Start]
-	if !ok || p.steps[start].kind != kRead || len(p.steps[start].arcs) == 0 {
+	p.start = index[m.Start]
+	if p.steps[p.start].kind != kRead {
 		return nil, fmt.Errorf("%w: start state %q does not read the client's request", ErrConfig, m.Start)
-	}
-	p.start = start
-	for _, t := range m.Transitions {
-		if st := &p.steps[index[t.To]]; st.kind != kDone && len(st.arcs) == 0 {
-			return nil, fmt.Errorf("%w: state %s is not final and has no way out", ErrConfig, st.name)
-		}
 	}
 	for i := range p.steps {
 		st := &p.steps[i]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -311,6 +312,7 @@ func TestCacheSharedReplyAnsweredWithoutGamma(t *testing.T) {
 	med := startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
 		merged := *cfg.Merged
 		merged.Transitions = nil
+		merged.States = slices.DeleteFunc(slices.Clone(merged.States), func(st automata.MergedState) bool { return st.Name == "m5" })
 		for _, tr := range cfg.Merged.Transitions {
 			switch {
 			case tr.Kind == automata.KindGamma && tr.From == "m4":

@@ -213,9 +213,6 @@ func New(spec *mdl.Spec) (mdl.Codec, error) {
 	return c, nil
 }
 
-// Register installs the engine in a registry under mdl.EncodingBinary.
-func Register(r *mdl.Registry) { r.Register(mdl.EncodingBinary, New) }
-
 func compileMessage(ms *mdl.MessageSpec) (*layout, error) {
 	cm := &layout{spec: ms}
 	// sizes maps a length field's label to the label of the field it sizes,

@@ -252,39 +252,3 @@ type Codec interface {
 	// On an error dst comes back as it was.
 	AppendCompose(dst []byte, msg *message.Message) ([]byte, error)
 }
-
-// EngineFactory builds a codec for a spec; engines register themselves with
-// the default registry so that NewCodec can dispatch on Spec.Encoding.
-type EngineFactory func(*Spec) (Codec, error)
-
-// Registry maps encoding names to engine factories. The zero value is
-// ready to use.
-type Registry struct {
-	factories map[string]EngineFactory
-}
-
-// Register adds (or replaces) the factory for an encoding.
-func (r *Registry) Register(encoding string, f EngineFactory) {
-	if r.factories == nil {
-		r.factories = make(map[string]EngineFactory)
-	}
-	r.factories[encoding] = f
-}
-
-// NewCodec builds a codec for the spec using the registered engine.
-func (r *Registry) NewCodec(spec *Spec) (Codec, error) {
-	f, ok := r.factories[spec.Encoding]
-	if !ok {
-		return nil, fmt.Errorf("mdl: no engine registered for encoding %q", spec.Encoding)
-	}
-	return f(spec)
-}
-
-// Encodings lists registered encodings (unordered).
-func (r *Registry) Encodings() []string {
-	out := make([]string, 0, len(r.factories))
-	for k := range r.factories {
-		out = append(out, k)
-	}
-	return out
-}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"starlink/internal/message"
 )
 
 const sampleDoc = `
@@ -111,33 +109,6 @@ func TestItemAccessors(t *testing.T) {
 	empty := Item{}
 	if empty.Label() != "" {
 		t.Error("empty item label")
-	}
-}
-
-type fakeCodec struct{}
-
-func (fakeCodec) Parse([]byte) (*message.Message, error)   { return message.New("X"), nil }
-func (fakeCodec) Compose(*message.Message) ([]byte, error) { return nil, nil }
-func (fakeCodec) AppendCompose(dst []byte, _ *message.Message) ([]byte, error) {
-	return dst, nil
-}
-
-func TestRegistryDispatch(t *testing.T) {
-	var r Registry
-	r.Register("fake", func(*Spec) (Codec, error) { return fakeCodec{}, nil })
-	spec := &Spec{Encoding: "fake", Messages: []*MessageSpec{{Name: "M"}}}
-	c, err := r.NewCodec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.(fakeCodec); !ok {
-		t.Errorf("codec type %T", c)
-	}
-	if _, err := r.NewCodec(&Spec{Encoding: "missing"}); err == nil {
-		t.Error("unregistered encoding accepted")
-	}
-	if encs := r.Encodings(); len(encs) != 1 || encs[0] != "fake" {
-		t.Errorf("encodings = %v", encs)
 	}
 }
 

@@ -132,9 +132,6 @@ func New(spec *mdl.Spec) (mdl.Codec, error) {
 	return c, nil
 }
 
-// Register installs the engine in a registry under mdl.EncodingText.
-func Register(r *mdl.Registry) { r.Register(mdl.EncodingText, New) }
-
 func compile(ms *mdl.MessageSpec) (*layout, error) {
 	lay := &layout{spec: ms}
 	first := map[string]int{} // a label's first item

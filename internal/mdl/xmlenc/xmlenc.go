@@ -96,9 +96,6 @@ func New(spec *mdl.Spec) (mdl.Codec, error) {
 	return c, nil
 }
 
-// Register installs the engine in a registry under mdl.EncodingXML.
-func Register(r *mdl.Registry) { r.Register(mdl.EncodingXML, New) }
-
 // Parse decodes an XML document, dispatching on the root element and any
 // additional value rules.
 func (c *Codec) Parse(data []byte) (*message.Message, error) {
