@@ -74,7 +74,11 @@ race-alloc:
 # builds packets of its own (DESIGN.md §9). And the response cache copies
 # nothing: it stores the reply it is given and serves that one, read-only,
 # and a flow whose γ programs can write into a reply copies it itself (the
-# engine). And the engine's step stands alone: internal/engine/flow.go walks
+# engine). And a request id is a header, not a field: a binder keeps the
+# GIOP RequestID, the JSON-RPC id or the SLP XID in Message.ID, so an
+# abstract message holds application data only and no code outside the
+# tests looks for a "_" label or names one of the fields that used to
+# carry the id. And the engine's step stands alone: internal/engine/flow.go walks
 # the automaton without a clock, a lock or a socket, so its imports name no
 # time or sync package and none of network, network/pool, rcache, bind,
 # backend or discovery; the session, the shell around it, does the I/O.
@@ -124,6 +128,8 @@ check: test
 	@if sed -n '/^import (/,/^)/p; /^import "/p' internal/engine/flow.go | \
 		grep -E '"(time|sync(/atomic)?|starlink/internal/(network(/pool)?|rcache|bind|backend|discovery))"'; then \
 		echo 'check: internal/engine/flow.go imports the above; the step walks the automaton without I/O, and the session performs what it asks (DESIGN.md §8, "Step and shell")'; exit 1; fi
+	@if git grep -nE 'HasPrefix\([A-Za-z0-9_.]*\.Label, "_"\)|"_(giop|jsonrpc|slp)_' -- '*.go' ':!*_test.go'; then \
+		echo 'check: the lines above keep a protocol field among the application fields; a request id is Message.ID, set by ParseRequest and read by AppendReply (DESIGN.md §3, "Abstract messages")'; exit 1; fi
 	@if git grep -n '\.Clone()' -- internal/rcache ':!*_test.go'; then \
 		echo 'check: the lines above copy a reply inside the response cache; it stores and serves the message it is given, read-only, and the engine copies one where a γ program can write into it (DESIGN.md §13)'; exit 1; fi
 	@if git grep -nE '\) (exec|eval)\((env )?\*Env' -- internal/mtl ':!*_test.go'; then \

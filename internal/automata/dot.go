@@ -28,7 +28,11 @@ func (a *Automaton) DOT() string {
 
 // DOT renders the merged automaton, coloring states per side and drawing
 // bicolored states as the two-tone γ boundaries of Fig. 3.
-func (m *Merged) DOT() string {
+func (m *Merged) DOT() string { return m.NotedDOT(nil) }
+
+// NotedDOT is DOT with note(t) appended to the label of each transition's
+// edge — a live hit count, say; a nil note appends nothing.
+func (m *Merged) NotedDOT(note func(MergedTransition) string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=circle, style=filled];\n", m.Name)
 	palette := map[int]string{m.Color1: "lightblue", m.Color2: "lightsalmon"}
@@ -48,12 +52,14 @@ func (m *Merged) DOT() string {
 	}
 	fmt.Fprintf(&b, "  _start [shape=point];\n  _start -> %q;\n", m.Start)
 	for _, t := range m.Transitions {
+		label, style := t.Action.String()+t.Message, ""
 		if t.Kind == KindGamma {
-			fmt.Fprintf(&b, "  %q -> %q [label=\"γ\", style=dashed];\n", t.From, t.To)
-			continue
+			label, style = "γ", ", style=dashed"
 		}
-		fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", t.From, t.To,
-			fmt.Sprintf("%s%s", t.Action, t.Message))
+		if note != nil {
+			label += note(t)
+		}
+		fmt.Fprintf(&b, "  %q -> %q [label=%q%s];\n", t.From, t.To, label, style)
 	}
 	b.WriteString("}\n")
 	return b.String()

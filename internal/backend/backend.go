@@ -100,7 +100,9 @@ type Options struct {
 	Cooloff    time.Duration
 	MaxCooloff time.Duration
 	// MinLive is the floor of live replicas the set refuses to eject
-	// below (default 1, clamped to the initial set size).
+	// below (default 1), and of members the discovery reconciler refuses
+	// to remove below: the one min_live of a spec. While the set has
+	// fewer members than the floor, it ejects none.
 	MinLive int
 	// DrainTimeout bounds how long RemoveReplica waits for the retiring
 	// replica's in-flight exchanges to finish before letting go of it
@@ -242,9 +244,6 @@ func New(name string, addrs []string, opts Options) (*Set, error) {
 	if opts.MinLive <= 0 {
 		opts.MinLive = 1
 	}
-	if opts.MinLive > len(addrs) {
-		opts.MinLive = len(addrs)
-	}
 	if opts.ProbeTimeout <= 0 {
 		opts.ProbeTimeout = DefaultProbeTimeout
 	}
@@ -293,6 +292,9 @@ func DialProbe(timeout time.Duration) func(addr string) error {
 
 // Name is the set's logical service name.
 func (s *Set) Name() string { return s.name }
+
+// MinLive is the set's floor, Options.MinLive.
+func (s *Set) MinLive() int { return s.opts.MinLive }
 
 // Policy is the set's balancing policy.
 func (s *Set) Policy() Policy { return s.opts.Policy }
@@ -612,7 +614,7 @@ func (s *Set) applyOutcome(r *replica, ok bool) {
 		}
 	default:
 		r.consecFails++
-		if r.consecFails >= s.opts.FailThreshold && s.liveCountLocked() > s.opts.MinLive {
+		if r.consecFails >= s.opts.FailThreshold && s.liveCountLocked() > min(s.opts.MinLive, len(s.mem.Load().replicas)) {
 			s.ejectLocked(r)
 			fire = append(fire, s.onEject...)
 		}

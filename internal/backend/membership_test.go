@@ -69,6 +69,46 @@ func TestAddReplicaAdmitsAfterProbe(t *testing.T) {
 	}
 }
 
+// TestMinLiveFloorHoldsAfterGrowth: a set seeded with fewer replicas than
+// its floor keeps the floor it was given, so once discovery has grown it
+// past the floor, failures eject down to the floor and no further.
+func TestMinLiveFloorHoldsAfterGrowth(t *testing.T) {
+	s := newSet(t, []string{"a"}, backend.Options{MinLive: 3, FailThreshold: 1, Probe: okProbe, Cooloff: time.Hour})
+	defer s.Close()
+	if s.MinLive() != 3 {
+		t.Errorf("MinLive = %d, want the declared 3", s.MinLive())
+	}
+	// Below the floor the set ejects none of its members.
+	s.Report("a", 0, errDown)
+	if !replicaSnap(t, s, "a").Live {
+		t.Fatal("the only replica was ejected")
+	}
+	grown := []string{"a", "b", "c", "d", "e"}
+	for _, addr := range grown[1:] {
+		if err := s.AddReplica(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() int {
+		n := 0
+		for _, rs := range s.Snapshot().Replicas {
+			if rs.Live {
+				n++
+			}
+		}
+		return n
+	}
+	if err := waitUntil(func() bool { return live() == len(grown) }); err != nil {
+		t.Fatalf("replicas never admitted: %+v", s.Snapshot())
+	}
+	for _, addr := range grown {
+		s.Report(addr, 0, errDown)
+	}
+	if n := live(); n != 3 {
+		t.Errorf("%d replicas live after one failure each, want the floor, 3", n)
+	}
+}
+
 func TestAddReplicaFailedProbeStaysOut(t *testing.T) {
 	s := newSet(t, []string{"a"}, backend.Options{
 		Probe:   func(string) error { return errDown },

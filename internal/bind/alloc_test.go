@@ -106,7 +106,8 @@ func TestAddFlowAllocBudget(t *testing.T) {
 	}
 	reply := (&httpwire.Response{Status: 200, Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml; charset=utf-8"}}, Body: body}).Marshal()
 	plus := message.New("Plus", message.NewInt64("x", 20), message.NewInt64("y", 22))
-	sum := message.New("Add.reply", message.NewInt64("z", 42), message.NewUint64("_giop_request_id", 7))
+	sum := message.New("Add.reply", message.NewInt64("z", 42))
+	sum.ID = 7
 
 	client, err := NewGIOPBinder("calc", casestudy.AddUsage().Messages)
 	if err != nil {
@@ -120,8 +121,8 @@ func TestAddFlowAllocBudget(t *testing.T) {
 	}{
 		{"GIOP ParseRequest", func() error {
 			action, abs, err := client.ParseRequest(request)
-			if err == nil && (action != "Add" || len(abs.Fields) != 3 || abs.Fields[1].Label != "y" || abs.Fields[1].Int64() != 22) {
-				err = fmt.Errorf("parsed %s %v", action, abs)
+			if err == nil && (action != "Add" || len(abs.Fields) != 2 || abs.Fields[1].Label != "y" || abs.Fields[1].Int64() != 22 || abs.ID != 7) {
+				err = fmt.Errorf("parsed %s %v with ID %d", action, abs, abs.ID)
 			}
 			return err
 		}},

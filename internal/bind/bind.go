@@ -14,7 +14,12 @@
 //
 //   - a request's fields are flat primitives named as in the MsgDef;
 //   - a reply's fields are primitives and/or repeated structured children
-//     (e.g. one "entry" struct per search result).
+//     (e.g. one "entry" struct per search result);
+//   - the fields are application data only: a protocol's request id (GIOP
+//     RequestID, JSON-RPC id, SLP XID) is the message's ID, which
+//     ParseRequest sets and AppendReply and BuildErrorReply read back — the
+//     reply carries the id of the request it answers (Fig. 7's "!Action =
+//     correlated by RequestID").
 package bind
 
 import (
@@ -70,22 +75,11 @@ type Binder interface {
 // protocol-level error reply (an XML-RPC fault, a SOAP Fault, a JSON-RPC
 // error, a GIOP system exception, an HTTP 500) so that a mediation
 // failure reaches the client as a proper fault instead of a dropped
-// connection. req is the abstract request being answered (for
-// correlation ids); it may be nil.
+// connection. req is the abstract request being answered, whose ID the
+// fault is correlated by; it may be nil.
 type ErrorReplier interface {
 	// BuildErrorReply encodes a fault for the given action.
 	BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error)
-}
-
-// stashedID reads back the correlation id a ParseRequest stashed in its
-// abstract request as a TypeUint64 field, 0 when msg is nil or holds none.
-func stashedID(msg *message.Message, label string) uint64 {
-	if msg != nil {
-		if f := msg.Field(label); f != nil && f.Type == message.TypeUint64 {
-			return f.Uint64()
-		}
-	}
-	return 0
 }
 
 // bodies pools the buffers the HTTP binders render a body into. A body is

@@ -8,6 +8,9 @@ import (
 	"starlink/internal/automata"
 	"starlink/internal/casestudy"
 	"starlink/internal/message"
+	"starlink/internal/protocol/giop"
+	"starlink/internal/protocol/httpwire"
+	"starlink/internal/protocol/jsonrpc"
 )
 
 func TestXMLRPCRequestRoundTrip(t *testing.T) {
@@ -527,15 +530,15 @@ func TestGIOPBinderRoundTrips(t *testing.T) {
 	if v, _ := back.GetInt("x"); v != 20 {
 		t.Errorf("x = %d", v)
 	}
-	if back.Field("_giop_request_id") == nil {
-		t.Error("request id not stashed")
+	if back.ID != 1 || len(back.Fields) != 2 {
+		t.Errorf("parsed %v with ID %d, want x and y with the binder's first request id, 1", back, back.ID)
 	}
 
-	// Reply: id correlation through the stashed field.
+	// Reply: correlated by the ID of the request it answers.
 	replyAbs := message.New("Add.reply",
 		message.NewPrimitive("z", message.TypeInt64, 42),
 	)
-	replyAbs.Add(back.Field("_giop_request_id"))
+	replyAbs.ID = back.ID
 	rPacket, err := b.BuildReply("Add", replyAbs)
 	if err != nil {
 		t.Fatal(err)
@@ -546,6 +549,93 @@ func TestGIOPBinderRoundTrips(t *testing.T) {
 	}
 	if v, _ := rBack.GetInt("z"); v != 42 {
 		t.Errorf("z = %d", v)
+	}
+	if id := giopRequestID(t, rPacket); id != back.ID {
+		t.Errorf("reply RequestID = %d, want the request's %d", id, back.ID)
+	}
+}
+
+// giopRequestID reads the RequestID of a GIOP packet.
+func giopRequestID(t *testing.T, packet []byte) uint64 {
+	t.Helper()
+	codec, err := giop.NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	concrete, err := codec.Parse(packet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := concrete.GetInt("RequestID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uint64(id)
+}
+
+// jsonrpcID reads the id of a JSON-RPC response packet, and whether it is
+// an error.
+func jsonrpcID(t *testing.T, packet []byte) (uint64, bool) {
+	t.Helper()
+	resp, err := httpwire.ParseResponse(packet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := jsonrpc.ParseResponse(resp.Body)
+	var remote *jsonrpc.RemoteError
+	if err != nil && !errors.As(err, &remote) {
+		t.Fatal(err)
+	}
+	return id, err != nil
+}
+
+// TestErrorRepliesEchoRequestID: a fault answers the request it reports
+// on, so it carries the request's ID — the GIOP RequestID, the JSON-RPC id
+// — and a fault for no request carries 0.
+func TestErrorRepliesEchoRequestID(t *testing.T) {
+	giopBinder, err := NewGIOPBinder("calc", casestudy.AddUsage().Messages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := giop.NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	giopRequest, err := codec.Compose(giop.NewRequest(41, "calc", "Add", []*message.Field{giop.IntParam(1), giop.IntParam(2)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, req, err := giopBinder.ParseRequest(giopRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, req := range map[uint64]*message.Message{41: req, 0: nil} {
+		fault, err := giopBinder.BuildErrorReply("Add", req, "down")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := giopRequestID(t, fault); id != want {
+			t.Errorf("GIOP fault RequestID = %d, want %d", id, want)
+		}
+	}
+
+	jsonBinder := &JSONRPCBinder{Path: "/j"}
+	body := `{"method":"op","params":[{"a":1}],"id":43}`
+	_, req, err = jsonBinder.ParseRequest([]byte("POST /j HTTP/1.1\r\nContent-Length: " + itoa(len(body)) + "\r\n\r\n" + body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Fields) != 1 {
+		t.Errorf("parsed %v, want a only", req)
+	}
+	for want, req := range map[uint64]*message.Message{43: req, 0: nil} {
+		fault, err := jsonBinder.BuildErrorReply("op", req, "down")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, isErr := jsonrpcID(t, fault); id != want || !isErr {
+			t.Errorf("JSON-RPC fault id = %d (error %v), want %d", id, isErr, want)
+		}
 	}
 }
 

@@ -195,8 +195,8 @@ func (b *SLPBinder) ParseRequest(packet []byte) (string, *message.Message, error
 	abs := message.New(DiscoverySearch,
 		message.NewString("servicetype", st),
 		message.NewString("scope", scope),
-		message.NewUint64("_slp_xid", uint64(xid)),
 	)
+	abs.ID = uint64(xid)
 	return DiscoverySearch, abs, nil
 }
 
@@ -205,9 +205,9 @@ func (b *SLPBinder) BuildReply(action string, abs *message.Message) ([]byte, err
 	return b.AppendReply(nil, action, abs)
 }
 
-// AppendReply implements Binder (for SLP-facing server roles).
+// AppendReply implements Binder (for SLP-facing server roles): the reply
+// takes abs.ID, the XID of the request it answers.
 func (b *SLPBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]byte, error) {
-	xid := stashedID(abs, "_slp_xid")
 	var entries []slp.URLEntry
 	for _, f := range abs.Fields {
 		if f.Label != "urlentry" {
@@ -222,5 +222,5 @@ func (b *SLPBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]b
 		}
 		entries = append(entries, e)
 	}
-	return b.codec.AppendCompose(dst, slp.NewReply(xid, 0, entries))
+	return b.codec.AppendCompose(dst, slp.NewReply(abs.ID, 0, entries))
 }

@@ -101,8 +101,8 @@ func TestSLPBinderRoundTrips(t *testing.T) {
 	if v, _ := back.GetString("scope"); v != "DEFAULT" {
 		t.Errorf("default scope = %q", v)
 	}
-	if back.Field("_slp_xid") == nil {
-		t.Error("xid not stashed")
+	if back.ID != 1 || len(back.Fields) != 2 {
+		t.Errorf("parsed %v with ID %d, want servicetype and scope with the binder's first XID, 1", back, back.ID)
 	}
 
 	reply := message.New(DiscoverySearch+".reply",
@@ -110,8 +110,8 @@ func TestSLPBinderRoundTrips(t *testing.T) {
 			message.NewPrimitive("url", message.TypeString, "service:printer:lpr://a"),
 			message.NewPrimitive("lifetime", message.TypeInt64, 99),
 		),
-		back.Field("_slp_xid"),
 	)
+	reply.ID = back.ID
 	rp, err := b.BuildReply(DiscoverySearch, reply)
 	if err != nil {
 		t.Fatal(err)
@@ -125,6 +125,11 @@ func TestSLPBinderRoundTrips(t *testing.T) {
 	}
 	if v, _ := rback.GetInt("urlentry.lifetime"); v != 99 {
 		t.Errorf("lifetime = %d", v)
+	}
+	if concrete, err := b.codec.Parse(rp); err != nil {
+		t.Fatal(err)
+	} else if xid, _ := concrete.GetInt("XID"); uint64(xid) != back.ID {
+		t.Errorf("reply XID = %d, want the request's %d", xid, back.ID)
 	}
 }
 
@@ -148,16 +153,17 @@ func TestSLPBinderXIDWraps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
-		if xid, _ := req.GetInt("_slp_xid"); uint64(xid) != want {
-			t.Errorf("lookup %d: xid = %d, want %d", i, xid, want)
+		if req.ID != want {
+			t.Errorf("lookup %d: xid = %d, want %d", i, req.ID, want)
 		}
-		rp, err := b.BuildReply(DiscoverySearch, message.New(DiscoverySearch+".reply",
+		answer := message.New(DiscoverySearch+".reply",
 			message.NewStruct("urlentry",
 				message.NewPrimitive("url", message.TypeString, "service:printer:lpr://a"),
 				message.NewPrimitive("lifetime", message.TypeInt64, 99),
 			),
-			req.Field("_slp_xid"),
-		))
+		)
+		answer.ID = req.ID
+		rp, err := b.BuildReply(DiscoverySearch, answer)
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}
@@ -193,7 +199,7 @@ func TestSLPBinderErrors(t *testing.T) {
 	}
 	// Error-code replies are rejected.
 	errReply := message.New(DiscoverySearch + ".reply")
-	errReply.Add(message.NewPrimitive("_slp_xid", message.TypeUint64, 1))
+	errReply.ID = 1
 	packet, err := b.BuildReply(DiscoverySearch, errReply)
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +245,8 @@ func TestJSONRPCBinderRequestRoundTrip(t *testing.T) {
 	if v, _ := back.GetInt("beta"); v != 2 {
 		t.Errorf("beta = %d", v)
 	}
-	if back.Field("_jsonrpc_id") == nil {
-		t.Error("id not stashed")
+	if back.ID != 1 || len(back.Fields) != 2 {
+		t.Errorf("parsed %v with ID %d, want alpha and beta with the binder's first id, 1", back, back.ID)
 	}
 }
 
@@ -275,8 +281,8 @@ func TestJSONRPCBinderReplyRoundTrips(t *testing.T) {
 			message.NewStruct("item", message.NewPrimitive("id", message.TypeString, "p1")),
 		),
 		message.NewPrimitive("total", message.TypeInt64, 1),
-		message.NewPrimitive("_jsonrpc_id", message.TypeUint64, 5),
 	)
+	reply.ID = 5
 	packet, err := b.BuildReply("op", reply)
 	if err != nil {
 		t.Fatal(err)
@@ -291,12 +297,15 @@ func TestJSONRPCBinderReplyRoundTrips(t *testing.T) {
 	if v, _ := back.GetInt("total"); v != 1 {
 		t.Errorf("total = %d", v)
 	}
+	if id, _ := jsonrpcID(t, packet); id != 5 {
+		t.Errorf("reply id = %d, want 5", id)
+	}
 
 	// Scalar result convention.
 	scalar := message.New("op.reply",
 		message.NewPrimitive("result", message.TypeInt64, 42),
-		message.NewPrimitive("_jsonrpc_id", message.TypeUint64, 6),
 	)
+	scalar.ID = 6
 	sp, err := b.BuildReply("op", scalar)
 	if err != nil {
 		t.Fatal(err)

@@ -66,24 +66,23 @@ func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	// Room for the request id, remembered so the reply can be correlated.
-	abs := bindPositional(action, concrete, b.paramNames(action), 1)
-	if id, err := concrete.GetInt("RequestID"); err == nil {
-		abs.Add(message.NewUint64("_giop_request_id", uint64(id)))
-	}
+	abs := bindPositional(action, concrete, b.paramNames(action))
+	// The request id is the header the reply is correlated by.
+	id, _ := concrete.GetInt("RequestID")
+	abs.ID = uint64(id)
 	return action, abs, nil
 }
 
 // bindPositional makes the abstract message name of concrete's parameters,
 // each under the name the MsgDef gives its position, "paramN" where it
-// gives none, with room for extra fields behind them.
-func bindPositional(name string, concrete *message.Message, names []string, extra int) *message.Message {
+// gives none.
+func bindPositional(name string, concrete *message.Message, names []string) *message.Message {
 	abs := message.New(name)
 	arr := concrete.Field("ParameterArray")
 	if arr == nil {
 		return abs
 	}
-	abs.Fields = make([]*message.Field, 0, len(arr.Children)+extra)
+	abs.Fields = make([]*message.Field, 0, len(arr.Children))
 	for i, p := range arr.Children {
 		cp := p.Clone()
 		if i < len(names) {
@@ -125,9 +124,8 @@ func (b *GIOPBinder) positionalParams(msgName string, abs *message.Message) []*m
 		}
 	}
 	for _, f := range abs.Fields {
-		// The binder's own field is no parameter, and a named one has gone
-		// out above.
-		if f.Label != "_giop_request_id" && !contains(names, f.Label) {
+		// A named one has gone out above.
+		if !contains(names, f.Label) {
 			param(f)
 		}
 	}
@@ -145,7 +143,11 @@ func contains(xs []string, s string) bool {
 
 // BuildErrorReply implements ErrorReplier with a GIOP system exception.
 func (b *GIOPBinder) BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error) {
-	reply := giop.NewReply(stashedID(req, "_giop_request_id"), giop.StatusSystemException,
+	var id uint64
+	if req != nil {
+		id = req.ID
+	}
+	reply := giop.NewReply(id, giop.StatusSystemException,
 		[]*message.Field{giop.StringParam("mediation failed: " + errMsg)})
 	return b.codec.Compose(reply)
 }
@@ -165,7 +167,7 @@ func (b *GIOPBinder) ParseReply(action string, packet []byte) (*message.Message,
 	if status != giop.StatusNoException {
 		return nil, fmt.Errorf("%w: action %s: reply status %d", ErrBadMessage, action, status)
 	}
-	return bindPositional(action+".reply", concrete, b.paramNames(action+".reply"), 0), nil
+	return bindPositional(action+".reply", concrete, b.paramNames(action+".reply")), nil
 }
 
 // BuildReply implements Binder.
@@ -173,11 +175,10 @@ func (b *GIOPBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 	return b.AppendReply(nil, action, abs)
 }
 
-// AppendReply implements Binder. The request id is taken from the
-// "_giop_request_id" field that ParseRequest stashed in the abstract
-// request — the engine copies it into the reply environment.
+// AppendReply implements Binder. The reply is correlated by abs.ID, the
+// id of the request it answers.
 func (b *GIOPBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
-	reply := giop.NewReply(stashedID(abs, "_giop_request_id"), giop.StatusNoException,
+	reply := giop.NewReply(abs.ID, giop.StatusNoException,
 		b.positionalParams(action+".reply", abs))
 	return b.codec.AppendCompose(dst, reply)
 }

@@ -40,12 +40,12 @@ func (b *JSONRPCBinder) ParseRequest(packet []byte) (string, *message.Message, e
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	abs := message.New(action)
+	abs.ID = id
 	if len(params) == 1 {
 		if obj, ok := params[0].(map[string]any); ok {
 			for _, k := range sortedAnyKeys(obj) {
 				abs.Add(jsonToField(k, obj[k]))
 			}
-			abs.Add(message.NewUint64("_jsonrpc_id", id))
 			return action, abs, nil
 		}
 	}
@@ -57,7 +57,6 @@ func (b *JSONRPCBinder) ParseRequest(packet []byte) (string, *message.Message, e
 		}
 		abs.Add(jsonToField(label, p))
 	}
-	abs.Add(message.NewUint64("_jsonrpc_id", id))
 	return action, abs, nil
 }
 
@@ -71,9 +70,6 @@ func (b *JSONRPCBinder) BuildRequest(action string, abs *message.Message) ([]byt
 func (b *JSONRPCBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	obj := map[string]any{}
 	for _, f := range abs.Fields {
-		if f.Label == "_jsonrpc_id" {
-			continue
-		}
 		obj[f.Label] = fieldToJSON(f)
 	}
 	body, err := jsonrpc.MarshalCall(b.nextID.Add(1), action, obj)
@@ -116,14 +112,11 @@ func (b *JSONRPCBinder) BuildReply(action string, abs *message.Message) ([]byte,
 	return b.AppendReply(nil, action, abs)
 }
 
-// AppendReply implements Binder.
+// AppendReply implements Binder: the response takes abs.ID, the id of the
+// request it answers.
 func (b *JSONRPCBinder) AppendReply(dst []byte, _ string, abs *message.Message) ([]byte, error) {
-	id := stashedID(abs, "_jsonrpc_id")
 	obj := map[string]any{}
 	for _, f := range abs.Fields {
-		if f.Label == "_jsonrpc_id" {
-			continue
-		}
 		obj[f.Label] = fieldToJSON(f)
 	}
 	var result any = obj
@@ -132,7 +125,7 @@ func (b *JSONRPCBinder) AppendReply(dst []byte, _ string, abs *message.Message) 
 			result = v
 		}
 	}
-	body, err := jsonrpc.MarshalResult(id, result)
+	body, err := jsonrpc.MarshalResult(abs.ID, result)
 	if err != nil {
 		return dst, err
 	}
@@ -146,7 +139,11 @@ func (b *JSONRPCBinder) AppendReply(dst []byte, _ string, abs *message.Message) 
 
 // BuildErrorReply implements ErrorReplier with a JSON-RPC error.
 func (b *JSONRPCBinder) BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error) {
-	body, err := jsonrpc.MarshalError(stashedID(req, "_jsonrpc_id"), "mediation failed: "+errMsg)
+	var id uint64
+	if req != nil {
+		id = req.ID
+	}
+	body, err := jsonrpc.MarshalError(id, "mediation failed: "+errMsg)
 	if err != nil {
 		return nil, err
 	}

@@ -42,13 +42,11 @@ func TestParsedReplyOwnsItsBytes(t *testing.T) {
 				message.NewStruct("item", message.NewString("id", "p1"), message.NewString("title", "tree")),
 				message.NewStruct("item", message.NewString("id", "p2"), message.NewString("title", "oak"))),
 			message.NewInt64("total", 2), message.NewBytes("thumb", []byte{1, 2, 3}))},
-		{"JSON-RPC", &JSONRPCBinder{Path: "/j"}, "op", message.New("op.reply",
+		{"JSON-RPC", &JSONRPCBinder{Path: "/j"}, "op", withID(message.New("op.reply",
 			message.NewArray("photos", message.NewStruct("item", message.NewString("id", "p1"))),
-			message.NewString("title", "tree \"quoted\""), message.NewInt64("total", 1),
-			message.NewUint64("_jsonrpc_id", 5))},
-		{"GIOP", giopBinder, "Add", message.New("Add.reply",
-			message.NewInt64("z", 42), message.NewString("note", "forty-two"),
-			message.NewUint64("_giop_request_id", 7))},
+			message.NewString("title", "tree \"quoted\""), message.NewInt64("total", 1)), 5)},
+		{"GIOP", giopBinder, "Add", withID(message.New("Add.reply",
+			message.NewInt64("z", 42), message.NewString("note", "forty-two")), 7)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,17 +194,17 @@ func TestAppendFormsMatchOwned(t *testing.T) {
 			message.New(casestudy.FlickrSearch, message.NewArray("photos", entry), message.NewInt64("total", 1))},
 		{"JSON-RPC", func() Binder { return &JSONRPCBinder{Path: "/j"} },
 			message.New("op", message.NewString("title", "tree")),
-			message.New("op", message.NewInt64("total", 1), message.NewUint64("_jsonrpc_id", 5))},
+			withID(message.New("op", message.NewInt64("total", 1)), 5)},
 		{"GIOP", giop,
 			message.New("Add", message.NewInt64("x", 20), message.NewInt64("y", 22)),
-			message.New("Add", message.NewInt64("z", 42), message.NewUint64("_giop_request_id", 7))},
+			withID(message.New("Add", message.NewInt64("z", 42)), 7)},
 		{"SSDP", func() Binder { return &SSDPBinder{} },
 			message.New(DiscoverySearch, message.NewString("st", "urn:x"), message.NewInt64("mx", 2)),
 			message.New(DiscoverySearch, message.NewString("st", "urn:x"), message.NewString("usn", "uuid:1"))},
 		{"SLP", slp,
 			message.New(DiscoverySearch, message.NewString("servicetype", "service:printer")),
-			message.New(DiscoverySearch, message.NewStruct("urlentry", message.NewString("url", "service:printer://a"),
-				message.NewInt64("lifetime", 60)), message.NewUint64("_slp_xid", 9))},
+			withID(message.New(DiscoverySearch, message.NewStruct("urlentry", message.NewString("url", "service:printer://a"),
+				message.NewInt64("lifetime", 60))), 9)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,4 +237,10 @@ func TestAppendFormsMatchOwned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withID gives msg the request id a reply is correlated by.
+func withID(msg *message.Message, id uint64) *message.Message {
+	msg.ID = id
+	return msg
 }

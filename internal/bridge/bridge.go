@@ -101,6 +101,7 @@ func (b *Bridge) forward(service *network.Conn, data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bridge: parse target reply: %w", err)
 	}
+	replyAbs.ID = abs.ID // the reply answers the client's request
 	return b.from.BuildReply(action, replyAbs)
 }
 

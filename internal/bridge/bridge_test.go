@@ -7,6 +7,7 @@ import (
 	"starlink/internal/bind"
 	"starlink/internal/bridge"
 	"starlink/internal/casestudy"
+	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/soap"
 	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/services/photostore"
@@ -49,6 +50,48 @@ func TestBridgeWorksWhenApplicationsAgree(t *testing.T) {
 	// A single "result" parameter crosses the bridge as a scalar result.
 	if v != "42" {
 		t.Errorf("bridged Add = %#v", v)
+	}
+}
+
+// TestBridgeAnswersUnderTheRequestID: a client whose protocol correlates
+// a reply with its request, here GIOP, gets the reply under the id of the
+// request it sent; the service's own id stays on the service's side.
+func TestBridgeAnswersUnderTheRequestID(t *testing.T) {
+	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
+		"Add": func(params []soap.Param) ([]soap.Param, *soap.Fault) {
+			x, _ := strconv.Atoi(params[0].Value)
+			y, _ := strconv.Atoi(params[1].Value)
+			return []soap.Param{{Name: "result", Value: strconv.Itoa(x + y)}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	giopBinder, err := bind.NewGIOPBinder("calc", casestudy.AddUsage().Messages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bridge.New(giopBinder, &bind.SOAPBinder{Path: "/soap"}, srv.Addr())
+	if err := br.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+
+	c, err := giop.Dial(br.Addr(), "calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// The client checks each reply's RequestID against its request's.
+	for i := 0; i < 2; i++ {
+		results, err := c.Invoke("Add", giop.IntParam(20), giop.IntParam(22))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1 || results[0].ValueString() != "42" {
+			t.Errorf("bridged Add = %v", results)
+		}
 	}
 }
 

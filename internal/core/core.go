@@ -517,7 +517,6 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 			cfg.ServerColor = ss.Color
 		}
 	}
-	minLive := map[string]int{}
 	for _, bs := range spec.Backends {
 		set, err := backend.New(bs.Name, bs.Addrs, backend.Options{
 			Policy:        backend.Policy(bs.Policy),
@@ -532,7 +531,6 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 			return nil, fmt.Errorf("%w: backend %q: %v", ErrSpec, bs.Name, err)
 		}
 		cfg.Backends[bs.Name] = set
-		minLive[bs.Name] = bs.MinLive
 	}
 	defer func() {
 		if err != nil {
@@ -559,7 +557,6 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 				Debounce: ds.Debounce,
 				MinTTL:   ds.MinTTL,
 				MaxChurn: ds.MaxChurn,
-				MinLive:  minLive[ds.Backend],
 			})
 			if err != nil {
 				src.Close()

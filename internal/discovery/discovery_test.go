@@ -532,9 +532,18 @@ func TestReconcilerMaxChurn(t *testing.T) {
 }
 
 func TestReconcilerNeverShrinksBelowMinLive(t *testing.T) {
-	set := newTestSet(t, "127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003")
+	set, err := backend.New("checkout", []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"}, backend.Options{
+		Probe:        func(string) error { return nil },
+		Cooloff:      10 * time.Millisecond,
+		DrainTimeout: 50 * time.Millisecond,
+		MinLive:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
 	src := &fakeSource{}
-	r, err := New(set, Options{Source: src, Debounce: time.Millisecond, MinTTL: time.Millisecond, MinLive: 2})
+	r, err := New(set, Options{Source: src, Debounce: time.Millisecond, MinTTL: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +638,7 @@ func TestReconcilerLoopAndPoke(t *testing.T) {
 func TestReconcilerSnapshotShape(t *testing.T) {
 	set := newTestSet(t, "127.0.0.1:9001")
 	src := &fakeSource{}
-	r, err := New(set, Options{Source: src, Refresh: time.Second, Debounce: 2 * time.Second, MinTTL: 3 * time.Second, MaxChurn: 4, MinLive: 1})
+	r, err := New(set, Options{Source: src, Refresh: time.Second, Debounce: 2 * time.Second, MinTTL: 3 * time.Second, MaxChurn: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,6 @@ type Options struct {
 	// MaxChurn caps membership changes (adds + removes) applied per
 	// reconcile round; 0 means unlimited.
 	MaxChurn int
-	// MinLive is the membership floor: the reconciler never shrinks
-	// the set below this many replicas (default 1).
-	MinLive int
 }
 
 // Reconciler drives one backend.Set's membership from one Source. Each
@@ -55,7 +52,7 @@ type Options struct {
 // continuously present for the debounce window before admission,
 // continuously absent for the window (and members for at least MinTTL)
 // before removal, at most MaxChurn changes land per round, and the set
-// is never shrunk below MinLive.
+// is never shrunk below the set's MinLive floor.
 type Reconciler struct {
 	set  *backend.Set
 	opts Options
@@ -105,9 +102,6 @@ func New(set *backend.Set, opts Options) (*Reconciler, error) {
 	}
 	if opts.MinTTL <= 0 {
 		opts.MinTTL = DefaultMinTTL
-	}
-	if opts.MinLive <= 0 {
-		opts.MinLive = 1
 	}
 	r := &Reconciler{
 		set:      set,
@@ -296,7 +290,7 @@ func (r *Reconciler) reconcile(now time.Time) {
 	sort.Strings(removes)
 
 	// Apply adds before removes so a rolling replacement never dips
-	// through the floor, cap total churn, and honor MinLive.
+	// through the floor, cap total churn, and honor the set's MinLive.
 	churn := 0
 	capped := func() bool { return r.opts.MaxChurn > 0 && churn >= r.opts.MaxChurn }
 	for _, addr := range adds {
@@ -314,7 +308,7 @@ func (r *Reconciler) reconcile(now time.Time) {
 		if capped() {
 			break
 		}
-		if len(r.members)-len(plan) <= r.opts.MinLive {
+		if len(r.members)-len(plan) <= r.set.MinLive() {
 			break // never shrink below the floor
 		}
 		plan = append(plan, addr)
@@ -405,7 +399,7 @@ func (r *Reconciler) Snapshot() Snapshot {
 		Debounce:        r.opts.Debounce.String(),
 		MinTTL:          r.opts.MinTTL.String(),
 		MaxChurn:        r.opts.MaxChurn,
-		MinLive:         r.opts.MinLive,
+		MinLive:         r.set.MinLive(),
 		Resolutions:     r.resolutions.Load(),
 		ResolveErrors:   r.resolveErrors.Load(),
 		Endpoints:       r.endpoints.Load(),

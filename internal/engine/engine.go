@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1274,7 +1273,6 @@ func (s *session) runFlow() error {
 		case kRecv:
 			ev.msg, ev.cached, err = s.links[act.link].recv(act.op)
 		case kReply:
-			copyCorrelationFields(act.req, act.msg)
 			if reply, err = s.replyBuf.use(s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.AppendReply(s.replyBuf.dst(), act.op, act.msg)); err != nil {
 				err = fmt.Errorf("build client reply: %w", err)
 			}
@@ -1575,19 +1573,6 @@ func (l *serviceLink) drop(cause error) {
 	m.pool.Discard(key, conn)
 	if cause != nil {
 		m.pool.Flush(key)
-	}
-}
-
-// copyCorrelationFields carries binder-internal fields (labels starting
-// with "_", e.g. the GIOP request id) from the request into the reply.
-func copyCorrelationFields(req, reply *message.Message) {
-	if req == nil || reply == nil {
-		return
-	}
-	for _, f := range req.Fields {
-		if strings.HasPrefix(f.Label, "_") && reply.Field(f.Label) == nil {
-			reply.Add(f.Clone())
-		}
 	}
 }
 

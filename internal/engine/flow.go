@@ -145,7 +145,6 @@ type action struct {
 	link int              // kSend, kRecv: the service link
 	op   string           // kSend: the operation; kRecv: the reply's name; kReply: the client's action
 	msg  *message.Message // kSend, kReply: what to send
-	req  *message.Message // kReply: the request it answers
 }
 
 // event is the outcome of an action, which says what it answers: the
@@ -197,7 +196,7 @@ func (f *flow) reset(p *plan, cache *mtl.Cache) action {
 	}
 	f.env.Reset()
 	for i, msg := range f.bound {
-		msg.Name, msg.Fields = "", msg.Fields[:0]
+		msg.Name, msg.Fields, msg.ID = "", msg.Fields[:0], 0
 		f.env.Bind(p.steps[i].name, msg)
 	}
 	clear(f.shared)
@@ -243,7 +242,8 @@ func (f *flow) next(ev event) (action, error) {
 }
 
 // act is what the current state asks for. A send and a client reply send
-// what the preceding γ composed, named after the transition's message.
+// what the preceding γ composed, named after the transition's message; a
+// client reply answers the pending request, whose ID it carries.
 func (f *flow) act() action {
 	st := &f.p.steps[f.at]
 	act := action{kind: st.kind, link: st.link}
@@ -254,20 +254,22 @@ func (f *flow) act() action {
 		act.op, act.msg = st.arcs[0].op, f.own(f.env.Message(st.name))
 		act.msg.Name = act.op
 		if st.kind == kReply {
-			act.op, act.req = f.pendingAction, f.pending
+			act.op = f.pendingAction
+			if f.pending != nil {
+				act.msg.ID = f.pending.ID
+			}
 		}
 	}
 	return act
 }
 
 // own returns msg, or a copy of its header when msg is a reply the cache
-// holds: the shell appends correlation fields to the copy, whose field list
-// is cut to its length so an append cannot reach into the shared one.
+// holds, so that naming it and giving it an ID leave the shared one as it
+// is.
 func (f *flow) own(msg *message.Message) *message.Message {
 	for _, r := range f.shared {
 		if r == msg {
 			cp := *msg
-			cp.Fields = cp.Fields[:len(cp.Fields):len(cp.Fields)]
 			return &cp
 		}
 	}

@@ -104,6 +104,8 @@ func (md *model) ask() string {
 	msg := md.env.Message(t.From)
 	msg.Name = t.Message
 	if client {
+		// A reply is correlated by the id of the request it answers.
+		msg.ID = md.pending.ID
 		return md.render(kReply, 0, md.pendingAction, msg, md.pending)
 	}
 	return md.render(kSend, t.Color, t.Message, msg, nil)
@@ -164,10 +166,10 @@ func (md *model) render(k kind, color int, op string, msg, req *message.Message)
 func render(k kind, color int, op string, msg, req *message.Message, host string) string {
 	s := [...]string{"read", "γ", "send", "recv", "reply", "done"}[k] + " c" + strconv.Itoa(color) + " " + op
 	if msg != nil {
-		s += " " + msg.String()
+		s += " " + words(msg)
 	}
 	if req != nil {
-		s += " to " + req.String()
+		s += " to " + words(req)
 	}
 	if k == kSend {
 		s += " @" + host
@@ -175,12 +177,18 @@ func render(k kind, color int, op string, msg, req *message.Message, host string
 	return s
 }
 
+// words renders a message with its ID, which String leaves out.
+func words(msg *message.Message) string {
+	return msg.String() + " #" + strconv.FormatUint(msg.ID, 10)
+}
+
 func renderFlow(f *flow, act action) string {
-	color, req := 0, act.req
+	var color int
+	var req *message.Message
 	switch act.kind {
 	case kSend, kRecv:
 		color = f.p.links[act.link]
-	case kRead, kDone:
+	case kRead, kReply, kDone:
 		req = f.pending
 	}
 	return render(act.kind, color, act.op, act.msg, req, f.host)
@@ -194,7 +202,7 @@ func renderErr(err error, pendingAction string, pending *message.Message) string
 		s = "unexpected " + s
 	}
 	if pending != nil {
-		s += " | pending " + pendingAction + " " + pending.String()
+		s += " | pending " + pendingAction + " " + words(pending)
 	}
 	return s
 }
@@ -311,7 +319,7 @@ func replay(t *testing.T, f *flow, p *plan, cache *mtl.Cache, tr traversal, cach
 		}
 		ev = copyEvent(ev)
 		if ev.cached = ev.cached && cached; ev.cached {
-			holds = append(holds, held{ev.msg, ev.msg.String()})
+			holds = append(holds, held{ev.msg, words(ev.msg)})
 		} else if ev.msg != nil && act.kind == kRecv {
 			ev.msg.Name = act.op
 		}
@@ -323,7 +331,7 @@ func replay(t *testing.T, f *flow, p *plan, cache *mtl.Cache, tr traversal, cach
 		asked = append(asked, renderFlow(f, act))
 	}
 	for _, h := range holds {
-		if after := h.msg.String(); after != h.before {
+		if after := words(h.msg); after != h.before {
 			t.Errorf("a cached reply was written into:\n%s\nbecame\n%s", h.before, after)
 		}
 	}
@@ -707,6 +715,7 @@ func randomWorld(rng *rand.Rand, n int) *world {
 		name: m.Name, merged: m,
 		request: func(rng *rand.Rand, op string) *message.Message {
 			msg := message.New(op, message.NewString("x", fmt.Sprint("x", rng.IntN(9))))
+			msg.ID = rng.Uint64N(1 << 16)
 			if rng.IntN(8) != 0 {
 				msg.Add(message.NewInt64("y", rng.Int64N(9)))
 			}

@@ -19,6 +19,7 @@ import (
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/httpwire"
+	"starlink/internal/protocol/jsonrpc"
 	"starlink/internal/protocol/xmlrpc"
 )
 
@@ -309,22 +310,7 @@ func TestCacheSharedReplyConcurrentHits(t *testing.T) {
 func TestCacheSharedReplyAnsweredWithoutGamma(t *testing.T) {
 	const sessions, flows = 8, 10
 	srv := startPlusService(t, nil)
-	med := startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
-		merged := *cfg.Merged
-		merged.Transitions = nil
-		merged.States = slices.DeleteFunc(slices.Clone(merged.States), func(st automata.MergedState) bool { return st.Name == "m5" })
-		for _, tr := range cfg.Merged.Transitions {
-			switch {
-			case tr.Kind == automata.KindGamma && tr.From == "m4":
-				continue
-			case tr.Kind == automata.KindMessage && tr.To == "m6":
-				tr.From = "m4"
-			}
-			merged.Transitions = append(merged.Transitions, tr)
-		}
-		cfg.Merged = &merged
-		cfg.Cache = &engine.CachePolicy{Rules: map[string]engine.CacheRule{"Plus": {TTL: time.Minute}}}
-	})
+	med := startAddPlus(t, srv.Addr(), replyWithoutGamma)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		wg.Add(1)
@@ -353,5 +339,60 @@ func TestCacheSharedReplyAnsweredWithoutGamma(t *testing.T) {
 	if st := med.Snapshot().Stats; st.CacheHits+st.CacheCoalesced+st.CacheMisses != sessions*flows || st.Failures != 0 {
 		t.Errorf("%d hits, %d coalesced, %d misses and %d failures over %d flows",
 			st.CacheHits, st.CacheCoalesced, st.CacheMisses, st.Failures, sessions*flows)
+	}
+}
+
+// replyWithoutGamma answers Add with the Plus reply as it is received, no γ
+// between, and caches Plus.
+func replyWithoutGamma(cfg *engine.Config) {
+	merged := *cfg.Merged
+	merged.Transitions = nil
+	merged.States = slices.DeleteFunc(slices.Clone(merged.States), func(st automata.MergedState) bool { return st.Name == "m5" })
+	for _, tr := range cfg.Merged.Transitions {
+		switch {
+		case tr.Kind == automata.KindGamma && tr.From == "m4":
+			continue
+		case tr.Kind == automata.KindMessage && tr.To == "m6":
+			tr.From = "m4"
+		}
+		merged.Transitions = append(merged.Transitions, tr)
+	}
+	cfg.Merged = &merged
+	cfg.Cache = &engine.CachePolicy{Rules: map[string]engine.CacheRule{"Plus": {TTL: time.Minute}}}
+}
+
+// TestCacheSharedReplyAnsweredWithoutGammaJSONRPC is the JSON-RPC row of
+// TestCacheSharedReplyAnsweredWithoutGamma: two clients whose requests carry
+// different ids are answered from one cached Plus reply, and each response
+// carries the id of the request it answers.
+func TestCacheSharedReplyAnsweredWithoutGammaJSONRPC(t *testing.T) {
+	srv := startPlusService(t, nil)
+	med := startAddPlus(t, srv.Addr(), func(cfg *engine.Config) {
+		replyWithoutGamma(cfg)
+		cfg.Sides[1] = &engine.Side{Binder: &bind.JSONRPCBinder{Path: "/j", Defs: casestudy.AddUsage().Messages}}
+	})
+	clients := []network.Conn{dialRaw(t, med.Addr(), network.HTTPFramer{}), dialRaw(t, med.Addr(), network.HTTPFramer{})}
+	for i, id := range []uint64{101, 202, 103, 204} {
+		body, err := jsonrpc.MarshalCall(id, "Add", 20, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packet := (&httpwire.Request{Method: "POST", Target: "/j",
+			Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}}, Body: body}).Marshal()
+		reply, err := roundTrip(clients[i%2], packet)
+		if err != nil {
+			t.Fatalf("call %d: %v", id, err)
+		}
+		resp, err := httpwire.ParseResponse(reply)
+		if err != nil {
+			t.Fatalf("call %d: %v", id, err)
+		}
+		got, result, err := jsonrpc.ParseResponse(resp.Body)
+		if err != nil || got != id || result != "42" {
+			t.Errorf("call %d answered id %d, result %v, err %v", id, got, result, err)
+		}
+	}
+	if st := med.Snapshot().Stats; st.CacheMisses != 1 || st.CacheHits != 3 || st.Failures != 0 {
+		t.Errorf("%d misses, %d hits and %d failures, want 1, 3 and 0", st.CacheMisses, st.CacheHits, st.Failures)
 	}
 }

@@ -569,8 +569,15 @@ func (f *Field) Equal(o *Field) bool {
 type Message struct {
 	// Name identifies the message kind ("GIOPRequest", "MethodCall", …).
 	Name string
-	// Fields are the top-level fields, in order.
+	// Fields are the top-level fields, in order: application data only.
 	Fields []*Field
+	// ID is the protocol's request id — the GIOP RequestID, the JSON-RPC
+	// id, the SLP XID — or 0 where the protocol has none. The binder that
+	// parses a request sets it and the binder that answers reads it back
+	// from the reply, which carries the id of the request it answers. It
+	// is a header, not content: Equal ignores it, γ never sees it, and it
+	// is not a trace id that follows a flow across hops.
+	ID uint64
 }
 
 // New builds a message from fields.
@@ -586,10 +593,11 @@ func (m *Message) Clone() *Message {
 	}
 	nodes, links := treeSize(m.Fields)
 	s := slab{nodes: make([]Field, nodes), links: make([]*Field, links)}
-	return &Message{Name: m.Name, Fields: s.cloneAll(m.Fields)}
+	return &Message{Name: m.Name, Fields: s.cloneAll(m.Fields), ID: m.ID}
 }
 
-// Equal reports deep equality with o.
+// Equal reports deep equality of name and fields with o; the ID, a header,
+// is not compared.
 func (m *Message) Equal(o *Message) bool {
 	if m == nil || o == nil {
 		return m == o

@@ -289,6 +289,22 @@ func TestEqualNilAndMismatch(t *testing.T) {
 	}
 }
 
+// TestIDIsAHeader: a message's ID is the protocol's request id, not
+// content: a clone carries it, and two messages that differ only in it are
+// equal.
+func TestIDIsAHeader(t *testing.T) {
+	a := New("A", NewInt64("x", 1))
+	a.ID = 7
+	if cp := a.Clone(); cp.ID != 7 || !cp.Equal(a) {
+		t.Errorf("clone %v with ID %d, want an equal message with ID 7", cp, cp.ID)
+	}
+	b := New("A", NewInt64("x", 1))
+	b.ID = 8
+	if !a.Equal(b) {
+		t.Error("messages that differ only in ID compare unequal")
+	}
+}
+
 func TestNormalize(t *testing.T) {
 	tests := []struct {
 		t    Type

@@ -28,7 +28,6 @@ package observe
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -341,40 +340,14 @@ func (o *Observer) Stats() ObserverStats {
 // annotated with where traffic actually went. It returns "" when the
 // observer has no automaton.
 func (o *Observer) DOT() string {
-	m := o.opts.Merged
-	if m == nil {
+	if o.opts.Merged == nil {
 		return ""
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=circle, style=filled];\n", m.Name)
-	palette := map[int]string{m.Color1: "lightblue", m.Color2: "lightsalmon"}
-	for _, s := range m.States {
-		fill := "white"
-		switch {
-		case s.Bicolored():
-			fill = "lightblue;0.5:lightsalmon"
-		case len(s.Colors) == 1:
-			fill = palette[s.Colors[0]]
-		}
-		shape := "circle"
-		if m.IsFinal(s.Name) {
-			shape = "doublecircle"
-		}
-		fmt.Fprintf(&b, "  %q [shape=%s, fillcolor=%q];\n", s.Name, shape, fill)
-	}
-	fmt.Fprintf(&b, "  _start [shape=point];\n  _start -> %q;\n", m.Start)
-	for _, t := range m.Transitions {
+	return o.opts.Merged.NotedDOT(func(t automata.MergedTransition) string {
 		var hits uint64
 		if ts := o.transitions[t.From+"->"+t.To]; ts != nil {
 			hits = ts.hits.Load()
 		}
-		if t.Kind == automata.KindGamma {
-			fmt.Fprintf(&b, "  %q -> %q [label=\"γ (%d)\", style=dashed];\n", t.From, t.To, hits)
-			continue
-		}
-		fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", t.From, t.To,
-			fmt.Sprintf("%s%s (%d)", t.Action, t.Message, hits))
-	}
-	b.WriteString("}\n")
-	return b.String()
+		return fmt.Sprintf(" (%d)", hits)
+	})
 }

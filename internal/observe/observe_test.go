@@ -1,15 +1,20 @@
 package observe
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"starlink/internal/automata"
+	"starlink/internal/casestudy"
 	"starlink/internal/engine"
+	"starlink/models"
 )
 
 // testMerged is a tiny three-edge automaton: client send, γ, service
@@ -250,5 +255,54 @@ func TestObserverConcurrentSessions(t *testing.T) {
 	}
 	if hits := o.Stats().TransitionHits; hits["m0->m1"] != 16*20 {
 		t.Errorf("hits = %d, want %d", hits["m0->m1"], 16*20)
+	}
+}
+
+// TestDOTMatchesGolden: the merged automaton's DOT and the observer's,
+// which adds each edge's hit count, are one renderer; both render every
+// merged automaton under models/ and Merge(AAdd, APlus) byte for byte as
+// the two renderers they replaced did (testdata/merged.dot and
+// testdata/hits.dot, hit counts 1, 2, … in transition order).
+func TestDOTMatchesGolden(t *testing.T) {
+	files, err := fs.Glob(models.FS, "*.merged.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped []*automata.Merged
+	for _, name := range files {
+		f, err := models.FS.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := automata.UnmarshalMerged(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		shipped = append(shipped, m)
+	}
+	addPlus, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
+		Name: "Add+Plus", Equiv: casestudy.AddPlusEquivalence(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain, hits []byte
+	for _, m := range append(shipped, addPlus) {
+		plain = append(plain, m.DOT()...)
+		o := New(Options{Merged: m})
+		for i, tr := range m.Transitions {
+			o.transitions[tr.From+"->"+tr.To].hits.Store(uint64(i + 1))
+		}
+		hits = append(hits, o.DOT()...)
+	}
+	for file, got := range map[string][]byte{"testdata/merged.dot": plain, "testdata/hits.dot": hits} {
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("the DOT of the six merged automata differs from %s:\n%s", file, got)
+		}
 	}
 }

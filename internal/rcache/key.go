@@ -24,8 +24,9 @@ const (
 //
 // When vary is non-empty, only the listed field paths participate —
 // the spec's `vary=` clause — so requests differing in other fields
-// share an entry. Otherwise every top-level field participates except
-// binder-internal "_"-prefixed labels.
+// share an entry. Otherwise every top-level field participates; a
+// request's protocol id is its Message.ID, not a field, so two requests
+// that differ only in it share a key.
 func Key(op, addr string, msg *message.Message, vary []string) string {
 	var b strings.Builder
 	b.Grow(192)
@@ -45,9 +46,6 @@ func Key(op, addr string, msg *message.Message, vary []string) string {
 		return b.String()
 	}
 	for _, f := range msg.Fields {
-		if strings.HasPrefix(f.Label, "_") {
-			continue
-		}
 		writeCanon(&b, f)
 		b.WriteByte(sepField)
 	}

@@ -20,16 +20,14 @@
 // Entries are keyed by a canonical rendering of the outbound
 // service-side abstract message (operation, resolved service address,
 // field tree), sharded across independently locked TTL+LRU maps so
-// concurrent sessions do not serialise on one mutex. Binder-internal
-// correlation fields (labels starting with "_", e.g. the JSON-RPC
-// request id) are excluded from keys and stripped from stored replies:
-// they are per-exchange bookkeeping, not message content.
+// concurrent sessions do not serialise on one mutex. A request id (e.g.
+// the JSON-RPC id) is the message's ID, a header the key does not read:
+// it is per-exchange bookkeeping, not message content.
 package rcache
 
 import (
 	"container/list"
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,11 +251,9 @@ func (f *Flight) Op() string { return f.op }
 
 // Fulfill completes a led flight: followers are woken with reply, and
 // (unless a write invalidated the operation mid-flight, or ttl <= 0) it
-// is stored for ttl. The cache takes reply as it is, without its
-// binder-internal fields: from here on it is read-only, for the leader
-// as for everyone it is served to.
+// is stored for ttl. The cache takes reply as it is: from here on it is
+// read-only, for the leader as for everyone it is served to.
 func (c *Cache) Fulfill(f *Flight, reply *message.Message, ttl time.Duration) {
-	stored := stripInternal(reply)
 	expires := time.Now().Add(ttl)
 	s := c.shardFor(f.key)
 	s.mu.Lock()
@@ -265,11 +261,11 @@ func (c *Cache) Fulfill(f *Flight, reply *message.Message, ttl time.Duration) {
 		delete(s.flights, f.key)
 	}
 	if !f.stale && ttl > 0 {
-		c.storeLocked(s, f.key, f.op, stored, expires)
+		c.storeLocked(s, f.key, f.op, reply, expires)
 	}
 	done := f.done
 	s.mu.Unlock()
-	f.reply = stored
+	f.reply = reply
 	if done != nil {
 		close(done)
 	}
@@ -303,11 +299,10 @@ func (c *Cache) Put(op, key string, reply *message.Message, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
-	stored := stripInternal(reply)
 	expires := time.Now().Add(ttl)
 	s := c.shardFor(key)
 	s.mu.Lock()
-	c.storeLocked(s, key, op, stored, expires)
+	c.storeLocked(s, key, op, reply, expires)
 	s.mu.Unlock()
 }
 
@@ -398,29 +393,4 @@ func (c *Cache) Invalidate(ops []string) int {
 		c.invalidations.Add(uint64(removed))
 	}
 	return removed
-}
-
-// stripInternal returns msg without its top-level binder-internal fields
-// ("_"-prefixed labels such as _jsonrpc_id): those are per-exchange
-// correlation state, and replaying them from a cache would leak one
-// exchange's bookkeeping into another's. A message without one is
-// returned as it is; otherwise the copy is of the header only, with a
-// field list of its own, and the nodes are msg's.
-func stripInternal(msg *message.Message) *message.Message {
-	internal := 0
-	for _, f := range msg.Fields {
-		if strings.HasPrefix(f.Label, "_") {
-			internal++
-		}
-	}
-	if internal == 0 {
-		return msg
-	}
-	kept := make([]*message.Field, 0, len(msg.Fields)-internal)
-	for _, f := range msg.Fields {
-		if !strings.HasPrefix(f.Label, "_") {
-			kept = append(kept, f)
-		}
-	}
-	return &message.Message{Name: msg.Name, Fields: kept}
 }

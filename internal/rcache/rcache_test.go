@@ -19,10 +19,9 @@ func reply(v string) *message.Message {
 }
 
 func req(q string) *message.Message {
-	return message.New("Req",
-		message.NewPrimitive("q", message.TypeString, q),
-		message.NewPrimitive("_jsonrpc_id", message.TypeUint64, uint64(42)),
-	)
+	msg := message.New("Req", message.NewPrimitive("q", message.TypeString, q))
+	msg.ID = 42
+	return msg
 }
 
 func TestKeyCanonical(t *testing.T) {
@@ -42,15 +41,14 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestKeySkipsBinderInternals: the "_"-prefixed correlation fields a
-// binder attaches (e.g. _jsonrpc_id) differ on every exchange and must
-// not fragment the key space.
+// TestKeySkipsBinderInternals: the request id a binder sets (Message.ID)
+// differs on every exchange and must not fragment the key space.
 func TestKeySkipsBinderInternals(t *testing.T) {
 	a := req("espresso")
 	b := req("espresso")
-	b.Field("_jsonrpc_id").SetUint64(7777)
+	b.ID = 7777
 	if Key("op", "addr", a, nil) != Key("op", "addr", b, nil) {
-		t.Fatal("binder-internal field leaked into the cache key")
+		t.Fatal("the request id leaked into the cache key")
 	}
 }
 
@@ -83,18 +81,14 @@ func TestAcquireMissFulfillHit(t *testing.T) {
 		t.Fatalf("first Acquire: got reply=%v leader=%v, want miss+leader", got, leader)
 	}
 	orig := reply("v1")
-	orig.Fields = append(orig.Fields, message.NewPrimitive("_giop_req", message.TypeUint64, uint64(9)))
 	c.Fulfill(f, orig, time.Minute)
-	if orig.Field("_giop_req") == nil {
-		t.Fatal("stripping the binder-internal field wrote into the leader's reply")
-	}
 
 	got, f2, leader := c.Acquire("op", key)
 	if got == nil || f2 != nil || leader {
 		t.Fatalf("second Acquire: want hit, got reply=%v flight=%v leader=%v", got, f2, leader)
 	}
-	if got.Field("_giop_req") != nil {
-		t.Fatal("binder-internal field survived into the cached reply")
+	if got != orig {
+		t.Fatal("the hit is not the reply handed to Fulfill")
 	}
 	if v, _ := got.GetString("result"); v != "v1" {
 		t.Fatalf("cached reply result = %q, want v1", v)
@@ -106,9 +100,6 @@ func TestAcquireMissFulfillHit(t *testing.T) {
 	again, _, _ := c.Acquire("op", key)
 	if again != got {
 		t.Fatal("two hits on one entry returned different messages")
-	}
-	if got.Field("result") != orig.Field("result") || got.Field("meta") != orig.Field("meta") {
-		t.Fatal("the stored reply's nodes are not the ones handed to Fulfill")
 	}
 
 	st := c.Stats()
