@@ -82,6 +82,11 @@ race-alloc:
 # the automaton without a clock, a lock or a socket, so its imports name no
 # time or sync package and none of network, network/pool, rcache, bind,
 # backend or discovery; the session, the shell around it, does the I/O.
+# And a colour travels the way its binder frames it: its transport is
+# network.SemanticsOf the binder's Framer(), so neither the engine nor
+# internal/core writes a network.Semantics or a Transport: of its own, and
+# a shed client gets the fault the route's binder builds (BuildErrorReply),
+# so the gateway imports no protocol codec of its own.
 # Last, the shipped models pass `starlink check`: every file under models/
 # is the source of a mediator, written by hand, so each one loads and every
 # deployment spec builds the way `starlink run` and `starlink gateway` build
@@ -140,6 +145,9 @@ check: test
 			{ echo "check: no program under cmd/, examples/ or bench/ uses starlink.$$name and starlink/example_test.go does not document it; call the internal package from tests, or delete it from starlink/starlink.go"; bad=1; }; \
 	done; \
 	exit $$bad
+	@if git grep -nE 'network\.Semantics\{|Transport:' -- internal/engine internal/core ':!*_test.go' || \
+		git grep -n '"starlink/internal/protocol/giop"' -- internal/gateway ':!*_test.go'; then \
+		echo "check: the lines above restate how a colour travels or what a shed client is told; a colour's transport is network.SemanticsOf its binder's Framer(), and a shed connection gets the route binder's BuildErrorReply (DESIGN.md §11)"; exit 1; fi
 	$(GO) run ./cmd/starlink check -models models >/dev/null
 
 # The one benchmark: what a mediated flow costs beside the native call,

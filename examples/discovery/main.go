@@ -19,7 +19,6 @@ import (
 
 	"starlink/internal/bind"
 	"starlink/internal/casestudy"
-	"starlink/internal/network"
 	"starlink/internal/protocol/slp"
 	"starlink/internal/protocol/ssdp"
 	"starlink/starlink"
@@ -50,8 +49,8 @@ func run() error {
 	med, err := starlink.NewMediator(starlink.EngineConfig{
 		Merged: casestudy.DiscoveryMediator(),
 		Sides: map[int]*starlink.EngineSide{
-			1: {Binder: &bind.SSDPBinder{}, Net: network.Semantics{Transport: "udp"}},
-			2: {Binder: slpBinder, Net: network.Semantics{Transport: "udp"}, Target: da.Addr()},
+			1: {Binder: &bind.SSDPBinder{}},
+			2: {Binder: slpBinder, Target: da.Addr()},
 		},
 		Funcs: casestudy.DiscoveryFuncs(),
 	})

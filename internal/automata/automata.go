@@ -84,19 +84,6 @@ func (m MsgDef) MandatoryFields() []string {
 	return out
 }
 
-// NetworkSemantics are the color-k attributes attached to a concrete
-// protocol automaton (Fig. 4): how its messages travel.
-type NetworkSemantics struct {
-	// Transport is "tcp" or "udp".
-	Transport string
-	// Mode is "sync" (reply on the same exchange) or "async".
-	Mode string
-	// Multicast marks UDP multicast request semantics.
-	Multicast bool
-	// MDL names the message-description spec for this protocol's packets.
-	MDL string
-}
-
 // Transition is one labelled edge: s1 --(action message)--> s2.
 type Transition struct {
 	// From and To are state names.
@@ -113,8 +100,10 @@ func (t Transition) String() string {
 }
 
 // Automaton is a colored API usage (or protocol) automaton: the 6-tuple
-// (Q, M, q0, F, Act, →) of Section 3.1 plus the color and network
-// semantics of Section 3.3.
+// (Q, M, q0, F, Act, →) of Section 3.1 plus the color of Section 3.3. The
+// network semantics the paper attaches to a color are not here: a color
+// travels the way the protocol bound to it frames its messages (the
+// `side` line of a .mediator spec).
 type Automaton struct {
 	// Name identifies the automaton ("AFlickr").
 	Name string
@@ -130,9 +119,6 @@ type Automaton struct {
 	Transitions []Transition
 	// Messages is M, keyed by name.
 	Messages map[string]MsgDef
-	// Net carries the concrete network semantics (empty for pure
-	// application-level API usage automata).
-	Net NetworkSemantics
 }
 
 // IsFinal reports whether state is in F.

@@ -17,17 +17,10 @@ type xmlAutomaton struct {
 	Name        string          `xml:"name,attr"`
 	Color       int             `xml:"color,attr"`
 	Start       string          `xml:"start,attr"`
-	Network     *xmlNetwork     `xml:"network"`
+	Network     *struct{}       `xml:"network"` // refused, see UnmarshalAutomaton
 	Messages    []xmlMessage    `xml:"message"`
 	States      []xmlState      `xml:"state"`
 	Transitions []xmlTransition `xml:"transition"`
-}
-
-type xmlNetwork struct {
-	Transport string `xml:"transport,attr"`
-	Mode      string `xml:"mode,attr"`
-	Multicast bool   `xml:"multicast,attr,omitempty"`
-	MDL       string `xml:"mdl,attr"`
 }
 
 type xmlMessage struct {
@@ -55,12 +48,6 @@ type xmlTransition struct {
 // EncodeXML renders the automaton in the Starlink XML vocabulary.
 func (a *Automaton) EncodeXML() ([]byte, error) {
 	xa := xmlAutomaton{Name: a.Name, Color: a.Color, Start: a.Start}
-	if a.Net != (NetworkSemantics{}) {
-		xa.Network = &xmlNetwork{
-			Transport: a.Net.Transport, Mode: a.Net.Mode,
-			Multicast: a.Net.Multicast, MDL: a.Net.MDL,
-		}
-	}
 	for _, name := range sortedMsgNames(a.Messages) {
 		d := a.Messages[name]
 		xm := xmlMessage{Name: d.Name}
@@ -120,10 +107,7 @@ func UnmarshalAutomaton(r io.Reader) (*Automaton, error) {
 		Messages: make(map[string]MsgDef, len(xa.Messages)),
 	}
 	if xa.Network != nil {
-		a.Net = NetworkSemantics{
-			Transport: xa.Network.Transport, Mode: xa.Network.Mode,
-			Multicast: xa.Network.Multicast, MDL: xa.Network.MDL,
-		}
+		return nil, fmt.Errorf("%w: %s: <network> is not part of an automaton: a colour's transport and MDL are those of the protocol on its `side` line in the .mediator spec", ErrInvalid, xa.Name)
 	}
 	for _, xm := range xa.Messages {
 		d := MsgDef{Name: xm.Name}

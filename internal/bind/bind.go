@@ -5,10 +5,14 @@
 // yields an executable application-middleware automaton (Fig. 7); at
 // runtime the automata engine calls a Binder at every message transition.
 //
-// One Binder exists per middleware family (XML-RPC, SOAP, REST, GIOP).
-// Each is generic over applications: application-specific information
-// enters only through models — the MsgDef field lists of the API usage
-// automaton (positional-parameter naming) and, for REST, a route table.
+// One Binder exists per middleware family (XML-RPC, JSON-RPC, SOAP, REST,
+// GIOP, SSDP, SLP). Each is generic over applications: application-specific
+// information enters only through models — the MsgDef field lists of the
+// API usage automaton (positional-parameter naming) and, for REST, a route
+// table. A binder also says how its colour travels: its Framer frames the
+// messages, and network.SemanticsOf that framer is the transport (UDP for
+// network.Datagram, TCP otherwise), so neither a spec nor an automaton
+// states it.
 //
 // Abstract action messages follow one convention everywhere:
 //

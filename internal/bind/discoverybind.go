@@ -1,9 +1,7 @@
 package bind
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"starlink/internal/mdl"
@@ -17,29 +15,6 @@ import (
 // binders: an SSDP M-SEARCH and an SLP ServiceRequest both bind to it.
 const DiscoverySearch = "discovery.search"
 
-// datagramFramer satisfies network.Framer for message-per-datagram
-// protocols; the UDP transport ignores framing, so these methods are only
-// used on the (unsupported) stream path.
-type datagramFramer struct{}
-
-var _ network.Framer = datagramFramer{}
-
-// ReadMessage implements network.Framer (not used over UDP).
-func (f datagramFramer) ReadMessage(r *bufio.Reader) ([]byte, error) {
-	return f.AppendMessage(nil, r)
-}
-
-// AppendMessage implements network.Framer (not used over UDP).
-func (datagramFramer) AppendMessage(dst []byte, _ *bufio.Reader) ([]byte, error) {
-	return dst, fmt.Errorf("bind: datagram protocol over a stream transport")
-}
-
-// WriteMessage implements network.Framer.
-func (datagramFramer) WriteMessage(w io.Writer, data []byte) error {
-	_, err := w.Write(data)
-	return err
-}
-
 // SSDPBinder binds the discovery.search action to SSDP M-SEARCH /
 // 200 OK messages. Abstract request fields: st, mx. Abstract reply
 // fields: st, usn, location.
@@ -48,7 +23,7 @@ type SSDPBinder struct{}
 var _ Binder = (*SSDPBinder)(nil)
 
 // Framer implements Binder.
-func (b *SSDPBinder) Framer() network.Framer { return datagramFramer{} }
+func (b *SSDPBinder) Framer() network.Framer { return network.Datagram{} }
 
 // ParseRequest implements Binder.
 func (b *SSDPBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
@@ -135,7 +110,7 @@ func NewSLPBinder() (*SLPBinder, error) {
 }
 
 // Framer implements Binder.
-func (b *SLPBinder) Framer() network.Framer { return datagramFramer{} }
+func (b *SLPBinder) Framer() network.Framer { return network.Datagram{} }
 
 // BuildRequest implements Binder.
 func (b *SLPBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {

@@ -7,6 +7,7 @@ import (
 
 	"starlink/internal/automata"
 	"starlink/internal/message"
+	"starlink/internal/network"
 )
 
 func TestSSDPBinderRoundTrips(t *testing.T) {
@@ -210,7 +211,16 @@ func TestSLPBinderErrors(t *testing.T) {
 }
 
 func TestDatagramFramer(t *testing.T) {
-	f := datagramFramer{}
+	slp, err := NewSLPBinder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Binder{&SSDPBinder{}, slp} {
+		if sem := network.SemanticsOf(b.Framer()); sem.Transport != "udp" {
+			t.Errorf("%T travels over %q, want udp", b, sem.Transport)
+		}
+	}
+	f := (&SSDPBinder{}).Framer()
 	if _, err := f.ReadMessage(nil); err == nil {
 		t.Error("stream read accepted")
 	}

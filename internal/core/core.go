@@ -27,7 +27,6 @@ import (
 	"starlink/internal/mdl/textenc"
 	"starlink/internal/mdl/xmlenc"
 	"starlink/internal/mtl"
-	"starlink/internal/network"
 	"starlink/internal/observe"
 )
 
@@ -245,10 +244,10 @@ type SideSpec struct {
 	Defs string
 	// Target is the service address for client-role sides.
 	Target string
-	// Server marks the client-facing color.
+	// Server marks the client-facing color; without it, that is the
+	// side on the merged automaton's Color1 (Models.serverSide). How a
+	// side travels is its protocol's: network.SemanticsOf its framer.
 	Server bool
-	// Transport is "tcp" (default) or "udp".
-	Transport string
 }
 
 // BackendSpec is one named service replica set (the `backend`
@@ -437,6 +436,25 @@ func (m *Models) BuildMediator(spec *MediatorSpec) (*engine.Mediator, error) {
 	return m.build(spec, nil)
 }
 
+// serverSide is the client-facing side of a spec, the one the mediator
+// listens on and a gateway route frames: the side marked server, else the
+// side on the merged automaton's Color1, as the engine defaults
+// ServerColor. Both a deployment and a gateway route pick it here.
+func (m *Models) serverSide(spec *MediatorSpec) (*SideSpec, error) {
+	merged, ok := m.Merged[spec.MergedName]
+	if !ok {
+		return nil, fmt.Errorf("%w: merged automaton %q not loaded", ErrSpec, spec.MergedName)
+	}
+	at := slices.IndexFunc(spec.Sides, func(s SideSpec) bool { return s.Server })
+	if at < 0 {
+		at = slices.IndexFunc(spec.Sides, func(s SideSpec) bool { return s.Color == merged.Color1 })
+	}
+	if at < 0 {
+		return nil, fmt.Errorf("%w: no side marked server, and no side on colour %d, the first of merged automaton %q", ErrSpec, merged.Color1, spec.MergedName)
+	}
+	return &spec.Sides[at], nil
+}
+
 // build is the one place a spec becomes a mediator: binders, then
 // backend sets, then discovery sources — the first thing that holds a
 // socket or a goroutine, so nothing that can fail for a reason the spec
@@ -446,12 +464,14 @@ func (m *Models) BuildMediator(spec *MediatorSpec) (*engine.Mediator, error) {
 // engine does: it is how a deployment attaches its observer and a
 // gateway route its own deadline.
 func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *engine.Mediator, err error) {
-	merged, ok := m.Merged[spec.MergedName]
-	if !ok {
-		return nil, fmt.Errorf("%w: merged automaton %q not loaded", ErrSpec, spec.MergedName)
+	server, err := m.serverSide(spec)
+	if err != nil {
+		return nil, err
 	}
+	merged := m.Merged[spec.MergedName]
 	cfg := engine.Config{
 		Merged:       merged,
+		ServerColor:  server.Color,
 		Sides:        make(map[int]*engine.Side, len(spec.Sides)),
 		Backends:     make(map[string]*backend.Set, len(spec.Backends)),
 		HostMap:      spec.HostMap,
@@ -504,18 +524,7 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 				}
 			}
 		}
-		transport := ss.Transport
-		if transport == "" {
-			transport = "tcp"
-		}
-		cfg.Sides[ss.Color] = &engine.Side{
-			Binder: binder,
-			Net:    network.Semantics{Transport: transport, Mode: "sync"},
-			Target: ss.Target,
-		}
-		if ss.Server {
-			cfg.ServerColor = ss.Color
-		}
+		cfg.Sides[ss.Color] = &engine.Side{Binder: binder, Target: ss.Target}
 	}
 	for _, bs := range spec.Backends {
 		set, err := backend.New(bs.Name, bs.Addrs, backend.Options{

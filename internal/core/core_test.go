@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -522,6 +523,58 @@ func TestDiscoveryMediatorFromDiskModels(t *testing.T) {
 	}
 }
 
+// TestDiscoveryMediatorTransportFromProtocol deploys the discovery spec
+// with no word about its transport: the SSDP side must still listen on
+// UDP, because its binder frames datagrams, and an M-SEARCH sent there
+// must be answered from the SLP Directory Agent.
+func TestDiscoveryMediatorTransportFromProtocol(t *testing.T) {
+	da, err := slp.NewDirectoryAgent("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer da.Close()
+	da.Register("service:printer:lpr", slp.URLEntry{URL: "service:printer:lpr://inline.example", Lifetime: 60})
+
+	m := shippedModels(t)
+	spec, err := core.ParseMediatorSpec("merged SSDP-to-SLP-discovery\ntypemap upnp-to-slp\nside 1 ssdp server\nside 2 slp target=" + da.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Mediators["inline-discovery"] = spec
+	med, err := m.DeployAny("inline-discovery", core.DeployOptions{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer med.Close()
+	responses, err := ssdp.Search(med.Addr(), "urn:schemas-upnp-org:service:Printer:1", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if responses[0].Location != "service:printer:lpr://inline.example" {
+		t.Errorf("location = %q", responses[0].Location)
+	}
+}
+
+// TestServerSideWithoutServerWord hosts a mediator whose spec marks no side
+// `server` behind a gateway. The client-facing side is then the one on the
+// merged automaton's first colour, for the gateway route as for a
+// standalone deployment, so the models check clean.
+func TestServerSideWithoutServerWord(t *testing.T) {
+	m := shippedModels(t)
+	spec := m.Mediators["flickr-xmlrpc"]
+	for i := range spec.Sides {
+		spec.Sides[i].Server = false
+	}
+	if err := m.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	// A spec with no side on that colour has no client-facing side at all.
+	spec.Sides = slices.DeleteFunc(spec.Sides, func(s core.SideSpec) bool { return s.Color == m.Merged[spec.MergedName].Color1 })
+	if _, err := m.BuildMediator(spec); !errors.Is(err, core.ErrSpec) {
+		t.Errorf("BuildMediator with no client-facing side = %v, want ErrSpec", err)
+	}
+}
+
 func TestParseTypeMapErrors(t *testing.T) {
 	if _, err := core.ParseTypeMap("bogus line"); err == nil {
 		t.Error("bad line accepted")
@@ -536,15 +589,20 @@ func TestParseTypeMapErrors(t *testing.T) {
 }
 
 func TestMediatorSpecTypemapAndUDP(t *testing.T) {
-	spec, err := core.ParseMediatorSpec("merged m\ntypemap v\nside 1 ssdp server udp\nside 2 slp udp target=x")
+	spec, err := core.ParseMediatorSpec("merged m\ntypemap v\nside 1 ssdp server\nside 2 slp target=x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.TypeMap != "v" {
 		t.Errorf("typemap = %q", spec.TypeMap)
 	}
-	if !spec.Sides[0].Server || spec.Sides[0].Transport != "udp" {
+	if !spec.Sides[0].Server {
 		t.Errorf("side0 = %+v", spec.Sides[0])
+	}
+	// The transport is the protocol's: ssdp and slp travel over UDP, and
+	// a side cannot say so again.
+	if _, err := core.ParseMediatorSpec("merged m\nside 1 ssdp server udp"); err == nil {
+		t.Error("side option udp accepted")
 	}
 	if _, err := core.ParseMediatorSpec("merged m\ntypemap"); err == nil {
 		t.Error("malformed typemap directive accepted")

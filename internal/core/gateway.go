@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"starlink/internal/bind"
 	"starlink/internal/engine"
 	"starlink/internal/gateway"
-	"starlink/internal/network"
 	"starlink/internal/observe"
 )
 
@@ -64,31 +64,15 @@ type GatewaySpec struct {
 	Routes []GatewayRouteSpec
 }
 
-// serverSide finds the client-facing side of a mediator spec: the side
-// marked "server", else the side whose color is 0 (the engine default).
-func serverSide(spec *MediatorSpec) (*SideSpec, error) {
-	for i := range spec.Sides {
-		if spec.Sides[i].Server {
-			return &spec.Sides[i], nil
-		}
-	}
-	for i := range spec.Sides {
-		if spec.Sides[i].Color == 0 {
-			return &spec.Sides[i], nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no server side", ErrGateway)
-}
-
 // buildRoute assembles one route: a detached mediator (pool started,
 // no listener — the gateway feeds it connections) plus the matcher,
-// framer and admission policy the gateway needs.
+// server-side binder and admission policy the gateway needs.
 func (m *Models) buildRoute(rs GatewayRouteSpec) (gateway.RouteConfig, *engine.Mediator, error) {
 	spec, ok := m.Mediators[rs.Mediator]
 	if !ok {
 		return gateway.RouteConfig{}, nil, fmt.Errorf("%w: route %q: mediator spec %q not loaded", ErrGateway, rs.Name, rs.Mediator)
 	}
-	side, err := serverSide(spec)
+	side, err := m.serverSide(spec)
 	if err != nil {
 		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: mediator %q: %w", rs.Name, rs.Mediator, err)
 	}
@@ -104,14 +88,14 @@ func (m *Models) buildRoute(rs GatewayRouteSpec) (gateway.RouteConfig, *engine.M
 		match.PathPrefix = orElse(rs.PathPrefix, side.Path)
 		match.Payload = wireClass(rs.Payload)
 	}
-	var framer network.Framer
+	var binder bind.Binder
 	med, err := m.build(spec, func(cfg *engine.Config) {
 		if rs.Deadline > 0 {
 			// Per-route deadline: the gateway operator's budget beats the
 			// mediator spec's own flow_deadline for flows admitted here.
 			cfg.FlowDeadline = rs.Deadline
 		}
-		framer = cfg.Sides[side.Color].Binder.Framer()
+		binder = cfg.Sides[side.Color].Binder
 	})
 	if err == nil {
 		if err = med.StartDetached(); err != nil {
@@ -129,7 +113,7 @@ func (m *Models) buildRoute(rs GatewayRouteSpec) (gateway.RouteConfig, *engine.M
 			Burst:    rs.Burst,
 			MaxFlows: rs.MaxFlows,
 		},
-		Framer: framer,
+		Binder: binder,
 		Target: med,
 	}, med, nil
 }

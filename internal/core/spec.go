@@ -285,7 +285,6 @@ var (
 		{"defs", "<automaton>", false, func(s *SideSpec, _ *reading, v string) { s.Defs = v }},
 		{"target", "<addr>|<backend>", false, func(s *SideSpec, _ *reading, v string) { s.Target = v }},
 		{"server", "", false, func(s *SideSpec, _ *reading, _ string) { s.Server = true }},
-		{"udp", "", false, func(s *SideSpec, _ *reading, _ string) { s.Transport = "udp" }},
 	}
 	probeOptions = []option[BackendSpec]{
 		{"timeout", "<duration>", false, func(b *BackendSpec, r *reading, v string) { b.ProbeTimeout = r.duration(v, positive) }},
@@ -393,8 +392,8 @@ var mediatorDirectives = []directive[MediatorSpec]{
 		func(s *MediatorSpec, r *reading) { s.Listen = r.words[0] }),
 	{name: "side", usage: "<color> <protocol> " + forms(sideOptions), min: 2, max: many,
 		doc: "Binds one colour of the automaton to a protocol (" + protocolNames() + "). Required, once per colour. " +
-			"`server` marks the client-facing colour (one side at most; colour 0 without it), `udp` the transport (TCP otherwise); " +
-			"`target=` is where a service side dials, an address or a `backend` name.",
+			"`server` marks the client-facing colour (one side at most; the merged automaton's first colour without it); " +
+			"`target=` is where a service side dials, an address or a `backend` name. The transport is the protocol's: UDP for `ssdp` and `slp`, TCP otherwise.",
 		parse: func(s *MediatorSpec, r *reading) {
 			side := SideSpec{Color: r.count(r.words[0], math.MinInt, many), Protocol: r.words[1]}
 			r.unique("side for color", strconv.Itoa(side.Color))

@@ -177,7 +177,7 @@ func TestDirectiveReference(t *testing.T) {
 
 // specVerdicts: see specVerdict and TestSpecVerdictsUnchanged.
 var specVerdicts = []specVerdict{
-	{kind: "mediator", doc: "\n# UPnP/SSDP control point -> SLP Directory Agent\nmerged SSDP-to-SLP-discovery\nlisten 127.0.0.1:9001\ntypemap upnp-to-slp\nside 1 ssdp server udp\nside 2 slp udp target=127.0.0.1:9002\n", line: -1, directive: ""},
+	{kind: "mediator", doc: "\n# UPnP/SSDP control point -> SLP Directory Agent\nmerged SSDP-to-SLP-discovery\nlisten 127.0.0.1:9001\ntypemap upnp-to-slp\nside 1 ssdp server\nside 2 slp target=127.0.0.1:9002\n", line: -1, directive: ""},
 	{kind: "mediator", doc: "\n# Flickr SOAP client -> Picasa REST service\nmerged Flickr-SOAP-to-Picasa-REST\nlisten 127.0.0.1:9001\nside 1 soap path=/services/soap server\nside 2 rest routes=picasa target=127.0.0.1:9002\nhostmap https://picasaweb.google.com = 127.0.0.1:9002\n", line: -1, directive: ""},
 	{kind: "mediator", doc: "\n# Flickr XML-RPC client -> Picasa REST service\nmerged Flickr-XMLRPC-to-Picasa-REST\nlisten 127.0.0.1:9001\nside 1 xmlrpc path=/services/xmlrpc defs=AFlickr server\nside 2 rest routes=picasa target=127.0.0.1:9002\nhostmap https://picasaweb.google.com = 127.0.0.1:9002\n", line: -1, directive: ""},
 	{kind: "gateway", doc: "\n# One front door for the Flickr mediators\nlisten 127.0.0.1:9001\nroute xmlrpc flickr-xmlrpc path=/services/xmlrpc maxflows=64\nroute soap flickr-soap path=/services/soap maxflows=64\ndefault xmlrpc\n", line: -1, directive: ""},
@@ -227,7 +227,8 @@ var specVerdicts = []specVerdict{
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server\nflow_deadline off", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server\nretries 0", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server", line: -1, directive: ""},
-	{kind: "mediator", doc: "merged m\ntypemap v\nside 1 ssdp server udp\nside 2 slp udp target=x", line: -1, directive: ""},
+	{kind: "mediator", doc: "merged m\ntypemap v\nside 1 ssdp server\nside 2 slp target=x", line: -1, directive: ""},
+	{kind: "mediator", doc: "merged m\nside 1 ssdp server udp", line: 2, directive: "side"},
 	{kind: "mediator", doc: "merged m\ntypemap", line: 2, directive: "typemap"},
 	{kind: "mediator", doc: "\nmerged Add+Plus\nside 1 giop defs=AAdd server\nside 2 soap path=/soap target=127.0.0.1:9001\npool_size 16\npool_idle 30s\n", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server\npool_idle off", line: -1, directive: ""},
@@ -364,7 +365,7 @@ var specVerdicts = []specVerdict{
 	{kind: "mediator", doc: "merged x\nside 1 soap\nbackend b :1\ndiscover b via=file path=/x agent=foo", line: -1, directive: "", nowLine: 4, nowDirective: "discover", why: "option of another discovery source"},
 	{kind: "mediator", doc: "merged x\nside 1 soap\nbackend b :1\ndiscover b path=/x via=file refresh=1s", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged x\nside 1 soap\nbackend b :1\ndiscover b via=file path=", line: 4, directive: "discover"},
-	{kind: "mediator", doc: "merged x\nside 1 soap path= server udp", line: -1, directive: ""},
+	{kind: "mediator", doc: "merged x\nside 1 soap path= server", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged x\nside 1 soap server=1", line: 2, directive: "side"},
 	{kind: "mediator", doc: "merged x\nside 1 soap path", line: 2, directive: "side"},
 	{kind: "mediator", doc: "merged x\nside -1 soap\nside +1 soap", line: -1, directive: ""},

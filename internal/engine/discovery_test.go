@@ -6,7 +6,6 @@ import (
 	"starlink/internal/bind"
 	"starlink/internal/casestudy"
 	"starlink/internal/engine"
-	"starlink/internal/network"
 	"starlink/internal/protocol/slp"
 	"starlink/internal/protocol/ssdp"
 )
@@ -35,8 +34,8 @@ func TestE10DiscoveryMediation(t *testing.T) {
 	med, err := engine.New(engine.Config{
 		Merged: casestudy.DiscoveryMediator(),
 		Sides: map[int]*engine.Side{
-			1: {Binder: &bind.SSDPBinder{}, Net: network.Semantics{Transport: "udp"}},
-			2: {Binder: slpBinder, Net: network.Semantics{Transport: "udp"}, Target: da.Addr()},
+			1: {Binder: &bind.SSDPBinder{}},
+			2: {Binder: slpBinder, Target: da.Addr()},
 		},
 		Funcs: casestudy.DiscoveryFuncs(),
 	})
@@ -90,8 +89,8 @@ func TestDiscoveryUnmappedTypeFailsSession(t *testing.T) {
 	med, err := engine.New(engine.Config{
 		Merged: casestudy.DiscoveryMediator(),
 		Sides: map[int]*engine.Side{
-			1: {Binder: &bind.SSDPBinder{}, Net: network.Semantics{Transport: "udp"}},
-			2: {Binder: slpBinder, Net: network.Semantics{Transport: "udp"}, Target: da.Addr()},
+			1: {Binder: &bind.SSDPBinder{}},
+			2: {Binder: slpBinder, Target: da.Addr()},
 		},
 		Funcs: casestudy.DiscoveryFuncs(),
 	})

@@ -67,9 +67,9 @@ var (
 // Side configures one color of the mediator.
 type Side struct {
 	// Binder maps between concrete packets and abstract action messages.
+	// Its Framer also says how the color travels: New resolves the
+	// color's transport from it once (network.SemanticsOf).
 	Binder bind.Binder
-	// Net carries the color's network semantics (transport defaults tcp).
-	Net network.Semantics
 	// Target is the service address for client-role colors (ignored on the
 	// server color).
 	Target string
@@ -421,7 +421,9 @@ type Mediator struct {
 	flowBudget time.Duration
 	// plan is the merged automaton compiled for the flows to walk; its
 	// links are the colors the mediator plays the client role for.
-	plan  *plan
+	plan *plan
+	// sems is how each color travels, from its binder's framer.
+	sems  map[int]network.Semantics
 	stats counters[atomic.Uint64]
 
 	// rcache is the shared cross-flow response cache (nil unless
@@ -543,6 +545,7 @@ func New(cfg Config) (*Mediator, error) {
 	if err != nil {
 		return nil, err
 	}
+	sems := make(map[int]network.Semantics, 1+len(p.links))
 	for _, c := range append([]int{cfg.ServerColor}, p.links...) {
 		side := cfg.Sides[c]
 		if side == nil || side.Binder == nil {
@@ -551,6 +554,7 @@ func New(cfg Config) (*Mediator, error) {
 		if c != cfg.ServerColor && side.Target == "" {
 			return nil, fmt.Errorf("%w: no target address for client color %d", ErrConfig, c)
 		}
+		sems[c] = network.SemanticsOf(side.Binder.Framer())
 	}
 	serviceSends := map[string]bool{}
 	for _, st := range p.steps {
@@ -609,6 +613,7 @@ func New(cfg Config) (*Mediator, error) {
 		retry:      retry,
 		flowBudget: flowBudget,
 		plan:       p,
+		sems:       sems,
 		conns:      make(map[network.Conn]struct{}),
 		svcConns:   make(map[network.Conn]struct{}),
 		idle:       make(map[network.Conn]struct{}),
@@ -626,7 +631,7 @@ func New(cfg Config) (*Mediator, error) {
 // pool: the configured bounds plus a dial hook that honours each side's
 // Dialer override.
 func (m *Mediator) poolOptions() pool.Options {
-	opts := pool.Options{
+	return pool.Options{
 		MaxActive:   m.cfg.PoolSize,
 		IdleTimeout: m.cfg.PoolIdle,
 		Dial: func(ctx context.Context, key pool.Key) (network.Conn, error) {
@@ -644,16 +649,9 @@ func (m *Mediator) poolOptions() pool.Options {
 				}
 				dial = network.Engine{DialTimeout: timeout}.Dial
 			}
-			return dial(side.Net, key.Addr, side.Binder.Framer())
+			return dial(m.sems[key.Color], key.Addr, side.Binder.Framer())
 		},
 	}
-	if m.cfg.PoolIdle < 0 {
-		// Idle keep-alive disabled: nothing is parked, so the timeout
-		// reverts to the default (it only governs an empty idle set).
-		opts.IdleTimeout = 0
-		opts.MaxIdle = -1
-	}
-	return opts
 }
 
 // Start opens the shared service pool and listens for client-side
@@ -661,7 +659,7 @@ func (m *Mediator) poolOptions() pool.Options {
 // connection to ServeConn, until the listener is closed.
 func (m *Mediator) Start(listenAddr string) error {
 	side := m.cfg.Sides[m.cfg.ServerColor]
-	l, err := network.Engine{}.Listen(side.Net, listenAddr, side.Binder.Framer())
+	l, err := network.Engine{}.Listen(m.sems[m.cfg.ServerColor], listenAddr, side.Binder.Framer())
 	if err != nil {
 		return err
 	}

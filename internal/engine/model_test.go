@@ -482,7 +482,6 @@ func shippedWorlds(t *testing.T) []*world {
 		t.Fatal(err)
 	}
 	xmlrpc := &bind.XMLRPCBinder{Path: flickr.XMLRPCPath, Defs: casestudy.FlickrUsage().Messages}
-	tcp, udp := network.Semantics{Transport: "tcp"}, network.Semantics{Transport: "udp"}
 
 	var ids []string
 	for _, p := range store.Search("tree", 3) {
@@ -539,18 +538,17 @@ func shippedWorlds(t *testing.T) []*world {
 	}
 	type deployment struct {
 		client, service bind.Binder
-		net             network.Semantics
 		addr            string
 		request         func(rng *rand.Rand, op string) []*message.Field
 		funcs           map[string]mtl.Func
 	}
 	deployments := map[string]deployment{
-		"flickr-xmlrpc-to-picasa-rest.merged.xml": {xmlrpc, rest, tcp, pic.Addr(), flickrRequest(true), nil},
-		"flickr-picasa-auto.merged.xml":           {xmlrpc, rest, tcp, pic.Addr(), flickrRequest(true), nil},
-		"flickr-soap-to-picasa-rest.merged.xml":   {&bind.SOAPBinder{Path: flickr.SOAPPath}, rest, tcp, pic.Addr(), flickrRequest(false), nil},
-		"picasa-to-flickr.merged.xml":             {rest, xmlrpc, tcp, fl.XMLRPCAddr(), picasaRequest, nil},
-		"ssdp-to-slp.merged.xml":                  {&bind.SSDPBinder{}, slpBinder, udp, da.Addr(), discoveryRequest, casestudy.DiscoveryFuncs()},
-		addPlusName:                               {giopBinder, &bind.SOAPBinder{Path: "/soap"}, tcp, plus.Addr(), addRequest, nil},
+		"flickr-xmlrpc-to-picasa-rest.merged.xml": {xmlrpc, rest, pic.Addr(), flickrRequest(true), nil},
+		"flickr-picasa-auto.merged.xml":           {xmlrpc, rest, pic.Addr(), flickrRequest(true), nil},
+		"flickr-soap-to-picasa-rest.merged.xml":   {&bind.SOAPBinder{Path: flickr.SOAPPath}, rest, pic.Addr(), flickrRequest(false), nil},
+		"picasa-to-flickr.merged.xml":             {rest, xmlrpc, fl.XMLRPCAddr(), picasaRequest, nil},
+		"ssdp-to-slp.merged.xml":                  {&bind.SSDPBinder{}, slpBinder, da.Addr(), discoveryRequest, casestudy.DiscoveryFuncs()},
+		addPlusName:                               {giopBinder, &bind.SOAPBinder{Path: "/soap"}, plus.Addr(), addRequest, nil},
 	}
 	files, err := fs.Glob(models.FS, "*.merged.xml")
 	if err != nil {
@@ -600,7 +598,7 @@ func shippedWorlds(t *testing.T) []*world {
 						return nil
 					}
 					var err error
-					if parsed, err = d.service.ParseReply(op, exchange(t, d.service, d.net, d.addr, op, sent)); err != nil {
+					if parsed, err = d.service.ParseReply(op, exchange(t, d.service, d.addr, op, sent)); err != nil {
 						refused[sent.String()] = true
 						return nil
 					}
@@ -617,8 +615,8 @@ func shippedWorlds(t *testing.T) []*world {
 
 // exchange sends op to the simulated service at addr and returns its
 // reply.
-func exchange(t *testing.T, b bind.Binder, sem network.Semantics, addr, op string, sent *message.Message) []byte {
-	conn, err := network.Engine{DialTimeout: 5 * time.Second}.Dial(sem, addr, b.Framer())
+func exchange(t *testing.T, b bind.Binder, addr, op string, sent *message.Message) []byte {
+	conn, err := network.Engine{DialTimeout: 5 * time.Second}.Dial(network.SemanticsOf(b.Framer()), addr, b.Framer())
 	if err != nil {
 		t.Fatal(err)
 	}

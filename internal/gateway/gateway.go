@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"starlink/internal/mdl"
-	"starlink/internal/message"
+	"starlink/internal/bind"
 	"starlink/internal/network"
-	"starlink/internal/protocol/giop"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -28,8 +26,8 @@ var (
 )
 
 // rejectTimeout bounds a shed connection's goodbye exchange: reading
-// the one request a protocol-correct reject must answer (GIOP carries
-// the request id in the body) and writing the reject itself.
+// the one request a protocol-correct reject must answer (a GIOP fault
+// echoes the request id) and writing the reject itself.
 const rejectTimeout = time.Second
 
 // Target is what a route forwards admitted connections to. A running
@@ -88,9 +86,11 @@ type RouteConfig struct {
 	Match Matcher
 	// Admission is the route's admission-control policy.
 	Admission AdmissionPolicy
-	// Framer frames admitted connections for the target — the hosted
-	// mediator's server-side binder framer.
-	Framer network.Framer
+	// Binder is the hosted mediator's server-side binder: its Framer
+	// frames admitted connections for the target, and a shed connection
+	// that is not HTTP gets its BuildErrorReply when it is an
+	// bind.ErrorReplier.
+	Binder bind.Binder
 	// Target is the initial mediator (typically started detached).
 	Target Target
 }
@@ -115,6 +115,7 @@ type route struct {
 	name   string
 	match  Matcher
 	adm    *admission
+	binder bind.Binder
 	framer network.Framer
 	target atomic.Pointer[targetBox]
 
@@ -132,11 +133,10 @@ type targetBox struct{ t Target }
 // each connection; hosted mediators are owned by the deployer (they
 // outlive a gateway Close so their in-flight flows can drain).
 type Gateway struct {
-	cfg       Config
-	routes    []*route
-	byName    map[string]*route
-	deflt     *route
-	giopCodec mdl.Codec
+	cfg    Config
+	routes []*route
+	byName map[string]*route
+	deflt  *route
 
 	conns    atomic.Uint64 // connections accepted by the listener
 	sniffed  [5]atomic.Uint64
@@ -171,10 +171,10 @@ func New(cfg Config) (*Gateway, error) {
 		if rc.Target == nil {
 			return nil, fmt.Errorf("%w: route %q has no target", ErrConfig, rc.Name)
 		}
-		if rc.Framer == nil {
-			return nil, fmt.Errorf("%w: route %q has no framer", ErrConfig, rc.Name)
+		if rc.Binder == nil {
+			return nil, fmt.Errorf("%w: route %q has no binder", ErrConfig, rc.Name)
 		}
-		rt := &route{name: rc.Name, match: rc.Match, adm: newAdmission(rc.Admission), framer: rc.Framer}
+		rt := &route{name: rc.Name, match: rc.Match, adm: newAdmission(rc.Admission), binder: rc.Binder, framer: rc.Binder.Framer()}
 		rt.target.Store(&targetBox{t: rc.Target})
 		g.routes = append(g.routes, rt)
 		g.byName[rc.Name] = rt
@@ -186,11 +186,6 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.deflt = rt
 	}
-	codec, err := giop.NewCodec()
-	if err != nil {
-		return nil, err
-	}
-	g.giopCodec = codec
 	return g, nil
 }
 
@@ -309,7 +304,7 @@ func (g *Gateway) handle(c net.Conn) {
 	}
 	if ok, _ := rt.adm.admit(time.Now()); !ok {
 		rt.shed.Add(1)
-		g.reject(pc, s)
+		rt.reject(pc, s)
 		return
 	}
 	gc := &gatedConn{Conn: pc.Framed(rt.framer), adm: rt.adm}
@@ -341,13 +336,16 @@ func (g *Gateway) routeFor(s Sniff) *route {
 }
 
 // reject answers an over-limit connection with a cheap protocol-correct
-// refusal and closes it: HTTP 503 for HTTP-shaped traffic, a GIOP
-// system exception (echoing the request id) for IIOP, a bare close for
-// anything else. The client sees load shedding as a middleware-level
-// fault it already knows how to handle, not a hang.
-func (g *Gateway) reject(pc *network.PeekConn, s Sniff) {
-	switch s.Class {
-	case ClassHTTP:
+// refusal and closes it: HTTP 503 with Retry-After for HTTP-shaped
+// traffic, whichever binder the route has; otherwise the fault the
+// route's binder builds for the one request the client sent (a GIOP
+// system exception echoing its request id). A bare close when the binder
+// builds no fault, the sniff named no protocol (a silent client would
+// hold the reject for its whole timeout) or no request arrives. The
+// client sees load shedding as a middleware-level fault it already knows
+// how to handle, not a hang.
+func (rt *route) reject(pc *network.PeekConn, s Sniff) {
+	if s.Class == ClassHTTP {
 		resp := &httpwire.Response{
 			Status: 503,
 			Reason: "Service Unavailable",
@@ -361,28 +359,23 @@ func (g *Gateway) reject(pc *network.PeekConn, s Sniff) {
 		conn.SetDeadline(time.Now().Add(rejectTimeout))
 		conn.Send(resp.Marshal())
 		conn.Close()
-	case ClassGIOP:
-		conn := pc.Framed(network.GIOPFramer{})
-		conn.SetDeadline(time.Now().Add(rejectTimeout))
-		// The reject must echo the request id or the client cannot
-		// correlate it; read the one request that is already (or nearly)
-		// on the wire.
-		var id uint64
-		if data, err := conn.Recv(); err == nil {
-			if req, err := g.giopCodec.Parse(data); err == nil {
-				if n, err := req.GetInt("RequestID"); err == nil {
-					id = uint64(n)
-				}
-			}
-		}
-		reply := giop.NewReply(id, giop.StatusSystemException,
-			[]*message.Field{giop.StringParam("gateway: over capacity")})
-		if wire, err := g.giopCodec.Compose(reply); err == nil {
-			conn.Send(wire)
-		}
-		conn.Close()
-	default:
+		return
+	}
+	replier, ok := rt.binder.(bind.ErrorReplier)
+	if !ok || s.Class == ClassUnknown {
 		pc.Close()
+		return
+	}
+	conn := pc.Framed(rt.framer)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(rejectTimeout))
+	data, err := conn.Recv()
+	if err != nil {
+		return
+	}
+	action, req, _ := rt.binder.ParseRequest(data)
+	if wire, err := replier.BuildErrorReply(action, req, "gateway: over capacity"); err == nil {
+		conn.Send(wire)
 	}
 }
 

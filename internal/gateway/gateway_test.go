@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"starlink/internal/bind"
 	"starlink/internal/message"
 	"starlink/internal/network"
 	"starlink/internal/protocol/giop"
@@ -37,6 +38,19 @@ func (f *fakeTarget) ServeConn(c network.Conn) error {
 
 func (f *fakeTarget) Shutdown(context.Context) error { return nil }
 func (f *fakeTarget) Close() error                   { return nil }
+
+// httpBinder and giopBinder stand for a hosted mediator's server-side
+// binder: a route frames its connections with the binder's framer, and a
+// shed connection that is not HTTP gets the binder's fault.
+var httpBinder bind.Binder = &bind.XMLRPCBinder{}
+
+func giopBinder(t *testing.T) bind.Binder {
+	b, err := bind.NewGIOPBinder("calc", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // wait polls until the target has received n connections.
 func (f *fakeTarget) wait(t *testing.T, n int) network.Conn {
@@ -108,8 +122,8 @@ func giopWire(t *testing.T, id uint64) []byte {
 func TestRoutingBySniff(t *testing.T) {
 	giopT, httpT := &fakeTarget{}, &fakeTarget{}
 	g := startGateway(t, Config{Routes: []RouteConfig{
-		{Name: "iiop", Match: Matcher{Class: ClassGIOP}, Framer: network.GIOPFramer{}, Target: giopT},
-		{Name: "web", Match: Matcher{Class: ClassHTTP}, Framer: network.HTTPFramer{}, Target: httpT},
+		{Name: "iiop", Match: Matcher{Class: ClassGIOP}, Binder: giopBinder(t), Target: giopT},
+		{Name: "web", Match: Matcher{Class: ClassHTTP}, Binder: httpBinder, Target: httpT},
 	}})
 
 	var wg sync.WaitGroup
@@ -149,11 +163,11 @@ func TestPathAndPayloadRouting(t *testing.T) {
 	xmlT, jsonT, restT := &fakeTarget{}, &fakeTarget{}, &fakeTarget{}
 	g := startGateway(t, Config{Routes: []RouteConfig{
 		{Name: "xmlrpc", Match: Matcher{Class: ClassHTTP, PathPrefix: "/rpc", Payload: ClassXML},
-			Framer: network.HTTPFramer{}, Target: xmlT},
+			Binder: httpBinder, Target: xmlT},
 		{Name: "jsonrpc", Match: Matcher{Class: ClassHTTP, PathPrefix: "/rpc", Payload: ClassJSON},
-			Framer: network.HTTPFramer{}, Target: jsonT},
+			Binder: httpBinder, Target: jsonT},
 		{Name: "rest", Match: Matcher{Class: ClassHTTP},
-			Framer: network.HTTPFramer{}, Target: restT},
+			Binder: httpBinder, Target: restT},
 	}})
 
 	send := func(body string) {
@@ -188,7 +202,7 @@ func TestDefaultRouteFallback(t *testing.T) {
 	def := &fakeTarget{}
 	g := startGateway(t, Config{
 		Routes: []RouteConfig{
-			{Name: "web", Match: Matcher{Class: ClassHTTP}, Framer: network.HTTPFramer{}, Target: def},
+			{Name: "web", Match: Matcher{Class: ClassHTTP}, Binder: httpBinder, Target: def},
 		},
 		Default:      "web",
 		SniffTimeout: 100 * time.Millisecond,
@@ -203,7 +217,7 @@ func TestDefaultRouteFallback(t *testing.T) {
 	// No default: the connection is closed, not forwarded.
 	g2 := startGateway(t, Config{
 		Routes: []RouteConfig{
-			{Name: "iiop", Match: Matcher{Class: ClassGIOP}, Framer: network.GIOPFramer{}, Target: &fakeTarget{}},
+			{Name: "iiop", Match: Matcher{Class: ClassGIOP}, Binder: giopBinder(t), Target: &fakeTarget{}},
 		},
 		SniffTimeout: 100 * time.Millisecond,
 	})
@@ -225,7 +239,7 @@ func TestShedHTTP(t *testing.T) {
 	target := &fakeTarget{}
 	g := startGateway(t, Config{Routes: []RouteConfig{
 		{Name: "web", Match: Matcher{Class: ClassHTTP}, Admission: AdmissionPolicy{MaxFlows: 1},
-			Framer: network.HTTPFramer{}, Target: target},
+			Binder: httpBinder, Target: target},
 	}})
 
 	first := dialRaw(t, g.Addr())
@@ -273,7 +287,7 @@ func TestShedGIOP(t *testing.T) {
 	target := &fakeTarget{}
 	g := startGateway(t, Config{Routes: []RouteConfig{
 		{Name: "iiop", Match: Matcher{Class: ClassGIOP}, Admission: AdmissionPolicy{MaxFlows: 1},
-			Framer: network.GIOPFramer{}, Target: target},
+			Binder: giopBinder(t), Target: target},
 	}})
 
 	first := dialRaw(t, g.Addr())
@@ -309,7 +323,7 @@ func TestRateLimitShed(t *testing.T) {
 	target := &fakeTarget{}
 	g := startGateway(t, Config{Routes: []RouteConfig{
 		{Name: "web", Match: Matcher{Class: ClassHTTP}, Admission: AdmissionPolicy{Rate: 0.001, Burst: 2},
-			Framer: network.HTTPFramer{}, Target: target},
+			Binder: httpBinder, Target: target},
 	}})
 	for i := 0; i < 4; i++ {
 		c := dialRaw(t, g.Addr())
@@ -335,7 +349,7 @@ func TestRateLimitShed(t *testing.T) {
 func TestHotSwap(t *testing.T) {
 	oldT, newT := &fakeTarget{}, &fakeTarget{}
 	g := startGateway(t, Config{Routes: []RouteConfig{
-		{Name: "web", Match: Matcher{Class: ClassHTTP}, Framer: network.HTTPFramer{}, Target: oldT},
+		{Name: "web", Match: Matcher{Class: ClassHTTP}, Binder: httpBinder, Target: oldT},
 	}})
 
 	c1 := dialRaw(t, g.Addr())
@@ -373,7 +387,7 @@ func TestHotSwap(t *testing.T) {
 func TestSwapRetryOnDraining(t *testing.T) {
 	target := &fakeTarget{refuse: 1}
 	g := startGateway(t, Config{Routes: []RouteConfig{
-		{Name: "web", Match: Matcher{Class: ClassHTTP}, Framer: network.HTTPFramer{}, Target: target},
+		{Name: "web", Match: Matcher{Class: ClassHTTP}, Binder: httpBinder, Target: target},
 	}})
 	c := dialRaw(t, g.Addr())
 	c.Write([]byte("GET /x HTTP/1.1\r\n\r\n"))
@@ -404,11 +418,11 @@ func TestGatewayConfigValidation(t *testing.T) {
 	ft := &fakeTarget{}
 	cases := []Config{
 		{},
-		{Routes: []RouteConfig{{Name: "", Framer: network.HTTPFramer{}, Target: ft}}},
-		{Routes: []RouteConfig{{Name: "a", Framer: network.HTTPFramer{}, Target: ft}, {Name: "a", Framer: network.HTTPFramer{}, Target: ft}}},
+		{Routes: []RouteConfig{{Name: "", Binder: httpBinder, Target: ft}}},
+		{Routes: []RouteConfig{{Name: "a", Binder: httpBinder, Target: ft}, {Name: "a", Binder: httpBinder, Target: ft}}},
 		{Routes: []RouteConfig{{Name: "a", Target: ft}}},
-		{Routes: []RouteConfig{{Name: "a", Framer: network.HTTPFramer{}}}},
-		{Routes: []RouteConfig{{Name: "a", Framer: network.HTTPFramer{}, Target: ft}}, Default: "missing"},
+		{Routes: []RouteConfig{{Name: "a", Binder: httpBinder}}},
+		{Routes: []RouteConfig{{Name: "a", Binder: httpBinder, Target: ft}}, Default: "missing"},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -422,7 +436,7 @@ func TestGatewayConfigValidation(t *testing.T) {
 func TestGatewayShutdown(t *testing.T) {
 	target := &fakeTarget{}
 	g, err := New(Config{Routes: []RouteConfig{
-		{Name: "web", Match: Matcher{Class: ClassHTTP}, Framer: network.HTTPFramer{}, Target: target},
+		{Name: "web", Match: Matcher{Class: ClassHTTP}, Binder: httpBinder, Target: target},
 	}})
 	if err != nil {
 		t.Fatal(err)

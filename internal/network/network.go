@@ -1,9 +1,9 @@
 // Package network is Starlink's network engine (paper Section 4.2): it
 // moves whole protocol messages to and from the wire so the rest of the
-// framework can stay at the abstract-message level. A transition in a
-// k-colored automaton attaches network semantics — transport (tcp/udp),
-// interaction mode (sync/async), multicast — and this engine provides the
-// matching services.
+// framework can stay at the abstract-message level. The paper attaches
+// network semantics — transport (tcp/udp), multicast — to each colour;
+// here a colour gets them from its protocol's Framer (SemanticsOf), and
+// this engine provides the matching services.
 //
 // Because protocols frame their messages differently (HTTP by headers and
 // Content-Length, GIOP by a fixed 12-byte header carrying the body size,
@@ -232,6 +232,37 @@ func (GIOPFramer) WriteMessage(w io.Writer, data []byte) error {
 	return err
 }
 
+// Datagram frames the message-per-datagram protocols (SSDP, SLP): the UDP
+// transport keeps a datagram's boundaries, so a message is a datagram and
+// there is nothing to frame. A stream read is refused.
+type Datagram struct{}
+
+var _ Framer = Datagram{}
+
+// ReadMessage implements Framer; a stream read is refused.
+func (f Datagram) ReadMessage(r *bufio.Reader) ([]byte, error) { return f.AppendMessage(nil, r) }
+
+// AppendMessage implements Framer; a stream read is refused.
+func (Datagram) AppendMessage(dst []byte, _ *bufio.Reader) ([]byte, error) {
+	return dst, errors.New("network: datagram protocol over a stream transport")
+}
+
+// WriteMessage implements Framer.
+func (Datagram) WriteMessage(w io.Writer, data []byte) error {
+	_, err := w.Write(data)
+	return err
+}
+
+// SemanticsOf is how a protocol framed by f travels: Datagram over udp,
+// every other framer over tcp. A colour's transport is its binder's
+// framer, so nothing else states it.
+func SemanticsOf(f Framer) Semantics {
+	if _, ok := f.(Datagram); ok {
+		return Semantics{Transport: "udp"}
+	}
+	return Semantics{Transport: "tcp"}
+}
+
 // ---- stream connections ----
 
 // readers holds the read buffers of stream connections. A connection
@@ -409,13 +440,11 @@ func (d *datagramConn) Close() error {
 // ---- engine ----
 
 // Semantics describe how a protocol's messages travel; they mirror the
-// attributes attached to k-colored transitions (Fig. 4).
+// attributes attached to k-colored transitions (Fig. 4). A colour's are
+// SemanticsOf its binder's framer.
 type Semantics struct {
 	// Transport is "tcp" or "udp".
 	Transport string
-	// Mode is "sync" or "async" (currently informational: the automata
-	// engine decides when to wait for replies).
-	Mode string
 	// Multicast requests a multicast-capable UDP socket.
 	Multicast bool
 }

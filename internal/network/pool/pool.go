@@ -13,9 +13,10 @@
 // returns to the pool for whichever session next talks to the old
 // address, instead of being torn down.
 //
-// The pool is bounded (MaxActive per key), keeps idle connections warm
-// up to MaxIdle, reaps them after IdleTimeout, and vets each checkout
-// against the idle deadline and an optional Health probe. Callers that
+// The pool is bounded (MaxActive per key), keeps idle connections warm,
+// reaps them after IdleTimeout, and vets each checkout against the idle
+// deadline. Replica health is not the pool's: internal/backend probes the
+// replicas and flushes a sick one's idle connections. Callers that
 // observe a transport fault return the connection with Discard (and may
 // Flush the key's remaining idle connections, which were dialled to the
 // same dead endpoint).
@@ -73,18 +74,11 @@ type Options struct {
 	// idle; a checkout beyond the cap blocks until a connection is
 	// checked in or the Get context expires. 0 means DefaultMaxActive.
 	MaxActive int
-	// MaxIdle caps the idle connections kept per key: overflow checkins
-	// are closed. 0 adopts MaxActive (keep everything the cap allows);
-	// a negative value keeps none, disabling reuse.
-	MaxIdle int
 	// IdleTimeout bounds how long an idle connection may wait for reuse
 	// before the reaper (or a checkout vet) closes it. 0 means
-	// DefaultIdleTimeout.
+	// DefaultIdleTimeout; a negative value keeps none, disabling reuse: a
+	// checkin nobody waits for is closed.
 	IdleTimeout time.Duration
-	// Health, when non-nil, vets an idle connection at checkout; an
-	// error closes it and the checkout falls through to the next idle
-	// connection or a fresh dial.
-	Health func(network.Conn) error
 }
 
 // Stats are a pool's lifetime counters plus its current occupancy.
@@ -95,9 +89,8 @@ type Stats struct {
 	Dials uint64
 	// Expired counts idle connections closed by IdleTimeout.
 	Expired uint64
-	// Unhealthy counts idle connections rejected by the Health probe.
-	Unhealthy uint64
-	// Overflow counts checkins closed because MaxIdle was reached.
+	// Overflow counts checkins closed because the pool keeps no idle
+	// connection (a negative IdleTimeout).
 	Overflow uint64
 	// Discarded counts connections reported broken via Discard/Flush.
 	Discarded uint64
@@ -127,7 +120,7 @@ type KeyStats struct {
 }
 
 // Evictions sums every way a pooled connection was closed early.
-func (s Stats) Evictions() uint64 { return s.Expired + s.Unhealthy + s.Overflow + s.Discarded }
+func (s Stats) Evictions() uint64 { return s.Expired + s.Overflow + s.Discarded }
 
 // idleConn is one parked connection with its checkin time.
 type idleConn struct {
@@ -148,9 +141,13 @@ type bucket struct {
 // concurrent use.
 type Pool struct {
 	opts Options
+	// keepNone is a negative Options.IdleTimeout: nothing is parked, and
+	// opts.IdleTimeout reverts to the default, which then only paces the
+	// reaper.
+	keepNone bool
 
 	hits, dials         atomic.Uint64
-	expired, unhealthy  atomic.Uint64
+	expired             atomic.Uint64
 	overflow, discarded atomic.Uint64
 	waitTimeouts        atomic.Uint64
 
@@ -174,25 +171,16 @@ func New(opts Options) (*Pool, error) {
 	if opts.MaxActive == 0 {
 		opts.MaxActive = DefaultMaxActive
 	}
-	switch {
-	case opts.MaxIdle == 0:
-		opts.MaxIdle = opts.MaxActive
-	case opts.MaxIdle < 0:
-		opts.MaxIdle = 0
-	case opts.MaxIdle > opts.MaxActive:
-		opts.MaxIdle = opts.MaxActive
-	}
-	if opts.IdleTimeout < 0 {
-		return nil, fmt.Errorf("pool: negative IdleTimeout %v", opts.IdleTimeout)
-	}
-	if opts.IdleTimeout == 0 {
+	keepNone := opts.IdleTimeout < 0
+	if opts.IdleTimeout <= 0 {
 		opts.IdleTimeout = DefaultIdleTimeout
 	}
 	p := &Pool{
-		opts: opts,
-		keys: make(map[Key]*bucket),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		opts:     opts,
+		keepNone: keepNone,
+		keys:     make(map[Key]*bucket),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go p.reap()
 	return p, nil
@@ -209,7 +197,7 @@ func (p *Pool) bucketLocked(key Key) *bucket {
 	return b
 }
 
-// Get checks a connection out for key: the freshest healthy idle
+// Get checks a connection out for key: the freshest unexpired idle
 // connection when one is parked, a new dial while the key is under its
 // MaxActive bound, and otherwise it blocks until a connection is checked
 // in or ctx expires. The caller owns the connection until it calls Put
@@ -259,20 +247,12 @@ func (p *Pool) Get(ctx context.Context, key Key) (network.Conn, error) {
 }
 
 // vet decides whether a just-unparked idle connection is still worth
-// handing out, closing it when not. Runs outside the pool lock so a slow
-// Health probe cannot stall other checkouts.
+// handing out, closing it when it outlived IdleTimeout.
 func (p *Pool) vet(ic idleConn) bool {
 	if time.Since(ic.since) > p.opts.IdleTimeout {
 		p.expired.Add(1)
 		ic.conn.Close()
 		return false
-	}
-	if p.opts.Health != nil {
-		if err := p.opts.Health(ic.conn); err != nil {
-			p.unhealthy.Add(1)
-			ic.conn.Close()
-			return false
-		}
 	}
 	return true
 }
@@ -326,8 +306,8 @@ func (p *Pool) abandon(key Key, w chan struct{}) {
 	}
 }
 
-// Put checks a healthy connection back in. Beyond MaxIdle (with no
-// checkout waiting for it) the connection is closed instead of parked.
+// Put checks a healthy connection back in. A pool that keeps none closes
+// it instead of parking it, unless a checkout is waiting for it.
 func (p *Pool) Put(key Key, conn network.Conn) {
 	if conn == nil {
 		return
@@ -339,7 +319,7 @@ func (p *Pool) Put(key Key, conn network.Conn) {
 		return
 	}
 	b := p.bucketLocked(key)
-	if len(b.idle) >= p.opts.MaxIdle && len(b.waiters) == 0 {
+	if p.keepNone && len(b.waiters) == 0 {
 		b.total--
 		p.overflow.Add(1)
 		p.mu.Unlock()
@@ -468,7 +448,6 @@ func (p *Pool) Stats() Stats {
 		Hits:         p.hits.Load(),
 		Dials:        p.dials.Load(),
 		Expired:      p.expired.Load(),
-		Unhealthy:    p.unhealthy.Load(),
 		Overflow:     p.overflow.Load(),
 		Discarded:    p.discarded.Load(),
 		WaitTimeouts: p.waitTimeouts.Load(),

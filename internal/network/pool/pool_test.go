@@ -271,58 +271,6 @@ func TestExpiredVettedAtCheckout(t *testing.T) {
 	}
 }
 
-func TestHealthCheckEvictsAtCheckout(t *testing.T) {
-	bad := errors.New("stale")
-	var vetted atomic.Int64
-	p, d := newTestPool(t, Options{
-		Health: func(c network.Conn) error {
-			if vetted.Add(1) == 1 {
-				return bad
-			}
-			return nil
-		},
-	})
-	ctx := context.Background()
-	c, err := p.Get(ctx, testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(testKey, c)
-	c2, err := p.Get(ctx, testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 == c {
-		t.Error("unhealthy conn handed out")
-	}
-	if !d.conns[0].closed.Load() {
-		t.Error("unhealthy conn not closed")
-	}
-	st := p.Stats()
-	if st.Unhealthy != 1 || st.Dials != 2 {
-		t.Errorf("stats = %+v, want 1 unhealthy / 2 dials", st)
-	}
-}
-
-func TestMaxIdleOverflowCloses(t *testing.T) {
-	p, d := newTestPool(t, Options{MaxActive: 4, MaxIdle: 1})
-	ctx := context.Background()
-	c1, _ := p.Get(ctx, testKey)
-	c2, err := p.Get(ctx, testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Put(testKey, c1)
-	p.Put(testKey, c2)
-	st := p.Stats()
-	if st.Idle != 1 || st.Overflow != 1 {
-		t.Errorf("stats = %+v, want 1 idle / 1 overflow", st)
-	}
-	if !d.conns[1].closed.Load() {
-		t.Error("overflow conn not closed")
-	}
-}
-
 func TestFlushDrainsIdle(t *testing.T) {
 	p, d := newTestPool(t, Options{})
 	ctx := context.Background()
@@ -454,11 +402,8 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := New(Options{Dial: d.dial, MaxActive: -1}); err == nil {
 		t.Error("New accepted a negative MaxActive")
 	}
-	if _, err := New(Options{Dial: d.dial, IdleTimeout: -time.Second}); err == nil {
-		t.Error("New accepted a negative IdleTimeout")
-	}
-	// Negative MaxIdle disables reuse entirely.
-	p, err := New(Options{Dial: d.dial, MaxIdle: -1})
+	// A negative IdleTimeout keeps no idle connection: reuse is off.
+	p, err := New(Options{Dial: d.dial, IdleTimeout: -time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func Dial(addr, objectKey string) (*Client, error) {
 		return nil, err
 	}
 	var eng network.Engine
-	conn, err := eng.Dial(network.Semantics{Transport: "tcp", Mode: "sync"}, addr, network.GIOPFramer{})
+	conn, err := eng.Dial(network.Semantics{Transport: "tcp"}, addr, network.GIOPFramer{})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ func Serve(addr string, h Handler) (*Server, error) {
 		return nil, err
 	}
 	var eng network.Engine
-	l, err := eng.Listen(network.Semantics{Transport: "tcp", Mode: "sync"}, addr, network.GIOPFramer{})
+	l, err := eng.Listen(network.Semantics{Transport: "tcp"}, addr, network.GIOPFramer{})
 	if err != nil {
 		return nil, err
 	}

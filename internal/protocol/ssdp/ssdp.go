@@ -123,8 +123,8 @@ type Responder struct {
 	done     chan struct{}
 }
 
-// NewResponder binds addr (a plain UDP address; pass a multicast group
-// with Semantics.Multicast in deployments) and starts answering.
+// NewResponder binds addr, a unicast UDP address, and starts answering. It
+// joins no multicast group: a search must be sent to addr itself.
 func NewResponder(addr string) (*Responder, error) {
 	var eng network.Engine
 	ep, err := eng.ListenPacket(network.Semantics{Transport: "udp"}, addr)
