@@ -82,6 +82,15 @@ race-alloc:
 # the automaton without a clock, a lock or a socket, so its imports name no
 # time or sync package and none of network, network/pool, rcache, bind,
 # backend or discovery; the session, the shell around it, does the I/O.
+# And a binder decodes into fields, once: no code of internal/bind but its
+# tests names xmlrpc.Value, xmlrpc.ParseCall or xmlrpc.ParseResponse, for
+# the XML-RPC binder reads a call or a response straight into the abstract
+# fields (xmlrpc.ParseCallFields, ParseResponseFields) and the Value tree is
+# the protocol's clients' and servers'. And a binder relabels; it does not
+# copy: no code of internal/bind but its tests calls .Clone(), for what a
+# parse returns is freshly made and the binder's to give away, so it names
+# the parameters it parsed where they stand and lends the composer shallow
+# copies (DESIGN.md §17).
 # And a colour travels the way its binder frames it: its transport is
 # network.SemanticsOf the binder's Framer(), so neither the engine nor
 # internal/core writes a network.Semantics or a Transport: of its own, and
@@ -145,6 +154,10 @@ check: test
 			{ echo "check: no program under cmd/, examples/ or bench/ uses starlink.$$name and starlink/example_test.go does not document it; call the internal package from tests, or delete it from starlink/starlink.go"; bad=1; }; \
 	done; \
 	exit $$bad
+	@if git grep -nE 'xmlrpc\.(Value|ParseCall|ParseResponse)([^A-Za-z0-9_]|$$)' -- internal/bind ':!*_test.go'; then \
+		echo 'check: the lines above decode XML-RPC into Values in a binder; decode straight into fields with xmlrpc.ParseCallFields or ParseResponseFields (DESIGN.md §17)'; exit 1; fi
+	@if git grep -n '\.Clone()' -- internal/bind ':!*_test.go'; then \
+		echo 'check: the lines above copy a field tree in a binder; relabel what the parse made, or lend the composer a shallow copy (DESIGN.md §17)'; exit 1; fi
 	@if git grep -nE 'network\.Semantics\{|Transport:' -- internal/engine internal/core ':!*_test.go' || \
 		git grep -n '"starlink/internal/protocol/giop"' -- internal/gateway ':!*_test.go'; then \
 		echo "check: the lines above restate how a colour travels or what a shed client is told; a colour's transport is network.SemanticsOf its binder's Framer(), and a shed connection gets the route binder's BuildErrorReply (DESIGN.md §11)"; exit 1; fi

@@ -10,6 +10,7 @@ import (
 	"starlink/internal/protocol/httpwire"
 	"starlink/internal/protocol/rest"
 	"starlink/internal/protocol/soap"
+	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/testutil"
 )
 
@@ -85,12 +86,12 @@ func TestXMLRPCBuildReplyAllocBudget(t *testing.T) {
 // TestAddFlowAllocBudget pins what the paper's own example costs the
 // mediator to bind (Figs. 7 and 8: GIOP Add in, SOAP Plus out, and back):
 // the four binder calls of one add_steady flow, on its messages. Measured:
-// GIOP ParseRequest 13 (the parse's 8, the abstract message, its list, a
-// clone per parameter and the request id), SOAP BuildRequest 6, SOAP
-// ParseReply 14 (five the HTTP head, five the envelope's strings and list,
-// four the abstract message), GIOP BuildReply 6 — 39, where
-// the interpreter, the field tree of the envelope and a node at a time made
-// it 38 + 6 + 22 + 15 = 81.
+// GIOP ParseRequest 9 (the parse's 8 and the abstract message, whose
+// parameters are the parsed ones relabelled), SOAP BuildRequest 3, SOAP
+// ParseReply 13 (the HTTP head, the envelope's strings and list, the
+// abstract message), GIOP BuildReply 6 (the parameters a slab of shallow
+// copies) — 31, where a clone per parameter made it 39 and the
+// interpreter, the field tree of the envelope and a node at a time 81.
 func TestAddFlowAllocBudget(t *testing.T) {
 	codec, err := giop.NewCodec()
 	if err != nil {
@@ -146,8 +147,8 @@ func TestAddFlowAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs per flow unasserted", total)
 	}
-	if total > 45 {
-		t.Errorf("binding one Add flow allocated %.0f times, budget 45", total)
+	if total > 31 {
+		t.Errorf("binding one Add flow allocated %.0f times, budget 31", total)
 	}
 }
 
@@ -212,5 +213,46 @@ func TestRESTFlickrFlowAllocBudget(t *testing.T) {
 	}
 	if total > 68 {
 		t.Errorf("binding the Picasa half of a flickr_flow flow allocated %.0f times, budget 68", total)
+	}
+}
+
+// TestXMLRPCParseRequestAllocBudget pins what the four client requests of a
+// flickr_flow flow cost the mediator to bind: each call decoded from the
+// Reader's tokens straight into its fields. Measured per call: the HTTP
+// head's four, the method name, a member name the Reader does not know, a
+// string per string member, the node slab, the list slab and the abstract
+// message — 11 + 10 + 10 + 12 = 43, where a map of Values converted to
+// fields, a box per value and a node at a time made it 16 + 14 + 14 + 18 =
+// 62.
+func TestXMLRPCParseRequestAllocBudget(t *testing.T) {
+	b := &XMLRPCBinder{Path: "/services/xmlrpc"}
+	total := 0.0
+	for _, call := range []struct {
+		method string
+		params map[string]xmlrpc.Value
+	}{
+		{casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(3)}},
+		{casestudy.FlickrGetInfo, map[string]xmlrpc.Value{"photo_id": "photo-0001"}},
+		{casestudy.FlickrGetComments, map[string]xmlrpc.Value{"photo_id": "photo-0001"}},
+		{casestudy.FlickrAddComment, map[string]xmlrpc.Value{"photo_id": "photo-0001", "comment_text": "lovely"}},
+	} {
+		body, err := xmlrpc.MarshalCall(call.method, call.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packet := (&httpwire.Request{Method: "POST", Target: "/services/xmlrpc", Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}}, Body: body}).Marshal()
+		allocs := testing.AllocsPerRun(200, func() {
+			action, abs, err := b.ParseRequest(packet)
+			if err != nil || action != call.method || len(abs.Fields) != len(call.params) {
+				t.Fatal(action, abs, err)
+			}
+		})
+		total += allocs
+	}
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.1f allocs per flow unasserted", total)
+	}
+	if total > 43 {
+		t.Errorf("binding the four requests of a flickr_flow flow allocated %.0f times, budget 43", total)
 	}
 }

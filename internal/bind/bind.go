@@ -24,6 +24,14 @@
 //     ParseRequest sets and AppendReply and BuildErrorReply read back — the
 //     reply carries the id of the request it answers (Fig. 7's "!Action =
 //     correlated by RequestID").
+//
+// A message is built once. A parse decodes the packet straight into the
+// abstract fields — the XML-RPC binder through xmlrpc.ParseCallFields and
+// ParseResponseFields, not a Value tree; the SOAP and REST binders from the
+// xmlenc Reader's tokens — and a binder relabels instead of copying: the
+// GIOP binder names the parameters the MDL codec parsed where they stand,
+// and lends the composer shallow copies of the fields it is given to build
+// from. No binder calls Clone (`make check` holds it to that).
 package bind
 
 import (

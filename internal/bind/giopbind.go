@@ -75,23 +75,22 @@ func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 
 // bindPositional makes the abstract message name of concrete's parameters,
 // each under the name the MsgDef gives its position, "paramN" where it
-// gives none.
+// gives none. concrete is freshly parsed and the caller's to give away, so
+// its parameters are relabelled where they stand, not copied.
 func bindPositional(name string, concrete *message.Message, names []string) *message.Message {
 	abs := message.New(name)
 	arr := concrete.Field("ParameterArray")
 	if arr == nil {
 		return abs
 	}
-	abs.Fields = make([]*message.Field, 0, len(arr.Children))
 	for i, p := range arr.Children {
-		cp := p.Clone()
 		if i < len(names) {
-			cp.Label = names[i]
+			p.Label = names[i]
 		} else {
-			cp.Label = "param" + strconv.Itoa(i+1)
+			p.Label = "param" + strconv.Itoa(i+1)
 		}
-		abs.Fields = append(abs.Fields, cp)
 	}
+	abs.Fields = arr.Children
 	return abs
 }
 
@@ -109,12 +108,19 @@ func (b *GIOPBinder) AppendRequest(dst []byte, action string, abs *message.Messa
 }
 
 // positionalParams orders abstract fields by the action's MsgDef; fields
-// not in the def follow in message order.
+// not in the def follow in message order. Each parameter is a shallow copy
+// of its field relabelled "Parameter", carved with the others from one
+// slab: the composer only reads it, so it shares the field's children and
+// bytes.
 func (b *GIOPBinder) positionalParams(msgName string, abs *message.Message) []*message.Field {
 	names := b.paramNames(msgName)
+	nodes := make([]message.Field, 0, len(abs.Fields))
 	params := make([]*message.Field, 0, len(abs.Fields))
 	param := func(f *message.Field) {
-		cp := f.Clone()
+		// A MsgDef that names a field twice outgrows the slab; the
+		// parameters carved before stay where they are.
+		nodes = append(nodes, *f)
+		cp := &nodes[len(nodes)-1]
 		cp.Label = "Parameter"
 		params = append(params, cp)
 	}

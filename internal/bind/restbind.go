@@ -209,7 +209,7 @@ func NewRESTBinder(routes []Route) (*RESTBinder, error) {
 	for i, r := range routes {
 		rr := &b.routes[i]
 		rr.Route, rr.reply = r, r.Action+".reply"
-		for _, k := range sortedKeys(nil, r.Query) {
+		for _, k := range sortedKeys(r.Query) {
 			rr.params = append(rr.params, param{k, r.Query[k]})
 		}
 	}
@@ -582,11 +582,12 @@ func matchTemplate(tmpl, path string) ([]*message.Field, bool) {
 	}
 }
 
-// sortedKeys appends the keys of m to buf, in order.
-func sortedKeys[V any](buf []string, m map[string]V) []string {
+// sortedKeys returns the keys of m, in order.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
 	for k := range m {
-		buf = append(buf, k)
+		keys = append(keys, k)
 	}
-	slices.Sort(buf)
-	return buf
+	slices.Sort(keys)
+	return keys
 }

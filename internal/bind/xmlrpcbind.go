@@ -35,35 +35,22 @@ var _ Binder = (*XMLRPCBinder)(nil)
 // Framer implements Binder.
 func (b *XMLRPCBinder) Framer() network.Framer { return network.HTTPFramer{} }
 
-// ParseRequest implements Binder.
+// ParseRequest implements Binder: the call is decoded straight into the
+// abstract fields (xmlrpc.ParseCallFields).
 func (b *XMLRPCBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
 	req, err := httpwire.ParseRequest(packet)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	action, params, err := xmlrpc.ParseCall(req.Body)
+	action, fields, err := xmlrpc.ParseCallFields(req.Body, b.paramNames)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	abs := message.New(action)
-	if len(params) == 1 {
-		if st, ok := params[0].(map[string]xmlrpc.Value); ok {
-			abs.Fields = membersToFields(st)
-			return action, abs, nil
-		}
-	}
-	names := b.Defs[action].Fields
-	for i, p := range params {
-		var label string
-		if i < len(names) {
-			label = names[i]
-		} else {
-			label = fmt.Sprintf("param%d", i+1)
-		}
-		abs.Add(valueToField(label, p))
-	}
-	return action, abs, nil
+	return action, &message.Message{Name: action, Fields: fields}, nil
 }
+
+// paramNames names an action's positional parameters.
+func (b *XMLRPCBinder) paramNames(action string) []string { return b.Defs[action].Fields }
 
 // BuildRequest implements Binder.
 func (b *XMLRPCBinder) BuildRequest(action string, abs *message.Message) ([]byte, error) {
@@ -95,18 +82,11 @@ func (b *XMLRPCBinder) ParseReply(action string, packet []byte) (*message.Messag
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	result, err := xmlrpc.ParseResponse(resp.Body)
+	fields, err := xmlrpc.ParseResponseFields(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s reply: %w", action, err)
 	}
-	abs := message.New(action + ".reply")
-	switch v := result.(type) {
-	case map[string]xmlrpc.Value:
-		abs.Fields = membersToFields(v)
-	default:
-		abs.Add(valueToField("result", result))
-	}
-	return abs, nil
+	return &message.Message{Name: action + ".reply", Fields: fields}, nil
 }
 
 // BuildReply implements Binder.
@@ -151,39 +131,3 @@ func (b *XMLRPCBinder) BuildErrorReply(action string, _ *message.Message, errMsg
 }
 
 var _ ErrorReplier = (*XMLRPCBinder)(nil)
-
-// valueToField maps an XML-RPC value onto the abstract field convention;
-// the way back is written, not built: xmlrpc.AppendFieldCall and its like.
-func valueToField(label string, v xmlrpc.Value) *message.Field {
-	switch x := v.(type) {
-	case map[string]xmlrpc.Value:
-		return message.NewStruct(label, membersToFields(x)...)
-	case []xmlrpc.Value:
-		items := make([]*message.Field, len(x))
-		for i, e := range x {
-			items[i] = valueToField("item", e)
-		}
-		return message.NewArray(label, items...)
-	case string:
-		return message.NewString(label, x)
-	case int64:
-		return message.NewInt64(label, x)
-	case bool:
-		return message.NewBool(label, x)
-	case float64:
-		return message.NewFloat64(label, x)
-	default:
-		return message.NewString(label, fmt.Sprint(x))
-	}
-}
-
-// membersToFields maps a struct's members onto one field each, in the
-// order of their names.
-func membersToFields(st map[string]xmlrpc.Value) []*message.Field {
-	var buf [16]string
-	fields := make([]*message.Field, 0, len(st))
-	for _, k := range sortedKeys(buf[:0], st) {
-		fields = append(fields, valueToField(k, st[k]))
-	}
-	return fields
-}

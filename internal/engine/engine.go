@@ -331,6 +331,11 @@ type TraceEvent struct {
 	// so its Elapsed (and the flow's) covers building the reply, not the
 	// write.
 	Elapsed time.Duration
+	// Parse and Build are the binder's part of a message TraceTransition's
+	// Elapsed: decoding the packet it received (Parse), or encoding the one
+	// it sends (Build). Zero where the binder did not run — a γ, a reply
+	// the response cache had — and measured only when a Trace hook is set.
+	Parse, Build time.Duration
 	// Err carries the cause for TraceError and fault-driven TraceRedial.
 	Err error
 	// Wire is a truncated copy (at most MaxTraceWire bytes) of the last
@@ -376,7 +381,10 @@ type counters[T any] struct {
 }
 
 // Metric is one row of a declaration table: the name and help text of a
-// /metrics family and the cell that holds its value.
+// /metrics family and the cell that holds its value. The row of one series
+// of a labelled family names it as the exposition format writes it,
+// labels and all (`starlink_stage_seconds{stage="parse",color="1"}`), and
+// the rows of the family follow one another.
 type Metric[T any] struct {
 	Name, Help string
 	Value      *T
@@ -966,6 +974,39 @@ type session struct {
 	// flows, or always when flow budgets are disabled). Every blocking
 	// step of the flow is charged against it.
 	budget time.Time
+	// stages are the binder's parse and build durations of the transition
+	// under way, for its TraceEvent; timed only while a Trace hook is set.
+	stages [2]time.Duration
+}
+
+// The binder's stages of a message, as session.stages and
+// histograms.Stages index them.
+const (
+	stageParse = iota
+	stageBuild
+)
+
+// clock is the time a binder stage starts, when a Trace hook is set to
+// read what it took; the zero time, and no clock read, otherwise.
+func (s *session) clock() time.Time {
+	if s.med.cfg.Trace == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// timed ends a binder stage that started at t0 on the side of colour
+// color: its duration goes to the transition's TraceEvent and to the
+// stage histogram.
+func (s *session) timed(stage, color int, t0 time.Time) {
+	if t0.IsZero() {
+		return
+	}
+	d := time.Since(t0)
+	s.stages[stage] = d
+	if color == 1 || color == 2 {
+		s.med.hists.Stages[stage][color-1].observe(d)
+	}
 }
 
 // serviceLink is everything a session knows about one client-role
@@ -1177,7 +1218,9 @@ func (s *session) recvClientRequest() (event, error) {
 		s.trace(TraceEvent{Kind: TraceFlowStart})
 	}
 	s.med.stats.MessagesIn.Add(1)
+	t0 := s.clock()
 	op, msg, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
+	s.timed(stageParse, s.med.cfg.ServerColor, t0)
 	if err != nil {
 		s.med.stats.ClientFailures.Add(1)
 		return event{}, fmt.Errorf("parse client request: %w", err)
@@ -1271,7 +1314,10 @@ func (s *session) runFlow() error {
 		case kRecv:
 			ev.msg, ev.cached, err = s.links[act.link].recv(act.op)
 		case kReply:
-			if reply, err = s.replyBuf.use(s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.AppendReply(s.replyBuf.dst(), act.op, act.msg)); err != nil {
+			t0 := s.clock()
+			reply, err = s.replyBuf.use(s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.AppendReply(s.replyBuf.dst(), act.op, act.msg))
+			s.timed(stageBuild, s.med.cfg.ServerColor, t0)
+			if err != nil {
 				err = fmt.Errorf("build client reply: %w", err)
 			}
 		}
@@ -1294,8 +1340,9 @@ func (s *session) runFlow() error {
 		s.med.hists.Transitions.observe(elapsed)
 		s.trace(TraceEvent{
 			Kind: TraceTransition, State: s.med.plan.steps[a.to].name, Transition: a.label,
-			Color: a.color, Elapsed: elapsed,
+			Color: a.color, Elapsed: elapsed, Parse: s.stages[stageParse], Build: s.stages[stageBuild],
 		})
+		s.stages = [2]time.Duration{}
 		// Everything a reply implies is published before the client can
 		// read it: the transition above, and the flow when this reply ends
 		// it, so a client that has its answer finds the flow accounted.
@@ -1334,7 +1381,9 @@ func (l *serviceLink) send(op string, abs *message.Message) error {
 	if m.rcache != nil && l.cacheCheck(abs) {
 		return nil
 	}
+	t0 := l.s.clock()
 	data, err := l.reqBuf.use(m.cfg.Sides[l.color].Binder.AppendRequest(l.reqBuf.dst(), op, abs))
+	l.s.timed(stageBuild, l.color, t0)
 	if err != nil {
 		return fmt.Errorf("build service request: %w", err)
 	}
@@ -1376,7 +1425,9 @@ func (l *serviceLink) recv(name string) (*message.Message, bool, error) {
 		l.lastFault = ""
 	}
 	m.stats.MessagesIn.Add(1)
+	t0 := l.s.clock()
 	abs, err := m.cfg.Sides[l.color].Binder.ParseReply(l.op, data)
+	l.s.timed(stageParse, l.color, t0)
 	if err != nil {
 		m.stats.ServiceFailures.Add(1)
 		return nil, false, fmt.Errorf("parse service reply: %w", err)

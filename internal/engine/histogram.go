@@ -141,13 +141,24 @@ type histograms[T any] struct {
 	// Translate times γ translations alone: the part of Transitions spent
 	// in compiled MTL, without network time.
 	Translate T
+	// Stages times the binder's two stages of a message by colour:
+	// Stages[stageParse] decoding a packet received, Stages[stageBuild]
+	// encoding one sent, each [colour-1] for colours 1 and 2, the two a
+	// merged automaton has. Observed only while a Trace hook is set, which
+	// is when the engine reads the clock around the binder.
+	Stages [2][2]T
 }
 
 // Fields lists the histograms in the order /metrics exports them.
 func (h *histograms[T]) Fields() []Metric[T] {
+	const stage = "Latency of the binder's stages of a message (parse, build) by colour, while tracing."
 	return []Metric[T]{
 		{"starlink_transition_seconds", "Latency of individual automaton transitions.", &h.Transitions},
 		{"starlink_exchange_seconds", "Latency of service request/reply round-trips.", &h.Exchanges},
 		{"starlink_translate_seconds", "Latency of gamma translations alone.", &h.Translate},
+		{`starlink_stage_seconds{stage="parse",color="1"}`, stage, &h.Stages[stageParse][0]},
+		{`starlink_stage_seconds{stage="parse",color="2"}`, stage, &h.Stages[stageParse][1]},
+		{`starlink_stage_seconds{stage="build",color="1"}`, stage, &h.Stages[stageBuild][0]},
+		{`starlink_stage_seconds{stage="build",color="2"}`, stage, &h.Stages[stageBuild][1]},
 	}
 }

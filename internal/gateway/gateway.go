@@ -307,13 +307,13 @@ func (g *Gateway) handle(c net.Conn) {
 		rt.reject(pc, s)
 		return
 	}
-	gc := &gatedConn{Conn: pc.Framed(rt.framer), adm: rt.adm}
+	gc := &gatedConn{Conn: pc.Framed(rt.framer), rt: rt}
 	// A swap between the target load and ServeConn can hand us a
 	// draining mediator; re-load the pointer and retry once before
 	// giving up on the connection.
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := rt.target.Load().t.ServeConn(gc); err == nil {
-			rt.accepted.Add(1)
+			gc.handedOff()
 			return
 		}
 	}
@@ -429,17 +429,34 @@ func (g *Gateway) closeSniffing() {
 
 // gatedConn ties a route's admission slot to the connection's
 // lifetime: the mediator closes the client conn when the session ends,
-// which releases the slot exactly once.
+// which releases the slot exactly once. It also counts the hand-off: once,
+// when the target first answers on it or when ServeConn returns, whichever
+// comes first — a session that answers before ServeConn has returned is
+// counted accepted before its client holds the answer.
 type gatedConn struct {
 	network.Conn
-	adm      *admission
+	rt       *route
 	released atomic.Bool
+	counted  atomic.Bool
+}
+
+// handedOff counts the connection accepted by its route, once.
+func (c *gatedConn) handedOff() {
+	if !c.counted.Swap(true) {
+		c.rt.accepted.Add(1)
+	}
+}
+
+// Send implements network.Conn.
+func (c *gatedConn) Send(data []byte) error {
+	c.handedOff()
+	return c.Conn.Send(data)
 }
 
 // Close implements network.Conn.
 func (c *gatedConn) Close() error {
 	if !c.released.Swap(true) {
-		c.adm.release()
+		c.rt.adm.release()
 	}
 	return c.Conn.Close()
 }

@@ -381,6 +381,46 @@ func TestHotSwap(t *testing.T) {
 	}
 }
 
+// answerFirst is a target whose session answers its client before
+// ServeConn returns, as a mediator's session goroutine may: it echoes the
+// request and returns only when release is closed.
+type answerFirst struct{ release chan struct{} }
+
+func (a *answerFirst) ServeConn(c network.Conn) error {
+	req, err := c.Recv()
+	if err == nil {
+		err = c.Send(req)
+	}
+	<-a.release
+	return err
+}
+
+func (a *answerFirst) Shutdown(context.Context) error { return nil }
+func (a *answerFirst) Close() error                   { return nil }
+
+// TestAcceptedBeforeAnswer: a client that holds its answer finds its
+// connection counted accepted, even when the target answered before
+// ServeConn returned.
+func TestAcceptedBeforeAnswer(t *testing.T) {
+	target := &answerFirst{release: make(chan struct{})}
+	defer close(target.release)
+	g := startGateway(t, Config{Routes: []RouteConfig{
+		{Name: "web", Match: Matcher{Class: ClassHTTP}, Binder: httpBinder, Target: target},
+	}})
+	c := dialRaw(t, g.Addr())
+	req := "POST /x HTTP/1.1\r\nHost: a\r\nContent-Length: 2\r\n\r\nhi"
+	if _, err := c.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(c, make([]byte, len(req))); err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Stats().Routes[0]; st.Accepted != 1 {
+		t.Errorf("the client holds its answer and the route has accepted %d connections, want 1", st.Accepted)
+	}
+}
+
 // TestSwapRetryOnDraining: a target that refuses the first ServeConn
 // (mid-swap drain) must not cost the client its connection — the
 // gateway re-loads the route pointer and retries once.

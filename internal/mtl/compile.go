@@ -34,10 +34,11 @@ package mtl
 //     as the field it was read from and copied node to node; it is boxed
 //     into an `any` only where one is needed — a function argument, a
 //     scalar variable;
-//   - a variable the program only ever builds (every mention of it is
-//     `v = newstruct("…")`, the root of `v.path = …`, or the whole right-hand
-//     side of a graft) has its tree made of nodes the frame keeps and hands
-//     out again at the next `v = newstruct("…")`; see builder;
+//   - every node a program makes — a builder variable's tree (every
+//     mention of the variable is `v = newstruct("…")`, the root of
+//     `v.path = …`, or the whole right-hand side of a graft), a graft's
+//     copy, a scalar's node, a step a path creates — comes from the frame's
+//     store, which Env.Reset takes back whole; see store;
 //   - per-execution scratch (argument arena, foreach item snapshots,
 //     variable slots) lives in the Env and is reused across Execs, so a
 //     pooled Env executes a compiled program with a small constant
@@ -114,21 +115,14 @@ func (p *CompiledProgram) ReadOnly(handle string) bool {
 // mutations write through — the interpreter's semantics for
 // `v = m1.Msg.sub` — and grafting it into a message clones, exactly like
 // the interpreter.
-//
-// built marks the tree of a builder variable (see builder): it is made of
-// b's nodes and nothing but this slot refers to it. Only cBuild sets it, so
-// a value bound any other way — by an earlier program through Env.Vars, say
-// — takes the ordinary path. b stays with the slot from one Exec to the next.
 type cval struct {
-	v     any
-	b     *builder
-	set   bool
-	cow   bool
-	built bool
+	v   any
+	set bool
+	cow bool
 }
 
-// bind gives the slot a value that is no builder's tree.
-func (sv *cval) bind(v any, cow bool) { sv.v, sv.set, sv.cow, sv.built = v, true, cow, false }
+// bind gives the slot a value.
+func (sv *cval) bind(v any, cow bool) { sv.v, sv.set, sv.cow = v, true, cow }
 
 // cres is one evaluated expression result.
 //
@@ -161,17 +155,17 @@ func (r cres) value() any {
 }
 
 // field converts the result into a graftable field: an owned tree is
-// transferred, any other cloned, and a scalar goes into a node of b's (of
-// its own, when b is nil).
-func (r cres) field(label string, b *builder) *message.Field {
+// transferred, any other copied into s, and a scalar goes into a node of
+// s's. With a nil s the copy and the node are the heap's.
+func (r cres) field(label string, s *store) *message.Field {
 	if f, ok := r.v.(*message.Field); ok {
 		if !r.owned {
-			f = f.Clone()
+			f = s.clone(f)
 		}
 		f.Label = label
 		return f
 	}
-	f := b.node(label)
+	f := s.node(label)
 	r.scalarInto(f)
 	return f
 }
@@ -185,46 +179,117 @@ func (r cres) scalarInto(f *message.Field) {
 	}
 }
 
-// builder is the storage of a builder variable: one the compiler has shown
-// to be mentioned only as `v = newstruct(<literal>)` (or newarray), as the
-// root of `v.path = expr`, or as the whole right-hand side of a graft — never
-// as a call argument, a foreach source or loop variable, in `q = v`, or in a
-// longer path read. Nothing but the variable's slot can then refer to its
-// tree, and every way out of the frame copies: a graft clones it, as for any
-// variable, and so does the write-back into Env.Vars when Exec returns. So
-// the tree's nodes can be handed out again at the next `v = newstruct(…)`,
-// child lists keeping their capacity, and no program can tell.
-type builder struct {
-	nodes []*message.Field // all made so far; nodes[:used] are in the tree
-	used  int
+// store is where a frame's programs make their nodes: builder trees, graft
+// copies, scalar nodes, the steps a path creates and the copy a cow tree
+// gets before it is written. The nodes are carved from chunks that double
+// in size and stay the store's, so nothing a program built needs copying
+// when Exec returns, and a builder variable's tree can stay in Env.Vars as
+// it is. Env.Reset takes every node back at once, emptied, its child list
+// keeping its capacity, so a session whose flows are alike makes its γ
+// nodes without allocating; what a program built is valid until then.
+//
+// Nothing but a node's own pointer leaves the store: a message or a field
+// of its own never takes over a store node's child list, which the next
+// flow appends into again (see cAssignMsg and csetSteps). And nothing that
+// outlives a flow holds a store node: the session cache copies what
+// cache() puts in it to the heap, and a reply the response cache holds is
+// copied before a γ program writes into it (engine.flow.bindCached).
+//
+// The store keeps at most maxStoreNodes nodes; past them a node is the
+// heap's, and not taken back.
+type store struct {
+	chunks [][]message.Field // chunk i holds firstChunk<<i nodes
+	at     int               // the chunk nodes are handed out of
+	used   int               // how many of it are
 }
 
-// maxBuilderNodes bounds what a slot keeps from one Exec to the next.
-const maxBuilderNodes = 256
+const (
+	// firstChunk is small: a session that lives one flow — a connection
+	// per call — makes its few γ nodes in one allocation no larger than
+	// theirs on the heap.
+	firstChunk = 3
+	maxChunks  = 8
+	// maxStoreNodes bounds what a session keeps across Env.Reset: 3 + 6 +
+	// … + 384 nodes, 80 bytes each. A flow that translates a fifty-entry
+	// search (a struct of four built and a copy grafted per entry) takes
+	// about 410 of them.
+	maxStoreNodes = firstChunk<<maxChunks - firstChunk
+	// maxKeptChildren bounds the child list a node keeps across a reset.
+	maxKeptChildren = 256
+)
 
-// node returns an empty field for the tree; without a builder, a new one.
-func (b *builder) node(label string) *message.Field {
-	if b == nil {
+// node returns an empty field labelled label; without a store, a new one.
+func (s *store) node(label string) *message.Field {
+	if s == nil {
 		return &message.Field{Label: label}
 	}
-	if b.used == len(b.nodes) {
-		b.nodes = append(b.nodes, new(message.Field))
+	if s.at < len(s.chunks) && s.used == len(s.chunks[s.at]) {
+		s.at, s.used = s.at+1, 0
 	}
-	f := b.nodes[b.used]
-	b.used++
-	f.Label = label
+	if s.at == len(s.chunks) {
+		if s.at == maxChunks {
+			return &message.Field{Label: label}
+		}
+		s.chunks = append(s.chunks, make([]message.Field, firstChunk<<s.at))
+	}
+	f := &s.chunks[s.at][s.used]
+	s.used++
+	*f = message.Field{Label: label, Children: f.Children[:0]}
 	return f
 }
 
-// reset takes every node back, emptied: a child list keeps its capacity
-// and none of its pointers.
-func (b *builder) reset() {
-	for _, f := range b.nodes[:b.used] {
-		clear(f.Children)
-		*f = message.Field{Children: f.Children[:0]}
+// clone copies f's tree into the store: what Field.Clone makes, in the
+// store's nodes and their child lists. A TypeBytes field, whose bytes a
+// copy owns, is the heap's (Field.Clone), as is everything without a store.
+func (s *store) clone(f *message.Field) *message.Field {
+	if s == nil || f == nil || f.Type == message.TypeBytes {
+		return f.Clone()
 	}
-	b.used = 0
+	cp := s.node("")
+	kids := cp.Children
+	*cp = *f
+	cp.Children = nil
+	if f.Children != nil {
+		if kids == nil || cap(kids) < len(f.Children) {
+			kids = make([]*message.Field, 0, len(f.Children))
+		}
+		for _, c := range f.Children {
+			kids = append(kids, s.clone(c))
+		}
+		cp.Children = kids
+	}
+	return cp
 }
+
+// reset takes every node back. Under the race detector (poison) each is
+// left labelled poisoned until it is handed out again, so that a tree kept
+// past the reset reads as what it is.
+func (s *store) reset() {
+	for i := 0; i < len(s.chunks) && i <= s.at; i++ {
+		nodes := s.chunks[i]
+		if i == s.at {
+			nodes = nodes[:s.used]
+		}
+		for j := range nodes {
+			f := &nodes[j]
+			clear(f.Children)
+			kids := f.Children[:0]
+			if cap(kids) > maxKeptChildren {
+				kids = nil
+			}
+			*f = message.Field{Children: kids}
+			if poison {
+				f.Label = poisoned
+				f.SetText(poisoned)
+			}
+		}
+	}
+	s.at, s.used = 0, 0
+}
+
+// poisoned is the label and the text of a node Env.Reset took back, under
+// the race detector.
+const poisoned = "mtl: node used after Env.Reset"
 
 // cframe is the per-execution scratch state, reused across Execs of the
 // same Env.
@@ -234,6 +299,7 @@ type cframe struct {
 	vars  []cval             // variable slot -> value
 	args  []any              // argument arena (stack discipline)
 	iters []*message.Field   // foreach item snapshots (stack discipline)
+	store store              // the nodes the programs make (see store)
 	busy  bool
 }
 
@@ -245,7 +311,9 @@ type cExpr interface {
 // Exec runs the compiled program against env. Variable slots are seeded
 // from env.Vars and written back when Exec returns, so local variables
 // still flow between programs sharing one Env, as they do under the
-// interpreter.
+// interpreter. Every node the program makes — in the messages it writes
+// and in env.Vars — is the Env's and valid until env is reset
+// (Env.Reset), which takes them back for the programs after it.
 func (p *CompiledProgram) Exec(env *Env) error {
 	if env.Vars == nil {
 		env.Vars = make(map[string]any)
@@ -278,9 +346,7 @@ func (p *CompiledProgram) Exec(env *Env) error {
 		fr.vars = make([]cval, len(p.varNames))
 	} else {
 		fr.vars = fr.vars[:len(p.varNames)]
-		for i := range fr.vars {
-			fr.vars[i] = cval{b: fr.vars[i].b}
-		}
+		clear(fr.vars)
 	}
 	for i, name := range p.varNames {
 		if v, ok := env.Vars[name]; ok {
@@ -289,19 +355,8 @@ func (p *CompiledProgram) Exec(env *Env) error {
 	}
 	defer func() {
 		for i, name := range p.varNames {
-			sv := &fr.vars[i]
-			if sv.built {
-				// Here the tree leaves the frame: Env.Vars gets one of its
-				// own, on the error paths too.
-				env.Vars[name] = sv.v.(*message.Field).Clone()
-			} else if sv.set {
+			if sv := &fr.vars[i]; sv.set {
 				env.Vars[name] = sv.v
-			}
-			if sv.b != nil {
-				sv.b.reset()
-				if len(sv.b.nodes) > maxBuilderNodes {
-					sv.b = nil
-				}
 			}
 		}
 		fr.busy = false
@@ -331,7 +386,13 @@ func (s *cAssignVar) exec(fr *cframe) error {
 }
 
 // cBuild is `v = newstruct("label")` (or newarray) for a builder variable:
-// the slot's nodes are taken back and the first becomes the new root.
+// one the compiler has shown to be mentioned only as `v = newstruct(<literal>)`
+// (or newarray), as the root of `v.path = expr`, or as the whole right-hand
+// side of a graft — never as a call argument, a foreach source or loop
+// variable, in `q = v`, or in a longer path read. Nothing but the variable's
+// slot can then refer to its tree, and every way out of the frame copies it
+// (a graft clones it, as for any variable), which ReadOnly relies on. The new
+// root is a node of the store's.
 type cBuild struct {
 	slot  int
 	label string
@@ -339,14 +400,9 @@ type cBuild struct {
 }
 
 func (s *cBuild) exec(fr *cframe) error {
-	sv := &fr.vars[s.slot]
-	if sv.b == nil {
-		sv.b = new(builder)
-	}
-	sv.b.reset()
-	root := sv.b.node(s.label)
+	root := fr.store.node(s.label)
 	root.Type = s.typ
-	sv.v, sv.set, sv.cow, sv.built = root, true, false, true
+	fr.vars[s.slot].bind(root, false)
 	return nil
 }
 
@@ -376,14 +432,10 @@ func (s *cAssignVarPath) exec(fr *cframe) error {
 	if sv.cow {
 		// The tree is shared with the session cache; mutate a private
 		// copy (the interpreter's getcache cloned eagerly).
-		f = f.Clone()
+		f = fr.store.clone(f)
 		sv.v, sv.cow = f, false
 	}
-	var b *builder
-	if sv.built {
-		b = sv.b
-	}
-	return csetSteps(&f.Children, s.steps, res, s.text, b)
+	return csetSteps(&f.Children, s.steps, res, s.text, &fr.store)
 }
 
 type cAssignMsg struct {
@@ -419,6 +471,9 @@ func (s *cAssignMsg) exec(fr *cframe) error {
 		if !ok {
 			return fmt.Errorf("%w: assign %s: whole-message assignment needs a field tree", ErrExec, s.text)
 		}
+		// The message takes the tree's child list for its own, so the copy
+		// is the heap's: a store node's list is appended into again after
+		// the next Env.Reset.
 		if res.owned {
 			msg.Fields = f.Children
 		} else {
@@ -426,7 +481,7 @@ func (s *cAssignMsg) exec(fr *cframe) error {
 		}
 		return nil
 	}
-	return csetSteps(&msg.Fields, s.steps[2:], res, s.text, nil)
+	return csetSteps(&msg.Fields, s.steps[2:], res, s.text, &fr.store)
 }
 
 type cCallStmt struct{ call cExpr }
@@ -695,9 +750,8 @@ func clookupSteps(children []*message.Field, steps []pathStep) (*message.Field, 
 
 // csetSteps is the interpreter's setSteps with ownership-aware grafting,
 // an in-place overwrite fast path for existing scalar targets, and the
-// nodes it makes taken from b when the tree is a builder's (b is nil
-// otherwise).
-func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string, b *builder) error {
+// nodes it makes taken from s (the heap's when s is nil).
+func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string, s *store) error {
 	for i := range steps {
 		st := &steps[i]
 		last := i == len(steps)-1
@@ -717,15 +771,17 @@ func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text stri
 		}
 		if cur == nil {
 			if last {
-				*children = append(*children, res.field(st.label, b))
+				*children = append(*children, res.field(st.label, s))
 				return nil
 			}
-			cur = b.node(st.label)
+			cur = s.node(st.label)
 			cur.Type = message.TypeStruct
 			*children = append(*children, cur)
 		}
 		if last {
 			if _, tree := res.v.(*message.Field); tree {
+				// cur takes the copy's child list for its own, so the copy
+				// is the heap's, as for a whole-message assignment.
 				*cur = *res.field(st.label, nil)
 				return nil
 			}
@@ -772,7 +828,7 @@ type compiler struct {
 	foreign bool
 
 	// builders are the variables every mention of which fits the builder
-	// rule (see builder); their `v = newstruct(…)` compiles to cBuild.
+	// rule (see cBuild); their `v = newstruct(…)` compiles to cBuild.
 	builders map[string]bool
 }
 
@@ -892,7 +948,7 @@ func (c *compiler) builderCall(e Expr) (label string, typ message.Type, ok bool)
 	return "", 0, false
 }
 
-// builderVars is the syntactic pass behind builder: it returns the
+// builderVars is the syntactic pass behind cBuild: it returns the
 // variables that are assigned by a builder call and mentioned nowhere the
 // rule does not allow.
 func (c *compiler) builderVars(stmts []Stmt, handleSet map[string]bool) map[string]bool {

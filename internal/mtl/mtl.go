@@ -167,7 +167,8 @@ type Env struct {
 	Funcs map[string]Func
 
 	// frame is the compiled fast path's reusable per-execution scratch
-	// (slot tables, argument arena, foreach snapshots); see compile.go.
+	// (slot tables, argument arena, foreach snapshots) and the store its
+	// programs make their nodes in; see compile.go.
 	frame *cframe
 }
 
@@ -185,7 +186,12 @@ func (e *Env) Bind(handle string, msg *message.Message) { e.Messages[handle] = m
 
 // Reset clears the environment's bindings and host retarget while keeping
 // its cache, extra functions, map capacity and compiled-execution scratch,
-// so one Env can be pooled across translations of a session.
+// so one Env can be pooled across the flows of a session. It takes back
+// every node the compiled programs made since the last Reset, in the
+// messages they wrote and in Vars, to build the next flow's from: what γ
+// built is valid until the Env is reset, and must not be kept past it
+// (the session cache keeps copies of its own). Under the race detector the
+// nodes are poisoned as they are taken back.
 func (e *Env) Reset() {
 	if e.Messages != nil {
 		clear(e.Messages)
@@ -194,6 +200,9 @@ func (e *Env) Reset() {
 		clear(e.Vars)
 	}
 	e.Host = ""
+	if e.frame != nil {
+		e.frame.store.reset()
+	}
 }
 
 // Message returns the message bound to handle, or nil.

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -103,6 +104,21 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	client.Close()
 
+	// Each message span holds the binder's stage under it: the request and
+	// the reply it parsed, the request and the reply it built.
+	var stages []string
+	for _, sp := range obs.Flows()[0].Root.Children {
+		for _, c := range sp.Children {
+			if sp.Kind != observe.SpanMessage || c.Duration <= 0 || c.Duration > sp.Duration {
+				t.Errorf("span %s (%v) holds %s (%v)", sp.Name, sp.Duration, c.Kind, c.Duration)
+			}
+			stages = append(stages, fmt.Sprintf("%s %d", c.Kind, c.Color))
+		}
+	}
+	if got, want := strings.Join(stages, ", "), "parse 1, build 2, parse 2, build 1"; got != want {
+		t.Errorf("the stages of an Add flow are %s, want %s", got, want)
+	}
+
 	// One bad flow: the automaton expects Add, so Bogus parses but hits
 	// an unexpected action — a failed flow for the flight recorder.
 	bad, err := giop.Dial(med.Addr(), "calc")
@@ -173,6 +189,11 @@ func TestAdminEndToEnd(t *testing.T) {
 			"starlink_translations_total",
 			"starlink_translate_seconds_count",
 			"starlink_transition_hits_total{transition=",
+			// The bad flow's request was parsed too.
+			`starlink_stage_seconds_count{stage="parse",color="1"} 3`,
+			`starlink_stage_seconds_count{stage="parse",color="2"} 2`,
+			`starlink_stage_seconds_count{stage="build",color="1"} 2`,
+			`starlink_stage_seconds_count{stage="build",color="2"} 2`,
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("metrics missing %q:\n%s", want, out)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 
 	"starlink/internal/backend"
@@ -33,7 +34,14 @@ type metric struct {
 	real            func(sample any) float64
 	labelKey        string
 	vec             func(sample any) map[string]uint64
-	hist            func(sample any) engine.LatencyHistogram
+	hist            func(sample any) []series
+}
+
+// series is one histogram of a family: the family's one, or the one its
+// labels (`stage="parse",color="1"`) name.
+type series struct {
+	labels string
+	h      engine.LatencyHistogram
 }
 
 // source is something several metrics read — a mediator's Snapshot, say
@@ -64,9 +72,11 @@ func (s sampled[T]) real(typ, name, help string, f func(T) float64) {
 		real: func(v any) float64 { return f(v.(T)) }})
 }
 
-func (s sampled[T]) histogram(name, help string, f func(T) engine.LatencyHistogram) {
-	s.r.register(&metric{name: name, help: help, typ: "histogram", from: s.from,
-		hist: func(v any) engine.LatencyHistogram { return f(v.(T)) }})
+// histogram registers a family of histograms, labelled by labelKey when it
+// has more than one series.
+func (s sampled[T]) histogram(name, labelKey, help string, f func(T) []series) {
+	s.r.register(&metric{name: name, help: help, typ: "histogram", from: s.from, labelKey: labelKey,
+		hist: func(v any) []series { return f(v.(T)) }})
 }
 
 // vec registers a family keyed by one label; typ is "counter" or "gauge".
@@ -117,7 +127,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 		case m.vec != nil:
 			err = writeVec(w, m, m.vec(v))
 		case m.hist != nil:
-			err = writeHistogram(w, m.name, m.hist(v))
+			for _, sr := range m.hist(v) {
+				if err = writeHistogram(w, m.name, sr); err != nil {
+					break
+				}
+			}
 		case m.real != nil:
 			_, err = fmt.Fprintf(w, "%s %s\n", m.name, formatFloat(m.real(v)))
 		default:
@@ -144,7 +158,11 @@ func writeVec(w io.Writer, m *metric, samples map[string]uint64) error {
 	return nil
 }
 
-func writeHistogram(w io.Writer, name string, h engine.LatencyHistogram) error {
+func writeHistogram(w io.Writer, name string, sr series) error {
+	h, lead, labels := sr.h, "", ""
+	if sr.labels != "" {
+		lead, labels = sr.labels+",", "{"+sr.labels+"}"
+	}
 	var cumulative uint64
 	for i, b := range h.Buckets {
 		cumulative += b.Count
@@ -152,19 +170,19 @@ func writeHistogram(w io.Writer, name string, h engine.LatencyHistogram) error {
 		if i < len(h.Buckets)-1 {
 			le = formatFloat(b.High.Seconds())
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cumulative); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, lead, le, cumulative); err != nil {
 			return err
 		}
 	}
 	if len(h.Buckets) == 0 {
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, lead, h.Count); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum.Seconds())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum.Seconds())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count)
 	return err
 }
 
@@ -202,8 +220,28 @@ func registerMediator(r *Registry, snapshot func() engine.Snapshot) {
 	for i, c := range first.Stats.Fields() {
 		m.scalar("counter", c.Name, c.Help, func(s *engine.Snapshot) uint64 { return *s.Stats.Fields()[i].Value })
 	}
-	for i, h := range first.Latencies.Fields() {
-		m.histogram(h.Name, h.Help, func(s *engine.Snapshot) engine.LatencyHistogram { return *s.Latencies.Fields()[i].Value })
+	// A labelled family's rows follow one another, each named with its
+	// labels: one family of them here, a series each.
+	hists := first.Latencies.Fields()
+	for from, to := 0, 0; from < len(hists); from = to {
+		family, labels, _ := strings.Cut(hists[from].Name, "{")
+		for to = from + 1; to < len(hists) && strings.HasPrefix(hists[to].Name, family+"{"); to++ {
+		}
+		var keys []string
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys = append(keys, k)
+			}
+		}
+		m.histogram(family, strings.Join(keys, ","), hists[from].Help, func(s *engine.Snapshot) []series {
+			rows := s.Latencies.Fields()[from:to]
+			out := make([]series, len(rows))
+			for i, row := range rows {
+				_, labels, _ := strings.Cut(row.Name, "{")
+				out[i] = series{strings.TrimSuffix(labels, "}"), *row.Value}
+			}
+			return out
+		})
 	}
 	// Per-key pool occupancy: aggregate Hits/Dials/Evictions say nothing
 	// about which (color, address) is under pressure, so idle, in-flight

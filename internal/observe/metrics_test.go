@@ -56,8 +56,8 @@ func TestWriteTextHistogramCumulative(t *testing.T) {
 			{Low: 2 * time.Millisecond, High: 4 * time.Millisecond, Count: 1},
 		},
 	}
-	sample(r, func() engine.LatencyHistogram { return h }).histogram("t_latency_seconds", "Latency.",
-		func(h engine.LatencyHistogram) engine.LatencyHistogram { return h })
+	sample(r, func() engine.LatencyHistogram { return h }).histogram("t_latency_seconds", "", "Latency.",
+		func(h engine.LatencyHistogram) []series { return []series{{h: h}} })
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
@@ -79,6 +79,33 @@ func TestWriteTextHistogramCumulative(t *testing.T) {
 	}
 	if strings.Count(out, "_bucket") != 3 {
 		t.Errorf("want 3 bucket lines:\n%s", out)
+	}
+
+	// A labelled family writes each series with its labels ahead of le.
+	r = NewRegistry()
+	sample(r, func() engine.LatencyHistogram { return h }).histogram("t_stage_seconds", "stage", "Stages.",
+		func(h engine.LatencyHistogram) []series {
+			return []series{{`stage="parse"`, h}, {`stage="build"`, engine.LatencyHistogram{}}}
+		})
+	b.Reset()
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out = b.String()
+	for _, want := range []string{
+		"t_stage_seconds_bucket{stage=\"parse\",le=\"0.001\"} 4",
+		"t_stage_seconds_bucket{stage=\"parse\",le=\"+Inf\"} 6",
+		"t_stage_seconds_sum{stage=\"parse\"} 0.003",
+		"t_stage_seconds_count{stage=\"parse\"} 6",
+		"t_stage_seconds_bucket{stage=\"build\",le=\"+Inf\"} 0",
+		"t_stage_seconds_count{stage=\"build\"} 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("labelled histogram output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Count(out, "# TYPE t_stage_seconds histogram") != 1 {
+		t.Errorf("want one family:\n%s", out)
 	}
 }
 

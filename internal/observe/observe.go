@@ -6,7 +6,8 @@
 //   - a flow tracer (Observer) that consumes engine TraceEvents and
 //     assembles them into per-session span trees — session → flow →
 //     transition spans with durations, colors, state names and
-//     redial/error annotations — kept in a bounded lock-free ring;
+//     redial/error annotations, and the binder's parse and build under a
+//     message transition — kept in a bounded lock-free ring;
 //   - a metrics Registry that reads one engine Snapshot (and one
 //     observer or gateway Stats) per scrape, rendered in Prometheus
 //     text exposition format;
@@ -194,6 +195,16 @@ func (o *Observer) ObserveTrace(ev engine.TraceEvent) {
 				sp.Kind = SpanGamma
 			}
 			sp.Message = ts.message
+		}
+		// A packet is parsed once it is read, at the end of its span, and
+		// built before it is written, at the start of its span.
+		if ev.Parse > 0 {
+			sp.Children = append(sp.Children, &Span{Kind: SpanParse, Name: SpanParse, Color: ev.Color,
+				Start: ev.Time.Add(-ev.Parse), Duration: ev.Parse})
+		}
+		if ev.Build > 0 {
+			sp.Children = append(sp.Children, &Span{Kind: SpanBuild, Name: SpanBuild, Color: ev.Color,
+				Start: sp.Start, Duration: ev.Build})
 		}
 		st.cur.Root.Children = append(st.cur.Root.Children, sp)
 	case engine.TraceRedial:

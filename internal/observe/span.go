@@ -20,10 +20,16 @@ const (
 	// response cache — Attempt 0 for a stored reply, 1 for a coalesced
 	// join of an in-flight leader's exchange.
 	SpanCache = "cache"
+	// SpanParse and SpanBuild nest under a message span: the binder
+	// decoding the packet the transition received, or encoding the one it
+	// sends — the part of the span that is not the wire or the wait.
+	SpanParse = "parse"
+	SpanBuild = "build"
 )
 
 // Span is one node of a flow's span tree: the flow root, a transition
-// under it, or a redial annotation under the flow. Durations come from
+// under it, a redial annotation under the flow, or a binder stage under a
+// message transition. Durations come from
 // the engine's own measurements; Start is back-dated from the event
 // time so children nest inside their parent on a timeline.
 type Span struct {

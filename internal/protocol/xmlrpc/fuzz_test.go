@@ -2,7 +2,12 @@ package xmlrpc
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strconv"
 	"testing"
+
+	"starlink/internal/message"
 )
 
 // seeds are documents the two decoders must agree on, and some on which
@@ -104,4 +109,115 @@ func FuzzParseResponse(f *testing.F) {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(sameResponse)
+}
+
+// fieldOf is the binders' mapping of a Value onto an abstract field, kept
+// here as the reference ParseCallFields and ParseResponseFields are held
+// to: a struct a TypeStruct field of its members in the order of their
+// names, an array a TypeArray field of "item" children, a scalar the field
+// of its type.
+func fieldOf(label string, v Value) *message.Field {
+	switch x := v.(type) {
+	case map[string]Value:
+		return message.NewStruct(label, membersOf(x)...)
+	case []Value:
+		items := make([]*message.Field, len(x))
+		for i, e := range x {
+			items[i] = fieldOf("item", e)
+		}
+		return message.NewArray(label, items...)
+	case string:
+		return message.NewString(label, x)
+	case int64:
+		return message.NewInt64(label, x)
+	case bool:
+		return message.NewBool(label, x)
+	case float64:
+		return message.NewFloat64(label, x)
+	}
+	panic(fmt.Sprintf("no field for %T", v))
+}
+
+func membersOf(st map[string]Value) []*message.Field {
+	keys := make([]string, 0, len(st))
+	for k := range st {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	fields := make([]*message.Field, len(keys))
+	for i, k := range keys {
+		fields[i] = fieldOf(k, st[k])
+	}
+	return fields
+}
+
+// sameFields holds the fields decoders to the Value decoders under the
+// binders' mapping: one accepts what the other accepts, a call whose one
+// parameter is a struct gives its members and any other its parameters
+// labelled by position, a struct result its members and any other result
+// the field "result", and a fault is the same fault.
+func sameFields(t *testing.T, data []byte) {
+	t.Helper()
+	names := []string{"first"}
+	method, params, err := ParseCall(data)
+	gotMethod, got, gotErr := ParseCallFields(data, func(m string) []string {
+		if m != method {
+			t.Fatalf("ParseCallFields(%q) asked the names of %q, not %q", data, m, method)
+		}
+		return names
+	})
+	if (err == nil) != (gotErr == nil) {
+		t.Fatalf("ParseCall(%q) = %v, ParseCallFields %v", data, err, gotErr)
+	}
+	if err == nil {
+		var want []*message.Field
+		var st map[string]Value
+		if len(params) == 1 {
+			st, _ = params[0].(map[string]Value)
+		}
+		if st != nil {
+			want = membersOf(st)
+		} else {
+			for i, p := range params {
+				label := "param" + strconv.Itoa(i+1)
+				if i < len(names) {
+					label = names[i]
+				}
+				want = append(want, fieldOf(label, p))
+			}
+		}
+		if gotMethod != method || !message.New(method, got...).Equal(message.New(method, want...)) {
+			t.Fatalf("ParseCallFields(%q)\n got %q %v\nwant %q %v", data, gotMethod, message.New("", got...), method, message.New("", want...))
+		}
+	}
+
+	result, err := ParseResponse(data)
+	fields, gotErr := ParseResponseFields(data)
+	var fault, gotFault *Fault
+	if (err == nil) != (gotErr == nil) || errors.As(err, &fault) != errors.As(gotErr, &gotFault) ||
+		fault != nil && *fault != *gotFault {
+		t.Fatalf("ParseResponse(%q) = %v, ParseResponseFields %v", data, err, gotErr)
+	}
+	if err == nil {
+		want := []*message.Field{fieldOf("result", result)}
+		if st, ok := result.(map[string]Value); ok {
+			want = membersOf(st)
+		}
+		if !message.New("", fields...).Equal(message.New("", want...)) {
+			t.Fatalf("ParseResponseFields(%q)\n got %v\nwant %v", data, message.New("", fields...), message.New("", want...))
+		}
+	}
+}
+
+func TestFieldsMatchValuesOnSeeds(t *testing.T) {
+	for _, doc := range seeds {
+		sameFields(t, []byte(doc))
+	}
+}
+
+func FuzzFieldsMatchValues(f *testing.F) {
+	for _, doc := range seeds {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(sameFields)
 }

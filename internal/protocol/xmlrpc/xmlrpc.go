@@ -266,31 +266,43 @@ func writeMembers(w *xmlenc.Writer, fields []*message.Field) {
 	w.Close()
 }
 
-// decoder reads a document's tokens straight into Values, by recursive
-// descent; the Reader bounds the depth. An element the protocol does not
-// name where it stands is skipped, and of two that may stand only once
-// the first counts. Its scratch space is pooled, so a decode allocates
-// only what the Values are made of.
+// decoder reads a document's tokens, by recursive descent, onto a tape of
+// nodes: the grammar is written once, here, and the two results a caller
+// can ask for — Values (ParseCall, ParseResponse) and abstract fields
+// (ParseCallFields, ParseResponseFields) — are each one walk over the
+// tape. The Reader bounds the depth. An element the protocol does not name
+// where it stands is skipped, and of two that may stand only once the
+// first counts. Its scratch space is pooled, so a decode allocates only
+// what its result is made of.
 type decoder struct {
 	r *xmlenc.Reader
 	// text holds the character data of a <value> until it is known to hold
 	// no type element.
 	text []byte
-	// vals and members hold the elements of the arrays and structs being
-	// read, innermost last, so that each is allocated once at its size.
-	vals    []Value
-	members []member
+	// tape holds the values read, in document order: each array or struct
+	// followed by the values it holds.
+	tape []node
+	// order is the fields walk's scratch: the members of the structs being
+	// carved, innermost last.
+	order []int
 }
 
-type member struct {
-	name  string
-	value Value
+// node is one value on the tape: its type and scalar are f's, a
+// TypeString, TypeInt64, TypeBool, TypeFloat64, TypeArray or TypeStruct
+// field labelled with the name of the struct member the value is. An array
+// or a struct holds the n values that follow it directly, and size counts
+// the entries its whole value takes, itself included: the next value after
+// it is size entries on.
+type node struct {
+	f    message.Field
+	n    int
+	size int
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
-// A decoder that one large document has grown past this many pending
-// values is not pooled again.
+// A decoder that one large document has grown past this many tape entries
+// is not pooled again.
 const maxRetainedVals = 4 << 10
 
 func newDecoder(data []byte) *decoder {
@@ -301,14 +313,12 @@ func newDecoder(data []byte) *decoder {
 
 func (d *decoder) release() {
 	d.r.Release()
-	if cap(d.vals) > maxRetainedVals || cap(d.members) > maxRetainedVals || cap(d.text) > maxRetainedVals {
+	if cap(d.tape) > maxRetainedVals || cap(d.order) > maxRetainedVals || cap(d.text) > maxRetainedVals {
 		return
 	}
-	// Nothing pooled may pin a result. Every array and struct that was
-	// completed has cleared its own; a decode that failed leaves some.
-	clear(d.vals)
-	clear(d.members)
-	*d = decoder{text: d.text[:0], vals: d.vals[:0], members: d.members[:0]}
+	// Nothing pooled may pin a result's strings.
+	clear(d.tape)
+	*d = decoder{text: d.text[:0], tape: d.tape[:0], order: d.order[:0]}
 	decoders.Put(d)
 }
 
@@ -325,8 +335,15 @@ func malformed(err error) error {
 func ParseCall(data []byte) (method string, params []Value, err error) {
 	d := newDecoder(data)
 	defer d.release()
-	if method, params, err = d.call(); err != nil {
+	n := 0
+	if method, n, err = d.call(); err != nil {
 		return "", nil, malformed(err)
+	}
+	if n > 0 {
+		params = make([]Value, n)
+		for i, at := 0, 0; i < n; i++ {
+			params[i], at = d.value(at)
+		}
 	}
 	return method, params, nil
 }
@@ -337,23 +354,81 @@ func ParseCall(data []byte) (method string, params []Value, err error) {
 func ParseResponse(data []byte) (Value, error) {
 	d := newDecoder(data)
 	defer d.release()
-	result, faulted, err := d.response()
+	faulted, err := d.response()
 	if err != nil {
 		return nil, malformed(err)
 	}
-	if !faulted {
-		return result, nil
+	if faulted {
+		return nil, d.fault()
 	}
-	st, ok := result.(map[string]Value)
+	result, _ := d.value(0)
+	return result, nil
+}
+
+// ParseCallFields decodes a methodCall document straight into abstract
+// fields, as the binders map XML-RPC onto them: a call whose one parameter
+// is a struct gives its members; any other gives its parameters in order,
+// each labelled with what names(method) has at its position, "paramN"
+// beyond it. A struct is a TypeStruct field of its members, in the order of
+// their names, and of two members with one name the later; an array a
+// TypeArray field with an "item" child per element; an int, a boolean, a
+// double and a string the field of that type. The nodes are carved from one
+// slab and the child lists from another, each of the message's size.
+func ParseCallFields(data []byte, names func(method string) []string) (string, []*message.Field, error) {
+	d := newDecoder(data)
+	defer d.release()
+	method, n, err := d.call()
+	if err != nil {
+		return "", nil, malformed(err)
+	}
+	label := names(method)
+	return method, d.fields(n, func(i int) string {
+		if i < len(label) {
+			return label[i]
+		}
+		return "param" + strconv.Itoa(i+1)
+	}), nil
+}
+
+// ParseResponseFields decodes a methodResponse document straight into
+// abstract fields, mapped as ParseCallFields maps a call's: a struct result
+// gives its members, any other result the one field "result". A fault is
+// returned as ParseResponse returns it.
+func ParseResponseFields(data []byte) ([]*message.Field, error) {
+	d := newDecoder(data)
+	defer d.release()
+	switch faulted, err := d.response(); {
+	case err != nil:
+		return nil, malformed(err)
+	case faulted:
+		return nil, d.fault()
+	}
+	return d.fields(1, func(int) string { return "result" }), nil
+}
+
+// fault is the *Fault the value of a <fault> says, the one at the head of
+// the tape.
+func (d *decoder) fault() error {
+	v, _ := d.value(0)
+	st, ok := v.(map[string]Value)
 	if !ok {
-		return nil, fmt.Errorf("%w: fault payload %T", ErrMalformed, result)
+		return fmt.Errorf("%w: fault payload %T", ErrMalformed, v)
 	}
 	f := &Fault{Message: str(st["faultString"])}
 	if c, ok := st["faultCode"].(int64); ok {
 		f.Code = int(c)
 	}
-	return nil, f
+	return f
 }
+
+func str(v Value) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	return fmt.Sprint(v)
+}
+
+// ---- the grammar: tokens onto the tape ----
 
 // root reads the root element's start tag, which must be named want.
 func (d *decoder) root(want string) error {
@@ -366,269 +441,372 @@ func (d *decoder) root(want string) error {
 	return nil
 }
 
-// call reads a methodCall document.
-func (d *decoder) call() (method string, params []Value, err error) {
+// call reads a methodCall document: its method, and its parameters onto
+// the tape, n values.
+func (d *decoder) call() (method string, n int, err error) {
 	if err := d.root("methodCall"); err != nil {
-		return "", nil, err
+		return "", 0, err
 	}
 	var named, listed bool
 	for {
 		name, err := d.r.Find("methodName", "params")
 		switch {
 		case err != nil:
-			return "", nil, err
+			return "", 0, err
 		case name == "":
 			if !named {
-				return "", nil, fmt.Errorf("%w: no methodName", ErrMalformed)
+				return "", 0, fmt.Errorf("%w: no methodName", ErrMalformed)
 			}
-			return method, params, nil
+			return method, n, nil
 		case name == "methodName" && !named:
 			named = true
 			text, _, err := d.r.Content()
 			if err != nil {
-				return "", nil, err
+				return "", 0, err
 			}
 			method = string(bytes.TrimSpace(text))
 		case name == "params" && !listed:
 			listed = true
-			if params, err = d.params(); err != nil {
-				return "", nil, err
+			if n, err = d.params(); err != nil {
+				return "", 0, err
 			}
 		default:
 			if err := d.r.Skip(); err != nil {
-				return "", nil, err
+				return "", 0, err
 			}
 		}
 	}
 }
 
 // response reads a methodResponse document: the value of its <fault>, or
-// of the first <param> of its <params>.
-func (d *decoder) response() (v Value, faulted bool, err error) {
+// of the first <param> of its <params>, onto the tape.
+func (d *decoder) response() (faulted bool, err error) {
 	if err := d.root("methodResponse"); err != nil {
-		return nil, false, err
+		return false, err
 	}
 	which, err := d.r.Find("fault", "params")
 	if err != nil {
-		return nil, false, err
+		return false, err
 	}
 	if which == "params" {
 		if which, err = d.r.Find("param"); err != nil {
-			return nil, false, err
+			return false, err
 		}
 	}
 	if which == "" {
-		return nil, false, fmt.Errorf("%w: no params in response", ErrMalformed)
+		return false, fmt.Errorf("%w: no params in response", ErrMalformed)
 	}
-	if v, err = d.firstValue(); err != nil {
-		return nil, false, err
+	if err = d.firstValue(); err != nil {
+		return false, err
 	}
 	if which == "param" {
 		if err := d.r.Skip(); err != nil { // the other <param>s
-			return nil, false, err
+			return false, err
 		}
 	}
 	// The rest of the document has to be one, but says nothing more.
-	return v, which == "fault", d.r.Skip()
-}
-
-func str(v Value) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	return fmt.Sprint(v)
+	return which == "fault", d.r.Skip()
 }
 
 // params reads the open <params>: one value per <param>.
-func (d *decoder) params() ([]Value, error) {
-	mark := len(d.vals)
+func (d *decoder) params() (n int, err error) {
 	for {
 		name, err := d.r.Find("param")
-		if err != nil {
-			return nil, err
+		if err != nil || name == "" {
+			return n, err
 		}
-		if name == "" {
-			return d.popVals(mark), nil
+		if err := d.firstValue(); err != nil {
+			return 0, err
 		}
-		v, err := d.firstValue()
-		if err != nil {
-			return nil, err
-		}
-		d.vals = append(d.vals, v)
+		n++
 	}
 }
 
 // firstValue reads the open element, a <param> or a <fault>, to its end:
 // the first <value> in it.
-func (d *decoder) firstValue() (Value, error) {
+func (d *decoder) firstValue() error {
 	if name, err := d.r.Find("value"); err != nil {
-		return nil, err
+		return err
 	} else if name == "" {
-		return nil, fmt.Errorf("%w: missing <value>", ErrMalformed)
+		return fmt.Errorf("%w: missing <value>", ErrMalformed)
 	}
-	v, err := d.value()
-	if err != nil {
-		return nil, err
+	if err := d.read(); err != nil {
+		return err
 	}
-	return v, d.r.Skip()
+	return d.r.Skip()
 }
 
-// value reads the open <value>: the type element it holds, or, when it
+// read reads the open <value>: the type element it holds, or, when it
 // holds none, its text as a string.
-func (d *decoder) value() (Value, error) {
+func (d *decoder) read() error {
+	at := len(d.tape)
+	d.tape = append(d.tape, node{size: 1})
 	d.text = d.text[:0]
 	for {
 		switch tok, err := d.r.Next(); {
 		case err != nil:
-			return nil, err
+			return err
 		case tok == xmlenc.Text:
 			// One run at most reaches the End: an element in between would
 			// have been the type.
 			d.text = append(d.text[:0], d.r.Text()...)
 		case tok == xmlenc.End:
-			return string(d.text), nil
+			d.tape[at].f.SetText(string(d.text))
+			return nil
 		default:
-			v, err := d.typed(d.r.Name())
-			if err != nil {
-				return nil, err
+			if err := d.typed(at, d.r.Name()); err != nil {
+				return err
 			}
-			return v, d.r.Skip()
+			return d.r.Skip()
 		}
 	}
 }
 
-// typed reads the open type element of a <value>.
-func (d *decoder) typed(kind []byte) (Value, error) {
-	switch string(kind) {
+// typed reads the open type element of the <value> at the tape's entry at.
+func (d *decoder) typed(at int, typ []byte) error {
+	switch string(typ) {
 	case "array":
-		return d.array()
+		return d.array(at)
 	case "struct":
-		return d.structure()
+		return d.structure(at)
 	case "string", "int", "i4", "boolean", "double":
 	default:
-		return nil, fmt.Errorf("%w: unknown value type %q", ErrMalformed, kind)
+		return fmt.Errorf("%w: unknown value type %q", ErrMalformed, typ)
 	}
 	text, _, err := d.r.Content()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	switch string(kind) {
+	f := &d.tape[at].f
+	switch string(typ) {
 	case "string":
-		return string(text), nil
+		f.SetText(string(text))
 	case "boolean":
-		return string(bytes.TrimSpace(text)) == "1", nil
+		f.SetBool(string(bytes.TrimSpace(text)) == "1")
 	case "double":
-		f, err := strconv.ParseFloat(string(bytes.TrimSpace(text)), 64)
+		x, err := strconv.ParseFloat(string(bytes.TrimSpace(text)), 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: double %q", ErrMalformed, text)
+			return fmt.Errorf("%w: double %q", ErrMalformed, text)
 		}
-		return f, nil
+		f.SetFloat64(x)
 	default:
 		n, err := strconv.ParseInt(string(bytes.TrimSpace(text)), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("%w: int %q", ErrMalformed, text)
+			return fmt.Errorf("%w: int %q", ErrMalformed, text)
 		}
-		return n, nil
+		f.SetInt64(n)
 	}
+	return nil
 }
 
-// array reads the open <array>: the values of its first <data>.
-func (d *decoder) array() (Value, error) {
+// array reads the open <array> at the tape's entry at: the values of its
+// first <data>.
+func (d *decoder) array(at int) error {
 	if name, err := d.r.Find("data"); err != nil {
-		return nil, err
+		return err
 	} else if name == "" {
-		return nil, fmt.Errorf("%w: array without data", ErrMalformed)
+		return fmt.Errorf("%w: array without data", ErrMalformed)
 	}
-	mark := len(d.vals)
+	d.tape[at].f.Type = message.TypeArray
 	for {
 		name, err := d.r.Find("value")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if name == "" {
-			return d.popVals(mark), d.r.Skip()
+			d.tape[at].size = len(d.tape) - at
+			return d.r.Skip()
 		}
-		v, err := d.value()
-		if err != nil {
-			return nil, err
+		if err := d.read(); err != nil {
+			return err
 		}
-		d.vals = append(d.vals, v)
+		d.tape[at].n++
 	}
 }
 
-// popVals takes what was put on vals since mark as one slice of its size,
-// nil when it is empty.
-func (d *decoder) popVals(mark int) []Value {
-	var out []Value
-	if len(d.vals) > mark {
-		out = append(make([]Value, 0, len(d.vals)-mark), d.vals[mark:]...)
-		clear(d.vals[mark:])
-	}
-	d.vals = d.vals[:mark]
-	return out
-}
-
-// structure reads the open <struct>; of two members with one name the
-// later counts.
-func (d *decoder) structure() (Value, error) {
-	mark := len(d.members)
+// structure reads the open <struct> at the tape's entry at: its members,
+// each the value named.
+func (d *decoder) structure(at int) error {
+	d.tape[at].f.Type = message.TypeStruct
 	for {
 		name, err := d.r.Find("member")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if name == "" {
-			out := make(map[string]Value, len(d.members)-mark)
-			for _, m := range d.members[mark:] {
-				out[m.name] = m.value
-			}
-			clear(d.members[mark:])
-			d.members = d.members[:mark]
-			return out, nil
+			d.tape[at].size = len(d.tape) - at
+			return nil
 		}
-		m, err := d.member()
-		if err != nil {
-			return nil, err
+		if err := d.member(); err != nil {
+			return err
 		}
-		d.members = append(d.members, m)
+		d.tape[at].n++
 	}
 }
 
 // member reads the open <member>: its first <name>, interned, and its
 // first <value>, in either order.
-func (d *decoder) member() (m member, err error) {
-	var named, valued bool
+func (d *decoder) member() error {
+	var name string
+	named, valued := false, -1 // valued: the tape entry of the value
 	for {
-		name, err := d.r.Find("name", "value")
+		found, err := d.r.Find("name", "value")
 		switch {
 		case err != nil:
-			return m, err
-		case name == "":
+			return err
+		case found == "":
 			if !named {
-				return m, fmt.Errorf("%w: member without name", ErrMalformed)
+				return fmt.Errorf("%w: member without name", ErrMalformed)
 			}
-			if !valued {
-				return m, fmt.Errorf("%w: missing <value>", ErrMalformed)
+			if valued < 0 {
+				return fmt.Errorf("%w: missing <value>", ErrMalformed)
 			}
-			return m, nil
-		case name == "name" && !named:
+			d.tape[valued].f.Label = name
+			return nil
+		case found == "name" && !named:
 			named = true
 			text, _, err := d.r.Content()
 			if err != nil {
-				return m, err
+				return err
 			}
-			m.name = d.r.Intern(text)
-		case name == "value" && !valued:
-			valued = true
-			if m.value, err = d.value(); err != nil {
-				return m, err
+			name = d.r.Intern(text)
+		case found == "value" && valued < 0:
+			valued = len(d.tape)
+			if err := d.read(); err != nil {
+				return err
 			}
 		default:
 			if err := d.r.Skip(); err != nil {
-				return m, err
+				return err
 			}
 		}
 	}
+}
+
+// ---- the two walks over the tape ----
+
+// value returns the Value of the tape's entry at, and the entry after it:
+// an array a []Value of its size (nil when empty), a struct a map in which
+// of two members with one name the later stands.
+func (d *decoder) value(at int) (Value, int) {
+	f, n := &d.tape[at].f, d.tape[at].n
+	next := at + 1
+	switch f.Type {
+	case message.TypeInt64:
+		return f.Int64(), next
+	case message.TypeBool:
+		return f.Bool(), next
+	case message.TypeFloat64:
+		return f.Float64(), next
+	case message.TypeArray:
+		var out []Value
+		if n > 0 {
+			out = make([]Value, n)
+		}
+		for i := range out {
+			out[i], next = d.value(next)
+		}
+		return out, next
+	case message.TypeStruct:
+		out := make(map[string]Value, n)
+		for i := 0; i < n; i++ {
+			name := d.tape[next].f.Label
+			out[name], next = d.value(next)
+		}
+		return out, next
+	}
+	return f.Text(), next
+}
+
+// fields carves the n values at the head of the tape as the binders' fields:
+// the members of a lone struct, any other value labelled label(i) by its
+// position.
+func (d *decoder) fields(n int, label func(i int) string) []*message.Field {
+	if n == 1 && d.tape[0].f.Type == message.TypeStruct {
+		fields, _ := d.carver(0, 1).members(0)
+		return fields
+	}
+	c := d.carver(n, 0)
+	fields := c.list(n)
+	for i, at := 0, 0; i < n; i++ {
+		fields[i], at = c.field(at, label(i))
+	}
+	return fields
+}
+
+// carver is the fields walk: it carves each field from the rest of the
+// node slab and each child list from the rest of the list slab.
+type carver struct {
+	d     *decoder
+	nodes []message.Field
+	links []*message.Field
+}
+
+// carver sizes the slabs for the tape's values as fields, with top more
+// entries in the top-level list and skip entries of the tape not made
+// nodes (a struct whose members are the fields). A struct that names one
+// member twice gets both counted and one carved.
+func (d *decoder) carver(top, skip int) *carver {
+	links := top
+	for i := range d.tape {
+		links += d.tape[i].n
+	}
+	return &carver{d: d, nodes: make([]message.Field, len(d.tape)-skip), links: make([]*message.Field, links)}
+}
+
+// list returns a child list of length n.
+func (c *carver) list(n int) []*message.Field {
+	out := c.links[:n:n]
+	c.links = c.links[n:]
+	return out
+}
+
+// field carves the tape's entry at as a field labelled label, and returns
+// it and the entry after it.
+func (c *carver) field(at int, label string) (*message.Field, int) {
+	nd := &c.d.tape[at]
+	f := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	*f = nd.f
+	f.Label = label
+	next := at + 1
+	switch f.Type {
+	case message.TypeArray:
+		f.Children = c.list(nd.n)
+		for i := range f.Children {
+			f.Children[i], next = c.field(next, "item")
+		}
+	case message.TypeStruct:
+		f.Children, next = c.members(at)
+	}
+	return f, next
+}
+
+// members carves the members of the struct at the tape's entry at, in the
+// order of their names and of two with one name the later, and returns
+// them and the entry after the struct.
+func (c *carver) members(at int) ([]*message.Field, int) {
+	d := c.d
+	mark := len(d.order)
+	for i, next := 0, at+1; i < d.tape[at].n; i++ {
+		d.order = append(d.order, next)
+		next += d.tape[next].size
+	}
+	byName := d.order[mark:]
+	name := func(i int) string { return d.tape[i].f.Label }
+	slices.SortStableFunc(byName, func(a, b int) int { return strings.Compare(name(a), name(b)) })
+	live := byName[:0]
+	for i, m := range byName {
+		if i+1 == len(byName) || name(byName[i+1]) != name(m) {
+			live = append(live, m)
+		}
+	}
+	out := c.list(len(live))
+	for i, m := range live {
+		out[i], _ = c.field(m, name(m))
+	}
+	d.order = d.order[:mark]
+	return out, at + d.tape[at].size
 }
 
 // Client calls XML-RPC methods at a fixed HTTP endpoint.
