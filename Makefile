@@ -86,7 +86,13 @@ race-alloc:
 # tests names xmlrpc.Value, xmlrpc.ParseCall or xmlrpc.ParseResponse, for
 # the XML-RPC binder reads a call or a response straight into the abstract
 # fields (xmlrpc.ParseCallFields, ParseResponseFields) and the Value tree is
-# the protocol's clients' and servers'. And a binder relabels; it does not
+# the protocol's clients' and servers'. The REST binder decodes Atom into
+# fields, once, too: no code of internal/bind but its tests names
+# rest.ParseFeed, rest.ParseEntry or the fieldsFromEntries mapping, for a
+# reply and a ParseRequest body entry are read straight into the abstract
+# fields (rest.ParseFeedFields, ParseEntryFields), and a reply only into
+# the ones its flow reads (bind.Projector); the Entry structs are the
+# protocol's clients' and servers'. And a binder relabels; it does not
 # copy: no code of internal/bind but its tests calls .Clone(), for what a
 # parse returns is freshly made and the binder's to give away, so it names
 # the parameters it parsed where they stand and lends the composer shallow
@@ -158,6 +164,8 @@ check: test
 		echo 'check: the lines above decode XML-RPC into Values in a binder; decode straight into fields with xmlrpc.ParseCallFields or ParseResponseFields (DESIGN.md §17)'; exit 1; fi
 	@if git grep -n '\.Clone()' -- internal/bind ':!*_test.go'; then \
 		echo 'check: the lines above copy a field tree in a binder; relabel what the parse made, or lend the composer a shallow copy (DESIGN.md §17)'; exit 1; fi
+	@if git grep -nE 'rest\.Parse(Feed|Entry)([^A-Za-z0-9_]|$$)|fieldsFromEntries' -- internal/bind ':!*_test.go'; then \
+		echo 'check: the lines above decode Atom into Entry structs in a binder; decode straight into fields with rest.ParseFeedFields or ParseEntryFields, keeping what the flow reads (DESIGN.md §17)'; exit 1; fi
 	@if git grep -nE 'network\.Semantics\{|Transport:' -- internal/engine internal/core ':!*_test.go' || \
 		git grep -n '"starlink/internal/protocol/giop"' -- internal/gateway ':!*_test.go'; then \
 		echo "check: the lines above restate how a colour travels or what a shed client is told; a colour's transport is network.SemanticsOf its binder's Framer(), and a shed connection gets the route binder's BuildErrorReply (DESIGN.md §11)"; exit 1; fi

@@ -94,6 +94,19 @@ type ErrorReplier interface {
 	BuildErrorReply(action string, req *message.Message, errMsg string) ([]byte, error)
 }
 
+// Projector is an optional Binder capability: parsing a reply into only
+// the fields its readers look at. Project returns a binder that does: of
+// the reply of each action keep names, it makes every top-level field,
+// each field one of the action's paths names — a dotted label path below
+// the message, "" naming the message itself — with all that field holds,
+// and each field on the way to one, and it may leave out the rest; the
+// reply of an action keep does not name it makes whole. What Project is
+// called on is not changed, and the binder it returns parses what that
+// binder parses, accepting and refusing the same packets.
+type Projector interface {
+	Project(keep map[string][]string) Binder
+}
+
 // bodies pools the buffers the HTTP binders render a body into. A body is
 // written before the head that states its length, so it cannot be written
 // where it will stand; the HTTP composer copies it behind the head, into

@@ -252,7 +252,7 @@ func FuzzXMLRPCBuildOracle(f *testing.F) {
 	})
 }
 
-// TestFieldsFromEntriesMatchOracle: the fields carved for a whole feed
+// TestFieldsFromEntriesMatchOracle: the fields a feed reply is carved into
 // equal the ones made entry by entry, and although they share two
 // allocations a field appended to one entry does not land in the next.
 func TestFieldsFromEntriesMatchOracle(t *testing.T) {
@@ -263,8 +263,17 @@ func TestFieldsFromEntriesMatchOracle(t *testing.T) {
 		{ID: "p2", Title: "oak", Summary: "s", Author: "a", ContentSrc: "u", ContentType: "t"},
 		{Title: "no id"},
 	}
+	b := newRESTBinder(t)
 	for n := 0; n <= len(entries); n++ {
-		fields := fieldsFromEntries(entries[:n])
+		body, err := rest.AppendFeed(nil, rest.Feed{Title: "t", Entries: entries[:n]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := b.ParseReply("picasa.photos.search", (&httpwire.Response{Status: 200, Body: body}).Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields := reply.Fields
 		if len(fields) != n {
 			t.Fatalf("%d entries made %d fields", n, len(fields))
 		}

@@ -171,15 +171,20 @@ type RESTBinder struct {
 	codec  mdl.Codec
 }
 
-var _ Binder = (*RESTBinder)(nil)
+var (
+	_ Binder    = (*RESTBinder)(nil)
+	_ Projector = (*RESTBinder)(nil)
+)
 
 // restRoute is a Route with what every call of it needs worked out once.
 type restRoute struct {
 	Route
 	// params are the query parameters, by key.
 	params []param
-	// reply names the abstract reply.
+	// reply names the abstract reply, and keep is what of each of its
+	// entries a reply parse makes (Project).
 	reply string
+	keep  rest.Keep
 }
 
 // param maps a query key to the abstract field that fills it.
@@ -208,7 +213,7 @@ func NewRESTBinder(routes []Route) (*RESTBinder, error) {
 	b := &RESTBinder{routes: make([]restRoute, len(routes)), codec: codec}
 	for i, r := range routes {
 		rr := &b.routes[i]
-		rr.Route, rr.reply = r, r.Action+".reply"
+		rr.Route, rr.reply, rr.keep = r, r.Action+".reply", rest.KeepAll
 		for _, k := range sortedKeys(r.Query) {
 			rr.params = append(rr.params, param{k, r.Query[k]})
 		}
@@ -218,6 +223,36 @@ func NewRESTBinder(routes []Route) (*RESTBinder, error) {
 
 // Framer implements Binder.
 func (b *RESTBinder) Framer() network.Framer { return network.HTTPFramer{} }
+
+// Project implements Projector: a reply's entries keep the children the
+// action's paths name below "entry", and all of them when a path names an
+// entry or the message whole.
+func (b *RESTBinder) Project(keep map[string][]string) Binder {
+	cp := &RESTBinder{routes: slices.Clone(b.routes), codec: b.codec}
+	for i := range cp.routes {
+		r := &cp.routes[i]
+		if paths, ok := keep[r.Action]; ok {
+			r.keep = keepOf(paths)
+		}
+	}
+	return cp
+}
+
+// keepOf is what of an entry the paths of a reply name.
+func keepOf(paths []string) rest.Keep {
+	var k rest.Keep
+	for _, p := range paths {
+		top, below, _ := strings.Cut(p, ".")
+		switch {
+		case p == "" || p == "entry":
+			return rest.KeepAll
+		case top == "entry":
+			child, _, _ := strings.Cut(below, ".")
+			k |= rest.KeepLabel(child)
+		}
+	}
+	return k
+}
 
 func (b *RESTBinder) route(action string) (*restRoute, error) {
 	for i := range b.routes {
@@ -302,7 +337,8 @@ func (r *restRoute) request(path string, abs *message.Message, body []byte) *mes
 }
 
 // ParseReply implements Binder: decodes the HTTP response through the
-// text-MDL codec and maps the Atom payload onto abstract fields.
+// text-MDL codec and the Atom payload straight into abstract fields, each
+// entry with the children the route keeps.
 func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
 	r, err := b.route(action)
 	if err != nil {
@@ -318,19 +354,15 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 	}
 	body := bodyOf(concrete)
 	abs := message.New(r.reply)
-	switch r.ReplyKind {
-	case "feed":
-		feed, err := rest.ParseFeed(body)
-		if err != nil {
-			return nil, err
-		}
-		abs.Fields = fieldsFromEntries(feed.Entries)
-	default:
-		e, err := rest.ParseEntry(body)
-		if err != nil {
-			return nil, err
-		}
-		abs.Fields = fieldsFromEntries([]rest.Entry{e})
+	if r.ReplyKind == "feed" {
+		abs.Fields, err = rest.ParseFeedFields(body, r.keep)
+	} else {
+		var e *message.Field
+		e, err = rest.ParseEntryFields(body, r.keep)
+		abs.Fields = []*message.Field{e}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return abs, nil
 }
@@ -375,13 +407,12 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 			}
 		}
 		if r.BodyField != "" {
-			e, err := rest.ParseEntry(bodyOf(concrete))
+			e, err := rest.ParseEntryFields(bodyOf(concrete), rest.KeepAll)
 			if err != nil {
 				return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 			}
-			ef := fieldsFromEntries([]rest.Entry{e})[0]
-			ef.Label = r.BodyField
-			abs.Add(ef)
+			e.Label = r.BodyField
+			abs.Add(e)
 		}
 		return r.Action, abs, nil
 	}
@@ -472,61 +503,6 @@ func entryFromAbstract(f *message.Field) rest.Entry {
 		Author:      get("author"),
 		ContentSrc:  get("src"),
 		ContentType: get("type"),
-	}
-}
-
-// fieldsFromEntries is the inverse mapping, for a whole reply at once:
-// one "entry" field per entry, with a child for its id, its title and each
-// of the others it has. All of them are carved out of one []Field and one
-// []*Field of exactly the size they need, as message.Field.Clone carves a
-// copy; every node is on exactly one list, so the two are equally long.
-func fieldsFromEntries(entries []rest.Entry) []*message.Field {
-	size := len(entries)
-	for i := range entries {
-		size += 2
-		for _, o := range optionalChildren(&entries[i]) {
-			if o.value != "" {
-				size++
-			}
-		}
-	}
-	nodes, links := make([]message.Field, size), make([]*message.Field, size)
-	node := func(label string) *message.Field {
-		f := &nodes[0]
-		nodes = nodes[1:]
-		f.Label = label
-		return f
-	}
-	text := func(label, s string) *message.Field {
-		f := node(label)
-		f.SetText(s)
-		return f
-	}
-	fields, links := links[:0:len(entries)], links[len(entries):]
-	for i := range entries {
-		e := &entries[i]
-		f := node("entry")
-		f.Type = message.TypeStruct
-		children := append(links[:0], text("id", e.ID), text("title", e.Title))
-		for _, o := range optionalChildren(e) {
-			if o.value != "" {
-				children = append(children, text(o.label, o.value))
-			}
-		}
-		// The list is cut to its length: what is added to it later goes to
-		// a list of its own, not over the one carved next.
-		n := len(children)
-		f.Children, links = children[:n:n], links[n:]
-		fields = append(fields, f)
-	}
-	return fields
-}
-
-// optionalChildren are the children an entry's field has only when they
-// are set, in their order.
-func optionalChildren(e *rest.Entry) [4]struct{ label, value string } {
-	return [4]struct{ label, value string }{
-		{"summary", e.Summary}, {"author", e.Author}, {"src", e.ContentSrc}, {"type", e.ContentType},
 	}
 }
 

@@ -201,6 +201,10 @@ type Config struct {
 	// non-blocking and concurrency-safe; a panicking hook is recovered
 	// and counted in Stats.HookPanics instead of killing the session.
 	Trace func(TraceEvent)
+
+	// wholeReplies parses every service reply whole, as if no binder were a
+	// bind.Projector: the tests' way to hold projection to no projection.
+	wholeReplies bool
 }
 
 // retryPolicy resolves the effective fault-recovery policy: the Retry
@@ -336,6 +340,14 @@ type TraceEvent struct {
 	// it sends (Build). Zero where the binder did not run — a γ, a reply
 	// the response cache had — and measured only when a Trace hook is set.
 	Parse, Build time.Duration
+	// FrameRead, PoolWait and ServiceWait are the wire's part of it, as
+	// Parse and Build are measured: reading the client's request off its
+	// connection, waiting for a service connection from the pool, and
+	// waiting for the service's reply and reading it. The fourth wire
+	// stage, writing a client reply, has no field: a client-reply
+	// transition is published before its reply is written, and the write
+	// is timed into the stage histogram only.
+	FrameRead, PoolWait, ServiceWait time.Duration
 	// Err carries the cause for TraceError and fault-driven TraceRedial.
 	Err error
 	// Wire is a truncated copy (at most MaxTraceWire bytes) of the last
@@ -433,6 +445,10 @@ type Mediator struct {
 	// sems is how each color travels, from its binder's framer.
 	sems  map[int]network.Semantics
 	stats counters[atomic.Uint64]
+	// readers are the binders the links parse replies with, by link: the
+	// side's, projected to what the plan reads of each reply where the
+	// binder is a bind.Projector.
+	readers []bind.Binder
 
 	// rcache is the shared cross-flow response cache (nil unless
 	// Config.Cache declares cacheable operations); its rules and
@@ -564,6 +580,13 @@ func New(cfg Config) (*Mediator, error) {
 		}
 		sems[c] = network.SemanticsOf(side.Binder.Framer())
 	}
+	readers := make([]bind.Binder, len(p.links))
+	for i, c := range p.links {
+		readers[i] = cfg.Sides[c].Binder
+		if pj, ok := readers[i].(bind.Projector); ok && len(p.keeps[i]) > 0 && !cfg.wholeReplies {
+			readers[i] = pj.Project(p.keeps[i])
+		}
+	}
 	serviceSends := map[string]bool{}
 	for _, st := range p.steps {
 		if st.kind == kSend {
@@ -622,6 +645,7 @@ func New(cfg Config) (*Mediator, error) {
 		flowBudget: flowBudget,
 		plan:       p,
 		sems:       sems,
+		readers:    readers,
 		conns:      make(map[network.Conn]struct{}),
 		svcConns:   make(map[network.Conn]struct{}),
 		idle:       make(map[network.Conn]struct{}),
@@ -802,7 +826,7 @@ func (m *Mediator) ServeConn(conn network.Conn) error {
 func (m *Mediator) newSession(conn network.Conn) *session {
 	s := &session{med: m, id: m.stats.Sessions.Add(1), client: conn, links: make([]serviceLink, len(m.plan.links))}
 	for i, color := range m.plan.links {
-		s.links[i].s, s.links[i].color = s, color
+		s.links[i].s, s.links[i].color, s.links[i].reader = s, color, m.readers[i]
 	}
 	return s
 }
@@ -974,20 +998,26 @@ type session struct {
 	// flows, or always when flow budgets are disabled). Every blocking
 	// step of the flow is charged against it.
 	budget time.Time
-	// stages are the binder's parse and build durations of the transition
-	// under way, for its TraceEvent; timed only while a Trace hook is set.
-	stages [2]time.Duration
+	// stages are the stage durations of the transition under way, for its
+	// TraceEvent; timed only while a Trace hook is set.
+	stages [len(stageNames)]time.Duration
 }
 
-// The binder's stages of a message, as session.stages and
-// histograms.Stages index them.
+// The stages of a message, as session.stages and histograms.Stages index
+// them, and stageNames names them: the binder's two, then the wire's four.
 const (
 	stageParse = iota
 	stageBuild
+	stageFrameRead
+	stagePoolWait
+	stageServiceWait
+	stageReplyWrite
 )
 
-// clock is the time a binder stage starts, when a Trace hook is set to
-// read what it took; the zero time, and no clock read, otherwise.
+var stageNames = [...]string{"parse", "build", "frame_read", "pool_wait", "service_wait", "reply_write"}
+
+// clock is the time a stage starts, when a Trace hook is set to read what
+// it took; the zero time, and no clock read, otherwise.
 func (s *session) clock() time.Time {
 	if s.med.cfg.Trace == nil {
 		return time.Time{}
@@ -995,15 +1025,19 @@ func (s *session) clock() time.Time {
 	return time.Now()
 }
 
-// timed ends a binder stage that started at t0 on the side of colour
-// color: its duration goes to the transition's TraceEvent and to the
-// stage histogram.
+// timed ends a stage that started at t0 on the side of colour color: its
+// duration goes to the stage histogram and, but for a reply write, which
+// comes after its transition is published, to the transition's TraceEvent.
+// A stage a transition runs more than once — a pool wait per retry — adds
+// up there.
 func (s *session) timed(stage, color int, t0 time.Time) {
 	if t0.IsZero() {
 		return
 	}
 	d := time.Since(t0)
-	s.stages[stage] = d
+	if stage != stageReplyWrite {
+		s.stages[stage] += d
+	}
 	if color == 1 || color == 2 {
 		s.med.hists.Stages[stage][color-1].observe(d)
 	}
@@ -1016,6 +1050,8 @@ func (s *session) timed(stage, color int, t0 time.Time) {
 type serviceLink struct {
 	s     *session
 	color int
+	// reader parses the link's replies (Mediator.readers).
+	reader bind.Binder
 	// conn is the held connection (nil while none is checked out), addr
 	// its pool key's address — so a sethost retarget is detected as a key
 	// change — and set the replica set addr was picked from (nil for a
@@ -1197,6 +1233,7 @@ func (s *session) recvClientRequest() (event, error) {
 	}
 	var data []byte
 	var err error
+	t0 := s.clock()
 	if initial {
 		if !s.med.parkIdle(s.client) {
 			return event{}, errSessionDone
@@ -1206,6 +1243,7 @@ func (s *session) recvClientRequest() (event, error) {
 	} else {
 		data, err = s.recvBuf.use(s.client.RecvAppend(s.recvBuf.dst()))
 	}
+	s.timed(stageFrameRead, s.med.cfg.ServerColor, t0)
 	if err != nil {
 		return event{}, s.clientGone(initial, err)
 	}
@@ -1218,7 +1256,7 @@ func (s *session) recvClientRequest() (event, error) {
 		s.trace(TraceEvent{Kind: TraceFlowStart})
 	}
 	s.med.stats.MessagesIn.Add(1)
-	t0 := s.clock()
+	t0 = s.clock()
 	op, msg, err := s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.ParseRequest(data)
 	s.timed(stageParse, s.med.cfg.ServerColor, t0)
 	if err != nil {
@@ -1341,8 +1379,9 @@ func (s *session) runFlow() error {
 		s.trace(TraceEvent{
 			Kind: TraceTransition, State: s.med.plan.steps[a.to].name, Transition: a.label,
 			Color: a.color, Elapsed: elapsed, Parse: s.stages[stageParse], Build: s.stages[stageBuild],
+			FrameRead: s.stages[stageFrameRead], PoolWait: s.stages[stagePoolWait], ServiceWait: s.stages[stageServiceWait],
 		})
-		s.stages = [2]time.Duration{}
+		s.stages = [len(stageNames)]time.Duration{}
 		// Everything a reply implies is published before the client can
 		// read it: the transition above, and the flow when this reply ends
 		// it, so a client that has its answer finds the flow accounted.
@@ -1351,7 +1390,10 @@ func (s *session) runFlow() error {
 			s.trace(TraceEvent{Kind: TraceFlowEnd, Elapsed: time.Since(s.flowT0)})
 		}
 		if reply != nil {
-			if err := s.sendClientReply(reply); err != nil {
+			t0 := s.clock()
+			err := s.sendClientReply(reply)
+			s.timed(stageReplyWrite, s.med.cfg.ServerColor, t0)
+			if err != nil {
 				return err
 			}
 		}
@@ -1406,7 +1448,9 @@ func (l *serviceLink) recv(name string) (*message.Message, bool, error) {
 		l.cache = cacheRole{}
 		return abs, true, nil
 	}
+	t0 := l.s.clock()
 	data, err := l.exchange(nil)
+	l.s.timed(stageServiceWait, l.color, t0)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1425,15 +1469,20 @@ func (l *serviceLink) recv(name string) (*message.Message, bool, error) {
 		l.lastFault = ""
 	}
 	m.stats.MessagesIn.Add(1)
-	t0 := l.s.clock()
-	abs, err := m.cfg.Sides[l.color].Binder.ParseReply(l.op, data)
+	// A reply the response cache is to hold is parsed whole: it outlives
+	// the flow, and what the cache holds is what the service sent.
+	c, reader := l.cache, l.reader
+	if c.flight != nil || c.ttl > 0 {
+		reader = m.cfg.Sides[l.color].Binder
+	}
+	t0 = l.s.clock()
+	abs, err := reader.ParseReply(l.op, data)
 	l.s.timed(stageParse, l.color, t0)
 	if err != nil {
 		m.stats.ServiceFailures.Add(1)
 		return nil, false, fmt.Errorf("parse service reply: %w", err)
 	}
 	abs.Name = name
-	c := l.cache
 	l.cache = cacheRole{}
 	switch {
 	case c.flight != nil:
@@ -1669,7 +1718,9 @@ func (l *serviceLink) connect(attempt int) error {
 	if set != nil {
 		addr = set.Pick(l.lastFault)
 	}
+	t0 := s.clock()
 	conn, err := m.checkout(l.color, addr, s.within(m.cfg.DialTimeout))
+	s.timed(stagePoolWait, l.color, t0)
 	if err != nil {
 		if set != nil {
 			// The in-flight slot Pick took is never used; a failed

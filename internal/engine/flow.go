@@ -56,6 +56,10 @@ type plan struct {
 	start int
 	links []int // the client-role colours, one service link each
 	funcs map[string]mtl.Func
+	// keeps are what the flow reads of each link's replies, by the action
+	// whose reply it is: the paths below the message, as
+	// bind.Projector.Project takes them, "" for all of it.
+	keeps []map[string][]string
 }
 
 // newPlan compiles m, which Merged.Validate has passed, for a mediator
@@ -125,7 +129,53 @@ func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, 
 			st.share = st.share && (g.gamma == nil || g.gamma.ReadOnly(p.steps[st.arcs[0].to].name))
 		}
 	}
+	p.keeps = make([]map[string][]string, len(p.links))
+	for i := range p.keeps {
+		p.keeps[i] = map[string][]string{}
+	}
+	for _, send := range p.steps {
+		if send.kind != kSend {
+			continue
+		}
+		// The reply to a send is received at the state the send enters; a
+		// reply received elsewhere is parsed whole.
+		a := send.arcs[0]
+		if recv := &p.steps[a.to]; recv.kind == kRecv && recv.link == send.link {
+			keep := p.keeps[recv.link]
+			keep[a.op] = append(keep[a.op], p.reads(recv)...)
+		}
+	}
 	return p, nil
+}
+
+// reads are the paths of the reply a receive binds that the flow reads, as
+// plan.keeps holds them: what any γ program reads of it (mtl.Reads), or
+// all of it where it is not shared (step.share) — where a program may write
+// into it, or calls a function of the deployment, which is handed the
+// whole environment — or where it is sent on as it is, the message of the
+// send or the client reply that follows. A reply parse keeps every
+// top-level field, so a read of the message's child list, or of a
+// top-level field's label, needs no path.
+func (p *plan) reads(recv *step) []string {
+	at := &p.steps[recv.arcs[0].to]
+	if !recv.share || at.kind == kSend || at.kind == kReply {
+		return []string{""}
+	}
+	var paths []string
+	for _, g := range p.steps {
+		if g.gamma == nil {
+			continue
+		}
+		for _, r := range g.gamma.Reads(at.name) {
+			switch {
+			case r.Path == "" && r.Shape >= mtl.ReadValue:
+				return []string{""}
+			case r.Path != "" && (r.Shape > mtl.ReadLabel || strings.Contains(r.Path, ".")):
+				paths = append(paths, r.Path)
+			}
+		}
+	}
+	return paths
 }
 
 // offer returns the arc of a branch that takes the client's action op, or

@@ -141,24 +141,35 @@ type histograms[T any] struct {
 	// Translate times γ translations alone: the part of Transitions spent
 	// in compiled MTL, without network time.
 	Translate T
-	// Stages times the binder's two stages of a message by colour:
-	// Stages[stageParse] decoding a packet received, Stages[stageBuild]
-	// encoding one sent, each [colour-1] for colours 1 and 2, the two a
-	// merged automaton has. Observed only while a Trace hook is set, which
-	// is when the engine reads the clock around the binder.
-	Stages [2][2]T
+	// Stages times the stages of a message by colour, Stages[stage] for
+	// each stage stageNames names, each [colour-1] for colours 1 and 2, the
+	// two a merged automaton has. Observed only while a Trace hook is set,
+	// which is when the engine reads the clock around them.
+	Stages [len(stageNames)][2]T
 }
+
+// stageSeries are the /metrics names of Stages, by stage and colour.
+var stageSeries = func() (out [len(stageNames)][2]string) {
+	for i, name := range stageNames {
+		for c := range out[i] {
+			out[i][c] = `starlink_stage_seconds{stage="` + name + `",color="` + string(rune('1'+c)) + `"}`
+		}
+	}
+	return out
+}()
 
 // Fields lists the histograms in the order /metrics exports them.
 func (h *histograms[T]) Fields() []Metric[T] {
-	const stage = "Latency of the binder's stages of a message (parse, build) by colour, while tracing."
-	return []Metric[T]{
-		{"starlink_transition_seconds", "Latency of individual automaton transitions.", &h.Transitions},
-		{"starlink_exchange_seconds", "Latency of service request/reply round-trips.", &h.Exchanges},
-		{"starlink_translate_seconds", "Latency of gamma translations alone.", &h.Translate},
-		{`starlink_stage_seconds{stage="parse",color="1"}`, stage, &h.Stages[stageParse][0]},
-		{`starlink_stage_seconds{stage="parse",color="2"}`, stage, &h.Stages[stageParse][1]},
-		{`starlink_stage_seconds{stage="build",color="1"}`, stage, &h.Stages[stageBuild][0]},
-		{`starlink_stage_seconds{stage="build",color="2"}`, stage, &h.Stages[stageBuild][1]},
+	const stage = "Latency of the stages of a message (docs/OBSERVABILITY.md) by colour, while tracing."
+	out := append(make([]Metric[T], 0, 3+len(h.Stages)*len(h.Stages[0])),
+		Metric[T]{"starlink_transition_seconds", "Latency of individual automaton transitions.", &h.Transitions},
+		Metric[T]{"starlink_exchange_seconds", "Latency of service request/reply round-trips.", &h.Exchanges},
+		Metric[T]{"starlink_translate_seconds", "Latency of gamma translations alone.", &h.Translate},
+	)
+	for i := range h.Stages {
+		for c := range h.Stages[i] {
+			out = append(out, Metric[T]{stageSeries[i][c], stage, &h.Stages[i][c]})
+		}
 	}
+	return out
 }

@@ -217,6 +217,10 @@ type world struct {
 	funcs   map[string]mtl.Func
 	request func(rng *rand.Rand, op string) *message.Message
 	reply   func(rng *rand.Rand, name, op string, sent *message.Message) *message.Message // nil: it does not parse
+	// For a shipped automaton: the binders of its deployment, and the
+	// packet the service answered each operation with.
+	client, service bind.Binder
+	packets         map[string][]byte
 }
 
 // traversal is a drawn walk: the event of each step, as the model took
@@ -354,7 +358,7 @@ func replay(t *testing.T, f *flow, p *plan, cache *mtl.Cache, tr traversal, cach
 // A failure names the seed; -model.seed replays or varies the draw.
 func TestFlowMatchesModel(t *testing.T) {
 	start := time.Now()
-	worlds := shippedWorlds(t)
+	worlds := shippedWorlds(t, false)
 	rng := rand.New(rand.NewPCG(*modelSeed, ^uint64(0)))
 	for i := 0; i < 320; i++ {
 		worlds = append(worlds, randomWorld(rng, i))
@@ -431,8 +435,9 @@ func diffLines(got, want []string) string {
 // shippedWorlds are the six shipped automata, each with the binders its
 // deployment uses and, behind them, the simulated services: the first time
 // a traversal needs a reply to an operation it is fetched from the service
-// and parsed by the service's binder, and every traversal gets a copy.
-func shippedWorlds(t *testing.T) []*world {
+// and parsed by the service's binder, and every traversal gets a copy. With
+// search set, casestudy.SearchMediator follows them.
+func shippedWorlds(t *testing.T, search bool) []*world {
 	store := photostore.New()
 	pic, err := picasa.New(store)
 	if err != nil {
@@ -529,7 +534,7 @@ func shippedWorlds(t *testing.T) []*world {
 		return []*message.Field{message.NewInt64("x", rng.Int64N(100)), message.NewInt64("y", rng.Int64N(100))}
 	}
 
-	const addPlusName = "Merge(AAdd, APlus)"
+	const addPlusName, searchName = "Merge(AAdd, APlus)", "casestudy.SearchMediator"
 	addPlus, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
 		Name: "Add+Plus", Equiv: casestudy.AddPlusEquivalence(),
 	})
@@ -549,19 +554,28 @@ func shippedWorlds(t *testing.T) []*world {
 		"picasa-to-flickr.merged.xml":             {rest, xmlrpc, fl.XMLRPCAddr(), picasaRequest, nil},
 		"ssdp-to-slp.merged.xml":                  {&bind.SSDPBinder{}, slpBinder, da.Addr(), discoveryRequest, casestudy.DiscoveryFuncs()},
 		addPlusName:                               {giopBinder, &bind.SOAPBinder{Path: "/soap"}, plus.Addr(), addRequest, nil},
+		searchName:                                {xmlrpc, rest, pic.Addr(), flickrRequest(true), nil},
 	}
 	files, err := fs.Glob(models.FS, "*.merged.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := append(files, addPlusName)
+	if search {
+		names = append(names, searchName)
+	}
 	var worlds []*world
-	for _, name := range append(files, addPlusName) {
+	for _, name := range names {
 		d, ok := deployments[name]
 		if !ok {
 			t.Fatalf("models/%s has no deployment in this test", name)
 		}
 		merged := addPlus
-		if name != addPlusName {
+		switch name {
+		case addPlusName:
+		case searchName:
+			merged = casestudy.SearchMediator()
+		default:
 			f, err := models.FS.Open(name)
 			if err != nil {
 				t.Fatal(err)
@@ -575,8 +589,10 @@ func shippedWorlds(t *testing.T) []*world {
 		// What the binders made of a request and of a reply is kept, and
 		// each traversal gets its own copy.
 		requests, replies, refused := map[string]*message.Message{}, map[string]*message.Message{}, map[string]bool{}
+		packets := map[string][]byte{}
 		worlds = append(worlds, &world{
 			name: name, merged: merged, funcs: d.funcs,
+			client: d.client, service: d.service, packets: packets,
 			request: func(rng *rand.Rand, op string) *message.Message {
 				msg := message.New(op, d.request(rng, op)...)
 				key := msg.String()
@@ -597,12 +613,13 @@ func shippedWorlds(t *testing.T) []*world {
 					if refused[sent.String()] {
 						return nil
 					}
+					packet := exchange(t, d.service, d.addr, op, sent)
 					var err error
-					if parsed, err = d.service.ParseReply(op, exchange(t, d.service, d.addr, op, sent)); err != nil {
+					if parsed, err = d.service.ParseReply(op, packet); err != nil {
 						refused[sent.String()] = true
 						return nil
 					}
-					replies[op] = parsed
+					replies[op], packets[op] = parsed, packet
 				}
 				msg := parsed.Clone()
 				msg.Name = replyName

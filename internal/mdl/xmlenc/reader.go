@@ -62,7 +62,10 @@ type Attr struct {
 // it hands out as bytes or as a slice is valid until the next call; the
 // strings are the caller's. Its scratch space is pooled: NewReader takes
 // one from the pool and Release gives it back, so reading a document
-// allocates only the strings it asks for.
+// allocates only the strings it asks for. An attribute's label and value
+// become strings when Attrs is called, not when its tag is read: the tag
+// is checked whole as it is read, every reference in every value with it,
+// but an element that is skipped costs no string.
 type Reader struct {
 	data []byte
 	pos  int
@@ -78,10 +81,13 @@ type Reader struct {
 	// The token Next returned. The local name of a Start, or the character
 	// data of a Text, is data[from:to] — offsets, so that storing a token
 	// is no pointer write — unless the Text had to be put together, in
-	// text: gathered says so. attrs are a Start's attributes.
+	// text: gathered says so. raw are a Start's attributes as its tag was
+	// read, attrs the strings Attrs made of them (made says it has).
 	from, to int
 	gathered bool
+	raw      []rawAttr
 	attrs    []Attr
+	made     bool
 
 	// text holds a run of character data that could not be returned in
 	// place, and for a moment each "@name" label and resolved attribute
@@ -122,6 +128,21 @@ type prefixedAttr struct {
 	prefix, local []byte
 }
 
+// rawAttr is an attribute as its start tag was read: where its local name
+// and its value stand in the document, and what of it is a string already
+// — the label of a prefixed attribute, which its tag's declarations decide
+// and ErrTooLarge bounds, and the value of a declaration, which binds its
+// prefix at once. Attrs makes the rest.
+type rawAttr struct {
+	name, value span
+	label, text string
+	// labelled and valued say that label and text are made.
+	labelled, valued bool
+}
+
+// span is where bytes stand in the document.
+type span struct{ from, to int }
+
 var readers = sync.Pool{New: func() any {
 	return &Reader{labels: map[string]string{}, bound: map[string]string{}}
 }}
@@ -144,16 +165,17 @@ func NewReader(data []byte) *Reader {
 // may be used afterwards.
 func (r *Reader) Release() {
 	if cap(r.text) > maxRetain || cap(r.content) > maxRetain || len(r.labels) > maxRetainedLabels ||
-		cap(r.ns) > maxRetainedLabels || cap(r.attrs) > maxRetainedLabels || cap(r.prefixed) > maxRetainedLabels {
+		cap(r.ns) > maxRetainedLabels || cap(r.raw) > maxRetainedLabels || cap(r.prefixed) > maxRetainedLabels {
 		return
 	}
 	// Nothing pooled may pin the packet.
 	clear(r.ns[:cap(r.ns)])
+	clear(r.raw[:cap(r.raw)])
 	clear(r.attrs[:cap(r.attrs)])
 	clear(r.prefixed[:cap(r.prefixed)])
 	clear(r.labels)
 	clear(r.bound)
-	*r = Reader{open: r.open[:0], attrs: r.attrs[:0], text: r.text[:0], content: r.content[:0],
+	*r = Reader{open: r.open[:0], raw: r.raw[:0], attrs: r.attrs[:0], text: r.text[:0], content: r.content[:0],
 		labels: r.labels, bound: r.bound, ns: r.ns[:0], prefixed: r.prefixed[:0]}
 	readers.Put(r)
 }
@@ -192,8 +214,26 @@ func (r *Reader) Next() (Token, error) {
 func (r *Reader) Name() []byte { return r.data[r.from:r.to] }
 
 // Attrs returns the attributes of the element a Start token opened, in
-// document order, namespace declarations among them.
-func (r *Reader) Attrs() []Attr { return r.attrs }
+// document order, namespace declarations among them. Their strings are
+// made here, the first time a tag's are asked for.
+func (r *Reader) Attrs() []Attr {
+	if r.made {
+		return r.attrs
+	}
+	r.attrs, r.made = r.attrs[:0], true
+	for i := range r.raw {
+		a := &r.raw[i]
+		if !a.labelled {
+			a.label = r.label(r.data[a.name.from:a.name.to], true)
+		}
+		if !a.valued {
+			// The value was checked with its tag, so it resolves.
+			a.text, _ = r.value(a.value)
+		}
+		r.attrs = append(r.attrs, Attr{a.label, a.text})
+	}
+	return r.attrs
+}
 
 // Text returns the character data of a Text token: references resolved,
 // line ends normalised, CDATA sections taken in, and the comments and
@@ -355,7 +395,7 @@ func (r *Reader) startTag() (Token, error) {
 	if r.pos < len(r.data) && r.data[r.pos] == '>' {
 		// No attributes, content to follow: most start tags.
 		r.pos++
-		r.attrs, r.empty = r.attrs[:0], false
+		r.raw, r.made, r.empty = r.raw[:0], false, false
 		return Start, nil
 	}
 	open, err := r.attributes()
@@ -416,10 +456,10 @@ func (r *Reader) close() {
 }
 
 // attributes reads the rest of a start tag, from after the element name,
-// into attrs. It reports whether the element has content, that is, whether
+// into raw. It reports whether the element has content, that is, whether
 // the tag ended in '>' and not "/>".
 func (r *Reader) attributes() (open bool, err error) {
-	r.attrs = r.attrs[:0]
+	r.raw, r.made = r.raw[:0], false
 	for {
 		r.skipSpace()
 		if r.pos >= len(r.data) {
@@ -439,23 +479,23 @@ func (r *Reader) attributes() (open bool, err error) {
 			if err != nil {
 				return false, err
 			}
-			a := Attr{}
-			if a.Value, err = r.attrValue(); err != nil {
+			a := rawAttr{name: span{r.pos - len(local), r.pos}}
+			if a.value, err = r.attrValue(); err != nil {
 				return false, err
 			}
 			switch {
 			case prefix == nil:
-				a.Label = r.label(local, true)
 			case string(prefix) == "xmlns":
-				a.Label = r.label(local, true)
+				a.text, _ = r.value(a.value)
+				a.valued = true
 				bound := string(local)
 				outer, shadows := r.bound[bound]
 				r.ns = append(r.ns, binding{bound, outer, shadows})
-				r.bound[bound] = a.Value
+				r.bound[bound] = a.text
 			default:
-				r.prefixed = append(r.prefixed, prefixedAttr{len(r.attrs), prefix, local})
+				r.prefixed = append(r.prefixed, prefixedAttr{len(r.raw), prefix, local})
 			}
-			r.attrs = append(r.attrs, a)
+			r.raw = append(r.raw, a)
 			continue
 		}
 		break
@@ -470,11 +510,13 @@ func (r *Reader) attributes() (open bool, err error) {
 		case !ok:
 			space = string(p.prefix)
 		}
+		a := &r.raw[p.attr]
 		if space == "" || space == "xmlns" {
-			r.attrs[p.attr].Label = r.label(p.local, true)
-		} else if r.attrs[p.attr].Label, err = r.qualify(space, p.local); err != nil {
+			a.label = r.label(p.local, true)
+		} else if a.label, err = r.qualify(space, p.local); err != nil {
 			return false, err
 		}
+		a.labelled = true
 	}
 	r.prefixed = r.prefixed[:0]
 	return open, nil
@@ -597,32 +639,47 @@ func (r *Reader) skipSpace() {
 	}
 }
 
-// attrValue reads = and the quoted value after an attribute name.
-func (r *Reader) attrValue() (string, error) {
+// attrValue reads = and the quoted value after an attribute name, and
+// returns where the value stands, once its references are known to
+// resolve.
+func (r *Reader) attrValue() (span, error) {
 	r.skipSpace()
 	if r.pos >= len(r.data) || r.data[r.pos] != '=' {
-		return "", malformed("attribute without a value at offset %d", r.pos)
+		return span{}, malformed("attribute without a value at offset %d", r.pos)
 	}
 	r.pos++
 	r.skipSpace()
 	if r.pos >= len(r.data) || (r.data[r.pos] != '"' && r.data[r.pos] != '\'') {
-		return "", malformed("attribute value is not quoted at offset %d", r.pos)
+		return span{}, malformed("attribute value is not quoted at offset %d", r.pos)
 	}
 	from := r.pos + 1
 	n := bytes.IndexByte(r.data[from:], r.data[r.pos])
 	if n < 0 {
-		return "", malformed("attribute value is not closed at offset %d", r.pos)
+		return span{}, malformed("attribute value is not closed at offset %d", r.pos)
 	}
 	r.pos = from + n + 1
-	raw := r.data[from : from+n]
+	v := span{from, from + n}
+	_, err := r.resolve(v)
+	return v, err
+}
+
+// resolve returns the attribute value at v with its references resolved
+// and its line ends normalised: the bytes where they stand when they need
+// neither, else in text.
+func (r *Reader) resolve(v span) ([]byte, error) {
+	raw := r.data[v.from:v.to]
 	if r.clean(raw) {
-		return string(raw), nil
+		return raw, nil
 	}
 	r.text = r.text[:0]
-	if err := r.appendText(raw); err != nil {
-		return "", err
-	}
-	return string(r.text), nil
+	err := r.appendText(raw)
+	return r.text, err
+}
+
+// value returns the attribute value at v as a string.
+func (r *Reader) value(v span) (string, error) {
+	b, err := r.resolve(v)
+	return string(b), err
 }
 
 // appendText adds character data or an attribute value to text:

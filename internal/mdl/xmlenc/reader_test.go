@@ -166,3 +166,50 @@ func ExampleReader() {
 	// id p1
 	// content [{@type image/jpeg}]
 }
+
+// TestSkipAttrsAllocBudget: an element skipped with its attributes costs
+// no string, whether the values need resolving or not and whether the
+// static table knows the names or not, and a tag is still checked whole: a
+// bad reference in an attribute nobody asks for is malformed all the same.
+func TestSkipAttrsAllocBudget(t *testing.T) {
+	data := []byte(`<feed xmlns="http://www.w3.org/2005/Atom"><entry><id>p1</id>` +
+		`<content type="image/jpeg" src="http://e.org/p1.jpg?a=1&amp;b=2" rel='x&#x41;y'/>` +
+		`<link href="http://e.org/p1" rel="alternate"></link></entry></feed>`)
+	read := func() {
+		r := NewReader(data)
+		defer r.Release()
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			name, err := r.Find("entry")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "" {
+				return
+			}
+			if err := r.Skip(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, read); !testutil.RaceEnabled && allocs != 0 {
+		t.Errorf("skipping elements with attributes allocated %.0f times, want 0", allocs)
+	}
+	for _, doc := range []string{
+		`<entry><content src="a&bogus;b"/></entry>`,
+		`<entry><content src="a&#xZZ;"/></entry>`,
+		`<entry><content src="a & b"/></entry>`,
+	} {
+		r := NewReader([]byte(doc))
+		_, err := r.Next()
+		if err == nil {
+			err = r.Skip()
+		}
+		r.Release()
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("skipping %s: err = %v, want ErrMalformed", doc, err)
+		}
+	}
+}

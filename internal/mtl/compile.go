@@ -56,6 +56,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"starlink/internal/message"
 )
@@ -82,9 +83,11 @@ type CompiledProgram struct {
 	stmts    []cStmt
 	handles  []string // slot -> handle name
 	varNames []string // slot -> variable name
-	// writes are the handles the program assigns into, and foreign is set
-	// when it may write into a tree it did not make (see ReadOnly).
-	writes  []string
+	// reads and writes are what the program reads and assigns into, by
+	// handle (see Reads and Writes), and foreign is set when it may write
+	// into a tree it did not make (see ReadOnly).
+	reads   map[string][]Read
+	writes  map[string][]string
 	foreign bool
 }
 
@@ -104,8 +107,58 @@ func (p *CompiledProgram) Handles() []string { return append([]string(nil), p.ha
 // of handle), and calls only builtins, none of which writes its arguments.
 // Every other way a tree reaches a message copies it (a graft clones).
 func (p *CompiledProgram) ReadOnly(handle string) bool {
-	return !p.foreign && !slices.Contains(p.writes, handle)
+	_, writes := p.writes[handle]
+	return !p.foreign && !writes
 }
+
+// Shape is how much of a field a program reads, least first: a read of one
+// shape reads all that a read of a smaller one does.
+type Shape uint8
+
+const (
+	// ReadLabel reads that the field is there, and its label: label(p),
+	// and the source of a foreach, which visits every field the path names.
+	ReadLabel Shape = iota + 1
+	// ReadChildren reads the field's child list, its length and the labels
+	// on it, but not what the children hold: count(p).
+	ReadChildren
+	// ReadValue reads the field's value where it stands, which for a tree
+	// is all of it: a plain path, copied, compared or handed to a builtin.
+	ReadValue
+	// ReadWhole reads the field's whole tree and carries it where the
+	// program text no longer follows it: a whole-message assignment, the
+	// value cache(k, e) stores, the tree child(p, i) picks from, an
+	// argument of a function of the deployment, and a path bound to a
+	// variable other than a foreach item or a builder.
+	ReadWhole
+)
+
+// Read is one field path a program reads of a message, and how much of the
+// field it reads there.
+type Read struct {
+	// Path is the labels from the message down to the field, dot-joined,
+	// without the message-name component or an index: "" is the message
+	// itself. A path names every field it can reach.
+	Path  string
+	Shape Shape
+}
+
+// Reads returns the paths the program reads of the message bound to
+// handle, each once with the largest shape it is read with, in path order.
+// A read through a foreach item is the path of the field it visits: in
+// `foreach e in m4.Msg.entry { x = e.id }`, m4's "entry.id". It is exact in
+// what it names and conservative in how: a path the program may read is
+// there, with a shape no smaller than the read. What an earlier program
+// bound to a variable is read where it was bound, in that program's Reads.
+// A function of the deployment is handed the whole Env and may read any
+// message: Reads counts its arguments, ReadOnly the rest.
+func (p *CompiledProgram) Reads(handle string) []Read { return slices.Clone(p.reads[handle]) }
+
+// Writes returns the paths, as Reads names them, the program assigns into
+// under handle, directly or through a foreach item, in path order. Writes
+// through an alias or by a function of the deployment it cannot name;
+// ReadOnly counts those.
+func (p *CompiledProgram) Writes(handle string) []string { return slices.Clone(p.writes[handle]) }
 
 // cval is one variable slot.
 //
@@ -823,8 +876,11 @@ type compiler struct {
 	// may return the cache's own tree instead of a clone — nothing can
 	// write through it, and grafts always copy.
 	peekSafe bool
-	// writes and foreign become the CompiledProgram's (see ReadOnly).
-	writes  []string
+	// reads, writes and foreign become the CompiledProgram's (see Reads,
+	// Writes and ReadOnly); reads and writes are sorted and made unique
+	// when the walk is done.
+	reads   map[string][]Read
+	writes  map[string][]string
 	foreign bool
 
 	// builders are the variables every mention of which fits the builder
@@ -855,36 +911,112 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 		}
 		stmts = append(stmts, cs)
 	}
+	for h, reads := range c.reads {
+		// By path, the largest shape first, which is the one kept.
+		slices.SortFunc(reads, func(a, b Read) int {
+			if n := strings.Compare(a.Path, b.Path); n != 0 {
+				return n
+			}
+			return int(b.Shape) - int(a.Shape)
+		})
+		c.reads[h] = slices.CompactFunc(reads, func(a, b Read) bool { return a.Path == b.Path })
+	}
+	for h, paths := range c.writes {
+		slices.Sort(paths)
+		c.writes[h] = slices.Compact(paths)
+	}
 	return &CompiledProgram{
 		src:      p.src,
 		stmts:    stmts,
 		handles:  c.handleIDs,
 		varNames: c.varIDs,
+		reads:    c.reads,
 		writes:   c.writes,
 		foreign:  c.foreign,
 	}, nil
 }
 
-// analyze scans the program for what it may write: the handles it assigns
-// into, and whether it may write into a tree it did not make — through a
-// custom function, or under a variable that is no builder it has built
-// before. peekSafe, the gate of the getcache Peek fast path, is stricter: no
-// variable path is assigned at all. It needs builders.
+// item is what a foreach item variable visits: the fields at path of the
+// message bound to handle.
+type item struct{ handle, path string }
+
+// joinPath appends the labels of steps to path, dot-joined.
+func joinPath(path string, steps []pathStep) string {
+	if path == "" && len(steps) == 1 {
+		return steps[0].label
+	}
+	var b strings.Builder
+	b.WriteString(path)
+	for _, st := range steps {
+		if b.Len() > 0 {
+			b.WriteByte('.')
+		}
+		b.WriteString(st.label)
+	}
+	return b.String()
+}
+
+// analyze scans the program for what it reads and writes of each handle
+// (Reads, Writes), and whether it may write into a tree it did not make —
+// through a custom function, or under a variable that is no builder it has
+// built before. peekSafe, the gate of the getcache Peek fast path, is
+// stricter: no variable path is assigned at all. It needs builders.
 func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
+	c.reads, c.writes = map[string][]Read{}, map[string][]string{}
 	varPaths, customCalls := false, false
-	var walkExpr func(e Expr)
-	walkExpr = func(e Expr) {
-		call, ok := e.(*callExpr)
-		if !ok {
-			return
+	// items are the foreach items in scope, innermost last; one whose
+	// source is no message's is none (ok false).
+	type scoped struct {
+		name string
+		at   item
+		ok   bool
+	}
+	var items []scoped
+	// resolve names the message field a path reaches, directly or through
+	// one of the foreach items in scope.
+	resolve := func(ex *pathExpr) (item, bool) {
+		root := ex.steps[0].label
+		if handleSet[root] {
+			if len(ex.steps) <= 2 {
+				return item{root, ""}, true
+			}
+			return item{root, joinPath("", ex.steps[2:])}, true
 		}
-		if _, shadowed := c.funcs[call.name]; shadowed {
-			customCalls = true
-		} else if _, isBuiltin := builtins[call.name]; !isBuiltin {
-			customCalls = true
+		for i := len(items) - 1; i >= 0; i-- {
+			if it := items[i]; it.name == root {
+				it.at.path = joinPath(it.at.path, ex.steps[1:])
+				return it.at, it.ok
+			}
 		}
-		for _, a := range call.args {
-			walkExpr(a)
+		return item{}, false
+	}
+	var walkExpr func(e Expr, shape Shape)
+	walkExpr = func(e Expr, shape Shape) {
+		switch ex := e.(type) {
+		case *pathExpr:
+			if at, ok := resolve(ex); ok {
+				c.reads[at.handle] = append(c.reads[at.handle], Read{at.path, shape})
+			}
+		case *callExpr:
+			_, shadowed := c.funcs[ex.name]
+			_, isBuiltin := builtins[ex.name]
+			custom := shadowed || !isBuiltin
+			customCalls = customCalls || custom
+			for i, a := range ex.args {
+				arg := ReadValue
+				switch {
+				case custom, ex.name == "child" && i == 0, ex.name == "cache" && i == 1:
+					arg = ReadWhole
+				case ex.name == "count":
+					arg = ReadChildren
+				case ex.name == "label":
+					arg = ReadLabel
+				case ex.name == "default":
+					// default returns an argument as it is.
+					arg = max(arg, shape)
+				}
+				walkExpr(a, arg)
+			}
 		}
 	}
 	// built holds the builder variables built so far on every way to the
@@ -900,10 +1032,15 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 		switch st := s.(type) {
 		case *assignStmt:
 			root := st.lhs.steps[0]
+			rhs := ReadValue
+			at, ok := resolve(st.lhs)
+			if ok && (handleSet[root.label] || len(st.lhs.steps) > 1 || root.append) {
+				c.writes[at.handle] = append(c.writes[at.handle], at.path)
+			}
 			switch {
 			case handleSet[root.label]:
-				if !slices.Contains(c.writes, root.label) {
-					c.writes = append(c.writes, root.label)
+				if len(st.lhs.steps) == 2 {
+					rhs = ReadWhole
 				}
 			case len(st.lhs.steps) > 1 || root.append:
 				varPaths = true
@@ -913,12 +1050,21 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 			case c.builders[root.label]:
 				// Every `v = …` of a builder variable is a builder call.
 				built[root.label] = true
+			default:
+				// v = expr: v aliases what expr reads.
+				rhs = ReadWhole
 			}
-			walkExpr(st.rhs)
+			walkExpr(st.rhs, rhs)
 		case *callStmt:
-			walkExpr(st.call)
+			walkExpr(st.call, ReadValue)
 		case *foreachStmt:
+			at, ok := resolve(st.src)
+			if ok {
+				c.reads[at.handle] = append(c.reads[at.handle], Read{at.path, ReadLabel})
+			}
+			items = append(items, scoped{st.varName, at, ok})
 			walkBlock(st.body, built)
+			items = items[:len(items)-1]
 		case *tryStmt:
 			walkStmt(st.inner, built)
 		}

@@ -1081,3 +1081,112 @@ func TestReadOnly(t *testing.T) {
 		})
 	}
 }
+
+// TestReadWriteSets holds Reads and Writes to what each construct reads and
+// writes, one row a construct: every handle's sets, exactly.
+func TestReadWriteSets(t *testing.T) {
+	type sets struct {
+		reads  map[string][]Read
+		writes map[string][]string
+	}
+	v, w := func(p string) Read { return Read{p, ReadValue} }, func(p string) Read { return Read{p, ReadWhole} }
+	lbl, kids := func(p string) Read { return Read{p, ReadLabel} }, func(p string) Read { return Read{p, ReadChildren} }
+	custom := map[string]Func{"touch": func(*Env, []any) (any, error) { return nil, nil }}
+	cases := []struct {
+		name  string
+		src   string
+		funcs map[string]Func
+		want  sets
+	}{
+		{"a plain path is a value", `m5.Msg.q = m1.Msg.text`,
+			nil, sets{map[string][]Read{"m1": {v("text")}}, map[string][]string{"m5": {"q"}}}},
+		{"the message name and an index name no field", `m5.Msg.x[] = m4.SearchReply.entry[2].id`,
+			nil, sets{map[string][]Read{"m4": {v("entry.id")}}, map[string][]string{"m5": {"x"}}}},
+		{"a builtin's argument is a value", `sethost(concat(m1.Msg.host, "/", m4.Msg.entry.id))`,
+			nil, sets{map[string][]Read{"m1": {v("host")}, "m4": {v("entry.id")}}, nil}},
+		{"a foreach reads its source's labels and its item's paths", `
+foreach e in m4.Msg.entry {
+  p = newstruct("item")
+  p.id = e.id
+  try p.owner = e.author
+  m5.Msg.photos.item[] = p
+}`, nil, sets{map[string][]Read{"m4": {lbl("entry"), v("entry.author"), v("entry.id")}}, map[string][]string{"m5": {"photos.item"}}}},
+		{"a nested foreach goes on from its item", `
+foreach e in m4.Msg.entry {
+  foreach a in e.author {
+    m5.Msg.n[] = a.name
+  }
+}`, nil, sets{map[string][]Read{"m4": {lbl("entry"), lbl("entry.author"), v("entry.author.name")}}, map[string][]string{"m5": {"n"}}}},
+		{"an inner foreach item shadows an outer one", `
+foreach e in m4.Msg.entry {
+  foreach e in x.list {
+    m5.Msg.q = e.id
+  }
+}`, nil, sets{map[string][]Read{"m4": {lbl("entry")}}, map[string][]string{"m5": {"q"}}}},
+		{"count reads a child list", `m5.Msg.total = count(m4.Msg)`,
+			nil, sets{map[string][]Read{"m4": {kids("")}}, map[string][]string{"m5": {"total"}}}},
+		{"label reads only the label", `m5.Msg.l = label(m4.Msg.entry)`,
+			nil, sets{map[string][]Read{"m4": {lbl("entry")}}, map[string][]string{"m5": {"l"}}}},
+		{"of two reads of a path the larger counts", `
+m5.Msg.n = count(m4.Msg.entry)
+m5.Msg.e = m4.Msg.entry`, nil, sets{map[string][]Read{"m4": {v("entry")}}, map[string][]string{"m5": {"e", "n"}}}},
+		{"a whole-message assignment is whole", `m5.Msg = m4.Msg`,
+			nil, sets{map[string][]Read{"m4": {w("")}}, map[string][]string{"m5": {""}}}},
+		{"what cache stores is whole, its key a value", `
+foreach e in m4.Msg.entry {
+  cache(e.id, e)
+}`, nil, sets{map[string][]Read{"m4": {w("entry"), v("entry.id")}}, nil}},
+		{"child reads its tree whole", `m5.Msg.c = child(m4.Msg.entry, m1.Msg.which)`,
+			nil, sets{map[string][]Read{"m1": {v("which")}, "m4": {w("entry")}}, map[string][]string{"m5": {"c"}}}},
+		{"a function of the deployment reads its arguments whole", `touch(m4.Msg.entry.id)`,
+			custom, sets{map[string][]Read{"m4": {w("entry.id")}}, nil}},
+		{"a variable alias is whole, and reading through it reads nothing more", `
+x = m4.Msg.entry
+m5.Msg.t = x.title`, nil, sets{map[string][]Read{"m4": {w("entry")}}, map[string][]string{"m5": {"t"}}}},
+		{"a foreach item bound to a variable is whole", `
+foreach e in m4.Msg.entry {
+  y = e
+}`, nil, sets{map[string][]Read{"m4": {w("entry")}}, nil}},
+		{"default returns an argument, read as its result is", `
+m5.Msg.a = default(m4.Msg.a, "")
+x = default(m4.Msg.b, "")`, nil, sets{map[string][]Read{"m4": {v("a"), w("b")}}, map[string][]string{"m5": {"a"}}}},
+		{"a builder's tree is no message's", `
+p = newstruct("a")
+p.x = m4.Msg.y
+m5.Msg.z = p`, nil, sets{map[string][]Read{"m4": {v("y")}}, map[string][]string{"m5": {"z"}}}},
+		{"what getcache gives is no message's", `
+c = getcache(m1.Msg.k)
+m5.Msg.t = c.title`, nil, sets{map[string][]Read{"m1": {v("k")}}, map[string][]string{"m5": {"t"}}}},
+		{"a write through a foreach item is the message's", `
+foreach e in m4.Msg.entry {
+  e.title = m1.Msg.t
+}`, nil, sets{map[string][]Read{"m1": {v("t")}, "m4": {lbl("entry")}}, map[string][]string{"m4": {"entry.title"}}}},
+	}
+	handles := []string{"m1", "m4", "m5"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := Compile(MustParse(tc.src), CompileOptions{Handles: handles, Funcs: tc.funcs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sets{map[string][]Read{}, map[string][]string{}}
+			for _, h := range handles {
+				if r := prog.Reads(h); len(r) > 0 {
+					got.reads[h] = r
+				}
+				if w := prog.Writes(h); len(w) > 0 {
+					got.writes[h] = w
+				}
+			}
+			if tc.want.reads == nil {
+				tc.want.reads = map[string][]Read{}
+			}
+			if tc.want.writes == nil {
+				tc.want.writes = map[string][]string{}
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("reads %v, writes %v\nwant reads %v, writes %v", got.reads, got.writes, tc.want.reads, tc.want.writes)
+			}
+		})
+	}
+}

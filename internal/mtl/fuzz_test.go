@@ -1,6 +1,8 @@
 package mtl
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"starlink/internal/message"
@@ -68,8 +70,81 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		diffRuns(t, prog, CompileOptions{Handles: fuzzHandles}, fuzzFixture)
+		readsSuffice(t, diffRuns(t, prog, CompileOptions{Handles: fuzzHandles}, fuzzFixture))
 	})
+}
+
+// readsSuffice holds Reads to what a program does: run on the fixture, and
+// on one that keeps of each message the program only reads (ReadOnly) what
+// its Reads name, cut as the engine has a reply parsed (bind.Projector):
+// every top-level field, each field a read names with all it holds unless
+// the read is a top-level label, and each field on the way to one. The
+// program ends the same: outcome, the messages it writes, host, variables.
+func readsSuffice(t *testing.T, prog *CompiledProgram) {
+	t.Helper()
+	whole, cut := fuzzFixture(), fuzzFixture()
+	var read []string
+	for _, h := range fuzzHandles {
+		if !prog.ReadOnly(h) {
+			continue
+		}
+		read = append(read, h)
+		var paths []string
+		for _, r := range prog.Reads(h) {
+			switch {
+			case r.Path == "" && r.Shape >= ReadValue:
+				paths = append(paths, "")
+			case r.Path != "" && (r.Shape > ReadLabel || strings.Contains(r.Path, ".")):
+				paths = append(paths, r.Path)
+			}
+		}
+		if !slices.Contains(paths, "") {
+			msg := cut.Message(h)
+			msg.Fields = keepPaths(msg.Fields, "", paths, true)
+		}
+	}
+	errWhole, errCut := prog.Exec(whole), prog.Exec(cut)
+	if (errWhole != nil) != (errCut != nil) || errWhole != nil && errWhole.Error() != errCut.Error() {
+		t.Fatalf("outcome on what it reads: %v, on the whole fixture: %v\nprogram:\n%s", errCut, errWhole, prog.Source())
+	}
+	for _, h := range fuzzHandles {
+		if !slices.Contains(read, h) && !whole.Message(h).Equal(cut.Message(h)) {
+			t.Fatalf("message %q on what it reads: %v, on the whole fixture: %v\nprogram:\n%s", h, cut.Message(h), whole.Message(h), prog.Source())
+		}
+	}
+	if whole.Host != cut.Host || len(whole.Vars) != len(cut.Vars) {
+		t.Fatalf("host %q and %d vars on what it reads, %q and %d on the whole fixture\nprogram:\n%s",
+			cut.Host, len(cut.Vars), whole.Host, len(whole.Vars), prog.Source())
+	}
+	for name, v := range whole.Vars {
+		if !sameValue(v, cut.Vars[name]) {
+			t.Fatalf("var %q on what it reads: %v, on the whole fixture: %v\nprogram:\n%s", name, cut.Vars[name], v, prog.Source())
+		}
+	}
+}
+
+// keepPaths copies of fields those at or on the way to a path, each path
+// dot-joined below the message, a field a path names with all it holds;
+// top keeps every field besides.
+func keepPaths(fields []*message.Field, at string, paths []string, top bool) []*message.Field {
+	var out []*message.Field
+	for _, f := range fields {
+		path := strings.TrimPrefix(at+"."+f.Label, ".")
+		named, below := false, false
+		for _, p := range paths {
+			named = named || p == path
+			below = below || strings.HasPrefix(p, path+".")
+		}
+		switch {
+		case named:
+			out = append(out, f)
+		case below || top:
+			cp := *f
+			cp.Children = keepPaths(f.Children, path, paths, false)
+			out = append(out, &cp)
+		}
+	}
+	return out
 }
 
 // fuzzHandles and fuzzFixture are what FuzzCompile and the builder table

@@ -104,18 +104,20 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	client.Close()
 
-	// Each message span holds the binder's stage under it: the request and
-	// the reply it parsed, the request and the reply it built.
+	// Each message span holds its stages, inside it: the request read and
+	// parsed, the request built and a connection for it taken from the
+	// pool, the reply waited for and parsed, the reply built.
 	var stages []string
 	for _, sp := range obs.Flows()[0].Root.Children {
 		for _, c := range sp.Children {
-			if sp.Kind != observe.SpanMessage || c.Duration <= 0 || c.Duration > sp.Duration {
-				t.Errorf("span %s (%v) holds %s (%v)", sp.Name, sp.Duration, c.Kind, c.Duration)
+			if sp.Kind != observe.SpanMessage || c.Duration <= 0 || c.Start.Before(sp.Start) ||
+				c.Start.Add(c.Duration).After(sp.Start.Add(sp.Duration)) {
+				t.Errorf("span %s (%v at %v) holds %s (%v at %v)", sp.Name, sp.Duration, sp.Start, c.Kind, c.Duration, c.Start)
 			}
 			stages = append(stages, fmt.Sprintf("%s %d", c.Kind, c.Color))
 		}
 	}
-	if got, want := strings.Join(stages, ", "), "parse 1, build 2, parse 2, build 1"; got != want {
+	if got, want := strings.Join(stages, ", "), "frame_read 1, parse 1, build 2, pool_wait 2, service_wait 2, parse 2, build 1"; got != want {
 		t.Errorf("the stages of an Add flow are %s, want %s", got, want)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -326,6 +327,32 @@ func TestMetricReference(t *testing.T) {
 	if got, _, _ := strings.Cut(rest, end); got != want.String() {
 		t.Errorf("docs/OBSERVABILITY.md: the block between %q and %q is not what the registries hold.\ngot:\n%s\nwant (paste this between the markers):\n%s",
 			strings.TrimSpace(open), end, got, want.String())
+	}
+
+	// The stage table says what each stage of starlink_stage_seconds
+	// covers: it names the stages the family's series do, in their order.
+	var series, stages []string
+	for _, m := range med.metrics {
+		if m.name != "starlink_stage_seconds" {
+			continue
+		}
+		for _, s := range m.hist(m.from.take()) {
+			_, v, _ := strings.Cut(s.labels, `stage="`)
+			if v, _, _ = strings.Cut(v, `"`); !slices.Contains(series, v) {
+				series = append(series, v)
+			}
+		}
+	}
+	_, rest, _ = strings.Cut(string(doc), "<!-- stages -->\n")
+	table, _, _ := strings.Cut(rest, "<!-- /stages -->")
+	for _, row := range strings.Split(table, "\n") {
+		if name, ok := strings.CutPrefix(row, "| `"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			stages = append(stages, name)
+		}
+	}
+	if len(series) == 0 || !slices.Equal(stages, series) {
+		t.Errorf("docs/OBSERVABILITY.md: the stage table names %q, the registry's starlink_stage_seconds %q", stages, series)
 	}
 
 	docs, err := filepath.Glob(filepath.Join("..", "..", "docs", "*.md"))

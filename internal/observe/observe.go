@@ -196,16 +196,19 @@ func (o *Observer) ObserveTrace(ev engine.TraceEvent) {
 			}
 			sp.Message = ts.message
 		}
-		// A packet is parsed once it is read, at the end of its span, and
-		// built before it is written, at the start of its span.
-		if ev.Parse > 0 {
-			sp.Children = append(sp.Children, &Span{Kind: SpanParse, Name: SpanParse, Color: ev.Color,
-				Start: ev.Time.Add(-ev.Parse), Duration: ev.Parse})
+		// A packet is built at the start of its span, and a service
+		// connection waited for after that; a packet is read, and then
+		// parsed, at the end of its span.
+		stage := func(kind string, start time.Time, d time.Duration) {
+			if d > 0 {
+				sp.Children = append(sp.Children, &Span{Kind: kind, Name: kind, Color: ev.Color, Start: start, Duration: d})
+			}
 		}
-		if ev.Build > 0 {
-			sp.Children = append(sp.Children, &Span{Kind: SpanBuild, Name: SpanBuild, Color: ev.Color,
-				Start: sp.Start, Duration: ev.Build})
-		}
+		stage(SpanBuild, sp.Start, ev.Build)
+		stage(SpanPoolWait, sp.Start.Add(ev.Build), ev.PoolWait)
+		stage(SpanFrameRead, ev.Time.Add(-ev.Parse-ev.FrameRead), ev.FrameRead)
+		stage(SpanServiceWait, ev.Time.Add(-ev.Parse-ev.ServiceWait), ev.ServiceWait)
+		stage(SpanParse, ev.Time.Add(-ev.Parse), ev.Parse)
 		st.cur.Root.Children = append(st.cur.Root.Children, sp)
 	case engine.TraceRedial:
 		st := o.session(ev.Session)

@@ -25,11 +25,18 @@ const (
 	// sends — the part of the span that is not the wire or the wait.
 	SpanParse = "parse"
 	SpanBuild = "build"
+	// SpanFrameRead, SpanPoolWait and SpanServiceWait nest under a message
+	// span too: the wire's part of it — reading the client's request,
+	// waiting for a pooled service connection, and waiting for the
+	// service's reply and reading it.
+	SpanFrameRead   = "frame_read"
+	SpanPoolWait    = "pool_wait"
+	SpanServiceWait = "service_wait"
 )
 
 // Span is one node of a flow's span tree: the flow root, a transition
-// under it, a redial annotation under the flow, or a binder stage under a
-// message transition. Durations come from
+// under it, a redial annotation under the flow, or a stage under a message
+// transition. Durations come from
 // the engine's own measurements; Start is back-dated from the event
 // time so children nest inside their parent on a timeline.
 type Span struct {

@@ -3,7 +3,10 @@ package rest
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
+
+	"starlink/internal/message"
 )
 
 // seeds are documents the two decoders must agree on, and some on which
@@ -93,4 +96,92 @@ func FuzzParseEntry(f *testing.F) {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(sameEntry)
+}
+
+// fieldSeeds add to seeds what a projected decode skips where the full one
+// reads: elements given twice, entries inside entries and inside what is
+// read as text, empty elements, an entry that is all attributes, and bad
+// references in what one reads and the other skips.
+var fieldSeeds = []string{
+	"<feed><entry><id>a</id><id>b</id><title>t</title><title>u</title><summary>s</summary><summary>r</summary><content type='x' src='1'/><content src='2'>text</content><author>p</author><author>q</author></entry></feed>",
+	"<feed><entry><id>outer</id><entry><id>inner</id></entry><author><name>x</name><entry><id>deep</id></entry></author><title><entry/>t</title></entry><entry/></feed>",
+	"<feed><entry><id/><title></title><summary/><author/><content/></entry><entry></entry></feed>",
+	"<feed><entry><content type='image/png' src='http://e.example/x.png'/></entry></feed>",
+	"<entry><content type='image/png' src='http://e.example/x.png'>  fallback  </content></entry>",
+	"<feed><entry><id>x</id><content src='a&bogus;b'/></entry></feed>",
+	"<feed><entry><link href='&#xZZ;'/><id>x</id></entry></feed>",
+	"<feed><entry><id>x</id><title>&nope;</title></entry></feed>",
+	"<entry><id>x</id><summary>a &amp; b</summary><author><name>&lt;n&gt;</name></author><content src='&#65;'/></entry>",
+}
+
+// abstractEntry is the mapping the binders made of an Entry before they
+// decoded into fields: an "entry" field with id and title, then summary,
+// author, src and type where they are not empty.
+func abstractEntry(e Entry) *message.Field {
+	f := message.NewStruct("entry", message.NewString("id", e.ID), message.NewString("title", e.Title))
+	for _, o := range [...]struct{ label, value string }{
+		{"summary", e.Summary}, {"author", e.Author}, {"src", e.ContentSrc}, {"type", e.ContentType},
+	} {
+		if o.value != "" {
+			f.Add(message.NewString(o.label, o.value))
+		}
+	}
+	return f
+}
+
+// without removes from an entry's field the children keep does not hold.
+func without(f *message.Field, keep Keep) *message.Field {
+	f.Children = slices.DeleteFunc(f.Children, func(c *message.Field) bool { return KeepLabel(c.Label)&keep == 0 })
+	return f
+}
+
+// sameFields holds the projected decoders to the full ones: ParseFeedFields
+// and ParseEntryFields accept and refuse what ParseFeed and ParseEntry do,
+// and what they make is the mapping of the full decode with the children
+// keep does not hold removed.
+func sameFields(t *testing.T, data []byte, keep Keep) {
+	t.Helper()
+	feed, wantErr := ParseFeed(data)
+	fields, err := ParseFeedFields(data, keep)
+	if (err == nil) != (wantErr == nil) || err != nil && !errors.Is(err, ErrMalformed) {
+		t.Fatalf("ParseFeedFields(%q, %06b): %v, ParseFeed: %v", data, keep, err, wantErr)
+	}
+	if err == nil {
+		if len(fields) != len(feed.Entries) {
+			t.Fatalf("ParseFeedFields(%q, %06b): %d entries, ParseFeed %d", data, keep, len(fields), len(feed.Entries))
+		}
+		for i, e := range feed.Entries {
+			if want := without(abstractEntry(e), keep); !fields[i].Equal(want) {
+				t.Fatalf("ParseFeedFields(%q, %06b): entry %d is %v, want %v", data, keep, i,
+					message.New("", fields[i]), message.New("", want))
+			}
+		}
+	}
+	entry, wantErr := ParseEntry(data)
+	field, err := ParseEntryFields(data, keep)
+	if (err == nil) != (wantErr == nil) || err != nil && !errors.Is(err, ErrMalformed) {
+		t.Fatalf("ParseEntryFields(%q, %06b): %v, ParseEntry: %v", data, keep, err, wantErr)
+	}
+	if want := without(abstractEntry(entry), keep); err == nil && !field.Equal(want) {
+		t.Fatalf("ParseEntryFields(%q, %06b) = %v, want %v", data, keep, message.New("", field), message.New("", want))
+	}
+}
+
+// TestFieldDecodersMatchFullOnSeeds runs sameFields over every seed with
+// every keep.
+func TestFieldDecodersMatchFullOnSeeds(t *testing.T) {
+	for _, doc := range append(slices.Clone(seeds), fieldSeeds...) {
+		for keep := Keep(0); keep <= KeepAll; keep++ {
+			sameFields(t, []byte(doc), keep)
+		}
+	}
+}
+
+func FuzzParseFields(f *testing.F) {
+	for i, doc := range append(slices.Clone(seeds), fieldSeeds...) {
+		f.Add([]byte(doc), uint8(i)*37)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, keep uint8) {
+		sameFields(t, data, Keep(keep)&KeepAll)
+	})
 }

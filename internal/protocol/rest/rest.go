@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,83 +116,99 @@ func root(r *xmlenc.Reader, want string) error {
 	return nil
 }
 
+// texts pools the lists the decoders collect a document's entries on, so
+// that what they make of them — Feed.Entries, or the fields — is allocated
+// once, at its size, when the document has been read (as the XML-RPC
+// decoder's stacks do for arrays and structs). A list that one large feed
+// has grown past maxRetainedEntries is not pooled again.
+var texts = sync.Pool{New: func() any { return new([]entryText) }}
+
+const maxRetainedEntries = 1024
+
+// entryText is what one entry holds of each child of its abstract field, by
+// the child's index in entryLabels: "" for one it does not have.
+type entryText [len(entryLabels)]string
+
+// putTexts gives a list back to texts, emptied.
+func putTexts(list *[]entryText) {
+	// The strings are the document's: nothing pooled may pin them.
+	clear(*list)
+	if cap(*list) <= maxRetainedEntries {
+		*list = (*list)[:0]
+		texts.Put(list)
+	}
+}
+
+// collect reads a document whose root is want onto tape: the <entry>
+// children of a feed, or the root <entry> itself. Of each entry it reads
+// what keep holds, and skips the rest. With title set, a feed's first
+// <title> goes there.
+func collect(data []byte, want string, keep Keep, title *string, tape *[]entryText) error {
+	r := xmlenc.NewReader(data)
+	defer r.Release()
+	if err := root(r, want); err != nil {
+		return malformed(err)
+	}
+	if want == "entry" {
+		e, err := readEntry(r, keep)
+		*tape = append(*tape, e)
+		return malformed(err)
+	}
+	titled := title == nil
+	for {
+		name, err := r.Find("title", "entry")
+		switch {
+		case err != nil || name == "":
+			return malformed(err)
+		case name == "entry":
+			var e entryText
+			if e, err = readEntry(r, keep); err == nil {
+				*tape = append(*tape, e)
+			}
+		case !titled:
+			titled = true
+			*title, err = text(r)
+		default:
+			err = r.Skip()
+		}
+		if err != nil {
+			return malformed(err)
+		}
+	}
+}
+
 // ParseFeed decodes an Atom feed document: its first <title> and every
 // <entry>, by local name, whatever else it holds skipped.
 func ParseFeed(data []byte) (Feed, error) {
-	r := xmlenc.NewReader(data)
-	defer r.Release()
-	f, err := readFeed(r)
-	if err != nil {
-		return Feed{}, malformed(err)
+	var f Feed
+	tape := texts.Get().(*[]entryText)
+	defer putTexts(tape)
+	if err := collect(data, "feed", KeepAll, &f.Title, tape); err != nil {
+		return Feed{}, err
+	}
+	if len(*tape) > 0 {
+		f.Entries = make([]Entry, len(*tape))
+		for i := range *tape {
+			f.Entries[i] = (*tape)[i].entry()
+		}
 	}
 	return f, nil
 }
 
 // ParseEntry decodes a standalone entry document.
 func ParseEntry(data []byte) (Entry, error) {
-	r := xmlenc.NewReader(data)
-	defer r.Release()
-	err := root(r, "entry")
-	if err == nil {
-		var e Entry
-		if e, err = readEntry(r); err == nil {
-			return e, nil
-		}
+	var tape [1]entryText
+	list := tape[:0]
+	if err := collect(data, "entry", KeepAll, nil, &list); err != nil {
+		return Entry{}, err
 	}
-	return Entry{}, malformed(err)
+	return list[0].entry(), nil
 }
 
-// entryLists pools the lists readFeed collects a feed's entries on, so that
-// Feed.Entries is allocated once, at its size, when the feed has been read
-// (as the XML-RPC decoder's stacks do for arrays and structs). A list that
-// one large feed has grown past maxRetainedEntries is not pooled again.
-var entryLists = sync.Pool{New: func() any { return new([]Entry) }}
-
-const maxRetainedEntries = 1024
-
-// readFeed reads a feed document.
-func readFeed(r *xmlenc.Reader) (Feed, error) {
-	var f Feed
-	if err := root(r, "feed"); err != nil {
-		return f, err
-	}
-	list := entryLists.Get().(*[]Entry)
-	entries := (*list)[:0]
-	defer func() {
-		// The strings are the feed's: nothing pooled may pin them.
-		clear(entries)
-		if cap(entries) <= maxRetainedEntries {
-			*list = entries[:0]
-			entryLists.Put(list)
-		}
-	}()
-	titled := false
-	for {
-		name, err := r.Find("title", "entry")
-		switch {
-		case err != nil:
-			return f, err
-		case name == "":
-			if len(entries) > 0 {
-				f.Entries = append(make([]Entry, 0, len(entries)), entries...)
-			}
-			return f, nil
-		case name == "entry":
-			e, err := readEntry(r)
-			if err != nil {
-				return f, err
-			}
-			entries = append(entries, e)
-		case !titled:
-			titled = true
-			f.Title, err = text(r)
-		default:
-			err = r.Skip()
-		}
-		if err != nil {
-			return f, err
-		}
-	}
+// entry is the Entry of an entry's texts.
+func (e *entryText) entry() Entry {
+	return Entry{ID: e[cID], Title: e[cTitle], Summary: e[cSummary], Author: e[cAuthor],
+		ContentSrc: e[cSrc], ContentType: e[cType]}
 }
 
 // text reads the open element to its end: its character data.
@@ -200,60 +217,73 @@ func text(r *xmlenc.Reader) (string, error) {
 	return string(b), err
 }
 
-// readEntry reads the open <entry> to its end. Of each element it knows
-// the first counts; the others, and a nested <entry>, are skipped.
-func readEntry(r *xmlenc.Reader) (Entry, error) {
-	var e Entry
+// readEntry reads the open <entry> to its end: of each element it knows the
+// first, when keep holds a child it is read for, is read, and the rest, a
+// nested <entry> among them, skipped. Skipping reads every token that
+// reading does, so what keep leaves out changes nothing of what is refused.
+func readEntry(r *xmlenc.Reader, keep Keep) (entryText, error) {
+	var e entryText
 	// fallback is what <content> offers as the summary when there is no
 	// <summary>, or an empty one, wherever in the entry that stands.
 	var fallback string
-	var id, title, summary, author, content bool
+	var seen [len(entryLabels)]bool
 	for {
 		name, err := r.Find("id", "title", "summary", "author", "content")
 		switch {
 		case err != nil:
-			return Entry{}, err
+			return entryText{}, err
 		case name == "":
-			if e.Summary == "" {
-				e.Summary = fallback
+			if e[cSummary] == "" {
+				e[cSummary] = fallback
 			}
 			return e, nil
-		case name == "id" && !id:
-			id = true
-			e.ID, err = text(r)
-		case name == "title" && !title:
-			title = true
-			e.Title, err = text(r)
-		case name == "summary" && !summary:
-			summary = true
-			e.Summary, err = text(r)
-		case name == "author" && !author:
-			author = true
-			e.Author, err = readAuthor(r)
-		case name == "content" && !content:
-			content = true
-			fallback, err = readContent(r, &e)
-		default:
+		}
+		// <content> is marked seen at src.
+		i, wanted := cSrc, keep&contentKeep != 0
+		if name != "content" {
+			i = slices.Index(entryLabels[:], name)
+			wanted = keep.has(i)
+		}
+		first := !seen[i]
+		seen[i] = true
+		switch {
+		case !first || !wanted:
 			err = r.Skip()
+		case i == cAuthor:
+			e[i], err = readAuthor(r)
+		case name == "content":
+			fallback, err = readContent(r, &e, keep)
+		default:
+			e[i], err = text(r)
 		}
 		if err != nil {
-			return Entry{}, err
+			return entryText{}, err
 		}
 	}
 }
 
 // readContent reads the open <content> to its end: its first type and src
-// attributes into e, and its text, which is returned.
-func readContent(r *xmlenc.Reader, e *Entry) (string, error) {
+// attributes into e, where keep holds them, and its text, which is
+// returned where keep holds the summary it stands in for.
+func readContent(r *xmlenc.Reader, e *entryText, keep Keep) (string, error) {
 	var typed, sourced bool
 	attrs := r.Attrs()
 	for _, a := range attrs {
 		switch {
 		case a.Label == "@type" && !typed:
-			typed, e.ContentType = true, a.Value
+			typed = true
+			if keep.has(cType) {
+				e[cType] = a.Value
+			}
 		case a.Label == "@src" && !sourced:
-			sourced, e.ContentSrc = true, a.Value
+			sourced = true
+			if keep.has(cSrc) {
+				e[cSrc] = a.Value
+			}
 		}
+	}
+	if !keep.has(cSummary) {
+		return "", r.Skip()
 	}
 	bare := len(attrs) == 0
 	text, leaf, err := r.Content()
