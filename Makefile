@@ -43,7 +43,14 @@ race-alloc:
 # oracle the xmlenc Reader and Writer are checked against. So does the query
 # map: textenc reads a query and writes a target itself, and under the MDL
 # engines and the binders only test files may use url.Values or
-# url.ParseQuery, as the oracle textenc is checked against. And the field
+# url.ParseQuery, as the oracle textenc is checked against. Models are read
+# through the Reader too: no non-test file under internal/automata or
+# internal/core calls xml.NewDecoder or xml.Unmarshal, for the automata
+# decode their XML with xmlenc.Reader straight into their structs, and the
+# reflection decode, which was most of a model load's time and
+# allocations, lives on in internal/automata/oracle_test.go as the oracle
+# the decoders are held to (EncodeXML still marshals with encoding/xml,
+# whose bytes cmd/starlink's merge golden test holds). And the field
 # tree stays out of the XML-RPC, Atom and SOAP decode: those packages and the
 # binders read the Reader's tokens, and only their tests may build a tree
 # with xmlenc.DecodeTree, as the oracle the token decoders are checked
@@ -129,6 +136,8 @@ check: test
 		echo 'check: the lines above quote what bench/ and the package tests replaced (see bench/README.md and DESIGN.md §4)'; exit 1; fi
 	@if git grep -n '"encoding/xml"' -- internal/mdl internal/protocol internal/bind ':!*_test.go'; then \
 		echo 'check: the files above import encoding/xml on the message path; xmlenc has the Reader and the Writer (DESIGN.md, "XML codec")'; exit 1; fi
+	@if git grep -nE 'xml\.(NewDecoder|Unmarshal)\(' -- internal/automata internal/core ':!*_test.go'; then \
+		echo 'check: the lines above decode a model with encoding/xml; read it through xmlenc.Reader as UnmarshalAutomaton and UnmarshalMerged do (DESIGN.md §17), and keep the reflection decode in internal/automata/oracle_test.go'; exit 1; fi
 	@if git grep -nE 'url\.(Values|ParseQuery)' -- internal/mdl internal/bind ':!*_test.go' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
 		echo 'check: the lines above use url.Values or url.ParseQuery on the message path; textenc reads a query and writes a target without one (DESIGN.md §17, "The text engine'"'"'s plan"), and the map lives on in internal/mdl/textenc/oracle_test.go only'; exit 1; fi
 	@if git grep -n 'xmlenc\.DecodeTree' -- internal/protocol/xmlrpc internal/protocol/rest internal/protocol/soap internal/bind ':!*_test.go'; then \

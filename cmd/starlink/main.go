@@ -256,7 +256,7 @@ func dot(path string) error {
 	var err error
 	if strings.HasSuffix(path, ".merged.xml") {
 		g, err = load(path, func(doc string) (*automata.Merged, error) {
-			return automata.UnmarshalMerged(strings.NewReader(doc))
+			return automata.UnmarshalMerged([]byte(doc))
 		})
 	} else {
 		g, err = load(path, automata.ParseAutomaton)

@@ -1,7 +1,6 @@
 package automata_test
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -341,7 +340,7 @@ func TestXMLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := automata.UnmarshalAutomaton(strings.NewReader(string(data)))
+	back, err := automata.UnmarshalAutomaton(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +370,7 @@ func TestMergedXMLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := automata.UnmarshalMerged(strings.NewReader(string(data)))
+	back, err := automata.UnmarshalMerged(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,12 +410,11 @@ func TestShippedAutoMergeIsTheMerge(t *testing.T) {
 	// Pairings is Merge's record of how it resolved each operation; the
 	// XML vocabulary does not carry it.
 	want.Pairings = nil
-	f, err := models.FS.Open("flickr-picasa-auto.merged.xml")
+	data, err := models.FS.ReadFile("flickr-picasa-auto.merged.xml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	got, err := automata.UnmarshalMerged(f)
+	got, err := automata.UnmarshalMerged(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +440,7 @@ func TestMergedXMLCarriesMTLVerbatim(t *testing.T) {
 	if !strings.Contains(string(data), "<mtl><![CDATA[\na.Msg.x = \"") {
 		t.Errorf("MTL not written as CDATA with real newlines and quotes:\n%s", data)
 	}
-	back, err := automata.UnmarshalMerged(bytes.NewReader(data))
+	back, err := automata.UnmarshalMerged(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +455,7 @@ func TestMergedXMLCarriesMTLVerbatim(t *testing.T) {
   </transition>
   <final name="m1"></final>
 </merged>`
-	if back, err = automata.UnmarshalMerged(strings.NewReader(old)); err != nil || !reflect.DeepEqual(back, m) {
+	if back, err = automata.UnmarshalMerged([]byte(old)); err != nil || !reflect.DeepEqual(back, m) {
 		t.Errorf("escaped form: got %+v, %v, want %+v", back, err, m)
 	}
 }
@@ -479,9 +477,17 @@ func TestUnmarshalErrors(t *testing.T) {
 	if _, err := automata.ParseAutomaton(network); !errors.Is(err, automata.ErrInvalid) || !strings.Contains(err.Error(), "side") {
 		t.Errorf("ParseAutomaton(%q) = %v, want ErrInvalid naming the side line", network, err)
 	}
+	// One name, one definition: the second used to replace the first.
+	twice := `<automaton name="A" start="s0"><message name="m"><field name="x"/></message><message name="m"/><state name="s0" final="true"/></automaton>`
+	if _, err := automata.ParseAutomaton(twice); !errors.Is(err, automata.ErrInvalid) || !strings.Contains(err.Error(), `"m"`) {
+		t.Errorf("ParseAutomaton(%q) = %v, want ErrInvalid naming the message", twice, err)
+	}
 	for _, c := range []string{
 		"nope",
 		`<merged name="m" start="m0"><state name="m0" colors="x"/></merged>`,
+		// A colour is a whole number, not the number a string starts with.
+		`<merged name="m" start="m0"><state name="m0" colors="2junk"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/><final name="m1"/></merged>`,
+		`<merged name="m" start="m0"><state name="m0" colors="0x1"/><state name="m1"/><transition kind="gamma" from="m0" to="m1"/><final name="m1"/></merged>`,
 		`<merged name="m" start="m0"><transition kind="zap" from="a" to="b"/></merged>`,
 		`<merged name="m" start="m0"><transition kind="message" from="a" to="b" action="zap"/></merged>`,
 		// Merged.Validate: each breaks a merge that is m0 -γ-> m1, final.
@@ -495,7 +501,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><state name="m2"/><transition kind="gamma" from="m0" to="m2"/><transition kind="gamma" from="m2" to="m0"/><final name="m1"/></merged>`,
 		`<merged name="m" start="m0"><state name="m0"/><state name="m1"/><state name="m2"/><transition kind="gamma" from="m0" to="m1"/><transition kind="gamma" from="m2" to="m1"/><final name="m1"/></merged>`,
 	} {
-		if _, err := automata.UnmarshalMerged(strings.NewReader(c)); err == nil {
+		if _, err := automata.UnmarshalMerged([]byte(c)); err == nil {
 			t.Errorf("UnmarshalMerged(%q) accepted", c)
 		}
 	}

@@ -1,7 +1,6 @@
 package automata_test
 
 import (
-	"bytes"
 	"io/fs"
 	"reflect"
 	"strings"
@@ -33,14 +32,24 @@ func seedModels(f *testing.F, suffixes ...string) {
 	}
 }
 
-// FuzzParseAutomaton: a usage automaton the reader accepts is written back
-// by EncodeXML as a document that reads as the same automaton.
+// FuzzParseAutomaton: a usage automaton reads as the oracle reads it, and
+// one the reader accepts is written back by EncodeXML as a document that
+// reads as the same automaton.
 func FuzzParseAutomaton(f *testing.F) {
 	seedModels(f, ".automaton.xml")
-	f.Add(`<automaton name="a" start="s"><message name="m"><field name="x"/><field name="x" optional="true"/></message><state name="s" final="true"/></automaton>`)
+	for _, doc := range automatonSeeds {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
+		sameAutomaton(t, []byte(doc))
 		a, err := automata.ParseAutomaton(doc)
 		if err != nil {
+			return
+		}
+		// The reader does not check characters against the XML ranges, and
+		// EncodeXML writes U+FFFD for one outside them: only what the
+		// oracle reads has to survive the round trip.
+		if _, err := oracleUnmarshalAutomaton([]byte(doc)); err != nil {
 			return
 		}
 		out, err := a.EncodeXML()
@@ -57,22 +66,28 @@ func FuzzParseAutomaton(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalMerged: a merged automaton the reader accepts is written
-// back by EncodeXML as a document that reads as the same automaton, γ
-// programs included.
+// FuzzUnmarshalMerged: a merged automaton reads as the oracle reads it,
+// and one the reader accepts is written back by EncodeXML as a document
+// that reads as the same automaton, γ programs included.
 func FuzzUnmarshalMerged(f *testing.F) {
 	seedModels(f, ".merged.xml")
-	f.Add(`<merged name="m" start="a"><state name="a" colors="1, 2"/><state name="b"/><transition kind="gamma" from="a" to="b"><mtl>x]]&gt;y&#xD;</mtl></transition><final name="b"/></merged>`)
+	for _, doc := range mergedSeeds {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
-		m, err := automata.UnmarshalMerged(strings.NewReader(doc))
+		sameMerged(t, []byte(doc))
+		m, err := automata.UnmarshalMerged([]byte(doc))
 		if err != nil {
+			return
+		}
+		if _, err := oracleUnmarshalMerged([]byte(doc)); err != nil {
 			return
 		}
 		out, err := m.EncodeXML()
 		if err != nil {
 			t.Fatalf("accepted %q, then cannot encode it: %v", doc, err)
 		}
-		back, err := automata.UnmarshalMerged(bytes.NewReader(out))
+		back, err := automata.UnmarshalMerged(out)
 		if err != nil {
 			t.Fatalf("%q reads, its encoding %q does not: %v", doc, out, err)
 		}

@@ -169,7 +169,7 @@ func TestQuickMergeXMLRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := automata.UnmarshalMerged(strings.NewReader(string(data)))
+		back, err := automata.UnmarshalMerged(data)
 		if err != nil {
 			return false
 		}

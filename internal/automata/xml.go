@@ -2,22 +2,28 @@ package automata
 
 import (
 	"encoding/xml"
+	"errors"
 	"fmt"
-	"io"
 	"slices"
+	"strconv"
 	"strings"
+
+	"starlink/internal/mdl/xmlenc"
 )
 
 // The XML vocabulary below is the "XML-based Starlink language for
 // k-colored automata" of Section 5.1: the on-disk form of both API usage
-// automata and merged automata under models/.
+// automata and merged automata under models/. EncodeXML marshals the
+// structs; UnmarshalAutomaton and UnmarshalMerged read a document through
+// xmlenc.Reader straight into the result, which is what encoding/xml made
+// of the document when it filled them (oracle_test.go holds the two to
+// each other).
 
 type xmlAutomaton struct {
 	XMLName     xml.Name        `xml:"automaton"`
 	Name        string          `xml:"name,attr"`
 	Color       int             `xml:"color,attr"`
 	Start       string          `xml:"start,attr"`
-	Network     *struct{}       `xml:"network"` // refused, see UnmarshalAutomaton
 	Messages    []xmlMessage    `xml:"message"`
 	States      []xmlState      `xml:"state"`
 	Transitions []xmlTransition `xml:"transition"`
@@ -93,50 +99,20 @@ func sortedMsgNames(m map[string]MsgDef) []string {
 	return names
 }
 
-// UnmarshalAutomaton parses the Starlink XML vocabulary.
-func UnmarshalAutomaton(r io.Reader) (*Automaton, error) {
-	var xa xmlAutomaton
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&xa); err != nil {
-		return nil, fmt.Errorf("automata: decode: %w", err)
-	}
-	a := &Automaton{
-		Name:     xa.Name,
-		Color:    xa.Color,
-		Start:    xa.Start,
-		Messages: make(map[string]MsgDef, len(xa.Messages)),
-	}
-	if xa.Network != nil {
-		return nil, fmt.Errorf("%w: %s: <network> is not part of an automaton: a colour's transport and MDL are those of the protocol on its `side` line in the .mediator spec", ErrInvalid, xa.Name)
-	}
-	for _, xm := range xa.Messages {
-		d := MsgDef{Name: xm.Name}
-		for _, f := range xm.Fields {
-			// A label declared twice has no one optionality to write back.
-			if slices.Contains(d.Fields, f.Name) {
-				return nil, fmt.Errorf("%w: %s: message %q declares field %q twice", ErrInvalid, xa.Name, xm.Name, f.Name)
-			}
-			d.Fields = append(d.Fields, f.Name)
-			if f.Optional {
-				d.Optional = append(d.Optional, f.Name)
-			}
-		}
-		a.Messages[d.Name] = d
-	}
-	for _, xs := range xa.States {
-		a.States = append(a.States, xs.Name)
-		if xs.Final {
-			a.Final = append(a.Final, xs.Name)
-		}
-	}
-	for _, xt := range xa.Transitions {
-		act, err := ParseAction(xt.Action)
-		if err != nil {
-			return nil, fmt.Errorf("automata: %s: transition %s->%s: %w", xa.Name, xt.From, xt.To, err)
-		}
-		a.Transitions = append(a.Transitions, Transition{
-			From: xt.From, To: xt.To, Action: act, Message: xt.Message,
-		})
+// UnmarshalAutomaton reads a usage automaton from its XML form. The
+// document is read through xmlenc.Reader, straight into the result, and
+// means what encoding/xml made of it when it filled the structs above:
+// the root element must be <automaton>; elements and attributes are
+// matched by their local names and the others skipped; of two attributes
+// of one name the last counts; a number or a flag is trimmed and parsed,
+// and an empty one is zero. A document that does not read is an error
+// that says so; one that reads but is no automaton is ErrInvalid.
+func UnmarshalAutomaton(data []byte) (*Automaton, error) {
+	r := xmlenc.NewReader(data)
+	defer r.Release()
+	a, err := readAutomaton(r)
+	if err != nil {
+		return nil, decodeError(err)
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -146,7 +122,143 @@ func UnmarshalAutomaton(r io.Reader) (*Automaton, error) {
 
 // ParseAutomaton parses an automaton from a string.
 func ParseAutomaton(s string) (*Automaton, error) {
-	return UnmarshalAutomaton(strings.NewReader(s))
+	return UnmarshalAutomaton([]byte(s))
+}
+
+func readAutomaton(r *xmlenc.Reader) (*Automaton, error) {
+	if err := readRoot(r, "automaton"); err != nil {
+		return nil, err
+	}
+	a := &Automaton{Messages: map[string]MsgDef{}}
+	for i, at := range r.Attrs() {
+		var err error
+		switch string(r.AttrName(i)) {
+		case "name":
+			a.Name = at.Value
+		case "color":
+			a.Color, err = attrInt("color", at.Value)
+		case "start":
+			a.Start = at.Value
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	for {
+		elem, err := r.Find("message", "state", "transition", "network")
+		switch elem {
+		case "":
+			return a, err
+		case "network":
+			return nil, fmt.Errorf("%w: %s: <network> is not part of an automaton: a colour's transport and MDL are those of the protocol on its `side` line in the .mediator spec", ErrInvalid, a.Name)
+		case "message":
+			err = readMessage(r, a)
+		case "state":
+			err = readState(r, a)
+		case "transition":
+			err = readTransition(r, a)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// readMessage reads the open <message> into a.Messages.
+func readMessage(r *xmlenc.Reader, a *Automaton) error {
+	var d MsgDef
+	for i, at := range r.Attrs() {
+		if string(r.AttrName(i)) == "name" {
+			d.Name = at.Value
+		}
+	}
+	// The engine and the binders look a message up by its name.
+	if _, dup := a.Messages[d.Name]; dup {
+		return fmt.Errorf("%w: %s: message %q declared twice", ErrInvalid, a.Name, d.Name)
+	}
+	for {
+		elem, err := r.Find("field")
+		if err != nil {
+			return err
+		}
+		if elem == "" {
+			a.Messages[d.Name] = d
+			return nil
+		}
+		var f string
+		var optional bool
+		for i, at := range r.Attrs() {
+			switch string(r.AttrName(i)) {
+			case "name":
+				f = at.Value
+			case "optional":
+				optional, err = attrBool("optional", at.Value)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		// A label declared twice has no one optionality to write back.
+		if slices.Contains(d.Fields, f) {
+			return fmt.Errorf("%w: %s: message %q declares field %q twice", ErrInvalid, a.Name, d.Name, f)
+		}
+		d.Fields = append(d.Fields, f)
+		if optional {
+			d.Optional = append(d.Optional, f)
+		}
+		if err := r.Skip(); err != nil {
+			return err
+		}
+	}
+}
+
+// readState reads the open <state> into a.States, and a.Final if it is
+// final.
+func readState(r *xmlenc.Reader, a *Automaton) error {
+	var s string
+	var final bool
+	for i, at := range r.Attrs() {
+		var err error
+		switch string(r.AttrName(i)) {
+		case "name":
+			s = at.Value
+		case "final":
+			final, err = attrBool("final", at.Value)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	a.States = append(a.States, s)
+	if final {
+		a.Final = append(a.Final, s)
+	}
+	return r.Skip()
+}
+
+// readTransition reads the open <transition> into a.Transitions.
+func readTransition(r *xmlenc.Reader, a *Automaton) error {
+	var t Transition
+	var action string
+	for i, at := range r.Attrs() {
+		switch string(r.AttrName(i)) {
+		case "from":
+			t.From = at.Value
+		case "to":
+			t.To = at.Value
+		case "action":
+			action = at.Value
+		case "message":
+			t.Message = at.Value
+		}
+	}
+	act, err := ParseAction(action)
+	if err != nil {
+		return fmt.Errorf("%w: %s: transition %s->%s: %v", ErrInvalid, a.Name, t.From, t.To, err)
+	}
+	t.Action = act
+	a.Transitions = append(a.Transitions, t)
+	return r.Skip()
 }
 
 type xmlMerged struct {
@@ -231,63 +343,220 @@ func (m *Merged) EncodeXML() ([]byte, error) {
 	return append([]byte(xml.Header), append(out, '\n')...), nil
 }
 
-// UnmarshalMerged parses a merged automaton from its XML form.
-func UnmarshalMerged(r io.Reader) (*Merged, error) {
-	var xm xmlMerged
-	if err := xml.NewDecoder(r).Decode(&xm); err != nil {
-		return nil, fmt.Errorf("automata: decode merged: %w", err)
-	}
-	m := &Merged{
-		Name: xm.Name, Color1: xm.Color1, Color2: xm.Color2, Start: xm.Start,
-		Strength: StronglyMerged,
-	}
-	if xm.Strength == "weak" {
-		m.Strength = WeaklyMerged
-	}
-	for _, xs := range xm.States {
-		st := MergedState{Name: xs.Name}
-		for _, c := range strings.Split(xs.Colors, ",") {
-			c = strings.TrimSpace(c)
-			if c == "" {
-				continue
-			}
-			var n int
-			if _, err := fmt.Sscanf(c, "%d", &n); err != nil {
-				return nil, fmt.Errorf("automata: merged state %q: bad color %q", xs.Name, c)
-			}
-			st.Colors = append(st.Colors, n)
-		}
-		m.States = append(m.States, st)
-	}
-	for _, xt := range xm.Transitions {
-		t := MergedTransition{From: xt.From, To: xt.To}
-		switch xt.Kind {
-		case "gamma":
-			t.Kind = KindGamma
-			if xt.MTL != nil {
-				// XML turns a literal CR into LF, and a CDATA block cannot
-				// carry one, so a CR written as &#xD; is read as LF too.
-				t.MTL = crlf.Replace(xt.MTL.Src)
-			}
-		case "message":
-			t.Kind = KindMessage
-			t.Color = xt.Color
-			act, err := ParseAction(xt.Action)
-			if err != nil {
-				return nil, fmt.Errorf("automata: merged transition %s->%s: %w", xt.From, xt.To, err)
-			}
-			t.Action = act
-			t.Message = xt.Message
-		default:
-			return nil, fmt.Errorf("automata: merged transition %s->%s: unknown kind %q", xt.From, xt.To, xt.Kind)
-		}
-		m.Transitions = append(m.Transitions, t)
-	}
-	for _, f := range xm.Finals {
-		m.Final = append(m.Final, f.Name)
+// UnmarshalMerged reads a merged automaton from its XML form, the way
+// UnmarshalAutomaton reads a usage automaton; a γ's program is the
+// character data of its last <mtl>.
+func UnmarshalMerged(data []byte) (*Merged, error) {
+	r := xmlenc.NewReader(data)
+	defer r.Release()
+	m, err := readMerged(r)
+	if err != nil {
+		return nil, decodeError(err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+func readMerged(r *xmlenc.Reader) (*Merged, error) {
+	if err := readRoot(r, "merged"); err != nil {
+		return nil, err
+	}
+	m := &Merged{Strength: StronglyMerged}
+	for i, at := range r.Attrs() {
+		var err error
+		switch string(r.AttrName(i)) {
+		case "name":
+			m.Name = at.Value
+		case "color1":
+			m.Color1, err = attrInt("color1", at.Value)
+		case "color2":
+			m.Color2, err = attrInt("color2", at.Value)
+		case "start":
+			m.Start = at.Value
+		case "strength":
+			m.Strength = StronglyMerged
+			if at.Value == "weak" {
+				m.Strength = WeaklyMerged
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	for {
+		elem, err := r.Find("state", "transition", "final")
+		switch elem {
+		case "":
+			return m, err
+		case "state":
+			err = readMergedState(r, m)
+		case "transition":
+			err = readMergedTransition(r, m)
+		case "final":
+			err = readFinal(r, m)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// readMergedState reads the open <state> into m.States.
+func readMergedState(r *xmlenc.Reader, m *Merged) error {
+	var st MergedState
+	var colors string
+	for i, at := range r.Attrs() {
+		switch string(r.AttrName(i)) {
+		case "name":
+			st.Name = at.Value
+		case "colors":
+			colors = at.Value
+		}
+	}
+	for colors != "" {
+		var c string
+		c, colors, _ = strings.Cut(colors, ",")
+		if c = strings.TrimSpace(c); c == "" {
+			continue
+		}
+		n, err := strconv.Atoi(c)
+		if err != nil {
+			return fmt.Errorf("%w: %s: merged state %q: bad color %q", ErrInvalid, m.Name, st.Name, c)
+		}
+		st.Colors = append(st.Colors, n)
+	}
+	m.States = append(m.States, st)
+	return r.Skip()
+}
+
+// readMergedTransition reads the open <transition> into m.Transitions.
+func readMergedTransition(r *xmlenc.Reader, m *Merged) error {
+	var t MergedTransition
+	var kind, action, message string
+	var color int
+	for i, at := range r.Attrs() {
+		var err error
+		switch string(r.AttrName(i)) {
+		case "kind":
+			kind = at.Value
+		case "from":
+			t.From = at.Value
+		case "to":
+			t.To = at.Value
+		case "color":
+			color, err = attrInt("color", at.Value)
+		case "action":
+			action = at.Value
+		case "message":
+			message = at.Value
+		}
+		if err != nil {
+			return err
+		}
+	}
+	switch kind {
+	case "gamma":
+		t.Kind = KindGamma
+		for {
+			elem, err := r.Find("mtl")
+			if err != nil {
+				return err
+			}
+			if elem == "" {
+				break
+			}
+			src, _, err := r.Content()
+			if err != nil {
+				return err
+			}
+			t.MTL = string(src)
+			// XML turns a literal CR into LF, and a CDATA block cannot
+			// carry one, so a CR written as &#xD; is read as LF too.
+			if strings.IndexByte(t.MTL, '\r') >= 0 {
+				t.MTL = crlf.Replace(t.MTL)
+			}
+		}
+	case "message":
+		act, err := ParseAction(action)
+		if err != nil {
+			return fmt.Errorf("%w: %s: merged transition %s->%s: %v", ErrInvalid, m.Name, t.From, t.To, err)
+		}
+		t.Kind, t.Color, t.Action, t.Message = KindMessage, color, act, message
+		if err := r.Skip(); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("%w: %s: merged transition %s->%s: unknown kind %q", ErrInvalid, m.Name, t.From, t.To, kind)
+	}
+	m.Transitions = append(m.Transitions, t)
+	return nil
+}
+
+// readFinal reads the open <final> into m.Final.
+func readFinal(r *xmlenc.Reader, m *Merged) error {
+	var f string
+	for i, at := range r.Attrs() {
+		var err error
+		switch string(r.AttrName(i)) {
+		case "name":
+			f = at.Value
+		case "final":
+			// Nothing reads it, but encoding/xml read a <final> as a
+			// <state>, so it has to parse.
+			_, err = attrBool("final", at.Value)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	m.Final = append(m.Final, f)
+	return r.Skip()
+}
+
+// readRoot reads the start tag of the root element, which must be named
+// want.
+func readRoot(r *xmlenc.Reader, want string) error {
+	if _, err := r.Next(); err != nil {
+		return err
+	}
+	if name := r.Name(); string(name) != want {
+		return fmt.Errorf("root element <%s> is not <%s>", name, want)
+	}
+	return nil
+}
+
+// decodeError says that a document did not read, unless it read and is
+// no automaton: ErrInvalid stays as it is.
+func decodeError(err error) error {
+	if errors.Is(err, ErrInvalid) {
+		return err
+	}
+	return fmt.Errorf("automata: decode: %w", err)
+}
+
+// attrInt and attrBool read a number and a flag as encoding/xml read them
+// into an int and a bool: an empty attribute is zero, any other is trimmed
+// and must parse.
+func attrInt(name, v string) (int, error) {
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(v))
+	if err != nil {
+		return 0, fmt.Errorf("attribute %s: %w", name, err)
+	}
+	return n, nil
+}
+
+func attrBool(name, v string) (bool, error) {
+	if v == "" {
+		return false, nil
+	}
+	b, err := strconv.ParseBool(strings.TrimSpace(v))
+	if err != nil {
+		return false, fmt.Errorf("attribute %s: %w", name, err)
+	}
+	return b, nil
 }

@@ -7,8 +7,6 @@
 package casestudy
 
 import (
-	"strings"
-
 	"starlink/internal/automata"
 	"starlink/internal/mtl"
 	"starlink/models"
@@ -149,16 +147,18 @@ func DiscoveryFuncs() map[string]mtl.Func {
 // error no caller could act on. Each call parses afresh, so no two callers
 // share a value.
 
-func read(file string) string {
+func read(file string) string { return string(contents(file)) }
+
+func contents(file string) []byte {
 	data, err := models.FS.ReadFile(file)
 	if err != nil {
 		panic(err)
 	}
-	return string(data)
+	return data
 }
 
 func usage(file string) *automata.Automaton {
-	a, err := automata.ParseAutomaton(read(file))
+	a, err := automata.UnmarshalAutomaton(contents(file))
 	if err != nil {
 		panic("casestudy: " + file + ": " + err.Error())
 	}
@@ -166,7 +166,7 @@ func usage(file string) *automata.Automaton {
 }
 
 func merged(file string) *automata.Merged {
-	m, err := automata.UnmarshalMerged(strings.NewReader(read(file)))
+	m, err := automata.UnmarshalMerged(contents(file))
 	if err != nil {
 		panic("casestudy: " + file + ": " + err.Error())
 	}

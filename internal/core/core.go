@@ -6,6 +6,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -117,7 +118,7 @@ func LoadModelsFS(fsys fs.FS) (*Models, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: read %s: %w", e.Name(), err)
 			}
-			if err := l.load(m, strings.TrimSuffix(e.Name(), l.ext), string(data)); err != nil {
+			if err := l.load(m, strings.TrimSuffix(e.Name(), l.ext), data); err != nil {
 				errs = append(errs, fmt.Errorf("%w: %s: %v", ErrModel, e.Name(), err))
 			}
 			break
@@ -132,27 +133,29 @@ func LoadModelsFS(fsys fs.FS) (*Models, error) {
 // loaders has, for each model file extension, what parses a document of
 // that kind into the set. Automata, merged automata and MDL specs are
 // filed under the name the document gives itself, the rest under the
-// file's base name.
+// file's base name. The XML and MDL readers take the file's bytes as
+// they are; the line formats are read from a string, whose substrings
+// they keep.
 var loaders = []struct {
 	ext  string
-	load func(m *Models, base, doc string) error
+	load func(m *Models, base string, data []byte) error
 }{
-	{".automaton.xml", func(m *Models, _, doc string) error {
-		a, err := automata.ParseAutomaton(doc)
+	{".automaton.xml", func(m *Models, _ string, data []byte) error {
+		a, err := automata.UnmarshalAutomaton(data)
 		if err == nil {
 			m.Automata[a.Name] = a
 		}
 		return err
 	}},
-	{".merged.xml", func(m *Models, _, doc string) error {
-		mg, err := automata.UnmarshalMerged(strings.NewReader(doc))
+	{".merged.xml", func(m *Models, _ string, data []byte) error {
+		mg, err := automata.UnmarshalMerged(data)
 		if err == nil {
 			m.Merged[mg.Name] = mg
 		}
 		return err
 	}},
-	{".mdl", func(m *Models, _, doc string) error {
-		spec, err := mdl.ParseString(doc)
+	{".mdl", func(m *Models, _ string, data []byte) error {
+		spec, err := mdl.Parse(bytes.NewReader(data))
 		if err == nil {
 			_, err = NewCodec(spec)
 		}
@@ -161,24 +164,24 @@ var loaders = []struct {
 		}
 		return err
 	}},
-	{".routes", func(m *Models, base, doc string) (err error) {
-		m.Routes[base], err = bind.ParseRoutes(doc)
+	{".routes", func(m *Models, base string, data []byte) (err error) {
+		m.Routes[base], err = bind.ParseRoutes(string(data))
 		return err
 	}},
-	{".equiv", func(m *Models, base, doc string) (err error) {
-		m.Equivalences[base], err = ParseEquivalence(doc)
+	{".equiv", func(m *Models, base string, data []byte) (err error) {
+		m.Equivalences[base], err = ParseEquivalence(string(data))
 		return err
 	}},
-	{".typemap", func(m *Models, base, doc string) (err error) {
-		m.TypeMaps[base], err = ParseTypeMap(doc)
+	{".typemap", func(m *Models, base string, data []byte) (err error) {
+		m.TypeMaps[base], err = ParseTypeMap(string(data))
 		return err
 	}},
-	{".mediator", func(m *Models, base, doc string) (err error) {
-		m.Mediators[base], err = ParseMediatorSpec(doc)
+	{".mediator", func(m *Models, base string, data []byte) (err error) {
+		m.Mediators[base], err = ParseMediatorSpec(string(data))
 		return err
 	}},
-	{".gateway", func(m *Models, base, doc string) (err error) {
-		m.Gateways[base], err = ParseGatewaySpec(doc)
+	{".gateway", func(m *Models, base string, data []byte) (err error) {
+		m.Gateways[base], err = ParseGatewaySpec(string(data))
 		return err
 	}},
 }

@@ -22,6 +22,7 @@ import (
 	"starlink/internal/protocol/xmlrpc"
 	"starlink/internal/services/photostore"
 	"starlink/internal/services/picasa"
+	"starlink/internal/testutil"
 	"starlink/models"
 )
 
@@ -74,6 +75,38 @@ func TestLoadModels(t *testing.T) {
 	spec := m.Mediators["flickr-xmlrpc"]
 	if spec == nil || spec.MergedName != "Flickr-XMLRPC-to-Picasa-REST" {
 		t.Errorf("mediator spec = %+v", spec)
+	}
+}
+
+// TestLoadModelsAllocBudget: loading models/ allocates what the model set
+// is made of and the file system costs, and no more: the automata are read
+// through the one XML reader straight into their structs, with no
+// reflection and no copy of a file (8 255 allocations when encoding/xml
+// decoded them).
+func TestLoadModelsAllocBudget(t *testing.T) {
+	const budget = 1960
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := core.LoadModels("../../models"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if testutil.RaceEnabled {
+		return
+	}
+	if allocs > budget {
+		t.Errorf("LoadModels allocated %.0f times, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkLoadModels is one load of models/ from the directory, as
+// starlink run and starlink gateway do at start, and the gateway again on
+// SIGHUP.
+func BenchmarkLoadModels(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.LoadModels("../../models"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

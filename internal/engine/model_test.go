@@ -576,13 +576,11 @@ func shippedWorlds(t *testing.T, search bool) []*world {
 		case searchName:
 			merged = casestudy.SearchMediator()
 		default:
-			f, err := models.FS.Open(name)
+			data, err := models.FS.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged, err = automata.UnmarshalMerged(f)
-			f.Close()
-			if err != nil {
+			if merged, err = automata.UnmarshalMerged(data); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -138,7 +138,8 @@ func Parse(r io.Reader) (*Spec, error) {
 	spec := &Spec{}
 	var cur *MessageSpec
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	// bufio's own first buffer, grown as a long line needs, up to 1 MiB.
+	sc.Buffer(nil, 1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++

@@ -235,6 +235,15 @@ func (r *Reader) Attrs() []Attr {
 	return r.attrs
 }
 
+// AttrName returns the local name of the i-th attribute Attrs returns, as
+// written: a prefixed one's without its prefix, as Name gives an
+// element's. A consumer that matches attributes by name whatever their
+// namespace reads this and not the label, which holds the namespace.
+func (r *Reader) AttrName(i int) []byte {
+	n := r.raw[i].name
+	return r.data[n.from:n.to]
+}
+
 // Text returns the character data of a Text token: references resolved,
 // line ends normalised, CDATA sections taken in, and the comments and
 // processing instructions inside the run left out.

@@ -99,6 +99,25 @@ func TestReaderHelpers(t *testing.T) {
 	}
 }
 
+// TestReaderAttrName: an attribute's name is what follows its prefix,
+// whatever the prefix is bound to, and all of a name that has no prefix
+// to cut — the local name encoding/xml gives it.
+func TestReaderAttrName(t *testing.T) {
+	r := NewReader([]byte(`<p:a k='v' p:k='w' xmlns:p='urn:p' q:k='u' xml:k='x' x:y:z='1' :c='2' d:='3'/>`))
+	defer r.Release()
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for i, a := range r.Attrs() {
+		got = append(got, a.Label+"="+string(r.AttrName(i)))
+	}
+	want := "@k=k @urn:p:k=k @p=p @q:k=k @" + xmlNamespace + ":k=k @x:y:z=x:y:z @:c=:c @d:=d:"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("labels and names\n got %s\nwant %s", s, want)
+	}
+}
+
 // TestReaderDepthBound: the Reader holds the depth bound for whoever
 // consumes it, recursing or skipping.
 func TestReaderDepthBound(t *testing.T) {

@@ -270,12 +270,11 @@ func TestDOTMatchesGolden(t *testing.T) {
 	}
 	var shipped []*automata.Merged
 	for _, name := range files {
-		f, err := models.FS.Open(name)
+		data, err := models.FS.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := automata.UnmarshalMerged(f)
-		f.Close()
+		m, err := automata.UnmarshalMerged(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,7 +1,6 @@
 package starlink_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strconv"
@@ -38,7 +37,7 @@ func TestPublicMergeAndTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := automata.UnmarshalMerged(bytes.NewReader(data))
+	back, err := automata.UnmarshalMerged(data)
 	if err != nil {
 		t.Fatal(err)
 	}
