@@ -85,10 +85,16 @@ race-alloc:
 # GIOP RequestID, the JSON-RPC id or the SLP XID in Message.ID, so an
 # abstract message holds application data only and no code outside the
 # tests looks for a "_" label or names one of the fields that used to
-# carry the id. And the engine's step stands alone: internal/engine/flow.go walks
-# the automaton without a clock, a lock or a socket, so its imports name no
-# time or sync package and none of network, network/pool, rcache, bind,
-# backend or discovery; the session, the shell around it, does the I/O.
+# carry the id. And the engine's steps stand alone: internal/engine/flow.go
+# walks the automaton and internal/engine/link.go decides a service
+# exchange without a clock, a lock, a random draw or a socket, so their
+# imports name no sync package, no math/rand and none of network,
+# network/pool, rcache, bind, backend or discovery, flow.go's no time
+# package either, and neither calls time.Now, Since, Until, Sleep or After:
+# link.go holds only the time.Duration values the shell hands it, so it
+# decides alike for alike events, which is what lets TestLinkMatchesModel
+# hold it to its model without a socket. The session, the shell around
+# both, does the I/O and reads the clock.
 # And a binder decodes into fields, once: no code of internal/bind but its
 # tests names xmlrpc.Value, xmlrpc.ParseCall or xmlrpc.ParseResponse, for
 # the XML-RPC binder reads a call or a response straight into the abstract
@@ -154,9 +160,15 @@ check: test
 		echo 'check: the files above make a read buffer of their own; a stream connection takes one from the pool in internal/network (network.NewStreamConn, network.NewPeekConn) and returns it on Close (DESIGN.md §9)'; exit 1; fi
 	@if git grep -nE '\.(RecvAppend|AppendRequest|AppendReply)\(' -- '*.go' ':!*_test.go' ':!internal/engine' ':!internal/network' ':!internal/bind'; then \
 		echo 'check: the lines above read or build a packet into borrowed storage outside the engine, the network layer and the binders; call Recv, BuildRequest or BuildReply, whose packet is the caller'"'"'s (DESIGN.md §9, "Wire buffers")'; exit 1; fi
-	@if sed -n '/^import (/,/^)/p; /^import "/p' internal/engine/flow.go | \
-		grep -E '"(time|sync(/atomic)?|starlink/internal/(network(/pool)?|rcache|bind|backend|discovery))"'; then \
-		echo 'check: internal/engine/flow.go imports the above; the step walks the automaton without I/O, and the session performs what it asks (DESIGN.md §8, "Step and shell")'; exit 1; fi
+	@for f in internal/engine/flow.go internal/engine/link.go; do \
+		if sed -n '/^import (/,/^)/p; /^import "/p' $$f | \
+			grep -E '"(sync(/atomic)?|math/rand(/v2)?|starlink/internal/(network(/pool)?|rcache|bind|backend|discovery))"'; then \
+			echo "check: $$f imports the above; the steps decide without I/O, and the session performs what they ask (DESIGN.md §8, Step and shell)"; exit 1; fi; \
+	done
+	@if sed -n '/^import (/,/^)/p; /^import "/p' internal/engine/flow.go | grep -E '"time"'; then \
+		echo 'check: internal/engine/flow.go imports time; the step walks the automaton without a clock (DESIGN.md §8, "Step and shell")'; exit 1; fi
+	@if grep -nE 'time\.(Now|Since|Until|Sleep|After)' internal/engine/flow.go internal/engine/link.go; then \
+		echo 'check: the lines above read the clock or wait in a step; the shell stamps each event with the budget left and performs the sleeps (DESIGN.md §8, "The link is a step too")'; exit 1; fi
 	@if git grep -nE 'HasPrefix\([A-Za-z0-9_.]*\.Label, "_"\)|"_(giop|jsonrpc|slp)_' -- '*.go' ':!*_test.go'; then \
 		echo 'check: the lines above keep a protocol field among the application fields; a request id is Message.ID, set by ParseRequest and read by AppendReply (DESIGN.md §3, "Abstract messages")'; exit 1; fi
 	@if git grep -n '\.Clone()' -- internal/rcache ':!*_test.go'; then \

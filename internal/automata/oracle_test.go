@@ -14,6 +14,7 @@ import (
 
 	"starlink/internal/automata"
 	"starlink/internal/mdl/xmlenc"
+	"starlink/internal/testutil"
 	"starlink/models"
 )
 
@@ -261,61 +262,6 @@ func internalSubset(decl []byte) bool {
 	return false
 }
 
-// unvalidated reports whether encoding/xml refused a document for what
-// xmlenc.Reader does not check (DESIGN.md §17): names against the XML name
-// classes, text against the character ranges, the form of comments and
-// declarations, CDATA ends and quoted '<', the version an XML declaration
-// states, and whatever stands before the root element, which the Reader
-// skips. What the Reader does check — tags that match, quoted attribute
-// values, known references — the decoder must refuse as the oracle does.
-func unvalidated(data []byte, err error) bool {
-	var syntax *xml.SyntaxError
-	switch {
-	case refusedBeforeRoot(data):
-		return true
-	case !errors.As(err, &syntax):
-		return strings.HasPrefix(err.Error(), "xml: unsupported version")
-	}
-	for _, kind := range []string{
-		"invalid XML name",
-		// What encoding/xml says of a name with two colons. Where no name
-		// stands at all, the Reader refuses the tag too.
-		"expected element name after <",
-		"expected attribute name in element",
-		"invalid UTF-8",
-		"illegal character code",
-		`invalid sequence "--" not allowed in comments`,
-		// A <! that begins no comment and no CDATA section is skipped to
-		// its '>' as a declaration.
-		"invalid <![ sequence",
-		"invalid sequence <!- not part of <!--",
-		"unescaped ]]> not in CDATA section",
-		"unescaped < inside quoted string",
-	} {
-		if strings.HasPrefix(syntax.Msg, kind) {
-			return true
-		}
-	}
-	return false
-}
-
-// refusedBeforeRoot reports whether encoding/xml refuses the document in
-// the text or the markup ahead of the root element's start tag.
-func refusedBeforeRoot(data []byte) bool {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	for {
-		from := dec.InputOffset()
-		tok, err := dec.Token()
-		if err != nil {
-			rest := data[from:]
-			return len(rest) < 2 || rest[0] != '<' || rest[1] == '?' || rest[1] == '!'
-		}
-		if _, ok := tok.(xml.StartElement); ok {
-			return false
-		}
-	}
-}
-
 // sameAsOracle holds decode to oracle on one document.
 func sameAsOracle[T any](t *testing.T, data []byte, decode, oracle func([]byte) (T, error)) {
 	t.Helper()
@@ -331,7 +277,7 @@ func sameAsOracle[T any](t *testing.T, data []byte, decode, oracle func([]byte) 
 			t.Fatalf("%q is refused: %v; the oracle reads\n%+v", data, err, want)
 		}
 	case err == nil && oracleErr != nil:
-		if !unvalidated(data, oracleErr) {
+		if !testutil.XMLUnvalidated(data, oracleErr) {
 			t.Fatalf("%q reads as\n%+v\nthe oracle refuses it: %v", data, got, oracleErr)
 		}
 	}

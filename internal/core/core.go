@@ -330,9 +330,8 @@ type MediatorSpec struct {
 	// MaxBackoff overrides the engine's retry backoff cap when
 	// non-zero (`max_backoff`).
 	MaxBackoff time.Duration
-	// FlowDeadline overrides the engine's per-flow deadline budget:
-	// positive is a budget, negative ("flow_deadline off") disables
-	// budgets, zero leaves the engine default (2 × ExchangeTimeout).
+	// FlowDeadline overrides the engine's per-flow deadline budget when
+	// non-zero; zero leaves the engine default (2 × ExchangeTimeout).
 	FlowDeadline time.Duration
 	// DialTimeout overrides the engine's service dial timeout when
 	// non-zero.

@@ -351,13 +351,10 @@ flow_deadline 1500ms
 		t.Errorf("FlowDeadline = %v", spec.FlowDeadline)
 	}
 
-	// flow_deadline off disables budgets explicitly (negative sentinel).
-	spec, err = core.ParseMediatorSpec("merged x\nside 1 xmlrpc path=/x server\nflow_deadline off")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.FlowDeadline >= 0 {
-		t.Errorf("FlowDeadline = %v, want negative sentinel for off", spec.FlowDeadline)
+	// Every flow has a budget: flow_deadline off is refused, naming its line.
+	var se *core.SpecError
+	if _, err = core.ParseMediatorSpec("merged x\nside 1 xmlrpc path=/x server\nflow_deadline off"); !errors.As(err, &se) || se.Line != 3 || se.Directive != "flow_deadline" {
+		t.Errorf("flow_deadline off: err = %v, want a SpecError for line 3, directive flow_deadline", err)
 	}
 
 	// retries 0 is valid and means "disable recovery".

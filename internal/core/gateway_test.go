@@ -116,7 +116,7 @@ func TestParseMediatorSpecDuplicateDirectives(t *testing.T) {
 		"retries 1\nretries 2\n",
 		"backoff 1ms\nbackoff 2ms\n",
 		"max_backoff 1s\nmax_backoff 2s\n",
-		"flow_deadline 1s\nflow_deadline off\n",
+		"flow_deadline 1s\nflow_deadline 2s\n",
 		"dialtimeout 1s\ndialtimeout 2s\n",
 		"pool_size 1\npool_size 2\n",
 		"pool_idle 1s\npool_idle off\n",

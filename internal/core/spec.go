@@ -475,9 +475,9 @@ var mediatorDirectives = []directive[MediatorSpec]{
 		func(s *MediatorSpec, r *reading) { s.Backoff = r.duration(r.words[0], 0) }),
 	scalar("max_backoff", "<duration>", engine.DefaultMaxBackoff.String(), "The cap of the jittered backoff window.",
 		func(s *MediatorSpec, r *reading) { s.MaxBackoff = r.duration(r.words[0], positive) }),
-	scalar("flow_deadline", "<duration>|off", (2 * engine.DefaultExchangeTimeout).String(),
-		"The budget every blocking step of one flow draws down, twice the exchange timeout unless set; `off` leaves only the per-exchange timeouts (docs/DEADLINES.md).",
-		func(s *MediatorSpec, r *reading) { s.FlowDeadline = r.durationOrOff(r.words[0]) }),
+	scalar("flow_deadline", "<duration>", (2 * engine.DefaultExchangeTimeout).String(),
+		"The budget every blocking step of one flow draws down, twice the exchange timeout unless set; every flow has one (docs/DEADLINES.md).",
+		func(s *MediatorSpec, r *reading) { s.FlowDeadline = r.duration(r.words[0], positive) }),
 	scalar("dialtimeout", "<duration>", network.DefaultDialTimeout.String(),
 		"The bound on each service dial, and on a wait for a pooled connection.",
 		func(s *MediatorSpec, r *reading) { s.DialTimeout = r.duration(r.words[0], positive) }),

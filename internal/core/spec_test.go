@@ -224,7 +224,7 @@ var specVerdicts = []specVerdict{
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc\nbackend b :1\neject b fails=1 fails=2", line: 4, directive: "eject"},
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc\nbackend b :1\ndiscover b via=file path=/x path=/y", line: 4, directive: "discover"},
 	{kind: "mediator", doc: "\nmerged Add+Plus\nside 1 giop defs=AAdd server\nside 2 soap path=/soap target=127.0.0.1:9001\nretries 4\nbackoff 25ms\nmax_backoff 800ms\ndialtimeout 3s\nflow_deadline 1500ms\n", line: -1, directive: ""},
-	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server\nflow_deadline off", line: -1, directive: ""},
+	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server\nflow_deadline off", line: -1, directive: "", nowLine: 3, nowDirective: "flow_deadline", why: "flow_deadline off removed: every flow has a budget"},
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server\nretries 0", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged x\nside 1 xmlrpc path=/x server", line: -1, directive: ""},
 	{kind: "mediator", doc: "merged m\ntypemap v\nside 1 ssdp server\nside 2 slp target=x", line: -1, directive: ""},
@@ -377,7 +377,7 @@ var specVerdicts = []specVerdict{
 	{kind: "mediator", doc: "merged x\nside 1 soap\ncacheable a ttl=1s\ncacheable a ttl=2s", line: 4, directive: "cacheable"},
 	{kind: "mediator", doc: "merged x\nside 1 soap\ncacheable a ttl=1s\ninvalidates w a b,a", line: 0, directive: "invalidates"},
 	{kind: "mediator", doc: "merged x\nside 1 soap\neject b fails=1\nbackend b :1 :2\nprobe b 1s timeout=5ms\nbalance b p2c", line: -1, directive: ""},
-	{kind: "mediator", doc: "merged x\nside 1 soap\nbackoff 0s\nretries 0\nflow_deadline off\npool_idle off", line: -1, directive: ""},
+	{kind: "mediator", doc: "merged x\nside 1 soap\nbackoff 0s\nretries 0\nflow_deadline off\npool_idle off", line: -1, directive: "", nowLine: 5, nowDirective: "flow_deadline", why: "flow_deadline off removed: every flow has a budget"},
 	{kind: "mediator", doc: "zap a=1 a=2", line: 1, directive: "zap"},
 	{kind: "mediator", doc: "merged x y", line: 1, directive: "merged"},
 	{kind: "mediator", doc: "merged x\nside 1 soap\nbackend b :1\neject b", line: 4, directive: "eject"},

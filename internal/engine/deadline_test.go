@@ -61,33 +61,6 @@ func TestFlowDeadlineBoundsStalledService(t *testing.T) {
 	}
 }
 
-// TestFlowDeadlineDisabled: a negative FlowDeadline restores the
-// pre-budget behavior — the stalled exchange runs to the exchange
-// timeout and through its retries, and nothing is counted as a
-// deadline exhaustion.
-func TestFlowDeadlineDisabled(t *testing.T) {
-	med := startStallAddPlus(t, 2*time.Second, func(cfg *engine.Config) {
-		cfg.FlowDeadline = -1
-		cfg.ExchangeTimeout = 150 * time.Millisecond
-		cfg.Retry = &engine.RetryPolicy{Attempts: 1, Backoff: time.Millisecond}
-	})
-	client, err := giop.Dial(med.Addr(), "calc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	start := time.Now()
-	if _, err := client.Invoke("Add", giop.IntParam(1), giop.IntParam(2)); err == nil {
-		t.Fatal("invoke succeeded against a stalled service")
-	}
-	if elapsed := time.Since(start); elapsed < 2*150*time.Millisecond {
-		t.Errorf("flow failed after %v, want >= both exchange timeouts (budgets disabled)", elapsed)
-	}
-	if st := med.Snapshot().Stats; st.DeadlineExceeded != 0 {
-		t.Errorf("DeadlineExceeded = %d, want 0 with budgets disabled", st.DeadlineExceeded)
-	}
-}
-
 // TestFlowDeadlineBoundsDial: time spent dialling counts against the
 // flow budget — a dialer slower than the budget fails the flow fast
 // instead of adding its latency on top.

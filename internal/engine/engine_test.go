@@ -446,6 +446,11 @@ func TestConfigValidation(t *testing.T) {
 			1: {Binder: &bind.SOAPBinder{Path: "/x"}},
 			2: {Binder: &bind.SOAPBinder{Path: "/y"}},
 		}}},
+		// Every flow has a budget: there is no value that turns it off.
+		{"negative flow deadline", engine.Config{Merged: merged, FlowDeadline: -time.Second, Sides: map[int]*engine.Side{
+			1: {Binder: &bind.SOAPBinder{Path: "/x"}},
+			2: {Binder: &bind.SOAPBinder{Path: "/y"}, Target: "127.0.0.1:1"},
+		}}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -9,10 +9,9 @@ import (
 	"starlink/internal/mtl"
 )
 
-// kind is what the automaton does at a state, and so what the step asks
-// the shell to do there: the paper's three state types (§4) — receiving,
-// sending and no-action (γ) — with receiving and sending each split by the
-// party they face.
+// kind is what the automaton does at a state, and what the step asks the
+// shell to do there: the paper's three state types (§4) — receiving,
+// sending and no-action (γ) — the first two split by the party they face.
 type kind uint8
 
 const (
@@ -39,34 +38,29 @@ type step struct {
 	arcs  []arc // a branch's alternatives, else the one transition
 	gamma *mtl.CompiledProgram
 	// offers names a branch's actions, "|" between, for the error of one
-	// it does not offer.
+	// it does not offer; link is the service link of a send or receive, an
+	// index of plan.links; share says whether no γ program can write into
+	// a receive's reply, which may then be bound as the cache holds it.
 	offers string
-	// link is the service link of a send or receive, an index of
-	// plan.links; share says whether a reply the response cache holds may
-	// be bound as it is at a receive — whether no γ program can write into
-	// it.
-	link  int
-	share bool
+	link   int
+	share  bool
 }
 
-// plan is a merged automaton compiled once, in New, into one step per
-// state.
+// plan is a merged automaton compiled by New, one step per state.
 type plan struct {
 	steps []step
 	start int
 	links []int // the client-role colours, one service link each
 	funcs map[string]mtl.Func
-	// keeps are what the flow reads of each link's replies, by the action
-	// whose reply it is: the paths below the message, as
-	// bind.Projector.Project takes them, "" for all of it.
+	// keeps are what the flow reads of each link's replies, by action: the
+	// paths below the message bind.Projector.Project takes, "" for all.
 	keeps []map[string][]string
 }
 
 // newPlan compiles m, which Merged.Validate has passed, for a mediator
-// serving color server. It refuses what a flow could not walk besides: a
-// start that is not the client's request, and a state with several ways out
-// that are not all distinct client invocations — the client's action is
-// what picks one.
+// serving color server. It also refuses what a flow could not walk: a
+// start that is not the client's request, and a state whose ways out are
+// not all distinct client invocations, for the client's action picks one.
 func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, error) {
 	p := &plan{steps: make([]step, len(m.States)), funcs: funcs}
 	index := make(map[string]int, len(m.States))
@@ -149,13 +143,11 @@ func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, 
 }
 
 // reads are the paths of the reply a receive binds that the flow reads, as
-// plan.keeps holds them: what any γ program reads of it (mtl.Reads), or
-// all of it where it is not shared (step.share) — where a program may write
-// into it, or calls a function of the deployment, which is handed the
-// whole environment — or where it is sent on as it is, the message of the
-// send or the client reply that follows. A reply parse keeps every
-// top-level field, so a read of the message's child list, or of a
-// top-level field's label, needs no path.
+// plan.keeps holds them: what any γ program reads of it (mtl.Reads), or all
+// of it where it is not shared (step.share) — a program may write into it,
+// or calls a deployment's function, handed the whole environment — or is
+// sent on as it is. A reply parse keeps every top-level field, so a read of
+// the child list or of a top-level label needs no path.
 func (p *plan) reads(recv *step) []string {
 	at := &p.steps[recv.arcs[0].to]
 	if !recv.share || at.kind == kSend || at.kind == kReply {
@@ -178,8 +170,7 @@ func (p *plan) reads(recv *step) []string {
 	return paths
 }
 
-// offer returns the arc of a branch that takes the client's action op, or
-// nil.
+// offer returns the arc of a branch that takes the client's action op, or nil.
 func (st *step) offer(op string) *arc {
 	for i := range st.arcs {
 		if st.arcs[i].op == op {
@@ -197,21 +188,18 @@ type action struct {
 	msg  *message.Message // kSend, kReply: what to send
 }
 
-// event is the outcome of an action, which says what it answers: the
-// client's action and request for kRead, the service's reply for kRecv —
-// cached when the response cache holds it too — and nothing for a send, a
-// client reply or a γ, which next runs itself.
+// event is the outcome of an action: the client's action and request for
+// kRead, the service's reply for kRecv, cached when the response cache
+// holds it too, and nothing for a send, a client reply or a γ.
 type event struct {
 	op     string
 	msg    *message.Message
 	cached bool
 }
 
-// flow is the step: one traversal of the plan, walked without I/O. It
-// holds the position, the γ environment and the messages bound in it, the
-// client request not yet answered, the replies it shares with the
-// response cache and the flow's sethost host. The session, its shell,
-// performs each action next returns and feeds the outcome back.
+// flow is the step: one traversal of the plan, walked without I/O. The
+// session, its shell, performs each action next returns and feeds the
+// outcome back.
 type flow struct {
 	p     *plan
 	at    int
@@ -219,11 +207,10 @@ type flow struct {
 	env   *mtl.Env
 	// bound are the per-state target messages, recycled between
 	// traversals: a flow's parsed messages are bound over them, so by the
-	// next traversal the recycled trees are unreferenced.
-	bound []*message.Message
-	// pendingAction and pending are the client request not yet answered:
-	// the reply is built for them, and a failure is reported to them as a
-	// fault.
+	// next traversal the recycled trees are unreferenced. pendingAction and
+	// pending are the client request not yet answered, which a reply or a
+	// fault answers.
+	bound         []*message.Message
 	pendingAction string
 	pending       *message.Message
 	// shared are the bound replies the response cache holds too: read-only,

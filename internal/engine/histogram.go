@@ -1,8 +1,6 @@
-// Latency histograms for the mediation hot path. The bins are fixed
-// log-scale buckets updated with lock-free atomic adds, so observing a
-// latency costs two atomic increments and never serialises concurrent
-// sessions; Snapshot reads are torn-but-monotonic, which is fine for
-// monitoring.
+// Latency histograms for the mediation hot path: fixed log-scale bins
+// updated with atomic adds, so an observation never serialises sessions;
+// a Snapshot may be torn, but never goes back.
 package engine
 
 import (
@@ -26,12 +24,7 @@ type histogram struct {
 
 // histBucket maps a duration to its bin index.
 func histBucket(d time.Duration) int {
-	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	return min(bits.Len64(uint64(d/time.Microsecond)), histBuckets-1)
 }
 
 // bucketLow is the inclusive lower bound of bin i.
@@ -44,9 +37,7 @@ func bucketLow(i int) time.Duration {
 
 // observe records one latency.
 func (h *histogram) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	h.bins[histBucket(d)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(uint64(d))
@@ -64,33 +55,26 @@ func (h *histogram) snapshot() LatencyHistogram {
 		if i < histBuckets-1 {
 			high = bucketLow(i + 1)
 		}
-		out.Buckets[i] = LatencyBucket{
-			Low:   bucketLow(i),
-			High:  high,
-			Count: h.bins[i].Load(),
-		}
+		out.Buckets[i] = LatencyBucket{Low: bucketLow(i), High: high, Count: h.bins[i].Load()}
 	}
 	return out
 }
 
 // LatencyBucket is one bin of a latency histogram snapshot.
 type LatencyBucket struct {
-	// Low and High bound the bin: Low <= latency < High.
+	// Low and High bound the bin, Low <= latency < High, which Count
+	// observations fell in.
 	Low, High time.Duration
-	// Count is the number of observations that fell in the bin.
-	Count uint64
+	Count     uint64
 }
 
-// LatencyHistogram is a point-in-time copy of a latency distribution:
-// fixed log-scale buckets (1µs resolution at the bottom, doubling per
-// bin) plus the total observation count and latency sum.
+// LatencyHistogram is a copy of a latency distribution: its buckets in
+// ascending order, 1µs wide at the bottom and doubling per bin, the
+// number of observations and their sum.
 type LatencyHistogram struct {
-	// Buckets in ascending latency order.
 	Buckets []LatencyBucket
-	// Count is the total number of observations.
-	Count uint64
-	// Sum is the total observed latency.
-	Sum time.Duration
+	Count   uint64
+	Sum     time.Duration
 }
 
 // Mean is the average observed latency (0 with no observations).
@@ -108,9 +92,7 @@ func (l LatencyHistogram) Quantile(q float64) time.Duration {
 	if l.Count == 0 || q <= 0 {
 		return 0
 	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(q, 1)
 	// Nearest-rank: the ceil keeps e.g. Quantile(0.99) over 3 samples
 	// pointing at the 3rd observation, not the 2nd.
 	rank := uint64(math.Ceil(q * float64(l.Count)))
@@ -131,16 +113,10 @@ type Latencies = histograms[LatencyHistogram]
 // counters: a field here and its row in Fields. Sessions observe into the
 // live form, histograms[histogram].
 type histograms[T any] struct {
-	// Transitions has one observation per executed automaton transition,
-	// γ translations and message exchanges alike.
-	Transitions T
-	// Exchanges times service round-trips from the first send of a request
-	// to the receipt of its reply; fault-recovery replays are included, so
-	// recovery shows up as tail latency.
-	Exchanges T
-	// Translate times γ translations alone: the part of Transitions spent
-	// in compiled MTL, without network time.
-	Translate T
+	// Transitions times every transition; Exchanges, service round trips
+	// from a request's first send to its reply, replays included; and
+	// Translate, γ translations alone.
+	Transitions, Exchanges, Translate T
 	// Stages times the stages of a message by colour, Stages[stage] for
 	// each stage stageNames names, each [colour-1] for colours 1 and 2, the
 	// two a merged automaton has. Observed only while a Trace hook is set,

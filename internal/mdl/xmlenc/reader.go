@@ -591,21 +591,23 @@ func isXMLDecl(pi []byte) bool {
 	return bytes.HasPrefix(pi, []byte("xml")) && (len(pi) == 3 || isSpace(pi[3]))
 }
 
-// pseudoAttr returns the quoted value after key in an XML declaration.
+// pseudoAttr returns the quoted value after key in an XML declaration:
+// after the first key that a quote follows, as encoding/xml reads it, so
+// one inside another word ("xencoding=x") does not hide the real one.
 func pseudoAttr(decl []byte, key string) []byte {
-	i := bytes.Index(decl, []byte(key))
-	if i < 0 {
-		return nil
+	for {
+		i := bytes.Index(decl, []byte(key))
+		if i < 0 {
+			return nil
+		}
+		if decl = decl[i+len(key):]; len(decl) > 0 && (decl[0] == '"' || decl[0] == '\'') {
+			j := bytes.IndexByte(decl[1:], decl[0])
+			if j < 0 {
+				return nil
+			}
+			return decl[1 : 1+j]
+		}
 	}
-	v := decl[i+len(key):]
-	if len(v) == 0 || (v[0] != '"' && v[0] != '\'') {
-		return nil
-	}
-	j := bytes.IndexByte(v[1:], v[0])
-	if j < 0 {
-		return nil
-	}
-	return v[1 : 1+j]
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }

@@ -55,6 +55,9 @@ func TestReaderTokens(t *testing.T) {
 		"<a>x":            "<a !element <a> is not closed",
 		"<a>&bogus;</a>":  "<a !invalid character or entity reference \"&bogus;\"",
 		"":                "!no root element",
+		// the declared encoding is the first encoding= a quote follows
+		"<?xml version=\"1.0\" xencoding=x encoding=\"ISO-8859-1\"?><a>caf\xe9</a>": "!declared encoding is not UTF-8",
+		"<?xml version='1.0' xencoding='utf-8' encoding='utf-8'?><a/>":              "<a >",
 	} {
 		if got := tokens(doc); got != want {
 			t.Errorf("tokens(%q)\n got %s\nwant %s", doc, got, want)

@@ -59,8 +59,7 @@ type Span struct {
 	// Duration is how long the span took (0 for instantaneous marks).
 	Duration time.Duration `json:"duration_ns"`
 	// Budget is the flow's remaining deadline budget when the span
-	// closed — negative once the deadline has passed, and zero when
-	// flow budgets are disabled.
+	// closed, negative once the deadline has passed.
 	Budget time.Duration `json:"budget_ns,omitempty"`
 	// Err carries a redial's cause or the flow's failure.
 	Err string `json:"error,omitempty"`

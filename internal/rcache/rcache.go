@@ -246,9 +246,6 @@ func (f *Flight) Wait(timeout time.Duration) (*message.Message, error) {
 	}
 }
 
-// Op returns the operation the flight is for.
-func (f *Flight) Op() string { return f.op }
-
 // Fulfill completes a led flight: followers are woken with reply, and
 // (unless a write invalidated the operation mid-flight, or ttl <= 0) it
 // is stored for ttl. The cache takes reply as it is: from here on it is
