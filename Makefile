@@ -25,7 +25,7 @@ race:
 # recycled environments and in-place path walks they drive still run
 # with full race checking — that is the point of this pass.
 race-alloc:
-	$(GO) test -race -run 'AllocBudget' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache ./internal/engine
+	$(GO) test -race -run 'AllocBudget|TestParsedRequestPoisonedPastItsFlow|TestOneFlowSessionReusesTheStore|TestStoreResetPoisons' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache ./internal/engine
 
 # The full gate: tier-1, gofmt, vet, the race passes, then checks of its own. The
 # engine's tests run fifty times in shuffled order, so a counter or trace
@@ -115,6 +115,22 @@ race-alloc:
 # internal/core writes a network.Semantics or a Transport: of its own, and
 # a shed client gets the fault the route's binder builds (BuildErrorReply),
 # so the gateway imports no protocol codec of its own.
+# And a flow's messages are made in its store: the binders, the binary and
+# text engines and the GIOP, SOAP, REST, XML-RPC and JSON-RPC layers carve
+# every node they parse or build a scaffold from out of a message.Store —
+# the session's, whose Reset takes the flow's messages back whole, or a
+# scratch one a build gives back before it returns — so no non-test file
+# there makes a []message.Field, new(message.Field) or &message.Field{ of
+# its own: the one heap fallback is the store's (a nil *Store), in
+# internal/message, and a node made beside it would be an allocation per
+# flow the store exists to save (DESIGN.md §12, "The flow's store").
+# And the session reads the clock in two places: internal/engine/engine.go
+# calls time.Now or time.Since only in session.tick, once per step of a
+# flow and once per blocking action of a link, and in session.clock, which
+# stamps a stage only while a trace hook is set; every other time a flow
+# takes — the budget left on a link event, a request's send time, a round
+# trip, a deadline — is read off the last tick. A read per machine event
+# was ten an exchange at 46–94 ns each (DESIGN.md §8, "Step and shell").
 # Last, the shipped models pass `starlink check`: every file under models/
 # is the source of a mediator, written by hand, so each one loads and every
 # deployment spec builds the way `starlink run` and `starlink gateway` build
@@ -190,6 +206,11 @@ check: test
 	@if git grep -nE 'network\.Semantics\{|Transport:' -- internal/engine internal/core ':!*_test.go' || \
 		git grep -n '"starlink/internal/protocol/giop"' -- internal/gateway ':!*_test.go'; then \
 		echo "check: the lines above restate how a colour travels or what a shed client is told; a colour's transport is network.SemanticsOf its binder's Framer(), and a shed connection gets the route binder's BuildErrorReply (DESIGN.md §11)"; exit 1; fi
+	@if git grep -nE 'make\(\[\]message\.Field|new\(message\.Field\)|&message\.Field\{' -- internal/bind internal/mdl/binenc internal/mdl/textenc \
+		internal/protocol/giop internal/protocol/soap internal/protocol/rest internal/protocol/xmlrpc internal/protocol/jsonrpc ':!*_test.go'; then \
+		echo 'check: the lines above make message nodes of their own on the message path; carve them from a message.Store (Nodes, Links, Message) — the flow'"'"'s store when parsing, message.Scratch() for a build'"'"'s scaffold (DESIGN.md §12)'; exit 1; fi
+	@if awk '/^func / { fn = $$0 } /time\.(Now|Since)\(/ && fn !~ /\) (tick|clock)\(\)/ { print FILENAME ":" FNR ":" $$0; bad = 1 } END { exit !bad }' internal/engine/engine.go; then \
+		echo 'check: the lines above read the clock in the session outside session.tick and session.clock; read s.now, which the last tick set, or tick after a blocking action (DESIGN.md §8, "Step and shell")'; exit 1; fi
 	$(GO) run ./cmd/starlink check -models models >/dev/null
 
 # The one benchmark: what a mediated flow costs beside the native call,

@@ -97,8 +97,8 @@ func TestRESTParseReplyProjectedAllocBudget(t *testing.T) {
 
 // TestXMLRPCBuildReplyAllocBudget pins the other end of the same flow: the
 // fifty-photo list written from the fields to the packet. The document is
-// rendered in pooled buffers, so what is left is the packet and the
-// header keys (2 measured); the Value tree in between cost 155 more.
+// rendered in pooled buffers, so what is left is the packet (1
+// measured); the Value tree in between cost 155 more.
 func TestXMLRPCBuildReplyAllocBudget(t *testing.T) {
 	photos := message.NewStruct("photos")
 	for i := 0; i < 50; i++ {
@@ -126,13 +126,17 @@ func TestXMLRPCBuildReplyAllocBudget(t *testing.T) {
 
 // TestAddFlowAllocBudget pins what the paper's own example costs the
 // mediator to bind (Figs. 7 and 8: GIOP Add in, SOAP Plus out, and back):
-// the four binder calls of one add_steady flow, on its messages. Measured:
-// GIOP ParseRequest 9 (the parse's 8 and the abstract message, whose
-// parameters are the parsed ones relabelled), SOAP BuildRequest 3, SOAP
-// ParseReply 13 (the HTTP head, the envelope's strings and list, the
-// abstract message), GIOP BuildReply 6 (the parameters a slab of shallow
-// copies) — 31, where a clone per parameter made it 39 and the
-// interpreter, the field tree of the envelope and a node at a time 81.
+// the four binder calls of one add_steady flow, on its messages, parsed
+// onto the heap (the nil store) and into a store reset after each call, as
+// a flow's is. Measured on the heap: GIOP ParseRequest 9 (two node slabs
+// and their lists, the object key and its holder, the operation name, the
+// concrete and the abstract message), SOAP BuildRequest 1 (the packet),
+// SOAP ParseReply 5, GIOP BuildReply 1 (the packet, its scaffold in a
+// scratch store) — 16; in a store a parse keeps only what it copies out of
+// the packet: 2 and 2, and 6 in all. An HTTP head parsed into a struct, a
+// heap scaffold per build and a parameter list grown per build made it 31,
+// a clone per parameter 39, and the interpreter, the field tree of the
+// envelope and a node at a time 81.
 func TestAddFlowAllocBudget(t *testing.T) {
 	codec, err := giop.NewCodec()
 	if err != nil {
@@ -156,52 +160,66 @@ func TestAddFlowAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	service := &SOAPBinder{Path: "/soap"}
-	total := 0.0
-	for _, step := range []struct {
-		name string
-		call func() error
-	}{
-		{"GIOP ParseRequest", func() error {
-			action, abs, err := client.ParseRequest(request)
-			if err == nil && (action != "Add" || len(abs.Fields) != 2 || abs.Fields[1].Label != "y" || abs.Fields[1].Int64() != 22 || abs.ID != 7) {
-				err = fmt.Errorf("parsed %s %v with ID %d", action, abs, abs.ID)
-			}
-			return err
-		}},
-		{"SOAP BuildRequest", func() error { _, err := service.BuildRequest("Plus", plus); return err }},
-		{"SOAP ParseReply", func() error {
-			abs, err := service.ParseReply("Plus", reply)
-			if err == nil && (len(abs.Fields) != 1 || abs.Fields[0].Label != "result" || abs.Fields[0].Text() != "42") {
-				err = fmt.Errorf("parsed %v", abs)
-			}
-			return err
-		}},
-		{"GIOP BuildReply", func() error { _, err := client.BuildReply("Add", sum); return err }},
-	} {
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := step.call(); err != nil {
-				t.Fatal(step.name, err)
-			}
-		})
-		total += allocs
-	}
-	if testutil.RaceEnabled {
-		t.Skipf("race detector enabled; measured %.1f allocs per flow unasserted", total)
-	}
-	if total > 31 {
-		t.Errorf("binding one Add flow allocated %.0f times, budget 31", total)
+	for _, mode := range []struct {
+		name   string
+		st     *message.Store
+		budget float64
+	}{{"heap", nil, 16}, {"store", new(message.Store), 6}} {
+		st, total := mode.st, 0.0
+		for _, step := range []struct {
+			name string
+			call func() error
+		}{
+			{"GIOP ParseRequest", func() error {
+				action, abs, err := client.ParseRequestIn(st, request)
+				if err == nil && (action != "Add" || len(abs.Fields) != 2 || abs.Fields[1].Label != "y" || abs.Fields[1].Int64() != 22 || abs.ID != 7) {
+					err = fmt.Errorf("parsed %s %v with ID %d", action, abs, abs.ID)
+				}
+				return err
+			}},
+			{"SOAP BuildRequest", func() error { _, err := service.BuildRequest("Plus", plus); return err }},
+			{"SOAP ParseReply", func() error {
+				abs, err := service.ParseReplyIn(st, "Plus", reply)
+				if err == nil && (len(abs.Fields) != 1 || abs.Fields[0].Label != "result" || abs.Fields[0].Text() != "42") {
+					err = fmt.Errorf("parsed %v", abs)
+				}
+				return err
+			}},
+			{"GIOP BuildReply", func() error { _, err := client.BuildReply("Add", sum); return err }},
+		} {
+			allocs := testing.AllocsPerRun(200, func() {
+				if st != nil {
+					st.Reset()
+				}
+				if err := step.call(); err != nil {
+					t.Fatal(mode.name, step.name, err)
+				}
+			})
+			t.Logf("%s: %s %.1f", mode.name, step.name, allocs)
+			total += allocs
+		}
+		if testutil.RaceEnabled {
+			t.Logf("race detector enabled; %s: measured %.1f allocs per flow unasserted", mode.name, total)
+			continue
+		}
+		if total > mode.budget {
+			t.Errorf("binding one Add flow (%s) allocated %.0f times, budget %.0f", mode.name, total, mode.budget)
+		}
 	}
 }
 
 // TestRESTFlickrFlowAllocBudget pins what the three Picasa exchanges of a
 // flickr_flow flow cost the mediator to bind: the search, getComments and
 // addComment requests built, and their replies parsed, on messages of the
-// sizes the flow has (three photos, two comments). Measured: BuildRequest
-// 4, 5 and 6 (the slab, its lists, the message and the packet, and the
-// filled path where there is a placeholder), ParseReply 21, 15 and 11 (the
-// packet's five, the abstract message, and the entries' fields and strings)
-// — 62, where a field tree a node at a time, the interpreter and url.Values
-// made it 29 + 26 + 16 + 38 + 32 + 28 = 169.
+// sizes the flow has (three photos, two comments), onto the heap and into
+// a store reset after each call. Measured on the heap: BuildRequest 1, 2
+// and 2 (the packet, and the filled path where there is a placeholder; the
+// concrete request is a scratch store's), ParseReply 20, 14 and 12 (the
+// head's string, the entries' strings, the node slabs and their lists, the
+// body's holder and the messages) — 51; in a store the parses keep only
+// their strings: 13, 7 and 4, and 29 in all. A heap request scaffold per
+// build and a message and slab per parse made it 62, and a field tree a
+// node at a time, the interpreter and url.Values 169.
 func TestRESTFlickrFlowAllocBudget(t *testing.T) {
 	must := func(body []byte, err error) []byte {
 		if err != nil {
@@ -223,48 +241,61 @@ func TestRESTFlickrFlowAllocBudget(t *testing.T) {
 		comments.Entries = append(comments.Entries, rest.Entry{ID: fmt.Sprintf("c%d", i), Summary: "nice", Author: "bob"})
 	}
 	b := newRESTBinder(t)
-	total := 0.0
-	for _, ex := range []struct {
-		action string
-		abs    *message.Message
-		reply  []byte
-	}{
-		{casestudy.PicasaSearch, message.New(casestudy.PicasaSearch, message.NewString("q", "tree"), message.NewString("max-results", "3")),
-			reply(200, must(rest.AppendFeed(nil, photos)))},
-		{casestudy.PicasaGetComments, message.New(casestudy.PicasaGetComments, message.NewString("photo_id", "photo-0001"), message.NewString("kind", "comment")),
-			reply(200, must(rest.AppendFeed(nil, comments)))},
-		{casestudy.PicasaAddComment, message.New(casestudy.PicasaAddComment, message.NewString("photo_id", "photo-0001"),
-			message.NewStruct("entry", message.NewString("summary", "lovely"), message.NewString("author", "me"))),
-			reply(201, must(rest.AppendEntry(nil, rest.Entry{ID: "c2", Summary: "lovely", Author: "me"})))},
-	} {
-		build := testing.AllocsPerRun(200, func() {
-			if _, err := b.BuildRequest(ex.action, ex.abs); err != nil {
-				t.Fatal(ex.action, err)
-			}
-		})
-		parse := testing.AllocsPerRun(200, func() {
-			if abs, err := b.ParseReply(ex.action, ex.reply); err != nil || len(abs.Fields) == 0 {
-				t.Fatal(ex.action, abs, err)
-			}
-		})
-		total += build + parse
-	}
-	if testutil.RaceEnabled {
-		t.Skipf("race detector enabled; measured %.1f allocs per flow unasserted", total)
-	}
-	if total > 68 {
-		t.Errorf("binding the Picasa half of a flickr_flow flow allocated %.0f times, budget 68", total)
+	for _, mode := range []struct {
+		name   string
+		st     *message.Store
+		budget float64
+	}{{"heap", nil, 51}, {"store", new(message.Store), 29}} {
+		st, total := mode.st, 0.0
+		for _, ex := range []struct {
+			action string
+			abs    *message.Message
+			reply  []byte
+		}{
+			{casestudy.PicasaSearch, message.New(casestudy.PicasaSearch, message.NewString("q", "tree"), message.NewString("max-results", "3")),
+				reply(200, must(rest.AppendFeed(nil, photos)))},
+			{casestudy.PicasaGetComments, message.New(casestudy.PicasaGetComments, message.NewString("photo_id", "photo-0001"), message.NewString("kind", "comment")),
+				reply(200, must(rest.AppendFeed(nil, comments)))},
+			{casestudy.PicasaAddComment, message.New(casestudy.PicasaAddComment, message.NewString("photo_id", "photo-0001"),
+				message.NewStruct("entry", message.NewString("summary", "lovely"), message.NewString("author", "me"))),
+				reply(201, must(rest.AppendEntry(nil, rest.Entry{ID: "c2", Summary: "lovely", Author: "me"})))},
+		} {
+			build := testing.AllocsPerRun(200, func() {
+				if _, err := b.BuildRequest(ex.action, ex.abs); err != nil {
+					t.Fatal(ex.action, err)
+				}
+			})
+			parse := testing.AllocsPerRun(200, func() {
+				if st != nil {
+					st.Reset()
+				}
+				if abs, err := b.ParseReplyIn(st, ex.action, ex.reply); err != nil || len(abs.Fields) == 0 {
+					t.Fatal(ex.action, abs, err)
+				}
+			})
+			t.Logf("%s: %s build %.1f parse %.1f", mode.name, ex.action, build, parse)
+			total += build + parse
+		}
+		if testutil.RaceEnabled {
+			t.Logf("race detector enabled; %s: measured %.1f allocs per flow unasserted", mode.name, total)
+			continue
+		}
+		if total > mode.budget {
+			t.Errorf("binding the Picasa half of a flickr_flow flow (%s) allocated %.0f times, budget %.0f", mode.name, total, mode.budget)
+		}
 	}
 }
 
 // TestXMLRPCParseRequestAllocBudget pins what the four client requests of a
 // flickr_flow flow cost the mediator to bind: each call decoded from the
-// Reader's tokens straight into its fields. Measured per call: the HTTP
-// head's four, the method name, a member name the Reader does not know, a
-// string per string member, the node slab, the list slab and the abstract
-// message — 11 + 10 + 10 + 12 = 43, where a map of Values converted to
-// fields, a box per value and a node at a time made it 16 + 14 + 14 + 18 =
-// 62.
+// Reader's tokens straight into its fields, onto the heap. Measured per
+// call: a string per string member, the node slab, the list slab and the
+// abstract message — 17 in all; the HTTP head is checked where it stands
+// and the method name interned with the element names, as a member name
+// the Reader does not know is. An HTTP head parsed into a struct and a
+// method name a string per call made it 11 + 10 + 10 + 12 = 43, and a map
+// of Values converted to fields, a box per value and a node at a time 16 +
+// 14 + 14 + 18 = 62.
 func TestXMLRPCParseRequestAllocBudget(t *testing.T) {
 	b := &XMLRPCBinder{Path: "/services/xmlrpc"}
 	total := 0.0
@@ -293,7 +324,7 @@ func TestXMLRPCParseRequestAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs per flow unasserted", total)
 	}
-	if total > 43 {
-		t.Errorf("binding the four requests of a flickr_flow flow allocated %.0f times, budget 43", total)
+	if total > 17 {
+		t.Errorf("binding the four requests of a flickr_flow flow allocated %.0f times, budget 17", total)
 	}
 }

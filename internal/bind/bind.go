@@ -57,22 +57,34 @@ var (
 //
 // What a parse returns holds no byte of the packet it was parsed from, so
 // the caller may write over the packet once the parse returns
-// (TestParsedRequestOwnsItsBytes, TestParsedReplyOwnsItsBytes). A build
+// (TestParsedRequestOwnsItsBytes, TestParsedReplyOwnsItsBytes). A parse
+// comes in two forms: ParseRequestIn and ParseReplyIn make the message in
+// a store the caller resets when the message is dead (the engine's is the
+// flow's), and ParseRequest and ParseReply are them with a nil store, the
+// heap. A build
 // comes in two forms: BuildRequest and BuildReply make a packet of its
 // own, the caller's to keep, and are AppendRequest and AppendReply with a
 // nil dst; the append forms write the packet into dst's storage when it
 // fits, for a caller that lends a buffer and knows when it is free again.
 type Binder interface {
-	// ParseRequest decodes a concrete request packet.
+	// ParseRequest decodes a concrete request packet into a message of its
+	// own, the heap's: ParseRequestIn(nil, packet).
 	ParseRequest(packet []byte) (action string, abs *message.Message, err error)
+	// ParseRequestIn decodes a concrete request packet into st, where the
+	// message is valid until st is reset (message.Store).
+	ParseRequestIn(st *message.Store, packet []byte) (action string, abs *message.Message, err error)
 	// BuildRequest encodes an abstract action message as a request packet
 	// of its own: AppendRequest(nil, action, abs).
 	BuildRequest(action string, abs *message.Message) ([]byte, error)
 	// AppendRequest encodes an abstract action message as a request packet
 	// appended to dst. On an error dst comes back as it was.
 	AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error)
-	// ParseReply decodes the reply packet of a previously issued action.
+	// ParseReply decodes the reply packet of a previously issued action
+	// into a message of its own: ParseReplyIn(nil, action, packet).
 	ParseReply(action string, packet []byte) (*message.Message, error)
+	// ParseReplyIn decodes the reply packet of a previously issued action
+	// into st, where the message is valid until st is reset.
+	ParseReplyIn(st *message.Store, action string, packet []byte) (*message.Message, error)
 	// BuildReply encodes an abstract reply for an action as a packet of its
 	// own: AppendReply(nil, action, abs).
 	BuildReply(action string, abs *message.Message) ([]byte, error)

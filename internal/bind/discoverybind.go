@@ -25,6 +25,17 @@ var _ Binder = (*SSDPBinder)(nil)
 // Framer implements Binder.
 func (b *SSDPBinder) Framer() network.Framer { return network.Datagram{} }
 
+// ParseRequestIn implements Binder with ParseRequest: a discovery message
+// is small and its flow rare, so it is the heap's.
+func (b *SSDPBinder) ParseRequestIn(_ *message.Store, packet []byte) (string, *message.Message, error) {
+	return b.ParseRequest(packet)
+}
+
+// ParseReplyIn implements Binder with ParseReply, as ParseRequestIn does.
+func (b *SSDPBinder) ParseReplyIn(_ *message.Store, action string, packet []byte) (*message.Message, error) {
+	return b.ParseReply(action, packet)
+}
+
 // ParseRequest implements Binder.
 func (b *SSDPBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
 	s, err := ssdp.ParseSearch(packet)
@@ -153,6 +164,17 @@ func (b *SLPBinder) ParseReply(action string, packet []byte) (*message.Message, 
 		))
 	}
 	return abs, nil
+}
+
+// ParseRequestIn implements Binder with ParseRequest: a discovery message
+// is small and its flow rare, so it is the heap's.
+func (b *SLPBinder) ParseRequestIn(_ *message.Store, packet []byte) (string, *message.Message, error) {
+	return b.ParseRequest(packet)
+}
+
+// ParseReplyIn implements Binder with ParseReply, as ParseRequestIn does.
+func (b *SLPBinder) ParseReplyIn(_ *message.Store, action string, packet []byte) (*message.Message, error) {
+	return b.ParseReply(action, packet)
 }
 
 // ParseRequest implements Binder (for SLP-facing server roles).

@@ -55,7 +55,12 @@ func (b *GIOPBinder) paramNames(msgName string) []string {
 
 // ParseRequest implements Binder.
 func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
-	concrete, err := b.codec.Parse(packet)
+	return b.ParseRequestIn(nil, packet)
+}
+
+// ParseRequestIn implements Binder.
+func (b *GIOPBinder) ParseRequestIn(st *message.Store, packet []byte) (string, *message.Message, error) {
+	concrete, err := b.codec.ParseIn(st, packet)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
@@ -66,7 +71,7 @@ func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	abs := bindPositional(action, concrete, b.paramNames(action))
+	abs := bindPositional(st, action, concrete, b.paramNames(action))
 	// The request id is the header the reply is correlated by.
 	id, _ := concrete.GetInt("RequestID")
 	abs.ID = uint64(id)
@@ -76,9 +81,10 @@ func (b *GIOPBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 // bindPositional makes the abstract message name of concrete's parameters,
 // each under the name the MsgDef gives its position, "paramN" where it
 // gives none. concrete is freshly parsed and the caller's to give away, so
-// its parameters are relabelled where they stand, not copied.
-func bindPositional(name string, concrete *message.Message, names []string) *message.Message {
-	abs := message.New(name)
+// its parameters are relabelled where they stand, not copied, and the
+// message that names them is made in st.
+func bindPositional(st *message.Store, name string, concrete *message.Message, names []string) *message.Message {
+	abs := st.Message(name)
 	arr := concrete.Field("ParameterArray")
 	if arr == nil {
 		return abs
@@ -102,20 +108,22 @@ func (b *GIOPBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 // AppendRequest implements Binder: abstract fields become positional CDR
 // parameters in MsgDef order.
 func (b *GIOPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
-	params := b.positionalParams(action, abs)
-	req := giop.NewRequest(b.nextID.Add(1), b.ObjectKey, action, params)
+	st := message.Scratch()
+	defer st.Release()
+	params := b.positionalParams(st, action, abs)
+	req := giop.NewRequestIn(st, b.nextID.Add(1), b.ObjectKey, action, params)
 	return b.codec.AppendCompose(dst, req)
 }
 
 // positionalParams orders abstract fields by the action's MsgDef; fields
 // not in the def follow in message order. Each parameter is a shallow copy
 // of its field relabelled "Parameter", carved with the others from one
-// slab: the composer only reads it, so it shares the field's children and
-// bytes.
-func (b *GIOPBinder) positionalParams(msgName string, abs *message.Message) []*message.Field {
+// slab of st's: the composer only reads it, so it shares the field's
+// children and bytes.
+func (b *GIOPBinder) positionalParams(st *message.Store, msgName string, abs *message.Message) []*message.Field {
 	names := b.paramNames(msgName)
-	nodes := make([]message.Field, 0, len(abs.Fields))
-	params := make([]*message.Field, 0, len(abs.Fields))
+	nodes := st.Nodes(len(abs.Fields))[:0]
+	params := st.Links(len(abs.Fields))[:0]
 	param := func(f *message.Field) {
 		// A MsgDef that names a field twice outgrows the slab; the
 		// parameters carved before stay where they are.
@@ -162,7 +170,12 @@ var _ ErrorReplier = (*GIOPBinder)(nil)
 
 // ParseReply implements Binder.
 func (b *GIOPBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
-	concrete, err := b.codec.Parse(packet)
+	return b.ParseReplyIn(nil, action, packet)
+}
+
+// ParseReplyIn implements Binder.
+func (b *GIOPBinder) ParseReplyIn(st *message.Store, action string, packet []byte) (*message.Message, error) {
+	concrete, err := b.codec.ParseIn(st, packet)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
@@ -173,7 +186,7 @@ func (b *GIOPBinder) ParseReply(action string, packet []byte) (*message.Message,
 	if status != giop.StatusNoException {
 		return nil, fmt.Errorf("%w: action %s: reply status %d", ErrBadMessage, action, status)
 	}
-	return bindPositional(action+".reply", concrete, b.paramNames(action+".reply")), nil
+	return bindPositional(st, action+".reply", concrete, b.paramNames(action+".reply")), nil
 }
 
 // BuildReply implements Binder.
@@ -183,8 +196,12 @@ func (b *GIOPBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 
 // AppendReply implements Binder. The reply is correlated by abs.ID, the
 // id of the request it answers.
+// The reply's scaffold is made in a scratch store, given back once the
+// packet is composed.
 func (b *GIOPBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
-	reply := giop.NewReply(abs.ID, giop.StatusNoException,
-		b.positionalParams(action+".reply", abs))
+	st := message.Scratch()
+	defer st.Release()
+	reply := giop.NewReplyIn(st, abs.ID, giop.StatusNoException,
+		b.positionalParams(st, action+".reply", abs))
 	return b.codec.AppendCompose(dst, reply)
 }

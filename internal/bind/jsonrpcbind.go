@@ -31,31 +31,36 @@ func (b *JSONRPCBinder) Framer() network.Framer { return network.HTTPFramer{} }
 
 // ParseRequest implements Binder.
 func (b *JSONRPCBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
-	req, err := httpwire.ParseRequest(packet)
+	return b.ParseRequestIn(nil, packet)
+}
+
+// ParseRequestIn implements Binder: the HTTP head is checked where it
+// stands, and the fields are made in st.
+func (b *JSONRPCBinder) ParseRequestIn(st *message.Store, packet []byte) (string, *message.Message, error) {
+	_, body, err := httpwire.RequestBody(packet)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	id, action, params, err := jsonrpc.ParseCall(req.Body)
+	id, action, params, err := jsonrpc.ParseCall(body)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	abs := message.New(action)
+	abs := st.Message(action)
 	abs.ID = id
 	if len(params) == 1 {
 		if obj, ok := params[0].(map[string]any); ok {
-			for _, k := range sortedAnyKeys(obj) {
-				abs.Add(jsonToField(k, obj[k]))
-			}
+			abs.Fields = membersToFields(st, obj)
 			return action, abs, nil
 		}
 	}
 	names := b.Defs[action].Fields
+	abs.Fields = links(st, len(params))
 	for i, p := range params {
 		label := fmt.Sprintf("param%d", i+1)
 		if i < len(names) {
 			label = names[i]
 		}
-		abs.Add(jsonToField(label, p))
+		abs.Fields[i] = jsonToField(st, label, p)
 	}
 	return action, abs, nil
 }
@@ -87,22 +92,25 @@ func (b *JSONRPCBinder) AppendRequest(dst []byte, action string, abs *message.Me
 
 // ParseReply implements Binder.
 func (b *JSONRPCBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
-	resp, err := httpwire.ParseResponse(packet)
+	return b.ParseReplyIn(nil, action, packet)
+}
+
+// ParseReplyIn implements Binder, as ParseRequestIn does.
+func (b *JSONRPCBinder) ParseReplyIn(st *message.Store, action string, packet []byte) (*message.Message, error) {
+	_, body, err := httpwire.ResponseBody(packet)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	_, result, err := jsonrpc.ParseResponse(resp.Body)
+	_, result, err := jsonrpc.ParseResponse(body)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s reply: %w", action, err)
 	}
-	abs := message.New(action + ".reply")
-	switch v := result.(type) {
-	case map[string]any:
-		for _, k := range sortedAnyKeys(v) {
-			abs.Add(jsonToField(k, v[k]))
-		}
-	default:
-		abs.Add(jsonToField("result", result))
+	abs := st.Message(action + ".reply")
+	if v, ok := result.(map[string]any); ok {
+		abs.Fields = membersToFields(st, v)
+	} else {
+		abs.Fields = links(st, 1)
+		abs.Fields[0] = jsonToField(st, "result", result)
 	}
 	return abs, nil
 }
@@ -157,37 +165,56 @@ func (b *JSONRPCBinder) BuildErrorReply(action string, req *message.Message, err
 
 var _ ErrorReplier = (*JSONRPCBinder)(nil)
 
-// jsonToField maps a JSON value onto the abstract field convention.
-func jsonToField(label string, v any) *message.Field {
+// jsonToField maps a JSON value onto the abstract field convention, the
+// field made in st.
+func jsonToField(st *message.Store, label string, v any) *message.Field {
+	f := &st.Nodes(1)[0]
+	f.Label = label
 	switch x := v.(type) {
 	case map[string]any:
-		f := message.NewStruct(label)
-		for _, k := range sortedAnyKeys(x) {
-			f.Add(jsonToField(k, x[k]))
-		}
-		return f
+		f.Type, f.Children = message.TypeStruct, membersToFields(st, x)
 	case []any:
-		f := message.NewArray(label)
-		for _, e := range x {
-			f.Add(jsonToField("item", e))
+		f.Type, f.Children = message.TypeArray, links(st, len(x))
+		for i, e := range x {
+			f.Children[i] = jsonToField(st, "item", e)
 		}
-		return f
 	case string:
-		return message.NewString(label, x)
+		f.SetText(x)
 	case float64:
 		// JSON numbers arrive as float64; keep integral values as ints so
 		// MTL arithmetic and positional GIOP parameters stay exact.
 		if x == float64(int64(x)) {
-			return message.NewInt64(label, int64(x))
+			f.SetInt64(int64(x))
+		} else {
+			f.SetFloat64(x)
 		}
-		return message.NewFloat64(label, x)
 	case bool:
-		return message.NewBool(label, x)
+		f.SetBool(x)
 	case nil:
-		return message.NewString(label, "")
+		f.SetText("")
 	default:
-		return message.NewString(label, fmt.Sprint(x))
+		f.SetText(fmt.Sprint(x))
 	}
+	return f
+}
+
+// membersToFields maps an object's members onto fields in key order.
+func membersToFields(st *message.Store, obj map[string]any) []*message.Field {
+	keys := sortedAnyKeys(obj)
+	fields := links(st, len(keys))
+	for i, k := range keys {
+		fields[i] = jsonToField(st, k, obj[k])
+	}
+	return fields
+}
+
+// links is a list of n fields from st, nil when n is 0, as a list
+// appended to from nothing is.
+func links(st *message.Store, n int) []*message.Field {
+	if n == 0 {
+		return nil
+	}
+	return st.Links(n)
 }
 
 // fieldToJSON is the inverse mapping.

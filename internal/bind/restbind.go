@@ -280,8 +280,12 @@ func (b *RESTBinder) AppendRequest(dst []byte, action string, abs *message.Messa
 	if err != nil {
 		return dst, fmt.Errorf("action %s: %w", action, err)
 	}
+	// The concrete request is a scaffold: made in a scratch store, given
+	// back once the packet is composed.
+	st := message.Scratch()
+	defer st.Release()
 	if r.BodyField == "" {
-		return b.codec.AppendCompose(dst, r.request(path, abs, nil))
+		return b.codec.AppendCompose(dst, r.request(st, path, abs, nil))
 	}
 	f := abs.Field(r.BodyField)
 	if f == nil {
@@ -292,22 +296,22 @@ func (b *RESTBinder) AppendRequest(dst []byte, action string, abs *message.Messa
 	if *body, err = rest.AppendEntry(*body, entryFromAbstract(f)); err != nil {
 		return dst, err
 	}
-	return b.codec.AppendCompose(dst, r.request(path, abs, *body))
+	return b.codec.AppendCompose(dst, r.request(st, path, abs, *body))
 }
 
-// request carves the concrete HTTPRequest of a call from one slab of nodes
-// and one of lists, as giop.newMessage carves a GIOP message: Method,
-// Version, Path, Headers, Query and Body, then the Accept header, then the
-// query parameters abs has a field for. A nil body is none.
-func (r *restRoute) request(path string, abs *message.Message, body []byte) *message.Message {
+// request carves the concrete HTTPRequest of a call from one slab of st's
+// nodes and one of its lists, as giop.newMessage carves a GIOP message:
+// Method, Version, Path, Headers, Query and Body, then the Accept header,
+// then the query parameters abs has a field for. A nil body is none.
+func (r *restRoute) request(st *message.Store, path string, abs *message.Message, body []byte) *message.Message {
 	n := 0
 	for _, p := range r.params {
 		if abs.Field(p.field) != nil {
 			n++
 		}
 	}
-	nodes := make([]message.Field, 7+n)
-	links := make([]*message.Field, len(nodes))
+	nodes := st.Nodes(7 + n)
+	links := st.Links(len(nodes))
 	for i := range nodes {
 		links[i] = &nodes[i]
 	}
@@ -321,7 +325,7 @@ func (r *restRoute) request(path string, abs *message.Message, body []byte) *mes
 	if body == nil {
 		nodes[5].SetText("")
 	} else {
-		nodes[5].SetBytes(body)
+		st.SetBytes(&nodes[5], body)
 	}
 	nodes[6].Label = "Accept"
 	nodes[6].SetText("application/atom+xml")
@@ -333,18 +337,25 @@ func (r *restRoute) request(path string, abs *message.Message, body []byte) *mes
 			q = q[1:]
 		}
 	}
-	return &message.Message{Name: "HTTPRequest", Fields: links[:6:6]}
+	msg := st.Message("HTTPRequest")
+	msg.Fields = links[:6:6]
+	return msg
 }
 
 // ParseReply implements Binder: decodes the HTTP response through the
 // text-MDL codec and the Atom payload straight into abstract fields, each
 // entry with the children the route keeps.
 func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
+	return b.ParseReplyIn(nil, action, packet)
+}
+
+// ParseReplyIn implements Binder, as ParseReply says, in st.
+func (b *RESTBinder) ParseReplyIn(st *message.Store, action string, packet []byte) (*message.Message, error) {
 	r, err := b.route(action)
 	if err != nil {
 		return nil, err
 	}
-	concrete, err := b.codec.Parse(packet)
+	concrete, err := b.codec.ParseIn(st, packet)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
@@ -353,13 +364,15 @@ func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message,
 		return nil, fmt.Errorf("%w: action %s: HTTP status %s", ErrBadMessage, action, status)
 	}
 	body := bodyOf(concrete)
-	abs := message.New(r.reply)
+	abs := st.Message(r.reply)
 	if r.ReplyKind == "feed" {
-		abs.Fields, err = rest.ParseFeedFields(body, r.keep)
+		abs.Fields, err = rest.ParseFeedFields(st, body, r.keep)
 	} else {
 		var e *message.Field
-		e, err = rest.ParseEntryFields(body, r.keep)
-		abs.Fields = []*message.Field{e}
+		if e, err = rest.ParseEntryFields(st, body, r.keep); err == nil {
+			abs.Fields = st.Links(1)
+			abs.Fields[0] = e
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -380,7 +393,14 @@ func bodyOf(concrete *message.Message) []byte {
 // ParseRequest implements Binder: matches the request against the route
 // table (for mediators whose *client-facing* side is REST).
 func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
-	concrete, err := b.codec.Parse(packet)
+	return b.ParseRequestIn(nil, packet)
+}
+
+// ParseRequestIn implements Binder, as ParseRequest says: the concrete
+// request, the message and a body entry are made in st, the path and query
+// fields on the heap.
+func (b *RESTBinder) ParseRequestIn(st *message.Store, packet []byte) (string, *message.Message, error) {
+	concrete, err := b.codec.ParseIn(st, packet)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
@@ -396,7 +416,8 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 			continue
 		}
 		// Query mappings present in the request must match route fields.
-		abs := message.New(r.Action, vars...)
+		abs := st.Message(r.Action)
+		abs.Fields = vars
 		if qf, err := concrete.Lookup("Query"); err == nil {
 			for _, qp := range qf.Children {
 				label, ok := r.Query[qp.Label]
@@ -407,7 +428,7 @@ func (b *RESTBinder) ParseRequest(packet []byte) (string, *message.Message, erro
 			}
 		}
 		if r.BodyField != "" {
-			e, err := rest.ParseEntryFields(bodyOf(concrete), rest.KeepAll)
+			e, err := rest.ParseEntryFields(st, bodyOf(concrete), rest.KeepAll)
 			if err != nil {
 				return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 			}

@@ -31,18 +31,22 @@ func (b *SOAPBinder) Framer() network.Framer { return network.HTTPFramer{} }
 
 // ParseRequest implements Binder.
 func (b *SOAPBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
-	req, err := httpwire.ParseRequest(packet)
+	return b.ParseRequestIn(nil, packet)
+}
+
+// ParseRequestIn implements Binder: the HTTP head is checked where it
+// stands, and the envelope's parameters decoded straight into fields.
+func (b *SOAPBinder) ParseRequestIn(st *message.Store, packet []byte) (string, *message.Message, error) {
+	_, body, err := httpwire.RequestBody(packet)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	action, params, err := soap.ParseRequest(req.Body)
+	action, fields, err := soap.ParseRequestFields(st, body)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	abs := message.New(action)
-	for _, p := range params {
-		abs.Add(message.NewString(p.Name, p.Value))
-	}
+	abs := st.Message(action)
+	abs.Fields = fields
 	return action, abs, nil
 }
 
@@ -56,8 +60,9 @@ func (b *SOAPBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 func (b *SOAPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	body := getBody()
 	defer putBody(body)
+	var few [8]soap.Param
 	var err error
-	if *body, err = soap.AppendRequest(*body, action, fieldsToParams(abs.Fields)); err != nil {
+	if *body, err = soap.AppendRequest(*body, action, fieldsToParams(few[:0], abs.Fields)); err != nil {
 		return dst, err
 	}
 	req := &httpwire.Request{
@@ -74,18 +79,21 @@ func (b *SOAPBinder) AppendRequest(dst []byte, action string, abs *message.Messa
 
 // ParseReply implements Binder.
 func (b *SOAPBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
-	resp, err := httpwire.ParseResponse(packet)
+	return b.ParseReplyIn(nil, action, packet)
+}
+
+// ParseReplyIn implements Binder, as ParseRequestIn does.
+func (b *SOAPBinder) ParseReplyIn(st *message.Store, action string, packet []byte) (*message.Message, error) {
+	_, body, err := httpwire.ResponseBody(packet)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	_, results, err := soap.ParseResponse(resp.Body)
+	_, fields, err := soap.ParseResponseFields(st, body)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s reply: %w", action, err)
 	}
-	abs := message.New(action + ".reply")
-	for _, p := range results {
-		abs.Add(message.NewString(p.Name, p.Value))
-	}
+	abs := st.Message(action + ".reply")
+	abs.Fields = fields
 	return abs, nil
 }
 
@@ -98,8 +106,9 @@ func (b *SOAPBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 func (b *SOAPBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	body := getBody()
 	defer putBody(body)
+	var few [8]soap.Param
 	var err error
-	if *body, err = soap.AppendResponse(*body, action, fieldsToParams(abs.Fields)); err != nil {
+	if *body, err = soap.AppendResponse(*body, action, fieldsToParams(few[:0], abs.Fields)); err != nil {
 		return dst, err
 	}
 	resp := &httpwire.Response{
@@ -126,11 +135,11 @@ func (b *SOAPBinder) BuildErrorReply(action string, _ *message.Message, errMsg s
 
 var _ ErrorReplier = (*SOAPBinder)(nil)
 
-// fieldsToParams flattens abstract fields to named SOAP parameters.
-// Structured fields flatten to one parameter per leaf; repeated fields
-// become repeated parameters.
-func fieldsToParams(fields []*message.Field) []soap.Param {
-	var out []soap.Param
+// fieldsToParams flattens abstract fields to named SOAP parameters,
+// appended to out — the builds' lists start on their stacks, where the
+// parameters of most calls fit. Structured fields flatten to one parameter
+// per leaf; repeated fields become repeated parameters.
+func fieldsToParams(out []soap.Param, fields []*message.Field) []soap.Param {
 	for _, f := range fields {
 		if f.Type.Primitive() {
 			out = append(out, soap.Param{Name: f.Label, Value: f.ValueString()})
@@ -140,7 +149,7 @@ func fieldsToParams(fields []*message.Field) []soap.Param {
 			if c.Type.Primitive() {
 				out = append(out, soap.Param{Name: c.Label, Value: c.ValueString()})
 			} else {
-				out = append(out, fieldsToParams(c.Children)...)
+				out = fieldsToParams(out, c.Children)
 			}
 		}
 	}

@@ -35,18 +35,26 @@ var _ Binder = (*XMLRPCBinder)(nil)
 // Framer implements Binder.
 func (b *XMLRPCBinder) Framer() network.Framer { return network.HTTPFramer{} }
 
-// ParseRequest implements Binder: the call is decoded straight into the
-// abstract fields (xmlrpc.ParseCallFields).
+// ParseRequest implements Binder.
 func (b *XMLRPCBinder) ParseRequest(packet []byte) (string, *message.Message, error) {
-	req, err := httpwire.ParseRequest(packet)
+	return b.ParseRequestIn(nil, packet)
+}
+
+// ParseRequestIn implements Binder: the HTTP head is checked where it
+// stands, and the call decoded straight into the abstract fields
+// (xmlrpc.ParseCallFields).
+func (b *XMLRPCBinder) ParseRequestIn(st *message.Store, packet []byte) (string, *message.Message, error) {
+	_, body, err := httpwire.RequestBody(packet)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	action, fields, err := xmlrpc.ParseCallFields(req.Body, b.paramNames)
+	action, fields, err := xmlrpc.ParseCallFields(st, body, b.paramNames)
 	if err != nil {
 		return "", nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	return action, &message.Message{Name: action, Fields: fields}, nil
+	abs := st.Message(action)
+	abs.Fields = fields
+	return action, abs, nil
 }
 
 // paramNames names an action's positional parameters.
@@ -78,15 +86,22 @@ func (b *XMLRPCBinder) AppendRequest(dst []byte, action string, abs *message.Mes
 
 // ParseReply implements Binder.
 func (b *XMLRPCBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
-	resp, err := httpwire.ParseResponse(packet)
+	return b.ParseReplyIn(nil, action, packet)
+}
+
+// ParseReplyIn implements Binder, as ParseRequestIn does.
+func (b *XMLRPCBinder) ParseReplyIn(st *message.Store, action string, packet []byte) (*message.Message, error) {
+	_, body, err := httpwire.ResponseBody(packet)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	fields, err := xmlrpc.ParseResponseFields(resp.Body)
+	fields, err := xmlrpc.ParseResponseFields(st, body)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s reply: %w", action, err)
 	}
-	return &message.Message{Name: action + ".reply", Fields: fields}, nil
+	abs := st.Message(action + ".reply")
+	abs.Fields = fields
+	return abs, nil
 }
 
 // BuildReply implements Binder.

@@ -492,8 +492,11 @@ func fixedType(name string, bits int) (message.Type, error) {
 // packet breaks is not entered at all, any other is left at the first field
 // that breaks one of its rules (a GIOP reply is neither built nor read as a
 // request first); rulesHold is the whole check, over what was parsed.
-func (c *Codec) Parse(data []byte) (*message.Message, error) {
-	p := parser{reader: reader{data: data}}
+func (c *Codec) Parse(data []byte) (*message.Message, error) { return c.ParseIn(nil, data) }
+
+// ParseIn is Parse with the message made in st (mdl.Codec).
+func (c *Codec) ParseIn(st *message.Store, data []byte) (*message.Message, error) {
+	p := parser{reader: reader{data: data}, st: st}
 	var firstErr error
 	var failed *layout
 	for _, cm := range c.messages {
@@ -530,8 +533,9 @@ type slab struct {
 	links []*message.Field
 }
 
-func newSlab(n int) slab {
-	return slab{nodes: make([]message.Field, n), links: make([]*message.Field, n)}
+// newSlab carves a slab of n nodes and n links out of the parse's store.
+func (p *parser) newSlab(n int) slab {
+	return slab{nodes: p.st.Nodes(n), links: p.st.Links(n)}
 }
 
 func (s *slab) node() *message.Field {
@@ -548,10 +552,12 @@ func (s *slab) list(n int) []*message.Field {
 	return l
 }
 
-// parser is the state of one Parse: where it is in the packet, and the slab
-// the top-level fields come from, which the layouts tried share.
+// parser is the state of one Parse: where it is in the packet, the store
+// its slabs come from, and the slab the top-level fields come from, which
+// the layouts tried share.
 type parser struct {
 	reader
+	st      *message.Store
 	top     slab
 	entered bool // a layout has carved from top before
 }
@@ -568,7 +574,7 @@ func (p *parser) parse(cm *layout) (*message.Message, error) {
 	}
 	switch {
 	case cap(p.top.nodes) < cm.fields:
-		p.top = newSlab(cm.fields)
+		p.top = p.newSlab(cm.fields)
 	case p.entered:
 		clear(p.top.nodes) // what the layout that was left had read
 	}
@@ -578,7 +584,9 @@ func (p *parser) parse(cm *layout) (*message.Message, error) {
 	if err := p.items(&s, cm.items, fields, nil); err != nil {
 		return nil, err
 	}
-	return &message.Message{Name: cm.spec.Name, Fields: fields}, nil
+	msg := p.st.Message(cm.spec.Name)
+	msg.Fields = fields
+	return msg, nil
 }
 
 // count reads a length or count from the field that holds it, as its
@@ -626,7 +634,7 @@ func (p *parser) items(s *slab, items []item, out, outer []*message.Field) error
 			if it.typ == message.TypeString {
 				f.SetText(cdrString(b))
 			} else {
-				f.SetBytes(copyOf(b))
+				p.st.SetBytes(f, copyOf(b))
 			}
 		case kindEOF:
 			b, err := p.rest()
@@ -636,7 +644,7 @@ func (p *parser) items(s *slab, items []item, out, outer []*message.Field) error
 			if it.typ == message.TypeString {
 				f.SetText(string(b))
 			} else {
-				f.SetBytes(copyOf(b))
+				p.st.SetBytes(f, copyOf(b))
 			}
 		case kindCDRSeq:
 			if err := p.cdrSeq(f); err != nil {
@@ -691,12 +699,12 @@ func (p *parser) repeat(f *message.Field, it *item, claimed uint64, outer []*mes
 		if n > max(p.remaining(), 0)/it.least {
 			return fmt.Errorf("%s: %w: %d items of %d bits or more", it.label, ErrCountExceedsPacket, n, it.least)
 		}
-		group = newSlab(n * (1 + it.fields))
+		group = p.newSlab(n * (1 + it.fields))
 		f.Children = group.list(n)[:0]
 	}
 	for i := 0; i < n; i++ {
 		if it.least == 0 {
-			group = newSlab(1 + it.fields)
+			group = p.newSlab(1 + it.fields)
 		}
 		entry := group.node()
 		entry.Label, entry.Type = "item", message.TypeStruct
@@ -721,7 +729,7 @@ func (p *parser) fixed(f *message.Field, it *item) error {
 		case err != nil:
 			return fmt.Errorf("%w reading %q", err, it.label)
 		case it.typ == message.TypeBytes:
-			f.SetBytes(copyOf(b))
+			p.st.SetBytes(f, copyOf(b))
 		case it.check != nil && string(b) == it.check.text:
 			f.SetText(it.check.text) // a magic is the layout's string, not a new one
 		default:
@@ -770,7 +778,7 @@ func (p *parser) cdrSeq(f *message.Field) error {
 	if int(n) > max(p.remaining(), 0)/8/cdrParamLeastSize {
 		return fmt.Errorf("%s: %w: %d parameters", f.Label, ErrCountExceedsPacket, n)
 	}
-	s := newSlab(int(n))
+	s := p.newSlab(int(n))
 	f.Children = s.links
 	for i := range s.nodes {
 		p.align(8)
@@ -801,7 +809,7 @@ func (p *parser) cdrValue(f *message.Field, tag byte) error {
 			return err
 		}
 		if tag == tagBytes {
-			f.SetBytes(copyOf(b))
+			p.st.SetBytes(f, copyOf(b))
 			return nil
 		}
 		f.SetText(cdrString(b))

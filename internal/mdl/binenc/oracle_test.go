@@ -174,6 +174,11 @@ func oracleCompile(ms *mdl.MessageSpec) (*oracleMessage, error) {
 	return cm, nil
 }
 
+// ParseIn implements mdl.Codec: the oracle's messages are the heap's.
+func (c *oracleCodec) ParseIn(_ *message.Store, data []byte) (*message.Message, error) {
+	return c.Parse(data)
+}
+
 // Parse decodes a packet by trying each message layout in order and
 // returning the first whose rules hold. A layout is left at the first field
 // that breaks one of its rules (a GIOP reply is not parsed to its end as a

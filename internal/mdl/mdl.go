@@ -243,8 +243,12 @@ func (s *Spec) apply(body string, line int, cur **MessageSpec) error {
 // Compose performs the reverse. Implementations are stateless and safe for
 // concurrent use.
 type Codec interface {
-	// Parse decodes the wire bytes of one message.
+	// Parse decodes the wire bytes of one message into a message of its
+	// own, the heap's: ParseIn(nil, data).
 	Parse(data []byte) (*message.Message, error)
+	// ParseIn decodes the wire bytes of one message into st, where the
+	// message is valid until st is reset (message.Store).
+	ParseIn(st *message.Store, data []byte) (*message.Message, error)
 	// Compose encodes an abstract message to wire bytes of their own, the
 	// caller's to keep: AppendCompose(nil, msg).
 	Compose(msg *message.Message) ([]byte, error)

@@ -118,6 +118,11 @@ func oracleCompile(ms *mdl.MessageSpec) (*oracleMessage, error) {
 	return cm, nil
 }
 
+// ParseIn implements mdl.Codec: the oracle's messages are the heap's.
+func (c *oracleCodec) ParseIn(_ *message.Store, data []byte) (*message.Message, error) {
+	return c.Parse(data)
+}
+
 // Parse decodes a packet by trying each layout in order. A layout is left
 // at the first token that breaks one of its rules (an HTTP response is not
 // parsed whole as a request first); rulesHold is the whole check, over what

@@ -204,7 +204,10 @@ func compile(ms *mdl.MessageSpec) (*layout, error) {
 // request layout it is tried against first. A body item is the packet's own
 // tail, not a copy of it: the caller keeps data unchanged for as long as it
 // keeps the message.
-func (c *Codec) Parse(data []byte) (*message.Message, error) {
+func (c *Codec) Parse(data []byte) (*message.Message, error) { return c.ParseIn(nil, data) }
+
+// ParseIn is Parse with the message made in st (mdl.Codec).
+func (c *Codec) ParseIn(st *message.Store, data []byte) (*message.Message, error) {
 	var firstErr error
 	var failed *layout
 	// One copy, shared by every layout tried: each string of the parsed
@@ -233,7 +236,7 @@ func (c *Codec) Parse(data []byte) (*message.Message, error) {
 			}
 			continue
 		}
-		if msg := lay.build(pieces, n, data); rulesHold(lay.late, msg) {
+		if msg := lay.build(st, pieces, n, data); rulesHold(lay.late, msg) {
 			return msg, nil
 		}
 	}
@@ -406,8 +409,8 @@ func scanQuery(q string) (int, error) {
 // the field list and every child list from one []*Field, each list cut to
 // its length so that appending to it reallocates instead of running into
 // the next.
-func (lay *layout) build(pieces []piece, n int, data []byte) *message.Message {
-	s := slab{nodes: make([]message.Field, n), links: make([]*message.Field, n)}
+func (lay *layout) build(st *message.Store, pieces []piece, n int, data []byte) *message.Message {
+	s := slab{nodes: st.Nodes(n), links: st.Links(n)}
 	fields := s.list(len(lay.items))
 	for i := range lay.items {
 		it, p := &lay.items[i], &pieces[i]
@@ -418,7 +421,7 @@ func (lay *layout) build(pieces []piece, n int, data []byte) *message.Message {
 		f := s.node(it.label)
 		switch it.kind {
 		case kindBody:
-			f.SetBytes(data[p.at:])
+			st.SetBytes(f, data[p.at:])
 		case kindHeaders:
 			f.Type, f.Children = message.TypeStruct, s.headers(p.n, p.text)
 		case kindQuery:
@@ -426,7 +429,9 @@ func (lay *layout) build(pieces []piece, n int, data []byte) *message.Message {
 		}
 		fields[i] = f
 	}
-	return &message.Message{Name: lay.spec.Name, Fields: fields}
+	msg := st.Message(lay.spec.Name)
+	msg.Fields = fields
+	return msg
 }
 
 // slab is the unused rest of the two allocations a parse carves its fields

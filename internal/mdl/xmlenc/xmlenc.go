@@ -98,7 +98,11 @@ func New(spec *mdl.Spec) (mdl.Codec, error) {
 
 // Parse decodes an XML document, dispatching on the root element and any
 // additional value rules.
-func (c *Codec) Parse(data []byte) (*message.Message, error) {
+func (c *Codec) Parse(data []byte) (*message.Message, error) { return c.ParseIn(nil, data) }
+
+// ParseIn is Parse with the message made in st (mdl.Codec); the tree under
+// it is the heap's, as DecodeTree makes it.
+func (c *Codec) ParseIn(st *message.Store, data []byte) (*message.Message, error) {
 	root, err := DecodeTree(data)
 	if err != nil {
 		return nil, err
@@ -107,7 +111,8 @@ func (c *Codec) Parse(data []byte) (*message.Message, error) {
 		if cm.root != root.Label {
 			continue
 		}
-		msg := message.New(cm.spec.Name, root.Children...)
+		msg := st.Message(cm.spec.Name)
+		msg.Fields = root.Children
 		if valueRulesHold(cm, msg) {
 			return msg, nil
 		}

@@ -37,8 +37,14 @@ package mtl
 //   - every node a program makes — a builder variable's tree (every
 //     mention of the variable is `v = newstruct("…")`, the root of
 //     `v.path = …`, or the whole right-hand side of a graft), a graft's
-//     copy, a scalar's node, a step a path creates — comes from the frame's
-//     store, which Env.Reset takes back whole; see store;
+//     copy, a scalar's node, a step a path creates — comes from the Env's
+//     message.Store, which Env.Reset takes back whole. Nothing but a
+//     node's own pointer leaves the store: a message or a field of its
+//     own never takes over a store node's child list, which the next flow
+//     appends into again (see cAssignMsg and csetSteps), and nothing that
+//     outlives a flow holds a store node: the session cache copies what
+//     cache() puts in it to the heap, and a reply the response cache holds
+//     is copied before a γ program writes into it (engine.flow.bindCached);
 //   - per-execution scratch (argument arena, foreach item snapshots,
 //     variable slots) lives in the Env and is reused across Execs, so a
 //     pooled Env executes a compiled program with a small constant
@@ -210,15 +216,15 @@ func (r cres) value() any {
 // field converts the result into a graftable field: an owned tree is
 // transferred, any other copied into s, and a scalar goes into a node of
 // s's. With a nil s the copy and the node are the heap's.
-func (r cres) field(label string, s *store) *message.Field {
+func (r cres) field(label string, s *message.Store) *message.Field {
 	if f, ok := r.v.(*message.Field); ok {
 		if !r.owned {
-			f = s.clone(f)
+			f = s.Clone(f)
 		}
 		f.Label = label
 		return f
 	}
-	f := s.node(label)
+	f := s.Node(label)
 	r.scalarInto(f)
 	return f
 }
@@ -232,118 +238,6 @@ func (r cres) scalarInto(f *message.Field) {
 	}
 }
 
-// store is where a frame's programs make their nodes: builder trees, graft
-// copies, scalar nodes, the steps a path creates and the copy a cow tree
-// gets before it is written. The nodes are carved from chunks that double
-// in size and stay the store's, so nothing a program built needs copying
-// when Exec returns, and a builder variable's tree can stay in Env.Vars as
-// it is. Env.Reset takes every node back at once, emptied, its child list
-// keeping its capacity, so a session whose flows are alike makes its γ
-// nodes without allocating; what a program built is valid until then.
-//
-// Nothing but a node's own pointer leaves the store: a message or a field
-// of its own never takes over a store node's child list, which the next
-// flow appends into again (see cAssignMsg and csetSteps). And nothing that
-// outlives a flow holds a store node: the session cache copies what
-// cache() puts in it to the heap, and a reply the response cache holds is
-// copied before a γ program writes into it (engine.flow.bindCached).
-//
-// The store keeps at most maxStoreNodes nodes; past them a node is the
-// heap's, and not taken back.
-type store struct {
-	chunks [][]message.Field // chunk i holds firstChunk<<i nodes
-	at     int               // the chunk nodes are handed out of
-	used   int               // how many of it are
-}
-
-const (
-	// firstChunk is small: a session that lives one flow — a connection
-	// per call — makes its few γ nodes in one allocation no larger than
-	// theirs on the heap.
-	firstChunk = 3
-	maxChunks  = 8
-	// maxStoreNodes bounds what a session keeps across Env.Reset: 3 + 6 +
-	// … + 384 nodes, 80 bytes each. A flow that translates a fifty-entry
-	// search (a struct of four built and a copy grafted per entry) takes
-	// about 410 of them.
-	maxStoreNodes = firstChunk<<maxChunks - firstChunk
-	// maxKeptChildren bounds the child list a node keeps across a reset.
-	maxKeptChildren = 256
-)
-
-// node returns an empty field labelled label; without a store, a new one.
-func (s *store) node(label string) *message.Field {
-	if s == nil {
-		return &message.Field{Label: label}
-	}
-	if s.at < len(s.chunks) && s.used == len(s.chunks[s.at]) {
-		s.at, s.used = s.at+1, 0
-	}
-	if s.at == len(s.chunks) {
-		if s.at == maxChunks {
-			return &message.Field{Label: label}
-		}
-		s.chunks = append(s.chunks, make([]message.Field, firstChunk<<s.at))
-	}
-	f := &s.chunks[s.at][s.used]
-	s.used++
-	*f = message.Field{Label: label, Children: f.Children[:0]}
-	return f
-}
-
-// clone copies f's tree into the store: what Field.Clone makes, in the
-// store's nodes and their child lists. A TypeBytes field, whose bytes a
-// copy owns, is the heap's (Field.Clone), as is everything without a store.
-func (s *store) clone(f *message.Field) *message.Field {
-	if s == nil || f == nil || f.Type == message.TypeBytes {
-		return f.Clone()
-	}
-	cp := s.node("")
-	kids := cp.Children
-	*cp = *f
-	cp.Children = nil
-	if f.Children != nil {
-		if kids == nil || cap(kids) < len(f.Children) {
-			kids = make([]*message.Field, 0, len(f.Children))
-		}
-		for _, c := range f.Children {
-			kids = append(kids, s.clone(c))
-		}
-		cp.Children = kids
-	}
-	return cp
-}
-
-// reset takes every node back. Under the race detector (poison) each is
-// left labelled poisoned until it is handed out again, so that a tree kept
-// past the reset reads as what it is.
-func (s *store) reset() {
-	for i := 0; i < len(s.chunks) && i <= s.at; i++ {
-		nodes := s.chunks[i]
-		if i == s.at {
-			nodes = nodes[:s.used]
-		}
-		for j := range nodes {
-			f := &nodes[j]
-			clear(f.Children)
-			kids := f.Children[:0]
-			if cap(kids) > maxKeptChildren {
-				kids = nil
-			}
-			*f = message.Field{Children: kids}
-			if poison {
-				f.Label = poisoned
-				f.SetText(poisoned)
-			}
-		}
-	}
-	s.at, s.used = 0, 0
-}
-
-// poisoned is the label and the text of a node Env.Reset took back, under
-// the race detector.
-const poisoned = "mtl: node used after Env.Reset"
-
 // cframe is the per-execution scratch state, reused across Execs of the
 // same Env.
 type cframe struct {
@@ -352,7 +246,6 @@ type cframe struct {
 	vars  []cval             // variable slot -> value
 	args  []any              // argument arena (stack discipline)
 	iters []*message.Field   // foreach item snapshots (stack discipline)
-	store store              // the nodes the programs make (see store)
 	busy  bool
 }
 
@@ -453,7 +346,7 @@ type cBuild struct {
 }
 
 func (s *cBuild) exec(fr *cframe) error {
-	root := fr.store.node(s.label)
+	root := fr.env.store.Node(s.label)
 	root.Type = s.typ
 	fr.vars[s.slot].bind(root, false)
 	return nil
@@ -485,10 +378,10 @@ func (s *cAssignVarPath) exec(fr *cframe) error {
 	if sv.cow {
 		// The tree is shared with the session cache; mutate a private
 		// copy (the interpreter's getcache cloned eagerly).
-		f = fr.store.clone(f)
+		f = fr.env.store.Clone(f)
 		sv.v, sv.cow = f, false
 	}
-	return csetSteps(&f.Children, s.steps, res, s.text, &fr.store)
+	return csetSteps(&f.Children, s.steps, res, s.text, &fr.env.store)
 }
 
 type cAssignMsg struct {
@@ -534,7 +427,7 @@ func (s *cAssignMsg) exec(fr *cframe) error {
 		}
 		return nil
 	}
-	return csetSteps(&msg.Fields, s.steps[2:], res, s.text, &fr.store)
+	return csetSteps(&msg.Fields, s.steps[2:], res, s.text, &fr.env.store)
 }
 
 type cCallStmt struct{ call cExpr }
@@ -804,7 +697,7 @@ func clookupSteps(children []*message.Field, steps []pathStep) (*message.Field, 
 // csetSteps is the interpreter's setSteps with ownership-aware grafting,
 // an in-place overwrite fast path for existing scalar targets, and the
 // nodes it makes taken from s (the heap's when s is nil).
-func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string, s *store) error {
+func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text string, s *message.Store) error {
 	for i := range steps {
 		st := &steps[i]
 		last := i == len(steps)-1
@@ -827,7 +720,7 @@ func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text stri
 				*children = append(*children, res.field(st.label, s))
 				return nil
 			}
-			cur = s.node(st.label)
+			cur = s.Node(st.label)
 			cur.Type = message.TypeStruct
 			*children = append(*children, cur)
 		}

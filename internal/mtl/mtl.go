@@ -167,9 +167,11 @@ type Env struct {
 	Funcs map[string]Func
 
 	// frame is the compiled fast path's reusable per-execution scratch
-	// (slot tables, argument arena, foreach snapshots) and the store its
-	// programs make their nodes in; see compile.go.
+	// (slot tables, argument arena, foreach snapshots), and store is where
+	// the programs make their nodes and the flow its parsed messages; see
+	// compile.go.
 	frame *cframe
+	store message.Store
 }
 
 // NewEnv returns an environment with empty bindings and the given cache.
@@ -190,8 +192,9 @@ func (e *Env) Bind(handle string, msg *message.Message) { e.Messages[handle] = m
 // every node the compiled programs made since the last Reset, in the
 // messages they wrote and in Vars, to build the next flow's from: what γ
 // built is valid until the Env is reset, and must not be kept past it
-// (the session cache keeps copies of its own). Under the race detector the
-// nodes are poisoned as they are taken back.
+// (the session cache keeps copies of its own). The same holds for what the
+// flow parsed into Store. Under the race detector the nodes are poisoned as
+// they are taken back.
 func (e *Env) Reset() {
 	if e.Messages != nil {
 		clear(e.Messages)
@@ -200,10 +203,12 @@ func (e *Env) Reset() {
 		clear(e.Vars)
 	}
 	e.Host = ""
-	if e.frame != nil {
-		e.frame.store.reset()
-	}
+	e.store.Reset()
 }
+
+// Store is where the Env's programs make their nodes, and the store a flow
+// parses its messages into: valid until Reset.
+func (e *Env) Store() *message.Store { return &e.store }
 
 // Message returns the message bound to handle, or nil.
 func (e *Env) Message(handle string) *message.Message { return e.Messages[handle] }

@@ -75,32 +75,44 @@ func DoubleParam(f float64) *message.Field {
 	return message.NewFloat64("Parameter", f)
 }
 
-// NewRequest builds a GIOPRequest abstract message.
+// NewRequest builds a GIOPRequest abstract message of its own:
+// NewRequestIn(nil, …).
 func NewRequest(requestID uint64, objectKey, operation string, params []*message.Field) *message.Message {
-	msg, body := newMessage("GIOPRequest", 0, requestID, 4)
+	return NewRequestIn(nil, requestID, objectKey, operation, params)
+}
+
+// NewRequestIn builds a GIOPRequest abstract message in st.
+func NewRequestIn(st *message.Store, requestID uint64, objectKey, operation string, params []*message.Field) *message.Message {
+	msg, body := newMessage(st, "GIOPRequest", 0, requestID, 4)
 	body[0].Label = "Response"
 	body[0].SetUint64(1)
 	body[1].Label = "ObjectKey"
-	body[1].SetBytes([]byte(objectKey))
+	st.SetBytes(&body[1], []byte(objectKey))
 	body[2].Label = "Operation"
 	body[2].SetText(operation)
 	body[3].Label, body[3].Type, body[3].Children = "ParameterArray", message.TypeArray, params
 	return msg
 }
 
-// NewReply builds a GIOPReply abstract message.
+// NewReply builds a GIOPReply abstract message of its own:
+// NewReplyIn(nil, …).
 func NewReply(requestID uint64, status uint64, results []*message.Field) *message.Message {
-	msg, body := newMessage("GIOPReply", 1, requestID, 2)
+	return NewReplyIn(nil, requestID, status, results)
+}
+
+// NewReplyIn builds a GIOPReply abstract message in st.
+func NewReplyIn(st *message.Store, requestID uint64, status uint64, results []*message.Field) *message.Message {
+	msg, body := newMessage(st, "GIOPReply", 1, requestID, 2)
 	body[0].Label = "ReplyStatus"
 	body[0].SetUint64(status)
 	body[1].Label, body[1].Type, body[1].Children = "ParameterArray", message.TypeArray, results
 	return msg
 }
 
-// newMessage carves a message from one slab of nodes — the GIOP header, the
-// request id, then rest fields of the message's own, which it returns for
-// the caller to fill — and one list that points at them.
-func newMessage(name string, messageType, requestID uint64, rest int) (*message.Message, []message.Field) {
+// newMessage carves a message from one slab of st's nodes — the GIOP
+// header, the request id, then rest fields of the message's own, which it
+// returns for the caller to fill — and one list that points at them.
+func newMessage(st *message.Store, name string, messageType, requestID uint64, rest int) (*message.Message, []message.Field) {
 	header := [...]struct {
 		label string
 		value uint64
@@ -108,8 +120,8 @@ func newMessage(name string, messageType, requestID uint64, rest int) (*message.
 		{"VersionMajor", 1}, {"VersionMinor", 0}, {"Flags", 0},
 		{"MessageType", messageType}, {"MessageSize", 0}, {"RequestID", requestID},
 	}
-	nodes := make([]message.Field, 1+len(header)+rest)
-	fields := make([]*message.Field, len(nodes))
+	nodes := st.Nodes(1 + len(header) + rest)
+	fields := st.Links(len(nodes))
 	for i := range nodes {
 		fields[i] = &nodes[i]
 	}
@@ -119,7 +131,9 @@ func newMessage(name string, messageType, requestID uint64, rest int) (*message.
 		nodes[1+i].Label = h.label
 		nodes[1+i].SetUint64(h.value)
 	}
-	return &message.Message{Name: name, Fields: fields}, nodes[1+len(header):]
+	msg := st.Message(name)
+	msg.Fields = fields
+	return msg, nodes[1+len(header):]
 }
 
 // Client invokes operations on a remote GIOP object.

@@ -46,33 +46,33 @@ func (k Keep) has(i int) bool { return k&(1<<i) != 0 }
 
 // ParseFeedFields decodes an Atom feed document, read as ParseFeed reads
 // it, straight into its entries' abstract fields, each with the children
-// keep holds. It accepts and refuses what ParseFeed does.
-func ParseFeedFields(data []byte, keep Keep) ([]*message.Field, error) {
+// keep holds, made in st. It accepts and refuses what ParseFeed does.
+func ParseFeedFields(st *message.Store, data []byte, keep Keep) ([]*message.Field, error) {
 	tape := texts.Get().(*[]entryText)
 	defer putTexts(tape)
 	if err := collect(data, "feed", keep, nil, tape); err != nil {
 		return nil, err
 	}
-	return carve(*tape, keep), nil
+	return carve(st, *tape, keep), nil
 }
 
 // ParseEntryFields decodes a standalone entry document, read as ParseEntry
 // reads it, straight into its abstract field, with the children keep
-// holds. It accepts and refuses what ParseEntry does.
-func ParseEntryFields(data []byte, keep Keep) (*message.Field, error) {
-	var tape [1]entryText
-	list := tape[:0]
-	if err := collect(data, "entry", keep, nil, &list); err != nil {
+// holds, made in st. It accepts and refuses what ParseEntry does.
+func ParseEntryFields(st *message.Store, data []byte, keep Keep) (*message.Field, error) {
+	tape := texts.Get().(*[]entryText)
+	defer putTexts(tape)
+	if err := collect(data, "entry", keep, nil, tape); err != nil {
 		return nil, err
 	}
-	return carve(list, keep)[0], nil
+	return carve(st, *tape, keep)[0], nil
 }
 
 // carve makes the fields of the entries on tape, with the children keep
-// holds, out of one []Field and one []*Field of exactly the size they need,
-// as message.Field.Clone carves a copy; every node is on exactly one list,
-// so the two are equally long.
-func carve(tape []entryText, keep Keep) []*message.Field {
+// holds, out of one run of st's nodes and one of its lists, of exactly the
+// size they need, as message.Field.Clone carves a copy; every node is on
+// exactly one list, so the two are equally long.
+func carve(st *message.Store, tape []entryText, keep Keep) []*message.Field {
 	size := len(tape)
 	for i := range tape {
 		for c, v := range tape[i] {
@@ -81,7 +81,7 @@ func carve(tape []entryText, keep Keep) []*message.Field {
 			}
 		}
 	}
-	nodes, links := make([]message.Field, size), make([]*message.Field, size)
+	nodes, links := st.Nodes(size), st.Links(size)
 	fields, links := links[:len(tape):len(tape)], links[len(tape):]
 	for i := range tape {
 		f := &nodes[0]

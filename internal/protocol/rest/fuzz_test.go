@@ -142,7 +142,7 @@ func without(f *message.Field, keep Keep) *message.Field {
 func sameFields(t *testing.T, data []byte, keep Keep) {
 	t.Helper()
 	feed, wantErr := ParseFeed(data)
-	fields, err := ParseFeedFields(data, keep)
+	fields, err := ParseFeedFields(new(message.Store), data, keep)
 	if (err == nil) != (wantErr == nil) || err != nil && !errors.Is(err, ErrMalformed) {
 		t.Fatalf("ParseFeedFields(%q, %06b): %v, ParseFeed: %v", data, keep, err, wantErr)
 	}
@@ -158,7 +158,7 @@ func sameFields(t *testing.T, data []byte, keep Keep) {
 		}
 	}
 	entry, wantErr := ParseEntry(data)
-	field, err := ParseEntryFields(data, keep)
+	field, err := ParseEntryFields(new(message.Store), data, keep)
 	if (err == nil) != (wantErr == nil) || err != nil && !errors.Is(err, ErrMalformed) {
 		t.Fatalf("ParseEntryFields(%q, %06b): %v, ParseEntry: %v", data, keep, err, wantErr)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"starlink/internal/mdl/xmlenc"
+	"starlink/internal/message"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -99,24 +100,67 @@ func malformed(err error) error {
 
 // ParseRequest decodes an RPC request envelope.
 func ParseRequest(data []byte) (method string, params []Param, err error) {
-	return parseEnvelope(data)
+	var few [8]Param
+	method, params, err = parseEnvelope(data, few[:0])
+	return method, own(params), err
 }
 
 // ParseResponse decodes a response envelope, returning the result params
 // or a *Fault error.
 func ParseResponse(data []byte) (method string, results []Param, err error) {
-	op, results, err := parseEnvelope(data)
-	return strings.TrimSuffix(op, "Response"), results, err
+	var few [8]Param
+	op, results, err := parseEnvelope(data, few[:0])
+	return strings.TrimSuffix(op, "Response"), own(results), err
+}
+
+// ParseRequestFields decodes an RPC request envelope as ParseRequest does,
+// each parameter straight into a TypeString field made in st.
+func ParseRequestFields(st *message.Store, data []byte) (method string, fields []*message.Field, err error) {
+	var few [8]Param
+	method, params, err := parseEnvelope(data, few[:0])
+	return method, carve(st, params), err
+}
+
+// ParseResponseFields decodes a response envelope as ParseResponse does,
+// each result straight into a TypeString field made in st.
+func ParseResponseFields(st *message.Store, data []byte) (method string, fields []*message.Field, err error) {
+	var few [8]Param
+	op, results, err := parseEnvelope(data, few[:0])
+	return strings.TrimSuffix(op, "Response"), carve(st, results), err
+}
+
+// own copies params read onto the stack into a list of their own, nil
+// when there are none.
+func own(params []Param) []Param {
+	if len(params) == 0 {
+		return nil
+	}
+	return append([]Param(nil), params...)
+}
+
+// carve makes a field of each param, its nodes and its list one run each
+// of st's, nil when there are none.
+func carve(st *message.Store, params []Param) []*message.Field {
+	if len(params) == 0 {
+		return nil
+	}
+	nodes, fields := st.Nodes(len(params)), st.Links(len(params))
+	for i, p := range params {
+		nodes[i].Label = p.Name
+		nodes[i].SetText(p.Value)
+		fields[i] = &nodes[i]
+	}
+	return fields
 }
 
 // parseEnvelope reads Envelope, its first Body and the first element in
 // that — the operation, or a Fault, which is returned as the error — from
 // the Reader's tokens, names by their local part, and then the rest of the
-// document for its form alone.
-func parseEnvelope(data []byte) (op string, params []Param, err error) {
+// document for its form alone. The params are appended to params.
+func parseEnvelope(data []byte, params []Param) (op string, _ []Param, err error) {
 	r := xmlenc.NewReader(data)
 	defer r.Release()
-	op, params, fault, err := readEnvelope(r)
+	op, params, fault, err := readEnvelope(r, params)
 	switch {
 	case err != nil:
 		return "", nil, malformed(err)
@@ -126,7 +170,7 @@ func parseEnvelope(data []byte) (op string, params []Param, err error) {
 	return op, params, nil
 }
 
-func readEnvelope(r *xmlenc.Reader) (op string, params []Param, fault *Fault, err error) {
+func readEnvelope(r *xmlenc.Reader, params []Param) (op string, _ []Param, fault *Fault, err error) {
 	if _, err := r.Next(); err != nil {
 		return "", nil, nil, err
 	}
@@ -154,7 +198,7 @@ func readEnvelope(r *xmlenc.Reader) (op string, params []Param, fault *Fault, er
 	if op = r.Intern(r.Name()); op == "Fault" {
 		fault, err = readFault(r)
 	} else {
-		params, err = readParams(r)
+		params, err = readParams(r, params)
 	}
 	// What is left of Body, then of Envelope.
 	for level := 0; level < 2 && err == nil; level++ {
@@ -164,20 +208,16 @@ func readEnvelope(r *xmlenc.Reader) (op string, params []Param, fault *Fault, er
 }
 
 // readParams reads the open operation element to its end: one Param per
-// child element, its value the character data directly inside it.
-func readParams(r *xmlenc.Reader) ([]Param, error) {
-	// The params of most calls fit on the stack until their number is known.
-	var few [8]Param
-	params := few[:0]
+// child element, its value the character data directly inside it, appended
+// to params — the callers' lists start on their stacks, where the params of
+// most calls fit until their number is known.
+func readParams(r *xmlenc.Reader, params []Param) ([]Param, error) {
 	for {
 		switch tok, err := r.Next(); {
 		case err != nil:
 			return nil, err
 		case tok == xmlenc.End:
-			if len(params) == 0 {
-				return nil, nil
-			}
-			return append([]Param(nil), params...), nil
+			return params, nil
 		case tok == xmlenc.Start:
 			name := r.Intern(r.Name())
 			value, _, err := r.Content()

@@ -160,7 +160,7 @@ func sameFields(t *testing.T, data []byte) {
 	t.Helper()
 	names := []string{"first"}
 	method, params, err := ParseCall(data)
-	gotMethod, got, gotErr := ParseCallFields(data, func(m string) []string {
+	gotMethod, got, gotErr := ParseCallFields(new(message.Store), data, func(m string) []string {
 		if m != method {
 			t.Fatalf("ParseCallFields(%q) asked the names of %q, not %q", data, m, method)
 		}
@@ -192,7 +192,7 @@ func sameFields(t *testing.T, data []byte) {
 	}
 
 	result, err := ParseResponse(data)
-	fields, gotErr := ParseResponseFields(data)
+	fields, gotErr := ParseResponseFields(new(message.Store), data)
 	var fault, gotFault *Fault
 	if (err == nil) != (gotErr == nil) || errors.As(err, &fault) != errors.As(gotErr, &gotFault) ||
 		fault != nil && *fault != *gotFault {

@@ -374,7 +374,7 @@ func ParseResponse(data []byte) (Value, error) {
 // TypeArray field with an "item" child per element; an int, a boolean, a
 // double and a string the field of that type. The nodes are carved from one
 // slab and the child lists from another, each of the message's size.
-func ParseCallFields(data []byte, names func(method string) []string) (string, []*message.Field, error) {
+func ParseCallFields(st *message.Store, data []byte, names func(method string) []string) (string, []*message.Field, error) {
 	d := newDecoder(data)
 	defer d.release()
 	method, n, err := d.call()
@@ -382,7 +382,7 @@ func ParseCallFields(data []byte, names func(method string) []string) (string, [
 		return "", nil, malformed(err)
 	}
 	label := names(method)
-	return method, d.fields(n, func(i int) string {
+	return method, d.fields(st, n, func(i int) string {
 		if i < len(label) {
 			return label[i]
 		}
@@ -394,7 +394,7 @@ func ParseCallFields(data []byte, names func(method string) []string) (string, [
 // abstract fields, mapped as ParseCallFields maps a call's: a struct result
 // gives its members, any other result the one field "result". A fault is
 // returned as ParseResponse returns it.
-func ParseResponseFields(data []byte) ([]*message.Field, error) {
+func ParseResponseFields(st *message.Store, data []byte) ([]*message.Field, error) {
 	d := newDecoder(data)
 	defer d.release()
 	switch faulted, err := d.response(); {
@@ -403,7 +403,7 @@ func ParseResponseFields(data []byte) ([]*message.Field, error) {
 	case faulted:
 		return nil, d.fault()
 	}
-	return d.fields(1, func(int) string { return "result" }), nil
+	return d.fields(st, 1, func(int) string { return "result" }), nil
 }
 
 // fault is the *Fault the value of a <fault> says, the one at the head of
@@ -464,7 +464,9 @@ func (d *decoder) call() (method string, n int, err error) {
 			if err != nil {
 				return "", 0, err
 			}
-			method = string(bytes.TrimSpace(text))
+			// A flow calls the same few methods over and over: the name is
+			// interned with the document's element names.
+			method = d.r.Intern(bytes.TrimSpace(text))
 		case name == "params" && !listed:
 			listed = true
 			if n, err = d.params(); err != nil {
@@ -721,12 +723,13 @@ func (d *decoder) value(at int) (Value, int) {
 // fields carves the n values at the head of the tape as the binders' fields:
 // the members of a lone struct, any other value labelled label(i) by its
 // position.
-func (d *decoder) fields(n int, label func(i int) string) []*message.Field {
+func (d *decoder) fields(st *message.Store, n int, label func(i int) string) []*message.Field {
 	if n == 1 && d.tape[0].f.Type == message.TypeStruct {
-		fields, _ := d.carver(0, 1).members(0)
+		c := d.carver(st, 0, 1)
+		fields, _ := c.members(0)
 		return fields
 	}
-	c := d.carver(n, 0)
+	c := d.carver(st, n, 0)
 	fields := c.list(n)
 	for i, at := 0, 0; i < n; i++ {
 		fields[i], at = c.field(at, label(i))
@@ -744,14 +747,15 @@ type carver struct {
 
 // carver sizes the slabs for the tape's values as fields, with top more
 // entries in the top-level list and skip entries of the tape not made
-// nodes (a struct whose members are the fields). A struct that names one
-// member twice gets both counted and one carved.
-func (d *decoder) carver(top, skip int) *carver {
+// nodes (a struct whose members are the fields), and carves them out of
+// st. A struct that names one member twice gets both counted and one
+// carved.
+func (d *decoder) carver(st *message.Store, top, skip int) carver {
 	links := top
 	for i := range d.tape {
 		links += d.tape[i].n
 	}
-	return &carver{d: d, nodes: make([]message.Field, len(d.tape)-skip), links: make([]*message.Field, links)}
+	return carver{d: d, nodes: st.Nodes(len(d.tape) - skip), links: st.Links(links)}
 }
 
 // list returns a child list of length n.
