@@ -131,6 +131,11 @@ race-alloc:
 # takes — the budget left on a link event, a request's send time, a round
 # trip, a deadline — is read off the last tick. A read per machine event
 # was ten an exchange at 46–94 ns each (DESIGN.md §8, "Step and shell").
+# And text is a string's: no non-test Go file imports unsafe, so every
+# string a parse keeps is immutable memory of its own or a piece of one —
+# an Atom decode's one string of what it kept (DESIGN.md §12) — and never a
+# view of a pooled buffer or of a borrowed packet, which the next flow
+# writes over.
 # Last, the shipped models pass `starlink check`: every file under models/
 # is the source of a mediator, written by hand, so each one loads and every
 # deployment spec builds the way `starlink run` and `starlink gateway` build
@@ -211,6 +216,8 @@ check: test
 		echo 'check: the lines above make message nodes of their own on the message path; carve them from a message.Store (Nodes, Links, Message) — the flow'"'"'s store when parsing, message.Scratch() for a build'"'"'s scaffold (DESIGN.md §12)'; exit 1; fi
 	@if awk '/^func / { fn = $$0 } /time\.(Now|Since)\(/ && fn !~ /\) (tick|clock)\(\)/ { print FILENAME ":" FNR ":" $$0; bad = 1 } END { exit !bad }' internal/engine/engine.go; then \
 		echo 'check: the lines above read the clock in the session outside session.tick and session.clock; read s.now, which the last tick set, or tick after a blocking action (DESIGN.md §8, "Step and shell")'; exit 1; fi
+	@if git grep -n '"unsafe"' -- '*.go' ':!*_test.go'; then \
+		echo 'check: the lines above import unsafe; a string a parse keeps is a copy, or a piece of one, never a view of a pooled or borrowed buffer (DESIGN.md §12)'; exit 1; fi
 	$(GO) run ./cmd/starlink check -models models >/dev/null
 
 # The one benchmark: what a mediated flow costs beside the native call,

@@ -16,15 +16,16 @@ import (
 
 // TestRESTParseReplyAllocBudget pins what the search_large workload's
 // service reply costs to bind: fifty photo entries of four children each.
-// The fields are two allocations whatever their number, and the entries
-// are read onto a pooled list, so what is counted per entry is its four
-// strings, which live in the nodes with no box around them (200 of the 208
-// measured). The rest is the HTTP packet through the text codec — its head
-// and the slab it is carved from, not its body. The feed's title, which no
-// field holds, is skipped. With a list of entries made between the decode
-// and the fields it was 210, with the interpreter's node at a time and the
-// request layout it tried first 227, with a box per string and the list
-// growing 456, and with one field and one child list per entry 755.
+// The fields are two allocations whatever their number, and their texts
+// one: the entries are read onto a pooled tape, each text a span of one
+// buffer, and carved with one string of it that every text is a piece of.
+// The HTTP head is read where it stands, so the node slab, the list slab,
+// the message and the string are all that is counted: 4 measured. With a
+// string per text and the head through the text codec it was 208, with a
+// list of entries made between the decode and the fields 210, with the
+// interpreter's node at a time and the request layout it tried first 227,
+// with a box per string and the list growing 456, and with one field and
+// one child list per entry 755.
 func TestRESTParseReplyAllocBudget(t *testing.T) {
 	feed := rest.Feed{Title: "Search Results"}
 	for i := 0; i < 50; i++ {
@@ -50,18 +51,17 @@ func TestRESTParseReplyAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 210 {
-		t.Errorf("binding a 50-entry feed allocated %.0f times, budget 210", allocs)
+	if allocs > 4 {
+		t.Errorf("binding a 50-entry feed allocated %.0f times, budget 4", allocs)
 	}
 }
 
 // TestRESTParseReplyProjectedAllocBudget pins what the same reply costs
 // where the flow reads only what casestudy.SearchMediator's γ reads of it:
 // each entry's id, title and author. The <content> of each entry, whose
-// type and src no one reads, is skipped, so its two attribute strings are
-// not made, and the fields are still two allocations: what is counted per
-// entry is its three strings (150 of the 158 measured), and the rest is
-// what the whole parse pays besides its strings.
+// type and src no one reads, is skipped, so its attributes are not copied
+// onto the tape, and the parse is the same four allocations; a string per
+// text kept made it 158.
 func TestRESTParseReplyProjectedAllocBudget(t *testing.T) {
 	feed := rest.Feed{Title: "Search Results"}
 	for i := 0; i < 50; i++ {
@@ -90,8 +90,8 @@ func TestRESTParseReplyProjectedAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 160 {
-		t.Errorf("binding a projected 50-entry feed allocated %.0f times, budget 160", allocs)
+	if allocs > 4 {
+		t.Errorf("binding a projected 50-entry feed allocated %.0f times, budget 4", allocs)
 	}
 }
 
@@ -214,12 +214,13 @@ func TestAddFlowAllocBudget(t *testing.T) {
 // sizes the flow has (three photos, two comments), onto the heap and into
 // a store reset after each call. Measured on the heap: BuildRequest 1, 2
 // and 2 (the packet, and the filled path where there is a placeholder; the
-// concrete request is a scratch store's), ParseReply 20, 14 and 12 (the
-// head's string, the entries' strings, the node slabs and their lists, the
-// body's holder and the messages) — 51; in a store the parses keep only
-// their strings: 13, 7 and 4, and 29 in all. A heap request scaffold per
-// build and a message and slab per parse made it 62, and a field tree a
-// node at a time, the interpreter and url.Values 169.
+// concrete request is a scratch store's), ParseReply 4, 4 and 5 (the
+// document's string, the node slab and its list, and the message; the
+// head is read where it stands) — 18; in a store the parses keep only
+// their string each, and it is 8 in all. A string per text and a copy of
+// the head made it 51 and 29, a heap request scaffold per build and a
+// message and slab per parse 62, and a field tree a node at a time, the
+// interpreter and url.Values 169.
 func TestRESTFlickrFlowAllocBudget(t *testing.T) {
 	must := func(body []byte, err error) []byte {
 		if err != nil {
@@ -245,7 +246,7 @@ func TestRESTFlickrFlowAllocBudget(t *testing.T) {
 		name   string
 		st     *message.Store
 		budget float64
-	}{{"heap", nil, 51}, {"store", new(message.Store), 29}} {
+	}{{"heap", nil, 18}, {"store", new(message.Store), 8}} {
 		st, total := mode.st, 0.0
 		for _, ex := range []struct {
 			action string

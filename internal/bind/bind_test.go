@@ -503,6 +503,42 @@ func TestRESTErrors(t *testing.T) {
 	}
 }
 
+// TestRESTReplyHeads: a reply's head is read by httpwire's grammar, as the
+// other HTTP binders read theirs, and the HTTP MDL's no longer. Where the
+// two judge a reply differently, the row says what the MDL made of it.
+func TestRESTReplyHeads(t *testing.T) {
+	b := newRESTBinder(t)
+	const feed = "<feed><entry><id>p1</id><title>t</title></entry></feed>"
+	for _, tc := range []struct {
+		name, head string
+		ok         bool
+	}{
+		{"ok", "HTTP/1.1 200 OK\r\nContent-Type: application/atom+xml\r\n\r\n", true},
+		{"created", "HTTP/1.0 201 Created\r\n\r\n", true},
+		{"not found", "HTTP/1.1 404 Not Found\r\n\r\n", false},
+		{"no blank line", "HTTP/1.1 200 OK\r\nContent-Type: x\r\n", false},
+		{"header without colon", "HTTP/1.1 200 OK\r\nno colon\r\n\r\n", false},
+		{"status not a number", "HTTP/1.1 abc OK\r\n\r\n", false},
+		{"a request", "GET / HTTP/1.1\r\n\r\n", false},
+		// The MDL cut the status at the next space, in a header line.
+		{"no reason phrase", "HTTP/1.1 200\r\nContent-Type: x\r\n\r\n", true},
+		// The MDL held the status text to "200" and "201".
+		{"signed status", "HTTP/1.1 +200 OK\r\n\r\n", true},
+		{"zero-padded status", "HTTP/1.1 0201 Created\r\n\r\n", true},
+		// The MDL tried the request layout first, whose version is the
+		// third word: this reply read as a request, with no status.
+		{"reason that names a version", "HTTP/1.1 200 HTTP/1.1 OK\r\n\r\n", true},
+	} {
+		reply, err := b.ParseReply(casestudy.PicasaSearch, []byte(tc.head+feed))
+		switch {
+		case tc.ok && (err != nil || len(reply.Fields) != 1):
+			t.Errorf("%s: %v, %v", tc.name, reply, err)
+		case !tc.ok && !errors.Is(err, ErrBadMessage):
+			t.Errorf("%s: err = %v, want ErrBadMessage", tc.name, err)
+		}
+	}
+}
+
 func TestGIOPBinderRoundTrips(t *testing.T) {
 	defs := map[string]automata.MsgDef{
 		"Add":       {Name: "Add", Fields: []string{"x", "y"}},

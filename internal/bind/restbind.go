@@ -10,6 +10,7 @@ import (
 	"starlink/internal/mdl/textenc"
 	"starlink/internal/message"
 	"starlink/internal/network"
+	"starlink/internal/protocol/httpwire"
 	"starlink/internal/protocol/rest"
 	"starlink/models"
 )
@@ -191,9 +192,10 @@ type restRoute struct {
 type param struct{ key, field string }
 
 // NewRESTBinder compiles the HTTP MDL, models/http.mdl, and installs the
-// route table. The binder interprets the document through the text engine,
-// so the DSL-generated parser/composer sits in the mediation hot path (the
-// paper's Fig. 9 message flow).
+// route table. The binder composes every packet and parses requests
+// through the text engine, so the DSL-generated parser/composer sits in
+// the mediation hot path (the paper's Fig. 9 message flow); a reply's head
+// it checks in place, as the other HTTP binders do.
 func NewRESTBinder(routes []Route) (*RESTBinder, error) {
 	doc, err := models.FS.ReadFile("http.mdl")
 	if err != nil {
@@ -342,9 +344,10 @@ func (r *restRoute) request(st *message.Store, path string, abs *message.Message
 	return msg
 }
 
-// ParseReply implements Binder: decodes the HTTP response through the
-// text-MDL codec and the Atom payload straight into abstract fields, each
-// entry with the children the route keeps.
+// ParseReply implements Binder: reads the HTTP response's status and body
+// where they stand, as the other HTTP binders do, and decodes the Atom
+// payload straight into abstract fields, each entry with the children the
+// route keeps.
 func (b *RESTBinder) ParseReply(action string, packet []byte) (*message.Message, error) {
 	return b.ParseReplyIn(nil, action, packet)
 }
@@ -355,15 +358,13 @@ func (b *RESTBinder) ParseReplyIn(st *message.Store, action string, packet []byt
 	if err != nil {
 		return nil, err
 	}
-	concrete, err := b.codec.ParseIn(st, packet)
+	status, body, err := httpwire.ResponseBody(packet)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	status, _ := concrete.GetString("Status")
-	if status != "200" && status != "201" {
-		return nil, fmt.Errorf("%w: action %s: HTTP status %s", ErrBadMessage, action, status)
+	if status != 200 && status != 201 {
+		return nil, fmt.Errorf("%w: action %s: HTTP status %d", ErrBadMessage, action, status)
 	}
-	body := bodyOf(concrete)
 	abs := st.Message(r.reply)
 	if r.ReplyKind == "feed" {
 		abs.Fields, err = rest.ParseFeedFields(st, body, r.keep)
@@ -380,8 +381,8 @@ func (b *RESTBinder) ParseReplyIn(st *message.Store, action string, packet []byt
 	return abs, nil
 }
 
-// bodyOf returns the Body the text-MDL codec found in a packet: a
-// <Name:body> item is the packet's own tail, so the XML decoders read it
+// bodyOf returns the Body the text-MDL codec found in a request: a
+// <Name:body> item is the packet's own tail, so the XML decoder reads it
 // where it is.
 func bodyOf(concrete *message.Message) []byte {
 	if f := concrete.Field("Body"); f != nil {

@@ -87,19 +87,22 @@ func startSteady(t *testing.T, cfg Config, framer network.Framer) *steadyClient 
 
 // TestSteadyFlowAllocBudget pins what the mediator allocates per flow of a
 // keep-alive session in steady state: the add_steady flow (GIOP Add in,
-// SOAP Plus out) and the flickr_flow flow (four XML-RPC calls, three
-// Picasa REST exchanges), with both peers scripted over network.Pipe so
+// SOAP Plus out), the flickr_flow flow (four XML-RPC calls, three Picasa
+// REST exchanges) and the search_large flow (one XML-RPC search, one
+// fifty-entry Picasa feed), with both peers scripted over network.Pipe so
 // that what is counted is the mediator's and the pipe's. Every message a
 // flow parses, and every node its γ programs build, is made in the
-// session's store, and every build's scaffold in a pooled scratch store, so
-// what is left is what a flow keeps or sends — the strings a parse copies
-// out of a packet, the flow's first packet, the packets built — what the
-// γ programs of the Flickr flow box, cache and grow, and a timer per
-// deadline the pipe arms (12 of an Add flow, 52 of a Flickr flow; a TCP
-// connection arms the runtime's poller, which allocates nothing).
-// Measured: 17 per Add flow and 102 per Flickr flow, where a heap node slab
-// and message per parse, a heap scaffold per build, an HTTP head struct per
-// HTTP message and a context per checkout made them 41 and 173.
+// session's store, and every build's scaffold in a pooled scratch store;
+// an Atom feed's kept text is one string, and a REST reply's head is read
+// in place, so what is left is what a flow keeps or sends — a string per
+// document or scalar a parse copies out of a packet, the flow's first
+// packet, the packets built — what the γ programs of the Flickr flow box
+// and cache, and a timer per deadline the pipe arms (12 of an Add flow, 52
+// of a Flickr flow; a TCP connection arms the runtime's poller, which
+// allocates nothing). Measured: 17 per Add flow, 72 per Flickr flow and 15
+// per search flow, where a string per kept Atom text, a copy of each REST
+// reply's head and heap nodes for newstruct and newarray made the last two
+// 102 and 174.
 func TestSteadyFlowAllocBudget(t *testing.T) {
 	t.Run("add", func(t *testing.T) {
 		merged, err := automata.Merge(casestudy.AddUsage(), casestudy.PlusUsage(), automata.MergeOptions{
@@ -202,7 +205,44 @@ func TestSteadyFlowAllocBudget(t *testing.T) {
 				c.call(t, call, "HTTP/1.1 200")
 			}
 		}
-		checkBudget(t, "a Flickr flow", flow, 102)
+		checkBudget(t, "a Flickr flow", flow, 72)
+	})
+	t.Run("search", func(t *testing.T) {
+		routes, err := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restBinder, err := bind.NewRESTBinder(routes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var photos rest.Feed
+		for i := 0; i < 50; i++ {
+			photos.Entries = append(photos.Entries, rest.Entry{
+				ID: fmt.Sprintf("photo-%04d", i), Title: fmt.Sprintf("Tree at dawn #%d", i), Author: fmt.Sprintf("owner-%d", i%7),
+				ContentType: "image/jpeg", ContentSrc: fmt.Sprintf("http://photos.example/full/photo-%04d.jpg", i),
+			})
+		}
+		body, err := rest.AppendFeed(nil, photos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searched := (&httpwire.Response{Status: 200, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}).Marshal()
+		c := startSteady(t, Config{
+			Merged: casestudy.SearchMediator(),
+			Sides: map[int]*Side{
+				1: {Binder: &bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages}},
+				2: {Binder: restBinder, Target: "picasa", Dialer: scriptedService(t, func([]byte) []byte { return searched })},
+			},
+			HostMap: map[string]string{casestudy.PicasaHost: "picasa"},
+		}, network.HTTPFramer{})
+		call, err := xmlrpc.MarshalCall(casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(50)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		request := (&httpwire.Request{Method: "POST", Target: "/services/xmlrpc", Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}}, Body: call}).Marshal()
+		flow := func() { c.call(t, request, "HTTP/1.1 200") }
+		checkBudget(t, "a fifty-entry search flow", flow, 15)
 	})
 }
 

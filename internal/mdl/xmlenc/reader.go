@@ -65,7 +65,8 @@ type Attr struct {
 // allocates only the strings it asks for. An attribute's label and value
 // become strings when Attrs is called, not when its tag is read: the tag
 // is checked whole as it is read, every reference in every value with it,
-// but an element that is skipped costs no string.
+// but an element that is skipped costs no string, and one read through
+// AttrLabel and AttrValue none but a label the Reader has not seen.
 type Reader struct {
 	data []byte
 	pos  int
@@ -137,7 +138,7 @@ type prefixedAttr struct {
 // and its value stand in the document, and what of it is a string already
 // — the label of a prefixed attribute, which its tag's declarations decide
 // and ErrTooLarge bounds, and the value of a declaration, which binds its
-// prefix at once. Attrs makes the rest.
+// prefix at once. Attrs and AttrLabel make the rest.
 type rawAttr struct {
 	name, value span
 	label, text string
@@ -236,15 +237,12 @@ func (r *Reader) Attrs() []Attr {
 	}
 	r.attrs, r.made = r.attrs[:0], true
 	for i := range r.raw {
-		a := &r.raw[i]
-		if !a.labelled {
-			a.label = r.label(r.data[a.name.from:a.name.to], true)
-		}
+		label, a := r.AttrLabel(i), &r.raw[i]
 		if !a.valued {
 			// The value was checked with its tag, so it resolves.
 			a.text, _ = r.value(a.value)
 		}
-		r.attrs = append(r.attrs, Attr{a.label, a.text})
+		r.attrs = append(r.attrs, Attr{label, a.text})
 	}
 	return r.attrs
 }
@@ -256,6 +254,24 @@ func (r *Reader) Attrs() []Attr {
 func (r *Reader) AttrName(i int) []byte {
 	n := r.raw[i].name
 	return r.data[n.from:n.to]
+}
+
+// NumAttr, AttrLabel and AttrValue read the attributes of a Start one by
+// one, as Attrs lists them, with no string made but a label the static
+// table does not know. AttrValue's bytes, references resolved, are valid
+// until the Reader's next call.
+func (r *Reader) NumAttr() int { return len(r.raw) }
+
+func (r *Reader) AttrLabel(i int) string {
+	if a := &r.raw[i]; !a.labelled {
+		a.label, a.labelled = r.label(r.data[a.name.from:a.name.to], true), true
+	}
+	return r.raw[i].label
+}
+
+func (r *Reader) AttrValue(i int) []byte {
+	b, _ := r.resolve(r.raw[i].value) // checked with its tag, so it resolves
+	return b
 }
 
 // Text returns the character data of a Text token: references resolved,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +122,41 @@ func TestReaderAttrName(t *testing.T) {
 	}
 }
 
+// TestReaderAttrAccessors: AttrLabel and AttrValue read, one by one, the
+// attributes Attrs lists, whichever is asked first.
+func TestReaderAttrAccessors(t *testing.T) {
+	for _, doc := range seeds {
+		for _, first := range []bool{true, false} {
+			r := NewReader([]byte(doc))
+			for {
+				tok, err := r.Next()
+				if err != nil {
+					break
+				}
+				if tok != Start {
+					continue
+				}
+				var got []Attr
+				if first {
+					got = slices.Clone(r.Attrs())
+				}
+				for i := 0; i < r.NumAttr(); i++ {
+					label := r.AttrLabel(i)
+					got = append(got, Attr{label, string(r.AttrValue(i))})
+				}
+				if !first {
+					got = append(got, r.Attrs()...)
+				}
+				n := len(got) / 2
+				if len(got) != 2*r.NumAttr() || !slices.Equal(got[:n], got[n:]) {
+					t.Errorf("%s: <%s> Attrs and the accessors read %v", doc, r.Name(), got)
+				}
+			}
+			r.Release()
+		}
+	}
+}
+
 // TestReaderDepthBound: the Reader holds the depth bound for whoever
 // consumes it, recursing or skipping.
 func TestReaderDepthBound(t *testing.T) {
@@ -135,8 +171,38 @@ func TestReaderDepthBound(t *testing.T) {
 }
 
 // TestReaderAllocBudget: tokens cost nothing. Reading a document to its
-// end allocates the strings of its attributes and no more.
+// end allocates the strings of its attributes and no more, and read through
+// AttrLabel and AttrValue they cost nothing either: what is left is the
+// namespace each xmlns:prefix declaration binds, a string made as its tag
+// is read, and a label the static table does not know, made once by the
+// first document that has it.
 func TestReaderAllocBudget(t *testing.T) {
+	for _, doc := range seeds {
+		data := []byte(doc)
+		read := func() error {
+			r := NewReader(data)
+			defer r.Release()
+			for {
+				tok, err := r.Next()
+				if err != nil {
+					return err
+				}
+				for i := 0; tok == Start && i < r.NumAttr(); i++ {
+					if r.AttrLabel(i) == "" {
+						t.Fatalf("attribute %d of %s has no label", i, doc)
+					}
+					r.AttrValue(i)
+				}
+			}
+		}
+		if read() != io.EOF {
+			continue
+		}
+		allocs := testing.AllocsPerRun(100, func() { read() })
+		if declared := strings.Count(doc, "xmlns:"); !testutil.RaceEnabled && int(allocs) > declared {
+			t.Errorf("reading through AttrLabel and AttrValue allocated %.0f times, %d declarations: %.60s", allocs, declared, doc)
+		}
+	}
 	for _, doc := range seeds[:12] {
 		data := []byte(doc)
 		attrs := 0

@@ -151,21 +151,26 @@ func builtinCount(_ *Env, args []any) (any, error) {
 
 // newstruct(label) creates an empty structured field for incremental
 // construction (Fig. 9's "new Photo(...)").
-func builtinNewStruct(_ *Env, args []any) (any, error) {
-	if err := needArgs(args, 1); err != nil {
-		return nil, err
-	}
-	return message.NewStruct(ValueString(args[0])), nil
+func builtinNewStruct(env *Env, args []any) (any, error) {
+	return newNode(env, args, message.TypeStruct)
 }
 
 // newarray(label) creates an empty ordered-sequence field; binders render
 // array fields as protocol-level lists even when they hold 0 or 1
 // elements.
-func builtinNewArray(_ *Env, args []any) (any, error) {
+func builtinNewArray(env *Env, args []any) (any, error) {
+	return newNode(env, args, message.TypeArray)
+}
+
+// newNode is a node of the Env's store, whose child list it keeps across
+// Env.Reset, as a builder variable's root is (cBuild).
+func newNode(env *Env, args []any, typ message.Type) (any, error) {
 	if err := needArgs(args, 1); err != nil {
 		return nil, err
 	}
-	return message.NewArray(ValueString(args[0])), nil
+	f := env.store.Node(ValueString(args[0]))
+	f.Type = typ
+	return f, nil
 }
 
 // child(tree, label) returns a named child of a field tree.

@@ -36,8 +36,9 @@ package mtl
 //     scalar variable;
 //   - every node a program makes — a builder variable's tree (every
 //     mention of the variable is `v = newstruct("…")`, the root of
-//     `v.path = …`, or the whole right-hand side of a graft), a graft's
-//     copy, a scalar's node, a step a path creates — comes from the Env's
+//     `v.path = …`, or the whole right-hand side of a graft), any other
+//     newstruct or newarray, a message read whole, a graft's copy, a
+//     scalar's node, a step a path creates — comes from the Env's
 //     message.Store, which Env.Reset takes back whole. Nothing but a
 //     node's own pointer leaves the store: a message or a field of its
 //     own never takes over a store node's child list, which the next flow
@@ -419,9 +420,9 @@ func (s *cAssignMsg) exec(fr *cframe) error {
 		}
 		// The message takes the tree's child list for its own, so the copy
 		// is the heap's: a store node's list is appended into again after
-		// the next Env.Reset.
+		// the next Env.Reset. A fresh tree is a store node too.
 		if res.owned {
-			msg.Fields = f.Children
+			msg.Fields = slices.Clone(f.Children)
 		} else {
 			msg.Fields = f.Clone().Children
 		}
@@ -566,15 +567,16 @@ func (e *cPath) eval(fr *cframe) (cres, error) {
 		if msg == nil {
 			return cres{}, fmt.Errorf("%w: %s: unknown message or variable %q", ErrExec, e.text, e.root)
 		}
-		if !e.hasName {
-			return cres{v: message.NewStruct(msg.Name, msg.Fields...)}, nil
-		}
-		if !nameMatches(msg.Name, e.msgName) {
+		if e.hasName && !nameMatches(msg.Name, e.msgName) {
 			return cres{}, fmt.Errorf("%w: %s: message at %q is %q, not %q",
 				ErrExec, e.text, e.root, msg.Name, e.msgName)
 		}
 		if len(e.rest) == 0 {
-			return cres{v: message.NewStruct(msg.Name, msg.Fields...)}, nil
+			// A message read whole: a struct over its fields, in a carved
+			// node, which does not keep the message's list.
+			f := &fr.env.store.Nodes(1)[0]
+			f.Label, f.Type, f.Children = msg.Name, message.TypeStruct, msg.Fields
+			return cres{v: f}, nil
 		}
 		f, err := clookupSteps(msg.Fields, e.rest)
 		if err != nil {
@@ -729,6 +731,9 @@ func csetSteps(children *[]*message.Field, steps []pathStep, res cres, text stri
 				// cur takes the copy's child list for its own, so the copy
 				// is the heap's, as for a whole-message assignment.
 				*cur = *res.field(st.label, nil)
+				if res.owned {
+					cur.Children = slices.Clone(cur.Children)
+				}
 				return nil
 			}
 			// Overwrite in place: the interpreter's `*cur = *nf` resets

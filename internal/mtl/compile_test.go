@@ -525,10 +525,11 @@ m2.Msg.total = count(m1.Msg)`
 // entries of five children, in an Env reset between runs as the engine
 // resets it between flows: the struct `p` built per entry, its leaves and
 // the copy grafted are the store's nodes and child lists, handed out again
-// after each Env.Reset, and the values move node to node. What is left is
-// the photo list (newarray's node, the heap's because the message takes it
-// over) and its growth, and a constant: 9 measured, where a heap copy per
-// graft and the builder's nodes per variable made it 112.
+// after each Env.Reset, and the values move node to node. So are the photo
+// list, newarray's node, whose child list it keeps, and the node count()
+// reads the message through: nothing is left, where heap nodes for those
+// two and the list's growth made it 9, and a heap copy per graft and the
+// builder's nodes per variable 112.
 func TestSearchGammaAllocBudget(t *testing.T) {
 	compiled, err := Compile(MustParse(searchReply), CompileOptions{Handles: fixtureHandles})
 	if err != nil {
@@ -564,8 +565,8 @@ func TestSearchGammaAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skipf("race detector enabled; measured %.1f allocs/op unasserted", allocs)
 	}
-	if allocs > 9 {
-		t.Fatalf("the search γ allocates %.1f/op over fifty entries, budget 9", allocs)
+	if allocs > 0 {
+		t.Fatalf("the search γ allocates %.1f/op over fifty entries, budget 0", allocs)
 	}
 	t.Logf("the search γ over fifty entries: %.1f allocs/op", allocs)
 }
@@ -979,6 +980,38 @@ b.Msg.tree = p`), CompileOptions{Handles: fuzzHandles})
 	want := message.New("Msg", message.NewInt64("y", 1), message.NewStruct("tree", message.NewString("x", "tx")))
 	if !over.Equal(want) {
 		t.Errorf("the field overwritten by a tree reads %v after Env.Reset, want %v", over, want)
+	}
+	// A fresh newstruct or newarray is a store node, which keeps its list
+	// across Env.Reset: a field it overwrites takes a list of its own, or
+	// two nodes would keep one list and append over each other in the
+	// flows behind.
+	compile := func(src string) *CompiledProgram {
+		p, err := Compile(MustParse(src), CompileOptions{Handles: fuzzHandles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	builders := compile(`
+p = newstruct("p")
+q = newstruct("q")
+r = newarray("r")
+q.x = "1"
+r.y = "2"`)
+	overwrite := compile(`
+p = newstruct("p")
+p.t = newstruct("a")
+p.t = newarray("b")
+p.t.x = "1"`)
+	env = fuzzFixture()
+	for _, prog := range []*CompiledProgram{builders, overwrite, builders} {
+		env.Reset()
+		if err := prog.Exec(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := env.Vars["q"].(*message.Field); len(q.Children) != 1 || q.Children[0].Label != "x" {
+		t.Errorf("q reads %v beside r %v", message.New("", q), message.New("", env.Vars["r"].(*message.Field)))
 	}
 }
 

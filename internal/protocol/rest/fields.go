@@ -48,52 +48,52 @@ func (k Keep) has(i int) bool { return k&(1<<i) != 0 }
 // it, straight into its entries' abstract fields, each with the children
 // keep holds, made in st. It accepts and refuses what ParseFeed does.
 func ParseFeedFields(st *message.Store, data []byte, keep Keep) ([]*message.Field, error) {
-	tape := texts.Get().(*[]entryText)
-	defer putTexts(tape)
-	if err := collect(data, "feed", keep, nil, tape); err != nil {
+	t := tapes.Get().(*tape)
+	defer t.release()
+	if err := t.collect(data, "feed", keep, false); err != nil {
 		return nil, err
 	}
-	return carve(st, *tape, keep), nil
+	return carve(st, t.entries, string(t.buf), keep), nil
 }
 
 // ParseEntryFields decodes a standalone entry document, read as ParseEntry
 // reads it, straight into its abstract field, with the children keep
 // holds, made in st. It accepts and refuses what ParseEntry does.
 func ParseEntryFields(st *message.Store, data []byte, keep Keep) (*message.Field, error) {
-	tape := texts.Get().(*[]entryText)
-	defer putTexts(tape)
-	if err := collect(data, "entry", keep, nil, tape); err != nil {
+	t := tapes.Get().(*tape)
+	defer t.release()
+	if err := t.collect(data, "entry", keep, false); err != nil {
 		return nil, err
 	}
-	return carve(st, *tape, keep)[0], nil
+	return carve(st, t.entries, string(t.buf), keep)[0], nil
 }
 
-// carve makes the fields of the entries on tape, with the children keep
-// holds, out of one run of st's nodes and one of its lists, of exactly the
-// size they need, as message.Field.Clone carves a copy; every node is on
-// exactly one list, so the two are equally long.
-func carve(st *message.Store, tape []entryText, keep Keep) []*message.Field {
-	size := len(tape)
-	for i := range tape {
-		for c, v := range tape[i] {
+// carve makes the fields of entries, with the children keep holds, out of
+// one run of st's nodes and one of its lists, of exactly the size they
+// need, as message.Field.Clone carves a copy; every node is on exactly one
+// list, so the two are equally long. Their texts are pieces of text.
+func carve(st *message.Store, entries []entryText, text string, keep Keep) []*message.Field {
+	size := len(entries)
+	for i := range entries {
+		for c, v := range entries[i] {
 			if keeps(keep, c, v) {
 				size++
 			}
 		}
 	}
 	nodes, links := st.Nodes(size), st.Links(size)
-	fields, links := links[:len(tape):len(tape)], links[len(tape):]
-	for i := range tape {
+	fields, links := links[:len(entries):len(entries)], links[len(entries):]
+	for i := range entries {
 		f := &nodes[0]
 		nodes = nodes[1:]
 		f.Label, f.Type = "entry", message.TypeStruct
 		n := 0
-		for c, v := range tape[i] {
+		for c, v := range entries[i] {
 			if keeps(keep, c, v) {
 				child := &nodes[0]
 				nodes = nodes[1:]
 				child.Label = entryLabels[c]
-				child.SetText(v)
+				child.SetText(v.in(text))
 				links[n] = child
 				n++
 			}
@@ -108,7 +108,7 @@ func carve(st *message.Store, tape []entryText, keep Keep) []*message.Field {
 	return fields
 }
 
-// keeps reports whether an entry's field has child c, whose text is v.
-func keeps(keep Keep, c int, v string) bool {
-	return keep.has(c) && (c <= cTitle || v != "")
+// keeps reports whether an entry's field has child c, whose text is at v.
+func keeps(keep Keep, c int, v span) bool {
+	return keep.has(c) && (c <= cTitle || v.from < v.to)
 }

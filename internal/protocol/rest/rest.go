@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"starlink/internal/mdl/xmlenc"
+	"starlink/internal/protocol/bufpool"
 	"starlink/internal/protocol/httpwire"
 )
 
@@ -116,45 +117,66 @@ func root(r *xmlenc.Reader, want string) error {
 	return nil
 }
 
-// texts pools the lists the decoders collect a document's entries on, so
-// that what they make of them — Feed.Entries, or the fields — is allocated
-// once, at its size, when the document has been read (as the XML-RPC
-// decoder's stacks do for arrays and structs). A list that one large feed
-// has grown past maxRetainedEntries is not pooled again.
-var texts = sync.Pool{New: func() any { return new([]entryText) }}
+// tapes pools where the decoders collect a document. Each text they keep
+// is copied onto one byte buffer and recorded as its span, so that what
+// they make of the document — Feed.Entries, or the fields — is allocated
+// once, at its size, when the document has been read, with one string of
+// the buffer that every text is a piece of. A tape that one large document
+// has grown past maxRetainedEntries entries or bufpool.MaxRetain bytes is
+// not pooled again.
+var tapes = sync.Pool{New: func() any { return new(tape) }}
 
 const maxRetainedEntries = 1024
 
-// entryText is what one entry holds of each child of its abstract field, by
-// the child's index in entryLabels: "" for one it does not have.
-type entryText [len(entryLabels)]string
+// tape is a document's kept text, buf, and its entries; title is a feed's.
+// Nothing on it points into a packet or a string, so nothing pooled pins
+// one.
+type tape struct {
+	buf     []byte
+	entries []entryText
+	title   span
+}
 
-// putTexts gives a list back to texts, emptied.
-func putTexts(list *[]entryText) {
-	// The strings are the document's: nothing pooled may pin them.
-	clear(*list)
-	if cap(*list) <= maxRetainedEntries {
-		*list = (*list)[:0]
-		texts.Put(list)
+// entryText is where each child of an entry's abstract field stands on the
+// tape, by the child's index in entryLabels: empty for one it does not have.
+type entryText [len(entryLabels)]span
+
+// span is where a kept text stands in a tape's buf.
+type span struct{ from, to int }
+
+// release gives the tape back to tapes, emptied.
+func (t *tape) release() {
+	if cap(t.entries) <= maxRetainedEntries && cap(t.buf) <= bufpool.MaxRetain {
+		*t = tape{buf: t.buf[:0], entries: t.entries[:0]}
+		tapes.Put(t)
 	}
 }
 
-// collect reads a document whose root is want onto tape: the <entry>
-// children of a feed, or the root <entry> itself. Of each entry it reads
-// what keep holds, and skips the rest. With title set, a feed's first
-// <title> goes there.
-func collect(data []byte, want string, keep Keep, title *string, tape *[]entryText) error {
+// keep copies b onto the tape and returns where it stands.
+func (t *tape) keep(b []byte) span {
+	t.buf = append(t.buf, b...)
+	return span{len(t.buf) - len(b), len(t.buf)}
+}
+
+// in is the text at s, of text, the one string of a tape's buf.
+func (s span) in(text string) string { return text[s.from:s.to] }
+
+// collect reads a document whose root is want onto t: the <entry> children
+// of a feed, or the root <entry> itself. Of each entry it reads what keep
+// holds, and skips the rest. With title set, a feed's first <title> is read
+// too.
+func (t *tape) collect(data []byte, want string, keep Keep, title bool) error {
 	r := xmlenc.NewReader(data)
 	defer r.Release()
 	if err := root(r, want); err != nil {
 		return malformed(err)
 	}
 	if want == "entry" {
-		e, err := readEntry(r, keep)
-		*tape = append(*tape, e)
+		e, err := t.readEntry(r, keep)
+		t.entries = append(t.entries, e)
 		return malformed(err)
 	}
-	titled := title == nil
+	titled := !title
 	for {
 		name, err := r.Find("title", "entry")
 		switch {
@@ -162,12 +184,12 @@ func collect(data []byte, want string, keep Keep, title *string, tape *[]entryTe
 			return malformed(err)
 		case name == "entry":
 			var e entryText
-			if e, err = readEntry(r, keep); err == nil {
-				*tape = append(*tape, e)
+			if e, err = t.readEntry(r, keep); err == nil {
+				t.entries = append(t.entries, e)
 			}
 		case !titled:
 			titled = true
-			*title, err = text(r)
+			t.title, err = t.text(r)
 		default:
 			err = r.Skip()
 		}
@@ -180,16 +202,17 @@ func collect(data []byte, want string, keep Keep, title *string, tape *[]entryTe
 // ParseFeed decodes an Atom feed document: its first <title> and every
 // <entry>, by local name, whatever else it holds skipped.
 func ParseFeed(data []byte) (Feed, error) {
-	var f Feed
-	tape := texts.Get().(*[]entryText)
-	defer putTexts(tape)
-	if err := collect(data, "feed", KeepAll, &f.Title, tape); err != nil {
+	t := tapes.Get().(*tape)
+	defer t.release()
+	if err := t.collect(data, "feed", KeepAll, true); err != nil {
 		return Feed{}, err
 	}
-	if len(*tape) > 0 {
-		f.Entries = make([]Entry, len(*tape))
-		for i := range *tape {
-			f.Entries[i] = (*tape)[i].entry()
+	text := string(t.buf)
+	f := Feed{Title: t.title.in(text)}
+	if len(t.entries) > 0 {
+		f.Entries = make([]Entry, len(t.entries))
+		for i := range t.entries {
+			f.Entries[i] = t.entries[i].entry(text)
 		}
 	}
 	return f, nil
@@ -197,35 +220,35 @@ func ParseFeed(data []byte) (Feed, error) {
 
 // ParseEntry decodes a standalone entry document.
 func ParseEntry(data []byte) (Entry, error) {
-	var tape [1]entryText
-	list := tape[:0]
-	if err := collect(data, "entry", KeepAll, nil, &list); err != nil {
+	t := tapes.Get().(*tape)
+	defer t.release()
+	if err := t.collect(data, "entry", KeepAll, false); err != nil {
 		return Entry{}, err
 	}
-	return list[0].entry(), nil
+	return t.entries[0].entry(string(t.buf)), nil
 }
 
-// entry is the Entry of an entry's texts.
-func (e *entryText) entry() Entry {
-	return Entry{ID: e[cID], Title: e[cTitle], Summary: e[cSummary], Author: e[cAuthor],
-		ContentSrc: e[cSrc], ContentType: e[cType]}
+// entry is the Entry of an entry's texts, pieces of text.
+func (e *entryText) entry(text string) Entry {
+	return Entry{ID: e[cID].in(text), Title: e[cTitle].in(text), Summary: e[cSummary].in(text),
+		Author: e[cAuthor].in(text), ContentSrc: e[cSrc].in(text), ContentType: e[cType].in(text)}
 }
 
-// text reads the open element to its end: its character data.
-func text(r *xmlenc.Reader) (string, error) {
+// text reads the open element to its end and keeps its character data.
+func (t *tape) text(r *xmlenc.Reader) (span, error) {
 	b, _, err := r.Content()
-	return string(b), err
+	return t.keep(b), err
 }
 
 // readEntry reads the open <entry> to its end: of each element it knows the
 // first, when keep holds a child it is read for, is read, and the rest, a
 // nested <entry> among them, skipped. Skipping reads every token that
 // reading does, so what keep leaves out changes nothing of what is refused.
-func readEntry(r *xmlenc.Reader, keep Keep) (entryText, error) {
+func (t *tape) readEntry(r *xmlenc.Reader, keep Keep) (entryText, error) {
 	var e entryText
 	// fallback is what <content> offers as the summary when there is no
 	// <summary>, or an empty one, wherever in the entry that stands.
-	var fallback string
+	var fallback span
 	var seen [len(entryLabels)]bool
 	for {
 		name, err := r.Find("id", "title", "summary", "author", "content")
@@ -233,7 +256,7 @@ func readEntry(r *xmlenc.Reader, keep Keep) (entryText, error) {
 		case err != nil:
 			return entryText{}, err
 		case name == "":
-			if e[cSummary] == "" {
+			if e[cSummary].from == e[cSummary].to {
 				e[cSummary] = fallback
 			}
 			return e, nil
@@ -250,11 +273,11 @@ func readEntry(r *xmlenc.Reader, keep Keep) (entryText, error) {
 		case !first || !wanted:
 			err = r.Skip()
 		case i == cAuthor:
-			e[i], err = readAuthor(r)
+			e[i], err = t.readAuthor(r)
 		case name == "content":
-			fallback, err = readContent(r, &e, keep)
+			fallback, err = t.readContent(r, &e, keep)
 		default:
-			e[i], err = text(r)
+			e[i], err = t.text(r)
 		}
 		if err != nil {
 			return entryText{}, err
@@ -263,65 +286,61 @@ func readEntry(r *xmlenc.Reader, keep Keep) (entryText, error) {
 }
 
 // readContent reads the open <content> to its end: its first type and src
-// attributes into e, where keep holds them, and its text, which is
-// returned where keep holds the summary it stands in for.
-func readContent(r *xmlenc.Reader, e *entryText, keep Keep) (string, error) {
+// attributes into e, where keep holds them, and its text, which is kept
+// where keep holds the summary it stands in for.
+func (t *tape) readContent(r *xmlenc.Reader, e *entryText, keep Keep) (span, error) {
 	var typed, sourced bool
-	attrs := r.Attrs()
-	for _, a := range attrs {
-		switch {
-		case a.Label == "@type" && !typed:
+	n := r.NumAttr()
+	for i := 0; i < n; i++ {
+		switch label := r.AttrLabel(i); {
+		case label == "@type" && !typed:
 			typed = true
 			if keep.has(cType) {
-				e[cType] = a.Value
+				e[cType] = t.keep(r.AttrValue(i))
 			}
-		case a.Label == "@src" && !sourced:
+		case label == "@src" && !sourced:
 			sourced = true
 			if keep.has(cSrc) {
-				e[cSrc] = a.Value
+				e[cSrc] = t.keep(r.AttrValue(i))
 			}
 		}
 	}
 	if !keep.has(cSummary) {
-		return "", r.Skip()
+		return span{}, r.Skip()
 	}
-	bare := len(attrs) == 0
 	text, leaf, err := r.Content()
-	if !bare || !leaf {
+	if n > 0 || !leaf {
 		// Text beside attributes or elements counts trimmed.
 		text = bytes.TrimSpace(text)
 	}
-	return string(text), err
+	return t.keep(text), err
 }
 
-// readAuthor reads the open <author> to its end: the text of its first
-// <name>, or, when it holds none, its own.
-func readAuthor(r *xmlenc.Reader) (string, error) {
-	// Its own text is mostly the white space around <name>: room for that
-	// on the stack.
-	var buf [64]byte
-	own := buf[:0]
-	var name string
-	named := false
+// readAuthor reads the open <author> to its end and keeps the text of its
+// first <name>, or, when it holds none, its own, kept as it is read: with
+// no <name>, nothing else goes onto the tape in between.
+func (t *tape) readAuthor(r *xmlenc.Reader) (span, error) {
+	own, named := len(t.buf), false
+	var name span
 	for {
 		switch tok, err := r.Next(); {
 		case err != nil:
-			return "", err
+			return span{}, err
 		case tok == xmlenc.Text:
-			own = append(own, r.Text()...)
+			t.keep(r.Text())
 		case tok == xmlenc.End:
 			if named {
 				return name, nil
 			}
-			return string(own), nil
+			return span{own, len(t.buf)}, nil
 		case string(r.Name()) == "name" && !named:
 			named = true
-			if name, err = text(r); err != nil {
-				return "", err
+			if name, err = t.text(r); err != nil {
+				return span{}, err
 			}
 		default:
 			if err := r.Skip(); err != nil {
-				return "", err
+				return span{}, err
 			}
 		}
 	}
