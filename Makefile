@@ -81,7 +81,12 @@ race-alloc:
 # builds packets of its own (DESIGN.md §9). And the response cache copies
 # nothing: it stores the reply it is given and serves that one, read-only,
 # and a flow whose γ programs can write into a reply copies it itself (the
-# engine). And a request id is a header, not a field: a binder keeps the
+# engine). Nor does it look into what the engine keeps beside a reply: the
+# client reply a hit rendered, which later hits are sent as it is, is a value
+# of the engine's on the entry, so internal/rcache imports none of engine,
+# mtl and bind; and a client reply is composed in one place, for
+# internal/engine's non-test code calls AppendReply once (DESIGN.md §13).
+# And a request id is a header, not a field: a binder keeps the
 # GIOP RequestID, the JSON-RPC id or the SLP XID in Message.ID, so an
 # abstract message holds application data only and no code outside the
 # tests looks for a "_" label or names one of the fields that used to
@@ -181,6 +186,11 @@ check: test
 		echo 'check: the files above make a read buffer of their own; a stream connection takes one from the pool in internal/network (network.NewStreamConn, network.NewPeekConn) and returns it on Close (DESIGN.md §9)'; exit 1; fi
 	@if git grep -nE '\.(RecvAppend|AppendRequest|AppendReply)\(' -- '*.go' ':!*_test.go' ':!internal/engine' ':!internal/network' ':!internal/bind'; then \
 		echo 'check: the lines above read or build a packet into borrowed storage outside the engine, the network layer and the binders; call Recv, BuildRequest or BuildReply, whose packet is the caller'"'"'s (DESIGN.md §9, "Wire buffers")'; exit 1; fi
+	@if [ "$$(git grep -hE '\.AppendReply\(' -- internal/engine ':!*_test.go' | wc -l)" -ne 1 ]; then \
+		git grep -nE '\.AppendReply\(' -- internal/engine ':!*_test.go'; \
+		echo 'check: internal/engine composes a client reply in other than one place (above); render it in session.buildClientReply, which keeps what a hit rendered for the hits after it (DESIGN.md §13)'; exit 1; fi
+	@if git grep -nE '"starlink/internal/(engine|mtl|bind)"' -- internal/rcache; then \
+		echo 'check: the lines above make the response cache import the engine, MTL or a binder; it stores replies and keeps the engine'"'"'s rendering beside one without reading it (DESIGN.md §13)'; exit 1; fi
 	@for f in internal/engine/flow.go internal/engine/link.go; do \
 		if sed -n '/^import (/,/^)/p; /^import "/p' $$f | \
 			grep -E '"(sync(/atomic)?|math/rand(/v2)?|starlink/internal/(network(/pool)?|rcache|bind|backend|discovery))"'; then \

@@ -522,9 +522,10 @@ func TestRESTReplyHeads(t *testing.T) {
 		{"a request", "GET / HTTP/1.1\r\n\r\n", false},
 		// The MDL cut the status at the next space, in a header line.
 		{"no reason phrase", "HTTP/1.1 200\r\nContent-Type: x\r\n\r\n", true},
-		// The MDL held the status text to "200" and "201".
-		{"signed status", "HTTP/1.1 +200 OK\r\n\r\n", true},
-		{"zero-padded status", "HTTP/1.1 0201 Created\r\n\r\n", true},
+		// A status code is three ASCII digits (RFC 9112 §4), as the MDL,
+		// which held its text to "200" and "201", had it.
+		{"signed status", "HTTP/1.1 +200 OK\r\n\r\n", false},
+		{"zero-padded status", "HTTP/1.1 0201 Created\r\n\r\n", false},
 		// The MDL tried the request layout first, whose version is the
 		// third word: this reply read as a request, with no status.
 		{"reason that names a version", "HTTP/1.1 200 HTTP/1.1 OK\r\n\r\n", true},

@@ -292,8 +292,9 @@ type Stats = counters[uint64]
 // Snapshot loads it into a Stats, but for the Pool* and Cache* cells,
 // which it fills from its one sample of the pool and of the cache.
 type counters[T any] struct {
-	// Flows counts complete traversals; Failures, sessions that ended with
-	// an error other than the client leaving between flows.
+	// Flows counts complete traversals; Translations, γ programs executed
+	// (a hit sent a rendered reply runs none, DESIGN.md §13); Failures,
+	// sessions that ended with an error other than the client leaving.
 	Sessions, Flows, Translations, MessagesIn, MessagesOut, Failures T
 	// Redials counts service connections replaced after a fault or a
 	// sethost retarget.
@@ -974,11 +975,12 @@ type serviceLink struct {
 	sentAt time.Duration
 	op     string
 	reqBuf wireBuf
-	// reply is the exchange's reply once it is in hand; flight and key are
-	// the response cache's part of the exchange.
+	// reply is the exchange's reply once it is in hand; flight, key and hit
+	// (the entry a lookup found it in) are the response cache's part.
 	reply  *message.Message
 	flight *rcache.Flight
 	key    string
+	hit    *rcache.Entry
 }
 
 // packets pools the buffers a flow reads and writes its packets in
@@ -1065,6 +1067,7 @@ func (s *session) run() {
 		for i := range s.links {
 			s.links[i].run(linkEvent{kind: evFlowEnd, err: err}, nil, "")
 			s.links[i].reqBuf.release()
+			s.links[i].hit = nil
 		}
 		if err != nil {
 			// The client ending the keep-alive connection between flows is
@@ -1194,13 +1197,19 @@ func (s *session) runFlow() error {
 		case kSend:
 			err = s.links[act.link].send(act.op, act.msg)
 		case kRecv:
-			ev.msg, ev.cached, err = s.links[act.link].recv(act.op)
+			ev, err = s.links[act.link].recv(act.op)
 		case kReply:
-			t0 := s.clock()
-			reply, err = s.replyBuf.use(s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.AppendReply(s.replyBuf.dst(), act.op, act.msg))
-			s.timed(stageBuild, s.med.cfg.ServerColor, t0)
-			if err != nil {
-				err = fmt.Errorf("build client reply: %w", err)
+			// A hit is sent what the first on its entry rendered (act.wire).
+			if reply = act.wire; reply == nil {
+				t0 := s.clock()
+				reply, err = s.replyBuf.use(s.med.cfg.Sides[s.med.cfg.ServerColor].Binder.AppendReply(s.replyBuf.dst(), act.op, act.msg))
+				s.timed(stageBuild, s.med.cfg.ServerColor, t0)
+				if err != nil {
+					err = fmt.Errorf("build client reply: %w", err)
+				} else if r := act.keep; r != nil {
+					r.wire = bytes.Clone(reply)
+					s.links[s.med.plan.steps[r.state].link].hit.Keep(r)
+				}
 			}
 		}
 		if err != nil {
@@ -1214,7 +1223,7 @@ func (s *session) runFlow() error {
 			return err
 		}
 		elapsed := s.tick().Sub(start)
-		if asked == kGamma {
+		if asked == kGamma && s.step.sent == nil {
 			s.med.stats.Translations.Add(1)
 			s.med.hists.Translate.observe(elapsed)
 		}
@@ -1266,7 +1275,7 @@ func (s *session) sendClientReply(data []byte) error {
 // send is the first phase of an exchange: the mediator invokes operation
 // op with abs, unless the response cache has the reply in hand.
 func (l *serviceLink) send(op string, abs *message.Message) error {
-	l.op, l.reply = op, nil
+	l.op, l.reply, l.hit = op, nil, nil
 	ev := linkEvent{kind: evSend}
 	if l.s.med.rcache != nil {
 		ev = l.acquire(abs)
@@ -1275,14 +1284,17 @@ func (l *serviceLink) send(op string, abs *message.Message) error {
 	return err
 }
 
-// recv is the second phase of an exchange: it returns the service's reply
-// to the last send, named name, and whether the response cache holds it.
-func (l *serviceLink) recv(name string) (*message.Message, bool, error) {
+// recv is the second phase of an exchange: the event of the service's
+// reply to the last send, named name, with what the cache says of it.
+func (l *serviceLink) recv(name string) (event, error) {
 	l.s.waitAt = l.s.clock()
 	cached, err := l.run(linkEvent{kind: evRecv}, nil, name)
-	abs := l.reply
+	ev := event{msg: l.reply, cached: cached, hit: l.hit != nil}
+	if ev.hit {
+		ev.kept, _ = l.hit.Kept().(*rendering)
+	}
 	l.reply = nil
-	return abs, cached, err
+	return ev, err
 }
 
 // acquire is the response cache's part of a send of abs, whose outcome
@@ -1299,11 +1311,11 @@ func (l *serviceLink) acquire(abs *message.Message) linkEvent {
 		return linkEvent{kind: evSend}
 	}
 	l.key = rcache.Key(l.op, s.serviceTarget(l.color), abs, rule.Vary)
-	reply, flight, leader := m.rcache.Acquire(l.op, l.key)
+	hit, flight, leader := m.rcache.Lookup(l.op, l.key)
 	l.flight = flight
 	switch {
-	case reply != nil:
-		l.reply = reply
+	case hit != nil:
+		l.reply, l.hit = hit.Reply(), hit
 		s.trace(TraceEvent{Kind: TraceCacheHit, Color: l.color, State: l.op})
 		return linkEvent{kind: evHit}
 	case leader:

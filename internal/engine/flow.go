@@ -40,10 +40,12 @@ type step struct {
 	// offers names a branch's actions, "|" between, for the error of one
 	// it does not offer; link is the service link of a send or receive, an
 	// index of plan.links; share says whether no γ program can write into
-	// a receive's reply, which may then be bound as the cache holds it.
+	// a receive's reply, which may then be bound as the cache holds it, and
+	// once whether its client reply is rendered once per cached reply.
 	offers string
 	link   int
 	share  bool
+	once   bool
 }
 
 // plan is a merged automaton compiled by New, one step per state.
@@ -122,6 +124,7 @@ func newPlan(m *automata.Merged, server int, funcs map[string]mtl.Func) (*plan, 
 		for _, g := range p.steps {
 			st.share = st.share && (g.gamma == nil || g.gamma.ReadOnly(p.steps[st.arcs[0].to].name))
 		}
+		st.once = st.kind == kRecv && p.renderedOnce(st)
 	}
 	p.keeps = make([]map[string][]string, len(p.links))
 	for i := range p.keeps {
@@ -170,6 +173,30 @@ func (p *plan) reads(recv *step) []string {
 	return paths
 }
 
+// renderedOnce reports whether the rest of a flow from recv depends on its
+// reply alone (DESIGN.md §13): γ steps, each a function of the reply, then
+// the client reply, whose message no other γ writes, and a final state.
+func (p *plan) renderedOnce(recv *step) bool {
+	received, at := p.steps[recv.arcs[0].to].name, recv.arcs[0].to
+	tail := map[*step]bool{}
+	for p.steps[at].kind == kGamma {
+		g := &p.steps[at]
+		if tail[g] || !g.gamma.FunctionOf(received) {
+			return false
+		}
+		tail[g], at = true, g.arcs[0].to
+	}
+	if p.steps[at].kind != kReply || p.steps[p.steps[at].arcs[0].to].kind != kDone {
+		return false
+	}
+	for i := range p.steps {
+		if g := &p.steps[i]; g.gamma != nil && !tail[g] && !g.gamma.ReadOnly(p.steps[at].name) {
+			return false
+		}
+	}
+	return true
+}
+
 // offer returns the arc of a branch that takes the client's action op, or nil.
 func (st *step) offer(op string) *arc {
 	for i := range st.arcs {
@@ -186,15 +213,29 @@ type action struct {
 	link int              // kSend, kRecv: the service link
 	op   string           // kSend: the operation; kRecv: the reply's name; kReply: the client's action
 	msg  *message.Message // kSend, kReply: what to send
+	// kReply: wire, sent instead of msg; keep, the rendering to fill.
+	wire []byte
+	keep *rendering
 }
 
 // event is the outcome of an action: the client's action and request for
 // kRead, the service's reply for kRecv, cached when the response cache
-// holds it too, and nothing for a send, a client reply or a γ.
+// holds it too — a hit when a lookup found it, with what its entry kept —
+// and nothing for a send, a client reply or a γ.
 type event struct {
-	op     string
-	msg    *message.Message
-	cached bool
+	op          string
+	msg         *message.Message
+	cached, hit bool
+	kept        *rendering
+}
+
+// rendering is a client reply rendered at a receive that renders once, and
+// the state, client action and request ID a hit must match to be sent it.
+type rendering struct {
+	state int
+	op    string
+	id    uint64
+	wire  []byte
 }
 
 // flow is the step: one traversal of the plan, walked without I/O. The
@@ -217,6 +258,8 @@ type flow struct {
 	// so where the flow writes into one it writes into a copy (own).
 	shared []*message.Message
 	host   string
+	// sent is the rendering a hit is sent; keep, the one it asks to keep.
+	sent, keep *rendering
 }
 
 // reset starts a traversal of p whose γ programs keep their cache/getcache
@@ -250,6 +293,7 @@ func (f *flow) release() {
 	}
 	clear(f.shared)
 	f.shared, f.pendingAction, f.pending = f.shared[:0], "", nil
+	f.sent, f.keep = nil, nil
 }
 
 // next takes the transition ev picks out of the current state and returns
@@ -268,6 +312,9 @@ func (f *flow) next(ev event) (action, error) {
 		}
 		f.env.Bind(f.p.steps[a.to].name, ev.msg)
 	case kGamma:
+		if f.sent != nil {
+			break
+		}
 		f.env.Host = ""
 		if err := st.gamma.Exec(f.env); err != nil {
 			return action{}, fmt.Errorf("γ %s: %w", a.label, err)
@@ -281,6 +328,14 @@ func (f *flow) next(ev event) (action, error) {
 			msg = f.bindCached(msg, st.share, a.op)
 		}
 		f.env.Bind(f.p.steps[a.to].name, msg)
+		if r := ev.kept; st.once && ev.hit && f.pending != nil {
+			switch {
+			case r == nil:
+				f.keep = &rendering{state: f.at, op: f.pendingAction, id: f.pending.ID}
+			case r.state == f.at && r.op == f.pendingAction && r.id == f.pending.ID:
+				f.sent = r
+			}
+		}
 	case kReply:
 		f.pendingAction, f.pending = "", nil
 	}
@@ -301,7 +356,10 @@ func (f *flow) act() action {
 		act.op, act.msg = st.arcs[0].op, f.own(f.env.Message(st.name))
 		act.msg.Name = act.op
 		if st.kind == kReply {
-			act.op = f.pendingAction
+			act.op, act.keep = f.pendingAction, f.keep
+			if f.sent != nil {
+				act.wire = f.sent.wire
+			}
 			if f.pending != nil {
 				act.msg.ID = f.pending.ID
 			}

@@ -115,7 +115,7 @@ type Latencies = histograms[LatencyHistogram]
 type histograms[T any] struct {
 	// Transitions times every transition; Exchanges, service round trips
 	// from a request's first send to its reply, replays included; and
-	// Translate, γ translations alone.
+	// Translate, the γ programs executed alone.
 	Transitions, Exchanges, Translate T
 	// Stages times the stages of a message by colour, Stages[stage] for
 	// each stage stageNames names, each [colour-1] for colours 1 and 2, the

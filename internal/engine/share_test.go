@@ -109,7 +109,10 @@ func sameReplies(t *testing.T, what string, off, on [][]byte) {
 // TestCacheOnEqualsCacheOff runs one seeded request sequence, repeats
 // included, through the search mediator and the Add/Plus mediator, once
 // without a cache and once with the service operation cacheable: every
-// client reply is the same, byte for byte.
+// client reply is the same, byte for byte. The search's hits after the
+// first of each query are sent the reply that first hit rendered, so they
+// run the request's γ and not the reply's: Stats.Translations falls by one
+// a hit, but for the first hit of each query.
 func TestCacheOnEqualsCacheOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	type query struct {
@@ -134,12 +137,26 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 		}
 		return replies, med.Snapshot().Stats
 	}
-	off, _ := search()
+	off, offSt := search()
 	on, st := search(cacheSearch)
 	sameReplies(t, "search", off, on)
 	if st.CacheHits+st.CacheMisses != uint64(len(searches)) || st.CacheMisses > uint64(len(queries)) {
 		t.Errorf("search: %d hits and %d misses over %d requests of %d queries",
 			st.CacheHits, st.CacheMisses, len(searches), len(queries))
+	}
+	seen := map[query]int{}
+	for _, q := range searches {
+		seen[q]++
+	}
+	firstHits := uint64(0)
+	for _, n := range seen {
+		if n > 1 {
+			firstHits++
+		}
+	}
+	if want := uint64(len(searches)) + st.CacheMisses + firstHits; offSt.Translations != 2*uint64(len(searches)) || st.Translations != want {
+		t.Errorf("search: %d translations without the cache and %d with it, want %d and %d",
+			offSt.Translations, st.Translations, 2*len(searches), want)
 	}
 
 	operands := [][2]int64{{20, 22}, {1, 2}, {7, 5}, {-3, 3}}
@@ -172,13 +189,136 @@ func TestCacheOnEqualsCacheOff(t *testing.T) {
 // withReplyGamma returns the search mediator with statements put in front
 // of its reply-side γ, the one that reads the received reply at m4.
 func withReplyGamma(stmts string) *automata.Merged {
+	return withGamma("m4", stmts)
+}
+
+// withGamma returns the search mediator with statements put in front of the
+// γ that leaves state from.
+func withGamma(from, stmts string) *automata.Merged {
 	merged := casestudy.SearchMediator()
 	for i, tr := range merged.Transitions {
-		if tr.Kind == automata.KindGamma && tr.From == "m4" {
+		if tr.Kind == automata.KindGamma && tr.From == from {
 			merged.Transitions[i].MTL = stmts + "\n" + tr.MTL
 		}
 	}
 	return merged
+}
+
+// jsonSearchPacket is the JSON-RPC search call id for text and perPage.
+func jsonSearchPacket(t testing.TB, id uint64, text string, perPage int64) []byte {
+	t.Helper()
+	body, err := jsonrpc.MarshalCall(id, casestudy.FlickrSearch, map[string]any{"text": text, "per_page": perPage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (&httpwire.Request{Method: "POST", Target: "/j",
+		Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/json"}}, Body: body}).Marshal()
+}
+
+// TestCacheRenderedReplyEqualsCacheOff: a hit is sent the client reply an
+// earlier hit on its entry rendered only where that reply is what running
+// the flow's γ programs and composing again would give. Each row runs one
+// request sequence through a variant of the search mediator without a
+// cache and with one: every client reply is the same, byte for byte. In
+// the rows whose reply depends on more than the cached reply — the client's
+// per_page under vary=q, the session cache, a function of the deployment,
+// an earlier γ writing into the reply — every hit runs every γ program
+// (Stats.Translations is the same with the cache and without). In the
+// JSON-RPC row a rendered reply is sent only to a request with the id it
+// was rendered for, so each reply carries its own id.
+func TestCacheRenderedReplyEqualsCacheOff(t *testing.T) {
+	xmlrpcSeq := func(perPages ...int64) [][]byte {
+		var packets [][]byte
+		for _, text := range []string{"cat", "lake", "cat"} {
+			for _, n := range perPages {
+				packets = append(packets, searchPacket(t, text, n))
+			}
+		}
+		return packets
+	}
+	ticks := func() map[string]mtl.Func {
+		n := 0
+		return map[string]mtl.Func{"tick": func(*mtl.Env, []any) (any, error) { n++; return int64(n), nil }}
+	}
+	// "cat" matches two photos and "lake" one, so per_page 2 to 4 is sent
+	// the same feed and vary=q keys it the same.
+	cases := []struct {
+		name     string
+		merged   *automata.Merged
+		client   func() bind.Binder
+		funcs    func() map[string]mtl.Func
+		vary     []string
+		packets  [][]byte
+		ids      []uint64 // the JSON-RPC ids of packets
+		rendered bool     // whether a hit may be sent a rendered reply
+	}{
+		{name: "the reply is a function of the cached reply", merged: withReplyGamma(""),
+			packets: xmlrpcSeq(3, 3, 3), rendered: true},
+		{name: "the γ copies the client's per_page into the reply", merged: withReplyGamma(`m5.Msg.per_page = m1.Msg.per_page`),
+			vary: []string{"q"}, packets: xmlrpcSeq(2, 3, 4)},
+		{name: "the γ calls getcache", merged: withReplyGamma(`try m5.Msg.before = getcache("last")` + "\n" + `cache("last", count(m4.Msg))`),
+			packets: xmlrpcSeq(3, 3)},
+		{name: "the γ calls a function of the deployment", merged: withReplyGamma(`m5.Msg.tick = tick()`),
+			funcs: ticks, packets: xmlrpcSeq(3, 3)},
+		{name: "an earlier γ writes into the reply", merged: withGamma("m1", `m5.Msg.per_page = m1.Msg.per_page`),
+			vary: []string{"q"}, packets: xmlrpcSeq(2, 3, 4)},
+		{name: "the JSON-RPC client", merged: withReplyGamma(""), rendered: true,
+			client: func() bind.Binder { return &bind.JSONRPCBinder{Path: "/j", Defs: casestudy.FlickrUsage().Messages} },
+			ids:    []uint64{1, 1, 2, 1, 2, 2, 1, 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.ids != nil {
+				for i, id := range tc.ids {
+					tc.packets = append(tc.packets, jsonSearchPacket(t, id, []string{"cat", "lake"}[i%2], 3))
+				}
+			}
+			run := func(cached bool) ([][]byte, engine.Stats) {
+				client := searchBinder()
+				if tc.client != nil {
+					client = tc.client()
+				}
+				med, _ := startCaseStudy(t, tc.merged, client, func(cfg *engine.Config) {
+					if tc.funcs != nil {
+						cfg.Funcs = tc.funcs()
+					}
+					if cached {
+						cfg.Cache = &engine.CachePolicy{Rules: map[string]engine.CacheRule{
+							casestudy.PicasaSearch: {TTL: time.Minute, Vary: tc.vary},
+						}}
+					}
+				})
+				conn := dialRaw(t, med.Addr(), network.HTTPFramer{})
+				var replies [][]byte
+				for i, packet := range tc.packets {
+					reply, err := roundTrip(conn, packet)
+					if err != nil {
+						t.Fatalf("request %d: %v", i, err)
+					}
+					replies = append(replies, reply)
+				}
+				return replies, med.Snapshot().Stats
+			}
+			off, offSt := run(false)
+			on, st := run(true)
+			sameReplies(t, tc.name, off, on)
+			if st.CacheHits == 0 || st.Failures != 0 {
+				t.Fatalf("%d hits and %d failures with the cache", st.CacheHits, st.Failures)
+			}
+			if rendered := st.Translations < offSt.Translations; rendered != tc.rendered {
+				t.Errorf("%d translations with the cache, %d without: rendered %v, want %v", st.Translations, offSt.Translations, rendered, tc.rendered)
+			}
+			for i, id := range tc.ids {
+				resp, err := httpwire.ParseResponse(on[i])
+				if err != nil {
+					t.Fatalf("reply %d: %v", i, err)
+				}
+				if got, _, err := jsonrpc.ParseResponse(resp.Body); err != nil || got != id {
+					t.Errorf("request %d of id %d answered with id %d (%v)", i, id, got, err)
+				}
+			}
+		})
+	}
 }
 
 // TestCacheCopiesForWritingGamma: where a γ program can write into the

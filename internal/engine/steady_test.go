@@ -435,3 +435,66 @@ func TestSparesKeepBoundedBytes(t *testing.T) {
 		t.Errorf("lending a spare left %d bytes counted, want %d", med.spareBytes, bytes-held)
 	}
 }
+
+// TestCacheRenderedHitAllocBudget pins the step's part of a search flow
+// whose hit is sent the client reply an earlier hit rendered: from the
+// client's request through the request's γ, the send and the hit, past the
+// reply's γ, which does not run, to the client reply handed to the shell
+// as it was rendered. It allocates nothing. The first hit on the entry,
+// which finds no rendering kept, composes the reply and asks the shell to
+// keep one for the state, client action and request ID it answers.
+func TestCacheRenderedHitAllocBudget(t *testing.T) {
+	p, err := newPlan(casestudy.SearchMediator(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := slices.IndexFunc(p.steps, func(st step) bool { return st.once })
+	if recv < 0 {
+		t.Fatal("no receive of the search mediator renders its reply once")
+	}
+	req := message.New(casestudy.FlickrSearch,
+		message.NewPrimitive("text", message.TypeString, "tree"),
+		message.NewPrimitive("per_page", message.TypeInt64, 5))
+	var entries []*message.Field
+	for i := 0; i < 5; i++ {
+		entries = append(entries, message.NewStruct("entry",
+			message.NewPrimitive("id", message.TypeString, fmt.Sprintf("photo-%04d", i)),
+			message.NewPrimitive("title", message.TypeString, "tree")))
+	}
+	reply := message.New(casestudy.PicasaSearchReply, entries...)
+	var cache mtl.Cache
+	var f flow
+	// walk runs one flow whose hit finds kept beside the cached reply and
+	// returns the client reply's action.
+	walk := func(kept *rendering) action {
+		act := f.reset(p, &cache)
+		var last action
+		for act.kind != kDone {
+			var ev event
+			switch act.kind {
+			case kRead:
+				ev = event{op: casestudy.FlickrSearch, msg: req}
+			case kRecv:
+				ev = event{msg: reply, cached: true, hit: true, kept: kept}
+			case kReply:
+				last = act
+			}
+			if act, err = f.next(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return last
+	}
+	first := walk(nil)
+	if r := first.keep; first.wire != nil || r == nil || r.state != recv || r.op != casestudy.FlickrSearch || r.id != req.ID {
+		t.Fatalf("the first hit sent %q and asked to keep %+v", first.wire, first.keep)
+	}
+	if len(first.msg.Fields) == 0 {
+		t.Fatal("the first hit composed no reply")
+	}
+	kept := &rendering{state: recv, op: casestudy.FlickrSearch, id: req.ID, wire: []byte("HTTP/1.1 200 OK\r\n\r\nrendered")}
+	if act := walk(kept); &act.wire[0] != &kept.wire[0] || act.keep != nil || len(act.msg.Fields) != 0 {
+		t.Fatalf("a later hit sent %q, asked to keep %+v and composed %v", act.wire, act.keep, act.msg)
+	}
+	checkBudget(t, "a hit sent a rendered reply", func() { walk(kept) }, 0)
+}

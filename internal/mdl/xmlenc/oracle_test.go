@@ -175,6 +175,7 @@ var seeds = []string{
 	"<a p:x='1' xmlns:p='urn:late'><b p:y='2'/></a>", "<a><b xmlns:p='urn:b'/><c p:z='3'/></a>",
 	"<a xmlns:p='' p:x='1' xmlns:q='xmlns' q:y='2'/>", "<a:b:c/>", "<:a/>", "<a: x:='1' :y='2'/>",
 	"<a xmlns:p='1' xmlns:p='2' p:x=''/>",
+	"<?xml version=\"1.0\" encoding=\"utf-8\"?><soapenv:Envelope xmlns:soapenv=\"http://schemas.xmlsoap.org/soap/envelope/\" xmlns:xsd=\"http://www.w3.org/2001/XMLSchema\" xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\"><soapenv:Body><PlusResponse><result xsi:type=\"xsd:int\">42</result></PlusResponse></soapenv:Body></soapenv:Envelope>",
 	// a declaration hidden by an inner one is back when the inner element closes
 	"<a xmlns:p='1'><b xmlns:p='2' xmlns:q='3' p:x='' q:x=''><c xmlns:p='' p:x=''/><c p:x=''/></b><b p:x='' q:x=''/></a>",
 	// self-closing tags, single-quoted attributes, spaces where they may be

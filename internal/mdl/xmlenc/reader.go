@@ -525,9 +525,11 @@ func (r *Reader) attributes() (open bool, err error) {
 			switch {
 			case prefix == nil:
 			case string(prefix) == "xmlns":
-				a.text, _ = r.value(a.value)
-				a.valued = true
-				bound := string(local)
+				// The prefix and its namespace are labels: a flow's
+				// documents declare the same ones.
+				space, _ := r.resolve(a.value)
+				a.text, a.valued = r.label(space, false), true
+				bound := r.label(local, false)
 				outer, shadows := r.bound[bound]
 				r.ns = append(r.ns, binding{bound, outer, shadows})
 				r.bound[bound] = a.text

@@ -172,10 +172,10 @@ func TestReaderDepthBound(t *testing.T) {
 
 // TestReaderAllocBudget: tokens cost nothing. Reading a document to its
 // end allocates the strings of its attributes and no more, and read through
-// AttrLabel and AttrValue they cost nothing either: what is left is the
-// namespace each xmlns:prefix declaration binds, a string made as its tag
-// is read, and a label the static table does not know, made once by the
-// first document that has it.
+// AttrLabel and AttrValue they cost nothing either: an xmlns:prefix
+// declaration's prefix and namespace, which bind as its tag is read, and a
+// label the static table does not know are labels, made once by the first
+// document that has them.
 func TestReaderAllocBudget(t *testing.T) {
 	for _, doc := range seeds {
 		data := []byte(doc)
@@ -199,8 +199,8 @@ func TestReaderAllocBudget(t *testing.T) {
 			continue
 		}
 		allocs := testing.AllocsPerRun(100, func() { read() })
-		if declared := strings.Count(doc, "xmlns:"); !testutil.RaceEnabled && int(allocs) > declared {
-			t.Errorf("reading through AttrLabel and AttrValue allocated %.0f times, %d declarations: %.60s", allocs, declared, doc)
+		if !testutil.RaceEnabled && allocs > 0 {
+			t.Errorf("reading through AttrLabel and AttrValue allocated %.0f times, %d declarations: %.60s", allocs, strings.Count(doc, "xmlns:"), doc)
 		}
 	}
 	for _, doc := range seeds[:12] {

@@ -91,18 +91,17 @@ type CompiledProgram struct {
 	handles  []string // slot -> handle name
 	varNames []string // slot -> variable name
 	// reads and writes are what the program reads and assigns into, by
-	// handle (see Reads and Writes), and foreign is set when it may write
-	// into a tree it did not make (see ReadOnly).
+	// handle (see Reads and Writes), foreign is set when it may write into a
+	// tree it did not make (see ReadOnly), and outside when it may read
+	// something no message holds (see FunctionOf).
 	reads   map[string][]Read
 	writes  map[string][]string
 	foreign bool
+	outside bool
 }
 
 // Source returns the original program text.
 func (p *CompiledProgram) Source() string { return p.src }
-
-// Handles returns the message-handle names the program references.
-func (p *CompiledProgram) Handles() []string { return append([]string(nil), p.handles...) }
 
 // ReadOnly reports whether executing the program leaves the message bound
 // to handle, and every tree reachable from it, as it found them — so the
@@ -116,6 +115,20 @@ func (p *CompiledProgram) Handles() []string { return append([]string(nil), p.ha
 func (p *CompiledProgram) ReadOnly(handle string) bool {
 	_, writes := p.writes[handle]
 	return !p.foreign && !writes
+}
+
+// FunctionOf reports whether what the program assigns, and whether it fails,
+// depend on the message bound to handle alone: it reads no other message, no
+// variable it has not assigned before (in its block or an enclosing one, not
+// under a try), and calls none of cache, getcache, sethost or a function of
+// the deployment.
+func (p *CompiledProgram) FunctionOf(handle string) bool {
+	for h := range p.reads {
+		if h != handle {
+			return false
+		}
+	}
+	return !p.outside
 }
 
 // Shape is how much of a field a program reads, least first: a read of one
@@ -774,12 +787,12 @@ type compiler struct {
 	// may return the cache's own tree instead of a clone — nothing can
 	// write through it, and grafts always copy.
 	peekSafe bool
-	// reads, writes and foreign become the CompiledProgram's (see Reads,
-	// Writes and ReadOnly); reads and writes are sorted and made unique
-	// when the walk is done.
+	// reads, writes, foreign and outside become the CompiledProgram's;
+	// reads and writes are sorted and made unique when the walk is done.
 	reads   map[string][]Read
 	writes  map[string][]string
 	foreign bool
+	outside bool
 
 	// builders are the variables every mention of which fits the builder
 	// rule (see cBuild); their `v = newstruct(…)` compiles to cBuild.
@@ -831,6 +844,7 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 		reads:    c.reads,
 		writes:   c.writes,
 		foreign:  c.foreign,
+		outside:  c.outside,
 	}, nil
 }
 
@@ -855,10 +869,11 @@ func joinPath(path string, steps []pathStep) string {
 }
 
 // analyze scans the program for what it reads and writes of each handle
-// (Reads, Writes), and whether it may write into a tree it did not make —
+// (Reads, Writes), whether it may write into a tree it did not make —
 // through a custom function, or under a variable that is no builder it has
-// built before. peekSafe, the gate of the getcache Peek fast path, is
-// stricter: no variable path is assigned at all. It needs builders.
+// built before — and whether it may read what no message holds (FunctionOf).
+// peekSafe, the gate of the getcache Peek fast path, is stricter: no
+// variable path is assigned at all. It needs builders.
 func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 	c.reads, c.writes = map[string][]Read{}, map[string][]string{}
 	varPaths, customCalls := false, false
@@ -871,8 +886,10 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 	}
 	var items []scoped
 	// resolve names the message field a path reaches, directly or through
-	// one of the foreach items in scope.
-	resolve := func(ex *pathExpr) (item, bool) {
+	// one of the foreach items in scope. A path from a variable not in set,
+	// the variables assigned on every way to it, reads what an earlier
+	// program left.
+	resolve := func(ex *pathExpr, set map[string]bool) (item, bool) {
 		root := ex.steps[0].label
 		if handleSet[root] {
 			if len(ex.steps) <= 2 {
@@ -886,13 +903,14 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 				return it.at, it.ok
 			}
 		}
+		c.outside = c.outside || !set[root]
 		return item{}, false
 	}
-	var walkExpr func(e Expr, shape Shape)
-	walkExpr = func(e Expr, shape Shape) {
+	var walkExpr func(e Expr, shape Shape, set map[string]bool)
+	walkExpr = func(e Expr, shape Shape, set map[string]bool) {
 		switch ex := e.(type) {
 		case *pathExpr:
-			if at, ok := resolve(ex); ok {
+			if at, ok := resolve(ex, set); ok {
 				c.reads[at.handle] = append(c.reads[at.handle], Read{at.path, shape})
 			}
 		case *callExpr:
@@ -900,6 +918,10 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 			_, isBuiltin := builtins[ex.name]
 			custom := shadowed || !isBuiltin
 			customCalls = customCalls || custom
+			switch ex.name {
+			case "cache", "getcache", "sethost":
+				c.outside = true
+			}
 			for i, a := range ex.args {
 				arg := ReadValue
 				switch {
@@ -913,28 +935,32 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 					// default returns an argument as it is.
 					arg = max(arg, shape)
 				}
-				walkExpr(a, arg)
+				walkExpr(a, arg, set)
 			}
 		}
 	}
 	// built holds the builder variables built so far on every way to the
-	// statement: a block's builds are its own and its nested blocks'.
-	var walkStmt func(s Stmt, built map[string]bool)
-	walkBlock := func(stmts []Stmt, outer map[string]bool) {
-		built := maps.Clone(outer)
+	// statement, and set the variables assigned so far on every way to it:
+	// a block's are its own and its nested blocks'. An assignment under a
+	// try may not happen, so it sets nothing after the try.
+	var walkStmt func(s Stmt, built, set map[string]bool)
+	walkBlock := func(stmts []Stmt, outerBuilt, outerSet map[string]bool) {
+		built, set := maps.Clone(outerBuilt), maps.Clone(outerSet)
 		for _, s := range stmts {
-			walkStmt(s, built)
+			walkStmt(s, built, set)
 		}
 	}
-	walkStmt = func(s Stmt, built map[string]bool) {
+	walkStmt = func(s Stmt, built, set map[string]bool) {
 		switch st := s.(type) {
 		case *assignStmt:
 			root := st.lhs.steps[0]
 			rhs := ReadValue
-			at, ok := resolve(st.lhs)
-			if ok && (handleSet[root.label] || len(st.lhs.steps) > 1 || root.append) {
-				c.writes[at.handle] = append(c.writes[at.handle], at.path)
+			if handleSet[root.label] || len(st.lhs.steps) > 1 || root.append {
+				if at, ok := resolve(st.lhs, set); ok {
+					c.writes[at.handle] = append(c.writes[at.handle], at.path)
+				}
 			}
+			assigns := false // v = …: the statement sets variable v
 			switch {
 			case handleSet[root.label]:
 				if len(st.lhs.steps) == 2 {
@@ -947,29 +973,33 @@ func (c *compiler) analyze(stmts []Stmt, handleSet map[string]bool) {
 				}
 			case c.builders[root.label]:
 				// Every `v = …` of a builder variable is a builder call.
-				built[root.label] = true
+				built[root.label], assigns = true, true
 			default:
 				// v = expr: v aliases what expr reads.
-				rhs = ReadWhole
+				rhs, assigns = ReadWhole, true
 			}
-			walkExpr(st.rhs, rhs)
+			walkExpr(st.rhs, rhs, set)
+			if assigns {
+				set[root.label] = true
+			}
 		case *callStmt:
-			walkExpr(st.call, ReadValue)
+			walkExpr(st.call, ReadValue, set)
 		case *foreachStmt:
-			at, ok := resolve(st.src)
+			at, ok := resolve(st.src, set)
 			if ok {
 				c.reads[at.handle] = append(c.reads[at.handle], Read{at.path, ReadLabel})
 			}
 			items = append(items, scoped{st.varName, at, ok})
-			walkBlock(st.body, built)
+			walkBlock(st.body, built, set)
 			items = items[:len(items)-1]
 		case *tryStmt:
-			walkStmt(st.inner, built)
+			walkStmt(st.inner, built, maps.Clone(set))
 		}
 	}
-	walkBlock(stmts, map[string]bool{})
+	walkBlock(stmts, map[string]bool{}, map[string]bool{})
 	c.peekSafe = !varPaths && !customCalls
 	c.foreign = c.foreign || customCalls
+	c.outside = c.outside || customCalls
 }
 
 // builderCall reports whether e is newstruct or newarray — the builtin, not

@@ -404,9 +404,8 @@ func TestCompiledProgramAccessors(t *testing.T) {
 	if compiled.Source() != src {
 		t.Errorf("Source() = %q", compiled.Source())
 	}
-	hs := compiled.Handles()
-	if len(hs) != 2 {
-		t.Errorf("Handles() = %v, want m1 and m2", hs)
+	if hs := compiled.handles; len(hs) != 2 {
+		t.Errorf("handles = %v, want m1 and m2", hs)
 	}
 }
 
@@ -628,8 +627,8 @@ func TestCompileReportsHandleSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs := compiled.Handles(); len(hs) != 1 || hs[0] != "m2" {
-		t.Fatalf("Handles() = %v, want [m2]", hs)
+	if hs := compiled.handles; len(hs) != 1 || hs[0] != "m2" {
+		t.Fatalf("handles = %v, want [m2]", hs)
 	}
 }
 
@@ -1104,6 +1103,107 @@ func TestReadOnly(t *testing.T) {
 				t.Errorf("a read-only program changed %s: %v, was %v", tc.handle, msg, before)
 			}
 		})
+	}
+}
+
+// functionOfCases name what FunctionOf must decide for handle m of each
+// program, over fuzzFixture.
+var functionOfCases = []struct {
+	name  string
+	src   string
+	funcs map[string]Func
+	want  bool
+}{
+	{name: "the Fig. 9 idiom reads the reply and builds its own", want: true, src: `
+out.O.photos = newarray("photos")
+foreach e in m.M.list.item {
+  p = newstruct("item")
+  p.id = e.id
+  try p.owner = e.nobody
+  out.O.photos.item[] = p
+}
+out.O.total = count(m.M)`},
+	{name: "a variable read after it is assigned", want: true, src: `
+x = "none"
+foreach e in m.M.list.item {
+  x = e.id
+}
+out.O.x = x`},
+	{name: "another message is read", want: false, src: `out.O.x = b.Msg.y`},
+	{name: "a variable an earlier program left is read", want: false, src: `out.O.x = v`},
+	{name: "a variable is read before the loop body assigns it", want: false, src: `
+foreach e in m.M.list.item {
+  out.O.i[] = x
+  x = e.id
+}`},
+	{name: "a variable assigned under a try may not be", want: false, src: `
+try x = m.M.nobody
+out.O.x = x`},
+	{name: "a foreach item is read after its loop", want: false, src: `
+foreach e in m.M.list.item {
+  out.O.n[] = e.id
+}
+out.O.last = e`},
+	{name: "a variable an earlier program left is written under", want: false, src: `
+v.x = m.M.list.item.id
+out.O.v = v`},
+	{name: "the session cache is read", want: false, src: `out.O.c = getcache("k")`},
+	{name: "the session cache is written", want: false, src: `cache("k2", m.M.list)`},
+	{name: "the host is set", want: false, src: `sethost(m.M.list.item.v)`},
+	{name: "a function of the deployment is called", want: false,
+		funcs: map[string]Func{"stamp": func(*Env, []any) (any, error) { return "s", nil }},
+		src:   `out.O.s = stamp(m.M.list.item.id)`},
+}
+
+// TestFunctionOf holds FunctionOf to the table, and a program it calls a
+// function of m to its word: run on two Envs that bind equal messages to m
+// and differ in everything else an Env holds — the other messages, the
+// variables an earlier program left, the session cache, the host — it
+// writes the same message and ends the same way.
+func TestFunctionOf(t *testing.T) {
+	for _, tc := range functionOfCases {
+		t.Run(tc.name, func(t *testing.T) {
+			compiled, err := Compile(MustParse(tc.src), CompileOptions{Handles: fuzzHandles, Funcs: tc.funcs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := compiled.FunctionOf("m"); got != tc.want {
+				t.Fatalf("FunctionOf(m) = %v, want %v", got, tc.want)
+			}
+			functionOfHolds(t, compiled, tc.funcs)
+		})
+	}
+}
+
+// functionOfHolds holds a program FunctionOf calls a function of m to its
+// word: run on two Envs that bind equal messages to m and differ in
+// everything else an Env holds — message b, the variables an earlier
+// program left, the session cache, the host — it ends the same way and
+// leaves the same messages at a, m and out.
+func functionOfHolds(t *testing.T, prog *CompiledProgram, funcs map[string]Func) {
+	t.Helper()
+	if !prog.FunctionOf("m") {
+		return
+	}
+	clean, used := fuzzFixture(), fuzzFixture()
+	used.Bind("b", message.New("Msg", message.NewPrimitive("y", message.TypeInt64, 2)))
+	for _, v := range []string{"x", "v", "e", "p"} {
+		used.Vars[v] = "left"
+	}
+	used.Cache.Put("k", message.NewPrimitive("cached", message.TypeString, "other"))
+	used.Host = "elsewhere"
+	var errs [2]error
+	for i, env := range []*Env{clean, used} {
+		env.Funcs = funcs
+		errs[i] = prog.Exec(env)
+	}
+	if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+		t.Fatalf("two runs over one m end differently: %v, then %v\n%s", errs[0], errs[1], prog.Source())
+	}
+	for _, h := range []string{"a", "m", "out"} {
+		if !clean.Message(h).Equal(used.Message(h)) {
+			t.Fatalf("two runs over one m wrote %s differently: %v, then %v\n%s", h, clean.Message(h), used.Message(h), prog.Source())
+		}
 	}
 }
 

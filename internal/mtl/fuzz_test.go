@@ -32,7 +32,8 @@ func FuzzParse(f *testing.F) {
 // that parses must compile, and executing the compiled form against a
 // fixture environment — twice on one Env, see diffRuns — must produce
 // exactly the interpreter's observable state: outcome, message trees, host
-// retarget and variables.
+// retarget and variables. A program FunctionOf calls a function of m does
+// the same over an Env that differs in all but m (functionOfHolds).
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"a.Msg.x = b.Msg.y",
@@ -70,7 +71,9 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		readsSuffice(t, diffRuns(t, prog, CompileOptions{Handles: fuzzHandles}, fuzzFixture))
+		compiled := diffRuns(t, prog, CompileOptions{Handles: fuzzHandles}, fuzzFixture)
+		readsSuffice(t, compiled)
+		functionOfHolds(t, compiled, nil)
 	})
 }
 

@@ -315,11 +315,17 @@ func statusHead(data []byte) (proto []byte, status int, reason, fields, body []b
 	code, reason, _ := bytes.Cut(after, sp)
 	if !ok || !bytes.HasPrefix(proto, []byte("HTTP/")) {
 		err = fmt.Errorf("%w: status line %q", ErrMalformed, line)
-	} else if status, err = strconv.Atoi(string(code)); err != nil {
+	} else if len(code) != 3 || code[0] < '1' || code[0] > '9' || !isDigit(code[1]) || !isDigit(code[2]) {
+		// RFC 9112 §4: status-code = 3DIGIT. One under 100, which RFC 9110
+		// §15 does not define, would not write back as three digits.
 		err = fmt.Errorf("%w: status %q", ErrMalformed, code)
+	} else {
+		status = int(code[0]-'0')*100 + int(code[1]-'0')*10 + int(code[2]-'0')
 	}
 	return
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // startLine cuts a message behind the blank line that ends its header
 // block, and its head behind the start line: the start line, the header

@@ -94,6 +94,12 @@ func TestParseErrors(t *testing.T) {
 		"NOTHTTP 200 OK\r\n\r\n",
 		"HTTP/1.1 abc OK\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nbroken\r\n\r\n",
+		// A status code is three ASCII digits (RFC 9112 §4).
+		"HTTP/1.1 +200 OK\r\n\r\n",
+		"HTTP/1.1 0201 Created\r\n\r\n",
+		"HTTP/1.1 20 OK\r\n\r\n",
+		"HTTP/1.1 2000 OK\r\n\r\n",
+		"HTTP/1.1 099 OK\r\n\r\n",
 	}
 	for _, raw := range badResponses {
 		if _, err := ParseResponse([]byte(raw)); !errors.Is(err, ErrMalformed) {

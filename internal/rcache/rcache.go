@@ -15,7 +15,8 @@
 // follower gets the same *message.Message, and any number of goroutines may
 // read it at once. A caller that may write into a reply it got from here
 // copies it first (the engine decides that per receive state, from its
-// compiled γ programs).
+// compiled γ programs). Beside the reply an entry keeps one value of its
+// callers' (Entry.Keep), dropped with it and never read by the cache.
 //
 // Entries are keyed by a canonical rendering of the outbound
 // service-side abstract message (operation, resolved service address,
@@ -93,18 +94,35 @@ type Flight struct {
 	stale bool             // racing Invalidate: fulfil waiters but skip the store
 }
 
-type entry struct {
+// Entry is a stored reply as Lookup serves it; a reply stored again is a new Entry.
+type Entry struct {
 	key     string
 	op      string
 	reply   *message.Message // stored, read-only, served as it is
+	kept    atomic.Value     // the callers' value (Keep), nil until kept
 	expires time.Time
 	elem    *list.Element
 }
 
+// Reply returns the stored reply, shared with every hit and read-only.
+func (e *Entry) Reply() *message.Message { return e.reply }
+
+// Keep keeps v, not nil, beside the reply unless a value is kept, and returns
+// the value kept: of callers at once, one keeps its own and all get that one.
+func (e *Entry) Keep(v any) any {
+	if e.kept.CompareAndSwap(nil, v) {
+		return v
+	}
+	return e.kept.Load()
+}
+
+// Kept returns the value kept beside the entry's reply, nil if none is.
+func (e *Entry) Kept() any { return e.kept.Load() }
+
 type shard struct {
 	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // front = most recently used; Value is *entry
+	entries map[string]*Entry
+	lru     *list.List // front = most recently used; Value is *Entry
 	flights map[string]*Flight
 	cap     int
 }
@@ -138,7 +156,7 @@ func New(opts Options) *Cache {
 	c := &Cache{shards: make([]*shard, n)}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			entries: make(map[string]*entry),
+			entries: make(map[string]*Entry),
 			lru:     list.New(),
 			flights: make(map[string]*Flight),
 			cap:     perShard,
@@ -156,18 +174,6 @@ func (c *Cache) Stats() Stats {
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
 	}
-}
-
-// Len returns the number of live entries across all shards (expired
-// entries not yet collected are counted).
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // fnv1a hashes the key without allocating.
@@ -198,16 +204,24 @@ func (c *Cache) shardFor(key string) *shard {
 //   - lead a new flight: (nil, flight, true) — perform the exchange,
 //     then Fulfill or Abort the flight.
 func (c *Cache) Acquire(op, key string) (*message.Message, *Flight, bool) {
+	e, f, lead := c.Lookup(op, key)
+	if e != nil {
+		return e.reply, nil, false
+	}
+	return nil, f, lead
+}
+
+// Lookup is Acquire serving a hit as the entry that holds the reply.
+func (c *Cache) Lookup(op, key string) (*Entry, *Flight, bool) {
 	s := c.shardFor(key)
 	now := time.Now()
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		if now.Before(e.expires) {
 			s.lru.MoveToFront(e.elem)
-			reply := e.reply
 			s.mu.Unlock()
 			c.hits.Add(1)
-			return reply, nil, false
+			return e, nil, false
 		}
 		s.removeLocked(e)
 		c.evictions.Add(1)
@@ -303,16 +317,14 @@ func (c *Cache) Put(op, key string, reply *message.Message, ttl time.Duration) {
 	s.mu.Unlock()
 }
 
-// storeLocked inserts or refreshes an entry; the shard mutex is held.
+// storeLocked inserts an entry, in place of the key's entry if it has one
+// (what was kept beside that reply is not the new one's); the shard mutex
+// is held.
 func (c *Cache) storeLocked(s *shard, key, op string, reply *message.Message, expires time.Time) {
 	if e, ok := s.entries[key]; ok {
-		e.reply = reply
-		e.op = op
-		e.expires = expires
-		s.lru.MoveToFront(e.elem)
-		return
+		s.removeLocked(e)
 	}
-	e := &entry{key: key, op: op, reply: reply, expires: expires}
+	e := &Entry{key: key, op: op, reply: reply, expires: expires}
 	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
 	for len(s.entries) > s.cap {
@@ -320,12 +332,12 @@ func (c *Cache) storeLocked(s *shard, key, op string, reply *message.Message, ex
 		if back == nil {
 			break
 		}
-		s.removeLocked(back.Value.(*entry))
+		s.removeLocked(back.Value.(*Entry))
 		c.evictions.Add(1)
 	}
 }
 
-func (s *shard) removeLocked(e *entry) {
+func (s *shard) removeLocked(e *Entry) {
 	delete(s.entries, e.key)
 	s.lru.Remove(e.elem)
 }

@@ -18,6 +18,18 @@ func reply(v string) *message.Message {
 	)
 }
 
+// entries counts the stored entries across all shards, expired ones not
+// yet collected included.
+func entries(c *Cache) int {
+	n := 0
+	for _, s := range c.shards {
+		s.mu.Lock()
+		n += len(s.entries)
+		s.mu.Unlock()
+	}
+	return n
+}
+
 func req(q string) *message.Message {
 	msg := message.New("Req", message.NewPrimitive("q", message.TypeString, q))
 	msg.ID = 42
@@ -202,8 +214,8 @@ func TestInvalidate(t *testing.T) {
 	if n := c.Invalidate([]string{"read.a"}); n != 2 {
 		t.Fatalf("Invalidate removed %d, want 2", n)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after invalidation, want 1", c.Len())
+	if entries(c) != 1 {
+		t.Fatalf("Len = %d after invalidation, want 1", entries(c))
 	}
 	if got, _, _ := c.Acquire("read.b", "k2"); got == nil {
 		t.Fatal("unrelated operation was invalidated")
@@ -240,8 +252,8 @@ func TestLRUBound(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		c.Put("op", fmt.Sprintf("k%d", i), reply("v"), time.Minute)
 	}
-	if c.Len() > 8 {
-		t.Fatalf("cache holds %d entries, bound is 8", c.Len())
+	if entries(c) > 8 {
+		t.Fatalf("cache holds %d entries, bound is 8", entries(c))
 	}
 	if st := c.Stats(); st.Evictions != 42 {
 		t.Fatalf("evictions = %d, want 42", st.Evictions)
@@ -299,4 +311,93 @@ func TestConcurrentMixedUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// kept stores reply("r") under key, looks it up and keeps a value beside
+// it, then returns the entry.
+func kept(t *testing.T, c *Cache, key string, ttl time.Duration) *Entry {
+	t.Helper()
+	c.Put("op", key, reply("r"), ttl)
+	e, _, _ := c.Lookup("op", key)
+	if e == nil {
+		t.Fatal("no hit on a reply just stored")
+	}
+	if v := "rendered " + key; e.Keep(v) != v || e.Kept() != v {
+		t.Fatalf("the first Keep kept %v", e.Kept())
+	}
+	return e
+}
+
+// TestKeptDroppedWithEntry: a value kept beside a reply lives as long as
+// the reply's entry. Once the entry is gone — its TTL past, pushed out of
+// the LRU, invalidated, flushed or stored again — the key's next entry
+// holds nothing kept.
+func TestKeptDroppedWithEntry(t *testing.T) {
+	cases := []struct {
+		name string
+		drop func(c *Cache, key string)
+	}{
+		{"ttl", func(c *Cache, key string) { time.Sleep(30 * time.Millisecond) }},
+		{"lru", func(c *Cache, key string) { c.Put("op", "other", reply("o"), time.Minute) }},
+		{"invalidate", func(c *Cache, key string) { c.Invalidate([]string{"op"}) }},
+		{"flush", func(c *Cache, key string) { c.Flush() }},
+		{"stored again", func(c *Cache, key string) { c.Put("op", key, reply("r2"), time.Minute) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Options{MaxEntries: 1, Shards: 1})
+			ttl := time.Minute
+			if tc.name == "ttl" {
+				ttl = 20 * time.Millisecond
+			}
+			kept(t, c, "k", ttl)
+			tc.drop(c, "k")
+			if tc.name != "stored again" {
+				if e, _, _ := c.Lookup("op", "k"); e != nil {
+					t.Fatal("the entry outlived its drop")
+				}
+				c.Put("op", "k", reply("r"), time.Minute)
+			}
+			e, _, _ := c.Lookup("op", "k")
+			if e == nil {
+				t.Fatal("no hit on the reply stored again")
+			}
+			if v := e.Kept(); v != nil {
+				t.Errorf("the key's new entry holds %v, kept beside the one dropped", v)
+			}
+		})
+	}
+}
+
+// TestKeepRaceSetsOnce: 64 goroutines hit one entry at once and each
+// keeps a value of its own beside it. One value is kept, and every one of
+// them is handed that one (run under make race).
+func TestKeepRaceSetsOnce(t *testing.T) {
+	const n = 64
+	c := New(Options{})
+	c.Put("op", "k", reply("r"), time.Minute)
+	got := make([]any, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			e, _, _ := c.Lookup("op", "k")
+			if e == nil {
+				t.Error("no hit")
+				return
+			}
+			got[i] = e.Keep(&[]byte{byte(i)})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	e, _, _ := c.Lookup("op", "k")
+	for i, v := range got {
+		if v != e.Kept() {
+			t.Fatalf("goroutine %d was handed %p, the entry keeps %p", i, v, e.Kept())
+		}
+	}
 }
