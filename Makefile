@@ -24,8 +24,12 @@ race:
 # themselves (internal/testutil.RaceEnabled), but the pooled buffers,
 # recycled environments and in-place path walks they drive still run
 # with full race checking — that is the point of this pass.
+# Every alternative of the pattern must match a test of those packages, or
+# a rename would leave this pass running nothing of it; `make check` says so.
+RACE_ALLOC_RUN = AllocBudget|TestParsedRequestPoisonedPastItsFlow|TestOneFlowSessionReusesTheStore|TestStoreResetPoisons
+RACE_ALLOC_PKGS = ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache ./internal/engine
 race-alloc:
-	$(GO) test -race -run 'AllocBudget|TestParsedRequestPoisonedPastItsFlow|TestOneFlowSessionReusesTheStore|TestStoreResetPoisons' ./internal/message ./internal/mtl ./internal/mdl/... ./internal/network ./internal/protocol/... ./internal/bind ./internal/rcache ./internal/engine
+	$(GO) test -race -run '$(RACE_ALLOC_RUN)' $(RACE_ALLOC_PKGS)
 
 # The full gate: tier-1, gofmt, vet, the race passes, then checks of its own. The
 # engine's tests run fifty times in shuffled order, so a counter or trace
@@ -33,7 +37,8 @@ race-alloc:
 # in tier-1. The experiment index cannot cite a test that was renamed away:
 # every Test or Fuzz name DESIGN.md and EXPERIMENTS.md quote in full must be
 # one `go test -list` finds, in the package the quote names if it names one,
-# and the DESIGN.md §4 row of every experiment of the suite must quote at
+# as must every alternative of race-alloc's -run pattern among that pass's
+# packages, and the DESIGN.md §4 row of every experiment of the suite must quote at
 # least one, package and all. What bench/ and the package tests replaced
 # must not be quoted again: no file outside the four that record the
 # removal may name one of the old JSON baselines, functions or flags, the
@@ -157,6 +162,10 @@ check: test
 	bad=0; \
 	for name in $$(grep -ohE '`([a-z]+\.)?(Test|Fuzz)[A-Za-z0-9_]+`' DESIGN.md EXPERIMENTS.md | tr -d '`' | sort -u); do \
 		echo "$$have" | grep -qxF "$$name" || { echo "check: DESIGN.md or EXPERIMENTS.md quotes $$name, which go test -list does not find"; bad=1; }; \
+	done; \
+	for alt in $$(echo '$(RACE_ALLOC_RUN)' | tr '|' ' '); do \
+		$(GO) test -list "$$alt" $(RACE_ALLOC_PKGS) | grep -q '^Test' || \
+			{ echo "check: make race-alloc runs $$alt, which go test -list does not find in its packages"; bad=1; }; \
 	done; \
 	for e in 1 2 3 4 5 6 7 9 10 11 12 14 16 17 18 19; do \
 		grep -E "^\| E$$e \|" DESIGN.md | grep -qE '`[a-z]+\.(Test|Fuzz)[A-Za-z0-9_]+`' || \

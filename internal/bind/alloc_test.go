@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -327,5 +328,40 @@ func TestXMLRPCParseRequestAllocBudget(t *testing.T) {
 	}
 	if total > 17 {
 		t.Errorf("binding the four requests of a flickr_flow flow allocated %.0f times, budget 17", total)
+	}
+}
+
+// TestSOAPBuildAllocBudget pins what the SOAP binder's append forms cost an
+// add_steady flow, whose operands are seeded past the integers strconv
+// keeps strings of: the Plus request built and the Plus reply of the
+// reverse direction, each into a buffer the caller lends. A number is
+// appended into the envelope where it stands (soap.AppendRequestFields),
+// never made a string, and the envelope is rendered in a pooled body
+// buffer. Measured: 0 and 1, the reply's <PlusResponse> name, where a
+// string per integer parameter made them 2 and 2.
+func TestSOAPBuildAllocBudget(t *testing.T) {
+	service := &SOAPBinder{Path: "/soap"}
+	plus := message.New("Plus", message.NewInt64("x", 123456789), message.NewInt64("y", -987654321))
+	sum := message.New("Plus.reply", message.NewInt64("result", 123456789-987654321))
+	dst := make([]byte, 0, 1024)
+	for _, step := range []struct {
+		name, want string
+		budget     float64
+		call       func() ([]byte, error)
+	}{
+		{"AppendRequest", "<y>-987654321</y>", 0, func() ([]byte, error) { return service.AppendRequest(dst[:0], "Plus", plus) }},
+		{"AppendReply", "<result>-864197532</result>", 1, func() ([]byte, error) { return service.AppendReply(dst[:0], "Plus", sum) }},
+	} {
+		if packet, err := step.call(); err != nil || !bytes.Contains(packet, []byte(step.want)) {
+			t.Fatalf("%s: %q, %v", step.name, packet, err)
+		}
+		allocs := testing.AllocsPerRun(200, func() { step.call() })
+		if testutil.RaceEnabled {
+			t.Logf("race detector enabled; %s measured %.1f allocs unasserted", step.name, allocs)
+			continue
+		}
+		if allocs > step.budget {
+			t.Errorf("SOAP %s allocated %.1f times, budget %.0f", step.name, allocs, step.budget)
+		}
 	}
 }

@@ -60,9 +60,8 @@ func (b *SOAPBinder) BuildRequest(action string, abs *message.Message) ([]byte, 
 func (b *SOAPBinder) AppendRequest(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	body := getBody()
 	defer putBody(body)
-	var few [8]soap.Param
 	var err error
-	if *body, err = soap.AppendRequest(*body, action, fieldsToParams(few[:0], abs.Fields)); err != nil {
+	if *body, err = soap.AppendRequestFields(*body, action, abs.Fields); err != nil {
 		return dst, err
 	}
 	req := &httpwire.Request{
@@ -106,9 +105,8 @@ func (b *SOAPBinder) BuildReply(action string, abs *message.Message) ([]byte, er
 func (b *SOAPBinder) AppendReply(dst []byte, action string, abs *message.Message) ([]byte, error) {
 	body := getBody()
 	defer putBody(body)
-	var few [8]soap.Param
 	var err error
-	if *body, err = soap.AppendResponse(*body, action, fieldsToParams(few[:0], abs.Fields)); err != nil {
+	if *body, err = soap.AppendResponseFields(*body, action, abs.Fields); err != nil {
 		return dst, err
 	}
 	resp := &httpwire.Response{
@@ -134,24 +132,3 @@ func (b *SOAPBinder) BuildErrorReply(action string, _ *message.Message, errMsg s
 }
 
 var _ ErrorReplier = (*SOAPBinder)(nil)
-
-// fieldsToParams flattens abstract fields to named SOAP parameters,
-// appended to out — the builds' lists start on their stacks, where the
-// parameters of most calls fit. Structured fields flatten to one parameter
-// per leaf; repeated fields become repeated parameters.
-func fieldsToParams(out []soap.Param, fields []*message.Field) []soap.Param {
-	for _, f := range fields {
-		if f.Type.Primitive() {
-			out = append(out, soap.Param{Name: f.Label, Value: f.ValueString()})
-			continue
-		}
-		for _, c := range f.Children {
-			if c.Type.Primitive() {
-				out = append(out, soap.Param{Name: c.Label, Value: c.ValueString()})
-			} else {
-				out = fieldsToParams(out, c.Children)
-			}
-		}
-	}
-	return out
-}

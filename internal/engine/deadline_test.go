@@ -100,29 +100,55 @@ func TestFlowDeadlineBoundsDial(t *testing.T) {
 // WaitTimeouts count.
 func TestFlowDeadlineBoundsPoolWait(t *testing.T) {
 	const budget = 300 * time.Millisecond
-	med := startStallAddPlus(t, 0, func(cfg *engine.Config) {
+	// The waiter's flow starts first and is held at its start until the
+	// holder's flow has sent its request to the stalling service: a flow in
+	// progress then pins the single pool slot past the end of the waiter's
+	// budget, which began first.
+	started, pinned := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	med := startStallAddPlus(t, 2*budget, func(cfg *engine.Config) {
 		cfg.FlowDeadline = budget
 		cfg.PoolSize = 1
+		cfg.Trace = func(ev engine.TraceEvent) {
+			switch {
+			case ev.Session == 1 && ev.Kind == engine.TraceFlowStart:
+				close(started)
+				select {
+				case <-pinned:
+				case <-time.After(5 * time.Second):
+				}
+			case ev.Session == 2 && ev.Kind == engine.TraceTransition && ev.Color == 2:
+				once.Do(func() { close(pinned) })
+			}
+		}
 	})
-	// Session A completes a flow and stays connected: its service link
-	// is held for the session's lifetime, pinning the single pool slot.
-	holder, err := giop.Dial(med.Addr(), "calc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder.Close()
-	if _, err := holder.Invoke("Add", giop.IntParam(1), giop.IntParam(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Session B must wait for the slot; the wait is clipped to its flow
-	// budget, far below the 10s dial timeout that used to bound it.
 	waiter, err := giop.Dial(med.Addr(), "calc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer waiter.Close()
 	start := time.Now()
-	if _, err := waiter.Invoke("Add", giop.IntParam(2), giop.IntParam(2)); err == nil {
+	waited := make(chan error, 1)
+	go func() {
+		_, err := waiter.Invoke("Add", giop.IntParam(2), giop.IntParam(2))
+		waited <- err
+	}()
+	<-started
+	time.Sleep(budget / 6)
+	holder, err := giop.Dial(med.Addr(), "calc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		holder.Invoke("Add", giop.IntParam(1), giop.IntParam(1)) // fails at its budget
+	}()
+	defer func() { <-held }()
+	// The waiter's wait is clipped to its flow budget, far below the 10s
+	// dial timeout that used to bound it.
+	if err := <-waited; err == nil {
 		t.Fatal("invoke succeeded with the pool slot held")
 	}
 	if elapsed := time.Since(start); elapsed >= 4*budget {

@@ -264,10 +264,10 @@ type flow struct {
 
 // reset starts a traversal of p whose γ programs keep their cache/getcache
 // entries in cache, and returns its first action. The env and the bound
-// messages of the traversal before are reused.
+// messages of the traversal before are reused, whichever session it was of.
 func (f *flow) reset(p *plan, cache *mtl.Cache) action {
 	if f.env == nil {
-		f.env = mtl.NewEnv(cache)
+		f.env = mtl.NewEnv(nil)
 		f.env.Funcs = p.funcs
 		f.bound = make([]*message.Message, len(p.steps))
 		for i := range f.bound {
@@ -275,6 +275,7 @@ func (f *flow) reset(p *plan, cache *mtl.Cache) action {
 		}
 	}
 	f.release()
+	f.env.Cache = cache
 	for i, msg := range f.bound {
 		msg.Name, msg.Fields, msg.ID = "", msg.Fields[:0], 0
 		f.env.Bind(p.steps[i].name, msg)
@@ -285,8 +286,8 @@ func (f *flow) reset(p *plan, cache *mtl.Cache) action {
 
 // release ends the traversal's hold on what it made and bound: the env is
 // reset, which takes back every message the flow parsed into its store and
-// every node its γ programs built, so a session parked between flows holds
-// none of them, nor a reply the cache shares.
+// every node its γ programs built, so a flow state given back holds none of
+// them, nor a reply the cache shares.
 func (f *flow) release() {
 	if f.env != nil {
 		f.env.Reset()

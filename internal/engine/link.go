@@ -36,7 +36,6 @@ const (
 	evStopping       // the mediator is stopping: no checkout, no sleep
 	evAck            // a release, report, sleep, abort or cache action was done
 	evFlowEnd
-	evClose // the session ends
 )
 
 // linkActionKind is what the machine asks the shell to do.
@@ -120,8 +119,8 @@ type linkPolicy struct {
 	exchange, dial time.Duration
 }
 
-// link is the machine: its policy and its state. It is laid out small, for
-// a session is allocated per client connection.
+// link is the machine: its policy and its state, of one flow. It is laid
+// out small, for a flow state holds one per service colour.
 type link struct {
 	p         *linkPolicy
 	receiving bool           // the phase: the receive, else the send
@@ -225,12 +224,12 @@ func (l *link) next(ev linkEvent) linkAction {
 		case aFulfil, aStore:
 			l.step = aDone
 		}
-	case evFlowEnd, evClose:
-		if l.held && (ev.kind == evClose || l.pending) {
-			l.drop = l.giveBack() // no flow inherits a reply it did not ask for
+	case evFlowEnd:
+		if l.held {
+			l.drop = l.giveBack() // a connection is held for a flow, not a session
 		}
 		l.abort = l.role == roleLead
-		l.role, l.step, l.sent, l.cause = roleNone, aDone, false, ev.err
+		l.role, l.step, l.sent, l.cause, l.avoid = roleNone, aDone, false, ev.err, ""
 	}
 	act := l.decide()
 	l.asked = act.kind

@@ -288,8 +288,8 @@ func renderLinkAction(act linkAction) string {
 	return b.String()
 }
 
-// linkDriver is what a session does with a link: phases, flow ends and a
-// close. The machine and the model each implement it.
+// linkDriver is what a session's flows do with a link: phases and flow
+// ends. The machine and the model each implement it.
 type linkDriver interface {
 	phase(start linkEvent) linkAction
 	end(ev linkEvent) linkAction
@@ -342,13 +342,14 @@ func (w *linkWorld) session(d linkDriver) {
 		if w.flightOpen {
 			w.failf("the flow ended with a flight led")
 		}
+		if w.held {
+			w.failf("the flow ended with a connection held")
+		}
 		if failed != nil {
 			break
 		}
-		w.now += w.upTo(time.Second)
+		w.now, w.mustAvoid = w.now+w.upTo(time.Second), ""
 	}
-	w.log = append(w.log, "close")
-	w.ended(d.end(w.event(linkEvent{kind: evClose})))
 }
 
 // refLink is the link the obvious way: the retry loop as a loop, each
@@ -520,13 +521,13 @@ func (r *refLink) release(fate connFate) {
 
 func (r *refLink) end(ev linkEvent) linkAction {
 	r.left = ev.left
-	if r.held && (ev.kind == evClose || r.pending) {
+	if r.held {
 		r.release(r.giveBack())
 	}
 	if r.role == roleLead {
 		r.do(linkAction{kind: aAbort, err: ev.err})
 	}
-	r.role, r.sent = roleNone, false
+	r.role, r.sent, r.avoid = roleNone, false, ""
 	return linkDone
 }
 
@@ -592,7 +593,8 @@ func TestLinkMatchesModel(t *testing.T) {
 
 // TestLinkStepAllocBudget: the machine allocates nothing. A led exchange
 // to a replica set that loses its reply, backs off, replays and is
-// fulfilled, then a flow end and a close, are fed event by event.
+// fulfilled, then a flow end that gives the connection back, are fed event
+// by event.
 func TestLinkStepAllocBudget(t *testing.T) {
 	script := []linkEvent{
 		{kind: evLead, left: time.Second},
@@ -612,7 +614,6 @@ func TestLinkStepAllocBudget(t *testing.T) {
 		{kind: evParsed, left: time.Second},
 		{kind: evAck, left: time.Second}, // fulfil
 		{kind: evFlowEnd, left: time.Second},
-		{kind: evClose, left: time.Second},
 		{kind: evAck, left: time.Second}, // release
 	}
 	l := link{p: &linkPolicy{retry: RetryPolicy{Attempts: 2}, exchange: time.Second, dial: time.Second}}

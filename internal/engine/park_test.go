@@ -19,7 +19,8 @@ import (
 // keeps no packet alive. The Add flow's service reply here carries a 1 MiB
 // note; once the client has its answer and the session waits for the next
 // request, neither that reply (the last packet received) nor the request
-// sent for it (kept for replay) is held, and no packet buffer is.
+// sent for it (kept for replay) is held, and no packet buffer is: the
+// session holds no flow state, and the one it gave back holds none.
 func TestParkedSessionHoldsNoPacket(t *testing.T) {
 	note := strings.Repeat("n", 1<<20)
 	srv, err := soap.NewServer("127.0.0.1:0", "/soap", map[string]soap.Operation{
@@ -103,13 +104,19 @@ func TestParkedSessionHoldsNoPacket(t *testing.T) {
 	if s.flow != 2 {
 		t.Fatalf("parked in flow %d, want 2", s.flow)
 	}
-	if s.lastRecv != nil || s.recvBuf.p != nil || s.replyBuf.p != nil {
-		t.Errorf("parked session holds %d bytes of its last packet, receive buffer %v, reply buffer %v",
-			len(s.lastRecv), s.recvBuf.p != nil, s.replyBuf.p != nil)
+	// The parked session holds no flow state: the one its flow took is the
+	// mediator's again, and holds no packet either.
+	if len(med.spares) != 1 {
+		t.Fatalf("the mediator keeps %d flow states, want the one the flow gave back", len(med.spares))
 	}
-	for _, l := range s.links {
-		if l.reqBuf.p != nil {
-			t.Errorf("parked session's link to color %d holds its last request's buffer", l.color)
+	f := med.spares[0]
+	if f.session != nil || f.lastRecv != nil || f.recvBuf.p != nil || f.replyBuf.p != nil {
+		t.Errorf("the flow state given back keeps session %v, %d bytes of its last packet, receive buffer %v, reply buffer %v",
+			f.session != nil, len(f.lastRecv), f.recvBuf.p != nil, f.replyBuf.p != nil)
+	}
+	for _, l := range f.links {
+		if l.reqBuf.p != nil || l.conn != nil {
+			t.Errorf("the link to color %d given back holds its last request's buffer (%v) or a connection (%v)", l.color, l.reqBuf.p != nil, l.conn != nil)
 		}
 	}
 }

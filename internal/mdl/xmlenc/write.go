@@ -156,11 +156,12 @@ func (w *Writer) leaf(name string) {
 	w.buf = append(append(append(w.buf, '<'), name...), '>')
 }
 
-// field writes f and its subtree, the inverse of DecodeTree: a primitive
-// becomes a leaf, a structured field an element whose "@name" children
-// are its attributes, whose "#text" child is its character data and
-// whose other children follow as elements.
-func (w *Writer) field(f *message.Field) {
+// Field writes f and its subtree, the inverse of DecodeTree: a primitive
+// becomes a leaf, its number or boolean appended where it stands, a
+// structured field an element whose "@name" children are its attributes,
+// whose "#text" child is its character data and whose other children
+// follow as elements.
+func (w *Writer) Field(f *message.Field) {
 	if f.Type.Primitive() {
 		w.leaf(f.Label)
 		w.value(f)
@@ -193,7 +194,7 @@ func (w *Writer) children(fields []*message.Field) {
 	}
 	for _, c := range fields {
 		if !strings.HasPrefix(c.Label, "@") && c.Label != "#text" {
-			w.field(c)
+			w.Field(c)
 		}
 	}
 }

@@ -159,6 +159,6 @@ func (c *Codec) AppendCompose(dst []byte, msg *message.Message) ([]byte, error) 
 // the element tree under f, the inverse of DecodeTree.
 func EncodeDoc(f *message.Field) ([]byte, error) {
 	w := NewDoc()
-	w.field(f)
+	w.Field(f)
 	return w.Doc()
 }

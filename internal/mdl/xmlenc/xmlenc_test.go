@@ -309,7 +309,7 @@ func TestWriterReportsMisuse(t *testing.T) {
 		"element left open":           func(w *Writer) { w.Open("a") },
 		"close with nothing open":     func(w *Writer) { w.Open("a"); w.Close(); w.Close() },
 		"failed by the caller":        func(w *Writer) { w.Open("a"); w.Fail(errors.New("no")); w.Close() },
-		"tree rooted at an attribute": func(w *Writer) { w.field(message.NewPrimitive("@k", message.TypeString, "v")) },
+		"tree rooted at an attribute": func(w *Writer) { w.Field(message.NewPrimitive("@k", message.TypeString, "v")) },
 	} {
 		w := NewDoc()
 		misuse(w)

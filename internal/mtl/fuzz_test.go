@@ -61,9 +61,9 @@ func FuzzCompile(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		// Bound the differential run: a program of repeated whole-tree
-		// self-grafts (`x = out` / `out.O.a = x`) doubles state per
-		// statement, and this harness executes everything four times.
+		// Bound the differential run, which executes everything four
+		// times: the source, and through MaxExecNodes what a run of it
+		// grafts and visits (TestWorkBound).
 		if len(src) > 2048 {
 			return
 		}

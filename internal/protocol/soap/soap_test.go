@@ -2,11 +2,13 @@ package soap
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
 	"starlink/internal/mdl/xmlenc"
+	"starlink/internal/message"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -215,4 +217,64 @@ func BenchmarkParseRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestAppendFieldsMatchesParams: the field forms write, byte for byte, the
+// envelope the Param forms write for parameters named and valued as the
+// fields are (Field.ValueString), for every primitive type and its
+// extremes, structured fields flattened to their primitives.
+func TestAppendFieldsMatchesParams(t *testing.T) {
+	rows := []struct {
+		name   string
+		fields []*message.Field
+	}{
+		{"string", []*message.Field{message.NewString("s", `a<b & "c" 'd'`+"\t\n\x01é"), message.NewString("empty", "")}},
+		{"int32", []*message.Field{message.NewPrimitive("n", message.TypeInt32, int32(math.MinInt32)), message.NewPrimitive("m", message.TypeInt32, int32(math.MaxInt32))}},
+		{"int64", []*message.Field{message.NewInt64("n", math.MinInt64), message.NewInt64("m", math.MaxInt64), message.NewInt64("z", 0)}},
+		{"uint32", []*message.Field{message.NewPrimitive("n", message.TypeUint32, uint32(math.MaxUint32))}},
+		{"uint64", []*message.Field{message.NewUint64("n", math.MaxUint64), message.NewUint64("z", 0)}},
+		{"bool", []*message.Field{message.NewBool("t", true), message.NewBool("f", false)}},
+		{"float64", []*message.Field{message.NewFloat64("a", 0.1), message.NewFloat64("b", -1e21), message.NewFloat64("c", math.SmallestNonzeroFloat64), message.NewFloat64("d", math.Inf(1)), message.NewFloat64("e", math.NaN())}},
+		{"bytes", []*message.Field{message.NewBytes("raw", []byte("x&y<\xff")), message.NewBytes("none", nil)}},
+		{"structured", []*message.Field{
+			message.NewInt64("x", 123456),
+			message.NewStruct("pair", message.NewInt64("a", -7), message.NewStruct("deep", message.NewString("b", "8"), message.NewArray("list", message.NewBool("c", true)))),
+			message.NewArray("empty"),
+		}},
+	}
+	for _, row := range rows {
+		params := flatten(nil, row.fields)
+		want, err := AppendRequest(nil, "Op", params)
+		if err != nil {
+			t.Fatal(row.name, err)
+		}
+		got, err := AppendRequestFields([]byte("kept"), "Op", row.fields)
+		if err != nil || string(got) != "kept"+string(want) {
+			t.Errorf("%s request: %q (%v), want %q", row.name, got, err, want)
+		}
+		want, _ = AppendResponse(nil, "Op", params)
+		if got, err := AppendResponseFields(nil, "Op", row.fields); err != nil || string(got) != string(want) {
+			t.Errorf("%s response: %q (%v), want %q", row.name, got, err, want)
+		}
+	}
+}
+
+// flatten is the Param list AppendRequestFields stands for: a primitive is
+// one, a structured field's primitive children are, and the children of one
+// below it are flattened alike.
+func flatten(out []Param, fields []*message.Field) []Param {
+	for _, f := range fields {
+		if f.Type.Primitive() {
+			out = append(out, Param{Name: f.Label, Value: f.ValueString()})
+			continue
+		}
+		for _, c := range f.Children {
+			if c.Type.Primitive() {
+				out = append(out, Param{Name: c.Label, Value: c.ValueString()})
+			} else {
+				out = flatten(out, c.Children)
+			}
+		}
+	}
+	return out
 }
