@@ -102,7 +102,9 @@ func TestStoreBoundsWhatItKeeps(t *testing.T) {
 }
 
 // TestStoreHeld: Held counts the bytes of the chunks a store keeps and of
-// the child lists its nodes keep, across Reset.
+// the child lists its nodes keep, across Reset: a list a node grew in
+// place of the one it kept counts instead of it, one past maxKeptChildren
+// not at all, and one kept by a node no flow since took counts still.
 func TestStoreHeld(t *testing.T) {
 	var st Store
 	if n := st.Held(); n != 0 {
@@ -111,10 +113,21 @@ func TestStoreHeld(t *testing.T) {
 	st.Nodes(2)
 	n := st.Node("")
 	n.Children = make([]*Field, 0, 10)
+	st.Node("").Children = make([]*Field, 0, 4)
 	st.Reset()
 	field, link := int(reflect.TypeFor[Field]().Size()), int(reflect.TypeFor[*Field]().Size())
-	if want := firstSlab*field + firstNode*field + 10*link; st.Held() != want {
+	if want := firstSlab*field + firstNode*field + 14*link; st.Held() != want {
 		t.Errorf("the store holds %d bytes, want %d", st.Held(), want)
+	}
+	st.Node("").Children = make([]*Field, 0, 20)
+	st.Reset()
+	if want := firstSlab*field + firstNode*field + 24*link; st.Held() != want {
+		t.Errorf("after a list grew, the store holds %d bytes, want %d", st.Held(), want)
+	}
+	st.Node("").Children = make([]*Field, 0, maxKeptChildren+1)
+	st.Reset()
+	if want := firstSlab*field + firstNode*field + 4*link; st.Held() != want {
+		t.Errorf("after a list grew past maxKeptChildren, the store holds %d bytes, want %d", st.Held(), want)
 	}
 }
 
