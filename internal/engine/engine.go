@@ -296,6 +296,9 @@ type counters[T any] struct {
 	// Flows counts complete traversals; Translations, γ programs executed
 	// (a hit sent a rendered reply runs none, DESIGN.md §13); Failures,
 	// sessions that ended with an error other than the client leaving.
+	// A failed flow adds to Failures last, after the counters of its cause
+	// (ClientFailures, ServiceFailures, RetriesExhausted, DeadlineExceeded),
+	// so a snapshot that shows a flow's failure shows its cause.
 	Sessions, Flows, Translations, MessagesIn, MessagesOut, Failures T
 	// Redials counts service connections replaced after a fault or a
 	// sethost retarget.

@@ -165,7 +165,7 @@ func TestComposeUnknownMessage(t *testing.T) {
 // giopRequestOfEveryType is giopRequest with one parameter of every CDR type.
 func giopRequestOfEveryType() *message.Message {
 	in := giopRequest()
-	in.SetField(message.NewArray("ParameterArray",
+	in.Field("ParameterArray").Children = []*message.Field{
 		message.NewPrimitive("Parameter", message.TypeString, "hello world"),
 		message.NewPrimitive("Parameter", message.TypeInt64, -5),
 		message.NewPrimitive("Parameter", message.TypeBool, true),
@@ -173,7 +173,7 @@ func giopRequestOfEveryType() *message.Message {
 		message.NewPrimitive("Parameter", message.TypeBytes, []byte{0, 1, 2, 255}),
 		message.NewPrimitive("Parameter", message.TypeInt32, -7),
 		message.NewPrimitive("Parameter", message.TypeString, ""),
-	))
+	}
 	return in
 }
 
@@ -338,9 +338,10 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := giopRequest()
-		in.SetField(message.NewPrimitive("RequestID", message.TypeUint64, r.Uint64()>>32))
-		in.SetField(message.NewPrimitive("Operation", message.TypeString, randOp(r)))
-		params := message.NewArray("ParameterArray")
+		in.Field("RequestID").SetUint64(r.Uint64() >> 32)
+		in.Field("Operation").SetText(randOp(r))
+		params := in.Field("ParameterArray")
+		params.Children = nil
 		for i := 0; i < r.Intn(5); i++ {
 			switch r.Intn(4) {
 			case 0:
@@ -353,7 +354,6 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 				params.Add(message.NewPrimitive("Parameter", message.TypeFloat64, r.NormFloat64()))
 			}
 		}
-		in.SetField(params)
 		wire, err := c.Compose(in)
 		if err != nil {
 			return false

@@ -143,7 +143,7 @@ func TestComposeRequestRoundTrip(t *testing.T) {
 	// A body held as bytes composes to the same packet, and a length the
 	// caller set is replaced where it stands — here last, where a derived
 	// one goes.
-	in.SetField(message.NewPrimitive("Body", message.TypeBytes, []byte("<methodCall/>")))
+	in.Field("Body").SetBytes([]byte("<methodCall/>"))
 	in.Field("Headers").Add(message.NewPrimitive("content-length", message.TypeString, "99"))
 	if again, err := c.Compose(in); err != nil || string(again) != s {
 		t.Errorf("bytes body composes to %q, %v; want %q", again, err, s)

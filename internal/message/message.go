@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -55,16 +54,6 @@ func (t Type) String() string {
 		return s
 	}
 	return "type(" + strconv.Itoa(int(t)) + ")"
-}
-
-// ParseType resolves an MDL type name to a Type.
-func ParseType(s string) (Type, error) {
-	for t, name := range typeNames {
-		if name == s {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown field type %q", s)
 }
 
 // Primitive reports whether values of the type are scalar.
@@ -796,59 +785,6 @@ func (m *Message) Set(path string, t Type, value any) error {
 		children = &cur.Children
 		rest = tail
 	}
-}
-
-// SetField replaces (or appends) the top-level field with f's label.
-func (m *Message) SetField(f *Field) {
-	for i, c := range m.Fields {
-		if c.Label == f.Label {
-			m.Fields[i] = f
-			return
-		}
-	}
-	m.Fields = append(m.Fields, f)
-}
-
-// MandatoryFields returns the labels of all mandatory fields in the message
-// (recursively), sorted — Mfields(n) of Definition 2. If no field is marked
-// mandatory, all primitive leaf labels are considered mandatory, which
-// matches the paper's reading that an operation's declared parameters are
-// its mandatory fields.
-func (m *Message) MandatoryFields() []string {
-	var explicit, all []string
-	var walk func(fs []*Field)
-	walk = func(fs []*Field) {
-		for _, f := range fs {
-			if f.Type.Primitive() {
-				all = append(all, f.Label)
-				if f.Mandatory {
-					explicit = append(explicit, f.Label)
-				}
-			} else {
-				if f.Mandatory {
-					explicit = append(explicit, f.Label)
-				}
-				walk(f.Children)
-			}
-		}
-	}
-	walk(m.Fields)
-	out := explicit
-	if len(out) == 0 {
-		out = all
-	}
-	sort.Strings(out)
-	return dedupe(out)
-}
-
-func dedupe(sorted []string) []string {
-	out := sorted[:0]
-	for i, s := range sorted {
-		if i == 0 || sorted[i-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // String renders the message tree for debugging.

@@ -28,21 +28,6 @@ func sampleMessage() *Message {
 	)
 }
 
-func TestParseTypeRoundTrip(t *testing.T) {
-	for ty, name := range typeNames {
-		got, err := ParseType(name)
-		if err != nil {
-			t.Fatalf("ParseType(%q): %v", name, err)
-		}
-		if got != ty {
-			t.Errorf("ParseType(%q) = %v, want %v", name, got, ty)
-		}
-	}
-	if _, err := ParseType("bogus"); err == nil {
-		t.Error("ParseType(bogus) succeeded, want error")
-	}
-}
-
 func TestTypePrimitive(t *testing.T) {
 	if TypeStruct.Primitive() || TypeArray.Primitive() {
 		t.Error("struct/array reported primitive")
@@ -352,34 +337,6 @@ func TestValueString(t *testing.T) {
 		if got := tt.f.ValueString(); got != tt.want {
 			t.Errorf("case %d: ValueString = %q, want %q", i, got, tt.want)
 		}
-	}
-}
-
-func TestMandatoryFields(t *testing.T) {
-	m := New("search",
-		NewPrimitive("api_key", TypeString, "k"),
-		NewPrimitive("text", TypeString, "tree"),
-	)
-	got := m.MandatoryFields()
-	if !reflect.DeepEqual(got, []string{"api_key", "text"}) {
-		t.Errorf("implicit mandatory = %v", got)
-	}
-	m.Field("text").Mandatory = true
-	got = m.MandatoryFields()
-	if !reflect.DeepEqual(got, []string{"text"}) {
-		t.Errorf("explicit mandatory = %v", got)
-	}
-}
-
-func TestSetFieldReplaces(t *testing.T) {
-	m := New("M", NewPrimitive("x", TypeInt64, 1))
-	m.SetField(NewPrimitive("x", TypeInt64, 2))
-	if n, _ := m.GetInt("x"); n != 2 {
-		t.Errorf("SetField did not replace: %d", n)
-	}
-	m.SetField(NewPrimitive("y", TypeInt64, 3))
-	if len(m.Fields) != 2 {
-		t.Errorf("SetField did not append, len=%d", len(m.Fields))
 	}
 }
 
