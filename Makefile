@@ -18,14 +18,17 @@ test: build
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '^starlink/bench$$')
 
-# The full gate: tier-1, gofmt, vet, the race pass, then the engine's tests
-# fifty times in shuffled order, so a counter or trace published after the
-# reply it belongs to shows up as a flake here and not in tier-1.
+# The full gate: tier-1, gofmt, vet, the race pass, then the engine's and
+# the MTL package's tests fifty times in shuffled order, so a counter or
+# trace published after the reply it belongs to, or session cache state
+# (slabs, loans) carried wrongly from one Exec to the next, shows up as a
+# flake here and not in tier-1.
 check: test
 	@if [ -n "$$(gofmt -l .)" ]; then gofmt -l .; echo 'check: the files above are not gofmt-formatted; run make fmt'; exit 1; fi
 	$(GO) vet ./...
 	$(MAKE) race
 	$(GO) test -count=50 -shuffle=on -timeout 30m ./internal/engine
+	$(GO) test -count=50 -shuffle=on ./internal/mtl
 
 # The one benchmark: what a mediated flow costs beside the native call,
 # end to end and layer by layer. This is the command in BENCHMARK.json;

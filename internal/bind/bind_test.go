@@ -691,11 +691,11 @@ func TestGIOPBinderErrors(t *testing.T) {
 
 func TestFillAndMatchTemplate(t *testing.T) {
 	abs := message.New("m", message.NewPrimitive("id", message.TypeString, "a/b"))
-	got, err := fillTemplate("/photoid/{id}", abs)
+	got, err := appendTemplate(nil, "/photoid/{id}", abs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars, ok := matchTemplate("/photoid/{id}", got)
+	vars, ok := matchTemplate("/photoid/{id}", string(got))
 	if !ok || len(vars) != 1 || vars[0].Label != "id" || vars[0].Text() != "a/b" {
 		t.Errorf("match = %v, %v", message.New("vars", vars...), ok)
 	}
@@ -705,7 +705,7 @@ func TestFillAndMatchTemplate(t *testing.T) {
 	if _, ok := matchTemplate("/a/{x}", "/a"); ok {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := fillTemplate("/p/{missing}", message.New("m")); err == nil {
+	if _, err := appendTemplate(nil, "/p/{missing}", message.New("m")); err == nil {
 		t.Error("missing variable accepted")
 	}
 }

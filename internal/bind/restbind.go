@@ -278,9 +278,16 @@ func (b *RESTBinder) AppendRequest(dst []byte, action string, abs *message.Messa
 	if err != nil {
 		return dst, err
 	}
-	path, err := fillTemplate(r.PathTemplate, abs)
-	if err != nil {
-		return dst, fmt.Errorf("action %s: %w", action, err)
+	// A filled path is bytes in a pooled buffer, which the request's Path
+	// field holds until the packet is composed; nil is the template as it is.
+	var path []byte
+	if strings.Contains(r.PathTemplate, "{") {
+		buf := getBody()
+		defer putBody(buf)
+		if *buf, err = appendTemplate(*buf, r.PathTemplate, abs); err != nil {
+			return dst, fmt.Errorf("action %s: %w", action, err)
+		}
+		path = *buf
 	}
 	// The concrete request is a scaffold: made in a scratch store, given
 	// back once the packet is composed.
@@ -304,8 +311,9 @@ func (b *RESTBinder) AppendRequest(dst []byte, action string, abs *message.Messa
 // request carves the concrete HTTPRequest of a call from one slab of st's
 // nodes and one of its lists, as giop.newMessage carves a GIOP message:
 // Method, Version, Path, Headers, Query and Body, then the Accept header,
-// then the query parameters abs has a field for. A nil body is none.
-func (r *restRoute) request(st *message.Store, path string, abs *message.Message, body []byte) *message.Message {
+// then the query parameters abs has a field for. A nil path is the route's
+// template, and a nil body none.
+func (r *restRoute) request(st *message.Store, path []byte, abs *message.Message, body []byte) *message.Message {
 	n := 0
 	for _, p := range r.params {
 		if abs.Field(p.field) != nil {
@@ -320,7 +328,11 @@ func (r *restRoute) request(st *message.Store, path string, abs *message.Message
 	nodes[0].Label, nodes[1].Label, nodes[2].Label = "Method", "Version", "Path"
 	nodes[0].SetText(r.Method)
 	nodes[1].SetText("HTTP/1.1")
-	nodes[2].SetText(path)
+	if path == nil {
+		nodes[2].SetText(r.PathTemplate)
+	} else {
+		st.SetBytes(&nodes[2], path)
+	}
 	nodes[3].Label, nodes[3].Type, nodes[3].Children = "Headers", message.TypeStruct, links[6:7:7]
 	nodes[4].Label, nodes[4].Type, nodes[4].Children = "Query", message.TypeStruct, links[7:]
 	nodes[5].Label = "Body"
@@ -528,21 +540,16 @@ func entryFromAbstract(f *message.Field) rest.Entry {
 	}
 }
 
-// fillTemplate fills each placeholder segment of a template with its
-// field's value, escaped; a template without one is the path as it is.
-func fillTemplate(tmpl string, abs *message.Message) (string, error) {
-	if !strings.Contains(tmpl, "{") {
-		return tmpl, nil
-	}
-	var buf [128]byte
-	b := buf[:0]
+// appendTemplate appends the path a template stands for to b: each
+// placeholder segment filled with its field's value, escaped.
+func appendTemplate(b []byte, tmpl string, abs *message.Message) ([]byte, error) {
 	for rest, more := tmpl, true; more; {
 		var seg string
 		seg, rest, more = strings.Cut(rest, "/")
 		if name, ok := placeholder(seg); ok {
 			f := abs.Field(name)
 			if f == nil {
-				return "", fmt.Errorf("%w: path variable %q missing", ErrBadMessage, name)
+				return b, fmt.Errorf("%w: path variable %q missing", ErrBadMessage, name)
 			}
 			seg = url.PathEscape(f.ValueString())
 		}
@@ -551,7 +558,7 @@ func fillTemplate(tmpl string, abs *message.Message) (string, error) {
 			b = append(b, '/')
 		}
 	}
-	return string(b), nil
+	return b, nil
 }
 
 // matchTemplate matches a path against a template segment by segment, and

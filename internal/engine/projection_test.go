@@ -76,8 +76,8 @@ func TestProjectionOnEqualsOff(t *testing.T) {
 			t.Errorf("%s: the session cache holds %d entries projected, %d whole", w.name, on.Len(), off.Len())
 		}
 		for _, key := range keys {
-			a, errOn := on.Peek(key)
-			b, errOff := off.Peek(key)
+			a, errOn := on.Get(key)
+			b, errOff := off.Get(key)
 			if (errOn == nil) != (errOff == nil) || !a.Equal(b) {
 				t.Errorf("%s: session cache entry %q is %v projected, %v whole", w.name, key, a, b)
 			}

@@ -107,13 +107,13 @@ func startSteady(t *testing.T, cfg Config, framer network.Framer) *steadyClient 
 // an Atom feed's kept text is one string, and a REST reply's head is read
 // in place, so what is left is what a flow keeps or sends — a string per
 // document or scalar a parse copies out of a packet, the flow's first
-// packet, the packets built — what the γ programs of the Flickr flow box
-// and cache, and a timer per deadline the pipe arms (12 of an Add flow, 52
+// packet, the packets built — and a timer per deadline the pipe arms (12 of an Add flow, 52
 // of a Flickr flow; a TCP connection arms the runtime's poller, which
-// allocates nothing). Measured: 17 per Add flow, 72 per Flickr flow and 15
-// per search flow, where a string per kept Atom text, a copy of each REST
-// reply's head and heap nodes for newstruct and newarray made the last two
-// 102 and 174.
+// allocates nothing). Measured: 17 per Add flow, 61 per Flickr flow and 15
+// per search flow, where a heap copy and a boxed key per photo the Flickr
+// flow caches, and a string per filled REST path, made the second 72, and
+// a string per kept Atom text, a copy of each REST reply's head and heap
+// nodes for newstruct and newarray made the last two 102 and 174.
 func TestSteadyFlowAllocBudget(t *testing.T) {
 	t.Run("add", func(t *testing.T) {
 		dial, _ := plusService(t)
@@ -123,76 +123,7 @@ func TestSteadyFlowAllocBudget(t *testing.T) {
 		checkBudget(t, "an Add flow", flow, 17)
 	})
 	t.Run("flickr", func(t *testing.T) {
-		routes, err := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restBinder, err := bind.NewRESTBinder(routes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed := func(status int, f rest.Feed) []byte {
-			body, err := rest.AppendFeed(nil, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return (&httpwire.Response{Status: status, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}).Marshal()
-		}
-		var photos, comments rest.Feed
-		for i := 0; i < 3; i++ {
-			photos.Entries = append(photos.Entries, rest.Entry{
-				ID: fmt.Sprintf("photo-%04d", i), Title: fmt.Sprintf("Tree at dawn #%d", i), Author: "owner",
-				ContentType: "image/jpeg", ContentSrc: fmt.Sprintf("http://photos.example/full/photo-%04d.jpg", i),
-			})
-		}
-		for i := 0; i < 2; i++ {
-			comments.Entries = append(comments.Entries, rest.Entry{ID: fmt.Sprintf("c%d", i), Summary: "nice", Author: "bob"})
-		}
-		searched, commented := feed(200, photos), feed(200, comments)
-		body, err := rest.AppendEntry(nil, rest.Entry{ID: "c2", Summary: "lovely", Author: "flickr-user"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		added := (&httpwire.Response{Status: 201, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}).Marshal()
-		picasa, _ := scriptedService(t, func(request []byte) []byte {
-			switch {
-			case bytes.HasPrefix(request, []byte("POST")):
-				return added
-			case bytes.Contains(request[:bytes.IndexByte(request, '\n')], []byte("kind=comment")):
-				return commented
-			}
-			return searched
-		})
-		c := startSteady(t, Config{
-			Merged: casestudy.XMLRPCMediator(),
-			Sides: map[int]*Side{
-				1: {Binder: &bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages}},
-				2: {Binder: restBinder, Target: "picasa", Dialer: picasa},
-			},
-			HostMap: map[string]string{casestudy.PicasaHost: "picasa"},
-		}, network.HTTPFramer{})
-		var calls [][]byte
-		for _, call := range []struct {
-			method string
-			params map[string]xmlrpc.Value
-		}{
-			{casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(3)}},
-			{casestudy.FlickrGetInfo, map[string]xmlrpc.Value{"photo_id": "photo-0001"}},
-			{casestudy.FlickrGetComments, map[string]xmlrpc.Value{"photo_id": "photo-0001"}},
-			{casestudy.FlickrAddComment, map[string]xmlrpc.Value{"photo_id": "photo-0001", "comment_text": "lovely"}},
-		} {
-			body, err := xmlrpc.MarshalCall(call.method, call.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			calls = append(calls, (&httpwire.Request{Method: "POST", Target: "/services/xmlrpc", Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}}, Body: body}).Marshal())
-		}
-		flow := func() {
-			for _, call := range calls {
-				c.call(t, call, "HTTP/1.1 200")
-			}
-		}
-		checkBudget(t, "a Flickr flow", flow, 72)
+		checkBudget(t, "a Flickr flow", flickrFlow(t, 3), 61)
 	})
 	t.Run("search", func(t *testing.T) {
 		cfg, request := searchConfig(t)
@@ -200,6 +131,105 @@ func TestSteadyFlowAllocBudget(t *testing.T) {
 		flow := func() { c.call(t, request, "HTTP/1.1 200") }
 		checkBudget(t, "a fifty-entry search flow", flow, 15)
 	})
+}
+
+// TestFlickrFlowAllocsFlatInPhotos: what a Flickr flow allocates does not
+// grow with the photos its search finds. Each photo the search γ caches is
+// copied into the slab of the entry the flow before cached under its key,
+// its key read where it stands, and the rest of the flow's messages are the
+// session's store: the full mediator with a fifty-photo search allocates
+// within 2 of its three-photo flow, where a heap copy and a boxed key per
+// cached photo made it about 141 more.
+func TestFlickrFlowAllocsFlatInPhotos(t *testing.T) {
+	few, many := flickrFlow(t, 3), flickrFlow(t, 50)
+	for i := 0; i < 20; i++ {
+		few()
+		many()
+	}
+	a, b := testing.AllocsPerRun(200, few), testing.AllocsPerRun(200, many)
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.1f and %.1f allocs per flow unasserted", a, b)
+	}
+	t.Logf("a Flickr flow allocated %.1f times over 3 photos and %.1f over 50", a, b)
+	if b > a+2 {
+		t.Errorf("a fifty-photo Flickr flow allocated %.1f times, more than 2 over the three-photo flow's %.1f", b, a)
+	}
+}
+
+// flickrFlow starts the full Flickr mediator (casestudy.XMLRPCMediator) and
+// one session on it, against a scripted Picasa service whose searches find
+// photos photos, and returns one flow of the session: the four XML-RPC
+// calls, the search for photos photos first.
+func flickrFlow(t *testing.T, photos int) func() {
+	routes, err := bind.ParseRoutes(casestudy.PicasaRoutesDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restBinder, err := bind.NewRESTBinder(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(status int, f rest.Feed) []byte {
+		body, err := rest.AppendFeed(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return (&httpwire.Response{Status: status, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}).Marshal()
+	}
+	var found, comments rest.Feed
+	for i := 0; i < photos; i++ {
+		found.Entries = append(found.Entries, rest.Entry{
+			ID: fmt.Sprintf("photo-%04d", i), Title: fmt.Sprintf("Tree at dawn #%d", i), Author: "owner",
+			ContentType: "image/jpeg", ContentSrc: fmt.Sprintf("http://photos.example/full/photo-%04d.jpg", i),
+		})
+	}
+	for i := 0; i < 2; i++ {
+		comments.Entries = append(comments.Entries, rest.Entry{ID: fmt.Sprintf("c%d", i), Summary: "nice", Author: "bob"})
+	}
+	searched, commented := feed(200, found), feed(200, comments)
+	body, err := rest.AppendEntry(nil, rest.Entry{ID: "c2", Summary: "lovely", Author: "flickr-user"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := (&httpwire.Response{Status: 201, Headers: httpwire.Headers{{Name: "Content-Type", Value: "application/atom+xml"}}, Body: body}).Marshal()
+	picasa, _ := scriptedService(t, func(request []byte) []byte {
+		switch {
+		case bytes.HasPrefix(request, []byte("POST")):
+			return added
+		case bytes.Contains(request[:bytes.IndexByte(request, '\n')], []byte("kind=comment")):
+			return commented
+		}
+		return searched
+	})
+	c := startSteady(t, Config{
+		Merged: casestudy.XMLRPCMediator(),
+		Sides: map[int]*Side{
+			1: {Binder: &bind.XMLRPCBinder{Path: "/services/xmlrpc", Defs: casestudy.FlickrUsage().Messages}},
+			2: {Binder: restBinder, Target: "picasa", Dialer: picasa},
+		},
+		HostMap: map[string]string{casestudy.PicasaHost: "picasa"},
+	}, network.HTTPFramer{})
+	var calls [][]byte
+	for _, call := range []struct {
+		method string
+		params map[string]xmlrpc.Value
+	}{
+		{casestudy.FlickrSearch, map[string]xmlrpc.Value{"text": "tree", "per_page": int64(photos)}},
+		{casestudy.FlickrGetInfo, map[string]xmlrpc.Value{"photo_id": "photo-0001"}},
+		{casestudy.FlickrGetComments, map[string]xmlrpc.Value{"photo_id": "photo-0001"}},
+		{casestudy.FlickrAddComment, map[string]xmlrpc.Value{"photo_id": "photo-0001", "comment_text": "lovely"}},
+	} {
+		body, err := xmlrpc.MarshalCall(call.method, call.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, (&httpwire.Request{Method: "POST", Target: "/services/xmlrpc", Headers: httpwire.Headers{{Name: "Content-Type", Value: "text/xml"}}, Body: body}).Marshal())
+	}
+	return func() {
+		for _, call := range calls {
+			c.call(t, call, "HTTP/1.1 200")
+		}
+	}
 }
 
 // searchConfig configures casestudy.SearchMediator against a scripted

@@ -576,21 +576,25 @@ func (lay *layout) appendToken(b []byte, msg *message.Message, it *item) ([]byte
 	if f := msg.Field(it.label); f != nil {
 		return append(b, f.ValueString()...), nil
 	}
+	// The path is text or bytes, never both.
 	var path string
+	var raw []byte
 	var params []*message.Field
 	for _, v := range it.views {
 		view := &lay.items[v]
 		f := msg.Field(view.label)
 		switch {
 		case f == nil:
+		case view.kind == kindPath && f.Type == message.TypeBytes:
+			raw = f.Bytes()
 		case view.kind == kindPath:
 			path = f.ValueString()
 		default:
 			params = f.Children
 		}
 	}
-	if path != "" || len(params) > 0 {
-		b = append(b, path...)
+	if path != "" || len(raw) > 0 || len(params) > 0 {
+		b = append(append(b, path...), raw...)
 		if len(params) > 0 {
 			b = appendQuery(append(b, '?'), params)
 		}

@@ -26,8 +26,11 @@ import (
 // pool.
 type Writer struct {
 	buf []byte
-	// open holds the names of the elements not yet closed.
-	open []string
+	// open holds the names of the elements not yet closed; the one at depth
+	// joined, when that is not 0, is written followed by suffix (OpenJoined).
+	open   []string
+	joined int
+	suffix string
 	// inTag is set while the innermost start tag still lacks its '>'.
 	inTag bool
 	err   error
@@ -65,7 +68,7 @@ func (w *Writer) Doc() ([]byte, error) { return w.AppendTo(nil) }
 func (w *Writer) AppendTo(dst []byte) ([]byte, error) {
 	err := w.err
 	if err == nil && len(w.open) > 0 {
-		err = fmt.Errorf("xmlenc: element <%s> left open", w.open[len(w.open)-1])
+		err = fmt.Errorf("xmlenc: element <%s> left open", w.open[len(w.open)-1]+w.suffixAt(len(w.open)))
 	}
 	if err == nil {
 		dst = append(dst, w.buf...)
@@ -109,6 +112,33 @@ func (w *Writer) Open(name string) {
 	w.inTag = true
 }
 
+// OpenJoined starts the element Open(name+suffix) starts, without making
+// that string: a SOAP reply's <MethodResponse>. One such element may be
+// open at a time; another inside it is opened joined.
+func (w *Writer) OpenJoined(name, suffix string) {
+	if name == "" || len(name)+len(suffix) <= len("#text") || w.joined != 0 {
+		// Open checks a name this short joined; "" + suffix is suffix.
+		w.Open(name + suffix)
+		return
+	}
+	if strings.HasPrefix(name, "@") {
+		w.Fail(fmt.Errorf("xmlenc: %q cannot be an element", name+suffix))
+	}
+	w.content()
+	w.buf = append(append(append(w.buf, '<'), name...), suffix...)
+	w.open = append(w.open, name)
+	w.joined, w.suffix = len(w.open), suffix
+	w.inTag = true
+}
+
+// suffixAt is what follows the name of the element open at depth.
+func (w *Writer) suffixAt(depth int) string {
+	if depth == w.joined {
+		return w.suffix
+	}
+	return ""
+}
+
 // Attr adds an attribute to the element just opened.
 func (w *Writer) Attr(name, value string) {
 	w.attr(name)
@@ -129,11 +159,18 @@ func (w *Writer) Close() {
 		w.Fail(errors.New("xmlenc: Close with no element open"))
 		return
 	}
-	name := w.open[len(w.open)-1]
+	name, joined := w.open[len(w.open)-1], len(w.open) == w.joined
 	w.open = w.open[:len(w.open)-1]
+	if joined {
+		w.joined = 0
+	}
 	if w.inTag {
 		w.buf = append(w.buf, '/', '>')
 		w.inTag = false
+		return
+	}
+	if joined {
+		w.buf = append(append(append(append(w.buf, '<', '/'), name...), w.suffix...), '>')
 		return
 	}
 	w.endTag(name)

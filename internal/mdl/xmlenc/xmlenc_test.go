@@ -306,6 +306,8 @@ func TestWriterReportsMisuse(t *testing.T) {
 		"attribute after content":     func(w *Writer) { w.Open("a"); w.Leaf("b", ""); w.Attr("k", "v"); w.Close() },
 		"element named as attribute":  func(w *Writer) { w.Leaf("@k", "v") },
 		"element named as text":       func(w *Writer) { w.Open("#text"); w.Close() },
+		"joined name as text":         func(w *Writer) { w.OpenJoined("#te", "xt"); w.Close() },
+		"joined name as attribute":    func(w *Writer) { w.OpenJoined("", "@k"); w.Close() },
 		"element left open":           func(w *Writer) { w.Open("a") },
 		"close with nothing open":     func(w *Writer) { w.Open("a"); w.Close(); w.Close() },
 		"failed by the caller":        func(w *Writer) { w.Open("a"); w.Fail(errors.New("no")); w.Close() },
@@ -327,6 +329,26 @@ func TestWriterReportsMisuse(t *testing.T) {
 	doc, err := w.Doc()
 	if want := docHeader + `<a k="&#34;v&#34;"><empty/><leaf></leaf></a>`; err != nil || string(doc) != want {
 		t.Errorf("Doc() = %q, %v, want %q", doc, err, want)
+	}
+}
+
+// TestWriterOpenJoined: an element opened in two parts is the element
+// opened whole, with content and without.
+func TestWriterOpenJoined(t *testing.T) {
+	w := NewDoc()
+	w.OpenJoined("Plus", "Response")
+	w.Leaf("result", "42")
+	w.Close()
+	w.OpenJoined("Plus", "Response")
+	w.Close()
+	doc, err := w.AppendTo(nil)
+	if want := docHeader + `<PlusResponse><result>42</result></PlusResponse><PlusResponse/>`; err != nil || string(doc) != want {
+		t.Errorf("Doc() = %q, %v, want %q", doc, err, want)
+	}
+	w = NewDoc()
+	w.OpenJoined("Plus", "Response")
+	if _, err := w.Doc(); err == nil || !strings.Contains(err.Error(), "<PlusResponse>") {
+		t.Errorf("an element left open reports %v, want it named whole", err)
 	}
 }
 

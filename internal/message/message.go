@@ -469,6 +469,42 @@ func (f *Field) Clone() *Field {
 	return s.clone(f)
 }
 
+// Slab is the memory of a copy made again and again in the same place, as
+// the MTL session cache makes the value of a key put anew: Copy carves the
+// copy out of the slab's nodes and child lists as Clone carves one out of
+// its own, and reuses them when the tree fits and would leave no more than
+// half of them idle. A copy overwrites the one made before it, which must
+// no longer be read. The memory is the heap's, never a Store's.
+type Slab struct {
+	nodes []Field
+	links []*Field
+}
+
+// Copy copies f's tree into the slab, as Clone does, and returns the copy.
+func (s *Slab) Copy(f *Field) *Field {
+	if f == nil {
+		return nil
+	}
+	nodes, links := treeSize(f.Children)
+	nodes++
+	if reusable(len(s.nodes), nodes) {
+		clear(s.nodes[nodes:]) // so that no value of the copy before stays reachable
+	} else {
+		s.nodes = make([]Field, nodes)
+	}
+	if reusable(len(s.links), links) {
+		clear(s.links[links:])
+	} else {
+		s.links = make([]*Field, links)
+	}
+	carve := slab{nodes: s.nodes, links: s.links}
+	return carve.clone(f)
+}
+
+// reusable reports whether have elements take a copy that needs need of
+// them, with no more than half of them idle.
+func reusable(have, need int) bool { return need <= have && have <= 2*need }
+
 // treeSize counts the nodes of the trees under fields, and the links that
 // lead to them: the entries of fields and of every child list below.
 func treeSize(fields []*Field) (nodes, links int) {

@@ -74,10 +74,7 @@ func builtinCache(env *Env, args []any) (any, error) {
 	if env.Cache == nil {
 		return nil, errors.New("no session cache configured")
 	}
-	key := ValueString(args[0])
-	// valueToField already deep-copies tree arguments, so transfer the
-	// fresh tree to the cache instead of cloning a second time.
-	env.Cache.putOwned(key, valueToField("cached", args[1]))
+	env.Cache.Put(ValueString(args[0]), valueToField("cached", args[1]))
 	return nil, nil
 }
 

@@ -25,9 +25,12 @@ package mtl
 //     eliding those clones can be observed through aliases and can even
 //     build cyclic trees (`p.s = p`);
 //   - in programs that never mutate variables and call only builtins,
-//     getcache reads through the session cache (Cache.Peek) instead of
-//     cloning the stored tree; the result is marked copy-on-write as a
-//     second line of defence;
+//     getcache borrows the session cache's tree (Cache.lend) instead of
+//     cloning it, and the cache writes nothing into it until the Env is
+//     reset; the result is marked copy-on-write as a second line of
+//     defence;
+//   - cache(k, v) reads its key from the leaf it is in, without boxing it,
+//     and hands v to the cache as it is, to copy once (Cache.put);
 //   - scalar overwrites of existing fields update the field in place
 //     instead of building a replacement node;
 //   - a scalar read from a field and only moved (`p.id = e.id`) is carried
@@ -44,8 +47,11 @@ package mtl
 //     own never takes over a store node's child list, which the next flow
 //     appends into again (see cAssignMsg and csetSteps), and nothing that
 //     outlives a flow holds a store node: the session cache copies what
-//     cache() puts in it to the heap, and a reply the response cache holds
-//     is copied before a γ program writes into it (engine.flow.bindCached);
+//     cache() puts in it into heap memory of its own — the slab of the
+//     entry the put replaces or evicts where the tree fits and no Env
+//     borrowed it since its last Reset, else a new one — and a reply the
+//     response cache holds is copied before a γ program writes into it
+//     (engine.flow.bindCached);
 //   - per-execution scratch (argument arena, foreach item snapshots,
 //     variable slots) lives in the Env and is reused across Execs, so a
 //     pooled Env executes a compiled program with a small constant
@@ -98,6 +104,9 @@ type CompiledProgram struct {
 	writes  map[string][]string
 	foreign bool
 	outside bool
+	// written are the handles of writes, whose counts Exec has the work
+	// bound drop.
+	written []string
 }
 
 // Source returns the original program text.
@@ -183,7 +192,7 @@ func (p *CompiledProgram) Writes(handle string) []string { return slices.Clone(p
 // cval is one variable slot.
 //
 // cow (copy-on-write) marks a tree shared with the session cache (a
-// Cache.Peek result): mutating it through the variable clones it first.
+// Cache.lend result): mutating it through the variable clones it first.
 // A slot without cow aliases whatever tree it was bound to; reads and
 // mutations write through — the interpreter's semantics for
 // `v = m1.Msg.sub` — and grafting it into a message clones, exactly like
@@ -217,6 +226,15 @@ type cres struct {
 	leaf  *message.Field
 	owned bool
 	cow   bool
+}
+
+// key is the result as the text a session cache key is, which a leaf gives
+// without boxing its scalar.
+func (r cres) key() string {
+	if r.leaf != nil {
+		return r.leaf.ValueString()
+	}
+	return ValueString(r.v)
 }
 
 // value returns the result as the interpreter would hold it.
@@ -321,6 +339,12 @@ func (p *CompiledProgram) Exec(env *Env) error {
 			if sv := &fr.vars[i]; sv.set {
 				env.Vars[name] = sv.v
 			}
+		}
+		if p.foreign {
+			env.forgetAll()
+		}
+		for _, h := range p.written {
+			env.forget(h)
 		}
 		fr.busy = false
 	}()
@@ -668,10 +692,10 @@ func (e *cCall) eval(fr *cframe) (cres, error) {
 	return cres{v: v, owned: e.fresh}, nil
 }
 
-// cGetCachePeek is getcache compiled to read through the session cache
-// without cloning the stored tree. Only chosen when the program provably
-// never mutates variables or calls non-builtin functions; the returned
-// tree is marked copy-on-write anyway.
+// cGetCachePeek is getcache compiled to borrow the session cache's tree
+// until the Env's Reset, without cloning it. Only chosen when the program
+// provably never mutates variables or calls non-builtin functions; the
+// returned tree is marked copy-on-write anyway.
 type cGetCachePeek struct {
 	key cExpr
 }
@@ -684,15 +708,40 @@ func (e *cGetCachePeek) eval(fr *cframe) (cres, error) {
 	if fr.env.Cache == nil {
 		return cres{}, fmt.Errorf("%w: getcache(): no session cache configured", ErrExec)
 	}
-	key := ValueString(r.v)
-	if r.leaf != nil {
-		key = r.leaf.ValueString()
-	}
-	f, err := fr.env.Cache.Peek(key)
+	f, err := fr.env.Cache.lend(r.key(), fr.env)
 	if err != nil {
 		return cres{}, fmt.Errorf("%w: getcache(): %w", ErrExec, err)
 	}
 	return cres{v: f, cow: true}, nil
+}
+
+// cCache is cache(k, v) compiled to read the key from the leaf it is in
+// without boxing it, and to hand the value to the session cache as it is,
+// for Cache.put to copy into the slab of the entry it replaces or evicts.
+type cCache struct {
+	key, val cExpr
+}
+
+func (e *cCache) eval(fr *cframe) (cres, error) {
+	k, err := e.key.eval(fr)
+	if err != nil {
+		return cres{}, err
+	}
+	v, err := e.val.eval(fr)
+	if err != nil {
+		return cres{}, err
+	}
+	if fr.env.Cache == nil {
+		return cres{}, fmt.Errorf("%w: cache(): no session cache configured", ErrExec)
+	}
+	f, ok := v.v.(*message.Field)
+	if !ok {
+		// A scalar is its node, made where it stands for the cache to copy.
+		f = &message.Field{}
+		v.scalarInto(f)
+	}
+	fr.env.Cache.put(k.key(), f, "cached")
+	return cres{}, nil
 }
 
 // ---- compiled navigation and mutation ----
@@ -844,10 +893,13 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 		})
 		c.reads[h] = slices.CompactFunc(reads, func(a, b Read) bool { return a.Path == b.Path })
 	}
+	var written []string
 	for h, paths := range c.writes {
 		slices.Sort(paths)
 		c.writes[h] = slices.Compact(paths)
+		written = append(written, h)
 	}
+	slices.Sort(written)
 	return &CompiledProgram{
 		src:      p.src,
 		stmts:    stmts,
@@ -857,6 +909,7 @@ func Compile(p *Program, opts CompileOptions) (*CompiledProgram, error) {
 		writes:   c.writes,
 		foreign:  c.foreign,
 		outside:  c.outside,
+		written:  written,
 	}, nil
 }
 
@@ -1268,6 +1321,9 @@ func (c *compiler) call(e *callExpr, handleSet map[string]bool) (cExpr, error) {
 	}
 	if !shadowed && e.name == "getcache" && c.peekSafe && len(args) == 1 {
 		return &cGetCachePeek{key: args[0]}, nil
+	}
+	if !shadowed && e.name == "cache" && len(args) == 2 {
+		return &cCache{key: args[0], val: args[1]}, nil
 	}
 	fresh := !shadowed && (e.name == "newstruct" || e.name == "newarray")
 	return &cCall{name: e.name, fn: fn, fresh: fresh, args: args}, nil

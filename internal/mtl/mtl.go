@@ -65,14 +65,51 @@ var (
 // grafting a message into itself, or looping in loops, could run for hours.
 const MaxExecNodes, ExecNodesPerInput = 1 << 16, 16
 
-// startWork starts the count of a run, and sets its bound.
+// startWork starts the count of a run, and sets its bound. A bound
+// message is walked once, at the first run after it is bound or written
+// (forget), and counted as it was then until it is bound or written again.
 func (e *Env) startWork() {
-	e.work, e.maxWork = 0, MaxExecNodes
-	for _, m := range e.Messages {
-		if m != nil {
-			e.maxWork += ExecNodesPerInput * nodes(m.Fields)
+	if e.counted == nil {
+		e.counted = make(map[string]int)
+	}
+	for _, h := range e.recount {
+		n := 0
+		if m := e.Messages[h]; m != nil {
+			n = nodes(m.Fields)
+		}
+		e.inputs += n - e.counted[h]
+		e.counted[h] = n
+	}
+	e.recount = e.recount[:0]
+	if len(e.counted) != len(e.Messages) {
+		// Messages was changed without Bind: count every message again.
+		e.forgetAll()
+		for h, m := range e.Messages {
+			n := 0
+			if m != nil {
+				n = nodes(m.Fields)
+			}
+			e.counted[h] = n
+			e.inputs += n
 		}
 	}
+	e.work, e.maxWork = 0, MaxExecNodes+ExecNodesPerInput*e.inputs
+}
+
+// forget has the next run count handle's message again. An Env bound or
+// written more often than it runs counts every message again instead.
+func (e *Env) forget(handle string) {
+	if len(e.recount) > len(e.Messages) {
+		e.forgetAll()
+		return
+	}
+	e.recount = append(e.recount, handle)
+}
+
+// forgetAll drops every count.
+func (e *Env) forgetAll() {
+	clear(e.counted)
+	e.inputs, e.recount = 0, e.recount[:0]
 }
 
 // spend counts n nodes of the run under way against its bound.
@@ -113,74 +150,156 @@ const DefaultCacheLimit = 1024
 // unless Limit is set), entries are evicted oldest-write-first. Re-putting
 // an existing key refreshes its position — a repeatedly-rewritten hot key
 // counts as fresh, and the stalest write is evicted first. (Reads do not
-// refresh; this is write-recency, not LRU.)
+// refresh; this is write-recency, not LRU.) A put costs the same whatever
+// the cache holds: the entries are a list in write order, and a put moves
+// its own to the newest end and evicts from the oldest.
+//
+// Each entry keeps its value in a message.Slab of the heap's: a put copies
+// the value into the slab of the entry it replaces or evicts, where it
+// fits, unless a getcache still holds the tree there (Env.loans).
 type Cache struct {
 	// Limit overrides DefaultCacheLimit when positive.
 	Limit int
 
-	mu    sync.Mutex
-	m     map[string]*message.Field
-	order []string
+	mu             sync.Mutex
+	m              map[string]*cacheEntry
+	oldest, newest *cacheEntry
+}
+
+// cacheEntry is one key's value and its place in the write order. lent
+// counts the Envs a compiled getcache handed f to that have not been reset
+// since, and borrower is the last of them, which holds one loan of the
+// entry however often it borrows it.
+type cacheEntry struct {
+	key          string
+	f            *message.Field
+	slab         message.Slab
+	older, newer *cacheEntry
+	lent         int
+	borrower     *Env
+}
+
+// loan is an entry of c's whose tree an Env holds until its Reset.
+type loan struct {
+	c *Cache
+	e *cacheEntry
 }
 
 // Put stores a deep copy of f under key.
-func (c *Cache) Put(key string, f *message.Field) { c.putOwned(key, f.Clone()) }
+func (c *Cache) Put(key string, f *message.Field) { c.put(key, f, "") }
 
-// putOwned stores f under key without copying; the caller transfers
-// ownership of the tree to the cache.
-func (c *Cache) putOwned(key string, f *message.Field) {
+// put stores a copy of f under key, its root labelled label unless that
+// is empty.
+func (c *Cache) put(key string, f *message.Field, label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
-		c.m = make(map[string]*message.Field)
+		c.m = make(map[string]*cacheEntry)
 	}
-	if _, exists := c.m[key]; exists {
-		// Refresh the key's eviction slot: without this, a hot key
-		// rewritten many times keeps its original (oldest) position and
-		// is evicted while stale keys survive.
-		for i, k := range c.order {
-			if k == key {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-	}
-	c.order = append(c.order, key)
-	c.m[key] = f
 	limit := c.Limit
 	if limit <= 0 {
 		limit = DefaultCacheLimit
 	}
-	for len(c.m) > limit && len(c.order) > 0 {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
+	e := c.m[key]
+	if e != nil {
+		c.unlink(e)
+	} else {
+		if len(c.m) >= limit && c.oldest != nil {
+			// The oldest write makes room, and its slab takes the value.
+			e = c.evict()
+		}
+		if e == nil {
+			e = &cacheEntry{}
+		}
+		e.key = key
+		c.m[key] = e
 	}
+	if e.lent > 0 {
+		// A getcache holds the tree in the slab until its Env's Reset.
+		e.slab = message.Slab{}
+	}
+	e.f = e.slab.Copy(f)
+	if e.f != nil && label != "" {
+		e.f.Label = label
+	}
+	e.older = c.newest
+	if c.newest != nil {
+		c.newest.newer = e
+	} else {
+		c.oldest = e
+	}
+	c.newest = e
+	for len(c.m) > limit {
+		c.evict()
+	}
+}
+
+// unlink takes e out of the write order.
+func (c *Cache) unlink(e *cacheEntry) {
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		c.oldest = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		c.newest = e.older
+	}
+	e.older, e.newer = nil, nil
+}
+
+// evict takes the oldest entry out of the cache and returns it, emptied
+// for a put to reuse, or nil where an Env borrowed its tree.
+func (c *Cache) evict() *cacheEntry {
+	e := c.oldest
+	c.unlink(e)
+	delete(c.m, e.key)
+	if e.lent > 0 {
+		return nil
+	}
+	e.key, e.f, e.borrower = "", nil, nil
+	return e
 }
 
 // Get returns a deep copy of the field stored under key.
 func (c *Cache) Get(key string) (*message.Field, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.m[key]
+	e, ok := c.m[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrCacheMiss, key)
 	}
-	return f.Clone(), nil
+	return e.f.Clone(), nil
 }
 
-// Peek returns the field stored under key without copying. The returned
-// tree is shared with the cache: callers must treat it as read-only (the
-// compiled fast path marks it copy-on-write and clones before any
-// mutation or graft).
-func (c *Cache) Peek(key string) (*message.Field, error) {
+// lend returns the field stored under key without copying, to env: the
+// tree is shared with the cache and must be treated as read-only (the
+// compiled getcache marks it copy-on-write and clones before any mutation
+// or graft), and the cache does not write into it before env's Reset.
+func (c *Cache) lend(key string, env *Env) (*message.Field, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.m[key]
+	e, ok := c.m[key]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrCacheMiss, key)
 	}
-	return f, nil
+	if e.borrower != env {
+		env.loans = append(env.loans, loan{c, e})
+		e.lent++
+		e.borrower = env
+	}
+	return e.f, nil
+}
+
+// giveBack ends env's loan of e.
+func (c *Cache) giveBack(e *cacheEntry, env *Env) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.lent--
+	if e.borrower == env {
+		e.borrower = nil
+	}
 }
 
 // Len reports the number of cached entries.
@@ -219,6 +338,15 @@ type Env struct {
 	frame         *cframe
 	store         message.Store
 	work, maxWork int // what the run under way counted, and its bound
+	// counted holds the nodes of each bound message the bound counts, and
+	// inputs their sum; recount holds the handles to count again at the
+	// next run.
+	counted map[string]int
+	inputs  int
+	recount []string
+	// loans are the session cache's trees a getcache handed out, which the
+	// cache keeps as they are until Reset gives them back.
+	loans []loan
 }
 
 // NewEnv returns an environment with empty bindings and the given cache.
@@ -231,7 +359,10 @@ func NewEnv(cache *Cache) *Env {
 }
 
 // Bind associates a message with a state handle.
-func (e *Env) Bind(handle string, msg *message.Message) { e.Messages[handle] = msg }
+func (e *Env) Bind(handle string, msg *message.Message) {
+	e.Messages[handle] = msg
+	e.forget(handle)
+}
 
 // Reset clears the environment's bindings and host retarget while keeping
 // its cache, extra functions, map capacity and compiled-execution scratch,
@@ -240,8 +371,10 @@ func (e *Env) Bind(handle string, msg *message.Message) { e.Messages[handle] = m
 // messages they wrote and in Vars, to build the next flow's from: what γ
 // built is valid until the Env is reset, and must not be kept past it
 // (the session cache keeps copies of its own). The same holds for what the
-// flow parsed into Store. Under the race detector the nodes are poisoned as
-// they are taken back.
+// flow parsed into Store, and for the session cache's trees a getcache
+// handed out, which the cache may write into again once Reset gives them
+// back. Under the race detector the nodes are poisoned as they are taken
+// back.
 func (e *Env) Reset() {
 	if e.Messages != nil {
 		clear(e.Messages)
@@ -249,6 +382,12 @@ func (e *Env) Reset() {
 	if e.Vars != nil {
 		clear(e.Vars)
 	}
+	e.forgetAll()
+	for _, l := range e.loans {
+		l.c.giveBack(l.e, e)
+	}
+	clear(e.loans)
+	e.loans = e.loans[:0]
 	e.Host = ""
 	e.store.Reset()
 }

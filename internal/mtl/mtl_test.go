@@ -65,8 +65,8 @@ func cloneEnv(e *Env) *Env {
 	}
 	if e.Cache != nil {
 		c.Cache = &Cache{Limit: e.Cache.Limit}
-		for _, key := range e.Cache.order {
-			c.Cache.putOwned(key, e.Cache.m[key].Clone())
+		for en := e.Cache.oldest; en != nil; en = en.newer {
+			c.Cache.Put(en.key, en.f)
 		}
 	}
 	return c

@@ -34,6 +34,8 @@ func interpret(p *Program, env *Env) error {
 		env.Messages = make(map[string]*message.Message)
 	}
 	env.startWork()
+	// It cannot name what it writes (CompiledProgram.written).
+	defer env.forgetAll()
 	for _, s := range p.stmts {
 		if err := s.(execer).exec(env); err != nil {
 			return err

@@ -44,14 +44,14 @@ type Fault struct {
 // Error implements error.
 func (f *Fault) Error() string { return fmt.Sprintf("soap fault %s: %s", f.Code, f.Message) }
 
-// appendEnvelope appends Envelope/Body around one operation element whose
-// children body writes, to dst.
-func appendEnvelope(dst []byte, op string, body func(w *xmlenc.Writer)) ([]byte, error) {
+// appendEnvelope appends Envelope/Body around one operation element, named
+// op followed by suffix, whose children body writes, to dst.
+func appendEnvelope(dst []byte, op, suffix string, body func(w *xmlenc.Writer)) ([]byte, error) {
 	w := xmlenc.NewDoc()
 	w.Open("Envelope")
 	w.Attr("xmlns", EnvelopeNS)
 	w.Open("Body")
-	w.Open(op)
+	w.OpenJoined(op, suffix)
 	body(w)
 	w.Close()
 	w.Close()
@@ -65,13 +65,13 @@ func appendEnvelope(dst []byte, op string, body func(w *xmlenc.Writer)) ([]byte,
 // than made a string first. A structured field stands for the primitives
 // below it, in order.
 func AppendRequestFields(dst []byte, method string, fields []*message.Field) ([]byte, error) {
-	return appendEnvelope(dst, method, func(w *xmlenc.Writer) { writeParams(w, fields) })
+	return appendEnvelope(dst, method, "", func(w *xmlenc.Writer) { writeParams(w, fields) })
 }
 
 // AppendResponseFields is AppendRequestFields for the <MethodResponse>
 // envelope AppendResponse writes.
 func AppendResponseFields(dst []byte, method string, fields []*message.Field) ([]byte, error) {
-	return AppendRequestFields(dst, method+"Response", fields)
+	return appendEnvelope(dst, method, "Response", func(w *xmlenc.Writer) { writeParams(w, fields) })
 }
 
 // writeParams writes the primitives of fields and below as parameters.
@@ -94,7 +94,13 @@ func MarshalRequest(method string, params []Param) ([]byte, error) {
 // AppendRequest appends an RPC request envelope to dst: the method element
 // with one child element per parameter.
 func AppendRequest(dst []byte, method string, params []Param) ([]byte, error) {
-	return appendEnvelope(dst, method, func(w *xmlenc.Writer) {
+	return appendParams(dst, method, "", params)
+}
+
+// appendParams appends the envelope of the operation element named method
+// followed by suffix, with one child element per parameter.
+func appendParams(dst []byte, method, suffix string, params []Param) ([]byte, error) {
+	return appendEnvelope(dst, method, suffix, func(w *xmlenc.Writer) {
 		for _, p := range params {
 			w.Leaf(p.Name, p.Value)
 		}
@@ -109,7 +115,7 @@ func MarshalResponse(method string, results []Param) ([]byte, error) {
 
 // AppendResponse appends the <MethodResponse> envelope to dst.
 func AppendResponse(dst []byte, method string, results []Param) ([]byte, error) {
-	return AppendRequest(dst, method+"Response", results)
+	return appendParams(dst, method, "Response", results)
 }
 
 // MarshalFault renders a fault envelope.
