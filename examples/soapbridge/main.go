@@ -47,7 +47,7 @@ func run() error {
 	// The spec's service address is a placeholder; this run's is live.
 	spec := models.Mediators["flickr-soap"]
 	spec.Sides[1].Target = pic.Addr()
-	spec.HostMap[casestudy.PicasaHost] = pic.Addr()
+	spec.Engine.HostMap[casestudy.PicasaHost] = pic.Addr()
 	med, err := starlink.Deploy("flickr-soap", models, starlink.DeployOptions{Listen: "127.0.0.1:0"})
 	if err != nil {
 		return err

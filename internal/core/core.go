@@ -15,7 +15,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"starlink/internal/automata"
 	"starlink/internal/backend"
@@ -26,7 +25,6 @@ import (
 	"starlink/internal/mdl"
 	"starlink/internal/mdl/binenc"
 	"starlink/internal/mdl/textenc"
-	"starlink/internal/mdl/xmlenc"
 	"starlink/internal/mtl"
 	"starlink/internal/observe"
 )
@@ -187,15 +185,13 @@ var loaders = []struct {
 }
 
 // NewCodec compiles an MDL document into the parser and composer of the
-// engine its <MDL:name:encoding> header names: binenc, textenc or xmlenc.
+// engine its <MDL:name:encoding> header names: binenc or textenc.
 func NewCodec(spec *mdl.Spec) (mdl.Codec, error) {
 	switch spec.Encoding {
 	case mdl.EncodingBinary:
 		return binenc.New(spec)
 	case mdl.EncodingText:
 		return textenc.New(spec)
-	case mdl.EncodingXML:
-		return xmlenc.New(spec)
 	}
 	return nil, fmt.Errorf("mdl: no engine for encoding %q", spec.Encoding)
 }
@@ -254,25 +250,17 @@ type SideSpec struct {
 }
 
 // BackendSpec is one named service replica set (the `backend`
-// directive) together with the tuning the balance/probe/eject
-// directives applied to it. A client-role side's target= (or a hostmap
-// resolution) naming a backend is load-balanced across its replicas
-// instead of dialled literally.
+// directive). A client-role side's target= (or a hostmap resolution)
+// naming a backend is load-balanced across its replicas instead of
+// dialled literally.
 type BackendSpec struct {
 	// Name is the logical service name sides and hostmaps reference.
 	Name string
 	// Addrs are the replica addresses traffic balances over.
 	Addrs []string
-	// Policy is the balancing policy: "roundrobin" (default) or "p2c".
-	Policy string
-	// ProbeInterval enables active health probing when positive;
-	// ProbeTimeout bounds each probe (0 = backend default).
-	ProbeInterval, ProbeTimeout time.Duration
-	// FailThreshold, Cooloff, MaxCooloff and MinLive tune passive
-	// outlier ejection (zero values = backend package defaults).
-	FailThreshold       int
-	Cooloff, MaxCooloff time.Duration
-	MinLive             int
+	// Options are what the balance, probe and eject directives set, as
+	// backend.New takes them.
+	Options backend.Options
 }
 
 // DiscoverSpec is one `discover` directive: a discovery source driving
@@ -286,20 +274,18 @@ type DiscoverSpec struct {
 	// Agent, Type and Scope configure via=slp (the Directory Agent
 	// address, service type, and optional scope).
 	Agent, Type, Scope string
-	// Search, ST, Listen and MX configure via=ssdp (the M-SEARCH
-	// address, search target, optional NOTIFY listen address, and
-	// response window in seconds).
-	Search, ST, Listen string
-	MX                 int
+	// Search and ST configure via=ssdp (the M-SEARCH address and search
+	// target), and SSDP holds its listen= and mx= options.
+	Search, ST string
+	SSDP       discovery.SSDPOptions
 	// Name configures via=dns: "host:port" (A/AAAA) or a full
 	// "_svc._proto.domain" SRV name.
 	Name string
 	// Path configures via=file: the watched hosts file.
 	Path string
-	// Refresh, Debounce, MinTTL and MaxChurn tune the reconciler (zero
-	// values = discovery package defaults).
-	Refresh, Debounce, MinTTL time.Duration
-	MaxChurn                  int
+	// Options are the reconciler's options every source takes, as
+	// discovery.New takes them but for the Source, which build opens.
+	Options discovery.Options
 }
 
 // MediatorSpec is a parsed deployment spec. mediatorDirectives in
@@ -312,8 +298,6 @@ type MediatorSpec struct {
 	Listen string
 	// Sides configures each color.
 	Sides []SideSpec
-	// HostMap resolves sethost logical hosts.
-	HostMap map[string]string
 	// Backends are the named service replica sets (`backend` directives)
 	// with their balance/probe/eject tuning, in declaration order.
 	Backends []BackendSpec
@@ -322,42 +306,14 @@ type MediatorSpec struct {
 	Discover []DiscoverSpec
 	// TypeMap names a loaded vocabulary map exposed as maptype().
 	TypeMap string
-	// Retries overrides the engine's service-retry count when non-nil
-	// (0 disables retries).
-	Retries *int
-	// Backoff overrides the engine's retry backoff when non-zero.
-	Backoff time.Duration
-	// MaxBackoff overrides the engine's retry backoff cap when
-	// non-zero (`max_backoff`).
-	MaxBackoff time.Duration
-	// FlowDeadline overrides the engine's per-flow deadline budget when
-	// non-zero; zero leaves the engine default (2 × ExchangeTimeout).
-	FlowDeadline time.Duration
-	// DialTimeout overrides the engine's service dial timeout when
-	// non-zero.
-	DialTimeout time.Duration
-	// PoolSize overrides the engine's per-(color, address) service pool
-	// bound when non-zero.
-	PoolSize int
-	// PoolIdle overrides how long pooled service connections stay warm:
-	// positive is a timeout, negative ("pool_idle off") disables idle
-	// keep-alive, zero leaves the engine default.
-	PoolIdle time.Duration
 	// Admin, when non-empty, is the address the deployment's admin
 	// endpoint (/metrics, /healthz, /flows, /automaton.dot) binds to.
 	Admin string
-	// Cacheable maps service operations declared `cacheable` to their
-	// TTL and key-varying field paths.
-	Cacheable map[string]engine.CacheRule
-	// Invalidates maps write operations to the cacheable operations
-	// whose entries they flush (`invalidates` directives).
-	Invalidates map[string][]string
-	// CacheSize bounds the response cache's stored replies when
-	// non-zero (`cache_size`).
-	CacheSize int
-	// CacheShards sets the response cache's shard count when non-zero
-	// (`cache_shards`).
-	CacheShards int
+	// Engine is the engine configuration the tuning directives set —
+	// hostmap, retries, backoff, deadlines, the pool and the response
+	// cache. build adds what only a deployment has: the merged automaton,
+	// binders, backend sets, discovery and MTL functions.
+	Engine engine.Config
 }
 
 // protocol is one protocol a side may speak: the wire class a gateway
@@ -457,7 +413,8 @@ func (m *Models) serverSide(spec *MediatorSpec) (*SideSpec, error) {
 	return &spec.Sides[at], nil
 }
 
-// build is the one place a spec becomes a mediator: binders, then
+// build is the one place a spec becomes a mediator: to the spec's
+// engine.Config, as its tuning lines left it, it adds binders, then
 // backend sets, then discovery sources — the first thing that holds a
 // socket or a goroutine, so nothing that can fail for a reason the spec
 // shows comes after it — then the engine, which owns the sources from
@@ -470,40 +427,10 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 	if err != nil {
 		return nil, err
 	}
-	merged := m.Merged[spec.MergedName]
-	cfg := engine.Config{
-		Merged:       merged,
-		ServerColor:  server.Color,
-		Sides:        make(map[int]*engine.Side, len(spec.Sides)),
-		Backends:     make(map[string]*backend.Set, len(spec.Backends)),
-		HostMap:      spec.HostMap,
-		DialTimeout:  spec.DialTimeout,
-		PoolSize:     spec.PoolSize,
-		PoolIdle:     spec.PoolIdle,
-		FlowDeadline: spec.FlowDeadline,
-	}
-	// The spec's optional knobs translate into an explicit RetryPolicy;
-	// "retries 0" simply allows zero attempts — no sentinel needed.
-	retry := engine.RetryPolicy{Attempts: engine.DefaultRetryAttempts, Backoff: engine.DefaultBackoff}
-	if spec.Retries != nil {
-		retry.Attempts = *spec.Retries
-	}
-	if spec.Backoff > 0 {
-		retry.Backoff = spec.Backoff
-	}
-	if spec.MaxBackoff > 0 {
-		retry.MaxBackoff = spec.MaxBackoff
-	}
-	cfg.Retry = &retry
-	if len(spec.Cacheable) > 0 || len(spec.Invalidates) > 0 ||
-		spec.CacheSize != 0 || spec.CacheShards != 0 {
-		cfg.Cache = &engine.CachePolicy{
-			Rules:       spec.Cacheable,
-			Invalidates: spec.Invalidates,
-			MaxEntries:  spec.CacheSize,
-			Shards:      spec.CacheShards,
-		}
-	}
+	cfg := spec.Engine
+	cfg.Merged, cfg.ServerColor, cfg.Discovery = m.Merged[spec.MergedName], server.Color, nil
+	cfg.Sides = make(map[int]*engine.Side, len(spec.Sides))
+	cfg.Backends = make(map[string]*backend.Set, len(spec.Backends))
 	if spec.TypeMap != "" {
 		tm, ok := m.TypeMaps[spec.TypeMap]
 		if !ok {
@@ -519,7 +446,7 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 		if ss.Protocol == "rest" {
 			// A REST binder knows an operation by its route, so every one the
 			// automaton sends on the side's colour needs a route.
-			for _, t := range merged.Transitions {
+			for _, t := range cfg.Merged.Transitions {
 				if t.Kind == automata.KindMessage && t.Color == ss.Color && t.Action == automata.Send &&
 					!slices.ContainsFunc(m.Routes[ss.Routes], func(r bind.Route) bool { return r.Action == t.Message }) {
 					return nil, fmt.Errorf("%w: side %d: operation %q has no route in table %q", ErrSpec, ss.Color, t.Message, ss.Routes)
@@ -529,15 +456,7 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 		cfg.Sides[ss.Color] = &engine.Side{Binder: binder, Target: ss.Target}
 	}
 	for _, bs := range spec.Backends {
-		set, err := backend.New(bs.Name, bs.Addrs, backend.Options{
-			Policy:        backend.Policy(bs.Policy),
-			ProbeInterval: bs.ProbeInterval,
-			ProbeTimeout:  bs.ProbeTimeout,
-			FailThreshold: bs.FailThreshold,
-			Cooloff:       bs.Cooloff,
-			MaxCooloff:    bs.MaxCooloff,
-			MinLive:       bs.MinLive,
-		})
+		set, err := backend.New(bs.Name, bs.Addrs, bs.Options)
 		if err != nil {
 			return nil, fmt.Errorf("%w: backend %q: %v", ErrSpec, bs.Name, err)
 		}
@@ -551,26 +470,19 @@ func (m *Models) build(spec *MediatorSpec, adjust func(*engine.Config)) (med *en
 		}
 	}()
 	for _, ds := range spec.Discover {
-		var src discovery.Source
 		err := fmt.Errorf("unknown source %q", ds.Via)
 		for _, source := range discoverSources {
 			if source.via == ds.Via {
-				src, err = source.open(ds)
+				ds.Options.Source, err = source.open(ds)
 			}
 		}
 		var rec *discovery.Reconciler
 		if err == nil {
 			// The reconciler owns the source from here, and refuses a set that
 			// is nil (only a hand-built spec gets that past the parser).
-			rec, err = discovery.New(cfg.Backends[ds.Backend], discovery.Options{
-				Source:   src,
-				Refresh:  ds.Refresh,
-				Debounce: ds.Debounce,
-				MinTTL:   ds.MinTTL,
-				MaxChurn: ds.MaxChurn,
-			})
+			rec, err = discovery.New(cfg.Backends[ds.Backend], ds.Options)
 			if err != nil {
-				src.Close()
+				ds.Options.Source.Close()
 			}
 		}
 		if err != nil {

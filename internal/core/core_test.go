@@ -16,6 +16,7 @@ import (
 	"starlink/internal/bind"
 	"starlink/internal/casestudy"
 	"starlink/internal/core"
+	"starlink/internal/engine"
 	"starlink/internal/protocol/httpwire"
 	"starlink/internal/protocol/slp"
 	"starlink/internal/protocol/ssdp"
@@ -45,7 +46,7 @@ func caseStudyModels(t *testing.T, picasaAddr string) *core.Models {
 	for _, name := range []string{"flickr-xmlrpc", "flickr-soap"} {
 		spec := m.Mediators[name]
 		spec.Sides[1].Target = picasaAddr
-		spec.HostMap[casestudy.PicasaHost] = picasaAddr
+		spec.Engine.HostMap[casestudy.PicasaHost] = picasaAddr
 	}
 	return m
 }
@@ -258,6 +259,18 @@ func TestLoadModelsErrors(t *testing.T) {
 	}
 }
 
+// TestLoadModelsRefusesXMLEncoding: no MDL engine reads XML, so a document
+// that declares the xml encoding is refused at load, naming the file and
+// the encoding.
+func TestLoadModelsRefusesXMLEncoding(t *testing.T) {
+	_, err := core.LoadModelsFS(fstest.MapFS{
+		"xmlrpc.mdl": {Data: []byte("<MDL:XMLRPC:xml>\n<Message:MethodCall>\n<Rule:root=methodCall>\n<End:Message>\n")},
+	})
+	if !errors.Is(err, core.ErrModel) || !strings.Contains(err.Error(), "xmlrpc.mdl") || !strings.Contains(err.Error(), `encoding "xml"`) {
+		t.Errorf("err = %v, want an ErrModel naming xmlrpc.mdl and the encoding", err)
+	}
+}
+
 func TestParseEquivalence(t *testing.T) {
 	eq, err := core.ParseEquivalence("# c\n a = b \nx=y\n")
 	if err != nil {
@@ -335,20 +348,21 @@ flow_deadline 1500ms
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Retries == nil || *spec.Retries != 4 {
-		t.Errorf("Retries = %v, want 4", spec.Retries)
+	retry := spec.Engine.Retry
+	if retry == nil || retry.Attempts != 4 {
+		t.Fatalf("Retry = %+v, want 4 attempts", retry)
 	}
-	if spec.Backoff != 25*time.Millisecond {
-		t.Errorf("Backoff = %v", spec.Backoff)
+	if retry.Backoff != 25*time.Millisecond {
+		t.Errorf("Backoff = %v", retry.Backoff)
 	}
-	if spec.DialTimeout != 3*time.Second {
-		t.Errorf("DialTimeout = %v", spec.DialTimeout)
+	if spec.Engine.DialTimeout != 3*time.Second {
+		t.Errorf("DialTimeout = %v", spec.Engine.DialTimeout)
 	}
-	if spec.MaxBackoff != 800*time.Millisecond {
-		t.Errorf("MaxBackoff = %v", spec.MaxBackoff)
+	if retry.MaxBackoff != 800*time.Millisecond {
+		t.Errorf("MaxBackoff = %v", retry.MaxBackoff)
 	}
-	if spec.FlowDeadline != 1500*time.Millisecond {
-		t.Errorf("FlowDeadline = %v", spec.FlowDeadline)
+	if spec.Engine.FlowDeadline != 1500*time.Millisecond {
+		t.Errorf("FlowDeadline = %v", spec.Engine.FlowDeadline)
 	}
 
 	// Every flow has a budget: flow_deadline off is refused, naming its line.
@@ -362,8 +376,8 @@ flow_deadline 1500ms
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Retries == nil || *spec.Retries != 0 {
-		t.Errorf("Retries = %v, want 0", spec.Retries)
+	if spec.Engine.Retry == nil || spec.Engine.Retry.Attempts != 0 {
+		t.Errorf("Retry = %+v, want 0 attempts", spec.Engine.Retry)
 	}
 
 	// Omitted directives leave the engine defaults in charge.
@@ -371,9 +385,8 @@ flow_deadline 1500ms
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Retries != nil || spec.Backoff != 0 || spec.DialTimeout != 0 ||
-		spec.MaxBackoff != 0 || spec.FlowDeadline != 0 {
-		t.Errorf("defaults polluted: %+v", spec)
+	if !reflect.DeepEqual(spec.Engine, engine.Config{HostMap: map[string]string{}}) {
+		t.Errorf("defaults polluted: %+v", spec.Engine)
 	}
 }
 
@@ -656,11 +669,11 @@ pool_idle 30s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.PoolSize != 16 {
-		t.Errorf("PoolSize = %d, want 16", spec.PoolSize)
+	if spec.Engine.PoolSize != 16 {
+		t.Errorf("PoolSize = %d, want 16", spec.Engine.PoolSize)
 	}
-	if spec.PoolIdle != 30*time.Second {
-		t.Errorf("PoolIdle = %v, want 30s", spec.PoolIdle)
+	if spec.Engine.PoolIdle != 30*time.Second {
+		t.Errorf("PoolIdle = %v, want 30s", spec.Engine.PoolIdle)
 	}
 
 	// pool_idle off disables idle keep-alive.
@@ -668,8 +681,8 @@ pool_idle 30s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.PoolIdle >= 0 {
-		t.Errorf("PoolIdle = %v, want negative for off", spec.PoolIdle)
+	if spec.Engine.PoolIdle >= 0 {
+		t.Errorf("PoolIdle = %v, want negative for off", spec.Engine.PoolIdle)
 	}
 
 	for _, doc := range []string{
@@ -854,18 +867,18 @@ backend orders 10.0.1.1:80
 	if photos.Name != "photos" || len(photos.Addrs) != 3 {
 		t.Errorf("photos = %+v", photos)
 	}
-	if photos.Policy != "p2c" {
-		t.Errorf("Policy = %q, want p2c", photos.Policy)
+	if photos.Options.Policy != "p2c" {
+		t.Errorf("Policy = %q, want p2c", photos.Options.Policy)
 	}
-	if photos.ProbeInterval != 250*time.Millisecond || photos.ProbeTimeout != time.Second {
-		t.Errorf("probe = %v/%v", photos.ProbeInterval, photos.ProbeTimeout)
+	if photos.Options.ProbeInterval != 250*time.Millisecond || photos.Options.ProbeTimeout != time.Second {
+		t.Errorf("probe = %v/%v", photos.Options.ProbeInterval, photos.Options.ProbeTimeout)
 	}
-	if photos.FailThreshold != 2 || photos.Cooloff != 500*time.Millisecond ||
-		photos.MaxCooloff != 10*time.Second || photos.MinLive != 2 {
+	if photos.Options.FailThreshold != 2 || photos.Options.Cooloff != 500*time.Millisecond ||
+		photos.Options.MaxCooloff != 10*time.Second || photos.Options.MinLive != 2 {
 		t.Errorf("eject = %+v", photos)
 	}
 	orders := spec.Backends[1]
-	if orders.Name != "orders" || orders.Policy != "" || orders.ProbeInterval != 0 {
+	if orders.Name != "orders" || orders.Options.Policy != "" || orders.Options.ProbeInterval != 0 {
 		t.Errorf("orders = %+v, want untouched defaults", orders)
 	}
 }

@@ -38,8 +38,8 @@ discover orders via=file path=/etc/starlink/orders.hosts
 		slp.Type != "service:photos" || slp.Scope != "CAMPUS" {
 		t.Errorf("slp discover = %+v", slp)
 	}
-	if slp.Refresh != 2*time.Second || slp.Debounce != 5*time.Second ||
-		slp.MinTTL != time.Minute || slp.MaxChurn != 2 {
+	if slp.Options.Refresh != 2*time.Second || slp.Options.Debounce != 5*time.Second ||
+		slp.Options.MinTTL != time.Minute || slp.Options.MaxChurn != 2 {
 		t.Errorf("slp tuning = %+v", slp)
 	}
 	file := spec.Discover[1]
@@ -61,7 +61,7 @@ discover b via=dns name=_photos._tcp.example.org
 		t.Fatal(err)
 	}
 	if d := spec.Discover[0]; d.Search != "239.255.255.250:1900" || d.ST != "urn:photos" ||
-		d.Listen != "0.0.0.0:1900" || d.MX != 2 {
+		d.SSDP.Listen != "0.0.0.0:1900" || d.SSDP.MX != 2 {
 		t.Errorf("ssdp discover = %+v", d)
 	}
 	if d := spec.Discover[1]; d.Name != "_photos._tcp.example.org" {

@@ -31,11 +31,8 @@ type GatewayRouteSpec struct {
 	// Payload narrows an HTTP match to a body kind ("xml" or "json") —
 	// how two POST routes on one path stay distinct.
 	Payload string
-	// Rate, Burst and MaxFlows configure admission control; zero values
-	// leave the corresponding limit off.
-	Rate     float64
-	Burst    int
-	MaxFlows int
+	// Admission is what the rate=, burst= and maxflows= options set.
+	Admission gateway.AdmissionPolicy
 	// Deadline overrides the hosted mediator's per-flow deadline budget
 	// (`deadline=` option): a flow that would outlive it is failed fast
 	// with a protocol-correct fault, the deadline-budget analogue of
@@ -53,15 +50,11 @@ type GatewaySpec struct {
 	// Admin, when non-empty, is where the gateway's metrics endpoint
 	// binds.
 	Admin string
-	// Default names the route taking unmatched connections ("" drops
-	// them).
-	Default string
-	// SniffBytes and SniffTimeout bound the wire sniffer (zero values
-	// take the gateway defaults).
-	SniffBytes   int
-	SniffTimeout time.Duration
 	// Routes in declaration (match) order.
 	Routes []GatewayRouteSpec
+	// Gateway is the front door's configuration the default, sniff_bytes
+	// and sniff_timeout directives set; buildGateway adds the routes.
+	Gateway gateway.Config
 }
 
 // buildRoute assembles one route: a detached mediator (pool started,
@@ -106,15 +99,11 @@ func (m *Models) buildRoute(rs GatewayRouteSpec) (gateway.RouteConfig, *engine.M
 		return gateway.RouteConfig{}, nil, fmt.Errorf("route %q: %w", rs.Name, err)
 	}
 	return gateway.RouteConfig{
-		Name:  rs.Name,
-		Match: match,
-		Admission: gateway.AdmissionPolicy{
-			Rate:     rs.Rate,
-			Burst:    rs.Burst,
-			MaxFlows: rs.MaxFlows,
-		},
-		Binder: binder,
-		Target: med,
+		Name:      rs.Name,
+		Match:     match,
+		Admission: rs.Admission,
+		Binder:    binder,
+		Target:    med,
 	}, med, nil
 }
 
@@ -226,12 +215,9 @@ func (m *Models) buildGateway(spec *GatewaySpec) (*gateway.Gateway, []gateway.Ro
 		routes = append(routes, rc)
 		mediators[rs.Name] = med
 	}
-	gw, err := gateway.New(gateway.Config{
-		Routes:       routes,
-		Default:      spec.Default,
-		SniffBytes:   spec.SniffBytes,
-		SniffTimeout: spec.SniffTimeout,
-	})
+	cfg := spec.Gateway
+	cfg.Routes = routes
+	gw, err := gateway.New(cfg)
 	if err != nil {
 		closeAll(mediators)
 		return nil, nil, nil, err

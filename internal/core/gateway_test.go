@@ -38,18 +38,18 @@ default soap
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Listen != "127.0.0.1:9000" || spec.Admin != "127.0.0.1:9090" || spec.Default != "soap" {
+	if spec.Listen != "127.0.0.1:9000" || spec.Admin != "127.0.0.1:9090" || spec.Gateway.Default != "soap" {
 		t.Errorf("spec = %+v", spec)
 	}
-	if spec.SniffBytes != 128 || spec.SniffTimeout != 250*time.Millisecond {
-		t.Errorf("sniff knobs = %d %v", spec.SniffBytes, spec.SniffTimeout)
+	if spec.Gateway.SniffBytes != 128 || spec.Gateway.SniffTimeout != 250*time.Millisecond {
+		t.Errorf("sniff knobs = %d %v", spec.Gateway.SniffBytes, spec.Gateway.SniffTimeout)
 	}
 	if len(spec.Routes) != 3 {
 		t.Fatalf("routes = %d", len(spec.Routes))
 	}
 	r := spec.Routes[0]
 	if r.Name != "xmlrpc" || r.Mediator != "flickr-xmlrpc" || r.PathPrefix != "/services/xmlrpc" ||
-		r.Payload != "xml" || r.Rate != 100 || r.Burst != 10 || r.MaxFlows != 32 ||
+		r.Payload != "xml" || r.Admission.Rate != 100 || r.Admission.Burst != 10 || r.Admission.MaxFlows != 32 ||
 		r.Deadline != 750*time.Millisecond {
 		t.Errorf("route[0] = %+v", r)
 	}
@@ -144,7 +144,7 @@ func TestParseMediatorSpecDuplicateDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multi-valued repeats rejected: %v", err)
 	}
-	if len(spec.Sides) != 2 || len(spec.HostMap) != 2 {
+	if len(spec.Sides) != 2 || len(spec.Engine.HostMap) != 2 {
 		t.Errorf("spec = %+v", spec)
 	}
 }

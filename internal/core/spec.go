@@ -286,14 +286,14 @@ var (
 		{"target", "<addr>|<backend>", false, func(s *SideSpec, _ *reading, v string) { s.Target = v }},
 		{"server", "", false, func(s *SideSpec, _ *reading, _ string) { s.Server = true }},
 	}
-	probeOptions = []option[BackendSpec]{
-		{"timeout", "<duration>", false, func(b *BackendSpec, r *reading, v string) { b.ProbeTimeout = r.duration(v, positive) }},
+	probeOptions = []option[backend.Options]{
+		{"timeout", "<duration>", false, func(o *backend.Options, r *reading, v string) { o.ProbeTimeout = r.duration(v, positive) }},
 	}
-	ejectOptions = []option[BackendSpec]{
-		{"fails", "<n>", false, func(b *BackendSpec, r *reading, v string) { b.FailThreshold = r.count(v, 1, many) }},
-		{"cooloff", "<duration>", false, func(b *BackendSpec, r *reading, v string) { b.Cooloff = r.duration(v, positive) }},
-		{"max_cooloff", "<duration>", false, func(b *BackendSpec, r *reading, v string) { b.MaxCooloff = r.duration(v, positive) }},
-		{"min_live", "<n>", false, func(b *BackendSpec, r *reading, v string) { b.MinLive = r.count(v, 1, many) }},
+	ejectOptions = []option[backend.Options]{
+		{"fails", "<n>", false, func(o *backend.Options, r *reading, v string) { o.FailThreshold = r.count(v, 1, many) }},
+		{"cooloff", "<duration>", false, func(o *backend.Options, r *reading, v string) { o.Cooloff = r.duration(v, positive) }},
+		{"max_cooloff", "<duration>", false, func(o *backend.Options, r *reading, v string) { o.MaxCooloff = r.duration(v, positive) }},
+		{"min_live", "<n>", false, func(o *backend.Options, r *reading, v string) { o.MinLive = r.count(v, 1, many) }},
 	}
 	cacheableOptions = []option[engine.CacheRule]{
 		{"ttl", "<duration>", true, func(c *engine.CacheRule, r *reading, v string) { c.TTL = r.duration(v, positive) }},
@@ -301,10 +301,10 @@ var (
 	}
 	// discoverTuning are the reconciler's options, which every source takes.
 	discoverTuning = []option[DiscoverSpec]{
-		{"refresh", "<duration>", false, func(d *DiscoverSpec, r *reading, v string) { d.Refresh = r.duration(v, positive) }},
-		{"debounce", "<duration>", false, func(d *DiscoverSpec, r *reading, v string) { d.Debounce = r.duration(v, positive) }},
-		{"min_ttl", "<duration>", false, func(d *DiscoverSpec, r *reading, v string) { d.MinTTL = r.duration(v, positive) }},
-		{"max_churn", "<n>", false, func(d *DiscoverSpec, r *reading, v string) { d.MaxChurn = r.count(v, 1, many) }},
+		{"refresh", "<duration>", false, func(d *DiscoverSpec, r *reading, v string) { d.Options.Refresh = r.duration(v, positive) }},
+		{"debounce", "<duration>", false, func(d *DiscoverSpec, r *reading, v string) { d.Options.Debounce = r.duration(v, positive) }},
+		{"min_ttl", "<duration>", false, func(d *DiscoverSpec, r *reading, v string) { d.Options.MinTTL = r.duration(v, positive) }},
+		{"max_churn", "<n>", false, func(d *DiscoverSpec, r *reading, v string) { d.Options.MaxChurn = r.count(v, 1, many) }},
 	}
 )
 
@@ -327,10 +327,10 @@ var discoverSources = []discoverSource{
 	{"ssdp", []option[DiscoverSpec]{
 		{"search", "<addr>", true, func(d *DiscoverSpec, r *reading, v string) { d.Search = r.filled(v) }},
 		{"st", "<target>", true, func(d *DiscoverSpec, r *reading, v string) { d.ST = r.filled(v) }},
-		{"listen", "<addr>", false, func(d *DiscoverSpec, r *reading, v string) { d.Listen = r.filled(v) }},
-		{"mx", "<seconds>", false, func(d *DiscoverSpec, r *reading, v string) { d.MX = r.count(v, 1, many) }},
+		{"listen", "<addr>", false, func(d *DiscoverSpec, r *reading, v string) { d.SSDP.Listen = r.filled(v) }},
+		{"mx", "<seconds>", false, func(d *DiscoverSpec, r *reading, v string) { d.SSDP.MX = r.count(v, 1, many) }},
 	}, func(ds DiscoverSpec) (discovery.Source, error) {
-		return discovery.NewSSDPSource(ds.Search, ds.ST, discovery.SSDPOptions{MX: ds.MX, Listen: ds.Listen})
+		return discovery.NewSSDPSource(ds.Search, ds.ST, ds.SSDP)
 	}},
 	{"dns", []option[DiscoverSpec]{
 		{"name", "<host:port>|<_svc._proto.domain>", true, func(d *DiscoverSpec, r *reading, v string) { d.Name = r.filled(v) }},
@@ -381,6 +381,25 @@ func tune(s *MediatorSpec, r *reading, apply func(*BackendSpec)) {
 	})
 }
 
+// retryPolicy is the spec's retry policy: the engine's default until a
+// line sets a part of it.
+func retryPolicy(s *MediatorSpec) *engine.RetryPolicy {
+	if s.Engine.Retry == nil {
+		p := engine.DefaultRetry()
+		s.Engine.Retry = &p
+	}
+	return s.Engine.Retry
+}
+
+// cachePolicy is the spec's response cache policy, which the first
+// cache line makes: without one, the mediator has no cache.
+func cachePolicy(s *MediatorSpec) *engine.CachePolicy {
+	if s.Engine.Cache == nil {
+		s.Engine.Cache = &engine.CachePolicy{}
+	}
+	return s.Engine.Cache
+}
+
 // balancePolicies are the words `balance` takes.
 const balancePolicies = string(backend.RoundRobin + "|" + backend.PowerOfTwo)
 
@@ -415,7 +434,7 @@ var mediatorDirectives = []directive[MediatorSpec]{
 				r.refuse("want: hostmap <host> = <addr>")
 			}
 			r.unique("hostmap for", host)
-			s.HostMap[host] = addr
+			s.Engine.HostMap[host] = addr
 		}},
 	{name: "backend", usage: "<name> <addr> [addr ...]", min: 1, max: many,
 		doc: "Declares a named replica set a `target=` or `hostmap` may name in place of an address; once per name, no address twice (docs/BACKENDS.md).",
@@ -437,27 +456,29 @@ var mediatorDirectives = []directive[MediatorSpec]{
 	{name: "balance", usage: "<backend> " + balancePolicies, min: 2, max: 2, def: "`" + string(backend.RoundRobin) + "`",
 		doc: "The set's balancing policy; `p2c` is power-of-two-choices over in-flight counts. Once per set, before or after its `backend` line.",
 		parse: func(s *MediatorSpec, r *reading) {
-			policy := r.oneOf(r.words[1], balancePolicies)
-			tune(s, r, func(b *BackendSpec) { b.Policy = policy })
+			policy := backend.Policy(r.oneOf(r.words[1], balancePolicies))
+			tune(s, r, func(b *BackendSpec) { b.Options.Policy = policy })
 		}},
 	{name: "probe", usage: "<backend> <interval> " + forms(probeOptions), min: 2, max: many,
 		def: "no probing; `timeout=" + backend.DefaultProbeTimeout.String() + "`",
 		doc: "Probes every replica of the set with a TCP dial each interval; without it health is passive only. Once per set.",
 		parse: func(s *MediatorSpec, r *reading) {
-			t := BackendSpec{ProbeInterval: r.duration(r.words[1], positive)}
+			t := backend.Options{ProbeInterval: r.duration(r.words[1], positive)}
 			options(r, r.words[2:], probeOptions, &t)
-			tune(s, r, func(b *BackendSpec) { b.ProbeInterval, b.ProbeTimeout = t.ProbeInterval, t.ProbeTimeout })
+			tune(s, r, func(b *BackendSpec) {
+				b.Options.ProbeInterval, b.Options.ProbeTimeout = t.ProbeInterval, t.ProbeTimeout
+			})
 		}},
 	{name: "eject", usage: "<backend> " + forms(ejectOptions), min: 2, max: many,
 		def: fmt.Sprintf("`fails=%d cooloff=%v max_cooloff=%v min_live=1`",
 			backend.DefaultFailThreshold, backend.DefaultCooloff, backend.DefaultMaxCooloff),
 		doc: "Passive ejection: `fails` consecutive failures eject a replica for `cooloff`, doubling to `max_cooloff`, never below `min_live` live replicas. At least one option; once per set.",
 		parse: func(s *MediatorSpec, r *reading) {
-			var t BackendSpec
+			var t backend.Options
 			options(r, r.words[1:], ejectOptions, &t)
 			tune(s, r, func(b *BackendSpec) {
-				b.FailThreshold, b.MinLive = t.FailThreshold, t.MinLive
-				b.Cooloff, b.MaxCooloff = t.Cooloff, t.MaxCooloff
+				b.Options.FailThreshold, b.Options.MinLive = t.FailThreshold, t.MinLive
+				b.Options.Cooloff, b.Options.MaxCooloff = t.Cooloff, t.MaxCooloff
 			})
 		}},
 	{name: "discover", usage: "<backend> via=<source> <source options> " + forms(discoverTuning), min: 2, max: many,
@@ -470,22 +491,22 @@ var mediatorDirectives = []directive[MediatorSpec]{
 		func(s *MediatorSpec, r *reading) { s.TypeMap = r.words[0] }),
 	scalar("retries", "<n>", strconv.Itoa(engine.DefaultRetryAttempts),
 		"Redial attempts after a failed service exchange; 0 disables recovery.",
-		func(s *MediatorSpec, r *reading) { n := r.count(r.words[0], 0, many); s.Retries = &n }),
+		func(s *MediatorSpec, r *reading) { retryPolicy(s).Attempts = r.count(r.words[0], 0, many) }),
 	scalar("backoff", "<duration>", engine.DefaultBackoff.String(), "The base of the exponential retry backoff; 0 retries at once.",
-		func(s *MediatorSpec, r *reading) { s.Backoff = r.duration(r.words[0], 0) }),
+		func(s *MediatorSpec, r *reading) { retryPolicy(s).Backoff = r.duration(r.words[0], 0) }),
 	scalar("max_backoff", "<duration>", engine.DefaultMaxBackoff.String(), "The cap of the jittered backoff window.",
-		func(s *MediatorSpec, r *reading) { s.MaxBackoff = r.duration(r.words[0], positive) }),
+		func(s *MediatorSpec, r *reading) { retryPolicy(s).MaxBackoff = r.duration(r.words[0], positive) }),
 	scalar("flow_deadline", "<duration>", (2 * engine.DefaultExchangeTimeout).String(),
 		"The budget every blocking step of one flow draws down, twice the exchange timeout unless set; every flow has one (docs/DEADLINES.md).",
-		func(s *MediatorSpec, r *reading) { s.FlowDeadline = r.duration(r.words[0], positive) }),
+		func(s *MediatorSpec, r *reading) { s.Engine.FlowDeadline = r.duration(r.words[0], positive) }),
 	scalar("dialtimeout", "<duration>", network.DefaultDialTimeout.String(),
 		"The bound on each service dial, and on a wait for a pooled connection.",
-		func(s *MediatorSpec, r *reading) { s.DialTimeout = r.duration(r.words[0], positive) }),
+		func(s *MediatorSpec, r *reading) { s.Engine.DialTimeout = r.duration(r.words[0], positive) }),
 	scalar("pool_size", "<n>", strconv.Itoa(engine.DefaultPoolSize), "Service connections per (colour, address), idle and in use.",
-		func(s *MediatorSpec, r *reading) { s.PoolSize = r.count(r.words[0], 1, many) }),
+		func(s *MediatorSpec, r *reading) { s.Engine.PoolSize = r.count(r.words[0], 1, many) }),
 	scalar("pool_idle", "<duration>|off", engine.DefaultPoolIdle.String(),
 		"How long an idle pooled connection stays warm; `off` closes it on check-in.",
-		func(s *MediatorSpec, r *reading) { s.PoolIdle = r.durationOrOff(r.words[0]) }),
+		func(s *MediatorSpec, r *reading) { s.Engine.PoolIdle = r.durationOrOff(r.words[0]) }),
 	scalar("admin", "<addr>", "no endpoint",
 		"Attaches the flow tracer and serves the admin endpoint there; `-admin` overrides it (docs/OBSERVABILITY.md).",
 		func(s *MediatorSpec, r *reading) { s.Admin = r.words[0] }),
@@ -495,30 +516,32 @@ var mediatorDirectives = []directive[MediatorSpec]{
 			var rule engine.CacheRule
 			options(r, r.words[1:], cacheableOptions, &rule)
 			r.unique("cacheable for operation", r.words[0])
-			if s.Cacheable == nil {
-				s.Cacheable = map[string]engine.CacheRule{}
+			c := cachePolicy(s)
+			if c.Rules == nil {
+				c.Rules = map[string]engine.CacheRule{}
 			}
-			s.Cacheable[r.words[0]] = rule
+			c.Rules[r.words[0]] = rule
 		}},
 	{name: "invalidates", usage: "<operation> <cached-op,...>", min: 2, max: many,
 		doc: "Sending the write operation first flushes the listed operations' entries; each must be declared `cacheable`.",
 		parse: func(s *MediatorSpec, r *reading) {
-			if s.Invalidates == nil {
-				s.Invalidates = map[string][]string{}
+			c := cachePolicy(s)
+			if c.Invalidates == nil {
+				c.Invalidates = map[string][]string{}
 			}
 			for _, w := range r.words[1:] {
-				s.Invalidates[r.words[0]] = append(s.Invalidates[r.words[0]], r.list(w)...)
+				c.Invalidates[r.words[0]] = append(c.Invalidates[r.words[0]], r.list(w)...)
 			}
 		}},
 	scalar("cache_size", "<n>", strconv.Itoa(rcache.DefaultMaxEntries), "The most replies the response cache stores.",
-		func(s *MediatorSpec, r *reading) { s.CacheSize = r.count(r.words[0], 1, many) }),
+		func(s *MediatorSpec, r *reading) { cachePolicy(s).MaxEntries = r.count(r.words[0], 1, many) }),
 	scalar("cache_shards", "<n>", strconv.Itoa(rcache.DefaultShards), "The response cache's lock shards.",
-		func(s *MediatorSpec, r *reading) { s.CacheShards = r.count(r.words[0], 1, many) }),
+		func(s *MediatorSpec, r *reading) { cachePolicy(s).Shards = r.count(r.words[0], 1, many) }),
 }
 
 // ParseMediatorSpec reads a deployment spec document.
 func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
-	spec := &MediatorSpec{HostMap: map[string]string{}}
+	spec := &MediatorSpec{Engine: engine.Config{HostMap: map[string]string{}}}
 	r, err := parseSpec(doc, mediatorDirectives, spec, ErrSpec)
 	if err != nil {
 		return nil, err
@@ -529,10 +552,12 @@ func ParseMediatorSpec(doc string) (*MediatorSpec, error) {
 	if len(spec.Sides) == 0 {
 		return nil, r.errAt(-1, "", "no sides configured (directive \"side\" missing)")
 	}
-	for op, targets := range spec.Invalidates {
-		for _, target := range targets {
-			if _, ok := spec.Cacheable[target]; !ok {
-				return nil, r.errAt(-1, "invalidates", "operation %q invalidates %q, which is not declared cacheable", op, target)
+	if c := spec.Engine.Cache; c != nil {
+		for op, targets := range c.Invalidates {
+			for _, target := range targets {
+				if _, ok := c.Rules[target]; !ok {
+					return nil, r.errAt(-1, "invalidates", "operation %q invalidates %q, which is not declared cacheable", op, target)
+				}
 			}
 		}
 	}
@@ -581,10 +606,10 @@ var routeOptions = []option[GatewayRouteSpec]{
 		if err != nil || !(f > 0) || math.IsInf(f, 1) {
 			r.refuse("bad value %q: want a finite number above zero", v)
 		}
-		rs.Rate = f
+		rs.Admission.Rate = f
 	}},
-	{"burst", "<n>", false, func(rs *GatewayRouteSpec, r *reading, v string) { rs.Burst = r.count(v, 1, many) }},
-	{"maxflows", "<n>", false, func(rs *GatewayRouteSpec, r *reading, v string) { rs.MaxFlows = r.count(v, 1, many) }},
+	{"burst", "<n>", false, func(rs *GatewayRouteSpec, r *reading, v string) { rs.Admission.Burst = r.count(v, 1, many) }},
+	{"maxflows", "<n>", false, func(rs *GatewayRouteSpec, r *reading, v string) { rs.Admission.MaxFlows = r.count(v, 1, many) }},
 	{"deadline", "<duration>", false, func(rs *GatewayRouteSpec, r *reading, v string) { rs.Deadline = r.duration(v, positive) }},
 }
 
@@ -596,9 +621,9 @@ var gatewayDirectives = []directive[GatewaySpec]{
 		func(s *GatewaySpec, r *reading) { s.Admin = r.words[0] }),
 	scalar("sniff_bytes", "<n>", strconv.Itoa(gateway.DefaultSniffBytes),
 		fmt.Sprintf("The most bytes the sniffer peeks before it gives a connection up as unclassified; %d at most, what its buffer holds.", network.PeekSize),
-		func(s *GatewaySpec, r *reading) { s.SniffBytes = r.count(r.words[0], 1, network.PeekSize) }),
+		func(s *GatewaySpec, r *reading) { s.Gateway.SniffBytes = r.count(r.words[0], 1, network.PeekSize) }),
 	scalar("sniff_timeout", "<duration>", gateway.DefaultSniffTimeout.String(), "How long the sniffer waits for those bytes.",
-		func(s *GatewaySpec, r *reading) { s.SniffTimeout = r.duration(r.words[0], positive) }),
+		func(s *GatewaySpec, r *reading) { s.Gateway.SniffTimeout = r.duration(r.words[0], positive) }),
 	{name: "route", usage: "<name> <mediator-spec> " + forms(routeOptions), min: 2, max: many,
 		def: "class and path of the mediator's server side; no limits",
 		doc: "Hosts the `.mediator` spec of that name. Required, once per name; routes match in the order given. " +
@@ -612,7 +637,7 @@ var gatewayDirectives = []directive[GatewaySpec]{
 			s.Routes = append(s.Routes, rs)
 		}},
 	scalar("default", "<route-name>", "close the connection", "The route that takes a connection no route matches.",
-		func(s *GatewaySpec, r *reading) { s.Default = r.words[0] }),
+		func(s *GatewaySpec, r *reading) { s.Gateway.Default = r.words[0] }),
 }
 
 // ParseGatewaySpec reads a gateway deployment spec document.
@@ -625,8 +650,8 @@ func ParseGatewaySpec(doc string) (*GatewaySpec, error) {
 	if len(spec.Routes) == 0 {
 		return nil, r.errAt(-1, "", "no routes declared (directive \"route\" missing)")
 	}
-	if _, ok := r.first["route\x00"+spec.Default]; spec.Default != "" && !ok {
-		return nil, r.errAt(-1, "default", "default route %q not declared", spec.Default)
+	if _, ok := r.first["route\x00"+spec.Gateway.Default]; spec.Gateway.Default != "" && !ok {
+		return nil, r.errAt(-1, "default", "default route %q not declared", spec.Gateway.Default)
 	}
 	return spec, nil
 }

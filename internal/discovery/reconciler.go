@@ -129,6 +129,10 @@ func (r *Reconciler) Backend() *backend.Set { return r.set }
 // Source describes the configured source.
 func (r *Reconciler) Source() string { return r.opts.Source.String() }
 
+// Options returns the options the reconciler runs with: New's, its
+// defaults filled in.
+func (r *Reconciler) Options() Options { return r.opts }
+
 // Start launches the reconcile loop: an immediate first round, then
 // one per refresh tick, plus out-of-band rounds whenever a notifying
 // source (SSDP NOTIFY) nudges. Idempotent.

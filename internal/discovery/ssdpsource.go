@@ -21,7 +21,7 @@ import (
 type SSDPSource struct {
 	addr string // search/responder address
 	st   string // search target
-	mx   int    // M-SEARCH response window, seconds
+	opts SSDPOptions
 
 	mu      sync.Mutex
 	known   map[string]ssdpEntry // USN -> entry
@@ -57,7 +57,7 @@ func NewSSDPSource(addr, st string, opts SSDPOptions) (*SSDPSource, error) {
 	s := &SSDPSource{
 		addr:    addr,
 		st:      st,
-		mx:      opts.MX,
+		opts:    opts,
 		known:   make(map[string]ssdpEntry),
 		updates: make(chan struct{}, 1),
 	}
@@ -86,7 +86,7 @@ func (s *SSDPSource) Resolve() ([]Endpoint, error) {
 	}
 	s.mu.Unlock()
 
-	resps, err := ssdp.Search(s.addr, s.st, s.mx, 0)
+	resps, err := ssdp.Search(s.addr, s.st, s.opts.MX, 0)
 	if err != nil && err != ssdp.ErrNoResponse {
 		return nil, fmt.Errorf("%w: search %s: %v", ErrSource, s.st, err)
 	}
@@ -194,6 +194,10 @@ func notifyMaxAge(cc string) time.Duration {
 	}
 	return 1800 * time.Second
 }
+
+// Options returns the options the source runs with: NewSSDPSource's,
+// its default filled in.
+func (s *SSDPSource) Options() SSDPOptions { return s.opts }
 
 func (s *SSDPSource) String() string {
 	return fmt.Sprintf("ssdp://%s/%s", s.addr, s.st)

@@ -164,7 +164,7 @@ type Config struct {
 // field when set (validated), else the defaults.
 func (c Config) retryPolicy() (RetryPolicy, error) {
 	if c.Retry == nil {
-		return RetryPolicy{Attempts: DefaultRetryAttempts, Backoff: DefaultBackoff}, nil
+		return DefaultRetry(), nil
 	}
 	p := *c.Retry
 	if p.Attempts < 0 || p.Backoff < 0 || p.MaxBackoff < 0 {
@@ -182,6 +182,11 @@ const (
 	DefaultPoolIdle        = pool.DefaultIdleTimeout
 	DefaultExchangeTimeout = 10 * time.Second
 )
+
+// DefaultRetry is the policy a nil Config.Retry stands for.
+func DefaultRetry() RetryPolicy {
+	return RetryPolicy{Attempts: DefaultRetryAttempts, Backoff: DefaultBackoff}
+}
 
 // CacheRule declares one cacheable service operation: its replies are
 // stored for TTL (> 0) and served to later identical requests, those whose

@@ -22,11 +22,6 @@ type AdmissionPolicy struct {
 	MaxFlows int
 }
 
-// limited reports whether the policy constrains anything.
-func (p AdmissionPolicy) limited() bool {
-	return p.Rate > 0 || p.MaxFlows > 0
-}
-
 // tokenBucket is a classic refill-on-demand token bucket. It is cheap
 // enough for the accept path: one mutex, no timers, no goroutines.
 type tokenBucket struct {

@@ -189,6 +189,9 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
+// Config returns the configuration New was given.
+func (g *Gateway) Config() Config { return g.cfg }
+
 // Start binds addr and begins accepting.
 func (g *Gateway) Start(addr string) error {
 	l, err := net.Listen("tcp", addr)

@@ -5,9 +5,10 @@
 // (abstract message -> wire bytes) can be generated automatically at
 // runtime (paper Section 4.1, Fig. 5). The framework is deliberately
 // flexible about the concrete language: specialised engines exist for
-// binary messages (package binenc), text messages (package textenc) and
-// XML messages (package xmlenc), all sharing the document syntax parsed
-// here.
+// binary messages (package binenc) and text messages (package textenc),
+// both sharing the document syntax parsed here. XML payloads are read and
+// written by their protocol layers over package xmlenc's Reader and
+// Writer.
 //
 // The concrete syntax follows the paper:
 //
@@ -45,7 +46,6 @@ import (
 const (
 	EncodingBinary = "binary"
 	EncodingText   = "text"
-	EncodingXML    = "xml"
 )
 
 // Errors reported by the MDL layer.
@@ -117,7 +117,7 @@ func (ms *MessageSpec) Rule(field string) (Rule, bool) {
 type Spec struct {
 	// Name is the spec name from the <MDL:name:encoding> header.
 	Name string
-	// Encoding selects the engine: "binary", "text" or "xml".
+	// Encoding selects the engine: "binary" or "text".
 	Encoding string
 	// Messages are the layouts, in document order.
 	Messages []*MessageSpec

@@ -13,8 +13,8 @@ import (
 )
 
 // Writer renders one XML document into a pooled buffer. The protocol
-// layers write their documents straight to it; EncodeDoc and Compose
-// walk a field tree with it. Obtain one with NewDoc, finish with Doc.
+// layers write their documents straight to it; EncodeDoc walks a field
+// tree with it. Obtain one with NewDoc, finish with Doc.
 //
 // A start tag stays open until the element gets content, so attributes
 // may follow Open and an element closed without content renders as
@@ -42,21 +42,15 @@ var writers = sync.Pool{New: func() any { return new(Writer) }}
 // photo feed does not pin its high-water mark for the life of the process.
 const maxRetain = bufpool.MaxRetain
 
-// The two declarations in use: the RPC protocol layers predate encoding
-// declarations, the MDL codec writes the full form.
-const (
-	docHeader   = `<?xml version="1.0"?>` + "\n"
-	codecHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
-)
-
-func newWriter(header string) *Writer {
-	w := writers.Get().(*Writer)
-	w.buf = append(w.buf, header...)
-	return w
-}
+// docHeader is the XML declaration a document starts with.
+const docHeader = `<?xml version="1.0"?>` + "\n"
 
 // NewDoc starts a standalone document: the XML declaration is written.
-func NewDoc() *Writer { return newWriter(docHeader) }
+func NewDoc() *Writer {
+	w := writers.Get().(*Writer)
+	w.buf = append(w.buf, docHeader...)
+	return w
+}
 
 // Doc returns the finished document as a right-sized copy and releases
 // the writer, which must not be used again.

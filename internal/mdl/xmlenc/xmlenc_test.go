@@ -5,31 +5,18 @@ import (
 	"strings"
 	"testing"
 
-	"starlink/internal/mdl"
 	"starlink/internal/message"
 )
 
-const xmlrpcDoc = `
-<MDL:XMLRPC:xml>
-<Message:MethodCall>
-<Rule:root=methodCall>
-<End:Message>
-<Message:MethodResponse>
-<Rule:root=methodResponse>
-<End:Message>
-`
-
-func mustCodec(t *testing.T, doc string) mdl.Codec {
+// decode is DecodeTree with the root's children as a message's fields, so
+// a test reads them by path below the root.
+func decode(t *testing.T, raw string) (root string, msg *message.Message) {
 	t.Helper()
-	spec, err := mdl.ParseString(doc)
+	f, err := DecodeTree([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return f.Label, message.New(f.Label, f.Children...)
 }
 
 const sampleCall = `<?xml version="1.0"?>
@@ -42,13 +29,9 @@ const sampleCall = `<?xml version="1.0"?>
 </methodCall>`
 
 func TestParseMethodCall(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	msg, err := c.Parse([]byte(sampleCall))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Name != "MethodCall" {
-		t.Fatalf("parsed as %q", msg.Name)
+	root, msg := decode(t, sampleCall)
+	if root != "methodCall" {
+		t.Fatalf("root = %q", root)
 	}
 	if mn, _ := msg.GetString("methodName"); mn != "flickr.photos.search" {
 		t.Errorf("methodName = %q", mn)
@@ -61,23 +44,8 @@ func TestParseMethodCall(t *testing.T) {
 	}
 }
 
-func TestDispatchOnRoot(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	msg, err := c.Parse([]byte(`<methodResponse><params/></methodResponse>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Name != "MethodResponse" {
-		t.Errorf("parsed as %q", msg.Name)
-	}
-	if _, err := c.Parse([]byte(`<other/>`)); !errors.Is(err, mdl.ErrNoMessageMatch) {
-		t.Errorf("unknown root err = %v", err)
-	}
-}
-
 func TestComposeRoundTrip(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	in := message.New("MethodCall",
+	in := message.NewStruct("methodCall",
 		message.NewPrimitive("methodName", message.TypeString, "flickr.photos.getInfo"),
 		message.NewStruct("params",
 			message.NewStruct("param",
@@ -87,61 +55,43 @@ func TestComposeRoundTrip(t *testing.T) {
 			),
 		),
 	)
-	wire, err := c.Compose(in)
+	wire, err := EncodeDoc(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(wire), "id&lt;&amp;&gt;1") {
 		t.Errorf("escaping missing: %s", wire)
 	}
-	back, err := c.Parse(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, back := decode(t, string(wire))
 	if v, _ := back.GetString("params.param.value.string"); v != "id<&>1" {
 		t.Errorf("round-trip value = %q", v)
 	}
 }
 
 func TestAttributesRoundTrip(t *testing.T) {
-	doc := `
-<MDL:Atom:xml>
-<Message:Feed>
-<Rule:root=feed>
-<End:Message>
-`
-	c := mustCodec(t, doc)
 	raw := `<feed><entry etag="W/1"><id>p1</id><content type="image/jpeg" src="http://x/1.jpg"/></entry></feed>`
-	msg, err := c.Parse([]byte(raw))
+	f, err := DecodeTree([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
+	msg := message.New(f.Label, f.Children...)
 	if v, _ := msg.GetString("entry.@etag"); v != "W/1" {
 		t.Errorf("@etag = %q", v)
 	}
 	if v, _ := msg.GetString("entry.content.@src"); v != "http://x/1.jpg" {
 		t.Errorf("@src = %q", v)
 	}
-	wire, err := c.Compose(msg)
+	wire, err := EncodeDoc(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := c.Parse(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !msg.Equal(back) {
+	if _, back := decode(t, string(wire)); !msg.Equal(back) {
 		t.Errorf("attribute round-trip mismatch:\n%s\n%s", msg, back)
 	}
 }
 
 func TestMixedContent(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	raw := `<methodCall><methodName>m</methodName><note lang="en">hello <b>world</b></note></methodCall>`
-	msg, err := c.Parse([]byte(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, msg := decode(t, `<methodCall><methodName>m</methodName><note lang="en">hello <b>world</b></note></methodCall>`)
 	if v, _ := msg.GetString("note.#text"); v != "hello" {
 		t.Errorf("#text = %q", v)
 	}
@@ -154,11 +104,7 @@ func TestMixedContent(t *testing.T) {
 }
 
 func TestEmptyElement(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	msg, err := c.Parse([]byte(`<methodCall><params/></methodCall>`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, msg := decode(t, `<methodCall><params/></methodCall>`)
 	f, err := msg.Lookup("params")
 	if err != nil {
 		t.Fatal(err)
@@ -168,85 +114,32 @@ func TestEmptyElement(t *testing.T) {
 	}
 }
 
-func TestValueRuleDispatch(t *testing.T) {
-	doc := `
-<MDL:SOAP:xml>
-<Message:AddRequest>
-<Rule:root=Envelope>
-<Rule:Body.Add.op=add>
-<End:Message>
-<Message:SubRequest>
-<Rule:root=Envelope>
-<Rule:Body.Sub.op=sub>
-<End:Message>
-`
-	c := mustCodec(t, doc)
-	msg, err := c.Parse([]byte(`<Envelope><Body><Sub><op>sub</op></Sub></Body></Envelope>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Name != "SubRequest" {
-		t.Errorf("dispatched to %q", msg.Name)
-	}
-}
-
+// TestRootAttrsEmitted: a namespace declaration on the root is decoded as
+// an attribute child and written back on the root's start tag.
 func TestRootAttrsEmitted(t *testing.T) {
-	doc := `
-<MDL:SOAP:xml>
-<Message:Envelope>
-<Rule:root=Envelope>
-<xmlns:attr:http://schemas.xmlsoap.org/soap/envelope/>
-<End:Message>
-`
-	c := mustCodec(t, doc)
-	wire, err := c.Compose(message.New("Envelope", message.NewStruct("Body")))
+	f, err := DecodeTree([]byte(`<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/"><Body/></Envelope>`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(wire), `<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/"`) {
+	wire, err := EncodeDoc(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(wire), `<Envelope xmlns="http://schemas.xmlsoap.org/soap/envelope/">`) {
 		t.Errorf("root attr missing: %s", wire)
 	}
 }
 
-func TestBadSpecs(t *testing.T) {
-	noRoot := "<MDL:X:xml>\n<Message:M><End:Message>"
-	spec, err := mdl.ParseString(noRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(spec); !errors.Is(err, ErrBadSpec) {
-		t.Errorf("missing root rule: err = %v", err)
-	}
-	badItem := "<MDL:X:xml>\n<Message:M><Rule:root=m><A:8><End:Message>"
-	spec, err = mdl.ParseString(badItem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(spec); !errors.Is(err, ErrBadSpec) {
-		t.Errorf("bad item: err = %v", err)
-	}
-}
-
 func TestMalformedDocuments(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
 	for _, raw := range []string{"", "not xml", "<methodCall>", "<a><b></a></b>"} {
-		if _, err := c.Parse([]byte(raw)); err == nil {
-			t.Errorf("Parse(%q) accepted", raw)
+		if _, err := DecodeTree([]byte(raw)); err == nil {
+			t.Errorf("DecodeTree(%q) accepted", raw)
 		}
 	}
 }
 
-func TestComposeUnknownMessage(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	if _, err := c.Compose(message.New("Nope")); !errors.Is(err, mdl.ErrUnknownMessage) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestComposeTopLevelAttrBecomesRootAttr(t *testing.T) {
-	c := mustCodec(t, xmlrpcDoc)
-	in := message.New("MethodCall", message.NewPrimitive("@v", message.TypeString, "1"))
-	wire, err := c.Compose(in)
+	wire, err := EncodeDoc(message.NewStruct("methodCall", message.NewPrimitive("@v", message.TypeString, "1")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,29 +166,25 @@ func TestDecodeEncodeHelpers(t *testing.T) {
 }
 
 func BenchmarkXMLParse(b *testing.B) {
-	spec, _ := mdl.ParseString(xmlrpcDoc)
-	c, _ := New(spec)
 	raw := []byte(sampleCall)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Parse(raw); err != nil {
+		if _, err := DecodeTree(raw); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkXMLCompose(b *testing.B) {
-	spec, _ := mdl.ParseString(xmlrpcDoc)
-	c, _ := New(spec)
-	msg, err := c.Parse([]byte(sampleCall))
+	tree, err := DecodeTree([]byte(sampleCall))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compose(msg); err != nil {
+		if _, err := EncodeDoc(tree); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -125,6 +125,15 @@ func init() {
 		match:  func(u use) bool { return u.key == "strings.Cut" && callArg(u, 1, `"="`) },
 		msg:    "a spec value is read in internal/core/spec.go alone: a directive is a row of mediatorDirectives or gatewayDirectives, an option an entry of its list, read by the value readers beside them",
 	}, {
+		name:   "knobs-lowered-once",
+		design: `§3, "From a spec to a mediator"`,
+		paths:  []string{"internal/core"},
+		except: []string{"internal/core/spec.go"},
+		refuse: []string{"starlink/internal/engine.Config{}", "starlink/internal/engine.RetryPolicy{}", "starlink/internal/engine.CachePolicy{}",
+			"starlink/internal/backend.Options{}", "starlink/internal/discovery.Options{}", "starlink/internal/discovery.SSDPOptions{}",
+			"starlink/internal/gateway.AdmissionPolicy{}", "starlink/internal/gateway.Config{}"},
+		msg: "a tuning knob is declared once, in the option struct of the package that applies it: a spec type holds that struct, spec.go's rows fill it, and the rest of internal/core passes it on and writes no literal of engine.Config, RetryPolicy or CachePolicy, backend.Options, discovery.Options or SSDPOptions, gateway.AdmissionPolicy or gateway.Config",
+	}, {
 		name:   "one-accept-loop",
 		design: "§9",
 		paths:  []string{"internal", "cmd", "examples"},

@@ -55,6 +55,8 @@ var seeds = []seed{
 		file("package core\n\nimport \"time\"\n\nvar _, _ = time.ParseDuration(\"1s\")\n"), []string{"spec-values-in-spec-go"}},
 	{"a word cut at = outside spec.go", "internal/core/seed.go",
 		file("package core\n\nimport \"strings\"\n\nvar _, _, _ = strings.Cut(\"a=b\", \"=\")\n"), []string{"spec-values-in-spec-go"}},
+	{"an option struct written outside spec.go", "internal/core/core.go",
+		appended("\nvar _ = backend.Options{}\n"), []string{"knobs-lowered-once"}},
 	{"an accept loop in the gateway", "internal/gateway/seed.go",
 		file("package gateway\n\nimport \"net\"\n\nfunc seed(l net.Listener) { l.Accept() }\n"), []string{"one-accept-loop"}},
 	{"a read buffer of a command's own", "cmd/starlink/seed.go",

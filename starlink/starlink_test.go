@@ -111,7 +111,7 @@ func TestPublicModelParsers(t *testing.T) {
 	}
 	spec, err := starlink.ParseMediatorSpec(
 		"merged x\nside 1 xmlrpc path=/x server\npool_size 4\npool_idle off\n")
-	if err != nil || spec.PoolSize != 4 || spec.PoolIdle >= 0 {
+	if err != nil || spec.Engine.PoolSize != 4 || spec.Engine.PoolIdle >= 0 {
 		t.Errorf("ParseMediatorSpec: %v, %+v", err, spec)
 	}
 	if _, err := starlink.ParseMediatorSpec("merged x\nside 1 xmlrpc\npool_size nope"); err == nil ||
@@ -251,18 +251,18 @@ cache_shards 16
 	if err != nil {
 		t.Fatal(err)
 	}
-	rule := spec.Cacheable["catalog.search"]
+	rule := spec.Engine.Cache.Rules["catalog.search"]
 	if rule.TTL != 30*time.Second || len(rule.Vary) != 2 || rule.Vary[0] != "query" {
 		t.Errorf("catalog.search rule = %+v", rule)
 	}
-	if spec.Cacheable["catalog.get"].TTL != time.Minute {
-		t.Errorf("catalog.get rule = %+v", spec.Cacheable["catalog.get"])
+	if spec.Engine.Cache.Rules["catalog.get"].TTL != time.Minute {
+		t.Errorf("catalog.get rule = %+v", spec.Engine.Cache.Rules["catalog.get"])
 	}
-	if got := spec.Invalidates["orders.create"]; len(got) != 2 || got[1] != "catalog.get" {
+	if got := spec.Engine.Cache.Invalidates["orders.create"]; len(got) != 2 || got[1] != "catalog.get" {
 		t.Errorf("invalidates = %v", got)
 	}
-	if spec.CacheSize != 4096 || spec.CacheShards != 16 {
-		t.Errorf("cache_size/cache_shards = %d/%d", spec.CacheSize, spec.CacheShards)
+	if spec.Engine.Cache.MaxEntries != 4096 || spec.Engine.Cache.Shards != 16 {
+		t.Errorf("cache_size/cache_shards = %d/%d", spec.Engine.Cache.MaxEntries, spec.Engine.Cache.Shards)
 	}
 
 	for name, doc := range map[string]string{
@@ -439,7 +439,7 @@ eject plus fails=2 cooloff=500ms min_live=1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Backends) != 1 || spec.Backends[0].Name != "plus" || spec.Backends[0].FailThreshold != 2 {
+	if len(spec.Backends) != 1 || spec.Backends[0].Name != "plus" || spec.Backends[0].Options.FailThreshold != 2 {
 		t.Fatalf("parsed backends = %+v", spec.Backends)
 	}
 	models.Mediators["addplus"] = spec
